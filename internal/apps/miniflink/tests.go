@@ -3,7 +3,6 @@ package miniflink
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"zebraconf/internal/confkit"
 	"zebraconf/internal/core/harness"
@@ -146,15 +145,13 @@ func testInlinedTaskManagerInit(t *harness.T) {
 // it the ~10% uncertainty outlier of §6.2.
 func testUncertainHelperConf(t *harness.T) {
 	_, _, conf := startFlink(t, 1)
-	var wg sync.WaitGroup
-	wg.Add(1)
+	helper := t.Env.Scale.NewGroup(nil) // deliberately NOT through RT.Go: ownership is lost
 	var backend string
-	go func() { // deliberately NOT rt.Go: ownership is lost
-		defer wg.Done()
+	helper.Go(func() {
 		helperConf := t.Env.RT.NewConf()
 		backend = helperConf.Get(ParamStateBackend)
-	}()
-	wg.Wait()
+	})
+	helper.Wait()
 	if backend == "" {
 		t.Fatalf("helper goroutine read no state backend")
 	}
@@ -165,16 +162,14 @@ func testUncertainHelperConf(t *harness.T) {
 // goroutine reads tuning parameters through an unmappable object.
 func testAsyncSetupConf(t *harness.T) {
 	_, _, conf := startFlink(t, 1)
-	var wg sync.WaitGroup
-	wg.Add(1)
+	setup := t.Env.Scale.NewGroup(nil) // not through RT.Go either
 	var buffers int64
-	go func() {
-		defer wg.Done()
+	setup.Go(func() {
 		helperConf := t.Env.RT.NewConf()
 		buffers = helperConf.GetInt(ParamNetBuffers)
 		_ = helperConf.Get(ParamNetFraction)
-	}()
-	wg.Wait()
+	})
+	setup.Wait()
 	if buffers <= 0 {
 		t.Fatalf("async setup read no buffer count")
 	}

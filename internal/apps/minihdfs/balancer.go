@@ -11,6 +11,7 @@ import (
 	"zebraconf/internal/confkit"
 	"zebraconf/internal/core/harness"
 	"zebraconf/internal/rpcsim"
+	"zebraconf/internal/simtime"
 )
 
 // moverBackoffTicks is the Balancer's congestion backoff after a DataNode
@@ -254,51 +255,39 @@ func (b *Balancer) dispatch(plan []plannedMove) error {
 	}
 	close(queue)
 
-	abort := make(chan struct{})
-	var abortOnce sync.Once
-	stopWatch := make(chan struct{})
+	abort := b.env.Scale.NewSignal()
+	stopWatch := b.env.Scale.NewSignal()
 	var watchErr error
-	var watchWG sync.WaitGroup
-	watchWG.Add(1)
-	b.env.RT.Go(func() {
-		defer watchWG.Done()
-		for {
-			select {
-			case <-stopWatch:
-				return
-			case <-b.env.Scale.After(monitorTicks * 4):
-			}
+	watch := b.env.NewGroup()
+	watch.Go(func() {
+		for !b.env.Scale.Wait(monitorTicks*4, stopWatch) {
 			if b.sinceProgress() > balancerIdleTimeoutTicks {
 				watchErr = ErrBalancerTimeout
-				abortOnce.Do(func() { close(abort) })
+				abort.Fire()
 				return
 			}
 		}
 	})
 
-	var wg sync.WaitGroup
-	errCh := make(chan error, workers)
+	movers := b.env.NewGroup()
+	errCh := make(chan error, workers) // one send per worker at most
 	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		b.env.RT.Go(func() {
-			defer wg.Done()
+		movers.Go(func() {
 			for m := range queue {
 				if err := b.executeMove(m, abort); err != nil {
 					errCh <- err
-					abortOnce.Do(func() { close(abort) })
+					abort.Fire()
 					return
 				}
-				select {
-				case <-abort:
+				if abort.Fired() {
 					return
-				default:
 				}
 			}
 		})
 	}
-	wg.Wait()
-	close(stopWatch)
-	watchWG.Wait()
+	movers.Wait()
+	stopWatch.Fire()
+	watch.Wait()
 	if watchErr != nil {
 		return watchErr
 	}
@@ -312,12 +301,10 @@ func (b *Balancer) dispatch(plan []plannedMove) error {
 
 // executeMove drives one move to completion, retrying declines until the
 // round is aborted.
-func (b *Balancer) executeMove(m plannedMove, abort <-chan struct{}) error {
+func (b *Balancer) executeMove(m plannedMove, abort *simtime.Signal) error {
 	for {
-		select {
-		case <-abort:
+		if abort.Fired() {
 			return nil
-		default:
 		}
 		err := b.nn.CallJSON(MethodApproveMove, ApproveMoveReq{BlockID: m.blockID, FromDN: m.fromDN, ToDN: m.toDN}, nil)
 		if err != nil {
@@ -370,11 +357,6 @@ func (b *Balancer) sourceSecurity() rpcsim.Security {
 }
 
 // sleepOrAbort sleeps for ticks, returning false if the round aborted.
-func (b *Balancer) sleepOrAbort(ticks int64, abort <-chan struct{}) bool {
-	select {
-	case <-abort:
-		return false
-	case <-b.env.Scale.After(ticks):
-		return true
-	}
+func (b *Balancer) sleepOrAbort(ticks int64, abort *simtime.Signal) bool {
+	return !b.env.Scale.Wait(ticks, abort)
 }

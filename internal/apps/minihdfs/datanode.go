@@ -9,6 +9,7 @@ import (
 	"zebraconf/internal/core/harness"
 	"zebraconf/internal/netsim"
 	"zebraconf/internal/rpcsim"
+	"zebraconf/internal/simtime"
 )
 
 // moveServiceTicks models the disk and network latency of one balancing
@@ -61,7 +62,7 @@ type DataNode struct {
 	peerSrv  *rpcsim.Server // DN-to-DN endpoint
 	nnConn   *rpcsim.Conn
 	throttle *netsim.Throttler
-	moverSem chan struct{}
+	moverSem chan struct{} // counting semaphore, only ever tried, never waited on
 
 	mu     sync.Mutex
 	blocks map[int64]*storedBlock
@@ -69,9 +70,8 @@ type DataNode struct {
 
 	scanPeriod int64 // read at init; exposed only via a private accessor
 
-	stop     chan struct{}
-	stopOnce sync.Once
-	wg       sync.WaitGroup
+	stop  *simtime.Signal
+	loops *simtime.Group
 }
 
 // StartDataNode boots a DataNode, registers it with the NameNode at nnAddr,
@@ -91,7 +91,8 @@ func StartDataNode(env *harness.Env, conf *confkit.Conf, id, nnAddr string, opts
 		id:     id,
 		opts:   opts,
 		blocks: make(map[int64]*storedBlock),
-		stop:   make(chan struct{}),
+		stop:   env.Scale.NewSignal(),
+		loops:  env.NewGroup(),
 	}
 	// Local parameters read at init.
 	_ = dn.conf.Get(ParamDataDir)
@@ -164,8 +165,7 @@ func StartDataNode(env *harness.Env, conf *confkit.Conf, id, nnAddr string, opts
 		return nil, fmt.Errorf("minihdfs: datanode %s failed to register block pools: %w", id, err)
 	}
 
-	dn.wg.Add(1)
-	env.RT.Go(dn.heartbeatLoop)
+	dn.loops.Go(dn.heartbeatLoop)
 	return dn, nil
 }
 
@@ -224,26 +224,21 @@ func (dn *DataNode) closeServers() {
 // Stop shuts the DataNode down; the NameNode will eventually declare it
 // dead.
 func (dn *DataNode) Stop() {
-	dn.stopOnce.Do(func() {
-		close(dn.stop)
-		dn.closeServers()
-	})
-	dn.wg.Wait()
+	dn.stop.Fire()
+	dn.closeServers()
+	dn.loops.Wait()
 }
 
 // heartbeatLoop reports to the NameNode every heartbeat-interval ticks and
 // executes the deletion commands piggybacked on the response.
 func (dn *DataNode) heartbeatLoop() {
-	defer dn.wg.Done()
 	for {
 		interval := dn.conf.GetTicks(ParamHeartbeatInterval)
 		if interval < 1 {
 			interval = 1
 		}
-		select {
-		case <-dn.stop:
+		if dn.env.Scale.Wait(interval, dn.stop) {
 			return
-		case <-dn.env.Scale.After(interval):
 		}
 		reserved := dn.conf.GetInt(ParamDUReserved)
 		dn.mu.Lock()
@@ -286,12 +281,10 @@ func (dn *DataNode) deleteBlock(id int64) {
 		report()
 		return
 	}
-	// Not tracked by dn.wg: a deferred report may be scheduled while Stop is
+	// Not in dn.loops: a deferred report may be scheduled while Stop is
 	// waiting, and the goroutine exits by itself after at most delay ticks.
 	dn.env.RT.Go(func() {
-		select {
-		case <-dn.stop:
-		case <-dn.env.Scale.After(delay):
+		if !dn.env.Scale.Wait(delay, dn.stop) {
 			report()
 		}
 	})

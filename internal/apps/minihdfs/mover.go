@@ -3,7 +3,6 @@ package minihdfs
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"zebraconf/internal/apps/common"
 	"zebraconf/internal/confkit"
@@ -147,12 +146,10 @@ func (m *Mover) dispatch(plan []moverMove) error {
 	}
 	close(queue)
 
-	var wg sync.WaitGroup
-	errCh := make(chan error, len(plan))
+	movers := m.env.NewGroup()
+	errCh := make(chan error, workers) // one send per worker at most
 	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		m.env.RT.Go(func() {
-			defer wg.Done()
+		movers.Go(func() {
 			for mv := range queue {
 				if err := m.executeMove(mv); err != nil {
 					errCh <- err
@@ -161,7 +158,7 @@ func (m *Mover) dispatch(plan []moverMove) error {
 			}
 		})
 	}
-	wg.Wait()
+	movers.Wait()
 	select {
 	case err := <-errCh:
 		return err

@@ -15,6 +15,7 @@ import (
 	"zebraconf/internal/confkit"
 	"zebraconf/internal/core/harness"
 	"zebraconf/internal/rpcsim"
+	"zebraconf/internal/simtime"
 )
 
 // monitorTicks is the cadence of the NameNode's liveness monitor.
@@ -71,8 +72,8 @@ type NameNode struct {
 	pendingDel  map[string][]int64
 	snapshots   map[string]map[string][]string // root -> snapshot name -> file paths
 
-	stop chan struct{}
-	wg   sync.WaitGroup
+	stop  *simtime.Signal
+	loops *simtime.Group
 }
 
 // StartNameNode boots a NameNode bound to addr. The constructor is the
@@ -95,7 +96,8 @@ func StartNameNode(env *harness.Env, conf *confkit.Conf, addr string) (*NameNode
 		corrupt:    make(map[int64]bool),
 		pendingDel: make(map[string][]int64),
 		snapshots:  make(map[string]map[string][]string),
-		stop:       make(chan struct{}),
+		stop:       env.Scale.NewSignal(),
+		loops:      env.NewGroup(),
 	}
 	// Local-effect parameters, read at init like the real NameNode does.
 	_ = nn.conf.Get(ParamNameDir)
@@ -125,8 +127,7 @@ func StartNameNode(env *harness.Env, conf *confkit.Conf, addr string) (*NameNode
 	}
 	nn.web = web
 
-	nn.wg.Add(1)
-	env.RT.Go(nn.monitor)
+	nn.loops.Go(nn.monitor)
 	return nn, nil
 }
 
@@ -155,15 +156,10 @@ func (nn *NameNode) Addr() string { return nn.addr }
 
 // Stop shuts the NameNode down.
 func (nn *NameNode) Stop() {
-	select {
-	case <-nn.stop:
-		return
-	default:
-	}
-	close(nn.stop)
+	nn.stop.Fire()
 	nn.srv.Close()
 	nn.web.Close()
-	nn.wg.Wait()
+	nn.loops.Wait()
 }
 
 // monitor runs the liveness loop: a DataNode is dead after
@@ -171,13 +167,7 @@ func (nn *NameNode) Stop() {
 // after staleInterval. Thresholds are read from the configuration on every
 // pass, as the real monitor re-reads its (reconfigurable) settings.
 func (nn *NameNode) monitor() {
-	defer nn.wg.Done()
-	for {
-		select {
-		case <-nn.stop:
-			return
-		case <-nn.env.Scale.After(monitorTicks):
-		}
+	for !nn.env.Scale.Wait(monitorTicks, nn.stop) {
 		dead := 2*nn.conf.GetTicks(ParamRecheckInterval) + 10*nn.conf.GetTicks(ParamHeartbeatInterval)
 		stale := nn.conf.GetTicks(ParamStaleInterval)
 		now := nn.env.Scale.Now()

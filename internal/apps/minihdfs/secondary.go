@@ -8,6 +8,7 @@ import (
 	"zebraconf/internal/confkit"
 	"zebraconf/internal/core/harness"
 	"zebraconf/internal/rpcsim"
+	"zebraconf/internal/simtime"
 )
 
 // SecondaryNameNode periodically fetches namespace images from the
@@ -21,9 +22,8 @@ type SecondaryNameNode struct {
 	checkpoints int
 	lastImage   []byte
 
-	stop     chan struct{}
-	stopOnce sync.Once
-	wg       sync.WaitGroup
+	stop  *simtime.Signal
+	loops *simtime.Group
 }
 
 // StartSecondaryNameNode boots a checkpointer against the NameNode at
@@ -32,7 +32,7 @@ func StartSecondaryNameNode(env *harness.Env, conf *confkit.Conf, nnAddr string)
 	env.RT.StartInit(TypeSecondaryNN)
 	defer env.RT.StopInit()
 
-	snn := &SecondaryNameNode{env: env, conf: conf.RefToClone(), stop: make(chan struct{})}
+	snn := &SecondaryNameNode{env: env, conf: conf.RefToClone(), stop: env.Scale.NewSignal(), loops: env.NewGroup()}
 	_ = snn.conf.GetInt(ParamCheckpointTxns)
 	sec := common.SecurityFromConf(snn.conf)
 	sec.RequireToken = snn.conf.GetBool(ParamBlockAccessToken)
@@ -42,28 +42,24 @@ func StartSecondaryNameNode(env *harness.Env, conf *confkit.Conf, nnAddr string)
 	}
 	snn.nn = nn
 
-	snn.wg.Add(1)
-	env.RT.Go(snn.loop)
+	snn.loops.Go(snn.loop)
 	return snn, nil
 }
 
 // Stop halts the checkpoint loop.
 func (snn *SecondaryNameNode) Stop() {
-	snn.stopOnce.Do(func() { close(snn.stop) })
-	snn.wg.Wait()
+	snn.stop.Fire()
+	snn.loops.Wait()
 }
 
 func (snn *SecondaryNameNode) loop() {
-	defer snn.wg.Done()
 	for {
 		period := snn.conf.GetTicks(ParamCheckpointPeriod)
 		if period < 1 {
 			period = 1
 		}
-		select {
-		case <-snn.stop:
+		if snn.env.Scale.Wait(period, snn.stop) {
 			return
-		case <-snn.env.Scale.After(period):
 		}
 		_ = snn.Checkpoint()
 	}

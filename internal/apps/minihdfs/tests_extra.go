@@ -3,7 +3,6 @@ package minihdfs
 import (
 	"bytes"
 	"fmt"
-	"sync"
 
 	"zebraconf/internal/core/harness"
 )
@@ -27,16 +26,15 @@ func extraTests() []harness.UnitTest {
 // test; all pipelines and NameNode bookkeeping must stay consistent.
 func testConcurrentWriters(t *harness.T) {
 	_, client, _ := startCluster(t, ClusterOptions{DataNodes: 2})
-	var wg sync.WaitGroup
-	errs := make(chan error, 6)
+	writers := t.Env.Scale.NewGroup(nil)
+	errs := make(chan error, 6) // one send per writer
 	for i := 0; i < 6; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
+		i := i
+		writers.Go(func() {
 			errs <- client.WriteFile(fmt.Sprintf("/conc-%d", i), testData(300+i))
-		}(i)
+		})
 	}
-	wg.Wait()
+	writers.Wait()
 	close(errs)
 	for err := range errs {
 		t.NoErr(err, "concurrent write")

@@ -9,6 +9,7 @@ import (
 	"zebraconf/internal/confkit"
 	"zebraconf/internal/core/harness"
 	"zebraconf/internal/rpcsim"
+	"zebraconf/internal/simtime"
 )
 
 // rmMonitorTicks is the ResourceManager liveness monitor cadence.
@@ -84,8 +85,8 @@ type ResourceManager struct {
 	nms       map[string]*nmState
 	nextCtr   int64
 	nextToken int
-	stop      chan struct{}
-	wg        sync.WaitGroup
+	stop      *simtime.Signal
+	loops     *simtime.Group
 }
 
 // StartResourceManager boots the RM at its configured address.
@@ -94,10 +95,11 @@ func StartResourceManager(env *harness.Env, conf *confkit.Conf) (*ResourceManage
 	defer env.RT.StopInit()
 
 	rm := &ResourceManager{
-		env:  env,
-		conf: conf.RefToClone(),
-		nms:  make(map[string]*nmState),
-		stop: make(chan struct{}),
+		env:   env,
+		conf:  conf.RefToClone(),
+		nms:   make(map[string]*nmState),
+		stop:  env.Scale.NewSignal(),
+		loops: env.NewGroup(),
 	}
 	rm.scheduler = rm.conf.Get(ParamSchedulerClass)
 	_ = rm.conf.GetInt(ParamMinAllocMB)
@@ -110,8 +112,7 @@ func StartResourceManager(env *harness.Env, conf *confkit.Conf) (*ResourceManage
 		return nil, fmt.Errorf("miniyarn: start resourcemanager: %w", err)
 	}
 	rm.srv = srv
-	rm.wg.Add(1)
-	env.RT.Go(rm.monitor)
+	rm.loops.Go(rm.monitor)
 	return rm, nil
 }
 
@@ -120,14 +121,9 @@ func (rm *ResourceManager) SchedulerClass() string { return rm.scheduler }
 
 // Stop shuts the RM down.
 func (rm *ResourceManager) Stop() {
-	select {
-	case <-rm.stop:
-		return
-	default:
-	}
-	close(rm.stop)
+	rm.stop.Fire()
 	rm.srv.Close()
-	rm.wg.Wait()
+	rm.loops.Wait()
 }
 
 // monitor expires NodeManagers that miss heartbeats. The threshold is a
@@ -135,13 +131,7 @@ func (rm *ResourceManager) Stop() {
 // skew stays harmless — which is why the heartbeat parameter is
 // heterogeneous-SAFE here, unlike HDFS's tighter formula.
 func (rm *ResourceManager) monitor() {
-	defer rm.wg.Done()
-	for {
-		select {
-		case <-rm.stop:
-			return
-		case <-rm.env.Scale.After(rmMonitorTicks):
-		}
+	for !rm.env.Scale.Wait(rmMonitorTicks, rm.stop) {
 		threshold := 20 * rm.conf.GetTicks(ParamNMHeartbeat)
 		now := rm.env.Scale.Now()
 		rm.mu.Lock()
@@ -256,9 +246,8 @@ type NodeManager struct {
 	id   string
 	rm   *rpcsim.Conn
 
-	stop     chan struct{}
-	stopOnce sync.Once
-	wg       sync.WaitGroup
+	stop  *simtime.Signal
+	loops *simtime.Group
 }
 
 // StartNodeManager boots a NodeManager and registers it.
@@ -266,7 +255,7 @@ func StartNodeManager(env *harness.Env, conf *confkit.Conf, id string) (*NodeMan
 	env.RT.StartInit(TypeNodeManager)
 	defer env.RT.StopInit()
 
-	nm := &NodeManager{env: env, conf: conf.RefToClone(), id: id, stop: make(chan struct{})}
+	nm := &NodeManager{env: env, conf: conf.RefToClone(), id: id, stop: env.Scale.NewSignal(), loops: env.NewGroup()}
 	_ = nm.conf.Get(ParamNMLocalDirs)
 	_ = nm.conf.Get(ParamNMLogDirs)
 	_ = nm.conf.GetBool(ParamVmemCheck)
@@ -287,28 +276,24 @@ func StartNodeManager(env *harness.Env, conf *confkit.Conf, id string) (*NodeMan
 		return nil, fmt.Errorf("miniyarn: nodemanager %s failed to register: %w", id, err)
 	}
 
-	nm.wg.Add(1)
-	env.RT.Go(nm.heartbeatLoop)
+	nm.loops.Go(nm.heartbeatLoop)
 	return nm, nil
 }
 
 // Stop halts the heartbeat loop.
 func (nm *NodeManager) Stop() {
-	nm.stopOnce.Do(func() { close(nm.stop) })
-	nm.wg.Wait()
+	nm.stop.Fire()
+	nm.loops.Wait()
 }
 
 func (nm *NodeManager) heartbeatLoop() {
-	defer nm.wg.Done()
 	for {
 		interval := nm.conf.GetTicks(ParamNMHeartbeat)
 		if interval < 1 {
 			interval = 1
 		}
-		select {
-		case <-nm.stop:
+		if nm.env.Scale.Wait(interval, nm.stop) {
 			return
-		case <-nm.env.Scale.After(interval):
 		}
 		_ = nm.rm.CallJSON("heartbeatNM", NMHeartbeatReq{NMID: nm.id}, nil)
 	}

@@ -31,9 +31,10 @@ type Hooks interface {
 	// StopInit marks the end of the initialization function (Fig. 2b
 	// line 21).
 	StopInit()
-	// Spawn starts fn on a new goroutine, propagating node ownership so
-	// worker goroutines started during init keep belonging to their node.
-	Spawn(fn func())
+	// Inherit returns fn wrapped so that the goroutine it later runs on
+	// belongs to the node that owns the calling goroutine now: worker
+	// goroutines started during init keep belonging to their node.
+	Inherit(fn func()) func()
 }
 
 // Runtime ties configuration objects to one test environment: a schema for
@@ -43,6 +44,7 @@ type Hooks interface {
 type Runtime struct {
 	schema *Registry
 	hooks  atomic.Pointer[hooksBox]
+	spawn  func(func()) // how Go starts a goroutine; nil means a bare go statement
 }
 
 // hooksBox wraps the interface so it can live in an atomic.Pointer.
@@ -56,6 +58,11 @@ func NewRuntime(schema *Registry) *Runtime {
 	}
 	return &Runtime{schema: schema}
 }
+
+// SetSpawner makes Go start its goroutines through spawn, so that they join
+// the environment's clock census (simtime.Scale.Go). It must be called
+// before the runtime is shared between goroutines.
+func (rt *Runtime) SetSpawner(spawn func(func())) { rt.spawn = spawn }
 
 // Schema returns the runtime's parameter registry.
 func (rt *Runtime) Schema() *Registry { return rt.schema }
@@ -98,7 +105,10 @@ func (rt *Runtime) StopInit() {
 // handlers) started during initialization.
 func (rt *Runtime) Go(fn func()) {
 	if h := rt.Hooks(); h != nil {
-		h.Spawn(fn)
+		fn = h.Inherit(fn)
+	}
+	if rt.spawn != nil {
+		rt.spawn(fn)
 		return
 	}
 	go fn()

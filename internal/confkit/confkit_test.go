@@ -219,7 +219,7 @@ func (h *recordingHooks) InterceptGet(_ *Conf, _, stored string, found bool) (st
 func (h *recordingHooks) InterceptSet(*Conf, string, string) { h.sets++ }
 func (h *recordingHooks) StartInit(string)                   { h.inits++ }
 func (h *recordingHooks) StopInit()                          {}
-func (h *recordingHooks) Spawn(fn func())                    { h.spawns++; go fn() }
+func (h *recordingHooks) Inherit(fn func()) func()           { h.spawns++; return fn }
 
 func TestHooksDispatch(t *testing.T) {
 	t.Parallel()

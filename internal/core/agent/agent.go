@@ -155,7 +155,7 @@ type Agent struct {
 	mu sync.Mutex
 	// threadCtx maps a goroutine ID to the stack of node IDs whose init
 	// functions are executing on it; the base element may be an inherited
-	// ownership installed by Spawn.
+	// ownership installed by Inherit.
 	threadCtx map[uint64][]uint64
 
 	nodes      map[uint64]*nodeInfo
@@ -237,11 +237,12 @@ func (a *Agent) StopInit() {
 	}
 }
 
-// Spawn starts fn on a new goroutine that inherits the spawner's current
-// node ownership for its whole lifetime. This extends the paper's init-window
-// rule to worker goroutines started during initialization (heartbeat loops,
-// RPC handlers), which otherwise would create unmappable objects.
-func (a *Agent) Spawn(fn func()) {
+// Inherit wraps fn so that the goroutine it runs on inherits the caller's
+// current node ownership for fn's whole lifetime. This extends the paper's
+// init-window rule to worker goroutines started during initialization
+// (heartbeat loops, RPC handlers), which otherwise would create unmappable
+// objects. Starting the goroutine is the runtime's business.
+func (a *Agent) Inherit(fn func()) func() {
 	g := gid.ID()
 	a.mu.Lock()
 	var inherit uint64
@@ -249,20 +250,21 @@ func (a *Agent) Spawn(fn func()) {
 		inherit = stack[len(stack)-1]
 	}
 	a.mu.Unlock()
-	go func() {
-		if inherit != 0 {
-			cg := gid.ID()
+	if inherit == 0 {
+		return fn
+	}
+	return func() {
+		cg := gid.ID()
+		a.mu.Lock()
+		a.threadCtx[cg] = append(a.threadCtx[cg], inherit)
+		a.mu.Unlock()
+		defer func() {
 			a.mu.Lock()
-			a.threadCtx[cg] = append(a.threadCtx[cg], inherit)
+			delete(a.threadCtx, cg)
 			a.mu.Unlock()
-			defer func() {
-				a.mu.Lock()
-				delete(a.threadCtx, cg)
-				a.mu.Unlock()
-			}()
-		}
+		}()
 		fn()
-	}()
+	}
 }
 
 // currentNodeLocked returns the node whose init window (or inherited

@@ -1,6 +1,8 @@
 package campaign_test
 
 import (
+	"encoding/json"
+	"math"
 	"testing"
 
 	"zebraconf/internal/apps"
@@ -192,5 +194,47 @@ func TestConditionalReadHazardConvicted(t *testing.T) {
 	}
 	if len(wres.DeselectedTests) != 0 {
 		t.Fatalf("the only test reads the param; deselected %v", wres.DeselectedTests)
+	}
+}
+
+// TestSameSeedCampaignByteIdenticalAcrossParallelism is "same seed ⇒ same
+// bytes": executions run on virtual clocks, so nothing in a campaign's
+// result depends on how many of them shared the processors. The full
+// minimr, miniyarn and miniflink campaigns at one slot and at two produce
+// byte-identical result JSON once the wall-clock Elapsed is zeroed. The two
+// policies that act on completion order (live quarantine, cross-item budget
+// reallocation) are pinned off, as the benchmark pins them.
+func TestSameSeedCampaignByteIdenticalAcrossParallelism(t *testing.T) {
+	t.Parallel()
+	for _, name := range []string{"minimr", "miniyarn", "miniflink"} {
+		name := name
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			app, err := apps.ByName(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			run := func(slots int) string {
+				res := campaign.Run(app, campaign.Options{
+					Seed:                3,
+					Parallelism:         slots,
+					QuarantineThreshold: math.MaxInt32,
+					SeqMargin:           -1,
+					Stream:              true,
+				})
+				if len(res.Reported) == 0 {
+					t.Fatalf("%s campaign reported nothing; the comparison is vacuous", name)
+				}
+				res.Elapsed = 0
+				b, err := json.Marshal(res)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return string(b)
+			}
+			if one, two := run(1), run(2); one != two {
+				t.Fatalf("result JSON differs between Parallelism 1 and 2:\n 1: %s\n 2: %s", one, two)
+			}
+		})
 	}
 }

@@ -9,13 +9,16 @@ import (
 	"zebraconf/internal/confkit"
 	"zebraconf/internal/core/agent"
 	"zebraconf/internal/obs"
+	"zebraconf/internal/simtime"
 )
 
-// Abandoned-goroutine accounting: when a unit test times out, the harness
-// cannot kill its goroutine — Go offers no preemptive kill — so the body
-// keeps running (against an already-closed Env) until it returns on its
-// own. The counters are process-global because the hazard is
-// process-global: an abandoned goroutine competes for the scheduler and
+// Abandoned-goroutine accounting: ending an execution shuts its clock
+// down, which ends every goroutine parked on it (or parking on it later).
+// A goroutine that never touches the clock again — a body spinning, or
+// blocked on something that is not a clock primitive — cannot be ended: Go
+// offers no preemptive kill, so it keeps running against a closed Env until
+// it returns on its own. The counters are process-global because the hazard
+// is process-global: an abandoned goroutine competes for the scheduler and
 // can keep mutating shared state. The distributed worker mode exists to
 // turn this leak into a killable subprocess.
 var (
@@ -23,18 +26,20 @@ var (
 	leakedNow      atomic.Int64 // abandoned bodies still running
 )
 
-// AbandonedGoroutines reports the cumulative number of test goroutines
-// abandoned after a timeout since process start.
+// AbandonedGoroutines reports the cumulative number of executions that
+// left a goroutine behind since process start.
 func AbandonedGoroutines() int64 { return abandonedTotal.Load() }
 
-// LeakedGoroutines reports how many abandoned test goroutines are still
-// running right now.
+// LeakedGoroutines reports how many of those executions still have a
+// goroutine running right now.
 func LeakedGoroutines() int64 { return leakedNow.Load() }
 
-// DefaultTestTimeout bounds one unit-test execution in real time. Tests
-// that hang — e.g. a balancer that never finishes because the NameNode
-// keeps declining its moves — fail with a timeout, exactly like a JUnit
-// test with a @Timeout rule.
+// DefaultTestTimeout bounds one unit-test execution: as
+// DefaultTestTimeout/simtime.DefaultTick ticks of the execution's virtual
+// clock, and in real time for a body that never waits on it. Tests that
+// hang — e.g. a balancer that never finishes because the NameNode keeps
+// declining its moves — fail with a timeout, exactly like a JUnit test with
+// a @Timeout rule.
 const DefaultTestTimeout = 15 * time.Second
 
 // UnitTest is one registered whole-system (or function-level) unit test.
@@ -102,8 +107,11 @@ type Outcome struct {
 	Msg string
 	// Report is the agent's pre-run bookkeeping for this execution.
 	Report agent.Report
-	// Elapsed is the real execution time.
+	// Elapsed is the real execution time of the body: processor time,
+	// near enough, since waiting on the virtual clock costs none.
 	Elapsed time.Duration
+	// ElapsedTicks is the body's execution time on the virtual clock.
+	ElapsedTicks int64
 
 	// Forensics capture, populated only by RunOnceCaptured with a
 	// non-zero CaptureSpec. Logs is the (ring-capped) harness log;
@@ -157,9 +165,17 @@ func RunOnceObserved(app *App, test *UnitTest, opts agent.Options, seed int64, o
 // spec.LogBytes) and the agent's ordered read trace (capped at
 // spec.ReadEvents). Capture changes nothing about the execution itself —
 // same seed, same assignment, same verdict.
+//
+// The execution runs on its own virtual clock. The body runs on a goroutine
+// of that clock and tears the environment down itself on the tick it
+// returns, so no node loop gets to run (and read configuration) in between;
+// the calling goroutine only watches. The test's timeout is a limit on the
+// clock: a body still unfinished when every goroutine is parked and the
+// next deadline lies past the limit — or there is none, a deadlock — has
+// timed out, at no cost in wall time. The same timeout on the wall clock
+// remains as a watchdog for a body that never parks.
 func RunOnceCaptured(app *App, test *UnitTest, opts agent.Options, seed int64, o *obs.Observer, spec CaptureSpec) Outcome {
 	env := NewEnv(app.Schema(), nil, seed)
-	defer env.Close()
 
 	if spec.ReadEvents > 0 {
 		opts.TraceReads = spec.ReadEvents
@@ -174,57 +190,133 @@ func RunOnceCaptured(app *App, test *UnitTest, opts agent.Options, seed int64, o
 	}
 
 	start := time.Now()
-	done := make(chan any, 1)
+	// collect reads the outcome off t and the agent as they stand: when
+	// the body returns, before teardown adds reads of its own, or when the
+	// watcher gives up on it.
+	collect := func() Outcome {
+		out := Outcome{Failed: t.Failed(), Elapsed: time.Since(start), ElapsedTicks: env.Scale.Now()}
+		logs := t.Logs()
+		if out.Failed && len(logs) > 0 {
+			// The ring never evicts its head entry, so Msg is stable under
+			// capping: the same first message capture on or off.
+			out.Msg = logs[0]
+		}
+		if spec.enabled() {
+			out.Logs = logs
+			out.LogDroppedBytes, out.LogDroppedMsgs = t.LogDropped()
+			out.Reads, out.ReadsDropped = ag.ReadTrace()
+		}
+		if opts.Coverage || opts.CoverageSites {
+			out.ReadParams = ag.CoverageParams()
+			out.ReadSites = ag.CoverageSites()
+		}
+		return out
+	}
+
+	halted := env.Scale.Limit(int64(timeout / simtime.DefaultTick))
+	returned := make(chan Outcome, 1) // the body returned
+	finished := make(chan struct{})   // and has torn the environment down
+	// NewEnv made this goroutine the clock's first member. It hands that
+	// membership to the body's goroutine, which gives it up on return, and
+	// only watches from here on. (Scale.Go would do, at one more stack
+	// frame under the body — and gid.ID walks the stack on every
+	// configuration read.)
 	go func() {
-		defer func() { done <- recover() }()
+		defer env.Scale.Leave()
+		exited := true // by runtime.Goexit, until the body says otherwise
+		defer func() {
+			rec := recover()
+			if exited && rec == nil {
+				return // the clock's shutdown ended a body that had timed out
+			}
+			if _, isFailNow := rec.(failNow); rec != nil && !isFailNow {
+				t.Errorf("panic: %v", rec)
+			}
+			returned <- collect()
+			env.Close()
+			close(finished)
+		}()
 		test.Run(t)
+		exited = false
 	}()
+
+	watchdog := time.NewTimer(timeout)
+	defer watchdog.Stop()
+	grace := reapGrace
+	select {
+	case <-finished:
+	case <-halted:
+	case <-watchdog.C:
+		grace = 0 // whatever ignored the clock for this long will not exit now
+	}
 
 	var out Outcome
 	select {
-	case rec := <-done:
-		if rec != nil {
-			if _, isFailNow := rec.(failNow); !isFailNow {
-				t.Errorf("panic: %v", rec)
-			}
-		}
-	case <-time.After(timeout):
+	case out = <-returned:
+	default:
 		t.Errorf("test timed out after %v", timeout)
+		out = collect()
 		out.TimedOut = true
+	}
+	// Stop nodes before reading the report so no new confs appear
+	// mid-read: shutting the clock down ends every goroutine parked on it.
+	drained := env.Scale.Shutdown()
+	reaped := true
+	if out.TimedOut {
+		// The body never reached its teardown. The cleanups still run, on
+		// a goroutine of their own: one that waits on the dead clock ends
+		// the goroutine it runs on.
+		cleaned := make(chan struct{})
+		go func() {
+			defer close(cleaned)
+			env.runCleanups()
+		}()
+		reaped = within(cleaned, grace)
+	}
+	reaped = reaped && within(drained, grace)
+	if !reaped {
 		abandonedTotal.Add(1)
 		leakedNow.Add(1)
 		o.CounterAdd(obs.MAbandonedGoroutines, 1, "app", app.Name, "test", test.Name)
 		o.GaugeAdd(obs.MLeakedGoroutines, 1, "app", app.Name)
-		// Watch for the abandoned body to finally return, so the leaked
-		// gauge reflects goroutines still running, not ever abandoned.
+		// Watch for the abandoned goroutines to finally return, so the
+		// leaked gauge reflects goroutines still running, not ever
+		// abandoned.
 		go func() {
-			<-done
+			<-drained
 			leakedNow.Add(-1)
 			o.GaugeAdd(obs.MLeakedGoroutines, -1, "app", app.Name)
 		}()
 	}
-	out.Elapsed = time.Since(start)
-	out.Failed = t.Failed()
-	logs := t.Logs()
-	if out.Failed && len(logs) > 0 {
-		// The ring never evicts its head entry, so Msg is stable under
-		// capping: the same first message capture on or off.
-		out.Msg = logs[0]
-	}
-	if spec.enabled() {
-		out.Logs = logs
-		out.LogDroppedBytes, out.LogDroppedMsgs = t.LogDropped()
-		out.Reads, out.ReadsDropped = ag.ReadTrace()
-	}
-	if opts.Coverage || opts.CoverageSites {
-		out.ReadParams = ag.CoverageParams()
-		out.ReadSites = ag.CoverageSites()
-	}
-	// Stop nodes before reading the report so no new confs appear mid-read.
-	env.Close()
 	out.Report = ag.Report()
 	o.RecordTestRun(app.Name, test.Name, out.Failed, out.TimedOut, out.Elapsed)
 	return out
+}
+
+// reapGrace is how long RunOnce waits, in real time, for the goroutines of
+// a finished execution to unwind after the clock's shutdown. They have
+// nothing left to wait for, so only a goroutine that blocks without the
+// clock gets anywhere near it.
+const reapGrace = 2 * time.Second
+
+// within reports whether ch is closed within d.
+func within(ch <-chan struct{}, d time.Duration) bool {
+	select {
+	case <-ch:
+		return true
+	default:
+	}
+	if d <= 0 {
+		return false
+	}
+	timer := time.NewTimer(d)
+	defer timer.Stop()
+	select {
+	case <-ch:
+		return true
+	case <-timer.C:
+		return false
+	}
 }
 
 // NodeTypesSorted returns the app's node types sorted, for stable reports.

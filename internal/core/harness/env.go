@@ -17,7 +17,7 @@ import (
 )
 
 // Env is one unit test's isolated world: its own configuration runtime (so
-// an agent can be attached), its own network fabric, a time scale, and a
+// an agent can be attached), its own network fabric, its own clock, and a
 // seeded random source for tests that model nondeterminism. Because nothing
 // is process-global, many tests run concurrently in one process — the analog
 // of the paper's 20 Docker containers per machine.
@@ -31,18 +31,28 @@ type Env struct {
 	cleanups []func()
 }
 
-// NewEnv builds an environment over schema. seed drives Rand; scale may be
-// nil for the default tick duration.
+// NewEnv builds an environment over schema. seed drives Rand. A nil scale
+// gives the environment a fresh virtual clock (simtime.NewVirtual) whose
+// first member is the calling goroutine; pass a wall-clock Scale to wait in
+// real time instead.
 func NewEnv(schema *confkit.Registry, scale *simtime.Scale, seed int64) *Env {
 	if scale == nil {
-		scale = &simtime.Scale{}
+		scale = simtime.NewVirtual()
 	}
+	rt := confkit.NewRuntime(schema)
+	rt.SetSpawner(scale.Go)
 	return &Env{
-		RT:     confkit.NewRuntime(schema),
+		RT:     rt,
 		Fabric: rpcsim.NewFabric(),
 		Scale:  scale,
 		rand:   rand.New(rand.NewSource(seed)),
 	}
+}
+
+// NewGroup returns a group of node goroutines: started through RT.Go, so
+// they keep their node's ownership, and awaited through the clock.
+func (e *Env) NewGroup() *simtime.Group {
+	return e.Scale.NewGroup(e.RT.Go)
 }
 
 // Float64 returns a deterministic pseudo-random number in [0,1). Unit tests
@@ -70,18 +80,34 @@ func (e *Env) Defer(fn func()) {
 	e.mu.Unlock()
 }
 
-// Close runs all registered cleanups. It is idempotent.
+// Close runs all registered cleanups, then shuts the clock down, which ends
+// whatever goroutine of the environment is still parked on it. It is
+// idempotent.
 func (e *Env) Close() {
+	e.runCleanups()
+	e.Scale.Shutdown()
+}
+
+// runCleanups runs the registered cleanups in LIFO order, once.
+func (e *Env) runCleanups() {
 	e.mu.Lock()
 	cleanups := e.cleanups
 	e.cleanups = nil
 	e.mu.Unlock()
-	for i := len(cleanups) - 1; i >= 0; i-- {
-		func() {
-			defer func() { _ = recover() }()
-			cleanups[i]()
-		}()
+	runLIFO(cleanups)
+}
+
+// runLIFO runs the last cleanup and then, whether it returned, panicked or
+// ended its goroutine (a blocking clock primitive after Shutdown), the
+// rest.
+func runLIFO(cleanups []func()) {
+	if len(cleanups) == 0 {
+		return
 	}
+	last := len(cleanups) - 1
+	defer runLIFO(cleanups[:last])
+	defer func() { _ = recover() }()
+	cleanups[last]()
 }
 
 // T is the testing handle passed to registered unit tests, a deliberately

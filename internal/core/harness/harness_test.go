@@ -1,11 +1,14 @@
 package harness
 
 import (
+	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"zebraconf/internal/confkit"
 	"zebraconf/internal/core/agent"
+	"zebraconf/internal/simtime"
 )
 
 func emptySchema() *confkit.Registry { return confkit.NewRegistry() }
@@ -275,5 +278,191 @@ func TestAppTestLookup(t *testing.T) {
 	}
 	if types := app.NodeTypesSorted(); len(types) != 1 {
 		t.Fatalf("NodeTypesSorted = %v", types)
+	}
+}
+
+// A body parked forever on a signal nobody fires is a deadlock: nothing is
+// runnable and no timer is pending. The clock halts and the execution is
+// reported TimedOut at once, not after the 15 s the default timeout would
+// take on a wall clock; the parked body is ended, so nothing leaks.
+func TestRunOnceDeadlockTimesOutAtOnce(t *testing.T) {
+	t.Parallel()
+	var scale *simtime.Scale
+	unwound := make(chan struct{})
+	app := appWith(UnitTest{Name: "Deadlock", Run: func(tt *T) {
+		defer close(unwound)
+		scale = tt.Env.Scale
+		scale.Sleep(7)
+		scale.Wait(simtime.Forever, scale.NewSignal())
+	}})
+	start := time.Now()
+	out := RunOnce(app, &app.Tests[0], agent.Options{}, 1)
+	if wall := time.Since(start); wall > 100*time.Millisecond {
+		t.Fatalf("a deadlocked body took %v of wall time to be reported", wall)
+	}
+	if !out.Failed || !out.TimedOut || out.ElapsedTicks != 7 {
+		t.Fatalf("outcome = %+v, want a timeout at tick 7", out)
+	}
+	select {
+	case <-unwound:
+	default:
+		t.Fatal("the parked body was not ended")
+	}
+	if scale.Live() != 0 {
+		t.Fatalf("%d goroutines left in the census", scale.Live())
+	}
+}
+
+// The timeout is a virtual deadline of timeout/DefaultTick ticks: a body
+// that keeps waiting is cut off exactly there, for free, and its cleanups
+// still run.
+func TestRunOnceVirtualDeadlineIsExact(t *testing.T) {
+	t.Parallel()
+	cleaned := false
+	app := appWith(UnitTest{
+		Name:    "Forever",
+		Timeout: 50 * time.Millisecond, // 500 ticks
+		Run: func(tt *T) {
+			tt.Env.Defer(func() { cleaned = true })
+			for {
+				tt.Env.Scale.Sleep(7)
+			}
+		},
+	})
+	start := time.Now()
+	out := RunOnce(app, &app.Tests[0], agent.Options{}, 1)
+	if !out.TimedOut || out.Msg != "test timed out after 50ms" {
+		t.Fatalf("outcome = %+v", out)
+	}
+	if out.ElapsedTicks != 497 { // the last multiple of 7 before the limit
+		t.Fatalf("halted at tick %d, want 497", out.ElapsedTicks)
+	}
+	if wall := time.Since(start); wall > 40*time.Millisecond {
+		t.Fatalf("a 50 ms virtual timeout took %v of wall time", wall)
+	}
+	if !cleaned {
+		t.Fatal("cleanups did not run after a virtual timeout")
+	}
+}
+
+// A body that spins without ever touching the clock holds the baton
+// forever; only the wall-clock watchdog can report it, and it counts as
+// abandoned until it returns.
+func TestRunOnceWatchdogCatchesSpinningBody(t *testing.T) {
+	t.Parallel()
+	var release atomic.Bool
+	returned := make(chan struct{})
+	app := appWith(UnitTest{
+		Name:    "Spin",
+		Timeout: 30 * time.Millisecond,
+		Run: func(tt *T) {
+			defer close(returned)
+			for !release.Load() {
+				runtime.Gosched()
+			}
+		},
+	})
+	before := AbandonedGoroutines()
+	out := RunOnce(app, &app.Tests[0], agent.Options{}, 1)
+	if !out.Failed || !out.TimedOut {
+		t.Fatalf("spinning body outcome: %+v", out)
+	}
+	if AbandonedGoroutines() <= before {
+		t.Fatal("a body the clock could not end was not counted as abandoned")
+	}
+	release.Store(true)
+	select {
+	case <-returned:
+	case <-time.After(5 * time.Second):
+		t.Fatal("released body never returned")
+	}
+}
+
+// Time in an execution is virtual: ElapsedTicks is what the body waited,
+// Elapsed is what it cost.
+func TestRunOnceElapsedTicks(t *testing.T) {
+	t.Parallel()
+	app := appWith(UnitTest{Name: "Sleeper", Run: func(tt *T) { tt.Env.Scale.Sleep(120000) }}) // 12 s at the default tick
+	out := RunOnce(app, &app.Tests[0], agent.Options{}, 1)
+	if out.Failed || out.ElapsedTicks != 120000 {
+		t.Fatalf("outcome = %+v, want 120000 elapsed ticks", out)
+	}
+	if out.Elapsed > time.Second {
+		t.Fatalf("120000 virtual ticks cost %v of wall time", out.Elapsed)
+	}
+}
+
+// The body tears the environment down on the tick it returns: a node loop
+// due later never runs, so what it would have read is in no execution's
+// read set — the pre-run nondeterminism ROADMAP's "Fix first" describes.
+// Goroutines teardown does not stop are ended with the clock.
+func TestRunOnceNoLoopRunsAfterTheBodyReturns(t *testing.T) {
+	t.Parallel()
+	schema := func() *confkit.Registry {
+		return confkit.NewRegistry().
+			Register(confkit.Param{Name: "early", Kind: confkit.String, Default: "e"}).
+			Register(confkit.Param{Name: "late", Kind: confkit.String, Default: "l"})
+	}
+	var scale *simtime.Scale
+	app := &App{Name: "t-app", Schema: schema, NodeTypes: []string{"N"}, Tests: []UnitTest{{
+		Name: "Short",
+		Run: func(tt *T) {
+			env := tt.Env
+			scale = env.Scale
+			env.RT.StartInit("N")
+			conf := env.RT.NewConf()
+			stop := env.Scale.NewSignal()
+			loops := env.NewGroup()
+			loops.Go(func() { // a monitor: reads its threshold after the first wake-up
+				for !env.Scale.Wait(1, stop) {
+					_ = conf.Get("late")
+				}
+			})
+			env.RT.Go(func() { env.Scale.Wait(simtime.Forever, env.Scale.NewSignal()) }) // never stopped by anyone
+			env.RT.StopInit()
+			env.Defer(func() { stop.Fire(); loops.Wait() })
+			_ = conf.Get("early")
+		},
+	}}}
+	for i := 0; i < 200; i++ {
+		out := RunOnce(app, &app.Tests[0], agent.Options{Coverage: true}, int64(i))
+		if out.Failed || out.ElapsedTicks != 0 {
+			t.Fatalf("run %d: %+v", i, out)
+		}
+		if got := out.Report.Usage["N"]; !got["early"] || got["late"] {
+			t.Fatalf("run %d: node read set %v, want early only", i, got)
+		}
+		if len(out.ReadParams) != 1 || out.ReadParams[0] != "early" {
+			t.Fatalf("run %d: ReadParams = %v", i, out.ReadParams)
+		}
+		if scale.Live() != 0 {
+			t.Fatalf("run %d: %d goroutines left in the census", i, scale.Live())
+		}
+	}
+}
+
+// An environment given a Scale of its own waits in real time: the same
+// primitives, over channels and package time.
+func TestWallClockEnv(t *testing.T) {
+	t.Parallel()
+	scale := &simtime.Scale{Tick: time.Millisecond}
+	env := NewEnv(emptySchema(), scale, 1)
+	stop := env.Scale.NewSignal()
+	loops := env.NewGroup()
+	passes := 0
+	loops.Go(func() {
+		for !env.Scale.Wait(1, stop) {
+			passes++
+		}
+	})
+	env.Defer(func() { stop.Fire(); loops.Wait() })
+	start := time.Now()
+	env.Scale.Sleep(5)
+	env.Close()
+	if elapsed := time.Since(start); elapsed < 5*time.Millisecond {
+		t.Fatalf("Sleep(5) at 1 ms/tick returned after %v", elapsed)
+	}
+	if passes == 0 {
+		t.Fatal("the loop never ran")
 	}
 }

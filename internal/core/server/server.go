@@ -469,24 +469,19 @@ func (s *Server) runCampaign(c *Campaign) {
 // appends its ledger record so `-mode diff` can compare submitted runs.
 func (s *Server) finish(c *Campaign, res *campaign.Result, err error) {
 	c.mu.Lock()
-	c.res = res
-	c.finished = time.Now()
-	c.run = nil
+	state := StateDone
 	switch {
 	case c.cancelled || c.state == StateCancelled:
-		c.state = StateCancelled
+		state = StateCancelled
 	case err != nil:
-		c.state = StateFailed
-		c.errMsg = err.Error()
-	default:
-		c.state = StateDone
+		state = StateFailed
 	}
-	state := c.state
 	started := c.started
 	slots := c.slots
 	c.mu.Unlock()
 	c.o.Sampler.Stop() // no-op when the run never started sampling
 
+	runID := ""
 	if state == StateDone && res != nil {
 		rec := ledger.Summarize(res, c.req.Seed, started, c.req.EffectiveWorkers(), c.req.ExecFlags())
 		rec.Perf = obs.SummarizePerf(c.o, res.App, res.Elapsed.Seconds(), slots)
@@ -503,11 +498,21 @@ func (s *Server) finish(c *Campaign, res *campaign.Result, err error) {
 		if lerr := ledger.Append(filepath.Join(s.opts.StateDir, "ledger"), rec); lerr != nil {
 			s.logf("campaign %s: writing ledger: %v", c.id, lerr)
 		} else {
-			c.mu.Lock()
-			c.runID = rec.RunID
-			c.mu.Unlock()
+			runID = rec.RunID
 		}
 	}
+	// Publish the terminal state last, together with the ledger run ID: a
+	// client that polls for "done" must find the whole record.
+	c.mu.Lock()
+	c.res = res
+	c.finished = time.Now()
+	c.run = nil
+	c.state = state
+	if state == StateFailed {
+		c.errMsg = err.Error()
+	}
+	c.runID = runID
+	c.mu.Unlock()
 	s.opts.Obs.CounterAdd(obs.MServerCampaigns, 1, "state", state)
 	if err != nil {
 		s.logf("campaign %s finished: %s (%v)", c.id, state, err)

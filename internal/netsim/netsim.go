@@ -9,10 +9,12 @@
 // single link would — and supports an optional reserved budget for critical
 // traffic, the paper's proposed fix, so the fix is testable too.
 //
-// The implementation uses a virtual-time debt model: each acquire extends a
-// "next free" watermark by bytes/rate ticks and sleeps until its own finish
-// time. A turn mutex serializes acquirers, giving head-of-line blocking
-// identical to a saturated link.
+// The implementation is a debt model: each acquire starts when the previous
+// acquirer's bytes have left the link (the "next free" watermark, or now if
+// the link is idle), extends the watermark by bytes/rate ticks, and sleeps —
+// holding no lock — until its own finish tick. Head-of-line blocking is that
+// arithmetic: the k-th of several queued acquirers finishes at the sum of
+// the first k durations, identical to a saturated link.
 package netsim
 
 import (
@@ -25,11 +27,6 @@ import (
 // construct with NewThrottler.
 type Throttler struct {
 	scale *simtime.Scale
-
-	// turnMu serializes shared-budget acquirers in FIFO order.
-	turnMu sync.Mutex
-	// critMu serializes critical-budget acquirers.
-	critMu sync.Mutex
 
 	mu           sync.Mutex
 	bytesPerTick int64
@@ -86,8 +83,6 @@ func (t *Throttler) Acquire(n int64) {
 	if n <= 0 {
 		return
 	}
-	t.turnMu.Lock()
-	defer t.turnMu.Unlock()
 	t.drain(n, false)
 }
 
@@ -105,8 +100,6 @@ func (t *Throttler) AcquireCritical(n int64) {
 		t.Acquire(n)
 		return
 	}
-	t.critMu.Lock()
-	defer t.critMu.Unlock()
 	t.drain(n, true)
 }
 
@@ -116,23 +109,17 @@ func (t *Throttler) TryAcquire(n int64) bool {
 	if n <= 0 {
 		return true
 	}
-	if !t.turnMu.TryLock() {
-		return false
-	}
-	defer t.turnMu.Unlock()
 	t.mu.Lock()
+	defer t.mu.Unlock()
 	rate := t.effectiveRate(false)
-	now := t.scale.Now()
 	if rate == 0 {
-		t.mu.Unlock()
 		return true
 	}
+	now := t.scale.Now()
 	if t.nextFree > now {
-		t.mu.Unlock()
 		return false
 	}
 	t.nextFree = now + durationTicks(n, rate)
-	t.mu.Unlock()
 	return true
 }
 
@@ -157,9 +144,7 @@ func (t *Throttler) drain(n int64, critical bool) {
 	finish := *watermark
 	t.mu.Unlock()
 
-	if wait := finish - t.scale.Now(); wait > 0 {
-		t.scale.Sleep(wait)
-	}
+	t.scale.Sleep(finish - now)
 }
 
 // effectiveRate returns the rate serving the shared or reserved budget;

@@ -1,20 +1,23 @@
 package netsim
 
 import (
-	"sync"
 	"testing"
 	"time"
 
 	"zebraconf/internal/simtime"
 )
 
-func testScale() *simtime.Scale {
-	return &simtime.Scale{Tick: 100 * time.Microsecond}
+// testScale returns a virtual clock whose first member is the calling test:
+// orderings and tick counts below are exact, whatever the host is doing.
+func testScale(t *testing.T) *simtime.Scale {
+	scale := simtime.NewVirtual()
+	t.Cleanup(func() { scale.Shutdown() }) // ends acquirers a test left queued
+	return scale
 }
 
 func TestUnlimitedNeverBlocks(t *testing.T) {
 	t.Parallel()
-	th := NewThrottler(testScale(), 0)
+	th := NewThrottler(testScale(t), 0)
 	done := make(chan struct{})
 	go func() {
 		th.Acquire(1 << 40)
@@ -30,7 +33,7 @@ func TestUnlimitedNeverBlocks(t *testing.T) {
 
 func TestRatePacing(t *testing.T) {
 	t.Parallel()
-	scale := testScale()
+	scale := testScale(t)
 	th := NewThrottler(scale, 10) // 10 bytes/tick
 	w := simtime.NewStopwatch(scale)
 	th.Acquire(500) // should take ~50 ticks
@@ -42,29 +45,21 @@ func TestRatePacing(t *testing.T) {
 
 func TestFIFOHeadOfLineBlocking(t *testing.T) {
 	t.Parallel()
-	scale := testScale()
+	scale := testScale(t)
 	th := NewThrottler(scale, 10)
 
-	var mu sync.Mutex
 	var order []string
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		th.Acquire(1000) // ~100 ticks
-		mu.Lock()
+	g := scale.NewGroup(nil)
+	g.Go(func() {
+		th.Acquire(1000) // 100 ticks
 		order = append(order, "big")
-		mu.Unlock()
-	}()
+	})
 	scale.Sleep(10) // let the big acquire join first
-	go func() {
-		defer wg.Done()
+	g.Go(func() {
 		th.Acquire(16) // tiny, but behind the big one
-		mu.Lock()
 		order = append(order, "small")
-		mu.Unlock()
-	}()
-	wg.Wait()
+	})
+	g.Wait()
 	if len(order) != 2 || order[0] != "big" {
 		t.Fatalf("completion order %v, want the big acquire first (FIFO)", order)
 	}
@@ -72,16 +67,13 @@ func TestFIFOHeadOfLineBlocking(t *testing.T) {
 
 func TestCriticalReserveBypassesQueue(t *testing.T) {
 	t.Parallel()
-	scale := testScale()
+	scale := testScale(t)
 	th := NewThrottler(scale, 10)
 	th.ReserveCriticalFraction(0.2)
 
-	started := make(chan struct{})
-	go func() {
-		close(started)
-		th.Acquire(5000) // occupies the shared queue for ~500+ ticks
-	}()
-	<-started
+	scale.Go(func() {
+		th.Acquire(5000) // occupies the shared queue for 500+ ticks
+	})
 	scale.Sleep(5)
 	w := simtime.NewStopwatch(scale)
 	th.AcquireCritical(16) // reserved budget: ~16/2 = 8 ticks
@@ -92,10 +84,10 @@ func TestCriticalReserveBypassesQueue(t *testing.T) {
 
 func TestCriticalWithoutReserveJoinsQueue(t *testing.T) {
 	t.Parallel()
-	scale := testScale()
+	scale := testScale(t)
 	th := NewThrottler(scale, 10)
 
-	go th.Acquire(2000) // ~200 ticks of head-of-line blocking
+	scale.Go(func() { th.Acquire(2000) }) // 200 ticks of head-of-line blocking
 	scale.Sleep(10)
 	w := simtime.NewStopwatch(scale)
 	th.AcquireCritical(16)
@@ -106,7 +98,7 @@ func TestCriticalWithoutReserveJoinsQueue(t *testing.T) {
 
 func TestSetRateReconfigures(t *testing.T) {
 	t.Parallel()
-	scale := testScale()
+	scale := testScale(t)
 	th := NewThrottler(scale, 1)
 	th.SetRate(1000)
 	if th.Rate() != 1000 {
@@ -125,7 +117,7 @@ func TestSetRateReconfigures(t *testing.T) {
 
 func TestTryAcquire(t *testing.T) {
 	t.Parallel()
-	scale := testScale()
+	scale := testScale(t)
 	th := NewThrottler(scale, 10)
 	if !th.TryAcquire(0) {
 		t.Fatal("TryAcquire(0) = false")
@@ -155,5 +147,54 @@ func TestDurationTicksRounding(t *testing.T) {
 		if got := durationTicks(c.n, c.rate); got != c.want {
 			t.Errorf("durationTicks(%d, %d) = %d, want %d", c.n, c.rate, got, c.want)
 		}
+	}
+}
+
+// On a virtual clock head-of-line blocking is exact arithmetic: the k-th of
+// several queued acquirers finishes at the sum of the first k durations, and
+// an acquirer that finds the link idle starts from its own arrival tick.
+func TestQueuedAcquirersFinishAtClosedFormTicks(t *testing.T) {
+	t.Parallel()
+	scale := testScale(t)
+	th := NewThrottler(scale, 10) // 10 bytes/tick
+	finish := make(map[string]int64)
+	g := scale.NewGroup(nil)
+	for _, a := range []struct {
+		name  string
+		bytes int64
+	}{{"big", 1000}, {"tiny", 16}, {"mid", 500}} { // 100, 2 and 50 ticks
+		a := a
+		g.Go(func() {
+			th.Acquire(a.bytes)
+			finish[a.name] = scale.Now()
+		})
+	}
+	g.Wait()
+	want := map[string]int64{"big": 100, "tiny": 102, "mid": 152}
+	for name, tick := range want {
+		if finish[name] != tick {
+			t.Fatalf("finish ticks %v, want %v", finish, want)
+		}
+	}
+	if !th.TryAcquire(10) {
+		t.Fatal("TryAcquire failed on the tick the link drains")
+	}
+	scale.Sleep(48) // tick 200: the link has been idle since 153
+	th.Acquire(30)
+	if scale.Now() != 203 {
+		t.Fatalf("acquire on an idle link finished at %d, want 203", scale.Now())
+	}
+
+	// The critical reserve is a second link: 20 % of the rate, its own queue.
+	th.ReserveCriticalFraction(0.2)
+	g.Go(func() { th.Acquire(800) }) // 800 B at the remaining 8 B/tick: until 303
+	scale.Sleep(1)
+	th.AcquireCritical(16) // 16 B at 2 B/tick from tick 204
+	if scale.Now() != 212 {
+		t.Fatalf("critical acquire finished at %d, want 212", scale.Now())
+	}
+	g.Wait()
+	if scale.Now() != 303 {
+		t.Fatalf("shared acquire finished at %d, want 303", scale.Now())
 	}
 }

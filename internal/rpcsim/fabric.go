@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"zebraconf/internal/simtime"
 )
@@ -126,6 +125,12 @@ func (c *Conn) SetTimeoutTicks(n int64) { c.timeoutTicks.Store(n) }
 // the decode step of the mismatched side. While the handler runs, the
 // server emits keepalive pings every pingTicks; the client resets its
 // timeout on each ping, modeling Hadoop IPC's ping mechanism.
+//
+// The wait is a loop over the earlier of the next ping and the timeout.
+// Ties go against the timeout, as a real socket with pending bytes does
+// not time out: a ping due on the timeout's tick arrives first and resets
+// it, and on the tick the timeout expires the caller yields once, so a
+// handler that finishes on that same tick still delivers its result.
 func (c *Conn) Call(method string, payload []byte) ([]byte, error) {
 	s := c.srv
 	if s.closed.Load() {
@@ -140,84 +145,53 @@ func (c *Conn) Call(method string, payload []byte) ([]byte, error) {
 		return nil, fmt.Errorf("server %s rejected request: %w", s.addr, err)
 	}
 
-	type result struct {
-		data []byte
-		err  error
-	}
-	resCh := make(chan result, 1)
-	go func() {
-		if d := s.delayTicks.Load(); d > 0 {
-			s.scale.Sleep(d)
-		}
-		data, err := s.handler(method, req)
-		resCh <- result{data: data, err: err}
-	}()
+	var (
+		data    []byte
+		callErr error
+	)
+	done := c.scale.NewSignal()
+	s.scale.Go(func() {
+		defer done.Fire()
+		s.scale.Sleep(s.delayTicks.Load())
+		data, callErr = s.handler(method, req)
+	})
 
-	var pingCh <-chan time.Time
-	if pt := s.pingTicks.Load(); pt > 0 {
-		t := s.scale.Ticker(pt)
-		defer t.Stop()
-		pingCh = t.C
-	}
-	var timer *time.Timer
-	var timeoutCh <-chan time.Time
-	tout := c.timeoutTicks.Load()
-	if tout > 0 {
-		timer = c.scale.Timer(tout)
-		defer timer.Stop()
-		timeoutCh = timer.C
-	}
-
+	ping, tout := s.pingTicks.Load(), c.timeoutTicks.Load()
+	now := c.scale.Now()
+	nextPing, deadline := now+ping, now+tout
 	for {
-		select {
-		case r := <-resCh:
-			if r.err != nil {
-				return nil, r.err
-			}
-			respWire, err := Encode(s.sec, r.data)
-			if err != nil {
-				return nil, fmt.Errorf("server %s: encode response: %w", s.addr, err)
-			}
-			resp, err := Decode(c.sec, respWire)
-			if err != nil {
-				return nil, fmt.Errorf("decode response from %s: %w", s.addr, err)
-			}
-			return resp, nil
-		case <-pingCh:
-			if timer != nil {
-				timer.Reset(c.scale.Dur(tout))
-			}
-		case <-timeoutCh:
-			// A keepalive that arrived during the same scheduling window
-			// must win over the timeout — a real socket with pending bytes
-			// does not time out. Drain it and keep waiting.
-			select {
-			case <-pingCh:
-				if timer != nil {
-					timer.Reset(c.scale.Dur(tout))
-				}
-				continue
-			default:
-			}
-			select {
-			case r := <-resCh:
-				if r.err != nil {
-					return nil, r.err
-				}
-				respWire, err := Encode(s.sec, r.data)
-				if err != nil {
-					return nil, fmt.Errorf("server %s: encode response: %w", s.addr, err)
-				}
-				resp, err := Decode(c.sec, respWire)
-				if err != nil {
-					return nil, fmt.Errorf("decode response from %s: %w", s.addr, err)
-				}
-				return resp, nil
-			default:
-			}
-			return nil, fmt.Errorf("%w: %s.%s after %d ticks", ErrTimeout, s.addr, method, tout)
+		wait, pingNext := simtime.Forever, false
+		if tout > 0 {
+			wait = deadline - now
 		}
+		if ping > 0 && tout > 0 && nextPing-now <= wait {
+			wait, pingNext = nextPing-now, true
+		}
+		if c.scale.Wait(wait, done) {
+			break
+		}
+		now = c.scale.Now()
+		if pingNext {
+			nextPing, deadline = nextPing+ping, now+tout
+			continue
+		}
+		if c.scale.Wait(0, done) {
+			break
+		}
+		return nil, fmt.Errorf("%w: %s.%s after %d ticks", ErrTimeout, s.addr, method, tout)
 	}
+	if callErr != nil {
+		return nil, callErr
+	}
+	respWire, err := Encode(s.sec, data)
+	if err != nil {
+		return nil, fmt.Errorf("server %s: encode response: %w", s.addr, err)
+	}
+	resp, err := Decode(c.sec, respWire)
+	if err != nil {
+		return nil, fmt.Errorf("decode response from %s: %w", s.addr, err)
+	}
+	return resp, nil
 }
 
 // CallJSON is a convenience for JSON-encoded request/response structs; see

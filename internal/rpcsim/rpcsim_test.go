@@ -3,6 +3,7 @@ package rpcsim
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -192,7 +193,8 @@ func TestFabricDuplicateBindAndClose(t *testing.T) {
 func TestCallTimeoutAndKeepalive(t *testing.T) {
 	t.Parallel()
 	fx := NewFabric()
-	scale := testScale()
+	scale := simtime.NewVirtual()
+	defer scale.Shutdown()
 	srv, err := fx.Serve("slow", Security{}, scale, func(string, []byte) ([]byte, error) {
 		return []byte("done"), nil
 	})
@@ -283,5 +285,66 @@ func TestJSONHandlerAndCallJSON(t *testing.T) {
 	}
 	if err := conn.CallJSON("nope", msg{}, nil); err == nil {
 		t.Fatal("unknown method accepted")
+	}
+}
+
+// TestCallTimingTable pins Call's timing on a virtual clock: the outcome
+// and the exact tick the caller resumes on, including the edges where the
+// handler, a ping and the timeout fall on one tick.
+func TestCallTimingTable(t *testing.T) {
+	t.Parallel()
+	cases := []struct {
+		timeout, ping, handler int64
+		timesOut               bool
+		elapsed                int64
+	}{
+		{timeout: 0, ping: 0, handler: 50, elapsed: 50},
+		{timeout: 0, ping: 5, handler: 12, elapsed: 12}, // pings without a timeout are not even waited for
+		{timeout: 20, ping: 0, handler: 0, elapsed: 0},
+		{timeout: 20, ping: 0, handler: 19, elapsed: 19},
+		{timeout: 20, ping: 0, handler: 20, elapsed: 20}, // a result due on the timeout's tick wins
+		{timeout: 20, ping: 0, handler: 21, timesOut: true, elapsed: 20},
+		{timeout: 20, ping: 0, handler: 60, timesOut: true, elapsed: 20},
+		{timeout: 20, ping: 5, handler: 60, elapsed: 60},
+		{timeout: 20, ping: 20, handler: 60, elapsed: 60}, // a ping due on the timeout's tick wins, each time
+		{timeout: 20, ping: 21, handler: 60, timesOut: true, elapsed: 20},
+		{timeout: 10, ping: 7, handler: 25, elapsed: 25}, // pings at 7, 14, 21 push the deadline to 17, 24, 31
+		{timeout: 10, ping: 7, handler: 31, elapsed: 31}, // 28 pushes it to 38
+		{timeout: 1, ping: 1, handler: 1000, elapsed: 1000},
+	}
+	for _, c := range cases {
+		c := c
+		t.Run(fmt.Sprintf("timeout=%d,ping=%d,handler=%d", c.timeout, c.ping, c.handler), func(t *testing.T) {
+			t.Parallel()
+			scale := simtime.NewVirtual()
+			defer scale.Shutdown() // ends the handler a timed-out call left asleep
+			fx := NewFabric()
+			srv, err := fx.Serve("srv", Security{}, scale, func(string, []byte) ([]byte, error) {
+				return []byte("done"), nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv.SetDelayTicks(c.handler)
+			srv.SetPingTicks(c.ping)
+			conn, err := fx.Dial("srv", Security{}, scale)
+			if err != nil {
+				t.Fatal(err)
+			}
+			conn.SetTimeoutTicks(c.timeout)
+			scale.Sleep(3) // calls need not start on tick 0
+			start := scale.Now()
+			out, err := conn.Call("op", nil)
+			if c.timesOut {
+				if !errors.Is(err, ErrTimeout) {
+					t.Fatalf("Call = (%q, %v), want a timeout", out, err)
+				}
+			} else if err != nil || string(out) != "done" {
+				t.Fatalf("Call = (%q, %v), want the result", out, err)
+			}
+			if got := scale.Since(start); got != c.elapsed {
+				t.Fatalf("Call took %d ticks, want %d", got, c.elapsed)
+			}
+		})
 	}
 }

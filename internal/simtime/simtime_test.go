@@ -39,28 +39,6 @@ func TestSleepElapses(t *testing.T) {
 	}
 }
 
-func TestAfterFires(t *testing.T) {
-	t.Parallel()
-	s := &Scale{Tick: time.Millisecond}
-	select {
-	case <-s.After(1):
-	case <-time.After(time.Second):
-		t.Fatal("After(1) never fired")
-	}
-}
-
-func TestTickerClampsNonPositive(t *testing.T) {
-	t.Parallel()
-	s := &Scale{Tick: time.Millisecond}
-	tk := s.Ticker(0) // must not panic
-	defer tk.Stop()
-	select {
-	case <-tk.C:
-	case <-time.After(time.Second):
-		t.Fatal("clamped ticker never ticked")
-	}
-}
-
 func TestNowMonotonic(t *testing.T) {
 	t.Parallel()
 	s := &Scale{Tick: 100 * time.Microsecond}
@@ -98,5 +76,46 @@ func TestDurLinearityProperty(t *testing.T) {
 	}
 	if err := quick.Check(fn, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// The wall-clock branch of Wait and Signal: a deadline passes in real time,
+// a fired signal wins, and Forever waits for the signal alone.
+func TestWallClockWaitAndSignal(t *testing.T) {
+	t.Parallel()
+	s := &Scale{Tick: time.Millisecond}
+	sig := s.NewSignal()
+	start := time.Now()
+	if s.Wait(2, sig) {
+		t.Fatal("Wait reported an unfired signal as fired")
+	}
+	if elapsed := time.Since(start); elapsed < 2*time.Millisecond {
+		t.Fatalf("Wait(2) returned after %v", elapsed)
+	}
+	s.Go(func() {
+		s.Sleep(1)
+		sig.Fire()
+		sig.Fire() // idempotent
+	})
+	if !s.Wait(Forever, sig) || !sig.Fired() {
+		t.Fatal("Wait(Forever) returned without the signal")
+	}
+	if !s.Wait(0, sig) {
+		t.Fatal("a fired signal lost to an expired deadline")
+	}
+	g := s.NewGroup(nil)
+	var n int
+	g.Go(func() { s.Sleep(1); n = 1 })
+	g.Wait()
+	if n != 1 {
+		t.Fatal("Group.Wait returned before its goroutine")
+	}
+	if s.Limit(1) != nil || s.Live() != 0 {
+		t.Fatal("a wall-clock Scale has no limit and no census")
+	}
+	select {
+	case <-s.Shutdown():
+	default:
+		t.Fatal("Shutdown of a wall-clock Scale must report drained at once")
 	}
 }
