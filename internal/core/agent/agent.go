@@ -84,6 +84,14 @@ type Options struct {
 	// parameter (a stack walk per read — pre-run cost, not phase-2 cost).
 	// Implies Coverage.
 	CoverageSites bool
+	// Identity names the calling goroutine: the key of the paper's
+	// threadContext (§6.1). It must be stable for a goroutine, distinct
+	// between the goroutines of one execution, and may return 0 for a
+	// goroutine that is not part of it, which then never owns an init
+	// window. The harness passes the execution's clock
+	// (simtime.Scale.Member); nil falls back to gid.ID, a stack-trace
+	// parse, for an agent driven by plain goroutines.
+	Identity func() uint64
 }
 
 // ReadEvent is one intercepted configuration read, in program order: the
@@ -151,11 +159,12 @@ type nodeInfo struct {
 type Agent struct {
 	strategy Strategy
 	assign   map[Key]string
+	identity func() uint64
 
 	mu sync.Mutex
-	// threadCtx maps a goroutine ID to the stack of node IDs whose init
-	// functions are executing on it; the base element may be an inherited
-	// ownership installed by Inherit.
+	// threadCtx maps a goroutine's identity to the stack of node IDs whose
+	// init functions are executing on it; the base element may be an
+	// inherited ownership installed by Inherit.
 	threadCtx map[uint64][]uint64
 
 	nodes      map[uint64]*nodeInfo
@@ -189,6 +198,7 @@ func New(opts Options) *Agent {
 		strategy:    opts.Strategy,
 		assign:      opts.Assign,
 		traceReads:  opts.TraceReads,
+		identity:    opts.Identity,
 		threadCtx:   make(map[uint64][]uint64),
 		nodes:       make(map[uint64]*nodeInfo),
 		typeCounts:  make(map[string]int),
@@ -197,6 +207,9 @@ func New(opts Options) *Agent {
 		parentOf:    make(map[uint64]uint64),
 		readsByConf: make(map[uint64]map[string]bool),
 		threadReads: make(map[string]map[string]bool),
+	}
+	if a.identity == nil {
+		a.identity = fallbackIdentity
 	}
 	if opts.Coverage || opts.CoverageSites {
 		a.covParams = make(map[string]bool)
@@ -207,22 +220,29 @@ func New(opts Options) *Agent {
 	return a
 }
 
+// fallbackIdentity is the identity source of an agent built without one. A
+// variable so that a test can count the calls and show an execution under
+// the harness makes none.
+var fallbackIdentity = gid.ID
+
 // StartInit implements confkit.Hooks: it registers a new node of nodeType in
 // the node table and opens an init window on the calling goroutine.
 func (a *Agent) StartInit(nodeType string) {
-	g := gid.ID()
+	g := a.identity()
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.nodeSeq++
 	n := &nodeInfo{id: a.nodeSeq, nodeType: nodeType, index: a.typeCounts[nodeType]}
 	a.typeCounts[nodeType]++
 	a.nodes[n.id] = n
-	a.threadCtx[g] = append(a.threadCtx[g], n.id)
+	if g != 0 { // no goroutine of the execution, no window: they would all share it
+		a.threadCtx[g] = append(a.threadCtx[g], n.id)
+	}
 }
 
 // StopInit closes the innermost init window on the calling goroutine.
 func (a *Agent) StopInit() {
-	g := gid.ID()
+	g := a.identity()
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	stack := a.threadCtx[g]
@@ -243,7 +263,7 @@ func (a *Agent) StopInit() {
 // (heartbeat loops, RPC handlers), which otherwise would create unmappable
 // objects. Starting the goroutine is the runtime's business.
 func (a *Agent) Inherit(fn func()) func() {
-	g := gid.ID()
+	g := a.identity()
 	a.mu.Lock()
 	var inherit uint64
 	if stack := a.threadCtx[g]; len(stack) > 0 {
@@ -254,7 +274,7 @@ func (a *Agent) Inherit(fn func()) func() {
 		return fn
 	}
 	return func() {
-		cg := gid.ID()
+		cg := a.identity()
 		a.mu.Lock()
 		a.threadCtx[cg] = append(a.threadCtx[cg], inherit)
 		a.mu.Unlock()
@@ -279,7 +299,7 @@ func (a *Agent) currentNodeLocked(g uint64) *nodeInfo {
 
 // NewConf implements Rules 1.1 and 1.2 for the blank constructor.
 func (a *Agent) NewConf(c *confkit.Conf) {
-	g := gid.ID()
+	g := a.identity()
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.confObjs[c.ID()] = c
@@ -318,7 +338,7 @@ func (a *Agent) CloneConf(orig, clone *confkit.Conf) {
 // the initializing node, marks the original as the unit test's, and records
 // the parent link used for write-back by InterceptSet.
 func (a *Agent) RefToClone(orig *confkit.Conf) *confkit.Conf {
-	g := gid.ID()
+	g := a.identity()
 	clone := orig.CloneForAgent()
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -358,7 +378,12 @@ func (a *Agent) RefToClone(orig *confkit.Conf) *confkit.Conf {
 // InterceptGet records the read for the pre-run and, when the TestGenerator
 // assigned a value to <owner entity, parameter>, overrides the result.
 func (a *Agent) InterceptGet(c *confkit.Conf, name, stored string, found bool) (string, bool) {
-	g := gid.ID()
+	// Only attempt #3 attributes a read by the goroutine doing it; Rules
+	// 1–3 go by the object and never ask who is calling.
+	var g uint64
+	if a.strategy == StrategyThreadOnly {
+		g = a.identity()
+	}
 	// Callsite capture walks the stack only when the read trace or the
 	// coverage callsite sink is on; the default path pays nothing.
 	var callsite string

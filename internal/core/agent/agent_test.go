@@ -1,10 +1,12 @@
 package agent
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 
 	"zebraconf/internal/confkit"
+	"zebraconf/internal/simtime"
 )
 
 func newRuntime() *confkit.Runtime {
@@ -14,6 +16,36 @@ func newRuntime() *confkit.Runtime {
 		confkit.Param{Name: "q", Kind: confkit.String, Default: "dflt"},
 	)
 	return confkit.NewRuntime(r)
+}
+
+// underBothIdentities runs scenario once per identity source an agent can
+// have — the gid.ID fallback, goroutines started plainly; and a virtual
+// clock, the calling goroutine its first member, goroutines started through
+// Scale.Go — and requires the two executions to end in the same Report.
+func underBothIdentities(t *testing.T, opts Options, scenario func(t *testing.T, rt *confkit.Runtime, ag *Agent, s *simtime.Scale)) {
+	t.Helper()
+	var reports []Report
+	for _, src := range []struct {
+		name    string
+		virtual bool
+	}{{"gid", false}, {"clock", true}} {
+		t.Run(src.name, func(t *testing.T) {
+			s, o := &simtime.Scale{}, opts
+			if src.virtual {
+				s = simtime.NewVirtual()
+				o.Identity = s.Member
+			}
+			rt := newRuntime()
+			rt.SetSpawner(s.Go)
+			ag := New(o)
+			rt.SetHooks(ag)
+			scenario(t, rt, ag, s)
+			reports = append(reports, ag.Report())
+		})
+	}
+	if len(reports) == 2 && !reflect.DeepEqual(reports[0], reports[1]) {
+		t.Fatalf("the identity source changed the report:\n gid:   %+v\n clock: %+v", reports[0], reports[1])
+	}
 }
 
 // server mimics the paper's Fig. 2b Server class: its constructor opens an
@@ -36,14 +68,14 @@ func newServer(rt *confkit.Runtime, shared *confkit.Conf) *server {
 // checks every ownership decision.
 func TestPaperWalkthrough(t *testing.T) {
 	t.Parallel()
-	rt := newRuntime()
-	ag := New(Options{Assign: map[Key]string{
+	underBothIdentities(t, Options{Assign: map[Key]string{
 		{NodeType: "Server", NodeIndex: 0, Param: "p"}:       "100",
 		{NodeType: "Server", NodeIndex: 1, Param: "p"}:       "200",
 		{NodeType: UnitTestEntity, NodeIndex: 0, Param: "p"}: "7",
-	}})
-	rt.SetHooks(ag)
+	}}, paperWalkthrough)
+}
 
+func paperWalkthrough(t *testing.T, rt *confkit.Runtime, ag *Agent, _ *simtime.Scale) {
 	// Step 1: the unit test creates a blank configuration (Rule 1.2).
 	conf := rt.NewConf()
 	// Steps 2–5: server1; Step 6: server2 — sharing conf (Rule 2, 1.1).
@@ -137,28 +169,43 @@ func TestUncertainConfDetected(t *testing.T) {
 	}
 }
 
-func TestSpawnInheritsNodeOwnership(t *testing.T) {
+// Identity 0 is a goroutine outside the execution — under the harness, one
+// still running after the clock's shutdown. All such goroutines read 0, so
+// none of them may own an init window: the node is counted, and what is
+// created "inside" the window is uncertain, not the node's.
+func TestNoIdentityOwnsNoInitWindow(t *testing.T) {
 	t.Parallel()
 	rt := newRuntime()
-	ag := New(Options{Assign: map[Key]string{
-		{NodeType: "Worker", NodeIndex: 0, Param: "p"}: "77",
-	}})
+	ag := New(Options{Identity: func() uint64 { return 0 }})
 	rt.SetHooks(ag)
-
-	rt.StartInit("Worker")
-	got := make(chan int64, 1)
-	var wg sync.WaitGroup
-	wg.Add(1)
-	rt.Go(func() { // spawned during init: inherits the node
-		defer wg.Done()
-		workerConf := rt.NewConf()
-		got <- workerConf.GetInt("p")
-	})
-	wg.Wait()
+	rt.StartInit("Server")
+	_ = rt.NewConf().Get("q")
 	rt.StopInit()
-	if v := <-got; v != 77 {
-		t.Fatalf("conf created on a spawned worker goroutine reads p=%d, want 77", v)
+	rep := ag.Report()
+	if rep.NodesStarted["Server"] != 1 || rep.UncertainConfs != 1 || len(rep.Usage) != 0 {
+		t.Fatalf("report = %+v, want one Server, its conf uncertain", rep)
 	}
+}
+
+func TestSpawnInheritsNodeOwnership(t *testing.T) {
+	t.Parallel()
+	underBothIdentities(t, Options{Assign: map[Key]string{
+		{NodeType: "Worker", NodeIndex: 0, Param: "p"}: "77",
+	}}, func(t *testing.T, rt *confkit.Runtime, _ *Agent, s *simtime.Scale) {
+		rt.StartInit("Worker")
+		got := make(chan int64, 1)
+		workers := s.NewGroup(rt.Go)
+		workers.Go(func() { // spawned during init: inherits the node
+			s.Sleep(1) // and keeps it across a park
+			workerConf := rt.NewConf()
+			got <- workerConf.GetInt("p")
+		})
+		workers.Wait()
+		rt.StopInit()
+		if v := <-got; v != 77 {
+			t.Fatalf("conf created on a spawned worker goroutine reads p=%d, want 77", v)
+		}
+	})
 }
 
 func TestInterceptSetWritesBackToParent(t *testing.T) {
@@ -200,18 +247,17 @@ func TestNodeIndexesAssignedInStartOrder(t *testing.T) {
 
 func TestRefToCloneOutsideInitWindow(t *testing.T) {
 	t.Parallel()
-	rt := newRuntime()
-	ag := New(Options{})
-	rt.SetHooks(ag)
-	shared := rt.NewConf()
-	// Misuse: RefToClone without StartInit. The original reference is
-	// returned and the anomaly counted.
-	if got := shared.RefToClone(); got != shared {
-		t.Fatal("RefToClone outside an init window returned a clone")
-	}
-	if rep := ag.Report(); rep.RefAnomalies != 1 {
-		t.Fatalf("RefAnomalies = %d, want 1", rep.RefAnomalies)
-	}
+	underBothIdentities(t, Options{}, func(t *testing.T, rt *confkit.Runtime, ag *Agent, _ *simtime.Scale) {
+		shared := rt.NewConf()
+		// Misuse: RefToClone without StartInit. The original reference is
+		// returned and the anomaly counted.
+		if got := shared.RefToClone(); got != shared {
+			t.Fatal("RefToClone outside an init window returned a clone")
+		}
+		if rep := ag.Report(); rep.RefAnomalies != 1 {
+			t.Fatalf("RefAnomalies = %d, want 1", rep.RefAnomalies)
+		}
+	})
 }
 
 // TestThreadOnlyStrategyMisattributes demonstrates the paper's failed
@@ -220,31 +266,45 @@ func TestRefToCloneOutsideInitWindow(t *testing.T) {
 // node's value is correct.
 func TestThreadOnlyStrategyMisattributes(t *testing.T) {
 	t.Parallel()
-	rt := newRuntime()
-	ag := New(Options{
+	underBothIdentities(t, Options{
 		Strategy: StrategyThreadOnly,
 		Assign: map[Key]string{
 			{NodeType: "Server", NodeIndex: 0, Param: "p"}:       "100",
 			{NodeType: "Server", NodeIndex: 1, Param: "p"}:       "100",
 			{NodeType: UnitTestEntity, NodeIndex: 0, Param: "p"}: "7",
 		},
-	})
-	rt.SetHooks(ag)
+	}, threadOnlyMisattributes)
+}
+
+func threadOnlyMisattributes(t *testing.T, rt *confkit.Runtime, _ *Agent, s *simtime.Scale) {
 	shared := rt.NewConf()
-	s := newServer(rt, shared)
+	srv := newServer(rt, shared)
 
 	// The unit test invokes node code directly (Fig. 2d line 7): with
 	// thread attribution the read resolves to the unit test's value.
-	if got := s.conf.GetInt("p"); got != 7 {
+	if got := srv.conf.GetInt("p"); got != 7 {
 		t.Fatalf("thread-only strategy read %d; the documented misattribution should yield 7", got)
 	}
 	// During init (on a node-owned goroutine), attribution is correct.
 	// (This StartInit registers a second Server node, index 1.)
 	rt.StartInit("Server")
-	if got := s.conf.GetInt("p"); got != 100 {
+	if got := srv.conf.GetInt("p"); got != 100 {
 		t.Errorf("read inside an init window = %d, want 100", got)
 	}
+	// A worker spawned inside the window stays the node's after the window
+	// closes and across a park; the test's own goroutine does not.
+	workers := s.NewGroup(rt.Go)
+	workers.Go(func() {
+		s.Sleep(1)
+		if got := srv.conf.GetInt("p"); got != 100 {
+			t.Errorf("read on a worker spawned during init = %d, want 100", got)
+		}
+	})
 	rt.StopInit()
+	workers.Wait()
+	if got := srv.conf.GetInt("p"); got != 7 {
+		t.Errorf("read on the test's goroutine after the window closed = %d, want 7", got)
+	}
 }
 
 func TestHomoAssignmentUniformEverywhere(t *testing.T) {

@@ -335,8 +335,8 @@ func Run(app *harness.App, opts Options) *Result {
 		// server tier), so label-seeded trials are worth memoizing too:
 		// they only ever hit on resubmission of an unchanged campaign.
 		CacheLabelSeeded: opts.CacheBackend != nil,
-		Evidence:     forensics.NewRecorder(app.Name, opts.EvidenceMax, opts.Obs),
-		Coverage:     cov,
+		Evidence:         forensics.NewRecorder(app.Name, opts.EvidenceMax, opts.Obs),
+		Coverage:         cov,
 	})
 
 	tests, unknown := selectTests(app, opts.Tests)

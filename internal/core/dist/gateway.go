@@ -164,30 +164,34 @@ func (g *Gateway) acceptLoop() {
 // auth failure and closes the connection.
 func (g *Gateway) admit(conn net.Conn) {
 	conn.SetDeadline(time.Now().Add(helloTimeout))
-	reject := func() {
+	// reject counts before it replies: the worker acts on the reply at
+	// once, and the failure must be on the books by then.
+	reject := func(reply string) {
 		g.authFails.Add(1)
 		g.o.CounterAdd(obs.MGatewayAuthFailures, 1)
+		if reply != "" {
+			writeMsg(conn, Msg{Type: MsgWelcome, Error: reply})
+		}
 		conn.Close()
 	}
 	line, err := readLine(conn, maxHelloLine)
 	if err != nil {
-		reject()
+		reject("")
 		return
 	}
 	var hello Msg
 	if json.Unmarshal(line, &hello) != nil || hello.Type != MsgHello {
-		reject()
+		reject("")
 		return
 	}
 	if g.token != "" && hello.Token != g.token {
 		// Tell the worker why before hanging up, so its operator sees
 		// "rejected" instead of a silent reconnect loop.
-		writeMsg(conn, Msg{Type: MsgWelcome, Error: "authentication failed"})
-		reject()
+		reject("authentication failed")
 		return
 	}
 	if writeMsg(conn, Msg{Type: MsgWelcome}) != nil {
-		reject()
+		reject("")
 		return
 	}
 	conn.SetDeadline(time.Time{})

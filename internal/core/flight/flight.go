@@ -106,10 +106,10 @@ type WorkerStat struct {
 	// BusyUS is the union of this lane's dispatch→complete intervals —
 	// wall time with at least one item in flight, so per-worker
 	// parallelism does not overcount.
-	BusyUS  int64
-	Items   int
-	Steals  int
-	Spec    int
+	BusyUS int64
+	Items  int
+	Steals int
+	Spec   int
 	// Timeline is the lane's busy/idle occupancy bucketed over the run
 	// window (values in [0,1]), ready for sparkline rendering.
 	Timeline []float64
@@ -118,10 +118,10 @@ type WorkerStat struct {
 // Savings aggregates what each optimization contributed, from events
 // (counts) and the final perf sample (counters events do not carry).
 type Savings struct {
-	CacheHits       map[string]int64 // by scope: local | shared | coalesced
-	SpeculationRuns int64
-	SpeculationWins int64
-	Steals          int64
+	CacheHits         map[string]int64 // by scope: local | shared | coalesced
+	SpeculationRuns   int64
+	SpeculationWins   int64
+	Steals            int64
 	TrialsSavedEarly  int64
 	TrialsReallocated int64
 	ExecutionsSaved   int64
@@ -140,7 +140,7 @@ type Analysis struct {
 	CriticalPath   []PathStep
 	CriticalPathUS int64
 	// Items is every completed work item, slowest first.
-	Items []ItemStat
+	Items            []ItemStat
 	ItemP50, ItemP95 float64
 	// Workers has one row per execution lane (dist slots, or one
 	// aggregate row in-process), slot order.

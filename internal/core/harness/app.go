@@ -180,6 +180,9 @@ func RunOnceCaptured(app *App, test *UnitTest, opts agent.Options, seed int64, o
 	if spec.ReadEvents > 0 {
 		opts.TraceReads = spec.ReadEvents
 	}
+	// The clock runs one goroutine of the execution at a time and knows
+	// which: the agent's threadContext is keyed by that.
+	opts.Identity = env.Scale.Member
 	ag := agent.New(opts)
 	env.RT.SetHooks(ag)
 
@@ -217,10 +220,11 @@ func RunOnceCaptured(app *App, test *UnitTest, opts agent.Options, seed int64, o
 	returned := make(chan Outcome, 1) // the body returned
 	finished := make(chan struct{})   // and has torn the environment down
 	// NewEnv made this goroutine the clock's first member. It hands that
-	// membership to the body's goroutine, which gives it up on return, and
-	// only watches from here on. (Scale.Go would do, at one more stack
-	// frame under the body — and gid.ID walks the stack on every
-	// configuration read.)
+	// membership, identity included, to the body's goroutine and only
+	// watches from here on. That goroutine keeps the baton through its own
+	// teardown and gives the membership up last (the first defer below), so
+	// the environment is closed on the tick the body returns, before any
+	// node loop gets another turn.
 	go func() {
 		defer env.Scale.Leave()
 		exited := true // by runtime.Goexit, until the body says otherwise

@@ -27,7 +27,8 @@ type Env struct {
 	Scale  *simtime.Scale
 
 	mu       sync.Mutex
-	rand     *rand.Rand
+	seed     int64
+	rand     *rand.Rand // built from seed on the first draw: see rng
 	cleanups []func()
 }
 
@@ -45,8 +46,17 @@ func NewEnv(schema *confkit.Registry, scale *simtime.Scale, seed int64) *Env {
 		RT:     rt,
 		Fabric: rpcsim.NewFabric(),
 		Scale:  scale,
-		rand:   rand.New(rand.NewSource(seed)),
+		seed:   seed,
 	}
+}
+
+// rng returns the seeded source, building it on the first draw: seeding is
+// a 607-word loop, and most tests never draw. The caller holds e.mu.
+func (e *Env) rng() *rand.Rand {
+	if e.rand == nil {
+		e.rand = rand.New(rand.NewSource(e.seed))
+	}
+	return e.rand
 }
 
 // NewGroup returns a group of node goroutines: started through RT.Go, so
@@ -61,14 +71,14 @@ func (e *Env) NewGroup() *simtime.Group {
 func (e *Env) Float64() float64 {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.rand.Float64()
+	return e.rng().Float64()
 }
 
 // Intn returns a deterministic pseudo-random int in [0,n).
 func (e *Env) Intn(n int) int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.rand.Intn(n)
+	return e.rng().Intn(n)
 }
 
 // Defer registers a cleanup run by Close in LIFO order. Cluster constructors

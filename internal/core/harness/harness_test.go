@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"reflect"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -52,6 +53,23 @@ func TestEnvRandDeterministicPerSeed(t *testing.T) {
 	}
 	if n := a.Intn(10); n < 0 || n >= 10 {
 		t.Fatalf("Intn out of range: %d", n)
+	}
+}
+
+// The source is built on the first draw, from the same seed: these are the
+// draws Env made when NewEnv built it, so no seeded verdict can have moved.
+func TestEnvRandFirstDrawsPinned(t *testing.T) {
+	t.Parallel()
+	e := NewEnv(emptySchema(), nil, 42)
+	if f, n := e.Float64(), e.Intn(1000); f != 0.3730283610466326 || n != 987 {
+		t.Fatalf("seed 42, Float64 first: drew %v then Intn(1000) = %d", f, n)
+	}
+	if f, n, big := e.Float64(), e.Intn(10), e.Intn(1<<40); f != 0.604093851558642 || n != 0 || big != 959163784457 {
+		t.Fatalf("seed 42, later draws: %v, %d, %d", f, n, big)
+	}
+	e = NewEnv(emptySchema(), nil, 42)
+	if n, f := e.Intn(1000), e.Float64(); n != 305 || f != 0.06600049679351791 {
+		t.Fatalf("seed 42, Intn first: drew %d then Float64 = %v", n, f)
 	}
 }
 
@@ -264,6 +282,43 @@ func TestRunOnceTimeoutRunsCleanups(t *testing.T) {
 	}
 }
 
+// A body that hangs inside a node's init window times out, and its cleanup
+// runs on a helper goroutine after the clock's shutdown. That goroutine is
+// no member of the execution: the conf it creates is not the node's (the
+// body's identity must not outlive the clock) and not the unit test's (a
+// node has started), so it and the parameter read through it are uncertain
+// — the report the stack-trace identity gave, where the helper's goroutine
+// ID was simply unknown.
+func TestRunOnceTimedOutCleanupConfIsUncertain(t *testing.T) {
+	t.Parallel()
+	app := capturedApp()
+	app.Tests = []UnitTest{{
+		Name: "HangInInit",
+		Run: func(tt *T) {
+			rt := tt.Env.RT
+			rt.StartInit("N")
+			rt.NewConf().Get("cap.param")
+			tt.Env.Defer(func() { rt.NewConf().Get("cap.param") })
+			tt.Env.Scale.Wait(simtime.Forever, tt.Env.Scale.NewSignal())
+		},
+	}}
+	out := RunOnce(app, &app.Tests[0], agent.Options{}, 1)
+	if !out.TimedOut {
+		t.Fatalf("outcome: %+v", out)
+	}
+	want := agent.Report{
+		NodesStarted:    map[string]int{"N": 1},
+		Usage:           map[string]map[string]bool{"N": {"cap.param": true}},
+		UncertainParams: []string{"cap.param"},
+		UncertainConfs:  1,
+		TotalConfs:      2,
+		UsedConf:        true,
+	}
+	if !reflect.DeepEqual(out.Report, want) {
+		t.Fatalf("report\n  %+v\nwant\n  %+v", out.Report, want)
+	}
+}
+
 func TestAppTestLookup(t *testing.T) {
 	t.Parallel()
 	app := appWith(UnitTest{Name: "Only", Run: func(*T) {}})
@@ -447,22 +502,23 @@ func TestWallClockEnv(t *testing.T) {
 	t.Parallel()
 	scale := &simtime.Scale{Tick: time.Millisecond}
 	env := NewEnv(emptySchema(), scale, 1)
-	stop := env.Scale.NewSignal()
+	stop, firstPass := env.Scale.NewSignal(), env.Scale.NewSignal()
 	loops := env.NewGroup()
-	passes := 0
 	loops.Go(func() {
 		for !env.Scale.Wait(1, stop) {
-			passes++
+			firstPass.Fire()
 		}
 	})
 	env.Defer(func() { stop.Fire(); loops.Wait() })
 	start := time.Now()
 	env.Scale.Sleep(5)
-	env.Close()
 	if elapsed := time.Since(start); elapsed < 5*time.Millisecond {
 		t.Fatalf("Sleep(5) at 1 ms/tick returned after %v", elapsed)
 	}
-	if passes == 0 {
+	// Wait for the pass itself: on a loaded machine the loop's goroutine
+	// may not get a turn within those 5 ms.
+	if !env.Scale.Wait(10_000, firstPass) {
 		t.Fatal("the loop never ran")
 	}
+	env.Close()
 }

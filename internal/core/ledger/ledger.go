@@ -50,18 +50,18 @@ type Record struct {
 	Reported       []string `json:"reported"`
 	ReportedDigest string   `json:"reported_digest"`
 
-	Tests           int     `json:"tests"`
-	Params          int     `json:"params"`
-	TruePositives   int     `json:"true_positives"`
-	FalsePositives  int     `json:"false_positives"`
-	Missed          int     `json:"missed"`
-	Executions      int64   `json:"executions"`
-	ExecutionsSaved int64   `json:"executions_saved"`
-	MakespanSeconds float64 `json:"makespan_seconds"`
-	Workers         int     `json:"workers,omitempty"`
-	WorkerStalls    int64   `json:"worker_stalls,omitempty"`
-	SkippedTests    int     `json:"skipped_tests,omitempty"`
-	QuarantinedItems int    `json:"quarantined_items,omitempty"`
+	Tests            int     `json:"tests"`
+	Params           int     `json:"params"`
+	TruePositives    int     `json:"true_positives"`
+	FalsePositives   int     `json:"false_positives"`
+	Missed           int     `json:"missed"`
+	Executions       int64   `json:"executions"`
+	ExecutionsSaved  int64   `json:"executions_saved"`
+	MakespanSeconds  float64 `json:"makespan_seconds"`
+	Workers          int     `json:"workers,omitempty"`
+	WorkerStalls     int64   `json:"worker_stalls,omitempty"`
+	SkippedTests     int     `json:"skipped_tests,omitempty"`
+	QuarantinedItems int     `json:"quarantined_items,omitempty"`
 	// EvidenceRecords counts reported parameters carrying a forensic
 	// evidence record; EvidenceBytes is their serialized volume — the
 	// evidence budget statistics of this run's report.
@@ -277,8 +277,8 @@ type Delta struct {
 	FlagsMatch bool
 	// MakespanDelta is B minus A in seconds; MakespanRatio is B over A
 	// (0 when A's makespan is 0).
-	MakespanDelta float64
-	MakespanRatio float64
+	MakespanDelta   float64
+	MakespanRatio   float64
 	ExecutionsDelta int64
 }
 

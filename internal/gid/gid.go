@@ -1,27 +1,21 @@
-// Package gid provides goroutine identity and ownership propagation.
+// Package gid is goroutine identity without a clock: the fallback.
 //
-// ZebraConf's ConfAgent must answer the question "which node's code is
-// executing on the calling thread?" (paper §6.1). Java ZebraConf keys its
-// threadContext by thread ID; the Go port keys it by goroutine ID. Go
+// ZebraConf's ConfAgent must answer "which node's code is executing on the
+// calling thread?" (paper §6.1), and Java ZebraConf keys its threadContext
+// by thread ID. An execution under the harness takes that key from its
+// virtual clock, which runs one member at a time and knows which
+// (simtime.Scale.Member). This package serves an agent that has no clock:
+// one driven by plain goroutines in a package test or a microbenchmark. Go
 // deliberately hides goroutine IDs, so ID returns the number the runtime
-// prints in stack traces, parsed from runtime.Stack. This is the standard
-// technique for diagnostics-grade goroutine identity; it is not used for
-// correctness-critical synchronization, only to reproduce the paper's
-// thread-to-node bookkeeping.
-//
-// The package also provides Registry, a concurrency-safe map from goroutine
-// ID to an arbitrary owner value, and Go, an instrumented spawn helper that
-// snapshots the spawner's owner into the child at spawn time. This mirrors
-// the paper's rule "if thread A creates thread B, A and B belong to the same
-// node" (§6.1, attempt 3), restricted to spawns that happen while an owner is
-// set — e.g. worker goroutines started inside a node's init function.
+// prints in stack traces, parsed from runtime.Stack — microseconds per call,
+// more under a deep stack, which is why nothing on an execution's path
+// calls it.
 package gid
 
 import (
 	"bytes"
 	"runtime"
 	"strconv"
-	"sync"
 )
 
 // ID returns the current goroutine's ID as printed by the Go runtime in
@@ -50,79 +44,4 @@ func parseGoroutineID(stack []byte) uint64 {
 		return 0
 	}
 	return id
-}
-
-// Registry maps goroutine IDs to an owner value. The zero value is not
-// usable; create one with NewRegistry.
-//
-// Entries must be removed by the code that set them (Clear, or the cleanup
-// performed by Go); the registry does not observe goroutine exit.
-type Registry[T any] struct {
-	mu sync.RWMutex
-	m  map[uint64]T
-}
-
-// NewRegistry returns an empty registry.
-func NewRegistry[T any]() *Registry[T] {
-	return &Registry[T]{m: make(map[uint64]T)}
-}
-
-// Set associates owner with the current goroutine.
-func (r *Registry[T]) Set(owner T) {
-	r.SetFor(ID(), owner)
-}
-
-// SetFor associates owner with goroutine g.
-func (r *Registry[T]) SetFor(g uint64, owner T) {
-	r.mu.Lock()
-	r.m[g] = owner
-	r.mu.Unlock()
-}
-
-// Get returns the owner associated with the current goroutine.
-func (r *Registry[T]) Get() (T, bool) {
-	return r.GetFor(ID())
-}
-
-// GetFor returns the owner associated with goroutine g.
-func (r *Registry[T]) GetFor(g uint64) (T, bool) {
-	r.mu.RLock()
-	owner, ok := r.m[g]
-	r.mu.RUnlock()
-	return owner, ok
-}
-
-// Clear removes the current goroutine's association.
-func (r *Registry[T]) Clear() {
-	r.ClearFor(ID())
-}
-
-// ClearFor removes goroutine g's association.
-func (r *Registry[T]) ClearFor(g uint64) {
-	r.mu.Lock()
-	delete(r.m, g)
-	r.mu.Unlock()
-}
-
-// Len reports the number of goroutines currently registered.
-func (r *Registry[T]) Len() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.m)
-}
-
-// Go runs fn on a new goroutine. If the spawning goroutine has an owner in r
-// at the moment of the call, the child inherits it for the duration of fn;
-// the association is removed when fn returns. This reproduces the paper's
-// thread-inheritance rule for worker threads started during node
-// initialization.
-func (r *Registry[T]) Go(fn func()) {
-	owner, ok := r.Get()
-	go func() {
-		if ok {
-			r.Set(owner)
-			defer r.Clear()
-		}
-		fn()
-	}()
 }

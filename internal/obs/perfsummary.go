@@ -35,14 +35,14 @@ type PerfSummary struct {
 	// queue wait in dist mode).
 	P95QueueWaitSeconds float64 `json:"p95_queue_wait_seconds"`
 	// Savings attribution counters.
-	Executions         int64   `json:"executions"`
-	ExecutionsSaved    int64   `json:"executions_saved"`
-	CacheHitRate       float64 `json:"cache_hit_rate"`
-	SpeculativeRuns    int64   `json:"speculative_runs,omitempty"`
-	SpeculationWins    int64   `json:"speculation_wins,omitempty"`
-	TrialsSavedEarly   int64   `json:"trials_saved_early_stop,omitempty"`
-	TrialsReallocated  int64   `json:"trials_reallocated,omitempty"`
-	WorkerItemSteals   int64   `json:"steals,omitempty"`
+	Executions        int64   `json:"executions"`
+	ExecutionsSaved   int64   `json:"executions_saved"`
+	CacheHitRate      float64 `json:"cache_hit_rate"`
+	SpeculativeRuns   int64   `json:"speculative_runs,omitempty"`
+	SpeculationWins   int64   `json:"speculation_wins,omitempty"`
+	TrialsSavedEarly  int64   `json:"trials_saved_early_stop,omitempty"`
+	TrialsReallocated int64   `json:"trials_reallocated,omitempty"`
+	WorkerItemSteals  int64   `json:"steals,omitempty"`
 	// PerfSamples counts sampler snapshots taken (0 when -perf was off).
 	PerfSamples int `json:"perf_samples,omitempty"`
 }

@@ -29,13 +29,13 @@ type Status struct {
 	// with a microscopic prediction cannot blow up the ratio the way a
 	// per-item mean would — plus a plain mean duration as the fallback
 	// estimate for items without one.
-	actSum, predSum    float64
-	doneSecs, doneN    float64
+	actSum, predSum     float64
+	doneSecs, doneN     float64
 	instances, instDone int64
-	executions, saved  int64
-	specRuns, specWins int64
-	safe, unsafe       int64
-	filtered, homoInv  int64
+	executions, saved   int64
+	specRuns, specWins  int64
+	safe, unsafe        int64
+	filtered, homoInv   int64
 
 	workers map[int]*workerState
 	params  map[string]*paramState
@@ -486,17 +486,17 @@ type CampaignStatus struct {
 
 // WorkerStatus is one /api/workers row.
 type WorkerStatus struct {
-	Slot            int     `json:"slot"`
-	PID             int     `json:"pid,omitempty"`
-	State           string  `json:"state"`
-	LastHeartbeatS  float64 `json:"last_heartbeat_s"` // seconds since last heartbeat; -1 when none seen
-	Inflight        []int   `json:"inflight,omitempty"`
-	ItemsDone       int64   `json:"items_done"`
-	Executions      int64   `json:"executions"`
-	Goroutines      int     `json:"goroutines,omitempty"`
-	HeapBytes       uint64  `json:"heap_bytes,omitempty"`
-	Stalls          int64   `json:"stalls"`
-	Spawns          int64   `json:"spawns"`
+	Slot           int     `json:"slot"`
+	PID            int     `json:"pid,omitempty"`
+	State          string  `json:"state"`
+	LastHeartbeatS float64 `json:"last_heartbeat_s"` // seconds since last heartbeat; -1 when none seen
+	Inflight       []int   `json:"inflight,omitempty"`
+	ItemsDone      int64   `json:"items_done"`
+	Executions     int64   `json:"executions"`
+	Goroutines     int     `json:"goroutines,omitempty"`
+	HeapBytes      uint64  `json:"heap_bytes,omitempty"`
+	Stalls         int64   `json:"stalls"`
+	Spawns         int64   `json:"spawns"`
 }
 
 // ParamStatus is one /api/params row: a parameter with at least one

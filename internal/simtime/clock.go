@@ -34,15 +34,30 @@ import (
 //
 // The goroutine that creates the clock is its first member and holds the
 // baton. Members are added by Go; Leave removes the caller.
+//
+// Since the kernel picks who runs, it also knows who runs: every member has
+// an identity, a small positive integer, and Scale.Member returns that of
+// the member holding the baton. The contract:
+//
+//   - a member keeps its identity across every park and wake;
+//   - every member started by Go gets one no other member of the clock has;
+//   - the creator's identity goes with its membership: a goroutine the
+//     creator hands the membership to (see Leave) reads the same one;
+//   - it reads 0, no member, while the clock is halted and for good once it
+//     is shut down, whoever asks — a goroutine still running by then is no
+//     longer part of the execution;
+//   - the baton holder reads it without c.mu, and a read from outside the
+//     execution is safe (it names whoever runs at that instant).
 type Clock struct {
-	now atomic.Int64 // written under mu; read by Now without it
+	now atomic.Int64  // written under mu; read by Now without it
+	cur atomic.Uint64 // identity of the baton holder, 0 for none; written under mu
 
 	mu     sync.Mutex
 	seq    uint64
+	ids    uint64 // identities handed out
 	timers timerHeap
 	ready  []runnable // FIFO; ready[head:] is live
 	head   int
-	busy   bool  // a member holds the baton
 	live   int   // census: members that have not returned
 	limit  int64 // the clock halts rather than pass this tick
 
@@ -54,7 +69,9 @@ type Clock struct {
 }
 
 func newClock() *Clock {
-	return &Clock{busy: true, live: 1, limit: Forever, dead: make(chan struct{})}
+	c := &Clock{live: 1, ids: 1, limit: Forever, dead: make(chan struct{})}
+	c.cur.Store(1)
+	return c
 }
 
 // runnable is an entry of the FIFO: a parked goroutine to wake, or the
@@ -63,6 +80,7 @@ func newClock() *Clock {
 type runnable struct {
 	w     *waiter
 	start func()
+	id    uint64 // identity of the member start becomes
 }
 
 // waiterPool recycles waiters: a goroutine owns its waiter again the moment
@@ -72,6 +90,7 @@ var waiterPool = sync.Pool{New: func() any { return &waiter{wake: make(chan stru
 // waiter is one parked goroutine.
 type waiter struct {
 	wake     chan struct{} // buffered: the waker never blocks
+	id       uint64        // identity of the parked member
 	deadline int64
 	seq      uint64
 	index    int     // position in the heap; -1 when not in it
@@ -125,6 +144,7 @@ func (c *Clock) exitIfDead() {
 // park hands the baton on and blocks until w is woken. The caller holds
 // c.mu, which park releases.
 func (c *Clock) park(w *waiter) {
+	w.id = c.cur.Load()
 	c.dispatch()
 	c.mu.Unlock()
 	c.await(w)
@@ -152,16 +172,17 @@ func (c *Clock) dispatch() {
 		if c.head == len(c.ready) {
 			c.ready, c.head = c.ready[:0], 0
 		}
-		c.busy = true
 		if r.start != nil {
+			c.cur.Store(r.id)
 			go c.run(r.start)
 		} else {
+			c.cur.Store(r.w.id)
 			r.w.wake <- struct{}{}
 		}
 		return
 	}
 	if len(c.timers) == 0 || c.timers[0].deadline > c.limit {
-		c.busy = false
+		c.cur.Store(0)
 		if c.halted == nil {
 			panic("simtime: deadlock: every goroutine of the execution is parked and no timer is pending")
 		}
@@ -178,7 +199,7 @@ func (c *Clock) dispatch() {
 	if w.deadline > c.now.Load() {
 		c.now.Store(w.deadline)
 	}
-	c.busy = true
+	c.cur.Store(w.id)
 	w.wake <- struct{}{}
 }
 
@@ -216,7 +237,8 @@ func (c *Clock) newWaiter(ticks int64) *waiter {
 func (c *Clock) spawn(fn func()) {
 	c.enter()
 	c.live++
-	c.ready = append(c.ready, runnable{start: fn})
+	c.ids++
+	c.ready = append(c.ready, runnable{start: fn, id: c.ids})
 	c.mu.Unlock()
 }
 
@@ -279,7 +301,7 @@ func (c *Clock) fire(g *Signal) {
 	g.waiters = nil
 	// Fired from outside the execution while nothing in it runs: start
 	// the woken goroutines now, there is nobody to park and do it.
-	if !c.busy && !c.isDead {
+	if c.cur.Load() == 0 && !c.isDead {
 		c.dispatch()
 	}
 }
@@ -295,6 +317,17 @@ func (s *Scale) Leave() {
 	if c := s.clk(); c != nil {
 		c.leave()
 	}
+}
+
+// Member returns the identity of the clock member holding the baton — to a
+// goroutine of the execution, its own — or 0 when there is none: the clock
+// is halted or shut down, or s is a wall-clock Scale, which has no members.
+// See Clock for the contract.
+func (s *Scale) Member() uint64 {
+	if c := s.clk(); c != nil {
+		return c.cur.Load()
+	}
+	return 0
 }
 
 // Limit sets the last tick the clock may reach, ticks from now, and returns
@@ -330,6 +363,7 @@ func (s *Scale) Shutdown() <-chan struct{} {
 	defer c.mu.Unlock()
 	if !c.isDead {
 		c.isDead = true
+		c.cur.Store(0)
 		close(c.dead)
 		// Goroutines Go queued but never started will not start now.
 		for _, r := range c.ready[c.head:] {
