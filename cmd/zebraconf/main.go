@@ -84,7 +84,7 @@ func main() {
 
 		// Adaptive scheduling (internal/core/sched).
 		schedFlag   = flag.String("sched", "lpt", "phase-2 dispatch order: lpt (longest-predicted first) | fifo (ablation)")
-		stream      = flag.Bool("stream", true, "stream work items into phase 2 as each pre-run finishes; -stream=false restores the phase barrier (ablation)")
+		stream      = flag.Bool("stream", true, "stream work items into phase 2 as each pre-run finishes; -stream=false holds every work item until the last pre-run finishes (ablation)")
 		speculate   = flag.Float64("speculate", 1.5, "with -workers: re-issue an item held longer than this factor x its predicted duration once the queue drains; 0 disables (ablation)")
 		profilePath = flag.String("profile", "", "duration profile JSON: read for predictions if present, rewritten with this campaign's timings at exit")
 		quarantine  = flag.Int("quarantine", 3, "distinct confirming tests before a parameter is live-quarantined mid-campaign (§4 frequent-failer rule); 0 disables the pruning (ablation)")
@@ -517,7 +517,7 @@ func main() {
 			if slots <= 0 {
 				slots = campaign.DefaultParallelism()
 			}
-			var adapter *distAdapter
+			var coord *dist.Coordinator
 			if *workers > 0 {
 				cfg := dist.ConfigFrom(opts)
 				// With the coordinator tracing, workers trace each item
@@ -532,14 +532,9 @@ func main() {
 				cfg.Parallel = *workerParallel
 				if cfg.Parallel <= 0 {
 					// Split the in-process concurrency budget across the
-					// workers: total load — and with it the timing
-					// behaviour of latency-sensitive tests — stays the
-					// same no matter how many workers shard the campaign.
-					total := *parallel
-					if total <= 0 {
-						total = campaign.DefaultParallelism()
-					}
-					cfg.Parallel = (total + *workers - 1) / *workers
+					// workers: total load stays the same no matter how
+					// many workers shard the campaign.
+					cfg.Parallel = (slots + *workers - 1) / *workers
 				}
 				slots = *workers * cfg.Parallel
 				distOpts := dist.Options{
@@ -561,9 +556,8 @@ func main() {
 				if diskStore != nil {
 					distOpts.SharedBackend = diskStore
 				}
-				coord := dist.New(distOpts)
-				adapter = &distAdapter{coord: coord}
-				appOpts.Distributor = adapter
+				coord = dist.New(distOpts)
+				appOpts.Distributor = coord
 			}
 			start := time.Now()
 			// A warm ledger directory carries the previous run's coverage
@@ -608,8 +602,17 @@ func main() {
 			} else {
 				res = campaign.Run(app, appOpts)
 			}
-			if adapter != nil && adapter.run != nil {
-				res.WorkerStalls = adapter.run.Stalls()
+			if coord != nil {
+				// The campaign cannot produce a result without the
+				// distributed items, so a coordinator failure is fatal:
+				// no report, no ledger record.
+				if err := coord.Err(); err != nil {
+					fmt.Fprintln(os.Stderr, "distributed campaign failed:", err)
+					os.Exit(1)
+				}
+				if run := coord.Run(); run != nil {
+					res.WorkerStalls = run.Stalls()
+				}
 			}
 			if explain {
 				if err := report.Explain(os.Stdout, res, *onlyParam); err != nil {
@@ -680,37 +683,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown mode %q\n", *mode)
 		os.Exit(2)
 	}
-}
-
-// distAdapter bridges the campaign's Distributor interface onto the dist
-// coordinator's Start/Submit/Drain API. The campaign cannot produce a
-// result without the distributed items, so a coordinator failure is
-// fatal here.
-type distAdapter struct {
-	coord *dist.Coordinator
-	run   *dist.Run
-}
-
-func (d *distAdapter) Begin(parent obs.SpanID, total int) {
-	run, err := d.coord.Start(parent, total)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "distributed campaign failed:", err)
-		os.Exit(1)
-	}
-	d.run = run
-}
-
-func (d *distAdapter) Submit(item campaign.WorkItem) {
-	d.run.Submit(item)
-}
-
-func (d *distAdapter) Drain() []campaign.ItemResult {
-	res, err := d.run.Drain()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "distributed campaign failed:", err)
-		os.Exit(1)
-	}
-	return res
 }
 
 func splitList(s string) []string {

@@ -7,7 +7,6 @@ package campaign
 
 import (
 	"runtime"
-	"sync"
 	"time"
 
 	"zebraconf/internal/confkit"
@@ -42,7 +41,7 @@ type Options struct {
 	Strategy agent.Strategy
 	// QuarantineThreshold is the number of distinct failing unit tests
 	// after which a parameter is marked unsafe and excluded from further
-	// testing (§4's frequent-failer rule); 0 means 3.
+	// testing (§4's frequent-failer rule, see FrequentFailers); 0 means 3.
 	QuarantineThreshold int
 	// Params restricts the campaign to a parameter subset (empty = all).
 	Params []string
@@ -87,11 +86,12 @@ type Options struct {
 	// value, keeps declaration order; sched.LPT dispatches
 	// longest-predicted-first to shrink the makespan).
 	SchedPolicy sched.Policy
-	// Stream replaces the phase-1 barrier with a pipeline: a test's work
-	// item is built and dispatched the moment its pre-run finishes, so
-	// instance execution overlaps the pre-run tail. Both phases share
-	// one Parallelism budget, so total load — and with it the timing
-	// behaviour of latency-sensitive tests — matches the barrier path.
+	// Stream releases a test's work item for dispatch the moment its
+	// pre-run finishes, so instance execution overlaps the pre-run tail.
+	// False is the phase-1 barrier ablation: every item is held until the
+	// last pre-run is in, then all are released in item-ID order. Both
+	// values run the same pipeline under one Parallelism budget, and the
+	// reported set is the same under either.
 	Stream bool
 	// Profile, when non-nil, supplies per-(app, test) duration
 	// predictions from earlier campaigns and receives this campaign's
@@ -273,18 +273,12 @@ type paramStats struct {
 	stop     string
 }
 
-// DefaultParallelism is the default concurrent unit-test budget: four per
-// processor — the analog of the paper's 20 containers per machine, chosen
-// when executions slept in scaled real time. On virtual clocks they are
-// processor-bound, so the oversubscription buys nothing and costs little
-// (a full minihdfs campaign: 43 s at 16 slots, 40 s at 2, on 2 cores). The
-// distributed executor divides this same budget across its workers.
+// DefaultParallelism is the default concurrent unit-test budget: one per
+// processor. Executions run on virtual clocks, so they are processor-bound
+// and more slots than processors buy nothing. The distributed executor
+// divides this same budget across its workers.
 func DefaultParallelism() int {
-	p := 4 * runtime.GOMAXPROCS(0)
-	if p < 16 {
-		p = 16
-	}
-	return p
+	return runtime.GOMAXPROCS(0)
 }
 
 // Run executes a campaign over app.
@@ -292,9 +286,6 @@ func Run(app *harness.App, opts Options) *Result {
 	start := time.Now()
 	if opts.Parallelism <= 0 {
 		opts.Parallelism = DefaultParallelism()
-	}
-	if opts.QuarantineThreshold <= 0 {
-		opts.QuarantineThreshold = 3
 	}
 	app = OverrideApp(app, opts.Overrides)
 	schema := app.Schema()
@@ -388,19 +379,12 @@ func Run(app *harness.App, opts Options) *Result {
 	}
 
 	// Phases 1 and 2: pre-run every test, build and schedule work items,
-	// execute their instances. Barriered (default): all pre-runs finish,
-	// items are ranked by predicted duration, then dispatched. Streamed:
-	// one policy-aware queue feeds a single worker pool, so a test's
-	// item dispatches the moment its pre-run finishes and instance
-	// execution overlaps the pre-run tail.
-	ex := &campaignExec{app: app, gen: gen, run: run, opts: opts, o: o, phase: phase, force: force}
-	var itemResults []ItemResult
-	var localLeaks int64
-	if opts.Stream {
-		res.PreRuns, itemResults, localLeaks = ex.runStreamed(tests)
-	} else {
-		res.PreRuns, itemResults, localLeaks = ex.runBarriered(tests)
-	}
+	// execute their instances — one pipeline over one policy-aware queue
+	// (see pipeline; Options.Stream only decides when built items are
+	// released into it).
+	p := &pipeline{app: app, gen: gen, run: run, opts: opts, o: o, force: force, tests: tests}
+	itemResults, localLeaks := p.execute(phase)
+	res.PreRuns = p.pres
 	// Fold worker-produced coverage edges into the collector: distributed
 	// phase-2 executions happen out of process, and their read sets ride
 	// back on the item results. In-process items carry no Coverage (the
@@ -450,151 +434,6 @@ func Run(app *harness.App, opts Options) *Result {
 	return res
 }
 
-// campaignExec bundles the state phases 1 and 2 share across the
-// barriered and streamed execution paths.
-type campaignExec struct {
-	app   *harness.App
-	gen   *testgen.Generator
-	run   *runner.Runner
-	opts  Options
-	o     *obs.Observer
-	phase func(name string) (obs.SpanID, func())
-	// force maps a test name to the parameters its work item must
-	// generate instances for even without pre-run read evidence (the
-	// coverage fallback; see coveragePlan).
-	force map[string][]string
-}
-
-// runBarriered is the two-phase path: every pre-run completes, items are
-// built and ranked by predicted duration, then dispatched as one batch.
-func (c *campaignExec) runBarriered(tests []*harness.UnitTest) (pres []testgen.PreRun, itemResults []ItemResult, localLeaks int64) {
-	app, o, opts := c.app, c.o, c.opts
-
-	type timedPre struct {
-		pre  testgen.PreRun
-		secs float64
-	}
-	_, endPhase := c.phase("prerun")
-	tp := parallelMap(opts.Parallelism, o, app.Name, "prerun", tests, func(t *harness.UnitTest) timedPre {
-		pre, d := c.run.PreRunTimed(t)
-		return timedPre{pre: pre, secs: d.Seconds()}
-	})
-	endPhase()
-	pres = make([]testgen.PreRun, len(tp))
-	items := make([]WorkItem, len(tp))
-	preds := make([]float64, len(tp))
-	for i, x := range tp {
-		pres[i] = x.pre
-		items[i] = WorkItem{ID: i, Test: x.pre.Test, PreRun: x.pre, ForceParams: c.force[x.pre.Test]}
-		items[i].PredSeconds, items[i].PredTrials = c.predict(items[i], x.secs)
-		preds[i] = items[i].PredSeconds
-		o.Stat().ItemQueued(items[i].ID, items[i].Test, items[i].PredSeconds)
-	}
-	order, moved := sched.Rank(opts.SchedPolicy, preds)
-
-	span, endPhase := c.phase("instances")
-	defer endPhase()
-	if opts.Distributor != nil {
-		// The dist queue re-ranks under its own policy, so the reorder
-		// statistic is counted at its pops, not here; the LPT submission
-		// order still seeds the shards balanced.
-		opts.Distributor.Begin(span, len(items))
-		for _, i := range order {
-			opts.Distributor.Submit(items[i])
-		}
-		return pres, opts.Distributor.Drain(), 0
-	}
-	if moved > 0 {
-		o.CounterAdd(obs.MSchedReordered, int64(moved), "app", app.Name)
-	}
-	ordered := make([]WorkItem, len(order))
-	for pos, i := range order {
-		ordered[pos] = items[i]
-	}
-	onUnsafe := c.unsafeHook()
-	// Abandoned-goroutine accounting: per-item deltas double-count
-	// under in-process concurrency, so take one campaign-wide delta.
-	leakBase := harness.AbandonedGoroutines()
-	itemResults = parallelMap(opts.Parallelism, o, app.Name, "instances", ordered, func(it WorkItem) ItemResult {
-		t0 := time.Now()
-		c.noteDispatch(it)
-		r := ExecuteItem(app, c.gen, c.run, opts, span, it, onUnsafe, false)
-		c.observeItem(it, time.Since(t0), r.Executions)
-		return r
-	})
-	return pres, itemResults, harness.AbandonedGoroutines() - leakBase
-}
-
-// predict estimates one item's wall clock in seconds and its expected
-// trial count: the profile's estimate for this (app, test) when warm,
-// else the pre-run duration scaled by the item's instance count (each
-// instance re-runs the test at least once) — the cold-campaign
-// fallback. Trials come from the profile's expected-trial EWMA so LPT
-// ranks by what sequential stopping actually costs, not the worst case.
-func (c *campaignExec) predict(item WorkItem, preSeconds float64) (secs, trials float64) {
-	trials, _ = c.opts.Profile.PredictTrials(c.app.Name, item.Test)
-	if s, ok := c.opts.Profile.Predict(c.app.Name, item.Test); ok {
-		return s, trials
-	}
-	n := len(c.gen.Instances(item.PreRun, testgen.InstancesOptions{DisableRoundRobin: c.opts.DisableRoundRobin}))
-	return preSeconds * float64(n+1), trials
-}
-
-// noteDispatch marks an item entering execution on the in-process pool
-// (the distributed coordinator emits its own dispatch events with
-// worker attribution).
-func (c *campaignExec) noteDispatch(item WorkItem) {
-	c.o.Event(obs.EvItemDispatch,
-		obs.String("app", c.app.Name),
-		obs.Int("item", int64(item.ID)),
-		obs.String("test", item.Test))
-	c.o.Stat().ItemStart(item.ID)
-}
-
-// observeItem feeds one completed item's wall clock and trial count back
-// into the profile, the predicted-vs-actual accuracy histogram, the
-// event log, and the live status ETA.
-func (c *campaignExec) observeItem(item WorkItem, elapsed time.Duration, executions int64) {
-	secs := elapsed.Seconds()
-	c.opts.Profile.RecordTrials(c.app.Name, item.Test, secs, executions)
-	if item.PredSeconds > 0 {
-		c.o.Observe(obs.MSchedPredRatio, secs/item.PredSeconds, "app", c.app.Name)
-	}
-	c.o.Event(obs.EvItemComplete,
-		obs.String("app", c.app.Name),
-		obs.Int("item", int64(item.ID)),
-		obs.String("test", item.Test),
-		obs.Float("elapsed_s", secs))
-	c.o.Stat().ItemDone(item.ID, secs)
-}
-
-// unsafeHook returns the live cross-test quarantine hook used by the
-// in-process paths: once a parameter is confirmed by QuarantineThreshold
-// distinct tests (§4's frequent-failer rule), remaining items skip its
-// instances. The distributed path implements the same rule with a
-// coordinator-to-worker broadcast instead.
-func (c *campaignExec) unsafeHook() func(testgen.Instance, runner.Result) {
-	var mu sync.Mutex
-	confirmedBy := make(map[string]map[string]bool)
-	return func(inst testgen.Instance, r runner.Result) {
-		mu.Lock()
-		defer mu.Unlock()
-		set := confirmedBy[inst.Param]
-		if set == nil {
-			set = make(map[string]bool)
-			confirmedBy[inst.Param] = set
-		}
-		set[inst.Test] = true
-		if len(set) == c.opts.QuarantineThreshold {
-			c.o.CounterAdd(obs.MQuarantine, 1, "app", c.app.Name)
-			c.o.Event(obs.EvParamQuarantined,
-				obs.String("app", c.app.Name), obs.String("param", inst.Param))
-			c.o.Stat().ParamQuarantined(inst.Param)
-			c.gen.Quarantine(inst.Param)
-		}
-	}
-}
-
 // filterConfirmed drops pool members whose parameter is already confirmed
 // unsafe within this test.
 func filterConfirmed(p testgen.Pool, confirmed map[string]bool) testgen.Pool {
@@ -627,41 +466,4 @@ func selectTests(app *harness.App, names []string) (tests []*harness.UnitTest, u
 		tests = append(tests, t)
 	}
 	return tests, unknown
-}
-
-// parallelMap runs fn over items with bounded parallelism, preserving
-// order. When o is live it records how long each item waited for a
-// worker slot (the semaphore queue-wait histogram) and how long it then
-// ran (the per-item run-time histogram) — wait vs run is what makes
-// tail latency attributable to scheduling rather than to slow items.
-func parallelMap[I any, O any](parallelism int, o *obs.Observer, app, stage string, items []I, fn func(I) O) []O {
-	out := make([]O, len(items))
-	sem := make(chan struct{}, parallelism)
-	var wg sync.WaitGroup
-	for i := range items {
-		wg.Add(1)
-		var waitStart time.Time
-		if o != nil {
-			waitStart = time.Now()
-		}
-		sem <- struct{}{}
-		if o != nil {
-			o.Observe(obs.MSemWaitSeconds, time.Since(waitStart).Seconds(),
-				"app", app, "stage", stage)
-		}
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			if o == nil {
-				out[i] = fn(items[i])
-				return
-			}
-			runStart := time.Now()
-			out[i] = fn(items[i])
-			o.Observe(obs.MItemRunSeconds, time.Since(runStart).Seconds(),
-				"app", app, "stage", stage)
-		}(i)
-	}
-	wg.Wait()
-	return out
 }

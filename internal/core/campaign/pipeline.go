@@ -1,0 +1,226 @@
+package campaign
+
+import (
+	"sync"
+	"time"
+
+	"zebraconf/internal/core/harness"
+	"zebraconf/internal/core/runner"
+	"zebraconf/internal/core/sched"
+	"zebraconf/internal/core/testgen"
+	"zebraconf/internal/obs"
+)
+
+// pipeline is phases 1 and 2 of one campaign: one policy-aware queue
+// holds both pending pre-runs and ready work items, and a single pool of
+// Parallelism workers drains it. With Options.Stream a test's work item is
+// pushed (or Submitted to the Distributor) the moment its pre-run
+// finishes, so instance execution overlaps the pre-run tail; without it
+// every built item is held until the last pre-run is in and then released
+// in item-ID order. Either way the queue's policy orders ready items, and
+// the one pool bounds total concurrency.
+type pipeline struct {
+	app  *harness.App
+	gen  *testgen.Generator
+	run  *runner.Runner
+	opts Options
+	o    *obs.Observer
+	// force maps a test name to the parameters its work item must
+	// generate instances for even without pre-run read evidence (the
+	// coverage fallback; see coveragePlan).
+	force map[string][]string
+	tests []*harness.UnitTest
+
+	span obs.SpanID // the "instances" phase, parent of every item's spans
+	pres []testgen.PreRun
+	// items holds every built work item by ID, written by the pre-run
+	// that built it before it takes mu — what the barrier releases.
+	items    []WorkItem
+	results  []ItemResult
+	onUnsafe func(inst testgen.Instance, r runner.Result)
+	endPre   func()
+	q        *sched.Queue[streamTask]
+
+	mu       sync.Mutex
+	preLeft  int
+	itemLeft int
+}
+
+// streamTask is one unit of pipeline work: a pre-run (by test index) or
+// a ready work item.
+type streamTask struct {
+	prerun bool
+	idx    int
+	item   WorkItem
+}
+
+// execute runs the pipeline to completion, leaving the pre-run reports in
+// p.pres. phase opens a campaign phase and returns its span and the func
+// that ends it.
+func (p *pipeline) execute(phase func(name string) (obs.SpanID, func())) (itemResults []ItemResult, localLeaks int64) {
+	n := len(p.tests)
+	// Both phase spans open up front — the phases interleave — and each
+	// phase's timer stops when its last unit of work finishes.
+	_, p.endPre = phase("prerun")
+	span, endInstances := phase("instances")
+	p.span = span
+	p.pres = make([]testgen.PreRun, n)
+	p.items = make([]WorkItem, n)
+	p.results = make([]ItemResult, n)
+	p.preLeft, p.itemLeft = n, n
+	p.q = sched.NewQueue[streamTask](p.opts.SchedPolicy, p.o, p.app.Name, "stream")
+
+	dist := p.opts.Distributor
+	var leakBase int64
+	if dist != nil {
+		dist.Begin(span, n)
+	} else {
+		failers := NewFrequentFailers(p.app.Name, p.opts.QuarantineThreshold, p.o)
+		p.onUnsafe = func(inst testgen.Instance, _ runner.Result) {
+			if failers.Confirm(inst.Param, inst.Test) {
+				p.gen.Quarantine(inst.Param)
+			}
+		}
+		// Abandoned-goroutine accounting: per-item deltas double-count
+		// under in-process concurrency, so take one campaign-wide delta.
+		leakBase = harness.AbandonedGoroutines()
+	}
+	for i, t := range p.tests {
+		// A pre-run's priority is its item's profiled duration: under
+		// LPT the pre-runs that unlock the longest items go first, so
+		// those items enter the pipeline earliest.
+		pred, _ := p.opts.Profile.Predict(p.app.Name, t.Name)
+		p.q.Push(streamTask{prerun: true, idx: i}, pred)
+	}
+	if n == 0 {
+		p.endPre()
+		p.q.Close()
+	}
+
+	var wg sync.WaitGroup
+	for w := 0; w < p.opts.Parallelism; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				t, ok := p.q.Pop()
+				if !ok {
+					return
+				}
+				if t.prerun {
+					p.doPreRun(t.idx)
+				} else {
+					p.doItem(t.item)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if dist != nil {
+		itemResults = dist.Drain()
+	} else {
+		itemResults = p.results
+		localLeaks = harness.AbandonedGoroutines() - leakBase
+	}
+	endInstances()
+	return itemResults, localLeaks
+}
+
+// doPreRun executes one pre-run and builds its work item. When streaming,
+// the item is released at once; otherwise the last pre-run to finish
+// releases them all, in item-ID order. The last pre-run also closes the
+// phase-1 timer (and, in dist mode, the queue — nothing else will be
+// pushed).
+func (p *pipeline) doPreRun(idx int) {
+	pre, d := p.run.PreRunTimed(p.tests[idx])
+	p.pres[idx] = pre
+	item := WorkItem{ID: idx, Test: pre.Test, PreRun: pre, ForceParams: p.force[pre.Test]}
+	item.PredSeconds, item.PredTrials = p.predict(item, d.Seconds())
+	p.o.Stat().ItemQueued(item.ID, item.Test, item.PredSeconds)
+	p.items[idx] = item
+
+	p.mu.Lock()
+	p.preLeft--
+	last := p.preLeft == 0
+	p.mu.Unlock()
+	if last {
+		p.endPre()
+	}
+	switch {
+	case p.opts.Stream:
+		p.release(item)
+	case last:
+		for _, it := range p.items {
+			p.release(it)
+		}
+	}
+	if last && p.opts.Distributor != nil {
+		p.q.Close()
+	}
+}
+
+// predict estimates one item's wall clock in seconds and its expected
+// trial count: the profile's estimate for this (app, test) when warm,
+// else the pre-run duration scaled by the item's instance count (each
+// instance re-runs the test at least once) — the cold-campaign
+// fallback. Trials come from the profile's expected-trial EWMA so LPT
+// ranks by what sequential stopping actually costs, not the worst case.
+func (p *pipeline) predict(item WorkItem, preSeconds float64) (secs, trials float64) {
+	trials, _ = p.opts.Profile.PredictTrials(p.app.Name, item.Test)
+	if s, ok := p.opts.Profile.Predict(p.app.Name, item.Test); ok {
+		return s, trials
+	}
+	n := len(p.gen.Instances(item.PreRun, testgen.InstancesOptions{DisableRoundRobin: p.opts.DisableRoundRobin}))
+	return preSeconds * float64(n+1), trials
+}
+
+// release hands one built item to whatever executes it: the Distributor
+// in dist mode, else this pipeline's own queue at the item's
+// predicted-duration priority.
+func (p *pipeline) release(item WorkItem) {
+	if d := p.opts.Distributor; d != nil {
+		d.Submit(item)
+		return
+	}
+	p.q.Push(streamTask{item: item}, item.PredSeconds)
+}
+
+// doItem executes one work item on the in-process pool (the distributed
+// coordinator emits its own dispatch and completion records, with worker
+// attribution) and feeds its wall clock and trial count back into the
+// profile, the run-time and predicted-vs-actual histograms, the event log
+// and the live status ETA. The last item closes the queue and with it the
+// worker pool.
+func (p *pipeline) doItem(item WorkItem) {
+	o, app := p.o, p.app.Name
+	t0 := time.Now()
+	o.Event(obs.EvItemDispatch,
+		obs.String("app", app),
+		obs.Int("item", int64(item.ID)),
+		obs.String("test", item.Test))
+	o.Stat().ItemStart(item.ID)
+	res := ExecuteItem(p.app, p.gen, p.run, p.opts, p.span, item, p.onUnsafe, false)
+	secs := time.Since(t0).Seconds()
+	// The per-item run-time histogram the ledger's perf summary reads
+	// (queue wait is already observed at the queue's pop).
+	o.Observe(obs.MItemRunSeconds, secs, "app", app, "stage", "instances")
+	p.opts.Profile.RecordTrials(app, item.Test, secs, res.Executions)
+	if item.PredSeconds > 0 {
+		o.Observe(obs.MSchedPredRatio, secs/item.PredSeconds, "app", app)
+	}
+	o.Event(obs.EvItemComplete,
+		obs.String("app", app),
+		obs.Int("item", int64(item.ID)),
+		obs.String("test", item.Test),
+		obs.Float("elapsed_s", secs))
+	o.Stat().ItemDone(item.ID, secs)
+	p.results[item.ID] = res
+
+	p.mu.Lock()
+	p.itemLeft--
+	done := p.itemLeft == 0
+	p.mu.Unlock()
+	if done {
+		p.q.Close()
+	}
+}

@@ -1,0 +1,177 @@
+package campaign
+
+import (
+	"bytes"
+	"sort"
+	"sync"
+	"sync/atomic"
+	"testing"
+
+	"zebraconf/internal/core/sched"
+	"zebraconf/internal/obs"
+)
+
+// fakeDistributor stands in for the dist coordinator: it logs a dispatch
+// event the moment an item is submitted (an idle worker would take it at
+// once) and resolves every item with an empty result.
+type fakeDistributor struct {
+	o     *obs.Observer
+	mu    sync.Mutex
+	items []WorkItem
+}
+
+func (d *fakeDistributor) Begin(obs.SpanID, int) {}
+
+func (d *fakeDistributor) Submit(item WorkItem) {
+	d.o.Event(obs.EvItemDispatch, obs.String("app", "synthetic"), obs.Int("item", int64(item.ID)))
+	d.mu.Lock()
+	d.items = append(d.items, item)
+	d.mu.Unlock()
+}
+
+func (d *fakeDistributor) Drain() []ItemResult {
+	out := make([]ItemResult, len(d.items))
+	for i, it := range d.items {
+		out[i] = ItemResult{ID: it.ID, Test: it.Test}
+	}
+	return out
+}
+
+// dispatchesBeforePreRunEnd runs one synthetic campaign under LPT with a
+// warm profile — the order in which a streamed pipeline overtakes pending
+// pre-runs deterministically, whatever the parallelism — and counts the
+// item_dispatch events logged before phase_finish{phase="prerun"}.
+func dispatchesBeforePreRunEnd(t *testing.T, stream bool, dist *fakeDistributor) (before int) {
+	t.Helper()
+	const n = 4
+	var buf bytes.Buffer
+	o := obs.New()
+	o.Events = obs.NewEventLog(&buf)
+	opts := schedOptions(sched.LPT, stream, warmProfile(n), o)
+	if dist != nil {
+		dist.o = o
+		opts.Distributor = dist
+	}
+	Run(syntheticApp(n), opts)
+	events, err := obs.ReadEvents(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	preDone, total := false, 0
+	for _, e := range events {
+		switch {
+		case e.Event == obs.EvPhaseFinish && e.Attrs["phase"] == "prerun":
+			preDone = true
+		case e.Event == obs.EvItemDispatch:
+			total++
+			if !preDone {
+				before++
+			}
+		}
+	}
+	if !preDone || total != n+1 {
+		t.Fatalf("log holds %d dispatches (want %d), prerun finished=%v", total, n+1, preDone)
+	}
+	return before
+}
+
+// TestBarrierHoldsItemsUntilLastPreRun pins what Stream=false means on the
+// one pipeline: nothing is dispatched, in process or through a
+// Distributor, until the last pre-run is in, and the items are then
+// released in item-ID order.
+func TestBarrierHoldsItemsUntilLastPreRun(t *testing.T) {
+	t.Parallel()
+	if before := dispatchesBeforePreRunEnd(t, false, nil); before != 0 {
+		t.Fatalf("in-process: %d items dispatched before the pre-run phase finished", before)
+	}
+	d := &fakeDistributor{}
+	if before := dispatchesBeforePreRunEnd(t, false, d); before != 0 {
+		t.Fatalf("distributor: %d items submitted before the pre-run phase finished", before)
+	}
+	if !sort.SliceIsSorted(d.items, func(i, j int) bool { return d.items[i].ID < d.items[j].ID }) {
+		t.Fatalf("barrier released items out of ID order: %+v", d.items)
+	}
+}
+
+// TestStreamDispatchesDuringPreRuns is the other value of the policy: the
+// first built item overtakes the pre-runs still queued.
+func TestStreamDispatchesDuringPreRuns(t *testing.T) {
+	t.Parallel()
+	if before := dispatchesBeforePreRunEnd(t, true, nil); before == 0 {
+		t.Fatal("in-process: no item dispatched before the pre-run phase finished")
+	}
+	if before := dispatchesBeforePreRunEnd(t, true, &fakeDistributor{}); before == 0 {
+		t.Fatal("distributor: no item submitted before the pre-run phase finished")
+	}
+}
+
+// TestFrequentFailersFiresOncePerParam hammers §4's rule from 16
+// goroutines: each parameter is quarantined exactly once, by its
+// threshold-th distinct test, however the confirmations interleave and
+// however often one test repeats.
+func TestFrequentFailersFiresOncePerParam(t *testing.T) {
+	t.Parallel()
+	const confirmers, threshold = 16, 3
+	o := obs.New()
+	f := NewFrequentFailers("app", threshold, o)
+	params := []string{"p0", "p1", "p2", "p3"}
+	fired := make([]atomic.Int64, len(params))
+	var wg sync.WaitGroup
+	for g := 0; g < confirmers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			test := string(rune('A' + g))
+			for rep := 0; rep < 3; rep++ {
+				for i, p := range params {
+					if f.Confirm(p, test) {
+						fired[i].Add(1)
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	for i, p := range params {
+		if n := fired[i].Load(); n != 1 {
+			t.Errorf("%s quarantined %d times, want 1", p, n)
+		}
+	}
+	if n := o.Metrics.CounterValue(obs.MQuarantine, "app", "app"); n != int64(len(params)) {
+		t.Errorf("%s = %d, want %d", obs.MQuarantine, n, len(params))
+	}
+	got := f.Quarantined()
+	sort.Strings(got)
+	if len(got) != len(params) || got[0] != "p0" || got[3] != "p3" {
+		t.Errorf("Quarantined() = %v, want %v", got, params)
+	}
+}
+
+// TestFrequentFailersThresholdAndRepeats walks the boundary one
+// confirmation at a time.
+func TestFrequentFailersThresholdAndRepeats(t *testing.T) {
+	t.Parallel()
+	o := obs.New()
+	f := NewFrequentFailers("app", 0, o) // 0 means 3
+	for i := 0; i < 10; i++ {
+		if f.Confirm("p", "TestA") {
+			t.Fatal("repeats of one test quarantined the parameter")
+		}
+	}
+	if f.Confirm("p", "TestB") {
+		t.Fatal("quarantined at 2 distinct tests, threshold is 3")
+	}
+	// Fold answers like Confirm but stays silent.
+	if !f.Fold("p", "TestC") {
+		t.Fatal("third distinct test did not quarantine")
+	}
+	if n := o.Metrics.CounterValue(obs.MQuarantine, "app", "app"); n != 0 {
+		t.Fatalf("Fold emitted telemetry: %s = %d", obs.MQuarantine, n)
+	}
+	if f.Confirm("p", "TestD") || f.Fold("p", "TestE") {
+		t.Fatal("parameter quarantined a second time")
+	}
+	if got := f.Quarantined(); len(got) != 1 || got[0] != "p" {
+		t.Fatalf("Quarantined() = %v, want [p]", got)
+	}
+}

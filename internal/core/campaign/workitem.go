@@ -39,15 +39,6 @@ type WorkItem struct {
 	ForceParams []string `json:"force_params,omitempty"`
 }
 
-// BuildItems converts phase 1's pre-run reports into phase 2's work items.
-func BuildItems(pres []testgen.PreRun) []WorkItem {
-	out := make([]WorkItem, len(pres))
-	for i, pre := range pres {
-		out[i] = WorkItem{ID: i, Test: pre.Test, PreRun: pre}
-	}
-	return out
-}
-
 // InstanceVerdict is the serializable outcome of one leaf instance run.
 type InstanceVerdict struct {
 	// Instance is the testgen.Instance.String() label.

@@ -72,8 +72,8 @@ type Options struct {
 	// complete — a testing hook for exercising checkpoint/resume.
 	MaxItems int
 	// SchedPolicy selects the work queue's dispatch order (sched.FIFO,
-	// the zero value, keeps submission order with back-steals; sched.LPT
-	// pops the longest-predicted item first).
+	// the zero value, keeps submission order; sched.LPT pops the
+	// longest-predicted item first).
 	SchedPolicy sched.Policy
 	// SpeculationFactor enables straggler speculation: once the queue is
 	// drained, an item held by one worker for longer than this factor ×
@@ -107,9 +107,18 @@ type Options struct {
 	Stderr io.Writer
 }
 
-// Coordinator shards work items across worker subprocesses.
+// Coordinator shards work items across worker subprocesses. It is a
+// campaign.Distributor (Begin / Submit / Drain, with the failure kept for
+// Err); callers that hold the whole batch can use Execute, and callers
+// that want the errors in line use Start and the Run it returns.
 type Coordinator struct {
 	opts Options
+
+	// The Distributor's one run; Abort may arrive before Begin.
+	mu      sync.Mutex
+	run     *Run
+	err     error
+	aborted bool
 }
 
 // New builds a Coordinator. Option defaults are resolved at Start time.
@@ -117,17 +126,75 @@ func New(opts Options) *Coordinator {
 	return &Coordinator{opts: opts}
 }
 
-// Execute runs a fixed batch of items to completion: Start, Submit every
+// Execute runs a fixed batch of items to completion: Begin, Submit every
 // item, Drain. Kept for callers that have the whole batch up front.
 func (c *Coordinator) Execute(parent obs.SpanID, items []campaign.WorkItem) ([]campaign.ItemResult, error) {
-	run, err := c.Start(parent, len(items))
-	if err != nil {
-		return nil, err
-	}
+	c.Begin(parent, len(items))
 	for _, it := range items {
-		run.Submit(it)
+		c.Submit(it)
 	}
-	return run.Drain()
+	return c.Drain(), c.Err()
+}
+
+// Begin opens the coordinator's run (see Start). A failure is kept for
+// Err; Submit and Drain then do nothing.
+func (c *Coordinator) Begin(parent obs.SpanID, total int) {
+	run, err := c.Start(parent, total)
+	c.mu.Lock()
+	c.run, c.err = run, err
+	aborted := c.aborted
+	c.mu.Unlock()
+	if aborted && run != nil {
+		run.Abort()
+	}
+}
+
+// Submit hands one work item to the run Begin opened.
+func (c *Coordinator) Submit(item campaign.WorkItem) {
+	if run := c.Run(); run != nil {
+		run.Submit(item)
+	}
+}
+
+// Drain returns the run's results, or nothing when the run failed or never
+// started; Err says which.
+func (c *Coordinator) Drain() []campaign.ItemResult {
+	run := c.Run()
+	if run == nil {
+		return nil
+	}
+	res, err := run.Drain()
+	c.mu.Lock()
+	c.err = err
+	c.mu.Unlock()
+	return res
+}
+
+// Err is the failure of Begin or Drain, nil when the run succeeded (a
+// halted or aborted run is not a failure).
+func (c *Coordinator) Err() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.err
+}
+
+// Run is the run Begin opened, nil before Begin or when it failed.
+func (c *Coordinator) Run() *Run {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.run
+}
+
+// Abort halts the run Begin opened (see Run.Abort), or makes Begin halt it
+// as soon as it opens. Safe at any time, from any goroutine.
+func (c *Coordinator) Abort() {
+	c.mu.Lock()
+	c.aborted = true
+	run := c.run
+	c.mu.Unlock()
+	if run != nil {
+		run.Abort()
+	}
 }
 
 // Start opens an incremental run expecting exactly total Submits:
@@ -156,11 +223,12 @@ func (c *Coordinator) Start(parent obs.SpanID, total int) (*Run, error) {
 	o.Stat().SetSlots(workers * parallel)
 
 	r := &Run{
-		opts:    c.opts,
-		workers: workers,
-		total:   total,
-		o:       o,
-		span:    span,
+		opts:     c.opts,
+		workers:  workers,
+		parallel: parallel,
+		total:    total,
+		o:        o,
+		span:     span,
 	}
 	r.hbEvery = time.Duration(c.opts.Config.HeartbeatMS) * time.Millisecond
 	if r.hbEvery > 0 {
@@ -177,9 +245,6 @@ func (c *Coordinator) Start(parent obs.SpanID, total int) (*Run, error) {
 	}
 	if r.opts.ItemRetries < 0 {
 		r.opts.ItemRetries = DefaultItemRetries
-	}
-	if r.opts.QuarantineThreshold <= 0 {
-		r.opts.QuarantineThreshold = 3
 	}
 	if err := r.start(); err != nil {
 		if r.journal != nil {
@@ -205,12 +270,18 @@ type flight struct {
 type Run struct {
 	opts    Options
 	workers int
-	total   int
-	o       *obs.Observer
-	span    *obs.Span
-	journal *Journal
-	q       *queue
-	resumed map[int]*campaign.ItemResult
+	// parallel bounds the items one worker holds at once.
+	parallel int
+	total    int
+	o        *obs.Observer
+	span     *obs.Span
+	journal  *Journal
+	q        *sched.Queue[campaign.WorkItem]
+	wake     chan struct{} // see queue.go
+	resumed  map[int]*campaign.ItemResult
+	// failers decides which parameters to broadcast as quarantined; it
+	// has its own lock.
+	failers *campaign.FrequentFailers
 	wg      sync.WaitGroup
 
 	// sharedCache is the coordinator-side execution cache served to
@@ -232,8 +303,6 @@ type Run struct {
 	attempts     map[int]int
 	flights      map[int]*flight
 	sessions     map[int]*workerSession
-	confirmedBy  map[string]map[string]bool
-	quarantined  map[string]bool
 	submitted    int
 	allSubmitted bool
 	// durSum/durN hold a running mean of completed-item durations, the
@@ -263,12 +332,12 @@ func (r *Run) start() error {
 	r.attempts = make(map[int]int)
 	r.flights = make(map[int]*flight)
 	r.sessions = make(map[int]*workerSession)
-	r.confirmedBy = make(map[string]map[string]bool)
-	r.quarantined = make(map[string]bool)
+	r.failers = campaign.NewFrequentFailers(r.opts.App, r.opts.QuarantineThreshold, r.o)
 	r.pendingN = r.total - len(resumed)
 	r.live = r.workers
 	r.doneCh = make(chan struct{})
-	r.q = newQueue(r.workers, r.opts.SchedPolicy)
+	r.q = sched.NewQueue[campaign.WorkItem](r.opts.SchedPolicy, r.o, r.opts.App, "dist")
+	r.wake = make(chan struct{}, 1)
 	// Resumed confirmations count toward quarantine, so this run's
 	// workers still learn about parameters the interrupted run condemned
 	// (via the catch-up send when each session registers).
@@ -303,8 +372,8 @@ func (r *Run) Submit(item campaign.WorkItem) {
 	if done || r.pendingN <= 0 {
 		return
 	}
-	r.q.push(item)
-	r.o.GaugeSet(obs.MQueueDepth, r.q.depth(), "app", r.opts.App)
+	r.push(item)
+	r.o.GaugeSet(obs.MQueueDepth, int64(r.q.Len()), "app", r.opts.App)
 }
 
 // Stalls reports how many times a worker crossed the heartbeat stall
@@ -494,10 +563,6 @@ func (r *Run) session(slot int, sess *workerSession) sessionOutcome {
 	r.addSession(slot, sess)
 	defer r.removeSession(slot, sess)
 
-	parallel := r.opts.Config.Parallel
-	if parallel <= 0 {
-		parallel = DefaultWorkerParallel
-	}
 	type entry struct {
 		item  campaign.WorkItem
 		start time.Time
@@ -539,7 +604,7 @@ func (r *Run) session(slot int, sess *workerSession) sessionOutcome {
 				r.clearSpec(id)
 				continue
 			}
-			r.retryOrGiveUp(slot, e.item, reason)
+			r.retryOrGiveUp(e.item, reason)
 		}
 		return sessCrashed
 	}
@@ -561,8 +626,8 @@ func (r *Run) session(slot int, sess *workerSession) sessionOutcome {
 
 	for {
 		if ready && !r.stopped() {
-			for len(inflight) < parallel {
-				item, wait, jumped, stolen, ok := r.q.tryPop(slot)
+			for len(inflight) < r.parallel {
+				item, ok := r.q.TryPop()
 				spec := false
 				if !ok {
 					// Queue drained: consider re-issuing a straggler held
@@ -574,14 +639,7 @@ func (r *Run) session(slot int, sess *workerSession) sessionOutcome {
 					spec = true
 					o.CounterAdd(obs.MSpeculativeRuns, 1, "app", app)
 				} else {
-					o.Observe(obs.MSchedQueueWait, wait.Seconds(), "app", app, "stage", "dist")
-					if jumped {
-						o.CounterAdd(obs.MSchedReordered, 1, "app", app)
-					}
-					if stolen {
-						o.CounterAdd(obs.MSteals, 1, "app", app)
-					}
-					o.GaugeSet(obs.MQueueDepth, r.q.depth(), "app", app)
+					o.GaugeSet(obs.MQueueDepth, int64(r.q.Len()), "app", app)
 				}
 				if err := sess.send(Msg{Type: MsgRun, Item: &item}); err != nil {
 					// The item never reached the worker; requeue it for
@@ -589,7 +647,7 @@ func (r *Run) session(slot int, sess *workerSession) sessionOutcome {
 					if spec {
 						r.clearSpec(item.ID)
 					} else {
-						r.q.requeue(slot, item)
+						r.push(item)
 					}
 					return crash("crash")
 				}
@@ -605,9 +663,6 @@ func (r *Run) session(slot int, sess *workerSession) sessionOutcome {
 				if spec {
 					o.Event(obs.EvSpeculate, dispatchAttrs...)
 					r.o.Stat().SpeculationRun()
-				}
-				if stolen {
-					o.Event(obs.EvSteal, dispatchAttrs...)
 				}
 				o.Event(obs.EvItemDispatch, append(dispatchAttrs, obs.Bool("spec", spec))...)
 				r.o.Stat().ItemStart(item.ID)
@@ -754,7 +809,7 @@ func (r *Run) session(slot int, sess *workerSession) sessionOutcome {
 				if e.spec {
 					r.clearSpec(id)
 				} else {
-					r.retryOrGiveUp(slot, e.item, "timeout")
+					r.retryOrGiveUp(e.item, "timeout")
 				}
 				for oid, other := range inflight {
 					other.span.SetAttr(obs.String("end", "requeued"))
@@ -764,7 +819,7 @@ func (r *Run) session(slot int, sess *workerSession) sessionOutcome {
 						continue
 					}
 					r.untrackFlight(oid)
-					r.q.requeue(slot, other.item)
+					r.push(other.item)
 				}
 				o.CounterAdd(obs.MWorkerCrashes, 1, "app", app, "reason", "timeout")
 				o.Event(obs.EvWorkerCrash,
@@ -774,7 +829,7 @@ func (r *Run) session(slot int, sess *workerSession) sessionOutcome {
 				wspan.SetAttr(obs.String("end", "timeout"), obs.Int("items", int64(itemsDone)))
 				return sessCrashed
 			}
-		case <-r.q.wake:
+		case <-r.wake:
 		case <-r.doneCh:
 		}
 	}
@@ -786,13 +841,11 @@ func (r *Run) session(slot int, sess *workerSession) sessionOutcome {
 func (r *Run) addSession(slot int, s *workerSession) {
 	r.mu.Lock()
 	r.sessions[slot] = s
-	params := make([]string, 0, len(r.quarantined))
-	for p := range r.quarantined {
-		params = append(params, p)
-	}
 	r.mu.Unlock()
-	sort.Strings(params)
-	for _, p := range params {
+	// Read after registering: a parameter quarantined from here on finds
+	// this session among its broadcast targets, one quarantined before is
+	// in this list (one in between arrives twice, which is harmless).
+	for _, p := range r.failers.Quarantined() {
 		s.send(Msg{Type: MsgQuarantine, Param: p})
 	}
 }
@@ -836,7 +889,7 @@ func (r *Run) clearSpec(id int) {
 // wins; executions are canonically seeded, so the copies are
 // byte-identical and the loser is discarded as a duplicate.
 func (r *Run) maybeSpeculate(slot int) (campaign.WorkItem, bool) {
-	if r.opts.SpeculationFactor <= 0 || r.q.depth() != 0 {
+	if r.opts.SpeculationFactor <= 0 || r.q.Len() != 0 {
 		return campaign.WorkItem{}, false
 	}
 	now := time.Now()
@@ -971,12 +1024,9 @@ func (r *Run) recordResult(slot int, res campaign.ItemResult, elapsed time.Durat
 		r.durN++
 	}
 	r.mu.Unlock()
-	if !spec {
-		// Balance this attempt's queue pop. A speculative copy never
-		// popped: its primary attempt settles the queue accounting when
-		// it completes or is retired.
-		r.q.done()
-	}
+	// A completion moves the running mean that speculation deadlines
+	// fall back on; let an idle session look again.
+	r.pulse()
 	if dup {
 		// Execution is canonically seeded, so the copies agree; nothing
 		// to record.
@@ -1056,42 +1106,33 @@ func (r *Run) recordResult(slot int, res campaign.ItemResult, elapsed time.Durat
 	return true
 }
 
-// noteConfirmations applies §4's frequent-failer rule to one item
-// result: when a parameter reaches QuarantineThreshold distinct
-// confirming tests, it is broadcast (best-effort) to every live worker
-// so remaining items skip its instances. emit is false when folding
-// resumed results, whose quarantine state should register silently.
+// noteConfirmations feeds one item result's confirmations to §4's
+// frequent-failer rule and broadcasts (best-effort) every parameter it
+// quarantines to the live workers, so remaining items skip its instances.
+// emit is false when folding resumed results, whose quarantine state
+// registers silently: each session learns it from addSession's catch-up.
 func (r *Run) noteConfirmations(res campaign.ItemResult, emit bool) {
 	for _, v := range res.Verdicts {
 		if v.Verdict != runner.VerdictUnsafe.String() {
 			continue
 		}
-		r.mu.Lock()
-		set := r.confirmedBy[v.Param]
-		if set == nil {
-			set = make(map[string]bool)
-			r.confirmedBy[v.Param] = set
+		if !emit {
+			r.failers.Fold(v.Param, res.Test)
+			continue
 		}
-		set[res.Test] = true
-		fire := len(set) >= r.opts.QuarantineThreshold && !r.quarantined[v.Param]
-		var targets []*workerSession
-		if fire {
-			r.quarantined[v.Param] = true
-			for _, s := range r.sessions {
-				targets = append(targets, s)
-			}
+		if !r.failers.Confirm(v.Param, res.Test) {
+			continue
+		}
+		r.mu.Lock()
+		targets := make([]*workerSession, 0, len(r.sessions))
+		for _, s := range r.sessions {
+			targets = append(targets, s)
 		}
 		r.mu.Unlock()
-		if fire && emit {
-			r.o.CounterAdd(obs.MQuarantine, 1, "app", r.opts.App)
-			r.o.Event(obs.EvParamQuarantined,
-				obs.String("app", r.opts.App), obs.String("param", v.Param))
-			r.o.Stat().ParamQuarantined(v.Param)
-			for _, s := range targets {
-				// Best-effort: a send failure means the worker is dying
-				// and its supervisor will notice through the session.
-				s.send(Msg{Type: MsgQuarantine, Param: v.Param})
-			}
+		for _, s := range targets {
+			// Best-effort: a send failure means the worker is dying
+			// and its supervisor will notice through the session.
+			s.send(Msg{Type: MsgQuarantine, Param: v.Param})
 		}
 	}
 }
@@ -1101,11 +1142,10 @@ func (r *Run) noteConfirmations(res campaign.ItemResult, emit bool) {
 // fabricated result so the campaign report surfaces the coverage gap.
 // An item already resolved (typically by a speculative copy that won
 // while its primary crashed) is simply released.
-func (r *Run) retryOrGiveUp(slot int, item campaign.WorkItem, reason string) {
+func (r *Run) retryOrGiveUp(item campaign.WorkItem, reason string) {
 	r.mu.Lock()
 	if _, resolved := r.results[item.ID]; resolved {
 		r.mu.Unlock()
-		r.q.done()
 		return
 	}
 	delete(r.flights, item.ID)
@@ -1120,7 +1160,7 @@ func (r *Run) retryOrGiveUp(slot int, item campaign.WorkItem, reason string) {
 			obs.String("test", item.Test),
 			obs.String("reason", reason))
 		r.o.Stat().ItemRequeued(item.ID)
-		r.q.requeue(slot, item)
+		r.push(item)
 		return
 	}
 	res := campaign.ItemResult{
@@ -1146,7 +1186,6 @@ func (r *Run) retryOrGiveUp(slot int, item campaign.WorkItem, reason string) {
 		r.completions++
 	}
 	r.mu.Unlock()
-	r.q.done()
 	r.o.CounterAdd(obs.MItemsQuarantined, 1, "app", r.opts.App)
 	r.maybeFinish()
 }

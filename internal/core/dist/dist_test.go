@@ -14,102 +14,7 @@ import (
 	"zebraconf/internal/core/agent"
 	"zebraconf/internal/core/campaign"
 	"zebraconf/internal/core/memo"
-	"zebraconf/internal/core/sched"
 )
-
-func mkItems(n int) []campaign.WorkItem {
-	items := make([]campaign.WorkItem, n)
-	for i := range items {
-		items[i] = campaign.WorkItem{ID: i, Test: "T"}
-	}
-	return items
-}
-
-func TestQueueShardsRoundRobin(t *testing.T) {
-	t.Parallel()
-	q := newQueue(2, sched.FIFO)
-	for _, it := range mkItems(4) {
-		q.push(it)
-	}
-	// Worker 0's shard is items 0, 2; worker 1's is 1, 3.
-	for _, want := range []int{0, 2} {
-		item, _, jumped, stolen, ok := q.tryPop(0)
-		if !ok || stolen || jumped || item.ID != want {
-			t.Fatalf("tryPop(0) = %d jumped=%v stolen=%v ok=%v, want %d from own shard", item.ID, jumped, stolen, ok, want)
-		}
-	}
-	// Worker 0's shard is dry: the next pop steals from the BACK of
-	// worker 1's shard. Under FIFO a back-steal is never a reorder —
-	// the reorder statistic counts only LPT decisions.
-	item, _, jumped, stolen, ok := q.tryPop(0)
-	if !ok || !stolen || item.ID != 3 {
-		t.Fatalf("tryPop(0) = %d stolen=%v ok=%v, want steal of 3", item.ID, stolen, ok)
-	}
-	if jumped {
-		t.Fatal("FIFO back-steal counted as a reorder")
-	}
-	if q.stealCount() != 1 {
-		t.Fatalf("steals = %d, want 1", q.stealCount())
-	}
-	if item, _, _, _, _ := q.tryPop(1); item.ID != 1 {
-		t.Fatalf("victim's own front = %d, want 1 (steal must not disturb it)", item.ID)
-	}
-	if _, _, _, _, ok := q.tryPop(0); ok {
-		t.Fatal("empty queue still pops")
-	}
-	if q.idle() {
-		t.Fatal("idle with 4 outstanding items")
-	}
-	for i := 0; i < 4; i++ {
-		q.done()
-	}
-	if !q.idle() {
-		t.Fatal("not idle after all items done")
-	}
-}
-
-func TestQueueLPTPopsLongestFirst(t *testing.T) {
-	t.Parallel()
-	q := newQueue(1, sched.LPT)
-	preds := []float64{1, 5, 3, 5}
-	for i, p := range preds {
-		q.push(campaign.WorkItem{ID: i, Test: "T", PredSeconds: p})
-	}
-	// Longest first; the 5-second tie breaks to the earlier submission.
-	wantOrder := []int{1, 3, 2, 0}
-	wantJumped := []bool{true, true, true, false}
-	for i, want := range wantOrder {
-		item, _, jumped, stolen, ok := q.tryPop(0)
-		if !ok || stolen || item.ID != want {
-			t.Fatalf("pop %d = %d stolen=%v ok=%v, want %d", i, item.ID, stolen, ok, want)
-		}
-		if jumped != wantJumped[i] {
-			t.Fatalf("pop %d (item %d) jumped=%v, want %v", i, item.ID, jumped, wantJumped[i])
-		}
-	}
-}
-
-func TestQueueRequeuePrefersOtherShard(t *testing.T) {
-	t.Parallel()
-	q := newQueue(2, sched.FIFO)
-	for _, it := range mkItems(2) {
-		q.push(it)
-	}
-	item, _, _, _, _ := q.tryPop(0)
-	q.requeue(0, item)
-	// The retry must land where a different worker pops it first.
-	got, _, _, stolen, ok := q.tryPop(1)
-	if !ok || stolen {
-		t.Fatalf("retry not on worker 1's own shard (stolen=%v ok=%v)", stolen, ok)
-	}
-	if got.ID != 1 {
-		// Shard 1 already held item 1; the retry is behind it.
-		t.Fatalf("front of shard 1 = %d, want 1", got.ID)
-	}
-	if got, _, _, _, _ := q.tryPop(1); got.ID != item.ID {
-		t.Fatalf("retry = %d, want %d", got.ID, item.ID)
-	}
-}
 
 func TestJournalRoundTrip(t *testing.T) {
 	t.Parallel()

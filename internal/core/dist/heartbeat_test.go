@@ -315,7 +315,7 @@ func TestCoordinatorHeartbeatHealthy(t *testing.T) {
 	})
 	app := minihdfs(t)
 	opts := subsetOptions(7, o)
-	opts.Distributor = &testDistributor{coord: coord}
+	opts.Distributor = coord
 	res := campaign.Run(app, opts)
 	if len(res.Reported) == 0 {
 		t.Fatal("campaign reported nothing")

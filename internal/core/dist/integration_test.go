@@ -118,35 +118,6 @@ func minihdfs(t *testing.T) *harness.App {
 	return app
 }
 
-// testDistributor adapts a Coordinator to campaign.Distributor, holding
-// any Start/Drain error for the test to check after the campaign.
-type testDistributor struct {
-	coord *dist.Coordinator
-	run   *dist.Run
-	err   error
-}
-
-func (d *testDistributor) Begin(parent obs.SpanID, total int) {
-	d.run, d.err = d.coord.Start(parent, total)
-}
-
-func (d *testDistributor) Submit(item campaign.WorkItem) {
-	if d.err == nil {
-		d.run.Submit(item)
-	}
-}
-
-func (d *testDistributor) Drain() []campaign.ItemResult {
-	if d.err != nil {
-		return nil
-	}
-	res, err := d.run.Drain()
-	if err != nil {
-		d.err = err
-	}
-	return res
-}
-
 // runDistributed runs a campaign with phase 2 executed by a Coordinator.
 func runDistributed(t *testing.T, app *harness.App, opts campaign.Options, dopts dist.Options) *campaign.Result {
 	t.Helper()
@@ -157,11 +128,11 @@ func runDistributed(t *testing.T, app *harness.App, opts campaign.Options, dopts
 	cfg.TraceItems = dopts.Config.TraceItems
 	dopts.Config = cfg
 	dopts.Obs = opts.Obs
-	d := &testDistributor{coord: dist.New(dopts)}
-	opts.Distributor = d
+	coord := dist.New(dopts)
+	opts.Distributor = coord
 	res := campaign.Run(app, opts)
-	if d.err != nil {
-		t.Fatal(d.err)
+	if err := coord.Err(); err != nil {
+		t.Fatal(err)
 	}
 	return res
 }
@@ -503,6 +474,53 @@ func TestAllSlotsFailing(t *testing.T) {
 	})
 	if _, err := coord.Execute(obs.NoSpan, []campaign.WorkItem{{ID: 0, Test: "T"}}); err == nil {
 		t.Fatal("Execute succeeded with no spawnable workers")
+	}
+}
+
+// TestCoordinatorAsDistributorFailures drives the Coordinator through the
+// campaign.Distributor methods on the paths that leave it without results:
+// a run that cannot open, a run whose every slot dies, and an Abort that
+// arrives before Begin. None may panic or hang; the first two report
+// through Err, the third is a halt, not a failure.
+func TestCoordinatorAsDistributorFailures(t *testing.T) {
+	t.Parallel()
+	item := campaign.WorkItem{ID: 0, Test: "T"}
+
+	unopened := dist.New(dist.Options{App: "minihdfs"}) // no WorkerCmd: Start fails
+	unopened.Begin(obs.NoSpan, 1)
+	unopened.Submit(item)
+	if res := unopened.Drain(); len(res) != 0 {
+		t.Fatalf("Drain of a run that never opened = %+v", res)
+	}
+	if unopened.Err() == nil || unopened.Run() != nil {
+		t.Fatalf("failed Begin: Err = %v, Run = %v", unopened.Err(), unopened.Run())
+	}
+
+	// Every slot failing, under a real campaign: the pipeline must still
+	// finish its pre-runs and come back with nothing to merge.
+	dead := dist.New(dist.Options{
+		App:     "minihdfs",
+		Workers: 2,
+		WorkerCmd: func() *exec.Cmd {
+			return exec.Command("/nonexistent/zebraconf-worker")
+		},
+	})
+	opts := subsetOptions(7, nil)
+	opts.Distributor = dead
+	res := campaign.Run(minihdfs(t), opts)
+	if dead.Err() == nil {
+		t.Fatal("Err() = nil with no spawnable workers")
+	}
+	if len(res.Items) != 0 || len(res.Reported) != 0 {
+		t.Fatalf("campaign merged results from a failed run: %+v", res.Items)
+	}
+
+	early := dist.New(dist.Options{App: "minihdfs", Workers: 1, WorkerCmd: workerFactory()})
+	early.Abort()
+	early.Begin(obs.NoSpan, 1)
+	early.Submit(item)
+	if res := early.Drain(); len(res) != 0 || early.Err() != nil {
+		t.Fatalf("aborted before Begin: Drain = %+v, Err = %v", res, early.Err())
 	}
 }
 

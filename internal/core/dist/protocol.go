@@ -7,8 +7,8 @@
 // in-process pool, a worker that hangs or corrupts itself can simply be
 // killed and replaced without poisoning the rest of the campaign.
 //
-// The coordinator owns a sharded work queue with work stealing, a
-// crash-safe JSONL checkpoint journal (completed items are appended and
+// The coordinator owns the campaign's work queue (one sched.Queue that
+// every worker slot pops from), a crash-safe JSONL checkpoint journal (completed items are appended and
 // fsync'd in batches, so -resume skips them and reproduces the identical
 // merged result), and worker supervision: per-item deadlines, crash
 // detection, bounded retries on a fresh worker, and quarantine of items

@@ -1,185 +1,24 @@
 package dist
 
-import (
-	"sync"
-	"time"
+import "zebraconf/internal/core/campaign"
 
-	"zebraconf/internal/core/campaign"
-	"zebraconf/internal/core/sched"
-)
+// The coordinator's work queue is Run.q, the same sched.Queue the
+// in-process pipeline dispatches from. A session loop also waits on worker
+// messages and timers, so it cannot block in Pop: it takes items with
+// TryPop and is pulsed awake through Run.wake when there is something new
+// to look at.
 
-// queued is one waiting work item plus its scheduling metadata.
-type queued struct {
-	item campaign.WorkItem
-	seq  int
-	enq  time.Time
+// push enqueues one item — a first submission or a retry alike — at its
+// predicted-duration priority and wakes an idle session.
+func (r *Run) push(item campaign.WorkItem) {
+	r.q.Push(item, item.PredSeconds)
+	r.pulse()
 }
 
-// queue is the coordinator's sharded work queue. Items are dealt
-// round-robin across one shard per worker slot as they are submitted, so
-// each worker starts on a disjoint stripe of the campaign; a worker that
-// drains its own shard steals from the longest other shard. Under the
-// FIFO policy a worker pops its shard's front and steals from the back
-// (the classic work-stealing deque discipline, keeping the victim's
-// front intact); under LPT both pops pick the longest-predicted item, so
-// the items that dominate the makespan start first.
-type queue struct {
-	mu     sync.Mutex
-	policy sched.Policy
-	shards [][]queued
-	seq    int
-	// outstanding counts items popped but not yet marked done; the
-	// campaign is complete when every shard is empty and outstanding
-	// is zero.
-	outstanding int
-	// wake is pulsed whenever work is added or completed, so idle
-	// supervisors re-check their shard instead of busy-polling.
-	wake chan struct{}
-	// steals counts cross-shard pops, surfaced as MSteals.
-	steals int64
-}
-
-func newQueue(shards int, policy sched.Policy) *queue {
-	return &queue{
-		policy: policy,
-		shards: make([][]queued, shards),
-		wake:   make(chan struct{}, 1),
-	}
-}
-
-// push enqueues one submitted item on the next round-robin shard.
-func (q *queue) push(item campaign.WorkItem) {
-	q.mu.Lock()
-	s := q.seq % len(q.shards)
-	q.shards[s] = append(q.shards[s], queued{item: item, seq: q.seq, enq: time.Now()})
-	q.seq++
-	q.mu.Unlock()
-	q.pulse()
-}
-
-// pickFrom selects the index to pop from a shard: under LPT the
-// longest-predicted item (ties to the earliest-submitted); under FIFO,
-// front for the own shard and back for a steal.
-func (q *queue) pickFrom(shard []queued, stealing bool) int {
-	if q.policy == sched.LPT {
-		best := 0
-		for i := 1; i < len(shard); i++ {
-			if shard[i].item.PredSeconds > shard[best].item.PredSeconds {
-				best = i
-			}
-		}
-		return best
-	}
-	if stealing {
-		return len(shard) - 1
-	}
-	return 0
-}
-
-// tryPop returns the next item for worker slot w, how long it waited
-// queued, and whether the pop overtook an earlier-submitted item in its
-// shard (the reorder statistic). ok=false means no work is currently
-// queued (some may still be outstanding).
-func (q *queue) tryPop(w int) (item campaign.WorkItem, wait time.Duration, jumped, stolen, ok bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	shard := w
-	if len(q.shards[w]) == 0 {
-		victim, best := -1, 0
-		for i := range q.shards {
-			if i != w && len(q.shards[i]) > best {
-				victim, best = i, len(q.shards[i])
-			}
-		}
-		if victim < 0 {
-			return campaign.WorkItem{}, 0, false, false, false
-		}
-		shard = victim
-		stolen = true
-		q.steals++
-	}
-	s := q.shards[shard]
-	pick := q.pickFrom(s, stolen)
-	t := s[pick]
-	// The reorder statistic counts scheduler decisions, not baseline
-	// work-stealing: only an LPT pick that overtakes an earlier-submitted
-	// item in its shard is a reorder (FIFO, the ablation baseline, always
-	// reads zero here).
-	if q.policy == sched.LPT {
-		for _, other := range s {
-			if other.seq < t.seq {
-				jumped = true
-				break
-			}
-		}
-	}
-	copy(s[pick:], s[pick+1:])
-	q.shards[shard] = s[:len(s)-1]
-	q.outstanding++
-	return t.item, time.Since(t.enq), jumped, stolen, true
-}
-
-// requeue returns a popped item to the queue for a retry, preferring a
-// shard other than the slot that just failed it so the retry lands on a
-// different (fresh) worker when one exists.
-func (q *queue) requeue(failedSlot int, item campaign.WorkItem) {
-	q.mu.Lock()
-	target := failedSlot
-	if len(q.shards) > 1 {
-		target = (failedSlot + 1) % len(q.shards)
-	}
-	q.shards[target] = append(q.shards[target], queued{item: item, seq: q.seq, enq: time.Now()})
-	q.seq++
-	q.outstanding--
-	q.mu.Unlock()
-	q.pulse()
-}
-
-// done marks a popped item finished (successfully or given up).
-func (q *queue) done() {
-	q.mu.Lock()
-	q.outstanding--
-	q.mu.Unlock()
-	q.pulse()
-}
-
-// idle reports whether all work is finished: nothing queued, nothing
-// outstanding.
-func (q *queue) idle() bool {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.outstanding > 0 {
-		return false
-	}
-	for _, s := range q.shards {
-		if len(s) > 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// depth returns the number of queued (not outstanding) items.
-func (q *queue) depth() int64 {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	var n int64
-	for _, s := range q.shards {
-		n += int64(len(s))
-	}
-	return n
-}
-
-func (q *queue) stealCount() int64 {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.steals
-}
-
-// pulse wakes one waiter without blocking.
-func (q *queue) pulse() {
+// pulse wakes one waiting session without blocking.
+func (r *Run) pulse() {
 	select {
-	case q.wake <- struct{}{}:
+	case r.wake <- struct{}{}:
 	default:
 	}
 }

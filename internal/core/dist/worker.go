@@ -26,9 +26,11 @@ import (
 )
 
 // DefaultWorkerParallel bounds concurrent work items inside one worker
-// subprocess when the init config leaves Parallel zero. The tests are
-// sleep-dominated, so like the in-process pool a worker oversubscribes
-// its CPUs; this is the per-machine container count of the paper's fleet.
+// subprocess when the init config leaves Parallel zero (the CLI and the
+// server always set it, dividing campaign.DefaultParallelism across the
+// workers). Executions run on virtual clocks and are processor-bound, so
+// this is a cap on items in flight, not a level of oversubscription that
+// buys anything.
 const DefaultWorkerParallel = 8
 
 // WorkerEnv carries worker-machine-local settings that are not part of
@@ -108,9 +110,6 @@ func ServeWorkerEnv(r io.Reader, w io.Writer, resolve func(string) (*harness.App
 	}
 	cfg := *init.Config
 	opts := cfg.CampaignOptions()
-	if opts.QuarantineThreshold <= 0 {
-		opts.QuarantineThreshold = 3
-	}
 	// Default overrides apply before anything reads the schema, exactly
 	// as the coordinator applies them in campaign.Run.
 	app = campaign.OverrideApp(app, opts.Overrides)

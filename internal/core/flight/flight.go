@@ -2,8 +2,8 @@
 // trace spans, flight-recorder event log, and perf sample series, and
 // answers "where did the time go?" — the campaign's critical path, how
 // busy each worker slot was, the item-duration and queue-wait tails,
-// and what each savings feature (cache, speculation, stealing, early
-// stopping) actually bought. `zebraconf -mode profile` renders the
+// and what each savings feature (cache, speculation, early stopping)
+// actually bought. `zebraconf -mode profile` renders the
 // analysis; `-mode trends` compares the compact per-run summaries the
 // ledger keeps across runs.
 //
@@ -108,7 +108,6 @@ type WorkerStat struct {
 	// parallelism does not overcount.
 	BusyUS int64
 	Items  int
-	Steals int
 	Spec   int
 	// Timeline is the lane's busy/idle occupancy bucketed over the run
 	// window (values in [0,1]), ready for sparkline rendering.
@@ -121,7 +120,6 @@ type Savings struct {
 	CacheHits         map[string]int64 // by scope: local | shared | coalesced
 	SpeculationRuns   int64
 	SpeculationWins   int64
-	Steals            int64
 	TrialsSavedEarly  int64
 	TrialsReallocated int64
 	ExecutionsSaved   int64
@@ -470,11 +468,6 @@ func (a *Analysis) analyzeEvents(events []obs.EventRecord) {
 				// truncated log): reconstruct the interval from elapsed_s.
 				ivs[slot] = append(ivs[slot], interval{e.TimeUS - int64(st.Seconds*1e6), e.TimeUS})
 			}
-		case obs.EvSteal:
-			if w, ok := attrInt(e.Attrs, "worker"); ok {
-				lane(w).Steals++
-			}
-			a.Savings.Steals++
 		case obs.EvSpeculate:
 			a.Savings.SpeculationRuns++
 		case obs.EvSpeculationWin:
@@ -530,9 +523,7 @@ func (a *Analysis) analyzePerf(samples []obs.PerfSample) {
 	}
 	// Queue-wait tail and savings counters events do not carry, from
 	// the final registry snapshot.
-	wait := last.Metrics.Hists[obs.MSemWaitSeconds]
-	wait.Merge(last.Metrics.Hists[obs.MSchedQueueWait])
-	if wait.Count > 0 {
+	if wait := last.Metrics.Hists[obs.MSchedQueueWait]; wait.Count > 0 {
 		a.QueueWaitP95 = wait.Quantile(0.95)
 	}
 	a.Savings.TrialsSavedEarly += sumCounters(last.Metrics.Counters, obs.MTrialsSaved, `kind="early-stop"`)

@@ -111,7 +111,9 @@ func TestWorkerTimelinesFromEvents(t *testing.T) {
 		ev(0, obs.EvItemDispatch, map[string]any{"item": float64(1), "test": "A", "worker": float64(0)}),
 		ev(0, obs.EvItemDispatch, map[string]any{"item": float64(2), "test": "B", "worker": float64(1)}),
 		ev(40, obs.EvItemComplete, map[string]any{"item": float64(2), "test": "B", "worker": float64(1), "elapsed_s": 40e-6}),
-		ev(50, obs.EvSteal, map[string]any{"item": float64(3), "worker": float64(1)}),
+		// A log written when the coordinator still sharded its queue
+		// carries steal events; they are skipped like any unknown event.
+		ev(50, "steal", map[string]any{"item": float64(3), "worker": float64(1)}),
 		ev(50, obs.EvItemDispatch, map[string]any{"item": float64(3), "test": "C", "worker": float64(1)}),
 		ev(100, obs.EvItemComplete, map[string]any{"item": float64(1), "test": "A", "worker": float64(0), "elapsed_s": 100e-6}),
 		ev(100, obs.EvItemComplete, map[string]any{"item": float64(3), "test": "C", "worker": float64(1), "elapsed_s": 50e-6}),
@@ -131,17 +133,11 @@ func TestWorkerTimelinesFromEvents(t *testing.T) {
 	if w1.BusyUS != 90 {
 		t.Errorf("worker 1 busy = %d, want 90", w1.BusyUS)
 	}
-	if w1.Steals != 1 {
-		t.Errorf("worker 1 steals = %d, want 1", w1.Steals)
-	}
 	if w0.Items != 1 || w1.Items != 2 {
 		t.Errorf("items = %d,%d want 1,2", w0.Items, w1.Items)
 	}
 	if len(a.Items) != 3 || a.Items[0].Seconds < a.Items[1].Seconds {
 		t.Fatalf("items not sorted slowest-first: %+v", a.Items)
-	}
-	if a.Savings.Steals != 1 {
-		t.Errorf("savings steals = %d, want 1", a.Savings.Steals)
 	}
 }
 

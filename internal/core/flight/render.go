@@ -204,9 +204,6 @@ func RenderProfile(w io.Writer, a *Analysis) {
 				pct = 100 * float64(ws.BusyUS) / float64(a.MakespanUS)
 			}
 			fmt.Fprintf(w, "  %-9s %5.1f%% busy  %s  %d items", name, pct, Sparkline(ws.Timeline, 1, 30), ws.Items)
-			if ws.Steals > 0 {
-				fmt.Fprintf(w, " · %d stolen", ws.Steals)
-			}
 			if ws.Spec > 0 {
 				fmt.Fprintf(w, " · %d speculative", ws.Spec)
 			}
@@ -223,7 +220,7 @@ func RenderProfile(w io.Writer, a *Analysis) {
 
 	sv := a.Savings
 	if sv.ExecutionsSaved > 0 || len(sv.CacheHits) > 0 || sv.SpeculationRuns > 0 ||
-		sv.Steals > 0 || sv.TrialsSavedEarly > 0 || sv.TrialsReallocated > 0 {
+		sv.TrialsSavedEarly > 0 || sv.TrialsReallocated > 0 {
 		fmt.Fprintf(w, "\n## Savings attribution\n\n")
 		if sv.ExecutionsSaved > 0 {
 			fmt.Fprintf(w, "  executions saved       %d\n", sv.ExecutionsSaved)
@@ -240,9 +237,6 @@ func RenderProfile(w io.Writer, a *Analysis) {
 		}
 		if sv.SpeculationRuns > 0 {
 			fmt.Fprintf(w, "  speculative runs       %d (%d won)\n", sv.SpeculationRuns, sv.SpeculationWins)
-		}
-		if sv.Steals > 0 {
-			fmt.Fprintf(w, "  items stolen           %d\n", sv.Steals)
 		}
 		if sv.TrialsSavedEarly > 0 {
 			fmt.Fprintf(w, "  trials saved (early)   %d\n", sv.TrialsSavedEarly)

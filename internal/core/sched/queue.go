@@ -7,10 +7,11 @@ import (
 	"zebraconf/internal/obs"
 )
 
-// Queue is the streaming pipeline's dispatch queue: producers Push tasks
-// with a predicted duration, a fixed pool of workers Pop them, and the
-// policy decides which ready task goes next — FIFO pops in arrival
-// order, LPT pops the longest predicted task first. Pop blocks until a
+// Queue is phase 2's one dispatch queue, shared by the in-process pipeline
+// and the distributed coordinator: producers Push tasks with a predicted
+// duration, workers Pop (or TryPop) them, and the policy decides which
+// ready task goes next — FIFO pops in arrival order, LPT pops the longest
+// predicted task first, ties to the earliest push. Pop blocks until a
 // task is available or the queue is closed and empty.
 //
 // When an observer is attached, every pop records the task's queue wait
@@ -59,6 +60,20 @@ func (q *Queue[T]) Pop() (v T, ok bool) {
 	for len(q.tasks) == 0 && !q.closed {
 		q.cond.Wait()
 	}
+	return q.take()
+}
+
+// TryPop is Pop without the wait: ok=false means nothing is queued right
+// now (more may still be pushed unless the queue is closed).
+func (q *Queue[T]) TryPop() (v T, ok bool) {
+	q.mu.Lock()
+	return q.take()
+}
+
+// take removes and returns the policy's pick, recording its queue wait
+// and whether it overtook an older task. Called with q.mu held; releases
+// it.
+func (q *Queue[T]) take() (v T, ok bool) {
 	if len(q.tasks) == 0 {
 		q.mu.Unlock()
 		return v, false

@@ -7,16 +7,16 @@
 //
 // The package provides three pieces, each usable on its own:
 //
-//   - Policy + Rank: longest-predicted-processing-time-first (LPT)
-//     ordering of a batch, the classic greedy whose makespan is within
-//     4/3 of optimal on identical machines, with FIFO kept as the
-//     ablation baseline.
+//   - Policy: longest-predicted-processing-time-first (LPT) dispatch,
+//     the classic greedy whose makespan is within 4/3 of optimal on
+//     identical machines, with FIFO kept as the ablation baseline.
 //   - Profile: a persistent per-(app, test) wall-clock store (EWMA over
 //     campaigns, JSON on disk) supplying the duration predictions; cold
 //     campaigns fall back to pre-run durations measured the same run.
-//   - Queue: a policy-aware blocking queue for the phase-1→phase-2
-//     streaming pipeline, dispatching the highest-priority ready task
-//     and recording queue-wait and reorder statistics.
+//   - Queue: the one policy-aware queue phase 2 dispatches from, in
+//     process and through the distributed coordinator alike, handing out
+//     the highest-priority ready task and recording queue-wait and
+//     reorder statistics.
 //
 // The scheduler never changes what runs — per-item seeds depend only on
 // the campaign seed and the item's content, and the phase-3 merge folds
@@ -67,6 +67,10 @@ func (p Policy) String() string {
 // items whose position changed (the reordered-items statistic). FIFO is
 // the identity. LPT sorts descending by prediction with ties broken by
 // index, so the order is deterministic for a given prediction set.
+//
+// Queue is the only scheduler a campaign runs; Rank's one remaining caller
+// is the sched.rank_us rung of bench/ladder.go, which a change to the
+// program may not edit. Deleting Rank belongs to a benchmark PR.
 func Rank(policy Policy, pred []float64) (order []int, moved int) {
 	order = make([]int, len(pred))
 	for i := range order {

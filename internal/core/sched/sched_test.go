@@ -5,9 +5,12 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
+
+	"zebraconf/internal/obs"
 )
 
 func TestParsePolicy(t *testing.T) {
@@ -323,6 +326,159 @@ func TestQueueConcurrentPushPop(t *testing.T) {
 	wg.Wait()
 	if len(seen) != n {
 		t.Fatalf("popped %d values, want %d", len(seen), n)
+	}
+}
+
+// TestQueueTryPop covers the non-blocking pop on every state a coordinator
+// session can find the queue in: empty, holding work, drained, closed.
+func TestQueueTryPop(t *testing.T) {
+	t.Parallel()
+	q := NewQueue[int](FIFO, nil, "app", "dist")
+	if _, ok := q.TryPop(); ok {
+		t.Fatal("TryPop on an empty queue returned a task")
+	}
+	q.Push(7, 1)
+	q.Push(8, 1)
+	q.Close()
+	// Closed but not drained: the remaining tasks still come out.
+	for _, want := range []int{7, 8} {
+		if got, ok := q.TryPop(); !ok || got != want {
+			t.Fatalf("TryPop = %d, %v, want %d", got, ok, want)
+		}
+	}
+	if _, ok := q.TryPop(); ok {
+		t.Fatal("TryPop on a closed, drained queue returned a task")
+	}
+	if q.Len() != 0 {
+		t.Fatalf("Len = %d after draining", q.Len())
+	}
+}
+
+// TestQueueLPTCountsReorders is the coordinator's dispatch order (moved
+// here from dist with its queue): TryPop under LPT picks the global
+// longest with ties to the earliest push, every pop that overtakes an
+// older task counts as a reorder, and every pop records its queue wait.
+func TestQueueLPTCountsReorders(t *testing.T) {
+	t.Parallel()
+	o := obs.New()
+	q := NewQueue[int](LPT, o, "app", "dist")
+	for id, pred := range []float64{1, 5, 3, 5} {
+		q.Push(id, pred)
+	}
+	wantReordered := []int64{1, 2, 3, 3} // the last pop takes the oldest task
+	for i, want := range []int{1, 3, 2, 0} {
+		if got, ok := q.TryPop(); !ok || got != want {
+			t.Fatalf("pop %d = %d, %v, want %d", i, got, ok, want)
+		}
+		if n := o.Metrics.CounterValue(obs.MSchedReordered, "app", "app"); n != wantReordered[i] {
+			t.Fatalf("after pop %d: reordered = %d, want %d", i, n, wantReordered[i])
+		}
+	}
+	if c := o.Metrics.HistogramValue(obs.MSchedQueueWait, "app", "app", "stage", "dist").Count; c != 4 {
+		t.Fatalf("queue-wait observations = %d, want 4", c)
+	}
+}
+
+// TestQueueRepushOrderedByPolicy pins what a coordinator retry relies on:
+// an item pushed again is ordered like any other — behind older work under
+// FIFO, by its prediction under LPT.
+func TestQueueRepushOrderedByPolicy(t *testing.T) {
+	t.Parallel()
+	for _, tc := range []struct {
+		policy Policy
+		want   []string
+	}{
+		{FIFO, []string{"b", "c", "a"}},
+		{LPT, []string{"a", "c", "b"}},
+	} {
+		q := NewQueue[string](tc.policy, nil, "app", "dist")
+		q.Push("a", 9)
+		q.Push("b", 1)
+		q.Push("c", 3)
+		first, _ := q.TryPop()
+		q.Push(first, 9) // the retry of whatever was dispatched first
+		got := []string{nextOf(t, q), nextOf(t, q), nextOf(t, q)}
+		if first != "a" || !reflect.DeepEqual(got, tc.want) {
+			t.Fatalf("%v: first %q then %v, want \"a\" then %v", tc.policy, first, got, tc.want)
+		}
+	}
+}
+
+func nextOf(t *testing.T, q *Queue[string]) string {
+	t.Helper()
+	v, ok := q.TryPop()
+	if !ok {
+		t.Fatal("queue ran dry")
+	}
+	return v
+}
+
+// TestQueueMixedPoppersSeeEachItemOnce runs both execution modes' access
+// patterns against one queue at once: 4 pushers, 8 poppers of which half
+// block in Pop (the in-process pool) and half poll TryPop (coordinator
+// sessions). Every item must come out exactly once. Run under -race.
+func TestQueueMixedPoppersSeeEachItemOnce(t *testing.T) {
+	t.Parallel()
+	q := NewQueue[int](LPT, nil, "app", "stream")
+	const pushers, poppers, perPusher = 4, 8, 250
+	var push sync.WaitGroup
+	for p := 0; p < pushers; p++ {
+		push.Add(1)
+		go func(p int) {
+			defer push.Done()
+			for i := 0; i < perPusher; i++ {
+				q.Push(p*perPusher+i, float64(i%17))
+			}
+		}(p)
+	}
+	go func() { push.Wait(); q.Close() }()
+
+	var mu sync.Mutex
+	seen := make(map[int]int)
+	note := func(v int) {
+		mu.Lock()
+		seen[v]++
+		mu.Unlock()
+	}
+	closed := make(chan struct{})
+	var pop sync.WaitGroup
+	for w := 0; w < poppers; w++ {
+		pop.Add(1)
+		go func(blocking bool) {
+			defer pop.Done()
+			for {
+				if blocking {
+					v, ok := q.Pop()
+					if !ok {
+						return
+					}
+					note(v)
+					continue
+				}
+				if v, ok := q.TryPop(); ok {
+					note(v)
+					continue
+				}
+				select {
+				case <-closed:
+					// Closed with nothing queued: drained for good.
+					return
+				default:
+					runtime.Gosched()
+				}
+			}
+		}(w%2 == 0)
+	}
+	push.Wait()
+	close(closed)
+	pop.Wait()
+	if len(seen) != pushers*perPusher {
+		t.Fatalf("popped %d distinct items, want %d", len(seen), pushers*perPusher)
+	}
+	for v, n := range seen {
+		if n != 1 {
+			t.Fatalf("item %d popped %d times", v, n)
+		}
 	}
 }
 

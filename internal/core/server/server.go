@@ -112,7 +112,7 @@ type Campaign struct {
 	started   time.Time
 	finished  time.Time
 	o         *obs.Observer
-	run       *dist.Run // live while phase 2 is distributed; for Abort
+	coord     *dist.Coordinator // set while the campaign runs; for Abort
 	cancelled bool
 	res       *campaign.Result
 	runID     string
@@ -226,8 +226,8 @@ func (s *Server) Cancel(id string) (string, error) {
 		s.logf("campaign %s cancelled while queued", c.id)
 	case StateRunning:
 		c.cancelled = true
-		if c.run != nil {
-			c.run.Abort()
+		if c.coord != nil {
+			c.coord.Abort()
 		}
 		s.logf("campaign %s cancel requested; aborting coordinator", c.id)
 	}
@@ -252,8 +252,8 @@ func (s *Server) Close() {
 		c.mu.Lock()
 		if c.state == StateRunning {
 			c.cancelled = true
-			if c.run != nil {
-				c.run.Abort()
+			if c.coord != nil {
+				c.coord.Abort()
 			}
 		}
 		c.mu.Unlock()
@@ -430,21 +430,21 @@ func (s *Server) runCampaign(c *Campaign) {
 		Obs:                 c.o,
 		Stderr:              s.opts.Logw,
 	})
-	adapter := &serverAdapter{coord: coord, onRun: func(run *dist.Run) {
-		c.mu.Lock()
-		c.run = run
-		aborted := c.cancelled
-		c.mu.Unlock()
-		if aborted {
-			run.Abort()
-		}
-	}}
-	copts.Distributor = adapter
+	// A cancel that arrived before this point found no coordinator to
+	// abort; Abort before Begin makes the run halt as it opens.
+	c.mu.Lock()
+	c.coord = coord
+	cancelled = c.cancelled
+	c.mu.Unlock()
+	if cancelled {
+		coord.Abort()
+	}
+	copts.Distributor = coord
 
 	res := campaign.Run(app, copts)
 	c.o.Sampler.Stop()
-	if adapter.run != nil {
-		res.WorkerStalls = adapter.run.Stalls()
+	if run := coord.Run(); run != nil {
+		res.WorkerStalls = run.Stalls()
 	}
 	if res.Coverage != nil {
 		ix := coverage.Build(app.Name, req.Seed, copts.CoverageKey, res.Coverage, app.Schema())
@@ -462,7 +462,7 @@ func (s *Server) runCampaign(c *Campaign) {
 		}
 		f.Close()
 	}
-	s.finish(c, res, adapter.err)
+	s.finish(c, res, coord.Err())
 }
 
 // finish settles a campaign's terminal state and, for completed runs,
@@ -506,7 +506,7 @@ func (s *Server) finish(c *Campaign, res *campaign.Result, err error) {
 	c.mu.Lock()
 	c.res = res
 	c.finished = time.Now()
-	c.run = nil
+	c.coord = nil
 	c.state = state
 	if state == StateFailed {
 		c.errMsg = err.Error()
@@ -519,44 +519,6 @@ func (s *Server) finish(c *Campaign, res *campaign.Result, err error) {
 	} else {
 		s.logf("campaign %s finished: %s", c.id, state)
 	}
-}
-
-// serverAdapter bridges campaign.Distributor onto the coordinator
-// without the CLI adapter's os.Exit: a coordinator failure marks the
-// campaign failed and the service lives on.
-type serverAdapter struct {
-	coord *dist.Coordinator
-	run   *dist.Run
-	err   error
-	onRun func(*dist.Run)
-}
-
-func (d *serverAdapter) Begin(parent obs.SpanID, total int) {
-	run, err := d.coord.Start(parent, total)
-	if err != nil {
-		d.err = err
-		return
-	}
-	d.run = run
-	d.onRun(run)
-}
-
-func (d *serverAdapter) Submit(item campaign.WorkItem) {
-	if d.run != nil {
-		d.run.Submit(item)
-	}
-}
-
-func (d *serverAdapter) Drain() []campaign.ItemResult {
-	if d.run == nil {
-		return nil
-	}
-	res, err := d.run.Drain()
-	if err != nil {
-		d.err = err
-		return nil
-	}
-	return res
 }
 
 // defaultEvidenceMax mirrors the CLI's -evidence-max default so served

@@ -48,9 +48,6 @@ const (
 	// app, worker (recovered).
 	EvWorkerStalled   = "worker_stalled"
 	EvWorkerRecovered = "worker_recovered"
-	// EvSteal marks a work item popped from another worker's shard.
-	// Attrs: app, item, worker.
-	EvSteal = "steal"
 	// EvSpeculate marks a straggler item re-issued to an idle worker;
 	// EvSpeculationWin a speculative copy winning the race;
 	// EvSpeculationLoss a duplicate result discarded before accounting.

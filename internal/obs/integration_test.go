@@ -186,7 +186,7 @@ func TestCampaignTraceAndMetricsIntegrity(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, family := range []string{obs.MExecutions, obs.MVerdicts, obs.MPValue,
-		obs.MTestSeconds, obs.MPhaseSeconds, obs.MSemWaitSeconds} {
+		obs.MTestSeconds, obs.MPhaseSeconds, obs.MSchedQueueWait} {
 		if !strings.Contains(prom.String(), "# TYPE "+family) {
 			t.Errorf("exposition missing family %s", family)
 		}

@@ -61,9 +61,6 @@ const (
 	// MPhaseSeconds is the per-campaign-phase latency histogram.
 	// Labels: app, phase (prerun | instances | scoring).
 	MPhaseSeconds = "zebraconf_phase_seconds"
-	// MSemWaitSeconds is the parallelMap semaphore queue-wait histogram:
-	// how long work items waited for a worker slot. Labels: app, stage.
-	MSemWaitSeconds = "zebraconf_semaphore_wait_seconds"
 	// MInstancesTotal / MInstancesDone gauge campaign progress.
 	// Labels: app.
 	MInstancesTotal = "zebraconf_instances_total"
@@ -105,9 +102,6 @@ const (
 	// MQueueDepth gauges work items waiting in the coordinator's queue.
 	// Labels: app.
 	MQueueDepth = "zebraconf_dist_queue_depth"
-	// MSteals counts work items stolen from another worker's shard.
-	// Labels: app.
-	MSteals = "zebraconf_dist_steals_total"
 	// MHeartbeats counts worker heartbeat messages received. Labels:
 	// app, worker.
 	MHeartbeats = "zebraconf_dist_worker_heartbeats_total"
@@ -141,8 +135,8 @@ const (
 	// perfect). Labels: app.
 	MSchedPredRatio = "zebraconf_sched_predicted_vs_actual_ratio"
 	// MItemRunSeconds is the per-item run-time histogram on the
-	// in-process pool (the companion of MSemWaitSeconds: wait vs run
-	// makes tail latency attributable). Labels: app, stage.
+	// in-process pool (the companion of MSchedQueueWait: wait vs run
+	// makes tail latency attributable). Labels: app, stage (instances).
 	MItemRunSeconds = "zebraconf_item_run_seconds"
 
 	// Execution memoization catalog (internal/core/memo).

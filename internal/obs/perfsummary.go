@@ -31,8 +31,7 @@ type PerfSummary struct {
 	P50ItemSeconds float64 `json:"p50_item_seconds"`
 	P95ItemSeconds float64 `json:"p95_item_seconds"`
 	// P95QueueWaitSeconds is the queue-wait tail: how long ready work
-	// sat waiting for a slot (semaphore wait in-process, coordinator
-	// queue wait in dist mode).
+	// sat in the dispatch queue, from push to pop, on every path.
 	P95QueueWaitSeconds float64 `json:"p95_queue_wait_seconds"`
 	// Savings attribution counters.
 	Executions        int64   `json:"executions"`
@@ -42,7 +41,6 @@ type PerfSummary struct {
 	SpeculationWins   int64   `json:"speculation_wins,omitempty"`
 	TrialsSavedEarly  int64   `json:"trials_saved_early_stop,omitempty"`
 	TrialsReallocated int64   `json:"trials_reallocated,omitempty"`
-	WorkerItemSteals  int64   `json:"steals,omitempty"`
 	// PerfSamples counts sampler snapshots taken (0 when -perf was off).
 	PerfSamples int `json:"perf_samples,omitempty"`
 }
@@ -88,8 +86,7 @@ func SummarizePerf(o *Observer, app string, elapsedSeconds float64, slots int) *
 		}
 	}
 
-	wait := reg.HistogramValue(MSemWaitSeconds, "app", app)
-	wait.Merge(reg.HistogramValue(MSchedQueueWait, "app", app))
+	wait := reg.HistogramValue(MSchedQueueWait, "app", app)
 	if wait.Count > 0 {
 		ps.P95QueueWaitSeconds = wait.Quantile(0.95)
 	}
@@ -104,6 +101,5 @@ func SummarizePerf(o *Observer, app string, elapsedSeconds float64, slots int) *
 	ps.SpeculationWins = reg.CounterValue(MSpeculationWins, "app", app)
 	ps.TrialsSavedEarly = reg.CounterValue(MTrialsSaved, "app", app, "kind", "early-stop")
 	ps.TrialsReallocated = reg.CounterValue(MTrialsSaved, "app", app, "kind", "reallocated")
-	ps.WorkerItemSteals = reg.CounterValue(MSteals, "app", app)
 	return ps
 }
