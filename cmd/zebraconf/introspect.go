@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"os"
 	"runtime/debug"
-	"time"
 
-	"zebraconf/internal/core/campaign"
 	"zebraconf/internal/core/ledger"
 )
 
@@ -18,11 +16,6 @@ func buildVersion() string {
 		return bi.Main.Version
 	}
 	return "devel"
-}
-
-// ledgerRecord summarizes one finished campaign as a run-ledger entry.
-func ledgerRecord(res *campaign.Result, seed int64, start time.Time, workers int, flags map[string]string) ledger.Record {
-	return ledger.Summarize(res, seed, start, workers, flags)
 }
 
 // runDiff implements -mode diff: compare two ledger records and report

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"zebraconf/internal/apps"
+	"zebraconf/internal/core/launch"
 	"zebraconf/internal/core/server"
 	"zebraconf/internal/obs"
 )
@@ -57,23 +58,23 @@ func runServe(listen, workerListen, token, stateDir string, cacheMax int64) int 
 // runSubmit implements -mode submit: POST one campaign and print its ID
 // on stdout (one token, machine-readable — scripts capture it for
 // -mode watch/cancel). With -wait it then polls to a terminal state.
-func runSubmit(base, token string, req server.SubmitRequest, wait bool, every time.Duration) int {
+func runSubmit(base, token string, spec launch.Spec, wait bool, every time.Duration) int {
 	if base == "" {
 		fmt.Fprintln(os.Stderr, "zebraconf: -mode submit needs -server URL")
 		return 2
 	}
-	if req.App == "" || req.App == "all" {
+	if spec.App == "" || spec.App == "all" {
 		fmt.Fprintln(os.Stderr, "zebraconf: -mode submit submits one campaign; pass a single -app")
 		return 2
 	}
 	cl := &server.Client{Base: normalizeAddr(base), Token: token}
-	id, err := cl.Submit(req)
+	id, err := cl.Submit(spec)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "zebraconf:", err)
 		return 1
 	}
 	fmt.Println(id)
-	fmt.Fprintf(os.Stderr, "[zebraconf] submitted campaign %s (app %s) to %s\n", id, req.App, base)
+	fmt.Fprintf(os.Stderr, "[zebraconf] submitted campaign %s (app %s) to %s\n", id, spec.App, base)
 	if !wait {
 		return 0
 	}

@@ -273,6 +273,41 @@ type paramStats struct {
 	stop     string
 }
 
+// RunnerOptions assembles what one process needs to execute a campaign's
+// unit tests — the memo cache over opts.CacheBackend, the coverage
+// collector, the trial budget pool and the evidence recorder — as the
+// options of its TestRunner. Run builds one per campaign and a dist worker
+// one per session, so each of these spans exactly that. persistent says
+// that some tier behind the cache outlives the campaign (a disk store, a
+// disk-backed coordinator cache): only then are label-seeded trials worth
+// memoizing, because their keys recur only on resubmission of an unchanged
+// campaign.
+func RunnerOptions(app string, opts Options, persistent bool) runner.Options {
+	ropts := runner.Options{
+		Significance:     opts.Significance,
+		MaxRounds:        opts.MaxRounds,
+		DisableGate:      opts.DisableGate,
+		Seq:              opts.Seq,
+		SeqMargin:        opts.SeqMargin,
+		Strategy:         opts.Strategy,
+		BaseSeed:         opts.Seed,
+		Obs:              opts.Obs,
+		CacheLabelSeeded: persistent,
+		Evidence:         forensics.NewRecorder(app, opts.EvidenceMax, opts.Obs),
+		Coverage:         coverage.NewCollector(),
+	}
+	if !opts.DisableExecCache {
+		ropts.Cache = memo.NewCache(app, opts.CacheBackend, opts.Obs)
+	}
+	// Rounds saved by early stops anywhere fund extension rounds for
+	// marginal instances anywhere else. Fixed mode gets no pool — the
+	// ablation must spend exactly the legacy budget.
+	if opts.Seq != stats.SeqFixed {
+		ropts.Pool = stats.NewBudgetPool()
+	}
+	return ropts
+}
+
 // DefaultParallelism is the default concurrent unit-test budget: one per
 // processor. Executions run on virtual clocks, so they are processor-bound
 // and more slots than processors buy nothing. The distributed executor
@@ -293,42 +328,9 @@ func Run(app *harness.App, opts Options) *Result {
 	if len(opts.Params) > 0 {
 		gen.SetFilter(opts.Params)
 	}
-	// The execution cache lives for exactly one campaign: canonical
-	// homogeneous arms repeat across the instances of each test, and a
-	// fresh per-campaign cache keeps reuse sound without any invalidation
-	// story. The distributed path builds its caches worker-side instead
-	// (backed by the coordinator's shared cache).
-	var cache *memo.Cache
-	if !opts.DisableExecCache {
-		cache = memo.NewCache(app.Name, opts.CacheBackend, opts.Obs)
-	}
-	cov := coverage.NewCollector()
-	// The trial budget pool spans the whole campaign: rounds saved by
-	// early stops anywhere fund extension rounds for marginal instances
-	// anywhere else. Fixed mode gets no pool — the ablation must spend
-	// exactly the legacy budget.
-	var pool *stats.BudgetPool
-	if opts.Seq != stats.SeqFixed {
-		pool = stats.NewBudgetPool()
-	}
-	run := runner.New(app, runner.Options{
-		Significance: opts.Significance,
-		MaxRounds:    opts.MaxRounds,
-		DisableGate:  opts.DisableGate,
-		Seq:          opts.Seq,
-		SeqMargin:    opts.SeqMargin,
-		Pool:         pool,
-		Strategy:     opts.Strategy,
-		BaseSeed:     opts.Seed,
-		Obs:          opts.Obs,
-		Cache:        cache,
-		// A backend means the cache outlives this campaign (disk store,
-		// server tier), so label-seeded trials are worth memoizing too:
-		// they only ever hit on resubmission of an unchanged campaign.
-		CacheLabelSeeded: opts.CacheBackend != nil,
-		Evidence:         forensics.NewRecorder(app.Name, opts.EvidenceMax, opts.Obs),
-		Coverage:         cov,
-	})
+	ropts := RunnerOptions(app.Name, opts, opts.CacheBackend != nil)
+	cov := ropts.Coverage
+	run := runner.New(app, ropts)
 
 	tests, unknown := selectTests(app, opts.Tests)
 	force, deselected := coveragePlan(schema, opts, tests)

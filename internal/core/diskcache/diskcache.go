@@ -138,6 +138,9 @@ func Open(dir string, maxBytes int64, next memo.Backend, o *obs.Observer) (*Stor
 // Dir returns the store's directory.
 func (s *Store) Dir() string { return s.dir }
 
+// MaxBytes returns the store's size cap, defaults resolved.
+func (s *Store) MaxBytes() int64 { return s.max }
+
 // entryName derives the file name for a key: SHA-256 over the canonical
 // key fields. Assign is already a collision-resistant digest, but
 // hashing the full key keeps names fixed-length and filesystem-safe for

@@ -159,8 +159,8 @@ type Config struct {
 	TraceItems bool `json:"trace_items,omitempty"`
 	// HeartbeatMS is the worker heartbeat period in milliseconds; zero
 	// disables heartbeats (and with them coordinator stall detection).
-	// Not part of campaign.Options, so ConfigFrom leaves it zero — the
-	// CLI turns it on for real campaigns.
+	// Not part of campaign.Options, so ConfigFrom leaves it zero —
+	// launch.Campaign sets it from the -heartbeat flag.
 	HeartbeatMS int `json:"heartbeat_ms,omitempty"`
 	// DiskCacheDir, when non-empty, asks the worker to open a persistent
 	// diskcache.Store at that path as the tier between its in-process

@@ -14,20 +14,16 @@ import (
 	"time"
 
 	"zebraconf/internal/core/campaign"
-	"zebraconf/internal/core/coverage"
 	"zebraconf/internal/core/diskcache"
-	"zebraconf/internal/core/forensics"
 	"zebraconf/internal/core/harness"
-	"zebraconf/internal/core/memo"
 	"zebraconf/internal/core/runner"
-	"zebraconf/internal/core/stats"
 	"zebraconf/internal/core/testgen"
 	"zebraconf/internal/obs"
 )
 
 // DefaultWorkerParallel bounds concurrent work items inside one worker
-// subprocess when the init config leaves Parallel zero (the CLI and the
-// server always set it, dividing campaign.DefaultParallelism across the
+// subprocess when the init config leaves Parallel zero (launch.Campaign
+// always sets it, dividing campaign.DefaultParallelism across the
 // workers). Executions run on virtual clocks and are processor-bound, so
 // this is a cap on items in flight, not a level of oversubscription that
 // buys anything.
@@ -121,13 +117,14 @@ func ServeWorkerEnv(r io.Reader, w io.Writer, resolve func(string) (*harness.App
 	// tier falls back to purely local caching; disabling the cache falls
 	// back to re-running everything.
 	var rcache *remoteCache
-	var cache *memo.Cache
-	var cachePersistent bool
+	// Persistence anywhere in the hierarchy — a local disk tier or a
+	// coordinator whose shared cache is disk-backed — is what makes
+	// label-seeded trials worth memoizing.
+	persistent := !cfg.NoSharedCache && cfg.SharedPersistent
 	if !cfg.DisableExecCache {
-		var backend memo.Backend
 		if !cfg.NoSharedCache {
 			rcache = newRemoteCache(send)
-			backend = rcache
+			opts.CacheBackend = rcache
 		}
 		// Persistent disk tier between the in-process map and the
 		// coordinator: memory → disk → coordinator. The worker's own env
@@ -138,52 +135,24 @@ func ServeWorkerEnv(r io.Reader, w io.Writer, resolve func(string) (*harness.App
 			dir, maxBytes = env.DiskCacheDir, env.DiskCacheMaxBytes
 		}
 		if dir != "" {
-			if store, err := diskcache.Open(dir, maxBytes, backend, nil); err == nil {
-				backend = store
-				cachePersistent = true
+			if store, err := diskcache.Open(dir, maxBytes, opts.CacheBackend, nil); err == nil {
+				opts.CacheBackend = store
+				persistent = true
 			} else {
 				fmt.Fprintf(os.Stderr, "zebraconf worker: disk cache disabled: %v\n", err)
 			}
 		}
-		// Persistence anywhere in the hierarchy — a local disk tier or a
-		// coordinator whose shared cache is disk-backed — makes
-		// label-seeded trials worth memoizing: their keys only recur
-		// across campaigns.
-		cachePersistent = cachePersistent || (!cfg.NoSharedCache && cfg.SharedPersistent)
-		cache = memo.NewCache(app.Name, backend, nil)
 	}
-	// Evidence budget: one recorder shared by every item of this session,
-	// so -evidence-max bounds the worker process as a whole (the campaign
-	// flag is per-worker in dist mode). The observer is nil — worker
-	// registries are not merged; the coordinator replays evidence counters
-	// from the records riding in each item result.
-	rec := forensics.NewRecorder(app.Name, cfg.EvidenceMax, nil)
-	// Coverage: one collector for the session; each item's read edges
-	// ship home on its result, where the coordinator folds them into the
-	// campaign index. Cache hits replay their memoized read sets through
-	// the runner, so a fully warm worker still reports complete coverage.
-	cov := coverage.NewCollector()
-	// The budget pool is worker-wide (like the evidence budget): trials
-	// saved by this worker's early stops fund extension rounds for its
-	// own marginal parameters.
-	var pool *stats.BudgetPool
-	if opts.Seq != stats.SeqFixed {
-		pool = stats.NewBudgetPool()
-	}
-	rops := runner.Options{
-		Significance:     opts.Significance,
-		MaxRounds:        opts.MaxRounds,
-		Seq:              opts.Seq,
-		SeqMargin:        opts.SeqMargin,
-		Pool:             pool,
-		DisableGate:      opts.DisableGate,
-		Strategy:         opts.Strategy,
-		BaseSeed:         opts.Seed,
-		Cache:            cache,
-		CacheLabelSeeded: cachePersistent,
-		Evidence:         rec,
-		Coverage:         cov,
-	}
+	// One cache, evidence budget, coverage collector and trial budget pool
+	// for the whole session, so -evidence-max bounds the worker process and
+	// trials saved by this worker's early stops fund its own marginal
+	// parameters. opts.Obs is nil — worker registries are not merged; the
+	// coordinator replays evidence counters and folds the read edges from
+	// what rides home in each item result. Cache hits replay their memoized
+	// read sets through the runner, so a fully warm worker still reports
+	// complete coverage.
+	rops := campaign.RunnerOptions(app.Name, opts, persistent)
+	cov := rops.Coverage
 	run := runner.New(app, rops)
 	parallel := cfg.Parallel
 	if parallel <= 0 {

@@ -1,0 +1,303 @@
+package launch
+
+import (
+	"context"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
+	"math"
+	"os/exec"
+	"time"
+
+	"zebraconf/internal/core/agent"
+	"zebraconf/internal/core/campaign"
+	"zebraconf/internal/core/coverage"
+	"zebraconf/internal/core/diskcache"
+	"zebraconf/internal/core/dist"
+	"zebraconf/internal/core/harness"
+	"zebraconf/internal/core/ledger"
+	"zebraconf/internal/core/sched"
+	"zebraconf/internal/obs"
+)
+
+// Env is where a campaign runs, as opposed to what it runs (Spec): the
+// things that differ between the CLI and the service and outlive one
+// campaign. Nothing here may change a verdict.
+type Env struct {
+	// WorkerCmd builds one stdio worker subprocess (the CLI); Sessions
+	// leases already-connected TCP workers instead (the service). One of
+	// the two is needed when Spec.Workers > 0.
+	WorkerCmd func() *exec.Cmd
+	Sessions  *dist.Gateway
+	// Cache is the open persistent execution cache, nil for none. It backs
+	// the in-process memo cache and the coordinator's shared tier; stdio
+	// workers, which share this filesystem, open its directory themselves
+	// (TCP workers choose their own with -disk-cache).
+	Cache *diskcache.Store
+	// Obs observes the campaign; nil disables observability.
+	Obs *obs.Observer
+	// Stderr receives worker stderr. May be nil.
+	Stderr io.Writer
+	// LedgerDir, when set, is read for the previous run's coverage index
+	// and item store and receives this run's, plus its ledger record.
+	LedgerDir string
+	// ProfilePath, when set, is the duration profile read for predictions
+	// and rewritten with this campaign's timings, so every run sharpens
+	// the next one's schedule.
+	ProfilePath string
+	// CheckpointPath and ResumePath journal and replay completed work
+	// items (with Spec.Workers > 0); they may name the same file.
+	CheckpointPath, ResumePath string
+	// Rerun, when non-nil, makes this an incremental rerun against
+	// LedgerDir: tests whose digested inputs are unchanged replay from the
+	// item store. It is called once before anything executes, with the
+	// partition — or with nil when the directory is cold and the full
+	// campaign runs instead.
+	Rerun func(*campaign.RerunPlan)
+}
+
+// Outcome is a launched campaign's result and what was recorded of it.
+type Outcome struct {
+	Result *campaign.Result
+	// Record is the ledger record appended to Env.LedgerDir, nil when
+	// there is no ledger or the append failed.
+	Record *ledger.Record
+	// SaveErr joins the failures to persist the coverage index, item
+	// store, ledger record or duration profile. The Result stands.
+	SaveErr error
+}
+
+// prepared is one campaign made ready to run: everything derived from
+// (spec, env) before the first execution.
+type prepared struct {
+	opts  campaign.Options
+	dopts dist.Options      // zero unless spec.Workers > 0
+	coord *dist.Coordinator // nil in process
+	// slots is the parallel execution budget, the denominator of the perf
+	// summary's utilization.
+	slots     int
+	prevIx    *coverage.Index
+	prevItems *coverage.ItemStore
+}
+
+func prepare(app *harness.App, spec Spec, env Env) (*prepared, error) {
+	p, err := spec.parse()
+	if err != nil {
+		return nil, err
+	}
+	profile, err := sched.LoadProfile(env.ProfilePath)
+	if err != nil {
+		return nil, err
+	}
+	// Live quarantine prunes by completion order, so 0 — a threshold no
+	// campaign reaches — is what makes two schedules byte-comparable.
+	quarantine := spec.Quarantine
+	if quarantine <= 0 {
+		quarantine = math.MaxInt32
+	}
+	l := &prepared{slots: spec.Parallel}
+	if l.slots <= 0 {
+		l.slots = campaign.DefaultParallelism()
+	}
+	l.opts = campaign.Options{
+		Parallelism:         spec.Parallel,
+		MaxPool:             spec.MaxPool,
+		DisablePooling:      spec.NoPool,
+		DisableGate:         spec.NoGate,
+		DisableExecCache:    !spec.ExecCache,
+		Params:              spec.Params,
+		Tests:               spec.Tests,
+		Seed:                spec.Seed,
+		Seq:                 p.seq,
+		SeqMargin:           spec.SeqMargin,
+		SchedPolicy:         p.policy,
+		Stream:              spec.Stream,
+		Profile:             profile,
+		QuarantineThreshold: quarantine,
+		EvidenceMax:         spec.EvidenceMax,
+		SelectCoverage:      spec.Select == "coverage",
+		CoverageKey:         spec.Digest(),
+		Overrides:           p.overrides,
+		Obs:                 env.Obs,
+	}
+	if spec.ThreadOnly {
+		l.opts.Strategy = agent.StrategyThreadOnly
+	}
+	if env.Cache != nil && spec.ExecCache {
+		l.opts.CacheBackend = env.Cache
+	}
+	if env.LedgerDir != "" {
+		// Both are optional: a cold directory just means a full run that
+		// seeds them.
+		if l.prevIx, err = coverage.Load(env.LedgerDir, app.Name); err != nil {
+			return nil, fmt.Errorf("reading coverage index: %w", err)
+		}
+		if l.prevItems, err = coverage.LoadItems(env.LedgerDir, app.Name); err != nil {
+			return nil, fmt.Errorf("reading coverage item store: %w", err)
+		}
+		l.opts.CoverageIndex = l.prevIx
+	}
+	if spec.Workers <= 0 {
+		return l, nil
+	}
+
+	cfg := dist.ConfigFrom(l.opts)
+	// With the coordinator tracing, workers trace each item too; the
+	// coordinator stitches their fragments under its own item spans.
+	cfg.TraceItems = env.Obs != nil && env.Obs.Tracer != nil
+	cfg.HeartbeatMS = int(time.Duration(spec.Heartbeat).Milliseconds())
+	cfg.Parallel = spec.WorkerParallel
+	if cfg.Parallel <= 0 {
+		// Split the in-process budget across the workers: total load
+		// stays the same however many workers shard the campaign.
+		cfg.Parallel = (l.slots + spec.Workers - 1) / spec.Workers
+	}
+	l.slots = spec.Workers * cfg.Parallel
+	l.dopts = dist.Options{
+		App:                 app.Name,
+		Workers:             spec.Workers,
+		WorkerCmd:           env.WorkerCmd,
+		Sessions:            env.Sessions,
+		CheckpointPath:      env.CheckpointPath,
+		ResumePath:          env.ResumePath,
+		ItemTimeout:         time.Duration(spec.ItemTimeout),
+		ItemRetries:         spec.ItemRetries,
+		SchedPolicy:         p.policy,
+		SpeculationFactor:   spec.Speculate,
+		Profile:             profile,
+		QuarantineThreshold: quarantine,
+		Obs:                 env.Obs,
+		Stderr:              env.Stderr,
+	}
+	if l.opts.CacheBackend != nil {
+		l.dopts.SharedBackend = env.Cache
+		if env.Sessions == nil {
+			cfg.DiskCacheDir, cfg.DiskCacheMaxBytes = env.Cache.Dir(), env.Cache.MaxBytes()
+		}
+	}
+	l.dopts.Config = cfg
+	l.coord = dist.New(l.dopts)
+	l.opts.Distributor = l.coord
+	return l, nil
+}
+
+// Campaign runs one campaign of spec over app in env and records it:
+// the one sequence behind `-mode run|explain|rerun`, in process or with
+// -workers, and behind every campaign the service executes. Cancelling
+// ctx aborts a distributed campaign (an in-process one runs to the end);
+// a cancelled or failed campaign returns an error and records nothing.
+func Campaign(ctx context.Context, app *harness.App, spec Spec, env Env) (*Outcome, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	l, err := prepare(app, spec, env)
+	if err != nil {
+		return nil, err
+	}
+	if l.coord != nil {
+		// Abort is safe before the run opens: it then halts as it begins.
+		stop := context.AfterFunc(ctx, l.coord.Abort)
+		defer stop()
+	}
+	start := time.Now()
+	var res *campaign.Result
+	var plan *campaign.RerunPlan
+	if env.Rerun != nil {
+		if l.prevIx != nil && l.prevItems != nil {
+			p := campaign.PlanRerun(app, l.opts, l.prevIx, l.prevItems)
+			plan = &p
+		}
+		env.Rerun(plan)
+	}
+	if plan != nil {
+		res = campaign.Rerun(app, l.opts, *plan, l.prevItems)
+	} else {
+		res = campaign.Run(app, l.opts)
+	}
+	if l.coord != nil {
+		// The campaign cannot produce a result without the distributed
+		// items, so a coordinator failure is fatal.
+		if err := l.coord.Err(); err != nil {
+			return nil, fmt.Errorf("distributed campaign failed: %w", err)
+		}
+		if run := l.coord.Run(); run != nil {
+			res.WorkerStalls = run.Stalls()
+		}
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+
+	out := &Outcome{Result: res}
+	var errs []error
+	if env.LedgerDir != "" {
+		if err := l.saveCoverage(env.LedgerDir, app, res, plan); err != nil {
+			errs = append(errs, err)
+		}
+		rec := ledger.Summarize(res, spec.Seed, start, spec.Workers, spec.ExecFlags())
+		rec.Perf = obs.SummarizePerf(env.Obs, res.App, res.Elapsed.Seconds(), l.slots)
+		if plan != nil {
+			rec.ChangedTests = len(plan.Changed)
+			rec.ReplayedTests = len(plan.Replayed)
+		}
+		if err := ledger.Append(env.LedgerDir, rec); err != nil {
+			errs = append(errs, fmt.Errorf("writing run ledger: %w", err))
+		} else {
+			out.Record = &rec
+		}
+	}
+	if env.ProfilePath != "" {
+		if err := l.opts.Profile.Save(env.ProfilePath); err != nil {
+			errs = append(errs, fmt.Errorf("writing duration profile: %w", err))
+		}
+	}
+	out.SaveErr = errors.Join(errs...)
+	return out, nil
+}
+
+// saveCoverage persists the campaign's read-coverage index and replayable
+// item store into the ledger directory, folding in whatever of the
+// previous run still stands: entries for deselected tests (which ran
+// nothing this time, so only the prior entry knows their reads) and for
+// replayed tests (whose prior entry is by construction still valid).
+// Without the Adopt step a warm selection run would drop the very
+// entries it selected on, and the next run would oscillate back to full
+// dispatch.
+func (l *prepared) saveCoverage(dir string, app *harness.App, res *campaign.Result, plan *campaign.RerunPlan) error {
+	if res.Coverage == nil {
+		return nil
+	}
+	schema := campaign.OverrideApp(app, l.opts.Overrides).Schema()
+	ix := coverage.Build(app.Name, l.opts.Seed, l.opts.CoverageKey, res.Coverage, schema)
+	carry := append([]string(nil), res.DeselectedTests...)
+	if plan != nil {
+		carry = append(carry, plan.Replayed...)
+	}
+	ix.Adopt(l.prevIx, carry)
+
+	st := &coverage.ItemStore{App: app.Name, Items: make(map[string]json.RawMessage)}
+	for _, it := range res.Items {
+		if it.Replayed {
+			continue // the carried-forward raw record is the source of truth
+		}
+		if b, err := json.Marshal(it); err == nil {
+			st.Items[it.Test] = b
+		}
+	}
+	if l.prevItems != nil {
+		for _, t := range carry {
+			if raw, ok := l.prevItems.Items[t]; ok && st.Items[t] == nil {
+				st.Items[t] = raw
+			}
+		}
+	}
+
+	if err := coverage.Save(dir, ix); err != nil {
+		return fmt.Errorf("writing coverage index: %w", err)
+	}
+	if err := coverage.SaveItems(dir, st); err != nil {
+		return fmt.Errorf("writing coverage item store: %w", err)
+	}
+	return nil
+}

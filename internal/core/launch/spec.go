@@ -1,0 +1,216 @@
+// Package launch is the one place a campaign's settings are written down
+// and the one place they are turned into a finished, recorded campaign.
+// Spec is the policy: the CLI binds its flags onto one, `-mode submit`
+// posts it, the service decodes it and the ledger digests it. Campaign is
+// the launch sequence both the CLI and the service call.
+package launch
+
+import (
+	"encoding/json"
+	"flag"
+	"fmt"
+	"io"
+	"strings"
+	"time"
+
+	"zebraconf/internal/core/dist"
+	"zebraconf/internal/core/forensics"
+	"zebraconf/internal/core/ledger"
+	"zebraconf/internal/core/runner"
+	"zebraconf/internal/core/sched"
+	"zebraconf/internal/core/stats"
+)
+
+// Spec is a campaign's policy, and the POST /api/campaigns body. Every
+// field is a CLI flag (Bind) and every default lives in DefaultSpec, so a
+// zero here always means zero, never "unset". README "Campaign as a
+// service" tabulates field, flag, default and digest membership.
+type Spec struct {
+	App            string  `json:"app"`
+	Params         List    `json:"params"`
+	Tests          List    `json:"tests"`
+	Seed           int64   `json:"seed"`
+	Workers        int     `json:"workers"`
+	Parallel       int     `json:"parallel"`
+	WorkerParallel int     `json:"worker_parallel"`
+	MaxPool        int     `json:"max_pool"`
+	NoPool         bool    `json:"no_pool"`
+	NoGate         bool    `json:"no_gate"`
+	ExecCache      bool    `json:"exec_cache"`
+	ThreadOnly     bool    `json:"thread_only"`
+	Sched          string  `json:"sched"`
+	Seq            string  `json:"seq"`
+	SeqMargin      float64 `json:"seq_margin"`
+	Stream         bool    `json:"stream"`
+	Speculate      float64 `json:"speculate"`
+	Quarantine     int     `json:"quarantine"`
+	EvidenceMax    int64   `json:"evidence_max"`
+	ItemTimeout    Seconds `json:"item_timeout_seconds"`
+	ItemRetries    int     `json:"item_retries"`
+	Heartbeat      Millis  `json:"heartbeat_ms"`
+	Select         string  `json:"select"`
+	Overrides      string  `json:"override"`
+}
+
+// DefaultSpec is the campaign every flag left alone describes.
+func DefaultSpec() Spec {
+	return Spec{
+		App:         "all",
+		ExecCache:   true,
+		Sched:       "lpt",
+		Seq:         "sprt",
+		SeqMargin:   runner.DefaultSeqMargin,
+		Stream:      true,
+		Speculate:   1.5,
+		Quarantine:  3,
+		EvidenceMax: forensics.DefaultBudget,
+		ItemTimeout: Seconds(dist.DefaultItemTimeout),
+		ItemRetries: dist.DefaultItemRetries,
+		Heartbeat:   Millis(time.Second),
+		Select:      "coverage",
+	}
+}
+
+// DecodeSpec reads a JSON body onto DefaultSpec: an omitted field keeps
+// its default, an explicit zero is a zero.
+func DecodeSpec(r io.Reader) (Spec, error) {
+	s := DefaultSpec()
+	err := json.NewDecoder(r).Decode(&s)
+	return s, err
+}
+
+// Bind registers one flag per field on fs, defaults taken from s.
+func (s *Spec) Bind(fs *flag.FlagSet) {
+	fs.StringVar(&s.App, "app", s.App, "application name or 'all'")
+	fs.Var(&s.Params, "params", "comma-separated parameter subset")
+	fs.Var(&s.Tests, "tests", "comma-separated test subset")
+	fs.Int64Var(&s.Seed, "seed", s.Seed, "base seed mixed into every trial seed (reproducible campaigns)")
+	fs.IntVar(&s.Workers, "workers", s.Workers, "shard the campaign across N worker subprocesses (0 = in-process)")
+	fs.IntVar(&s.Parallel, "parallel", s.Parallel, "concurrent unit tests (0 = GOMAXPROCS)")
+	fs.IntVar(&s.WorkerParallel, "worker-parallel", s.WorkerParallel, "concurrent work items inside each worker subprocess (0 = split the -parallel budget across workers)")
+	fs.IntVar(&s.MaxPool, "max-pool", s.MaxPool, "max parameters per pool (0 = unbounded)")
+	fs.BoolVar(&s.NoPool, "no-pool", s.NoPool, "disable pooled testing (ablation)")
+	fs.BoolVar(&s.NoGate, "no-gate", s.NoGate, "disable first-trial gating (ablation)")
+	fs.BoolVar(&s.ExecCache, "exec-cache", s.ExecCache, "memoize identical unit-test executions (canonically-seeded homogeneous arms and pooled runs); -exec-cache=false re-runs everything (ablation)")
+	fs.BoolVar(&s.ThreadOnly, "thread-only", s.ThreadOnly, "use thread-based read attribution (the paper's failed attempt #3)")
+	fs.StringVar(&s.Sched, "sched", s.Sched, "phase-2 dispatch order: lpt (longest-predicted first) | fifo (ablation)")
+	fs.StringVar(&s.Seq, "seq", s.Seq, "sequential confirmation mode: sprt (SPRT convict/futility boundaries) | gsf (group-sequential Fisher, alpha-spending) | fixed (full-round ablation)")
+	fs.Float64Var(&s.SeqMargin, "seq-margin", s.SeqMargin, "budget reallocation: parameters ending within this factor x significance receive extension rounds funded by early stops; 0 disables")
+	fs.BoolVar(&s.Stream, "stream", s.Stream, "stream work items into phase 2 as each pre-run finishes; -stream=false holds every work item until the last pre-run finishes (ablation)")
+	fs.Float64Var(&s.Speculate, "speculate", s.Speculate, "with -workers: re-issue an item held longer than this factor x its predicted duration once the queue drains; 0 disables (ablation)")
+	fs.IntVar(&s.Quarantine, "quarantine", s.Quarantine, "distinct confirming tests before a parameter is live-quarantined mid-campaign (§4 frequent-failer rule); 0 disables the pruning (ablation)")
+	fs.Int64Var(&s.EvidenceMax, "evidence-max", s.EvidenceMax, "campaign-wide evidence byte budget (per worker with -workers): records degrade to verdict-only past it; 0 disables forensic capture, negative is unlimited")
+	fs.DurationVar((*time.Duration)(&s.ItemTimeout), "item-timeout", time.Duration(s.ItemTimeout), "per-work-item deadline before its worker is killed")
+	fs.IntVar(&s.ItemRetries, "item-retries", s.ItemRetries, "crashed/timed-out work item retries before quarantine")
+	fs.DurationVar((*time.Duration)(&s.Heartbeat), "heartbeat", time.Duration(s.Heartbeat), "worker heartbeat period with -workers; 0 disables heartbeats and stall detection")
+	fs.StringVar(&s.Select, "select", s.Select, "phase-2 test selection: coverage (skip tests whose indexed read set is disjoint from the campaign's params; needs a warm -ledger index) | all (dispatch to every test; ablation)")
+	fs.StringVar(&s.Overrides, "override", s.Overrides, "comma-separated param=value schema default overrides (simulates a changed seeded default; drives -mode rerun invalidation)")
+}
+
+// notInDigest names the flags ExecFlags leaves out: -app (a ledger record
+// carries it), -heartbeat (stall detection is advisory and changes no
+// verdict) and -override (an override changes the per-parameter schema
+// digests instead, so rerun invalidation names the drifted parameter
+// rather than the whole environment).
+var notInDigest = map[string]bool{"app": true, "heartbeat": true, "override": true}
+
+// ExecFlags renders the execution-affecting settings as the flag map the
+// ledger digests — every flag Bind registers but those in notInDigest, so
+// a new setting is in the digest unless it is argued out of it. Two runs
+// differing purely in instrumentation diff clean, and a served campaign
+// compares equal to the same flags run locally. The digest is also the
+// coverage environment key: an index entry is replayed or trusted for
+// selection only under the settings that recorded it.
+func (s Spec) ExecFlags() map[string]string {
+	fs := flag.NewFlagSet("", flag.ContinueOnError)
+	s.Bind(fs)
+	flags := make(map[string]string)
+	fs.VisitAll(func(f *flag.Flag) {
+		if !notInDigest[f.Name] {
+			flags[f.Name] = f.Value.String()
+		}
+	})
+	return flags
+}
+
+// Digest is the ledger flags digest and coverage environment key.
+func (s Spec) Digest() string { return ledger.DigestFlags(s.ExecFlags()) }
+
+// parsed is the form of the four string-typed settings the engine takes.
+type parsed struct {
+	policy    sched.Policy
+	seq       stats.SeqMode
+	overrides map[string]string
+}
+
+func (s Spec) parse() (p parsed, err error) {
+	if p.policy, err = sched.ParsePolicy(s.Sched); err != nil {
+		return p, err
+	}
+	if p.seq, err = stats.ParseSeqMode(s.Seq); err != nil {
+		return p, err
+	}
+	if s.Select != "coverage" && s.Select != "all" {
+		return p, fmt.Errorf("bad -select %q (want coverage or all)", s.Select)
+	}
+	p.overrides = make(map[string]string)
+	if s.Overrides == "" {
+		return p, nil
+	}
+	for _, kv := range strings.Split(s.Overrides, ",") {
+		k, v, ok := strings.Cut(kv, "=")
+		if k = strings.TrimSpace(k); !ok || k == "" {
+			return p, fmt.Errorf("bad -override entry %q (want param=value)", kv)
+		}
+		p.overrides[k] = v
+	}
+	return p, nil
+}
+
+// Validate rejects a Spec the launcher could not run.
+func (s Spec) Validate() error {
+	_, err := s.parse()
+	return err
+}
+
+// List is a string list whose flag form is comma-separated.
+type List []string
+
+func (l List) String() string { return strings.Join(l, ",") }
+
+// Set replaces the list with the trimmed, non-empty parts of v.
+func (l *List) Set(v string) error {
+	*l = nil
+	for _, part := range strings.Split(v, ",") {
+		if part = strings.TrimSpace(part); part != "" {
+			*l = append(*l, part)
+		}
+	}
+	return nil
+}
+
+// Seconds and Millis are durations that keep the REST body's units: a
+// JSON number of seconds (item_timeout_seconds) or milliseconds
+// (heartbeat_ms).
+type (
+	Seconds time.Duration
+	Millis  time.Duration
+)
+
+func (d Seconds) MarshalJSON() ([]byte, error) { return json.Marshal(time.Duration(d).Seconds()) }
+func (d Millis) MarshalJSON() ([]byte, error)  { return json.Marshal(time.Duration(d).Milliseconds()) }
+
+func (d *Seconds) UnmarshalJSON(b []byte) error {
+	return unmarshalDuration(b, time.Second, (*time.Duration)(d))
+}
+
+func (d *Millis) UnmarshalJSON(b []byte) error {
+	return unmarshalDuration(b, time.Millisecond, (*time.Duration)(d))
+}
+
+func unmarshalDuration(b []byte, unit time.Duration, d *time.Duration) error {
+	var n float64
+	err := json.Unmarshal(b, &n)
+	*d = time.Duration(n * float64(unit))
+	return err
+}

@@ -10,6 +10,7 @@ import (
 
 	"zebraconf/internal/core/diskcache"
 	"zebraconf/internal/core/dist"
+	"zebraconf/internal/core/launch"
 	"zebraconf/internal/obs"
 )
 
@@ -52,7 +53,7 @@ type Counts struct {
 // across submitted runs.
 type CampaignDetail struct {
 	CampaignSummary
-	Request  SubmitRequest       `json:"request"`
+	Request  launch.Spec         `json:"request"`
 	Status   *obs.CampaignStatus `json:"status,omitempty"`
 	Workers  []obs.WorkerStatus  `json:"workers,omitempty"`
 	Params   []obs.ParamStatus   `json:"params,omitempty"`
@@ -82,7 +83,7 @@ func (c *Campaign) summary(queuePos int) CampaignSummary {
 	defer c.mu.Unlock()
 	return CampaignSummary{
 		ID:            c.id,
-		App:           c.req.App,
+		App:           c.spec.App,
 		State:         c.state,
 		SubmittedAt:   fmtTime(c.submitted),
 		StartedAt:     fmtTime(c.started),
@@ -96,7 +97,7 @@ func (c *Campaign) summary(queuePos int) CampaignSummary {
 func (c *Campaign) detail(queuePos int) CampaignDetail {
 	d := CampaignDetail{CampaignSummary: c.summary(queuePos)}
 	c.mu.Lock()
-	d.Request = c.req
+	d.Request = c.spec
 	o, res := c.o, c.res
 	c.mu.Unlock()
 	if st := o.Stat(); st != nil {
@@ -210,16 +211,12 @@ func apiError(w http.ResponseWriter, code int, msg string) {
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var req SubmitRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 8<<20)).Decode(&req); err != nil {
+	spec, err := launch.DecodeSpec(http.MaxBytesReader(w, r.Body, 8<<20))
+	if err != nil {
 		apiError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
 	}
-	if err := req.Validate(); err != nil {
-		apiError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	id, err := s.Submit(req)
+	id, err := s.Submit(spec)
 	if err != nil {
 		apiError(w, http.StatusBadRequest, err.Error())
 		return

@@ -9,187 +9,8 @@ import (
 	"strings"
 	"time"
 
-	"zebraconf/internal/core/dist"
-	"zebraconf/internal/core/runner"
-	"zebraconf/internal/core/sched"
-	"zebraconf/internal/core/stats"
+	"zebraconf/internal/core/launch"
 )
-
-// SubmitRequest is the POST /api/campaigns body: the execution-affecting
-// subset of the CLI's flags. Pointer fields distinguish "omitted" from
-// "explicit zero" so defaults match the CLI exactly — an omitted field
-// behaves as if the flag was never passed, which keeps a submitted
-// campaign's ledger flags digest identical to a default local run's.
-type SubmitRequest struct {
-	// App names the application (required).
-	App string `json:"app"`
-	// Params and Tests subset the campaign (empty = all).
-	Params []string `json:"params,omitempty"`
-	Tests  []string `json:"tests,omitempty"`
-	// Seed is the campaign base seed.
-	Seed int64 `json:"seed,omitempty"`
-	// Workers is the number of TCP worker sessions to lease (default 2).
-	Workers int `json:"workers,omitempty"`
-	// Parallel is the total concurrency budget (0 = GOMAXPROCS), split
-	// across workers unless WorkerParallel pins the per-worker bound.
-	Parallel       int `json:"parallel,omitempty"`
-	WorkerParallel int `json:"worker_parallel,omitempty"`
-
-	MaxPool   int      `json:"max_pool,omitempty"`
-	NoPool    bool     `json:"no_pool,omitempty"`
-	NoGate    bool     `json:"no_gate,omitempty"`
-	ExecCache *bool    `json:"exec_cache,omitempty"` // default true
-	Sched     string   `json:"sched,omitempty"`      // default "lpt"
-	Seq       string   `json:"seq,omitempty"`        // default "sprt"
-	SeqMargin *float64 `json:"seq_margin,omitempty"` // default runner.DefaultSeqMargin
-	Stream    *bool    `json:"stream,omitempty"`     // default true
-	Speculate *float64 `json:"speculate,omitempty"`  // default 1.5
-	// Quarantine is the live-quarantine threshold (default 3, 0 disables).
-	Quarantine *int `json:"quarantine,omitempty"`
-	// EvidenceMax is the per-worker evidence byte budget (default the
-	// CLI's forensics.DefaultBudget; 0 disables capture).
-	EvidenceMax *int64 `json:"evidence_max,omitempty"`
-	// ItemTimeoutSeconds and ItemRetries bound distributed items
-	// (defaults: 10 minutes, 2 retries).
-	ItemTimeoutSeconds float64 `json:"item_timeout_seconds,omitempty"`
-	ItemRetries        *int    `json:"item_retries,omitempty"`
-	// HeartbeatMS is the worker heartbeat period (default 1000; 0 after
-	// explicit negative disables — match the CLI by omitting instead).
-	HeartbeatMS int `json:"heartbeat_ms,omitempty"`
-	// Select chooses phase-2 test selection: "coverage" (default — skip
-	// tests whose indexed read set is disjoint from the campaign's
-	// params, when the server's ledger holds a warm index) or "all".
-	Select string `json:"select,omitempty"`
-}
-
-// EffectiveWorkers defaults to 2 — the smallest fleet that exercises
-// the distributed paths.
-func (r SubmitRequest) EffectiveWorkers() int {
-	if r.Workers <= 0 {
-		return 2
-	}
-	return r.Workers
-}
-
-func (r SubmitRequest) EffectiveSched() string {
-	if r.Sched == "" {
-		return "lpt"
-	}
-	return r.Sched
-}
-
-func (r SubmitRequest) EffectiveSeq() string {
-	if r.Seq == "" {
-		return "sprt"
-	}
-	return r.Seq
-}
-
-func (r SubmitRequest) EffectiveSeqMargin() float64 {
-	if r.SeqMargin == nil {
-		return runner.DefaultSeqMargin
-	}
-	return *r.SeqMargin
-}
-
-func (r SubmitRequest) EffectiveSelect() string {
-	if r.Select == "" {
-		return "coverage"
-	}
-	return r.Select
-}
-
-func (r SubmitRequest) EffectiveExecCache() bool { return r.ExecCache == nil || *r.ExecCache }
-func (r SubmitRequest) EffectiveStream() bool    { return r.Stream == nil || *r.Stream }
-
-func (r SubmitRequest) EffectiveSpeculate() float64 {
-	if r.Speculate == nil {
-		return 1.5
-	}
-	return *r.Speculate
-}
-
-func (r SubmitRequest) EffectiveQuarantine() int {
-	if r.Quarantine == nil {
-		return 3
-	}
-	return *r.Quarantine
-}
-
-func (r SubmitRequest) EffectiveEvidenceMax() int64 {
-	if r.EvidenceMax == nil {
-		return defaultEvidenceMax
-	}
-	return *r.EvidenceMax
-}
-
-func (r SubmitRequest) EffectiveItemTimeout() time.Duration {
-	if r.ItemTimeoutSeconds <= 0 {
-		return dist.DefaultItemTimeout
-	}
-	return time.Duration(r.ItemTimeoutSeconds * float64(time.Second))
-}
-
-func (r SubmitRequest) EffectiveItemRetries() int {
-	if r.ItemRetries == nil {
-		return dist.DefaultItemRetries
-	}
-	return *r.ItemRetries
-}
-
-func (r SubmitRequest) EffectiveHeartbeatMS() int {
-	if r.HeartbeatMS <= 0 {
-		return 1000
-	}
-	return r.HeartbeatMS
-}
-
-// ExecFlags renders the request as the CLI's execution-affecting flag
-// map — the same keys and value formatting main.go feeds the ledger, so
-// submitted and locally-run campaigns with equal settings produce equal
-// flags digests and `-mode diff` compares them clean.
-func (r SubmitRequest) ExecFlags() map[string]string {
-	return map[string]string{
-		"params":          strings.Join(r.Params, ","),
-		"tests":           strings.Join(r.Tests, ","),
-		"parallel":        fmt.Sprint(r.Parallel),
-		"seed":            fmt.Sprint(r.Seed),
-		"no-pool":         fmt.Sprint(r.NoPool),
-		"exec-cache":      fmt.Sprint(r.EffectiveExecCache()),
-		"no-gate":         fmt.Sprint(r.NoGate),
-		"thread-only":     "false",
-		"max-pool":        fmt.Sprint(r.MaxPool),
-		"sched":           r.EffectiveSched(),
-		"seq":             r.EffectiveSeq(),
-		"seq-margin":      fmt.Sprint(r.EffectiveSeqMargin()),
-		"stream":          fmt.Sprint(r.EffectiveStream()),
-		"speculate":       fmt.Sprint(r.EffectiveSpeculate()),
-		"quarantine":      fmt.Sprint(r.EffectiveQuarantine()),
-		"evidence-max":    fmt.Sprint(r.EffectiveEvidenceMax()),
-		"workers":         fmt.Sprint(r.EffectiveWorkers()),
-		"worker-parallel": fmt.Sprint(r.WorkerParallel),
-		"item-timeout":    r.EffectiveItemTimeout().String(),
-		"item-retries":    fmt.Sprint(r.EffectiveItemRetries()),
-		"select":          r.EffectiveSelect(),
-	}
-}
-
-// Validate rejects requests the run loop could not execute.
-func (r SubmitRequest) Validate() error {
-	if r.App == "" {
-		return fmt.Errorf("server: request needs an app")
-	}
-	if _, err := sched.ParsePolicy(r.EffectiveSched()); err != nil {
-		return err
-	}
-	if _, err := stats.ParseSeqMode(r.EffectiveSeq()); err != nil {
-		return err
-	}
-	if s := r.EffectiveSelect(); s != "coverage" && s != "all" {
-		return fmt.Errorf("server: bad select %q (want coverage or all)", s)
-	}
-	return nil
-}
 
 // Client drives the REST API — shared by `zebraconf -mode
 // submit|watch|cancel` and the integration tests.
@@ -253,11 +74,11 @@ func (c *Client) do(method, path string, body, out any) error {
 }
 
 // Submit posts one campaign and returns its ID.
-func (c *Client) Submit(req SubmitRequest) (string, error) {
+func (c *Client) Submit(spec launch.Spec) (string, error) {
 	var out struct {
 		ID string `json:"id"`
 	}
-	if err := c.do(http.MethodPost, "/api/campaigns", req, &out); err != nil {
+	if err := c.do(http.MethodPost, "/api/campaigns", spec, &out); err != nil {
 		return "", err
 	}
 	return out.ID, nil

@@ -20,26 +20,22 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
 	"sync"
 	"time"
 
 	"zebraconf/internal/core/campaign"
-	"zebraconf/internal/core/coverage"
 	"zebraconf/internal/core/diskcache"
 	"zebraconf/internal/core/dist"
-	"zebraconf/internal/core/forensics"
 	"zebraconf/internal/core/harness"
-	"zebraconf/internal/core/ledger"
+	"zebraconf/internal/core/launch"
 	"zebraconf/internal/core/report"
-	"zebraconf/internal/core/sched"
-	"zebraconf/internal/core/stats"
 	"zebraconf/internal/obs"
 )
 
@@ -54,6 +50,10 @@ const (
 
 // ErrNotFound marks an unknown campaign ID.
 var ErrNotFound = errors.New("server: no such campaign")
+
+// defaultWorkers is how many worker sessions a submission that names none
+// leases: the smallest fleet that exercises the distributed paths.
+const defaultWorkers = 2
 
 // Options configures a Server.
 type Options struct {
@@ -86,7 +86,6 @@ type Server struct {
 	opts    Options
 	gw      *dist.Gateway
 	store   *diskcache.Store
-	profile *sched.Profile
 	started time.Time
 
 	mu        sync.Mutex
@@ -105,24 +104,23 @@ type Server struct {
 type Campaign struct {
 	mu        sync.Mutex
 	id        string
-	req       SubmitRequest
+	spec      launch.Spec
 	state     string
 	errMsg    string
 	submitted time.Time
 	started   time.Time
 	finished  time.Time
 	o         *obs.Observer
-	coord     *dist.Coordinator // set while the campaign runs; for Abort
-	cancelled bool
-	res       *campaign.Result
-	runID     string
-	// slots is the run's parallel execution budget (workers x per-worker
-	// parallelism), recorded for the perf summary's utilization.
-	slots int
+	// ctx is cancelled by Cancel and Close; it aborts the running
+	// campaign and marks its terminal state cancelled.
+	ctx    context.Context
+	cancel context.CancelFunc
+	res    *campaign.Result
+	runID  string
 }
 
-// New assembles a Server: state directory, disk cache, gateway, shared
-// profile. The REST listener starts in Serve.
+// New assembles a Server: state directory, disk cache, gateway. The REST
+// listener starts in Serve.
 func New(opts Options) (*Server, error) {
 	if opts.Resolve == nil {
 		return nil, errors.New("server: Options.Resolve is required")
@@ -137,10 +135,6 @@ func New(opts Options) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	profile, err := sched.LoadProfile(filepath.Join(opts.StateDir, "profile.json"))
-	if err != nil {
-		return nil, err
-	}
 	gw, err := dist.ListenGateway(opts.WorkerAddr, opts.Token, opts.Obs)
 	if err != nil {
 		return nil, err
@@ -149,7 +143,6 @@ func New(opts Options) (*Server, error) {
 		opts:      opts,
 		gw:        gw,
 		store:     store,
-		profile:   profile,
 		started:   time.Now(),
 		campaigns: make(map[string]*Campaign),
 		wake:      make(chan struct{}, 1),
@@ -170,19 +163,26 @@ func (s *Server) logf(format string, args ...any) {
 }
 
 // Submit validates and enqueues one campaign, returning its ID.
-func (s *Server) Submit(req SubmitRequest) (string, error) {
-	if _, err := s.opts.Resolve(req.App); err != nil {
+func (s *Server) Submit(spec launch.Spec) (string, error) {
+	if _, err := s.opts.Resolve(spec.App); err != nil {
 		return "", fmt.Errorf("server: %w", err)
 	}
-	if req.Workers < 0 || req.Workers > 64 {
-		return "", fmt.Errorf("server: workers out of range: %d", req.Workers)
+	if err := spec.Validate(); err != nil {
+		return "", fmt.Errorf("server: %w", err)
+	}
+	if spec.Workers <= 0 {
+		spec.Workers = defaultWorkers
+	}
+	if spec.Workers > 64 {
+		return "", fmt.Errorf("server: workers out of range: %d", spec.Workers)
 	}
 	c := &Campaign{
-		req:       req,
+		spec:      spec,
 		state:     StateQueued,
 		submitted: time.Now(),
 		o:         obs.New(),
 	}
+	c.ctx, c.cancel = context.WithCancel(context.Background())
 	c.o.Status = obs.NewStatus()
 	s.mu.Lock()
 	if s.closed {
@@ -201,12 +201,12 @@ func (s *Server) Submit(req SubmitRequest) (string, error) {
 	case s.wake <- struct{}{}:
 	default:
 	}
-	s.logf("campaign %s queued: app=%s workers=%d seed=%d", c.id, req.App, req.EffectiveWorkers(), req.Seed)
+	s.logf("campaign %s queued: app=%s workers=%d seed=%d", c.id, spec.App, spec.Workers, spec.Seed)
 	return c.id, nil
 }
 
 // Cancel cancels a campaign: a queued one is marked cancelled in place,
-// a running one has its coordinator aborted (inflight items are
+// a running one is aborted through its context (inflight items are
 // abandoned; already-finished pre-runs are not undone). Returns the
 // resulting state.
 func (s *Server) Cancel(id string) (string, error) {
@@ -220,15 +220,13 @@ func (s *Server) Cancel(id string) (string, error) {
 	defer c.mu.Unlock()
 	switch c.state {
 	case StateQueued:
+		c.cancel()
 		c.state = StateCancelled
 		c.finished = time.Now()
 		s.opts.Obs.CounterAdd(obs.MServerCampaigns, 1, "state", StateCancelled)
 		s.logf("campaign %s cancelled while queued", c.id)
 	case StateRunning:
-		c.cancelled = true
-		if c.coord != nil {
-			c.coord.Abort()
-		}
+		c.cancel()
 		s.logf("campaign %s cancel requested; aborting coordinator", c.id)
 	}
 	return c.state, nil
@@ -243,21 +241,10 @@ func (s *Server) Close() {
 		return
 	}
 	s.closed = true
-	running := make([]*Campaign, 0, 1)
 	for _, c := range s.campaigns {
-		running = append(running, c)
+		c.cancel()
 	}
 	s.mu.Unlock()
-	for _, c := range running {
-		c.mu.Lock()
-		if c.state == StateRunning {
-			c.cancelled = true
-			if c.coord != nil {
-				c.coord.Abort()
-			}
-		}
-		c.mu.Unlock()
-	}
 	select {
 	case s.wake <- struct{}{}:
 	default:
@@ -312,14 +299,12 @@ func (s *Server) nextQueued() *Campaign {
 	}
 }
 
-// runCampaign executes one submission end to end, mirroring the CLI's
-// `-mode run -workers N` path: same defaults, same config plumbing,
-// same streaming/LPT/speculation/quarantine machinery — the five-app
-// equivalence invariant extends to served campaigns precisely because
-// this function introduces no execution-affecting difference.
+// runCampaign executes one submission through launch.Campaign — the same
+// function `-mode run -workers N` calls, over gateway sessions instead of
+// subprocesses — and files what is the service's own: the per-campaign
+// directory with its journal, result and perf summary.
 func (s *Server) runCampaign(c *Campaign) {
-	req := c.req
-	app, err := s.opts.Resolve(req.App)
+	app, err := s.opts.Resolve(c.spec.App)
 	if err != nil {
 		s.finish(c, nil, err)
 		return
@@ -327,191 +312,76 @@ func (s *Server) runCampaign(c *Campaign) {
 	c.mu.Lock()
 	c.state = StateRunning
 	c.started = time.Now()
-	cancelled := c.cancelled
 	c.mu.Unlock()
-	if cancelled {
-		s.finish(c, nil, nil)
-		return
-	}
-	s.logf("campaign %s running: app=%s", c.id, req.App)
+	s.logf("campaign %s running: app=%s", c.id, c.spec.App)
 
 	dir := filepath.Join(s.opts.StateDir, "campaigns", c.id)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		s.finish(c, nil, err)
 		return
 	}
-
-	policy, err := sched.ParsePolicy(req.EffectiveSched())
-	if err != nil {
-		s.finish(c, nil, err)
-		return
-	}
-	seqMode, err := stats.ParseSeqMode(req.EffectiveSeq())
-	if err != nil {
-		s.finish(c, nil, err)
-		return
-	}
-	quarThreshold := req.EffectiveQuarantine()
-	if quarThreshold <= 0 {
-		quarThreshold = math.MaxInt32
-	}
-	execCache := req.EffectiveExecCache()
-	copts := campaign.Options{
-		Parallelism:         req.Parallel,
-		MaxPool:             req.MaxPool,
-		DisablePooling:      req.NoPool,
-		DisableGate:         req.NoGate,
-		DisableExecCache:    !execCache,
-		Params:              req.Params,
-		Tests:               req.Tests,
-		Seed:                req.Seed,
-		Seq:                 seqMode,
-		SeqMargin:           req.EffectiveSeqMargin(),
-		SchedPolicy:         policy,
-		Stream:              req.EffectiveStream(),
-		Profile:             s.profile,
-		QuarantineThreshold: quarThreshold,
-		EvidenceMax:         req.EffectiveEvidenceMax(),
-		SelectCoverage:      req.EffectiveSelect() == "coverage",
-		Obs:                 c.o,
-	}
-	// Coverage-driven selection reads the server ledger's index exactly
-	// as the CLI reads a -ledger directory's: the environment key is the
-	// request's flags digest, so a submitted campaign only trusts entries
-	// recorded under matching execution-affecting settings.
-	ledgerDir := filepath.Join(s.opts.StateDir, "ledger")
-	copts.CoverageKey = ledger.DigestFlags(req.ExecFlags())
-	prevIx, cerr := coverage.Load(ledgerDir, app.Name)
-	if cerr != nil {
-		s.logf("campaign %s: reading coverage index: %v", c.id, cerr)
-	}
-	copts.CoverageIndex = prevIx
-	if execCache {
-		// The campaign's in-process memo cache (pre-runs and any local
-		// executions) reads and feeds the same persistent store the
-		// coordinator serves to workers.
-		copts.CacheBackend = s.store
-	}
-
-	workers := req.EffectiveWorkers()
-	cfg := dist.ConfigFrom(copts)
-	cfg.HeartbeatMS = req.EffectiveHeartbeatMS()
-	cfg.Parallel = req.WorkerParallel
-	if cfg.Parallel <= 0 {
-		// Split the in-process concurrency budget across workers, exactly
-		// as the CLI does, so served and local campaigns put the same
-		// total load on the timing-sensitive tests.
-		total := req.Parallel
-		if total <= 0 {
-			total = campaign.DefaultParallelism()
-		}
-		cfg.Parallel = (total + workers - 1) / workers
-	}
-	c.mu.Lock()
-	c.slots = workers * cfg.Parallel
-	c.mu.Unlock()
 	// Every served campaign gets a ring-only perf sampler: the summary
 	// lands in its ledger record and perf.json without clients asking.
 	c.o.Sampler = obs.NewSampler(c.o, 0, nil, 0)
 	c.o.Sampler.Start()
-	coord := dist.New(dist.Options{
-		App:                 app.Name,
-		Workers:             workers,
-		Sessions:            s.gw,
-		SharedBackend:       s.store,
-		Config:              cfg,
-		CheckpointPath:      filepath.Join(dir, "journal.jsonl"),
-		ItemTimeout:         req.EffectiveItemTimeout(),
-		ItemRetries:         req.EffectiveItemRetries(),
-		SchedPolicy:         policy,
-		SpeculationFactor:   req.EffectiveSpeculate(),
-		Profile:             s.profile,
-		QuarantineThreshold: quarThreshold,
-		Obs:                 c.o,
-		Stderr:              s.opts.Logw,
+	out, err := launch.Campaign(c.ctx, app, c.spec, launch.Env{
+		Sessions:       s.gw,
+		Cache:          s.store,
+		Obs:            c.o,
+		Stderr:         s.opts.Logw,
+		LedgerDir:      filepath.Join(s.opts.StateDir, "ledger"),
+		ProfilePath:    filepath.Join(s.opts.StateDir, "profile.json"),
+		CheckpointPath: filepath.Join(dir, "journal.jsonl"),
 	})
-	// A cancel that arrived before this point found no coordinator to
-	// abort; Abort before Begin makes the run halt as it opens.
-	c.mu.Lock()
-	c.coord = coord
-	cancelled = c.cancelled
-	c.mu.Unlock()
-	if cancelled {
-		coord.Abort()
-	}
-	copts.Distributor = coord
-
-	res := campaign.Run(app, copts)
 	c.o.Sampler.Stop()
-	if run := coord.Run(); run != nil {
-		res.WorkerStalls = run.Stalls()
+	if err != nil {
+		s.finish(c, nil, err)
+		return
 	}
-	if res.Coverage != nil {
-		ix := coverage.Build(app.Name, req.Seed, copts.CoverageKey, res.Coverage, app.Schema())
-		ix.Adopt(prevIx, res.DeselectedTests)
-		if serr := coverage.Save(ledgerDir, ix); serr != nil {
-			s.logf("campaign %s: writing coverage index: %v", c.id, serr)
-		}
-	}
-	if err := s.profile.Save(filepath.Join(s.opts.StateDir, "profile.json")); err != nil {
-		s.logf("campaign %s: saving duration profile: %v", c.id, err)
+	if out.SaveErr != nil {
+		s.logf("campaign %s: %v", c.id, out.SaveErr)
 	}
 	if f, err := os.Create(filepath.Join(dir, "result.json")); err == nil {
-		if werr := report.JSON(f, []*campaign.Result{res}); werr != nil {
+		if werr := report.JSON(f, []*campaign.Result{out.Result}); werr != nil {
 			s.logf("campaign %s: writing result.json: %v", c.id, werr)
 		}
 		f.Close()
 	}
-	s.finish(c, res, coord.Err())
+	if out.Record != nil && out.Record.Perf != nil {
+		// The summary sits beside the campaign's journal and result so
+		// one submission's whole story lives in its directory.
+		if b, jerr := json.MarshalIndent(out.Record.Perf, "", "  "); jerr == nil {
+			if werr := os.WriteFile(filepath.Join(dir, "perf.json"), b, 0o644); werr != nil {
+				s.logf("campaign %s: writing perf.json: %v", c.id, werr)
+			}
+		}
+	}
+	s.finish(c, out, nil)
 }
 
-// finish settles a campaign's terminal state and, for completed runs,
-// appends its ledger record so `-mode diff` can compare submitted runs.
-func (s *Server) finish(c *Campaign, res *campaign.Result, err error) {
-	c.mu.Lock()
+// finish settles a campaign's terminal state. The state is published
+// last, together with the ledger run ID: a client that polls for "done"
+// must find the whole record.
+func (s *Server) finish(c *Campaign, out *launch.Outcome, err error) {
 	state := StateDone
 	switch {
-	case c.cancelled || c.state == StateCancelled:
+	case c.ctx.Err() != nil:
 		state = StateCancelled
 	case err != nil:
 		state = StateFailed
 	}
-	started := c.started
-	slots := c.slots
-	c.mu.Unlock()
-	c.o.Sampler.Stop() // no-op when the run never started sampling
-
-	runID := ""
-	if state == StateDone && res != nil {
-		rec := ledger.Summarize(res, c.req.Seed, started, c.req.EffectiveWorkers(), c.req.ExecFlags())
-		rec.Perf = obs.SummarizePerf(c.o, res.App, res.Elapsed.Seconds(), slots)
-		if rec.Perf != nil {
-			// Persist the summary beside the campaign's journal and result
-			// so one submission's whole story lives in its directory.
-			path := filepath.Join(s.opts.StateDir, "campaigns", c.id, "perf.json")
-			if b, jerr := json.MarshalIndent(rec.Perf, "", "  "); jerr == nil {
-				if werr := os.WriteFile(path, b, 0o644); werr != nil {
-					s.logf("campaign %s: writing perf.json: %v", c.id, werr)
-				}
-			}
-		}
-		if lerr := ledger.Append(filepath.Join(s.opts.StateDir, "ledger"), rec); lerr != nil {
-			s.logf("campaign %s: writing ledger: %v", c.id, lerr)
-		} else {
-			runID = rec.RunID
+	c.mu.Lock()
+	if out != nil {
+		c.res = out.Result
+		if out.Record != nil {
+			c.runID = out.Record.RunID
 		}
 	}
-	// Publish the terminal state last, together with the ledger run ID: a
-	// client that polls for "done" must find the whole record.
-	c.mu.Lock()
-	c.res = res
 	c.finished = time.Now()
-	c.coord = nil
 	c.state = state
 	if state == StateFailed {
 		c.errMsg = err.Error()
 	}
-	c.runID = runID
 	c.mu.Unlock()
 	s.opts.Obs.CounterAdd(obs.MServerCampaigns, 1, "state", state)
 	if err != nil {
@@ -520,7 +390,3 @@ func (s *Server) finish(c *Campaign, res *campaign.Result, err error) {
 		s.logf("campaign %s finished: %s", c.id, state)
 	}
 }
-
-// defaultEvidenceMax mirrors the CLI's -evidence-max default so served
-// and local runs produce identical flags digests.
-var defaultEvidenceMax = forensics.DefaultBudget

@@ -1,14 +1,18 @@
 package server_test
 
 import (
+	"encoding/json"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
 
 	"zebraconf/internal/apps"
 	"zebraconf/internal/core/campaign"
+	"zebraconf/internal/core/coverage"
 	"zebraconf/internal/core/dist"
+	"zebraconf/internal/core/launch"
 	"zebraconf/internal/core/ledger"
 	"zebraconf/internal/core/server"
 	"zebraconf/internal/obs"
@@ -66,14 +70,14 @@ func startServer(t *testing.T, stateDir string, workers int) (*server.Server, *s
 
 // subsetRequest mirrors the dist test suite's deterministic minihdfs
 // slice: two checksum parameters, three tests, three work items.
-func subsetRequest(seed int64) server.SubmitRequest {
-	return server.SubmitRequest{
-		App:     "minihdfs",
-		Params:  []string{"dfs.bytes-per-checksum", "dfs.checksum.type"},
-		Tests:   []string{"TestWriteRead", "TestFsck", "TestMkdirList"},
-		Seed:    seed,
-		Workers: 2,
-	}
+func subsetRequest(seed int64) launch.Spec {
+	s := launch.DefaultSpec()
+	s.App = "minihdfs"
+	s.Params = []string{"dfs.bytes-per-checksum", "dfs.checksum.type"}
+	s.Tests = []string{"TestWriteRead", "TestFsck", "TestMkdirList"}
+	s.Seed = seed
+	s.Workers = 2
+	return s
 }
 
 // TestServedCampaignMatchesLocal is the tentpole roundtrip: submit over
@@ -138,6 +142,23 @@ func TestServedCampaignMatchesLocal(t *testing.T) {
 	}
 	if len(recs) != 1 || recs[0].RunID != d.RunID {
 		t.Fatalf("ledger records = %+v, want one with run ID %s", recs, d.RunID)
+	}
+
+	// The item store sits next to the coverage index, one entry per
+	// executed test, so `-mode rerun -ledger <state>/ledger` can replay a
+	// served campaign exactly as it replays a local one.
+	items, err := coverage.LoadItems(filepath.Join(dir, "ledger"), "minihdfs")
+	if err != nil || items == nil {
+		t.Fatalf("served campaign left no readable item store: %v, %v", items, err)
+	}
+	for _, name := range req.Tests {
+		var it campaign.ItemResult
+		if err := json.Unmarshal(items.Items[name], &it); err != nil || it.Test != name {
+			t.Errorf("item store entry for %s: %+v, %v", name, it, err)
+		}
+	}
+	if len(items.Items) != len(req.Tests) {
+		t.Errorf("item store holds %d entries, want one per executed test (%d)", len(items.Items), len(req.Tests))
 	}
 
 	// Resubmit: the identical campaign replays from the disk cache.
@@ -208,13 +229,20 @@ func TestQueueAndCancel(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 	}
 
-	id2, err := cl.Submit(subsetRequest(6))
+	// The second submission carries the settings `-mode submit` used to
+	// drop or rewrite; the detail must echo them as sent.
+	spec2 := subsetRequest(6)
+	spec2.Select, spec2.ThreadOnly, spec2.Overrides, spec2.Heartbeat = "all", true, "dfs.replication=2", 0
+	id2, err := cl.Submit(spec2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	d2, err := cl.Get(id2)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(d2.Request, spec2) {
+		t.Fatalf("submitted %+v, service holds %+v", spec2, d2.Request)
 	}
 	if d2.State != server.StateQueued || d2.QueuePosition != 1 {
 		t.Fatalf("second campaign = %s at queue position %d, want queued at 1", d2.State, d2.QueuePosition)
