@@ -19,9 +19,7 @@ import (
 	"zebraconf/internal/core/campaign"
 	"zebraconf/internal/core/harness"
 	"zebraconf/internal/core/runner"
-	"zebraconf/internal/core/stats"
 	"zebraconf/internal/core/testgen"
-	"zebraconf/internal/rpcsim"
 	"zebraconf/internal/simtime"
 )
 
@@ -526,65 +524,5 @@ func BenchmarkMappingStrategyAblation(b *testing.B) {
 		})
 		b.ReportMetric(float64(paper.FalsePositives), "paper_fps")
 		b.ReportMetric(float64(threadOnly.FalsePositives+len(threadOnly.Missed)), "threadonly_fps_plus_missed")
-	}
-}
-
-// --- micro-benchmarks (allocation profiles for -benchmem) ------------------
-
-func BenchmarkWireEncodeDecode(b *testing.B) {
-	sec := rpcsim.Security{Codec: rpcsim.CodecDeflate, Encrypt: true, Key: "k"}
-	payload := make([]byte, 1024)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		wire, err := rpcsim.Encode(sec, payload)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := rpcsim.Decode(sec, wire); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkConfGet(b *testing.B) {
-	rt := confkit.NewRuntime(minihdfs.NewRegistry())
-	c := rt.NewConf()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = c.GetTicks(minihdfs.ParamHeartbeatInterval)
-	}
-}
-
-func BenchmarkConfGetWithAgent(b *testing.B) {
-	rt := confkit.NewRuntime(minihdfs.NewRegistry())
-	ag := agent.New(agent.Options{Assign: map[agent.Key]string{
-		{NodeType: agent.UnitTestEntity, NodeIndex: 0, Param: minihdfs.ParamHeartbeatInterval}: "7",
-	}})
-	rt.SetHooks(ag)
-	c := rt.NewConf()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = c.GetTicks(minihdfs.ParamHeartbeatInterval)
-	}
-}
-
-func BenchmarkFisherExact(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_ = stats.FisherOneSided(9, 0, 0, 18)
-	}
-}
-
-func BenchmarkRunOnceWriteRead(b *testing.B) {
-	app, _ := apps.ByName("minihdfs")
-	test, err := app.Test("TestWriteRead")
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		out := harness.RunOnce(app, test, agent.Options{}, int64(i))
-		if out.Failed {
-			b.Fatalf("baseline failure: %s", out.Msg)
-		}
 	}
 }

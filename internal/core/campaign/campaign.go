@@ -347,35 +347,29 @@ func Run(app *harness.App, opts Options) *Result {
 		res.SkippedTests = append(res.SkippedTests, unknown...)
 		o.CounterAdd(obs.MSkippedTests, int64(len(unknown)), "app", app.Name)
 	}
-	o.ProgressBegin(app.Name)
-	defer o.ProgressFinish()
-	o.Stat().CampaignBegin(app.Name, opts.Parallelism)
 	o.Event(obs.EvCampaignStart,
 		obs.String("app", app.Name),
 		obs.Int("tests", int64(len(tests))),
 		obs.Int("params", int64(schema.Len())))
+	o.SetSlots(opts.Parallelism)
 	campSpan := o.StartSpan("campaign", obs.NoSpan,
 		obs.String("app", app.Name),
 		obs.Int("tests", int64(len(tests))),
 		obs.Int("params", int64(schema.Len())))
 	defer campSpan.End()
-	// phase opens a child span, times the phase into MPhaseSeconds, and
-	// brackets it in the event log and live status; call the returned
-	// func when the phase ends.
+	// phase opens a child span and brackets the phase with its two events
+	// (the finish one carries the phase's duration); call the returned func
+	// when the phase ends.
 	phase := func(name string) (obs.SpanID, func()) {
 		span := o.StartSpan("phase", campSpan.ID(),
 			obs.String("app", app.Name), obs.String("phase", name))
 		o.Event(obs.EvPhaseStart,
 			obs.String("app", app.Name), obs.String("phase", name))
-		o.Stat().PhaseStart(name)
 		phaseStart := time.Now()
 		return span.ID(), func() {
-			o.Observe(obs.MPhaseSeconds, time.Since(phaseStart).Seconds(),
-				"app", app.Name, "phase", name)
 			o.Event(obs.EvPhaseFinish,
 				obs.String("app", app.Name), obs.String("phase", name),
 				obs.Float("elapsed_s", time.Since(phaseStart).Seconds()))
-			o.Stat().PhaseFinish(name)
 			span.End()
 		}
 	}
@@ -426,7 +420,6 @@ func Run(app *harness.App, opts Options) *Result {
 		obs.Int("executed", res.Counts.Executed),
 		obs.Int("executions_saved", res.Counts.ExecutionsSaved),
 		obs.Int("skipped_tests", int64(len(res.SkippedTests))))
-	o.Stat().CampaignFinish()
 	o.Event(obs.EvCampaignFinish,
 		obs.String("app", app.Name),
 		obs.Int("reported", int64(len(res.Reported))),

@@ -34,16 +34,14 @@ func NewFrequentFailers(app string, threshold int, o *obs.Observer) *FrequentFai
 
 // Confirm records that test confirmed param unsafe and reports whether
 // that quarantines param: true exactly once per parameter, on the
-// confirmation by its threshold-th distinct test. A true answer is counted,
-// logged and shown in the live status here.
+// confirmation by its threshold-th distinct test. A true answer is emitted
+// here as the param_quarantined event.
 func (f *FrequentFailers) Confirm(param, test string) bool {
 	if !f.Fold(param, test) {
 		return false
 	}
-	f.o.CounterAdd(obs.MQuarantine, 1, "app", f.app)
 	f.o.Event(obs.EvParamQuarantined,
 		obs.String("app", f.app), obs.String("param", param))
-	f.o.Stat().ParamQuarantined(param)
 	return true
 }
 

@@ -136,7 +136,11 @@ func (p *pipeline) doPreRun(idx int) {
 	p.pres[idx] = pre
 	item := WorkItem{ID: idx, Test: pre.Test, PreRun: pre, ForceParams: p.force[pre.Test]}
 	item.PredSeconds, item.PredTrials = p.predict(item, d.Seconds())
-	p.o.Stat().ItemQueued(item.ID, item.Test, item.PredSeconds)
+	p.o.Event(obs.EvItemQueued,
+		obs.String("app", p.app.Name),
+		obs.Int("item", int64(item.ID)),
+		obs.String("test", item.Test),
+		obs.Float("pred_s", item.PredSeconds))
 	p.items[idx] = item
 
 	p.mu.Lock()
@@ -188,9 +192,9 @@ func (p *pipeline) release(item WorkItem) {
 // doItem executes one work item on the in-process pool (the distributed
 // coordinator emits its own dispatch and completion records, with worker
 // attribution) and feeds its wall clock and trial count back into the
-// profile, the run-time and predicted-vs-actual histograms, the event log
-// and the live status ETA. The last item closes the queue and with it the
-// worker pool.
+// profile and the predicted-vs-actual histogram; the item_complete event
+// carries the rest (run-time histogram, live status ETA). The last item
+// closes the queue and with it the worker pool.
 func (p *pipeline) doItem(item WorkItem) {
 	o, app := p.o, p.app.Name
 	t0 := time.Now()
@@ -198,12 +202,8 @@ func (p *pipeline) doItem(item WorkItem) {
 		obs.String("app", app),
 		obs.Int("item", int64(item.ID)),
 		obs.String("test", item.Test))
-	o.Stat().ItemStart(item.ID)
 	res := ExecuteItem(p.app, p.gen, p.run, p.opts, p.span, item, p.onUnsafe, false)
 	secs := time.Since(t0).Seconds()
-	// The per-item run-time histogram the ledger's perf summary reads
-	// (queue wait is already observed at the queue's pop).
-	o.Observe(obs.MItemRunSeconds, secs, "app", app, "stage", "instances")
 	p.opts.Profile.RecordTrials(app, item.Test, secs, res.Executions)
 	if item.PredSeconds > 0 {
 		o.Observe(obs.MSchedPredRatio, secs/item.PredSeconds, "app", app)
@@ -213,7 +213,6 @@ func (p *pipeline) doItem(item WorkItem) {
 		obs.Int("item", int64(item.ID)),
 		obs.String("test", item.Test),
 		obs.Float("elapsed_s", secs))
-	o.Stat().ItemDone(item.ID, secs)
 	p.results[item.ID] = res
 
 	p.mu.Lock()

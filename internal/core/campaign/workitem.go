@@ -162,10 +162,8 @@ func ExecuteItem(app *harness.App, gen *testgen.Generator, run *runner.Runner, o
 	sort.Strings(out.ReachableParams)
 
 	markDone := func(n int) {
-		o.ProgressAddDone(int64(n))
 		o.GaugeAdd(obs.MInstancesDone, int64(n), "app", app.Name)
 	}
-	o.ProgressAddTotal(int64(len(instances)))
 	o.GaugeAdd(obs.MInstancesTotal, int64(len(instances)), "app", app.Name)
 	testSpan := o.StartSpan("test", parent,
 		obs.String("app", app.Name),
@@ -212,7 +210,6 @@ func ExecuteItem(app *harness.App, gen *testgen.Generator, run *runner.Runner, o
 				obs.String("test", item.Test),
 				obs.String("instance", inst.String()),
 				obs.Float("p", r.PValue))
-			o.Stat().ParamVerdict(inst.Param, item.Test, r.PValue)
 			confirmedHere[inst.Param] = true
 			if onUnsafe != nil {
 				onUnsafe(inst, r)

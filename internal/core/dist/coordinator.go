@@ -220,7 +220,7 @@ func (c *Coordinator) Start(parent obs.SpanID, total int) (*Run, error) {
 	if parallel <= 0 {
 		parallel = DefaultWorkerParallel
 	}
-	o.Stat().SetSlots(workers * parallel)
+	o.SetSlots(workers * parallel)
 
 	r := &Run{
 		opts:     c.opts,
@@ -526,8 +526,7 @@ func (r *Run) supervise(slot int) {
 			if r.stopped() {
 				return
 			}
-			r.o.CounterAdd(obs.MWorkerCrashes, 1, "app", r.opts.App, "reason", "spawn")
-			r.noteFailure(err.Error())
+			r.neverReady(slot, err.Error())
 			fails++
 			if fails >= spawnFailureLimit {
 				r.slotDied()
@@ -556,7 +555,6 @@ func (r *Run) supervise(slot int) {
 func (r *Run) session(slot int, sess *workerSession) sessionOutcome {
 	o := r.o
 	app := r.opts.App
-	slotStr := strconv.Itoa(slot)
 	wspan := o.StartSpan("worker", r.span.ID(),
 		obs.String("app", app), obs.Int("slot", int64(slot)))
 	defer wspan.End()
@@ -591,11 +589,9 @@ func (r *Run) session(slot int, sess *workerSession) sessionOutcome {
 	// elsewhere still owns its item.
 	crash := func(reason string) sessionOutcome {
 		sess.kill()
-		o.CounterAdd(obs.MWorkerCrashes, 1, "app", app, "reason", reason)
 		o.Event(obs.EvWorkerCrash,
 			obs.String("app", app), obs.Int("worker", int64(slot)),
 			obs.String("reason", reason))
-		o.Stat().WorkerGone(slot, reason)
 		wspan.SetAttr(obs.String("end", reason), obs.Int("items", int64(itemsDone)))
 		for id, e := range inflight {
 			e.span.SetAttr(obs.String("end", reason))
@@ -637,7 +633,6 @@ func (r *Run) session(slot int, sess *workerSession) sessionOutcome {
 						break
 					}
 					spec = true
-					o.CounterAdd(obs.MSpeculativeRuns, 1, "app", app)
 				} else {
 					o.GaugeSet(obs.MQueueDepth, int64(r.q.Len()), "app", app)
 				}
@@ -662,10 +657,8 @@ func (r *Run) session(slot int, sess *workerSession) sessionOutcome {
 				}
 				if spec {
 					o.Event(obs.EvSpeculate, dispatchAttrs...)
-					r.o.Stat().SpeculationRun()
 				}
 				o.Event(obs.EvItemDispatch, append(dispatchAttrs, obs.Bool("spec", spec))...)
-				r.o.Stat().ItemStart(item.ID)
 				ispan := o.StartSpan("item", wspan.ID(),
 					obs.String("app", app),
 					obs.String("test", item.Test),
@@ -685,7 +678,8 @@ func (r *Run) session(slot int, sess *workerSession) sessionOutcome {
 				e.span.End()
 			}
 			wspan.SetAttr(obs.String("end", "done"), obs.Int("items", int64(itemsDone)))
-			r.o.Stat().WorkerGone(slot, "done")
+			o.Event(obs.EvWorkerDone,
+				obs.String("app", app), obs.Int("worker", int64(slot)))
 			return sessDone
 		}
 
@@ -694,7 +688,7 @@ func (r *Run) session(slot int, sess *workerSession) sessionOutcome {
 			if !ok {
 				if !ready {
 					sess.kill()
-					r.noteFailure("worker exited before ready")
+					r.neverReady(slot, "worker exited before ready")
 					return sessSpawnFail
 				}
 				return crash("crash")
@@ -703,7 +697,7 @@ func (r *Run) session(slot int, sess *workerSession) sessionOutcome {
 			case MsgReady:
 				if m.Error != "" {
 					sess.kill()
-					r.noteFailure(m.Error)
+					r.neverReady(slot, m.Error)
 					return sessSpawnFail
 				}
 				ready = true
@@ -711,7 +705,6 @@ func (r *Run) session(slot int, sess *workerSession) sessionOutcome {
 				o.Event(obs.EvWorkerReady,
 					obs.String("app", app), obs.Int("worker", int64(slot)),
 					obs.Int("pid", int64(m.PID)))
-				r.o.Stat().WorkerReady(slot, m.PID)
 			case MsgHeartbeat:
 				lastHB = time.Now()
 				hbSeen = true
@@ -719,15 +712,12 @@ func (r *Run) session(slot int, sess *workerSession) sessionOutcome {
 					stalled = false
 					o.Event(obs.EvWorkerRecovered,
 						obs.String("app", app), obs.Int("worker", int64(slot)))
-					r.o.Stat().WorkerRecovered(slot)
 				}
-				o.CounterAdd(obs.MHeartbeats, 1, "app", app, "worker", slotStr)
-				o.GaugeSet(obs.MMissedHeartbeats, 0, "app", app, "worker", slotStr)
 				var hb Heartbeat
 				if m.HB != nil {
 					hb = *m.HB
 				}
-				r.o.Stat().WorkerHeartbeat(slot, m.PID, hb.Inflight, hb.Executions, hb.Goroutines, hb.HeapBytes)
+				o.WorkerHeartbeat(app, slot, m.PID, hb.Inflight, hb.Executions, hb.Goroutines, hb.HeapBytes)
 			case MsgResult:
 				if m.Result == nil {
 					return crash("crash")
@@ -771,7 +761,7 @@ func (r *Run) session(slot int, sess *workerSession) sessionOutcome {
 			if !ready {
 				if time.Since(spawned) > r.opts.ItemTimeout {
 					sess.kill()
-					r.noteFailure("worker not ready within item timeout")
+					r.neverReady(slot, "worker not ready within item timeout")
 					return sessSpawnFail
 				}
 				break
@@ -780,17 +770,15 @@ func (r *Run) session(slot int, sess *workerSession) sessionOutcome {
 			if hbSeen && r.stallAfter > 0 {
 				silent := now.Sub(lastHB)
 				if missed := int64(silent / r.hbEvery); missed > 0 {
-					o.GaugeSet(obs.MMissedHeartbeats, missed, "app", app, "worker", slotStr)
+					o.GaugeSet(obs.MMissedHeartbeats, missed, "app", app, "worker", strconv.Itoa(slot))
 				}
 				if !stalled && silent > r.stallAfter {
 					stalled = true
 					r.stalls.Add(1)
-					o.CounterAdd(obs.MWorkerStalls, 1, "app", app, "worker", slotStr)
 					o.Event(obs.EvWorkerStalled,
 						obs.String("app", app), obs.Int("worker", int64(slot)),
 						obs.Float("silent_s", silent.Seconds()),
 						obs.Int("inflight", int64(len(inflight))))
-					r.o.Stat().WorkerStalled(slot)
 				}
 			}
 			for id, e := range inflight {
@@ -821,11 +809,9 @@ func (r *Run) session(slot int, sess *workerSession) sessionOutcome {
 					r.untrackFlight(oid)
 					r.push(other.item)
 				}
-				o.CounterAdd(obs.MWorkerCrashes, 1, "app", app, "reason", "timeout")
 				o.Event(obs.EvWorkerCrash,
 					obs.String("app", app), obs.Int("worker", int64(slot)),
 					obs.String("reason", "timeout"))
-				r.o.Stat().WorkerGone(slot, "timeout")
 				wspan.SetAttr(obs.String("end", "timeout"), obs.Int("items", int64(itemsDone)))
 				return sessCrashed
 			}
@@ -1039,7 +1025,6 @@ func (r *Run) recordResult(slot int, res campaign.ItemResult, elapsed time.Durat
 	}
 	o, app := r.o, r.opts.App
 	if spec {
-		o.RecordSpeculationWin(app)
 		o.Event(obs.EvSpeculationWin,
 			obs.String("app", app),
 			obs.Int("item", int64(res.ID)),
@@ -1050,9 +1035,6 @@ func (r *Run) recordResult(slot int, res campaign.ItemResult, elapsed time.Durat
 			r.noteFailure("checkpoint write failed: " + err.Error())
 		}
 	}
-	o.CounterAdd(obs.MWorkerItems, 1, "app", app, "worker", strconv.Itoa(slot))
-	o.Observe(obs.MItemSeconds, elapsed.Seconds(), "app", app)
-	o.CounterAdd(obs.MItemExecutions, res.Executions, "app", app)
 	o.Event(obs.EvItemComplete,
 		obs.String("app", app),
 		obs.Int("item", int64(res.ID)),
@@ -1060,17 +1042,13 @@ func (r *Run) recordResult(slot int, res campaign.ItemResult, elapsed time.Durat
 		obs.Int("worker", int64(slot)),
 		obs.Float("elapsed_s", elapsed.Seconds()),
 		obs.Bool("spec", spec))
-	r.o.Stat().ItemDone(res.ID, elapsed.Seconds())
-	r.o.Stat().WorkerItemDone(slot)
+	// Worker-process metrics registries are not merged, so the coordinator
+	// replays the item's tallies: executions, executions the cache saved
+	// (local and shared hits alike), instances.
+	o.CounterAdd(obs.MItemExecutions, res.Executions, "app", app)
 	if res.ExecutionsSaved > 0 {
-		// Worker-process metrics registries are not merged, so the
-		// coordinator replays the cache's saved-executions accounting from
-		// the item tallies (local and shared hits alike).
-		o.RecordCacheSaved(app, res.ExecutionsSaved)
+		o.GaugeAdd(obs.MCacheSaved, res.ExecutionsSaved, "app", app)
 	}
-	o.ProgressAddTotal(int64(res.Instances))
-	o.ProgressAddDone(int64(res.Instances))
-	o.ProgressAddExecutions(res.Executions)
 	o.GaugeAdd(obs.MInstancesTotal, int64(res.Instances), "app", app)
 	o.GaugeAdd(obs.MInstancesDone, int64(res.Instances), "app", app)
 	for _, v := range res.Verdicts {
@@ -1082,7 +1060,6 @@ func (r *Run) recordResult(slot int, res campaign.ItemResult, elapsed time.Durat
 				obs.String("test", res.Test),
 				obs.String("instance", v.Instance),
 				obs.Float("p", v.PValue))
-			r.o.Stat().ParamVerdict(v.Param, res.Test, v.PValue)
 		}
 		if v.Evidence != nil {
 			// Worker metrics registries are not merged, so evidence
@@ -1153,13 +1130,11 @@ func (r *Run) retryOrGiveUp(item campaign.WorkItem, reason string) {
 	n := r.attempts[item.ID]
 	r.mu.Unlock()
 	if n <= r.opts.ItemRetries {
-		r.o.CounterAdd(obs.MItemRetries, 1, "app", r.opts.App)
 		r.o.Event(obs.EvItemRetried,
 			obs.String("app", r.opts.App),
 			obs.Int("item", int64(item.ID)),
 			obs.String("test", item.Test),
 			obs.String("reason", reason))
-		r.o.Stat().ItemRequeued(item.ID)
 		r.push(item)
 		return
 	}
@@ -1174,7 +1149,6 @@ func (r *Run) retryOrGiveUp(item campaign.WorkItem, reason string) {
 		obs.Int("item", int64(item.ID)),
 		obs.String("test", item.Test),
 		obs.String("reason", reason))
-	r.o.Stat().ItemDone(item.ID, 0)
 	if r.journal != nil {
 		if err := r.journal.Append(Record{Kind: KindGiveUp, Item: item.ID, Test: item.Test, Reason: reason}); err != nil {
 			r.noteFailure("checkpoint write failed: " + err.Error())
@@ -1186,7 +1160,6 @@ func (r *Run) retryOrGiveUp(item campaign.WorkItem, reason string) {
 		r.completions++
 	}
 	r.mu.Unlock()
-	r.o.CounterAdd(obs.MItemsQuarantined, 1, "app", r.opts.App)
 	r.maybeFinish()
 }
 
@@ -1223,6 +1196,16 @@ func (r *Run) noteFailure(msg string) {
 	r.mu.Lock()
 	r.lastFailure = msg
 	r.mu.Unlock()
+}
+
+// neverReady accounts a worker lost before it became ready — it could not
+// be obtained, exited or answered ready with an error, or missed the ready
+// deadline: a crash with reason spawn, which counts toward retiring the slot.
+func (r *Run) neverReady(slot int, why string) {
+	r.noteFailure(why)
+	r.o.Event(obs.EvWorkerCrash,
+		obs.String("app", r.opts.App), obs.Int("worker", int64(slot)),
+		obs.String("reason", "spawn"))
 }
 
 // slotDied retires a worker slot permanently; when the last slot dies
@@ -1274,11 +1257,9 @@ func (r *Run) obtain(slot int) (*workerSession, error) {
 		if err != nil {
 			return nil, err
 		}
-		r.o.CounterAdd(obs.MWorkerSpawns, 1, "app", r.opts.App, "worker", strconv.Itoa(slot))
 		r.o.Event(obs.EvWorkerSpawn,
 			obs.String("app", r.opts.App), obs.Int("worker", int64(slot)),
 			obs.Int("pid", int64(s.pid)), obs.String("remote", s.remote))
-		r.o.Stat().WorkerSpawned(slot, s.pid)
 	} else {
 		var err error
 		s, err = r.spawn(slot)
@@ -1315,7 +1296,6 @@ func (r *Run) spawn(slot int) (*workerSession, error) {
 	if err := cmd.Start(); err != nil {
 		return nil, err
 	}
-	r.o.CounterAdd(obs.MWorkerSpawns, 1, "app", r.opts.App, "worker", strconv.Itoa(slot))
 	pid := 0
 	if cmd.Process != nil {
 		pid = cmd.Process.Pid
@@ -1323,7 +1303,6 @@ func (r *Run) spawn(slot int) (*workerSession, error) {
 	r.o.Event(obs.EvWorkerSpawn,
 		obs.String("app", r.opts.App), obs.Int("worker", int64(slot)),
 		obs.Int("pid", int64(pid)))
-	r.o.Stat().WorkerSpawned(slot, pid)
 	s := &workerSession{
 		w:          stdin,
 		msgs:       make(chan Msg, 64),

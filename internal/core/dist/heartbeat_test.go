@@ -220,7 +220,7 @@ func TestCoordinatorStallDetection(t *testing.T) {
 	o.Status = obs.NewStatus()
 	var events bytes.Buffer
 	o.Events = obs.NewEventLog(&events)
-	o.Status.CampaignBegin("fake", 1)
+	o.Event(obs.EvCampaignStart, obs.String("app", "fake"))
 
 	coord := dist.New(dist.Options{
 		App:         "fake",
@@ -282,7 +282,7 @@ func TestCoordinatorStallDetection(t *testing.T) {
 		t.Fatalf("no worker_recovered after worker_stalled (stalled@%d recovered@%d)", stalledAt, recoveredAt)
 	}
 
-	ws := o.Status.Workers()
+	ws := o.Workers()
 	if len(ws) != 1 {
 		t.Fatalf("worker table: %+v", ws)
 	}
@@ -301,7 +301,6 @@ func TestCoordinatorHeartbeatHealthy(t *testing.T) {
 	t.Parallel()
 	o := obs.New()
 	o.Status = obs.NewStatus()
-	o.Status.CampaignBegin("minihdfs", 1)
 
 	coord := dist.New(dist.Options{
 		App:         "minihdfs",
@@ -326,7 +325,7 @@ func TestCoordinatorHeartbeatHealthy(t *testing.T) {
 	if n := o.Metrics.CounterValue(obs.MWorkerStalls, "app", "minihdfs"); n != 0 {
 		t.Fatalf("healthy workers flagged stalled %d times", n)
 	}
-	for _, w := range o.Status.Workers() {
+	for _, w := range o.Workers() {
 		if w.LastHeartbeatS < 0 {
 			t.Fatalf("worker %d never heartbeat-healthy: %+v", w.Slot, w)
 		}

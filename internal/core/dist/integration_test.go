@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strconv"
+	"strings"
 	"sync/atomic"
 	"syscall"
 	"testing"
@@ -30,6 +31,7 @@ import (
 //
 //	ZEBRACONF_DIST_KILL_AFTER=N  SIGKILL self after writing N stdout lines
 //	ZEBRACONF_DIST_HANG=1        acknowledge init, then never answer runs
+//	ZEBRACONF_DIST_NEVER_READY=exit|mute  exit at once / never answer init
 func TestMain(m *testing.M) {
 	if os.Getenv("ZEBRACONF_DIST_WORKER") == "1" {
 		runWorker()
@@ -39,6 +41,12 @@ func TestMain(m *testing.M) {
 }
 
 func runWorker() {
+	switch os.Getenv("ZEBRACONF_DIST_NEVER_READY") {
+	case "exit":
+		os.Exit(0)
+	case "mute":
+		select {} // until the coordinator kills it at the ready deadline
+	}
 	if os.Getenv("ZEBRACONF_DIST_HB_FAKE") == "1" {
 		runHBFakeWorker()
 		return
@@ -521,6 +529,73 @@ func TestCoordinatorAsDistributorFailures(t *testing.T) {
 	early.Submit(item)
 	if res := early.Drain(); len(res) != 0 || early.Err() != nil {
 		t.Fatalf("aborted before Begin: Drain = %+v, Err = %v", res, early.Err())
+	}
+}
+
+// TestNeverReadyWorkerIsVisible: a worker lost before it became ready —
+// on any of the four paths — is a worker_crash with reason spawn in the
+// event log, the counter and the live worker table alike, once per failed
+// launch, until the slots retire and the run fails.
+func TestNeverReadyWorkerIsVisible(t *testing.T) {
+	t.Parallel()
+	const workers, launches = 2, 3 // launches = the coordinator's spawnFailureLimit
+	for _, tc := range []struct {
+		name, app string
+		cmd       func() *exec.Cmd
+	}{
+		{"cannot be obtained", "minihdfs", func() *exec.Cmd { return exec.Command("/nonexistent/zebraconf-worker") }},
+		{"exits before ready", "minihdfs", workerFactory("ZEBRACONF_DIST_NEVER_READY=exit")},
+		{"ready with an error", "no-such-app", workerFactory()},
+		{"misses the ready deadline", "minihdfs", workerFactory("ZEBRACONF_DIST_NEVER_READY=mute")},
+	} {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			o := obs.New()
+			o.Status = obs.NewStatus()
+			var events bytes.Buffer
+			o.Events = obs.NewEventLog(&events)
+			coord := dist.New(dist.Options{
+				App:         tc.app,
+				Workers:     workers,
+				WorkerCmd:   tc.cmd,
+				ItemTimeout: 200 * time.Millisecond, // the ready deadline
+				Obs:         o,
+			})
+			_, err := coord.Execute(obs.NoSpan, []campaign.WorkItem{{ID: 0, Test: "T"}})
+			if want := fmt.Sprintf("all %d worker slots failed", workers); err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("Execute error = %v, want %q", err, want)
+			}
+			recs, err := obs.ReadEvents(&events)
+			if err != nil {
+				t.Fatal(err)
+			}
+			crashes := 0
+			for _, r := range recs {
+				if r.Event != obs.EvWorkerCrash {
+					continue
+				}
+				crashes++
+				if r.Attrs["reason"] != "spawn" {
+					t.Errorf("crash reason %v, want spawn", r.Attrs["reason"])
+				}
+			}
+			if crashes != workers*launches {
+				t.Errorf("%d worker_crash events, want %d", crashes, workers*launches)
+			}
+			if n := o.Metrics.CounterValue(obs.MWorkerCrashes, "app", tc.app, "reason", "spawn"); n != int64(crashes) {
+				t.Errorf("%s{reason=spawn} = %d, want the event count %d", obs.MWorkerCrashes, n, crashes)
+			}
+			ws := o.Workers()
+			if len(ws) != workers {
+				t.Fatalf("worker table: %+v", ws)
+			}
+			for _, w := range ws {
+				if w.State != "crashed" {
+					t.Errorf("slot %d reads %q, want crashed", w.Slot, w.State)
+				}
+			}
+		})
 	}
 }
 

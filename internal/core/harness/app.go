@@ -293,7 +293,7 @@ func RunOnceCaptured(app *App, test *UnitTest, opts agent.Options, seed int64, o
 		}()
 	}
 	out.Report = ag.Report()
-	o.RecordTestRun(app.Name, test.Name, out.Failed, out.TimedOut, out.Elapsed)
+	o.RecordTestRun(app.Name, test.Name, out.TimedOut, out.Elapsed)
 	return out
 }
 

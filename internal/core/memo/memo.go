@@ -17,7 +17,6 @@ import (
 	"hash/fnv"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"zebraconf/internal/core/agent"
 	"zebraconf/internal/obs"
@@ -117,23 +116,14 @@ func SeedFor(base int64, test, assignHash string, round int) int64 {
 	return int64(h.Sum64() & 0x7FFFFFFFFFFFFFFF)
 }
 
-// Stats is a point-in-time snapshot of cache effectiveness.
-type Stats struct {
-	// Hits are completed in-process entries reused; SharedHits came from
-	// the Backend; Coalesced callers joined an in-flight identical run.
-	// Every one of the three saved exactly one execution.
-	Hits, SharedHits, Coalesced int64
-	// Misses executed for real.
-	Misses int64
-}
-
-// Saved is the total executions the cache avoided.
-func (s Stats) Saved() int64 { return s.Hits + s.SharedHits + s.Coalesced }
-
 // Cache memoizes executions with singleflight semantics: concurrent
 // callers with the same key coalesce onto one in-flight run instead of
 // duplicating it. A nil *Cache is valid and always executes — callers
-// never branch on whether memoization is enabled.
+// never branch on whether memoization is enabled. Its effectiveness is
+// counted in the Observer's registry only: a reuse is one cache_hit event
+// (scope local = a completed in-process entry, shared = the Backend,
+// coalesced = an in-flight identical run joined), each of which saved
+// exactly one execution; a real execution is one MCacheMisses.
 type Cache struct {
 	app     string
 	backend Backend
@@ -141,8 +131,6 @@ type Cache struct {
 
 	mu    sync.Mutex
 	calls map[Key]*call
-
-	hits, sharedHits, coalesced, misses atomic.Int64
 }
 
 // call is one execution slot; done closes when res is final.
@@ -170,16 +158,11 @@ func (c *Cache) Do(key Key, fn func() Result) (res Result, reused bool) {
 		c.mu.Unlock()
 		select {
 		case <-cl.done:
-			c.hits.Add(1)
-			c.obs.CounterAdd(obs.MCacheHits, 1, "app", c.app, "scope", "local")
 			c.obs.Event(obs.EvCacheHit, obs.String("app", c.app), obs.String("scope", "local"))
 		default:
-			c.coalesced.Add(1)
-			c.obs.CounterAdd(obs.MCacheCoalesced, 1, "app", c.app)
 			c.obs.Event(obs.EvCacheHit, obs.String("app", c.app), obs.String("scope", "coalesced"))
 			<-cl.done
 		}
-		c.obs.RecordCacheSaved(c.app, 1)
 		return cl.res, true
 	}
 	cl := &call{done: make(chan struct{})}
@@ -190,14 +173,10 @@ func (c *Cache) Do(key Key, fn func() Result) (res Result, reused bool) {
 		if res, ok := c.backend.Get(key); ok {
 			cl.res = res
 			close(cl.done)
-			c.sharedHits.Add(1)
-			c.obs.CounterAdd(obs.MCacheHits, 1, "app", c.app, "scope", "shared")
 			c.obs.Event(obs.EvCacheHit, obs.String("app", c.app), obs.String("scope", "shared"))
-			c.obs.RecordCacheSaved(c.app, 1)
 			return res, true
 		}
 	}
-	c.misses.Add(1)
 	c.obs.CounterAdd(obs.MCacheMisses, 1, "app", c.app)
 	func() {
 		// Release waiters before the backend Put (they must not be held
@@ -233,18 +212,5 @@ func (c *Cache) Record(key Key, res Result) {
 	c.mu.Unlock()
 	if c.backend != nil {
 		c.backend.Put(key, res)
-	}
-}
-
-// Stats snapshots the cache counters. Safe on a nil receiver.
-func (c *Cache) Stats() Stats {
-	if c == nil {
-		return Stats{}
-	}
-	return Stats{
-		Hits:       c.hits.Load(),
-		SharedHits: c.sharedHits.Load(),
-		Coalesced:  c.coalesced.Load(),
-		Misses:     c.misses.Load(),
 	}
 }

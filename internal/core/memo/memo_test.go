@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"zebraconf/internal/core/agent"
+	"zebraconf/internal/obs"
 )
 
 func k(nodeType string, idx int, param string) agent.Key {
@@ -114,13 +115,26 @@ func TestNilCacheExecutes(t *testing.T) {
 	if !res.Failed || reused || ran != 1 {
 		t.Fatalf("nil cache must execute: res=%+v reused=%v ran=%d", res, reused, ran)
 	}
-	if s := c.Stats(); s != (Stats{}) {
-		t.Fatalf("nil cache stats should be zero: %+v", s)
+}
+
+// stats is the cache's effectiveness as the registry counted it — the
+// one copy there is.
+type stats struct{ Hits, SharedHits, Coalesced, Misses, Saved int64 }
+
+func statsOf(o *obs.Observer) stats {
+	reg := o.Metrics
+	return stats{
+		Hits:       reg.CounterValue(obs.MCacheHits, "app", "app", "scope", "local"),
+		SharedHits: reg.CounterValue(obs.MCacheHits, "app", "app", "scope", "shared"),
+		Coalesced:  reg.CounterValue(obs.MCacheCoalesced, "app", "app"),
+		Misses:     reg.CounterValue(obs.MCacheMisses, "app", "app"),
+		Saved:      reg.GaugeValue(obs.MCacheSaved, "app", "app"),
 	}
 }
 
 func TestDoMemoizes(t *testing.T) {
-	c := NewCache("app", nil, nil)
+	o := obs.New()
+	c := NewCache("app", nil, o)
 	key := Key{App: "app", Test: "T", Assign: "h", Seed: 42}
 	ran := 0
 	first, reused := c.Do(key, func() Result { ran++; return Result{Failed: true, Msg: "boom"} })
@@ -140,12 +154,12 @@ func TestDoMemoizes(t *testing.T) {
 	if _, reused := c.Do(other, func() Result { ran++; return Result{} }); reused || ran != 2 {
 		t.Fatalf("different key must execute: reused=%v ran=%d", reused, ran)
 	}
-	s := c.Stats()
+	s := statsOf(o)
 	if s.Hits != 1 || s.Misses != 2 || s.Coalesced != 0 || s.SharedHits != 0 {
 		t.Fatalf("stats: %+v", s)
 	}
-	if s.Saved() != 1 {
-		t.Fatalf("saved: %d", s.Saved())
+	if s.Saved != 1 {
+		t.Fatalf("saved: %d", s.Saved)
 	}
 }
 
@@ -154,7 +168,8 @@ func TestDoMemoizes(t *testing.T) {
 // must see the same result, and hits+coalesced must account for all the
 // skipped callers.
 func TestSingleflightCoalesces(t *testing.T) {
-	c := NewCache("app", nil, nil)
+	o := obs.New()
+	c := NewCache("app", nil, o)
 	key := Key{App: "app", Test: "T", Assign: "h", Seed: 1}
 
 	const callers = 32
@@ -192,7 +207,7 @@ func TestSingleflightCoalesces(t *testing.T) {
 	if executed != 1 {
 		t.Fatalf("%d callers report executed, want 1", executed)
 	}
-	s := c.Stats()
+	s := statsOf(o)
 	if s.Misses != 1 || s.Hits+s.Coalesced != callers-1 {
 		t.Fatalf("stats don't account for all callers: %+v", s)
 	}
@@ -228,7 +243,8 @@ func TestBackendInterplay(t *testing.T) {
 	key := Key{App: "app", Test: "T", Assign: "h", Seed: 9}
 	be.m[key] = Result{Msg: "from-backend"}
 
-	c := NewCache("app", be, nil)
+	o := obs.New()
+	c := NewCache("app", be, o)
 	res, reused := c.Do(key, func() Result { t.Fatal("must not execute on a backend hit"); return Result{} })
 	if !reused || res.Msg != "from-backend" {
 		t.Fatalf("backend hit not honoured: reused=%v res=%+v", reused, res)
@@ -251,15 +267,16 @@ func TestBackendInterplay(t *testing.T) {
 	if be.puts != 1 {
 		t.Fatalf("miss did not publish to the backend: %d puts", be.puts)
 	}
-	c2 := NewCache("app", be, nil)
+	o2 := obs.New()
+	c2 := NewCache("app", be, o2)
 	res, reused = c2.Do(miss, func() Result { t.Fatal("second cache must reuse the published result"); return Result{} })
 	if !reused || !res.Failed {
 		t.Fatalf("cross-cache reuse failed: reused=%v res=%+v", reused, res)
 	}
-	if s := c2.Stats(); s.SharedHits != 1 {
+	if s := statsOf(o2); s.SharedHits != 1 {
 		t.Fatalf("shared hit not counted: %+v", s)
 	}
-	s := c.Stats()
+	s := statsOf(o)
 	if s.SharedHits != 1 || s.Hits != 1 || s.Misses != 1 {
 		t.Fatalf("first cache stats: %+v", s)
 	}

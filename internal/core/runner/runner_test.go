@@ -285,8 +285,8 @@ func TestCanonicalHomoSeedsIgnoreLabel(t *testing.T) {
 func TestCacheSavesHomoArms(t *testing.T) {
 	t.Parallel()
 	app := syntheticApp("none")
-	cache := memo.NewCache(app.Name, nil, nil)
-	r := New(app, Options{Cache: cache})
+	o := obs.New()
+	r := New(app, Options{Cache: memo.NewCache(app.Name, nil, o)})
 	asn, test := instanceFor(app, r)
 
 	first := r.RunAssignment(test, asn, "inst-a")
@@ -304,9 +304,10 @@ func TestCacheSavesHomoArms(t *testing.T) {
 	if second.Verdict != first.Verdict {
 		t.Fatalf("cached verdict %v != uncached %v", second.Verdict, first.Verdict)
 	}
-	st := cache.Stats()
-	if st.Hits != int64(len(asn.Homo)) || st.Misses != int64(len(asn.Homo)) {
-		t.Fatalf("cache stats = %+v, want %d hits and %d misses", st, len(asn.Homo), len(asn.Homo))
+	hits := o.Metrics.CounterValue(obs.MCacheHits, "app", app.Name, "scope", "local")
+	misses := o.Metrics.CounterValue(obs.MCacheMisses, "app", app.Name)
+	if hits != int64(len(asn.Homo)) || misses != int64(len(asn.Homo)) {
+		t.Fatalf("cache counted %d hits and %d misses, want %d and %d", hits, misses, len(asn.Homo), len(asn.Homo))
 	}
 }
 

@@ -100,12 +100,10 @@ func (c *Campaign) detail(queuePos int) CampaignDetail {
 	d.Request = c.spec
 	o, res := c.o, c.res
 	c.mu.Unlock()
-	if st := o.Stat(); st != nil {
-		cs := st.Campaign()
-		d.Status = &cs
-		d.Workers = st.Workers()
-		d.Params = st.Params()
-	}
+	cs := o.Campaign()
+	d.Status = &cs
+	d.Workers = o.Workers()
+	d.Params = o.Params()
 	if res != nil {
 		d.Reported = make([]ReportedParam, 0, len(res.Reported))
 		for _, p := range res.Reported {

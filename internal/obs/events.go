@@ -3,6 +3,7 @@ package obs
 import (
 	"encoding/json"
 	"io"
+	"strconv"
 	"sync"
 	"time"
 )
@@ -11,7 +12,8 @@ import (
 // state change worth replaying after the fact gets one typed event. The
 // set is deliberately closed — consumers (the watch dashboard, CI
 // assertions, post-mortem scripts) key off these strings, so additions
-// belong here, next to their documentation.
+// belong here, next to their documentation, with a row in fold below
+// saying which metrics and status tables the event implies.
 const (
 	// EvCampaignStart / EvCampaignFinish bracket one campaign.
 	// Attrs: app, tests, params (start); app, reported, executions,
@@ -22,6 +24,10 @@ const (
 	// Attrs: app, phase (+ elapsed_s on finish).
 	EvPhaseStart  = "phase_start"
 	EvPhaseFinish = "phase_finish"
+	// EvItemQueued marks one work item built from its pre-run and
+	// awaiting execution. Attrs: app, item, test, pred_s (the scheduler's
+	// predicted duration, 0 when it has none).
+	EvItemQueued = "item_queued"
 	// EvItemDispatch marks one work item starting execution — on the
 	// in-process pool or on a worker subprocess. Attrs: app, item, test
 	// (+ worker, spec in dist mode).
@@ -35,12 +41,15 @@ const (
 	// EvItemQuarantined marks an item abandoned past its retry budget.
 	// Attrs: app, item, test, reason.
 	EvItemQuarantined = "item_quarantined"
-	// EvWorkerSpawn / EvWorkerReady / EvWorkerCrash track worker
-	// subprocess lifecycle. Attrs: app, worker (+ pid on ready, reason
-	// on crash).
+	// EvWorkerSpawn / EvWorkerReady / EvWorkerCrash / EvWorkerDone track
+	// worker lifecycle; done is a session retired with the run, crash a
+	// worker lost. Attrs: app, worker (+ pid on spawn and ready; reason
+	// on crash: crash = lost after becoming ready, timeout = killed over
+	// an overdue item, spawn = never became ready).
 	EvWorkerSpawn = "worker_spawn"
 	EvWorkerReady = "worker_ready"
 	EvWorkerCrash = "worker_crash"
+	EvWorkerDone  = "worker_done"
 	// EvWorkerStalled fires when a worker misses heartbeats past the
 	// stall threshold; EvWorkerRecovered when its heartbeats resume.
 	// Stalls are advisory — the worker is not killed (the per-item
@@ -68,6 +77,124 @@ const (
 	// parameter. Attrs: app, param.
 	EvParamQuarantined = "param_quarantined"
 )
+
+// fold applies one event to every view derived from the catalog — the
+// metrics the event implies, the live status tables, the progress line —
+// straight from its attributes, and reports whether the catalog knows
+// the event. It is the only place that decides what a campaign fact
+// feeds: the engine emits the event and nothing beside it. (Volume —
+// per-execution and per-instance measurements — and settings and gauges
+// stay direct registry calls; see DESIGN.md §7.)
+func (o *Observer) fold(event string, a attrs) bool {
+	app, s := a.str("app"), o.Status
+	switch event {
+	case EvCampaignStart:
+		s.campaignBegin(o.tally(CampaignStatus{App: app}, -1))
+		o.Progress.begin(o)
+	case EvCampaignFinish:
+		s.campaignFinish(a.num("elapsed_s"))
+		o.Progress.finish(o)
+	case EvPhaseStart:
+		s.phaseStart(a.str("phase"))
+	case EvPhaseFinish:
+		o.Observe(MPhaseSeconds, a.num("elapsed_s"), "app", app, "phase", a.str("phase"))
+		s.phaseFinish(a.str("phase"))
+	case EvItemQueued:
+		s.itemQueued(a.int("item"), a.str("test"), a.num("pred_s"))
+	case EvItemDispatch:
+		s.itemStart(a.int("item"))
+	case EvItemComplete:
+		// A worker attribute tells the coordinator's lane from the
+		// in-process pool's, the rule flight uses too.
+		secs := a.num("elapsed_s")
+		if a.has("worker") {
+			o.Observe(MItemSeconds, secs, "app", app)
+			o.CounterAdd(MWorkerItems, 1, "app", app, "worker", a.label("worker"))
+			s.workerItemDone(a.int("worker"))
+		} else {
+			o.Observe(MItemRunSeconds, secs, "app", app, "stage", "instances")
+		}
+		s.itemDone(a.int("item"), secs)
+	case EvItemRetried:
+		o.CounterAdd(MItemRetries, 1, "app", app)
+		s.itemRequeued(a.int("item"))
+	case EvItemQuarantined:
+		o.CounterAdd(MItemsQuarantined, 1, "app", app)
+		s.itemDone(a.int("item"), 0)
+	case EvWorkerSpawn:
+		o.CounterAdd(MWorkerSpawns, 1, "app", app, "worker", a.label("worker"))
+		s.workerSpawned(a.int("worker"), a.int("pid"))
+	case EvWorkerReady:
+		s.workerReady(a.int("worker"), a.int("pid"))
+	case EvWorkerCrash:
+		o.CounterAdd(MWorkerCrashes, 1, "app", app, "reason", a.str("reason"))
+		s.workerGone(a.int("worker"), "crashed")
+	case EvWorkerDone:
+		s.workerGone(a.int("worker"), "done")
+	case EvWorkerStalled:
+		o.CounterAdd(MWorkerStalls, 1, "app", app, "worker", a.label("worker"))
+		s.workerStalled(a.int("worker"))
+	case EvWorkerRecovered:
+		s.workerRecovered(a.int("worker"))
+	case EvSpeculate:
+		o.CounterAdd(MSpeculativeRuns, 1, "app", app)
+	case EvSpeculationWin:
+		o.CounterAdd(MSpeculationWins, 1, "app", app)
+	case EvSpeculationLoss:
+		// Implies nothing: the duplicate was discarded before accounting.
+	case EvCacheHit:
+		if scope := a.str("scope"); scope == "coalesced" {
+			o.CounterAdd(MCacheCoalesced, 1, "app", app)
+		} else {
+			o.CounterAdd(MCacheHits, 1, "app", app, "scope", scope)
+		}
+		o.GaugeAdd(MCacheSaved, 1, "app", app)
+	case EvVerdict:
+		s.paramVerdict(a.str("param"), a.str("test"), a.num("p"))
+	case EvParamQuarantined:
+		o.CounterAdd(MQuarantine, 1, "app", app)
+		s.paramQuarantined(a.str("param"))
+	default:
+		return false
+	}
+	return true
+}
+
+// attrs reads the attribute list an event was emitted with. A number is
+// an int64 or float64 from the Attr constructors and always a float64
+// from a replayed JSONL log; num and int take both.
+type attrs []Attr
+
+func (a attrs) get(key string) any {
+	for _, at := range a {
+		if at.Key == key {
+			return at.Value
+		}
+	}
+	return nil
+}
+
+func (a attrs) has(key string) bool { return a.get(key) != nil }
+
+func (a attrs) str(key string) string {
+	s, _ := a.get(key).(string)
+	return s
+}
+
+func (a attrs) num(key string) float64 {
+	switch v := a.get(key).(type) {
+	case int64:
+		return float64(v)
+	case float64:
+		return v
+	}
+	return 0
+}
+
+func (a attrs) int(key string) int { return int(a.num(key)) }
+
+// label renders an integer attribute as a metric label value.
+func (a attrs) label(key string) string { return strconv.Itoa(a.int(key)) }
 
 // EventRecord is the JSONL schema of one flight-recorder event: a
 // monotonic epoch-relative timestamp, the event name, and its attributes.

@@ -70,9 +70,12 @@ func TestEventLogNilSafety(t *testing.T) {
 	o.Event(EvCampaignStart, String("app", "x"))
 
 	o = New()
-	o.Event(EvCampaignStart, String("app", "x")) // Events nil
-	if o.Stat() != nil {
-		t.Fatal("Stat() on an observer without a status tracker should be nil")
+	o.Event(EvCampaignStart, String("app", "x")) // Events and Status nil
+	if cs := o.Campaign(); cs.App != "" || cs.Phase != "" {
+		t.Fatalf("Campaign() on an observer without a status tracker: %+v", cs)
+	}
+	if o.Workers() != nil || o.Params() != nil {
+		t.Fatal("Workers() / Params() on an observer without a status tracker should be nil")
 	}
 }
 

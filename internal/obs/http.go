@@ -67,7 +67,7 @@ func ServeDebug(addr string, o *Observer) (string, func(), error) {
 	}
 	withStatus := func(render func() any) http.HandlerFunc {
 		return func(w http.ResponseWriter, _ *http.Request) {
-			if o.Stat() == nil {
+			if o == nil || o.Status == nil {
 				http.Error(w, `{"error":"live status tracking is not enabled"}`, http.StatusServiceUnavailable)
 				return
 			}
@@ -84,21 +84,11 @@ func ServeDebug(addr string, o *Observer) (string, func(), error) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 		_ = reg.WritePrometheus(w)
 	})
-	mux.HandleFunc("/api/campaign", withStatus(func() any { return o.Stat().Campaign() }))
-	mux.HandleFunc("/api/workers", withStatus(func() any {
-		ws := o.Stat().Workers()
-		if ws == nil {
-			ws = []WorkerStatus{}
-		}
-		return ws
-	}))
-	mux.HandleFunc("/api/params", withStatus(func() any {
-		ps := o.Stat().Params()
-		if ps == nil {
-			ps = []ParamStatus{}
-		}
-		return ps
-	}))
+	mux.HandleFunc("/api/campaign", withStatus(func() any { return o.Campaign() }))
+	// Both tables render as [] when empty: withStatus has checked the
+	// tracker is there, and its snapshots are never nil slices.
+	mux.HandleFunc("/api/workers", withStatus(func() any { return o.Workers() }))
+	mux.HandleFunc("/api/params", withStatus(func() any { return o.Params() }))
 	mux.HandleFunc("/api/perf", func(w http.ResponseWriter, _ *http.Request) {
 		var sampler *Sampler
 		if o != nil {

@@ -21,9 +21,11 @@ func TestCampaignTraceAndMetricsIntegrity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var traceBuf bytes.Buffer
+	var traceBuf, eventBuf bytes.Buffer
 	o := obs.New()
 	o.Tracer = obs.NewTracer(&traceBuf)
+	o.Events = obs.NewEventLog(&eventBuf)
+	o.Status = obs.NewStatus()
 
 	res := campaign.Run(app, campaign.Options{
 		Params: []string{minihdfs.ParamPeerProtocolVersion, minihdfs.ParamReplication,
@@ -178,6 +180,37 @@ func TestCampaignTraceAndMetricsIntegrity(t *testing.T) {
 		if misses := m.CounterValue(obs.MCacheMisses, "app", "minihdfs"); misses <= 0 || misses > res.Counts.Executed {
 			t.Errorf("cache misses %d outside (0, executed=%d]", misses, res.Counts.Executed)
 		}
+	}
+
+	// The event log stays inside the catalog, and the live snapshot — what
+	// /api/campaign, -mode watch and the -progress line print — is the
+	// registry's count of this campaign.
+	events, err := obs.ReadEvents(&eventBuf)
+	if err != nil || len(events) == 0 {
+		t.Fatalf("event log: %d records, err %v", len(events), err)
+	}
+	known := make(map[string]bool)
+	for _, name := range obs.Catalog(t) {
+		known[name] = true
+	}
+	for _, ev := range events {
+		if !known[ev.Event] {
+			t.Errorf("event %q is outside the catalog", ev.Event)
+		}
+	}
+	cs := o.Campaign()
+	if !cs.Done || cs.App != "minihdfs" || cs.ItemsDone != res.NumTests {
+		t.Errorf("campaign snapshot: %+v", cs)
+	}
+	if cs.Executions != m.CounterValue(obs.MExecutions) || cs.ExecutionsSaved != res.Counts.ExecutionsSaved {
+		t.Errorf("snapshot counts %d executions, %d saved; registry %d, result %d",
+			cs.Executions, cs.ExecutionsSaved, m.CounterValue(obs.MExecutions), res.Counts.ExecutionsSaved)
+	}
+	if cs.Instances == 0 || cs.InstancesDone != cs.Instances {
+		t.Errorf("snapshot instances %d/%d, want all done", cs.InstancesDone, cs.Instances)
+	}
+	if got := cs.Safe + cs.Unsafe + cs.Filtered + cs.HomoInvalid; got != m.CounterValue(obs.MVerdicts) {
+		t.Errorf("snapshot verdict tallies sum to %d, registry %d", got, m.CounterValue(obs.MVerdicts))
 	}
 
 	// Exposition renders the catalog families the acceptance criteria name.

@@ -200,20 +200,26 @@ func TestNilObserverIsSafe(t *testing.T) {
 	o.GaugeSet(MInstancesTotal, 5, "app", "x")
 	o.GaugeAdd(MInstancesDone, 1, "app", "x")
 	o.Observe(MPValue, 0.5, "app", "x")
-	o.RecordTestRun("x", "t", true, false, 0)
+	o.RecordTestRun("x", "t", false, 0)
 	o.RecordExecution("x", "hetero", false)
 	o.RecordVerdict("x", "safe", false)
-	o.ProgressBegin("x")
-	o.ProgressAddTotal(1)
-	o.ProgressAddDone(1)
-	o.ProgressFinish()
+	o.Event(EvCampaignStart, String("app", "x"))
+	o.SetSlots(1)
+	o.WorkerHeartbeat("x", 0, 1, nil, 0, 0, 0)
+	o.Event(EvCampaignFinish, String("app", "x"))
+	if cs := o.Campaign(); cs != (CampaignStatus{}) {
+		t.Errorf("nil observer returned a snapshot: %+v", cs)
+	}
 	if s := o.StartSpan("x", NoSpan); s != nil {
 		t.Errorf("nil observer returned a live span")
 	}
 	// An Observer with only metrics must tolerate nil Tracer/Progress too.
 	live := New()
-	live.RecordTestRun("x", "t", false, false, 0)
-	live.ProgressBegin("x")
-	live.ProgressFinish()
+	live.RecordTestRun("x", "t", false, 0)
+	for _, ev := range catalog(t) {
+		live.Event(ev, String("app", "x"), Int("worker", 0), Int("item", 0))
+	}
+	live.SetSlots(1)
+	live.WorkerHeartbeat("x", 0, 1, nil, 0, 0, 0)
 	live.StartSpan("x", NoSpan).End()
 }

@@ -8,7 +8,10 @@
 // a nil check and nothing else.
 package obs
 
-import "time"
+import (
+	"strconv"
+	"time"
+)
 
 // Metric names form the stable catalog documented in README.md
 // ("Observability"). Label sets are listed next to each name.
@@ -253,12 +256,15 @@ func boundsFor(name string) []float64 {
 // every method is safe on a nil receiver, which is the "observability
 // off" configuration used by default throughout the codebase.
 type Observer struct {
-	Metrics  *Registry
-	Tracer   *Tracer
+	Metrics *Registry
+	Tracer  *Tracer
+	// Progress prints Campaign() while a campaign runs; it wants Status
+	// (for the app and the clock) and Metrics (for the tallies) attached.
 	Progress *Progress
 	// Events is the campaign flight recorder (JSONL event log).
 	Events *EventLog
-	// Status is the live campaign state behind the /api endpoints.
+	// Status holds the live item, worker and parameter tables behind the
+	// /api endpoints; Event feeds it, Campaign / Workers / Params read it.
 	Status *Status
 	// Sampler is the periodic perf sampler behind -perf and /api/perf.
 	Sampler *Sampler
@@ -313,92 +319,42 @@ func (o *Observer) StartSpan(name string, parent SpanID, attrs ...Attr) *Span {
 	return o.Tracer.Start(name, parent, attrs...)
 }
 
-// Event appends one record to the flight-recorder event log.
+// Event records one discrete campaign fact, named in the closed catalog
+// of events.go: it appends to the flight-recorder event log when one is
+// attached, then folds the fact into every view derived from it (see
+// fold). This is the one call the engine makes for such a fact.
 func (o *Observer) Event(event string, attrs ...Attr) {
-	if o == nil || o.Events == nil {
+	if o == nil {
 		return
 	}
 	o.Events.Emit(event, attrs...)
+	o.fold(event, attrs)
 }
 
-// Stat exposes the live status tracker (nil when live status is off;
-// every *Status method is nil-safe, so callers chain unconditionally).
-func (o *Observer) Stat() *Status {
-	if o == nil {
-		return nil
-	}
-	return o.Status
-}
-
-// RecordCacheSaved accounts n unit-test executions avoided by the memo
-// cache: the MCacheSaved gauge plus the progress line and live status.
-func (o *Observer) RecordCacheSaved(app string, n int64) {
+// SetSlots sets the number of parallel execution slots the ETA divides
+// remaining work across (workers × per-worker parallelism in dist mode).
+// A setting, not a fact: it stays a direct call.
+func (o *Observer) SetSlots(n int) {
 	if o == nil {
 		return
 	}
-	o.GaugeAdd(MCacheSaved, n, "app", app)
-	o.Progress.AddSaved(n)
-	o.Status.AddSaved(n)
+	o.Status.setSlots(n)
 }
 
-// RecordSpeculationWin accounts one speculative copy beating its
-// primary attempt.
-func (o *Observer) RecordSpeculationWin(app string) {
+// WorkerHeartbeat records one heartbeat's health snapshot: the worker's
+// row in the live table, MHeartbeats, and the MMissedHeartbeats reset.
+func (o *Observer) WorkerHeartbeat(app string, slot, pid int, inflight []int, execs int64, goroutines int, heap uint64) {
 	if o == nil {
 		return
 	}
-	o.CounterAdd(MSpeculationWins, 1, "app", app)
-	o.Progress.AddSpecWin(1)
-	o.Status.SpeculationWin()
-}
-
-// ProgressBegin starts the live progress reporter for one campaign.
-func (o *Observer) ProgressBegin(app string) {
-	if o == nil {
-		return
-	}
-	o.Progress.Begin(app)
-}
-
-// ProgressFinish stops the live progress reporter.
-func (o *Observer) ProgressFinish() {
-	if o == nil {
-		return
-	}
-	o.Progress.Finish()
-}
-
-// ProgressAddTotal adds discovered instances to the progress denominator.
-func (o *Observer) ProgressAddTotal(n int64) {
-	if o == nil {
-		return
-	}
-	o.Progress.AddTotal(n)
-	o.Status.AddInstances(n)
-}
-
-// ProgressAddDone marks instances resolved in the progress numerator.
-func (o *Observer) ProgressAddDone(n int64) {
-	if o == nil {
-		return
-	}
-	o.Progress.AddDone(n)
-	o.Status.AddInstancesDone(n)
-}
-
-// ProgressAddExecutions counts unit-test executions for the progress
-// rate display; the distributed coordinator calls it with the execution
-// tallies workers report back.
-func (o *Observer) ProgressAddExecutions(n int64) {
-	if o == nil {
-		return
-	}
-	o.Progress.AddExecutions(n)
-	o.Status.AddExecutions(n)
+	worker := strconv.Itoa(slot)
+	o.CounterAdd(MHeartbeats, 1, "app", app, "worker", worker)
+	o.GaugeSet(MMissedHeartbeats, 0, "app", app, "worker", worker)
+	o.Status.workerHeartbeat(slot, pid, inflight, execs, goroutines, heap)
 }
 
 // RecordTestRun is the harness hook: one unit-test execution finished.
-func (o *Observer) RecordTestRun(app, test string, failed, timedOut bool, d time.Duration) {
+func (o *Observer) RecordTestRun(app, test string, timedOut bool, d time.Duration) {
 	if o == nil {
 		return
 	}
@@ -406,8 +362,6 @@ func (o *Observer) RecordTestRun(app, test string, failed, timedOut bool, d time
 	if timedOut {
 		o.CounterAdd(MTimeouts, 1, "app", app, "test", test)
 	}
-	o.Progress.AddExecutions(1)
-	o.Status.AddExecutions(1)
 }
 
 // RecordExecution is the runner hook: one unit-test execution finished
@@ -432,6 +386,4 @@ func (o *Observer) RecordVerdict(app, verdict string, firstTrialSignal bool) {
 	if firstTrialSignal {
 		o.CounterAdd(MFirstTrial, 1, "app", app)
 	}
-	o.Progress.AddVerdict(verdict)
-	o.Status.AddVerdict(verdict)
 }

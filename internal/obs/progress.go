@@ -4,27 +4,22 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
-// Progress renders live campaign progress to a writer (normally stderr)
-// on a fixed interval: instances done/total, executions per second, and
-// the running verdict tallies. All update methods are lock-free atomics
-// and nil-safe, so the campaign calls them unconditionally.
+// Progress prints the live campaign snapshot to a writer (normally
+// stderr) on a fixed interval: instances done/total, executions per
+// second, and the running verdict tallies. It keeps no state of its own:
+// Observer.Event starts it on campaign_start and stops it on
+// campaign_finish, and every line is Observer.Campaign() — the numbers
+// /api/campaign and -mode watch show. A nil *Progress does nothing.
 type Progress struct {
 	w        io.Writer
 	interval time.Duration
 
-	mu    sync.Mutex
-	app   string
-	start time.Time
-	stop  chan struct{}
-	done  chan struct{}
-
-	total, finished, executions         atomic.Int64
-	safe, unsafe, filtered, homoInvalid atomic.Int64
-	saved, specWins                     atomic.Int64
+	mu   sync.Mutex
+	stop chan struct{}
+	done chan struct{}
 }
 
 // NewProgress returns a reporter writing to w every interval (default
@@ -36,27 +31,20 @@ func NewProgress(w io.Writer, interval time.Duration) *Progress {
 	return &Progress{w: w, interval: interval}
 }
 
-// Begin resets the tallies for one campaign and starts the render loop.
-func (p *Progress) Begin(app string) {
+// begin starts the render loop over o's campaign snapshots.
+func (p *Progress) begin(o *Observer) {
 	if p == nil {
 		return
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.app = app
-	p.start = time.Now()
-	for _, c := range []*atomic.Int64{&p.total, &p.finished, &p.executions,
-		&p.safe, &p.unsafe, &p.filtered, &p.homoInvalid,
-		&p.saved, &p.specWins} {
-		c.Store(0)
-	}
 	p.stop = make(chan struct{})
 	p.done = make(chan struct{})
-	go p.loop(p.stop, p.done)
+	go p.loop(o, p.stop, p.done)
 }
 
-// Finish stops the render loop and prints a final summary line.
-func (p *Progress) Finish() {
+// finish stops the render loop and prints a final summary line.
+func (p *Progress) finish(o *Observer) {
 	if p == nil {
 		return
 	}
@@ -69,10 +57,10 @@ func (p *Progress) Finish() {
 	}
 	close(stop)
 	<-done
-	p.render(true)
+	p.render(o.Campaign(), "done")
 }
 
-func (p *Progress) loop(stop, done chan struct{}) {
+func (p *Progress) loop(o *Observer, stop, done chan struct{}) {
 	defer close(done)
 	t := time.NewTicker(p.interval)
 	defer t.Stop()
@@ -81,91 +69,15 @@ func (p *Progress) loop(stop, done chan struct{}) {
 		case <-stop:
 			return
 		case <-t.C:
-			p.render(false)
+			p.render(o.Campaign(), "…")
 		}
 	}
 }
 
-func (p *Progress) render(final bool) {
-	p.mu.Lock()
-	app, start := p.app, p.start
-	p.mu.Unlock()
-	elapsed := time.Since(start).Seconds()
-	if elapsed <= 0 {
-		elapsed = 1e-9
-	}
-	execs := p.executions.Load()
-	tag := "…"
-	if final {
-		tag = "done"
-	}
-	saved := p.saved.Load()
-	hitRate := 0.0
-	if saved+execs > 0 {
-		hitRate = 100 * float64(saved) / float64(saved+execs)
-	}
+func (p *Progress) render(cs CampaignStatus, tag string) {
 	fmt.Fprintf(p.w, "[zebraconf %s] %d/%d instances · %d execs (%.1f/s) · cache %.1f%% (%d saved) · spec-wins=%d · safe=%d unsafe=%d filtered=%d homo-invalid=%d · %.1fs %s\n",
-		app, p.finished.Load(), p.total.Load(), execs, float64(execs)/elapsed,
-		hitRate, saved, p.specWins.Load(),
-		p.safe.Load(), p.unsafe.Load(), p.filtered.Load(), p.homoInvalid.Load(),
-		elapsed, tag)
-}
-
-// AddTotal adds newly discovered instances to the denominator.
-func (p *Progress) AddTotal(n int64) {
-	if p == nil {
-		return
-	}
-	p.total.Add(n)
-}
-
-// AddDone marks n instances resolved (leaf verdict, pooled clear, or
-// skip of an already-confirmed parameter).
-func (p *Progress) AddDone(n int64) {
-	if p == nil {
-		return
-	}
-	p.finished.Add(n)
-}
-
-// AddExecutions counts unit-test executions for the rate display.
-func (p *Progress) AddExecutions(n int64) {
-	if p == nil {
-		return
-	}
-	p.executions.Add(n)
-}
-
-// AddSaved counts unit-test executions avoided by the memo cache, for
-// the cache-hit-rate display.
-func (p *Progress) AddSaved(n int64) {
-	if p == nil {
-		return
-	}
-	p.saved.Add(n)
-}
-
-// AddSpecWin counts speculative copies that beat their primary attempt.
-func (p *Progress) AddSpecWin(n int64) {
-	if p == nil {
-		return
-	}
-	p.specWins.Add(n)
-}
-
-// AddVerdict tallies one instance verdict by its String name.
-func (p *Progress) AddVerdict(verdict string) {
-	if p == nil {
-		return
-	}
-	switch verdict {
-	case "safe":
-		p.safe.Add(1)
-	case "unsafe":
-		p.unsafe.Add(1)
-	case "filtered":
-		p.filtered.Add(1)
-	case "homo-invalid":
-		p.homoInvalid.Add(1)
-	}
+		cs.App, cs.InstancesDone, cs.Instances, cs.Executions, cs.ExecRate,
+		100*cs.CacheHitRate, cs.ExecutionsSaved, cs.SpeculationWins,
+		cs.Safe, cs.Unsafe, cs.Filtered, cs.HomoInvalid,
+		cs.ElapsedSeconds, tag)
 }

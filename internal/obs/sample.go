@@ -177,7 +177,7 @@ func (s *Sampler) SampleNow() {
 		if s.o.Metrics != nil {
 			sample.Metrics = s.o.Metrics.Snapshot()
 		}
-		cs := s.o.Stat().Campaign()
+		cs := s.o.Campaign()
 		sample.ItemsQueued = cs.ItemsQueued
 		sample.ItemsRunning = cs.ItemsRunning
 		sample.ItemsDone = cs.ItemsDone

@@ -148,14 +148,12 @@ func TestSamplerStartStop(t *testing.T) {
 }
 
 func TestSamplerStatusFields(t *testing.T) {
-	o := New()
-	o.Status = NewStatus()
-	o.Status.CampaignBegin("minihdfs", 8)
-	o.Status.ItemQueued(1, "TestA", 0)
-	o.Status.ItemQueued(2, "TestB", 0)
-	o.Status.ItemStart(1)
-	o.Status.AddExecutions(5)
-	o.Status.AddSaved(5)
+	o := statusObserver("minihdfs", 8)
+	o.Event(EvItemQueued, item(1), String("test", "TestA"))
+	o.Event(EvItemQueued, item(2), String("test", "TestB"))
+	o.Event(EvItemDispatch, item(1))
+	o.CounterAdd(MExecutions, 5, "app", "minihdfs", "arm", "hetero", "outcome", "pass")
+	o.GaugeAdd(MCacheSaved, 5, "app", "minihdfs")
 	s := NewSampler(o, time.Hour, nil, 4)
 	s.SampleNow()
 	cur, _ := s.Current()

@@ -6,21 +6,26 @@ import (
 	"time"
 )
 
-// Status tracks the live state of a running campaign for the /api
+// Status holds the live tables of a running campaign for the /api
 // endpoints and the watch dashboard: current phase, item queue, worker
-// health, the evolving unsafe-parameter table, and an ETA derived from
-// the sched duration predictions the items were ranked with. Every
-// method is nil-safe so the campaign and coordinator call them
-// unconditionally, mirroring the Progress/Tracer convention.
+// health, the evolving unsafe-parameter table, and the calibration for
+// an ETA derived from the sched duration predictions the items were
+// ranked with. It keeps no tallies — those are read from the registry
+// when a snapshot is taken — and has no exported mutators: Observer.Event
+// folds the catalog's events into it, and Observer.Campaign / Workers /
+// Params render it. Every method is nil-safe.
 type Status struct {
 	mu sync.Mutex
 
-	app     string
+	// base is the app plus the registry's campaign tallies at this
+	// campaign's start, negated: a snapshot adds the current values to
+	// get this campaign's share (an Observer may see one app twice).
+	base    CampaignStatus
 	start   time.Time
 	phases  []string // open phases, innermost last
 	slots   int
 	done    bool
-	elapsed float64 // frozen at Finish
+	elapsed float64 // frozen at campaign_finish
 
 	items map[int]*itemState
 
@@ -29,13 +34,8 @@ type Status struct {
 	// with a microscopic prediction cannot blow up the ratio the way a
 	// per-item mean would — plus a plain mean duration as the fallback
 	// estimate for items without one.
-	actSum, predSum     float64
-	doneSecs, doneN     float64
-	instances, instDone int64
-	executions, saved   int64
-	specRuns, specWins  int64
-	safe, unsafe        int64
-	filtered, homoInv   int64
+	actSum, predSum float64
+	doneSecs, doneN float64
 
 	workers map[int]*workerState
 	params  map[string]*paramState
@@ -78,8 +78,8 @@ func NewStatus() *Status {
 	}
 }
 
-// CampaignBegin resets the tracker for one campaign.
-func (s *Status) CampaignBegin(app string, slots int) {
+// campaignBegin resets the tables for one campaign.
+func (s *Status) campaignBegin(base CampaignStatus) {
 	if s == nil {
 		return
 	}
@@ -87,40 +87,33 @@ func (s *Status) CampaignBegin(app string, slots int) {
 	defer s.mu.Unlock()
 	// Field-by-field reset: a struct assignment would clobber the held
 	// mutex.
-	s.app = app
+	s.base = base
 	s.start = time.Now()
 	s.phases = nil
-	s.slots = slots
+	s.slots = 0
 	s.done = false
 	s.elapsed = 0
 	s.items = make(map[int]*itemState)
 	s.actSum, s.predSum = 0, 0
 	s.doneSecs, s.doneN = 0, 0
-	s.instances, s.instDone = 0, 0
-	s.executions, s.saved = 0, 0
-	s.specRuns, s.specWins = 0, 0
-	s.safe, s.unsafe = 0, 0
-	s.filtered, s.homoInv = 0, 0
 	s.workers = make(map[int]*workerState)
 	s.params = make(map[string]*paramState)
 }
 
-// CampaignFinish freezes the elapsed clock and marks the run done.
-func (s *Status) CampaignFinish() {
+// campaignFinish marks the run done and freezes the elapsed clock at
+// the makespan the campaign reported.
+func (s *Status) campaignFinish(elapsed float64) {
 	if s == nil {
 		return
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.done = true
-	s.elapsed = time.Since(s.start).Seconds()
+	s.elapsed = elapsed
 	s.phases = nil
 }
 
-// SetSlots overrides the number of parallel execution slots the ETA
-// divides remaining work across (workers × per-worker parallelism in
-// dist mode).
-func (s *Status) SetSlots(n int) {
+func (s *Status) setSlots(n int) {
 	if s == nil || n <= 0 {
 		return
 	}
@@ -129,8 +122,8 @@ func (s *Status) SetSlots(n int) {
 	s.slots = n
 }
 
-// PhaseStart pushes a phase onto the open-phase stack.
-func (s *Status) PhaseStart(name string) {
+// phaseStart pushes a phase onto the open-phase stack.
+func (s *Status) phaseStart(name string) {
 	if s == nil {
 		return
 	}
@@ -139,9 +132,9 @@ func (s *Status) PhaseStart(name string) {
 	s.phases = append(s.phases, name)
 }
 
-// PhaseFinish pops the named phase (phases can overlap in streamed
+// phaseFinish pops the named phase (phases can overlap in streamed
 // mode, so it removes the newest match rather than asserting LIFO).
-func (s *Status) PhaseFinish(name string) {
+func (s *Status) phaseFinish(name string) {
 	if s == nil {
 		return
 	}
@@ -155,9 +148,9 @@ func (s *Status) PhaseFinish(name string) {
 	}
 }
 
-// ItemQueued registers a work item awaiting execution with its
+// itemQueued registers a work item awaiting execution with its
 // predicted duration in seconds (0 when no profile prediction exists).
-func (s *Status) ItemQueued(id int, test string, pred float64) {
+func (s *Status) itemQueued(id int, test string, pred float64) {
 	if s == nil {
 		return
 	}
@@ -166,9 +159,9 @@ func (s *Status) ItemQueued(id int, test string, pred float64) {
 	s.items[id] = &itemState{test: test, pred: pred}
 }
 
-// ItemStart marks an item running. Re-marking a running item (a
+// itemStart marks an item running. Re-marking a running item (a
 // speculative copy dispatched alongside the primary) is a no-op.
-func (s *Status) ItemStart(id int) {
+func (s *Status) itemStart(id int) {
 	if s == nil {
 		return
 	}
@@ -185,8 +178,8 @@ func (s *Status) ItemStart(id int) {
 	}
 }
 
-// ItemRequeued returns a crashed/timed-out item to the queue.
-func (s *Status) ItemRequeued(id int) {
+// itemRequeued returns a crashed/timed-out item to the queue.
+func (s *Status) itemRequeued(id int) {
 	if s == nil {
 		return
 	}
@@ -197,9 +190,9 @@ func (s *Status) ItemRequeued(id int) {
 	}
 }
 
-// ItemDone marks an item resolved and feeds the prediction calibration.
+// itemDone marks an item resolved and feeds the prediction calibration.
 // Duplicate completions (speculation losers) are ignored.
-func (s *Status) ItemDone(id int, secs float64) {
+func (s *Status) itemDone(id int, secs float64) {
 	if s == nil {
 		return
 	}
@@ -224,88 +217,9 @@ func (s *Status) ItemDone(id int, secs float64) {
 	}
 }
 
-// AddInstances / AddInstancesDone track the instance denominator and
-// numerator shown next to the item queue.
-func (s *Status) AddInstances(n int64) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	s.instances += n
-	s.mu.Unlock()
-}
-
-func (s *Status) AddInstancesDone(n int64) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	s.instDone += n
-	s.mu.Unlock()
-}
-
-// AddExecutions counts real unit-test executions.
-func (s *Status) AddExecutions(n int64) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	s.executions += n
-	s.mu.Unlock()
-}
-
-// AddSaved counts executions avoided by the memo cache.
-func (s *Status) AddSaved(n int64) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	s.saved += n
-	s.mu.Unlock()
-}
-
-// SpeculationRun / SpeculationWin tally straggler re-issues and races
-// the speculative copy won.
-func (s *Status) SpeculationRun() {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	s.specRuns++
-	s.mu.Unlock()
-}
-
-func (s *Status) SpeculationWin() {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	s.specWins++
-	s.mu.Unlock()
-}
-
-// AddVerdict tallies one instance verdict by its String name.
-func (s *Status) AddVerdict(verdict string) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	switch verdict {
-	case "safe":
-		s.safe++
-	case "unsafe":
-		s.unsafe++
-	case "filtered":
-		s.filtered++
-	case "homo-invalid":
-		s.homoInv++
-	}
-}
-
-// ParamVerdict records one unsafe instance verdict in the live
+// paramVerdict records one unsafe instance verdict in the live
 // parameter table.
-func (s *Status) ParamVerdict(param, test string, p float64) {
+func (s *Status) paramVerdict(param, test string, p float64) {
 	if s == nil {
 		return
 	}
@@ -323,8 +237,8 @@ func (s *Status) ParamVerdict(param, test string, p float64) {
 	}
 }
 
-// ParamQuarantined flags a parameter hit by the frequent-failer rule.
-func (s *Status) ParamQuarantined(param string) {
+// paramQuarantined flags a parameter hit by the frequent-failer rule.
+func (s *Status) paramQuarantined(param string) {
 	if s == nil {
 		return
 	}
@@ -347,8 +261,8 @@ func (s *Status) worker(slot int) *workerState {
 	return w
 }
 
-// WorkerSpawned records a worker subprocess being started (again).
-func (s *Status) WorkerSpawned(slot, pid int) {
+// workerSpawned records a worker subprocess being started (again).
+func (s *Status) workerSpawned(slot, pid int) {
 	if s == nil {
 		return
 	}
@@ -361,8 +275,8 @@ func (s *Status) WorkerSpawned(slot, pid int) {
 	w.inflight = nil
 }
 
-// WorkerReady records the worker's init handshake completing.
-func (s *Status) WorkerReady(slot, pid int) {
+// workerReady records the worker's init handshake completing.
+func (s *Status) workerReady(slot, pid int) {
 	if s == nil {
 		return
 	}
@@ -375,8 +289,8 @@ func (s *Status) WorkerReady(slot, pid int) {
 	}
 }
 
-// WorkerHeartbeat records one heartbeat payload.
-func (s *Status) WorkerHeartbeat(slot, pid int, inflight []int, execs int64, goroutines int, heap uint64) {
+// workerHeartbeat records one heartbeat payload.
+func (s *Status) workerHeartbeat(slot, pid int, inflight []int, execs int64, goroutines int, heap uint64) {
 	if s == nil {
 		return
 	}
@@ -397,8 +311,8 @@ func (s *Status) WorkerHeartbeat(slot, pid int, inflight []int, execs int64, gor
 	w.heapBytes = heap
 }
 
-// WorkerItemDone bumps the per-worker completed-item tally.
-func (s *Status) WorkerItemDone(slot int) {
+// workerItemDone bumps the per-worker completed-item tally.
+func (s *Status) workerItemDone(slot int) {
 	if s == nil {
 		return
 	}
@@ -407,8 +321,8 @@ func (s *Status) WorkerItemDone(slot int) {
 	s.mu.Unlock()
 }
 
-// WorkerStalled marks a worker silent past the stall threshold.
-func (s *Status) WorkerStalled(slot int) {
+// workerStalled marks a worker silent past the stall threshold.
+func (s *Status) workerStalled(slot int) {
 	if s == nil {
 		return
 	}
@@ -419,8 +333,8 @@ func (s *Status) WorkerStalled(slot int) {
 	w.stalls++
 }
 
-// WorkerRecovered clears a stall once heartbeats resume.
-func (s *Status) WorkerRecovered(slot int) {
+// workerRecovered clears a stall once heartbeats resume.
+func (s *Status) workerRecovered(slot int) {
 	if s == nil {
 		return
 	}
@@ -431,20 +345,16 @@ func (s *Status) WorkerRecovered(slot int) {
 	}
 }
 
-// WorkerGone records a worker session ending ("done" or a crash
-// reason).
-func (s *Status) WorkerGone(slot int, reason string) {
+// workerGone records a worker session ending, in state "done" or
+// "crashed".
+func (s *Status) workerGone(slot int, state string) {
 	if s == nil {
 		return
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	w := s.worker(slot)
-	if reason == "done" {
-		w.state = "done"
-	} else {
-		w.state = "crashed"
-	}
+	w.state = state
 	w.inflight = nil
 }
 
@@ -509,52 +419,89 @@ type ParamStatus struct {
 	Quarantined    bool     `json:"quarantined,omitempty"`
 }
 
-// Campaign renders the live campaign snapshot. The ETA walks the item
-// table: calibrated predicted seconds for queued items, calibrated
+// tally adds sign × the registry's campaign tallies for cs.App to cs:
+// the one copy of the counts every live view shows.
+func (o *Observer) tally(cs CampaignStatus, sign int64) CampaignStatus {
+	reg := o.Metrics
+	if reg == nil || cs.App == "" { // no registry, or no campaign yet
+		return cs
+	}
+	cs.Instances += sign * reg.GaugeValue(MInstancesTotal, "app", cs.App)
+	cs.InstancesDone += sign * reg.GaugeValue(MInstancesDone, "app", cs.App)
+	cs.Executions += sign * (reg.CounterValue(MExecutions, "app", cs.App) +
+		reg.CounterValue(MItemExecutions, "app", cs.App))
+	cs.ExecutionsSaved += sign * reg.GaugeValue(MCacheSaved, "app", cs.App)
+	cs.SpeculativeRuns += sign * reg.CounterValue(MSpeculativeRuns, "app", cs.App)
+	cs.SpeculationWins += sign * reg.CounterValue(MSpeculationWins, "app", cs.App)
+	cs.Safe += sign * reg.CounterValue(MVerdicts, "app", cs.App, "verdict", "safe")
+	cs.Unsafe += sign * reg.CounterValue(MVerdicts, "app", cs.App, "verdict", "unsafe")
+	cs.Filtered += sign * reg.CounterValue(MVerdicts, "app", cs.App, "verdict", "filtered")
+	cs.HomoInvalid += sign * reg.CounterValue(MVerdicts, "app", cs.App, "verdict", "homo-invalid")
+	return cs
+}
+
+// Campaign renders the live campaign snapshot — what /api/campaign, the
+// sampler, -mode watch and the -progress line all show: the status
+// tables' view plus this campaign's tallies from the registry.
+func (o *Observer) Campaign() CampaignStatus {
+	if o == nil {
+		return CampaignStatus{}
+	}
+	cs := o.tally(o.Status.campaign(), 1)
+	if cs.ElapsedSeconds > 0 {
+		cs.ExecRate = float64(cs.Executions) / cs.ElapsedSeconds
+	}
+	if total := cs.ExecutionsSaved + cs.Executions; total > 0 {
+		cs.CacheHitRate = float64(cs.ExecutionsSaved) / float64(total)
+	}
+	return cs
+}
+
+// Workers renders the per-worker health table, sorted by slot.
+func (o *Observer) Workers() []WorkerStatus {
+	if o == nil {
+		return nil
+	}
+	return o.Status.workerTable()
+}
+
+// Params renders the live unsafe-parameter table, sorted by name.
+func (o *Observer) Params() []ParamStatus {
+	if o == nil {
+		return nil
+	}
+	return o.Status.paramTable()
+}
+
+// campaign renders everything in the snapshot but the tallies, which it
+// leaves at their negated start-of-campaign values. The ETA walks the
+// item table: calibrated predicted seconds for queued items, calibrated
 // remainder for running ones, divided by the effective slot count. When
 // no predictions exist (first run, cold profile) the mean duration of
 // completed items stands in.
-func (s *Status) Campaign() CampaignStatus {
+func (s *Status) campaign() CampaignStatus {
 	if s == nil {
 		return CampaignStatus{}
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 
-	cs := CampaignStatus{
-		App:             s.app,
-		Done:            s.done,
-		Instances:       s.instances,
-		InstancesDone:   s.instDone,
-		Executions:      s.executions,
-		ExecutionsSaved: s.saved,
-		SpeculativeRuns: s.specRuns,
-		SpeculationWins: s.specWins,
-		Safe:            s.safe,
-		Unsafe:          s.unsafe,
-		Filtered:        s.filtered,
-		HomoInvalid:     s.homoInv,
-		UnsafeParams:    len(s.params),
-		Workers:         len(s.workers),
-		Slots:           s.slots,
-	}
+	cs := s.base
+	cs.Done = s.done
+	cs.UnsafeParams = len(s.params)
+	cs.Workers = len(s.workers)
+	cs.Slots = s.slots
 	cs.Phase = "idle"
 	if len(s.phases) > 0 {
 		cs.Phase = s.phases[len(s.phases)-1]
 	} else if s.done {
 		cs.Phase = "done"
-	} else if s.app != "" {
+	} else if cs.App != "" {
 		cs.Phase = "starting"
 	}
 	cs.ElapsedSeconds = s.elapsed
 	if !s.done && !s.start.IsZero() {
 		cs.ElapsedSeconds = time.Since(s.start).Seconds()
-	}
-	if cs.ElapsedSeconds > 0 {
-		cs.ExecRate = float64(s.executions) / cs.ElapsedSeconds
-	}
-	if total := s.saved + s.executions; total > 0 {
-		cs.CacheHitRate = float64(s.saved) / float64(total)
 	}
 
 	calib := 1.0
@@ -599,8 +546,7 @@ func (s *Status) Campaign() CampaignStatus {
 	return cs
 }
 
-// Workers renders the per-worker health table, sorted by slot.
-func (s *Status) Workers() []WorkerStatus {
+func (s *Status) workerTable() []WorkerStatus {
 	if s == nil {
 		return nil
 	}
@@ -630,8 +576,7 @@ func (s *Status) Workers() []WorkerStatus {
 	return out
 }
 
-// Params renders the live unsafe-parameter table, sorted by name.
-func (s *Status) Params() []ParamStatus {
+func (s *Status) paramTable() []ParamStatus {
 	if s == nil {
 		return nil
 	}

@@ -7,19 +7,31 @@ import (
 	"testing"
 )
 
+// statusObserver returns an Observer with a registry and live tables
+// attached, one campaign for app started on it, and slots set.
+func statusObserver(app string, slots int) *Observer {
+	o := New()
+	o.Status = NewStatus()
+	o.Event(EvCampaignStart, String("app", app))
+	o.SetSlots(slots)
+	return o
+}
+
+func item(id int) Attr     { return Int("item", int64(id)) }
+func worker(slot int) Attr { return Int("worker", int64(slot)) }
+
 // TestStatusETACalibration checks the ETA walk: completing one item at
 // 2x its prediction calibrates the remaining items' estimates, which
 // divide across the slot count.
 func TestStatusETACalibration(t *testing.T) {
-	s := NewStatus()
-	s.CampaignBegin("fake", 2)
+	o := statusObserver("fake", 2)
 	for i := 0; i < 4; i++ {
-		s.ItemQueued(i, "TestX", 10)
+		o.Event(EvItemQueued, item(i), String("test", "TestX"), Float("pred_s", 10))
 	}
-	s.ItemStart(0)
-	s.ItemDone(0, 20) // actual/predicted = 2.0
+	o.Event(EvItemDispatch, item(0))
+	o.Event(EvItemComplete, item(0), Float("elapsed_s", 20)) // actual/predicted = 2.0
 
-	cs := s.Campaign()
+	cs := o.Campaign()
 	if cs.ItemsDone != 1 || cs.ItemsQueued != 3 {
 		t.Fatalf("items: done=%d queued=%d", cs.ItemsDone, cs.ItemsQueued)
 	}
@@ -35,19 +47,18 @@ func TestStatusETACalibration(t *testing.T) {
 // TestStatusETAFallback: with no predictions, the mean completed
 // duration stands in.
 func TestStatusETAFallback(t *testing.T) {
-	s := NewStatus()
-	s.CampaignBegin("fake", 1)
-	s.ItemQueued(0, "TestA", 0)
-	s.ItemQueued(1, "TestB", 0)
-	s.ItemStart(0)
-	s.ItemDone(0, 4)
-	cs := s.Campaign()
+	o := statusObserver("fake", 1)
+	o.Event(EvItemQueued, item(0), String("test", "TestA"), Float("pred_s", 0))
+	o.Event(EvItemQueued, item(1), String("test", "TestB"), Float("pred_s", 0))
+	o.Event(EvItemDispatch, item(0))
+	o.Event(EvItemComplete, item(0), Float("elapsed_s", 4))
+	cs := o.Campaign()
 	if math.Abs(cs.EtaSeconds-4) > 0.01 {
 		t.Fatalf("ETA %.2fs, want 4s (mean duration fallback)", cs.EtaSeconds)
 	}
 	// Slots clamp to unfinished work: 1 queued item, 8 slots, same ETA.
-	s.SetSlots(8)
-	cs = s.Campaign()
+	o.SetSlots(8)
+	cs = o.Campaign()
 	if math.Abs(cs.EtaSeconds-4) > 0.01 {
 		t.Fatalf("ETA %.2fs after SetSlots(8), want 4s", cs.EtaSeconds)
 	}
@@ -57,22 +68,21 @@ func TestStatusETAFallback(t *testing.T) {
 // (speculation losers) and re-marking running items must not double
 // count, and requeued items return to the queue.
 func TestStatusItemLifecycle(t *testing.T) {
-	s := NewStatus()
-	s.CampaignBegin("fake", 1)
-	s.ItemQueued(0, "TestA", 1)
-	s.ItemStart(0)
-	s.ItemStart(0) // speculative duplicate
-	s.ItemDone(0, 2)
-	s.ItemDone(0, 2) // loser's duplicate
-	cs := s.Campaign()
+	o := statusObserver("fake", 1)
+	o.Event(EvItemQueued, item(0), String("test", "TestA"), Float("pred_s", 1))
+	o.Event(EvItemDispatch, item(0))
+	o.Event(EvItemDispatch, item(0)) // speculative duplicate
+	o.Event(EvItemComplete, item(0), Float("elapsed_s", 2))
+	o.Event(EvItemComplete, item(0), Float("elapsed_s", 2)) // loser's duplicate
+	cs := o.Campaign()
 	if cs.ItemsDone != 1 {
 		t.Fatalf("items done %d, want 1", cs.ItemsDone)
 	}
 
-	s.ItemQueued(1, "TestB", 1)
-	s.ItemStart(1)
-	s.ItemRequeued(1)
-	cs = s.Campaign()
+	o.Event(EvItemQueued, item(1), String("test", "TestB"), Float("pred_s", 1))
+	o.Event(EvItemDispatch, item(1))
+	o.Event(EvItemRetried, item(1))
+	cs = o.Campaign()
 	if cs.ItemsQueued != 1 || cs.ItemsRunning != 0 {
 		t.Fatalf("after requeue: queued=%d running=%d", cs.ItemsQueued, cs.ItemsRunning)
 	}
@@ -80,16 +90,15 @@ func TestStatusItemLifecycle(t *testing.T) {
 
 // TestStatusWorkers covers the heartbeat-driven state machine.
 func TestStatusWorkers(t *testing.T) {
-	s := NewStatus()
-	s.CampaignBegin("fake", 2)
-	s.WorkerSpawned(0, 100)
-	s.WorkerHeartbeat(0, 100, []int{3}, 17, 9, 1<<20)
-	s.WorkerStalled(0)
-	s.WorkerRecovered(0)
-	s.WorkerSpawned(1, 101)
-	s.WorkerGone(1, "crash")
+	o := statusObserver("fake", 2)
+	o.Event(EvWorkerSpawn, worker(0), Int("pid", 100))
+	o.WorkerHeartbeat("fake", 0, 100, []int{3}, 17, 9, 1<<20)
+	o.Event(EvWorkerStalled, worker(0))
+	o.Event(EvWorkerRecovered, worker(0))
+	o.Event(EvWorkerSpawn, worker(1), Int("pid", 101))
+	o.Event(EvWorkerCrash, worker(1), String("reason", "crash"))
 
-	ws := s.Workers()
+	ws := o.Workers()
 	if len(ws) != 2 {
 		t.Fatalf("got %d workers", len(ws))
 	}
@@ -104,22 +113,21 @@ func TestStatusWorkers(t *testing.T) {
 		t.Fatalf("worker 1 state %q", ws[1].State)
 	}
 	// Recovery only applies to stalled workers, not crashed ones.
-	s.WorkerRecovered(1)
-	if got := s.Workers()[1].State; got != "crashed" {
+	o.Event(EvWorkerRecovered, worker(1))
+	if got := o.Workers()[1].State; got != "crashed" {
 		t.Fatalf("worker 1 after bogus recover: %q", got)
 	}
 }
 
 // TestStatusParams covers the live verdict table.
 func TestStatusParams(t *testing.T) {
-	s := NewStatus()
-	s.CampaignBegin("fake", 1)
-	s.ParamVerdict("b.param", "TestX", 0.25)
-	s.ParamVerdict("b.param", "TestY", 0.0625)
-	s.ParamVerdict("a.param", "TestX", 0.125)
-	s.ParamQuarantined("b.param")
+	o := statusObserver("fake", 1)
+	o.Event(EvVerdict, String("param", "b.param"), String("test", "TestX"), Float("p", 0.25))
+	o.Event(EvVerdict, String("param", "b.param"), String("test", "TestY"), Float("p", 0.0625))
+	o.Event(EvVerdict, String("param", "a.param"), String("test", "TestX"), Float("p", 0.125))
+	o.Event(EvParamQuarantined, String("param", "b.param"))
 
-	ps := s.Params()
+	ps := o.Params()
 	if len(ps) != 2 || ps[0].Param != "a.param" || ps[1].Param != "b.param" {
 		t.Fatalf("params: %+v", ps)
 	}
@@ -132,13 +140,11 @@ func TestStatusParams(t *testing.T) {
 // TestServeDebugStatusAPI starts the debug server with a live status
 // tracker and reads the three endpoints over real HTTP.
 func TestServeDebugStatusAPI(t *testing.T) {
-	o := New()
-	o.Status = NewStatus()
-	o.Status.CampaignBegin("minihdfs", 2)
-	o.Status.PhaseStart("instances")
-	o.Status.ItemQueued(0, "TestWriteRead", 5)
-	o.Status.WorkerSpawned(0, 4242)
-	o.Status.ParamVerdict("dfs.checksum.type", "TestWriteRead", 0.0625)
+	o := statusObserver("minihdfs", 2)
+	o.Event(EvPhaseStart, String("phase", "instances"))
+	o.Event(EvItemQueued, item(0), String("test", "TestWriteRead"), Float("pred_s", 5))
+	o.Event(EvWorkerSpawn, worker(0), Int("pid", 4242))
+	o.Event(EvVerdict, String("param", "dfs.checksum.type"), String("test", "TestWriteRead"), Float("p", 0.0625))
 
 	addr, shutdown, err := ServeDebug("127.0.0.1:0", o)
 	if err != nil {

@@ -114,14 +114,19 @@ func TestProgressRenders(t *testing.T) {
 		defer mu.Unlock()
 		return buf.Write(p)
 	})
-	p := NewProgress(w, 10*time.Millisecond)
-	p.Begin("minihdfs")
-	p.AddTotal(10)
-	p.AddDone(4)
-	p.AddExecutions(123)
-	p.AddVerdict("unsafe")
+	// The line is the campaign snapshot: the registry's tallies for the
+	// app, relative to their values when its campaign started.
+	o := New()
+	o.Status = NewStatus()
+	o.Progress = NewProgress(w, 10*time.Millisecond)
+	o.GaugeAdd(MInstancesTotal, 7, "app", "minihdfs") // an earlier campaign's
+	o.Event(EvCampaignStart, String("app", "minihdfs"))
+	o.GaugeAdd(MInstancesTotal, 10, "app", "minihdfs")
+	o.GaugeAdd(MInstancesDone, 4, "app", "minihdfs")
+	o.CounterAdd(MExecutions, 123, "app", "minihdfs", "arm", "hetero", "outcome", "pass")
+	o.RecordVerdict("minihdfs", "unsafe", false)
 	time.Sleep(30 * time.Millisecond)
-	p.Finish()
+	o.Event(EvCampaignFinish, String("app", "minihdfs"), Float("elapsed_s", 0.03))
 
 	mu.Lock()
 	out := buf.String()
