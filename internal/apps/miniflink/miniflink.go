@@ -399,3 +399,6 @@ func (tm *TaskManager) handle(method string, payload []byte) ([]byte, error) {
 		return nil, fmt.Errorf("miniflink: taskmanager %s: unknown method %q", tm.id, method)
 	}
 }
+
+// schema builds the registry once; every App() and every execution shares it.
+var schema = sync.OnceValue(NewRegistry)

@@ -16,7 +16,7 @@ import (
 func App() *harness.App {
 	return &harness.App{
 		Name:        "miniflink",
-		Schema:      NewRegistry,
+		Schema:      schema,
 		NodeTypes:   []string{TypeJobManager, TypeTaskManager},
 		Annotations: harness.AnnotationStats{NodeLines: 12, ConfLines: 6},
 		Tests:       testSuite(),

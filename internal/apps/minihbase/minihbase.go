@@ -12,6 +12,8 @@
 package minihbase
 
 import (
+	"sync"
+
 	"zebraconf/internal/apps/common"
 	"zebraconf/internal/apps/minihdfs"
 	"zebraconf/internal/confkit"
@@ -92,3 +94,6 @@ func NewRegistry() *confkit.Registry {
 
 // Keep the common import for the IPC helpers used by the node files.
 var _ = common.SecurityFromConf
+
+// schema builds the registry once; every App() and every execution shares it.
+var schema = sync.OnceValue(NewRegistry)

@@ -17,7 +17,7 @@ import (
 func App() *harness.App {
 	return &harness.App{
 		Name:   "minihbase",
-		Schema: NewRegistry,
+		Schema: schema,
 		NodeTypes: []string{
 			TypeHMaster, TypeRegionServer, TypeThriftServer,
 			minihdfs.TypeNameNode, minihdfs.TypeDataNode,

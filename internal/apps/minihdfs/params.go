@@ -12,6 +12,8 @@
 package minihdfs
 
 import (
+	"sync"
+
 	"zebraconf/internal/apps/common"
 	"zebraconf/internal/confkit"
 )
@@ -281,3 +283,6 @@ func NewRegistry() *confkit.Registry {
 	r.Include(common.NewRegistry())
 	return r
 }
+
+// schema builds the registry once; every App() and every execution shares it.
+var schema = sync.OnceValue(NewRegistry)

@@ -17,7 +17,7 @@ import (
 func App() *harness.App {
 	return &harness.App{
 		Name:      "minihdfs",
-		Schema:    NewRegistry,
+		Schema:    schema,
 		NodeTypes: []string{TypeNameNode, TypeDataNode, TypeSecondaryNN, TypeJournalNode, TypeBalancer, TypeMover},
 		// NodeLines counts the StartInit/StopInit/RefToClone annotations in
 		// the five node constructors; ConfLines counts the hook call sites

@@ -10,6 +10,8 @@
 package minimr
 
 import (
+	"sync"
+
 	"zebraconf/internal/apps/common"
 	"zebraconf/internal/confkit"
 )
@@ -132,3 +134,6 @@ func NewRegistry() *confkit.Registry {
 	r.Include(common.NewRegistry())
 	return r
 }
+
+// schema builds the registry once; every App() and every execution shares it.
+var schema = sync.OnceValue(NewRegistry)

@@ -13,7 +13,7 @@ import (
 func App() *harness.App {
 	return &harness.App{
 		Name:        "minimr",
-		Schema:      NewRegistry,
+		Schema:      schema,
 		NodeTypes:   []string{TypeMapTask, TypeReduceTask, TypeJobHistory},
 		Annotations: harness.AnnotationStats{NodeLines: 9, ConfLines: 6},
 		Tests:       testSuite(),

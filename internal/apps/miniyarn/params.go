@@ -9,6 +9,8 @@
 package miniyarn
 
 import (
+	"sync"
+
 	"zebraconf/internal/apps/common"
 	"zebraconf/internal/confkit"
 )
@@ -119,3 +121,6 @@ func NewRegistry() *confkit.Registry {
 	r.Include(common.NewRegistry())
 	return r
 }
+
+// schema builds the registry once; every App() and every execution shares it.
+var schema = sync.OnceValue(NewRegistry)

@@ -13,7 +13,7 @@ import (
 func App() *harness.App {
 	return &harness.App{
 		Name:        "miniyarn",
-		Schema:      NewRegistry,
+		Schema:      schema,
 		NodeTypes:   []string{TypeResourceManager, TypeNodeManager, TypeAppHistory},
 		Annotations: harness.AnnotationStats{NodeLines: 9, ConfLines: 6},
 		Tests:       testSuite(),

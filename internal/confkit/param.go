@@ -12,6 +12,7 @@ package confkit
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -241,6 +242,23 @@ func (r *Registry) Include(other *Registry) *Registry {
 		r.order = append(r.order, name)
 	}
 	return r
+}
+
+// WithDefaults returns a registry that differs from r only in the defaults
+// named by overrides (param → new default; unknown names are ignored). r is
+// not touched: the result gets its own copy of each Param it changes and
+// shares the rest, the way Include shares them between apps.
+func (r *Registry) WithDefaults(overrides map[string]string) *Registry {
+	out := &Registry{params: make(map[string]*Param, len(r.params)), order: slices.Clip(r.order)}
+	for name, p := range r.params {
+		if val, ok := overrides[name]; ok {
+			cp := *p
+			cp.Default = val
+			p = &cp
+		}
+		out.params[name] = p
+	}
+	return out
 }
 
 // Lookup returns the parameter named name, or nil.

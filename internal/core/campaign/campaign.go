@@ -379,7 +379,7 @@ func Run(app *harness.App, opts Options) *Result {
 	// (see pipeline; Options.Stream only decides when built items are
 	// released into it).
 	p := &pipeline{app: app, gen: gen, run: run, opts: opts, o: o, force: force, tests: tests}
-	itemResults, localLeaks := p.execute(phase)
+	itemResults := p.execute(phase)
 	res.PreRuns = p.pres
 	// Fold worker-produced coverage edges into the collector: distributed
 	// phase-2 executions happen out of process, and their read sets ride
@@ -409,9 +409,7 @@ func Run(app *harness.App, opts Options) *Result {
 	// Phase 3: merge item results and score against ground truth.
 	_, endPhase := phase("scoring")
 	mergeResults(res, schema, gen, itemResults, opts)
-	if opts.Distributor == nil {
-		res.LeakedGoroutines = localLeaks
-	}
+	res.LeakedGoroutines += p.preLeaks
 	endPhase()
 
 	res.Elapsed = time.Since(start)
@@ -427,18 +425,6 @@ func Run(app *harness.App, opts Options) *Result {
 		obs.Int("executions_saved", res.Counts.ExecutionsSaved),
 		obs.Float("elapsed_s", res.Elapsed.Seconds()))
 	return res
-}
-
-// filterConfirmed drops pool members whose parameter is already confirmed
-// unsafe within this test.
-func filterConfirmed(p testgen.Pool, confirmed map[string]bool) testgen.Pool {
-	out := testgen.Pool{Test: p.Test}
-	for _, in := range p.Members {
-		if !confirmed[in.Param] {
-			out.Members = append(out.Members, in)
-		}
-	}
-	return out
 }
 
 // selectTests resolves the test subset. Names that do not resolve are

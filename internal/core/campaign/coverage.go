@@ -7,27 +7,19 @@ import (
 	"zebraconf/internal/core/harness"
 )
 
-// OverrideApp wraps app so its Schema constructor applies the given
-// default overrides (param → new default). The original app is never
-// mutated — harness executions call Schema per run, and workers resolve
-// apps independently, so a wrapper is the only override mechanism that
-// survives both paths. Unknown parameter names are ignored. A nil or
-// empty override map returns app unchanged.
+// OverrideApp wraps app so its Schema returns a copy of the app's registry
+// with the given default overrides (param → new default) applied. The copy
+// is derived once, here; neither the original app nor its registry is
+// mutated, so differently-overridden wrappers of one app — concurrent
+// served campaigns — each see their own defaults. Unknown parameter names
+// are ignored. A nil or empty override map returns app unchanged.
 func OverrideApp(app *harness.App, overrides map[string]string) *harness.App {
 	if len(overrides) == 0 {
 		return app
 	}
-	base := app.Schema
+	schema := app.Schema().WithDefaults(overrides)
 	wrapped := *app
-	wrapped.Schema = func() *confkit.Registry {
-		r := base()
-		for name, val := range overrides {
-			if p := r.Lookup(name); p != nil {
-				p.Default = val
-			}
-		}
-		return r
-	}
+	wrapped.Schema = func() *confkit.Registry { return schema }
 	return &wrapped
 }
 

@@ -3,14 +3,16 @@ package campaign
 import (
 	"sync"
 
+	"zebraconf/internal/core/runner"
 	"zebraconf/internal/obs"
 )
 
 // FrequentFailers is §4's frequent-failer rule: a parameter confirmed
 // unsafe by threshold distinct unit tests is quarantined, so the rest of
-// the campaign skips its instances. It decides when; the caller acts — the
-// in-process pipeline quarantines the parameter in its shared generator,
-// the distributed coordinator broadcasts it to its workers. Safe for
+// the campaign skips its instances. It decides when, from each completed
+// item's result (Note); the caller acts — the in-process pipeline
+// quarantines the parameter in its generator, the distributed coordinator
+// broadcasts it to its workers, which do the same in theirs. Safe for
 // concurrent use.
 type FrequentFailers struct {
 	app       string
@@ -30,6 +32,23 @@ func NewFrequentFailers(app string, threshold int, o *obs.Observer) *FrequentFai
 	}
 	return &FrequentFailers{app: app, threshold: threshold, o: o,
 		confirmedBy: make(map[string]map[string]bool)}
+}
+
+// Note feeds one item result's unsafe verdicts to the rule and returns the
+// parameters they quarantine, for the caller to act on. A result replayed
+// from a checkpoint journal counts silently (Fold): the interrupted run
+// already announced what it quarantined.
+func (f *FrequentFailers) Note(res ItemResult, replayed bool) (quarantined []string) {
+	confirm := f.Confirm
+	if replayed {
+		confirm = f.Fold
+	}
+	for _, v := range res.Verdicts {
+		if v.Verdict == runner.VerdictUnsafe.String() && confirm(v.Param, res.Test) {
+			quarantined = append(quarantined, v.Param)
+		}
+	}
+	return quarantined
 }
 
 // Confirm records that test confirmed param unsafe and reports whether

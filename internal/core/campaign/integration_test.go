@@ -238,3 +238,41 @@ func TestSameSeedCampaignByteIdenticalAcrossParallelism(t *testing.T) {
 		})
 	}
 }
+
+// TestSchemaBuiltOnceAndOverridesCopy pins the schema contract: an app's
+// Schema hands out the same registry on every call, and OverrideApp derives
+// a copy — the app's own registry (and the common parameters it shares
+// with the other apps through Include) keeps its defaults, and two
+// differently-overridden wrappers of one app, the concurrent served
+// campaigns case, each see their own.
+func TestSchemaBuiltOnceAndOverridesCopy(t *testing.T) {
+	t.Parallel()
+	for _, app := range apps.All() {
+		if app.Schema() != app.Schema() {
+			t.Errorf("%s: Schema() built a second registry", app.Name)
+		}
+		// The first parameter is the app's own, the last one inherited
+		// from the common registry through Include.
+		names := app.Schema().Names()
+		for _, p := range []string{names[0], names[len(names)-1]} {
+			orig := app.Schema().Lookup(p).Default
+			a := campaign.OverrideApp(app, map[string]string{p: "override-a", "no.such.param": "x"})
+			b := campaign.OverrideApp(app, map[string]string{p: "override-b"})
+			if a.Schema() != a.Schema() {
+				t.Errorf("%s: overridden Schema() built a second registry", app.Name)
+			}
+			if got := a.Schema().Lookup(p).Default; got != "override-a" {
+				t.Errorf("%s: wrapper a sees %s=%q", app.Name, p, got)
+			}
+			if got := b.Schema().Lookup(p).Default; got != "override-b" {
+				t.Errorf("%s: wrapper b sees %s=%q", app.Name, p, got)
+			}
+			if got := app.Schema().Lookup(p).Default; got != orig {
+				t.Errorf("%s: OverrideApp mutated the app's registry: %s=%q, was %q", app.Name, p, got, orig)
+			}
+			if a.Schema().Len() != app.Schema().Len() || a.Schema().Lookup("no.such.param") != nil {
+				t.Errorf("%s: an unknown override name changed the parameter set", app.Name)
+			}
+		}
+	}
+}

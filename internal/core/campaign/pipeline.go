@@ -35,15 +35,16 @@ type pipeline struct {
 	pres []testgen.PreRun
 	// items holds every built work item by ID, written by the pre-run
 	// that built it before it takes mu — what the barrier releases.
-	items    []WorkItem
-	results  []ItemResult
-	onUnsafe func(inst testgen.Instance, r runner.Result)
-	endPre   func()
-	q        *sched.Queue[streamTask]
+	items   []WorkItem
+	results []ItemResult
+	failers *FrequentFailers
+	endPre  func()
+	q       *sched.Queue[streamTask]
 
 	mu       sync.Mutex
 	preLeft  int
 	itemLeft int
+	preLeaks int64 // pre-runs that abandoned a goroutine
 }
 
 // streamTask is one unit of pipeline work: a pre-run (by test index) or
@@ -55,9 +56,9 @@ type streamTask struct {
 }
 
 // execute runs the pipeline to completion, leaving the pre-run reports in
-// p.pres. phase opens a campaign phase and returns its span and the func
-// that ends it.
-func (p *pipeline) execute(phase func(name string) (obs.SpanID, func())) (itemResults []ItemResult, localLeaks int64) {
+// p.pres and the pre-runs' abandoned goroutines in p.preLeaks. phase opens
+// a campaign phase and returns its span and the func that ends it.
+func (p *pipeline) execute(phase func(name string) (obs.SpanID, func())) []ItemResult {
 	n := len(p.tests)
 	// Both phase spans open up front — the phases interleave — and each
 	// phase's timer stops when its last unit of work finishes.
@@ -71,19 +72,10 @@ func (p *pipeline) execute(phase func(name string) (obs.SpanID, func())) (itemRe
 	p.q = sched.NewQueue[streamTask](p.opts.SchedPolicy, p.o, p.app.Name, "stream")
 
 	dist := p.opts.Distributor
-	var leakBase int64
 	if dist != nil {
 		dist.Begin(span, n)
 	} else {
-		failers := NewFrequentFailers(p.app.Name, p.opts.QuarantineThreshold, p.o)
-		p.onUnsafe = func(inst testgen.Instance, _ runner.Result) {
-			if failers.Confirm(inst.Param, inst.Test) {
-				p.gen.Quarantine(inst.Param)
-			}
-		}
-		// Abandoned-goroutine accounting: per-item deltas double-count
-		// under in-process concurrency, so take one campaign-wide delta.
-		leakBase = harness.AbandonedGoroutines()
+		p.failers = NewFrequentFailers(p.app.Name, p.opts.QuarantineThreshold, p.o)
 	}
 	for i, t := range p.tests {
 		// A pre-run's priority is its item's profiled duration: under
@@ -116,14 +108,11 @@ func (p *pipeline) execute(phase func(name string) (obs.SpanID, func())) (itemRe
 		}()
 	}
 	wg.Wait()
+	defer endInstances()
 	if dist != nil {
-		itemResults = dist.Drain()
-	} else {
-		itemResults = p.results
-		localLeaks = harness.AbandonedGoroutines() - leakBase
+		return dist.Drain()
 	}
-	endInstances()
-	return itemResults, localLeaks
+	return p.results
 }
 
 // doPreRun executes one pre-run and builds its work item. When streaming,
@@ -132,7 +121,7 @@ func (p *pipeline) execute(phase func(name string) (obs.SpanID, func())) (itemRe
 // phase-1 timer (and, in dist mode, the queue — nothing else will be
 // pushed).
 func (p *pipeline) doPreRun(idx int) {
-	pre, d := p.run.PreRunTimed(p.tests[idx])
+	pre, d, abandoned := p.run.PreRunTimed(p.tests[idx])
 	p.pres[idx] = pre
 	item := WorkItem{ID: idx, Test: pre.Test, PreRun: pre, ForceParams: p.force[pre.Test]}
 	item.PredSeconds, item.PredTrials = p.predict(item, d.Seconds())
@@ -146,6 +135,9 @@ func (p *pipeline) doPreRun(idx int) {
 	p.mu.Lock()
 	p.preLeft--
 	last := p.preLeft == 0
+	if abandoned {
+		p.preLeaks++
+	}
 	p.mu.Unlock()
 	if last {
 		p.endPre()
@@ -193,8 +185,9 @@ func (p *pipeline) release(item WorkItem) {
 // coordinator emits its own dispatch and completion records, with worker
 // attribution) and feeds its wall clock and trial count back into the
 // profile and the predicted-vs-actual histogram; the item_complete event
-// carries the rest (run-time histogram, live status ETA). The last item
-// closes the queue and with it the worker pool.
+// carries the rest (run-time histogram, live status ETA). What §4's rule
+// makes of the result is quarantined in the generator for the items still
+// to come. The last item closes the queue and with it the worker pool.
 func (p *pipeline) doItem(item WorkItem) {
 	o, app := p.o, p.app.Name
 	t0 := time.Now()
@@ -202,7 +195,7 @@ func (p *pipeline) doItem(item WorkItem) {
 		obs.String("app", app),
 		obs.Int("item", int64(item.ID)),
 		obs.String("test", item.Test))
-	res := ExecuteItem(p.app, p.gen, p.run, p.opts, p.span, item, p.onUnsafe, false)
+	res := ExecuteItem(p.app, p.gen, p.run, p.opts, p.span, item)
 	secs := time.Since(t0).Seconds()
 	p.opts.Profile.RecordTrials(app, item.Test, secs, res.Executions)
 	if item.PredSeconds > 0 {
@@ -214,6 +207,9 @@ func (p *pipeline) doItem(item WorkItem) {
 		obs.String("test", item.Test),
 		obs.Float("elapsed_s", secs))
 	p.results[item.ID] = res
+	for _, param := range p.failers.Note(res, false) {
+		p.gen.Quarantine(param)
+	}
 
 	p.mu.Lock()
 	p.itemLeft--

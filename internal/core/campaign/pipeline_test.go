@@ -2,11 +2,15 @@ package campaign
 
 import (
 	"bytes"
+	"reflect"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
+	"zebraconf/internal/core/harness"
+	"zebraconf/internal/core/runner"
 	"zebraconf/internal/core/sched"
 	"zebraconf/internal/obs"
 )
@@ -173,5 +177,66 @@ func TestFrequentFailersThresholdAndRepeats(t *testing.T) {
 	}
 	if got := f.Quarantined(); len(got) != 1 || got[0] != "p" {
 		t.Fatalf("Quarantined() = %v, want [p]", got)
+	}
+}
+
+// TestFrequentFailersNoteFromItemResults scripts §4's rule over whole item
+// results, the way both callers feed it: the threshold-th distinct test
+// returns the parameter, once; a resumed run's replayed results count
+// toward the threshold but are never announced.
+func TestFrequentFailersNoteFromItemResults(t *testing.T) {
+	t.Parallel()
+	unsafe, safe := runner.VerdictUnsafe.String(), runner.VerdictSafe.String()
+	item := func(test string, verdicts ...InstanceVerdict) ItemResult {
+		return ItemResult{Test: test, Verdicts: verdicts}
+	}
+	o := obs.New()
+	f := NewFrequentFailers("app", 3, o)
+	steps := []struct {
+		res      ItemResult
+		replayed bool
+		want     []string
+	}{
+		{res: item("TestA", InstanceVerdict{Param: "p", Verdict: unsafe}, InstanceVerdict{Param: "q", Verdict: safe})},
+		{res: item("TestA", InstanceVerdict{Param: "p", Verdict: unsafe})}, // a retry of the same test
+		{res: item("TestB", InstanceVerdict{Param: "p", Verdict: unsafe}, InstanceVerdict{Param: "r", Verdict: unsafe}), replayed: true},
+		{res: item("TestC", InstanceVerdict{Param: "q", Verdict: "filtered"}, InstanceVerdict{Param: "r", Verdict: unsafe}), replayed: true},
+		{res: item("TestD", InstanceVerdict{Param: "r", Verdict: unsafe}), replayed: true, want: []string{"r"}},
+		{res: item("TestE", InstanceVerdict{Param: "p", Verdict: unsafe}, InstanceVerdict{Param: "r", Verdict: unsafe}), want: []string{"p"}},
+		{res: item("TestF", InstanceVerdict{Param: "p", Verdict: unsafe}, InstanceVerdict{Param: "r", Verdict: unsafe})},
+	}
+	for i, s := range steps {
+		if got := f.Note(s.res, s.replayed); !reflect.DeepEqual(got, s.want) {
+			t.Fatalf("step %d (%s): Note = %v, want %v", i, s.res.Test, got, s.want)
+		}
+	}
+	// r crossed the threshold inside the replayed journal: registered for
+	// the catch-up broadcast, announced by nobody.
+	if got := f.Quarantined(); !reflect.DeepEqual(got, []string{"r", "p"}) {
+		t.Fatalf("Quarantined() = %v, want [r p]", got)
+	}
+	if n := o.Metrics.CounterValue(obs.MQuarantine, "app", "app"); n != 1 {
+		t.Fatalf("%s = %d, want 1 (p only)", obs.MQuarantine, n)
+	}
+}
+
+// TestPreRunLeakCountedWithDistributor: a pre-run executes in the
+// coordinator's process whoever executes phase 2, so a goroutine it
+// abandons is the campaign's to report under a Distributor too.
+func TestPreRunLeakCountedWithDistributor(t *testing.T) {
+	t.Parallel()
+	release := make(chan struct{})
+	defer close(release)
+	app := syntheticApp(1)
+	app.Tests = append(app.Tests, harness.UnitTest{
+		Name:    "TestIgnoresTheClock",
+		Timeout: 20 * time.Millisecond,
+		Run:     func(*harness.T) { <-release },
+	})
+	for _, dist := range []Distributor{nil, &fakeDistributor{}} {
+		res := Run(app, Options{Distributor: dist})
+		if res.LeakedGoroutines != 1 {
+			t.Errorf("Distributor %T: LeakedGoroutines = %d, want 1 (the abandoned pre-run)", dist, res.LeakedGoroutines)
+		}
 	}
 }

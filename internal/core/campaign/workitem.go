@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"slices"
 	"sort"
 
 	"zebraconf/internal/confkit"
@@ -92,10 +93,9 @@ type ItemResult struct {
 	// Verdicts lists every leaf instance verdict in execution order
 	// (deterministic: item execution is sequential).
 	Verdicts []InstanceVerdict `json:"verdicts,omitempty"`
-	// LeakedGoroutines counts unit-test goroutines abandoned after a
-	// timeout while this item ran (only tracked by worker subprocesses,
-	// where items execute serially; the in-process path measures the
-	// campaign-wide delta instead).
+	// LeakedGoroutines counts this item's executions that abandoned a
+	// goroutine after a timeout (harness.Outcome.Abandoned, summed per
+	// execution, so concurrent items never bill each other's).
 	LeakedGoroutines int64 `json:"leaked_goroutines,omitempty"`
 	// Coverage is the deduplicated sorted set of parameters this item's
 	// executions read, filled only by worker subprocesses (the
@@ -117,23 +117,15 @@ type ItemResult struct {
 
 // ExecuteItem runs every instance of one work item: generation, pooled
 // testing with recursive splitting, and leaf verdicts. It is the one
-// phase-2 execution path, shared by the in-process campaign (shared gen,
-// live onUnsafe hook driving cross-test quarantine) and the distributed
-// worker (fresh gen, nil hook, trackLeaks on). Execution within an item
-// is sequential, so the verdict order — and with it the serialized
-// ItemResult — is deterministic for a given seed.
-func ExecuteItem(app *harness.App, gen *testgen.Generator, run *runner.Runner, opts Options, parent obs.SpanID, item WorkItem, onUnsafe func(testgen.Instance, runner.Result), trackLeaks bool) ItemResult {
+// phase-2 execution path, called the same way by the in-process pipeline
+// and the distributed worker: gen is the caller's generator (per campaign;
+// a worker's, per session), and what the result means for cross-test
+// quarantine is the caller's to decide (FrequentFailers.Note). Execution
+// within an item is sequential, so the verdict order — and with it the
+// serialized ItemResult — is deterministic for a given seed.
+func ExecuteItem(app *harness.App, gen *testgen.Generator, run *runner.Runner, opts Options, parent obs.SpanID, item WorkItem) ItemResult {
 	o := opts.Obs
 	out := ItemResult{ID: item.ID, Test: item.Test}
-	var leakBase int64
-	if trackLeaks {
-		leakBase = harness.AbandonedGoroutines()
-	}
-	defer func() {
-		if trackLeaks {
-			out.LeakedGoroutines = harness.AbandonedGoroutines() - leakBase
-		}
-	}()
 
 	test, err := app.Test(item.Test)
 	if err != nil {
@@ -172,18 +164,23 @@ func ExecuteItem(app *harness.App, gen *testgen.Generator, run *runner.Runner, o
 		obs.Int("instances", int64(len(instances))))
 	defer testSpan.End()
 
-	// Within this item, skip further instances of a parameter already
-	// confirmed unsafe here.
+	account := func(cost runner.Result) {
+		out.Executions += cost.Executions
+		out.ExecutionsSaved += cost.Saved
+		out.LeakedGoroutines += cost.Abandoned
+	}
+	// Skip further instances of a parameter already confirmed unsafe
+	// within this item, or quarantined by the campaign since.
 	confirmedHere := make(map[string]bool)
+	skip := func(param string) bool { return confirmedHere[param] || gen.Quarantined(param) }
 	leaf := func(parent obs.SpanID, inst testgen.Instance) {
 		defer markDone(1)
-		if confirmedHere[inst.Param] || gen.Quarantined(inst.Param) {
+		if skip(inst.Param) {
 			return
 		}
 		asn := gen.AssignFor(inst, &rep)
 		r := run.RunAssignmentIn(parent, test, asn, inst.String())
-		out.Executions += r.Executions
-		out.ExecutionsSaved += r.Saved
+		account(r)
 		if r.Evidence != nil {
 			// The runner knows the execution; only this layer knows the
 			// instance identity and the campaign flags a repro needs.
@@ -211,9 +208,6 @@ func ExecuteItem(app *harness.App, gen *testgen.Generator, run *runner.Runner, o
 				obs.String("instance", inst.String()),
 				obs.Float("p", r.PValue))
 			confirmedHere[inst.Param] = true
-			if onUnsafe != nil {
-				onUnsafe(inst, r)
-			}
 		}
 	}
 
@@ -227,8 +221,8 @@ func ExecuteItem(app *harness.App, gen *testgen.Generator, run *runner.Runner, o
 	var runPool func(parent obs.SpanID, depth int, p testgen.Pool)
 	runPool = func(parent obs.SpanID, depth int, p testgen.Pool) {
 		before := len(p.Members)
-		p = p.FilterQuarantined(gen)
-		p = filterConfirmed(p, confirmedHere)
+		p.Members = slices.DeleteFunc(slices.Clone(p.Members),
+			func(in testgen.Instance) bool { return skip(in.Param) })
 		if dropped := before - len(p.Members); dropped > 0 {
 			markDone(dropped)
 		}
@@ -246,12 +240,8 @@ func ExecuteItem(app *harness.App, gen *testgen.Generator, run *runner.Runner, o
 			obs.Int("depth", int64(depth)))
 		defer span.End()
 		asn := p.Assignment(gen, &rep)
-		failed, reused := run.RunPooledIn(span.ID(), test, asn, p.Test+"/pool")
-		if reused {
-			out.ExecutionsSaved++
-		} else {
-			out.Executions++
-		}
+		failed, cost := run.RunPooledIn(span.ID(), test, asn, p.Test+"/pool")
+		account(cost)
 		if !failed {
 			// Pooled heterogeneous run passed: all members cleared.
 			span.SetAttr(obs.Bool("cleared", true))

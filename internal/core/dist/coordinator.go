@@ -342,7 +342,7 @@ func (r *Run) start() error {
 	// workers still learn about parameters the interrupted run condemned
 	// (via the catch-up send when each session registers).
 	for _, res := range resumed {
-		r.noteConfirmations(*res, false)
+		r.failers.Note(*res, true)
 	}
 	if r.pendingN <= 0 {
 		r.finished = true
@@ -1078,28 +1078,16 @@ func (r *Run) recordResult(slot int, res campaign.ItemResult, elapsed time.Durat
 	if pred > 0 {
 		o.Observe(obs.MSchedPredRatio, elapsed.Seconds()/pred, "app", app)
 	}
-	r.noteConfirmations(res, true)
+	r.noteConfirmations(res)
 	r.maybeFinish()
 	return true
 }
 
-// noteConfirmations feeds one item result's confirmations to §4's
-// frequent-failer rule and broadcasts (best-effort) every parameter it
-// quarantines to the live workers, so remaining items skip its instances.
-// emit is false when folding resumed results, whose quarantine state
-// registers silently: each session learns it from addSession's catch-up.
-func (r *Run) noteConfirmations(res campaign.ItemResult, emit bool) {
-	for _, v := range res.Verdicts {
-		if v.Verdict != runner.VerdictUnsafe.String() {
-			continue
-		}
-		if !emit {
-			r.failers.Fold(v.Param, res.Test)
-			continue
-		}
-		if !r.failers.Confirm(v.Param, res.Test) {
-			continue
-		}
+// noteConfirmations feeds one item result to §4's frequent-failer rule and
+// broadcasts (best-effort) every parameter it quarantines to the live
+// workers, so remaining items skip its instances.
+func (r *Run) noteConfirmations(res campaign.ItemResult) {
+	for _, param := range r.failers.Note(res, false) {
 		r.mu.Lock()
 		targets := make([]*workerSession, 0, len(r.sessions))
 		for _, s := range r.sessions {
@@ -1109,7 +1097,7 @@ func (r *Run) noteConfirmations(res campaign.ItemResult, emit bool) {
 		for _, s := range targets {
 			// Best-effort: a send failure means the worker is dying
 			// and its supervisor will notice through the session.
-			s.send(Msg{Type: MsgQuarantine, Param: v.Param})
+			s.send(Msg{Type: MsgQuarantine, Param: param})
 		}
 	}
 }

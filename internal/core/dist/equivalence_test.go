@@ -2,12 +2,14 @@ package dist_test
 
 import (
 	"encoding/json"
+	"math"
 	"reflect"
 	"testing"
 
 	"zebraconf/internal/apps"
 	"zebraconf/internal/core/campaign"
 	"zebraconf/internal/core/dist"
+	"zebraconf/internal/obs"
 )
 
 // TestCacheEquivalenceAllApps is the memoization soundness property on
@@ -127,4 +129,76 @@ func normalized(t *testing.T, res *campaign.Result) string {
 		t.Fatal(err)
 	}
 	return string(b)
+}
+
+// recordingDistributor keeps the work items a campaign submits and
+// executes none of them.
+type recordingDistributor struct{ items []campaign.WorkItem }
+
+func (d *recordingDistributor) Begin(obs.SpanID, int)         {}
+func (d *recordingDistributor) Submit(item campaign.WorkItem) { d.items = append(d.items, item) }
+func (d *recordingDistributor) Drain() []campaign.ItemResult  { return nil }
+
+// TestItemResultSameInProcessAndInWorker holds the one executing side to
+// its word: with the frequent-failer rule off, a work item executed by the
+// in-process pipeline and by a ServeWorker session yields the same
+// ItemResult — verdicts, p-values, evidence records, execution and cache
+// accounting — but for the two fields only a worker fills (Coverage, Spans).
+// One slot and the barrier release on both sides, so items meet the session's
+// trial budget pool and evidence budget in the same order.
+func TestItemResultSameInProcessAndInWorker(t *testing.T) {
+	cases := []struct {
+		app    string
+		params []string
+		tests  []string
+	}{
+		{"minihdfs", []string{"dfs.bytes-per-checksum", "dfs.checksum.type"}, []string{"TestWriteRead", "TestFsck", "TestMkdirList"}},
+		{"miniyarn", []string{"yarn.scheduler.maximum-allocation-mb", "yarn.timeline-service.enabled"}, []string{"TestAllocationAtMaxMB", "TestTimelineQuery", "TestSubmitApplication"}},
+		{"miniflink", []string{"akka.ssl.enabled", "taskmanager.numberOfTaskSlots"}, []string{"TestJobSubmission", "TestSlotAllocationExact", "TestDataExchange"}},
+	}
+	for _, tc := range cases {
+		tc := tc
+		t.Run(tc.app, func(t *testing.T) {
+			t.Parallel()
+			app, err := apps.ByName(tc.app)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts := campaign.Options{
+				Params:              tc.params,
+				Tests:               tc.tests,
+				Seed:                7,
+				Parallelism:         1,
+				QuarantineThreshold: math.MaxInt32,
+				EvidenceMax:         -1,
+			}
+			local := campaign.Run(app, opts)
+			if len(local.Reported) == 0 {
+				t.Fatalf("%s subset reported nothing; the equivalence check is vacuous", tc.app)
+			}
+
+			rec := &recordingDistributor{}
+			opts.Distributor = rec
+			campaign.Run(app, opts)
+			cfg := dist.ConfigFrom(opts)
+			cfg.Parallel, cfg.NoSharedCache = 1, true
+			s := startWorkerSession(t, app, cfg)
+			for i := range rec.items {
+				s.send(dist.Msg{Type: dist.MsgRun, Item: &rec.items[i]})
+				got := s.result()
+				if got.Coverage == nil {
+					t.Errorf("item %d: the worker shipped no coverage edges", got.ID)
+				}
+				got.Coverage, got.Spans = nil, nil
+				// The worker's result crossed the wire, so compare as
+				// the wire (and the journal) would carry both.
+				a, _ := json.Marshal(got)
+				b, _ := json.Marshal(local.Items[got.ID])
+				if string(a) != string(b) {
+					t.Errorf("item %d (%s) differs:\n worker     %s\n in process %s", got.ID, got.Test, a, b)
+				}
+			}
+			s.bye()
+		})
+	}
 }

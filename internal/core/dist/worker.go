@@ -48,9 +48,10 @@ type WorkerEnv struct {
 // init message's application name to its App — injected so this package
 // never depends on the application registry.
 //
-// Each item executes with a fresh Generator: no state crosses items, so
-// an item's result depends only on (app, config, item) and retries on
-// another worker — or replays from a checkpoint — are deterministic.
+// Items share the session's Generator, whose only state is what the
+// coordinator's quarantine broadcasts put there: with quarantine off an
+// item's result depends only on (app, config, item), so retries on another
+// worker — or replays from a checkpoint — are deterministic.
 func ServeWorker(r io.Reader, w io.Writer, resolve func(string) (*harness.App, error)) error {
 	return ServeWorkerEnv(r, w, resolve, WorkerEnv{})
 }
@@ -154,6 +155,10 @@ func ServeWorkerEnv(r io.Reader, w io.Writer, resolve func(string) (*harness.App
 	rops := campaign.RunnerOptions(app.Name, opts, persistent)
 	cov := rops.Coverage
 	run := runner.New(app, rops)
+	gen := testgen.New(schema)
+	if len(opts.Params) > 0 {
+		gen.SetFilter(opts.Params)
+	}
 	parallel := cfg.Parallel
 	if parallel <= 0 {
 		parallel = DefaultWorkerParallel
@@ -206,12 +211,6 @@ func ServeWorkerEnv(r io.Reader, w io.Writer, resolve func(string) (*harness.App
 	var wg sync.WaitGroup
 	var sendErr error
 	var errOnce sync.Once
-	// quarantined accumulates the coordinator's MsgQuarantine hints (§4's
-	// frequent-failer rule, confirmed across workers). Applied to each
-	// item's fresh Generator before execution, so later items skip the
-	// condemned parameter's instances just as the in-process path would.
-	var qmu sync.Mutex
-	quarantined := make(map[string]bool)
 	// drain waits out in-flight items; their results still matter to a
 	// coordinator that is shutting down cleanly. The remote cache must
 	// release its waiters first: nobody will read another cache-val off
@@ -239,10 +238,10 @@ func ServeWorkerEnv(r io.Reader, w io.Writer, resolve func(string) (*harness.App
 			continue
 		}
 		if m.Type == MsgQuarantine {
+			// §4's frequent-failer rule, confirmed across workers: from here
+			// on items skip the parameter, as the in-process pipeline's do.
 			if m.Param != "" {
-				qmu.Lock()
-				quarantined[m.Param] = true
-				qmu.Unlock()
+				gen.Quarantine(m.Param)
 			}
 			continue
 		}
@@ -266,15 +265,6 @@ func ServeWorkerEnv(r io.Reader, w io.Writer, resolve func(string) (*harness.App
 				delete(inflight, item.ID)
 				hbmu.Unlock()
 			}()
-			gen := testgen.New(schema)
-			if len(opts.Params) > 0 {
-				gen.SetFilter(opts.Params)
-			}
-			qmu.Lock()
-			for p := range quarantined {
-				gen.Quarantine(p)
-			}
-			qmu.Unlock()
 			// Item tracing: execute under a private tracer and ship the
 			// resulting span fragment home inside the item result. IDs are
 			// fragment-local (a fresh tracer per item), parents of roots
@@ -289,7 +279,7 @@ func ServeWorkerEnv(r io.Reader, w io.Writer, resolve func(string) (*harness.App
 				itemRun = runner.New(app, tops)
 				itemOpts.Obs = itemObs
 			}
-			res := campaign.ExecuteItem(app, gen, itemRun, itemOpts, obs.NoSpan, item, nil, true)
+			res := campaign.ExecuteItem(app, gen, itemRun, itemOpts, obs.NoSpan, item)
 			if params, ok := cov.Params(item.Test); ok {
 				res.Coverage = params
 			}

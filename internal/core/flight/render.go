@@ -11,8 +11,8 @@ import (
 var sparkRunes = []rune("▁▂▃▄▅▆▇█")
 
 // Sparkline renders values (each in [0, max]) as a block-glyph strip,
-// downsampling to width columns by averaging. Shared by -mode profile,
-// -mode watch, and reportgen -profile.
+// downsampling to width columns by averaging. Shared by -mode profile and
+// -mode watch.
 func Sparkline(values []float64, max float64, width int) string {
 	if len(values) == 0 || width <= 0 {
 		return ""

@@ -2,7 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"sort"
 	"sync/atomic"
 	"time"
 
@@ -66,8 +65,9 @@ type AnnotationStats struct {
 type App struct {
 	// Name is the application name used in reports ("minihdfs", ...).
 	Name string
-	// Schema builds the application's parameter registry, including
-	// parameters inherited from shared libraries.
+	// Schema returns the application's parameter registry, including
+	// parameters inherited from shared libraries: the same registry on
+	// every call; callers must not mutate it.
 	Schema func() *confkit.Registry
 	// NodeTypes lists the node types the application can start (Table 2).
 	NodeTypes []string
@@ -112,6 +112,10 @@ type Outcome struct {
 	Elapsed time.Duration
 	// ElapsedTicks is the body's execution time on the virtual clock.
 	ElapsedTicks int64
+	// Abandoned reports that this execution left a goroutine running that
+	// the clock's shutdown could not end (see abandonedTotal). Serialized
+	// nowhere.
+	Abandoned bool `json:"-"`
 
 	// Forensics capture, populated only by RunOnceCaptured with a
 	// non-zero CaptureSpec. Logs is the (ring-capped) harness log;
@@ -136,7 +140,7 @@ type Outcome struct {
 }
 
 // CaptureSpec bounds what RunOnceCaptured records per execution. The
-// zero value disables capture entirely (RunOnceObserved behaviour).
+// zero value disables capture entirely.
 type CaptureSpec struct {
 	// LogBytes caps retained harness log bytes (the ring buffer).
 	LogBytes int
@@ -150,21 +154,16 @@ func (s CaptureSpec) enabled() bool { return s.LogBytes > 0 || s.ReadEvents > 0 
 // RunOnce executes one unit test in a fresh environment with a fresh agent
 // configured by opts. seed differentiates trials of nondeterministic tests.
 func RunOnce(app *App, test *UnitTest, opts agent.Options, seed int64) Outcome {
-	return RunOnceObserved(app, test, opts, seed, nil)
+	return RunOnceCaptured(app, test, opts, seed, nil, CaptureSpec{})
 }
 
-// RunOnceObserved is RunOnce with an observability hook: the per-test
-// duration histogram, timeout counter, and progress execution tally are
-// recorded on o (nil disables instrumentation).
-func RunOnceObserved(app *App, test *UnitTest, opts agent.Options, seed int64, o *obs.Observer) Outcome {
-	return RunOnceCaptured(app, test, opts, seed, o, CaptureSpec{})
-}
-
-// RunOnceCaptured is RunOnceObserved plus bounded evidence capture: with
-// a non-zero spec the outcome carries the harness log (ring-capped at
-// spec.LogBytes) and the agent's ordered read trace (capped at
-// spec.ReadEvents). Capture changes nothing about the execution itself —
-// same seed, same assignment, same verdict.
+// RunOnceCaptured is RunOnce with an observability hook — the per-test
+// duration histogram and timeout counter are recorded on o (nil disables
+// instrumentation) — plus bounded evidence capture: with a non-zero spec
+// the outcome carries the harness log (ring-capped at spec.LogBytes) and
+// the agent's ordered read trace (capped at spec.ReadEvents). Capture
+// changes nothing about the execution itself — same seed, same
+// assignment, same verdict.
 //
 // The execution runs on its own virtual clock. The body runs on a goroutine
 // of that clock and tears the environment down itself on the tick it
@@ -279,6 +278,7 @@ func RunOnceCaptured(app *App, test *UnitTest, opts agent.Options, seed int64, o
 	}
 	reaped = reaped && within(drained, grace)
 	if !reaped {
+		out.Abandoned = true
 		abandonedTotal.Add(1)
 		leakedNow.Add(1)
 		o.CounterAdd(obs.MAbandonedGoroutines, 1, "app", app.Name, "test", test.Name)
@@ -321,12 +321,4 @@ func within(ch <-chan struct{}, d time.Duration) bool {
 	case <-timer.C:
 		return false
 	}
-}
-
-// NodeTypesSorted returns the app's node types sorted, for stable reports.
-func (a *App) NodeTypesSorted() []string {
-	out := make([]string, len(a.NodeTypes))
-	copy(out, a.NodeTypes)
-	sort.Strings(out)
-	return out
 }

@@ -331,9 +331,6 @@ func TestAppTestLookup(t *testing.T) {
 	if names := app.TestNames(); len(names) != 1 || names[0] != "Only" {
 		t.Fatalf("TestNames = %v", names)
 	}
-	if types := app.NodeTypesSorted(); len(types) != 1 {
-		t.Fatalf("NodeTypesSorted = %v", types)
-	}
 }
 
 // A body parked forever on a signal nobody fires is a deadlock: nothing is

@@ -1,10 +1,10 @@
 // Package ledger is ZebraConf's persistent run record: every campaign
 // appends one summary line to a JSONL ledger file, and Diff compares two
-// records — the tooling behind `zebraconf -mode diff` and
-// `reportgen -diff`. The ledger makes the five-app equivalence invariant
-// a first-class artifact: the reported parameter set travels as a sorted
-// list plus a digest, so "did this change alter any report?" is a single
-// digest comparison across runs, machines, and flag ablations.
+// records — the tooling behind `zebraconf -mode diff`. The ledger makes
+// the five-app equivalence invariant a first-class artifact: the reported
+// parameter set travels as a sorted list plus a digest, so "did this
+// change alter any report?" is a single digest comparison across runs,
+// machines, and flag ablations.
 package ledger
 
 import (

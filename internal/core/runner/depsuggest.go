@@ -7,6 +7,7 @@ import (
 	"zebraconf/internal/core/agent"
 	"zebraconf/internal/core/harness"
 	"zebraconf/internal/core/testgen"
+	"zebraconf/internal/obs"
 )
 
 // The paper's §4 leaves dependency rules ("when testing p1 with v1, set p2
@@ -54,7 +55,7 @@ func (r *Runner) SuggestDependencies(test *harness.UnitTest, schema *confkit.Reg
 				Strategy: testgen.StrategyFlip, Pair: testgen.Pair{A: v, B: v},
 			}
 			asn := gen.AssignFor(inst, &pre.Report)
-			outc := r.runOnce(test, asn.Homo[0], "depsuggest/"+name, v, 0)
+			outc, _, _ := r.runTrial(obs.NoSpan, new(Result), trial{test: test, assign: asn.Homo[0], label: "depsuggest/" + name, arm: v, full: true})
 			readsByValue[v] = unionReads(outc.Report.Usage)
 		}
 		for _, v := range values {

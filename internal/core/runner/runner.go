@@ -70,8 +70,8 @@ const (
 	StopBudget = "budget"
 )
 
-// Result is the outcome of running one instance (or one pooled run treated
-// as an instance).
+// Result is the outcome of running one instance (of a pooled run: just
+// what it cost — Executions, Saved, Abandoned).
 type Result struct {
 	Verdict Verdict
 	// FirstTrialSignal reports whether trial one showed the unsafe pattern
@@ -87,6 +87,9 @@ type Result struct {
 	// cache: canonically-seeded homogeneous arms another instance (or an
 	// earlier round sharing the key) already executed.
 	Saved int64
+	// Abandoned counts those of its Executions that left a goroutine
+	// running past the end of the execution (harness.Outcome.Abandoned).
+	Abandoned int64
 	// Rounds counts confirmation rounds run after the first trial,
 	// including any extension rounds drawn from the campaign budget pool.
 	Rounds int
@@ -223,98 +226,85 @@ func seedFor(base int64, label string, arm string, round int) int64 {
 	return int64(h.Sum64() & 0x7FFFFFFFFFFFFFFF)
 }
 
-// execute performs one real unit-test run under an explicit seed.
-func (r *Runner) execute(test *harness.UnitTest, assign map[agent.Key]string, seed int64, arm string) harness.Outcome {
-	return r.executeSpec(test, assign, seed, arm, harness.CaptureSpec{})
+// trial names one unit-test run: what to run and how to seed it. How it
+// meets the execution cache follows from that, and is the whole cache
+// policy (tabulated in DESIGN.md §9):
+//   - full: never cached — the caller (a pre-run, a dependency probe) reads
+//     the whole Outcome, which memo.Result does not carry;
+//   - label-seeded (a heterogeneous arm): Cache.Do only under
+//     CacheLabelSeeded, and a capture trial executes for real and is
+//     Cache.Recorded under the same condition;
+//   - canonically seeded (homogeneous arms, pooled runs): always Cache.Do.
+type trial struct {
+	test   *harness.UnitTest
+	assign map[agent.Key]string
+	// label, arm and round seed the run (seedFor). An empty label selects
+	// the canonical seed over the assignment content instead (memo.SeedFor):
+	// every instance needing this (test, assignment, round) baseline runs
+	// the byte-identical trial, which is what makes reuse sound.
+	label   string
+	arm     string
+	round   int
+	full    bool                // and with read callsites when coverage is on
+	capture harness.CaptureSpec // forensic capture bounds; zero captures nothing
 }
 
-// executeSpec is execute with bounded evidence capture; the zero spec
-// captures nothing. Capture never changes the execution: same seed, same
-// assignment, same outcome.
-func (r *Runner) executeSpec(test *harness.UnitTest, assign map[agent.Key]string, seed int64, arm string, spec harness.CaptureSpec) harness.Outcome {
-	r.executions.Add(1)
-	out := harness.RunOnceCaptured(r.app, test, agent.Options{
-		Strategy: r.opts.Strategy,
-		Assign:   assign,
-		Coverage: r.opts.Coverage != nil,
-	}, seed, r.opts.Obs, spec)
-	r.opts.Obs.RecordExecution(r.app.Name, arm, out.Failed)
-	r.opts.Coverage.Observe(test.Name, out.ReadParams)
-	return out
-}
-
-// runOnce executes the unit test under one assignment with a
-// label-derived seed, never consulting the cache. Callers that need the
-// full outcome — pre-run reports, dependency probes reading Usage —
-// must land here: memo.Result carries only the verdict fields, so a
-// cached replay could not serve them.
-func (r *Runner) runOnce(test *harness.UnitTest, assign map[agent.Key]string, label, arm string, round int) harness.Outcome {
-	return r.execute(test, assign, seedFor(r.opts.BaseSeed, label, arm, round), arm)
-}
-
-// runLabelSeeded is runOnce for callers that consume only the verdict
-// fields (failed, timed out, message): with CacheLabelSeeded set it
-// routes the execution through the memo cache under its label-derived
-// seed. Label-seeded keys never repeat within one campaign — the label
-// makes each unique — so this changes nothing for an in-memory cache;
-// against a persistent tier the identical keys recur when an unchanged
-// campaign is resubmitted, and replay is sound for exactly the reason
-// canonical reuse is: the harness is seeded-deterministic, so an equal
-// (app, test, assignment, seed) key means a byte-identical run.
-func (r *Runner) runLabelSeeded(parent obs.SpanID, test *harness.UnitTest, assign map[agent.Key]string, label, arm string, round int) (out harness.Outcome, reused bool) {
-	seed := seedFor(r.opts.BaseSeed, label, arm, round)
-	if !r.opts.CacheLabelSeeded || r.opts.Cache == nil {
-		return r.execute(test, assign, seed, arm), false
+// runTrial is the one way the runner reaches a test body, and the one
+// place that says what a trial cost: an execution (perhaps an abandoned
+// goroutine with it) or a saved one, tallied into cost. reused reports
+// that a cached or coalesced result was returned instead of executing —
+// then out carries only the verdict fields, the memoized read set is
+// replayed into the coverage collector, and a cache-hit span under parent
+// carries the original execution's digest. key identifies the execution
+// either way; Assign is digested only when the seed or a cache consumes it.
+func (r *Runner) runTrial(parent obs.SpanID, cost *Result, t trial) (out harness.Outcome, reused bool, key memo.Key) {
+	canonical := t.label == ""
+	cached := r.opts.Cache != nil && !t.full && (canonical || r.opts.CacheLabelSeeded)
+	key = memo.Key{App: r.app.Name, Test: t.test.Name}
+	if canonical || cached {
+		key.Assign = memo.HashAssignment(t.assign)
 	}
-	key := memo.Key{App: r.app.Name, Test: test.Name, Assign: memo.HashAssignment(assign), Seed: seed}
-	res, reused := r.opts.Cache.Do(key, func() memo.Result {
-		out = r.execute(test, assign, seed, arm)
-		return memo.Result{Failed: out.Failed, TimedOut: out.TimedOut, Msg: out.Msg, Reads: out.ReadParams}
-	})
-	if reused {
-		out = harness.Outcome{Failed: res.Failed, TimedOut: res.TimedOut, Msg: res.Msg}
-		// The hit skipped the agent; replay the memoized read set so the
-		// coverage index stays complete on warm runs.
-		r.opts.Coverage.Observe(test.Name, res.Reads)
-		s := r.opts.Obs.StartSpan("cache-hit", parent,
-			obs.String("app", r.app.Name),
-			obs.String("test", test.Name),
-			obs.String("arm", arm),
-			obs.String("digest", key.Assign),
-			obs.Int("seed", key.Seed))
-		s.End()
+	if canonical {
+		key.Seed = memo.SeedFor(r.opts.BaseSeed, t.test.Name, key.Assign, t.round)
+	} else {
+		key.Seed = seedFor(r.opts.BaseSeed, t.label, t.arm, t.round)
 	}
-	return out, reused
-}
-
-// runCanonical executes the unit test under a canonically-seeded
-// assignment (homogeneous arms and pooled heterogeneous runs): the seed
-// derives from the sorted assignment content rather than the instance
-// label, so every instance needing this exact (test, assignment, round)
-// baseline performs the byte-identical trial — which is what makes
-// memoized reuse sound. reused reports that a cached or coalesced
-// result was returned instead of executing; key identifies the
-// (original) execution either way. A reused result emits a cache-hit
-// span under parent carrying the original execution's digest, so traced
-// campaigns account saved executions in the tree, not just in counters.
-func (r *Runner) runCanonical(parent obs.SpanID, test *harness.UnitTest, assign map[agent.Key]string, arm string, round int) (out harness.Outcome, reused bool, key memo.Key) {
-	hash := memo.HashAssignment(assign)
-	seed := memo.SeedFor(r.opts.BaseSeed, test.Name, hash, round)
-	key = memo.Key{App: r.app.Name, Test: test.Name, Assign: hash, Seed: seed}
-	res, reused := r.opts.Cache.Do(key, func() memo.Result {
-		out = r.execute(test, assign, seed, arm)
+	execute := func() memo.Result {
+		r.executions.Add(1)
+		out = harness.RunOnceCaptured(r.app, t.test, agent.Options{
+			Strategy: r.opts.Strategy,
+			Assign:   t.assign,
+			Coverage: r.opts.Coverage != nil,
+			// Pre-runs are the one stack-walk-enabled execution per test:
+			// cheap (once per campaign) and the index's callsite source.
+			CoverageSites: t.full && r.opts.Coverage != nil,
+		}, key.Seed, r.opts.Obs, t.capture)
+		r.opts.Obs.RecordExecution(r.app.Name, t.arm, out.Failed)
+		r.opts.Coverage.Observe(t.test.Name, out.ReadParams)
+		cost.Executions++
+		if out.Abandoned {
+			cost.Abandoned++
+		}
 		return memo.Result{Failed: out.Failed, TimedOut: out.TimedOut, Msg: out.Msg, Reads: out.ReadParams}
-	})
-	if reused {
-		out = harness.Outcome{Failed: res.Failed, TimedOut: res.TimedOut, Msg: res.Msg}
-		r.opts.Coverage.Observe(test.Name, res.Reads)
-		s := r.opts.Obs.StartSpan("cache-hit", parent,
-			obs.String("app", r.app.Name),
-			obs.String("test", test.Name),
-			obs.String("arm", arm),
-			obs.String("digest", key.Assign),
-			obs.Int("seed", key.Seed))
-		s.End()
+	}
+	switch {
+	case !cached:
+		execute()
+	case t.capture != (harness.CaptureSpec{}):
+		r.opts.Cache.Record(key, execute())
+	default:
+		var res memo.Result
+		if res, reused = r.opts.Cache.Do(key, execute); reused {
+			cost.Saved++
+			out = harness.Outcome{Failed: res.Failed, TimedOut: res.TimedOut, Msg: res.Msg}
+			r.opts.Coverage.Observe(t.test.Name, res.Reads)
+			r.opts.Obs.StartSpan("cache-hit", parent,
+				obs.String("app", r.app.Name),
+				obs.String("test", t.test.Name),
+				obs.String("arm", t.arm),
+				obs.String("digest", key.Assign),
+				obs.Int("seed", key.Seed)).End()
+		}
 	}
 	return out, reused, key
 }
@@ -322,30 +312,20 @@ func (r *Runner) runCanonical(parent obs.SpanID, test *harness.UnitTest, assign 
 // PreRun executes every unit test once with no assignments, collecting the
 // §4 pre-run reports (node types started, parameter usage, uncertainty).
 func (r *Runner) PreRun(test *harness.UnitTest) testgen.PreRun {
-	pre, _ := r.PreRunTimed(test)
+	pre, _, _ := r.PreRunTimed(test)
 	return pre
 }
 
 // PreRunTimed is PreRun plus the wall clock the execution consumed — the
 // scheduler's cold-profile duration signal: a test's pre-run time is the
-// per-execution cost its phase-2 instances will pay again and again.
-func (r *Runner) PreRunTimed(test *harness.UnitTest) (testgen.PreRun, time.Duration) {
+// per-execution cost its phase-2 instances will pay again and again — and
+// whether the execution abandoned a goroutine.
+func (r *Runner) PreRunTimed(test *harness.UnitTest) (pre testgen.PreRun, d time.Duration, abandoned bool) {
 	start := time.Now()
-	r.executions.Add(1)
-	out := harness.RunOnceObserved(r.app, test, agent.Options{
-		Strategy: r.opts.Strategy,
-		// Pre-runs are the one stack-walk-enabled execution per test:
-		// cheap (once per campaign) and the index's callsite source.
-		Coverage:      r.opts.Coverage != nil,
-		CoverageSites: r.opts.Coverage != nil,
-	}, seedFor(r.opts.BaseSeed, test.Name, "prerun", 0), r.opts.Obs)
-	r.opts.Obs.RecordExecution(r.app.Name, "prerun", out.Failed)
-	if r.opts.Coverage != nil {
-		r.opts.Coverage.ObserveTest(test.Name)
-		r.opts.Coverage.Observe(test.Name, out.ReadParams)
-		r.opts.Coverage.ObserveSites(test.Name, out.ReadSites)
-	}
-	return testgen.PreRun{Test: test.Name, Report: out.Report}, time.Since(start)
+	out, _, _ := r.runTrial(obs.NoSpan, new(Result), trial{test: test, label: test.Name, arm: "prerun", full: true})
+	r.opts.Coverage.ObserveTest(test.Name)
+	r.opts.Coverage.ObserveSites(test.Name, out.ReadSites)
+	return testgen.PreRun{Test: test.Name, Report: out.Report}, time.Since(start), out.Abandoned
 }
 
 // RunAssignment applies Definition 3.1 to one assignment set as a trace
@@ -389,64 +369,42 @@ func (r *Runner) RunAssignmentIn(parent obs.SpanID, test *harness.UnitTest, asn 
 		}
 	}()
 
-	runRound := func(round int, heteroFail, heteroPass, homoFail, homoPass *int64, anyHomoFailed *bool) {
+	// runRound runs one paired trial — the heterogeneous arm and every
+	// homogeneous arm — into the cumulative counts and reports whether
+	// any homogeneous arm failed in it.
+	runRound := func(round int) (anyHomoFailed bool) {
 		res.Trials += int64(1 + len(asn.Homo))
 		rs := r.opts.Obs.StartSpan("round", span.ID(),
 			obs.String("app", r.app.Name),
 			obs.String("test", test.Name),
 			obs.Int("round", int64(round)))
-		roundHomoFailBase := *homoFail
-		var het harness.Outcome
-		var hetReused bool
-		if rec.Enabled() && (ev == nil || !ev.Failed) {
-			// Capture this heterogeneous trial: round 0 always, later
-			// rounds until one fails — the failing execution is the one
-			// worth explaining, and once held it is never re-captured.
-			seed := seedFor(r.opts.BaseSeed, label, "hetero", round)
-			het = r.executeSpec(test, asn.Hetero, seed, "hetero", rec.Spec())
-			if r.opts.CacheLabelSeeded {
-				// Capture must execute for real, but the outcome is
-				// still the deterministic function of this key — seed
-				// the persistent tier so a resubmit without capture
-				// (or a later instance of the same trial) replays it.
-				r.opts.Cache.Record(
-					memo.Key{App: r.app.Name, Test: test.Name, Assign: memo.HashAssignment(asn.Hetero), Seed: seed},
-					memo.Result{Failed: het.Failed, TimedOut: het.TimedOut, Msg: het.Msg, Reads: het.ReadParams})
-			}
-			if ev == nil || het.Failed {
-				ev = forensics.FromOutcome(r.app.Name, test.Name, seed, round, het)
-				ev.Assign = forensics.AssignKV(asn.Hetero)
-			}
-		} else {
-			het, hetReused = r.runLabelSeeded(rs.ID(), test, asn.Hetero, label, "hetero", round)
+		roundHomoFailBase := homoFail
+		// Capture this heterogeneous trial: round 0 always, later rounds
+		// until one fails — the failing execution is the one worth
+		// explaining, and once held it is never re-captured.
+		hetTrial := trial{test: test, assign: asn.Hetero, label: label, arm: "hetero", round: round}
+		capturing := rec.Enabled() && (ev == nil || !ev.Failed)
+		if capturing {
+			hetTrial.capture = rec.Spec()
 		}
-		if hetReused {
-			res.Saved++
-		} else {
-			res.Executions++
+		het, _, key := r.runTrial(rs.ID(), &res, hetTrial)
+		if capturing && (ev == nil || het.Failed) {
+			ev = forensics.FromOutcome(r.app.Name, test.Name, key.Seed, round, het)
+			ev.Assign = forensics.AssignKV(asn.Hetero)
 		}
 		if het.Failed {
-			*heteroFail++
+			heteroFail++
 			if res.HeteroMsg == "" {
 				res.HeteroMsg = het.Msg
 			}
 		} else {
-			*heteroPass++
+			heteroPass++
 		}
 		if rec.Enabled() && round == 0 {
-			arms = append(arms, forensics.Arm{
-				Name:   "hetero",
-				Seed:   seedFor(r.opts.BaseSeed, label, "hetero", 0),
-				Failed: het.Failed,
-			})
+			arms = append(arms, forensics.Arm{Name: "hetero", Seed: key.Seed, Failed: het.Failed})
 		}
 		for i, arm := range asn.Homo {
-			out, reused, key := r.runCanonical(rs.ID(), test, arm, homoArmName(i), round)
-			if reused {
-				res.Saved++
-			} else {
-				res.Executions++
-			}
+			out, reused, key := r.runTrial(rs.ID(), &res, trial{test: test, assign: arm, arm: homoArmName(i), round: round})
 			if rec.Enabled() && round == 0 {
 				arms = append(arms, forensics.Arm{
 					Name:   homoArmName(i),
@@ -457,21 +415,18 @@ func (r *Runner) RunAssignmentIn(parent obs.SpanID, test *harness.UnitTest, asn 
 				})
 			}
 			if out.Failed {
-				*homoFail++
-				if anyHomoFailed != nil {
-					*anyHomoFailed = true
-				}
+				homoFail++
 			} else {
-				*homoPass++
+				homoPass++
 			}
 		}
 		rs.SetAttr(obs.Bool("hetero_failed", het.Failed),
-			obs.Int("homo_failures", *homoFail-roundHomoFailBase))
+			obs.Int("homo_failures", homoFail-roundHomoFailBase))
 		rs.End()
+		return homoFail > roundHomoFailBase
 	}
 
-	anyHomoFailedFirst := false
-	runRound(0, &heteroFail, &heteroPass, &homoFail, &homoPass, &anyHomoFailedFirst)
+	anyHomoFailedFirst := runRound(0)
 	res.FirstTrialSignal = heteroFail > 0 && !anyHomoFailedFirst
 
 	if !res.FirstTrialSignal && !r.opts.DisableGate {
@@ -491,7 +446,7 @@ func (r *Runner) RunAssignmentIn(parent obs.SpanID, test *harness.UnitTest, asn 
 	seq := stats.NewSeqTest(r.opts.Seq, r.opts.Significance, r.opts.MaxRounds, len(asn.Homo))
 	trialsPerRound := int64(1 + len(asn.Homo))
 	for round := 1; round <= r.opts.MaxRounds; round++ {
-		runRound(round, &heteroFail, &heteroPass, &homoFail, &homoPass, nil)
+		runRound(round)
 		res.Rounds = round
 
 		var dec stats.Decision
@@ -530,7 +485,7 @@ func (r *Runner) RunAssignmentIn(parent obs.SpanID, test *harness.UnitTest, asn 
 				break
 			}
 			round := r.opts.MaxRounds + ext
-			runRound(round, &heteroFail, &heteroPass, &homoFail, &homoPass, nil)
+			runRound(round)
 			res.Rounds = round
 			res.PValue = stats.FisherOneSided(heteroFail, heteroPass, homoFail, homoPass)
 			r.opts.Obs.Observe(obs.MPValue, res.PValue, "app", r.app.Name)
@@ -564,25 +519,18 @@ func (r *Runner) depositSaved(rounds int, trialsPerRound int64) {
 		"app", r.app.Name, "kind", "early-stop")
 }
 
-// RunPooled executes just the heterogeneous arm of a pooled assignment as
-// a trace root; see RunPooledIn.
-func (r *Runner) RunPooled(test *harness.UnitTest, asn testgen.Assignment, label string) (failed bool) {
-	failed, _ = r.RunPooledIn(obs.NoSpan, test, asn, label)
-	return failed
-}
-
 // RunPooledIn executes just the heterogeneous arm of a pooled assignment;
-// the pool machinery only needs pass/fail to decide whether to split.
-// The run is canonically seeded over the merged assignment (a pooled
-// configuration is content, not an instance), so identical pools — e.g.
-// a re-split after a retry — memoize; reused reports a cache hit. The
-// pooled-run span nests under parent.
-func (r *Runner) RunPooledIn(parent obs.SpanID, test *harness.UnitTest, asn testgen.Assignment, label string) (failed, reused bool) {
+// the pool machinery only needs pass/fail to decide whether to split, and
+// what the run cost (an execution or a saved one). The run is canonically
+// seeded over the merged assignment (a pooled configuration is content,
+// not an instance), so identical pools — e.g. a re-split after a retry —
+// memoize. The pooled-run span nests under parent.
+func (r *Runner) RunPooledIn(parent obs.SpanID, test *harness.UnitTest, asn testgen.Assignment, label string) (failed bool, cost Result) {
 	span := r.opts.Obs.StartSpan("pooled-run", parent,
 		obs.String("app", r.app.Name),
 		obs.String("test", test.Name),
 		obs.String("pool", label))
-	out, reused, _ := r.runCanonical(span.ID(), test, asn.Hetero, "pool", 0)
+	out, reused, _ := r.runTrial(span.ID(), &cost, trial{test: test, assign: asn.Hetero, arm: "pool"})
 	span.SetAttr(obs.Bool("failed", out.Failed), obs.Bool("cached", reused))
 	span.End()
 	result := "pass"
@@ -590,7 +538,7 @@ func (r *Runner) RunPooledIn(parent obs.SpanID, test *harness.UnitTest, asn test
 		result = "fail"
 	}
 	r.opts.Obs.CounterAdd(obs.MPoolRuns, 1, "app", r.app.Name, "result", result)
-	return out.Failed, reused
+	return out.Failed, cost
 }
 
 // homoArmName names homogeneous arm i deterministically and distinctly

@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"reflect"
+	"sync"
 	"testing"
 
 	"zebraconf/internal/confkit"
 	"zebraconf/internal/core/agent"
+	"zebraconf/internal/core/forensics"
 	"zebraconf/internal/core/harness"
 	"zebraconf/internal/core/memo"
 	"zebraconf/internal/core/stats"
@@ -214,12 +217,12 @@ func TestRunPooledReportsHeteroFailureOnly(t *testing.T) {
 	app := syntheticApp("deterministic")
 	r := New(app, Options{})
 	asn, test := instanceFor(app, r)
-	if !r.RunPooled(test, asn, "pool") {
+	if failed, _ := r.RunPooledIn(obs.NoSpan, test, asn, "pool"); !failed {
 		t.Fatal("pooled heterogeneous run passed on a deterministic bug")
 	}
 	before := r.Executions()
 	// A pooled run costs exactly one execution.
-	r.RunPooled(test, asn, "pool2")
+	r.RunPooledIn(obs.NoSpan, test, asn, "pool2")
 	if r.Executions() != before+1 {
 		t.Fatalf("pooled run cost %d executions", r.Executions()-before)
 	}
@@ -264,7 +267,7 @@ func TestCanonicalHomoSeedsIgnoreLabel(t *testing.T) {
 		var seq []string
 		for round := 0; round <= 4; round++ {
 			for i, arm := range asn.Homo {
-				out, _, _ := r.runCanonical(obs.NoSpan, test, arm, homoArmName(i), round)
+				out, _, _ := r.runTrial(obs.NoSpan, new(Result), trial{test: test, assign: arm, arm: homoArmName(i), round: round})
 				seq = append(seq, fmt.Sprintf("%s/%d:%v", homoArmName(i), round, out.Failed))
 			}
 		}
@@ -453,5 +456,175 @@ func TestEarlyStopsDepositIntoPool(t *testing.T) {
 	dep, _ := pool.Stats()
 	if want := int64(8 - res.Rounds); dep != want {
 		t.Fatalf("pool deposits = %d, want %d (MaxRounds - rounds run)", dep, want)
+	}
+}
+
+// countingBackend is a second cache tier that remembers what it was asked:
+// the store a resubmitted campaign meets again.
+type countingBackend struct {
+	mu   sync.Mutex
+	m    map[memo.Key]memo.Result
+	puts []memo.Key
+}
+
+func (b *countingBackend) Get(k memo.Key) (memo.Result, bool) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	res, ok := b.m[k]
+	return res, ok
+}
+
+func (b *countingBackend) Put(k memo.Key, res memo.Result) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.m[k] = res
+	b.puts = append(b.puts, k)
+}
+
+// TestTrialCachePolicy pins which trials meet the execution cache and how
+// (DESIGN.md §9), over CacheLabelSeeded off/on × evidence capture off/on ×
+// cache off/on. One "campaign" is a pre-run, one instance and one pooled
+// run of a convicted (deterministic) or safe (none) synthetic test; it
+// runs twice with a fresh runner and memo.Cache over the same backend,
+// the way an unchanged campaign is resubmitted to a persistent tier.
+//
+//	pre-run          always executes, never Put
+//	homo arm, pool   cold: executes and is Put; warm: replayed
+//	hetero arm       without CacheLabelSeeded: like a pre-run; with it: like a
+//	                 homo arm, but a capture trial executes for real and is
+//	                 Put (Cache.Record) all the same
+func TestTrialCachePolicy(t *testing.T) {
+	t.Parallel()
+	const base = 7
+	for _, mode := range []string{"deterministic", "none"} {
+		for _, labelSeeded := range []bool{false, true} {
+			for _, capture := range []bool{false, true} {
+				for _, cacheOn := range []bool{false, true} {
+					name := fmt.Sprintf("%s/label=%v/capture=%v/cache=%v", mode, labelSeeded, capture, cacheOn)
+					t.Run(name, func(t *testing.T) {
+						t.Parallel()
+						app := syntheticApp(mode)
+						backend := &countingBackend{m: make(map[memo.Key]memo.Result)}
+						var rounds int64
+						for pass, warm := range []bool{false, true} {
+							var trace bytes.Buffer
+							o := obs.New()
+							o.Tracer = obs.NewTracer(&trace)
+							opts := Options{BaseSeed: base, CacheLabelSeeded: labelSeeded, Obs: o}
+							if cacheOn {
+								opts.Cache = memo.NewCache(app.Name, backend, o)
+							}
+							if capture {
+								opts.Evidence = forensics.NewRecorder(app.Name, -1, o)
+							}
+							r := New(app, opts)
+							asn, test := instanceFor(app, r) // the pre-run
+							res := r.RunAssignment(test, asn, "inst")
+							beforePool := r.Executions()
+							r.RunPooledIn(obs.NoSpan, test, asn, "pool")
+							poolRan := r.Executions() - beforePool
+
+							wantVerdict := VerdictSafe
+							if mode == "deterministic" {
+								wantVerdict = VerdictUnsafe
+							}
+							if res.Verdict != wantVerdict {
+								t.Fatalf("pass %d: verdict %v, want %v", pass, res.Verdict, wantVerdict)
+							}
+							rounds = int64(res.Rounds) + 1
+							replays := warm && cacheOn
+							// A capture trial executes for real: round 0, and
+							// later rounds only until one trial has failed —
+							// round 0 fails when convicted, and a safe
+							// instance has no later round.
+							hetero, homo, pool := rounds, 2*rounds, int64(1)
+							if replays {
+								homo, pool = 0, 0
+								switch {
+								case !labelSeeded:
+								case capture:
+									hetero = 1
+								default:
+									hetero = 0
+								}
+							}
+							ran := func(arm string) int64 {
+								return o.Metrics.CounterValue(obs.MExecutions, "app", app.Name, "arm", arm, "outcome", "pass") +
+									o.Metrics.CounterValue(obs.MExecutions, "app", app.Name, "arm", arm, "outcome", "fail")
+							}
+							if got := ran("prerun"); got != 1 {
+								t.Errorf("pass %d: %d pre-run executions, want 1", pass, got)
+							}
+							if got := ran("hetero"); got != hetero {
+								t.Errorf("pass %d: %d hetero executions, want %d", pass, got, hetero)
+							}
+							if got := ran("homoA") + ran("homoB"); got != homo {
+								t.Errorf("pass %d: %d homo executions, want %d", pass, got, homo)
+							}
+							if got := ran("pool"); got != pool || poolRan != pool {
+								t.Errorf("pass %d: %d pooled executions (runner counted %d), want %d", pass, got, poolRan, pool)
+							}
+							if res.Executions != hetero+homo || res.Saved != 3*rounds-hetero-homo {
+								t.Errorf("pass %d: instance executed %d saved %d, want %d and %d",
+									pass, res.Executions, res.Saved, hetero+homo, 3*rounds-hetero-homo)
+							}
+							if got := r.Executions(); got != 1+hetero+homo+pool {
+								t.Errorf("pass %d: runner executed %d, want %d", pass, got, 1+hetero+homo+pool)
+							}
+							if capture && (res.Evidence == nil || len(res.Evidence.Reads) == 0) {
+								t.Errorf("pass %d: no captured read trace: %+v", pass, res.Evidence)
+							}
+
+							// One cache-hit span per reuse.
+							recs, err := obs.ReadTrace(&trace)
+							if err != nil {
+								t.Fatal(err)
+							}
+							var hits int64
+							for _, rec := range recs {
+								if rec.Name == "cache-hit" {
+									hits++
+								}
+							}
+							if want := res.Saved + 1 - pool; hits != want {
+								t.Errorf("pass %d: %d cache-hit spans, want %d", pass, hits, want)
+							}
+
+							// Which keys reached the backend: the same set
+							// after either pass, every one exactly once
+							// except a capture trial's, which Records again.
+							want := make(map[memo.Key]bool)
+							if cacheOn {
+								hh := memo.HashAssignment(asn.Hetero)
+								want[memo.Key{App: app.Name, Test: test.Name, Assign: hh, Seed: memo.SeedFor(base, test.Name, hh, 0)}] = true
+								for round := 0; round < int(rounds); round++ {
+									for _, arm := range asn.Homo {
+										h := memo.HashAssignment(arm)
+										want[memo.Key{App: app.Name, Test: test.Name, Assign: h, Seed: memo.SeedFor(base, test.Name, h, round)}] = true
+									}
+									if labelSeeded {
+										want[memo.Key{App: app.Name, Test: test.Name, Assign: hh, Seed: seedFor(base, "inst", "hetero", round)}] = true
+									}
+								}
+							}
+							got := make(map[memo.Key]bool)
+							for _, k := range backend.puts {
+								got[k] = true
+							}
+							if !reflect.DeepEqual(got, want) {
+								t.Errorf("pass %d: backend holds %d keys, want %d:\n got %v\nwant %v", pass, len(got), len(want), got, want)
+							}
+							wantPuts := len(want)
+							if replays && labelSeeded && capture {
+								wantPuts++
+							}
+							if len(backend.puts) != wantPuts {
+								t.Errorf("pass %d: %d Puts, want %d", pass, len(backend.puts), wantPuts)
+							}
+						}
+					})
+				}
+			}
+		}
 	}
 }

@@ -90,15 +90,3 @@ func mergeAssign(dst, src map[agent.Key]string) {
 		}
 	}
 }
-
-// FilterQuarantined drops members whose parameter has been quarantined
-// since the pool was built.
-func (p Pool) FilterQuarantined(g *Generator) Pool {
-	out := Pool{Test: p.Test}
-	for _, in := range p.Members {
-		if !g.Quarantined(in.Param) {
-			out.Members = append(out.Members, in)
-		}
-	}
-	return out
-}
