@@ -1,12 +1,8 @@
 package minihdfs
 
 import (
-	"bytes"
-	"compress/flate"
-	"compress/gzip"
 	"encoding/json"
 	"fmt"
-	"io"
 	"sort"
 	"strings"
 	"sync"
@@ -896,43 +892,22 @@ func (nn *NameNode) Image() ([]byte, bool, error) {
 // encodeImage compresses raw with the named codec ("gzip", or deflate
 // for anything else — the legacy default).
 func encodeImage(codec string, raw []byte) ([]byte, error) {
-	var buf bytes.Buffer
-	var w io.WriteCloser
 	if codec == "gzip" {
-		w = gzip.NewWriter(&buf)
-	} else {
-		fw, err := flate.NewWriter(&buf, flate.BestCompression)
-		if err != nil {
-			return nil, err
-		}
-		w = fw
+		return rpcsim.Gzip(raw)
 	}
-	if _, err := w.Write(raw); err != nil {
-		return nil, err
-	}
-	if err := w.Close(); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	return rpcsim.Deflate(rpcsim.BestCompression, raw)
 }
 
 // decodeImageCodec inflates img with the reader's own configured codec.
 // The image does not say which codec produced it — that is the
 // homogeneity assumption under test: a gzip stream handed to the
 // deflate reader hits the reserved block type in the gzip header and
-// fails, as does a bare deflate stream handed to gzip.NewReader.
+// fails, as does a bare deflate stream handed to the gzip reader.
 func decodeImageCodec(codec string, img []byte) ([]byte, error) {
 	if codec == "gzip" {
-		r, err := gzip.NewReader(bytes.NewReader(img))
-		if err != nil {
-			return nil, err
-		}
-		defer r.Close()
-		return io.ReadAll(r)
+		return rpcsim.Gunzip(img)
 	}
-	r := flate.NewReader(bytes.NewReader(img))
-	defer r.Close()
-	return io.ReadAll(r)
+	return rpcsim.Inflate(img)
 }
 
 // DecodeImage inflates an image produced by Image, assuming the legacy
@@ -942,9 +917,7 @@ func DecodeImage(img []byte, compressed bool) ([]byte, error) {
 	if !compressed {
 		return img, nil
 	}
-	r := flate.NewReader(bytes.NewReader(img))
-	defer r.Close()
-	return io.ReadAll(r)
+	return rpcsim.Inflate(img)
 }
 
 // splitPath splits "/a/b/c" into ("/a/b", "c").

@@ -2,10 +2,8 @@ package minimr
 
 import (
 	"bytes"
-	"compress/flate"
 	"fmt"
 	"hash/fnv"
-	"io"
 	"sort"
 	"strconv"
 	"strings"
@@ -288,18 +286,10 @@ func OutputName(conf *confkit.Conf, idx int64) string {
 // for the job committer to promote.
 func (rt *ReduceTask) commit(outDir string, data []byte) error {
 	if rt.conf.GetBool(ParamOutputCompress) {
-		var buf bytes.Buffer
-		w, err := flate.NewWriter(&buf, flate.BestSpeed)
-		if err != nil {
+		var err error
+		if data, err = rpcsim.Deflate(rpcsim.BestSpeed, data); err != nil {
 			return err
 		}
-		if _, err := w.Write(data); err != nil {
-			return err
-		}
-		if err := w.Close(); err != nil {
-			return err
-		}
-		data = buf.Bytes()
 	}
 	name := OutputName(rt.conf, rt.idx)
 	switch v := rt.conf.Get(ParamCommitterVersion); v {
@@ -322,9 +312,7 @@ func ReadOutput(store *OutputStore, path string) (map[string]int, error) {
 		return nil, fmt.Errorf("minimr: output file %s is missing", path)
 	}
 	if strings.HasSuffix(path, ".deflate") {
-		r := flate.NewReader(bytes.NewReader(data))
-		defer r.Close()
-		raw, err := io.ReadAll(r)
+		raw, err := rpcsim.Inflate(data)
 		if err != nil {
 			return nil, fmt.Errorf("minimr: decompress %s: %w", path, err)
 		}

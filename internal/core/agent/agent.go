@@ -520,15 +520,57 @@ func (a *Agent) CoverageSites() map[string][]string {
 // appCallsite reports the first stack frame outside the configuration
 // interception machinery (confkit getters and this package), as
 // file:line with the file trimmed to its last two path segments.
+//
+// A callsite is a function of the return addresses on the stack, and a
+// program has only so many of them leading to a configuration read: the
+// stack is walked on every call, but each address is symbolized once per
+// process (callsites) instead of once per read. That leaves the walk as
+// the cost, and it is paid per frame: the application's frame is two or
+// three addresses up (Conf.lookup and a typed getter or two come first),
+// so a short walk is tried before the full one. Both settle on the first
+// address outside the machinery, so they cannot disagree.
 func appCallsite() string {
 	var pcs [12]uintptr
-	// Skip runtime.Callers, appCallsite, and InterceptGet itself.
-	n := runtime.Callers(3, pcs[:])
-	frames := runtime.CallersFrames(pcs[:n])
+	for _, depth := range [...]int{4, len(pcs)} {
+		// Skip runtime.Callers, appCallsite, and InterceptGet itself.
+		n := runtime.Callers(3, pcs[:depth])
+		for _, pc := range pcs[:n] {
+			v, ok := callsites.Load(pc)
+			if !ok {
+				v, _ = callsites.LoadOrStore(pc, resolveCallsite(pc))
+			}
+			if c := v.(pcCallsite); !c.inside {
+				return c.site
+			}
+		}
+		if n < depth {
+			break // the whole stack is interception machinery
+		}
+	}
+	return ""
+}
+
+// callsites caches resolveCallsite by return address (uintptr → pcCallsite).
+var callsites sync.Map
+
+// pcCallsite is what one return address says about a read's callsite:
+// still inside the interception machinery (look at the next address), or
+// the walk ends here at site ("" when the address has no function).
+type pcCallsite struct {
+	site   string
+	inside bool
+}
+
+// resolveCallsite symbolizes one address as runtime.Callers returned it.
+// Callers reports an inlined call as an address of its own and
+// CallersFrames expands an address into the frames it stands for, so an
+// inlined getter resolves like any other.
+func resolveCallsite(pc uintptr) pcCallsite {
+	frames := runtime.CallersFrames([]uintptr{pc})
 	for {
 		f, more := frames.Next()
 		if f.Function == "" {
-			break
+			return pcCallsite{}
 		}
 		if !strings.Contains(f.Function, "/confkit.") && !strings.Contains(f.Function, "/agent.") {
 			file := f.File
@@ -537,13 +579,12 @@ func appCallsite() string {
 					file = file[j+1:]
 				}
 			}
-			return fmt.Sprintf("%s:%d", file, f.Line)
+			return pcCallsite{site: fmt.Sprintf("%s:%d", file, f.Line)}
 		}
 		if !more {
-			break
+			return pcCallsite{inside: true}
 		}
 	}
-	return ""
 }
 
 // InterceptSet propagates a node's write back to the parent object the node

@@ -14,3 +14,7 @@ func CountFallbackIdentity() (calls *atomic.Int64, restore func()) {
 	}
 	return calls, func() { fallbackIdentity = orig }
 }
+
+// AppCallsite is appCallsite, for an interception hook of the external
+// test package to call from the depth InterceptGet calls it at.
+var AppCallsite = appCallsite

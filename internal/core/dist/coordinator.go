@@ -239,6 +239,7 @@ func (c *Coordinator) Start(parent obs.SpanID, total int) (*Run, error) {
 	}
 	if cfg := c.opts.Config; !cfg.DisableExecCache && !cfg.NoSharedCache {
 		r.sharedCache = make(map[memo.Key]memo.Result)
+		r.sharedTests = make(map[string]bool)
 	}
 	if r.opts.ItemTimeout <= 0 {
 		r.opts.ItemTimeout = DefaultItemTimeout
@@ -290,6 +291,11 @@ type Run struct {
 	// traffic is hot-path and must not contend with result accounting.
 	cacheMu     sync.Mutex
 	sharedCache map[memo.Key]memo.Result
+	// sharedTests is the set of tests sharedCache holds worker-published
+	// entries for. A key contains its test and an item is one test, so an
+	// item dispatched for a test in this set is a re-dispatch — its run
+	// message is marked Warm — and a worker asks about nothing else.
+	sharedTests map[string]bool
 
 	// Heartbeat supervision, resolved from Config.HeartbeatMS and
 	// Options.StallAfter at Start; stalls counts stall events across
@@ -636,7 +642,7 @@ func (r *Run) session(slot int, sess *workerSession) sessionOutcome {
 				} else {
 					o.GaugeSet(obs.MQueueDepth, int64(r.q.Len()), "app", app)
 				}
-				if err := sess.send(Msg{Type: MsgRun, Item: &item}); err != nil {
+				if err := sess.send(Msg{Type: MsgRun, Item: &item, Warm: r.holdsShared(item.Test)}); err != nil {
 					// The item never reached the worker; requeue it for
 					// free and treat the broken pipe as a crash.
 					if spec {
@@ -916,7 +922,9 @@ func (r *Run) maybeSpeculate(slot int) (campaign.WorkItem, bool) {
 // cacheGet serves one worker lookup from the shared execution cache:
 // the in-memory map first, then the persistent SharedBackend tier (with
 // a memory fill on its hits, so a key is read from disk at most once
-// per run).
+// per run). Workers ask only about re-dispatched items and of a
+// persistent tier (see remoteCache), so the hits and misses counted here
+// are those lookups; a healthy campaign on an ephemeral tier counts none.
 func (r *Run) cacheGet(k memo.Key) (memo.Result, bool) {
 	if r.sharedCache == nil {
 		return memo.Result{}, false
@@ -953,11 +961,20 @@ func (r *Run) cachePut(k memo.Key, res memo.Result) {
 	_, dup := r.sharedCache[k]
 	if !dup {
 		r.sharedCache[k] = res
+		r.sharedTests[k.Test] = true
 	}
 	r.cacheMu.Unlock()
 	if !dup && r.opts.SharedBackend != nil {
 		r.opts.SharedBackend.Put(k, res)
 	}
+}
+
+// holdsShared reports whether a worker has published shared-cache entries
+// for test: the Warm bit of a run message.
+func (r *Run) holdsShared(test string) bool {
+	r.cacheMu.Lock()
+	defer r.cacheMu.Unlock()
+	return r.sharedTests[test]
 }
 
 // stitchSpans folds a worker's trace fragment under the coordinator's

@@ -44,6 +44,10 @@ const (
 	// execution cache for one key; Req correlates the reply. This is the
 	// one request/response exchange in the protocol, and it is advisory:
 	// a worker that never asks (or times out waiting) just re-executes.
+	// A worker asks only when the coordinator can have an answer — the
+	// item's run message was Warm, or Config.SharedPersistent — so what
+	// the coordinator counts as shared-tier hits and misses are lookups
+	// of re-dispatched items and of the persistent tier.
 	MsgCacheGet = "cache-get"
 	// MsgCacheVal (coordinator → worker) answers one MsgCacheGet, echoing
 	// Req; CacheHit says whether CacheRes is meaningful.
@@ -99,6 +103,13 @@ type Msg struct {
 	Result *campaign.ItemResult `json:"result,omitempty"`
 	PID    int                  `json:"pid,omitempty"`
 	Error  string               `json:"error,omitempty"`
+	// Warm, on a MsgRun, says the coordinator already holds shared-cache
+	// entries for the item's test: an earlier attempt published them (the
+	// item is a retry after a crash or timeout, or a speculative copy),
+	// so cache-gets for it can hit. Derived from the coordinator's cache,
+	// never set by anyone. An old worker ignores it and an old
+	// coordinator never sets it; either only costs re-execution.
+	Warm bool `json:"warm,omitempty"`
 	// Param carries the quarantined parameter of a MsgQuarantine.
 	Param string `json:"param,omitempty"`
 	// Shared-execution-cache fields (MsgCacheGet / MsgCacheVal /

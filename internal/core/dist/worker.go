@@ -2,7 +2,6 @@ package dist
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -113,10 +112,11 @@ func ServeWorkerEnv(r io.Reader, w io.Writer, resolve func(string) (*harness.App
 	schema := app.Schema()
 	// Execution memoization: a worker-local cache spanning this session's
 	// items, optionally backed by the coordinator's shared cache so runs
-	// executed by another worker (typically an earlier attempt of a
-	// retried item) are reused instead of redone. Disabling the shared
-	// tier falls back to purely local caching; disabling the cache falls
-	// back to re-running everything.
+	// executed by an earlier attempt of a retried item (or by an earlier
+	// campaign, when the coordinator's tier is persistent) are reused
+	// instead of redone. Disabling the shared tier falls back to purely
+	// local caching; disabling the cache falls back to re-running
+	// everything.
 	var rcache *remoteCache
 	// Persistence anywhere in the hierarchy — a local disk tier or a
 	// coordinator whose shared cache is disk-backed — is what makes
@@ -124,7 +124,7 @@ func ServeWorkerEnv(r io.Reader, w io.Writer, resolve func(string) (*harness.App
 	persistent := !cfg.NoSharedCache && cfg.SharedPersistent
 	if !cfg.DisableExecCache {
 		if !cfg.NoSharedCache {
-			rcache = newRemoteCache(send)
+			rcache = newRemoteCache(send, cfg.SharedPersistent)
 			opts.CacheBackend = rcache
 		}
 		// Persistent disk tier between the in-process map and the
@@ -249,6 +249,9 @@ func ServeWorkerEnv(r io.Reader, w io.Writer, resolve func(string) (*harness.App
 			return fmt.Errorf("dist: worker: unexpected message %q", m.Type)
 		}
 		item := *m.Item
+		if m.Warm && rcache != nil {
+			rcache.markWarm(item.Test)
+		}
 		// Mark the item in flight at receipt — before the semaphore wait,
 		// so a saturated worker's heartbeats still name the items it is
 		// responsible for.
@@ -270,10 +273,10 @@ func ServeWorkerEnv(r io.Reader, w io.Writer, resolve func(string) (*harness.App
 			// fragment-local (a fresh tracer per item), parents of roots
 			// are 0; the coordinator re-identifies both when stitching.
 			itemRun, itemOpts := run, opts
-			var traceBuf *bytes.Buffer
+			var frag *obs.Tracer
 			if cfg.TraceItems {
-				traceBuf = new(bytes.Buffer)
-				itemObs := &obs.Observer{Tracer: obs.NewTracer(traceBuf)}
+				frag = obs.NewCollector()
+				itemObs := &obs.Observer{Tracer: frag}
 				tops := rops
 				tops.Obs = itemObs
 				itemRun = runner.New(app, tops)
@@ -283,12 +286,9 @@ func ServeWorkerEnv(r io.Reader, w io.Writer, resolve func(string) (*harness.App
 			if params, ok := cov.Params(item.Test); ok {
 				res.Coverage = params
 			}
-			if traceBuf != nil {
-				// Every span ends before ExecuteItem returns, so the
-				// fragment is complete; a parse error just drops it
-				// (tracing must never fail the campaign).
-				res.Spans, _ = obs.ReadTrace(traceBuf)
-			}
+			// Every span ends before ExecuteItem returns, so the fragment
+			// is complete.
+			res.Spans = frag.Records()
 			execDone.Add(res.Executions)
 			if err := send(Msg{Type: MsgResult, Result: &res}); err != nil {
 				errOnce.Do(func() { sendErr = err })

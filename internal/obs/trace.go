@@ -49,9 +49,11 @@ type SpanRecord struct {
 // Tracer emits structured spans as JSON lines. Span creation is an
 // atomic ID allocation; the writer lock is taken only when a span ends.
 type Tracer struct {
-	mu   sync.Mutex
-	w    io.Writer
+	mu sync.Mutex
+	// enc writes the records out; a collecting tracer (nil enc) keeps
+	// them in recs instead.
 	enc  *json.Encoder
+	recs []SpanRecord
 	next atomic.Uint64
 	// epoch anchors start_us so traces are relative, compact, and
 	// stable under clock redefinition mid-run.
@@ -60,7 +62,39 @@ type Tracer struct {
 
 // NewTracer returns a tracer writing JSONL records to w.
 func NewTracer(w io.Writer) *Tracer {
-	return &Tracer{w: w, enc: json.NewEncoder(w), epoch: time.Now()}
+	return &Tracer{enc: json.NewEncoder(w), epoch: time.Now()}
+}
+
+// NewCollector returns a tracer that keeps its records in memory, for the
+// caller that wants the records themselves and would only parse the JSONL
+// straight back: a dist worker ships each item's span fragment home
+// inside the item result.
+func NewCollector() *Tracer {
+	return &Tracer{epoch: time.Now()}
+}
+
+// Records returns what a collecting tracer has recorded so far, in the
+// order the spans ended; nil for a tracer that writes JSONL.
+func (t *Tracer) Records() []SpanRecord {
+	if t == nil {
+		return nil
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.recs
+}
+
+// write sends one finished record to the tracer's sink.
+func (t *Tracer) write(rec SpanRecord) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.enc == nil {
+		t.recs = append(t.recs, rec)
+		return
+	}
+	// Encoding errors (e.g. a closed file) are deliberately dropped:
+	// tracing must never fail the campaign.
+	_ = t.enc.Encode(rec)
 }
 
 // Span is one in-flight trace span. A nil *Span is valid: every method
@@ -106,13 +140,18 @@ func (s *Span) ID() SpanID {
 	return s.id
 }
 
-// SetAttr attaches (or overwrites) an attribute before End.
+// SetAttr attaches (or overwrites) an attribute before End; after End
+// the record is out (and, collected, owns the attribute map), so a late
+// attribute is dropped.
 func (s *Span) SetAttr(attrs ...Attr) {
 	if s == nil {
 		return
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.ended {
+		return
+	}
 	if s.attrs == nil {
 		s.attrs = make(map[string]any, len(attrs))
 	}
@@ -121,8 +160,8 @@ func (s *Span) SetAttr(attrs ...Attr) {
 	}
 }
 
-// End closes the span and writes its JSONL record. Safe to call once;
-// later calls no-op.
+// End closes the span and hands its record to the tracer. Safe to call
+// once; later calls no-op.
 func (s *Span) End() {
 	if s == nil {
 		return
@@ -144,11 +183,7 @@ func (s *Span) End() {
 		DurUS:   time.Since(s.start).Microseconds(),
 		Attrs:   attrs,
 	}
-	s.tr.mu.Lock()
-	defer s.tr.mu.Unlock()
-	// Encoding errors (e.g. a closed file) are deliberately dropped:
-	// tracing must never fail the campaign.
-	_ = s.tr.enc.Encode(rec)
+	s.tr.write(rec)
 }
 
 // AllocID reserves a fresh span ID without opening a span. Stitching
@@ -169,9 +204,7 @@ func (t *Tracer) Emit(rec SpanRecord) {
 	if t == nil {
 		return
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	_ = t.enc.Encode(rec)
+	t.write(rec)
 }
 
 // SinceEpochUS converts an absolute time to this tracer's epoch-relative

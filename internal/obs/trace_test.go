@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"sync"
 	"testing"
@@ -56,6 +57,53 @@ func TestSpanJSONLParentChild(t *testing.T) {
 	}
 	if got := byName["pooled-run"].Attrs["failed"]; got != true {
 		t.Errorf("SetAttr after start lost: %v", got)
+	}
+}
+
+// TestCollectorRecordsMarshalAsTheParsedJSONL: a dist worker used to
+// write an item's spans as JSONL, parse them straight back and marshal the
+// parsed records into the item result. A collecting tracer hands over the
+// records as built, and they must marshal to the very same bytes — for
+// every attribute type a span carries.
+func TestCollectorRecordsMarshalAsTheParsedJSONL(t *testing.T) {
+	tr := NewCollector()
+	root := tr.Start("item", NoSpan, String("test", "TestWriteRead"), Int("item", 7))
+	child := tr.Start("instance", root.ID(), Float("p", 0.0625), Bool("unsafe", true), Int("trials", 1<<40))
+	child.SetAttr(String("verdict", "unsafe"))
+	child.End()
+	tr.Start("bare", root.ID()).End()
+	root.End()
+	child.SetAttr(String("late", "dropped")) // after End: the record is out
+	recs := tr.Records()
+	if len(recs) != 3 || recs[0].Name != "instance" || recs[2].Name != "item" {
+		t.Fatalf("collected %+v, want instance, bare, item in the order they ended", recs)
+	}
+	if _, late := recs[0].Attrs["late"]; late {
+		t.Error("an attribute set after End reached the collected record")
+	}
+
+	var buf bytes.Buffer
+	jsonl := NewTracer(&buf)
+	for _, rec := range recs {
+		jsonl.Emit(rec)
+	}
+	parsed, err := ReadTrace(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := json.Marshal(recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(parsed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("collected records marshal to\n%s\nthe parsed JSONL to\n%s", got, want)
+	}
+	if NewTracer(&buf).Records() != nil {
+		t.Error("a JSONL tracer holds records")
 	}
 }
 

@@ -15,11 +15,9 @@ package rpcsim
 
 import (
 	"bytes"
-	"compress/flate"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 )
 
 // Codec names. CodecNone disables compression; CodecDeflate uses DEFLATE;
@@ -187,18 +185,7 @@ func codecName(b byte) string {
 func compress(codec string, data []byte) ([]byte, error) {
 	switch codec {
 	case CodecDeflate:
-		var buf bytes.Buffer
-		w, err := flate.NewWriter(&buf, flate.BestSpeed)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := w.Write(data); err != nil {
-			return nil, err
-		}
-		if err := w.Close(); err != nil {
-			return nil, err
-		}
-		return buf.Bytes(), nil
+		return Deflate(BestSpeed, data)
 	case CodecRLE:
 		return rleEncode(data), nil
 	default:
@@ -209,9 +196,7 @@ func compress(codec string, data []byte) ([]byte, error) {
 func decompress(codec string, data []byte) ([]byte, error) {
 	switch codec {
 	case CodecDeflate:
-		r := flate.NewReader(bytes.NewReader(data))
-		defer r.Close()
-		return io.ReadAll(r)
+		return Inflate(data)
 	case CodecRLE:
 		return rleDecode(data)
 	default:
