@@ -11,7 +11,6 @@
 package miniflink
 
 import (
-	"encoding/json"
 	"fmt"
 	"sync"
 
@@ -138,6 +137,21 @@ type CheckpointAck struct {
 	Tasks   int
 }
 
+// JobManager control-plane methods.
+var (
+	MethodRegisterTM        = rpcsim.Command[RegisterTMReq]{Name: "registerTM"}
+	MethodTriggerCheckpoint = rpcsim.Method[CheckpointReq, []CheckpointAck]{Name: "triggerCheckpoint"}
+	MethodSubmitJob         = rpcsim.Command[SubmitJobReq]{Name: "submitJob"}
+)
+
+// TaskManager methods: deploySlot and checkpointBarrier arrive on the
+// control endpoint, exchange on the data endpoint.
+var (
+	MethodDeploySlot        = rpcsim.Command[DeploySlotReq]{Name: "deploySlot"}
+	MethodCheckpointBarrier = rpcsim.Method[CheckpointReq, CheckpointAck]{Name: "checkpointBarrier"}
+	MethodExchange          = rpcsim.Command[ExchangeReq]{Name: "exchange"}
+)
+
 // JobManager deploys tasks across registered TaskManagers, assuming —
 // per Flink's scheduler configuration model — that every TaskManager has
 // the JobManager's OWN configured slot count.
@@ -157,7 +171,11 @@ func StartJobManager(env *harness.Env, conf *confkit.Conf) (*JobManager, error) 
 	jm := &JobManager{env: env, conf: conf.RefToClone()}
 	_ = jm.conf.GetInt(ParamJMHeap)
 	_ = jm.conf.Get(ParamRestart)
-	srv, err := env.Fabric.Serve(jm.conf.Get(ParamJMAddress), controlSecurity(jm.conf), env.Scale, jm.handle)
+	rpc := rpcsim.NewTable("miniflink: jobmanager")
+	MethodRegisterTM.Serve(rpc, jm.registerTM)
+	MethodTriggerCheckpoint.Serve(rpc, jm.checkpoint)
+	MethodSubmitJob.Serve(rpc, jm.deploy)
+	srv, err := env.Fabric.Serve(jm.conf.Get(ParamJMAddress), controlSecurity(jm.conf), env.Scale, rpc.Handle)
 	if err != nil {
 		return nil, fmt.Errorf("miniflink: start jobmanager: %w", err)
 	}
@@ -168,39 +186,11 @@ func StartJobManager(env *harness.Env, conf *confkit.Conf) (*JobManager, error) 
 // Stop shuts the JobManager down.
 func (jm *JobManager) Stop() { jm.srv.Close() }
 
-func (jm *JobManager) handle(method string, payload []byte) ([]byte, error) {
-	switch method {
-	case "registerTM":
-		var req RegisterTMReq
-		if err := rpcsim.Unmarshal(method, payload, &req); err != nil {
-			return nil, err
-		}
-		jm.mu.Lock()
-		jm.tms = append(jm.tms, req)
-		jm.mu.Unlock()
-		return json.Marshal(struct{}{})
-	case "triggerCheckpoint":
-		var req CheckpointReq
-		if err := rpcsim.Unmarshal(method, payload, &req); err != nil {
-			return nil, err
-		}
-		acks, err := jm.checkpoint(&req)
-		if err != nil {
-			return nil, err
-		}
-		return json.Marshal(acks)
-	case "submitJob":
-		var req SubmitJobReq
-		if err := rpcsim.Unmarshal(method, payload, &req); err != nil {
-			return nil, err
-		}
-		if err := jm.deploy(&req); err != nil {
-			return nil, err
-		}
-		return json.Marshal(struct{}{})
-	default:
-		return nil, fmt.Errorf("miniflink: jobmanager: unknown method %q", method)
-	}
+func (jm *JobManager) registerTM(req *RegisterTMReq) error {
+	jm.mu.Lock()
+	jm.tms = append(jm.tms, *req)
+	jm.mu.Unlock()
+	return nil
 }
 
 // checkpoint injects a barrier into every registered TaskManager and
@@ -216,8 +206,8 @@ func (jm *JobManager) checkpoint(req *CheckpointReq) ([]CheckpointAck, error) {
 		if err != nil {
 			return nil, fmt.Errorf("miniflink: checkpoint %d: dial %s: %w", req.CheckpointID, tm.TMID, err)
 		}
-		var ack CheckpointAck
-		if err := conn.CallJSON("checkpointBarrier", req, &ack); err != nil {
+		ack, err := MethodCheckpointBarrier.Call(conn, *req)
+		if err != nil {
 			return nil, fmt.Errorf("miniflink: checkpoint %d: barrier to %s: %w", req.CheckpointID, tm.TMID, err)
 		}
 		acks = append(acks, ack)
@@ -246,9 +236,9 @@ func (jm *JobManager) deploy(req *SubmitJobReq) error {
 		if err != nil {
 			return fmt.Errorf("miniflink: jobmanager: dial %s: %w", tms[tmIdx].Addr, err)
 		}
-		if err := conn.CallJSON("deploySlot", DeploySlotReq{
+		if err := MethodDeploySlot.Call(conn, DeploySlotReq{
 			JobID: req.JobID, TaskIndex: task, SlotIndex: task % slots,
-		}, nil); err != nil {
+		}); err != nil {
 			return fmt.Errorf("miniflink: jobmanager failed to allocate slot on %s: %w", tms[tmIdx].TMID, err)
 		}
 	}
@@ -284,12 +274,17 @@ func ConstructTaskManager(env *harness.Env, conf *confkit.Conf, id, jmAddr strin
 	_ = tm.conf.GetBool(ParamObjectReuse)
 	tm.memoryLog = tm.conf.GetBool(ParamMemoryLog)
 
-	ctl, err := env.Fabric.Serve(id+"-ctl", controlSecurity(tm.conf), env.Scale, tm.handle)
+	// One table serves both the control and the data endpoint.
+	rpc := rpcsim.NewTable("miniflink: taskmanager " + id)
+	MethodDeploySlot.Serve(rpc, tm.deploySlot)
+	MethodCheckpointBarrier.Serve(rpc, tm.checkpointBarrier)
+	MethodExchange.Serve(rpc, tm.exchange)
+	ctl, err := env.Fabric.Serve(id+"-ctl", controlSecurity(tm.conf), env.Scale, rpc.Handle)
 	if err != nil {
 		return nil, fmt.Errorf("miniflink: taskmanager %s: %w", id, err)
 	}
 	tm.ctl = ctl
-	data, err := env.Fabric.Serve(id+"-data", dataSecurity(tm.conf), env.Scale, tm.handle)
+	data, err := env.Fabric.Serve(id+"-data", dataSecurity(tm.conf), env.Scale, rpc.Handle)
 	if err != nil {
 		ctl.Close()
 		return nil, fmt.Errorf("miniflink: taskmanager %s data endpoint: %w", id, err)
@@ -301,7 +296,7 @@ func ConstructTaskManager(env *harness.Env, conf *confkit.Conf, id, jmAddr strin
 		tm.Stop()
 		return nil, fmt.Errorf("miniflink: taskmanager %s cannot connect to jobmanager: %w", id, err)
 	}
-	if err := conn.CallJSON("registerTM", RegisterTMReq{TMID: id, Addr: id + "-ctl", Data: id + "-data"}, nil); err != nil {
+	if err := MethodRegisterTM.Call(conn, RegisterTMReq{TMID: id, Addr: id + "-ctl", Data: id + "-data"}); err != nil {
 		tm.Stop()
 		return nil, fmt.Errorf("miniflink: taskmanager %s registration: %w", id, err)
 	}
@@ -350,54 +345,40 @@ func (tm *TaskManager) SendTo(peerDataAddr string, records []string) error {
 	if err != nil {
 		return fmt.Errorf("miniflink: taskmanager %s: dial peer %s: %w", tm.id, peerDataAddr, err)
 	}
-	return conn.CallJSON("exchange", ExchangeReq{Records: records}, nil)
+	return MethodExchange.Call(conn, ExchangeReq{Records: records})
 }
 
-func (tm *TaskManager) handle(method string, payload []byte) ([]byte, error) {
-	switch method {
-	case "deploySlot":
-		var req DeploySlotReq
-		if err := rpcsim.Unmarshal(method, payload, &req); err != nil {
-			return nil, err
-		}
-		slots := tm.conf.GetInt(ParamTaskSlots)
-		if req.SlotIndex >= slots {
-			return nil, fmt.Errorf("miniflink: taskmanager %s has no slot %d (configured %d slots)",
-				tm.id, req.SlotIndex, slots)
-		}
-		tm.mu.Lock()
-		if task, busy := tm.deployed[req.SlotIndex]; busy {
-			tm.mu.Unlock()
-			return nil, fmt.Errorf("miniflink: taskmanager %s slot %d already runs task %d", tm.id, req.SlotIndex, task)
-		}
-		tm.deployed[req.SlotIndex] = req.TaskIndex
-		tm.mu.Unlock()
-		return json.Marshal(struct{}{})
-	case "checkpointBarrier":
-		var req CheckpointReq
-		if err := rpcsim.Unmarshal(method, payload, &req); err != nil {
-			return nil, err
-		}
-		tm.mu.Lock()
-		tasks := len(tm.deployed)
-		tm.mu.Unlock()
-		return json.Marshal(CheckpointAck{
-			TMID:    tm.id,
-			Backend: tm.conf.Get(ParamStateBackend),
-			Tasks:   tasks,
-		})
-	case "exchange":
-		var req ExchangeReq
-		if err := rpcsim.Unmarshal(method, payload, &req); err != nil {
-			return nil, err
-		}
-		tm.mu.Lock()
-		tm.received = append(tm.received, req.Records...)
-		tm.mu.Unlock()
-		return json.Marshal(struct{}{})
-	default:
-		return nil, fmt.Errorf("miniflink: taskmanager %s: unknown method %q", tm.id, method)
+func (tm *TaskManager) deploySlot(req *DeploySlotReq) error {
+	slots := tm.conf.GetInt(ParamTaskSlots)
+	if req.SlotIndex >= slots {
+		return fmt.Errorf("miniflink: taskmanager %s has no slot %d (configured %d slots)",
+			tm.id, req.SlotIndex, slots)
 	}
+	tm.mu.Lock()
+	defer tm.mu.Unlock()
+	if task, busy := tm.deployed[req.SlotIndex]; busy {
+		return fmt.Errorf("miniflink: taskmanager %s slot %d already runs task %d", tm.id, req.SlotIndex, task)
+	}
+	tm.deployed[req.SlotIndex] = req.TaskIndex
+	return nil
+}
+
+func (tm *TaskManager) checkpointBarrier(*CheckpointReq) (CheckpointAck, error) {
+	tm.mu.Lock()
+	tasks := len(tm.deployed)
+	tm.mu.Unlock()
+	return CheckpointAck{
+		TMID:    tm.id,
+		Backend: tm.conf.Get(ParamStateBackend),
+		Tasks:   tasks,
+	}, nil
+}
+
+func (tm *TaskManager) exchange(req *ExchangeReq) error {
+	tm.mu.Lock()
+	tm.received = append(tm.received, req.Records...)
+	tm.mu.Unlock()
+	return nil
 }
 
 // schema builds the registry once; every App() and every execution shares it.

@@ -62,7 +62,7 @@ func submit(t *harness.T, conf *confkit.Conf, jobID string, parallelism int64) e
 	if err != nil {
 		return err
 	}
-	return conn.CallJSON("submitJob", SubmitJobReq{JobID: jobID, Parallelism: parallelism}, nil)
+	return MethodSubmitJob.Call(conn, SubmitJobReq{JobID: jobID, Parallelism: parallelism})
 }
 
 func testJobSubmission(t *harness.T) {
@@ -104,8 +104,8 @@ func testCheckpointBarrier(t *harness.T) {
 	t.NoErr(submit(t, conf, "job-ck", 2), "submit job")
 	conn, err := t.Env.Fabric.Dial(conf.Get(ParamJMAddress), controlSecurity(conf), t.Env.Scale)
 	t.NoErr(err, "dial jobmanager")
-	var acks []CheckpointAck
-	t.NoErr(conn.CallJSON("triggerCheckpoint", CheckpointReq{CheckpointID: 1}, &acks), "trigger checkpoint")
+	acks, err := MethodTriggerCheckpoint.Call(conn, CheckpointReq{CheckpointID: 1})
+	t.NoErr(err, "trigger checkpoint")
 	if len(acks) != len(tms) {
 		t.Fatalf("checkpoint acked by %d of %d taskmanagers", len(acks), len(tms))
 	}

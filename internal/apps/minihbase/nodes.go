@@ -63,12 +63,29 @@ type ScanResp struct {
 	More bool
 }
 
+// HMaster IPC methods.
+var (
+	MethodRegisterRS = rpcsim.Command[RegisterRSReq]{Name: "registerRS"}
+	MethodCompactAll = rpcsim.Command[rpcsim.Empty]{Name: "compactAll"}
+	MethodLocate     = rpcsim.Method[LocateReq, LocateResp]{Name: "locate"}
+)
+
+// HRegionServer IPC methods. The thrift gateway accepts put and get under
+// the same names, inside its own envelope.
+var (
+	MethodPut   = rpcsim.Command[RowReq]{Name: "put"}
+	MethodGet   = rpcsim.Method[RowReq, RowResp]{Name: "get"}
+	MethodScan  = rpcsim.Method[ScanReq, ScanResp]{Name: "scan"}
+	MethodFlush = rpcsim.Command[FlushReq]{Name: "flush"}
+)
+
 // HMaster assigns row ranges to region servers (hash assignment — a
 // faithful-enough stand-in for region assignment).
 type HMaster struct {
 	env  *harness.Env
 	conf *confkit.Conf
 	srv  *rpcsim.Server
+	rpc  *rpcsim.Table
 
 	mu  sync.Mutex
 	rss []RegisterRSReq
@@ -78,12 +95,15 @@ type HMaster struct {
 func StartHMaster(env *harness.Env, conf *confkit.Conf) (*HMaster, error) {
 	env.RT.StartInit(TypeHMaster)
 	defer env.RT.StopInit()
-	m := &HMaster{env: env, conf: conf.RefToClone()}
+	m := &HMaster{env: env, conf: conf.RefToClone(), rpc: rpcsim.NewTable("minihbase: hmaster")}
 	_ = m.conf.GetBool(ParamSanityChecks)
 	_ = m.conf.GetTicks(ParamBalancerPeriod)
 	_ = m.conf.Get(ParamZKQuorum)
+	MethodRegisterRS.Serve(m.rpc, m.registerRS)
+	MethodCompactAll.Serve(m.rpc, m.compactAll)
+	MethodLocate.Serve(m.rpc, m.locate)
 	srv, err := common.ServeIPC(env.Fabric, m.conf.Get(ParamMasterAddress), m.conf, env.Scale,
-		common.SecurityFromConf(m.conf), m.handle)
+		common.SecurityFromConf(m.conf), m.rpc.Handle)
 	if err != nil {
 		return nil, fmt.Errorf("minihbase: start hmaster: %w", err)
 	}
@@ -94,45 +114,36 @@ func StartHMaster(env *harness.Env, conf *confkit.Conf) (*HMaster, error) {
 // Stop shuts the master down.
 func (m *HMaster) Stop() { m.srv.Close() }
 
-func (m *HMaster) handle(method string, payload []byte) ([]byte, error) {
-	switch method {
-	case "registerRS":
-		var req RegisterRSReq
-		if err := rpcsim.Unmarshal(method, payload, &req); err != nil {
-			return nil, err
-		}
-		m.mu.Lock()
-		m.rss = append(m.rss, req)
-		sort.Slice(m.rss, func(i, j int) bool { return m.rss[i].RSID < m.rss[j].RSID })
-		m.mu.Unlock()
-		return json.Marshal(struct{}{})
-	case "compactAll":
-		// A cluster-wide major compaction is a deliberately slow admin
-		// RPC exercising the IPC timeout/keepalive machinery.
-		m.env.Scale.Sleep(600)
-		return json.Marshal(struct{}{})
-	case "locate":
-		var req LocateReq
-		if err := rpcsim.Unmarshal(method, payload, &req); err != nil {
-			return nil, err
-		}
-		m.mu.Lock()
-		defer m.mu.Unlock()
-		if len(m.rss) == 0 {
-			return nil, fmt.Errorf("minihbase: no region servers registered")
-		}
-		h := 0
-		for _, c := range req.Table + "/" + req.Key {
-			h = h*31 + int(c)
-		}
-		if h < 0 {
-			h = -h
-		}
-		rs := m.rss[h%len(m.rss)]
-		return json.Marshal(LocateResp{RSID: rs.RSID, Addr: rs.Addr})
-	default:
-		return nil, fmt.Errorf("minihbase: hmaster: unknown method %q", method)
+func (m *HMaster) registerRS(req *RegisterRSReq) error {
+	m.mu.Lock()
+	m.rss = append(m.rss, *req)
+	sort.Slice(m.rss, func(i, j int) bool { return m.rss[i].RSID < m.rss[j].RSID })
+	m.mu.Unlock()
+	return nil
+}
+
+// compactAll is a cluster-wide major compaction: a deliberately slow admin
+// RPC exercising the IPC timeout/keepalive machinery.
+func (m *HMaster) compactAll(*rpcsim.Empty) error {
+	m.env.Scale.Sleep(600)
+	return nil
+}
+
+func (m *HMaster) locate(req *LocateReq) (LocateResp, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if len(m.rss) == 0 {
+		return LocateResp{}, fmt.Errorf("minihbase: no region servers registered")
 	}
+	h := 0
+	for _, c := range req.Table + "/" + req.Key {
+		h = h*31 + int(c)
+	}
+	if h < 0 {
+		h = -h
+	}
+	rs := m.rss[h%len(m.rss)]
+	return LocateResp{RSID: rs.RSID, Addr: rs.Addr}, nil
 }
 
 // HRegionServer stores rows in memstores and flushes them to HDFS with an
@@ -174,8 +185,13 @@ func StartHRegionServer(env *harness.Env, conf *confkit.Conf, id, nnAddr string)
 	}
 	rs.dfs = dfs
 
+	rpc := rpcsim.NewTable("minihbase: regionserver " + id)
+	MethodPut.Serve(rpc, rs.put)
+	MethodGet.Serve(rpc, rs.get)
+	MethodScan.Serve(rpc, rs.scan)
+	MethodFlush.Serve(rpc, func(req *FlushReq) error { return rs.flush(req.Table) })
 	srv, err := common.ServeIPC(env.Fabric, id, rs.conf, env.Scale,
-		common.SecurityFromConf(rs.conf), rs.handle)
+		common.SecurityFromConf(rs.conf), rpc.Handle)
 	if err != nil {
 		return nil, fmt.Errorf("minihbase: start regionserver %s: %w", id, err)
 	}
@@ -187,7 +203,7 @@ func StartHRegionServer(env *harness.Env, conf *confkit.Conf, id, nnAddr string)
 		srv.Close()
 		return nil, fmt.Errorf("minihbase: regionserver %s cannot reach hmaster: %w", id, err)
 	}
-	if err := master.CallJSON("registerRS", RegisterRSReq{RSID: id, Addr: id}, nil); err != nil {
+	if err := MethodRegisterRS.Call(master, RegisterRSReq{RSID: id, Addr: id}); err != nil {
 		srv.Close()
 		return nil, fmt.Errorf("minihbase: regionserver %s registration: %w", id, err)
 	}
@@ -218,53 +234,27 @@ func (rs *HRegionServer) OpenRegionDirect(callerConf *confkit.Conf, region strin
 	return nil
 }
 
-func (rs *HRegionServer) handle(method string, payload []byte) ([]byte, error) {
-	switch method {
-	case "put":
-		var req RowReq
-		if err := rpcsim.Unmarshal(method, payload, &req); err != nil {
-			return nil, err
-		}
-		rs.mu.Lock()
-		if rs.memstore[req.Table] == nil {
-			rs.memstore[req.Table] = make(map[string]string)
-		}
-		rs.memstore[req.Table][req.Key] = req.Value
-		rs.mu.Unlock()
-		return json.Marshal(struct{}{})
-	case "get":
-		var req RowReq
-		if err := rpcsim.Unmarshal(method, payload, &req); err != nil {
-			return nil, err
-		}
-		rs.mu.Lock()
-		val, ok := rs.memstore[req.Table][req.Key]
-		rs.mu.Unlock()
-		return json.Marshal(RowResp{Value: val, Found: ok})
-	case "scan":
-		var req ScanReq
-		if err := rpcsim.Unmarshal(method, payload, &req); err != nil {
-			return nil, err
-		}
-		return json.Marshal(rs.scan(&req))
-	case "flush":
-		var req FlushReq
-		if err := rpcsim.Unmarshal(method, payload, &req); err != nil {
-			return nil, err
-		}
-		if err := rs.flush(req.Table); err != nil {
-			return nil, err
-		}
-		return json.Marshal(struct{}{})
-	default:
-		return nil, fmt.Errorf("minihbase: regionserver %s: unknown method %q", rs.id, method)
+func (rs *HRegionServer) put(req *RowReq) error {
+	rs.mu.Lock()
+	if rs.memstore[req.Table] == nil {
+		rs.memstore[req.Table] = make(map[string]string)
 	}
+	rs.memstore[req.Table][req.Key] = req.Value
+	rs.mu.Unlock()
+	return nil
+}
+
+func (rs *HRegionServer) get(req *RowReq) (RowResp, error) {
+	rs.mu.Lock()
+	val, ok := rs.memstore[req.Table][req.Key]
+	rs.mu.Unlock()
+	return RowResp{Value: val, Found: ok}, nil
 }
 
 // scan returns the rows of a table whose keys carry the given prefix,
 // sorted, capped at Limit (or the region server's configured scanner
 // caching when Limit is zero — a local batching knob, heterogeneous-safe).
-func (rs *HRegionServer) scan(req *ScanReq) ScanResp {
+func (rs *HRegionServer) scan(req *ScanReq) (ScanResp, error) {
 	limit := req.Limit
 	if limit <= 0 {
 		limit = rs.conf.GetInt(ParamScannerCaching)
@@ -286,7 +276,7 @@ func (rs *HRegionServer) scan(req *ScanReq) ScanResp {
 		}
 		resp.Rows = append(resp.Rows, RowReq{Table: req.Table, Key: k, Value: rs.memstore[req.Table][k]})
 	}
-	return resp
+	return resp, nil
 }
 
 // flush persists a table's memstore as an HFile-like blob on HDFS, going
@@ -363,14 +353,14 @@ func (ts *ThriftServer) handle(method string, payload []byte) ([]byte, error) {
 	}
 	var respBody []byte
 	switch method {
-	case "put":
-		if err := ts.rs.CallJSON("put", req, nil); err != nil {
+	case MethodPut.Name:
+		if err := MethodPut.Call(ts.rs, req); err != nil {
 			return nil, err
 		}
-		respBody, _ = json.Marshal(struct{}{})
-	case "get":
-		var resp RowResp
-		if err := ts.rs.CallJSON("get", req, &resp); err != nil {
+		respBody = []byte("{}")
+	case MethodGet.Name:
+		resp, err := MethodGet.Call(ts.rs, req)
+		if err != nil {
 			return nil, err
 		}
 		respBody, _ = json.Marshal(resp)

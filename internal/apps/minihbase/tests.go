@@ -94,8 +94,8 @@ func newHBaseClient(t *harness.T, conf *confkit.Conf) *hbaseClient {
 }
 
 func (c *hbaseClient) regionConn(table, key string) *rpcsim.Conn {
-	var loc LocateResp
-	c.t.NoErr(c.master.CallJSON("locate", LocateReq{Table: table, Key: key}, &loc), "locate row")
+	loc, err := MethodLocate.Call(c.master, LocateReq{Table: table, Key: key})
+	c.t.NoErr(err, "locate row")
 	conn, err := common.DialIPC(c.t.Env.Fabric, loc.Addr, c.conf, c.t.Env.Scale,
 		common.SecurityFromConf(c.conf))
 	c.t.NoErr(err, "dial regionserver")
@@ -104,13 +104,13 @@ func (c *hbaseClient) regionConn(table, key string) *rpcsim.Conn {
 
 func (c *hbaseClient) put(table, key, value string) {
 	conn := c.regionConn(table, key)
-	c.t.NoErr(conn.CallJSON("put", RowReq{Table: table, Key: key, Value: value}, nil), "put row")
+	c.t.NoErr(MethodPut.Call(conn, RowReq{Table: table, Key: key, Value: value}), "put row")
 }
 
 func (c *hbaseClient) get(table, key string) (string, bool) {
 	conn := c.regionConn(table, key)
-	var resp RowResp
-	c.t.NoErr(conn.CallJSON("get", RowReq{Table: table, Key: key}, &resp), "get row")
+	resp, err := MethodGet.Call(conn, RowReq{Table: table, Key: key})
+	c.t.NoErr(err, "get row")
 	return resp.Value, resp.Found
 }
 
@@ -147,7 +147,7 @@ func testFlushToHDFS(t *harness.T) {
 
 	rsConn, err := common.DialIPC(t.Env.Fabric, "rs0", conf, t.Env.Scale, common.SecurityFromConf(conf))
 	t.NoErr(err, "dial regionserver")
-	t.NoErr(rsConn.CallJSON("flush", FlushReq{Table: "persist"}, nil), "flush memstore to hdfs")
+	t.NoErr(MethodFlush.Call(rsConn, FlushReq{Table: "persist"}), "flush memstore to hdfs")
 
 	dfsClient, err := c.dfs.Client(conf)
 	t.NoErr(err, "hdfs client")
@@ -162,9 +162,9 @@ func testFlushToHDFS(t *harness.T) {
 // protocol settings (Table 3: thrift.compact / thrift.framed).
 func testThriftAdmin(t *harness.T) {
 	_, conf := startHBase(t, 1, true)
-	t.NoErr(ThriftCall(t.Env, conf, "put", RowReq{Table: "tt", Key: "a", Value: "1"}, nil), "thrift put")
+	t.NoErr(ThriftCall(t.Env, conf, MethodPut.Name, RowReq{Table: "tt", Key: "a", Value: "1"}, nil), "thrift put")
 	var resp RowResp
-	t.NoErr(ThriftCall(t.Env, conf, "get", RowReq{Table: "tt", Key: "a"}, &resp), "thrift get")
+	t.NoErr(ThriftCall(t.Env, conf, MethodGet.Name, RowReq{Table: "tt", Key: "a"}, &resp), "thrift get")
 	if !resp.Found || resp.Value != "1" {
 		t.Fatalf("thrift get = %+v, want value 1", resp)
 	}
@@ -174,9 +174,9 @@ func testThriftRoundTrips(t *harness.T) {
 	_, conf := startHBase(t, 1, true)
 	for i := 0; i < 5; i++ {
 		key := fmt.Sprintf("k%d", i)
-		t.NoErr(ThriftCall(t.Env, conf, "put", RowReq{Table: "loop", Key: key, Value: key}, nil), "thrift put loop")
+		t.NoErr(ThriftCall(t.Env, conf, MethodPut.Name, RowReq{Table: "loop", Key: key, Value: key}, nil), "thrift put loop")
 		var resp RowResp
-		t.NoErr(ThriftCall(t.Env, conf, "get", RowReq{Table: "loop", Key: key}, &resp), "thrift get loop")
+		t.NoErr(ThriftCall(t.Env, conf, MethodGet.Name, RowReq{Table: "loop", Key: key}, &resp), "thrift get loop")
 		if resp.Value != key {
 			t.Fatalf("thrift round trip %d = %q", i, resp.Value)
 		}
@@ -212,13 +212,13 @@ func testScanPrefix(t *harness.T) {
 	}
 	client.put("sc", "other", "x")
 	conn := client.regionConn("sc", "row-0")
-	var resp ScanResp
-	t.NoErr(conn.CallJSON("scan", ScanReq{Table: "sc", Prefix: "row-", Limit: 10}, &resp), "scan rows")
+	resp, err := MethodScan.Call(conn, ScanReq{Table: "sc", Prefix: "row-", Limit: 10})
+	t.NoErr(err, "scan rows")
 	if len(resp.Rows) != 6 || resp.More {
 		t.Fatalf("scan returned %d rows (more=%v), want 6", len(resp.Rows), resp.More)
 	}
-	var limited ScanResp
-	t.NoErr(conn.CallJSON("scan", ScanReq{Table: "sc", Prefix: "row-", Limit: 2}, &limited), "limited scan")
+	limited, err := MethodScan.Call(conn, ScanReq{Table: "sc", Prefix: "row-", Limit: 2})
+	t.NoErr(err, "limited scan")
 	if len(limited.Rows) != 2 || !limited.More {
 		t.Fatalf("limited scan returned %d rows (more=%v), want 2 truncated", len(limited.Rows), limited.More)
 	}
@@ -229,7 +229,7 @@ func testScanPrefix(t *harness.T) {
 func testMajorCompaction(t *harness.T) {
 	_, conf := startHBase(t, 1, false)
 	client := newHBaseClient(t, conf)
-	t.NoErr(client.master.CallJSON("compactAll", struct{}{}, nil), "major compaction (slow RPC)")
+	t.NoErr(MethodCompactAll.Call(client.master, rpcsim.Empty{}), "major compaction (slow RPC)")
 }
 
 // testOpenRegionDirect is the paper's §7.1 HBase false positive: the test

@@ -69,7 +69,12 @@ func StartBalancer(env *harness.Env, conf *confkit.Conf, addr, nnAddr string) (*
 		return nil, fmt.Errorf("minihdfs: balancer cannot reach namenode: %w", err)
 	}
 	b.nn = nn
-	srv, err := env.Fabric.Serve(addr, rpcsim.Security{}, env.Scale, b.handle)
+	rpc := rpcsim.NewTable("minihdfs: balancer")
+	MethodProgress.Serve(rpc, func(*ProgressReq) error {
+		b.touchProgress()
+		return nil
+	})
+	srv, err := env.Fabric.Serve(addr, rpcsim.Security{}, env.Scale, rpc.Handle)
 	if err != nil {
 		return nil, fmt.Errorf("minihdfs: start balancer: %w", err)
 	}
@@ -79,20 +84,6 @@ func StartBalancer(env *harness.Env, conf *confkit.Conf, addr, nnAddr string) (*
 
 // Stop shuts the Balancer's progress endpoint down.
 func (b *Balancer) Stop() { b.srv.Close() }
-
-func (b *Balancer) handle(method string, payload []byte) ([]byte, error) {
-	switch method {
-	case MethodProgress:
-		var req ProgressReq
-		if err := rpcsim.Unmarshal(method, payload, &req); err != nil {
-			return nil, err
-		}
-		b.touchProgress()
-		return marshal(struct{}{}, nil)
-	default:
-		return nil, fmt.Errorf("minihdfs: balancer: unknown method %q", method)
-	}
-}
 
 func (b *Balancer) touchProgress() {
 	b.mu.Lock()
@@ -124,8 +115,8 @@ func (b *Balancer) Run() error {
 
 // plan computes the move list from the NameNode's view of the cluster.
 func (b *Balancer) plan() ([]plannedMove, error) {
-	var report DatanodeReportResp
-	if err := b.nn.CallJSON(MethodDatanodeReport, struct{}{}, &report); err != nil {
+	report, err := MethodDatanodeReport.Call(b.nn, rpcsim.Empty{})
+	if err != nil {
 		return nil, fmt.Errorf("minihdfs: balancer: datanode report: %w", err)
 	}
 	var live []DNInfo
@@ -198,8 +189,8 @@ func pickEndpoints(counts map[string]int, avg float64) (src, dst string) {
 // Balancer's OWN upgrade-domain check: after the move the replicas must
 // span at least min(#replicas, factor) distinct domains.
 func (b *Balancer) pickBlock(src, dst string, domains map[string]string, factor int64, planned map[int64]bool) (plannedMove, bool) {
-	var blocks BlocksOnDNResp
-	if err := b.nn.CallJSON(MethodBlocksOnDN, RegisterReq{DNID: src}, &blocks); err != nil {
+	blocks, err := MethodBlocksOnDN.Call(b.nn, RegisterReq{DNID: src})
+	if err != nil {
 		return plannedMove{}, false
 	}
 	for _, blk := range blocks.Blocks {
@@ -306,7 +297,7 @@ func (b *Balancer) executeMove(m plannedMove, abort *simtime.Signal) error {
 		if abort.Fired() {
 			return nil
 		}
-		err := b.nn.CallJSON(MethodApproveMove, ApproveMoveReq{BlockID: m.blockID, FromDN: m.fromDN, ToDN: m.toDN}, nil)
+		err := MethodApproveMove.Call(b.nn, ApproveMoveReq{BlockID: m.blockID, FromDN: m.fromDN, ToDN: m.toDN})
 		if err != nil {
 			if strings.Contains(err.Error(), "placement policy") {
 				// The NameNode disagrees with our placement view; the real
@@ -323,9 +314,9 @@ func (b *Balancer) executeMove(m plannedMove, abort *simtime.Signal) error {
 		if err != nil {
 			return fmt.Errorf("minihdfs: balancer: dial source %s: %w", m.fromPeer, err)
 		}
-		err = conn.CallJSON(MethodMoveReplica, MoveReplicaReq{
+		err = MethodMoveReplica.Call(conn, MoveReplicaReq{
 			BlockID: m.blockID, TargetPeer: m.toPeer, TargetDNID: m.toDN, BalancerAddr: b.addr,
-		}, nil)
+		})
 		if err == nil {
 			b.touchProgress()
 			return nil

@@ -65,7 +65,7 @@ func (c *Client) WriteFile(path string, data []byte) error {
 	if blockSize <= 0 {
 		return fmt.Errorf("minihdfs: client: invalid block size %d", blockSize)
 	}
-	if err := c.nn.CallJSON(MethodCreate, CreateReq{Path: path, Replication: repl, BlockSize: blockSize}, nil); err != nil {
+	if err := MethodCreate.Call(c.nn, CreateReq{Path: path, Replication: repl, BlockSize: blockSize}); err != nil {
 		return err
 	}
 	for off := int64(0); off == 0 || off < int64(len(data)); off += blockSize {
@@ -77,12 +77,12 @@ func (c *Client) WriteFile(path string, data []byte) error {
 			return err
 		}
 	}
-	return c.nn.CallJSON(MethodComplete, PathReq{Path: path}, nil)
+	return MethodComplete.Call(c.nn, PathReq{Path: path})
 }
 
 func (c *Client) writeBlock(path string, chunk []byte) error {
-	var alloc AddBlockResp
-	if err := c.nn.CallJSON(MethodAddBlock, AddBlockReq{Path: path, Len: int64(len(chunk))}, &alloc); err != nil {
+	alloc, err := MethodAddBlock.Call(c.nn, AddBlockReq{Path: path, Len: int64(len(chunk))})
+	if err != nil {
 		return err
 	}
 	sums, err := common.ComputeChecksums(chunk,
@@ -107,8 +107,8 @@ func (c *Client) writeBlock(path string, chunk []byte) error {
 		}
 		return err
 	}
-	var repl AdditionalDNResp
-	if aerr := c.nn.CallJSON(MethodAdditionalDN, AdditionalDNReq{Path: path, Exclude: alloc.DNIDs}, &repl); aerr != nil {
+	repl, aerr := MethodAdditionalDN.Call(c.nn, AdditionalDNReq{Path: path, Exclude: alloc.DNIDs})
+	if aerr != nil {
 		return fmt.Errorf("minihdfs: client: pipeline failed (%v) and no replacement datanode: %w", err, aerr)
 	}
 	req.PeerAddrs = nil
@@ -120,13 +120,13 @@ func (c *Client) sendToPipeline(dataAddr string, req *WriteBlockReq) error {
 	if err != nil {
 		return err
 	}
-	return conn.CallJSON(MethodWriteBlock, req, nil)
+	return MethodWriteBlock.Call(conn, *req)
 }
 
 // Append reopens path and writes data as additional blocks, checksummed
 // with the client's settings like WriteFile.
 func (c *Client) Append(path string, data []byte) error {
-	if err := c.nn.CallJSON(MethodAppend, PathReq{Path: path}, nil); err != nil {
+	if err := MethodAppend.Call(c.nn, PathReq{Path: path}); err != nil {
 		return err
 	}
 	blockSize := c.conf.GetInt(ParamBlockSize)
@@ -142,14 +142,14 @@ func (c *Client) Append(path string, data []byte) error {
 			return err
 		}
 	}
-	return c.nn.CallJSON(MethodComplete, PathReq{Path: path}, nil)
+	return MethodComplete.Call(c.nn, PathReq{Path: path})
 }
 
 // ReadFile reads path back, verifying every block's checksums with the
 // client's own checksum configuration.
 func (c *Client) ReadFile(path string) ([]byte, error) {
-	var locs BlockLocationsResp
-	if err := c.nn.CallJSON(MethodGetBlockLocations, BlockLocationsReq{Path: path}, &locs); err != nil {
+	locs, err := MethodGetBlockLocations.Call(c.nn, BlockLocationsReq{Path: path})
+	if err != nil {
 		return nil, err
 	}
 	var buf bytes.Buffer
@@ -168,8 +168,8 @@ func (c *Client) ReadFile(path string) ([]byte, error) {
 				lastErr = err
 				continue
 			}
-			var resp ReadBlockResp
-			if err := conn.CallJSON(MethodReadBlock, ReadBlockReq{BlockID: b.BlockID}, &resp); err != nil {
+			resp, err := MethodReadBlock.Call(conn, ReadBlockReq{BlockID: b.BlockID})
+			if err != nil {
 				lastErr = err
 				continue
 			}
@@ -190,18 +190,18 @@ func (c *Client) ReadFile(path string) ([]byte, error) {
 
 // Delete removes a file.
 func (c *Client) Delete(path string) error {
-	return c.nn.CallJSON(MethodDelete, PathReq{Path: path}, nil)
+	return MethodDelete.Call(c.nn, PathReq{Path: path})
 }
 
 // Mkdir creates a directory.
 func (c *Client) Mkdir(path string) error {
-	return c.nn.CallJSON(MethodMkdir, PathReq{Path: path}, nil)
+	return MethodMkdir.Call(c.nn, PathReq{Path: path})
 }
 
 // List lists a directory.
 func (c *Client) List(path string) ([]string, error) {
-	var resp ListResp
-	if err := c.nn.CallJSON(MethodList, PathReq{Path: path}, &resp); err != nil {
+	resp, err := MethodList.Call(c.nn, PathReq{Path: path})
+	if err != nil {
 		return nil, err
 	}
 	return resp.Names, nil
@@ -209,15 +209,13 @@ func (c *Client) List(path string) ([]string, error) {
 
 // Stats fetches the public cluster statistics.
 func (c *Client) Stats() (StatsResp, error) {
-	var resp StatsResp
-	err := c.nn.CallJSON(MethodStats, struct{}{}, &resp)
-	return resp, err
+	return MethodStats.Call(c.nn, rpcsim.Empty{})
 }
 
 // DatanodeReport fetches the public per-DataNode report.
 func (c *Client) DatanodeReport() ([]DNInfo, error) {
-	var resp DatanodeReportResp
-	if err := c.nn.CallJSON(MethodDatanodeReport, struct{}{}, &resp); err != nil {
+	resp, err := MethodDatanodeReport.Call(c.nn, rpcsim.Empty{})
+	if err != nil {
 		return nil, err
 	}
 	return resp.Nodes, nil
@@ -225,21 +223,19 @@ func (c *Client) DatanodeReport() ([]DNInfo, error) {
 
 // ReportBadBlocks flags blocks as corrupt (public client protocol).
 func (c *Client) ReportBadBlocks(ids []int64) error {
-	return c.nn.CallJSON(MethodReportBadBlocks, BadBlocksReq{BlockIDs: ids}, nil)
+	return MethodReportBadBlocks.Call(c.nn, BadBlocksReq{BlockIDs: ids})
 }
 
 // ListCorruptFileBlocks lists corrupt blocks, truncated by the NameNode's
 // configured maximum.
 func (c *Client) ListCorruptFileBlocks() (ListCorruptResp, error) {
-	var resp ListCorruptResp
-	err := c.nn.CallJSON(MethodListCorrupt, struct{}{}, &resp)
-	return resp, err
+	return MethodListCorrupt.Call(c.nn, rpcsim.Empty{})
 }
 
 // BlockIDs returns the block IDs of a file, in order.
 func (c *Client) BlockIDs(path string) ([]int64, error) {
-	var locs BlockLocationsResp
-	if err := c.nn.CallJSON(MethodGetBlockLocations, BlockLocationsReq{Path: path}, &locs); err != nil {
+	locs, err := MethodGetBlockLocations.Call(c.nn, BlockLocationsReq{Path: path})
+	if err != nil {
 		return nil, err
 	}
 	ids := make([]int64, len(locs.Blocks))
@@ -251,12 +247,12 @@ func (c *Client) BlockIDs(path string) ([]int64, error) {
 
 // SetStoragePolicy tags a file for the Mover (public client API).
 func (c *Client) SetStoragePolicy(path, policy string) error {
-	return c.nn.CallJSON(MethodSetStoragePolicy, PolicyReq{Path: path, Policy: policy}, nil)
+	return MethodSetStoragePolicy.Call(c.nn, PolicyReq{Path: path, Policy: policy})
 }
 
 // CreateSnapshot snapshots root under the given name.
 func (c *Client) CreateSnapshot(root, name string) error {
-	return c.nn.CallJSON(MethodCreateSnapshot, SnapshotReq{Root: root, Name: name}, nil)
+	return MethodCreateSnapshot.Call(c.nn, SnapshotReq{Root: root, Name: name})
 }
 
 // SnapshotDiff diffs path (root itself or a descendant, if the client's
@@ -267,8 +263,8 @@ func (c *Client) SnapshotDiff(root, name, path string) ([]string, error) {
 		// back to the snapshot root, as the real client shell does.
 		path = root
 	}
-	var resp SnapshotDiffResp
-	if err := c.nn.CallJSON(MethodSnapshotDiff, SnapshotReq{Root: root, Name: name, Path: path}, &resp); err != nil {
+	resp, err := MethodSnapshotDiff.Call(c.nn, SnapshotReq{Root: root, Name: name, Path: path})
+	if err != nil {
 		return nil, err
 	}
 	return resp.Changed, nil
@@ -276,16 +272,12 @@ func (c *Client) SnapshotDiff(root, name, path string) ([]string, error) {
 
 // SaveNamespace triggers the slow namespace-image save (admin API).
 func (c *Client) SaveNamespace() (ImageResp, error) {
-	var resp ImageResp
-	err := c.nn.CallJSON(MethodSaveNamespace, struct{}{}, &resp)
-	return resp, err
+	return MethodSaveNamespace.Call(c.nn, rpcsim.Empty{})
 }
 
 // GetImage fetches a namespace image without the save cost.
 func (c *Client) GetImage() (ImageResp, error) {
-	var resp ImageResp
-	err := c.nn.CallJSON(MethodGetImage, struct{}{}, &resp)
-	return resp, err
+	return MethodGetImage.Call(c.nn, rpcsim.Empty{})
 }
 
 // Fsck connects to the NameNode web endpoint — resolved with the CLIENT's
@@ -300,7 +292,5 @@ func (c *Client) Fsck() (StatsResp, error) {
 	if err != nil {
 		return StatsResp{}, fmt.Errorf("minihdfs: fsck cannot connect to the NameNode web server: %w", err)
 	}
-	var resp StatsResp
-	err = conn.CallJSON("fsck", struct{}{}, &resp)
-	return resp, err
+	return MethodFsck.Call(conn, rpcsim.Empty{})
 }

@@ -58,7 +58,7 @@ func TestNameNodeDeleteQueuesReplicaRemoval(t *testing.T) {
 	}
 	defer nn.Stop()
 
-	if _, err := nn.register(&RegisterReq{DNID: "dn0", DataAddr: "dn0-data", PeerAddr: "dn0-peer"}); err != nil {
+	if err := nn.register(&RegisterReq{DNID: "dn0", DataAddr: "dn0-data", PeerAddr: "dn0-peer"}); err != nil {
 		t.Fatal(err)
 	}
 	if err := nn.create(&CreateReq{Path: "/f", Replication: 1, BlockSize: 512}); err != nil {
@@ -68,7 +68,7 @@ func TestNameNodeDeleteQueuesReplicaRemoval(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := nn.blockReport(MethodBlockReceived, &BlockReportReq{DNID: "dn0", BlockID: alloc.BlockID}); err != nil {
+	if err := nn.blockReport(&BlockReportReq{DNID: "dn0", BlockID: alloc.BlockID}, true); err != nil {
 		t.Fatal(err)
 	}
 	if err := nn.delete("/f"); err != nil {
@@ -83,13 +83,13 @@ func TestNameNodeDeleteQueuesReplicaRemoval(t *testing.T) {
 		t.Fatalf("heartbeat delete commands = %v", resp.DeleteBlocks)
 	}
 	// Replica accounting holds until the report arrives.
-	if s := nn.stats(); s.Replicas != 1 {
+	if s, _ := nn.stats(nil); s.Replicas != 1 {
 		t.Fatalf("replicas before report = %d", s.Replicas)
 	}
-	if err := nn.blockReport(MethodBlockDeleted, &BlockReportReq{DNID: "dn0", BlockID: alloc.BlockID}); err != nil {
+	if err := nn.blockReport(&BlockReportReq{DNID: "dn0", BlockID: alloc.BlockID}, false); err != nil {
 		t.Fatal(err)
 	}
-	if s := nn.stats(); s.Replicas != 0 {
+	if s, _ := nn.stats(nil); s.Replicas != 0 {
 		t.Fatalf("replicas after report = %d", s.Replicas)
 	}
 }
@@ -108,7 +108,7 @@ func TestNameNodeApproveMoveDomains(t *testing.T) {
 	for _, dn := range []struct{ id, domain string }{
 		{"a", "ud-0"}, {"b", "ud-1"}, {"c", "ud-2"}, {"d", "ud-1"},
 	} {
-		if _, err := nn.register(&RegisterReq{DNID: dn.id, Domain: dn.domain}); err != nil {
+		if err := nn.register(&RegisterReq{DNID: dn.id, Domain: dn.domain}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -120,7 +120,7 @@ func TestNameNodeApproveMoveDomains(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, dn := range []string{"a", "b", "c"} {
-		if err := nn.blockReport(MethodBlockReceived, &BlockReportReq{DNID: dn, BlockID: alloc.BlockID}); err != nil {
+		if err := nn.blockReport(&BlockReportReq{DNID: dn, BlockID: alloc.BlockID}, true); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -308,11 +308,11 @@ func TestJournalNodeSegments(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	_, err = jn.handle(MethodJournal, []byte(`{"SegmentID":0,"Edits":["e1","e2"]}`))
+	_, err = jn.rpc.Handle(MethodJournal.Name, []byte(`{"SegmentID":0,"Edits":["e1","e2"]}`))
 	mustOK(err)
-	_, err = jn.handle(MethodFinalizeSegment, []byte(`{"SegmentID":0}`))
+	_, err = jn.rpc.Handle(MethodFinalizeSegment.Name, []byte(`{"SegmentID":0}`))
 	mustOK(err)
-	_, err = jn.handle(MethodJournal, []byte(`{"SegmentID":1,"Edits":["e3"]}`))
+	_, err = jn.rpc.Handle(MethodJournal.Name, []byte(`{"SegmentID":1,"Edits":["e3"]}`))
 	mustOK(err)
 
 	finalizedOnly, err := jn.getEdits(&GetEditsReq{SinceTxn: 0, InProgressOK: false})

@@ -123,8 +123,15 @@ func StartDataNode(env *harness.Env, conf *confkit.Conf, id, nnAddr string, opts
 	}
 	dn.moverSem = make(chan struct{}, moves)
 
+	// One table serves both the data and the peer endpoint.
+	rpc := rpcsim.NewTable("minihdfs: datanode " + id)
+	MethodWriteBlock.Serve(rpc, dn.writeBlock)
+	MethodReadBlock.Serve(rpc, dn.readBlock)
+	MethodMoveReplica.Serve(rpc, dn.moveReplica)
+	MethodReceiveReplica.Serve(rpc, dn.receiveReplica)
+
 	dataSec := dn.transferSecurity()
-	dataSrv, err := env.Fabric.Serve(dn.DataAddr(), dataSec, env.Scale, dn.handleData)
+	dataSrv, err := env.Fabric.Serve(dn.DataAddr(), dataSec, env.Scale, rpc.Handle)
 	if err != nil {
 		return nil, fmt.Errorf("minihdfs: start datanode %s: %w", id, err)
 	}
@@ -139,7 +146,7 @@ func StartDataNode(env *harness.Env, conf *confkit.Conf, id, nnAddr string, opts
 
 	peerSec := dataSec
 	peerSec.Version = int(dn.conf.GetInt(ParamPeerProtocolVersion))
-	peerSrv, err := env.Fabric.Serve(dn.PeerAddr(), peerSec, env.Scale, dn.handleData)
+	peerSrv, err := env.Fabric.Serve(dn.PeerAddr(), peerSec, env.Scale, rpc.Handle)
 	if err != nil {
 		dataSrv.Close()
 		return nil, fmt.Errorf("minihdfs: start datanode %s peer endpoint: %w", id, err)
@@ -157,10 +164,10 @@ func StartDataNode(env *harness.Env, conf *confkit.Conf, id, nnAddr string, opts
 		return nil, fmt.Errorf("minihdfs: datanode %s cannot reach namenode: %w", id, err)
 	}
 	dn.nnConn = conn
-	if err := conn.CallJSON(MethodRegister, RegisterReq{
+	if err := MethodRegister.Call(conn, RegisterReq{
 		DNID: id, DataAddr: dn.DataAddr(), PeerAddr: dn.PeerAddr(),
 		Domain: opts.Domain, Tier: opts.Tier,
-	}, nil); err != nil {
+	}); err != nil {
 		dn.closeServers()
 		return nil, fmt.Errorf("minihdfs: datanode %s failed to register block pools: %w", id, err)
 	}
@@ -249,8 +256,8 @@ func (dn *DataNode) heartbeatLoop() {
 			Blocks:    len(dn.blocks),
 		}
 		dn.mu.Unlock()
-		var resp HeartbeatResp
-		if err := dn.nnConn.CallJSON(MethodHeartbeat, req, &resp); err != nil {
+		resp, err := MethodHeartbeat.Call(dn.nnConn, req)
+		if err != nil {
 			continue // the NameNode may be gone; keep trying until stopped
 		}
 		for _, b := range resp.DeleteBlocks {
@@ -274,7 +281,7 @@ func (dn *DataNode) deleteBlock(id int64) {
 		return
 	}
 	report := func() {
-		_ = dn.nnConn.CallJSON(MethodBlockDeleted, BlockReportReq{DNID: dn.id, BlockID: id}, nil)
+		_ = MethodBlockDeleted.Call(dn.nnConn, BlockReportReq{DNID: dn.id, BlockID: id})
 	}
 	delay := dn.conf.GetTicks(ParamIncrementalBRIntvl)
 	if delay <= 0 {
@@ -288,38 +295,6 @@ func (dn *DataNode) deleteBlock(id int64) {
 			report()
 		}
 	})
-}
-
-// handleData serves both the data and peer endpoints.
-func (dn *DataNode) handleData(method string, payload []byte) ([]byte, error) {
-	switch method {
-	case MethodWriteBlock:
-		var req WriteBlockReq
-		if err := rpcsim.Unmarshal(method, payload, &req); err != nil {
-			return nil, err
-		}
-		return marshal(struct{}{}, dn.writeBlock(&req))
-	case MethodReadBlock:
-		var req ReadBlockReq
-		if err := rpcsim.Unmarshal(method, payload, &req); err != nil {
-			return nil, err
-		}
-		return marshal(dn.readBlock(&req))
-	case MethodMoveReplica:
-		var req MoveReplicaReq
-		if err := rpcsim.Unmarshal(method, payload, &req); err != nil {
-			return nil, err
-		}
-		return marshal(struct{}{}, dn.moveReplica(&req))
-	case MethodReceiveReplica:
-		var req ReceiveReplicaReq
-		if err := rpcsim.Unmarshal(method, payload, &req); err != nil {
-			return nil, err
-		}
-		return marshal(struct{}{}, dn.receiveReplica(&req))
-	default:
-		return nil, fmt.Errorf("minihdfs: datanode %s: unknown method %q", dn.id, method)
-	}
 }
 
 // writeBlock stores a replica after verifying the sender's checksums with
@@ -344,7 +319,7 @@ func (dn *DataNode) writeBlock(req *WriteBlockReq) error {
 			return fmt.Errorf("minihdfs: datanode %s: pipeline forward to %s: %w", dn.id, next, err)
 		}
 	}
-	return dn.nnConn.CallJSON(MethodBlockReceived, BlockReportReq{DNID: dn.id, BlockID: req.BlockID}, nil)
+	return MethodBlockReceived.Call(dn.nnConn, BlockReportReq{DNID: dn.id, BlockID: req.BlockID})
 }
 
 // forwardBlock sends a replica to the next pipeline DataNode over the peer
@@ -365,7 +340,7 @@ func (dn *DataNode) forwardBlock(peerAddr string, req *WriteBlockReq) error {
 	if err != nil {
 		return err
 	}
-	return conn.CallJSON(MethodWriteBlock, req, nil)
+	return MethodWriteBlock.Call(conn, *req)
 }
 
 func (dn *DataNode) storeBlock(id int64, data []byte, sums []uint32) {
@@ -423,9 +398,9 @@ func (dn *DataNode) moveReplica(req *MoveReplicaReq) error {
 	if err != nil {
 		return fmt.Errorf("minihdfs: datanode %s: dial move target %s: %w", dn.id, req.TargetPeer, err)
 	}
-	if err := conn.CallJSON(MethodReceiveReplica, ReceiveReplicaReq{
+	if err := MethodReceiveReplica.Call(conn, ReceiveReplicaReq{
 		BlockID: req.BlockID, Data: b.data, Sums: b.sums, BalancerAddr: req.BalancerAddr,
-	}, nil); err != nil {
+	}); err != nil {
 		return fmt.Errorf("minihdfs: datanode %s: move block %d to %s: %w", dn.id, req.BlockID, req.TargetPeer, err)
 	}
 	dn.deleteBlock(req.BlockID)
@@ -441,7 +416,7 @@ func (dn *DataNode) moveReplica(req *MoveReplicaReq) error {
 func (dn *DataNode) receiveReplica(req *ReceiveReplicaReq) error {
 	dn.throttle.Acquire(int64(len(req.Data))) // ingress budget
 	dn.storeBlock(req.BlockID, req.Data, req.Sums)
-	if err := dn.nnConn.CallJSON(MethodBlockReceived, BlockReportReq{DNID: dn.id, BlockID: req.BlockID}, nil); err != nil {
+	if err := MethodBlockReceived.Call(dn.nnConn, BlockReportReq{DNID: dn.id, BlockID: req.BlockID}); err != nil {
 		return err
 	}
 	if req.BalancerAddr == "" {
@@ -456,6 +431,6 @@ func (dn *DataNode) receiveReplica(req *ReceiveReplicaReq) error {
 	if err != nil {
 		return nil // the balancer may already be gone; the move still succeeded
 	}
-	_ = conn.CallJSON(MethodProgress, ProgressReq{DNID: dn.id, BlockID: req.BlockID}, nil)
+	_ = MethodProgress.Call(conn, ProgressReq{DNID: dn.id, BlockID: req.BlockID})
 	return nil
 }

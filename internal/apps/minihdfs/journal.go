@@ -20,6 +20,7 @@ type JournalNode struct {
 	env  *harness.Env
 	conf *confkit.Conf
 	srv  *rpcsim.Server
+	rpc  *rpcsim.Table
 
 	mu        sync.Mutex
 	segments  map[int64][]string
@@ -36,9 +37,13 @@ func StartJournalNode(env *harness.Env, conf *confkit.Conf, addr string) (*Journ
 		conf:      conf.RefToClone(),
 		segments:  make(map[int64][]string),
 		finalized: make(map[int64]bool),
+		rpc:       rpcsim.NewTable("minihdfs: journalnode"),
 	}
+	MethodJournal.Serve(jn.rpc, jn.journal)
+	MethodFinalizeSegment.Serve(jn.rpc, jn.finalizeSegment)
+	MethodGetJournaledEdits.Serve(jn.rpc, jn.getEdits)
 	sec := common.SecurityFromConf(jn.conf)
-	srv, err := common.ServeIPC(env.Fabric, addr, jn.conf, env.Scale, sec, jn.handle)
+	srv, err := common.ServeIPC(env.Fabric, addr, jn.conf, env.Scale, sec, jn.rpc.Handle)
 	if err != nil {
 		return nil, fmt.Errorf("minihdfs: start journalnode: %w", err)
 	}
@@ -49,35 +54,18 @@ func StartJournalNode(env *harness.Env, conf *confkit.Conf, addr string) (*Journ
 // Stop shuts the JournalNode down.
 func (jn *JournalNode) Stop() { jn.srv.Close() }
 
-func (jn *JournalNode) handle(method string, payload []byte) ([]byte, error) {
-	switch method {
-	case MethodJournal:
-		var req JournalReq
-		if err := rpcsim.Unmarshal(method, payload, &req); err != nil {
-			return nil, err
-		}
-		jn.mu.Lock()
-		jn.segments[req.SegmentID] = append(jn.segments[req.SegmentID], req.Edits...)
-		jn.mu.Unlock()
-		return marshal(struct{}{}, nil)
-	case MethodFinalizeSegment:
-		var req SegmentReq
-		if err := rpcsim.Unmarshal(method, payload, &req); err != nil {
-			return nil, err
-		}
-		jn.mu.Lock()
-		jn.finalized[req.SegmentID] = true
-		jn.mu.Unlock()
-		return marshal(struct{}{}, nil)
-	case MethodGetJournaledEdits:
-		var req GetEditsReq
-		if err := rpcsim.Unmarshal(method, payload, &req); err != nil {
-			return nil, err
-		}
-		return marshal(jn.getEdits(&req))
-	default:
-		return nil, fmt.Errorf("minihdfs: journalnode: unknown method %q", method)
-	}
+func (jn *JournalNode) journal(req *JournalReq) error {
+	jn.mu.Lock()
+	jn.segments[req.SegmentID] = append(jn.segments[req.SegmentID], req.Edits...)
+	jn.mu.Unlock()
+	return nil
+}
+
+func (jn *JournalNode) finalizeSegment(req *SegmentReq) error {
+	jn.mu.Lock()
+	jn.finalized[req.SegmentID] = true
+	jn.mu.Unlock()
+	return nil
 }
 
 // getEdits serves edits after SinceTxn. Requests for in-progress segments
@@ -133,11 +121,10 @@ func NewStandbyTailer(env *harness.Env, conf *confkit.Conf, jnAddr string) (*Sta
 // Tail fetches edits after sinceTxn, asking for in-progress segments when
 // this node's configuration enables it.
 func (st *StandbyTailer) Tail(sinceTxn int64) ([]string, error) {
-	var resp GetEditsResp
-	err := st.jn.CallJSON(MethodGetJournaledEdits, GetEditsReq{
+	resp, err := MethodGetJournaledEdits.Call(st.jn, GetEditsReq{
 		SinceTxn:     sinceTxn,
 		InProgressOK: st.conf.GetBool(ParamTailEditsInProgress),
-	}, &resp)
+	})
 	if err != nil {
 		return nil, err
 	}

@@ -74,8 +74,8 @@ func (m *Mover) Run(policy string) error {
 		wantTier = TierArchive
 	}
 
-	var report DatanodeReportResp
-	if err := m.nn.CallJSON(MethodDatanodeReport, struct{}{}, &report); err != nil {
+	report, err := MethodDatanodeReport.Call(m.nn, rpcsim.Empty{})
+	if err != nil {
 		return fmt.Errorf("minihdfs: mover: datanode report: %w", err)
 	}
 	tierOf := make(map[string]string)
@@ -95,8 +95,8 @@ func (m *Mover) Run(policy string) error {
 		return fmt.Errorf("minihdfs: mover: no live %s datanodes", wantTier)
 	}
 
-	var blocks BlocksOnDNResp
-	if err := m.nn.CallJSON(MethodPolicyBlocks, SnapshotReq{Name: policy}, &blocks); err != nil {
+	blocks, err := MethodPolicyBlocks.Call(m.nn, SnapshotReq{Name: policy})
+	if err != nil {
 		return fmt.Errorf("minihdfs: mover: list %s blocks: %w", policy, err)
 	}
 	var plan []moverMove
@@ -173,9 +173,9 @@ func (m *Mover) executeMove(mv moverMove) error {
 		if err != nil {
 			return fmt.Errorf("minihdfs: mover: dial source %s: %w", mv.fromPeer, err)
 		}
-		err = conn.CallJSON(MethodMoveReplica, MoveReplicaReq{
+		err = MethodMoveReplica.Call(conn, MoveReplicaReq{
 			BlockID: mv.blockID, TargetPeer: mv.toPeer, TargetDNID: mv.toDNID,
-		}, nil)
+		})
 		if err == nil {
 			return nil
 		}

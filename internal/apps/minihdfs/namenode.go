@@ -105,7 +105,7 @@ func StartNameNode(env *harness.Env, conf *confkit.Conf, addr string) (*NameNode
 
 	sec := common.SecurityFromConf(nn.conf)
 	sec.RequireToken = nn.conf.GetBool(ParamBlockAccessToken)
-	srv, err := common.ServeIPC(env.Fabric, addr, nn.conf, env.Scale, sec, nn.handle)
+	srv, err := common.ServeIPC(env.Fabric, addr, nn.conf, env.Scale, sec, nn.ipcTable().Handle)
 	if err != nil {
 		return nil, fmt.Errorf("minihdfs: start namenode: %w", err)
 	}
@@ -116,7 +116,9 @@ func StartNameNode(env *harness.Env, conf *confkit.Conf, addr string) (*NameNode
 		srv.Close()
 		return nil, err
 	}
-	web, err := common.ServeWeb(env.Fabric, ParamHTTPPolicy, host, nn.conf, env.Scale, nn.handleWeb)
+	webRPC := rpcsim.NewTable("minihdfs: namenode web")
+	MethodFsck.Serve(webRPC, nn.stats)
+	web, err := common.ServeWeb(env.Fabric, ParamHTTPPolicy, host, nn.conf, env.Scale, webRPC.Handle)
 	if err != nil {
 		srv.Close()
 		return nil, fmt.Errorf("minihdfs: start namenode web: %w", err)
@@ -191,153 +193,41 @@ func (nn *NameNode) ReplWorkLimit() int64 {
 	return nn.conf.GetInt(ParamReplWorkMulti) * int64(live)
 }
 
-// handleWeb serves the NameNode web UI (the fsck endpoint).
-func (nn *NameNode) handleWeb(method string, payload []byte) ([]byte, error) {
-	switch method {
-	case "fsck":
-		return json.Marshal(nn.stats())
-	default:
-		return nil, fmt.Errorf("minihdfs: namenode web: unknown method %q", method)
-	}
-}
-
-// handle dispatches NameNode IPC.
-func (nn *NameNode) handle(method string, payload []byte) ([]byte, error) {
-	switch method {
-	case MethodRegister:
-		var req RegisterReq
-		if err := rpcsim.Unmarshal(method, payload, &req); err != nil {
-			return nil, err
-		}
-		return marshal(nn.register(&req))
-	case MethodHeartbeat:
-		var req HeartbeatReq
-		if err := rpcsim.Unmarshal(method, payload, &req); err != nil {
-			return nil, err
-		}
-		return marshal(nn.heartbeat(&req))
-	case MethodBlockReceived, MethodBlockDeleted:
-		var req BlockReportReq
-		if err := rpcsim.Unmarshal(method, payload, &req); err != nil {
-			return nil, err
-		}
-		return marshal(struct{}{}, nn.blockReport(method, &req))
-	case MethodCreate:
-		var req CreateReq
-		if err := rpcsim.Unmarshal(method, payload, &req); err != nil {
-			return nil, err
-		}
-		return marshal(struct{}{}, nn.create(&req))
-	case MethodAddBlock:
-		var req AddBlockReq
-		if err := rpcsim.Unmarshal(method, payload, &req); err != nil {
-			return nil, err
-		}
-		return marshal(nn.addBlock(&req))
-	case MethodComplete, MethodDelete, MethodMkdir, MethodList:
-		var req PathReq
-		if err := rpcsim.Unmarshal(method, payload, &req); err != nil {
-			return nil, err
-		}
-		return nn.pathOp(method, &req)
-	case MethodStats:
-		return json.Marshal(nn.stats())
-	case MethodDatanodeReport:
-		return marshal(nn.datanodeReport(), nil)
-	case MethodBlocksOnDN:
-		var req RegisterReq
-		if err := rpcsim.Unmarshal(method, payload, &req); err != nil {
-			return nil, err
-		}
-		return marshal(nn.blocksOnDN(req.DNID), nil)
-	case MethodAdditionalDN:
-		var req AdditionalDNReq
-		if err := rpcsim.Unmarshal(method, payload, &req); err != nil {
-			return nil, err
-		}
-		return marshal(nn.additionalDN(&req))
-	case MethodReportBadBlocks:
-		var req BadBlocksReq
-		if err := rpcsim.Unmarshal(method, payload, &req); err != nil {
-			return nil, err
-		}
-		nn.mu.Lock()
-		for _, b := range req.BlockIDs {
-			nn.corrupt[b] = true
-		}
-		nn.mu.Unlock()
-		return marshal(struct{}{}, nil)
-	case MethodListCorrupt:
-		return marshal(nn.listCorrupt(), nil)
-	case MethodCreateSnapshot:
-		var req SnapshotReq
-		if err := rpcsim.Unmarshal(method, payload, &req); err != nil {
-			return nil, err
-		}
-		return marshal(struct{}{}, nn.createSnapshot(&req))
-	case MethodSnapshotDiff:
-		var req SnapshotReq
-		if err := rpcsim.Unmarshal(method, payload, &req); err != nil {
-			return nil, err
-		}
-		return marshal(nn.snapshotDiff(&req))
-	case MethodApproveMove:
-		var req ApproveMoveReq
-		if err := rpcsim.Unmarshal(method, payload, &req); err != nil {
-			return nil, err
-		}
-		return marshal(struct{}{}, nn.approveMove(&req))
-	case MethodSaveNamespace:
+// ipcTable registers the NameNode's IPC operations.
+func (nn *NameNode) ipcTable() *rpcsim.Table {
+	rpc := rpcsim.NewTable("minihdfs: namenode")
+	MethodRegister.Serve(rpc, nn.register)
+	MethodHeartbeat.Serve(rpc, nn.heartbeat)
+	MethodBlockReceived.Serve(rpc, func(req *BlockReportReq) error { return nn.blockReport(req, true) })
+	MethodBlockDeleted.Serve(rpc, func(req *BlockReportReq) error { return nn.blockReport(req, false) })
+	MethodCreate.Serve(rpc, nn.create)
+	MethodAddBlock.Serve(rpc, nn.addBlock)
+	MethodComplete.Serve(rpc, nn.complete)
+	MethodDelete.Serve(rpc, func(req *PathReq) error { return nn.delete(req.Path) })
+	MethodMkdir.Serve(rpc, func(req *PathReq) error { return nn.mkdir(req.Path) })
+	MethodList.Serve(rpc, nn.list)
+	MethodStats.Serve(rpc, nn.stats)
+	MethodDatanodeReport.Serve(rpc, nn.datanodeReport)
+	MethodBlocksOnDN.Serve(rpc, func(req *RegisterReq) (BlocksOnDNResp, error) { return nn.blocksOnDN(req.DNID), nil })
+	MethodAdditionalDN.Serve(rpc, nn.additionalDN)
+	MethodReportBadBlocks.Serve(rpc, nn.reportBadBlocks)
+	MethodListCorrupt.Serve(rpc, nn.listCorrupt)
+	MethodCreateSnapshot.Serve(rpc, nn.createSnapshot)
+	MethodSnapshotDiff.Serve(rpc, nn.snapshotDiff)
+	MethodApproveMove.Serve(rpc, nn.approveMove)
+	MethodSaveNamespace.Serve(rpc, func(req *rpcsim.Empty) (ImageResp, error) {
 		nn.env.Scale.Sleep(saveNamespaceTicks)
-		img, compressed, err := nn.Image()
-		if err != nil {
-			return nil, err
-		}
-		return marshal(ImageResp{Image: img, Compressed: compressed}, nil)
-	case MethodGetImage:
-		img, compressed, err := nn.Image()
-		if err != nil {
-			return nil, err
-		}
-		return marshal(ImageResp{Image: img, Compressed: compressed}, nil)
-	case MethodAppend:
-		var req PathReq
-		if err := rpcsim.Unmarshal(method, payload, &req); err != nil {
-			return nil, err
-		}
-		return marshal(struct{}{}, nn.reopen(req.Path))
-	case MethodSetStoragePolicy:
-		var req PolicyReq
-		if err := rpcsim.Unmarshal(method, payload, &req); err != nil {
-			return nil, err
-		}
-		return marshal(struct{}{}, nn.setStoragePolicy(&req))
-	case MethodPolicyBlocks:
-		var req SnapshotReq // Name carries the policy
-		if err := rpcsim.Unmarshal(method, payload, &req); err != nil {
-			return nil, err
-		}
-		return marshal(nn.policyBlocks(req.Name), nil)
-	case MethodGetBlockLocations:
-		var req BlockLocationsReq
-		if err := rpcsim.Unmarshal(method, payload, &req); err != nil {
-			return nil, err
-		}
-		return marshal(nn.blockLocations(&req))
-	default:
-		return nil, fmt.Errorf("minihdfs: namenode: unknown method %q", method)
-	}
+		return nn.getImage(req)
+	})
+	MethodGetImage.Serve(rpc, nn.getImage)
+	MethodAppend.Serve(rpc, func(req *PathReq) error { return nn.reopen(req.Path) })
+	MethodSetStoragePolicy.Serve(rpc, nn.setStoragePolicy)
+	MethodPolicyBlocks.Serve(rpc, func(req *SnapshotReq) (BlocksOnDNResp, error) { return nn.policyBlocks(req.Name), nil })
+	MethodGetBlockLocations.Serve(rpc, nn.blockLocations)
+	return rpc
 }
 
-// marshal pairs a response value with an operation error.
-func marshal(v any, err error) ([]byte, error) {
-	if err != nil {
-		return nil, err
-	}
-	return json.Marshal(v)
-}
-
-func (nn *NameNode) register(req *RegisterReq) (struct{}, error) {
+func (nn *NameNode) register(req *RegisterReq) error {
 	nn.mu.Lock()
 	defer nn.mu.Unlock()
 	tier := req.Tier
@@ -352,7 +242,7 @@ func (nn *NameNode) register(req *RegisterReq) (struct{}, error) {
 		tier:     tier,
 		lastHB:   nn.env.Scale.Now(),
 	}
-	return struct{}{}, nil
+	return nil
 }
 
 func (nn *NameNode) heartbeat(req *HeartbeatReq) (HeartbeatResp, error) {
@@ -370,20 +260,19 @@ func (nn *NameNode) heartbeat(req *HeartbeatReq) (HeartbeatResp, error) {
 	return resp, nil
 }
 
-func (nn *NameNode) blockReport(method string, req *BlockReportReq) error {
+func (nn *NameNode) blockReport(req *BlockReportReq, received bool) error {
 	nn.mu.Lock()
 	defer nn.mu.Unlock()
 	dn, ok := nn.dns[req.DNID]
 	if !ok {
 		return fmt.Errorf("minihdfs: block report from unregistered datanode %s", req.DNID)
 	}
-	switch method {
-	case MethodBlockReceived:
+	if received {
 		dn.blocks++
 		if b, ok := nn.blocks[req.BlockID]; ok {
 			b.locations[req.DNID] = true
 		}
-	case MethodBlockDeleted:
+	} else {
 		if dn.blocks > 0 {
 			dn.blocks--
 		}
@@ -490,37 +379,30 @@ func (nn *NameNode) chooseTargetsLocked(n int, exclude map[string]bool) []*dnSta
 	return cands
 }
 
-func (nn *NameNode) pathOp(method string, req *PathReq) ([]byte, error) {
-	switch method {
-	case MethodComplete:
-		nn.mu.Lock()
-		defer nn.mu.Unlock()
-		f, ok := nn.files[req.Path]
-		if !ok {
-			return nil, fmt.Errorf("minihdfs: complete on missing file %s", req.Path)
-		}
-		f.complete = true
-		return json.Marshal(struct{}{})
-	case MethodDelete:
-		return marshal(struct{}{}, nn.delete(req.Path))
-	case MethodMkdir:
-		return marshal(struct{}{}, nn.mkdir(req.Path))
-	case MethodList:
-		nn.mu.Lock()
-		defer nn.mu.Unlock()
-		children, ok := nn.dirs[req.Path]
-		if !ok {
-			return nil, fmt.Errorf("minihdfs: list on missing directory %s", req.Path)
-		}
-		var names []string
-		for name := range children {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		return json.Marshal(ListResp{Names: names})
-	default:
-		return nil, fmt.Errorf("minihdfs: unknown path op %q", method)
+func (nn *NameNode) complete(req *PathReq) error {
+	nn.mu.Lock()
+	defer nn.mu.Unlock()
+	f, ok := nn.files[req.Path]
+	if !ok {
+		return fmt.Errorf("minihdfs: complete on missing file %s", req.Path)
 	}
+	f.complete = true
+	return nil
+}
+
+func (nn *NameNode) list(req *PathReq) (ListResp, error) {
+	nn.mu.Lock()
+	defer nn.mu.Unlock()
+	children, ok := nn.dirs[req.Path]
+	if !ok {
+		return ListResp{}, fmt.Errorf("minihdfs: list on missing directory %s", req.Path)
+	}
+	var names []string
+	for name := range children {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return ListResp{Names: names}, nil
 }
 
 // delete removes a file's metadata immediately and queues replica deletions
@@ -569,7 +451,7 @@ func (nn *NameNode) mkdir(path string) error {
 	return nil
 }
 
-func (nn *NameNode) stats() StatsResp {
+func (nn *NameNode) stats(*rpcsim.Empty) (StatsResp, error) {
 	nn.mu.Lock()
 	defer nn.mu.Unlock()
 	stats := StatsResp{}
@@ -588,10 +470,10 @@ func (nn *NameNode) stats() StatsResp {
 			stats.StaleDNs++
 		}
 	}
-	return stats
+	return stats, nil
 }
 
-func (nn *NameNode) datanodeReport() DatanodeReportResp {
+func (nn *NameNode) datanodeReport(*rpcsim.Empty) (DatanodeReportResp, error) {
 	nn.mu.Lock()
 	defer nn.mu.Unlock()
 	var resp DatanodeReportResp
@@ -603,7 +485,7 @@ func (nn *NameNode) datanodeReport() DatanodeReportResp {
 		})
 	}
 	sort.Slice(resp.Nodes, func(i, j int) bool { return resp.Nodes[i].DNID < resp.Nodes[j].DNID })
-	return resp
+	return resp, nil
 }
 
 func (nn *NameNode) blocksOnDN(dnID string) BlocksOnDNResp {
@@ -643,7 +525,16 @@ func (nn *NameNode) additionalDN(req *AdditionalDNReq) (AdditionalDNResp, error)
 	return AdditionalDNResp{DNID: targets[0].id, DataAddr: targets[0].dataAddr, PeerAddr: targets[0].peerAddr}, nil
 }
 
-func (nn *NameNode) listCorrupt() ListCorruptResp {
+func (nn *NameNode) reportBadBlocks(req *BadBlocksReq) error {
+	nn.mu.Lock()
+	for _, b := range req.BlockIDs {
+		nn.corrupt[b] = true
+	}
+	nn.mu.Unlock()
+	return nil
+}
+
+func (nn *NameNode) listCorrupt(*rpcsim.Empty) (ListCorruptResp, error) {
 	max := nn.conf.GetInt(ParamMaxCorruptReturned)
 	nn.mu.Lock()
 	defer nn.mu.Unlock()
@@ -657,7 +548,7 @@ func (nn *NameNode) listCorrupt() ListCorruptResp {
 		resp.BlockIDs = ids[:max]
 		resp.Truncated = true
 	}
-	return resp
+	return resp, nil
 }
 
 func (nn *NameNode) createSnapshot(req *SnapshotReq) error {
@@ -853,6 +744,12 @@ func (nn *NameNode) policyBlocks(policy string) BlocksOnDNResp {
 	}
 	sort.Slice(resp.Blocks, func(i, j int) bool { return resp.Blocks[i].BlockID < resp.Blocks[j].BlockID })
 	return resp
+}
+
+// getImage serves the namespace image.
+func (nn *NameNode) getImage(*rpcsim.Empty) (ImageResp, error) {
+	img, compressed, err := nn.Image()
+	return ImageResp{Image: img, Compressed: compressed}, err
 }
 
 // Image serializes the namespace deterministically, compressed when the

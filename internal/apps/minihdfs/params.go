@@ -118,13 +118,7 @@ func NewRegistry() *confkit.Registry {
 			Truth:      confkit.SafetyUnsafe,
 			Why:        "socket connection timeouts (keepalive cadence outlives a shorter peer timeout)"},
 		confkit.Param{Name: ParamBalanceBandwidth, Kind: confkit.Int, Default: "100",
-			// The low candidate is 5 (not 10) so the starvation verdict is
-			// robust under scheduler load: a victim draining 1000-byte
-			// blocks at 5 bytes/tick holds each one for 200 ticks, so the
-			// flood only needs ~10 moves to enqueue within that window to
-			// starve the first progress report past the 2000-tick balancer
-			// idle limit — and both (100<->5) and (1000<->5) pairs reach it.
-			Candidates: []string{"100", "1000", "5"},
+			Candidates: []string{"100", "1000", "10"},
 			Doc:        "bytes per tick each DataNode may spend on balancing traffic",
 			Truth:      confkit.SafetyUnsafe,
 			Why:        "a high-limit DataNode floods a low-limit one; the victim's throttled progress reports starve and the Balancer times out"},
@@ -189,15 +183,8 @@ func NewRegistry() *confkit.Registry {
 			Doc:   "allow snapshot diffs on descendants of the snapshot root",
 			Truth: confkit.SafetyUnsafe,
 			Why:   "NameNode declines the client's snapshot diff request"},
-		confkit.Param{Name: ParamStaleInterval, Kind: confkit.Ticks, Default: "100",
-			// Candidate magnitudes are deliberately large (100/1000 ticks,
-			// not 30/300): the staleness verdict compares wall-clock-derived
-			// tick counts on both sides, so every margin — the monitor pass
-			// landing inside the homogeneous low arm's window, and the
-			// heterogeneous arm's Stats read landing BELOW the NameNode's
-			// larger threshold despite sleep overshoot — must dwarf
-			// millisecond-scale scheduler jitter (1 tick = 100us).
-			Candidates: []string{"100", "1000"},
+		confkit.Param{Name: ParamStaleInterval, Kind: confkit.Ticks, Default: "30",
+			Candidates: []string{"30", "300"},
 			Doc:        "heartbeat silence after which a DataNode is considered stale",
 			Truth:      confkit.SafetyUnsafe,
 			Why:        "end users observe an inconsistent number of stale DataNodes"},

@@ -1,55 +1,60 @@
 package minihdfs
 
-// RPC method names and request/response messages exchanged between
-// minihdfs nodes. Everything crossing the wire is JSON inside the rpcsim
+import "zebraconf/internal/rpcsim"
+
+// The RPCs minihdfs nodes serve, each declared once with the messages it
+// exchanges. Everything crossing the wire is encoded by rpcsim inside its
 // envelope, so heterogeneous transport settings corrupt these bytes exactly
 // where a real deployment would corrupt its protobufs.
 
 // NameNode IPC methods.
-const (
-	MethodRegister          = "register"
-	MethodHeartbeat         = "heartbeat"
-	MethodBlockReceived     = "blockReceived"
-	MethodBlockDeleted      = "blockDeleted"
-	MethodCreate            = "create"
-	MethodAddBlock          = "addBlock"
-	MethodComplete          = "complete"
-	MethodDelete            = "delete"
-	MethodMkdir             = "mkdir"
-	MethodList              = "list"
-	MethodStats             = "stats"
-	MethodDatanodeReport    = "datanodeReport"
-	MethodBlocksOnDN        = "blocksOnDN"
-	MethodAdditionalDN      = "additionalDatanode"
-	MethodReportBadBlocks   = "reportBadBlocks"
-	MethodListCorrupt       = "listCorruptFileBlocks"
-	MethodCreateSnapshot    = "createSnapshot"
-	MethodSnapshotDiff      = "snapshotDiff"
-	MethodApproveMove       = "approveMove"
-	MethodSaveNamespace     = "saveNamespace"
-	MethodGetImage          = "getImage"
-	MethodGetBlockLocations = "getBlockLocations"
-	MethodAppend            = "append"
-	MethodSetStoragePolicy  = "setStoragePolicy"
-	MethodPolicyBlocks      = "policyBlocks"
+var (
+	MethodRegister          = rpcsim.Command[RegisterReq]{Name: "register"}
+	MethodHeartbeat         = rpcsim.Method[HeartbeatReq, HeartbeatResp]{Name: "heartbeat"}
+	MethodBlockReceived     = rpcsim.Command[BlockReportReq]{Name: "blockReceived"}
+	MethodBlockDeleted      = rpcsim.Command[BlockReportReq]{Name: "blockDeleted"}
+	MethodCreate            = rpcsim.Command[CreateReq]{Name: "create"}
+	MethodAddBlock          = rpcsim.Method[AddBlockReq, AddBlockResp]{Name: "addBlock"}
+	MethodComplete          = rpcsim.Command[PathReq]{Name: "complete"}
+	MethodDelete            = rpcsim.Command[PathReq]{Name: "delete"}
+	MethodMkdir             = rpcsim.Command[PathReq]{Name: "mkdir"}
+	MethodList              = rpcsim.Method[PathReq, ListResp]{Name: "list"}
+	MethodStats             = rpcsim.Method[rpcsim.Empty, StatsResp]{Name: "stats"}
+	MethodDatanodeReport    = rpcsim.Method[rpcsim.Empty, DatanodeReportResp]{Name: "datanodeReport"}
+	MethodBlocksOnDN        = rpcsim.Method[RegisterReq, BlocksOnDNResp]{Name: "blocksOnDN"} // only DNID is read
+	MethodAdditionalDN      = rpcsim.Method[AdditionalDNReq, AdditionalDNResp]{Name: "additionalDatanode"}
+	MethodReportBadBlocks   = rpcsim.Command[BadBlocksReq]{Name: "reportBadBlocks"}
+	MethodListCorrupt       = rpcsim.Method[rpcsim.Empty, ListCorruptResp]{Name: "listCorruptFileBlocks"}
+	MethodCreateSnapshot    = rpcsim.Command[SnapshotReq]{Name: "createSnapshot"}
+	MethodSnapshotDiff      = rpcsim.Method[SnapshotReq, SnapshotDiffResp]{Name: "snapshotDiff"}
+	MethodApproveMove       = rpcsim.Command[ApproveMoveReq]{Name: "approveMove"}
+	MethodSaveNamespace     = rpcsim.Method[rpcsim.Empty, ImageResp]{Name: "saveNamespace"}
+	MethodGetImage          = rpcsim.Method[rpcsim.Empty, ImageResp]{Name: "getImage"}
+	MethodGetBlockLocations = rpcsim.Method[BlockLocationsReq, BlockLocationsResp]{Name: "getBlockLocations"}
+	MethodAppend            = rpcsim.Command[PathReq]{Name: "append"}
+	MethodSetStoragePolicy  = rpcsim.Command[PolicyReq]{Name: "setStoragePolicy"}
+	MethodPolicyBlocks      = rpcsim.Method[SnapshotReq, BlocksOnDNResp]{Name: "policyBlocks"} // Name carries the policy
 )
 
+// MethodFsck is the one method of the NameNode's web endpoint.
+var MethodFsck = rpcsim.Method[rpcsim.Empty, StatsResp]{Name: "fsck"}
+
 // DataNode data/peer endpoint methods.
-const (
-	MethodWriteBlock     = "writeBlock"
-	MethodReadBlock      = "readBlock"
-	MethodMoveReplica    = "moveReplica"
-	MethodReceiveReplica = "receiveReplica"
+var (
+	MethodWriteBlock     = rpcsim.Command[WriteBlockReq]{Name: "writeBlock"}
+	MethodReadBlock      = rpcsim.Method[ReadBlockReq, ReadBlockResp]{Name: "readBlock"}
+	MethodMoveReplica    = rpcsim.Command[MoveReplicaReq]{Name: "moveReplica"}
+	MethodReceiveReplica = rpcsim.Command[ReceiveReplicaReq]{Name: "receiveReplica"}
 )
 
 // Balancer endpoint methods.
-const MethodProgress = "progress"
+var MethodProgress = rpcsim.Command[ProgressReq]{Name: "progress"}
 
 // JournalNode methods.
-const (
-	MethodJournal           = "journal"
-	MethodFinalizeSegment   = "finalizeSegment"
-	MethodGetJournaledEdits = "getJournaledEdits"
+var (
+	MethodJournal           = rpcsim.Command[JournalReq]{Name: "journal"}
+	MethodFinalizeSegment   = rpcsim.Command[SegmentReq]{Name: "finalizeSegment"}
+	MethodGetJournaledEdits = rpcsim.Method[GetEditsReq, GetEditsResp]{Name: "getJournaledEdits"}
 )
 
 // RegisterReq announces a DataNode to the NameNode.

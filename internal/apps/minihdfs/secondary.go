@@ -68,8 +68,8 @@ func (snn *SecondaryNameNode) loop() {
 // Checkpoint fetches an image now (also callable by tests, as HDFS tests
 // call doCheckpoint).
 func (snn *SecondaryNameNode) Checkpoint() error {
-	var img ImageResp
-	if err := snn.nn.CallJSON(MethodGetImage, struct{}{}, &img); err != nil {
+	img, err := MethodGetImage.Call(snn.nn, rpcsim.Empty{})
+	if err != nil {
 		return fmt.Errorf("minihdfs: checkpoint: %w", err)
 	}
 	raw := img.Image
@@ -77,7 +77,6 @@ func (snn *SecondaryNameNode) Checkpoint() error {
 		// Inflate with this node's own codec — the image does not carry
 		// one. The read happens only for compressed images, so a default
 		// campaign's pre-run never observes it.
-		var err error
 		raw, err = decodeImageCodec(snn.conf.Get(ParamImageCodec), img.Image)
 		if err != nil {
 			return fmt.Errorf("minihdfs: checkpoint: decode image: %w", err)

@@ -256,15 +256,7 @@ func testDeadDataNodeDetection(t *harness.T) {
 func testStaleDataNodeDetection(t *harness.T) {
 	c, client, conf := startCluster(t, ClusterOptions{DataNodes: 2})
 	c.DNs[1].Stop()
-	// Sleep 4x (not 2x) the client's stale window: the verdict is a
-	// two-sided timing race. The homogeneous low arm needs a NameNode
-	// monitor pass to land between the threshold crossing and the Stats
-	// read (window = 3x stale here), while the confirming heterogeneous
-	// arm needs the Stats read to stay BELOW the NameNode's larger
-	// threshold despite sleep overshoot (slack = 1000 - 4*100 = 600 ticks
-	// with the schema's candidates). Both margins are tens of
-	// milliseconds, far above full-campaign scheduler jitter.
-	t.Env.Scale.Sleep(4 * conf.GetTicks(ParamStaleInterval))
+	t.Env.Scale.Sleep(2 * conf.GetTicks(ParamStaleInterval))
 	stats, err := client.Stats()
 	t.NoErr(err, "stats")
 	if stats.StaleDNs != 1 {
@@ -420,9 +412,9 @@ func testBalancerBasic(t *harness.T) {
 func testBalancerBandwidth(t *harness.T) {
 	c, client, conf := startCluster(t, ClusterOptions{DataNodes: 1})
 	// Spread files across directories to respect the (scaled) per-directory
-	// item limit. 72 blocks -> 36 planned moves -> ~7,200 ticks of ingress
-	// backlog on a low-limit (5 bytes/tick) target, comfortably past the
-	// 2,000-tick balancer idle limit even under heavy scheduler load.
+	// item limit. 72 blocks -> 36 planned moves -> ~3,600 ticks of ingress
+	// backlog on a low-limit (10 bytes/tick) target, past the 2,000-tick
+	// balancer idle limit.
 	for d := 0; d < 3; d++ {
 		dir := fmt.Sprintf("/bw%d", d)
 		t.NoErr(client.Mkdir(dir), "mkdir bandwidth dir")
@@ -579,9 +571,9 @@ func testEditTailing(t *harness.T) {
 	_ = c
 	jn, err := common.DialIPC(t.Env.Fabric, JNAddr, conf, t.Env.Scale, common.SecurityFromConf(conf))
 	t.NoErr(err, "dial journalnode")
-	t.NoErr(jn.CallJSON(MethodJournal, JournalReq{SegmentID: 0, Edits: []string{"mkdir /a", "create /a/f"}}, nil), "journal segment 0")
-	t.NoErr(jn.CallJSON(MethodFinalizeSegment, SegmentReq{SegmentID: 0}, nil), "finalize segment 0")
-	t.NoErr(jn.CallJSON(MethodJournal, JournalReq{SegmentID: 1, Edits: []string{"delete /a/f"}}, nil), "journal segment 1")
+	t.NoErr(MethodJournal.Call(jn, JournalReq{SegmentID: 0, Edits: []string{"mkdir /a", "create /a/f"}}), "journal segment 0")
+	t.NoErr(MethodFinalizeSegment.Call(jn, SegmentReq{SegmentID: 0}), "finalize segment 0")
+	t.NoErr(MethodJournal.Call(jn, JournalReq{SegmentID: 1, Edits: []string{"delete /a/f"}}), "journal segment 1")
 
 	tailer, err := NewStandbyTailer(t.Env, conf, JNAddr)
 	t.NoErr(err, "create standby tailer")

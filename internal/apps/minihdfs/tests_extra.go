@@ -122,11 +122,10 @@ func testJournalMultiSegment(t *harness.T) {
 	total := 0
 	for seg := int64(0); seg < 3; seg++ {
 		edits := []string{fmt.Sprintf("op-%d-a", seg), fmt.Sprintf("op-%d-b", seg)}
-		if _, err := jn.handle(MethodJournal,
-			[]byte(fmt.Sprintf(`{"SegmentID":%d,"Edits":["%s","%s"]}`, seg, edits[0], edits[1]))); err != nil {
+		if err := jn.journal(&JournalReq{SegmentID: seg, Edits: edits}); err != nil {
 			t.Fatalf("journal segment %d: %v", seg, err)
 		}
-		if _, err := jn.handle(MethodFinalizeSegment, []byte(fmt.Sprintf(`{"SegmentID":%d}`, seg))); err != nil {
+		if err := jn.finalizeSegment(&SegmentReq{SegmentID: seg}); err != nil {
 			t.Fatalf("finalize segment %d: %v", seg, err)
 		}
 		total += len(edits)

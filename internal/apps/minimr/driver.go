@@ -1,7 +1,6 @@
 package minimr
 
 import (
-	"encoding/json"
 	"fmt"
 	"sync"
 
@@ -10,8 +9,6 @@ import (
 	"zebraconf/internal/core/harness"
 	"zebraconf/internal/rpcsim"
 )
-
-func jsonMarshal(v any) ([]byte, error) { return json.Marshal(v) }
 
 // JobHistoryServer records job completion events.
 type JobHistoryServer struct {
@@ -34,6 +31,13 @@ type HistoryQuery struct {
 	JobID string
 }
 
+// JobHistoryServer IPC methods.
+var (
+	MethodRecord     = rpcsim.Command[HistoryEvent]{Name: "record"}
+	MethodArchive    = rpcsim.Command[rpcsim.Empty]{Name: "archive"}
+	MethodGetHistory = rpcsim.Method[HistoryQuery, HistoryEvent]{Name: "get"}
+)
+
 // StartJobHistoryServer boots the history server at its configured address.
 func StartJobHistoryServer(env *harness.Env, conf *confkit.Conf) (*JobHistoryServer, error) {
 	env.RT.StartInit(TypeJobHistory)
@@ -41,8 +45,12 @@ func StartJobHistoryServer(env *harness.Env, conf *confkit.Conf) (*JobHistorySer
 	jhs := &JobHistoryServer{env: env, conf: conf.RefToClone(), jobs: make(map[string]string)}
 	_ = jhs.conf.GetTicks(ParamHistoryMaxAge)
 	addr := jhs.conf.Get(ParamHistoryAddress)
+	rpc := rpcsim.NewTable("minimr: job history")
+	MethodRecord.Serve(rpc, jhs.record)
+	MethodArchive.Serve(rpc, jhs.archive)
+	MethodGetHistory.Serve(rpc, jhs.get)
 	srv, err := common.ServeIPC(env.Fabric, addr, jhs.conf, env.Scale,
-		common.SecurityFromConf(jhs.conf), jhs.handle)
+		common.SecurityFromConf(jhs.conf), rpc.Handle)
 	if err != nil {
 		return nil, fmt.Errorf("minimr: start job history server: %w", err)
 	}
@@ -53,37 +61,28 @@ func StartJobHistoryServer(env *harness.Env, conf *confkit.Conf) (*JobHistorySer
 // Stop shuts the history server down.
 func (jhs *JobHistoryServer) Stop() { jhs.srv.Close() }
 
-func (jhs *JobHistoryServer) handle(method string, payload []byte) ([]byte, error) {
-	switch method {
-	case "record":
-		var ev HistoryEvent
-		if err := rpcsim.Unmarshal(method, payload, &ev); err != nil {
-			return nil, err
-		}
-		jhs.mu.Lock()
-		jhs.jobs[ev.JobID] = ev.Status
-		jhs.mu.Unlock()
-		return json.Marshal(struct{}{})
-	case "archive":
-		// Archiving old job history is a deliberately slow admin RPC that
-		// exercises the IPC timeout/keepalive machinery.
-		jhs.env.Scale.Sleep(600)
-		return json.Marshal(struct{}{})
-	case "get":
-		var q HistoryQuery
-		if err := rpcsim.Unmarshal(method, payload, &q); err != nil {
-			return nil, err
-		}
-		jhs.mu.Lock()
-		status, ok := jhs.jobs[q.JobID]
-		jhs.mu.Unlock()
-		if !ok {
-			return nil, fmt.Errorf("minimr: job %s not in history", q.JobID)
-		}
-		return json.Marshal(HistoryEvent{JobID: q.JobID, Status: status})
-	default:
-		return nil, fmt.Errorf("minimr: job history: unknown method %q", method)
+func (jhs *JobHistoryServer) record(ev *HistoryEvent) error {
+	jhs.mu.Lock()
+	jhs.jobs[ev.JobID] = ev.Status
+	jhs.mu.Unlock()
+	return nil
+}
+
+// archive moves old job history away: a deliberately slow admin RPC that
+// exercises the IPC timeout/keepalive machinery.
+func (jhs *JobHistoryServer) archive(*rpcsim.Empty) error {
+	jhs.env.Scale.Sleep(600)
+	return nil
+}
+
+func (jhs *JobHistoryServer) get(q *HistoryQuery) (HistoryEvent, error) {
+	jhs.mu.Lock()
+	status, ok := jhs.jobs[q.JobID]
+	jhs.mu.Unlock()
+	if !ok {
+		return HistoryEvent{}, fmt.Errorf("minimr: job %s not in history", q.JobID)
 	}
+	return HistoryEvent{JobID: q.JobID, Status: status}, nil
 }
 
 // Job drives one MapReduce job from the client (unit-test) side, the

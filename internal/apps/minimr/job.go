@@ -112,6 +112,9 @@ type FetchResp struct {
 	Data []byte
 }
 
+// MethodFetch is the one method of a map task's shuffle endpoint.
+var MethodFetch = rpcsim.Method[FetchReq, FetchResp]{Name: "fetch"}
+
 // MapTask runs one map over its input shard, partitions the output by ITS
 // configured reduce count, encodes it with ITS intermediate settings, and
 // serves it over a shuffle endpoint secured with ITS transport settings.
@@ -120,6 +123,7 @@ type MapTask struct {
 	conf *confkit.Conf
 	idx  int64
 	srv  *rpcsim.Server
+	rpc  *rpcsim.Table
 
 	profile    bool // private state for the §7.1 trap test
 	partitions [][]byte
@@ -159,7 +163,9 @@ func StartMapTask(env *harness.Env, conf *confkit.Conf, idx int64, input []strin
 		mt.partitions[p] = encoded
 	}
 
-	srv, err := env.Fabric.Serve(shuffleAddr(idx), shuffleTransportSecurity(mt.conf), env.Scale, mt.handle)
+	mt.rpc = rpcsim.NewTable(fmt.Sprintf("minimr: map %d", idx))
+	MethodFetch.Serve(mt.rpc, mt.fetch)
+	srv, err := env.Fabric.Serve(shuffleAddr(idx), shuffleTransportSecurity(mt.conf), env.Scale, mt.rpc.Handle)
 	if err != nil {
 		return nil, fmt.Errorf("minimr: map %d: %w", idx, err)
 	}
@@ -173,20 +179,12 @@ func (mt *MapTask) ProfileEnabled() bool { return mt.profile }
 // Stop closes the shuffle endpoint.
 func (mt *MapTask) Stop() { mt.srv.Close() }
 
-func (mt *MapTask) handle(method string, payload []byte) ([]byte, error) {
-	if method != "fetch" {
-		return nil, fmt.Errorf("minimr: map %d: unknown method %q", mt.idx, method)
-	}
-	var req FetchReq
-	if err := rpcsim.Unmarshal(method, payload, &req); err != nil {
-		return nil, err
-	}
+func (mt *MapTask) fetch(req *FetchReq) (FetchResp, error) {
 	if req.Partition < 0 || req.Partition >= mt.reduces {
-		return nil, fmt.Errorf("minimr: map %d has no partition %d (configured for %d reduces)",
+		return FetchResp{}, fmt.Errorf("minimr: map %d has no partition %d (configured for %d reduces)",
 			mt.idx, req.Partition, mt.reduces)
 	}
-	out, err := marshalJSON(FetchResp{Data: mt.partitions[req.Partition]})
-	return out, err
+	return FetchResp{Data: mt.partitions[req.Partition]}, nil
 }
 
 // renderCounts serializes a count map as sorted "word\tcount" lines.
@@ -256,8 +254,8 @@ func (rt *ReduceTask) Run(outDir string) error {
 		if err != nil {
 			return fmt.Errorf("minimr: reduce %d: copy from map %d: %w", rt.idx, m, err)
 		}
-		var resp FetchResp
-		if err := conn.CallJSON("fetch", FetchReq{Partition: rt.idx}, &resp); err != nil {
+		resp, err := MethodFetch.Call(conn, FetchReq{Partition: rt.idx})
+		if err != nil {
 			return fmt.Errorf("minimr: reduce %d: copy from map %d: %w", rt.idx, m, err)
 		}
 		raw, err := rpcsim.Decode(atRest, resp.Data)
@@ -323,8 +321,4 @@ func ReadOutput(store *OutputStore, path string) (map[string]int, error) {
 		return nil, err
 	}
 	return counts, nil
-}
-
-func marshalJSON(v any) ([]byte, error) {
-	return jsonMarshal(v)
 }

@@ -7,6 +7,7 @@ import (
 	"zebraconf/internal/apps/common"
 	"zebraconf/internal/confkit"
 	"zebraconf/internal/core/harness"
+	"zebraconf/internal/rpcsim"
 )
 
 // App returns the minimr application descriptor.
@@ -124,9 +125,9 @@ func testJobHistoryRecording(t *harness.T) {
 	conn, err := common.DialIPC(t.Env.Fabric, conf.Get(ParamHistoryAddress), conf, t.Env.Scale,
 		common.SecurityFromConf(conf))
 	t.NoErr(err, "dial job history server")
-	t.NoErr(conn.CallJSON("record", HistoryEvent{JobID: "job-1", Status: "SUCCEEDED"}, nil), "record history")
-	var ev HistoryEvent
-	t.NoErr(conn.CallJSON("get", HistoryQuery{JobID: "job-1"}, &ev), "query history")
+	t.NoErr(MethodRecord.Call(conn, HistoryEvent{JobID: "job-1", Status: "SUCCEEDED"}), "record history")
+	ev, err := MethodGetHistory.Call(conn, HistoryQuery{JobID: "job-1"})
+	t.NoErr(err, "query history")
 	if ev.Status != "SUCCEEDED" {
 		t.Fatalf("history status %q, want SUCCEEDED", ev.Status)
 	}
@@ -142,7 +143,7 @@ func testHistoryArchive(t *harness.T) {
 	conn, err := common.DialIPC(t.Env.Fabric, conf.Get(ParamHistoryAddress), conf, t.Env.Scale,
 		common.SecurityFromConf(conf))
 	t.NoErr(err, "dial job history server")
-	t.NoErr(conn.CallJSON("archive", struct{}{}, nil), "archive history (slow RPC)")
+	t.NoErr(MethodArchive.Call(conn, rpcsim.Empty{}), "archive history (slow RPC)")
 }
 
 // testTaskProfileInternals is the §7.1 private-state trap: it compares a

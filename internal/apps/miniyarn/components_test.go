@@ -28,7 +28,7 @@ func TestAllocateEnforcesSchedulerLimits(t *testing.T) {
 	t.Parallel()
 	env := newTestEnv(t)
 	rm := startRM(t, env)
-	if _, err := rm.handle("registerNM", []byte(`{"NMID":"nm0","MemoryMB":8192,"Vcores":8}`)); err != nil {
+	if _, err := rm.rpc.Handle(MethodRegisterNM.Name, []byte(`{"NMID":"nm0","MemoryMB":8192,"Vcores":8}`)); err != nil {
 		t.Fatal(err)
 	}
 	// Over the memory limit (default 8192).
@@ -52,7 +52,7 @@ func TestAllocatePacksUntilFull(t *testing.T) {
 	t.Parallel()
 	env := newTestEnv(t)
 	rm := startRM(t, env)
-	if _, err := rm.handle("registerNM", []byte(`{"NMID":"nm0","MemoryMB":1024,"Vcores":4}`)); err != nil {
+	if _, err := rm.rpc.Handle(MethodRegisterNM.Name, []byte(`{"NMID":"nm0","MemoryMB":1024,"Vcores":4}`)); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
@@ -75,7 +75,7 @@ func TestTokenLifetimeFollowsRMConf(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rm.Stop()
-	out, err := rm.handle("getToken", []byte(`{"Renewer":"r"}`))
+	out, err := rm.rpc.Handle(MethodGetToken.Name, []byte(`{"Renewer":"r"}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestTimelineDisabledRejects(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ahs.Stop()
-	if _, err := ahs.handle("getHistory", []byte(`{"AppID":"a"}`)); err == nil {
+	if _, err := ahs.serve(MethodGetHistory.Name, []byte(`{"AppID":"a"}`)); err == nil {
 		t.Fatal("disabled timeline served a query")
 	}
 }
@@ -107,11 +107,36 @@ func TestTimelineRecordsEvents(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ahs.Stop()
-	if _, err := ahs.handle("putEvent", []byte(`{"AppID":"a","Event":"START"}`)); err != nil {
+	if _, err := ahs.serve(MethodPutEvent.Name, []byte(`{"AppID":"a","Event":"START"}`)); err != nil {
 		t.Fatal(err)
 	}
-	out, err := ahs.handle("getHistory", []byte(`{"AppID":"a"}`))
+	out, err := ahs.serve(MethodGetHistory.Name, []byte(`{"AppID":"a"}`))
 	if err != nil || !strings.Contains(string(out), "START") {
 		t.Fatalf("history = (%s, %v)", out, err)
 	}
+}
+
+// FuzzTableHandle hands arbitrary payloads to every operation the
+// ResourceManager serves: each must come back as a response or an error,
+// never a panic.
+func FuzzTableHandle(f *testing.F) {
+	methods := []string{
+		MethodRegisterNM.Name, MethodHeartbeatNM.Name, MethodAllocate.Name,
+		MethodGetToken.Name, MethodDrainNode.Name, MethodLiveNMs.Name,
+	}
+	for _, seed := range []string{
+		`{"NMID":"nm0","MemoryMB":8192,"Vcores":8}`,
+		`{"AppID":"a","MemoryMB":256,"Vcores":1}`,
+		`{"Renewer":"r"}`, `{"NMID":7}`, `{"MemoryMB":-1}`, `{}`, `null`, `[]`, ``,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		rm := startRM(t, newTestEnv(t))
+		for _, m := range methods {
+			if out, err := rm.rpc.Handle(m, payload); err == nil && len(out) == 0 {
+				t.Fatalf("%s(%q) returned neither a response nor an error", m, payload)
+			}
+		}
+	})
 }

@@ -1,7 +1,6 @@
 package miniyarn
 
 import (
-	"encoding/json"
 	"fmt"
 	"sync"
 
@@ -62,6 +61,22 @@ type AppHistoryResp struct {
 	Events []string
 }
 
+// ResourceManager IPC methods.
+var (
+	MethodRegisterNM  = rpcsim.Command[RegisterNMReq]{Name: "registerNM"}
+	MethodHeartbeatNM = rpcsim.Command[NMHeartbeatReq]{Name: "heartbeatNM"}
+	MethodAllocate    = rpcsim.Method[AllocateReq, AllocateResp]{Name: "allocate"}
+	MethodGetToken    = rpcsim.Method[TokenReq, common.Token]{Name: "getToken"}
+	MethodDrainNode   = rpcsim.Command[rpcsim.Empty]{Name: "drainNode"}
+	MethodLiveNMs     = rpcsim.Method[rpcsim.Empty, int]{Name: "liveNMs"}
+)
+
+// Timeline web service methods.
+var (
+	MethodPutEvent   = rpcsim.Command[AppEvent]{Name: "putEvent"}
+	MethodGetHistory = rpcsim.Method[AppHistoryQuery, AppHistoryResp]{Name: "getHistory"}
+)
+
 // nmState is the ResourceManager's view of one NodeManager.
 type nmState struct {
 	id       string
@@ -78,6 +93,7 @@ type ResourceManager struct {
 	env  *harness.Env
 	conf *confkit.Conf
 	srv  *rpcsim.Server
+	rpc  *rpcsim.Table
 
 	scheduler string // private state for the §7.1 trap test
 
@@ -100,14 +116,21 @@ func StartResourceManager(env *harness.Env, conf *confkit.Conf) (*ResourceManage
 		nms:   make(map[string]*nmState),
 		stop:  env.Scale.NewSignal(),
 		loops: env.NewGroup(),
+		rpc:   rpcsim.NewTable("miniyarn: resourcemanager"),
 	}
 	rm.scheduler = rm.conf.Get(ParamSchedulerClass)
 	_ = rm.conf.GetInt(ParamMinAllocMB)
 	_ = rm.conf.GetInt(ParamAMMaxAttempts)
 	_ = rm.conf.GetBool(ParamFairPreemption)
 
+	MethodRegisterNM.Serve(rm.rpc, rm.registerNM)
+	MethodHeartbeatNM.Serve(rm.rpc, rm.heartbeatNM)
+	MethodAllocate.Serve(rm.rpc, rm.allocate)
+	MethodGetToken.Serve(rm.rpc, rm.getToken)
+	MethodDrainNode.Serve(rm.rpc, rm.drainNode)
+	MethodLiveNMs.Serve(rm.rpc, rm.liveNMs)
 	srv, err := common.ServeIPC(env.Fabric, rm.conf.Get(ParamRMAddress), rm.conf, env.Scale,
-		common.SecurityFromConf(rm.conf), rm.handle)
+		common.SecurityFromConf(rm.conf), rm.rpc.Handle)
 	if err != nil {
 		return nil, fmt.Errorf("miniyarn: start resourcemanager: %w", err)
 	}
@@ -142,71 +165,51 @@ func (rm *ResourceManager) monitor() {
 	}
 }
 
-func (rm *ResourceManager) handle(method string, payload []byte) ([]byte, error) {
-	switch method {
-	case "registerNM":
-		var req RegisterNMReq
-		if err := rpcsim.Unmarshal(method, payload, &req); err != nil {
-			return nil, err
-		}
-		rm.mu.Lock()
-		rm.nms[req.NMID] = &nmState{
-			id: req.NMID, memoryMB: req.MemoryMB, vcores: req.Vcores,
-			lastHB: rm.env.Scale.Now(),
-		}
-		rm.mu.Unlock()
-		return json.Marshal(struct{}{})
-	case "heartbeatNM":
-		var req NMHeartbeatReq
-		if err := rpcsim.Unmarshal(method, payload, &req); err != nil {
-			return nil, err
-		}
-		rm.mu.Lock()
-		if nm, ok := rm.nms[req.NMID]; ok {
-			nm.lastHB = rm.env.Scale.Now()
-		}
-		rm.mu.Unlock()
-		return json.Marshal(struct{}{})
-	case "allocate":
-		var req AllocateReq
-		if err := rpcsim.Unmarshal(method, payload, &req); err != nil {
-			return nil, err
-		}
-		resp, err := rm.allocate(&req)
-		if err != nil {
-			return nil, err
-		}
-		return json.Marshal(resp)
-	case "getToken":
-		var req TokenReq
-		if err := rpcsim.Unmarshal(method, payload, &req); err != nil {
-			return nil, err
-		}
-		rm.mu.Lock()
-		rm.nextToken++
-		id := rm.nextToken
-		rm.mu.Unlock()
-		token := common.IssueToken(rm.env.Scale, id, rm.conf.GetTicks(ParamTokenRenewIntvl))
-		return json.Marshal(token)
-	case "drainNode":
-		// Draining waits for containers to finish: a deliberately slow
-		// admin RPC (the saveNamespace analog) that exercises the IPC
-		// timeout/keepalive machinery.
-		rm.env.Scale.Sleep(600)
-		return json.Marshal(struct{}{})
-	case "liveNMs":
-		rm.mu.Lock()
-		live := 0
-		for _, nm := range rm.nms {
-			if !nm.dead {
-				live++
-			}
-		}
-		rm.mu.Unlock()
-		return json.Marshal(live)
-	default:
-		return nil, fmt.Errorf("miniyarn: resourcemanager: unknown method %q", method)
+func (rm *ResourceManager) registerNM(req *RegisterNMReq) error {
+	rm.mu.Lock()
+	rm.nms[req.NMID] = &nmState{
+		id: req.NMID, memoryMB: req.MemoryMB, vcores: req.Vcores,
+		lastHB: rm.env.Scale.Now(),
 	}
+	rm.mu.Unlock()
+	return nil
+}
+
+func (rm *ResourceManager) heartbeatNM(req *NMHeartbeatReq) error {
+	rm.mu.Lock()
+	if nm, ok := rm.nms[req.NMID]; ok {
+		nm.lastHB = rm.env.Scale.Now()
+	}
+	rm.mu.Unlock()
+	return nil
+}
+
+func (rm *ResourceManager) getToken(*TokenReq) (common.Token, error) {
+	rm.mu.Lock()
+	rm.nextToken++
+	id := rm.nextToken
+	rm.mu.Unlock()
+	return common.IssueToken(rm.env.Scale, id, rm.conf.GetTicks(ParamTokenRenewIntvl)), nil
+}
+
+// drainNode waits for containers to finish: a deliberately slow admin RPC
+// (the saveNamespace analog) that exercises the IPC timeout/keepalive
+// machinery.
+func (rm *ResourceManager) drainNode(*rpcsim.Empty) error {
+	rm.env.Scale.Sleep(600)
+	return nil
+}
+
+func (rm *ResourceManager) liveNMs(*rpcsim.Empty) (int, error) {
+	rm.mu.Lock()
+	defer rm.mu.Unlock()
+	live := 0
+	for _, nm := range rm.nms {
+		if !nm.dead {
+			live++
+		}
+	}
+	return live, nil
 }
 
 // allocate enforces the RM's OWN maximum-allocation limits — a request a
@@ -268,11 +271,11 @@ func StartNodeManager(env *harness.Env, conf *confkit.Conf, id string) (*NodeMan
 		return nil, fmt.Errorf("miniyarn: nodemanager %s cannot reach resourcemanager: %w", id, err)
 	}
 	nm.rm = conn
-	if err := conn.CallJSON("registerNM", RegisterNMReq{
+	if err := MethodRegisterNM.Call(conn, RegisterNMReq{
 		NMID:     id,
 		MemoryMB: nm.conf.GetInt(ParamNMMemoryMB),
 		Vcores:   nm.conf.GetInt(ParamNMVcores),
-	}, nil); err != nil {
+	}); err != nil {
 		return nil, fmt.Errorf("miniyarn: nodemanager %s failed to register: %w", id, err)
 	}
 
@@ -295,7 +298,7 @@ func (nm *NodeManager) heartbeatLoop() {
 		if nm.env.Scale.Wait(interval, nm.stop) {
 			return
 		}
-		_ = nm.rm.CallJSON("heartbeatNM", NMHeartbeatReq{NMID: nm.id}, nil)
+		_ = MethodHeartbeatNM.Call(nm.rm, NMHeartbeatReq{NMID: nm.id})
 	}
 }
 
@@ -306,6 +309,7 @@ type AppHistoryServer struct {
 	env  *harness.Env
 	conf *confkit.Conf
 	srv  *rpcsim.Server
+	rpc  *rpcsim.Table
 
 	mu     sync.Mutex
 	events map[string][]string
@@ -316,9 +320,12 @@ func StartAppHistoryServer(env *harness.Env, conf *confkit.Conf) (*AppHistorySer
 	env.RT.StartInit(TypeAppHistory)
 	defer env.RT.StopInit()
 
-	ahs := &AppHistoryServer{env: env, conf: conf.RefToClone(), events: make(map[string][]string)}
+	ahs := &AppHistoryServer{env: env, conf: conf.RefToClone(), events: make(map[string][]string),
+		rpc: rpcsim.NewTable("miniyarn: timeline")}
+	MethodPutEvent.Serve(ahs.rpc, ahs.putEvent)
+	MethodGetHistory.Serve(ahs.rpc, ahs.getHistory)
 	srv, err := common.ServeWeb(env.Fabric, ParamHTTPPolicy, ahs.conf.Get(ParamTimelineHost),
-		ahs.conf, env.Scale, ahs.handle)
+		ahs.conf, env.Scale, ahs.serve)
 	if err != nil {
 		return nil, fmt.Errorf("miniyarn: start timeline server: %w", err)
 	}
@@ -329,30 +336,24 @@ func StartAppHistoryServer(env *harness.Env, conf *confkit.Conf) (*AppHistorySer
 // Stop shuts the timeline service down.
 func (ahs *AppHistoryServer) Stop() { ahs.srv.Close() }
 
-func (ahs *AppHistoryServer) handle(method string, payload []byte) ([]byte, error) {
+// serve answers only while THIS server's configuration enables the
+// timeline service.
+func (ahs *AppHistoryServer) serve(method string, payload []byte) ([]byte, error) {
 	if !ahs.conf.GetBool(ParamTimelineEnabled) {
 		return nil, fmt.Errorf("miniyarn: timeline service is disabled on this server (%s=false)", ParamTimelineEnabled)
 	}
-	switch method {
-	case "putEvent":
-		var ev AppEvent
-		if err := rpcsim.Unmarshal(method, payload, &ev); err != nil {
-			return nil, err
-		}
-		ahs.mu.Lock()
-		ahs.events[ev.AppID] = append(ahs.events[ev.AppID], ev.Event)
-		ahs.mu.Unlock()
-		return json.Marshal(struct{}{})
-	case "getHistory":
-		var q AppHistoryQuery
-		if err := rpcsim.Unmarshal(method, payload, &q); err != nil {
-			return nil, err
-		}
-		ahs.mu.Lock()
-		events := append([]string(nil), ahs.events[q.AppID]...)
-		ahs.mu.Unlock()
-		return json.Marshal(AppHistoryResp{Events: events})
-	default:
-		return nil, fmt.Errorf("miniyarn: timeline: unknown method %q", method)
-	}
+	return ahs.rpc.Handle(method, payload)
+}
+
+func (ahs *AppHistoryServer) putEvent(ev *AppEvent) error {
+	ahs.mu.Lock()
+	ahs.events[ev.AppID] = append(ahs.events[ev.AppID], ev.Event)
+	ahs.mu.Unlock()
+	return nil
+}
+
+func (ahs *AppHistoryServer) getHistory(q *AppHistoryQuery) (AppHistoryResp, error) {
+	ahs.mu.Lock()
+	defer ahs.mu.Unlock()
+	return AppHistoryResp{Events: append([]string(nil), ahs.events[q.AppID]...)}, nil
 }

@@ -61,8 +61,8 @@ func dialRM(t *harness.T, conf *confkit.Conf) *rpcsim.Conn {
 func testSubmitApplication(t *harness.T) {
 	_, conf := startYarn(t, 2)
 	client := dialRM(t, conf)
-	var resp AllocateResp
-	t.NoErr(client.CallJSON("allocate", AllocateReq{AppID: "app-1", MemoryMB: 512, Vcores: 1}, &resp), "allocate container")
+	resp, err := MethodAllocate.Call(client, AllocateReq{AppID: "app-1", MemoryMB: 512, Vcores: 1})
+	t.NoErr(err, "allocate container")
 	if resp.ContainerID == 0 || resp.NMID == "" {
 		t.Fatalf("allocation returned empty container: %+v", resp)
 	}
@@ -79,8 +79,8 @@ func testAllocationAtMaxMB(t *harness.T) {
 		// clamp like a real application master would.
 		req.MemoryMB = conf.GetInt(ParamNMMemoryMB)
 	}
-	var resp AllocateResp
-	t.NoErr(client.CallJSON("allocate", req, &resp), "allocate at the configured maximum memory")
+	_, err := MethodAllocate.Call(client, req)
+	t.NoErr(err, "allocate at the configured maximum memory")
 }
 
 func testAllocationAtMaxVcores(t *harness.T) {
@@ -90,8 +90,8 @@ func testAllocationAtMaxVcores(t *harness.T) {
 	if req.Vcores > conf.GetInt(ParamNMVcores) {
 		req.Vcores = conf.GetInt(ParamNMVcores)
 	}
-	var resp AllocateResp
-	t.NoErr(client.CallJSON("allocate", req, &resp), "allocate at the configured maximum vcores")
+	_, err := MethodAllocate.Call(client, req)
+	t.NoErr(err, "allocate at the configured maximum vcores")
 }
 
 // testTimelineQuery exercises both timeline findings: the client consults
@@ -109,9 +109,9 @@ func testTimelineQuery(t *harness.T) {
 	}
 	conn, err := common.DialWeb(t.Env.Fabric, ParamHTTPPolicy, conf.Get(ParamTimelineHost), conf, t.Env.Scale)
 	t.NoErr(err, "connect to timeline web service")
-	t.NoErr(conn.CallJSON("putEvent", AppEvent{AppID: "app-7", Event: "SUBMITTED"}, nil), "record timeline event")
-	var resp AppHistoryResp
-	t.NoErr(conn.CallJSON("getHistory", AppHistoryQuery{AppID: "app-7"}, &resp), "query timeline history")
+	t.NoErr(MethodPutEvent.Call(conn, AppEvent{AppID: "app-7", Event: "SUBMITTED"}), "record timeline event")
+	resp, err := MethodGetHistory.Call(conn, AppHistoryQuery{AppID: "app-7"})
+	t.NoErr(err, "query timeline history")
 	if len(resp.Events) != 1 || resp.Events[0] != "SUBMITTED" {
 		t.Fatalf("timeline history = %v, want [SUBMITTED]", resp.Events)
 	}
@@ -123,8 +123,8 @@ func testTimelineQuery(t *harness.T) {
 func testDelegationTokenExpiry(t *harness.T) {
 	_, conf := startYarn(t, 1)
 	client := dialRM(t, conf)
-	var tok common.Token
-	t.NoErr(client.CallJSON("getToken", TokenReq{Renewer: "tester"}, &tok), "fetch delegation token")
+	tok, err := MethodGetToken.Call(client, TokenReq{Renewer: "tester"})
+	t.NoErr(err, "fetch delegation token")
 	want := conf.GetTicks(ParamTokenRenewIntvl)
 	got := tok.ExpiresAt - tok.IssuedAt
 	if got != want {
@@ -139,8 +139,8 @@ func testNodeManagerLiveness(t *harness.T) {
 	_, conf := startYarn(t, 2)
 	client := dialRM(t, conf)
 	t.Env.Scale.Sleep(5 * conf.GetTicks(ParamNMHeartbeat))
-	var live int
-	t.NoErr(client.CallJSON("liveNMs", struct{}{}, &live), "count live nodemanagers")
+	live, err := MethodLiveNMs.Call(client, rpcsim.Empty{})
+	t.NoErr(err, "count live nodemanagers")
 	if live != 2 {
 		t.Fatalf("%d live NodeManagers, want 2", live)
 	}
@@ -152,7 +152,7 @@ func testNodeManagerLiveness(t *harness.T) {
 func testDrainNode(t *harness.T) {
 	_, conf := startYarn(t, 1)
 	client := dialRM(t, conf)
-	t.NoErr(client.CallJSON("drainNode", struct{}{}, nil), "drain a node (slow RPC)")
+	t.NoErr(MethodDrainNode.Call(client, rpcsim.Empty{}), "drain a node (slow RPC)")
 }
 
 // testSchedulerInternals is the §7.1 private-state trap.
@@ -168,8 +168,8 @@ func testSchedulerInternals(t *harness.T) {
 func testFlakyAllocation(t *harness.T) {
 	_, conf := startYarn(t, 2)
 	client := dialRM(t, conf)
-	var resp AllocateResp
-	t.NoErr(client.CallJSON("allocate", AllocateReq{AppID: "app-f", MemoryMB: 256, Vcores: 1}, &resp), "allocate")
+	_, err := MethodAllocate.Call(client, AllocateReq{AppID: "app-f", MemoryMB: 256, Vcores: 1})
+	t.NoErr(err, "allocate")
 	if t.Env.Float64() < 0.2 {
 		t.Fatalf("simulated race: allocation observed a node in transition")
 	}

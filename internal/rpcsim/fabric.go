@@ -193,9 +193,3 @@ func (c *Conn) Call(method string, payload []byte) ([]byte, error) {
 	}
 	return resp, nil
 }
-
-// CallJSON is a convenience for JSON-encoded request/response structs; see
-// MarshalCall in the apps.
-func (c *Conn) CallJSON(method string, req, resp any) error {
-	return callJSON(c, method, req, resp)
-}

@@ -16,23 +16,31 @@ func testScale() *simtime.Scale {
 	return &simtime.Scale{Tick: 100 * time.Microsecond}
 }
 
+// allProfiles is every (codec, encrypt) combination a Security can name.
+func allProfiles() []Security {
+	var out []Security
+	for _, codec := range []string{CodecNone, CodecDeflate, CodecRLE} {
+		for _, encrypt := range []bool{false, true} {
+			out = append(out, Security{Codec: codec, Encrypt: encrypt, Key: "k1"})
+		}
+	}
+	return out
+}
+
 func TestEncodeDecodeAllProfiles(t *testing.T) {
 	t.Parallel()
 	payload := []byte("the quick brown fox, repeated: aaaaaaaaaaaaaaaaaaaaaa")
-	for _, codec := range []string{CodecNone, CodecDeflate, CodecRLE} {
-		for _, encrypt := range []bool{false, true} {
-			sec := Security{Codec: codec, Encrypt: encrypt, Key: "k1"}
-			wire, err := Encode(sec, payload)
-			if err != nil {
-				t.Fatalf("Encode(%s/%v): %v", codec, encrypt, err)
-			}
-			out, err := Decode(sec, wire)
-			if err != nil {
-				t.Fatalf("Decode(%s/%v): %v", codec, encrypt, err)
-			}
-			if !bytes.Equal(out, payload) {
-				t.Fatalf("round trip (%s/%v) corrupted payload", codec, encrypt)
-			}
+	for _, sec := range allProfiles() {
+		wire, err := Encode(sec, payload)
+		if err != nil {
+			t.Fatalf("Encode(%s/%v): %v", sec.Codec, sec.Encrypt, err)
+		}
+		out, err := Decode(sec, wire)
+		if err != nil {
+			t.Fatalf("Decode(%s/%v): %v", sec.Codec, sec.Encrypt, err)
+		}
+		if !bytes.Equal(out, payload) {
+			t.Fatalf("round trip (%s/%v) corrupted payload", sec.Codec, sec.Encrypt)
 		}
 	}
 }
@@ -255,36 +263,6 @@ func TestCallAcrossMismatchedTransport(t *testing.T) {
 	}
 	if _, err := conn.Call("p", []byte("data")); err == nil || !errors.Is(err, ErrBadRecord) {
 		t.Fatalf("mismatched transport call: %v", err)
-	}
-}
-
-func TestJSONHandlerAndCallJSON(t *testing.T) {
-	t.Parallel()
-	fx := NewFabric()
-	scale := testScale()
-	type msg struct{ N int }
-	h := JSONHandler(map[string]func([]byte) (any, error){
-		"inc": func(payload []byte) (any, error) {
-			var m msg
-			if err := Unmarshal("inc", payload, &m); err != nil {
-				return nil, err
-			}
-			return msg{N: m.N + 1}, nil
-		},
-	})
-	if _, err := fx.Serve("json", Security{}, scale, h); err != nil {
-		t.Fatal(err)
-	}
-	conn, err := fx.Dial("json", Security{}, scale)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out msg
-	if err := conn.CallJSON("inc", msg{N: 41}, &out); err != nil || out.N != 42 {
-		t.Fatalf("CallJSON = (%+v, %v)", out, err)
-	}
-	if err := conn.CallJSON("nope", msg{}, nil); err == nil {
-		t.Fatal("unknown method accepted")
 	}
 }
 

@@ -48,8 +48,6 @@ type Security struct {
 	// that does not present one cannot register (Table 3:
 	// dfs.block.access.token.enable).
 	RequireToken bool
-	// HasToken reports whether this endpoint presents a token when dialing.
-	HasToken bool
 }
 
 // payload framing magic values.
@@ -67,7 +65,6 @@ var (
 	ErrHandshake    = errors.New("rpcsim: handshake failed")
 	ErrTimeout      = errors.New("rpcsim: call timed out")
 	ErrUnreachable  = errors.New("rpcsim: endpoint unreachable")
-	ErrClosed       = errors.New("rpcsim: connection closed")
 )
 
 // Encode converts a plaintext payload into wire bytes according to sec:
