@@ -201,7 +201,13 @@ func runCampaigns(selected []*harness.App, spec launch.Spec, observer *obs.Obser
 			fmt.Fprintln(os.Stderr, err)
 			return 1
 		}
-		env.WorkerCmd = func() *exec.Cmd { return exec.Command(exe, "-worker") }
+		// A worker's disk tier comes from its own flags: hand it this
+		// process's, so it opens the same directory itself.
+		args := []string{"-worker"}
+		if *diskCache != "" {
+			args = append(args, "-disk-cache", *diskCache, "-cache-max-bytes", fmt.Sprint(*cacheMax))
+		}
+		env.WorkerCmd = func() *exec.Cmd { return exec.Command(exe, args...) }
 	}
 
 	exit := 0

@@ -277,12 +277,12 @@ type paramStats struct {
 // unit tests — the memo cache over opts.CacheBackend, the coverage
 // collector, the trial budget pool and the evidence recorder — as the
 // options of its TestRunner. Run builds one per campaign and a dist worker
-// one per session, so each of these spans exactly that. persistent says
-// that some tier behind the cache outlives the campaign (a disk store, a
-// disk-backed coordinator cache): only then are label-seeded trials worth
+// one per session, so each of these spans exactly that. A backend behind
+// the cache is always a tier that outlives the campaign (a disk store, a
+// coordinator fronting one): only then are label-seeded trials worth
 // memoizing, because their keys recur only on resubmission of an unchanged
 // campaign.
-func RunnerOptions(app string, opts Options, persistent bool) runner.Options {
+func RunnerOptions(app string, opts Options) runner.Options {
 	ropts := runner.Options{
 		Significance:     opts.Significance,
 		MaxRounds:        opts.MaxRounds,
@@ -292,7 +292,7 @@ func RunnerOptions(app string, opts Options, persistent bool) runner.Options {
 		Strategy:         opts.Strategy,
 		BaseSeed:         opts.Seed,
 		Obs:              opts.Obs,
-		CacheLabelSeeded: persistent,
+		CacheLabelSeeded: opts.CacheBackend != nil,
 		Evidence:         forensics.NewRecorder(app, opts.EvidenceMax, opts.Obs),
 		Coverage:         coverage.NewCollector(),
 	}
@@ -328,7 +328,7 @@ func Run(app *harness.App, opts Options) *Result {
 	if len(opts.Params) > 0 {
 		gen.SetFilter(opts.Params)
 	}
-	ropts := RunnerOptions(app.Name, opts, opts.CacheBackend != nil)
+	ropts := RunnerOptions(app.Name, opts)
 	cov := ropts.Coverage
 	run := runner.New(app, ropts)
 

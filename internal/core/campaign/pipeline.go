@@ -124,7 +124,7 @@ func (p *pipeline) doPreRun(idx int) {
 	pre, d, abandoned := p.run.PreRunTimed(p.tests[idx])
 	p.pres[idx] = pre
 	item := WorkItem{ID: idx, Test: pre.Test, PreRun: pre, ForceParams: p.force[pre.Test]}
-	item.PredSeconds, item.PredTrials = p.predict(item, d.Seconds())
+	item.PredSeconds = p.predict(item, d.Seconds())
 	p.o.Event(obs.EvItemQueued,
 		obs.String("app", p.app.Name),
 		obs.Int("item", int64(item.ID)),
@@ -155,19 +155,18 @@ func (p *pipeline) doPreRun(idx int) {
 	}
 }
 
-// predict estimates one item's wall clock in seconds and its expected
-// trial count: the profile's estimate for this (app, test) when warm,
-// else the pre-run duration scaled by the item's instance count (each
-// instance re-runs the test at least once) — the cold-campaign
-// fallback. Trials come from the profile's expected-trial EWMA so LPT
-// ranks by what sequential stopping actually costs, not the worst case.
-func (p *pipeline) predict(item WorkItem, preSeconds float64) (secs, trials float64) {
-	trials, _ = p.opts.Profile.PredictTrials(p.app.Name, item.Test)
+// predict estimates one item's wall clock in seconds: the profile's
+// estimate for this (app, test) when warm — per-trial cost × the
+// expected-trial EWMA, so LPT ranks by what sequential stopping actually
+// costs, not the worst case — else the pre-run duration scaled by the
+// item's instance count (each instance re-runs the test at least once),
+// the cold-campaign fallback.
+func (p *pipeline) predict(item WorkItem, preSeconds float64) float64 {
 	if s, ok := p.opts.Profile.Predict(p.app.Name, item.Test); ok {
-		return s, trials
+		return s
 	}
 	n := len(p.gen.Instances(item.PreRun, testgen.InstancesOptions{DisableRoundRobin: p.opts.DisableRoundRobin}))
-	return preSeconds * float64(n+1), trials
+	return preSeconds * float64(n+1)
 }
 
 // release hands one built item to whatever executes it: the Distributor

@@ -27,11 +27,6 @@ type WorkItem struct {
 	// advisory: it orders dispatch and arms speculation deadlines, and
 	// never influences what the item executes.
 	PredSeconds float64 `json:"pred_seconds,omitempty"`
-	// PredTrials is the profile's expected unit-test trial count for this
-	// item under sequential stopping (EWMA of observed executions), zero
-	// when the profile is cold. Advisory like PredSeconds; riding the
-	// item keeps worker-side prediction identical to local.
-	PredTrials float64 `json:"pred_trials,omitempty"`
 	// ForceParams lists parameters that must generate instances even when
 	// this item's pre-run observed no read of them — the coverage-driven
 	// full-dispatch fallback for conditionally-read parameters. Riding

@@ -1,10 +1,9 @@
 // Package diskcache is ZebraConf's persistent execution store: a
 // content-addressed, disk-backed memo.Backend shared *across*
-// campaigns. The in-process memo cache (PR 3) dies with the process and
-// the coordinator-shared tier dies with the campaign; this tier is a
-// build-cache for trials — a repeat campaign on an unchanged app finds
-// nearly every canonically-seeded execution already on disk and is
-// nearly free.
+// campaigns. The in-process memo cache (PR 3) dies with the process; this
+// tier is a build-cache for trials — a repeat campaign on an unchanged
+// app finds nearly every canonically-seeded execution already on disk
+// and is nearly free.
 //
 // Layout: one JSON file per entry in a flat directory, named by the
 // SHA-256 of the memo key, written via temp-file + atomic rename so a
@@ -110,7 +109,11 @@ func Open(dir string, maxBytes int64, next memo.Backend, o *obs.Observer) (*Stor
 		name := de.Name()
 		if strings.HasPrefix(name, "tmp-") {
 			// Leftover from a crashed writer; never renamed, never valid.
-			os.Remove(filepath.Join(dir, name))
+			// A young one is another process sharing the directory, between
+			// CreateTemp and its rename: removing that loses its entry.
+			if info, err := de.Info(); err == nil && time.Since(info.ModTime()) > time.Minute {
+				os.Remove(filepath.Join(dir, name))
+			}
 			continue
 		}
 		if de.IsDir() || !strings.HasSuffix(name, ".json") {
@@ -134,12 +137,6 @@ func Open(dir string, maxBytes int64, next memo.Backend, o *obs.Observer) (*Stor
 	s.gaugesLocked()
 	return s, nil
 }
-
-// Dir returns the store's directory.
-func (s *Store) Dir() string { return s.dir }
-
-// MaxBytes returns the store's size cap, defaults resolved.
-func (s *Store) MaxBytes() int64 { return s.max }
 
 // entryName derives the file name for a key: SHA-256 over the canonical
 // key fields. Assign is already a collision-resistant digest, but
@@ -195,8 +192,9 @@ func (s *Store) Get(k memo.Key) (memo.Result, bool) {
 	return memo.Result{}, false
 }
 
-// Put implements memo.Backend: persist locally, then forward so upper
-// tiers (the coordinator-shared cache) learn the result too.
+// Put implements memo.Backend: persist locally, then forward so the tier
+// behind (a coordinator fronting the service's store) learns the result
+// too.
 func (s *Store) Put(k memo.Key, res memo.Result) {
 	s.write(k, res)
 	if s.next != nil {

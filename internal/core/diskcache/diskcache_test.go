@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+	"time"
 
 	"zebraconf/internal/core/memo"
 )
@@ -192,5 +193,32 @@ func TestNextTierWriteThrough(t *testing.T) {
 	}
 	if _, ok := next.Get(key(8)); !ok {
 		t.Fatal("Put did not reach the next tier")
+	}
+}
+
+// TestOpenSweepsOnlyOldTempFiles: a tmp- file is a crashed writer's leftover
+// only once it has aged. A young one belongs to another process writing the
+// same directory (two workers given one -disk-cache), and sweeping it made
+// that process's rename fail and its entry vanish.
+func TestOpenSweepsOnlyOldTempFiles(t *testing.T) {
+	dir := t.TempDir()
+	live, stale := filepath.Join(dir, "tmp-live"), filepath.Join(dir, "tmp-stale")
+	for _, name := range []string{live, stale} {
+		if err := os.WriteFile(name, []byte("{"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	old := time.Now().Add(-time.Hour)
+	if err := os.Chtimes(stale, old, old); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(dir, 0, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(live); err != nil {
+		t.Errorf("Open swept a temp file a live writer may still rename: %v", err)
+	}
+	if _, err := os.Stat(stale); !os.IsNotExist(err) {
+		t.Errorf("Open left an hour-old temp file behind (stat: %v)", err)
 	}
 }

@@ -14,48 +14,29 @@ import (
 const remoteCacheTimeout = 5 * time.Second
 
 // remoteCache is the worker-side memo.Backend speaking the cache-get /
-// cache-val / cache-put messages to the coordinator. Gets are correlated
-// request/response pairs (Req); puts are fire-and-forget. Every failure
-// mode — send error, timeout, close during shutdown — degrades to a
-// cache miss.
-//
-// A Get goes to the wire only when the coordinator can have an answer.
-// A key contains its test and a work item is one test, so within one
-// campaign nobody but an earlier attempt of the same item can have
-// published the key: the coordinator says so on the run message (Warm).
-// Only a persistent coordinator tier holds entries from other campaigns.
-// Every other lookup is a miss, and is answered here instead of by a
-// blocking round trip per execution.
+// cache-val / cache-put messages to a coordinator that fronts a persistent
+// store this worker cannot open itself (Config.SharedPersistent; a worker
+// is given no remoteCache otherwise). Gets are correlated request/response
+// pairs (Req); puts are fire-and-forget. Every failure mode — send error,
+// timeout, close during shutdown — degrades to a cache miss.
 type remoteCache struct {
 	send func(Msg) error
-	// persistent is Config.SharedPersistent: ask for every key.
-	persistent bool
 
 	mu      sync.Mutex
-	warm    map[string]bool // tests dispatched Warm
 	nextReq int64
 	pending map[int64]chan Msg
 	closed  bool
 }
 
-func newRemoteCache(send func(Msg) error, persistent bool) *remoteCache {
-	return &remoteCache{send: send, persistent: persistent,
-		warm: make(map[string]bool), pending: make(map[int64]chan Msg)}
-}
-
-// markWarm records that the coordinator holds entries for test.
-func (rc *remoteCache) markWarm(test string) {
-	rc.mu.Lock()
-	rc.warm[test] = true
-	rc.mu.Unlock()
+func newRemoteCache(send func(Msg) error) *remoteCache {
+	return &remoteCache{send: send, pending: make(map[int64]chan Msg)}
 }
 
 // Get asks the coordinator for one key, blocking until the reply
-// arrives, the timeout fires, or the cache is closed — or misses at once
-// when the coordinator cannot hold the key.
+// arrives, the timeout fires, or the cache is closed.
 func (rc *remoteCache) Get(k memo.Key) (memo.Result, bool) {
 	rc.mu.Lock()
-	if rc.closed || !(rc.persistent || rc.warm[k.Test]) {
+	if rc.closed {
 		rc.mu.Unlock()
 		return memo.Result{}, false
 	}

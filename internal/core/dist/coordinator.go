@@ -93,12 +93,11 @@ type Options struct {
 	// interval. Irrelevant when Config.HeartbeatMS is zero: a worker
 	// that never heartbeats (and legacy test fakes) is never stalled.
 	StallAfter time.Duration
-	// SharedBackend, when non-nil, backs the coordinator-side shared
-	// execution cache with a second, typically persistent, tier (the
-	// disk store): worker lookups that miss the in-memory map fall
-	// through to it, and worker publishes write through — completing the
-	// memory → disk hierarchy on the coordinator side of the wire.
-	// Ignored while the shared cache itself is disabled.
+	// SharedBackend, when non-nil, is a persistent execution store the
+	// workers cannot open themselves (gateway workers on other machines):
+	// the coordinator answers their cache-gets from it and writes their
+	// cache-puts to it, the last tier of DESIGN.md §9's hierarchy. Nil
+	// means workers never ask.
 	SharedBackend memo.Backend
 	// Obs receives the coordinator's metrics, spans, and the progress /
 	// verdict replay of worker results. Nil disables observability.
@@ -237,10 +236,6 @@ func (c *Coordinator) Start(parent obs.SpanID, total int) (*Run, error) {
 			r.stallAfter = 5 * r.hbEvery
 		}
 	}
-	if cfg := c.opts.Config; !cfg.DisableExecCache && !cfg.NoSharedCache {
-		r.sharedCache = make(map[memo.Key]memo.Result)
-		r.sharedTests = make(map[string]bool)
-	}
 	if r.opts.ItemTimeout <= 0 {
 		r.opts.ItemTimeout = DefaultItemTimeout
 	}
@@ -284,18 +279,6 @@ type Run struct {
 	// has its own lock.
 	failers *campaign.FrequentFailers
 	wg      sync.WaitGroup
-
-	// sharedCache is the coordinator-side execution cache served to
-	// workers over cache-get/cache-put; nil when memoization (or just
-	// its shared tier) is disabled. Guarded by cacheMu, not mu: cache
-	// traffic is hot-path and must not contend with result accounting.
-	cacheMu     sync.Mutex
-	sharedCache map[memo.Key]memo.Result
-	// sharedTests is the set of tests sharedCache holds worker-published
-	// entries for. A key contains its test and an item is one test, so an
-	// item dispatched for a test in this set is a re-dispatch — its run
-	// message is marked Warm — and a worker asks about nothing else.
-	sharedTests map[string]bool
 
 	// Heartbeat supervision, resolved from Config.HeartbeatMS and
 	// Options.StallAfter at Start; stalls counts stall events across
@@ -642,7 +625,7 @@ func (r *Run) session(slot int, sess *workerSession) sessionOutcome {
 				} else {
 					o.GaugeSet(obs.MQueueDepth, int64(r.q.Len()), "app", app)
 				}
-				if err := sess.send(Msg{Type: MsgRun, Item: &item, Warm: r.holdsShared(item.Test)}); err != nil {
+				if err := sess.send(Msg{Type: MsgRun, Item: &item}); err != nil {
 					// The item never reached the worker; requeue it for
 					// free and treat the broken pipe as a crash.
 					if spec {
@@ -759,8 +742,8 @@ func (r *Run) session(slot int, sess *workerSession) sessionOutcome {
 					return crash("crash")
 				}
 			case MsgCachePut:
-				if m.CacheKey != nil && m.CacheRes != nil {
-					r.cachePut(*m.CacheKey, *m.CacheRes)
+				if b := r.opts.SharedBackend; b != nil && m.CacheKey != nil && m.CacheRes != nil {
+					b.Put(*m.CacheKey, *m.CacheRes)
 				}
 			}
 		case <-tick.C:
@@ -919,62 +902,21 @@ func (r *Run) maybeSpeculate(slot int) (campaign.WorkItem, bool) {
 	return best.item, true
 }
 
-// cacheGet serves one worker lookup from the shared execution cache:
-// the in-memory map first, then the persistent SharedBackend tier (with
-// a memory fill on its hits, so a key is read from disk at most once
-// per run). Workers ask only about re-dispatched items and of a
-// persistent tier (see remoteCache), so the hits and misses counted here
-// are those lookups; a healthy campaign on an ephemeral tier counts none.
+// cacheGet answers one worker lookup from the persistent store behind
+// the coordinator. Only workers told Config.SharedPersistent ask, so the
+// hits and misses counted here are that store's; without one (a cache-get
+// from an older worker) every answer is an uncounted miss.
 func (r *Run) cacheGet(k memo.Key) (memo.Result, bool) {
-	if r.sharedCache == nil {
+	if r.opts.SharedBackend == nil {
 		return memo.Result{}, false
 	}
-	r.cacheMu.Lock()
-	res, ok := r.sharedCache[k]
-	r.cacheMu.Unlock()
-	if !ok && r.opts.SharedBackend != nil {
-		if res, ok = r.opts.SharedBackend.Get(k); ok {
-			r.cacheMu.Lock()
-			if _, dup := r.sharedCache[k]; !dup {
-				r.sharedCache[k] = res
-			}
-			r.cacheMu.Unlock()
-		}
-	}
+	res, ok := r.opts.SharedBackend.Get(k)
 	if ok {
 		r.o.CounterAdd(obs.MCacheHits, 1, "app", r.opts.App, "scope", "shared")
 	} else {
 		r.o.CounterAdd(obs.MCacheMisses, 1, "app", r.opts.App)
 	}
 	return res, ok
-}
-
-// cachePut stores one worker-published result, writing through to the
-// persistent tier when configured. First write wins: the harness is
-// seeded-deterministic, so concurrent publishers for one key carry
-// identical results anyway.
-func (r *Run) cachePut(k memo.Key, res memo.Result) {
-	if r.sharedCache == nil {
-		return
-	}
-	r.cacheMu.Lock()
-	_, dup := r.sharedCache[k]
-	if !dup {
-		r.sharedCache[k] = res
-		r.sharedTests[k.Test] = true
-	}
-	r.cacheMu.Unlock()
-	if !dup && r.opts.SharedBackend != nil {
-		r.opts.SharedBackend.Put(k, res)
-	}
-}
-
-// holdsShared reports whether a worker has published shared-cache entries
-// for test: the Warm bit of a run message.
-func (r *Run) holdsShared(test string) bool {
-	r.cacheMu.Lock()
-	defer r.cacheMu.Unlock()
-	return r.sharedTests[test]
 }
 
 // stitchSpans folds a worker's trace fragment under the coordinator's

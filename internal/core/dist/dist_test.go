@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -15,7 +14,6 @@ import (
 	"zebraconf/internal/core/agent"
 	"zebraconf/internal/core/campaign"
 	"zebraconf/internal/core/memo"
-	"zebraconf/internal/obs"
 )
 
 func TestJournalRoundTrip(t *testing.T) {
@@ -194,7 +192,7 @@ func TestRemoteCacheGetDeliverAndMiss(t *testing.T) {
 			go rc.deliver(reply)
 		}
 		return nil
-	}, true)
+	})
 	key := memo.Key{App: "a", Test: "T", Assign: "h", Seed: 1}
 	res, ok := rc.Get(key)
 	if !ok || !res.Failed || res.Msg != "cached" {
@@ -216,7 +214,7 @@ func TestRemoteCacheGetDeliverAndMiss(t *testing.T) {
 
 func TestRemoteCacheSendFailureIsMiss(t *testing.T) {
 	t.Parallel()
-	rc := newRemoteCache(func(Msg) error { return errors.New("pipe broken") }, true)
+	rc := newRemoteCache(func(Msg) error { return errors.New("pipe broken") })
 	if _, ok := rc.Get(memo.Key{App: "a"}); ok {
 		t.Fatal("send failure reported a hit")
 	}
@@ -237,7 +235,7 @@ func TestRemoteCacheCloseReleasesPendingGet(t *testing.T) {
 	rc := newRemoteCache(func(m Msg) error {
 		close(registered) // reply never comes
 		return nil
-	}, true)
+	})
 	done := make(chan bool, 1)
 	go func() {
 		_, ok := rc.Get(memo.Key{App: "a"})
@@ -256,64 +254,6 @@ func TestRemoteCacheCloseReleasesPendingGet(t *testing.T) {
 	// Gets after close are immediate misses.
 	if _, ok := rc.Get(memo.Key{App: "b"}); ok {
 		t.Fatal("Get on a closed cache reported a hit")
-	}
-}
-
-// TestRemoteCacheAsksOnlyWhenTheCoordinatorCanAnswer pins the gate: on an
-// ephemeral coordinator tier a Get reaches the wire only for a test whose
-// run message was Warm; every other lookup misses locally, at once. Puts
-// stream regardless — a crash must leave what was published.
-func TestRemoteCacheAsksOnlyWhenTheCoordinatorCanAnswer(t *testing.T) {
-	t.Parallel()
-	var sent []Msg
-	var rc *remoteCache
-	rc = newRemoteCache(func(m Msg) error {
-		sent = append(sent, m)
-		if m.Type == MsgCacheGet {
-			res := memo.Result{Msg: m.CacheKey.Test}
-			go rc.deliver(Msg{Type: MsgCacheVal, Req: m.Req, CacheHit: true, CacheRes: &res})
-		}
-		return nil
-	}, false)
-	cold := memo.Key{App: "a", Test: "TestCold", Assign: "h", Seed: 1}
-	warm := memo.Key{App: "a", Test: "TestWarm", Assign: "h", Seed: 1}
-	if _, ok := rc.Get(cold); ok || len(sent) != 0 {
-		t.Fatalf("cold test: hit %v, wire traffic %+v; want a local miss", ok, sent)
-	}
-	rc.Put(cold, memo.Result{})
-	if len(sent) != 1 || sent[0].Type != MsgCachePut {
-		t.Fatalf("put did not stream: %+v", sent)
-	}
-	rc.markWarm(warm.Test)
-	if res, ok := rc.Get(warm); !ok || res.Msg != warm.Test {
-		t.Fatalf("warm test: Get = %+v %v, want the coordinator's entry", res, ok)
-	}
-	if _, ok := rc.Get(cold); ok || len(sent) != 2 {
-		t.Fatalf("warming one test opened the gate for another: hit %v, %d messages", ok, len(sent))
-	}
-}
-
-// TestCoordinatorMarksWarmFromItsCache pins where the run message's Warm
-// bit comes from: the tests the shared cache holds published entries for.
-func TestCoordinatorMarksWarmFromItsCache(t *testing.T) {
-	t.Parallel()
-	run, err := New(Options{App: "a", WorkerCmd: func() *exec.Cmd { return nil }}).Start(obs.NoSpan, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if run.holdsShared("T") {
-		t.Fatal("an empty cache holds entries for T")
-	}
-	key := memo.Key{App: "a", Test: "T", Assign: "h", Seed: 1}
-	run.cachePut(key, memo.Result{Failed: true})
-	if !run.holdsShared("T") || run.holdsShared("U") {
-		t.Fatalf("after a put for T: holdsShared(T) = %v, holdsShared(U) = %v", run.holdsShared("T"), run.holdsShared("U"))
-	}
-	if res, ok := run.cacheGet(key); !ok || !res.Failed {
-		t.Fatalf("cacheGet = %+v %v", res, ok)
-	}
-	if _, err := run.Drain(); err != nil {
-		t.Fatal(err)
 	}
 }
 

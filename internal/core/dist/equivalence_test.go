@@ -181,7 +181,7 @@ func TestItemResultSameInProcessAndInWorker(t *testing.T) {
 			opts.Distributor = rec
 			campaign.Run(app, opts)
 			cfg := dist.ConfigFrom(opts)
-			cfg.Parallel, cfg.NoSharedCache = 1, true
+			cfg.Parallel = 1
 			s := startWorkerSession(t, app, cfg)
 			for i := range rec.items {
 				s.send(dist.Msg{Type: dist.MsgRun, Item: &rec.items[i]})

@@ -1,0 +1,97 @@
+package dist
+
+import (
+	"bytes"
+	"encoding/json"
+	"io"
+	"strings"
+	"testing"
+	"time"
+
+	"zebraconf/internal/confkit"
+	"zebraconf/internal/core/campaign"
+	"zebraconf/internal/core/harness"
+	"zebraconf/internal/core/memo"
+	"zebraconf/internal/core/runner"
+)
+
+// FuzzWorkerFrames feeds arbitrary NDJSON lines to both read loops of the
+// protocol — a worker's, after a valid init, and the coordinator's session
+// reader: each may refuse a line and end the session, never panic, never
+// block. The seeds are the frames a session carries, a run frame for a real
+// (tiny) test among them, so the worker also executes what it is sent.
+func FuzzWorkerFrames(f *testing.F) {
+	schema := confkit.NewRegistry().Register(confkit.Param{Name: "word", Kind: confkit.Enum,
+		Default: "alpha", Candidates: []string{"alpha", "beta"}})
+	app := &harness.App{
+		Name:      "fuzzed",
+		Schema:    func() *confkit.Registry { return schema },
+		NodeTypes: []string{"Node"},
+		Tests: []harness.UnitTest{{Name: "TestWord", Run: func(t *harness.T) {
+			testConf := t.Env.RT.NewConf()
+			t.Env.RT.StartInit("Node")
+			nodeConf := testConf.RefToClone()
+			t.Env.RT.StopInit()
+			if nodeConf.Get("word") != testConf.Get("word") {
+				t.Fatalf("the node reads %q", nodeConf.Get("word"))
+			}
+		}}},
+	}
+	resolve := func(string) (*harness.App, error) { return app, nil }
+	line := func(m Msg) []byte {
+		b, err := json.Marshal(m)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return append(b, '\n')
+	}
+	key, res := memo.Key{App: app.Name, Test: "TestWord", Assign: "h", Seed: 1}, memo.Result{Failed: true}
+	run := line(Msg{Type: MsgRun, Item: &campaign.WorkItem{Test: "TestWord",
+		PreRun: runner.New(app, runner.Options{}).PreRun(&app.Tests[0])}})
+	// The envelope has lost fields (warm, pred_trials, three of the config):
+	// what an older peer still sends must decode, and so must their absence.
+	legacy := []byte(strings.Replace(string(run), `{"type":"run",`, `{"type":"run","warm":true,"pred_trials":3,`, 1))
+	var m Msg
+	if err := json.Unmarshal(legacy, &m); err != nil || m.Item == nil || m.Item.Test != "TestWord" {
+		f.Fatalf("a run frame with retired fields decodes to %+v, %v", m, err)
+	}
+	if err := json.Unmarshal([]byte(`{"type":"init","config":{"no_shared_cache":true,"disk_cache_dir":"/x","seed":7}}`), &m); err != nil || m.Config.Seed != 7 {
+		f.Fatalf("an init frame with retired config fields decodes to %+v, %v", m.Config, err)
+	}
+	for _, seed := range [][]byte{
+		run, legacy, bytes.Repeat(run, 3),
+		line(Msg{Type: MsgRun, Item: &campaign.WorkItem{ID: 1, Test: "TestGone"}}),
+		line(Msg{Type: MsgQuarantine, Param: "word"}),
+		line(Msg{Type: MsgCacheVal, Req: 1, CacheHit: true, CacheRes: &res}),
+		line(Msg{Type: MsgBye}),
+		line(Msg{Type: MsgReady, PID: 1}),
+		line(Msg{Type: MsgResult, Result: &campaign.ItemResult{Test: "TestWord", Executions: 3}}),
+		line(Msg{Type: MsgHeartbeat, PID: 1, HB: &Heartbeat{Inflight: []int{0}, Executions: 3}}),
+		line(Msg{Type: MsgCacheGet, Req: 1, CacheKey: &key}),
+		line(Msg{Type: MsgCachePut, CacheKey: &key, CacheRes: &res}),
+		[]byte("{\"type\":\"run\"}\n"), []byte("{}\n"), []byte("not json\n"), []byte(`{"type":"run","item":{"prerun":`),
+	} {
+		f.Add(seed)
+	}
+
+	init := line(Msg{Type: MsgInit, App: app.Name, Config: &Config{Parallel: 2}})
+	f.Fuzz(func(t *testing.T, frames []byte) {
+		ended := make(chan struct{})
+		go func() {
+			defer close(ended)
+			// The worker: init, the frames, EOF. Its error is its to choose.
+			_ = ServeWorker(io.MultiReader(bytes.NewReader(init), bytes.NewReader(frames)), io.Discard, resolve)
+			// The coordinator's reader of one session.
+			s := &workerSession{msgs: make(chan Msg), readerDone: make(chan struct{})}
+			go s.readLoop(bytes.NewReader(frames))
+			for range s.msgs {
+			}
+			<-s.readerDone
+		}()
+		select {
+		case <-ended:
+		case <-time.After(20 * time.Second):
+			t.Fatal("a read loop is still blocked on these frames")
+		}
+	})
+}

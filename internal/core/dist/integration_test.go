@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -32,6 +33,9 @@ import (
 //	ZEBRACONF_DIST_KILL_AFTER=N  SIGKILL self after writing N stdout lines
 //	ZEBRACONF_DIST_HANG=1        acknowledge init, then never answer runs
 //	ZEBRACONF_DIST_NEVER_READY=exit|mute  exit at once / never answer init
+//
+// and ZEBRACONF_DIST_DISK_CACHE=dir is the worker's own -disk-cache flag,
+// under which it also copies every line it sends to dir/../sent-<pid>.
 func TestMain(m *testing.M) {
 	if os.Getenv("ZEBRACONF_DIST_WORKER") == "1" {
 		runWorker()
@@ -69,7 +73,16 @@ func runWorker() {
 	if n, _ := strconv.Atoi(os.Getenv("ZEBRACONF_DIST_KILL_AFTER")); n > 0 {
 		w = &killAfterWriter{w: os.Stdout, linesLeft: int32(n)}
 	}
-	if err := dist.ServeWorker(os.Stdin, w, apps.ByName); err != nil {
+	env := dist.WorkerEnv{DiskCacheDir: os.Getenv("ZEBRACONF_DIST_DISK_CACHE")}
+	if env.DiskCacheDir != "" {
+		sent, err := os.Create(filepath.Join(filepath.Dir(env.DiskCacheDir), fmt.Sprintf("sent-%d", os.Getpid())))
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "worker:", err)
+			os.Exit(1)
+		}
+		w = io.MultiWriter(w, sent)
+	}
+	if err := dist.ServeWorkerEnv(os.Stdin, w, apps.ByName, env); err != nil {
 		fmt.Fprintln(os.Stderr, "worker:", err)
 		os.Exit(1)
 	}
@@ -186,20 +199,9 @@ func TestWorkerKillThenResumeByteIdentical(t *testing.T) {
 	ck := filepath.Join(t.TempDir(), "ck.jsonl")
 	const seed = 23
 
-	// The exec cache stays off here: the kill injection counts stdout
-	// lines, and cache-get/cache-put traffic would shift the kill point;
-	// worse, a retried item would reuse results the killed attempt
-	// published, making per-item execution counts depend on where the
-	// kill landed. Cache+distribution equivalence has its own test.
-	noCache := func(o *obs.Observer) campaign.Options {
-		opts := subsetOptions(seed, o)
-		opts.DisableExecCache = true
-		return opts
-	}
-
 	// Reference: uninterrupted single-worker distributed run.
 	refObs := obs.New()
-	ref := runDistributed(t, app, noCache(refObs), dist.Options{
+	ref := runDistributed(t, app, subsetOptions(seed, refObs), dist.Options{
 		Workers:   1,
 		WorkerCmd: workerFactory(),
 	})
@@ -209,7 +211,7 @@ func TestWorkerKillThenResumeByteIdentical(t *testing.T) {
 	// (stdout line 2: ready, then one result); the coordinator halts via
 	// MaxItems after two completions, leaving the third item undone.
 	killObs := obs.New()
-	runDistributed(t, app, noCache(killObs), dist.Options{
+	runDistributed(t, app, subsetOptions(seed, killObs), dist.Options{
 		Workers:        1,
 		WorkerCmd:      workerFactory("ZEBRACONF_DIST_KILL_AFTER=2"),
 		CheckpointPath: ck,
@@ -237,7 +239,7 @@ func TestWorkerKillThenResumeByteIdentical(t *testing.T) {
 
 	// Resume: checkpointed items must be replayed, not re-executed.
 	resObs := obs.New()
-	resumed := runDistributed(t, app, noCache(resObs), dist.Options{
+	resumed := runDistributed(t, app, subsetOptions(seed, resObs), dist.Options{
 		Workers:    1,
 		WorkerCmd:  workerFactory(),
 		ResumePath: ck,
@@ -327,15 +329,11 @@ func TestKillResumeSingleEvidencePerItem(t *testing.T) {
 	ck2 := filepath.Join(dir, "ck2.jsonl")
 	const seed = 23
 
-	noCache := func() campaign.Options {
-		opts := subsetOptions(seed, nil)
-		opts.DisableExecCache = true // keep the stdout-line kill point stable
-		opts.EvidenceMax = -1
-		return opts
-	}
+	opts := subsetOptions(seed, nil)
+	opts.EvidenceMax = -1
 
 	// Interrupted run: killed after the first result, halted after two.
-	runDistributed(t, app, noCache(), dist.Options{
+	runDistributed(t, app, opts, dist.Options{
 		Workers:        1,
 		WorkerCmd:      workerFactory("ZEBRACONF_DIST_KILL_AFTER=2"),
 		CheckpointPath: ck,
@@ -344,7 +342,7 @@ func TestKillResumeSingleEvidencePerItem(t *testing.T) {
 
 	// Resume into a different journal: openCheckpoint re-journals the
 	// replayed items, so ck2 is the self-contained record of the campaign.
-	runDistributed(t, app, noCache(), dist.Options{
+	runDistributed(t, app, opts, dist.Options{
 		Workers:        1,
 		WorkerCmd:      workerFactory(),
 		ResumePath:     ck,

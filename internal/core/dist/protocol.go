@@ -23,9 +23,11 @@ import (
 )
 
 // Message types of the coordinator↔worker wire protocol. Every message
-// is one JSON object on one line; the stream direction is strictly
-// request/response-free: the coordinator writes init/run/bye, the worker
-// writes ready/result, and either side treats EOF as the peer's death.
+// is one JSON object on one line. The coordinator writes init / run /
+// quarantine / bye, the worker writes ready / result / heartbeat, and
+// either side treats EOF as the peer's death; nothing waits for a reply
+// except a cache-get, which only a worker of a persistent coordinator
+// (Config.SharedPersistent) ever sends.
 const (
 	// MsgInit (coordinator → worker) opens the session: the application
 	// name and the campaign configuration the worker should execute
@@ -40,22 +42,18 @@ const (
 	MsgResult = "result"
 	// MsgBye (coordinator → worker) asks for a clean drain-and-exit.
 	MsgBye = "bye"
-	// MsgCacheGet (worker → coordinator) asks the coordinator-side shared
-	// execution cache for one key; Req correlates the reply. This is the
-	// one request/response exchange in the protocol, and it is advisory:
-	// a worker that never asks (or times out waiting) just re-executes.
-	// A worker asks only when the coordinator can have an answer — the
-	// item's run message was Warm, or Config.SharedPersistent — so what
-	// the coordinator counts as shared-tier hits and misses are lookups
-	// of re-dispatched items and of the persistent tier.
+	// MsgCacheGet (worker → coordinator) asks the persistent store behind
+	// the coordinator for one key; Req correlates the reply. The one
+	// request/response exchange in the protocol, spoken only under
+	// Config.SharedPersistent, and advisory: a worker that never asks (or
+	// times out waiting) just re-executes.
 	MsgCacheGet = "cache-get"
 	// MsgCacheVal (coordinator → worker) answers one MsgCacheGet, echoing
 	// Req; CacheHit says whether CacheRes is meaningful.
 	MsgCacheVal = "cache-val"
 	// MsgCachePut (worker → coordinator) publishes one executed result to
-	// the shared cache, fire-and-forget, so a hit on worker A saves a run
-	// on worker B (most usefully when a retried item lands on a fresh
-	// worker that would otherwise redo the lost worker's runs).
+	// that store, fire-and-forget, so a resubmitted campaign is served
+	// from it. A coordinator without a store drops it.
 	MsgCachePut = "cache-put"
 	// MsgQuarantine (coordinator → worker) broadcasts one parameter
 	// confirmed unsafe by enough distinct tests (§4's frequent-failer
@@ -103,17 +101,10 @@ type Msg struct {
 	Result *campaign.ItemResult `json:"result,omitempty"`
 	PID    int                  `json:"pid,omitempty"`
 	Error  string               `json:"error,omitempty"`
-	// Warm, on a MsgRun, says the coordinator already holds shared-cache
-	// entries for the item's test: an earlier attempt published them (the
-	// item is a retry after a crash or timeout, or a speculative copy),
-	// so cache-gets for it can hit. Derived from the coordinator's cache,
-	// never set by anyone. An old worker ignores it and an old
-	// coordinator never sets it; either only costs re-execution.
-	Warm bool `json:"warm,omitempty"`
 	// Param carries the quarantined parameter of a MsgQuarantine.
 	Param string `json:"param,omitempty"`
-	// Shared-execution-cache fields (MsgCacheGet / MsgCacheVal /
-	// MsgCachePut). Req correlates a get with its val reply.
+	// Persistent-tier fields (MsgCacheGet / MsgCacheVal / MsgCachePut).
+	// Req correlates a get with its val reply.
 	Req      int64        `json:"req,omitempty"`
 	CacheKey *memo.Key    `json:"cache_key,omitempty"`
 	CacheRes *memo.Result `json:"cache_res,omitempty"`
@@ -148,14 +139,8 @@ type Config struct {
 	// overrides must ride the wire to keep every execution path
 	// byte-identical to the coordinator's.
 	Overrides map[string]string `json:"overrides,omitempty"`
-	// DisableExecCache turns execution memoization off everywhere: no
-	// worker-local caches and no coordinator-side shared cache.
+	// DisableExecCache turns execution memoization off in every tier.
 	DisableExecCache bool `json:"disable_exec_cache,omitempty"`
-	// NoSharedCache keeps workers' local caches but stops them from
-	// consulting the coordinator (the worker-local fallback); the
-	// coordinator also declines to serve lookups. Not reachable from the
-	// CLI — a testing and degraded-mode knob.
-	NoSharedCache bool `json:"no_shared_cache,omitempty"`
 	// EvidenceMax is the per-worker evidence byte budget (the campaign's
 	// -evidence-max applies to each worker process independently); zero
 	// disables forensic capture, negative is unlimited.
@@ -173,21 +158,10 @@ type Config struct {
 	// Not part of campaign.Options, so ConfigFrom leaves it zero —
 	// launch.Campaign sets it from the -heartbeat flag.
 	HeartbeatMS int `json:"heartbeat_ms,omitempty"`
-	// DiskCacheDir, when non-empty, asks the worker to open a persistent
-	// diskcache.Store at that path as the tier between its in-process
-	// memo cache and the coordinator-shared cache (memory → disk →
-	// coordinator). Only meaningful for subprocess workers sharing the
-	// coordinator's filesystem; TCP workers configure their own local
-	// directory via the -disk-cache flag instead, which takes
-	// precedence. Zero DiskCacheMaxBytes selects the diskcache default.
-	DiskCacheDir      string `json:"disk_cache_dir,omitempty"`
-	DiskCacheMaxBytes int64  `json:"disk_cache_max_bytes,omitempty"`
-	// SharedPersistent tells the worker the coordinator's shared cache
-	// is itself backed by a persistent store, so label-seeded executions
-	// are worth memoizing: their keys only ever repeat across campaigns,
-	// which an ephemeral shared cache can never observe. Set by the
-	// coordinator from its own SharedBackend; workers with a local disk
-	// tier enable the same behaviour regardless.
+	// SharedPersistent tells the worker the coordinator fronts a
+	// persistent store (Options.SharedBackend) the worker cannot open
+	// itself: the worker puts a remoteCache behind its own tiers and asks
+	// it about every key. Set by the coordinator, never by a caller.
 	SharedPersistent bool `json:"shared_persistent,omitempty"`
 }
 

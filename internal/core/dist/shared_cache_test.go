@@ -5,16 +5,22 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"math"
 	"net"
 	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"zebraconf/internal/apps"
 	"zebraconf/internal/core/campaign"
+	"zebraconf/internal/core/diskcache"
 	"zebraconf/internal/core/dist"
+	"zebraconf/internal/core/harness"
 	"zebraconf/internal/core/memo"
 	"zebraconf/internal/obs"
 )
@@ -23,24 +29,18 @@ import (
 // envelope's JSON keys, not dist.Msg's Go fields, so the tests say what is
 // on the wire and nothing about how either side represents it.
 type wireMsg struct {
-	Type string `json:"type"`
-	Warm bool   `json:"warm"`
-	Item *struct {
-		Test string `json:"test"`
-	} `json:"item"`
-	CacheKey *memo.Key `json:"cache_key"`
-	CacheHit bool      `json:"cache_hit"`
+	Type   string `json:"type"`
+	Config *struct {
+		SharedPersistent bool `json:"shared_persistent"`
+	} `json:"config"`
+	CacheHit bool `json:"cache_hit"`
 }
 
 // wireTap is one real worker — dist.ServeWorker, in this process — on a
 // gateway session whose every line, in both directions, the test keeps.
 type wireTap struct {
 	conn net.Conn
-	// cutAfterPuts, when positive, slams the connection shut the moment
-	// that many cache-put lines are out: a machine lost mid-item, after
-	// publishing exactly that much.
-	cutAfterPuts int
-	done         chan struct{}
+	done chan struct{}
 
 	mu   sync.Mutex
 	sent []wireMsg    // worker → coordinator
@@ -60,16 +60,12 @@ func (w *wireTap) Write(p []byte) (int, error) {
 	}
 	w.mu.Lock()
 	w.sent = append(w.sent, m)
-	cut := w.cutAfterPuts > 0 && m.Type == dist.MsgCachePut && w.count(dist.MsgCachePut) == w.cutAfterPuts
 	w.mu.Unlock()
-	if cut {
-		w.conn.Close()
-	}
 	return n, nil
 }
 
-// count is the number of messages of one type the worker has sent; the
-// caller holds w.mu or has waited for done.
+// count is the number of messages of one type the worker has sent; call
+// it after done.
 func (w *wireTap) count(typ string) int {
 	n := 0
 	for _, m := range w.sent {
@@ -78,6 +74,26 @@ func (w *wireTap) count(typ string) int {
 		}
 	}
 	return n
+}
+
+// lostAfter is app with its test bodies counted: the moment the n-th
+// execution is over conn is slammed shut — a machine lost mid-item.
+func lostAfter(app *harness.App, n int32, conn net.Conn) *harness.App {
+	lost := *app
+	lost.Tests = append([]harness.UnitTest(nil), app.Tests...)
+	var ran atomic.Int32
+	for i := range lost.Tests {
+		body := lost.Tests[i].Run
+		lost.Tests[i].Run = func(t *harness.T) {
+			defer func() {
+				if ran.Add(1) == n {
+					conn.Close()
+				}
+			}()
+			body(t)
+		}
+	}
+	return &lost
 }
 
 // received decodes what the coordinator sent; call it after done.
@@ -97,8 +113,9 @@ func (w *wireTap) received(t *testing.T) []wireMsg {
 }
 
 // startTap connects a tapped worker to the gateway and serves one session
-// on it in the background.
-func startTap(t *testing.T, gw *dist.Gateway, token string, cutAfterPuts int) *wireTap {
+// on it in the background; a positive lostAfterRuns loses the worker once
+// it has executed that many runs.
+func startTap(t *testing.T, gw *dist.Gateway, token string, lostAfterRuns int32) *wireTap {
 	t.Helper()
 	conn, err := net.Dial("tcp", gw.Addr())
 	if err != nil {
@@ -111,13 +128,20 @@ func startTap(t *testing.T, gw *dist.Gateway, token string, cutAfterPuts int) *w
 	if _, err := rd.ReadString('\n'); err != nil { // welcome
 		t.Fatal(err)
 	}
-	tap := &wireTap{conn: conn, cutAfterPuts: cutAfterPuts, done: make(chan struct{})}
+	tap := &wireTap{conn: conn, done: make(chan struct{})}
+	resolve := func(name string) (*harness.App, error) {
+		app, err := apps.ByName(name)
+		if err == nil && lostAfterRuns > 0 {
+			app = lostAfter(app, lostAfterRuns, conn)
+		}
+		return app, err
+	}
 	go func() {
 		defer close(tap.done)
 		defer conn.Close()
 		// The session's error is the cut connection's, or nil after bye;
 		// what matters to the tests is on the wire.
-		_ = dist.ServeWorker(io.TeeReader(rd, &tap.recv), tap, apps.ByName)
+		_ = dist.ServeWorker(io.TeeReader(rd, &tap.recv), tap, resolve)
 	}()
 	return tap
 }
@@ -161,13 +185,11 @@ func itemByTest(t *testing.T, res *campaign.Result, test string) campaign.ItemRe
 	return campaign.ItemResult{}
 }
 
-// TestHealthyCampaignAsksNothing: a memo key contains its test and a work
-// item is one test, so in a campaign where nothing is re-dispatched the
-// coordinator's ephemeral shared tier can never answer a lookup. The
-// workers know it: no cache-get crosses the wire (there used to be one
-// blocking round trip per executed run), no run is marked warm, and the
-// coordinator counts no shared-tier lookup at all — while every executed
-// run is still published, because a crash must leave what was done.
+// TestHealthyCampaignAsksNothing: a coordinator that fronts no persistent
+// store has nothing a worker could read, so its workers are given no
+// coordinator tier: no cache- line crosses the wire in either direction
+// (there used to be a cache-put per executed run, read by nobody) and the
+// coordinator counts no shared-tier lookup.
 func TestHealthyCampaignAsksNothing(t *testing.T) {
 	t.Parallel()
 	app := minihdfs(t)
@@ -184,28 +206,20 @@ func TestHealthyCampaignAsksNothing(t *testing.T) {
 	res := runDistributed(t, app, subsetOptions(seed, o), dist.Options{Workers: 2, Sessions: gw})
 	waitTaps(t, gw, taps...)
 
-	var gets, vals, puts, results int
+	results := 0
 	for _, tap := range taps {
-		gets += tap.count(dist.MsgCacheGet)
-		puts += tap.count(dist.MsgCachePut)
 		results += tap.count(dist.MsgResult)
-		for _, m := range tap.received(t) {
-			if m.Type == dist.MsgRun && m.Warm {
-				t.Errorf("run of %s is marked warm in a campaign that re-dispatched nothing", m.Item.Test)
+		for _, m := range append(tap.received(t), tap.sent...) {
+			if strings.HasPrefix(m.Type, "cache-") {
+				t.Errorf("a %s line on the wire of a campaign with no persistent tier", m.Type)
 			}
-			if m.Type == dist.MsgCacheVal {
-				vals++
+			if m.Type == dist.MsgInit && m.Config.SharedPersistent {
+				t.Error("init says shared_persistent for a coordinator without a store")
 			}
 		}
 	}
 	if results != len(res.Items) || results == 0 {
 		t.Fatalf("%d results crossed the wire for %d items", results, len(res.Items))
-	}
-	if gets != 0 || vals != 0 {
-		t.Errorf("%d cache-get and %d cache-val lines on the wire of a healthy campaign, want none", gets, vals)
-	}
-	if puts == 0 || int64(puts) > res.Counts.Executed {
-		t.Errorf("%d cache-put lines for %d executions: executed runs must keep streaming to the coordinator", puts, res.Counts.Executed)
 	}
 	if series := sharedSeries(o); len(series) != 0 {
 		t.Errorf("the coordinator counted shared-tier lookups in a healthy campaign: %v", series)
@@ -216,68 +230,53 @@ func TestHealthyCampaignAsksNothing(t *testing.T) {
 	}
 }
 
-// TestRedispatchReusesPublishedRuns: worker A publishes three executed
-// runs of TestWriteRead and is lost mid-item. The coordinator holds those
-// entries, so the re-dispatched item reaches worker B as one whose lookups
-// can hit: B asks, its first three lookups are answered from what A
-// published (an item replays its runs in the same order on any worker),
-// and the item's result says at least that many executions were saved.
-func TestRedispatchReusesPublishedRuns(t *testing.T) {
+// TestRetriedItemEqualsFirstAttempt: worker A is lost after its third
+// execution of TestWriteRead and worker B takes the retry. Nothing of A's
+// attempt survives it, so the accepted result is, byte for byte, what an
+// uninterrupted run returns — execution counts included (B used to reuse
+// what A had published and report those executions as saved).
+func TestRetriedItemEqualsFirstAttempt(t *testing.T) {
 	t.Parallel()
 	app := minihdfs(t)
-	const seed, token, published = 11, "tap-secret", 3
-	gw, err := dist.ListenGateway("127.0.0.1:0", token, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer gw.Close()
-	// The gateway leases idle workers in the order they parked: with one
-	// slot the campaign starts on the doomed session.
-	a := startTap(t, gw, token, published)
-	waitIdle(t, gw, 1)
-	b := startTap(t, gw, token, 0)
-	waitIdle(t, gw, 2)
-
-	// One test, so one item: what A publishes and what B looks up first
-	// are the same runs.
-	opts := func(o *obs.Observer) campaign.Options {
+	const seed, token = 11, "tap-secret"
+	// One test, so one item.
+	run := func(o *obs.Observer, lostAfterRuns int32) []byte {
+		gw, err := dist.ListenGateway("127.0.0.1:0", token, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer gw.Close()
+		// The gateway leases idle workers in the order they parked: with
+		// one slot the campaign starts on the first session.
+		a := startTap(t, gw, token, lostAfterRuns)
+		waitIdle(t, gw, 1)
+		b := startTap(t, gw, token, 0)
+		waitIdle(t, gw, 2)
 		opts := subsetOptions(seed, o)
 		opts.Tests = []string{"TestWriteRead"}
-		return opts
+		res := runDistributed(t, app, opts, dist.Options{
+			Workers:     1,
+			Sessions:    gw,
+			ItemRetries: dist.DefaultItemRetries,
+		})
+		waitTaps(t, gw, a, b)
+		item, err := json.Marshal(itemByTest(t, res, "TestWriteRead"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return item
 	}
-	o := obs.New()
-	res := runDistributed(t, app, opts(o), dist.Options{
-		Workers:     1,
-		Sessions:    gw,
-		ItemRetries: dist.DefaultItemRetries,
-	})
-	waitTaps(t, gw, a, b)
 
+	o := obs.New()
+	retried := run(o, 3)
 	if n := o.Metrics.CounterValue(obs.MWorkerCrashes, "app", app.Name, "reason", "crash"); n != 1 {
 		t.Fatalf("worker crashes = %d, want 1 (worker A's cut connection)", n)
 	}
-	if n := a.count(dist.MsgCachePut); n != published {
-		t.Fatalf("worker A published %d runs before it was lost, want %d", n, published)
+	if n := o.Metrics.CounterValue(obs.MItemRetries, "app", app.Name); n != 1 {
+		t.Fatalf("item retries = %d, want 1", n)
 	}
-
-	hits := 0
-	for _, m := range b.received(t) {
-		if m.Type == dist.MsgCacheVal && m.CacheHit {
-			hits++
-		}
-	}
-	if gets := b.count(dist.MsgCacheGet); gets < published || hits != published {
-		t.Errorf("worker B sent %d cache-gets and %d of them hit, want all %d published runs reused", gets, hits, published)
-	}
-	if saved := itemByTest(t, res, "TestWriteRead").ExecutionsSaved; saved < published {
-		t.Errorf("the re-dispatched item reports %d executions saved, want at least the %d worker A published", saved, published)
-	}
-	if n := o.Metrics.CounterValue(obs.MCacheHits, "app", app.Name, "scope", "shared"); n != published {
-		t.Errorf("coordinator counted %d shared hits, want %d", n, published)
-	}
-	local := campaign.Run(app, opts(nil))
-	if normalized(t, res) != normalized(t, local) {
-		t.Error("the retried campaign's report differs from the in-process one")
+	if first := run(nil, 0); !bytes.Equal(retried, first) {
+		t.Errorf("the retried item differs from a first attempt:\n retried %s\n first   %s", retried, first)
 	}
 }
 
@@ -301,10 +300,10 @@ func (b *mapBackend) Put(k memo.Key, res memo.Result) {
 	b.m[k] = res
 }
 
-// TestPersistentTierIsAskedRegardless: when the coordinator's shared tier
-// is backed by a store that outlives the campaign it can hold entries of
-// earlier campaigns, which no run message knows about — so workers ask
-// about every key, warm or not, and a resubmit is served from the store.
+// TestPersistentTierIsAskedRegardless: when the coordinator fronts a store
+// that outlives the campaign it can hold entries of earlier campaigns —
+// so its workers ask about every key, and a resubmit is served from the
+// store.
 func TestPersistentTierIsAskedRegardless(t *testing.T) {
 	t.Parallel()
 	app := minihdfs(t)
@@ -326,13 +325,16 @@ func TestPersistentTierIsAskedRegardless(t *testing.T) {
 			if m.Type == dist.MsgCacheVal && m.CacheHit {
 				hits++
 			}
+			if m.Type == dist.MsgInit && !m.Config.SharedPersistent {
+				t.Error("init does not say shared_persistent for a coordinator fronting a store")
+			}
 		}
 		return tap.count(dist.MsgCacheGet), hits, res
 	}
 
 	gets, hits, first := submit()
 	if gets == 0 || hits != 0 {
-		t.Fatalf("cold store: %d cache-gets, %d hits; want the worker to ask (nothing is warm) and miss", gets, hits)
+		t.Fatalf("cold store: %d cache-gets, %d hits; want the worker to ask and miss", gets, hits)
 	}
 	gets, hits, again := submit()
 	if hits == 0 || hits != gets {
@@ -343,5 +345,66 @@ func TestPersistentTierIsAskedRegardless(t *testing.T) {
 	}
 	if normalized(t, again) != normalized(t, first) {
 		t.Error("the resubmit's report differs from the cold campaign's")
+	}
+}
+
+// TestStdioWorkersOpenTheDiskTierThemselves: two stdio workers given the
+// same -disk-cache directory by their own flags read and write it directly.
+// Nothing about the cache crosses the wire, the coordinator's handle on the
+// directory is never touched, each executed run is written once, and a
+// second campaign over the directory is served from it.
+func TestStdioWorkersOpenTheDiskTierThemselves(t *testing.T) {
+	t.Parallel()
+	app, err := apps.ByName("miniyarn")
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := t.TempDir()
+	dir := filepath.Join(root, "dc")
+	submit := func() (*campaign.Result, int64) {
+		// The coordinator's own handle, as launch.prepare leaves it: behind
+		// its in-process runner, not behind the workers.
+		store, err := diskcache.Open(dir, 0, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o := obs.New()
+		opts := campaign.Options{Seed: 1, QuarantineThreshold: math.MaxInt32, CacheBackend: store, Obs: o}
+		res := runDistributed(t, app, opts, dist.Options{
+			Workers:             2,
+			WorkerCmd:           workerFactory("ZEBRACONF_DIST_DISK_CACHE=" + dir),
+			QuarantineThreshold: math.MaxInt32,
+		})
+		if st := store.Stats(); st.Writes != 0 || st.Misses != 0 {
+			t.Errorf("the coordinator's store handle saw %d writes and %d misses, want none", st.Writes, st.Misses)
+		}
+		return res, o.Metrics.CounterValue(obs.MItemExecutions, "app", app.Name)
+	}
+
+	cold, executed := submit()
+	sent, err := filepath.Glob(filepath.Join(root, "sent-*"))
+	if err != nil || len(sent) != 2 {
+		t.Fatalf("workers left %d sent-<pid> files (%v), want 2", len(sent), err)
+	}
+	for _, name := range sent {
+		lines, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := bytes.Count(lines, []byte(`"type":"cache-`)); n != 0 {
+			t.Errorf("%s: %d cache- lines sent by a worker with its own disk tier", filepath.Base(name), n)
+		}
+	}
+	entries, err := filepath.Glob(filepath.Join(dir, "*.json"))
+	if err != nil || executed == 0 || int64(len(entries)) != executed {
+		t.Fatalf("%d entries on disk for %d executed runs (%v), want one each", len(entries), executed, err)
+	}
+
+	warm, _ := submit()
+	if !reflect.DeepEqual(warm.Reported, cold.Reported) || len(cold.Reported) == 0 {
+		t.Errorf("reported parameters diverge:\n warm %+v\n cold %+v", warm.Reported, cold.Reported)
+	}
+	if warm.Counts.Executed >= cold.Counts.Executed {
+		t.Errorf("the second campaign executed %d runs, the cold one %d: nothing was reused", warm.Counts.Executed, cold.Counts.Executed)
 	}
 }

@@ -29,12 +29,12 @@ import (
 const DefaultWorkerParallel = 8
 
 // WorkerEnv carries worker-machine-local settings that are not part of
-// the campaign configuration shipped by the coordinator: a networked
-// worker's operator decides where (and whether) its persistent disk
-// cache lives, the coordinator only decides the campaign.
+// the campaign configuration shipped by the coordinator: a worker's own
+// flags decide where (and whether) its persistent disk cache lives, the
+// coordinator only decides the campaign.
 type WorkerEnv struct {
-	// DiskCacheDir, when non-empty, overrides Config.DiskCacheDir as the
-	// location of the worker's persistent execution cache tier.
+	// DiskCacheDir, when non-empty, is the directory of the worker's
+	// persistent execution cache tier (-disk-cache).
 	DiskCacheDir string
 	// DiskCacheMaxBytes caps that store; zero selects the diskcache
 	// default.
@@ -110,35 +110,21 @@ func ServeWorkerEnv(r io.Reader, w io.Writer, resolve func(string) (*harness.App
 	// as the coordinator applies them in campaign.Run.
 	app = campaign.OverrideApp(app, opts.Overrides)
 	schema := app.Schema()
-	// Execution memoization: a worker-local cache spanning this session's
-	// items, optionally backed by the coordinator's shared cache so runs
-	// executed by an earlier attempt of a retried item (or by an earlier
-	// campaign, when the coordinator's tier is persistent) are reused
-	// instead of redone. Disabling the shared tier falls back to purely
-	// local caching; disabling the cache falls back to re-running
-	// everything.
+	// Execution memoization, one hierarchy (DESIGN.md §9): the session's
+	// in-process cache → this worker's own disk directory, when its flags
+	// name one → the coordinator, only when it fronts a persistent store
+	// the worker cannot open itself. Whatever is behind the in-process
+	// cache outlives the campaign, which is what makes label-seeded trials
+	// worth memoizing. An open failure just drops the disk tier.
 	var rcache *remoteCache
-	// Persistence anywhere in the hierarchy — a local disk tier or a
-	// coordinator whose shared cache is disk-backed — is what makes
-	// label-seeded trials worth memoizing.
-	persistent := !cfg.NoSharedCache && cfg.SharedPersistent
 	if !cfg.DisableExecCache {
-		if !cfg.NoSharedCache {
-			rcache = newRemoteCache(send, cfg.SharedPersistent)
+		if cfg.SharedPersistent {
+			rcache = newRemoteCache(send)
 			opts.CacheBackend = rcache
 		}
-		// Persistent disk tier between the in-process map and the
-		// coordinator: memory → disk → coordinator. The worker's own env
-		// wins over the coordinator's suggestion (the dir must make sense
-		// on *this* machine); an open failure just drops the tier.
-		dir, maxBytes := cfg.DiskCacheDir, cfg.DiskCacheMaxBytes
 		if env.DiskCacheDir != "" {
-			dir, maxBytes = env.DiskCacheDir, env.DiskCacheMaxBytes
-		}
-		if dir != "" {
-			if store, err := diskcache.Open(dir, maxBytes, opts.CacheBackend, nil); err == nil {
+			if store, err := diskcache.Open(env.DiskCacheDir, env.DiskCacheMaxBytes, opts.CacheBackend, nil); err == nil {
 				opts.CacheBackend = store
-				persistent = true
 			} else {
 				fmt.Fprintf(os.Stderr, "zebraconf worker: disk cache disabled: %v\n", err)
 			}
@@ -152,7 +138,7 @@ func ServeWorkerEnv(r io.Reader, w io.Writer, resolve func(string) (*harness.App
 	// what rides home in each item result. Cache hits replay their memoized
 	// read sets through the runner, so a fully warm worker still reports
 	// complete coverage.
-	rops := campaign.RunnerOptions(app.Name, opts, persistent)
+	rops := campaign.RunnerOptions(app.Name, opts)
 	cov := rops.Coverage
 	run := runner.New(app, rops)
 	gen := testgen.New(schema)
@@ -249,9 +235,6 @@ func ServeWorkerEnv(r io.Reader, w io.Writer, resolve func(string) (*harness.App
 			return fmt.Errorf("dist: worker: unexpected message %q", m.Type)
 		}
 		item := *m.Item
-		if m.Warm && rcache != nil {
-			rcache.markWarm(item.Test)
-		}
 		// Mark the item in flight at receipt — before the semaphore wait,
 		// so a saturated worker's heartbeats still name the items it is
 		// responsible for.

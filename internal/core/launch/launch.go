@@ -31,9 +31,10 @@ type Env struct {
 	WorkerCmd func() *exec.Cmd
 	Sessions  *dist.Gateway
 	// Cache is the open persistent execution cache, nil for none. It backs
-	// the in-process memo cache and the coordinator's shared tier; stdio
-	// workers, which share this filesystem, open its directory themselves
-	// (TCP workers choose their own with -disk-cache).
+	// the in-process memo cache and, for Sessions workers — which cannot
+	// open it themselves — the coordinator's pass-through tier. A worker's
+	// own disk tier comes from its own -disk-cache flag (WorkerCmd passes
+	// the CLI's).
 	Cache *diskcache.Store
 	// Obs observes the campaign; nil disables observability.
 	Obs *obs.Observer
@@ -170,11 +171,8 @@ func prepare(app *harness.App, spec Spec, env Env) (*prepared, error) {
 		Obs:                 env.Obs,
 		Stderr:              env.Stderr,
 	}
-	if l.opts.CacheBackend != nil {
+	if l.opts.CacheBackend != nil && env.Sessions != nil {
 		l.dopts.SharedBackend = env.Cache
-		if env.Sessions == nil {
-			cfg.DiskCacheDir, cfg.DiskCacheMaxBytes = env.Cache.Dir(), env.Cache.MaxBytes()
-		}
 	}
 	l.dopts.Config = cfg
 	l.coord = dist.New(l.dopts)

@@ -48,10 +48,10 @@ type Result struct {
 	Reads    []string `json:"reads,omitempty"`
 }
 
-// Backend is a second-level store behind a Cache's in-process map; the
-// distributed worker plugs in a coordinator-backed implementation so a
-// hit on worker A saves a run on worker B. Get may block (a network
-// round trip); a Backend that fails should report a miss, never an
+// Backend is a second-level store behind a Cache's in-process map: a disk
+// store, or for a gateway worker the coordinator fronting one, so what an
+// earlier campaign executed is not executed again. Get may block (a
+// network round trip); a Backend that fails should report a miss, never an
 // error — re-running is always correct, just slower.
 type Backend interface {
 	Get(Key) (Result, bool)

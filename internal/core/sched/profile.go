@@ -151,20 +151,6 @@ func (p *Profile) Predict(app, test string) (seconds float64, ok bool) {
 	return 0, false
 }
 
-// PredictTrials returns the expected unit-test trial count for one
-// (app, test), and whether the profile has trial observations for it.
-func (p *Profile) PredictTrials(app, test string) (trials float64, ok bool) {
-	if p == nil {
-		return 0, false
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if e := p.apps[app][test]; e != nil && e.Trials > 0 {
-		return e.Trials, true
-	}
-	return 0, false
-}
-
 // Len returns the number of (app, test) estimates held.
 func (p *Profile) Len() int {
 	if p == nil {

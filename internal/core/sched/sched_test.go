@@ -517,19 +517,12 @@ func TestProfileRecordTrialsPerTrialPrediction(t *testing.T) {
 	if s, ok := p.Predict("minihdfs", "TestWriteRead"); !ok || s != 12 {
 		t.Fatalf("Predict = %v, %v, want 12 (0.5 s/trial x 24 trials)", s, ok)
 	}
-	if n, ok := p.PredictTrials("minihdfs", "TestWriteRead"); !ok || n != 24 {
-		t.Fatalf("PredictTrials = %v, %v, want 24", n, ok)
-	}
 	// Early stopping shrinks the item to 8 trials at the same per-trial
 	// cost: the prediction must track the shrunk trial count, not the
 	// stale whole-item average.
 	p.RecordTrials("minihdfs", "TestWriteRead", 4, 8)
-	n, ok := p.PredictTrials("minihdfs", "TestWriteRead")
-	if !ok || n != 16 { // EWMA: 0.5*8 + 0.5*24
-		t.Fatalf("PredictTrials = %v, %v, want 16 (EWMA)", n, ok)
-	}
 	s, ok := p.Predict("minihdfs", "TestWriteRead")
-	if !ok || s != 8 { // 0.5 s/trial x 16 expected trials
+	if !ok || s != 8 { // 0.5 s/trial x 16 expected trials (EWMA: 0.5*8 + 0.5*24)
 		t.Fatalf("Predict = %v, %v, want 8 (per-trial decomposition)", s, ok)
 	}
 }
@@ -542,14 +535,11 @@ func TestProfileRecordWithoutTrialsFallsBack(t *testing.T) {
 	if s, ok := p.Predict("a", "t"); !ok || s != 5 {
 		t.Fatalf("Predict = %v, %v, want 5 (whole-item EWMA)", s, ok)
 	}
-	if _, ok := p.PredictTrials("a", "t"); ok {
-		t.Fatal("PredictTrials answered with no trial observations")
-	}
 	// Nil profile stays inert through the new paths too.
 	var nilp *Profile
 	nilp.RecordTrials("a", "t", 1, 2)
-	if _, ok := nilp.PredictTrials("a", "t"); ok {
-		t.Fatal("nil profile predicted trials")
+	if _, ok := nilp.Predict("a", "t"); ok {
+		t.Fatal("nil profile predicted")
 	}
 }
 
@@ -566,9 +556,6 @@ func TestProfileLoadsPreTrialFormat(t *testing.T) {
 	if s, ok := p.Predict("minihdfs", "TestFsck"); !ok || s != 2.5 {
 		t.Fatalf("Predict from pre-trial profile = %v, %v, want 2.5", s, ok)
 	}
-	if _, ok := p.PredictTrials("minihdfs", "TestFsck"); ok {
-		t.Fatal("pre-trial profile predicted trials")
-	}
 	// Folding a trial observation in upgrades the estimate in place and
 	// round-trips through the same version-1 format.
 	p.RecordTrials("minihdfs", "TestFsck", 3, 6)
@@ -580,7 +567,8 @@ func TestProfileLoadsPreTrialFormat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n, ok := p2.PredictTrials("minihdfs", "TestFsck"); !ok || n != 6 {
-		t.Fatalf("PredictTrials after upgrade round-trip = %v, %v, want 6", n, ok)
+	// 0.5 s/trial x 6 trials; the whole-item EWMA alone would say 2.75.
+	if s, ok := p2.Predict("minihdfs", "TestFsck"); !ok || s != 3 {
+		t.Fatalf("Predict after upgrade round-trip = %v, %v, want 3 (per-trial decomposition)", s, ok)
 	}
 }

@@ -145,15 +145,14 @@ const (
 	// Execution memoization catalog (internal/core/memo).
 
 	// MCacheHits counts executions reused from the cache. Labels: app,
-	// scope (local = this process's cache, shared = the coordinator-side
-	// cache behind the dist protocol).
+	// scope (local = this process's cache, shared = the persistent store
+	// a dist coordinator fronts for gateway workers).
 	MCacheHits = "zebraconf_exec_cache_hits_total"
 	// MCacheMisses counts cache lookups that executed for real, in the
 	// process that executed them. A dist coordinator executes nothing: it
-	// counts here the shared-tier lookups a worker sent that the tier
-	// could not answer. Workers send only lookups of re-dispatched items
-	// and of a persistent tier, so a healthy run on an ephemeral tier has
-	// no such series. Labels: app.
+	// counts here the lookups gateway workers sent that the store it
+	// fronts could not answer; without such a store it has no such
+	// series. Labels: app.
 	MCacheMisses = "zebraconf_exec_cache_misses_total"
 	// MCacheCoalesced counts callers that joined an in-flight identical
 	// run instead of duplicating it (singleflight). Labels: app.
