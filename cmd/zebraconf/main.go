@@ -67,7 +67,7 @@ var (
 	// Distributed execution, the campaign service and the disk cache.
 	workerMode   = flag.Bool("worker", false, "run as a campaign worker speaking NDJSON on stdio (spawned by -workers; not for interactive use)")
 	checkpoint   = flag.String("checkpoint", "", "journal completed work items to this JSONL file (with -workers)")
-	resume       = flag.String("resume", "", "skip work items already completed in this checkpoint journal (with -workers)")
+	resume       = flag.String("resume", "", "skip work items already completed in this checkpoint journal")
 	serverURL    = flag.String("server", "", "campaign service URL for -mode submit|watch|cancel (e.g. http://host:8080)")
 	campaignID   = flag.String("campaign", "", "campaign ID for -mode watch|cancel with -server")
 	tokenFlag    = flag.String("token", "", "shared bearer token: -mode serve requires it from clients and workers; submit/watch/cancel and -worker -connect send it")

@@ -191,11 +191,11 @@ func runCampaigns(selected []*harness.App, spec launch.Spec, observer *obs.Obser
 		}
 		env.Cache = store
 	}
+	if len(selected) > 1 && (*checkpoint != "" || *resume != "") {
+		fmt.Fprintln(os.Stderr, "-checkpoint/-resume journal one campaign; use a single -app")
+		return 2
+	}
 	if spec.Workers > 0 {
-		if len(selected) > 1 && (*checkpoint != "" || *resume != "") {
-			fmt.Fprintln(os.Stderr, "-checkpoint/-resume journal one campaign; use a single -app")
-			return 2
-		}
 		exe, err := os.Executable()
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)

@@ -128,14 +128,24 @@ type Options struct {
 	// -mode rerun smoke tests to simulate a changed seeded default. The
 	// app itself is not mutated; its Schema constructor is wrapped.
 	Overrides map[string]string
+	// Stored maps a test name to a result that stands in for executing the
+	// test's work item: the test still pre-runs and its item keeps its
+	// suite-order ID, but the item completes with this result (see
+	// pipeline.release). It is data, not policy — whoever fills it has
+	// decided the results are still valid: launch does, from the item-store
+	// entries PlanRerun validates (-mode rerun) and from a checkpoint
+	// journal's completed items (-resume). Names of tests the campaign does
+	// not select are ignored.
+	Stored map[string]ItemResult
 	// Distributor, when non-nil, executes phase 2's work items instead
 	// of the in-process worker pool — the dist coordinator plugs in
 	// here, sharding items across worker subprocesses. Begin announces
 	// the phase span and total item count, Submit hands items over
 	// incrementally (allowing the streaming pipeline to dispatch items
-	// as their pre-runs finish), and Drain blocks for the results, one
-	// per resolved item in any order; implementations handle their own
-	// errors (an absent item contributes nothing to the merged result).
+	// as their pre-runs finish; one that carries a Stored result completes
+	// with it), and Drain blocks for the results, one per resolved item in
+	// any order; implementations handle their own errors (an absent item
+	// contributes nothing to the merged result).
 	Distributor Distributor
 }
 

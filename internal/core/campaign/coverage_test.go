@@ -27,6 +27,13 @@ func buildIndexAndStore(t *testing.T, app *harness.App, opts Options, res *Resul
 	return ix, st
 }
 
+// rerun runs app under opts with the plan's replayed results standing in
+// for their tests — the input launch builds for -mode rerun.
+func rerun(app *harness.App, opts Options, plan RerunPlan) *Result {
+	opts.Stored = plan.Stored
+	return Run(app, opts)
+}
+
 // TestCampaignCollectsCoverage: a plain run populates the collector with
 // every suite test and the parameters it read.
 func TestCampaignCollectsCoverage(t *testing.T) {
@@ -232,7 +239,7 @@ func TestRerunReplaysUnchangedAndNamesDrift(t *testing.T) {
 	if len(plan.Replayed) != full.NumTests {
 		t.Fatalf("replayed %d of %d tests", len(plan.Replayed), full.NumTests)
 	}
-	rres := Rerun(app, opts, plan, st)
+	rres := rerun(app, opts, plan)
 	if rres.Counts.Executed != 0 {
 		t.Fatalf("replay executed %d instances", rres.Counts.Executed)
 	}
@@ -267,7 +274,7 @@ func TestRerunReplaysUnchangedAndNamesDrift(t *testing.T) {
 	if !containsStr(p.Replayed, "TestPureFunction") {
 		t.Fatalf("non-reader TestPureFunction not replayed: %+v", p)
 	}
-	rres = Rerun(app, ovOpts, p, st)
+	rres = rerun(app, ovOpts, p)
 	if rres.Counts.Executed == 0 {
 		t.Fatal("changed tests did not execute")
 	}

@@ -169,10 +169,18 @@ func (p *pipeline) predict(item WorkItem, preSeconds float64) float64 {
 	return preSeconds * float64(n+1)
 }
 
-// release hands one built item to whatever executes it: the Distributor
+// release hands one built item to whatever completes it: the Distributor
 // in dist mode, else this pipeline's own queue at the item's
-// predicted-duration priority.
+// predicted-duration priority. It is the one place a stored result stands
+// in for an execution: an item whose test has one carries it from here, and
+// completes with it instead of running.
 func (p *pipeline) release(item WorkItem) {
+	if res, ok := p.opts.Stored[item.Test]; ok {
+		// Found by name; the ID is this campaign's, whatever numbered the
+		// campaign that stored it.
+		res.ID, res.Test = item.ID, item.Test
+		item.Stored = &res
+	}
 	if d := p.opts.Distributor; d != nil {
 		d.Submit(item)
 		return
@@ -180,33 +188,41 @@ func (p *pipeline) release(item WorkItem) {
 	p.q.Push(streamTask{item: item}, item.PredSeconds)
 }
 
-// doItem executes one work item on the in-process pool (the distributed
+// doItem completes one work item on the in-process pool (the distributed
 // coordinator emits its own dispatch and completion records, with worker
-// attribution) and feeds its wall clock and trial count back into the
-// profile and the predicted-vs-actual histogram; the item_complete event
-// carries the rest (run-time histogram, live status ETA). What §4's rule
-// makes of the result is quarantined in the generator for the items still
-// to come. The last item closes the queue and with it the worker pool.
+// attribution): it executes the item and feeds its wall clock and trial
+// count back into the profile and the predicted-vs-actual histogram, or
+// takes the stored result the item arrived with. Either way the item gets
+// its one item_complete event, which carries the rest (run-time histogram,
+// live status ETA; stored=true counts it as resumed instead), and what §4's
+// rule makes of the result is quarantined in the generator for the items
+// still to come — silently for a stored one, whose run already announced
+// it. The last item closes the queue and with it the worker pool.
 func (p *pipeline) doItem(item WorkItem) {
 	o, app := p.o, p.app.Name
-	t0 := time.Now()
-	o.Event(obs.EvItemDispatch,
-		obs.String("app", app),
-		obs.Int("item", int64(item.ID)),
-		obs.String("test", item.Test))
-	res := ExecuteItem(p.app, p.gen, p.run, p.opts, p.span, item)
-	secs := time.Since(t0).Seconds()
-	p.opts.Profile.RecordTrials(app, item.Test, secs, res.Executions)
-	if item.PredSeconds > 0 {
-		o.Observe(obs.MSchedPredRatio, secs/item.PredSeconds, "app", app)
-	}
-	o.Event(obs.EvItemComplete,
+	ident := []obs.Attr{
 		obs.String("app", app),
 		obs.Int("item", int64(item.ID)),
 		obs.String("test", item.Test),
-		obs.Float("elapsed_s", secs))
+	}
+	var res ItemResult
+	stored := item.Stored != nil
+	if stored {
+		res = *item.Stored
+		o.Event(obs.EvItemComplete, append(ident, obs.Bool("stored", true))...)
+	} else {
+		t0 := time.Now()
+		o.Event(obs.EvItemDispatch, ident...)
+		res = ExecuteItem(p.app, p.gen, p.run, p.opts, p.span, item)
+		secs := time.Since(t0).Seconds()
+		p.opts.Profile.RecordTrials(app, item.Test, secs, res.Executions)
+		if item.PredSeconds > 0 {
+			o.Observe(obs.MSchedPredRatio, secs/item.PredSeconds, "app", app)
+		}
+		o.Event(obs.EvItemComplete, append(ident, obs.Float("elapsed_s", secs))...)
+	}
 	p.results[item.ID] = res
-	for _, param := range p.failers.Note(res, false) {
+	for _, param := range p.failers.Note(res, stored) {
 		p.gen.Quarantine(param)
 	}
 

@@ -2,11 +2,9 @@ package campaign
 
 import (
 	"encoding/json"
-	"sort"
 
 	"zebraconf/internal/core/coverage"
 	"zebraconf/internal/core/harness"
-	"zebraconf/internal/core/testgen"
 )
 
 // RerunPlan partitions a campaign's tests by comparing each test's
@@ -23,101 +21,43 @@ type RerunPlan struct {
 	// digest drifted (empty for tests with no valid entry or stored
 	// result, or when the drift is in the seed or environment key).
 	Reasons map[string][]string
+	// Stored holds the replayed tests' results as Options.Stored takes
+	// them: decoded from the item store, marked Replayed, execution
+	// counters zeroed — a replay costs nothing and leaks nothing, so the
+	// merged accounting reflects only what this campaign ran.
+	Stored map[string]ItemResult
 }
 
 // PlanRerun computes the rerun partition for app under opts against a
-// previous run's index and item store. A nil index or store plans a
-// full re-execution. Overrides are applied before digesting, so a
-// flipped default changes exactly the tests that read the parameter.
+// previous run's index and item store — the one check that a stored result
+// may still stand in for its test. A nil index or store plans a full
+// re-execution, and a record that no longer decodes re-executes its test.
+// Overrides are applied before digesting, so a flipped default changes
+// exactly the tests that read the parameter.
 func PlanRerun(app *harness.App, opts Options, ix *coverage.Index, store *coverage.ItemStore) RerunPlan {
 	schema := OverrideApp(app, opts.Overrides).Schema()
 	tests, _ := selectTests(app, opts.Tests)
-	plan := RerunPlan{Reasons: make(map[string][]string)}
+	plan := RerunPlan{Reasons: make(map[string][]string), Stored: make(map[string]ItemResult)}
 	for _, t := range tests {
 		name := t.Name
-		stored := ix != nil && store != nil && ix.Tests[name] != nil && store.Items[name] != nil
-		if !stored {
+		var item ItemResult
+		switch {
+		case ix == nil || store == nil || ix.Tests[name] == nil || store.Items[name] == nil:
 			plan.Changed = append(plan.Changed, name)
-			continue
-		}
-		if ix.Valid(name, opts.Seed, opts.CoverageKey, schema) {
+		case !ix.Valid(name, opts.Seed, opts.CoverageKey, schema):
+			plan.Changed = append(plan.Changed, name)
+			if changed := ix.ChangedParams(name, schema); len(changed) > 0 {
+				plan.Reasons[name] = changed
+			}
+		case json.Unmarshal(store.Items[name], &item) != nil:
+			plan.Changed = append(plan.Changed, name)
+		default:
+			item.Executions, item.ExecutionsSaved, item.LeakedGoroutines = 0, 0, 0
+			item.Spans = nil
+			item.Replayed = true
+			plan.Stored[name] = item
 			plan.Replayed = append(plan.Replayed, name)
-			continue
-		}
-		plan.Changed = append(plan.Changed, name)
-		if changed := ix.ChangedParams(name, schema); len(changed) > 0 {
-			plan.Reasons[name] = changed
 		}
 	}
 	return plan
-}
-
-// Rerun executes the plan: changed tests run through a normal campaign,
-// replayed tests' stored item results are decoded with their execution
-// counters zeroed, and the combined item set is merged and scored as
-// one result — identical in reported-set terms to a full run, because
-// replay can only serve verdicts a full run would have recomputed
-// byte-identically (the digests pin every input).
-func Rerun(app *harness.App, opts Options, plan RerunPlan, store *coverage.ItemStore) *Result {
-	schema := OverrideApp(app, opts.Overrides).Schema()
-	gen := testgen.New(schema)
-	if len(opts.Params) > 0 {
-		gen.SetFilter(opts.Params)
-	}
-
-	var res *Result
-	var items []ItemResult
-	if len(plan.Changed) > 0 {
-		ropts := opts
-		ropts.Tests = plan.Changed
-		fresh := Run(app, ropts)
-		res = fresh
-		items = append(items, fresh.Items...)
-	} else {
-		res = &Result{App: app.Name, NumParams: schema.Len(), Coverage: coverage.NewCollector()}
-	}
-
-	replayed := append([]string(nil), plan.Replayed...)
-	sort.Strings(replayed)
-	for i, name := range replayed {
-		raw := store.Items[name]
-		if raw == nil {
-			continue
-		}
-		var item ItemResult
-		if err := json.Unmarshal(raw, &item); err != nil {
-			continue
-		}
-		// Replay costs nothing and leaks nothing; IDs are remapped past
-		// the fresh items so the deterministic ID-ordered merge folds
-		// fresh results first, then replays in sorted-name order.
-		item.ID = len(plan.Changed) + i
-		item.Test = name
-		item.Executions = 0
-		item.ExecutionsSaved = 0
-		item.LeakedGoroutines = 0
-		item.Spans = nil
-		item.Replayed = true
-		items = append(items, item)
-	}
-
-	// Re-merge the combined item set. Merge-derived fields reset first;
-	// replayed items have zeroed counters, so execution accounting still
-	// reflects only what actually ran. LeakedGoroutines is overwritten
-	// afterwards: the in-process path measures it as a campaign-wide
-	// delta, not per item, and the merge would lose it.
-	leaked := res.LeakedGoroutines
-	res.Reported = nil
-	res.TruePositives, res.FalsePositives = 0, 0
-	res.Missed = nil
-	res.FirstTrialSignals, res.FilteredByHypothesis, res.HomoInvalid = 0, 0, 0
-	res.SkippedTests = nil
-	res.QuarantinedItems = nil
-	res.Counts.Executed, res.Counts.ExecutionsSaved = 0, 0
-	res.LeakedGoroutines = 0
-	mergeResults(res, schema, gen, items, opts)
-	res.LeakedGoroutines = leaked
-	res.Items = items
-	res.NumTests = len(plan.Changed) + len(plan.Replayed)
-	return res
 }

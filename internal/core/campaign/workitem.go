@@ -16,12 +16,18 @@ import (
 // together with its report, from which an executor derives every test
 // instance. Items are serializable, so the distributed executor can ship
 // them to worker subprocesses over the wire; IDs are indexes into the
-// pre-run order, so the same app + test subset + seed always yields the
-// same item IDs (the checkpoint journal depends on this).
+// pre-run order, so the same app + test subset always yields the same item
+// IDs and the merge folds items in suite order. Nothing stored on disk is
+// keyed by them: a stored result is found by test name.
 type WorkItem struct {
 	ID     int            `json:"id"`
 	Test   string         `json:"test"`
 	PreRun testgen.PreRun `json:"prerun"`
+	// Stored, when non-nil, is the result this item completes with instead
+	// of executing (Options.Stored, renumbered to this item's ID). Whoever
+	// completes items honours it — the pipeline's pool, or the Distributor,
+	// which never ships such an item to a worker.
+	Stored *ItemResult `json:"-"`
 	// PredSeconds is the scheduler's predicted wall clock for this item
 	// (profile estimate, or the cold-campaign pre-run fallback). Purely
 	// advisory: it orders dispatch and arms speculation deadlines, and
@@ -100,7 +106,8 @@ type ItemResult struct {
 	Coverage []string `json:"coverage,omitempty"`
 	// Replayed marks a result served from a previous run's item store by
 	// -mode rerun rather than executed; its execution counters are
-	// zeroed (replay costs nothing).
+	// zeroed (replay costs nothing), and the item store keeps the record it
+	// was decoded from.
 	Replayed bool `json:"replayed,omitempty"`
 	// Spans carries the worker-local trace fragment for this item
 	// (populated only by worker subprocesses running with item tracing

@@ -6,8 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os/exec"
-	"path/filepath"
 	"sort"
 	"strconv"
 	"sync"
@@ -35,6 +35,12 @@ const (
 	// spawnFailureLimit is how many consecutive failed launches kill a
 	// worker slot for good.
 	spawnFailureLimit = 3
+	// stallHeartbeats is how many heartbeat intervals a worker may stay
+	// silent before it is flagged stalled (advisory — the worker is not
+	// killed; the per-item deadline still governs). With Config.HeartbeatMS
+	// zero nothing is ever stalled: a worker that never heartbeats (and
+	// legacy test fakes) has no interval to miss.
+	stallHeartbeats = 5
 )
 
 // Options configures a Coordinator.
@@ -56,11 +62,10 @@ type Options struct {
 	Sessions *Gateway
 	// Config is the campaign configuration shipped to every worker.
 	Config Config
-	// CheckpointPath, when set, journals every completed item so a later
-	// run can -resume. ResumePath, when set, replays a journal's completed
-	// items instead of re-executing them; the two may name the same file.
+	// CheckpointPath, when set, journals every completed item — executed,
+	// or submitted with a stored result the file does not hold yet — so a
+	// later campaign can -resume from it.
 	CheckpointPath string
-	ResumePath     string
 	// ItemTimeout bounds one item's dispatch-to-result wall clock; a
 	// worker holding an overdue item is killed. Zero means
 	// DefaultItemTimeout.
@@ -87,12 +92,6 @@ type Options struct {
 	// after which a parameter is broadcast to workers as quarantined
 	// (§4's frequent-failer rule); 0 means 3.
 	QuarantineThreshold int
-	// StallAfter is how long a worker may go without a heartbeat before
-	// it is flagged stalled (advisory — the worker is not killed; the
-	// per-item deadline still governs). Zero means 5× the heartbeat
-	// interval. Irrelevant when Config.HeartbeatMS is zero: a worker
-	// that never heartbeats (and legacy test fakes) is never stalled.
-	StallAfter time.Duration
 	// SharedBackend, when non-nil, is a persistent execution store the
 	// workers cannot open themselves (gateway workers on other machines):
 	// the coordinator answers their cache-gets from it and writes their
@@ -197,10 +196,9 @@ func (c *Coordinator) Abort() {
 }
 
 // Start opens an incremental run expecting exactly total Submits:
-// workers spawn immediately and start on items as they arrive, which is
-// what lets the campaign's streaming pipeline dispatch each item the
-// moment its pre-run finishes. Checkpoint/resume state loads here, so
-// Submit can skip already-completed items.
+// workers spawn with the first item to run and start on items as they
+// arrive, which is what lets the campaign's streaming pipeline dispatch
+// each item the moment its pre-run finishes.
 func (c *Coordinator) Start(parent obs.SpanID, total int) (*Run, error) {
 	if c.opts.WorkerCmd == nil && c.opts.Sessions == nil {
 		return nil, errors.New("dist: Coordinator requires WorkerCmd or Sessions")
@@ -230,12 +228,7 @@ func (c *Coordinator) Start(parent obs.SpanID, total int) (*Run, error) {
 		span:     span,
 	}
 	r.hbEvery = time.Duration(c.opts.Config.HeartbeatMS) * time.Millisecond
-	if r.hbEvery > 0 {
-		r.stallAfter = c.opts.StallAfter
-		if r.stallAfter <= 0 {
-			r.stallAfter = 5 * r.hbEvery
-		}
-	}
+	r.stallAfter = stallHeartbeats * r.hbEvery
 	if r.opts.ItemTimeout <= 0 {
 		r.opts.ItemTimeout = DefaultItemTimeout
 	}
@@ -274,15 +267,23 @@ type Run struct {
 	journal  *Journal
 	q        *sched.Queue[campaign.WorkItem]
 	wake     chan struct{} // see queue.go
-	resumed  map[int]*campaign.ItemResult
+	// work is closed by the first push: until there is an item to run no
+	// slot obtains a worker, so a run whose every item arrives with a
+	// stored result starts none.
+	work     chan struct{}
+	workOnce sync.Once
+	// held names the tests the checkpoint file already had a completed
+	// record for when this run opened it; a stored result for one of them
+	// is not journaled again.
+	held map[string]bool
 	// failers decides which parameters to broadcast as quarantined; it
 	// has its own lock.
 	failers *campaign.FrequentFailers
 	wg      sync.WaitGroup
 
-	// Heartbeat supervision, resolved from Config.HeartbeatMS and
-	// Options.StallAfter at Start; stalls counts stall events across
-	// every session for the campaign report.
+	// Heartbeat supervision, resolved from Config.HeartbeatMS at Start;
+	// stalls counts stall events across every session for the campaign
+	// report.
 	hbEvery    time.Duration
 	stallAfter time.Duration
 	stalls     atomic.Int64
@@ -298,8 +299,7 @@ type Run struct {
 	// speculation deadline fallback for items without a prediction.
 	durSum      float64
 	durN        int
-	completions int // unique pending items resolved this run
-	pendingN    int
+	completions int // unique items resolved this run
 	live        int // worker slots not yet permanently dead
 	lastFailure string
 	failErr     error
@@ -309,31 +309,20 @@ type Run struct {
 }
 
 func (r *Run) start() error {
-	resumed, err := r.loadResume()
-	if err != nil {
+	if err := r.openCheckpoint(); err != nil {
 		return err
 	}
-	if err := r.openCheckpoint(resumed); err != nil {
-		return err
-	}
-	r.resumed = resumed
 	r.results = make(map[int]campaign.ItemResult)
 	r.attempts = make(map[int]int)
 	r.flights = make(map[int]*flight)
 	r.sessions = make(map[int]*workerSession)
 	r.failers = campaign.NewFrequentFailers(r.opts.App, r.opts.QuarantineThreshold, r.o)
-	r.pendingN = r.total - len(resumed)
 	r.live = r.workers
 	r.doneCh = make(chan struct{})
 	r.q = sched.NewQueue[campaign.WorkItem](r.opts.SchedPolicy, r.o, r.opts.App, "dist")
 	r.wake = make(chan struct{}, 1)
-	// Resumed confirmations count toward quarantine, so this run's
-	// workers still learn about parameters the interrupted run condemned
-	// (via the catch-up send when each session registers).
-	for _, res := range resumed {
-		r.failers.Note(*res, true)
-	}
-	if r.pendingN <= 0 {
+	r.work = make(chan struct{})
+	if r.total <= 0 {
 		r.finished = true
 		close(r.doneCh)
 		return nil
@@ -349,16 +338,20 @@ func (r *Run) start() error {
 }
 
 // Submit hands one work item to the run; exactly Start's total must be
-// submitted. Items completed by a resumed journal are skipped (their
-// results are already in); the rest enter the queue immediately, so
-// workers start on them while later pre-runs are still executing.
+// submitted. An item that carries a stored result completes with it here
+// and now; the rest enter the queue immediately, so workers start on them
+// while later pre-runs are still executing.
 func (r *Run) Submit(item campaign.WorkItem) {
 	r.mu.Lock()
 	r.submitted++
 	r.allSubmitted = r.submitted >= r.total
-	_, done := r.resumed[item.ID]
+	if item.Stored != nil {
+		r.results[item.ID] = *item.Stored
+		r.completions++
+	}
 	r.mu.Unlock()
-	if done || r.pendingN <= 0 {
+	if item.Stored != nil {
+		r.complete(*item.Stored, true, obs.Bool("stored", true))
 		return
 	}
 	r.push(item)
@@ -386,9 +379,9 @@ func (r *Run) Abort() {
 	close(r.doneCh)
 }
 
-// Drain blocks until every pending item resolves (or the run halts, or
-// every worker slot is lost) and returns one ItemResult per completed
-// item — including items replayed from ResumePath and items quarantined
+// Drain blocks until every item resolves (or the run halts, or every
+// worker slot is lost) and returns one ItemResult per completed item —
+// including items submitted with a stored result and items quarantined
 // after exhausting retries — sorted by item ID.
 func (r *Run) Drain() ([]campaign.ItemResult, error) {
 	r.wg.Wait()
@@ -399,13 +392,10 @@ func (r *Run) Drain() ([]campaign.ItemResult, error) {
 	defer r.span.End()
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.failErr != nil && r.completions < r.pendingN && !r.halted {
+	if r.failErr != nil && r.completions < r.total && !r.halted {
 		return nil, r.failErr
 	}
-	out := make([]campaign.ItemResult, 0, len(r.resumed)+len(r.results))
-	for _, res := range r.resumed {
-		out = append(out, *res)
-	}
+	out := make([]campaign.ItemResult, 0, len(r.results))
 	for _, res := range r.results {
 		out = append(out, res)
 	}
@@ -413,51 +403,24 @@ func (r *Run) Drain() ([]campaign.ItemResult, error) {
 	return out, nil
 }
 
-// loadResume replays the resume journal's completed items and validates
-// that the journal belongs to this exact campaign (app, seed, item count
-// — item IDs are indexes into the pre-run order, so any mismatch would
-// silently misattribute results).
-func (r *Run) loadResume() (map[int]*campaign.ItemResult, error) {
-	if r.opts.ResumePath == "" {
-		return nil, nil
-	}
-	recs, err := ReadJournal(r.opts.ResumePath)
-	if err != nil {
-		return nil, err
-	}
-	resumed := make(map[int]*campaign.ItemResult)
-	headers := 0
-	for _, rec := range recs {
-		switch rec.Kind {
-		case KindHeader:
-			headers++
-			if rec.App != r.opts.App || rec.Seed != r.opts.Config.Seed || rec.Items != r.total {
-				return nil, fmt.Errorf(
-					"dist: checkpoint %s is for app=%s seed=%d items=%d, not app=%s seed=%d items=%d",
-					r.opts.ResumePath, rec.App, rec.Seed, rec.Items,
-					r.opts.App, r.opts.Config.Seed, r.total)
-			}
-		case KindDone:
-			if rec.Result != nil {
-				res := *rec.Result
-				resumed[res.ID] = &res
-			}
-		}
-	}
-	if headers == 0 {
-		return nil, fmt.Errorf("dist: checkpoint %s has no header record", r.opts.ResumePath)
-	}
-	r.o.CounterAdd(obs.MItemsResumed, int64(len(resumed)), "app", r.opts.App)
-	r.span.SetAttr(obs.Int("resumed", int64(len(resumed))))
-	return resumed, nil
-}
-
 // openCheckpoint opens the checkpoint journal and appends this session's
-// header. When resuming into a different file, the resumed results are
-// re-journaled so the new checkpoint is self-contained.
-func (r *Run) openCheckpoint(resumed map[int]*campaign.ItemResult) error {
+// header. What the file already holds is read first, so that resuming into
+// the journal being resumed from does not write every stored result back
+// into it, while resuming into a different file leaves that one
+// self-contained.
+func (r *Run) openCheckpoint() error {
 	if r.opts.CheckpointPath == "" {
 		return nil
+	}
+	recs, err := ReadJournal(r.opts.CheckpointPath)
+	if err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return err
+	}
+	r.held = make(map[string]bool)
+	for _, rec := range recs {
+		if rec.Kind == KindDone && rec.Result != nil {
+			r.held[rec.Test] = true
+		}
 	}
 	j, err := OpenJournal(r.opts.CheckpointPath, 0)
 	if err != nil {
@@ -466,21 +429,6 @@ func (r *Run) openCheckpoint(resumed map[int]*campaign.ItemResult) error {
 	r.journal = j
 	if err := j.Append(Record{Kind: KindHeader, App: r.opts.App, Seed: r.opts.Config.Seed, Items: r.total}); err != nil {
 		return err
-	}
-	sameFile := r.opts.ResumePath != "" &&
-		filepath.Clean(r.opts.ResumePath) == filepath.Clean(r.opts.CheckpointPath)
-	if len(resumed) > 0 && !sameFile {
-		ids := make([]int, 0, len(resumed))
-		for id := range resumed {
-			ids = append(ids, id)
-		}
-		sort.Ints(ids)
-		for _, id := range ids {
-			res := resumed[id]
-			if err := j.Append(Record{Kind: KindDone, Item: res.ID, Test: res.Test, Result: res}); err != nil {
-				return err
-			}
-		}
 	}
 	return j.Sync()
 }
@@ -498,6 +446,11 @@ const (
 // or wait for a gateway worker), run it, replace it on crash, retire
 // the slot after spawnFailureLimit consecutive failed launches.
 func (r *Run) supervise(slot int) {
+	select {
+	case <-r.work:
+	case <-r.doneCh:
+		return
+	}
 	fails := 0
 	for {
 		if r.stopped() {
@@ -989,18 +942,6 @@ func (r *Run) recordResult(slot int, res campaign.ItemResult, elapsed time.Durat
 			obs.Int("item", int64(res.ID)),
 			obs.Int("worker", int64(slot)))
 	}
-	if r.journal != nil {
-		if err := r.journal.Append(Record{Kind: KindDone, Item: res.ID, Test: res.Test, Result: &res}); err != nil {
-			r.noteFailure("checkpoint write failed: " + err.Error())
-		}
-	}
-	o.Event(obs.EvItemComplete,
-		obs.String("app", app),
-		obs.Int("item", int64(res.ID)),
-		obs.String("test", res.Test),
-		obs.Int("worker", int64(slot)),
-		obs.Float("elapsed_s", elapsed.Seconds()),
-		obs.Bool("spec", spec))
 	// Worker-process metrics registries are not merged, so the coordinator
 	// replays the item's tallies: executions, executions the cache saved
 	// (local and shared hits alike), instances.
@@ -1037,16 +978,34 @@ func (r *Run) recordResult(slot int, res campaign.ItemResult, elapsed time.Durat
 	if pred > 0 {
 		o.Observe(obs.MSchedPredRatio, elapsed.Seconds()/pred, "app", app)
 	}
-	r.noteConfirmations(res)
-	r.maybeFinish()
+	r.complete(res, false,
+		obs.Int("worker", int64(slot)),
+		obs.Float("elapsed_s", elapsed.Seconds()),
+		obs.Bool("spec", spec))
 	return true
 }
 
-// noteConfirmations feeds one item result to §4's frequent-failer rule and
-// broadcasts (best-effort) every parameter it quarantines to the live
-// workers, so remaining items skip its instances.
-func (r *Run) noteConfirmations(res campaign.ItemResult) {
-	for _, param := range r.failers.Note(res, false) {
+// complete is the end of every item's road once its result is in
+// r.results, executed by a worker or submitted with a stored result: the
+// checkpoint record, the one item_complete event (how says which of the two
+// it was), §4's frequent-failer rule, and the check whether that was the
+// last item. A stored result the checkpoint already holds is not written to
+// it again, and what it quarantines is not announced again (its own run
+// did) — but is broadcast (best-effort) to the live workers like any other,
+// so remaining items skip the parameter's instances; a worker that connects
+// later is caught up by addSession.
+func (r *Run) complete(res campaign.ItemResult, stored bool, how ...obs.Attr) {
+	if r.journal != nil && !(stored && r.held[res.Test]) {
+		if err := r.journal.Append(Record{Kind: KindDone, Item: res.ID, Test: res.Test, Result: &res}); err != nil {
+			r.noteFailure("checkpoint write failed: " + err.Error())
+		}
+	}
+	r.o.Event(obs.EvItemComplete, append([]obs.Attr{
+		obs.String("app", r.opts.App),
+		obs.Int("item", int64(res.ID)),
+		obs.String("test", res.Test),
+	}, how...)...)
+	for _, param := range r.failers.Note(res, stored) {
 		r.mu.Lock()
 		targets := make([]*workerSession, 0, len(r.sessions))
 		for _, s := range r.sessions {
@@ -1059,6 +1018,7 @@ func (r *Run) noteConfirmations(res campaign.ItemResult) {
 			s.send(Msg{Type: MsgQuarantine, Param: param})
 		}
 	}
+	r.maybeFinish()
 }
 
 // retryOrGiveUp charges one failed attempt to an item: requeue it for a
@@ -1110,15 +1070,15 @@ func (r *Run) retryOrGiveUp(item campaign.WorkItem, reason string) {
 	r.maybeFinish()
 }
 
-// maybeFinish closes the run when every pending item is resolved, or
-// when the MaxItems testing hook trips.
+// maybeFinish closes the run when every item is resolved, or when the
+// MaxItems testing hook trips.
 func (r *Run) maybeFinish() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.finished {
 		return
 	}
-	if r.completions >= r.pendingN {
+	if r.completions >= r.total {
 		r.finished = true
 		close(r.doneCh)
 		return

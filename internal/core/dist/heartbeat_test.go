@@ -210,8 +210,8 @@ func runHBFakeWorker() {
 	os.Exit(0)
 }
 
-// TestCoordinatorStallDetection runs the silent fake under a 150ms
-// stall threshold: the coordinator must flag the stall (gauge, counter,
+// TestCoordinatorStallDetection runs the silent fake under a 125ms
+// stall threshold (five 25ms heartbeats): the coordinator must flag the stall (gauge, counter,
 // event, status) while still accepting the late result — stalls are
 // advisory, not kills.
 func TestCoordinatorStallDetection(t *testing.T) {
@@ -227,7 +227,6 @@ func TestCoordinatorStallDetection(t *testing.T) {
 		Workers:     1,
 		WorkerCmd:   workerFactory("ZEBRACONF_DIST_HB_FAKE=1"),
 		Config:      dist.Config{Parallel: 1, HeartbeatMS: 25},
-		StallAfter:  150 * time.Millisecond,
 		ItemTimeout: 20 * time.Second,
 		Obs:         o,
 		Stderr:      os.Stderr,
@@ -294,8 +293,8 @@ func TestCoordinatorStallDetection(t *testing.T) {
 	}
 }
 
-// TestCoordinatorHeartbeatHealthy: with generous thresholds a beating
-// worker is never flagged, and every heartbeat lands in the status
+// TestCoordinatorHeartbeatHealthy: a worker beating every 50ms is never
+// 250ms silent, so never flagged, and every heartbeat lands in the status
 // table.
 func TestCoordinatorHeartbeatHealthy(t *testing.T) {
 	t.Parallel()
@@ -307,7 +306,6 @@ func TestCoordinatorHeartbeatHealthy(t *testing.T) {
 		Workers:     2,
 		WorkerCmd:   workerFactory(),
 		Config:      dist.Config{Parallel: 1, HeartbeatMS: 50},
-		StallAfter:  10 * time.Second,
 		ItemTimeout: 60 * time.Second,
 		Obs:         o,
 		Stderr:      os.Stderr,

@@ -239,10 +239,9 @@ func TestWorkerKillThenResumeByteIdentical(t *testing.T) {
 
 	// Resume: checkpointed items must be replayed, not re-executed.
 	resObs := obs.New()
-	resumed := runDistributed(t, app, subsetOptions(seed, resObs), dist.Options{
-		Workers:    1,
-		WorkerCmd:  workerFactory(),
-		ResumePath: ck,
+	resumed := runDistributed(t, app, resumeFrom(t, ck, app, subsetOptions(seed, resObs)), dist.Options{
+		Workers:   1,
+		WorkerCmd: workerFactory(),
 	})
 	if n := resObs.Metrics.CounterValue(obs.MItemsResumed, "app", app.Name); n != doneItems {
 		t.Fatalf("items resumed = %d, want %d", n, doneItems)
@@ -340,12 +339,12 @@ func TestKillResumeSingleEvidencePerItem(t *testing.T) {
 		MaxItems:       2,
 	})
 
-	// Resume into a different journal: openCheckpoint re-journals the
-	// replayed items, so ck2 is the self-contained record of the campaign.
-	runDistributed(t, app, opts, dist.Options{
+	// Resume into a different journal: a stored result the checkpoint does
+	// not hold is journaled like an executed one, so ck2 is the
+	// self-contained record of the campaign.
+	runDistributed(t, app, resumeFrom(t, ck, app, opts), dist.Options{
 		Workers:        1,
 		WorkerCmd:      workerFactory(),
-		ResumePath:     ck,
 		CheckpointPath: ck2,
 	})
 

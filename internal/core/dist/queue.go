@@ -9,9 +9,11 @@ import "zebraconf/internal/core/campaign"
 // to look at.
 
 // push enqueues one item — a first submission or a retry alike — at its
-// predicted-duration priority and wakes an idle session.
+// predicted-duration priority and wakes an idle session (the first push
+// also releases the slots to obtain their workers).
 func (r *Run) push(item campaign.WorkItem) {
 	r.q.Push(item, item.PredSeconds)
+	r.workOnce.Do(func() { close(r.work) })
 	r.pulse()
 }
 

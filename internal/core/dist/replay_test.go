@@ -50,6 +50,21 @@ func foldSeries(t *testing.T, o *obs.Observer, families []string) map[string]flo
 	return out
 }
 
+// replay feeds a parsed events.jsonl back through Event on a fresh Observer
+// with status tables and a registry attached.
+func replay(recs []obs.EventRecord) *obs.Observer {
+	o := obs.New()
+	o.Status = obs.NewStatus()
+	for _, rec := range recs {
+		attrs := make([]obs.Attr, 0, len(rec.Attrs))
+		for k, v := range rec.Attrs { // every number is a float64 by now
+			attrs = append(attrs, obs.Attr{Key: k, Value: v})
+		}
+		o.Event(rec.Event, attrs...)
+	}
+	return o
+}
+
 // TestEventLogRebuildsViews: the event log is enough to rebuild the views
 // derived from it. A real campaign runs with an event log, the status
 // tables and a registry attached; its events.jsonl, fed back through Event
@@ -96,16 +111,10 @@ func TestEventLogRebuildsViews(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			replayed := obs.New()
-			replayed.Status = obs.NewStatus()
+			replayed := replay(recs)
 			seen := make(map[string]bool)
 			for _, rec := range recs {
 				seen[rec.Event] = true
-				attrs := make([]obs.Attr, 0, len(rec.Attrs))
-				for k, v := range rec.Attrs { // every number is a float64 by now
-					attrs = append(attrs, obs.Attr{Key: k, Value: v})
-				}
-				replayed.Event(rec.Event, attrs...)
 			}
 			for _, ev := range []string{obs.EvCampaignStart, obs.EvItemQueued, obs.EvItemComplete, obs.EvCampaignFinish} {
 				if !seen[ev] {

@@ -447,8 +447,8 @@ func (a *Analysis) analyzeEvents(events []obs.EventRecord) {
 			}
 		case obs.EvItemComplete:
 			item, ok := attrInt(e.Attrs, "item")
-			if !ok {
-				continue
+			if stored, _ := e.Attrs["stored"].(bool); !ok || stored {
+				continue // a stored result occupied no lane
 			}
 			slot := int64(-1)
 			if w, ok := attrInt(e.Attrs, "worker"); ok {

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"math"
 	"os/exec"
 	"time"
@@ -41,21 +42,26 @@ type Env struct {
 	// Stderr receives worker stderr. May be nil.
 	Stderr io.Writer
 	// LedgerDir, when set, is read for the previous run's coverage index
-	// and item store and receives this run's, plus its ledger record.
+	// (and, by a rerun, its item store) and receives this run's, plus its
+	// ledger record.
 	LedgerDir string
 	// ProfilePath, when set, is the duration profile read for predictions
 	// and rewritten with this campaign's timings, so every run sharpens
 	// the next one's schedule.
 	ProfilePath string
-	// CheckpointPath and ResumePath journal and replay completed work
-	// items (with Spec.Workers > 0); they may name the same file.
-	CheckpointPath, ResumePath string
-	// Rerun, when non-nil, makes this an incremental rerun against
-	// LedgerDir: tests whose digested inputs are unchanged replay from the
-	// item store. It is called once before anything executes, with the
-	// partition — or with nil when the directory is cold and the full
-	// campaign runs instead.
-	Rerun func(*campaign.RerunPlan)
+	// CheckpointPath journals completed work items (with Spec.Workers > 0).
+	CheckpointPath string
+	// ResumePath and Rerun are the two sources of campaign.Options.Stored,
+	// the results that stand in for executing their tests, in process and
+	// with workers alike (a journal's wins over the item store's).
+	// ResumePath names a checkpoint journal, possibly CheckpointPath, whose
+	// completed items are not executed again. Rerun, when non-nil, makes
+	// this an incremental rerun against LedgerDir: tests whose digested
+	// inputs are unchanged take their result from the item store. It is
+	// called once before anything executes, with the partition — or with
+	// nil when the directory is cold and the full campaign runs instead.
+	ResumePath string
+	Rerun      func(*campaign.RerunPlan)
 }
 
 // Outcome is a launched campaign's result and what was recorded of it.
@@ -77,9 +83,13 @@ type prepared struct {
 	coord *dist.Coordinator // nil in process
 	// slots is the parallel execution budget, the denominator of the perf
 	// summary's utilization.
-	slots     int
-	prevIx    *coverage.Index
+	slots  int
+	prevIx *coverage.Index
+	// prevItems is the previous run's item store (18.9 MB for a whole
+	// minihdfs campaign) once something needs it: a rerun, or saveCoverage
+	// with records to carry forward.
 	prevItems *coverage.ItemStore
+	plan      *campaign.RerunPlan // nil unless a rerun against a warm LedgerDir
 }
 
 func prepare(app *harness.App, spec Spec, env Env) (*prepared, error) {
@@ -129,15 +139,28 @@ func prepare(app *harness.App, spec Spec, env Env) (*prepared, error) {
 		l.opts.CacheBackend = env.Cache
 	}
 	if env.LedgerDir != "" {
-		// Both are optional: a cold directory just means a full run that
-		// seeds them.
+		// Optional: a cold directory just means a full run that seeds it.
 		if l.prevIx, err = coverage.Load(env.LedgerDir, app.Name); err != nil {
 			return nil, fmt.Errorf("reading coverage index: %w", err)
 		}
+		l.opts.CoverageIndex = l.prevIx
+	}
+	l.opts.Stored = make(map[string]campaign.ItemResult)
+	if env.Rerun != nil {
 		if l.prevItems, err = coverage.LoadItems(env.LedgerDir, app.Name); err != nil {
 			return nil, fmt.Errorf("reading coverage item store: %w", err)
 		}
-		l.opts.CoverageIndex = l.prevIx
+		if l.prevIx != nil && l.prevItems != nil {
+			plan := campaign.PlanRerun(app, l.opts, l.prevIx, l.prevItems)
+			l.plan, l.opts.Stored = &plan, plan.Stored
+		}
+	}
+	if env.ResumePath != "" {
+		done, err := ReadResume(env.ResumePath, app.Name, spec.Seed)
+		if err != nil {
+			return nil, err
+		}
+		maps.Copy(l.opts.Stored, done)
 	}
 	if spec.Workers <= 0 {
 		return l, nil
@@ -161,7 +184,6 @@ func prepare(app *harness.App, spec Spec, env Env) (*prepared, error) {
 		WorkerCmd:           env.WorkerCmd,
 		Sessions:            env.Sessions,
 		CheckpointPath:      env.CheckpointPath,
-		ResumePath:          env.ResumePath,
 		ItemTimeout:         time.Duration(spec.ItemTimeout),
 		ItemRetries:         spec.ItemRetries,
 		SchedPolicy:         p.policy,
@@ -199,20 +221,10 @@ func Campaign(ctx context.Context, app *harness.App, spec Spec, env Env) (*Outco
 		defer stop()
 	}
 	start := time.Now()
-	var res *campaign.Result
-	var plan *campaign.RerunPlan
 	if env.Rerun != nil {
-		if l.prevIx != nil && l.prevItems != nil {
-			p := campaign.PlanRerun(app, l.opts, l.prevIx, l.prevItems)
-			plan = &p
-		}
-		env.Rerun(plan)
+		env.Rerun(l.plan)
 	}
-	if plan != nil {
-		res = campaign.Rerun(app, l.opts, *plan, l.prevItems)
-	} else {
-		res = campaign.Run(app, l.opts)
-	}
+	res := campaign.Run(app, l.opts)
 	if l.coord != nil {
 		// The campaign cannot produce a result without the distributed
 		// items, so a coordinator failure is fatal.
@@ -230,14 +242,14 @@ func Campaign(ctx context.Context, app *harness.App, spec Spec, env Env) (*Outco
 	out := &Outcome{Result: res}
 	var errs []error
 	if env.LedgerDir != "" {
-		if err := l.saveCoverage(env.LedgerDir, app, res, plan); err != nil {
+		if err := l.saveCoverage(env.LedgerDir, app, res); err != nil {
 			errs = append(errs, err)
 		}
 		rec := ledger.Summarize(res, spec.Seed, start, spec.Workers, spec.ExecFlags())
 		rec.Perf = obs.SummarizePerf(env.Obs, res.App, res.Elapsed.Seconds(), l.slots)
-		if plan != nil {
-			rec.ChangedTests = len(plan.Changed)
-			rec.ReplayedTests = len(plan.Replayed)
+		if l.plan != nil {
+			rec.ChangedTests = len(l.plan.Changed)
+			rec.ReplayedTests = len(l.plan.Replayed)
 		}
 		if err := ledger.Append(env.LedgerDir, rec); err != nil {
 			errs = append(errs, fmt.Errorf("writing run ledger: %w", err))
@@ -254,33 +266,69 @@ func Campaign(ctx context.Context, app *harness.App, spec Spec, env Env) (*Outco
 	return out, nil
 }
 
+// ReadResume reads the completed items of the checkpoint journal at path as
+// campaign.Options.Stored takes them, keyed by test name — the last record
+// of a test wins, and records of tests the resuming campaign does not
+// select are simply never looked up. The journal must be one of app at
+// seed: executions are seeded, so another seed's results are another
+// campaign's. Item numbering and the test list are free to differ.
+func ReadResume(path, app string, seed int64) (map[string]campaign.ItemResult, error) {
+	recs, err := dist.ReadJournal(path)
+	if err != nil {
+		return nil, err
+	}
+	done := make(map[string]campaign.ItemResult)
+	headers := 0
+	for _, rec := range recs {
+		switch rec.Kind {
+		case dist.KindHeader:
+			headers++
+			if rec.App != app || rec.Seed != seed {
+				return nil, fmt.Errorf("checkpoint %s is for app=%s seed=%d, not app=%s seed=%d",
+					path, rec.App, rec.Seed, app, seed)
+			}
+		case dist.KindDone:
+			if rec.Result != nil {
+				done[rec.Test] = *rec.Result
+			}
+		}
+	}
+	if headers == 0 {
+		return nil, fmt.Errorf("checkpoint %s has no header record", path)
+	}
+	return done, nil
+}
+
 // saveCoverage persists the campaign's read-coverage index and replayable
 // item store into the ledger directory, folding in whatever of the
 // previous run still stands: entries for deselected tests (which ran
 // nothing this time, so only the prior entry knows their reads) and for
-// replayed tests (whose prior entry is by construction still valid).
-// Without the Adopt step a warm selection run would drop the very
-// entries it selected on, and the next run would oscillate back to full
-// dispatch.
-func (l *prepared) saveCoverage(dir string, app *harness.App, res *campaign.Result, plan *campaign.RerunPlan) error {
+// replayed tests (whose prior entry is by construction still valid, and
+// replaces this run's, which knows a pre-run's reads only). Without the
+// Adopt step a warm selection run would drop the very entries it selected
+// on, and the next run would oscillate back to full dispatch.
+func (l *prepared) saveCoverage(dir string, app *harness.App, res *campaign.Result) error {
 	if res.Coverage == nil {
 		return nil
 	}
 	schema := campaign.OverrideApp(app, l.opts.Overrides).Schema()
 	ix := coverage.Build(app.Name, l.opts.Seed, l.opts.CoverageKey, res.Coverage, schema)
 	carry := append([]string(nil), res.DeselectedTests...)
-	if plan != nil {
-		carry = append(carry, plan.Replayed...)
-	}
-	ix.Adopt(l.prevIx, carry)
-
 	st := &coverage.ItemStore{App: app.Name, Items: make(map[string]json.RawMessage)}
 	for _, it := range res.Items {
 		if it.Replayed {
-			continue // the carried-forward raw record is the source of truth
-		}
-		if b, err := json.Marshal(it); err == nil {
+			// The raw record it came from is the source of truth.
+			carry = append(carry, it.Test)
+			delete(ix.Tests, it.Test)
+		} else if b, err := json.Marshal(it); err == nil {
 			st.Items[it.Test] = b
+		}
+	}
+	ix.Adopt(l.prevIx, carry)
+	if len(carry) > 0 && l.prevItems == nil {
+		var err error
+		if l.prevItems, err = coverage.LoadItems(dir, app.Name); err != nil {
+			return fmt.Errorf("reading coverage item store: %w", err)
 		}
 	}
 	if l.prevItems != nil {

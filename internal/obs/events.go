@@ -33,7 +33,9 @@ const (
 	// (+ worker, spec in dist mode).
 	EvItemDispatch = "item_dispatch"
 	// EvItemComplete marks one work item's result being accounted.
-	// Attrs: app, item, test, elapsed_s (+ worker, spec in dist mode).
+	// Attrs: app, item, test, elapsed_s (+ worker, spec in dist mode); or
+	// app, item, test, stored=true for an item that did not execute — a
+	// stored result (-resume, -mode rerun) stood in for it.
 	EvItemComplete = "item_complete"
 	// EvItemRetried marks a crashed or timed-out item re-entering the
 	// queue. Attrs: app, item, test, reason.
@@ -107,7 +109,9 @@ func (o *Observer) fold(event string, a attrs) bool {
 		// A worker attribute tells the coordinator's lane from the
 		// in-process pool's, the rule flight uses too.
 		secs := a.num("elapsed_s")
-		if a.has("worker") {
+		if stored, _ := a.get("stored").(bool); stored {
+			o.CounterAdd(MItemsResumed, 1, "app", app)
+		} else if a.has("worker") {
 			o.Observe(MItemSeconds, secs, "app", app)
 			o.CounterAdd(MWorkerItems, 1, "app", app, "worker", a.label("worker"))
 			s.workerItemDone(a.int("worker"))

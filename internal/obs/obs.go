@@ -99,8 +99,9 @@ const (
 	// MItemsQuarantined counts work items abandoned after exhausting
 	// their retry budget. Labels: app.
 	MItemsQuarantined = "zebraconf_dist_items_quarantined_total"
-	// MItemsResumed counts checkpointed work items skipped by -resume.
-	// Labels: app.
+	// MItemsResumed counts work items a stored result stood in for (a
+	// checkpoint journal's under -resume, the item store's under -mode
+	// rerun), in process or distributed. Labels: app.
 	MItemsResumed = "zebraconf_dist_items_resumed_total"
 	// MQueueDepth gauges work items waiting in the coordinator's queue.
 	// Labels: app.
@@ -113,8 +114,8 @@ const (
 	// worker.
 	MMissedHeartbeats = "zebraconf_dist_worker_missed_heartbeats"
 	// MWorkerStalls counts workers crossing the stall threshold (silent
-	// past -stall-after without a heartbeat; advisory — the per-item
-	// deadline still governs kills). Labels: app, worker.
+	// for five -heartbeat intervals; advisory — the per-item deadline
+	// still governs kills). Labels: app, worker.
 	MWorkerStalls = "zebraconf_dist_worker_stalls_total"
 
 	// Adaptive scheduler catalog (internal/core/sched).
