@@ -1,9 +1,11 @@
 package campaign
 
 import (
+	"strings"
 	"sync"
 
 	"zebraconf/internal/core/runner"
+	"zebraconf/internal/core/sched"
 	"zebraconf/internal/obs"
 )
 
@@ -91,4 +93,85 @@ func (f *FrequentFailers) Quarantined() []string {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return append([]string(nil), f.quarantined...)
+}
+
+// Completion is the campaign's one completion step: what a resolved work
+// item means for the live views, read once from its ItemResult for both
+// executors (pipeline.doItem, and dist.Run after its journal append and
+// duplicate discard), so no number depends on which one ran the item. It
+// carries §4's rule; safe for concurrent use.
+type Completion struct {
+	*FrequentFailers
+	profile   *sched.Profile
+	maxRounds int
+}
+
+// NewCompletion builds the step for one campaign over app: §4's rule at
+// threshold, the runner's round budget maxRounds (0 means
+// runner.DefaultMaxRounds) and the profile executed items train. profile
+// and o may be nil.
+func NewCompletion(app string, threshold, maxRounds int, profile *sched.Profile, o *obs.Observer) *Completion {
+	if maxRounds <= 0 {
+		maxRounds = runner.DefaultMaxRounds
+	}
+	return &Completion{NewFrequentFailers(app, threshold, o), profile, maxRounds}
+}
+
+// Complete accounts one resolved item and returns what §4's rule
+// quarantines on it, for the caller to apply. An executed result (elapsed
+// and pred in seconds, pred 0 for none) trains the profile and emits a
+// verdict event per unsafe verdict, then item_complete with how (the
+// executor's attributes) and the result's nonzero tallies. A stored one gets
+// item_complete with stored=true alone: its own run counted it.
+func (c *Completion) Complete(res ItemResult, elapsed, pred float64, stored bool, how ...obs.Attr) (quarantined []string) {
+	attrs := append([]obs.Attr{obs.String("app", c.app), obs.Int("item", int64(res.ID)), obs.String("test", res.Test)}, how...)
+	if stored {
+		attrs = append(attrs, obs.Bool("stored", true))
+	} else {
+		c.profile.RecordTrials(c.app, res.Test, elapsed, res.Executions)
+		attrs = append(attrs, obs.Float("elapsed_s", elapsed), obs.Float("pred_s", pred))
+		for k, v := range c.tally(res) {
+			if v != 0 {
+				attrs = append(attrs, obs.Int(k, v))
+			}
+		}
+	}
+	c.o.Event(obs.EvItemComplete, attrs...)
+	return c.Note(res, stored)
+}
+
+// tally reads res's tallies, keyed by item_complete attribute, and emits its
+// unsafe verdicts. Trial savings are measured against the round budget R
+// at Trials/(Rounds+1) trials a round: an early stop (convicted or
+// futility) within R saved R−Rounds rounds, and rounds past R were
+// reallocated to the instance from the budget pool.
+func (c *Completion) tally(res ItemResult) map[string]int64 {
+	n := map[string]int64{"instances": int64(res.Instances), "executions": res.Executions,
+		"executions_saved": res.ExecutionsSaved, "leaked": res.LeakedGoroutines}
+	if res.SkippedTest {
+		n["skipped"] = 1
+	}
+	for _, v := range res.Verdicts {
+		n[strings.ReplaceAll(v.Verdict, "-", "_")]++
+		if v.Verdict == runner.VerdictUnsafe.String() {
+			c.o.Event(obs.EvVerdict, obs.String("app", c.app), obs.String("param", v.Param),
+				obs.String("test", res.Test), obs.String("instance", v.Instance), obs.Float("p", v.PValue))
+		}
+		if v.FirstTrialSignal {
+			n["first_trial"]++
+		}
+		perRound := v.Trials / int64(v.Rounds+1)
+		if v.Rounds > c.maxRounds {
+			n["trials_reallocated"] += int64(v.Rounds-c.maxRounds) * perRound
+		} else if v.StopReason == runner.StopConvicted || v.StopReason == runner.StopFutility {
+			n["trials_saved_early"] += int64(c.maxRounds-v.Rounds) * perRound
+		}
+		if v.Evidence != nil {
+			n["evidence"]++
+			if v.Evidence.VerdictOnly {
+				n["evidence_budget"]++
+			}
+		}
+	}
+	return n
 }

@@ -37,7 +37,7 @@ type pipeline struct {
 	// that built it before it takes mu — what the barrier releases.
 	items   []WorkItem
 	results []ItemResult
-	failers *FrequentFailers
+	done    *Completion
 	endPre  func()
 	q       *sched.Queue[streamTask]
 
@@ -75,7 +75,7 @@ func (p *pipeline) execute(phase func(name string) (obs.SpanID, func())) []ItemR
 	if dist != nil {
 		dist.Begin(span, n)
 	} else {
-		p.failers = NewFrequentFailers(p.app.Name, p.opts.QuarantineThreshold, p.o)
+		p.done = NewCompletion(p.app.Name, p.opts.QuarantineThreshold, p.opts.MaxRounds, p.opts.Profile, p.o)
 	}
 	for i, t := range p.tests {
 		// A pre-run's priority is its item's profiled duration: under
@@ -125,11 +125,12 @@ func (p *pipeline) doPreRun(idx int) {
 	p.pres[idx] = pre
 	item := WorkItem{ID: idx, Test: pre.Test, PreRun: pre, ForceParams: p.force[pre.Test]}
 	item.PredSeconds = p.predict(item, d.Seconds())
-	p.o.Event(obs.EvItemQueued,
-		obs.String("app", p.app.Name),
-		obs.Int("item", int64(item.ID)),
-		obs.String("test", item.Test),
-		obs.Float("pred_s", item.PredSeconds))
+	queued := []obs.Attr{obs.String("app", p.app.Name), obs.Int("item", int64(item.ID)),
+		obs.String("test", item.Test), obs.Float("pred_s", item.PredSeconds)}
+	if abandoned {
+		queued = append(queued, obs.Int("leaked", 1))
+	}
+	p.o.Event(obs.EvItemQueued, queued...)
 	p.items[idx] = item
 
 	p.mu.Lock()
@@ -189,40 +190,29 @@ func (p *pipeline) release(item WorkItem) {
 }
 
 // doItem completes one work item on the in-process pool (the distributed
-// coordinator emits its own dispatch and completion records, with worker
-// attribution): it executes the item and feeds its wall clock and trial
-// count back into the profile and the predicted-vs-actual histogram, or
-// takes the stored result the item arrived with. Either way the item gets
-// its one item_complete event, which carries the rest (run-time histogram,
-// live status ETA; stored=true counts it as resumed instead), and what §4's
-// rule makes of the result is quarantined in the generator for the items
-// still to come — silently for a stored one, whose run already announced
-// it. The last item closes the queue and with it the worker pool.
+// coordinator dispatches and completes its own, with worker attribution):
+// it executes the item, or takes the stored result the item arrived with,
+// and hands the result to the campaign's one completion step
+// (Completion.Complete). What §4's rule makes of the result is quarantined
+// in the generator for the items still to come. The last item closes the
+// queue and with it the worker pool.
 func (p *pipeline) doItem(item WorkItem) {
-	o, app := p.o, p.app.Name
-	ident := []obs.Attr{
-		obs.String("app", app),
-		obs.Int("item", int64(item.ID)),
-		obs.String("test", item.Test),
-	}
 	var res ItemResult
+	var secs float64
 	stored := item.Stored != nil
 	if stored {
 		res = *item.Stored
-		o.Event(obs.EvItemComplete, append(ident, obs.Bool("stored", true))...)
 	} else {
 		t0 := time.Now()
-		o.Event(obs.EvItemDispatch, ident...)
+		p.o.Event(obs.EvItemDispatch,
+			obs.String("app", p.app.Name),
+			obs.Int("item", int64(item.ID)),
+			obs.String("test", item.Test))
 		res = ExecuteItem(p.app, p.gen, p.run, p.opts, p.span, item)
-		secs := time.Since(t0).Seconds()
-		p.opts.Profile.RecordTrials(app, item.Test, secs, res.Executions)
-		if item.PredSeconds > 0 {
-			o.Observe(obs.MSchedPredRatio, secs/item.PredSeconds, "app", app)
-		}
-		o.Event(obs.EvItemComplete, append(ident, obs.Float("elapsed_s", secs))...)
+		secs = time.Since(t0).Seconds()
 	}
 	p.results[item.ID] = res
-	for _, param := range p.failers.Note(res, stored) {
+	for _, param := range p.done.Complete(res, secs, item.PredSeconds, stored) {
 		p.gen.Quarantine(param)
 	}
 

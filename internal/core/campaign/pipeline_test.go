@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"zebraconf/internal/core/forensics"
 	"zebraconf/internal/core/harness"
 	"zebraconf/internal/core/runner"
 	"zebraconf/internal/core/sched"
@@ -217,6 +218,83 @@ func TestFrequentFailersNoteFromItemResults(t *testing.T) {
 	}
 	if n := o.Metrics.CounterValue(obs.MQuarantine, "app", "app"); n != 1 {
 		t.Fatalf("%s = %d, want 1 (p only)", obs.MQuarantine, n)
+	}
+}
+
+// TestCompletionTalliesOneItem scripts the completion step over one
+// executed and one stored result: the executed one emits its unsafe
+// verdicts, then one item_complete whose tallies the fold counts — trial
+// savings derived from each verdict against the round budget, including a
+// marginal instance that drew two extension rounds (3 budgeted + 2, the
+// runner's reallocation case) — and the stored one counts as resumed only.
+func TestCompletionTalliesOneItem(t *testing.T) {
+	t.Parallel()
+	var buf bytes.Buffer
+	o := obs.New()
+	o.Events = obs.NewEventLog(&buf)
+	c := NewCompletion("app", 0, 3, nil, o)
+	ev := func(verdictOnly bool) *forensics.Evidence { return &forensics.Evidence{VerdictOnly: verdictOnly} }
+	res := ItemResult{ID: 4, Test: "TestA", Instances: 7, Executions: 60, ExecutionsSaved: 5, LeakedGoroutines: 1,
+		Verdicts: []InstanceVerdict{
+			{Param: "p", Verdict: "unsafe", FirstTrialSignal: true, Rounds: 2, Trials: 9, StopReason: runner.StopConvicted, Evidence: ev(false)},
+			{Param: "q", Verdict: "unsafe", FirstTrialSignal: true, Rounds: 5, Trials: 18, StopReason: runner.StopConvicted, Evidence: ev(true)},
+			{Param: "r", Verdict: "filtered", FirstTrialSignal: true, Rounds: 1, Trials: 6, StopReason: runner.StopFutility},
+			{Param: "s", Verdict: "filtered", FirstTrialSignal: true, Rounds: 4, Trials: 15, StopReason: runner.StopBudget},
+			{Param: "t", Verdict: "safe", Trials: 3},
+			{Param: "u", Verdict: "homo-invalid", Trials: 3},
+		}}
+	if q := c.Complete(res, 0.5, 0.25, false); q != nil {
+		t.Fatalf("quarantined %v below the threshold", q)
+	}
+	c.Complete(ItemResult{ID: 5, Test: "TestB", Instances: 9, Executions: 9}, 0, 0, true)
+
+	m := o.Metrics
+	for _, tc := range []struct {
+		name string
+		got  int64
+		want int64
+	}{
+		{"instances total", m.GaugeValue(obs.MInstancesTotal), 7},
+		{"instances done", m.GaugeValue(obs.MInstancesDone), 7},
+		{"item executions", m.CounterValue(obs.MItemExecutions), 60},
+		{"saved", m.GaugeValue(obs.MCacheSaved), 5},
+		{"safe", m.CounterValue(obs.MVerdicts, "verdict", "safe"), 1},
+		{"unsafe", m.CounterValue(obs.MVerdicts, "verdict", "unsafe"), 2},
+		{"filtered", m.CounterValue(obs.MVerdicts, "verdict", "filtered"), 2},
+		{"homo-invalid", m.CounterValue(obs.MVerdicts, "verdict", "homo-invalid"), 1},
+		{"first trial", m.CounterValue(obs.MFirstTrial), 4},
+		// Early stops p (3−2)·3 and r (3−1)·3; extension rounds past the
+		// budget of 3: q's two that convicted, s's one that did not.
+		{"early stop", m.CounterValue(obs.MTrialsSaved, "kind", "early-stop"), 9},
+		{"reallocated", m.CounterValue(obs.MTrialsSaved, "kind", "reallocated"), 9},
+		{"evidence", m.CounterValue(obs.MEvidenceRecords), 2},
+		{"budget", m.CounterValue(obs.MEvidenceTruncated, "reason", "budget"), 1},
+		{"leaked", m.CounterValue(obs.MAbandonedGoroutines, "test", "TestA"), 1},
+		{"skipped", m.CounterValue(obs.MSkippedTests), 0},
+		{"resumed", m.CounterValue(obs.MItemsResumed), 1},
+		{"pred ratio", m.HistogramValue(obs.MSchedPredRatio).Count, 1},
+	} {
+		if tc.got != tc.want {
+			t.Errorf("%s = %d, want %d", tc.name, tc.got, tc.want)
+		}
+	}
+	events, err := obs.ReadEvents(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range events {
+		names = append(names, e.Event)
+	}
+	want := []string{obs.EvVerdict, obs.EvVerdict, obs.EvItemComplete, obs.EvItemComplete}
+	if !reflect.DeepEqual(names, want) {
+		t.Fatalf("events %v, want %v", names, want)
+	}
+	if stored := events[3].Attrs; len(stored) != 4 || stored["stored"] != true {
+		t.Fatalf("stored item_complete carries %v, want app, item, test and stored only", stored)
+	}
+	if _, ok := events[2].Attrs["skipped"]; ok {
+		t.Fatalf("a zero tally rode the event: %v", events[2].Attrs)
 	}
 }
 

@@ -122,9 +122,10 @@ type ItemResult struct {
 // phase-2 execution path, called the same way by the in-process pipeline
 // and the distributed worker: gen is the caller's generator (per campaign;
 // a worker's, per session), and what the result means for cross-test
-// quarantine is the caller's to decide (FrequentFailers.Note). Execution
-// within an item is sequential, so the verdict order — and with it the
-// serialized ItemResult — is deterministic for a given seed.
+// quarantine, and for every tally the live views show, is the caller's to
+// decide (Completion.Complete). Execution within an item is sequential, so
+// the verdict order — and with it the serialized ItemResult — is
+// deterministic for a given seed.
 func ExecuteItem(app *harness.App, gen *testgen.Generator, run *runner.Runner, opts Options, parent obs.SpanID, item WorkItem) ItemResult {
 	o := opts.Obs
 	out := ItemResult{ID: item.ID, Test: item.Test}
@@ -134,7 +135,6 @@ func ExecuteItem(app *harness.App, gen *testgen.Generator, run *runner.Runner, o
 		// A pre-run test that no longer resolves is a registration
 		// inconsistency; surface it instead of silently dropping it.
 		out.SkippedTest = true
-		o.CounterAdd(obs.MSkippedTests, 1, "app", app.Name)
 		return out
 	}
 	rep := item.PreRun.Report
@@ -155,10 +155,6 @@ func ExecuteItem(app *harness.App, gen *testgen.Generator, run *runner.Runner, o
 	}
 	sort.Strings(out.ReachableParams)
 
-	markDone := func(n int) {
-		o.GaugeAdd(obs.MInstancesDone, int64(n), "app", app.Name)
-	}
-	o.GaugeAdd(obs.MInstancesTotal, int64(len(instances)), "app", app.Name)
 	testSpan := o.StartSpan("test", parent,
 		obs.String("app", app.Name),
 		obs.String("test", item.Test),
@@ -176,7 +172,6 @@ func ExecuteItem(app *harness.App, gen *testgen.Generator, run *runner.Runner, o
 	confirmedHere := make(map[string]bool)
 	skip := func(param string) bool { return confirmedHere[param] || gen.Quarantined(param) }
 	leaf := func(parent obs.SpanID, inst testgen.Instance) {
-		defer markDone(1)
 		if skip(inst.Param) {
 			return
 		}
@@ -203,12 +198,6 @@ func ExecuteItem(app *harness.App, gen *testgen.Generator, run *runner.Runner, o
 			Evidence:         r.Evidence,
 		})
 		if r.Verdict == runner.VerdictUnsafe {
-			o.Event(obs.EvVerdict,
-				obs.String("app", app.Name),
-				obs.String("param", inst.Param),
-				obs.String("test", item.Test),
-				obs.String("instance", inst.String()),
-				obs.Float("p", r.PValue))
 			confirmedHere[inst.Param] = true
 		}
 	}
@@ -222,12 +211,8 @@ func ExecuteItem(app *harness.App, gen *testgen.Generator, run *runner.Runner, o
 
 	var runPool func(parent obs.SpanID, depth int, p testgen.Pool)
 	runPool = func(parent obs.SpanID, depth int, p testgen.Pool) {
-		before := len(p.Members)
 		p.Members = slices.DeleteFunc(slices.Clone(p.Members),
 			func(in testgen.Instance) bool { return skip(in.Param) })
-		if dropped := before - len(p.Members); dropped > 0 {
-			markDone(dropped)
-		}
 		switch len(p.Members) {
 		case 0:
 			return
@@ -247,7 +232,6 @@ func ExecuteItem(app *harness.App, gen *testgen.Generator, run *runner.Runner, o
 		if !failed {
 			// Pooled heterogeneous run passed: all members cleared.
 			span.SetAttr(obs.Bool("cleared", true))
-			markDone(len(p.Members))
 			return
 		}
 		o.CounterAdd(obs.MPoolSplits, 1, "app", app.Name)

@@ -16,7 +16,6 @@ import (
 
 	"zebraconf/internal/core/campaign"
 	"zebraconf/internal/core/memo"
-	"zebraconf/internal/core/runner"
 	"zebraconf/internal/core/sched"
 	"zebraconf/internal/obs"
 )
@@ -98,8 +97,8 @@ type Options struct {
 	// cache-puts to it, the last tier of DESIGN.md §9's hierarchy. Nil
 	// means workers never ask.
 	SharedBackend memo.Backend
-	// Obs receives the coordinator's metrics, spans, and the progress /
-	// verdict replay of worker results. Nil disables observability.
+	// Obs receives the coordinator's metrics, spans and events, among them
+	// every item's completion. Nil disables observability.
 	Obs *obs.Observer
 	// Stderr, when non-nil, receives worker stderr (for diagnosis).
 	Stderr io.Writer
@@ -276,10 +275,10 @@ type Run struct {
 	// record for when this run opened it; a stored result for one of them
 	// is not journaled again.
 	held map[string]bool
-	// failers decides which parameters to broadcast as quarantined; it
-	// has its own lock.
-	failers *campaign.FrequentFailers
-	wg      sync.WaitGroup
+	// done is the campaign's completion step; it decides which parameters
+	// to broadcast as quarantined, and has its own lock.
+	done *campaign.Completion
+	wg   sync.WaitGroup
 
 	// Heartbeat supervision, resolved from Config.HeartbeatMS at Start;
 	// stalls counts stall events across every session for the campaign
@@ -289,7 +288,7 @@ type Run struct {
 	stalls     atomic.Int64
 
 	mu           sync.Mutex
-	results      map[int]campaign.ItemResult
+	results      map[int]campaign.ItemResult // one per item resolved this run
 	attempts     map[int]int
 	flights      map[int]*flight
 	sessions     map[int]*workerSession
@@ -299,7 +298,6 @@ type Run struct {
 	// speculation deadline fallback for items without a prediction.
 	durSum      float64
 	durN        int
-	completions int // unique items resolved this run
 	live        int // worker slots not yet permanently dead
 	lastFailure string
 	failErr     error
@@ -316,7 +314,7 @@ func (r *Run) start() error {
 	r.attempts = make(map[int]int)
 	r.flights = make(map[int]*flight)
 	r.sessions = make(map[int]*workerSession)
-	r.failers = campaign.NewFrequentFailers(r.opts.App, r.opts.QuarantineThreshold, r.o)
+	r.done = campaign.NewCompletion(r.opts.App, r.opts.QuarantineThreshold, r.opts.Config.MaxRounds, r.opts.Profile, r.o)
 	r.live = r.workers
 	r.doneCh = make(chan struct{})
 	r.q = sched.NewQueue[campaign.WorkItem](r.opts.SchedPolicy, r.o, r.opts.App, "dist")
@@ -347,11 +345,10 @@ func (r *Run) Submit(item campaign.WorkItem) {
 	r.allSubmitted = r.submitted >= r.total
 	if item.Stored != nil {
 		r.results[item.ID] = *item.Stored
-		r.completions++
 	}
 	r.mu.Unlock()
 	if item.Stored != nil {
-		r.complete(*item.Stored, true, obs.Bool("stored", true))
+		r.complete(*item.Stored, true, 0, 0)
 		return
 	}
 	r.push(item)
@@ -392,7 +389,7 @@ func (r *Run) Drain() ([]campaign.ItemResult, error) {
 	defer r.span.End()
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.failErr != nil && r.completions < r.total && !r.halted {
+	if r.failErr != nil && len(r.results) < r.total && !r.halted {
 		return nil, r.failErr
 	}
 	out := make([]campaign.ItemResult, 0, len(r.results))
@@ -670,7 +667,7 @@ func (r *Run) session(slot int, sess *workerSession) sessionOutcome {
 				}
 				delete(inflight, m.Result.ID)
 				itemsDone++
-				if r.recordResult(slot, *m.Result, time.Since(e.start), e.spec) {
+				if r.recordResult(slot, *m.Result, time.Since(e.start), e.item.PredSeconds, e.spec) {
 					r.stitchSpans(e.span, e.start, m.Result.Spans)
 				} else {
 					// The losing copy of a speculated (or timeout-retried)
@@ -773,7 +770,7 @@ func (r *Run) addSession(slot int, s *workerSession) {
 	// Read after registering: a parameter quarantined from here on finds
 	// this session among its broadcast targets, one quarantined before is
 	// in this list (one in between arrives twice, which is harmless).
-	for _, p := range r.failers.Quarantined() {
+	for _, p := range r.done.Quarantined() {
 		s.send(Msg{Type: MsgQuarantine, Param: p})
 	}
 }
@@ -901,23 +898,16 @@ func (r *Run) stitchSpans(item *obs.Span, dispatched time.Time, frag []obs.SpanR
 	}
 }
 
-// recordResult journals and accounts one completed item, replaying its
-// observable campaign signals (progress, verdict counters, evidence
-// tallies) that the worker process could not record itself. First result
-// wins: a duplicate — the losing copy of a speculated item, or a
-// timeout-retry race — is discarded here, before any accounting, and
-// reported false so the caller skips trace stitching too.
-func (r *Run) recordResult(slot int, res campaign.ItemResult, elapsed time.Duration, spec bool) bool {
+// recordResult takes one worker's result for an item predicted to take
+// pred seconds. First result wins: a duplicate — the losing copy of a
+// speculated item, or a timeout-retry race — is discarded here, before any
+// accounting, and reported false so the caller skips trace stitching too.
+func (r *Run) recordResult(slot int, res campaign.ItemResult, elapsed time.Duration, pred float64, spec bool) bool {
 	r.mu.Lock()
 	_, dup := r.results[res.ID]
-	var pred float64
 	if !dup {
 		r.results[res.ID] = res
-		r.completions++
-		if f := r.flights[res.ID]; f != nil {
-			pred = f.item.PredSeconds
-			delete(r.flights, res.ID)
-		}
+		delete(r.flights, res.ID)
 		r.durSum += elapsed.Seconds()
 		r.durN++
 	}
@@ -935,77 +925,34 @@ func (r *Run) recordResult(slot int, res campaign.ItemResult, elapsed time.Durat
 			obs.Bool("spec", spec))
 		return false
 	}
-	o, app := r.o, r.opts.App
 	if spec {
-		o.Event(obs.EvSpeculationWin,
-			obs.String("app", app),
+		r.o.Event(obs.EvSpeculationWin,
+			obs.String("app", r.opts.App),
 			obs.Int("item", int64(res.ID)),
 			obs.Int("worker", int64(slot)))
 	}
-	// Worker-process metrics registries are not merged, so the coordinator
-	// replays the item's tallies: executions, executions the cache saved
-	// (local and shared hits alike), instances.
-	o.CounterAdd(obs.MItemExecutions, res.Executions, "app", app)
-	if res.ExecutionsSaved > 0 {
-		o.GaugeAdd(obs.MCacheSaved, res.ExecutionsSaved, "app", app)
-	}
-	o.GaugeAdd(obs.MInstancesTotal, int64(res.Instances), "app", app)
-	o.GaugeAdd(obs.MInstancesDone, int64(res.Instances), "app", app)
-	for _, v := range res.Verdicts {
-		o.RecordVerdict(app, v.Verdict, v.FirstTrialSignal)
-		if v.Verdict == runner.VerdictUnsafe.String() {
-			o.Event(obs.EvVerdict,
-				obs.String("app", app),
-				obs.String("param", v.Param),
-				obs.String("test", res.Test),
-				obs.String("instance", v.Instance),
-				obs.Float("p", v.PValue))
-		}
-		if v.Evidence != nil {
-			// Worker metrics registries are not merged, so evidence
-			// accounting is replayed here from the records themselves
-			// (per-execution log/read truncations stay worker-local).
-			o.CounterAdd(obs.MEvidenceRecords, 1, "app", app)
-			if v.Evidence.VerdictOnly {
-				o.CounterAdd(obs.MEvidenceTruncated, 1, "app", app, "reason", "budget")
-			}
-		}
-	}
-	if res.LeakedGoroutines > 0 {
-		o.CounterAdd(obs.MAbandonedGoroutines, res.LeakedGoroutines, "app", app, "test", res.Test)
-	}
-	r.opts.Profile.RecordTrials(app, res.Test, elapsed.Seconds(), res.Executions)
-	if pred > 0 {
-		o.Observe(obs.MSchedPredRatio, elapsed.Seconds()/pred, "app", app)
-	}
-	r.complete(res, false,
+	r.complete(res, false, elapsed.Seconds(), pred,
 		obs.Int("worker", int64(slot)),
-		obs.Float("elapsed_s", elapsed.Seconds()),
 		obs.Bool("spec", spec))
 	return true
 }
 
 // complete is the end of every item's road once its result is in
 // r.results, executed by a worker or submitted with a stored result: the
-// checkpoint record, the one item_complete event (how says which of the two
-// it was), §4's frequent-failer rule, and the check whether that was the
-// last item. A stored result the checkpoint already holds is not written to
-// it again, and what it quarantines is not announced again (its own run
-// did) — but is broadcast (best-effort) to the live workers like any other,
-// so remaining items skip the parameter's instances; a worker that connects
-// later is caught up by addSession.
-func (r *Run) complete(res campaign.ItemResult, stored bool, how ...obs.Attr) {
+// checkpoint record, the campaign's completion step (how adds the worker
+// attribution), the broadcast of what §4's rule quarantines, and the check
+// whether that was the last item. A stored result the checkpoint already
+// holds is not written to it again, and what it quarantines is not
+// announced again (its own run did) — but is broadcast (best-effort) to the
+// live workers like any other, so remaining items skip the parameter's
+// instances; a worker that connects later is caught up by addSession.
+func (r *Run) complete(res campaign.ItemResult, stored bool, elapsed, pred float64, how ...obs.Attr) {
 	if r.journal != nil && !(stored && r.held[res.Test]) {
 		if err := r.journal.Append(Record{Kind: KindDone, Item: res.ID, Test: res.Test, Result: &res}); err != nil {
 			r.noteFailure("checkpoint write failed: " + err.Error())
 		}
 	}
-	r.o.Event(obs.EvItemComplete, append([]obs.Attr{
-		obs.String("app", r.opts.App),
-		obs.Int("item", int64(res.ID)),
-		obs.String("test", res.Test),
-	}, how...)...)
-	for _, param := range r.failers.Note(res, stored) {
+	for _, param := range r.done.Complete(res, elapsed, pred, stored, how...) {
 		r.mu.Lock()
 		targets := make([]*workerSession, 0, len(r.sessions))
 		for _, s := range r.sessions {
@@ -1064,7 +1011,6 @@ func (r *Run) retryOrGiveUp(item campaign.WorkItem, reason string) {
 	r.mu.Lock()
 	if _, dup := r.results[res.ID]; !dup {
 		r.results[res.ID] = res
-		r.completions++
 	}
 	r.mu.Unlock()
 	r.maybeFinish()
@@ -1078,12 +1024,12 @@ func (r *Run) maybeFinish() {
 	if r.finished {
 		return
 	}
-	if r.completions >= r.total {
+	if len(r.results) >= r.total {
 		r.finished = true
 		close(r.doneCh)
 		return
 	}
-	if r.opts.MaxItems > 0 && r.completions >= r.opts.MaxItems {
+	if r.opts.MaxItems > 0 && len(r.results) >= r.opts.MaxItems {
 		r.finished = true
 		r.halted = true
 		close(r.doneCh)

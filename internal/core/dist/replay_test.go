@@ -15,12 +15,21 @@ import (
 )
 
 // foldFamilies are the registry families the event fold implies (the
-// "implies" column of the catalog in DESIGN.md §7).
-var foldFamilies = []string{
+// "implies" column of the catalog in DESIGN.md §7). Of the evidence
+// truncation family only reason=budget is a tally, so it is left out.
+var foldFamilies = append([]string{
 	obs.MPhaseSeconds, obs.MItemSeconds, obs.MWorkerItems, obs.MItemRunSeconds,
 	obs.MItemRetries, obs.MItemsQuarantined, obs.MWorkerSpawns, obs.MWorkerCrashes,
 	obs.MWorkerStalls, obs.MSpeculativeRuns, obs.MSpeculationWins,
-	obs.MCacheHits, obs.MCacheCoalesced, obs.MCacheSaved, obs.MQuarantine,
+	obs.MCacheHits, obs.MCacheCoalesced, obs.MQuarantine, obs.MSchedPredRatio,
+}, itemFamilies...)
+
+// itemFamilies are the families folded from the tallies a work item's events
+// carry, so they read the same whichever executor ran the items.
+var itemFamilies = []string{
+	obs.MInstancesTotal, obs.MInstancesDone, obs.MItemExecutions, obs.MCacheSaved,
+	obs.MVerdicts, obs.MFirstTrial, obs.MTrialsSaved, obs.MEvidenceRecords,
+	obs.MAbandonedGoroutines, obs.MSkippedTests,
 }
 
 // foldSeries renders o's registry and keeps the series of the given
@@ -92,19 +101,10 @@ func TestEventLogRebuildsViews(t *testing.T) {
 			live.Status = obs.NewStatus()
 			live.Events = obs.NewEventLog(&log)
 			opts := campaign.Options{Seed: 1, Obs: live}
-			families := foldFamilies
 			if tc.workers == 0 {
 				campaign.Run(app, opts)
 			} else {
 				runDistributed(t, app, opts, dist.Options{Workers: tc.workers, WorkerCmd: workerFactory()})
-				// The coordinator also replays its workers' cache tallies
-				// into these two as plain volume, which no event carries.
-				families = nil
-				for _, fam := range foldFamilies {
-					if fam != obs.MCacheHits && fam != obs.MCacheSaved {
-						families = append(families, fam)
-					}
-				}
 			}
 
 			recs, err := obs.ReadEvents(&log)
@@ -130,7 +130,7 @@ func TestEventLogRebuildsViews(t *testing.T) {
 			}
 			// Masked: what a heartbeat reports (a health gauge, not a
 			// fact), and in the campaign snapshot the slot setting and the
-			// tallies of volume the registry counts without an event.
+			// executions, whose pre-run share is counted per execution.
 			workers := func(o *obs.Observer) []obs.WorkerStatus {
 				ws := o.Workers()
 				for i := range ws {
@@ -145,12 +145,7 @@ func TestEventLogRebuildsViews(t *testing.T) {
 			snapshot := func(o *obs.Observer) obs.CampaignStatus {
 				cs := o.Campaign()
 				cs.Slots = 0
-				cs.Instances, cs.InstancesDone, cs.Executions, cs.ExecRate = 0, 0, 0, 0
-				cs.Safe, cs.Unsafe, cs.Filtered, cs.HomoInvalid = 0, 0, 0, 0
-				cs.CacheHitRate = 0
-				if tc.workers > 0 {
-					cs.ExecutionsSaved = 0
-				}
+				cs.Executions, cs.ExecRate, cs.CacheHitRate = 0, 0, 0
 				return cs
 			}
 			a, b := snapshot(live), snapshot(replayed)
@@ -158,7 +153,7 @@ func TestEventLogRebuildsViews(t *testing.T) {
 				t.Errorf("Campaign():\nlive     %+v\nreplayed %+v", a, b)
 			}
 
-			want, got := foldSeries(t, live, families), foldSeries(t, replayed, families)
+			want, got := foldSeries(t, live, foldFamilies), foldSeries(t, replayed, foldFamilies)
 			if len(want) == 0 {
 				t.Fatal("the campaign fed none of the fold's families")
 			}

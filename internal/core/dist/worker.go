@@ -133,11 +133,11 @@ func ServeWorkerEnv(r io.Reader, w io.Writer, resolve func(string) (*harness.App
 	// One cache, evidence budget, coverage collector and trial budget pool
 	// for the whole session, so -evidence-max bounds the worker process and
 	// trials saved by this worker's early stops fund its own marginal
-	// parameters. opts.Obs is nil — worker registries are not merged; the
-	// coordinator replays evidence counters and folds the read edges from
-	// what rides home in each item result. Cache hits replay their memoized
-	// read sets through the runner, so a fully warm worker still reports
-	// complete coverage.
+	// parameters. opts.Obs is nil: the coordinator's completion step reads
+	// what an item means for the campaign's views from its result, and
+	// campaign.Run folds the read edges that ride home in it. Cache hits
+	// replay their memoized read sets through the runner, so a fully warm
+	// worker still reports complete coverage.
 	rops := campaign.RunnerOptions(app.Name, opts)
 	cov := rops.Coverage
 	run := runner.New(app, rops)

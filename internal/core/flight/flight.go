@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"os"
 	"sort"
-	"strings"
 
 	"zebraconf/internal/obs"
 )
@@ -114,8 +113,9 @@ type WorkerStat struct {
 	Timeline []float64
 }
 
-// Savings aggregates what each optimization contributed, from events
-// (counts) and the final perf sample (counters events do not carry).
+// Savings aggregates what each optimization contributed, from events (the
+// final perf sample stands in for executions saved when no campaign_finish
+// was logged).
 type Savings struct {
 	CacheHits         map[string]int64 // by scope: local | shared | coalesced
 	SpeculationRuns   int64
@@ -457,6 +457,10 @@ func (a *Analysis) analyzeEvents(events []obs.EventRecord) {
 			st := ItemStat{Item: item, Test: attrString(e.Attrs, "test"), Worker: slot}
 			st.Seconds, _ = attrFloat(e.Attrs, "elapsed_s")
 			st.Spec, _ = e.Attrs["spec"].(bool)
+			early, _ := attrInt(e.Attrs, "trials_saved_early")
+			realloc, _ := attrInt(e.Attrs, "trials_reallocated")
+			a.Savings.TrialsSavedEarly += early
+			a.Savings.TrialsReallocated += realloc
 			a.Items = append(a.Items, st)
 			w := lane(slot)
 			w.Items++
@@ -521,35 +525,14 @@ func (a *Analysis) analyzePerf(samples []obs.PerfSample) {
 		a.CacheSeries = append(a.CacheSeries, s.CacheHitRate())
 		a.HeapSeries = append(a.HeapSeries, float64(s.HeapAllocBytes))
 	}
-	// Queue-wait tail and savings counters events do not carry, from
-	// the final registry snapshot.
+	// The queue-wait tail, which events do not carry, from the final
+	// registry snapshot.
 	if wait := last.Metrics.Hists[obs.MSchedQueueWait]; wait.Count > 0 {
 		a.QueueWaitP95 = wait.Quantile(0.95)
 	}
-	a.Savings.TrialsSavedEarly += sumCounters(last.Metrics.Counters, obs.MTrialsSaved, `kind="early-stop"`)
-	a.Savings.TrialsReallocated += sumCounters(last.Metrics.Counters, obs.MTrialsSaved, `kind="reallocated"`)
 	if a.Savings.ExecutionsSaved == 0 {
 		a.Savings.ExecutionsSaved = last.Saved
 	}
-}
-
-// sumCounters totals every snapshot counter series of family name whose
-// label block contains each given `k="v"` fragment.
-func sumCounters(counters map[string]int64, name string, fragments ...string) int64 {
-	var total int64
-outer:
-	for k, v := range counters {
-		if k != name && !strings.HasPrefix(k, name+"{") {
-			continue
-		}
-		for _, f := range fragments {
-			if !strings.Contains(k, f) {
-				continue outer
-			}
-		}
-		total += v
-	}
-	return total
 }
 
 func min(a, b int) int {

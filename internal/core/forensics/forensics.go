@@ -277,9 +277,10 @@ func (r *Recorder) Enabled() bool { return r != nil }
 // Admit finalizes one record against the budget: within budget the
 // record passes through intact; past it, the record degrades to
 // verdict-only (identity, counts, and repro survive; log and reads are
-// stripped) rather than growing the store without bound. Truncation —
-// per-execution ring evictions and budget degradation alike — is
-// counted on the evidence-truncated metric.
+// stripped) rather than growing the store without bound. Per-execution
+// ring evictions are counted on the evidence-truncated metric here; the
+// record itself and its budget degradation (VerdictOnly) are counted
+// when its item completes.
 func (r *Recorder) Admit(ev *Evidence) *Evidence {
 	if r == nil || ev == nil {
 		return ev
@@ -297,9 +298,7 @@ func (r *Recorder) Admit(ev *Evidence) *Evidence {
 		ev.Reads = nil
 		ev.ReadsDropped = 0
 		ev.FirstDivergent = -1
-		r.o.CounterAdd(obs.MEvidenceTruncated, 1, "app", r.app, "reason", "budget")
 	}
-	r.o.CounterAdd(obs.MEvidenceRecords, 1, "app", r.app)
 	return ev
 }
 

@@ -16,21 +16,15 @@ import (
 // A goroutine that never touches the clock again — a body spinning, or
 // blocked on something that is not a clock primitive — cannot be ended: Go
 // offers no preemptive kill, so it keeps running against a closed Env until
-// it returns on its own. The counters are process-global because the hazard
-// is process-global: an abandoned goroutine competes for the scheduler and
-// can keep mutating shared state. The distributed worker mode exists to
-// turn this leak into a killable subprocess.
-var (
-	abandonedTotal atomic.Int64 // cumulative abandonments
-	leakedNow      atomic.Int64 // abandoned bodies still running
-)
+// it returns on its own. Each such execution says so (Outcome.Abandoned);
+// the live count is process-global because the hazard is process-global: an
+// abandoned goroutine competes for the scheduler and can keep mutating
+// shared state. The distributed worker mode exists to turn this leak into a
+// killable subprocess.
+var leakedNow atomic.Int64 // abandoned bodies still running
 
-// AbandonedGoroutines reports the cumulative number of executions that
-// left a goroutine behind since process start.
-func AbandonedGoroutines() int64 { return abandonedTotal.Load() }
-
-// LeakedGoroutines reports how many of those executions still have a
-// goroutine running right now.
+// LeakedGoroutines reports how many executions that left a goroutine
+// behind still have it running right now.
 func LeakedGoroutines() int64 { return leakedNow.Load() }
 
 // DefaultTestTimeout bounds one unit-test execution: as
@@ -113,7 +107,7 @@ type Outcome struct {
 	// ElapsedTicks is the body's execution time on the virtual clock.
 	ElapsedTicks int64
 	// Abandoned reports that this execution left a goroutine running that
-	// the clock's shutdown could not end (see abandonedTotal). Serialized
+	// the clock's shutdown could not end (see leakedNow). Serialized
 	// nowhere.
 	Abandoned bool `json:"-"`
 
@@ -279,13 +273,11 @@ func RunOnceCaptured(app *App, test *UnitTest, opts agent.Options, seed int64, o
 	reaped = reaped && within(drained, grace)
 	if !reaped {
 		out.Abandoned = true
-		abandonedTotal.Add(1)
 		leakedNow.Add(1)
-		o.CounterAdd(obs.MAbandonedGoroutines, 1, "app", app.Name, "test", test.Name)
 		o.GaugeAdd(obs.MLeakedGoroutines, 1, "app", app.Name)
 		// Watch for the abandoned goroutines to finally return, so the
 		// leaked gauge reflects goroutines still running, not ever
-		// abandoned.
+		// abandoned (Outcome.Abandoned, counted with the item).
 		go func() {
 			<-drained
 			leakedNow.Add(-1)

@@ -414,12 +414,11 @@ func TestRunOnceWatchdogCatchesSpinningBody(t *testing.T) {
 			}
 		},
 	})
-	before := AbandonedGoroutines()
 	out := RunOnce(app, &app.Tests[0], agent.Options{}, 1)
 	if !out.Failed || !out.TimedOut {
 		t.Fatalf("spinning body outcome: %+v", out)
 	}
-	if AbandonedGoroutines() <= before {
+	if !out.Abandoned {
 		t.Fatal("a body the clock could not end was not counted as abandoned")
 	}
 	release.Store(true)

@@ -116,7 +116,7 @@ type Options struct {
 	// 1e-4.
 	Significance float64
 	// MaxRounds caps confirmation rounds after the first trial; zero means
-	// 8, enough to confirm a deterministic failure at 1e-4.
+	// DefaultMaxRounds.
 	MaxRounds int
 	// DisableGate runs confirmation rounds even when the first trial shows
 	// no unsafe signal (the E11 ablation: spends trials to reduce false
@@ -181,6 +181,10 @@ type Options struct {
 // enough that a few more rounds could plausibly decide it either way.
 const DefaultSeqMargin = 50
 
+// DefaultMaxRounds is the default confirmation-round budget: enough to
+// confirm a deterministic failure at 1e-4.
+const DefaultMaxRounds = 8
+
 // Runner executes instances against one application.
 type Runner struct {
 	app  *harness.App
@@ -195,7 +199,7 @@ func New(app *harness.App, opts Options) *Runner {
 		opts.Significance = stats.DefaultSignificance
 	}
 	if opts.MaxRounds <= 0 {
-		opts.MaxRounds = 8
+		opts.MaxRounds = DefaultMaxRounds
 	}
 	if opts.SeqMargin == 0 {
 		opts.SeqMargin = DefaultSeqMargin
@@ -358,7 +362,6 @@ func (r *Runner) RunAssignmentIn(parent obs.SpanID, test *harness.UnitTest, asn 
 			obs.Int("executions", res.Executions),
 			obs.Int("rounds", int64(res.Rounds)))
 		span.End()
-		r.opts.Obs.RecordVerdict(r.app.Name, res.Verdict.String(), res.FirstTrialSignal)
 		r.opts.Obs.Observe(obs.MConfirmRounds, float64(res.Rounds),
 			"app", r.app.Name, "verdict", res.Verdict.String())
 		if ev != nil {
@@ -443,8 +446,9 @@ func (r *Runner) RunAssignmentIn(parent obs.SpanID, test *harness.UnitTest, asn 
 	// the instance or the round budget runs out. The rule is stateless
 	// over the cumulative 2×2 table, so replays and retries re-derive
 	// identical decisions.
+	// An early stop deposits the rounds it did not run into the budget pool
+	// (nil in fixed mode); campaign.Completion counts their trials.
 	seq := stats.NewSeqTest(r.opts.Seq, r.opts.Significance, r.opts.MaxRounds, len(asn.Homo))
-	trialsPerRound := int64(1 + len(asn.Homo))
 	for round := 1; round <= r.opts.MaxRounds; round++ {
 		runRound(round)
 		res.Rounds = round
@@ -456,7 +460,7 @@ func (r *Runner) RunAssignmentIn(parent obs.SpanID, test *harness.UnitTest, asn 
 		case stats.SeqConvict:
 			res.Verdict = VerdictUnsafe
 			res.StopReason = StopConvicted
-			r.depositSaved(r.opts.MaxRounds-round, trialsPerRound)
+			r.opts.Pool.Deposit(r.opts.MaxRounds - round)
 			return res
 		case stats.SeqFutile:
 			if heteroFail == 0 {
@@ -465,7 +469,7 @@ func (r *Runner) RunAssignmentIn(parent obs.SpanID, test *harness.UnitTest, asn 
 				res.Verdict = VerdictFiltered
 			}
 			res.StopReason = StopFutility
-			r.depositSaved(r.opts.MaxRounds-round, trialsPerRound)
+			r.opts.Pool.Deposit(r.opts.MaxRounds - round)
 			return res
 		}
 	}
@@ -489,8 +493,6 @@ func (r *Runner) RunAssignmentIn(parent obs.SpanID, test *harness.UnitTest, asn 
 			res.Rounds = round
 			res.PValue = stats.FisherOneSided(heteroFail, heteroPass, homoFail, homoPass)
 			r.opts.Obs.Observe(obs.MPValue, res.PValue, "app", r.app.Name)
-			r.opts.Obs.CounterAdd(obs.MTrialsSaved, trialsPerRound,
-				"app", r.app.Name, "kind", "reallocated")
 			if res.PValue < r.opts.Significance {
 				res.Verdict = VerdictUnsafe
 				res.StopReason = StopConvicted
@@ -504,19 +506,6 @@ func (r *Runner) RunAssignmentIn(parent obs.SpanID, test *harness.UnitTest, asn 
 	}
 	res.Verdict = VerdictFiltered
 	return res
-}
-
-// depositSaved credits rounds an early stop did not run to the campaign
-// budget pool and counts the trials they would have cost. Nil-safe on
-// the pool (fixed mode); the counter still records the saving, so the
-// fixed-vs-sequential execution delta is observable either way.
-func (r *Runner) depositSaved(rounds int, trialsPerRound int64) {
-	if rounds <= 0 {
-		return
-	}
-	r.opts.Pool.Deposit(rounds)
-	r.opts.Obs.CounterAdd(obs.MTrialsSaved, int64(rounds)*trialsPerRound,
-		"app", r.app.Name, "kind", "early-stop")
 }
 
 // RunPooledIn executes just the heterogeneous arm of a pooled assignment;

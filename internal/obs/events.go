@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"io"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 )
@@ -26,16 +27,17 @@ const (
 	EvPhaseFinish = "phase_finish"
 	// EvItemQueued marks one work item built from its pre-run and
 	// awaiting execution. Attrs: app, item, test, pred_s (the scheduler's
-	// predicted duration, 0 when it has none).
+	// predicted duration, 0 when it has none) (+ leaked=1: its pre-run's).
 	EvItemQueued = "item_queued"
 	// EvItemDispatch marks one work item starting execution — on the
 	// in-process pool or on a worker subprocess. Attrs: app, item, test
 	// (+ worker, spec in dist mode).
 	EvItemDispatch = "item_dispatch"
 	// EvItemComplete marks one work item's result being accounted.
-	// Attrs: app, item, test, elapsed_s (+ worker, spec in dist mode); or
-	// app, item, test, stored=true for an item that did not execute — a
-	// stored result (-resume, -mode rerun) stood in for it.
+	// Attrs: app, item, test, elapsed_s (+ worker, spec in dist mode), pred_s
+	// and the result's nonzero tallies (see itemTally); or app, item, test,
+	// stored=true for an item that did not execute — a stored result
+	// (-resume, -mode rerun) stood in for it, and carries no tallies.
 	EvItemComplete = "item_complete"
 	// EvItemRetried marks a crashed or timed-out item re-entering the
 	// queue. Attrs: app, item, test, reason.
@@ -84,9 +86,9 @@ const (
 // metrics the event implies, the live status tables, the progress line —
 // straight from its attributes, and reports whether the catalog knows
 // the event. It is the only place that decides what a campaign fact
-// feeds: the engine emits the event and nothing beside it. (Volume —
-// per-execution and per-instance measurements — and settings and gauges
-// stay direct registry calls; see DESIGN.md §7.)
+// feeds: the engine emits the event and nothing beside it. (Per-execution
+// measurements, settings and gauges stay direct registry calls; see
+// DESIGN.md §7.)
 func (o *Observer) fold(event string, a attrs) bool {
 	app, s := a.str("app"), o.Status
 	switch event {
@@ -102,6 +104,7 @@ func (o *Observer) fold(event string, a attrs) bool {
 		o.Observe(MPhaseSeconds, a.num("elapsed_s"), "app", app, "phase", a.str("phase"))
 		s.phaseFinish(a.str("phase"))
 	case EvItemQueued:
+		o.itemTally(app, a)
 		s.itemQueued(a.int("item"), a.str("test"), a.num("pred_s"))
 	case EvItemDispatch:
 		s.itemStart(a.int("item"))
@@ -118,6 +121,10 @@ func (o *Observer) fold(event string, a attrs) bool {
 		} else {
 			o.Observe(MItemRunSeconds, secs, "app", app, "stage", "instances")
 		}
+		if pred := a.num("pred_s"); pred > 0 {
+			o.Observe(MSchedPredRatio, secs/pred, "app", app)
+		}
+		o.itemTally(app, a)
 		s.itemDone(a.int("item"), secs)
 	case EvItemRetried:
 		o.CounterAdd(MItemRetries, 1, "app", app)
@@ -152,7 +159,6 @@ func (o *Observer) fold(event string, a attrs) bool {
 		} else {
 			o.CounterAdd(MCacheHits, 1, "app", app, "scope", scope)
 		}
-		o.GaugeAdd(MCacheSaved, 1, "app", app)
 	case EvVerdict:
 		s.paramVerdict(a.str("param"), a.str("test"), a.num("p"))
 	case EvParamQuarantined:
@@ -162,6 +168,40 @@ func (o *Observer) fold(event string, a attrs) bool {
 		return false
 	}
 	return true
+}
+
+// itemTally folds the tallies a work item's events carry — what its
+// ItemResult says happened, counted once whichever executor ran it — into
+// the registry families they feed. An absent attribute is a zero tally.
+func (o *Observer) itemTally(app string, a attrs) {
+	for _, at := range a {
+		n := int64(num(at.Value))
+		switch at.Key {
+		case "instances":
+			o.GaugeAdd(MInstancesTotal, n, "app", app)
+			o.GaugeAdd(MInstancesDone, n, "app", app)
+		case "executions":
+			o.CounterAdd(MItemExecutions, n, "app", app)
+		case "executions_saved":
+			o.GaugeAdd(MCacheSaved, n, "app", app)
+		case "safe", "unsafe", "filtered", "homo_invalid":
+			o.CounterAdd(MVerdicts, n, "app", app, "verdict", strings.ReplaceAll(at.Key, "_", "-"))
+		case "first_trial":
+			o.CounterAdd(MFirstTrial, n, "app", app)
+		case "trials_saved_early":
+			o.CounterAdd(MTrialsSaved, n, "app", app, "kind", "early-stop")
+		case "trials_reallocated":
+			o.CounterAdd(MTrialsSaved, n, "app", app, "kind", "reallocated")
+		case "evidence":
+			o.CounterAdd(MEvidenceRecords, n, "app", app)
+		case "evidence_budget":
+			o.CounterAdd(MEvidenceTruncated, n, "app", app, "reason", "budget")
+		case "leaked":
+			o.CounterAdd(MAbandonedGoroutines, n, "app", app, "test", a.str("test"))
+		case "skipped":
+			o.CounterAdd(MSkippedTests, n, "app", app)
+		}
+	}
 }
 
 // attrs reads the attribute list an event was emitted with. A number is
@@ -185,8 +225,10 @@ func (a attrs) str(key string) string {
 	return s
 }
 
-func (a attrs) num(key string) float64 {
-	switch v := a.get(key).(type) {
+func (a attrs) num(key string) float64 { return num(a.get(key)) }
+
+func num(v any) float64 {
+	switch v := v.(type) {
 	case int64:
 		return float64(v)
 	case float64:

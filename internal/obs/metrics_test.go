@@ -202,7 +202,6 @@ func TestNilObserverIsSafe(t *testing.T) {
 	o.Observe(MPValue, 0.5, "app", "x")
 	o.RecordTestRun("x", "t", false, 0)
 	o.RecordExecution("x", "hetero", false)
-	o.RecordVerdict("x", "safe", false)
 	o.Event(EvCampaignStart, String("app", "x"))
 	o.SetSlots(1)
 	o.WorkerHeartbeat("x", 0, 1, nil, 0, 0, 0)

@@ -25,11 +25,11 @@ const (
 	// MTimeouts counts unit-test executions killed by the harness
 	// timeout. Labels: app, test.
 	MTimeouts = "zebraconf_test_timeouts_total"
-	// MVerdicts counts instance verdicts. Labels: app, verdict
-	// (safe | unsafe | filtered | homo-invalid).
+	// MVerdicts counts instance verdicts, per completed item. Labels: app,
+	// verdict (safe | unsafe | filtered | homo-invalid).
 	MVerdicts = "zebraconf_instance_verdicts_total"
 	// MFirstTrial counts instances whose first trial showed the unsafe
-	// pattern (§7.2 gating statistic). Labels: app.
+	// pattern (§7.2 gating statistic), per completed item. Labels: app.
 	MFirstTrial = "zebraconf_first_trial_signals_total"
 	// MPValue is the distribution of final Fisher one-sided p-values
 	// over instances that ran confirmation rounds. Labels: app.
@@ -44,7 +44,8 @@ const (
 	// affected: kind=early-stop for rounds an early conviction or
 	// futility stop did not run, kind=reallocated for extension-round
 	// trials granted to significance-marginal instances out of the
-	// campaign budget pool. Labels: app, kind.
+	// campaign budget pool. Derived per completed item from its verdicts'
+	// rounds and trials. Labels: app, kind.
 	MTrialsSaved = "zebraconf_trials_saved_total"
 	// MPoolRuns counts pooled heterogeneous runs. Labels: app, result
 	// (pass | fail).
@@ -58,18 +59,18 @@ const (
 	// MQuarantine counts parameters quarantined by the frequent-failer
 	// rule. Labels: app.
 	MQuarantine = "zebraconf_quarantine_events_total"
-	// MSkippedTests counts pre-run tests whose lookup failed in phase 2.
-	// Labels: app.
+	// MSkippedTests counts unknown -tests names and completed items whose
+	// test the executing process could not resolve. Labels: app.
 	MSkippedTests = "zebraconf_skipped_tests_total"
 	// MPhaseSeconds is the per-campaign-phase latency histogram.
 	// Labels: app, phase (prerun | instances | scoring).
 	MPhaseSeconds = "zebraconf_phase_seconds"
-	// MInstancesTotal / MInstancesDone gauge campaign progress.
-	// Labels: app.
+	// MInstancesTotal / MInstancesDone gauge campaign progress, both
+	// advanced by each completed item's instance count. Labels: app.
 	MInstancesTotal = "zebraconf_instances_total"
 	MInstancesDone  = "zebraconf_instances_done"
-	// MAbandonedGoroutines counts unit-test goroutines the harness
-	// abandoned after a timeout (it cannot kill them in-process).
+	// MAbandonedGoroutines counts executions (pre-runs and items') whose
+	// goroutines the harness abandoned (it cannot kill them in-process).
 	// Labels: app, test.
 	MAbandonedGoroutines = "zebraconf_abandoned_test_goroutines_total"
 	// MLeakedGoroutines gauges abandoned test goroutines still running.
@@ -90,8 +91,8 @@ const (
 	// MItemSeconds is the per-work-item wall-clock histogram as seen by
 	// the coordinator (dispatch to result). Labels: app.
 	MItemSeconds = "zebraconf_dist_item_seconds"
-	// MItemExecutions counts unit-test executions reported back by
-	// workers (worker-process registries are not merged). Labels: app.
+	// MItemExecutions counts work items' executions, whichever executor ran
+	// them (the dist_ name is kept for catalog stability). Labels: app.
 	MItemExecutions = "zebraconf_dist_item_executions_total"
 	// MItemRetries counts work items requeued after a worker crash or
 	// deadline kill. Labels: app.
@@ -158,19 +159,19 @@ const (
 	// MCacheCoalesced counts callers that joined an in-flight identical
 	// run instead of duplicating it (singleflight). Labels: app.
 	MCacheCoalesced = "zebraconf_exec_cache_coalesced_total"
-	// MCacheSaved gauges total unit-test executions avoided by
+	// MCacheSaved gauges the executions completed items avoided by
 	// memoization (hits + shared hits + coalesced). Labels: app.
 	MCacheSaved = "zebraconf_exec_cache_saved_executions"
 
 	// Verdict forensics catalog (internal/core/forensics).
 
-	// MEvidenceRecords counts evidence records admitted to the store.
+	// MEvidenceRecords counts the evidence records of completed items.
 	// Labels: app.
 	MEvidenceRecords = "zebraconf_evidence_records_total"
 	// MEvidenceTruncated counts evidence truncation events: reason=log
 	// (per-execution log ring overflowed), reason=reads (read-trace cap
-	// hit), reason=budget (campaign-wide -evidence-max exhausted, record
-	// degraded to verdict-only). Labels: app, reason.
+	// hit), reason=budget (-evidence-max exhausted, record degraded to
+	// verdict-only; counted per completed item). Labels: app, reason.
 	MEvidenceTruncated = "zebraconf_evidence_truncated_total"
 
 	// Persistent disk cache catalog (internal/core/diskcache).
@@ -379,15 +380,4 @@ func (o *Observer) RecordExecution(app, arm string, failed bool) {
 		outcome = "fail"
 	}
 	o.CounterAdd(MExecutions, 1, "app", app, "arm", arm, "outcome", outcome)
-}
-
-// RecordVerdict is the runner hook: one instance got its final verdict.
-func (o *Observer) RecordVerdict(app, verdict string, firstTrialSignal bool) {
-	if o == nil {
-		return
-	}
-	o.CounterAdd(MVerdicts, 1, "app", app, "verdict", verdict)
-	if firstTrialSignal {
-		o.CounterAdd(MFirstTrial, 1, "app", app)
-	}
 }

@@ -91,14 +91,12 @@ func SummarizePerf(o *Observer, app string, elapsedSeconds float64, slots int) *
 		ps.P95QueueWaitSeconds = wait.Quantile(0.95)
 	}
 
-	ps.Executions = reg.CounterValue(MExecutions, "app", app) +
-		reg.CounterValue(MItemExecutions, "app", app)
-	ps.ExecutionsSaved = reg.GaugeValue(MCacheSaved, "app", app)
+	t := o.tally(CampaignStatus{App: app}, 1)
+	ps.Executions, ps.ExecutionsSaved = t.Executions, t.ExecutionsSaved
+	ps.SpeculativeRuns, ps.SpeculationWins = t.SpeculativeRuns, t.SpeculationWins
 	if total := ps.Executions + ps.ExecutionsSaved; total > 0 {
 		ps.CacheHitRate = float64(ps.ExecutionsSaved) / float64(total)
 	}
-	ps.SpeculativeRuns = reg.CounterValue(MSpeculativeRuns, "app", app)
-	ps.SpeculationWins = reg.CounterValue(MSpeculationWins, "app", app)
 	ps.TrialsSavedEarly = reg.CounterValue(MTrialsSaved, "app", app, "kind", "early-stop")
 	ps.TrialsReallocated = reg.CounterValue(MTrialsSaved, "app", app, "kind", "reallocated")
 	return ps

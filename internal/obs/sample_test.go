@@ -152,8 +152,7 @@ func TestSamplerStatusFields(t *testing.T) {
 	o.Event(EvItemQueued, item(1), String("test", "TestA"))
 	o.Event(EvItemQueued, item(2), String("test", "TestB"))
 	o.Event(EvItemDispatch, item(1))
-	o.CounterAdd(MExecutions, 5, "app", "minihdfs", "arm", "hetero", "outcome", "pass")
-	o.GaugeAdd(MCacheSaved, 5, "app", "minihdfs")
+	o.Event(EvItemComplete, String("app", "minihdfs"), item(3), Int("executions", 5), Int("executions_saved", 5))
 	s := NewSampler(o, time.Hour, nil, 4)
 	s.SampleNow()
 	cur, _ := s.Current()

@@ -420,7 +420,9 @@ type ParamStatus struct {
 }
 
 // tally adds sign × the registry's campaign tallies for cs.App to cs:
-// the one copy of the counts every live view shows.
+// the one copy of the counts every live view and the perf summary show.
+// Executions are the pre-runs', counted per execution, plus the items',
+// counted per item_complete.
 func (o *Observer) tally(cs CampaignStatus, sign int64) CampaignStatus {
 	reg := o.Metrics
 	if reg == nil || cs.App == "" { // no registry, or no campaign yet
@@ -428,7 +430,7 @@ func (o *Observer) tally(cs CampaignStatus, sign int64) CampaignStatus {
 	}
 	cs.Instances += sign * reg.GaugeValue(MInstancesTotal, "app", cs.App)
 	cs.InstancesDone += sign * reg.GaugeValue(MInstancesDone, "app", cs.App)
-	cs.Executions += sign * (reg.CounterValue(MExecutions, "app", cs.App) +
+	cs.Executions += sign * (reg.CounterValue(MExecutions, "app", cs.App, "arm", "prerun") +
 		reg.CounterValue(MItemExecutions, "app", cs.App))
 	cs.ExecutionsSaved += sign * reg.GaugeValue(MCacheSaved, "app", cs.App)
 	cs.SpeculativeRuns += sign * reg.CounterValue(MSpeculativeRuns, "app", cs.App)

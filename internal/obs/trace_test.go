@@ -172,7 +172,7 @@ func TestProgressRenders(t *testing.T) {
 	o.GaugeAdd(MInstancesTotal, 10, "app", "minihdfs")
 	o.GaugeAdd(MInstancesDone, 4, "app", "minihdfs")
 	o.CounterAdd(MExecutions, 123, "app", "minihdfs", "arm", "hetero", "outcome", "pass")
-	o.RecordVerdict("minihdfs", "unsafe", false)
+	o.Event(EvItemComplete, String("app", "minihdfs"), Int("item", 0), Int("unsafe", 1))
 	time.Sleep(30 * time.Millisecond)
 	o.Event(EvCampaignFinish, String("app", "minihdfs"), Float("elapsed_s", 0.03))
 
