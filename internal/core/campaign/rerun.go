@@ -53,7 +53,6 @@ func PlanRerun(app *harness.App, opts Options, ix *coverage.Index, store *covera
 			plan.Changed = append(plan.Changed, name)
 		default:
 			item.Executions, item.ExecutionsSaved, item.LeakedGoroutines = 0, 0, 0
-			item.Spans = nil
 			item.Replayed = true
 			plan.Stored[name] = item
 			plan.Replayed = append(plan.Replayed, name)

@@ -109,12 +109,6 @@ type ItemResult struct {
 	// zeroed (replay costs nothing), and the item store keeps the record it
 	// was decoded from.
 	Replayed bool `json:"replayed,omitempty"`
-	// Spans carries the worker-local trace fragment for this item
-	// (populated only by worker subprocesses running with item tracing
-	// on). Span and parent IDs are local to the fragment, parent 0
-	// meaning the item root; the coordinator re-identifies them under
-	// its own item span so a -workers campaign renders as one tree.
-	Spans []obs.SpanRecord `json:"spans,omitempty"`
 }
 
 // ExecuteItem runs every instance of one work item: generation, pooled

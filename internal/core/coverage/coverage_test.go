@@ -3,6 +3,7 @@ package coverage
 import (
 	"bytes"
 	"encoding/json"
+	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -229,25 +230,110 @@ func TestItemStoreRoundTrip(t *testing.T) {
 	if st, err := LoadItems(dir, "app"); err != nil || st != nil {
 		t.Fatalf("cold item load = %v, %v; want nil, nil", st, err)
 	}
-	st := &ItemStore{App: "app", Items: map[string]json.RawMessage{
-		"TestA": json.RawMessage(`{"id":0}`),
-	}}
+	st := &ItemStore{App: "app<1>", Items: make(map[string]json.RawMessage)}
+	for i, test := range []string{"TestZ", "TestA", "Test<&>", "TestM"} {
+		b, err := json.Marshal(map[string]any{"id": i, "test": test, "error": "a < b && c"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st.Items[test] = b
+	}
 	if err := SaveItems(dir, st); err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadItems(dir, "app")
+	// Records json.Marshal produced are stored as given, so the file is
+	// exactly what marshalling the whole store would write.
+	want, err := json.Marshal(st)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// MarshalIndent reformats the embedded raw JSON, so compare decoded
-	// values, not bytes.
-	var v struct {
-		ID int `json:"id"`
+	file, err := os.ReadFile(ItemsPathFor(dir, st.App))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := json.Unmarshal(got.Items["TestA"], &v); err != nil || v.ID != 0 {
-		t.Fatalf("item round trip changed payload: %s (%v)", got.Items["TestA"], err)
+	if !bytes.Equal(file, append(want, '\n')) {
+		t.Fatalf("item store file:\n got %s\nwant %s", file, want)
 	}
-	if _, ok := got.Items["TestB"]; ok {
-		t.Fatal("phantom item after round trip")
+	got, err := LoadItems(dir, st.App)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, st) {
+		t.Fatalf("round trip:\n got %+v\nwant %+v", got, st)
+	}
+}
+
+// TestItemStoreLoadsIndentedStore: a store written the older way, the whole
+// map indented, loads to the same records, and saving it again keeps it
+// loadable.
+func TestItemStoreLoadsIndentedStore(t *testing.T) {
+	t.Parallel()
+	dir := t.TempDir()
+	st := &ItemStore{App: "app", Items: map[string]json.RawMessage{
+		"TestA": json.RawMessage(`{"id":0,"verdicts":[{"param":"p","unsafe":true}]}`),
+		"TestB": json.RawMessage(`{"id":1,"test":"TestB"}`),
+	}}
+	indented, err := json.MarshalIndent(st, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(ItemsPathFor(dir, st.App), append(indented, '\n'), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	decoded := func(s *ItemStore) map[string]any {
+		t.Helper()
+		out := make(map[string]any, len(s.Items))
+		for name, raw := range s.Items {
+			var v any
+			if err := json.Unmarshal(raw, &v); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			out[name] = v
+		}
+		return out
+	}
+	for pass := 0; pass < 2; pass++ {
+		got, err := LoadItems(dir, st.App)
+		if err != nil {
+			t.Fatalf("pass %d: %v", pass, err)
+		}
+		if got.App != st.App || !reflect.DeepEqual(decoded(got), decoded(st)) {
+			t.Fatalf("pass %d: loaded %+v, want the records of %+v", pass, got, st)
+		}
+		if err := SaveItems(dir, got); err != nil {
+			t.Fatalf("pass %d: resave: %v", pass, err)
+		}
+	}
+}
+
+// TestItemStoreRefusesInvalidRecord: a record that is not JSON fails the
+// save, which leaves the previous store byte for byte and no temporary file.
+func TestItemStoreRefusesInvalidRecord(t *testing.T) {
+	t.Parallel()
+	dir := t.TempDir()
+	good := &ItemStore{App: "app", Items: map[string]json.RawMessage{"TestA": json.RawMessage(`{"id":0}`)}}
+	if err := SaveItems(dir, good); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(ItemsPathFor(dir, "app"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := &ItemStore{App: "app", Items: map[string]json.RawMessage{
+		"TestA": json.RawMessage(`{"id":0}`),
+		"TestB": json.RawMessage(`{"id":`),
+	}}
+	if err := SaveItems(dir, bad); err == nil {
+		t.Fatal("a store with a torn record was saved")
+	}
+	after, err := os.ReadFile(ItemsPathFor(dir, "app"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Fatalf("the failed save changed the store:\n before %s\n after  %s", before, after)
+	}
+	if tmp, _ := filepath.Glob(filepath.Join(dir, "*.tmp")); len(tmp) != 0 {
+		t.Fatalf("the failed save left %v behind", tmp)
 	}
 }

@@ -2,6 +2,7 @@ package dist
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -668,12 +669,13 @@ func (r *Run) session(slot int, sess *workerSession) sessionOutcome {
 				delete(inflight, m.Result.ID)
 				itemsDone++
 				if r.recordResult(slot, *m.Result, time.Since(e.start), e.item.PredSeconds, e.spec) {
-					r.stitchSpans(e.span, e.start, m.Result.Spans)
+					r.stitchSpans(e.span, e.start, m.Spans)
 				} else {
 					// The losing copy of a speculated (or timeout-retried)
-					// item: its result — evidence, spans, and all — was
-					// discarded before accounting; mark the attempt so the
-					// trace shows where the duplicate work went.
+					// item: its result — evidence and all — and its trace
+					// fragment were discarded before accounting; mark the
+					// attempt so the trace shows where the duplicate work
+					// went.
 					e.span.SetAttr(obs.Bool("duplicate", true))
 				}
 				e.span.End()
@@ -1086,7 +1088,9 @@ type workerSession struct {
 	msgs       chan Msg
 	readerDone chan struct{}
 	killOnce   sync.Once
-	sendMu     sync.Mutex
+	// sendMu serializes send, which encodes each frame into line.
+	sendMu sync.Mutex
+	line   bytes.Buffer
 	// pid is the worker's self-reported process ID (from the TCP hello;
 	// subprocess sessions know it from exec). Zero when unknown.
 	pid int
@@ -1173,14 +1177,16 @@ func (r *Run) spawn(slot int) (*workerSession, error) {
 	return s, nil
 }
 
+// send encodes m once into the session's reused buffer and writes the
+// line in one call.
 func (s *workerSession) send(m Msg) error {
-	line, err := json.Marshal(m)
-	if err != nil {
-		return err
-	}
 	s.sendMu.Lock()
 	defer s.sendMu.Unlock()
-	_, err = s.w.Write(append(line, '\n'))
+	s.line.Reset()
+	if err := json.NewEncoder(&s.line).Encode(m); err != nil {
+		return err
+	}
+	_, err := s.w.Write(s.line.Bytes())
 	return err
 }
 
@@ -1190,7 +1196,7 @@ func (s *workerSession) readLoop(rd io.Reader) {
 	defer close(s.readerDone)
 	defer close(s.msgs)
 	sc := bufio.NewScanner(rd)
-	sc.Buffer(make([]byte, 0, 1<<20), 64<<20)
+	sc.Buffer(nil, maxLine)
 	for sc.Scan() {
 		var m Msg
 		if err := json.Unmarshal(sc.Bytes(), &m); err != nil {

@@ -2,7 +2,9 @@ package dist
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -25,8 +27,9 @@ func TestJournalRoundTrip(t *testing.T) {
 	}
 	recs := []Record{
 		{Kind: KindHeader, App: "a", Seed: 7, Items: 3},
-		{Kind: KindDone, Item: 1, Test: "T1", Result: &campaign.ItemResult{ID: 1, Test: "T1", Executions: 5}},
-		{Kind: KindGiveUp, Item: 2, Test: "T2", Reason: "timeout"},
+		{Kind: KindDone, Item: 1, Test: "T1", Result: &campaign.ItemResult{ID: 1, Test: "T1", Executions: 5,
+			Verdicts: []campaign.InstanceVerdict{{Param: "p", PValue: 0.25}}}},
+		{Kind: KindGiveUp, Item: 2, Test: "T2", Reason: "timeout <after> 3 && more"},
 	}
 	for _, rec := range recs {
 		if err := j.Append(rec); err != nil {
@@ -36,12 +39,64 @@ func TestJournalRoundTrip(t *testing.T) {
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
+	// Each line is json.Marshal's bytes and a newline: one journal format,
+	// whichever writer produced the file.
+	file, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []byte
+	for _, rec := range recs {
+		b, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(append(want, b...), '\n')
+	}
+	if !bytes.Equal(file, want) {
+		t.Fatalf("journal bytes:\n got %s\nwant %s", file, want)
+	}
 	got, err := ReadJournal(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, recs) {
 		t.Fatalf("round trip:\n got %+v\nwant %+v", got, recs)
+	}
+}
+
+// TestJournalRefusesUnmarshalableRecord: a result that cannot be encoded
+// (a NaN p-value) is refused before a byte is written, and the journal stays
+// healthy — the records on either side of it are appended and read back.
+func TestJournalRefusesUnmarshalableRecord(t *testing.T) {
+	t.Parallel()
+	path := filepath.Join(t.TempDir(), "ck.jsonl")
+	j, err := OpenJournal(path, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := Record{Kind: KindDone, Item: 0, Test: "T0", Result: &campaign.ItemResult{ID: 0, Test: "T0"}}
+	nan := Record{Kind: KindDone, Item: 1, Test: "T1", Result: &campaign.ItemResult{ID: 1, Test: "T1",
+		Verdicts: []campaign.InstanceVerdict{{Param: "p", PValue: math.NaN()}}}}
+	after := Record{Kind: KindDone, Item: 2, Test: "T2", Result: &campaign.ItemResult{ID: 2, Test: "T2"}}
+	if err := j.Append(before); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Append(nan); err == nil {
+		t.Fatal("a record with a NaN p-value was appended")
+	}
+	if err := j.Append(after); err != nil {
+		t.Fatalf("append after a marshal failure: %v", err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []Record{before, after}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("journal holds %+v, want %+v", got, want)
 	}
 }
 

@@ -143,7 +143,7 @@ func (d *recordingDistributor) Drain() []campaign.ItemResult  { return nil }
 // its word: with the frequent-failer rule off, a work item executed by the
 // in-process pipeline and by a ServeWorker session yields the same
 // ItemResult — verdicts, p-values, evidence records, execution and cache
-// accounting — but for the two fields only a worker fills (Coverage, Spans).
+// accounting — but for the one field only a worker fills (Coverage).
 // One slot and the barrier release on both sides, so items meet the session's
 // trial budget pool and evidence budget in the same order.
 func TestItemResultSameInProcessAndInWorker(t *testing.T) {
@@ -189,7 +189,7 @@ func TestItemResultSameInProcessAndInWorker(t *testing.T) {
 				if got.Coverage == nil {
 					t.Errorf("item %d: the worker shipped no coverage edges", got.ID)
 				}
-				got.Coverage, got.Spans = nil, nil
+				got.Coverage = nil
 				// The worker's result crossed the wire, so compare as
 				// the wire (and the journal) would carry both.
 				a, _ := json.Marshal(got)

@@ -13,6 +13,7 @@ import (
 	"zebraconf/internal/core/harness"
 	"zebraconf/internal/core/memo"
 	"zebraconf/internal/core/runner"
+	"zebraconf/internal/obs"
 )
 
 // FuzzWorkerFrames feeds arbitrary NDJSON lines to both read loops of the
@@ -58,6 +59,16 @@ func FuzzWorkerFrames(f *testing.F) {
 	if err := json.Unmarshal([]byte(`{"type":"init","config":{"no_shared_cache":true,"disk_cache_dir":"/x","seed":7}}`), &m); err != nil || m.Config.Seed != 7 {
 		f.Fatalf("an init frame with retired config fields decodes to %+v, %v", m.Config, err)
 	}
+	// A trace fragment rides the envelope; an older worker put it inside
+	// the result, where it is now an unknown field and ignored.
+	frag := []obs.SpanRecord{{Span: 1, Name: "instance", DurUS: 5}, {Span: 2, Parent: 1, Name: "round"}}
+	traced := line(Msg{Type: MsgResult, Result: &campaign.ItemResult{Test: "TestWord", Executions: 3}, Spans: frag})
+	legacyTraced := []byte(`{"type":"result","result":{"id":0,"test":"TestWord","executions":3,` +
+		`"spans":[{"span":1,"name":"instance","start_us":0,"dur_us":5}]}}` + "\n")
+	m = Msg{}
+	if err := json.Unmarshal(legacyTraced, &m); err != nil || m.Result == nil || m.Result.Executions != 3 || m.Spans != nil {
+		f.Fatalf("a result frame with a result-level fragment decodes to %+v, %v", m, err)
+	}
 	for _, seed := range [][]byte{
 		run, legacy, bytes.Repeat(run, 3),
 		line(Msg{Type: MsgRun, Item: &campaign.WorkItem{ID: 1, Test: "TestGone"}}),
@@ -66,6 +77,7 @@ func FuzzWorkerFrames(f *testing.F) {
 		line(Msg{Type: MsgBye}),
 		line(Msg{Type: MsgReady, PID: 1}),
 		line(Msg{Type: MsgResult, Result: &campaign.ItemResult{Test: "TestWord", Executions: 3}}),
+		traced, legacyTraced,
 		line(Msg{Type: MsgHeartbeat, PID: 1, HB: &Heartbeat{Inflight: []int{0}, Executions: 3}}),
 		line(Msg{Type: MsgCacheGet, Req: 1, CacheKey: &key}),
 		line(Msg{Type: MsgCachePut, CacheKey: &key, CacheRes: &res}),

@@ -383,17 +383,32 @@ func TestKillResumeSingleEvidencePerItem(t *testing.T) {
 // distributed campaign with per-item worker tracing must render as ONE
 // span tree — a single root, and every other span's parent present in
 // the same trace. Before stitching, worker fragments arrived with
-// process-local span IDs and dangled as orphaned roots.
+// process-local span IDs and dangled as orphaned roots. The fragments are
+// telemetry, not results: none of them reaches the checkpoint journal.
 func TestWorkersTraceSingleTree(t *testing.T) {
 	t.Parallel()
 	var buf bytes.Buffer
 	o := &obs.Observer{Tracer: obs.NewTracer(&buf)}
 	app := minihdfs(t)
+	ck := filepath.Join(t.TempDir(), "ck.jsonl")
 	runDistributed(t, app, subsetOptions(11, o), dist.Options{
-		Workers:   2,
-		WorkerCmd: workerFactory(),
-		Config:    dist.Config{TraceItems: true},
+		Workers:        2,
+		WorkerCmd:      workerFactory(),
+		Config:         dist.Config{TraceItems: true},
+		CheckpointPath: ck,
 	})
+	journal, err := os.ReadFile(ck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(journal, []byte(`"kind":"done"`)) {
+		t.Fatalf("the journal holds no done record:\n%s", journal)
+	}
+	for _, line := range bytes.Split(journal, []byte{'\n'}) {
+		if bytes.Contains(line, []byte(`"spans"`)) {
+			t.Fatalf("a trace fragment was journaled: %.200s", line)
+		}
+	}
 
 	spans, err := obs.ReadTrace(&buf)
 	if err != nil {

@@ -2,6 +2,7 @@ package dist
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -63,6 +64,7 @@ type Journal struct {
 	mu        sync.Mutex
 	f         journalFile
 	w         *bufio.Writer
+	line      bytes.Buffer // Append's encoding of one record
 	pending   int
 	syncEvery int
 	err       error // sticky first write/sync failure
@@ -90,20 +92,23 @@ func newJournal(f journalFile, syncEvery int) *Journal {
 	return &Journal{f: f, w: bufio.NewWriter(f), syncEvery: syncEvery}
 }
 
-// Append writes one record and fsyncs if the batch is full. After any
-// write or sync failure the journal is failed: every later Append (and
-// Sync) returns the original error without touching the file.
+// Append writes one record — json.Marshal's bytes and a newline, encoded
+// once into the journal's reused line buffer — and fsyncs if the batch is
+// full. A record that cannot be marshalled is refused before anything is
+// written and leaves the journal healthy. After any write or sync failure
+// the journal is failed: every later Append (and Sync) returns the
+// original error without touching the file.
 func (j *Journal) Append(rec Record) error {
-	line, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("dist: marshal journal record: %w", err)
-	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.err != nil {
 		return fmt.Errorf("dist: journal failed, refusing append: %w", j.err)
 	}
-	if _, err := j.w.Write(append(line, '\n')); err != nil {
+	j.line.Reset()
+	if err := json.NewEncoder(&j.line).Encode(rec); err != nil {
+		return fmt.Errorf("dist: marshal journal record: %w", err)
+	}
+	if _, err := j.w.Write(j.line.Bytes()); err != nil {
 		j.err = err
 		return err
 	}
@@ -162,7 +167,7 @@ func ReadJournal(path string) ([]Record, error) {
 
 	var out []Record
 	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<20), 64<<20)
+	sc.Buffer(nil, maxLine)
 	line := 0
 	torn := -1 // line number of a parse failure, tolerated only at EOF
 	for sc.Scan() {

@@ -20,6 +20,7 @@ import (
 	"zebraconf/internal/core/campaign"
 	"zebraconf/internal/core/memo"
 	"zebraconf/internal/core/stats"
+	"zebraconf/internal/obs"
 )
 
 // Message types of the coordinator↔worker wire protocol. Every message
@@ -79,6 +80,10 @@ const (
 	MsgWelcome = "welcome"
 )
 
+// maxLine caps one wire frame or journal record. Line readers start small
+// and grow on demand up to it, so a session costs what its frames need.
+const maxLine = 64 << 20
+
 // Heartbeat is the health snapshot riding in a MsgHeartbeat.
 type Heartbeat struct {
 	// Inflight lists the IDs of work items currently executing.
@@ -99,8 +104,15 @@ type Msg struct {
 	Config *Config              `json:"config,omitempty"`
 	Item   *campaign.WorkItem   `json:"item,omitempty"`
 	Result *campaign.ItemResult `json:"result,omitempty"`
-	PID    int                  `json:"pid,omitempty"`
-	Error  string               `json:"error,omitempty"`
+	// Spans carries a MsgResult's worker-local trace fragment (set only
+	// under Config.TraceItems). Span and parent IDs are local to the
+	// fragment, parent 0 meaning the item root; the coordinator
+	// re-identifies them under its own item span so a -workers campaign
+	// renders as one tree. Telemetry, not result: it rides beside Result,
+	// so nothing that persists a result ever carries it.
+	Spans []obs.SpanRecord `json:"spans,omitempty"`
+	PID   int              `json:"pid,omitempty"`
+	Error string           `json:"error,omitempty"`
 	// Param carries the quarantined parameter of a MsgQuarantine.
 	Param string `json:"param,omitempty"`
 	// Persistent-tier fields (MsgCacheGet / MsgCacheVal / MsgCachePut).
@@ -148,10 +160,11 @@ type Config struct {
 	// Parallel bounds concurrent work items per worker subprocess — the
 	// per-machine container count of the paper's fleet. Zero means 8.
 	Parallel int `json:"parallel,omitempty"`
-	// TraceItems asks workers to trace each item's execution into its
-	// ItemResult (a span fragment the coordinator stitches under its own
-	// item span). Set when the coordinator itself is tracing; not part
-	// of campaign.Options, so ConfigFrom leaves it false.
+	// TraceItems asks workers to trace each item's execution and send the
+	// span fragment in the result frame's Msg.Spans, for the coordinator
+	// to stitch under its own item span. Set when the coordinator itself
+	// is tracing; not part of campaign.Options, so ConfigFrom leaves it
+	// false.
 	TraceItems bool `json:"trace_items,omitempty"`
 	// HeartbeatMS is the worker heartbeat period in milliseconds; zero
 	// disables heartbeats (and with them coordinator stall detection).

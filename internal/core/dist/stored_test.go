@@ -3,6 +3,7 @@ package dist_test
 import (
 	"bytes"
 	"encoding/json"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -105,6 +106,40 @@ func TestInProcessResumeOfAWorkersJournal(t *testing.T) {
 	inProcess := campaign.Run(app, opts)
 	if a, b := sansElapsed(t, sharded), sansElapsed(t, inProcess); !bytes.Equal(a, b) {
 		t.Errorf("resumed in process:\n sharded    %s\n in process %s", a, b)
+	}
+}
+
+// TestResumeOfAJournalWithTraceFragments: journals once carried each worker's
+// trace fragment inside the result ("result":{"spans":[…]}). Such a journal
+// still resumes: the fragment is an unknown field, dropped on decode, and the
+// resumed campaign reports what the journaled one did, byte for byte.
+func TestResumeOfAJournalWithTraceFragments(t *testing.T) {
+	t.Parallel()
+	app := minihdfs(t)
+	ck := filepath.Join(t.TempDir(), "ck.jsonl")
+	const seed = 23
+	ref := runDistributed(t, app, subsetOptions(seed, nil), dist.Options{
+		Workers: 1, WorkerCmd: workerFactory(), CheckpointPath: ck,
+	})
+	journal, err := os.ReadFile(ck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frag := `"result":{"spans":[{"span":1,"name":"instance","start_us":0,"dur_us":5},{"span":2,"parent":1,"name":"round","start_us":1,"dur_us":2}],`
+	legacy := bytes.ReplaceAll(journal, []byte(`"result":{`), []byte(frag))
+	if n := bytes.Count(legacy, []byte(`"spans"`)); n != len(ref.Items) {
+		t.Fatalf("%d of %d done records carry a fragment", n, len(ref.Items))
+	}
+	if err := os.WriteFile(ck, legacy, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	o := obs.New()
+	resumed := campaign.Run(app, resumeFrom(t, ck, app, subsetOptions(seed, o)))
+	if n := o.Metrics.CounterValue(obs.MItemsResumed, "app", app.Name); n != int64(len(ref.Items)) {
+		t.Errorf("items resumed = %d, want %d", n, len(ref.Items))
+	}
+	if a, b := sansElapsed(t, ref), sansElapsed(t, resumed); !bytes.Equal(a, b) {
+		t.Errorf("resumed from fragment-carrying journal:\n ref    %s\n resume %s", a, b)
 	}
 }
 

@@ -2,6 +2,7 @@ package dist
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -57,15 +58,18 @@ func ServeWorker(r io.Reader, w io.Writer, resolve func(string) (*harness.App, e
 
 // ServeWorkerEnv is ServeWorker with worker-local environment settings.
 func ServeWorkerEnv(r io.Reader, w io.Writer, resolve func(string) (*harness.App, error), env WorkerEnv) error {
+	// Every frame is encoded once into one reused buffer and written in
+	// one call, so a line never interleaves with another sender's.
 	var wmu sync.Mutex
+	var line bytes.Buffer
 	send := func(m Msg) error {
-		line, err := json.Marshal(m)
-		if err != nil {
-			return err
-		}
 		wmu.Lock()
 		defer wmu.Unlock()
-		if _, err := w.Write(append(line, '\n')); err != nil {
+		line.Reset()
+		if err := json.NewEncoder(&line).Encode(m); err != nil {
+			return err
+		}
+		if _, err := w.Write(line.Bytes()); err != nil {
 			return err
 		}
 		if f, ok := w.(interface{ Flush() error }); ok {
@@ -75,7 +79,7 @@ func ServeWorkerEnv(r io.Reader, w io.Writer, resolve func(string) (*harness.App
 	}
 
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<20), 64<<20)
+	sc.Buffer(nil, maxLine)
 	read := func() (Msg, error) {
 		if !sc.Scan() {
 			if err := sc.Err(); err != nil {
@@ -252,7 +256,7 @@ func ServeWorkerEnv(r io.Reader, w io.Writer, resolve func(string) (*harness.App
 				hbmu.Unlock()
 			}()
 			// Item tracing: execute under a private tracer and ship the
-			// resulting span fragment home inside the item result. IDs are
+			// resulting span fragment home beside the item result. IDs are
 			// fragment-local (a fresh tracer per item), parents of roots
 			// are 0; the coordinator re-identifies both when stitching.
 			itemRun, itemOpts := run, opts
@@ -269,11 +273,10 @@ func ServeWorkerEnv(r io.Reader, w io.Writer, resolve func(string) (*harness.App
 			if params, ok := cov.Params(item.Test); ok {
 				res.Coverage = params
 			}
+			execDone.Add(res.Executions)
 			// Every span ends before ExecuteItem returns, so the fragment
 			// is complete.
-			res.Spans = frag.Records()
-			execDone.Add(res.Executions)
-			if err := send(Msg{Type: MsgResult, Result: &res}); err != nil {
+			if err := send(Msg{Type: MsgResult, Result: &res, Spans: frag.Records()}); err != nil {
 				errOnce.Do(func() { sendErr = err })
 			}
 		}()
