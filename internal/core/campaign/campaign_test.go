@@ -2,10 +2,15 @@ package campaign
 
 import (
 	"fmt"
+	"slices"
+	"sync/atomic"
 	"testing"
 
 	"zebraconf/internal/confkit"
 	"zebraconf/internal/core/harness"
+	"zebraconf/internal/core/runner"
+	"zebraconf/internal/core/testgen"
+	"zebraconf/internal/obs"
 )
 
 // syntheticApp builds an app with one unsafe parameter, several safe
@@ -184,5 +189,66 @@ func TestCampaignQuarantineCapsWork(t *testing.T) {
 			// can admit one extra test, not four.
 			t.Fatalf("quarantine did not cap confirmations: %v", r.Tests)
 		}
+	}
+}
+
+// A pool whose left half holds a skipped parameter sheds it from a copy:
+// the halves share one backing array, and the right half still runs every
+// one of its members. Every parameter is unsafe, so every pool splits down
+// to leaves, and the leaves' verdicts show which members ran. p1 is
+// quarantined by the first execution after the pre-run — the pooled run
+// of the whole slot — so it is a member of the top pool but skipped in
+// its left half.
+func TestSplitPoolRunsRightHalfPastSkippedMember(t *testing.T) {
+	t.Parallel()
+	params := []string{"p0", "p1", "p2", "p3", "p4", "p5"}
+	app := &harness.App{
+		Name:      "allunsafe",
+		NodeTypes: []string{"Node"},
+		Schema: func() *confkit.Registry {
+			r := confkit.NewRegistry()
+			for _, p := range params {
+				r.Register(confkit.Param{Name: p, Kind: confkit.Bool, Default: "false"})
+			}
+			return r
+		},
+	}
+	gen := testgen.New(app.Schema())
+	var armed atomic.Bool
+	app.Tests = []harness.UnitTest{{
+		Name: "TestAll",
+		Run: func(t *harness.T) {
+			if armed.Load() {
+				gen.Quarantine("p1")
+			}
+			testConf := t.Env.RT.NewConf()
+			t.Env.RT.StartInit("Node")
+			nodeConf := testConf.RefToClone()
+			t.Env.RT.StopInit()
+			for _, p := range params {
+				if nodeConf.GetBool(p) != testConf.GetBool(p) {
+					t.Fatalf("%s differs between node and client", p)
+				}
+			}
+		},
+	}}
+	opts := Options{DisableExecCache: true}
+	run := runner.New(app, RunnerOptions(app.Name, opts))
+	pre := run.PreRun(&app.Tests[0])
+	armed.Store(true)
+	res := ExecuteItem(app, gen, run, opts, obs.NoSpan, WorkItem{Test: "TestAll", PreRun: pre})
+	if !slices.Equal(res.ReachableParams, params) {
+		t.Fatalf("instances generated for %v, want every parameter", res.ReachableParams)
+	}
+
+	var got []string
+	for _, v := range res.Verdicts {
+		if v.Verdict != runner.VerdictUnsafe.String() {
+			t.Errorf("%s: verdict %s, want unsafe", v.Instance, v.Verdict)
+		}
+		got = append(got, v.Param)
+	}
+	if want := []string{"p0", "p2", "p3", "p4", "p5"}; !slices.Equal(got, want) {
+		t.Fatalf("leaf verdicts for %v, want %v", got, want)
 	}
 }

@@ -169,18 +169,19 @@ func ExecuteItem(app *harness.App, gen *testgen.Generator, run *runner.Runner, o
 		if skip(inst.Param) {
 			return
 		}
+		label := inst.String()
 		asn := gen.AssignFor(inst, &rep)
-		r := run.RunAssignmentIn(parent, test, asn, inst.String())
+		r := run.RunAssignmentIn(parent, test, asn, label)
 		account(r)
 		if r.Evidence != nil {
 			// The runner knows the execution; only this layer knows the
 			// instance identity and the campaign flags a repro needs.
-			r.Evidence.Instance = inst.String()
+			r.Evidence.Instance = label
 			r.Evidence.Param = inst.Param
 			r.Evidence.Repro = forensics.ReproCommand(app.Name, item.Test, inst.Param, opts.Seed)
 		}
 		out.Verdicts = append(out.Verdicts, InstanceVerdict{
-			Instance:         inst.String(),
+			Instance:         label,
 			Param:            inst.Param,
 			Verdict:          r.Verdict.String(),
 			FirstTrialSignal: r.FirstTrialSignal,
@@ -205,8 +206,12 @@ func ExecuteItem(app *harness.App, gen *testgen.Generator, run *runner.Runner, o
 
 	var runPool func(parent obs.SpanID, depth int, p testgen.Pool)
 	runPool = func(parent obs.SpanID, depth int, p testgen.Pool) {
-		p.Members = slices.DeleteFunc(slices.Clone(p.Members),
-			func(in testgen.Instance) bool { return skip(in.Param) })
+		// Pools and their split halves share one backing array, so a
+		// pool sheds its skipped members from a copy of its own.
+		skipped := func(in testgen.Instance) bool { return skip(in.Param) }
+		if slices.ContainsFunc(p.Members, skipped) {
+			p.Members = slices.DeleteFunc(slices.Clone(p.Members), skipped)
+		}
 		switch len(p.Members) {
 		case 0:
 			return
@@ -220,8 +225,7 @@ func ExecuteItem(app *harness.App, gen *testgen.Generator, run *runner.Runner, o
 			obs.Int("size", int64(len(p.Members))),
 			obs.Int("depth", int64(depth)))
 		defer span.End()
-		asn := p.Assignment(gen, &rep)
-		failed, cost := run.RunPooledIn(span.ID(), test, asn, p.Test+"/pool")
+		failed, cost := run.RunPooledIn(span.ID(), test, p.Assignment(gen, &rep), p.Test+"/pool")
 		account(cost)
 		if !failed {
 			// Pooled heterogeneous run passed: all members cleared.

@@ -508,18 +508,19 @@ func (r *Runner) RunAssignmentIn(parent obs.SpanID, test *harness.UnitTest, asn 
 	return res
 }
 
-// RunPooledIn executes just the heterogeneous arm of a pooled assignment;
-// the pool machinery only needs pass/fail to decide whether to split, and
-// what the run cost (an execution or a saved one). The run is canonically
-// seeded over the merged assignment (a pooled configuration is content,
-// not an instance), so identical pools — e.g. a re-split after a retry —
-// memoize. The pooled-run span nests under parent.
-func (r *Runner) RunPooledIn(parent obs.SpanID, test *harness.UnitTest, asn testgen.Assignment, label string) (failed bool, cost Result) {
+// RunPooledIn executes one pooled run of assign, a pool's merged
+// heterogeneous assignment (testgen.Pool.Assignment); the pool machinery
+// only needs pass/fail to decide whether to split, and what the run cost
+// (an execution or a saved one). The run is canonically seeded over the
+// merged assignment (a pooled configuration is content, not an instance),
+// so identical pools — e.g. a re-split after a retry — memoize. The
+// pooled-run span nests under parent.
+func (r *Runner) RunPooledIn(parent obs.SpanID, test *harness.UnitTest, assign map[agent.Key]string, label string) (failed bool, cost Result) {
 	span := r.opts.Obs.StartSpan("pooled-run", parent,
 		obs.String("app", r.app.Name),
 		obs.String("test", test.Name),
 		obs.String("pool", label))
-	out, reused, _ := r.runTrial(span.ID(), &cost, trial{test: test, assign: asn.Hetero, arm: "pool"})
+	out, reused, _ := r.runTrial(span.ID(), &cost, trial{test: test, assign: assign, arm: "pool"})
 	span.SetAttr(obs.Bool("failed", out.Failed), obs.Bool("cached", reused))
 	span.End()
 	result := "pass"

@@ -217,12 +217,12 @@ func TestRunPooledReportsHeteroFailureOnly(t *testing.T) {
 	app := syntheticApp("deterministic")
 	r := New(app, Options{})
 	asn, test := instanceFor(app, r)
-	if failed, _ := r.RunPooledIn(obs.NoSpan, test, asn, "pool"); !failed {
+	if failed, _ := r.RunPooledIn(obs.NoSpan, test, asn.Hetero, "pool"); !failed {
 		t.Fatal("pooled heterogeneous run passed on a deterministic bug")
 	}
 	before := r.Executions()
 	// A pooled run costs exactly one execution.
-	r.RunPooledIn(obs.NoSpan, test, asn, "pool2")
+	r.RunPooledIn(obs.NoSpan, test, asn.Hetero, "pool2")
 	if r.Executions() != before+1 {
 		t.Fatalf("pooled run cost %d executions", r.Executions()-before)
 	}
@@ -521,7 +521,7 @@ func TestTrialCachePolicy(t *testing.T) {
 							asn, test := instanceFor(app, r) // the pre-run
 							res := r.RunAssignment(test, asn, "inst")
 							beforePool := r.Executions()
-							r.RunPooledIn(obs.NoSpan, test, asn, "pool")
+							r.RunPooledIn(obs.NoSpan, test, asn.Hetero, "pool")
 							poolRan := r.Executions() - beforePool
 
 							wantVerdict := VerdictSafe

@@ -233,8 +233,10 @@ func (g *Generator) Instances(pre PreRun, opts InstancesOptions) []Instance {
 	return out
 }
 
-// Assignment is the concrete per-entity value map for one run, plus the
-// homogeneous arms Definition 3.1 requires.
+// Assignment is the concrete per-entity value map for one leaf instance
+// run, plus the homogeneous arms Definition 3.1 requires. A pooled run has
+// no homogeneous arm and builds only its heterogeneous map
+// (Pool.Assignment).
 type Assignment struct {
 	Hetero map[agent.Key]string
 	// Homo holds one fully homogeneous assignment per distinct value.
@@ -245,39 +247,47 @@ type Assignment struct {
 // pre-run observed, including dependency rules (§4: "when testing p1 with
 // v1, set p2 to v2").
 func (g *Generator) AssignFor(in Instance, rep *agent.Report) Assignment {
+	ents := entities(rep)
+	p := g.schema.Lookup(in.Param)
+	hetero := make(map[agent.Key]string, len(ents))
+	g.heteroInto(hetero, in, ents)
+	homoA := make(map[agent.Key]string, len(ents))
+	homoB := make(map[agent.Key]string, len(ents))
+	for _, k := range ents {
+		k.Param = in.Param
+		assign(homoA, p, k, in.Pair.A)
+		assign(homoB, p, k, in.Pair.B)
+	}
+	return Assignment{Hetero: hetero, Homo: []map[agent.Key]string{homoA, homoB}}
+}
+
+// heteroInto writes in's heterogeneous assignment over ents into m. Every
+// write keeps a key m already holds, so writing several instances into one
+// map is the first-writer-wins merge of their separate assignments: an
+// entity's own key is written before its dependency keys and no two
+// entities share a key, so within one instance nothing is ever overwritten.
+func (g *Generator) heteroInto(m map[agent.Key]string, in Instance, ents []agent.Key) {
 	groupVal, otherVal := in.Pair.A, in.Pair.B
 	if in.Reversed {
 		groupVal, otherVal = in.Pair.B, in.Pair.A
 	}
-
-	hetero := make(map[agent.Key]string)
-	g.forEachEntity(rep, func(k agent.Key) {
+	p := g.schema.Lookup(in.Param)
+	for _, k := range ents {
 		k.Param = in.Param
-		switch {
-		case k.NodeType != in.Group:
-			g.assign(hetero, k, otherVal)
-		case in.Strategy == StrategyRoundRobin && k.NodeIndex%2 == 1:
-			g.assign(hetero, k, otherVal)
-		default:
-			g.assign(hetero, k, groupVal)
+		v := groupVal
+		if k.NodeType != in.Group || (in.Strategy == StrategyRoundRobin && k.NodeIndex%2 == 1) {
+			v = otherVal
 		}
-	})
-
-	homoA := make(map[agent.Key]string)
-	homoB := make(map[agent.Key]string)
-	g.forEachEntity(rep, func(k agent.Key) {
-		k.Param = in.Param
-		g.assign(homoA, k, in.Pair.A)
-		g.assign(homoB, k, in.Pair.B)
-	})
-	return Assignment{Hetero: hetero, Homo: []map[agent.Key]string{homoA, homoB}}
+		assign(m, p, k, v)
+	}
 }
 
-// assign stores value for key and applies the parameter's dependency rules
-// on the same entity.
-func (g *Generator) assign(m map[agent.Key]string, k agent.Key, value string) {
-	m[k] = value
-	p := g.schema.Lookup(k.Param)
+// assign stores value for key unless m already holds it, then applies p's
+// dependency rules on the same entity (p may be nil: no rules).
+func assign(m map[agent.Key]string, p *confkit.Param, k agent.Key, value string) {
+	if _, exists := m[k]; !exists {
+		m[k] = value
+	}
 	if p == nil {
 		return
 	}
@@ -292,21 +302,23 @@ func (g *Generator) assign(m map[agent.Key]string, k agent.Key, value string) {
 	}
 }
 
-// forEachEntity visits every (entity, index) the pre-run observed,
-// including the unit test itself.
-func (g *Generator) forEachEntity(rep *agent.Report, fn func(agent.Key)) {
+// entities lists every (entity, index) the pre-run observed, node types
+// sorted, then the unit test itself.
+func entities(rep *agent.Report) []agent.Key {
 	types := make([]string, 0, len(rep.NodesStarted))
-	for t := range rep.NodesStarted {
+	n := 1
+	for t, c := range rep.NodesStarted {
 		types = append(types, t)
+		n += max(c, 0) * 2
 	}
 	sort.Strings(types)
+	out := make([]agent.Key, 0, n)
 	for _, t := range types {
 		// Allow headroom for nodes a test starts later (AddDataNode after
 		// filling the cluster): double the observed population.
-		n := rep.NodesStarted[t] * 2
-		for i := 0; i < n; i++ {
-			fn(agent.Key{NodeType: t, NodeIndex: i})
+		for i := 0; i < rep.NodesStarted[t]*2; i++ {
+			out = append(out, agent.Key{NodeType: t, NodeIndex: i})
 		}
 	}
-	fn(agent.Key{NodeType: agent.UnitTestEntity, NodeIndex: 0})
+	return append(out, agent.Key{NodeType: agent.UnitTestEntity, NodeIndex: 0})
 }

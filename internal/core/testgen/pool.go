@@ -1,7 +1,8 @@
 package testgen
 
 import (
-	"sort"
+	"slices"
+	"strings"
 
 	"zebraconf/internal/core/agent"
 )
@@ -17,43 +18,45 @@ type Pool struct {
 }
 
 // BuildPools groups one unit test's instances into pools by slot: the k-th
-// pool combines the k-th instance of every parameter that still has one.
-// Every instance appears in exactly one pool, and a pool never holds two
-// instances of the same parameter, so merged assignments cannot conflict.
-// maxPool bounds the members per pool (0 = unbounded, the paper's setting:
-// pool size up to the number of parameters).
+// pool combines the k-th instance of every parameter that still has one,
+// parameters in sorted order. Every instance appears in exactly one pool,
+// and a pool never holds two instances of the same parameter, so merged
+// assignments cannot conflict. maxPool bounds the members per pool (0 =
+// unbounded, the paper's setting: pool size up to the number of
+// parameters). The pools share one backing array, each capped at its own
+// end, so appending to one pool's Members never writes into another's.
 func BuildPools(test string, instances []Instance, maxPool int) []Pool {
-	byParam := make(map[string][]Instance)
-	var params []string
-	for _, in := range instances {
-		if len(byParam[in.Param]) == 0 {
-			params = append(params, in.Param)
+	sorted := slices.Clone(instances)
+	slices.SortStableFunc(sorted, func(a, b Instance) int { return strings.Compare(a.Param, b.Param) })
+	// runs[i] is where the i-th parameter's instances start in sorted.
+	var runs []int
+	for i := range sorted {
+		if i == 0 || sorted[i].Param != sorted[i-1].Param {
+			runs = append(runs, i)
 		}
-		byParam[in.Param] = append(byParam[in.Param], in)
 	}
-	sort.Strings(params)
+	runs = append(runs, len(sorted))
 
+	members := make([]Instance, 0, len(sorted))
 	var pools []Pool
 	for slot := 0; ; slot++ {
-		var members []Instance
-		for _, p := range params {
-			if slot < len(byParam[p]) {
-				members = append(members, byParam[p][slot])
+		lo := len(members)
+		for i := 0; i+1 < len(runs); i++ {
+			if at := runs[i] + slot; at < runs[i+1] {
+				members = append(members, sorted[at])
 			}
 		}
-		if len(members) == 0 {
+		hi := len(members)
+		if hi == lo {
 			return pools
 		}
-		if maxPool <= 0 {
-			pools = append(pools, Pool{Test: test, Members: members})
-			continue
+		step := hi - lo
+		if maxPool > 0 {
+			step = maxPool
 		}
-		for start := 0; start < len(members); start += maxPool {
-			end := start + maxPool
-			if end > len(members) {
-				end = len(members)
-			}
-			pools = append(pools, Pool{Test: test, Members: members[start:end]})
+		for start := lo; start < hi; start += step {
+			end := min(start+step, hi)
+			pools = append(pools, Pool{Test: test, Members: members[start:end:end]})
 		}
 	}
 }
@@ -61,32 +64,20 @@ func BuildPools(test string, instances []Instance, maxPool int) []Pool {
 // Split halves the pool for the divide-and-conquer recursion.
 func (p Pool) Split() (Pool, Pool) {
 	mid := len(p.Members) / 2
-	return Pool{Test: p.Test, Members: p.Members[:mid]},
+	return Pool{Test: p.Test, Members: p.Members[:mid:mid]},
 		Pool{Test: p.Test, Members: p.Members[mid:]}
 }
 
-// Assignment merges the member instances' assignments: the heterogeneous
-// run assigns every member parameter at once; homogeneous arm j assigns
-// value j of every member everywhere.
-func (p Pool) Assignment(g *Generator, rep *agent.Report) Assignment {
-	hetero := make(map[agent.Key]string)
-	homoA := make(map[agent.Key]string)
-	homoB := make(map[agent.Key]string)
+// Assignment is the pooled run's heterogeneous assignment: every member's
+// heterogeneous assignment, merged in member order with the first writer
+// of a key winning (a dependency rule of an earlier member may set a later
+// member's parameter). A pooled run has no homogeneous arm, so none is
+// built.
+func (p Pool) Assignment(g *Generator, rep *agent.Report) map[agent.Key]string {
+	ents := entities(rep)
+	pooled := make(map[agent.Key]string, len(ents)*len(p.Members))
 	for _, in := range p.Members {
-		a := g.AssignFor(in, rep)
-		mergeAssign(hetero, a.Hetero)
-		mergeAssign(homoA, a.Homo[0])
-		mergeAssign(homoB, a.Homo[1])
+		g.heteroInto(pooled, in, ents)
 	}
-	return Assignment{Hetero: hetero, Homo: []map[agent.Key]string{homoA, homoB}}
-}
-
-// mergeAssign copies src into dst without overwriting existing keys
-// (dependency-rule keys may repeat across members).
-func mergeAssign(dst, src map[agent.Key]string) {
-	for k, v := range src {
-		if _, exists := dst[k]; !exists {
-			dst[k] = v
-		}
-	}
+	return pooled
 }

@@ -1,11 +1,14 @@
 package testgen
 
 import (
+	"maps"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"zebraconf/internal/confkit"
 	"zebraconf/internal/core/agent"
+	"zebraconf/internal/core/memo"
 )
 
 func testSchema() *confkit.Registry {
@@ -261,7 +264,7 @@ func TestPoolSplitAndMergedAssignment(t *testing.T) {
 	}
 	asn := pools[0].Assignment(g, &pre.Report)
 	foundA, foundB := false, false
-	for k := range asn.Hetero {
+	for k := range asn {
 		switch k.Param {
 		case "a.bool":
 			foundA = true
@@ -270,7 +273,7 @@ func TestPoolSplitAndMergedAssignment(t *testing.T) {
 		}
 	}
 	if !foundA || !foundB {
-		t.Fatalf("merged assignment misses a member: %v", asn.Hetero)
+		t.Fatalf("merged assignment misses a member: %v", asn)
 	}
 	l, r := pools[0].Split()
 	if len(l.Members)+len(r.Members) != len(pools[0].Members) {
@@ -327,5 +330,108 @@ func TestBuildPoolsPartitionProperty(t *testing.T) {
 	}
 	if err := quick.Check(fn, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// mergeAssign is the reference pooled construction Pool.Assignment must
+// reproduce: members' separate heterogeneous maps, merged in member order
+// without overwriting a key an earlier member set.
+func mergeAssign(dst, src map[agent.Key]string) {
+	for k, v := range src {
+		if _, exists := dst[k]; !exists {
+			dst[k] = v
+		}
+	}
+}
+
+func checkPoolAssignment(t *testing.T, g *Generator, rep *agent.Report, p Pool) bool {
+	t.Helper()
+	want := make(map[agent.Key]string)
+	for _, in := range p.Members {
+		mergeAssign(want, g.AssignFor(in, rep).Hetero)
+	}
+	got := p.Assignment(g, rep)
+	if !maps.Equal(got, want) || memo.HashAssignment(got) != memo.HashAssignment(want) {
+		t.Errorf("pool %v:\n got  %v\n want %v", p.Members, got, want)
+		return false
+	}
+	return true
+}
+
+// Property: a pool's assignment is key for key the first-writer-wins
+// merge of its members' separate heterogeneous assignments, for every
+// node population, usage pattern and pool bound.
+func TestPoolAssignmentEqualsMemberMerge(t *testing.T) {
+	t.Parallel()
+	g := New(testSchema())
+	params := []string{"a.bool", "b.int", "c.enum", "d.dep", "d.addr"}
+	entities := []string{"NN", "DN", agent.UnitTestEntity}
+	fn := func(nn, dn uint8, reads uint16, noRR, bounded bool) bool {
+		usage := make(map[string][]string)
+		for i, p := range params {
+			for j, e := range entities {
+				if reads&(1<<(i*len(entities)+j)) != 0 {
+					usage[e] = append(usage[e], p)
+				}
+			}
+		}
+		pre := preRunWith(map[string]int{"NN": int(nn % 4), "DN": int(dn % 4)}, usage, nil)
+		maxPool := 0
+		if bounded {
+			maxPool = 2
+		}
+		insts := g.Instances(pre, InstancesOptions{DisableRoundRobin: noRR})
+		for _, p := range BuildPools("T", insts, maxPool) {
+			if !checkPoolAssignment(t, g, &pre.Report, p) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(fn, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+
+	// An earlier member's dependency rule sets a later member's own
+	// parameter on the same entity: the earlier member's value stands.
+	pre := preRunWith(map[string]int{"NN": 1}, map[string][]string{"NN": {"d.dep", "d.addr"}}, nil)
+	dep := Instance{Test: "T", Param: "d.dep", Group: "NN", Strategy: StrategyFlip,
+		Pair: Pair{A: "https", B: "http"}}
+	addr := Instance{Test: "T", Param: "d.addr", Group: "NN", Strategy: StrategyFlip,
+		Pair: Pair{A: "other-host", B: "plain-host"}}
+	p := Pool{Test: "T", Members: []Instance{dep, addr}}
+	checkPoolAssignment(t, g, &pre.Report, p)
+	k := agent.Key{NodeType: "NN", NodeIndex: 0, Param: "d.addr"}
+	if got := p.Assignment(g, &pre.Report)[k]; got != "secure-host" {
+		t.Fatalf("%v = %q, want the earlier member's dependency value", k, got)
+	}
+}
+
+// Pools, and the halves a pool splits into, share one backing array;
+// growing one must never write into its neighbour.
+func TestPoolsDoNotAlias(t *testing.T) {
+	t.Parallel()
+	g := New(testSchema())
+	pre := preRunWith(map[string]int{"NN": 2},
+		map[string][]string{"NN": {"a.bool", "b.int", "c.enum", "d.dep"}}, nil)
+	insts := g.Instances(pre, InstancesOptions{})
+	for _, maxPool := range []int{0, 2} {
+		pools := BuildPools("T", insts, maxPool)
+		if len(pools) < 2 {
+			t.Fatalf("maxPool %d: %d pools, want several", maxPool, len(pools))
+		}
+		for i := 0; i+1 < len(pools); i++ {
+			next := slices.Clone(pools[i+1].Members)
+			_ = append(pools[i].Members, Instance{Param: "intruder"})
+			if !slices.Equal(pools[i+1].Members, next) {
+				t.Fatalf("maxPool %d: appending to pool %d rewrote pool %d", maxPool, i, i+1)
+			}
+		}
+		l, r := pools[0].Split()
+		right := slices.Clone(r.Members)
+		_ = append(l.Members, Instance{Param: "intruder"})
+		if !slices.Equal(r.Members, right) {
+			t.Fatalf("maxPool %d: appending to a left half rewrote the right half", maxPool)
+		}
 	}
 }
