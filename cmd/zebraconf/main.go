@@ -17,8 +17,7 @@
 //	zebraconf -mode run -app minihdfs -perf /tmp/p.jsonl -trace /tmp/t.jsonl -events /tmp/e.jsonl
 //	zebraconf -mode profile -trace /tmp/t.jsonl -events /tmp/e.jsonl -perf /tmp/p.jsonl
 //	zebraconf -mode trends -ledger /tmp/runs -app minihdfs
-//	zebraconf -mode serve -listen :8080 -worker-listen :9090 -token s3cret -state /var/lib/zebraconf
-//	zebraconf -worker -connect host:9090 -token s3cret          # TCP worker joins the service
+//	zebraconf -mode serve -listen :8080 -token s3cret -state /var/lib/zebraconf
 //	zebraconf -mode submit -server http://host:8080 -token s3cret -app minihdfs -workers 2
 //	zebraconf -mode watch -server http://host:8080 -token s3cret -campaign c0001
 //	zebraconf -mode cancel -server http://host:8080 -token s3cret -campaign c0001
@@ -29,6 +28,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"os/exec"
 	"time"
 
 	"zebraconf/internal/apps"
@@ -65,19 +65,17 @@ var (
 	trendThreshold = flag.Float64("trend-threshold", flight.DefaultTrendThreshold, "with -mode trends: relative drift past which a metric is flagged (strictly greater than)")
 
 	// Distributed execution, the campaign service and the disk cache.
-	workerMode   = flag.Bool("worker", false, "run as a campaign worker speaking NDJSON on stdio (spawned by -workers; not for interactive use)")
-	checkpoint   = flag.String("checkpoint", "", "journal completed work items to this JSONL file (with -workers)")
-	resume       = flag.String("resume", "", "skip work items already completed in this checkpoint journal")
-	serverURL    = flag.String("server", "", "campaign service URL for -mode submit|watch|cancel (e.g. http://host:8080)")
-	campaignID   = flag.String("campaign", "", "campaign ID for -mode watch|cancel with -server")
-	tokenFlag    = flag.String("token", "", "shared bearer token: -mode serve requires it from clients and workers; submit/watch/cancel and -worker -connect send it")
-	listenAddr   = flag.String("listen", ":8080", "with -mode serve: REST API listen address")
-	workerListen = flag.String("worker-listen", ":9090", "with -mode serve: TCP worker gateway listen address")
-	stateDir     = flag.String("state", "zebraconf-state", "with -mode serve: persistent state directory (disk cache, run ledger, duration profile, per-campaign journals)")
-	connectAddr  = flag.String("connect", "", "with -worker: connect to a campaign service's worker gateway at host:port instead of speaking NDJSON on stdio")
-	diskCache    = flag.String("disk-cache", "", "content-addressed disk execution cache directory, shared across runs (-mode serve always uses <state>/cache)")
-	cacheMax     = flag.Int64("cache-max-bytes", 0, "disk cache size cap in bytes before LRU eviction (0 = 256 MiB)")
-	waitDone     = flag.Bool("wait", false, "with -mode submit: block until the campaign reaches a terminal state, exit nonzero unless done")
+	workerMode = flag.Bool("worker", false, "run as a campaign worker speaking NDJSON on stdio (spawned by -workers and -mode serve; not for interactive use)")
+	checkpoint = flag.String("checkpoint", "", "journal completed work items to this JSONL file (with -workers)")
+	resume     = flag.String("resume", "", "skip work items already completed in this checkpoint journal")
+	serverURL  = flag.String("server", "", "campaign service URL for -mode submit|watch|cancel (e.g. http://host:8080)")
+	campaignID = flag.String("campaign", "", "campaign ID for -mode watch|cancel with -server")
+	tokenFlag  = flag.String("token", "", "shared bearer token: -mode serve requires it from clients; submit/watch/cancel send it")
+	listenAddr = flag.String("listen", ":8080", "with -mode serve: REST API listen address")
+	stateDir   = flag.String("state", "zebraconf-state", "with -mode serve: persistent state directory (disk cache, run ledger, duration profile, per-campaign journals)")
+	diskCache  = flag.String("disk-cache", "", "content-addressed disk execution cache directory, shared across runs (-mode serve always uses <state>/cache)")
+	cacheMax   = flag.Int64("cache-max-bytes", 0, "disk cache size cap in bytes before LRU eviction (0 = 256 MiB)")
+	waitDone   = flag.Bool("wait", false, "with -mode submit: block until the campaign reaches a terminal state, exit nonzero unless done")
 )
 
 func main() {
@@ -106,7 +104,7 @@ func dispatch(spec launch.Spec) int {
 	case "trends":
 		return runTrends(*ledgerDir, spec.App, *trendRuns, *trendThreshold)
 	case "serve":
-		return runServe(*listenAddr, *workerListen, *tokenFlag, *stateDir, *cacheMax)
+		return runServe(*listenAddr, *tokenFlag, *stateDir, *cacheMax)
 	case "submit":
 		return runSubmit(*serverURL, *tokenFlag, spec, *waitDone, *watchEvery)
 	case "cancel":
@@ -118,22 +116,30 @@ func dispatch(spec launch.Spec) int {
 	return 2
 }
 
-// runWorker implements -worker: serve campaigns over the NDJSON protocol,
-// on stdio for a -workers coordinator or, with -connect, over TCP to a
-// campaign service's gateway (reconnecting between campaigns).
+// runWorker implements -worker: serve one campaign over the NDJSON
+// protocol on stdio, for a coordinator that spawned this process.
 func runWorker() int {
+	out := bufio.NewWriter(os.Stdout)
+	defer out.Flush()
 	env := dist.WorkerEnv{DiskCacheDir: *diskCache, DiskCacheMaxBytes: *cacheMax}
-	var err error
-	if *connectAddr != "" {
-		err = dist.ConnectWorker(*connectAddr, dist.ConnectOptions{Token: *tokenFlag, Env: env, Logw: os.Stderr}, apps.ByName)
-	} else {
-		out := bufio.NewWriter(os.Stdout)
-		defer out.Flush()
-		err = dist.ServeWorkerEnv(os.Stdin, out, apps.ByName, env)
-	}
-	if err != nil {
+	if err := dist.ServeWorkerEnv(os.Stdin, out, apps.ByName, env); err != nil {
 		fmt.Fprintln(os.Stderr, "zebraconf worker:", err)
 		return 1
 	}
 	return 0
+}
+
+// workerCmd builds the command of one stdio worker subprocess: this binary
+// with -worker and, when dir is set, dir as its own disk tier, capped at
+// maxBytes. -mode run -workers and -mode serve both spawn through it.
+func workerCmd(dir string, maxBytes int64) (func() *exec.Cmd, error) {
+	exe, err := os.Executable()
+	if err != nil {
+		return nil, err
+	}
+	args := []string{"-worker"}
+	if dir != "" {
+		args = append(args, "-disk-cache", dir, "-cache-max-bytes", fmt.Sprint(maxBytes))
+	}
+	return func() *exec.Cmd { return exec.Command(exe, args...) }, nil
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"os/exec"
 	"runtime"
 	"strings"
 	"time"
@@ -196,18 +195,14 @@ func runCampaigns(selected []*harness.App, spec launch.Spec, observer *obs.Obser
 		return 2
 	}
 	if spec.Workers > 0 {
-		exe, err := os.Executable()
+		// A worker's disk tier comes from its own flags: hand it this
+		// process's, so it opens the same directory itself.
+		cmd, err := workerCmd(*diskCache, *cacheMax)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 1
 		}
-		// A worker's disk tier comes from its own flags: hand it this
-		// process's, so it opens the same directory itself.
-		args := []string{"-worker"}
-		if *diskCache != "" {
-			args = append(args, "-disk-cache", *diskCache, "-cache-max-bytes", fmt.Sprint(*cacheMax))
-		}
-		env.WorkerCmd = func() *exec.Cmd { return exec.Command(exe, args...) }
+		env.WorkerCmd = cmd
 	}
 
 	exit := 0

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"runtime"
 	"syscall"
 	"time"
@@ -16,26 +17,31 @@ import (
 
 // runServe implements -mode serve: the campaign-as-a-service daemon.
 // It blocks until SIGINT/SIGTERM, draining the queue and aborting the
-// running campaign on the way out.
-func runServe(listen, workerListen, token, stateDir string, cacheMax int64) int {
+// running campaign on the way out. Every campaign's workers share the
+// disk cache under stateDir.
+func runServe(listen, token, stateDir string, cacheMax int64) int {
 	observer := obs.New()
 	observer.GaugeSet(obs.MBuildInfo, 1, "version", buildVersion(), "go", runtime.Version())
+	cmd, err := workerCmd(filepath.Join(stateDir, "cache"), cacheMax)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "zebraconf serve:", err)
+		return 1
+	}
 	srv, err := server.New(server.Options{
-		Addr:          listen,
-		WorkerAddr:    workerListen,
-		Token:         token,
-		StateDir:      stateDir,
-		CacheMaxBytes: cacheMax,
-		Resolve:       apps.ByName,
-		Obs:           observer,
-		Logw:          os.Stderr,
+		Addr:      listen,
+		Token:     token,
+		StateDir:  stateDir,
+		WorkerCmd: cmd,
+		Resolve:   apps.ByName,
+		Obs:       observer,
+		Logw:      os.Stderr,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "zebraconf serve:", err)
 		return 1
 	}
 	if token == "" {
-		fmt.Fprintln(os.Stderr, "[zebraconf serve] warning: no -token; workers and API are unauthenticated (loopback testing only)")
+		fmt.Fprintln(os.Stderr, "[zebraconf serve] warning: no -token; the API is unauthenticated (loopback testing only)")
 	}
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)

@@ -35,9 +35,7 @@ var wallClockSites = map[string]int{
 	"../core/campaign/campaign.go":   4,
 	"../core/campaign/pipeline.go":   2,
 	"../core/diskcache/diskcache.go": 3, // one is the age of a temp file Open may sweep
-	"../core/dist/cache.go":          1, // the 5 s bound on one cache-get
 	"../core/dist/coordinator.go":    11,
-	"../core/dist/gateway.go":        3,
 	"../core/dist/worker.go":         1,
 	"../core/harness/app.go":         4, // the execution watchdog
 	"../core/launch/launch.go":       1,

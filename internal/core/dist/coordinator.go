@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"zebraconf/internal/core/campaign"
-	"zebraconf/internal/core/memo"
 	"zebraconf/internal/core/sched"
 	"zebraconf/internal/obs"
 )
@@ -53,13 +52,6 @@ type Options struct {
 	// WorkerCmd builds the command for one worker subprocess, typically
 	// `os.Executable() -worker`. Called again for every respawn.
 	WorkerCmd func() *exec.Cmd
-	// Sessions, when non-nil, supplies already-connected worker sessions
-	// (the TCP gateway) instead of spawning subprocesses; WorkerCmd is
-	// then ignored. Each slot blocks in Acquire until a networked worker
-	// is available, and a worker lost mid-session is replaced by the
-	// next one to connect — the crash/retry/quarantine paths are
-	// identical to the subprocess transport.
-	Sessions *Gateway
 	// Config is the campaign configuration shipped to every worker.
 	Config Config
 	// CheckpointPath, when set, journals every completed item — executed,
@@ -92,12 +84,6 @@ type Options struct {
 	// after which a parameter is broadcast to workers as quarantined
 	// (§4's frequent-failer rule); 0 means 3.
 	QuarantineThreshold int
-	// SharedBackend, when non-nil, is a persistent execution store the
-	// workers cannot open themselves (gateway workers on other machines):
-	// the coordinator answers their cache-gets from it and writes their
-	// cache-puts to it, the last tier of DESIGN.md §9's hierarchy. Nil
-	// means workers never ask.
-	SharedBackend memo.Backend
 	// Obs receives the coordinator's metrics, spans and events, among them
 	// every item's completion. Nil disables observability.
 	Obs *obs.Observer
@@ -200,8 +186,8 @@ func (c *Coordinator) Abort() {
 // arrive, which is what lets the campaign's streaming pipeline dispatch
 // each item the moment its pre-run finishes.
 func (c *Coordinator) Start(parent obs.SpanID, total int) (*Run, error) {
-	if c.opts.WorkerCmd == nil && c.opts.Sessions == nil {
-		return nil, errors.New("dist: Coordinator requires WorkerCmd or Sessions")
+	if c.opts.WorkerCmd == nil {
+		return nil, errors.New("dist: Coordinator requires WorkerCmd")
 	}
 	workers := c.opts.Workers
 	if workers <= 0 {
@@ -440,9 +426,9 @@ const (
 	sessSpawnFail                       // worker never became ready; counts toward slot death
 )
 
-// supervise owns one worker slot: obtain a session (spawn a subprocess,
-// or wait for a gateway worker), run it, replace it on crash, retire
-// the slot after spawnFailureLimit consecutive failed launches.
+// supervise owns one worker slot: spawn a worker, run its session,
+// replace it on crash, retire the slot after spawnFailureLimit
+// consecutive failed launches.
 func (r *Run) supervise(slot int) {
 	select {
 	case <-r.work:
@@ -454,15 +440,8 @@ func (r *Run) supervise(slot int) {
 		if r.stopped() {
 			return
 		}
-		sess, err := r.obtain(slot)
+		sess, err := r.spawn(slot)
 		if err != nil {
-			if errors.Is(err, errGatewayClosed) {
-				// No networked worker will ever come; retire the slot
-				// (failing the run if it was the last with work left).
-				r.noteFailure(err.Error())
-				r.slotDied()
-				return
-			}
 			if r.stopped() {
 				return
 			}
@@ -679,24 +658,6 @@ func (r *Run) session(slot int, sess *workerSession) sessionOutcome {
 					e.span.SetAttr(obs.Bool("duplicate", true))
 				}
 				e.span.End()
-			case MsgCacheGet:
-				if m.CacheKey == nil {
-					break
-				}
-				reply := Msg{Type: MsgCacheVal, Req: m.Req}
-				if res, ok := r.cacheGet(*m.CacheKey); ok {
-					reply.CacheHit = true
-					reply.CacheRes = &res
-				}
-				if err := sess.send(reply); err != nil {
-					// A worker we cannot answer is a worker whose Gets
-					// would all stall to timeout; treat the pipe as dead.
-					return crash("crash")
-				}
-			case MsgCachePut:
-				if b := r.opts.SharedBackend; b != nil && m.CacheKey != nil && m.CacheRes != nil {
-					b.Put(*m.CacheKey, *m.CacheRes)
-				}
 			}
 		case <-tick.C:
 			if !ready {
@@ -854,23 +815,6 @@ func (r *Run) maybeSpeculate(slot int) (campaign.WorkItem, bool) {
 	return best.item, true
 }
 
-// cacheGet answers one worker lookup from the persistent store behind
-// the coordinator. Only workers told Config.SharedPersistent ask, so the
-// hits and misses counted here are that store's; without one (a cache-get
-// from an older worker) every answer is an uncounted miss.
-func (r *Run) cacheGet(k memo.Key) (memo.Result, bool) {
-	if r.opts.SharedBackend == nil {
-		return memo.Result{}, false
-	}
-	res, ok := r.opts.SharedBackend.Get(k)
-	if ok {
-		r.o.CounterAdd(obs.MCacheHits, 1, "app", r.opts.App, "scope", "shared")
-	} else {
-		r.o.CounterAdd(obs.MCacheMisses, 1, "app", r.opts.App)
-	}
-	return res, ok
-}
-
 // stitchSpans folds a worker's trace fragment under the coordinator's
 // item span, so a -workers campaign's trace renders as one tree. Every
 // fragment span is re-identified (worker IDs are fragment-local and
@@ -947,7 +891,7 @@ func (r *Run) recordResult(slot int, res campaign.ItemResult, elapsed time.Durat
 // holds is not written to it again, and what it quarantines is not
 // announced again (its own run did) — but is broadcast (best-effort) to the
 // live workers like any other, so remaining items skip the parameter's
-// instances; a worker that connects later is caught up by addSession.
+// instances; a worker spawned later is caught up by addSession.
 func (r *Run) complete(res campaign.ItemResult, stored bool, elapsed, pred float64, how ...obs.Attr) {
 	if r.journal != nil && !(stored && r.held[res.Test]) {
 		if err := r.journal.Append(Record{Kind: KindDone, Item: res.ID, Test: res.Test, Result: &res}); err != nil {
@@ -1054,7 +998,7 @@ func (r *Run) noteFailure(msg string) {
 }
 
 // neverReady accounts a worker lost before it became ready — it could not
-// be obtained, exited or answered ready with an error, or missed the ready
+// be started, exited or answered ready with an error, or missed the ready
 // deadline: a crash with reason spawn, which counts toward retiring the slot.
 func (r *Run) neverReady(slot int, why string) {
 	r.noteFailure(why)
@@ -1077,63 +1021,21 @@ func (r *Run) slotDied() {
 	close(r.doneCh)
 }
 
-// workerSession is one live worker as seen by the coordinator. The
-// transport is abstracted behind w/teardown/reap: a subprocess worker
-// writes to its stdin and tears down by closing the pipe and killing
-// the process; a networked (gateway) worker writes to its TCP
-// connection and tears down by closing it — everything above (the
-// session loop, retries, quarantine, heartbeats) is transport-blind.
+// workerSession is one live worker subprocess as seen by the coordinator:
+// frames go to its stdin and come back through readLoop off its stdout.
 type workerSession struct {
-	w          io.Writer
+	stdin      io.WriteCloser
+	cmd        *exec.Cmd
 	msgs       chan Msg
 	readerDone chan struct{}
 	killOnce   sync.Once
 	// sendMu serializes send, which encodes each frame into line.
 	sendMu sync.Mutex
 	line   bytes.Buffer
-	// pid is the worker's self-reported process ID (from the TCP hello;
-	// subprocess sessions know it from exec). Zero when unknown.
-	pid int
-	// remote is the peer address of a networked session, "" for pipes.
-	remote string
-	// teardown closes the transport (unblocking readLoop); reap, when
-	// non-nil, waits for transport resources after the reader drains
-	// (subprocess Wait).
-	teardown func()
-	reap     func()
 }
 
-// obtain produces one initialized session for a slot: either spawn a
-// subprocess or lease the next connected gateway worker, then send it
-// the init message.
-func (r *Run) obtain(slot int) (*workerSession, error) {
-	var s *workerSession
-	if r.opts.Sessions != nil {
-		var err error
-		s, err = r.opts.Sessions.Acquire(r.doneCh)
-		if err != nil {
-			return nil, err
-		}
-		r.o.Event(obs.EvWorkerSpawn,
-			obs.String("app", r.opts.App), obs.Int("worker", int64(slot)),
-			obs.Int("pid", int64(s.pid)), obs.String("remote", s.remote))
-	} else {
-		var err error
-		s, err = r.spawn(slot)
-		if err != nil {
-			return nil, err
-		}
-	}
-	cfg := r.opts.Config
-	cfg.SharedPersistent = r.opts.SharedBackend != nil
-	if err := s.send(Msg{Type: MsgInit, App: r.opts.App, Config: &cfg}); err != nil {
-		s.kill()
-		return nil, err
-	}
-	return s, nil
-}
-
-// spawn launches a worker subprocess.
+// spawn launches a worker subprocess for a slot and sends it the init
+// message.
 func (r *Run) spawn(slot int) (*workerSession, error) {
 	cmd := r.opts.WorkerCmd()
 	if cmd == nil {
@@ -1153,27 +1055,20 @@ func (r *Run) spawn(slot int) (*workerSession, error) {
 	if err := cmd.Start(); err != nil {
 		return nil, err
 	}
-	pid := 0
-	if cmd.Process != nil {
-		pid = cmd.Process.Pid
-	}
 	r.o.Event(obs.EvWorkerSpawn,
 		obs.String("app", r.opts.App), obs.Int("worker", int64(slot)),
-		obs.Int("pid", int64(pid)))
+		obs.Int("pid", int64(cmd.Process.Pid)))
 	s := &workerSession{
-		w:          stdin,
+		stdin:      stdin,
+		cmd:        cmd,
 		msgs:       make(chan Msg, 64),
 		readerDone: make(chan struct{}),
-		pid:        pid,
-		teardown: func() {
-			stdin.Close()
-			if cmd.Process != nil {
-				cmd.Process.Kill()
-			}
-		},
-		reap: func() { cmd.Wait() },
 	}
 	go s.readLoop(stdout)
+	if err := s.send(Msg{Type: MsgInit, App: r.opts.App, Config: &r.opts.Config}); err != nil {
+		s.kill()
+		return nil, err
+	}
 	return s, nil
 }
 
@@ -1186,7 +1081,7 @@ func (s *workerSession) send(m Msg) error {
 	if err := json.NewEncoder(&s.line).Encode(m); err != nil {
 		return err
 	}
-	_, err := s.w.Write(s.line.Bytes())
+	_, err := s.stdin.Write(s.line.Bytes())
 	return err
 }
 
@@ -1220,22 +1115,19 @@ func (s *workerSession) bye(clean bool) {
 	s.kill()
 }
 
-// kill tears the worker down: close its transport and reap it once the
-// reader has drained. Idempotent. The session loop never reads msgs
-// after calling kill, so the reaper drains the channel to unblock the
+// kill tears the worker down: close its stdin, kill the process and reap
+// it once the reader has drained. Idempotent. The session loop never reads
+// msgs after calling kill, so the reaper drains the channel to unblock the
 // reader.
 func (s *workerSession) kill() {
 	s.killOnce.Do(func() {
-		if s.teardown != nil {
-			s.teardown()
-		}
+		s.stdin.Close()
+		s.cmd.Process.Kill()
 		go func() {
 			for range s.msgs {
 			}
 			<-s.readerDone
-			if s.reap != nil {
-				s.reap()
-			}
+			s.cmd.Wait()
 		}()
 	})
 }

@@ -9,13 +9,10 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
-	"sync"
 	"testing"
-	"time"
 
 	"zebraconf/internal/core/agent"
 	"zebraconf/internal/core/campaign"
-	"zebraconf/internal/core/memo"
 )
 
 func TestJournalRoundTrip(t *testing.T) {
@@ -225,90 +222,6 @@ func TestJournalLatchesSyncFailure(t *testing.T) {
 	}
 	if err := j.Append(Record{Kind: KindDone}); err == nil || !strings.Contains(err.Error(), "refusing append") {
 		t.Fatalf("append after sync failure = %v, want refusing-append error", err)
-	}
-}
-
-func TestRemoteCacheGetDeliverAndMiss(t *testing.T) {
-	t.Parallel()
-	var mu sync.Mutex
-	var sent []Msg
-	var rc *remoteCache
-	rc = newRemoteCache(func(m Msg) error {
-		mu.Lock()
-		sent = append(sent, m)
-		mu.Unlock()
-		// Answer request 1 with a hit, request 2 with a miss.
-		if m.Type == MsgCacheGet {
-			reply := Msg{Type: MsgCacheVal, Req: m.Req}
-			if m.Req == 1 {
-				reply.CacheHit = true
-				reply.CacheRes = &memo.Result{Failed: true, Msg: "cached"}
-			}
-			go rc.deliver(reply)
-		}
-		return nil
-	})
-	key := memo.Key{App: "a", Test: "T", Assign: "h", Seed: 1}
-	res, ok := rc.Get(key)
-	if !ok || !res.Failed || res.Msg != "cached" {
-		t.Fatalf("Get hit = %+v %v", res, ok)
-	}
-	if res, ok := rc.Get(key); ok {
-		t.Fatalf("miss reply treated as hit: %+v", res)
-	}
-	rc.Put(key, memo.Result{TimedOut: true})
-	mu.Lock()
-	defer mu.Unlock()
-	if len(sent) != 3 || sent[2].Type != MsgCachePut || !sent[2].CacheRes.TimedOut {
-		t.Fatalf("wire traffic: %+v", sent)
-	}
-	if sent[0].CacheKey == nil || *sent[0].CacheKey != key {
-		t.Fatalf("cache-get key: %+v", sent[0].CacheKey)
-	}
-}
-
-func TestRemoteCacheSendFailureIsMiss(t *testing.T) {
-	t.Parallel()
-	rc := newRemoteCache(func(Msg) error { return errors.New("pipe broken") })
-	if _, ok := rc.Get(memo.Key{App: "a"}); ok {
-		t.Fatal("send failure reported a hit")
-	}
-	rc.mu.Lock()
-	n := len(rc.pending)
-	rc.mu.Unlock()
-	if n != 0 {
-		t.Fatalf("%d pending slots leaked after send failure", n)
-	}
-}
-
-// TestRemoteCacheCloseReleasesPendingGet pins the shutdown drain: a Get
-// blocked on the wire must come back as a miss when the cache closes,
-// or the worker's wg.Wait would deadlock against its own read loop.
-func TestRemoteCacheCloseReleasesPendingGet(t *testing.T) {
-	t.Parallel()
-	registered := make(chan struct{})
-	rc := newRemoteCache(func(m Msg) error {
-		close(registered) // reply never comes
-		return nil
-	})
-	done := make(chan bool, 1)
-	go func() {
-		_, ok := rc.Get(memo.Key{App: "a"})
-		done <- ok
-	}()
-	<-registered
-	rc.close()
-	select {
-	case ok := <-done:
-		if ok {
-			t.Fatal("closed cache reported a hit")
-		}
-	case <-time.After(remoteCacheTimeout / 2):
-		t.Fatal("Get still blocked after close")
-	}
-	// Gets after close are immediate misses.
-	if _, ok := rc.Get(memo.Key{App: "b"}); ok {
-		t.Fatal("Get on a closed cache reported a hit")
 	}
 }
 

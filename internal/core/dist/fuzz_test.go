@@ -11,7 +11,6 @@ import (
 	"zebraconf/internal/confkit"
 	"zebraconf/internal/core/campaign"
 	"zebraconf/internal/core/harness"
-	"zebraconf/internal/core/memo"
 	"zebraconf/internal/core/runner"
 	"zebraconf/internal/obs"
 )
@@ -46,7 +45,6 @@ func FuzzWorkerFrames(f *testing.F) {
 		}
 		return append(b, '\n')
 	}
-	key, res := memo.Key{App: app.Name, Test: "TestWord", Assign: "h", Seed: 1}, memo.Result{Failed: true}
 	run := line(Msg{Type: MsgRun, Item: &campaign.WorkItem{Test: "TestWord",
 		PreRun: runner.New(app, runner.Options{}).PreRun(&app.Tests[0])}})
 	// The envelope has lost fields (warm, pred_trials, three of the config):
@@ -56,7 +54,7 @@ func FuzzWorkerFrames(f *testing.F) {
 	if err := json.Unmarshal(legacy, &m); err != nil || m.Item == nil || m.Item.Test != "TestWord" {
 		f.Fatalf("a run frame with retired fields decodes to %+v, %v", m, err)
 	}
-	if err := json.Unmarshal([]byte(`{"type":"init","config":{"no_shared_cache":true,"disk_cache_dir":"/x","seed":7}}`), &m); err != nil || m.Config.Seed != 7 {
+	if err := json.Unmarshal([]byte(`{"type":"init","config":{"no_shared_cache":true,"disk_cache_dir":"/x","shared_persistent":true,"seed":7}}`), &m); err != nil || m.Config.Seed != 7 {
 		f.Fatalf("an init frame with retired config fields decodes to %+v, %v", m.Config, err)
 	}
 	// A trace fragment rides the envelope; an older worker put it inside
@@ -73,15 +71,17 @@ func FuzzWorkerFrames(f *testing.F) {
 		run, legacy, bytes.Repeat(run, 3),
 		line(Msg{Type: MsgRun, Item: &campaign.WorkItem{ID: 1, Test: "TestGone"}}),
 		line(Msg{Type: MsgQuarantine, Param: "word"}),
-		line(Msg{Type: MsgCacheVal, Req: 1, CacheHit: true, CacheRes: &res}),
 		line(Msg{Type: MsgBye}),
 		line(Msg{Type: MsgReady, PID: 1}),
 		line(Msg{Type: MsgResult, Result: &campaign.ItemResult{Test: "TestWord", Executions: 3}}),
 		traced, legacyTraced,
 		line(Msg{Type: MsgHeartbeat, PID: 1, HB: &Heartbeat{Inflight: []int{0}, Executions: 3}}),
-		line(Msg{Type: MsgCacheGet, Req: 1, CacheKey: &key}),
-		line(Msg{Type: MsgCachePut, CacheKey: &key, CacheRes: &res}),
 		[]byte("{\"type\":\"run\"}\n"), []byte("{}\n"), []byte("not json\n"), []byte(`{"type":"run","item":{"prerun":`),
+		// Frames out of place: a second init, a ready that failed, a
+		// quarantine naming nothing.
+		line(Msg{Type: MsgInit, App: app.Name, Config: &Config{}}),
+		line(Msg{Type: MsgReady, PID: 1, Error: "no such app"}),
+		line(Msg{Type: MsgQuarantine}),
 	} {
 		f.Add(seed)
 	}

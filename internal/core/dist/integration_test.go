@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -19,6 +20,7 @@ import (
 
 	"zebraconf/internal/apps"
 	"zebraconf/internal/core/campaign"
+	"zebraconf/internal/core/diskcache"
 	"zebraconf/internal/core/dist"
 	"zebraconf/internal/core/forensics"
 	"zebraconf/internal/core/harness"
@@ -27,10 +29,11 @@ import (
 
 // TestMain doubles the test binary as the worker subprocess: with
 // ZEBRACONF_DIST_WORKER=1 it speaks the wire protocol on stdio instead
-// of running tests (the standard helper-process pattern). Two fault
-// modes are injected by further env vars:
+// of running tests (the standard helper-process pattern). Fault modes are
+// injected by further env vars:
 //
 //	ZEBRACONF_DIST_KILL_AFTER=N  SIGKILL self after writing N stdout lines
+//	ZEBRACONF_DIST_KILL_AFTER_RUNS=N  SIGKILL self as the N-th test execution ends
 //	ZEBRACONF_DIST_HANG=1        acknowledge init, then never answer runs
 //	ZEBRACONF_DIST_NEVER_READY=exit|mute  exit at once / never answer init
 //
@@ -73,6 +76,16 @@ func runWorker() {
 	if n, _ := strconv.Atoi(os.Getenv("ZEBRACONF_DIST_KILL_AFTER")); n > 0 {
 		w = &killAfterWriter{w: os.Stdout, linesLeft: int32(n)}
 	}
+	resolve := apps.ByName
+	if n, _ := strconv.Atoi(os.Getenv("ZEBRACONF_DIST_KILL_AFTER_RUNS")); n > 0 {
+		resolve = func(name string) (*harness.App, error) {
+			app, err := apps.ByName(name)
+			if err != nil {
+				return nil, err
+			}
+			return killedAfterRuns(app, int32(n)), nil
+		}
+	}
 	env := dist.WorkerEnv{DiskCacheDir: os.Getenv("ZEBRACONF_DIST_DISK_CACHE")}
 	if env.DiskCacheDir != "" {
 		sent, err := os.Create(filepath.Join(filepath.Dir(env.DiskCacheDir), fmt.Sprintf("sent-%d", os.Getpid())))
@@ -82,7 +95,7 @@ func runWorker() {
 		}
 		w = io.MultiWriter(w, sent)
 	}
-	if err := dist.ServeWorkerEnv(os.Stdin, w, apps.ByName, env); err != nil {
+	if err := dist.ServeWorkerEnv(os.Stdin, w, resolve, env); err != nil {
 		fmt.Fprintln(os.Stderr, "worker:", err)
 		os.Exit(1)
 	}
@@ -103,6 +116,27 @@ func (k *killAfterWriter) Write(p []byte) (int, error) {
 		syscall.Kill(os.Getpid(), syscall.SIGKILL)
 	}
 	return n, err
+}
+
+// killedAfterRuns is app with its test bodies counted: the moment the n-th
+// execution is over the process is SIGKILLed — a machine lost mid-item,
+// before the item's result is sent.
+func killedAfterRuns(app *harness.App, n int32) *harness.App {
+	lost := *app
+	lost.Tests = append([]harness.UnitTest(nil), app.Tests...)
+	var ran atomic.Int32
+	for i := range lost.Tests {
+		body := lost.Tests[i].Run
+		lost.Tests[i].Run = func(t *harness.T) {
+			defer func() {
+				if ran.Add(1) == n {
+					syscall.Kill(os.Getpid(), syscall.SIGKILL)
+				}
+			}()
+			body(t)
+		}
+	}
+	return &lost
 }
 
 func workerFactory(env ...string) func() *exec.Cmd {
@@ -376,6 +410,122 @@ func TestKillResumeSingleEvidencePerItem(t *testing.T) {
 	}
 	if withEvidence != verdicts {
 		t.Fatalf("evidence survived on %d of %d verdicts across the kill+resume", withEvidence, verdicts)
+	}
+}
+
+func itemByTest(t *testing.T, res *campaign.Result, test string) campaign.ItemResult {
+	t.Helper()
+	for _, it := range res.Items {
+		if it.Test == test {
+			return it
+		}
+	}
+	t.Fatalf("no item result for %s", test)
+	return campaign.ItemResult{}
+}
+
+// TestRetriedItemEqualsFirstAttempt: the first worker is SIGKILLed as its
+// third execution of TestWriteRead ends, and a fresh worker takes the retry.
+// Nothing of the lost attempt survives it, so the accepted result is, byte
+// for byte, what an uninterrupted run returns — execution counts included.
+func TestRetriedItemEqualsFirstAttempt(t *testing.T) {
+	t.Parallel()
+	app := minihdfs(t)
+	const seed = 11
+	// One test, so one item, on one slot: the retry runs on the respawn.
+	run := func(o *obs.Observer, first func() *exec.Cmd) []byte {
+		var spawns atomic.Int32
+		healthy := workerFactory()
+		opts := subsetOptions(seed, o)
+		opts.Tests = []string{"TestWriteRead"}
+		res := runDistributed(t, app, opts, dist.Options{
+			Workers: 1,
+			WorkerCmd: func() *exec.Cmd {
+				if spawns.Add(1) == 1 {
+					return first()
+				}
+				return healthy()
+			},
+			ItemRetries: dist.DefaultItemRetries,
+		})
+		item, err := json.Marshal(itemByTest(t, res, "TestWriteRead"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return item
+	}
+
+	o := obs.New()
+	retried := run(o, workerFactory("ZEBRACONF_DIST_KILL_AFTER_RUNS=3"))
+	if n := o.Metrics.CounterValue(obs.MWorkerCrashes, "app", app.Name, "reason", "crash"); n != 1 {
+		t.Fatalf("worker crashes = %d, want 1 (the first worker's SIGKILL)", n)
+	}
+	if n := o.Metrics.CounterValue(obs.MItemRetries, "app", app.Name); n != 1 {
+		t.Fatalf("item retries = %d, want 1", n)
+	}
+	if first := run(nil, workerFactory()); !bytes.Equal(retried, first) {
+		t.Errorf("the retried item differs from a first attempt:\n retried %s\n first   %s", retried, first)
+	}
+}
+
+// TestStdioWorkersOpenTheDiskTierThemselves: two stdio workers given the
+// same -disk-cache directory by their own flags read and write it directly.
+// Nothing about the cache crosses the wire, the coordinator's handle on the
+// directory is never touched, each executed run is written once, and a
+// second campaign over the directory is served from it.
+func TestStdioWorkersOpenTheDiskTierThemselves(t *testing.T) {
+	t.Parallel()
+	app, err := apps.ByName("miniyarn")
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := t.TempDir()
+	dir := filepath.Join(root, "dc")
+	submit := func() (*campaign.Result, int64) {
+		// The coordinator's own handle, as launch.prepare leaves it: behind
+		// its in-process runner, not behind the workers.
+		store, err := diskcache.Open(dir, 0, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o := obs.New()
+		opts := campaign.Options{Seed: 1, QuarantineThreshold: math.MaxInt32, CacheBackend: store, Obs: o}
+		res := runDistributed(t, app, opts, dist.Options{
+			Workers:             2,
+			WorkerCmd:           workerFactory("ZEBRACONF_DIST_DISK_CACHE=" + dir),
+			QuarantineThreshold: math.MaxInt32,
+		})
+		if st := store.Stats(); st.Writes != 0 || st.Misses != 0 {
+			t.Errorf("the coordinator's store handle saw %d writes and %d misses, want none", st.Writes, st.Misses)
+		}
+		return res, o.Metrics.CounterValue(obs.MItemExecutions, "app", app.Name)
+	}
+
+	cold, executed := submit()
+	sent, err := filepath.Glob(filepath.Join(root, "sent-*"))
+	if err != nil || len(sent) != 2 {
+		t.Fatalf("workers left %d sent-<pid> files (%v), want 2", len(sent), err)
+	}
+	for _, name := range sent {
+		lines, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := bytes.Count(lines, []byte(`"type":"cache-`)); n != 0 {
+			t.Errorf("%s: %d cache- lines sent by a worker with its own disk tier", filepath.Base(name), n)
+		}
+	}
+	entries, err := filepath.Glob(filepath.Join(dir, "*.json"))
+	if err != nil || executed == 0 || int64(len(entries)) != executed {
+		t.Fatalf("%d entries on disk for %d executed runs (%v), want one each", len(entries), executed, err)
+	}
+
+	warm, _ := submit()
+	if !reflect.DeepEqual(warm.Reported, cold.Reported) || len(cold.Reported) == 0 {
+		t.Errorf("reported parameters diverge:\n warm %+v\n cold %+v", warm.Reported, cold.Reported)
+	}
+	if warm.Counts.Executed >= cold.Counts.Executed {
+		t.Errorf("the second campaign executed %d runs, the cold one %d: nothing was reused", warm.Counts.Executed, cold.Counts.Executed)
 	}
 }
 

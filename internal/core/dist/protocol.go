@@ -18,7 +18,6 @@ package dist
 import (
 	"zebraconf/internal/core/agent"
 	"zebraconf/internal/core/campaign"
-	"zebraconf/internal/core/memo"
 	"zebraconf/internal/core/stats"
 	"zebraconf/internal/obs"
 )
@@ -26,9 +25,7 @@ import (
 // Message types of the coordinator↔worker wire protocol. Every message
 // is one JSON object on one line. The coordinator writes init / run /
 // quarantine / bye, the worker writes ready / result / heartbeat, and
-// either side treats EOF as the peer's death; nothing waits for a reply
-// except a cache-get, which only a worker of a persistent coordinator
-// (Config.SharedPersistent) ever sends.
+// either side treats EOF as the peer's death; nothing waits for a reply.
 const (
 	// MsgInit (coordinator → worker) opens the session: the application
 	// name and the campaign configuration the worker should execute
@@ -43,19 +40,6 @@ const (
 	MsgResult = "result"
 	// MsgBye (coordinator → worker) asks for a clean drain-and-exit.
 	MsgBye = "bye"
-	// MsgCacheGet (worker → coordinator) asks the persistent store behind
-	// the coordinator for one key; Req correlates the reply. The one
-	// request/response exchange in the protocol, spoken only under
-	// Config.SharedPersistent, and advisory: a worker that never asks (or
-	// times out waiting) just re-executes.
-	MsgCacheGet = "cache-get"
-	// MsgCacheVal (coordinator → worker) answers one MsgCacheGet, echoing
-	// Req; CacheHit says whether CacheRes is meaningful.
-	MsgCacheVal = "cache-val"
-	// MsgCachePut (worker → coordinator) publishes one executed result to
-	// that store, fire-and-forget, so a resubmitted campaign is served
-	// from it. A coordinator without a store drops it.
-	MsgCachePut = "cache-put"
 	// MsgQuarantine (coordinator → worker) broadcasts one parameter
 	// confirmed unsafe by enough distinct tests (§4's frequent-failer
 	// rule): workers skip its remaining instances. Best-effort and purely
@@ -68,16 +52,6 @@ const (
 	// advisory: the coordinator uses missed beats to flag stalled workers
 	// but never kills on them — the per-item deadline still governs.
 	MsgHeartbeat = "heartbeat"
-	// MsgHello (worker → gateway) opens a TCP worker connection: Token
-	// authenticates, PID identifies. Only spoken on networked sessions —
-	// stdio subprocess sessions skip the handshake (the pipe is the
-	// trust boundary) and start straight at init.
-	MsgHello = "hello"
-	// MsgWelcome (gateway → worker) answers the hello. Error non-empty
-	// means rejected (bad token); the gateway closes the connection
-	// after writing it, and the worker must not redial with the same
-	// credentials. On success the worker parks silently until init.
-	MsgWelcome = "welcome"
 )
 
 // maxLine caps one wire frame or journal record. Line readers start small
@@ -115,17 +89,8 @@ type Msg struct {
 	Error string           `json:"error,omitempty"`
 	// Param carries the quarantined parameter of a MsgQuarantine.
 	Param string `json:"param,omitempty"`
-	// Persistent-tier fields (MsgCacheGet / MsgCacheVal / MsgCachePut).
-	// Req correlates a get with its val reply.
-	Req      int64        `json:"req,omitempty"`
-	CacheKey *memo.Key    `json:"cache_key,omitempty"`
-	CacheRes *memo.Result `json:"cache_res,omitempty"`
-	CacheHit bool         `json:"cache_hit,omitempty"`
 	// HB carries the health snapshot of a MsgHeartbeat.
 	HB *Heartbeat `json:"hb,omitempty"`
-	// Token authenticates a MsgHello against the gateway's shared
-	// secret.
-	Token string `json:"token,omitempty"`
 }
 
 // Config is the serializable subset of campaign.Options a worker needs
@@ -171,11 +136,6 @@ type Config struct {
 	// Not part of campaign.Options, so ConfigFrom leaves it zero —
 	// launch.Campaign sets it from the -heartbeat flag.
 	HeartbeatMS int `json:"heartbeat_ms,omitempty"`
-	// SharedPersistent tells the worker the coordinator fronts a
-	// persistent store (Options.SharedBackend) the worker cannot open
-	// itself: the worker puts a remoteCache behind its own tiers and asks
-	// it about every key. Set by the coordinator, never by a caller.
-	SharedPersistent bool `json:"shared_persistent,omitempty"`
 }
 
 // ConfigFrom extracts the wire configuration from campaign options.

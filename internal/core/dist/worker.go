@@ -116,22 +116,13 @@ func ServeWorkerEnv(r io.Reader, w io.Writer, resolve func(string) (*harness.App
 	schema := app.Schema()
 	// Execution memoization, one hierarchy (DESIGN.md §9): the session's
 	// in-process cache → this worker's own disk directory, when its flags
-	// name one → the coordinator, only when it fronts a persistent store
-	// the worker cannot open itself. Whatever is behind the in-process
-	// cache outlives the campaign, which is what makes label-seeded trials
-	// worth memoizing. An open failure just drops the disk tier.
-	var rcache *remoteCache
-	if !cfg.DisableExecCache {
-		if cfg.SharedPersistent {
-			rcache = newRemoteCache(send)
-			opts.CacheBackend = rcache
-		}
-		if env.DiskCacheDir != "" {
-			if store, err := diskcache.Open(env.DiskCacheDir, env.DiskCacheMaxBytes, opts.CacheBackend, nil); err == nil {
-				opts.CacheBackend = store
-			} else {
-				fmt.Fprintf(os.Stderr, "zebraconf worker: disk cache disabled: %v\n", err)
-			}
+	// name one. The disk tier outlives the campaign, which is what makes
+	// label-seeded trials worth memoizing. An open failure just drops it.
+	if !cfg.DisableExecCache && env.DiskCacheDir != "" {
+		if store, err := diskcache.Open(env.DiskCacheDir, env.DiskCacheMaxBytes, nil, nil); err == nil {
+			opts.CacheBackend = store
+		} else {
+			fmt.Fprintf(os.Stderr, "zebraconf worker: disk cache disabled: %v\n", err)
 		}
 	}
 	// One cache, evidence budget, coverage collector and trial budget pool
@@ -201,31 +192,17 @@ func ServeWorkerEnv(r io.Reader, w io.Writer, resolve func(string) (*harness.App
 	var wg sync.WaitGroup
 	var sendErr error
 	var errOnce sync.Once
-	// drain waits out in-flight items; their results still matter to a
-	// coordinator that is shutting down cleanly. The remote cache must
-	// release its waiters first: nobody will read another cache-val off
-	// the wire, and a Get blocked inside an item would deadlock the wait.
-	drain := func() {
-		if rcache != nil {
-			rcache.close()
-		}
-		wg.Wait()
-	}
 	for {
+		// On the way out, in-flight items are waited out: their results
+		// still matter to a coordinator that is shutting down cleanly.
 		m, err := read()
 		if err == io.EOF || (err == nil && m.Type == MsgBye) {
-			drain()
+			wg.Wait()
 			return sendErr
 		}
 		if err != nil {
-			drain()
+			wg.Wait()
 			return err
-		}
-		if m.Type == MsgCacheVal {
-			if rcache != nil {
-				rcache.deliver(m)
-			}
-			continue
 		}
 		if m.Type == MsgQuarantine {
 			// §4's frequent-failer rule, confirmed across workers: from here

@@ -26,16 +26,12 @@ import (
 // things that differ between the CLI and the service and outlive one
 // campaign. Nothing here may change a verdict.
 type Env struct {
-	// WorkerCmd builds one stdio worker subprocess (the CLI); Sessions
-	// leases already-connected TCP workers instead (the service). One of
-	// the two is needed when Spec.Workers > 0.
+	// WorkerCmd builds one stdio worker subprocess; it is needed when
+	// Spec.Workers > 0.
 	WorkerCmd func() *exec.Cmd
-	Sessions  *dist.Gateway
 	// Cache is the open persistent execution cache, nil for none. It backs
-	// the in-process memo cache and, for Sessions workers — which cannot
-	// open it themselves — the coordinator's pass-through tier. A worker's
-	// own disk tier comes from its own -disk-cache flag (WorkerCmd passes
-	// the CLI's).
+	// the in-process memo cache only: a worker's disk tier comes from its
+	// own -disk-cache flag (WorkerCmd passes it).
 	Cache *diskcache.Store
 	// Obs observes the campaign; nil disables observability.
 	Obs *obs.Observer
@@ -85,7 +81,7 @@ type prepared struct {
 	// summary's utilization.
 	slots  int
 	prevIx *coverage.Index
-	// prevItems is the previous run's item store (18.9 MB for a whole
+	// prevItems is the previous run's item store (9.96 MB for a whole
 	// minihdfs campaign) once something needs it: a rerun, or saveCoverage
 	// with records to carry forward.
 	prevItems *coverage.ItemStore
@@ -182,7 +178,7 @@ func prepare(app *harness.App, spec Spec, env Env) (*prepared, error) {
 		App:                 app.Name,
 		Workers:             spec.Workers,
 		WorkerCmd:           env.WorkerCmd,
-		Sessions:            env.Sessions,
+		Config:              cfg,
 		CheckpointPath:      env.CheckpointPath,
 		ItemTimeout:         time.Duration(spec.ItemTimeout),
 		ItemRetries:         spec.ItemRetries,
@@ -193,10 +189,6 @@ func prepare(app *harness.App, spec Spec, env Env) (*prepared, error) {
 		Obs:                 env.Obs,
 		Stderr:              env.Stderr,
 	}
-	if l.opts.CacheBackend != nil && env.Sessions != nil {
-		l.dopts.SharedBackend = env.Cache
-	}
-	l.dopts.Config = cfg
 	l.coord = dist.New(l.dopts)
 	l.opts.Distributor = l.coord
 	return l, nil

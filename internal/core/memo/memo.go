@@ -48,11 +48,10 @@ type Result struct {
 	Reads    []string `json:"reads,omitempty"`
 }
 
-// Backend is a second-level store behind a Cache's in-process map: a disk
-// store, or for a gateway worker the coordinator fronting one, so what an
-// earlier campaign executed is not executed again. Get may block (a
-// network round trip); a Backend that fails should report a miss, never an
-// error — re-running is always correct, just slower.
+// Backend is a second-level store behind a Cache's in-process map — the
+// disk store — so what an earlier campaign executed is not executed again.
+// A Backend that fails should report a miss, never an error — re-running
+// is always correct, just slower.
 type Backend interface {
 	Get(Key) (Result, bool)
 	Put(Key, Result)

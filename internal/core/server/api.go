@@ -8,8 +8,6 @@ import (
 	"sort"
 	"time"
 
-	"zebraconf/internal/core/diskcache"
-	"zebraconf/internal/core/dist"
 	"zebraconf/internal/core/launch"
 	"zebraconf/internal/obs"
 )
@@ -63,12 +61,10 @@ type CampaignDetail struct {
 
 // ServiceStatus is the GET /api/status payload.
 type ServiceStatus struct {
-	UptimeSeconds float64           `json:"uptime_seconds"`
-	Campaigns     int               `json:"campaigns"`
-	QueueDepth    int               `json:"queue_depth"`
-	Running       string            `json:"running,omitempty"` // running campaign ID
-	Gateway       dist.GatewayStats `json:"gateway"`
-	Cache         diskcache.Stats   `json:"cache"`
+	UptimeSeconds float64 `json:"uptime_seconds"`
+	Campaigns     int     `json:"campaigns"`
+	QueueDepth    int     `json:"queue_depth"`
+	Running       string  `json:"running,omitempty"` // running campaign ID
 }
 
 func fmtTime(t time.Time) string {
@@ -280,7 +276,5 @@ func (s *Server) handleStatus(w http.ResponseWriter, _ *http.Request) {
 		Campaigns:     campaigns,
 		QueueDepth:    depth,
 		Running:       running,
-		Gateway:       s.gw.Stats(),
-		Cache:         s.store.Stats(),
 	})
 }

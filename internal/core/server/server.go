@@ -1,22 +1,22 @@
 // Package server is ZebraConf's campaign-as-a-service daemon: the
-// coordinator lifted out of the one-shot CLI into a long-running
-// process. Workers connect over TCP through the dist gateway
-// (`zebraconf -worker -connect`), campaigns arrive over a small REST
-// API (`zebraconf -mode submit|watch|cancel -server URL`), run one at a
-// time off a FIFO queue, and every canonically-seeded execution flows
-// through a persistent cross-campaign disk cache — so a repeat campaign
-// on an unchanged app is nearly free. This is the paper's batch
+// one-shot CLI campaign lifted into a long-running process. Campaigns
+// arrive over a small REST API (`zebraconf -mode submit|watch|cancel
+// -server URL`) and run one at a time off a FIFO queue, each exactly as
+// `-mode run -workers N` runs it: launch.Campaign spawns the campaign's own
+// stdio worker subprocesses (Options.WorkerCmd), and each worker opens the
+// service's persistent disk cache from its own flags — so a repeat
+// campaign on an unchanged app is nearly free. This is the paper's batch
 // campaign recast as the continuous configuration-testing service its
 // own pitch calls for: catching hetero-unsafe parameters before every
 // rolling deployment means running on every revision, not once.
 //
 // Per-campaign isolation: each submission gets its own ID, base seed,
-// checkpoint journal, observer (status tracker + registry), ledger
-// record, and result file under the server's state directory. The only
-// shared mutable state is deliberately shared: the duration profile
-// (every campaign sharpens the next schedule) and the disk cache
-// (reuse is the point — and a hit can only replay a byte-identical
-// execution, so isolation of *outcomes* is preserved by construction).
+// workers, checkpoint journal, observer (status tracker + registry),
+// ledger record, and result file under the server's state directory. The
+// only shared mutable state is deliberately shared: the duration profile
+// (every campaign sharpens the next schedule) and the disk cache (reuse
+// is the point — and a hit can only replay a byte-identical execution,
+// so isolation of *outcomes* is preserved by construction).
 package server
 
 import (
@@ -26,13 +26,12 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"sync"
 	"time"
 
 	"zebraconf/internal/core/campaign"
-	"zebraconf/internal/core/diskcache"
-	"zebraconf/internal/core/dist"
 	"zebraconf/internal/core/harness"
 	"zebraconf/internal/core/launch"
 	"zebraconf/internal/core/report"
@@ -51,41 +50,38 @@ const (
 // ErrNotFound marks an unknown campaign ID.
 var ErrNotFound = errors.New("server: no such campaign")
 
-// defaultWorkers is how many worker sessions a submission that names none
-// leases: the smallest fleet that exercises the distributed paths.
+// defaultWorkers is how many workers a submission that names none spawns:
+// the smallest fleet that exercises the distributed paths.
 const defaultWorkers = 2
 
 // Options configures a Server.
 type Options struct {
 	// Addr is the REST API listen address (e.g. ":8080").
 	Addr string
-	// WorkerAddr is the TCP worker gateway listen address (e.g. ":9090").
-	WorkerAddr string
-	// Token guards both the worker gateway handshake and the /api/*
-	// endpoints (Authorization: Bearer). Empty disables auth — loopback
-	// testing only.
+	// Token guards the /api/* endpoints (Authorization: Bearer). Empty
+	// disables auth — loopback testing only.
 	Token string
 	// StateDir holds everything persistent: the disk cache, the run
 	// ledger, the shared duration profile, and per-campaign journals and
 	// results.
 	StateDir string
-	// CacheMaxBytes caps the disk cache (0 = diskcache default).
-	CacheMaxBytes int64
+	// WorkerCmd builds one stdio worker subprocess of a campaign, its disk
+	// tier the cache under StateDir (the CLI passes `-worker -disk-cache
+	// <state>/cache`). Called again for every spawn.
+	WorkerCmd func() *exec.Cmd
 	// Resolve maps an application name to its App — injected so this
 	// package never depends on the application registry.
 	Resolve func(string) (*harness.App, error)
-	// Obs receives server-level metrics: gateway, disk cache, queue.
+	// Obs receives server-level metrics: queue depth and campaign states.
 	// Per-campaign observers are created internally. May be nil.
 	Obs *obs.Observer
 	// Logw receives server lifecycle lines. May be nil.
 	Logw io.Writer
 }
 
-// Server is the campaign service: gateway + queue + disk cache + API.
+// Server is the campaign service: queue + API.
 type Server struct {
 	opts    Options
-	gw      *dist.Gateway
-	store   *diskcache.Store
 	started time.Time
 
 	mu        sync.Mutex
@@ -119,11 +115,11 @@ type Campaign struct {
 	runID  string
 }
 
-// New assembles a Server: state directory, disk cache, gateway. The REST
-// listener starts in Serve.
+// New assembles a Server and its state directory. The REST listener
+// starts in Serve.
 func New(opts Options) (*Server, error) {
-	if opts.Resolve == nil {
-		return nil, errors.New("server: Options.Resolve is required")
+	if opts.Resolve == nil || opts.WorkerCmd == nil {
+		return nil, errors.New("server: Options.Resolve and Options.WorkerCmd are required")
 	}
 	if opts.StateDir == "" {
 		opts.StateDir = "zebraconf-state"
@@ -131,30 +127,17 @@ func New(opts Options) (*Server, error) {
 	if err := os.MkdirAll(opts.StateDir, 0o755); err != nil {
 		return nil, err
 	}
-	store, err := diskcache.Open(filepath.Join(opts.StateDir, "cache"), opts.CacheMaxBytes, nil, opts.Obs)
-	if err != nil {
-		return nil, err
-	}
-	gw, err := dist.ListenGateway(opts.WorkerAddr, opts.Token, opts.Obs)
-	if err != nil {
-		return nil, err
-	}
 	s := &Server{
 		opts:      opts,
-		gw:        gw,
-		store:     store,
 		started:   time.Now(),
 		campaigns: make(map[string]*Campaign),
 		wake:      make(chan struct{}, 1),
 	}
 	s.wg.Add(1)
 	go s.runLoop()
-	s.logf("worker gateway on %s, state in %s", gw.Addr(), opts.StateDir)
+	s.logf("state in %s", opts.StateDir)
 	return s, nil
 }
-
-// WorkerAddr is the gateway's bound address (useful with ":0").
-func (s *Server) WorkerAddr() string { return s.gw.Addr() }
 
 func (s *Server) logf(format string, args ...any) {
 	if s.opts.Logw != nil {
@@ -233,7 +216,7 @@ func (s *Server) Cancel(id string) (string, error) {
 }
 
 // Close shuts the service down: refuse new submissions, abort the
-// running campaign, close the gateway and wait for the run loop.
+// running campaign and wait for the run loop.
 func (s *Server) Close() {
 	s.mu.Lock()
 	if s.closed {
@@ -249,19 +232,16 @@ func (s *Server) Close() {
 	case s.wake <- struct{}{}:
 	default:
 	}
-	s.gw.Close()
 	if s.shutdown != nil {
 		s.shutdown()
 	}
 	s.wg.Wait()
 }
 
-// runLoop executes queued campaigns one at a time, FIFO. One at a time
-// is a deliberate isolation choice, not a throughput bug: concurrent
-// campaigns would share the worker pool and perturb each other's
-// timing-sensitive verdicts, and the equivalence invariant (served ≡
-// local reported set) holds because a served campaign sees the same
-// load shape a local run does.
+// runLoop executes queued campaigns one at a time, FIFO. Each campaign
+// spawns its own workers, and one at a time is a deliberate choice, not a
+// throughput bug: concurrent campaigns would compete for the machine's
+// CPUs, and a served campaign should cost what the same local run costs.
 func (s *Server) runLoop() {
 	defer s.wg.Done()
 	for {
@@ -300,9 +280,9 @@ func (s *Server) nextQueued() *Campaign {
 }
 
 // runCampaign executes one submission through launch.Campaign — the same
-// function `-mode run -workers N` calls, over gateway sessions instead of
-// subprocesses — and files what is the service's own: the per-campaign
-// directory with its journal, result and perf summary.
+// function, with the same kind of workers, that `-mode run -workers N`
+// calls — and files what is the service's own: the per-campaign directory
+// with its journal, result and perf summary.
 func (s *Server) runCampaign(c *Campaign) {
 	app, err := s.opts.Resolve(c.spec.App)
 	if err != nil {
@@ -325,8 +305,7 @@ func (s *Server) runCampaign(c *Campaign) {
 	c.o.Sampler = obs.NewSampler(c.o, 0, nil, 0)
 	c.o.Sampler.Start()
 	out, err := launch.Campaign(c.ctx, app, c.spec, launch.Env{
-		Sessions:       s.gw,
-		Cache:          s.store,
+		WorkerCmd:      s.opts.WorkerCmd,
 		Obs:            c.o,
 		Stderr:         s.opts.Logw,
 		LedgerDir:      filepath.Join(s.opts.StateDir, "ledger"),

@@ -1,10 +1,13 @@
 package server_test
 
 import (
+	"bufio"
 	"encoding/json"
+	"fmt"
+	"os"
+	"os/exec"
 	"path/filepath"
 	"reflect"
-	"sync"
 	"testing"
 	"time"
 
@@ -20,18 +23,51 @@ import (
 
 const testToken = "test-secret"
 
-// startServer brings up a full service on loopback ports: REST API,
-// worker gateway, and n TCP workers. The returned shutdown must run
-// before the test ends.
-func startServer(t *testing.T, stateDir string, workers int) (*server.Server, *server.Client, func()) {
+// TestMain doubles the test binary as a campaign's worker subprocess: with
+// ZEBRACONF_SERVER_WORKER set it speaks the wire protocol on stdio instead
+// of running tests, its disk tier the directory the variable names, as
+// `zebraconf -worker -disk-cache <state>/cache` would. With
+// ZEBRACONF_SERVER_HANG=1 it acknowledges init and never answers a run.
+func TestMain(m *testing.M) {
+	dir := os.Getenv("ZEBRACONF_SERVER_WORKER")
+	if dir == "" {
+		os.Exit(m.Run())
+	}
+	if os.Getenv("ZEBRACONF_SERVER_HANG") == "1" {
+		sc := bufio.NewScanner(os.Stdin)
+		sc.Scan() // init
+		fmt.Printf("{\"type\":\"ready\",\"pid\":%d}\n", os.Getpid())
+		for sc.Scan() {
+		} // swallow run messages until the coordinator kills us
+		os.Exit(0)
+	}
+	out := bufio.NewWriter(os.Stdout)
+	err := dist.ServeWorkerEnv(os.Stdin, out, apps.ByName, dist.WorkerEnv{DiskCacheDir: dir})
+	out.Flush()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "worker:", err)
+		os.Exit(1)
+	}
+	os.Exit(0)
+}
+
+// startServer brings up a full service on a loopback port, its campaigns'
+// workers this test binary (see TestMain) with env added. The returned
+// shutdown must run before the test ends.
+func startServer(t *testing.T, stateDir string, env ...string) (*server.Server, *server.Client, func()) {
 	t.Helper()
 	srv, err := server.New(server.Options{
-		Addr:       "127.0.0.1:0",
-		WorkerAddr: "127.0.0.1:0",
-		Token:      testToken,
-		StateDir:   stateDir,
-		Resolve:    apps.ByName,
-		Obs:        obs.New(),
+		Addr:     "127.0.0.1:0",
+		Token:    testToken,
+		StateDir: stateDir,
+		WorkerCmd: func() *exec.Cmd {
+			cmd := exec.Command(os.Args[0])
+			cmd.Env = append(os.Environ(), "ZEBRACONF_SERVER_WORKER="+filepath.Join(stateDir, "cache"))
+			cmd.Env = append(cmd.Env, env...)
+			return cmd
+		},
+		Resolve: apps.ByName,
+		Obs:     obs.New(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -45,22 +81,8 @@ func startServer(t *testing.T, stateDir string, workers int) (*server.Server, *s
 	case err := <-serveErr:
 		t.Fatal(err)
 	}
-
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if err := dist.ConnectWorker(srv.WorkerAddr(), dist.ConnectOptions{Token: testToken, Stop: stop}, apps.ByName); err != nil {
-				t.Error(err)
-			}
-		}()
-	}
 	shutdown := func() {
-		close(stop)
-		srv.Close() // kills parked worker connections, stops the API
-		wg.Wait()
+		srv.Close() // aborts the running campaign, stops the API
 		if err := <-serveErr; err != nil {
 			t.Error(err)
 		}
@@ -81,13 +103,13 @@ func subsetRequest(seed int64) launch.Spec {
 }
 
 // TestServedCampaignMatchesLocal is the tentpole roundtrip: submit over
-// REST, execute on two TCP workers, and require the reported set to
+// REST, execute on two spawned workers, and require the reported set to
 // match a local in-process run — then resubmit and require the repeat
-// to be served from the persistent disk cache.
+// to be served from the disk cache the workers filled.
 func TestServedCampaignMatchesLocal(t *testing.T) {
 	t.Parallel()
 	dir := t.TempDir()
-	_, cl, shutdown := startServer(t, dir, 2)
+	_, cl, shutdown := startServer(t, dir)
 	defer shutdown()
 
 	// Wrong token: rejected before any handler runs.
@@ -161,11 +183,13 @@ func TestServedCampaignMatchesLocal(t *testing.T) {
 		t.Errorf("item store holds %d entries, want one per executed test (%d)", len(items.Items), len(req.Tests))
 	}
 
-	// Resubmit: the identical campaign replays from the disk cache.
-	before, err := cl.Status()
-	if err != nil {
-		t.Fatal(err)
+	// The workers opened <state>/cache themselves and wrote what they ran.
+	entries, err := filepath.Glob(filepath.Join(dir, "cache", "*.json"))
+	if err != nil || len(entries) == 0 {
+		t.Fatalf("the workers left %d entries in <state>/cache (%v), want some", len(entries), err)
 	}
+
+	// Resubmit: the identical campaign replays from the disk cache.
 	id2, err := cl.Submit(subsetRequest(11))
 	if err != nil {
 		t.Fatal(err)
@@ -177,13 +201,11 @@ func TestServedCampaignMatchesLocal(t *testing.T) {
 	if d2.State != server.StateDone {
 		t.Fatalf("resubmitted campaign state = %s (%s), want done", d2.State, d2.Error)
 	}
-	after, err := cl.Status()
-	if err != nil {
-		t.Fatal(err)
+	if d2.Counts == nil || d2.Counts.Executions >= d.Counts.Executions || d2.Counts.ExecutionsSaved == 0 {
+		t.Fatalf("resubmit counts %+v, first run %+v: want fewer executions, some saved", d2.Counts, d.Counts)
 	}
-	if after.Cache.Hits <= before.Cache.Hits {
-		t.Fatalf("disk cache hits did not grow on resubmit: before %d, after %d",
-			before.Cache.Hits, after.Cache.Hits)
+	if st, err := cl.Status(); err != nil || st.Campaigns != 2 || st.QueueDepth != 0 || st.Running != "" {
+		t.Fatalf("service status = %+v, %v; want 2 campaigns, none queued or running", st, err)
 	}
 	if len(d2.Reported) != len(d.Reported) {
 		t.Fatalf("resubmitted campaign reported %d parameters, first run %d", len(d2.Reported), len(d.Reported))
@@ -201,13 +223,13 @@ func TestServedCampaignMatchesLocal(t *testing.T) {
 	}
 }
 
-// TestQueueAndCancel exercises the FIFO queue without any workers: the
-// first campaign occupies the run loop (blocked acquiring a session),
-// the second waits in queue and cancels in place, and cancelling the
-// running one aborts its coordinator.
+// TestQueueAndCancel exercises the FIFO queue with workers that never
+// answer a run: the first campaign occupies the run loop, the second waits
+// in queue and cancels in place, and cancelling the running one aborts its
+// coordinator.
 func TestQueueAndCancel(t *testing.T) {
 	t.Parallel()
-	_, cl, shutdown := startServer(t, t.TempDir(), 0)
+	_, cl, shutdown := startServer(t, t.TempDir(), "ZEBRACONF_SERVER_HANG=1")
 	defer shutdown()
 
 	id1, err := cl.Submit(subsetRequest(5))

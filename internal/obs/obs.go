@@ -148,13 +148,11 @@ const (
 
 	// MCacheHits counts executions reused from the cache. Labels: app,
 	// scope (local = this process's cache, shared = the persistent store
-	// a dist coordinator fronts for gateway workers).
+	// behind it, a -disk-cache directory).
 	MCacheHits = "zebraconf_exec_cache_hits_total"
 	// MCacheMisses counts cache lookups that executed for real, in the
-	// process that executed them. A dist coordinator executes nothing: it
-	// counts here the lookups gateway workers sent that the store it
-	// fronts could not answer; without such a store it has no such
-	// series. Labels: app.
+	// process that executed them; a dist coordinator executes nothing and
+	// has no such series. Labels: app.
 	MCacheMisses = "zebraconf_exec_cache_misses_total"
 	// MCacheCoalesced counts callers that joined an in-flight identical
 	// run instead of duplicating it (singleflight). Labels: app.
@@ -197,17 +195,8 @@ const (
 	// up as old entries).
 	MDiskCacheHitAge = "zebraconf_disk_cache_hit_age_seconds"
 
-	// Campaign service catalog (internal/core/dist gateway +
-	// internal/core/server).
+	// Campaign service catalog (internal/core/server).
 
-	// MGatewayWorkers counts workers admitted through the TCP gateway
-	// handshake.
-	MGatewayWorkers = "zebraconf_gateway_workers_total"
-	// MGatewayAuthFailures counts connections refused at the hello
-	// handshake (bad token, malformed hello, timeout).
-	MGatewayAuthFailures = "zebraconf_gateway_auth_failures_total"
-	// MGatewayIdle gauges workers currently parked awaiting a campaign.
-	MGatewayIdle = "zebraconf_gateway_idle_workers"
 	// MServerCampaigns counts campaigns by terminal state.
 	// Labels: state (done, failed, cancelled).
 	MServerCampaigns = "zebraconf_server_campaigns_total"
