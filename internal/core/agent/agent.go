@@ -66,9 +66,16 @@ type Key struct {
 type Options struct {
 	// Strategy is the read-mapping strategy; zero value is StrategyPaper.
 	Strategy Strategy
-	// Assign maps keys to overridden values. Nil means a pre-run: nothing
-	// is overridden, only bookkeeping is collected.
+	// Assign maps keys to overridden values. Nil overrides nothing: a
+	// pre-run's reads all observe the stored configuration.
 	Assign map[Key]string
+	// Trial marks an execution whose caller reads the verdict, the read
+	// trace and the coverage sinks but not the Report: a phase-2 trial.
+	// The agent then keeps none of the report's bookkeeping (per-object
+	// and per-thread read sets) and Report returns the zero value. The
+	// zero value keeps the full report, for the pre-run and the dependency
+	// probe, whose callers read it.
+	Trial bool
 	// TraceReads, when positive, records the first TraceReads intercepted
 	// configuration reads in order — the forensics read trace. Zero (the
 	// default) disables recording; reads beyond the cap are counted, not
@@ -146,9 +153,9 @@ type owner struct {
 	nodeID uint64
 }
 
-// nodeInfo is one nodeTable entry (paper §6.3).
+// nodeInfo is one nodeTable entry (paper §6.3). Node IDs are the sequence
+// 1…n in start order; node i is Agent.nodes[i-1].
 type nodeInfo struct {
-	id           uint64
 	nodeType     string
 	index        int // i-th started node of nodeType
 	parentConfID uint64
@@ -167,16 +174,14 @@ type Agent struct {
 	// inherited ownership installed by Inherit.
 	threadCtx map[uint64][]uint64
 
-	nodes      map[uint64]*nodeInfo
-	nodeSeq    uint64
-	typeCounts map[string]int
+	nodes []nodeInfo
+	// confs is the object table, one entry per configuration-object ID.
+	confs map[uint64]confEntry
 
-	confOwner map[uint64]owner
-	confObjs  map[uint64]*confkit.Conf
-	parentOf  map[uint64]uint64 // clone conf ID -> original conf ID
-
-	readsByConf  map[uint64]map[string]bool
-	threadReads  map[string]map[string]bool // entity -> params (thread-only strategy)
+	// report keeps the Report's bookkeeping: the per-object read sets and,
+	// under StrategyThreadOnly, threadReads (entity -> params).
+	report       bool
+	threadReads  map[string]map[string]bool
 	confUsed     bool
 	shared       bool
 	refAnomalies int
@@ -185,33 +190,49 @@ type Agent struct {
 	readLog      []ReadEvent
 	readsDropped int
 
-	// covParams is the uncapped deduplicating coverage sink (nil when
-	// Options.Coverage is off); covSites adds per-param callsites.
+	// coverage turns on the uncapped deduplicating coverage sink: the
+	// union of the per-object read sets when the report is kept, else
+	// covParams. covSites adds per-param callsites.
+	coverage  bool
 	covParams map[string]bool
 	covSites  map[string]map[string]bool
+}
+
+// confEntry is one configuration object's row in the object table: its
+// owner, the original it was cloned from, and — only when the report is
+// kept — the parameters read through it.
+type confEntry struct {
+	// conf is the object; nil for an ID the agent knows only as an
+	// ancestor or through a read, which the report does not count.
+	conf *confkit.Conf
+	// owner's zero value is uncertain, so an absent entry is uncertain.
+	owner owner
+	// parent is the ID of the object this one was cloned from; 0 (never
+	// a confkit ID) for none.
+	parent uint64
+	reads  map[string]bool
 }
 
 // New returns a fresh agent. Install it on the unit test's runtime with
 // rt.SetHooks before any node starts.
 func New(opts Options) *Agent {
 	a := &Agent{
-		strategy:    opts.Strategy,
-		assign:      opts.Assign,
-		traceReads:  opts.TraceReads,
-		identity:    opts.Identity,
-		threadCtx:   make(map[uint64][]uint64),
-		nodes:       make(map[uint64]*nodeInfo),
-		typeCounts:  make(map[string]int),
-		confOwner:   make(map[uint64]owner),
-		confObjs:    make(map[uint64]*confkit.Conf),
-		parentOf:    make(map[uint64]uint64),
-		readsByConf: make(map[uint64]map[string]bool),
-		threadReads: make(map[string]map[string]bool),
+		strategy:   opts.Strategy,
+		assign:     opts.Assign,
+		traceReads: opts.TraceReads,
+		identity:   opts.Identity,
+		threadCtx:  make(map[uint64][]uint64),
+		confs:      make(map[uint64]confEntry),
+		report:     !opts.Trial,
+		coverage:   opts.Coverage || opts.CoverageSites,
 	}
 	if a.identity == nil {
 		a.identity = fallbackIdentity
 	}
-	if opts.Coverage || opts.CoverageSites {
+	if a.report && a.strategy == StrategyThreadOnly {
+		a.threadReads = make(map[string]map[string]bool)
+	}
+	if a.coverage && !a.report {
 		a.covParams = make(map[string]bool)
 	}
 	if opts.CoverageSites {
@@ -231,12 +252,15 @@ func (a *Agent) StartInit(nodeType string) {
 	g := a.identity()
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	a.nodeSeq++
-	n := &nodeInfo{id: a.nodeSeq, nodeType: nodeType, index: a.typeCounts[nodeType]}
-	a.typeCounts[nodeType]++
-	a.nodes[n.id] = n
+	index := 0
+	for i := range a.nodes {
+		if a.nodes[i].nodeType == nodeType {
+			index++
+		}
+	}
+	a.nodes = append(a.nodes, nodeInfo{nodeType: nodeType, index: index})
 	if g != 0 { // no goroutine of the execution, no window: they would all share it
-		a.threadCtx[g] = append(a.threadCtx[g], n.id)
+		a.threadCtx[g] = append(a.threadCtx[g], uint64(len(a.nodes)))
 	}
 }
 
@@ -275,6 +299,10 @@ func (a *Agent) Inherit(fn func()) func() {
 	}
 	return func() {
 		cg := a.identity()
+		if cg == 0 { // as in StartInit: a window for no goroutine would be everyone's
+			fn()
+			return
+		}
 		a.mu.Lock()
 		a.threadCtx[cg] = append(a.threadCtx[cg], inherit)
 		a.mu.Unlock()
@@ -287,50 +315,52 @@ func (a *Agent) Inherit(fn func()) func() {
 	}
 }
 
-// currentNodeLocked returns the node whose init window (or inherited
-// ownership) covers goroutine g, or nil.
-func (a *Agent) currentNodeLocked(g uint64) *nodeInfo {
+// currentNodeLocked returns the ID of the node whose init window (or
+// inherited ownership) covers goroutine g, or 0.
+func (a *Agent) currentNodeLocked(g uint64) uint64 {
 	stack := a.threadCtx[g]
 	if len(stack) == 0 {
-		return nil
+		return 0
 	}
-	return a.nodes[stack[len(stack)-1]]
+	return stack[len(stack)-1]
 }
+
+// node returns the node table entry of node id.
+func (a *Agent) node(id uint64) *nodeInfo { return &a.nodes[id-1] }
 
 // NewConf implements Rules 1.1 and 1.2 for the blank constructor.
 func (a *Agent) NewConf(c *confkit.Conf) {
 	g := a.identity()
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	a.confObjs[c.ID()] = c
-	if n := a.currentNodeLocked(g); n != nil {
-		a.confOwner[c.ID()] = owner{kind: ownerNode, nodeID: n.id} // Rule 1.1
-		return
+	e := a.confs[c.ID()]
+	e.conf = c
+	switch id := a.currentNodeLocked(g); {
+	case id != 0:
+		e.owner = owner{kind: ownerNode, nodeID: id} // Rule 1.1
+	case len(a.nodes) == 0:
+		e.owner = owner{kind: ownerUnitTest} // Rule 1.2
+	default:
+		e.owner = owner{kind: ownerUncertain}
 	}
-	if len(a.nodes) == 0 {
-		a.confOwner[c.ID()] = owner{kind: ownerUnitTest} // Rule 1.2
-		return
-	}
-	a.confOwner[c.ID()] = owner{kind: ownerUncertain}
+	a.confs[c.ID()] = e
 }
 
 // CloneConf implements Rule 3 for the clone constructor: the clone joins the
-// original's group; if neither is mapped, both become uncertain.
+// original's group; if neither is mapped, both stay uncertain.
 func (a *Agent) CloneConf(orig, clone *confkit.Conf) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	a.confObjs[clone.ID()] = clone
-	a.parentOf[clone.ID()] = orig.ID()
-	if o, ok := a.confOwner[orig.ID()]; ok && o.kind != ownerUncertain {
-		a.confOwner[clone.ID()] = o
-		return
+	e := a.confs[clone.ID()]
+	e.conf, e.parent = clone, orig.ID()
+	if o := a.confs[orig.ID()].owner; o.kind != ownerUncertain {
+		e.owner = o
+	} else if e.owner.kind != ownerUncertain {
+		oe := a.confs[orig.ID()]
+		oe.owner = e.owner
+		a.confs[orig.ID()] = oe
 	}
-	if o, ok := a.confOwner[clone.ID()]; ok && o.kind != ownerUncertain {
-		a.confOwner[orig.ID()] = o
-		return
-	}
-	a.confOwner[orig.ID()] = owner{kind: ownerUncertain}
-	a.confOwner[clone.ID()] = owner{kind: ownerUncertain}
+	a.confs[clone.ID()] = e
 }
 
 // RefToClone implements Rule 2: called from a node's init function in place
@@ -342,41 +372,42 @@ func (a *Agent) RefToClone(orig *confkit.Conf) *confkit.Conf {
 	clone := orig.CloneForAgent()
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	a.confObjs[orig.ID()] = orig
-	a.confObjs[clone.ID()] = clone
-	n := a.currentNodeLocked(g)
-	if n == nil {
+	oe, ce := a.confs[orig.ID()], a.confs[clone.ID()]
+	oe.conf, ce.conf = orig, clone
+	id := a.currentNodeLocked(g)
+	if id == 0 {
 		// Misuse: refToCloneConf outside an init window. Keep the original
 		// reference and count the anomaly; the object mapping is unchanged.
+		a.confs[orig.ID()], a.confs[clone.ID()] = oe, ce
 		a.refAnomalies++
 		return orig
 	}
-	a.confOwner[clone.ID()] = owner{kind: ownerNode, nodeID: n.id}
-	n.parentConfID = orig.ID()
-	a.parentOf[clone.ID()] = orig.ID()
+	ce.owner, ce.parent = owner{kind: ownerNode, nodeID: id}, orig.ID()
+	a.confs[clone.ID()] = ce
+	a.node(id).parentConfID = orig.ID()
 	// Rule 2: the shared original belongs to the unit test...
-	if prev, ok := a.confOwner[orig.ID()]; !ok || prev.kind == ownerUncertain {
-		a.confOwner[orig.ID()] = owner{kind: ownerUnitTest}
+	if oe.owner.kind == ownerUncertain {
+		oe.owner = owner{kind: ownerUnitTest}
 	}
-	if a.confOwner[orig.ID()].kind == ownerUnitTest {
+	if oe.owner.kind == ownerUnitTest {
 		a.shared = true // a unit-test object was handed to a node: sharing observed
 	}
+	a.confs[orig.ID()] = oe
 	// ...and so do its uncertain ancestors (Rule 3 walk).
-	for id := orig.ID(); ; {
-		parent, ok := a.parentOf[id]
-		if !ok {
-			break
+	for id := oe.parent; id != 0; {
+		pe := a.confs[id]
+		if pe.owner.kind == ownerUncertain {
+			pe.owner = owner{kind: ownerUnitTest}
+			a.confs[id] = pe
 		}
-		if o, ok := a.confOwner[parent]; !ok || o.kind == ownerUncertain {
-			a.confOwner[parent] = owner{kind: ownerUnitTest}
-		}
-		id = parent
+		id = pe.parent
 	}
 	return clone
 }
 
-// InterceptGet records the read for the pre-run and, when the TestGenerator
-// assigned a value to <owner entity, parameter>, overrides the result.
+// InterceptGet records the read in the sinks this execution keeps (the
+// report, coverage, the read trace) and, when the TestGenerator assigned a
+// value to <owner entity, parameter>, overrides the result.
 func (a *Agent) InterceptGet(c *confkit.Conf, name, stored string, found bool) (string, bool) {
 	// Only attempt #3 attributes a read by the goroutine doing it; Rules
 	// 1–3 go by the object and never ask who is calling.
@@ -394,21 +425,23 @@ func (a *Agent) InterceptGet(c *confkit.Conf, name, stored string, found bool) (
 	a.confUsed = true
 	if a.covParams != nil {
 		a.covParams[name] = true
-		if a.covSites != nil && callsite != "" {
-			set := a.covSites[name]
-			if set == nil {
-				set = make(map[string]bool)
-				a.covSites[name] = set
-			}
-			set[callsite] = true
+	}
+	if a.covSites != nil && callsite != "" {
+		set := a.covSites[name]
+		if set == nil {
+			set = make(map[string]bool)
+			a.covSites[name] = set
 		}
+		set[callsite] = true
 	}
-	reads := a.readsByConf[c.ID()]
-	if reads == nil {
-		reads = make(map[string]bool)
-		a.readsByConf[c.ID()] = reads
+	e := a.confs[c.ID()]
+	if a.report {
+		if e.reads == nil {
+			e.reads = make(map[string]bool)
+			a.confs[c.ID()] = e
+		}
+		e.reads[name] = true
 	}
-	reads[name] = true
 
 	var key Key
 	haveKey := false
@@ -417,24 +450,26 @@ func (a *Agent) InterceptGet(c *confkit.Conf, name, stored string, found bool) (
 		// Attempt #3: attribute the read to the goroutine doing it.
 		entity := UnitTestEntity
 		index := 0
-		if n := a.currentNodeLocked(g); n != nil {
+		if id := a.currentNodeLocked(g); id != 0 {
+			n := a.node(id)
 			entity, index = n.nodeType, n.index
 		}
-		er := a.threadReads[entity]
-		if er == nil {
-			er = make(map[string]bool)
-			a.threadReads[entity] = er
+		if a.report {
+			er := a.threadReads[entity]
+			if er == nil {
+				er = make(map[string]bool)
+				a.threadReads[entity] = er
+			}
+			er[name] = true
 		}
-		er[name] = true
 		key = Key{NodeType: entity, NodeIndex: index, Param: name}
 		haveKey = true
 	default:
-		switch o := a.confOwner[c.ID()]; o.kind {
+		switch o := e.owner; o.kind {
 		case ownerNode:
-			if n := a.nodes[o.nodeID]; n != nil {
-				key = Key{NodeType: n.nodeType, NodeIndex: n.index, Param: name}
-				haveKey = true
-			}
+			n := a.node(o.nodeID)
+			key = Key{NodeType: n.nodeType, NodeIndex: n.index, Param: name}
+			haveKey = true
 		case ownerUnitTest:
 			key = Key{NodeType: UnitTestEntity, NodeIndex: 0, Param: name}
 			haveKey = true
@@ -486,11 +521,20 @@ func (a *Agent) ReadTrace() ([]ReadEvent, int) {
 func (a *Agent) CoverageParams() []string {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if a.covParams == nil {
+	if !a.coverage {
 		return nil
 	}
-	out := make([]string, 0, len(a.covParams))
-	for p := range a.covParams {
+	set := a.covParams
+	if a.report { // every read is in its object's read set
+		set = make(map[string]bool)
+		for _, e := range a.confs {
+			for p := range e.reads {
+				set[p] = true
+			}
+		}
+	}
+	out := make([]string, 0, len(set))
+	for p := range set {
 		out = append(out, p)
 	}
 	sort.Strings(out)
@@ -595,9 +639,9 @@ func (a *Agent) InterceptSet(c *confkit.Conf, name, value string) {
 	a.mu.Lock()
 	a.confUsed = true
 	var parent *confkit.Conf
-	if o, ok := a.confOwner[c.ID()]; ok && o.kind == ownerNode {
-		if n := a.nodes[o.nodeID]; n != nil && n.parentConfID != 0 {
-			parent = a.confObjs[n.parentConfID]
+	if o := a.confs[c.ID()].owner; o.kind == ownerNode {
+		if pid := a.node(o.nodeID).parentConfID; pid != 0 {
+			parent = a.confs[pid].conf
 		}
 	}
 	a.mu.Unlock()

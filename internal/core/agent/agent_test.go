@@ -187,6 +187,33 @@ func TestNoIdentityOwnsNoInitWindow(t *testing.T) {
 	}
 }
 
+// A goroutine wrapped by Inherit that starts while the clock is halted or
+// shut down reads identity 0, like every goroutine outside the execution.
+// It must not take the node's window: one opened for identity 0 would be
+// shared by all of them.
+func TestInheritOnNoIdentityOpensNoWindow(t *testing.T) {
+	t.Parallel()
+	var cur uint64 = 1
+	rt := newRuntime()
+	ag := New(Options{Identity: func() uint64 { return cur }})
+	rt.SetHooks(ag)
+	rt.StartInit("Server")
+	var spawned *confkit.Conf
+	run := ag.Inherit(func() { spawned = rt.NewConf() })
+	cur = 0
+	run()
+	rt.NewConf() // identity 0 again, after the wrapper returned
+	cur = 1
+	rt.NewConf() // the node's own
+	rt.StopInit()
+	if spawned == nil {
+		t.Fatal("the wrapped function did not run")
+	}
+	if rep := ag.Report(); rep.TotalConfs != 3 || rep.UncertainConfs != 2 {
+		t.Fatalf("report = %+v, want three objects, the two made on identity 0 uncertain", rep)
+	}
+}
+
 func TestSpawnInheritsNodeOwnership(t *testing.T) {
 	t.Parallel()
 	underBothIdentities(t, Options{Assign: map[Key]string{

@@ -31,65 +31,59 @@ type Report struct {
 }
 
 // Report computes the pre-run report from the agent's final state. Call it
-// after the unit test has finished and all nodes have stopped.
+// after the unit test has finished and all nodes have stopped. An agent
+// built with Options.Trial keeps none of this and returns the zero Report.
 func (a *Agent) Report() Report {
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	if !a.report {
+		return Report{}
+	}
 
 	r := Report{
-		NodesStarted: make(map[string]int, len(a.typeCounts)),
+		NodesStarted: a.nodeCountsLocked(),
 		Usage:        make(map[string]map[string]bool),
 		SharedConf:   a.shared,
 		UsedConf:     a.confUsed,
 		RefAnomalies: a.refAnomalies,
-		TotalConfs:   len(a.confObjs),
-	}
-	for t, n := range a.typeCounts {
-		r.NodesStarted[t] = n
 	}
 
-	addUse := func(entity, param string) {
+	addUse := func(entity string, params map[string]bool) {
 		set := r.Usage[entity]
 		if set == nil {
-			set = make(map[string]bool)
+			set = make(map[string]bool, len(params))
 			r.Usage[entity] = set
 		}
-		set[param] = true
+		for p := range params {
+			set[p] = true
+		}
 	}
 
-	if a.strategy == StrategyThreadOnly {
-		for entity, params := range a.threadReads {
-			for p := range params {
-				addUse(entity, p)
-			}
-		}
+	for entity, params := range a.threadReads { // StrategyThreadOnly only
+		addUse(entity, params)
 	}
 
 	uncertain := make(map[string]bool)
-	for confID, params := range a.readsByConf {
-		o := a.confOwner[confID]
-		switch o.kind {
-		case ownerNode:
-			if n := a.nodes[o.nodeID]; n != nil && a.strategy == StrategyPaper {
-				for p := range params {
-					addUse(n.nodeType, p)
-				}
-			}
-		case ownerUnitTest:
-			if a.strategy == StrategyPaper {
-				for p := range params {
-					addUse(UnitTestEntity, p)
-				}
-			}
-		default:
-			for p := range params {
-				uncertain[p] = true
+	for _, e := range a.confs {
+		if e.conf != nil {
+			r.TotalConfs++
+			if e.owner.kind == ownerUncertain {
+				r.UncertainConfs++
 			}
 		}
-	}
-	for id := range a.confObjs {
-		if o := a.confOwner[id]; o.kind == ownerUncertain {
-			r.UncertainConfs++
+		switch e.owner.kind {
+		case ownerNode:
+			if a.strategy == StrategyPaper && len(e.reads) > 0 {
+				addUse(a.node(e.owner.nodeID).nodeType, e.reads)
+			}
+		case ownerUnitTest:
+			if a.strategy == StrategyPaper && len(e.reads) > 0 {
+				addUse(UnitTestEntity, e.reads)
+			}
+		default:
+			for p := range e.reads {
+				uncertain[p] = true
+			}
 		}
 	}
 	r.UncertainParams = sortedKeys(uncertain)
@@ -101,9 +95,13 @@ func (a *Agent) Report() Report {
 func (a *Agent) NodeCounts() map[string]int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	out := make(map[string]int, len(a.typeCounts))
-	for t, n := range a.typeCounts {
-		out[t] = n
+	return a.nodeCountsLocked()
+}
+
+func (a *Agent) nodeCountsLocked() map[string]int {
+	out := make(map[string]int)
+	for i := range a.nodes {
+		out[a.nodes[i].nodeType]++
 	}
 	return out
 }

@@ -99,7 +99,8 @@ type Outcome struct {
 	TimedOut bool
 	// Msg carries the first failure message, for diagnosis.
 	Msg string
-	// Report is the agent's pre-run bookkeeping for this execution.
+	// Report is the agent's pre-run bookkeeping for this execution; the
+	// zero value for a trial (agent.Options.Trial), which keeps none.
 	Report agent.Report
 	// Elapsed is the real execution time of the body: processor time,
 	// near enough, since waiting on the virtual clock costs none.

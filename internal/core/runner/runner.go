@@ -279,6 +279,8 @@ func (r *Runner) runTrial(parent obs.SpanID, cost *Result, t trial) (out harness
 			Strategy: r.opts.Strategy,
 			Assign:   t.assign,
 			Coverage: r.opts.Coverage != nil,
+			// Only a full trial's caller reads the pre-run report.
+			Trial: !t.full,
 			// Pre-runs are the one stack-walk-enabled execution per test:
 			// cheap (once per campaign) and the index's callsite source.
 			CoverageSites: t.full && r.opts.Coverage != nil,
