@@ -60,9 +60,6 @@ type Options struct {
 	// replay a byte-identical execution, so the reported set is
 	// unaffected; a warm backend just skips the work.
 	CacheBackend memo.Backend
-	// Significance and MaxRounds pass through to the TestRunner.
-	Significance float64
-	MaxRounds    int
 	// Seq selects the confirmation-trial stopping rule (the -seq flag):
 	// the zero value is stats.SeqSPRT — sequential early stopping on by
 	// default — and stats.SeqFixed restores the fixed-budget ablation.
@@ -294,8 +291,6 @@ type paramStats struct {
 // campaign.
 func RunnerOptions(app string, opts Options) runner.Options {
 	ropts := runner.Options{
-		Significance:     opts.Significance,
-		MaxRounds:        opts.MaxRounds,
 		DisableGate:      opts.DisableGate,
 		Seq:              opts.Seq,
 		SeqMargin:        opts.SeqMargin,

@@ -102,19 +102,14 @@ func (f *FrequentFailers) Quarantined() []string {
 // carries §4's rule; safe for concurrent use.
 type Completion struct {
 	*FrequentFailers
-	profile   *sched.Profile
-	maxRounds int
+	profile *sched.Profile
 }
 
 // NewCompletion builds the step for one campaign over app: §4's rule at
-// threshold, the runner's round budget maxRounds (0 means
-// runner.DefaultMaxRounds) and the profile executed items train. profile
-// and o may be nil.
-func NewCompletion(app string, threshold, maxRounds int, profile *sched.Profile, o *obs.Observer) *Completion {
-	if maxRounds <= 0 {
-		maxRounds = runner.DefaultMaxRounds
-	}
-	return &Completion{NewFrequentFailers(app, threshold, o), profile, maxRounds}
+// threshold and the profile executed items train. profile and o may be
+// nil.
+func NewCompletion(app string, threshold int, profile *sched.Profile, o *obs.Observer) *Completion {
+	return &Completion{NewFrequentFailers(app, threshold, o), profile}
 }
 
 // Complete accounts one resolved item and returns what §4's rule
@@ -141,8 +136,9 @@ func (c *Completion) Complete(res ItemResult, elapsed, pred float64, stored bool
 }
 
 // tally reads res's tallies, keyed by item_complete attribute, and emits its
-// unsafe verdicts. Trial savings are measured against the round budget R
-// at Trials/(Rounds+1) trials a round: an early stop (convicted or
+// unsafe verdicts. Trial savings are measured against the runner's round
+// budget R (every campaign runs runner.DefaultMaxRounds) at
+// Trials/(Rounds+1) trials a round: an early stop (convicted or
 // futility) within R saved R−Rounds rounds, and rounds past R were
 // reallocated to the instance from the budget pool.
 func (c *Completion) tally(res ItemResult) map[string]int64 {
@@ -161,10 +157,10 @@ func (c *Completion) tally(res ItemResult) map[string]int64 {
 			n["first_trial"]++
 		}
 		perRound := v.Trials / int64(v.Rounds+1)
-		if v.Rounds > c.maxRounds {
-			n["trials_reallocated"] += int64(v.Rounds-c.maxRounds) * perRound
+		if v.Rounds > runner.DefaultMaxRounds {
+			n["trials_reallocated"] += int64(v.Rounds-runner.DefaultMaxRounds) * perRound
 		} else if v.StopReason == runner.StopConvicted || v.StopReason == runner.StopFutility {
-			n["trials_saved_early"] += int64(c.maxRounds-v.Rounds) * perRound
+			n["trials_saved_early"] += int64(runner.DefaultMaxRounds-v.Rounds) * perRound
 		}
 		if v.Evidence != nil {
 			n["evidence"]++

@@ -75,7 +75,7 @@ func (p *pipeline) execute(phase func(name string) (obs.SpanID, func())) []ItemR
 	if dist != nil {
 		dist.Begin(span, n)
 	} else {
-		p.done = NewCompletion(p.app.Name, p.opts.QuarantineThreshold, p.opts.MaxRounds, p.opts.Profile, p.o)
+		p.done = NewCompletion(p.app.Name, p.opts.QuarantineThreshold, p.opts.Profile, p.o)
 	}
 	for i, t := range p.tests {
 		// A pre-run's priority is its item's profiled duration: under

@@ -224,22 +224,24 @@ func TestFrequentFailersNoteFromItemResults(t *testing.T) {
 // TestCompletionTalliesOneItem scripts the completion step over one
 // executed and one stored result: the executed one emits its unsafe
 // verdicts, then one item_complete whose tallies the fold counts — trial
-// savings derived from each verdict against the round budget, including a
-// marginal instance that drew two extension rounds (3 budgeted + 2, the
-// runner's reallocation case) — and the stored one counts as resumed only.
+// savings derived from each verdict against the runner's round budget R,
+// including a marginal instance that drew two extension rounds (R budgeted
+// + 2, the runner's reallocation case) — and the stored one counts as
+// resumed only. Every verdict runs 3 trials a round.
 func TestCompletionTalliesOneItem(t *testing.T) {
 	t.Parallel()
 	var buf bytes.Buffer
 	o := obs.New()
 	o.Events = obs.NewEventLog(&buf)
-	c := NewCompletion("app", 0, 3, nil, o)
+	c := NewCompletion("app", 0, nil, o)
+	const R = runner.DefaultMaxRounds
 	ev := func(verdictOnly bool) *forensics.Evidence { return &forensics.Evidence{VerdictOnly: verdictOnly} }
 	res := ItemResult{ID: 4, Test: "TestA", Instances: 7, Executions: 60, ExecutionsSaved: 5, LeakedGoroutines: 1,
 		Verdicts: []InstanceVerdict{
-			{Param: "p", Verdict: "unsafe", FirstTrialSignal: true, Rounds: 2, Trials: 9, StopReason: runner.StopConvicted, Evidence: ev(false)},
-			{Param: "q", Verdict: "unsafe", FirstTrialSignal: true, Rounds: 5, Trials: 18, StopReason: runner.StopConvicted, Evidence: ev(true)},
-			{Param: "r", Verdict: "filtered", FirstTrialSignal: true, Rounds: 1, Trials: 6, StopReason: runner.StopFutility},
-			{Param: "s", Verdict: "filtered", FirstTrialSignal: true, Rounds: 4, Trials: 15, StopReason: runner.StopBudget},
+			{Param: "p", Verdict: "unsafe", FirstTrialSignal: true, Rounds: R - 1, Trials: 3 * R, StopReason: runner.StopConvicted, Evidence: ev(false)},
+			{Param: "q", Verdict: "unsafe", FirstTrialSignal: true, Rounds: R + 2, Trials: 3 * (R + 3), StopReason: runner.StopConvicted, Evidence: ev(true)},
+			{Param: "r", Verdict: "filtered", FirstTrialSignal: true, Rounds: R - 2, Trials: 3 * (R - 1), StopReason: runner.StopFutility},
+			{Param: "s", Verdict: "filtered", FirstTrialSignal: true, Rounds: R + 1, Trials: 3 * (R + 2), StopReason: runner.StopBudget},
 			{Param: "t", Verdict: "safe", Trials: 3},
 			{Param: "u", Verdict: "homo-invalid", Trials: 3},
 		}}
@@ -263,8 +265,9 @@ func TestCompletionTalliesOneItem(t *testing.T) {
 		{"filtered", m.CounterValue(obs.MVerdicts, "verdict", "filtered"), 2},
 		{"homo-invalid", m.CounterValue(obs.MVerdicts, "verdict", "homo-invalid"), 1},
 		{"first trial", m.CounterValue(obs.MFirstTrial), 4},
-		// Early stops p (3−2)·3 and r (3−1)·3; extension rounds past the
-		// budget of 3: q's two that convicted, s's one that did not.
+		// Early stops p (R−(R−1))·3 and r (R−(R−2))·3; extension rounds
+		// past the budget of R: q's two that convicted, s's one that did
+		// not.
 		{"early stop", m.CounterValue(obs.MTrialsSaved, "kind", "early-stop"), 9},
 		{"reallocated", m.CounterValue(obs.MTrialsSaved, "kind", "reallocated"), 9},
 		{"evidence", m.CounterValue(obs.MEvidenceRecords), 2},

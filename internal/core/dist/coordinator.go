@@ -20,17 +20,22 @@ import (
 	"zebraconf/internal/obs"
 )
 
-// Defaults for worker supervision.
+// Worker supervision constants (DESIGN §8): items take under a second, so
+// these only have to survive a lost worker, never to tune one.
 const (
 	// DefaultItemTimeout bounds one work item's wall clock as seen by the
-	// coordinator (dispatch to result). Items run whole unit-test trees,
-	// so this is generous; the harness's own per-test timeout fires long
-	// before it unless the worker itself is wedged.
+	// coordinator (dispatch to result), and a new worker's wait for ready.
+	// Items run whole unit-test trees, so this is generous; the harness's
+	// own per-test timeout fires long before it unless the worker itself
+	// is wedged.
 	DefaultItemTimeout = 10 * time.Minute
 	// DefaultItemRetries is how many times a crashed or timed-out item is
 	// requeued (on a fresh worker) before the coordinator gives up and
 	// quarantines it.
 	DefaultItemRetries = 2
+	// DefaultHeartbeatMS is the worker heartbeat period a launched
+	// campaign ships in Config.HeartbeatMS.
+	DefaultHeartbeatMS = 1000
 	// spawnFailureLimit is how many consecutive failed launches kill a
 	// worker slot for good.
 	spawnFailureLimit = 3
@@ -58,16 +63,9 @@ type Options struct {
 	// or submitted with a stored result the file does not hold yet — so a
 	// later campaign can -resume from it.
 	CheckpointPath string
-	// ItemTimeout bounds one item's dispatch-to-result wall clock; a
-	// worker holding an overdue item is killed. Zero means
-	// DefaultItemTimeout.
-	ItemTimeout time.Duration
-	// ItemRetries bounds requeues per item before quarantine. Zero
-	// disables retries; negative means DefaultItemRetries.
+	// ItemRetries bounds requeues per item before quarantine (typically
+	// DefaultItemRetries); zero disables retries.
 	ItemRetries int
-	// MaxItems, when positive, halts the run after that many items
-	// complete — a testing hook for exercising checkpoint/resume.
-	MaxItems int
 	// SchedPolicy selects the work queue's dispatch order (sched.FIFO,
 	// the zero value, keeps submission order; sched.LPT pops the
 	// longest-predicted item first).
@@ -97,6 +95,10 @@ type Options struct {
 // that want the errors in line use Start and the Run it returns.
 type Coordinator struct {
 	opts Options
+	// itemTimeout (zero: DefaultItemTimeout) and maxItems (positive: halt
+	// after that many resolved items) are set by tests only.
+	itemTimeout time.Duration
+	maxItems    int
 
 	// The Distributor's one run; Abort may arrive before Begin.
 	mu      sync.Mutex
@@ -206,20 +208,19 @@ func (c *Coordinator) Start(parent obs.SpanID, total int) (*Run, error) {
 	o.SetSlots(workers * parallel)
 
 	r := &Run{
-		opts:     c.opts,
-		workers:  workers,
-		parallel: parallel,
-		total:    total,
-		o:        o,
-		span:     span,
+		opts:        c.opts,
+		workers:     workers,
+		parallel:    parallel,
+		total:       total,
+		itemTimeout: c.itemTimeout,
+		maxItems:    c.maxItems,
+		o:           o,
+		span:        span,
 	}
 	r.hbEvery = time.Duration(c.opts.Config.HeartbeatMS) * time.Millisecond
 	r.stallAfter = stallHeartbeats * r.hbEvery
-	if r.opts.ItemTimeout <= 0 {
-		r.opts.ItemTimeout = DefaultItemTimeout
-	}
-	if r.opts.ItemRetries < 0 {
-		r.opts.ItemRetries = DefaultItemRetries
+	if r.itemTimeout <= 0 {
+		r.itemTimeout = DefaultItemTimeout
 	}
 	if err := r.start(); err != nil {
 		if r.journal != nil {
@@ -231,14 +232,23 @@ func (c *Coordinator) Start(parent obs.SpanID, total int) (*Run, error) {
 	return r, nil
 }
 
-// flight is the coordinator's view of one dispatched (primary) attempt,
-// the speculation bookkeeping: who holds the item, since when, and
-// whether a speculative copy is already out.
-type flight struct {
+// attempt is one dispatched copy of an item: its primary, or a
+// speculative copy re-issued to another worker. The session that sent it
+// holds it (workerSession.held) until its result arrives or release ends
+// it.
+type attempt struct {
 	item  campaign.WorkItem
-	slot  int
 	start time.Time
-	spec  bool
+	// primary is the attempt a speculative copy duplicates, nil for a
+	// primary; speculated marks a primary whose copy is out. Both are
+	// guarded by Run.mu.
+	primary    *attempt
+	speculated bool
+	// span is the coordinator-side "item" span for this attempt; the
+	// worker's trace fragment is stitched under it on acceptance. Every
+	// end of the attempt must End it, or its stitched children would
+	// reference a span the trace file never defines.
+	span *obs.Span
 }
 
 // Run is one coordinator execution in flight, between Start and Drain.
@@ -246,22 +256,24 @@ type Run struct {
 	opts    Options
 	workers int
 	// parallel bounds the items one worker holds at once.
-	parallel int
-	total    int
-	o        *obs.Observer
-	span     *obs.Span
-	journal  *Journal
-	q        *sched.Queue[campaign.WorkItem]
-	wake     chan struct{} // see queue.go
+	parallel    int
+	total       int
+	itemTimeout time.Duration
+	maxItems    int
+	o           *obs.Observer
+	span        *obs.Span
+	journal     *Journal
+	q           *sched.Queue[campaign.WorkItem]
+	wake        chan struct{} // see queue.go
 	// work is closed by the first push: until there is an item to run no
 	// slot obtains a worker, so a run whose every item arrives with a
 	// stored result starts none.
 	work     chan struct{}
 	workOnce sync.Once
-	// held names the tests the checkpoint file already had a completed
-	// record for when this run opened it; a stored result for one of them
-	// is not journaled again.
-	held map[string]bool
+	// journaled names the tests the checkpoint file already had a
+	// completed record for when this run opened it; a stored result for
+	// one of them is not journaled again.
+	journaled map[string]bool
 	// done is the campaign's completion step; it decides which parameters
 	// to broadcast as quarantined, and has its own lock.
 	done *campaign.Completion
@@ -276,8 +288,7 @@ type Run struct {
 
 	mu           sync.Mutex
 	results      map[int]campaign.ItemResult // one per item resolved this run
-	attempts     map[int]int
-	flights      map[int]*flight
+	failures     map[int]int                 // charged attempts per item
 	sessions     map[int]*workerSession
 	submitted    int
 	allSubmitted bool
@@ -298,10 +309,9 @@ func (r *Run) start() error {
 		return err
 	}
 	r.results = make(map[int]campaign.ItemResult)
-	r.attempts = make(map[int]int)
-	r.flights = make(map[int]*flight)
+	r.failures = make(map[int]int)
 	r.sessions = make(map[int]*workerSession)
-	r.done = campaign.NewCompletion(r.opts.App, r.opts.QuarantineThreshold, r.opts.Config.MaxRounds, r.opts.Profile, r.o)
+	r.done = campaign.NewCompletion(r.opts.App, r.opts.QuarantineThreshold, r.opts.Profile, r.o)
 	r.live = r.workers
 	r.doneCh = make(chan struct{})
 	r.q = sched.NewQueue[campaign.WorkItem](r.opts.SchedPolicy, r.o, r.opts.App, "dist")
@@ -349,9 +359,9 @@ func (r *Run) Stalls() int64 { return r.stalls.Load() }
 
 // Abort halts the run early: sessions stop dispatching, inflight items
 // are abandoned, and Drain returns the results accumulated so far
-// without error (the same partial-result semantics as the MaxItems
-// halt). Safe to call at any time, from any goroutine, more than once.
-// Used by the campaign server to cancel a running submitted campaign.
+// without error (the same partial-result semantics as a halt). Safe to
+// call at any time, from any goroutine, more than once. Used by the
+// campaign server to cancel a running submitted campaign.
 func (r *Run) Abort() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -400,10 +410,10 @@ func (r *Run) openCheckpoint() error {
 	if err != nil && !errors.Is(err, fs.ErrNotExist) {
 		return err
 	}
-	r.held = make(map[string]bool)
+	r.journaled = make(map[string]bool)
 	for _, rec := range recs {
 		if rec.Kind == KindDone && rec.Result != nil {
-			r.held[rec.Test] = true
+			r.journaled[rec.Test] = true
 		}
 	}
 	j, err := OpenJournal(r.opts.CheckpointPath, 0)
@@ -480,17 +490,6 @@ func (r *Run) session(slot int, sess *workerSession) sessionOutcome {
 	r.addSession(slot, sess)
 	defer r.removeSession(slot, sess)
 
-	type entry struct {
-		item  campaign.WorkItem
-		start time.Time
-		spec  bool
-		// span is the coordinator-side "item" span for this attempt; the
-		// worker's trace fragment is stitched under it on acceptance.
-		// Every teardown path must End it, or its stitched children would
-		// reference a span the trace file never defines.
-		span *obs.Span
-	}
-	inflight := make(map[int]entry)
 	ready := false
 	spawned := time.Now()
 	itemsDone := 0
@@ -502,29 +501,20 @@ func (r *Run) session(slot int, sess *workerSession) sessionOutcome {
 	hbSeen := false
 	stalled := false
 
-	// crash tears the session down after the worker is lost: every
-	// inflight primary attempt is penalized (it may be what killed the
-	// worker); a speculative copy just evaporates — the primary attempt
-	// elsewhere still owns its item.
-	crash := func(reason string) sessionOutcome {
+	// lost tears the session down after the worker is lost or killed and
+	// releases what it held, charging the attempts charged picks (nil:
+	// all, as any of them may have killed the worker).
+	lost := func(reason string, charged func(*attempt) bool) sessionOutcome {
 		sess.kill()
 		o.Event(obs.EvWorkerCrash,
 			obs.String("app", app), obs.Int("worker", int64(slot)),
 			obs.String("reason", reason))
 		wspan.SetAttr(obs.String("end", reason), obs.Int("items", int64(itemsDone)))
-		for id, e := range inflight {
-			e.span.SetAttr(obs.String("end", reason))
-			e.span.End()
-			if e.spec {
-				r.clearSpec(id)
-				continue
-			}
-			r.retryOrGiveUp(e.item, reason)
-		}
+		r.release(sess, reason, charged)
 		return sessCrashed
 	}
 
-	tickEvery := r.opts.ItemTimeout / 8
+	tickEvery := r.itemTimeout / 8
 	if tickEvery > time.Second {
 		tickEvery = time.Second
 	}
@@ -541,33 +531,28 @@ func (r *Run) session(slot int, sess *workerSession) sessionOutcome {
 
 	for {
 		if ready && !r.stopped() {
-			for len(inflight) < r.parallel {
+			for len(sess.held) < r.parallel {
 				item, ok := r.q.TryPop()
-				spec := false
-				if !ok {
-					// Queue drained: consider re-issuing a straggler held
-					// by another worker instead of idling this slot.
-					item, ok = r.maybeSpeculate(slot)
-					if !ok {
-						break
-					}
-					spec = true
-				} else {
+				var primary *attempt
+				if ok {
 					o.GaugeSet(obs.MQueueDepth, int64(r.q.Len()), "app", app)
+				} else if primary = r.maybeSpeculate(sess); primary != nil {
+					// Queue drained: re-issue a straggler held by another
+					// worker instead of idling this slot.
+					item = primary.item
+				} else {
+					break
 				}
+				a := &attempt{item: item, start: time.Now(), primary: primary}
+				r.mu.Lock()
+				sess.held[item.ID] = a
+				r.mu.Unlock()
 				if err := sess.send(Msg{Type: MsgRun, Item: &item}); err != nil {
-					// The item never reached the worker; requeue it for
-					// free and treat the broken pipe as a crash.
-					if spec {
-						r.clearSpec(item.ID)
-					} else {
-						r.push(item)
-					}
-					return crash("crash")
+					// The item never reached the worker: it alone goes
+					// back for free, and the broken pipe is a crash.
+					return lost("crash", func(b *attempt) bool { return b != a })
 				}
-				if !spec {
-					r.trackFlight(slot, item)
-				}
+				spec := primary != nil
 				dispatchAttrs := []obs.Attr{
 					obs.String("app", app),
 					obs.Int("item", int64(item.ID)),
@@ -578,24 +563,20 @@ func (r *Run) session(slot int, sess *workerSession) sessionOutcome {
 					o.Event(obs.EvSpeculate, dispatchAttrs...)
 				}
 				o.Event(obs.EvItemDispatch, append(dispatchAttrs, obs.Bool("spec", spec))...)
-				ispan := o.StartSpan("item", wspan.ID(),
+				a.span = o.StartSpan("item", wspan.ID(),
 					obs.String("app", app),
 					obs.String("test", item.Test),
 					obs.Int("item", int64(item.ID)))
 				if spec {
-					ispan.SetAttr(obs.Bool("spec", true))
+					a.span.SetAttr(obs.Bool("spec", true))
 				}
-				inflight[item.ID] = entry{item: item, start: time.Now(), spec: spec, span: ispan}
 			}
 		}
 		if r.stopped() {
 			// Complete, halted, or failed elsewhere. All results are
 			// either in or abandoned with the run; drop the worker.
-			sess.bye(len(inflight) == 0)
-			for _, e := range inflight {
-				e.span.SetAttr(obs.String("end", "abandoned"))
-				e.span.End()
-			}
+			sess.bye(len(sess.held) == 0)
+			r.release(sess, "abandoned", nil)
 			wspan.SetAttr(obs.String("end", "done"), obs.Int("items", int64(itemsDone)))
 			o.Event(obs.EvWorkerDone,
 				obs.String("app", app), obs.Int("worker", int64(slot)))
@@ -610,7 +591,7 @@ func (r *Run) session(slot int, sess *workerSession) sessionOutcome {
 					r.neverReady(slot, "worker exited before ready")
 					return sessSpawnFail
 				}
-				return crash("crash")
+				return lost("crash", nil)
 			}
 			switch m.Type {
 			case MsgReady:
@@ -639,29 +620,16 @@ func (r *Run) session(slot int, sess *workerSession) sessionOutcome {
 				o.WorkerHeartbeat(app, slot, m.PID, hb.Inflight, hb.Executions, hb.Goroutines, hb.HeapBytes)
 			case MsgResult:
 				if m.Result == nil {
-					return crash("crash")
+					return lost("crash", nil)
 				}
-				e, known := inflight[m.Result.ID]
-				if !known {
-					break
+				if a := sess.held[m.Result.ID]; a != nil {
+					itemsDone++
+					r.recordResult(sess, a, *m.Result, m.Spans)
 				}
-				delete(inflight, m.Result.ID)
-				itemsDone++
-				if r.recordResult(slot, *m.Result, time.Since(e.start), e.item.PredSeconds, e.spec) {
-					r.stitchSpans(e.span, e.start, m.Spans)
-				} else {
-					// The losing copy of a speculated (or timeout-retried)
-					// item: its result — evidence and all — and its trace
-					// fragment were discarded before accounting; mark the
-					// attempt so the trace shows where the duplicate work
-					// went.
-					e.span.SetAttr(obs.Bool("duplicate", true))
-				}
-				e.span.End()
 			}
 		case <-tick.C:
 			if !ready {
-				if time.Since(spawned) > r.opts.ItemTimeout {
+				if time.Since(spawned) > r.itemTimeout {
 					sess.kill()
 					r.neverReady(slot, "worker not ready within item timeout")
 					return sessSpawnFail
@@ -680,42 +648,16 @@ func (r *Run) session(slot int, sess *workerSession) sessionOutcome {
 					o.Event(obs.EvWorkerStalled,
 						obs.String("app", app), obs.Int("worker", int64(slot)),
 						obs.Float("silent_s", silent.Seconds()),
-						obs.Int("inflight", int64(len(inflight))))
+						obs.Int("inflight", int64(len(sess.held))))
 				}
 			}
-			for id, e := range inflight {
-				if now.Sub(e.start) <= r.opts.ItemTimeout {
-					continue
+			for _, a := range sess.held {
+				if now.Sub(a.start) > r.itemTimeout {
+					// The overdue item is the suspect: it alone is
+					// charged. The worker is killed (the item's goroutine
+					// cannot be), so the others requeue for free.
+					return lost("timeout", func(b *attempt) bool { return b == a })
 				}
-				// The overdue item is the suspect: it alone is penalized.
-				// The worker is killed (the item's goroutine cannot be),
-				// so the other inflight items requeue for free — except
-				// speculative copies, which simply evaporate (their
-				// primaries are still running elsewhere).
-				sess.kill()
-				delete(inflight, id)
-				e.span.SetAttr(obs.String("end", "timeout"))
-				e.span.End()
-				if e.spec {
-					r.clearSpec(id)
-				} else {
-					r.retryOrGiveUp(e.item, "timeout")
-				}
-				for oid, other := range inflight {
-					other.span.SetAttr(obs.String("end", "requeued"))
-					other.span.End()
-					if other.spec {
-						r.clearSpec(oid)
-						continue
-					}
-					r.untrackFlight(oid)
-					r.push(other.item)
-				}
-				o.Event(obs.EvWorkerCrash,
-					obs.String("app", app), obs.Int("worker", int64(slot)),
-					obs.String("reason", "timeout"))
-				wspan.SetAttr(obs.String("end", "timeout"), obs.Int("items", int64(itemsDone)))
-				return sessCrashed
 			}
 		case <-r.wake:
 		case <-r.doneCh:
@@ -723,9 +665,9 @@ func (r *Run) session(slot int, sess *workerSession) sessionOutcome {
 	}
 }
 
-// addSession registers a live worker for quarantine broadcasts and sends
-// it the hints it missed (a respawned worker starts with a clean slate;
-// so does every worker of a resumed run).
+// addSession registers a live worker for quarantine broadcasts and
+// speculation, and sends it the hints it missed (a respawned worker starts
+// with a clean slate; so does every worker of a resumed run).
 func (r *Run) addSession(slot int, s *workerSession) {
 	r.mu.Lock()
 	r.sessions[slot] = s
@@ -746,73 +688,91 @@ func (r *Run) removeSession(slot int, s *workerSession) {
 	r.mu.Unlock()
 }
 
-func (r *Run) trackFlight(slot int, item campaign.WorkItem) {
+// release ends every attempt sess holds: the one way an attempt ends
+// other than by its result. A speculative copy simply goes, and its
+// primary may be speculated again. A primary is charged a failed attempt
+// (see retryOrGiveUp) when charged, nil for every one, says so, and
+// requeues for free when it does not. Once the run has stopped,
+// everything is abandoned with it. Each attempt's span ends marked with
+// which of these happened.
+func (r *Run) release(sess *workerSession, reason string, charged func(*attempt) bool) {
 	r.mu.Lock()
-	r.flights[item.ID] = &flight{item: item, slot: slot, start: time.Now()}
-	r.mu.Unlock()
-}
-
-func (r *Run) untrackFlight(id int) {
-	r.mu.Lock()
-	delete(r.flights, id)
-	r.mu.Unlock()
-}
-
-// clearSpec forgets a lost speculative copy so a future idle worker may
-// speculate the item again.
-func (r *Run) clearSpec(id int) {
-	r.mu.Lock()
-	if f := r.flights[id]; f != nil {
-		f.spec = false
+	held, abandon := sess.held, r.finished
+	sess.held = nil
+	for _, a := range held {
+		if a.primary != nil {
+			a.primary.speculated = false
+		}
 	}
 	r.mu.Unlock()
+	for _, a := range held {
+		end := reason
+		if abandon {
+			end = "abandoned"
+		} else if charged != nil && !charged(a) {
+			end = "requeued"
+		}
+		a.span.SetAttr(obs.String("end", end))
+		a.span.End()
+		switch {
+		case abandon || a.primary != nil:
+		case end == reason:
+			r.retryOrGiveUp(a.item, reason)
+		default:
+			r.push(a.item)
+		}
+	}
 }
 
-// maybeSpeculate picks a straggler to re-issue on an idle slot: the most
-// overdue un-speculated flight held by another worker, judged against
-// its predicted duration (or the running mean of completed items when no
-// prediction exists). Only after every item has been submitted and the
-// queue is drained — speculation must never displace first-run work —
-// and at most one speculative copy per item at a time. First result
-// wins; executions are canonically seeded, so the copies are
-// byte-identical and the loser is discarded as a duplicate.
-func (r *Run) maybeSpeculate(slot int) (campaign.WorkItem, bool) {
+// maybeSpeculate picks a straggler to re-issue on an idle session: the
+// most overdue unresolved primary, with no copy out, that another worker
+// holds, judged against its predicted duration (or the running mean of
+// completed items when no prediction exists). Only after every item has
+// been submitted and the queue is drained — speculation must never
+// displace first-run work — and at most one speculative copy per item at
+// a time. First result wins; executions are canonically seeded, so the
+// copies are byte-identical and the loser is discarded as a duplicate.
+func (r *Run) maybeSpeculate(idle *workerSession) *attempt {
 	if r.opts.SpeculationFactor <= 0 || r.q.Len() != 0 {
-		return campaign.WorkItem{}, false
+		return nil
 	}
 	now := time.Now()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if !r.allSubmitted || r.finished {
-		return campaign.WorkItem{}, false
+		return nil
 	}
 	var mean float64
 	if r.durN > 0 {
 		mean = r.durSum / float64(r.durN)
 	}
-	var best *flight
+	var best *attempt
 	var bestRatio float64
-	for _, f := range r.flights {
-		if f.spec || f.slot == slot {
+	for _, s := range r.sessions {
+		if s == idle {
 			continue
 		}
-		pred := f.item.PredSeconds
-		if pred <= 0 {
-			pred = mean
-		}
-		held := now.Sub(f.start)
-		if !sched.Overdue(held, pred, r.opts.SpeculationFactor) {
-			continue
-		}
-		if ratio := held.Seconds() / pred; best == nil || ratio > bestRatio {
-			best, bestRatio = f, ratio
+		for id, a := range s.held {
+			if _, resolved := r.results[id]; resolved || a.primary != nil || a.speculated {
+				continue
+			}
+			pred := a.item.PredSeconds
+			if pred <= 0 {
+				pred = mean
+			}
+			held := now.Sub(a.start)
+			if !sched.Overdue(held, pred, r.opts.SpeculationFactor) {
+				continue
+			}
+			if ratio := held.Seconds() / pred; best == nil || ratio > bestRatio {
+				best, bestRatio = a, ratio
+			}
 		}
 	}
-	if best == nil {
-		return campaign.WorkItem{}, false
+	if best != nil {
+		best.speculated = true
 	}
-	best.spec = true
-	return best.item, true
+	return best
 }
 
 // stitchSpans folds a worker's trace fragment under the coordinator's
@@ -844,16 +804,20 @@ func (r *Run) stitchSpans(item *obs.Span, dispatched time.Time, frag []obs.SpanR
 	}
 }
 
-// recordResult takes one worker's result for an item predicted to take
-// pred seconds. First result wins: a duplicate — the losing copy of a
-// speculated item, or a timeout-retry race — is discarded here, before any
-// accounting, and reported false so the caller skips trace stitching too.
-func (r *Run) recordResult(slot int, res campaign.ItemResult, elapsed time.Duration, pred float64, spec bool) bool {
+// recordResult ends attempt a, held by sess, with the worker's result and
+// trace fragment. First result wins: a duplicate — the losing copy of a
+// speculated item, or a timeout-retry race — is discarded here, evidence,
+// fragment and all, before any accounting, and its span marked so the
+// trace shows where the duplicate work went.
+func (r *Run) recordResult(sess *workerSession, a *attempt, res campaign.ItemResult, frag []obs.SpanRecord) {
+	defer a.span.End()
+	elapsed := time.Since(a.start)
+	slot, spec := sess.slot, a.primary != nil
 	r.mu.Lock()
+	delete(sess.held, res.ID)
 	_, dup := r.results[res.ID]
 	if !dup {
 		r.results[res.ID] = res
-		delete(r.flights, res.ID)
 		r.durSum += elapsed.Seconds()
 		r.durN++
 	}
@@ -864,12 +828,13 @@ func (r *Run) recordResult(slot int, res campaign.ItemResult, elapsed time.Durat
 	if dup {
 		// Execution is canonically seeded, so the copies agree; nothing
 		// to record.
+		a.span.SetAttr(obs.Bool("duplicate", true))
 		r.o.Event(obs.EvSpeculationLoss,
 			obs.String("app", r.opts.App),
 			obs.Int("item", int64(res.ID)),
 			obs.Int("worker", int64(slot)),
 			obs.Bool("spec", spec))
-		return false
+		return
 	}
 	if spec {
 		r.o.Event(obs.EvSpeculationWin,
@@ -877,10 +842,10 @@ func (r *Run) recordResult(slot int, res campaign.ItemResult, elapsed time.Durat
 			obs.Int("item", int64(res.ID)),
 			obs.Int("worker", int64(slot)))
 	}
-	r.complete(res, false, elapsed.Seconds(), pred,
+	r.complete(res, false, elapsed.Seconds(), a.item.PredSeconds,
 		obs.Int("worker", int64(slot)),
 		obs.Bool("spec", spec))
-	return true
+	r.stitchSpans(a.span, a.start, frag)
 }
 
 // complete is the end of every item's road once its result is in
@@ -893,7 +858,7 @@ func (r *Run) recordResult(slot int, res campaign.ItemResult, elapsed time.Durat
 // live workers like any other, so remaining items skip the parameter's
 // instances; a worker spawned later is caught up by addSession.
 func (r *Run) complete(res campaign.ItemResult, stored bool, elapsed, pred float64, how ...obs.Attr) {
-	if r.journal != nil && !(stored && r.held[res.Test]) {
+	if r.journal != nil && !(stored && r.journaled[res.Test]) {
 		if err := r.journal.Append(Record{Kind: KindDone, Item: res.ID, Test: res.Test, Result: &res}); err != nil {
 			r.noteFailure("checkpoint write failed: " + err.Error())
 		}
@@ -925,9 +890,8 @@ func (r *Run) retryOrGiveUp(item campaign.WorkItem, reason string) {
 		r.mu.Unlock()
 		return
 	}
-	delete(r.flights, item.ID)
-	r.attempts[item.ID]++
-	n := r.attempts[item.ID]
+	r.failures[item.ID]++
+	n := r.failures[item.ID]
 	r.mu.Unlock()
 	if n <= r.opts.ItemRetries {
 		r.o.Event(obs.EvItemRetried,
@@ -962,8 +926,8 @@ func (r *Run) retryOrGiveUp(item campaign.WorkItem, reason string) {
 	r.maybeFinish()
 }
 
-// maybeFinish closes the run when every item is resolved, or when the
-// MaxItems testing hook trips.
+// maybeFinish closes the run when every item is resolved, or halts it
+// once maxItems are.
 func (r *Run) maybeFinish() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -975,7 +939,7 @@ func (r *Run) maybeFinish() {
 		close(r.doneCh)
 		return
 	}
-	if r.opts.MaxItems > 0 && len(r.results) >= r.opts.MaxItems {
+	if r.maxItems > 0 && len(r.results) >= r.maxItems {
 		r.finished = true
 		r.halted = true
 		close(r.doneCh)
@@ -1024,6 +988,11 @@ func (r *Run) slotDied() {
 // workerSession is one live worker subprocess as seen by the coordinator:
 // frames go to its stdin and come back through readLoop off its stdout.
 type workerSession struct {
+	slot int
+	// held is the attempts dispatched to this worker and not yet ended,
+	// by item ID. Only the session's own goroutine writes it, under
+	// Run.mu; other goroutines read it under Run.mu.
+	held       map[int]*attempt
 	stdin      io.WriteCloser
 	cmd        *exec.Cmd
 	msgs       chan Msg
@@ -1059,6 +1028,8 @@ func (r *Run) spawn(slot int) (*workerSession, error) {
 		obs.String("app", r.opts.App), obs.Int("worker", int64(slot)),
 		obs.Int("pid", int64(cmd.Process.Pid)))
 	s := &workerSession{
+		slot:       slot,
+		held:       make(map[int]*attempt),
 		stdin:      stdin,
 		cmd:        cmd,
 		msgs:       make(chan Msg, 64),

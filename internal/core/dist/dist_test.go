@@ -114,6 +114,50 @@ func TestJournalToleratesTornTail(t *testing.T) {
 	}
 }
 
+// TestJournalAppendsPastTornTail: reopening a journal a killed run left —
+// the resume-into-the-same-checkpoint flow — and appending must not glue
+// the new records onto its last line. A fragment is cut off (ReadJournal
+// drops it anyway), and a whole record missing only its newline is kept.
+func TestJournalAppendsPastTornTail(t *testing.T) {
+	t.Parallel()
+	header := `{"kind":"header","app":"a","items":1}` + "\n"
+	done := `{"kind":"done","item":0,"test":"T0"}`
+	for name, tc := range map[string]struct {
+		content string
+		kept    []Record
+	}{
+		"fragment":                   {header + `{"kind":"done","item":0,"resul`, []Record{{Kind: KindHeader, App: "a", Items: 1}}},
+		"bad whole line":             {header + "not json\n", []Record{{Kind: KindHeader, App: "a", Items: 1}}},
+		"record without its newline": {header + done, []Record{{Kind: KindHeader, App: "a", Items: 1}, {Kind: KindDone, Test: "T0"}}},
+		"only a fragment":            {`{"kind":"he`, nil},
+	} {
+		path := filepath.Join(t.TempDir(), "ck.jsonl")
+		if err := os.WriteFile(path, []byte(tc.content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		j, err := OpenJournal(path, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		added := []Record{{Kind: KindHeader, App: "a", Items: 2}, {Kind: KindDone, Item: 1, Test: "T1"}}
+		for _, rec := range added {
+			if err := j.Append(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+		got, err := ReadJournal(path)
+		if err != nil {
+			t.Fatalf("%s: appending made the journal unreadable: %v", name, err)
+		}
+		if want := append(tc.kept, added...); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: journal holds %+v, want %+v", name, got, want)
+		}
+	}
+}
+
 func TestJournalRejectsMidFileCorruption(t *testing.T) {
 	t.Parallel()
 	path := filepath.Join(t.TempDir(), "ck.jsonl")
@@ -234,8 +278,6 @@ func TestConfigRoundTrip(t *testing.T) {
 		DisableGate:       true,
 		Strategy:          agent.StrategyThreadOnly,
 		Params:            []string{"a", "b"},
-		Significance:      0.001,
-		MaxRounds:         5,
 		Seed:              99,
 		DisableExecCache:  true,
 	}

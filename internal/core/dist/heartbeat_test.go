@@ -223,14 +223,13 @@ func TestCoordinatorStallDetection(t *testing.T) {
 	o.Event(obs.EvCampaignStart, obs.String("app", "fake"))
 
 	coord := dist.New(dist.Options{
-		App:         "fake",
-		Workers:     1,
-		WorkerCmd:   workerFactory("ZEBRACONF_DIST_HB_FAKE=1"),
-		Config:      dist.Config{Parallel: 1, HeartbeatMS: 25},
-		ItemTimeout: 20 * time.Second,
-		Obs:         o,
-		Stderr:      os.Stderr,
-	})
+		App:       "fake",
+		Workers:   1,
+		WorkerCmd: workerFactory("ZEBRACONF_DIST_HB_FAKE=1"),
+		Config:    dist.Config{Parallel: 1, HeartbeatMS: 25},
+		Obs:       o,
+		Stderr:    os.Stderr,
+	}).WithLimits(20*time.Second, 0)
 	run, err := coord.Start(obs.NoSpan, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -302,14 +301,13 @@ func TestCoordinatorHeartbeatHealthy(t *testing.T) {
 	o.Status = obs.NewStatus()
 
 	coord := dist.New(dist.Options{
-		App:         "minihdfs",
-		Workers:     2,
-		WorkerCmd:   workerFactory(),
-		Config:      dist.Config{Parallel: 1, HeartbeatMS: 50},
-		ItemTimeout: 60 * time.Second,
-		Obs:         o,
-		Stderr:      os.Stderr,
-	})
+		App:       "minihdfs",
+		Workers:   2,
+		WorkerCmd: workerFactory(),
+		Config:    dist.Config{Parallel: 1, HeartbeatMS: 50},
+		Obs:       o,
+		Stderr:    os.Stderr,
+	}).WithLimits(60*time.Second, 0)
 	app := minihdfs(t)
 	opts := subsetOptions(7, o)
 	opts.Distributor = coord

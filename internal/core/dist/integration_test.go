@@ -62,6 +62,10 @@ func runWorker() {
 		runFakeWorker()
 		return
 	}
+	if role := os.Getenv("ZEBRACONF_DIST_ATTEMPT"); role != "" {
+		runAttemptFake(role)
+		return
+	}
 	if os.Getenv("ZEBRACONF_DIST_HANG") == "1" {
 		sc := bufio.NewScanner(os.Stdin)
 		sc.Scan() // init
@@ -176,6 +180,13 @@ func minihdfs(t *testing.T) *harness.App {
 // runDistributed runs a campaign with phase 2 executed by a Coordinator.
 func runDistributed(t *testing.T, app *harness.App, opts campaign.Options, dopts dist.Options) *campaign.Result {
 	t.Helper()
+	return runHalted(t, app, opts, dopts, 0)
+}
+
+// runHalted is runDistributed with the coordinator halting once maxItems
+// items are resolved (zero: never).
+func runHalted(t *testing.T, app *harness.App, opts campaign.Options, dopts dist.Options, maxItems int) *campaign.Result {
+	t.Helper()
 	dopts.App = app.Name
 	cfg := dist.ConfigFrom(opts)
 	// TraceItems is a dist-layer concern ConfigFrom cannot derive from
@@ -183,7 +194,7 @@ func runDistributed(t *testing.T, app *harness.App, opts campaign.Options, dopts
 	cfg.TraceItems = dopts.Config.TraceItems
 	dopts.Config = cfg
 	dopts.Obs = opts.Obs
-	coord := dist.New(dopts)
+	coord := dist.New(dopts).WithLimits(0, maxItems)
 	opts.Distributor = coord
 	res := campaign.Run(app, opts)
 	if err := coord.Err(); err != nil {
@@ -245,12 +256,11 @@ func TestWorkerKillThenResumeByteIdentical(t *testing.T) {
 	// (stdout line 2: ready, then one result); the coordinator halts via
 	// MaxItems after two completions, leaving the third item undone.
 	killObs := obs.New()
-	runDistributed(t, app, subsetOptions(seed, killObs), dist.Options{
+	runHalted(t, app, subsetOptions(seed, killObs), dist.Options{
 		Workers:        1,
 		WorkerCmd:      workerFactory("ZEBRACONF_DIST_KILL_AFTER=2"),
 		CheckpointPath: ck,
-		MaxItems:       2,
-	})
+	}, 2)
 	if n := killObs.Metrics.CounterValue(obs.MWorkerCrashes, "app", app.Name, "reason", "crash"); n < 1 {
 		t.Fatalf("worker crashes = %d, want >= 1 (the SIGKILL was not observed)", n)
 	}
@@ -366,12 +376,11 @@ func TestKillResumeSingleEvidencePerItem(t *testing.T) {
 	opts.EvidenceMax = -1
 
 	// Interrupted run: killed after the first result, halted after two.
-	runDistributed(t, app, opts, dist.Options{
+	runHalted(t, app, opts, dist.Options{
 		Workers:        1,
 		WorkerCmd:      workerFactory("ZEBRACONF_DIST_KILL_AFTER=2"),
 		CheckpointPath: ck,
-		MaxItems:       2,
-	})
+	}, 2)
 
 	// Resume into a different journal: a stored result the checkpoint does
 	// not hold is journaled like an executed one, so ck2 is the
@@ -604,10 +613,9 @@ func TestHangingItemsAreQuarantined(t *testing.T) {
 		App:         "minihdfs",
 		Workers:     1,
 		WorkerCmd:   workerFactory("ZEBRACONF_DIST_HANG=1"),
-		ItemTimeout: 150 * time.Millisecond,
 		ItemRetries: 1,
 		Obs:         o,
-	})
+	}).WithLimits(150*time.Millisecond, 0)
 	res, err := coord.Execute(obs.NoSpan, items)
 	if err != nil {
 		t.Fatal(err)
@@ -718,12 +726,11 @@ func TestNeverReadyWorkerIsVisible(t *testing.T) {
 			var events bytes.Buffer
 			o.Events = obs.NewEventLog(&events)
 			coord := dist.New(dist.Options{
-				App:         tc.app,
-				Workers:     workers,
-				WorkerCmd:   tc.cmd,
-				ItemTimeout: 200 * time.Millisecond, // the ready deadline
-				Obs:         o,
-			})
+				App:       tc.app,
+				Workers:   workers,
+				WorkerCmd: tc.cmd,
+				Obs:       o,
+			}).WithLimits(200*time.Millisecond, 0) // the ready deadline
 			_, err := coord.Execute(obs.NoSpan, []campaign.WorkItem{{ID: 0, Test: "T"}})
 			if want := fmt.Sprintf("all %d worker slots failed", workers); err == nil || !strings.Contains(err.Error(), want) {
 				t.Fatalf("Execute error = %v, want %q", err, want)

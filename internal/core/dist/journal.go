@@ -74,13 +74,45 @@ type Journal struct {
 const DefaultSyncEvery = 8
 
 // OpenJournal opens (creating or appending) the journal at path.
-// syncEvery <= 0 selects DefaultSyncEvery.
+// syncEvery <= 0 selects DefaultSyncEvery. A torn final line a killed
+// writer left is trimmed first, so the next record starts a line of its
+// own and the file stays resumable.
 func OpenJournal(path string, syncEvery int) (*Journal, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
+	if err == nil {
+		if err = endOnRecord(f); err != nil {
+			f.Close()
+		}
+	}
 	if err != nil {
 		return nil, fmt.Errorf("dist: open journal: %w", err)
 	}
 	return newJournal(f, syncEvery), nil
+}
+
+// endOnRecord makes f end with a whole line: a final line that is not a
+// record — what ReadJournal drops as torn — is cut off, and a record that
+// lacks only its newline gets one.
+func endOnRecord(f *os.File) error {
+	sc := bufio.NewScanner(f)
+	sc.Buffer(nil, maxLine)
+	var last []byte
+	var start, next int64 // where the last line starts, and the line after it would
+	for sc.Scan() {
+		last = append(last[:0], sc.Bytes()...)
+		start, next = next, next+int64(len(last))+1
+	}
+	size, err := f.Seek(0, io.SeekEnd)
+	switch {
+	case sc.Err() != nil:
+		err = sc.Err()
+	case err != nil:
+	case next > 0 && json.Unmarshal(last, new(Record)) != nil:
+		err = f.Truncate(start)
+	case next > size:
+		_, err = f.Write([]byte{'\n'})
+	}
+	return err
 }
 
 // newJournal wraps an open file; split from OpenJournal so tests can

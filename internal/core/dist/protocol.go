@@ -103,8 +103,6 @@ type Config struct {
 	DisableGate       bool     `json:"disable_gate,omitempty"`
 	Strategy          int      `json:"strategy,omitempty"`
 	Params            []string `json:"params,omitempty"`
-	Significance      float64  `json:"significance,omitempty"`
-	MaxRounds         int      `json:"max_rounds,omitempty"`
 	Seed              int64    `json:"seed,omitempty"`
 	// Seq selects the sequential confirmation mode (stats.SeqMode as an
 	// int; 0 = SPRT, the default, rides as the JSON zero value).
@@ -134,7 +132,7 @@ type Config struct {
 	// HeartbeatMS is the worker heartbeat period in milliseconds; zero
 	// disables heartbeats (and with them coordinator stall detection).
 	// Not part of campaign.Options, so ConfigFrom leaves it zero —
-	// launch.Campaign sets it from the -heartbeat flag.
+	// launch.Campaign sets it to DefaultHeartbeatMS.
 	HeartbeatMS int `json:"heartbeat_ms,omitempty"`
 }
 
@@ -147,8 +145,6 @@ func ConfigFrom(opts campaign.Options) Config {
 		DisableGate:       opts.DisableGate,
 		Strategy:          int(opts.Strategy),
 		Params:            opts.Params,
-		Significance:      opts.Significance,
-		MaxRounds:         opts.MaxRounds,
 		Seed:              opts.Seed,
 		Seq:               int(opts.Seq),
 		SeqMargin:         opts.SeqMargin,
@@ -169,8 +165,6 @@ func (c Config) CampaignOptions() campaign.Options {
 		DisableGate:       c.DisableGate,
 		Strategy:          agent.Strategy(c.Strategy),
 		Params:            c.Params,
-		Significance:      c.Significance,
-		MaxRounds:         c.MaxRounds,
 		Seed:              c.Seed,
 		Seq:               stats.SeqMode(c.Seq),
 		SeqMargin:         c.SeqMargin,

@@ -114,9 +114,8 @@ func TestSpeculationReissuesStraggler(t *testing.T) {
 		WorkerCmd:         workerFactory("ZEBRACONF_DIST_FAKE=1", "ZEBRACONF_DIST_FAKE_DIR="+dir),
 		Config:            dist.Config{Parallel: 1},
 		SpeculationFactor: 1.0,
-		ItemTimeout:       8 * time.Second,
 		Obs:               o,
-	})
+	}).WithLimits(8*time.Second, 0)
 	res, err := coord.Execute(obs.NoSpan, items)
 	if err != nil {
 		t.Fatal(err)
@@ -165,9 +164,8 @@ func TestSpeculationDiscardsLoserEvidence(t *testing.T) {
 		WorkerCmd:         workerFactory("ZEBRACONF_DIST_FAKE=1", "ZEBRACONF_DIST_FAKE_DIR="+dir),
 		Config:            dist.Config{Parallel: 1},
 		SpeculationFactor: 1.0,
-		ItemTimeout:       8 * time.Second,
 		Obs:               o,
-	})
+	}).WithLimits(8*time.Second, 0)
 	res, err := coord.Execute(obs.NoSpan, items)
 	if err != nil {
 		t.Fatal(err)

@@ -95,9 +95,9 @@ func TestInProcessResumeOfAWorkersJournal(t *testing.T) {
 	ck := filepath.Join(t.TempDir(), "ck.jsonl")
 	const seed = 23
 	// Halted after two of the three items, like the kill tests' campaign.
-	runDistributed(t, app, subsetOptions(seed, nil), dist.Options{
-		Workers: 1, WorkerCmd: workerFactory(), CheckpointPath: ck, MaxItems: 2,
-	})
+	runHalted(t, app, subsetOptions(seed, nil), dist.Options{
+		Workers: 1, WorkerCmd: workerFactory(), CheckpointPath: ck,
+	}, 2)
 	opts := resumeFrom(t, ck, app, subsetOptions(seed, nil))
 	if n := len(opts.Stored); n == 0 || n >= 3 {
 		t.Fatalf("journal holds %d of the 3 items, want a strict subset", n)

@@ -166,13 +166,10 @@ func prepare(app *harness.App, spec Spec, env Env) (*prepared, error) {
 	// With the coordinator tracing, workers trace each item too; the
 	// coordinator stitches their fragments under its own item spans.
 	cfg.TraceItems = env.Obs != nil && env.Obs.Tracer != nil
-	cfg.HeartbeatMS = int(time.Duration(spec.Heartbeat).Milliseconds())
-	cfg.Parallel = spec.WorkerParallel
-	if cfg.Parallel <= 0 {
-		// Split the in-process budget across the workers: total load
-		// stays the same however many workers shard the campaign.
-		cfg.Parallel = (l.slots + spec.Workers - 1) / spec.Workers
-	}
+	cfg.HeartbeatMS = dist.DefaultHeartbeatMS
+	// Split the in-process budget across the workers: total load stays
+	// the same however many workers shard the campaign.
+	cfg.Parallel = (l.slots + spec.Workers - 1) / spec.Workers
 	l.slots = spec.Workers * cfg.Parallel
 	l.dopts = dist.Options{
 		App:                 app.Name,
@@ -180,8 +177,7 @@ func prepare(app *harness.App, spec Spec, env Env) (*prepared, error) {
 		WorkerCmd:           env.WorkerCmd,
 		Config:              cfg,
 		CheckpointPath:      env.CheckpointPath,
-		ItemTimeout:         time.Duration(spec.ItemTimeout),
-		ItemRetries:         spec.ItemRetries,
+		ItemRetries:         dist.DefaultItemRetries,
 		SchedPolicy:         p.policy,
 		SpeculationFactor:   spec.Speculate,
 		Profile:             profile,

@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"zebraconf/internal/apps"
 	"zebraconf/internal/core/campaign"
+	"zebraconf/internal/core/dist"
 )
 
 // TestUnchangedRerunIsTheWarmRun: a replayed campaign's report is the full
@@ -58,5 +61,47 @@ func TestUnchangedRerunIsTheWarmRun(t *testing.T) {
 				t.Errorf("the rerun's result is not the warm run's:\n warm  %s\n rerun %s", warm, rerun)
 			}
 		})
+	}
+}
+
+// TestResumeIntoATornCheckpoint: a checkpoint a kill tore mid-append,
+// reopened to continue into (`-resume ck -checkpoint ck`), still resumes:
+// ReadResume reads the records before the tear and those after it.
+func TestResumeIntoATornCheckpoint(t *testing.T) {
+	t.Parallel()
+	path := filepath.Join(t.TempDir(), "ck.jsonl")
+	session := func(items int, test string) {
+		t.Helper()
+		j, err := dist.OpenJournal(path, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := campaign.ItemResult{ID: items - 1, Test: test, Executions: 3}
+		for _, rec := range []dist.Record{
+			{Kind: dist.KindHeader, App: "miniflink", Seed: 3, Items: items},
+			{Kind: dist.KindDone, Item: res.ID, Test: test, Result: &res},
+		} {
+			if err := j.Append(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	session(1, "TestA")
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.WriteString(`{"kind":"done","item":1,"te`) // killed mid-append
+	f.Close()
+	session(2, "TestB")
+	done, err := ReadResume(path, "miniflink", 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(done) != 2 || done["TestA"].Executions != 3 || done["TestB"].ID != 1 {
+		t.Fatalf("resumed %+v, want TestA and TestB", done)
 	}
 }

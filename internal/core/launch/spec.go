@@ -7,13 +7,12 @@ package launch
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"strings"
-	"time"
 
-	"zebraconf/internal/core/dist"
 	"zebraconf/internal/core/forensics"
 	"zebraconf/internal/core/ledger"
 	"zebraconf/internal/core/runner"
@@ -26,30 +25,26 @@ import (
 // zero here always means zero, never "unset". README "Campaign as a
 // service" tabulates field, flag, default and digest membership.
 type Spec struct {
-	App            string  `json:"app"`
-	Params         List    `json:"params"`
-	Tests          List    `json:"tests"`
-	Seed           int64   `json:"seed"`
-	Workers        int     `json:"workers"`
-	Parallel       int     `json:"parallel"`
-	WorkerParallel int     `json:"worker_parallel"`
-	MaxPool        int     `json:"max_pool"`
-	NoPool         bool    `json:"no_pool"`
-	NoGate         bool    `json:"no_gate"`
-	ExecCache      bool    `json:"exec_cache"`
-	ThreadOnly     bool    `json:"thread_only"`
-	Sched          string  `json:"sched"`
-	Seq            string  `json:"seq"`
-	SeqMargin      float64 `json:"seq_margin"`
-	Stream         bool    `json:"stream"`
-	Speculate      float64 `json:"speculate"`
-	Quarantine     int     `json:"quarantine"`
-	EvidenceMax    int64   `json:"evidence_max"`
-	ItemTimeout    Seconds `json:"item_timeout_seconds"`
-	ItemRetries    int     `json:"item_retries"`
-	Heartbeat      Millis  `json:"heartbeat_ms"`
-	Select         string  `json:"select"`
-	Overrides      string  `json:"override"`
+	App         string  `json:"app"`
+	Params      List    `json:"params"`
+	Tests       List    `json:"tests"`
+	Seed        int64   `json:"seed"`
+	Workers     int     `json:"workers"`
+	Parallel    int     `json:"parallel"`
+	MaxPool     int     `json:"max_pool"`
+	NoPool      bool    `json:"no_pool"`
+	NoGate      bool    `json:"no_gate"`
+	ExecCache   bool    `json:"exec_cache"`
+	ThreadOnly  bool    `json:"thread_only"`
+	Sched       string  `json:"sched"`
+	Seq         string  `json:"seq"`
+	SeqMargin   float64 `json:"seq_margin"`
+	Stream      bool    `json:"stream"`
+	Speculate   float64 `json:"speculate"`
+	Quarantine  int     `json:"quarantine"`
+	EvidenceMax int64   `json:"evidence_max"`
+	Select      string  `json:"select"`
+	Overrides   string  `json:"override"`
 }
 
 // DefaultSpec is the campaign every flag left alone describes.
@@ -64,19 +59,25 @@ func DefaultSpec() Spec {
 		Speculate:   1.5,
 		Quarantine:  3,
 		EvidenceMax: forensics.DefaultBudget,
-		ItemTimeout: Seconds(dist.DefaultItemTimeout),
-		ItemRetries: dist.DefaultItemRetries,
-		Heartbeat:   Millis(time.Second),
 		Select:      "coverage",
 	}
 }
 
 // DecodeSpec reads a JSON body onto DefaultSpec: an omitted field keeps
-// its default, an explicit zero is a zero.
+// its default, an explicit zero is a zero. As strict as the flags the
+// body mirrors: an unknown field, or anything after the one object, is
+// an error.
 func DecodeSpec(r io.Reader) (Spec, error) {
 	s := DefaultSpec()
-	err := json.NewDecoder(r).Decode(&s)
-	return s, err
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&s); err != nil {
+		return s, err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return s, errors.New("trailing data after the JSON object")
+	}
+	return s, nil
 }
 
 // Bind registers one flag per field on fs, defaults taken from s.
@@ -87,7 +88,6 @@ func (s *Spec) Bind(fs *flag.FlagSet) {
 	fs.Int64Var(&s.Seed, "seed", s.Seed, "base seed mixed into every trial seed (reproducible campaigns)")
 	fs.IntVar(&s.Workers, "workers", s.Workers, "shard the campaign across N worker subprocesses (0 = in-process)")
 	fs.IntVar(&s.Parallel, "parallel", s.Parallel, "concurrent unit tests (0 = GOMAXPROCS)")
-	fs.IntVar(&s.WorkerParallel, "worker-parallel", s.WorkerParallel, "concurrent work items inside each worker subprocess (0 = split the -parallel budget across workers)")
 	fs.IntVar(&s.MaxPool, "max-pool", s.MaxPool, "max parameters per pool (0 = unbounded)")
 	fs.BoolVar(&s.NoPool, "no-pool", s.NoPool, "disable pooled testing (ablation)")
 	fs.BoolVar(&s.NoGate, "no-gate", s.NoGate, "disable first-trial gating (ablation)")
@@ -100,19 +100,15 @@ func (s *Spec) Bind(fs *flag.FlagSet) {
 	fs.Float64Var(&s.Speculate, "speculate", s.Speculate, "with -workers: re-issue an item held longer than this factor x its predicted duration once the queue drains; 0 disables (ablation)")
 	fs.IntVar(&s.Quarantine, "quarantine", s.Quarantine, "distinct confirming tests before a parameter is live-quarantined mid-campaign (§4 frequent-failer rule); 0 disables the pruning (ablation)")
 	fs.Int64Var(&s.EvidenceMax, "evidence-max", s.EvidenceMax, "campaign-wide evidence byte budget (per worker with -workers): records degrade to verdict-only past it; 0 disables forensic capture, negative is unlimited")
-	fs.DurationVar((*time.Duration)(&s.ItemTimeout), "item-timeout", time.Duration(s.ItemTimeout), "per-work-item deadline before its worker is killed")
-	fs.IntVar(&s.ItemRetries, "item-retries", s.ItemRetries, "crashed/timed-out work item retries before quarantine")
-	fs.DurationVar((*time.Duration)(&s.Heartbeat), "heartbeat", time.Duration(s.Heartbeat), "worker heartbeat period with -workers; 0 disables heartbeats and stall detection")
 	fs.StringVar(&s.Select, "select", s.Select, "phase-2 test selection: coverage (skip tests whose indexed read set is disjoint from the campaign's params; needs a warm -ledger index) | all (dispatch to every test; ablation)")
 	fs.StringVar(&s.Overrides, "override", s.Overrides, "comma-separated param=value schema default overrides (simulates a changed seeded default; drives -mode rerun invalidation)")
 }
 
 // notInDigest names the flags ExecFlags leaves out: -app (a ledger record
-// carries it), -heartbeat (stall detection is advisory and changes no
-// verdict) and -override (an override changes the per-parameter schema
+// carries it) and -override (an override changes the per-parameter schema
 // digests instead, so rerun invalidation names the drifted parameter
 // rather than the whole environment).
-var notInDigest = map[string]bool{"app": true, "heartbeat": true, "override": true}
+var notInDigest = map[string]bool{"app": true, "override": true}
 
 // ExecFlags renders the execution-affecting settings as the flag map the
 // ledger digests — every flag Bind registers but those in notInDigest, so
@@ -189,28 +185,12 @@ func (l *List) Set(v string) error {
 	return nil
 }
 
-// Seconds and Millis are durations that keep the REST body's units: a
-// JSON number of seconds (item_timeout_seconds) or milliseconds
-// (heartbeat_ms).
-type (
-	Seconds time.Duration
-	Millis  time.Duration
-)
-
-func (d Seconds) MarshalJSON() ([]byte, error) { return json.Marshal(time.Duration(d).Seconds()) }
-func (d Millis) MarshalJSON() ([]byte, error)  { return json.Marshal(time.Duration(d).Milliseconds()) }
-
-func (d *Seconds) UnmarshalJSON(b []byte) error {
-	return unmarshalDuration(b, time.Second, (*time.Duration)(d))
-}
-
-func (d *Millis) UnmarshalJSON(b []byte) error {
-	return unmarshalDuration(b, time.Millisecond, (*time.Duration)(d))
-}
-
-func unmarshalDuration(b []byte, unit time.Duration, d *time.Duration) error {
-	var n float64
-	err := json.Unmarshal(b, &n)
-	*d = time.Duration(n * float64(unit))
-	return err
+// UnmarshalJSON reads a JSON array of strings by Set's rule, so a body's
+// list is the one its flag form gives.
+func (l *List) UnmarshalJSON(b []byte) error {
+	var parts []string
+	if err := json.Unmarshal(b, &parts); err != nil {
+		return err
+	}
+	return l.Set(strings.Join(parts, ","))
 }

@@ -11,29 +11,27 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"zebraconf/internal/apps"
 	"zebraconf/internal/core/agent"
+	"zebraconf/internal/core/dist"
 )
 
 // altStrings gives a legal non-default value for every flag whose
-// alternative cannot be derived from its type. Heartbeat's is the zero
-// that used to mean "1000 ms" once submitted.
+// alternative cannot be derived from its type.
 var altStrings = map[string]string{
-	"app":       "miniyarn",
-	"params":    "flink.checkpoint.interval,flink.task.slots",
-	"tests":     "TestCheckpointBarrier",
-	"sched":     "fifo",
-	"seq":       "fixed",
-	"select":    "all",
-	"override":  "flink.task.slots=3",
-	"heartbeat": "0s",
+	"app":      "miniyarn",
+	"params":   "flink.checkpoint.interval,flink.task.slots",
+	"tests":    "TestCheckpointBarrier",
+	"sched":    "fifo",
+	"seq":      "fixed",
+	"select":   "all",
+	"override": "flink.task.slots=3",
 }
 
 // observationOnly lists the fields that must not move the flags digest;
 // notInDigest in spec.go argues each one out. Every other field must.
-var observationOnly = map[string]bool{"App": true, "Heartbeat": true, "Overrides": true}
+var observationOnly = map[string]bool{"App": true, "Overrides": true}
 
 // baseSpec is DefaultSpec made launchable on the distributed path, so a
 // change to any field has somewhere to show up.
@@ -69,8 +67,6 @@ func altValue(t *testing.T, f *flag.Flag) string {
 		return fmt.Sprint(v + 1)
 	case float64:
 		return fmt.Sprint(v + 0.25)
-	case time.Duration:
-		return (v + 90*time.Second).String()
 	}
 	t.Fatalf("flag -%s: no alternative value known", f.Name)
 	return ""
@@ -156,11 +152,12 @@ func TestEveryFieldSurvivesTheWholePath(t *testing.T) {
 	}
 }
 
-// TestDriftedSettingsReachTheEngine pins the four settings that used to be
-// lost or rewritten between `-mode submit` and the served campaign.
+// TestDriftedSettingsReachTheEngine pins the three settings that used to
+// be lost or rewritten between `-mode submit` and the served campaign, and
+// the heartbeat a served campaign's workers beat at.
 func TestDriftedSettingsReachTheEngine(t *testing.T) {
 	s := baseSpec()
-	err := bound(&s).Parse([]string{"-select=all", "-thread-only", "-override=flink.task.slots=3", "-heartbeat=0"})
+	err := bound(&s).Parse([]string{"-select=all", "-thread-only", "-override=flink.task.slots=3"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,8 +180,8 @@ func TestDriftedSettingsReachTheEngine(t *testing.T) {
 	if !reflect.DeepEqual(l.opts.Overrides, want) || !reflect.DeepEqual(l.dopts.Config.Overrides, want) {
 		t.Errorf("-override: campaign %v, workers %v, want %v", l.opts.Overrides, l.dopts.Config.Overrides, want)
 	}
-	if l.dopts.Config.HeartbeatMS != 0 {
-		t.Errorf("-heartbeat 0: workers beat every %d ms, want heartbeats off", l.dopts.Config.HeartbeatMS)
+	if l.dopts.Config.HeartbeatMS != dist.DefaultHeartbeatMS {
+		t.Errorf("workers beat every %d ms, want %d", l.dopts.Config.HeartbeatMS, dist.DefaultHeartbeatMS)
 	}
 	if q := mustPrepare(t, Spec{App: "miniflink", Sched: "lpt", Seq: "sprt", Select: "all"}); q.opts.QuarantineThreshold != math.MaxInt32 {
 		t.Errorf("quarantine 0 built threshold %d, want never", q.opts.QuarantineThreshold)
@@ -192,10 +189,10 @@ func TestDriftedSettingsReachTheEngine(t *testing.T) {
 }
 
 // TestGoldenDigests pins the flags digest of the default campaign and of
-// CI's serve-smoke flag set to the strings the commit before Spec
-// produced, so existing ledgers and coverage indexes stay comparable.
+// CI's serve-smoke flag set, so existing ledgers and coverage indexes stay
+// comparable: a change here makes every index written before it stale.
 func TestGoldenDigests(t *testing.T) {
-	if got := DefaultSpec().Digest(); got != "dedaaa7e9340ad93" {
+	if got := DefaultSpec().Digest(); got != "4090d2079bef6fc0" {
 		t.Errorf("default digest = %s", got)
 	}
 	s := DefaultSpec()
@@ -204,7 +201,7 @@ func TestGoldenDigests(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := s.Digest(); got != "e902018c3d62006a" {
+	if got := s.Digest(); got != "11ff040db2cc5f84" {
 		t.Errorf("serve-smoke digest = %s", got)
 	}
 }
@@ -214,14 +211,44 @@ func TestDecodeOmittedIsDefaultExplicitZeroIsZero(t *testing.T) {
 	if err != nil || !reflect.DeepEqual(got, DefaultSpec()) {
 		t.Errorf("empty body decoded to %+v (%v), want DefaultSpec", got, err)
 	}
-	got, err = DecodeSpec(strings.NewReader(`{"app": "minihdfs", "stream": false, "quarantine": 0, "heartbeat_ms": 0}`))
+	got, err = DecodeSpec(strings.NewReader(`{"app": "minihdfs", "stream": false, "quarantine": 0}`))
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := DefaultSpec()
-	want.App, want.Stream, want.Quarantine, want.Heartbeat = "minihdfs", false, 0, 0
+	want.App, want.Stream, want.Quarantine = "minihdfs", false, 0
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("explicit zeros decoded to %+v, want %+v", got, want)
+	}
+}
+
+// TestDecodeIsAsStrictAsTheFlags: a body's lists follow the flag form's
+// trim and drop-empty rule, and a field the flags do not have, or bytes
+// after the object, are refused rather than dropped.
+func TestDecodeIsAsStrictAsTheFlags(t *testing.T) {
+	got, err := DecodeSpec(strings.NewReader(`{"params": [" dfs.replication", "", "a ,b"], "tests": []}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	flagged := DefaultSpec()
+	if err := bound(&flagged).Parse([]string{"-params= dfs.replication,,a ,b", "-tests="}); err != nil {
+		t.Fatal(err)
+	}
+	if want := (List{"dfs.replication", "a", "b"}); !reflect.DeepEqual(got.Params, want) || !reflect.DeepEqual(got, flagged) {
+		t.Errorf("body decoded to params %q tests %q, the flags to %q %q", got.Params, got.Tests, flagged.Params, flagged.Tests)
+	}
+	for body, want := range map[string]string{
+		`{"params": ["dfs.replication"], "bogus_field": 1}`: `unknown field "bogus_field"`,
+		`{"heartbeat_ms": 0}`:                               `unknown field "heartbeat_ms"`,
+		`{"seed": 1} {"seed": 2}`:                           "trailing data",
+		`{"seed": 1}]`:                                      "trailing data",
+	} {
+		if _, err := DecodeSpec(strings.NewReader(body)); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: error %v, want one naming %s", body, err, want)
+		}
+	}
+	if _, err := DecodeSpec(strings.NewReader("{\"seed\": 1}\n\t ")); err != nil {
+		t.Errorf("trailing white space refused: %v", err)
 	}
 }
 
@@ -281,4 +308,49 @@ func TestReadmeSpecTable(t *testing.T) {
 	if !strings.Contains(string(readme), b.String()) {
 		t.Errorf("README.md does not contain the Spec table generated from DefaultSpec():\n%s", b.String())
 	}
+}
+
+// FuzzDecodeSpec holds the REST body decoder to the flags it mirrors: a
+// body is refused, or it decodes to a Spec that survives a JSON round
+// trip, and a Spec that validates is given back by its flag form —
+// ExecFlags plus -app and -override, parsed onto DefaultSpec — so what a
+// client posts is what the same command line would run.
+func FuzzDecodeSpec(f *testing.F) {
+	for _, body := range []string{
+		`{}`,
+		`{"app": "minihdfs", "stream": false, "quarantine": 0}`,
+		`{"params": [" dfs.replication", "", "a ,b"], "tests": []}`,
+		`{"params": ["dfs.replication"], "bogus_field": 1}`,
+		`{"heartbeat_ms": 0}`,
+		`{"seed": 1} {"seed": 2}`,
+		// README "Campaign service": -mode submit -app minihdfs -seed 7 -workers 2.
+		`{"app": "minihdfs", "seed": 7, "workers": 2}`,
+		`{"app": "miniflink", "override": "flink.task.slots=3", "select": "all", "seq_margin": 0.25, "evidence_max": -1}`,
+	} {
+		f.Add(body)
+	}
+	f.Fuzz(func(t *testing.T, body string) {
+		s, err := DecodeSpec(strings.NewReader(body))
+		if err != nil {
+			return
+		}
+		b, err := json.Marshal(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if back, err := DecodeSpec(bytes.NewReader(b)); err != nil || !reflect.DeepEqual(back, s) {
+			t.Fatalf("%s decoded to %+v, which posts as %s and decodes to %+v (%v)", body, s, b, back, err)
+		}
+		if s.Validate() != nil {
+			return
+		}
+		args := []string{"-app=" + s.App, "-override=" + s.Overrides}
+		for name, v := range s.ExecFlags() {
+			args = append(args, "-"+name+"="+v)
+		}
+		flagged := DefaultSpec()
+		if err := bound(&flagged).Parse(args); err != nil || !reflect.DeepEqual(flagged, s) {
+			t.Fatalf("%s decoded to %+v, its flags %q parse to %+v (%v)", body, s, args, flagged, err)
+		}
+	})
 }

@@ -4,10 +4,13 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"io"
+	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -252,9 +255,10 @@ func TestQueueAndCancel(t *testing.T) {
 	}
 
 	// The second submission carries the settings `-mode submit` used to
-	// drop or rewrite; the detail must echo them as sent.
+	// drop or rewrite, and one more non-default; the detail must echo them
+	// as sent.
 	spec2 := subsetRequest(6)
-	spec2.Select, spec2.ThreadOnly, spec2.Overrides, spec2.Heartbeat = "all", true, "dfs.replication=2", 0
+	spec2.Select, spec2.ThreadOnly, spec2.Overrides, spec2.MaxPool = "all", true, "dfs.replication=2", 2
 	id2, err := cl.Submit(spec2)
 	if err != nil {
 		t.Fatal(err)
@@ -285,5 +289,36 @@ func TestQueueAndCancel(t *testing.T) {
 	}
 	if d1.RunID != "" {
 		t.Fatal("cancelled campaign was written to the ledger")
+	}
+}
+
+// TestSubmitRejectsUnknownField: a body naming a field the flags do not
+// have — here heartbeat_ms, which an older client still sends for a
+// setting that is now a constant — is a 400 naming the field, and nothing
+// is queued.
+func TestSubmitRejectsUnknownField(t *testing.T) {
+	t.Parallel()
+	_, cl, shutdown := startServer(t, t.TempDir())
+	defer shutdown()
+	req, err := http.NewRequest(http.MethodPost, cl.Base+"/api/campaigns",
+		strings.NewReader(`{"app": "minihdfs", "heartbeat_ms": 0}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Authorization", "Bearer "+testToken)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "heartbeat_ms") {
+		t.Fatalf("answered %d %s, want 400 naming heartbeat_ms", resp.StatusCode, body)
+	}
+	if list, err := cl.List(); err != nil || len(list) != 0 {
+		t.Fatalf("campaigns after a refused body: %+v (%v)", list, err)
 	}
 }
