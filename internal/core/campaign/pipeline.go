@@ -166,7 +166,7 @@ func (p *pipeline) predict(item WorkItem, preSeconds float64) float64 {
 	if s, ok := p.opts.Profile.Predict(p.app.Name, item.Test); ok {
 		return s
 	}
-	n := len(p.gen.Instances(item.PreRun, testgen.InstancesOptions{DisableRoundRobin: p.opts.DisableRoundRobin}))
+	n := p.gen.Count(item.PreRun, item.instancesOptions(p.opts))
 	return preSeconds * float64(n+1)
 }
 

@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"bytes"
+	"math"
 	"reflect"
 	"sort"
 	"sync"
@@ -9,10 +10,13 @@ import (
 	"testing"
 	"time"
 
+	"zebraconf/internal/apps"
+	"zebraconf/internal/apps/miniyarn"
 	"zebraconf/internal/core/forensics"
 	"zebraconf/internal/core/harness"
 	"zebraconf/internal/core/runner"
 	"zebraconf/internal/core/sched"
+	"zebraconf/internal/core/testgen"
 	"zebraconf/internal/obs"
 )
 
@@ -319,5 +323,48 @@ func TestPreRunLeakCountedWithDistributor(t *testing.T) {
 		if res.LeakedGoroutines != 1 {
 			t.Errorf("Distributor %T: LeakedGoroutines = %d, want 1 (the abandoned pre-run)", dist, res.LeakedGoroutines)
 		}
+	}
+}
+
+// The scheduler's cold prediction counts the instance set its item runs:
+// under coverage selection every item carries the campaign's explicit
+// parameters as ForceParams (a cold index has no read evidence), and with
+// quarantine off each item's predicted instance count must equal the
+// Instances its execution reports — forced parameters included.
+func TestPredictCountsForcedInstances(t *testing.T) {
+	t.Parallel()
+	app, err := apps.ByName("miniyarn")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := &fakeDistributor{o: obs.New()}
+	opts := Options{
+		Params:              []string{miniyarn.ParamHTTPPolicy, miniyarn.ParamTimelineEnabled},
+		SelectCoverage:      true,
+		QuarantineThreshold: math.MaxInt32,
+		Seed:                1,
+		Distributor:         d,
+	}
+	Run(app, opts)
+
+	gen := testgen.New(app.Schema())
+	gen.SetFilter(opts.Params)
+	run := runner.New(app, RunnerOptions(app.Name, opts))
+	p := &pipeline{app: app, gen: gen, opts: opts}
+	forcedOnly := 0
+	for _, item := range d.items {
+		if len(item.ForceParams) == 0 {
+			t.Fatalf("%s: cold coverage selection forced nothing", item.Test)
+		}
+		want := ExecuteItem(app, gen, run, opts, obs.NoSpan, item).Instances
+		if got := int(p.predict(item, 1)) - 1; got != want {
+			t.Errorf("%s: predicted %d instances, the item ran %d", item.Test, got, want)
+		}
+		if gen.Count(item.PreRun, testgen.InstancesOptions{}) < want {
+			forcedOnly++
+		}
+	}
+	if forcedOnly == 0 {
+		t.Fatal("no item generates an instance only because a parameter was forced")
 	}
 }

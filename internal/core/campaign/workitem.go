@@ -41,6 +41,13 @@ type WorkItem struct {
 	ForceParams []string `json:"force_params,omitempty"`
 }
 
+// instancesOptions is the one set of generation options an item's
+// instances derive from: ExecuteItem generates them, and the scheduler's
+// cold prediction counts the same set.
+func (item WorkItem) instancesOptions(opts Options) testgen.InstancesOptions {
+	return testgen.InstancesOptions{DisableRoundRobin: opts.DisableRoundRobin, ForceParams: item.ForceParams}
+}
+
 // InstanceVerdict is the serializable outcome of one leaf instance run.
 type InstanceVerdict struct {
 	// Instance is the testgen.Instance.String() label.
@@ -131,11 +138,7 @@ func ExecuteItem(app *harness.App, gen *testgen.Generator, run *runner.Runner, o
 		out.SkippedTest = true
 		return out
 	}
-	rep := item.PreRun.Report
-	instances := gen.Instances(item.PreRun, testgen.InstancesOptions{
-		DisableRoundRobin: opts.DisableRoundRobin,
-		ForceParams:       item.ForceParams,
-	})
+	instances := gen.Instances(item.PreRun, item.instancesOptions(opts))
 	out.Instances = len(instances)
 	if len(instances) == 0 {
 		return out
@@ -156,6 +159,7 @@ func ExecuteItem(app *harness.App, gen *testgen.Generator, run *runner.Runner, o
 		obs.Int("instances", int64(len(instances))))
 	defer testSpan.End()
 
+	asn := gen.Builder(&item.PreRun.Report)
 	account := func(cost runner.Result) {
 		out.Executions += cost.Executions
 		out.ExecutionsSaved += cost.Saved
@@ -170,8 +174,7 @@ func ExecuteItem(app *harness.App, gen *testgen.Generator, run *runner.Runner, o
 			return
 		}
 		label := inst.String()
-		asn := gen.AssignFor(inst, &rep)
-		r := run.RunAssignmentIn(parent, test, asn, label)
+		r := run.RunAssignmentIn(parent, test, asn.Leaf(inst), label)
 		account(r)
 		if r.Evidence != nil {
 			// The runner knows the execution; only this layer knows the
@@ -225,7 +228,7 @@ func ExecuteItem(app *harness.App, gen *testgen.Generator, run *runner.Runner, o
 			obs.Int("size", int64(len(p.Members))),
 			obs.Int("depth", int64(depth)))
 		defer span.End()
-		failed, cost := run.RunPooledIn(span.ID(), test, p.Assignment(gen, &rep), p.Test+"/pool")
+		failed, cost := run.RunPooledIn(span.ID(), test, asn.Pooled(p), p.Test+"/pool")
 		account(cost)
 		if !failed {
 			// Pooled heterogeneous run passed: all members cleared.

@@ -11,11 +11,13 @@
 package memo
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"hash/fnv"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 
 	"zebraconf/internal/core/agent"
@@ -62,36 +64,60 @@ type Backend interface {
 // content — regardless of construction or iteration order — produce the
 // same digest. The digest is SHA-256 truncated to 128 bits, hex-encoded;
 // far beyond collision reach, because a collision would silently reuse
-// the wrong outcome.
+// the wrong outcome. Each entry is node type, NUL, the node index as a
+// little-endian uint64, parameter, NUL, value, NUL; the entries are laid
+// out in one buffer and hashed in one call. The key slice lives on the
+// stack up to smallAssign entries and the buffer up to smallBuf bytes, so
+// for such a map the hex string is the only allocation; past either size
+// that slice is allocated once, sized exactly.
 func HashAssignment(assign map[agent.Key]string) string {
-	keys := make([]agent.Key, 0, len(assign))
-	for k := range assign {
+	var small [smallAssign]agent.Key
+	keys := small[:0]
+	if len(assign) > smallAssign {
+		keys = make([]agent.Key, 0, len(assign))
+	}
+	size := 0
+	for k, v := range assign {
 		keys = append(keys, k)
+		size += len(k.NodeType) + len(k.Param) + len(v) + 3 + 8
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.NodeType != b.NodeType {
-			return a.NodeType < b.NodeType
-		}
-		if a.NodeIndex != b.NodeIndex {
-			return a.NodeIndex < b.NodeIndex
-		}
-		return a.Param < b.Param
-	})
-	h := sha256.New()
-	var idx [8]byte
+	slices.SortFunc(keys, compareKeys)
+	var stack [smallBuf]byte
+	buf := stack[:0]
+	if size > smallBuf {
+		buf = make([]byte, 0, size)
+	}
 	for _, k := range keys {
-		h.Write([]byte(k.NodeType))
-		h.Write([]byte{0})
-		binary.LittleEndian.PutUint64(idx[:], uint64(k.NodeIndex))
-		h.Write(idx[:])
-		h.Write([]byte(k.Param))
-		h.Write([]byte{0})
-		h.Write([]byte(assign[k]))
-		h.Write([]byte{0})
+		buf = append(buf, k.NodeType...)
+		buf = append(buf, 0)
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(k.NodeIndex))
+		buf = append(buf, k.Param...)
+		buf = append(buf, 0)
+		buf = append(buf, assign[k]...)
+		buf = append(buf, 0)
 	}
-	sum := h.Sum(nil)
-	return hex.EncodeToString(sum[:16])
+	sum := sha256.Sum256(buf)
+	var out [32]byte
+	hex.Encode(out[:], sum[:16])
+	return string(out[:])
+}
+
+// HashAssignment's stack budget: a homogeneous arm or a leaf's
+// heterogeneous map of a few nodes fits; a large pooled map does not.
+const (
+	smallAssign = 32
+	smallBuf    = 4096
+)
+
+// compareKeys is the canonical entry order HashAssignment digests in.
+func compareKeys(a, b agent.Key) int {
+	if c := strings.Compare(a.NodeType, b.NodeType); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.NodeIndex, b.NodeIndex); c != 0 {
+		return c
+	}
+	return strings.Compare(a.Param, b.Param)
 }
 
 // SeedFor derives the canonical per-run seed for an assignment-addressed

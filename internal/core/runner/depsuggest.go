@@ -4,7 +4,6 @@ import (
 	"sort"
 
 	"zebraconf/internal/confkit"
-	"zebraconf/internal/core/agent"
 	"zebraconf/internal/core/harness"
 	"zebraconf/internal/core/testgen"
 	"zebraconf/internal/obs"
@@ -36,7 +35,7 @@ func (r *Runner) SuggestDependencies(test *harness.UnitTest, schema *confkit.Reg
 
 	// Pre-run to learn the node population for homogeneous assignment.
 	pre := r.PreRun(test)
-	gen := testgen.New(schema)
+	asn := testgen.New(schema).Builder(&pre.Report)
 
 	var out []DependencySuggestion
 	for _, name := range params {
@@ -50,12 +49,7 @@ func (r *Runner) SuggestDependencies(test *harness.UnitTest, schema *confkit.Reg
 		}
 		readsByValue := make(map[string]map[string]bool, len(values))
 		for _, v := range values {
-			inst := testgen.Instance{
-				Test: pre.Test, Param: name, Group: agent.UnitTestEntity,
-				Strategy: testgen.StrategyFlip, Pair: testgen.Pair{A: v, B: v},
-			}
-			asn := gen.AssignFor(inst, &pre.Report)
-			outc, _, _ := r.runTrial(obs.NoSpan, new(Result), trial{test: test, assign: asn.Homo[0], label: "depsuggest/" + name, arm: v, full: true})
+			outc, _, _ := r.runTrial(obs.NoSpan, new(Result), trial{test: test, assign: asn.Homo(name, v).Assign, label: "depsuggest/" + name, arm: v, full: true})
 			readsByValue[v] = unionReads(outc.Report.Usage)
 		}
 		for _, v := range values {

@@ -242,6 +242,9 @@ func seedFor(base int64, label string, arm string, round int) int64 {
 type trial struct {
 	test   *harness.UnitTest
 	assign map[agent.Key]string
+	// digest is assign's memo.HashAssignment when the caller holds it;
+	// empty means runTrial digests assign itself where the key needs it.
+	digest string
 	// label, arm and round seed the run (seedFor). An empty label selects
 	// the canonical seed over the assignment content instead (memo.SeedFor):
 	// every instance needing this (test, assignment, round) baseline runs
@@ -260,13 +263,17 @@ type trial struct {
 // then out carries only the verdict fields, the memoized read set is
 // replayed into the coverage collector, and a cache-hit span under parent
 // carries the original execution's digest. key identifies the execution
-// either way; Assign is digested only when the seed or a cache consumes it.
+// either way; Assign is filled only when the seed or a cache consumes it,
+// and digested only when the trial did not bring its digest along.
 func (r *Runner) runTrial(parent obs.SpanID, cost *Result, t trial) (out harness.Outcome, reused bool, key memo.Key) {
 	canonical := t.label == ""
 	cached := r.opts.Cache != nil && !t.full && (canonical || r.opts.CacheLabelSeeded)
 	key = memo.Key{App: r.app.Name, Test: t.test.Name}
 	if canonical || cached {
-		key.Assign = memo.HashAssignment(t.assign)
+		key.Assign = t.digest
+		if key.Assign == "" {
+			key.Assign = memo.HashAssignment(t.assign)
+		}
 	}
 	if canonical {
 		key.Seed = memo.SeedFor(r.opts.BaseSeed, t.test.Name, key.Assign, t.round)
@@ -356,6 +363,10 @@ func (r *Runner) RunAssignmentIn(parent obs.SpanID, test *harness.UnitTest, asn 
 	var ev *forensics.Evidence
 	var arms []forensics.Arm
 	var heteroFail, heteroPass, homoFail, homoPass int64
+	// hetDigest is the heterogeneous map's digest once a trial needed it
+	// (a label-seeded trial is keyed by it only under CacheLabelSeeded):
+	// every later round reuses it.
+	var hetDigest string
 	defer func() {
 		span.SetAttr(
 			obs.String("verdict", res.Verdict.String()),
@@ -387,12 +398,13 @@ func (r *Runner) RunAssignmentIn(parent obs.SpanID, test *harness.UnitTest, asn 
 		// Capture this heterogeneous trial: round 0 always, later rounds
 		// until one fails — the failing execution is the one worth
 		// explaining, and once held it is never re-captured.
-		hetTrial := trial{test: test, assign: asn.Hetero, label: label, arm: "hetero", round: round}
+		hetTrial := trial{test: test, assign: asn.Hetero, digest: hetDigest, label: label, arm: "hetero", round: round}
 		capturing := rec.Enabled() && (ev == nil || !ev.Failed)
 		if capturing {
 			hetTrial.capture = rec.Spec()
 		}
 		het, _, key := r.runTrial(rs.ID(), &res, hetTrial)
+		hetDigest = key.Assign
 		if capturing && (ev == nil || het.Failed) {
 			ev = forensics.FromOutcome(r.app.Name, test.Name, key.Seed, round, het)
 			ev.Assign = forensics.AssignKV(asn.Hetero)
@@ -409,7 +421,7 @@ func (r *Runner) RunAssignmentIn(parent obs.SpanID, test *harness.UnitTest, asn 
 			arms = append(arms, forensics.Arm{Name: "hetero", Seed: key.Seed, Failed: het.Failed})
 		}
 		for i, arm := range asn.Homo {
-			out, reused, key := r.runTrial(rs.ID(), &res, trial{test: test, assign: arm, arm: homoArmName(i), round: round})
+			out, reused, key := r.runTrial(rs.ID(), &res, trial{test: test, assign: arm.Assign, digest: arm.Digest, arm: homoArmName(i), round: round})
 			if rec.Enabled() && round == 0 {
 				arms = append(arms, forensics.Arm{
 					Name:   homoArmName(i),
@@ -511,7 +523,7 @@ func (r *Runner) RunAssignmentIn(parent obs.SpanID, test *harness.UnitTest, asn 
 }
 
 // RunPooledIn executes one pooled run of assign, a pool's merged
-// heterogeneous assignment (testgen.Pool.Assignment); the pool machinery
+// heterogeneous assignment (testgen.Builder.Pooled); the pool machinery
 // only needs pass/fail to decide whether to split, and what the run cost
 // (an execution or a saved one). The run is canonically seeded over the
 // merged assignment (a pooled configuration is content, not an instance),

@@ -267,7 +267,7 @@ func TestCanonicalHomoSeedsIgnoreLabel(t *testing.T) {
 		var seq []string
 		for round := 0; round <= 4; round++ {
 			for i, arm := range asn.Homo {
-				out, _, _ := r.runTrial(obs.NoSpan, new(Result), trial{test: test, assign: arm, arm: homoArmName(i), round: round})
+				out, _, _ := r.runTrial(obs.NoSpan, new(Result), trial{test: test, assign: arm.Assign, arm: homoArmName(i), round: round})
 				seq = append(seq, fmt.Sprintf("%s/%d:%v", homoArmName(i), round, out.Failed))
 			}
 		}
@@ -599,7 +599,7 @@ func TestTrialCachePolicy(t *testing.T) {
 								want[memo.Key{App: app.Name, Test: test.Name, Assign: hh, Seed: memo.SeedFor(base, test.Name, hh, 0)}] = true
 								for round := 0; round < int(rounds); round++ {
 									for _, arm := range asn.Homo {
-										h := memo.HashAssignment(arm)
+										h := memo.HashAssignment(arm.Assign)
 										want[memo.Key{App: app.Name, Test: test.Name, Assign: h, Seed: memo.SeedFor(base, test.Name, h, round)}] = true
 									}
 									if labelSeeded {

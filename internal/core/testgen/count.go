@@ -40,20 +40,23 @@ func (g *Generator) OriginalCount(numTests int, nodeTypes []string) int64 {
 	return int64(numTests) * perParam
 }
 
-// CountAfterPreRun computes row 2 over the pre-run reports.
+// CountAfterPreRun computes row 2 over the pre-run reports. Rows 2 and 3
+// are a function of the pre-runs alone: they count every parameter in the
+// campaign's filter, whatever the campaign has quarantined by the time
+// they are counted.
 func (g *Generator) CountAfterPreRun(pres []PreRun) int64 {
 	var n int64
 	for _, pre := range pres {
-		n += int64(len(g.Instances(pre, InstancesOptions{SkipUncertaintyFilter: true})))
+		n += int64(g.count(pre, InstancesOptions{SkipUncertaintyFilter: true}, false))
 	}
 	return n
 }
 
-// CountAfterUncertainty computes row 3.
+// CountAfterUncertainty computes row 3, as CountAfterPreRun.
 func (g *Generator) CountAfterUncertainty(pres []PreRun) int64 {
 	var n int64
 	for _, pre := range pres {
-		n += int64(len(g.Instances(pre, InstancesOptions{})))
+		n += int64(g.count(pre, InstancesOptions{}, false))
 	}
 	return n
 }

@@ -7,11 +7,13 @@ package testgen
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
 	"zebraconf/internal/confkit"
 	"zebraconf/internal/core/agent"
+	"zebraconf/internal/core/memo"
 )
 
 // Strategy names the two representative value-assignment strategies of §4.
@@ -124,10 +126,10 @@ func (g *Generator) Quarantined(param string) bool {
 	return g.quarantined[param]
 }
 
-// eligibleGroups returns the entities that actually read param in the
-// pre-run, sorted (the §4 filtering rule), and the per-group node count.
-func eligibleGroups(rep *agent.Report, param string) []string {
-	var groups []string
+// eligibleGroups appends to groups[:0] the entities that actually read
+// param in the pre-run, sorted (the §4 filtering rule).
+func eligibleGroups(groups []string, rep *agent.Report, param string) []string {
+	groups = groups[:0]
 	for entity, params := range rep.Usage {
 		if !params[param] {
 			continue
@@ -141,11 +143,12 @@ func eligibleGroups(rep *agent.Report, param string) []string {
 	return groups
 }
 
-// fallbackGroups is the full-dispatch entity set for forced parameters:
-// every started node type plus the unit test, sorted. Without pre-run
-// read evidence there is no sharper assignment target than "everyone".
-func fallbackGroups(rep *agent.Report) []string {
-	groups := []string{agent.UnitTestEntity}
+// fallbackGroups appends to groups[:0] the full-dispatch entity set for
+// forced parameters: every started node type plus the unit test, sorted.
+// Without pre-run read evidence there is no sharper assignment target
+// than "everyone".
+func fallbackGroups(groups []string, rep *agent.Report) []string {
+	groups = append(groups[:0], agent.UnitTestEntity)
 	for entity, n := range rep.NodesStarted {
 		if n > 0 {
 			groups = append(groups, entity)
@@ -153,15 +156,6 @@ func fallbackGroups(rep *agent.Report) []string {
 	}
 	sort.Strings(groups)
 	return groups
-}
-
-// uncertainSet converts the report's uncertain parameter list to a set.
-func uncertainSet(rep *agent.Report) map[string]bool {
-	set := make(map[string]bool, len(rep.UncertainParams))
-	for _, p := range rep.UncertainParams {
-		set[p] = true
-	}
-	return set
 }
 
 // InstancesOptions tunes instance generation, mainly for the Table 5
@@ -189,30 +183,8 @@ type InstancesOptions struct {
 // only emitted for groups with at least two nodes; uncertain (test,
 // parameter) combinations are excluded.
 func (g *Generator) Instances(pre PreRun, opts InstancesOptions) []Instance {
-	rep := &pre.Report
-	if len(rep.NodesStarted) == 0 {
-		return nil
-	}
-	uncertain := uncertainSet(rep)
-	forced := make(map[string]bool, len(opts.ForceParams))
-	for _, p := range opts.ForceParams {
-		forced[p] = true
-	}
 	var out []Instance
-	for _, p := range g.schema.Params() {
-		if !g.InFilter(p.Name) || g.Quarantined(p.Name) {
-			continue
-		}
-		if uncertain[p.Name] && !opts.SkipUncertaintyFilter {
-			continue
-		}
-		groups := eligibleGroups(rep, p.Name)
-		if len(groups) == 0 && forced[p.Name] {
-			groups = fallbackGroups(rep)
-		}
-		if len(groups) == 0 {
-			continue
-		}
+	g.walk(pre, opts, true, func(p *confkit.Param, groups []string) {
 		for _, pair := range Pairs(p) {
 			for _, group := range groups {
 				for _, reversed := range []bool{false, true} {
@@ -220,7 +192,7 @@ func (g *Generator) Instances(pre PreRun, opts InstancesOptions) []Instance {
 						Test: pre.Test, Param: p.Name, Group: group,
 						Strategy: StrategyFlip, Reversed: reversed, Pair: pair,
 					})
-					if !opts.DisableRoundRobin && group != agent.UnitTestEntity && rep.NodesStarted[group] >= 2 {
+					if roundRobin(&pre.Report, opts, group) {
 						out = append(out, Instance{
 							Test: pre.Test, Param: p.Name, Group: group,
 							Strategy: StrategyRoundRobin, Reversed: reversed, Pair: pair,
@@ -229,36 +201,157 @@ func (g *Generator) Instances(pre PreRun, opts InstancesOptions) []Instance {
 				}
 			}
 		}
-	}
+	})
 	return out
+}
+
+// Count is len(Instances(pre, opts)) without generating the instances:
+// per eligible parameter, its value pairs × Σ over its groups of 2 (flip,
+// both orientations), or 4 where round-robin applies.
+func (g *Generator) Count(pre PreRun, opts InstancesOptions) int {
+	return g.count(pre, opts, true)
+}
+
+// count is Count, skipping quarantined parameters only when quarantine is
+// set: generation honours the campaign's quarantine, the Table 5 rows are
+// a function of the pre-runs alone.
+func (g *Generator) count(pre PreRun, opts InstancesOptions, quarantine bool) int {
+	n := 0
+	g.walk(pre, opts, quarantine, func(p *confkit.Param, groups []string) {
+		per := 0
+		for _, group := range groups {
+			per += 2
+			if roundRobin(&pre.Report, opts, group) {
+				per += 2
+			}
+		}
+		values := len(p.AutoValues())
+		n += values * (values - 1) / 2 * per
+	})
+	return n
+}
+
+// walk is §4's filter over one pre-run, the one shared by Instances and
+// Count: a test that starts no nodes yields nothing; a parameter is
+// skipped when outside the filter, quarantined (if quarantine is set) or
+// read through an unmappable object (unless opts keeps those); it is
+// yielded with the sorted entities that read it, or with every entity when
+// forced and read by none. groups is reused across calls to yield.
+func (g *Generator) walk(pre PreRun, opts InstancesOptions, quarantine bool, yield func(p *confkit.Param, groups []string)) {
+	rep := &pre.Report
+	if len(rep.NodesStarted) == 0 {
+		return
+	}
+	var groups []string
+	for _, p := range g.schema.Params() {
+		if !g.InFilter(p.Name) || quarantine && g.Quarantined(p.Name) {
+			continue
+		}
+		if !opts.SkipUncertaintyFilter && slices.Contains(rep.UncertainParams, p.Name) {
+			continue
+		}
+		groups = eligibleGroups(groups, rep, p.Name)
+		if len(groups) == 0 && slices.Contains(opts.ForceParams, p.Name) {
+			groups = fallbackGroups(groups, rep)
+		}
+		if len(groups) > 0 {
+			yield(p, groups)
+		}
+	}
+}
+
+// roundRobin reports whether group also gets the within-type strategy:
+// a node type the pre-run started at least two of, unless disabled.
+func roundRobin(rep *agent.Report, opts InstancesOptions, group string) bool {
+	return !opts.DisableRoundRobin && group != agent.UnitTestEntity && rep.NodesStarted[group] >= 2
 }
 
 // Assignment is the concrete per-entity value map for one leaf instance
 // run, plus the homogeneous arms Definition 3.1 requires. A pooled run has
 // no homogeneous arm and builds only its heterogeneous map
-// (Pool.Assignment).
+// (Builder.Pooled).
 type Assignment struct {
 	Hetero map[agent.Key]string
-	// Homo holds one fully homogeneous assignment per distinct value.
-	Homo []map[agent.Key]string
+	// Homo holds one fully homogeneous arm per distinct value.
+	Homo []Arm
 }
 
-// AssignFor materializes an instance against the node population the
-// pre-run observed, including dependency rules (§4: "when testing p1 with
-// v1, set p2 to v2").
+// Arm is one homogeneous arm: the assignment giving every entity one value
+// of one parameter, and its canonical digest (memo.HashAssignment). The
+// map may be shared with other instances of the same parameter and value,
+// so it is read-only.
+type Arm struct {
+	Assign map[agent.Key]string
+	Digest string
+}
+
+// AssignFor materializes one instance against the node population the
+// pre-run observed (see Builder.Leaf).
 func (g *Generator) AssignFor(in Instance, rep *agent.Report) Assignment {
-	ents := entities(rep)
-	p := g.schema.Lookup(in.Param)
-	hetero := make(map[agent.Key]string, len(ents))
-	g.heteroInto(hetero, in, ents)
-	homoA := make(map[agent.Key]string, len(ents))
-	homoB := make(map[agent.Key]string, len(ents))
-	for _, k := range ents {
-		k.Param = in.Param
-		assign(homoA, p, k, in.Pair.A)
-		assign(homoB, p, k, in.Pair.B)
+	return g.Builder(rep).Leaf(in)
+}
+
+// Builder derives every assignment of one work item from its pre-run
+// report: the entity list is computed once, and each homogeneous arm
+// (parameter, value) is built and digested once, then shared by every
+// instance that asks for it — Definition 3.1's control group depends on
+// the parameter and value, not on the instance. A Builder is not safe for
+// concurrent use; an item executes sequentially.
+type Builder struct {
+	g    *Generator
+	ents []agent.Key
+	homo map[armKey]Arm
+}
+
+// armKey names one homogeneous arm.
+type armKey struct{ param, value string }
+
+// Builder returns the assignment builder for one pre-run report.
+func (g *Generator) Builder(rep *agent.Report) *Builder {
+	return &Builder{g: g, ents: entities(rep)}
+}
+
+// Leaf materializes an instance, including dependency rules (§4: "when
+// testing p1 with v1, set p2 to v2"): a fresh heterogeneous map and the
+// two shared homogeneous arms of its value pair.
+func (b *Builder) Leaf(in Instance) Assignment {
+	hetero := make(map[agent.Key]string, len(b.ents))
+	b.g.heteroInto(hetero, in, b.ents)
+	return Assignment{Hetero: hetero, Homo: []Arm{b.Homo(in.Param, in.Pair.A), b.Homo(in.Param, in.Pair.B)}}
+}
+
+// Homo returns the homogeneous arm giving every entity value for param,
+// building and digesting it on the first request.
+func (b *Builder) Homo(param, value string) Arm {
+	k := armKey{param, value}
+	if arm, ok := b.homo[k]; ok {
+		return arm
 	}
-	return Assignment{Hetero: hetero, Homo: []map[agent.Key]string{homoA, homoB}}
+	p := b.g.schema.Lookup(param)
+	m := make(map[agent.Key]string, len(b.ents))
+	for _, e := range b.ents {
+		e.Param = param
+		assign(m, p, e, value)
+	}
+	arm := Arm{Assign: m, Digest: memo.HashAssignment(m)}
+	if b.homo == nil {
+		b.homo = make(map[armKey]Arm)
+	}
+	b.homo[k] = arm
+	return arm
+}
+
+// Pooled is a pooled run's heterogeneous assignment: every member's
+// heterogeneous assignment, merged in member order with the first writer
+// of a key winning (a dependency rule of an earlier member may set a later
+// member's parameter). A pooled run has no homogeneous arm, so none is
+// built.
+func (b *Builder) Pooled(p Pool) map[agent.Key]string {
+	pooled := make(map[agent.Key]string, len(b.ents)*len(p.Members))
+	for _, in := range p.Members {
+		b.g.heteroInto(pooled, in, b.ents)
+	}
+	return pooled
 }
 
 // heteroInto writes in's heterogeneous assignment over ents into m. Every

@@ -3,8 +3,6 @@ package testgen
 import (
 	"slices"
 	"strings"
-
-	"zebraconf/internal/core/agent"
 )
 
 // Pool is one pooled test run: several instances of DIFFERENT parameters
@@ -26,24 +24,29 @@ type Pool struct {
 // parameters). The pools share one backing array, each capped at its own
 // end, so appending to one pool's Members never writes into another's.
 func BuildPools(test string, instances []Instance, maxPool int) []Pool {
-	sorted := slices.Clone(instances)
-	slices.SortStableFunc(sorted, func(a, b Instance) int { return strings.Compare(a.Param, b.Param) })
-	// runs[i] is where the i-th parameter's instances start in sorted.
+	// order lists instances by parameter, stably: a parameter's instances
+	// keep their input order even when they are not contiguous.
+	order := make([]int32, len(instances))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortStableFunc(order, func(a, b int32) int { return strings.Compare(instances[a].Param, instances[b].Param) })
+	// runs[i] is where the i-th parameter's instances start in order.
 	var runs []int
-	for i := range sorted {
-		if i == 0 || sorted[i].Param != sorted[i-1].Param {
+	for i := range order {
+		if i == 0 || instances[order[i]].Param != instances[order[i-1]].Param {
 			runs = append(runs, i)
 		}
 	}
-	runs = append(runs, len(sorted))
+	runs = append(runs, len(order))
 
-	members := make([]Instance, 0, len(sorted))
+	members := make([]Instance, 0, len(instances))
 	var pools []Pool
 	for slot := 0; ; slot++ {
 		lo := len(members)
 		for i := 0; i+1 < len(runs); i++ {
 			if at := runs[i] + slot; at < runs[i+1] {
-				members = append(members, sorted[at])
+				members = append(members, instances[order[at]])
 			}
 		}
 		hi := len(members)
@@ -66,18 +69,4 @@ func (p Pool) Split() (Pool, Pool) {
 	mid := len(p.Members) / 2
 	return Pool{Test: p.Test, Members: p.Members[:mid:mid]},
 		Pool{Test: p.Test, Members: p.Members[mid:]}
-}
-
-// Assignment is the pooled run's heterogeneous assignment: every member's
-// heterogeneous assignment, merged in member order with the first writer
-// of a key winning (a dependency rule of an earlier member may set a later
-// member's parameter). A pooled run has no homogeneous arm, so none is
-// built.
-func (p Pool) Assignment(g *Generator, rep *agent.Report) map[agent.Key]string {
-	ents := entities(rep)
-	pooled := make(map[agent.Key]string, len(ents)*len(p.Members))
-	for _, in := range p.Members {
-		g.heteroInto(pooled, in, ents)
-	}
-	return pooled
 }

@@ -1,6 +1,7 @@
 package testgen_test
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 
@@ -47,8 +48,9 @@ func BenchmarkPoolAssignment(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		asn := in.gen.Builder(&in.pre.Report)
 		for _, p := range pools {
-			sinkAssign = p.Assignment(in.gen, &in.pre.Report)
+			sinkAssign = asn.Pooled(p)
 		}
 	}
 }
@@ -62,19 +64,36 @@ func BenchmarkBuildPools(b *testing.B) {
 	}
 }
 
-// A pooled assignment allocates its entity list and one map pre-sized to
-// hold every member: a per-member map (or a homogeneous arm) creeping
-// back in multiplies this count.
+// A pooled assignment allocates one map pre-sized to hold every member: a
+// per-member map (or a homogeneous arm) creeping back in multiplies this
+// count.
 func TestPoolAssignmentAllocs(t *testing.T) {
 	in := miniflinkPools()
 	p := testgen.BuildPools(in.pre.Test, in.insts, 0)[0]
 	if len(p.Members) < 4 {
 		t.Fatalf("largest miniflink pool has %d members, want several", len(p.Members))
 	}
-	allocs := testing.AllocsPerRun(20, func() { p.Assignment(in.gen, &in.pre.Report) })
+	asn := in.gen.Builder(&in.pre.Report)
+	allocs := testing.AllocsPerRun(20, func() { sinkAssign = asn.Pooled(p) })
 	t.Logf("%s: %d members, %.0f allocs", in.pre.Test, len(p.Members), allocs)
 	const bound = 6
 	if allocs > bound {
-		t.Fatalf("Pool.Assignment made %.0f allocations, want at most %d", allocs, bound)
+		t.Fatalf("Builder.Pooled made %.0f allocations, want at most %d", allocs, bound)
+	}
+}
+
+// A homogeneous arm is built once per item: asking for it again, as every
+// other instance of its parameter and value does, allocates nothing.
+func TestHomoArmReuseAllocs(t *testing.T) {
+	in := miniflinkPools()
+	inst := in.insts[0]
+	asn := in.gen.Builder(&in.pre.Report)
+	first := asn.Homo(inst.Param, inst.Pair.A)
+	var again testgen.Arm
+	if allocs := testing.AllocsPerRun(20, func() { again = asn.Homo(inst.Param, inst.Pair.A) }); allocs != 0 {
+		t.Fatalf("a second request for arm (%s, %s) made %.0f allocations, want 0", inst.Param, inst.Pair.A, allocs)
+	}
+	if again.Digest != first.Digest || reflect.ValueOf(again.Assign).UnsafePointer() != reflect.ValueOf(first.Assign).UnsafePointer() {
+		t.Fatalf("a second request for arm (%s, %s) built a new arm", inst.Param, inst.Pair.A)
 	}
 }

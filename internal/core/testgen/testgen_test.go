@@ -168,12 +168,12 @@ func TestAssignForFlip(t *testing.T) {
 	}
 
 	// Homogeneous arms are uniform.
-	for _, v := range asn.Homo[0] {
+	for _, v := range asn.Homo[0].Assign {
 		if v != "true" {
 			t.Fatalf("homo arm A not uniform: %v", asn.Homo[0])
 		}
 	}
-	for _, v := range asn.Homo[1] {
+	for _, v := range asn.Homo[1].Assign {
 		if v != "false" {
 			t.Fatalf("homo arm B not uniform: %v", asn.Homo[1])
 		}
@@ -262,7 +262,7 @@ func TestPoolSplitAndMergedAssignment(t *testing.T) {
 	if len(pools) == 0 || len(pools[0].Members) != 2 {
 		t.Fatalf("unexpected pool shape: %v", pools)
 	}
-	asn := pools[0].Assignment(g, &pre.Report)
+	asn := g.Builder(&pre.Report).Pooled(pools[0])
 	foundA, foundB := false, false
 	for k := range asn {
 		switch k.Param {
@@ -333,7 +333,7 @@ func TestBuildPoolsPartitionProperty(t *testing.T) {
 	}
 }
 
-// mergeAssign is the reference pooled construction Pool.Assignment must
+// mergeAssign is the reference pooled construction Builder.Pooled must
 // reproduce: members' separate heterogeneous maps, merged in member order
 // without overwriting a key an earlier member set.
 func mergeAssign(dst, src map[agent.Key]string) {
@@ -350,7 +350,7 @@ func checkPoolAssignment(t *testing.T, g *Generator, rep *agent.Report, p Pool) 
 	for _, in := range p.Members {
 		mergeAssign(want, g.AssignFor(in, rep).Hetero)
 	}
-	got := p.Assignment(g, rep)
+	got := g.Builder(rep).Pooled(p)
 	if !maps.Equal(got, want) || memo.HashAssignment(got) != memo.HashAssignment(want) {
 		t.Errorf("pool %v:\n got  %v\n want %v", p.Members, got, want)
 		return false
@@ -402,7 +402,7 @@ func TestPoolAssignmentEqualsMemberMerge(t *testing.T) {
 	p := Pool{Test: "T", Members: []Instance{dep, addr}}
 	checkPoolAssignment(t, g, &pre.Report, p)
 	k := agent.Key{NodeType: "NN", NodeIndex: 0, Param: "d.addr"}
-	if got := p.Assignment(g, &pre.Report)[k]; got != "secure-host" {
+	if got := g.Builder(&pre.Report).Pooled(p)[k]; got != "secure-host" {
 		t.Fatalf("%v = %q, want the earlier member's dependency value", k, got)
 	}
 }
