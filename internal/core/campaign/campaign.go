@@ -432,9 +432,12 @@ func Run(app *harness.App, opts Options) *Result {
 	return res
 }
 
-// selectTests resolves the test subset. Names that do not resolve are
-// returned in unknown rather than silently dropped: a typo in -tests
-// must shrink the campaign loudly, not quietly.
+// selectTests resolves the test subset. The subset is a filter on the
+// suite: tests come back in the suite's declaration order, each once,
+// however names orders or repeats them, so an item's ID does not depend
+// on how -tests was spelled. Names that do not resolve are returned in
+// unknown, in the order given, rather than silently dropped: a typo in
+// -tests must shrink the campaign loudly, not quietly.
 func selectTests(app *harness.App, names []string) (tests []*harness.UnitTest, unknown []string) {
 	if len(names) == 0 {
 		tests = make([]*harness.UnitTest, len(app.Tests))
@@ -443,13 +446,20 @@ func selectTests(app *harness.App, names []string) (tests []*harness.UnitTest, u
 		}
 		return tests, nil
 	}
+	want := make(map[string]bool, len(names))
 	for _, name := range names {
-		t, err := app.Test(name)
-		if err != nil {
-			unknown = append(unknown, name)
-			continue
+		want[name] = true
+	}
+	for i := range app.Tests {
+		if want[app.Tests[i].Name] {
+			tests = append(tests, &app.Tests[i])
+			delete(want, app.Tests[i].Name)
 		}
-		tests = append(tests, t)
+	}
+	for _, name := range names {
+		if want[name] {
+			unknown = append(unknown, name)
+		}
 	}
 	return tests, unknown
 }

@@ -8,19 +8,6 @@ import (
 	"zebraconf/internal/obs"
 )
 
-// normalizedResult renders a result with the timing field zeroed — the
-// only field scheduling is allowed to change.
-func normalizedResult(t *testing.T, res *Result) string {
-	t.Helper()
-	cp := *res
-	cp.Elapsed = 0
-	b, err := json.Marshal(&cp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(b)
-}
-
 // warmProfile returns a profile with distinct durations per synthetic
 // test, so LPT has real skew to reorder by (reverse declaration order).
 func warmProfile(numTests int) *sched.Profile {
@@ -38,9 +25,8 @@ func testName(i int) string {
 // schedOptions builds campaign options for the scheduling equivalence
 // tests. QuarantineThreshold is lifted out of reach: live cross-test
 // quarantine fires on completion order, which is exactly what scheduling
-// changes, so its timing-dependent pruning would make byte-equality
-// between dispatch orders vacuousy unachievable (and its merge-level
-// correctness has its own test).
+// changes, so its pruning would make byte-equality between dispatch orders
+// unachievable (and its merge-level correctness has its own test).
 func schedOptions(policy sched.Policy, stream bool, prof *sched.Profile, o *obs.Observer) Options {
 	return Options{
 		Parallelism:         2,
@@ -52,76 +38,75 @@ func schedOptions(policy sched.Policy, stream bool, prof *sched.Profile, o *obs.
 	}
 }
 
-// TestStreamedLPTMatchesBarrieredFIFO is the tentpole's safety property
-// in-process: streaming phase 1 into phase 2 under LPT ordering with a
-// warm profile must produce a byte-identical result to the barriered
-// FIFO baseline — the scheduler changes when items run, never what they
-// compute.
-func TestStreamedLPTMatchesBarrieredFIFO(t *testing.T) {
-	t.Parallel()
-	const n = 5
-	baseline := Run(syntheticApp(n), schedOptions(sched.FIFO, false, nil, nil))
-	o := obs.New()
-	streamed := Run(syntheticApp(n), schedOptions(sched.LPT, true, warmProfile(n), o))
-
-	if got, want := normalizedResult(t, streamed), normalizedResult(t, baseline); got != want {
-		t.Fatalf("streamed LPT diverged from barriered FIFO:\n got  %s\n want %s", got, want)
-	}
-	if len(baseline.Reported) == 0 {
-		t.Fatal("baseline reported nothing; the equivalence check is vacuous")
-	}
-	// The warm profile gives every test a distinct priority, so the LPT
-	// queue must actually have reordered dispatches.
-	if n := o.Metrics.CounterValue(obs.MSchedReordered, "app", "synthetic"); n == 0 {
-		t.Fatal("LPT streamed run recorded zero reorders; the policy never engaged")
-	}
-	if c := o.Metrics.Histogram(obs.MSchedQueueWait, nil, "app", "synthetic", "stage", "stream").Count(); c == 0 {
-		t.Fatal("streamed run recorded no queue waits")
-	}
+// dispatch is one way of ordering and releasing phase 2's work items.
+type dispatch struct {
+	policy sched.Policy
+	stream bool
+	warm   bool // start from warmProfile; otherwise no profile at all
 }
 
-// TestStreamedColdStillMatches covers the cold-campaign fallback: with
-// no profile at all, predictions come from pre-run durations measured
-// this run (nondeterministic values), and the result must still be
-// byte-identical — predictions order dispatch, nothing else.
-func TestStreamedColdStillMatches(t *testing.T) {
-	t.Parallel()
-	const n = 4
-	baseline := Run(syntheticApp(n), schedOptions(sched.FIFO, false, nil, nil))
-	streamed := Run(syntheticApp(n), schedOptions(sched.LPT, true, nil, nil))
-	if got, want := normalizedResult(t, streamed), normalizedResult(t, baseline); got != want {
-		t.Fatalf("cold streamed run diverged from barriered FIFO:\n got  %s\n want %s", got, want)
+// TestSchedEquivalence holds every dispatch setting to the same bytes: the
+// scheduler changes when items run, never what they compute. Each row runs
+// the synthetic campaign under ref and under got and compares the results
+// with only Elapsed zeroed.
+func TestSchedEquivalence(t *testing.T) {
+	fifo := dispatch{sched.FIFO, false, false}
+	lptStream := dispatch{sched.LPT, true, true}
+	cases := []struct {
+		name     string
+		n        int
+		ref, got dispatch
+		// engaged requires the LPT queue to have reordered dispatches (the
+		// warm profile gives every test a distinct priority) and the
+		// stream to have timed queue waits.
+		engaged bool
+	}{
+		{"streamed-lpt-vs-barriered-fifo", 5, fifo, lptStream, true},
+		// Cold: predictions come from pre-run durations measured this run,
+		// and order dispatch, nothing else.
+		{"streamed-cold-vs-barriered-fifo", 4, fifo, dispatch{sched.LPT, true, false}, false},
+		{"streamed-lpt-twice", 4, lptStream, lptStream, false},
+		{"barriered-lpt-vs-fifo", 4, fifo, dispatch{sched.LPT, false, true}, false},
 	}
-}
-
-// TestStreamedDeterministic runs the same streamed LPT campaign twice
-// with the same starting profile: identical results, and the profile
-// ends up warm with one estimate per conf-using work item.
-func TestStreamedDeterministic(t *testing.T) {
-	t.Parallel()
-	const n = 4
-	p1, p2 := warmProfile(n), warmProfile(n)
-	a := Run(syntheticApp(n), schedOptions(sched.LPT, true, p1, nil))
-	b := Run(syntheticApp(n), schedOptions(sched.LPT, true, p2, nil))
-	if got, want := normalizedResult(t, a), normalizedResult(t, b); got != want {
-		t.Fatalf("same seed + profile, different results:\n a %s\n b %s", got, want)
+	run := func(n int, d dispatch, o *obs.Observer) (*Result, *sched.Profile) {
+		var prof *sched.Profile
+		if d.warm {
+			prof = warmProfile(n)
+		}
+		return Run(syntheticApp(n), schedOptions(d.policy, d.stream, prof, o)), prof
 	}
-	// Every executed item (the n conf-using tests plus the node-less one)
-	// fed its duration back into the profile.
-	if p1.Len() != n+1 {
-		t.Fatalf("profile holds %d estimates after the campaign, want %d", p1.Len(), n+1)
-	}
-}
-
-// TestBarrieredLPTMatchesFIFO isolates the ordering ablation on the
-// barriered path: -sched=lpt -stream=false against the full baseline.
-func TestBarrieredLPTMatchesFIFO(t *testing.T) {
-	t.Parallel()
-	const n = 4
-	baseline := Run(syntheticApp(n), schedOptions(sched.FIFO, false, nil, nil))
-	lpt := Run(syntheticApp(n), schedOptions(sched.LPT, false, warmProfile(n), nil))
-	if got, want := normalizedResult(t, lpt), normalizedResult(t, baseline); got != want {
-		t.Fatalf("barriered LPT diverged from FIFO:\n got  %s\n want %s", got, want)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			want, _ := run(tc.n, tc.ref, nil)
+			o := obs.New()
+			got, prof := run(tc.n, tc.got, o)
+			got.Elapsed, want.Elapsed = 0, 0
+			g, err := json.Marshal(got)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if w, _ := json.Marshal(want); string(g) != string(w) {
+				t.Fatalf("results differ:\n got  %s\n want %s", g, w)
+			}
+			if len(want.Reported) == 0 {
+				t.Fatal("reference reported nothing; the equivalence check is vacuous")
+			}
+			// Every executed item (the n conf-using tests plus the
+			// node-less one) fed its duration back into the profile.
+			if prof != nil && prof.Len() != tc.n+1 {
+				t.Fatalf("profile holds %d estimates after the campaign, want %d", prof.Len(), tc.n+1)
+			}
+			if !tc.engaged {
+				return
+			}
+			if n := o.Metrics.CounterValue(obs.MSchedReordered, "app", "synthetic"); n == 0 {
+				t.Fatal("LPT streamed run recorded zero reorders; the policy never engaged")
+			}
+			if c := o.Metrics.Histogram(obs.MSchedQueueWait, nil, "app", "synthetic", "stage", "stream").Count(); c == 0 {
+				t.Fatal("streamed run recorded no queue waits")
+			}
+		})
 	}
 }
 

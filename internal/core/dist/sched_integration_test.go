@@ -7,7 +7,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"reflect"
 	"sort"
 	"strconv"
 	"strings"
@@ -19,7 +18,6 @@ import (
 	"zebraconf/internal/core/dist"
 	"zebraconf/internal/core/forensics"
 	"zebraconf/internal/core/runner"
-	"zebraconf/internal/core/sched"
 	"zebraconf/internal/obs"
 )
 
@@ -320,75 +318,5 @@ func TestServeWorkerAppliesQuarantine(t *testing.T) {
 	if quar.Executions >= base.Executions {
 		t.Fatalf("quarantine did not save work: %d executions vs %d baseline",
 			quar.Executions, base.Executions)
-	}
-}
-
-// TestSchedEquivalenceAllApps is the cross-app safety property for the
-// whole scheduler: -sched=lpt -stream=true -speculate=1.5 across worker
-// subprocesses must report the identical parameter set (and truth
-// labels) as the barriered in-process FIFO baseline on the same seed,
-// for every mini application.
-func TestSchedEquivalenceAllApps(t *testing.T) {
-	cases := []struct {
-		app    string
-		params []string
-		tests  []string
-	}{
-		{"minihdfs",
-			[]string{"dfs.bytes-per-checksum", "dfs.checksum.type"},
-			[]string{"TestWriteRead", "TestFsck", "TestMkdirList"}},
-		{"miniyarn",
-			[]string{"yarn.scheduler.maximum-allocation-mb", "yarn.timeline-service.enabled"},
-			[]string{"TestAllocationAtMaxMB", "TestTimelineQuery", "TestSubmitApplication"}},
-		{"minihbase",
-			[]string{"hadoop.rpc.protection", "hbase.client.scanner.caching", "hbase.regionserver.thrift.compact"},
-			[]string{"TestPutGet", "TestThriftAdmin"}},
-		{"minimr",
-			[]string{"mapreduce.jobhistory.max-age-ms", "mapreduce.jobhistory.address", "mapreduce.map.output.compress.codec"},
-			[]string{"TestWordCount", "TestHistoryArchive"}},
-		{"miniflink",
-			[]string{"akka.ssl.enabled", "taskmanager.numberOfTaskSlots"},
-			[]string{"TestJobSubmission", "TestSlotAllocationExact", "TestDataExchange"}},
-	}
-	const seed = 7
-	reportedSet := func(res *campaign.Result) []string {
-		var out []string
-		for _, rep := range res.Reported {
-			out = append(out, fmt.Sprintf("%s truth=%v", rep.Param, rep.Truth))
-		}
-		sort.Strings(out)
-		return out
-	}
-	for _, tc := range cases {
-		tc := tc
-		t.Run(tc.app, func(t *testing.T) {
-			t.Parallel()
-			app, err := apps.ByName(tc.app)
-			if err != nil {
-				t.Fatal(err)
-			}
-			mkOpts := func(policy sched.Policy, stream bool) campaign.Options {
-				return campaign.Options{
-					Params:      tc.params,
-					Tests:       tc.tests,
-					Seed:        seed,
-					SchedPolicy: policy,
-					Stream:      stream,
-				}
-			}
-			baseline := campaign.Run(app, mkOpts(sched.FIFO, false))
-			if len(baseline.Reported) == 0 {
-				t.Fatalf("%s subset reported nothing; the equivalence check is vacuous", tc.app)
-			}
-			sres := runDistributed(t, app, mkOpts(sched.LPT, true), dist.Options{
-				Workers:           2,
-				WorkerCmd:         workerFactory(),
-				SchedPolicy:       sched.LPT,
-				SpeculationFactor: 1.5,
-			})
-			if got, want := reportedSet(sres), reportedSet(baseline); !reflect.DeepEqual(got, want) {
-				t.Fatalf("LPT+stream+speculate changed the reported set:\n got  %v\n want %v", got, want)
-			}
-		})
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"zebraconf/internal/core/dist"
 	"zebraconf/internal/core/harness"
 	"zebraconf/internal/core/runner"
+	"zebraconf/internal/obs"
 )
 
 // workerSession is the coordinator's half of the protocol, scripted: one
@@ -74,6 +75,14 @@ func (s *workerSession) bye() {
 	s.in.Close()
 	s.out.Close()
 }
+
+// recordingDistributor keeps the work items a campaign submits and
+// executes none of them.
+type recordingDistributor struct{ items []campaign.WorkItem }
+
+func (d *recordingDistributor) Begin(obs.SpanID, int)         {}
+func (d *recordingDistributor) Submit(item campaign.WorkItem) { d.items = append(d.items, item) }
+func (d *recordingDistributor) Drain() []campaign.ItemResult  { return nil }
 
 // TestWorkerBillsAbandonmentToItsOwnItem: a worker runs up to
 // Config.Parallel items at once, and an execution that abandons a goroutine
