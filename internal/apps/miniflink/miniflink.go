@@ -144,6 +144,14 @@ var (
 	MethodSubmitJob         = rpcsim.Command[SubmitJobReq]{Name: "submitJob"}
 )
 
+var jobManagerRPC rpcsim.Service[JobManager]
+
+func init() {
+	rpcsim.HandleCommand(&jobManagerRPC, MethodRegisterTM, (*JobManager).registerTM)
+	rpcsim.Handle(&jobManagerRPC, MethodTriggerCheckpoint, (*JobManager).checkpoint)
+	rpcsim.HandleCommand(&jobManagerRPC, MethodSubmitJob, (*JobManager).deploy)
+}
+
 // TaskManager methods: deploySlot and checkpointBarrier arrive on the
 // control endpoint, exchange on the data endpoint.
 var (
@@ -151,6 +159,14 @@ var (
 	MethodCheckpointBarrier = rpcsim.Method[CheckpointReq, CheckpointAck]{Name: "checkpointBarrier"}
 	MethodExchange          = rpcsim.Command[ExchangeReq]{Name: "exchange"}
 )
+
+var taskManagerRPC rpcsim.Service[TaskManager]
+
+func init() {
+	rpcsim.HandleCommand(&taskManagerRPC, MethodDeploySlot, (*TaskManager).deploySlot)
+	rpcsim.Handle(&taskManagerRPC, MethodCheckpointBarrier, (*TaskManager).checkpointBarrier)
+	rpcsim.HandleCommand(&taskManagerRPC, MethodExchange, (*TaskManager).exchange)
+}
 
 // JobManager deploys tasks across registered TaskManagers, assuming —
 // per Flink's scheduler configuration model — that every TaskManager has
@@ -171,11 +187,8 @@ func StartJobManager(env *harness.Env, conf *confkit.Conf) (*JobManager, error) 
 	jm := &JobManager{env: env, conf: conf.RefToClone()}
 	_ = jm.conf.GetInt(ParamJMHeap)
 	_ = jm.conf.Get(ParamRestart)
-	rpc := rpcsim.NewTable("miniflink: jobmanager")
-	MethodRegisterTM.Serve(rpc, jm.registerTM)
-	MethodTriggerCheckpoint.Serve(rpc, jm.checkpoint)
-	MethodSubmitJob.Serve(rpc, jm.deploy)
-	srv, err := env.Fabric.Serve(jm.conf.Get(ParamJMAddress), controlSecurity(jm.conf), env.Scale, rpc.Handle)
+	srv, err := env.Fabric.Serve(jm.conf.Get(ParamJMAddress), controlSecurity(jm.conf), env.Scale,
+		jobManagerRPC.Bind("miniflink: jobmanager", jm))
 	if err != nil {
 		return nil, fmt.Errorf("miniflink: start jobmanager: %w", err)
 	}
@@ -274,17 +287,14 @@ func ConstructTaskManager(env *harness.Env, conf *confkit.Conf, id, jmAddr strin
 	_ = tm.conf.GetBool(ParamObjectReuse)
 	tm.memoryLog = tm.conf.GetBool(ParamMemoryLog)
 
-	// One table serves both the control and the data endpoint.
-	rpc := rpcsim.NewTable("miniflink: taskmanager " + id)
-	MethodDeploySlot.Serve(rpc, tm.deploySlot)
-	MethodCheckpointBarrier.Serve(rpc, tm.checkpointBarrier)
-	MethodExchange.Serve(rpc, tm.exchange)
-	ctl, err := env.Fabric.Serve(id+"-ctl", controlSecurity(tm.conf), env.Scale, rpc.Handle)
+	// One handler serves both the control and the data endpoint.
+	rpc := taskManagerRPC.Bind("miniflink: taskmanager "+id, tm)
+	ctl, err := env.Fabric.Serve(id+"-ctl", controlSecurity(tm.conf), env.Scale, rpc)
 	if err != nil {
 		return nil, fmt.Errorf("miniflink: taskmanager %s: %w", id, err)
 	}
 	tm.ctl = ctl
-	data, err := env.Fabric.Serve(id+"-data", dataSecurity(tm.conf), env.Scale, rpc.Handle)
+	data, err := env.Fabric.Serve(id+"-data", dataSecurity(tm.conf), env.Scale, rpc)
 	if err != nil {
 		ctl.Close()
 		return nil, fmt.Errorf("miniflink: taskmanager %s data endpoint: %w", id, err)

@@ -61,21 +61,21 @@ func TestMasterLocateConsistency(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m.Stop()
-	if _, err := m.rpc.Handle(MethodLocate.Name, []byte(`{"Table":"t","Key":"k"}`)); err == nil {
+	if _, err := m.rpc(MethodLocate.Name, []byte(`{"Table":"t","Key":"k"}`)); err == nil {
 		t.Fatal("locate with no region servers succeeded")
 	}
-	if _, err := m.rpc.Handle(MethodRegisterRS.Name, []byte(`{"RSID":"rs0","Addr":"rs0"}`)); err != nil {
+	if _, err := m.rpc(MethodRegisterRS.Name, []byte(`{"RSID":"rs0","Addr":"rs0"}`)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.rpc.Handle(MethodRegisterRS.Name, []byte(`{"RSID":"rs1","Addr":"rs1"}`)); err != nil {
+	if _, err := m.rpc(MethodRegisterRS.Name, []byte(`{"RSID":"rs1","Addr":"rs1"}`)); err != nil {
 		t.Fatal(err)
 	}
 	// Locate is deterministic for a fixed row.
-	a, err := m.rpc.Handle(MethodLocate.Name, []byte(`{"Table":"t","Key":"row"}`))
+	a, err := m.rpc(MethodLocate.Name, []byte(`{"Table":"t","Key":"row"}`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := m.rpc.Handle(MethodLocate.Name, []byte(`{"Table":"t","Key":"row"}`))
+	b, err := m.rpc(MethodLocate.Name, []byte(`{"Table":"t","Key":"row"}`))
 	if err != nil {
 		t.Fatal(err)
 	}

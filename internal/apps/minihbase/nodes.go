@@ -70,6 +70,14 @@ var (
 	MethodLocate     = rpcsim.Method[LocateReq, LocateResp]{Name: "locate"}
 )
 
+var hMasterRPC rpcsim.Service[HMaster]
+
+func init() {
+	rpcsim.HandleCommand(&hMasterRPC, MethodRegisterRS, (*HMaster).registerRS)
+	rpcsim.HandleCommand(&hMasterRPC, MethodCompactAll, (*HMaster).compactAll)
+	rpcsim.Handle(&hMasterRPC, MethodLocate, (*HMaster).locate)
+}
+
 // HRegionServer IPC methods. The thrift gateway accepts put and get under
 // the same names, inside its own envelope.
 var (
@@ -79,13 +87,22 @@ var (
 	MethodFlush = rpcsim.Command[FlushReq]{Name: "flush"}
 )
 
+var regionServerRPC rpcsim.Service[HRegionServer]
+
+func init() {
+	rpcsim.HandleCommand(&regionServerRPC, MethodPut, (*HRegionServer).put)
+	rpcsim.Handle(&regionServerRPC, MethodGet, (*HRegionServer).get)
+	rpcsim.Handle(&regionServerRPC, MethodScan, (*HRegionServer).scan)
+	rpcsim.HandleCommand(&regionServerRPC, MethodFlush, func(rs *HRegionServer, req *FlushReq) error { return rs.flush(req.Table) })
+}
+
 // HMaster assigns row ranges to region servers (hash assignment — a
 // faithful-enough stand-in for region assignment).
 type HMaster struct {
 	env  *harness.Env
 	conf *confkit.Conf
 	srv  *rpcsim.Server
-	rpc  *rpcsim.Table
+	rpc  rpcsim.Handler
 
 	mu  sync.Mutex
 	rss []RegisterRSReq
@@ -95,15 +112,13 @@ type HMaster struct {
 func StartHMaster(env *harness.Env, conf *confkit.Conf) (*HMaster, error) {
 	env.RT.StartInit(TypeHMaster)
 	defer env.RT.StopInit()
-	m := &HMaster{env: env, conf: conf.RefToClone(), rpc: rpcsim.NewTable("minihbase: hmaster")}
+	m := &HMaster{env: env, conf: conf.RefToClone()}
+	m.rpc = hMasterRPC.Bind("minihbase: hmaster", m)
 	_ = m.conf.GetBool(ParamSanityChecks)
 	_ = m.conf.GetTicks(ParamBalancerPeriod)
 	_ = m.conf.Get(ParamZKQuorum)
-	MethodRegisterRS.Serve(m.rpc, m.registerRS)
-	MethodCompactAll.Serve(m.rpc, m.compactAll)
-	MethodLocate.Serve(m.rpc, m.locate)
 	srv, err := common.ServeIPC(env.Fabric, m.conf.Get(ParamMasterAddress), m.conf, env.Scale,
-		common.SecurityFromConf(m.conf), m.rpc.Handle)
+		common.SecurityFromConf(m.conf), m.rpc)
 	if err != nil {
 		return nil, fmt.Errorf("minihbase: start hmaster: %w", err)
 	}
@@ -185,13 +200,8 @@ func StartHRegionServer(env *harness.Env, conf *confkit.Conf, id, nnAddr string)
 	}
 	rs.dfs = dfs
 
-	rpc := rpcsim.NewTable("minihbase: regionserver " + id)
-	MethodPut.Serve(rpc, rs.put)
-	MethodGet.Serve(rpc, rs.get)
-	MethodScan.Serve(rpc, rs.scan)
-	MethodFlush.Serve(rpc, func(req *FlushReq) error { return rs.flush(req.Table) })
 	srv, err := common.ServeIPC(env.Fabric, id, rs.conf, env.Scale,
-		common.SecurityFromConf(rs.conf), rpc.Handle)
+		common.SecurityFromConf(rs.conf), regionServerRPC.Bind("minihbase: regionserver "+id, rs))
 	if err != nil {
 		return nil, fmt.Errorf("minihbase: start regionserver %s: %w", id, err)
 	}

@@ -69,12 +69,7 @@ func StartBalancer(env *harness.Env, conf *confkit.Conf, addr, nnAddr string) (*
 		return nil, fmt.Errorf("minihdfs: balancer cannot reach namenode: %w", err)
 	}
 	b.nn = nn
-	rpc := rpcsim.NewTable("minihdfs: balancer")
-	MethodProgress.Serve(rpc, func(*ProgressReq) error {
-		b.touchProgress()
-		return nil
-	})
-	srv, err := env.Fabric.Serve(addr, rpcsim.Security{}, env.Scale, rpc.Handle)
+	srv, err := env.Fabric.Serve(addr, rpcsim.Security{}, env.Scale, balancerRPC.Bind("minihdfs: balancer", b))
 	if err != nil {
 		return nil, fmt.Errorf("minihdfs: start balancer: %w", err)
 	}

@@ -308,11 +308,11 @@ func TestJournalNodeSegments(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	_, err = jn.rpc.Handle(MethodJournal.Name, []byte(`{"SegmentID":0,"Edits":["e1","e2"]}`))
+	_, err = jn.rpc(MethodJournal.Name, []byte(`{"SegmentID":0,"Edits":["e1","e2"]}`))
 	mustOK(err)
-	_, err = jn.rpc.Handle(MethodFinalizeSegment.Name, []byte(`{"SegmentID":0}`))
+	_, err = jn.rpc(MethodFinalizeSegment.Name, []byte(`{"SegmentID":0}`))
 	mustOK(err)
-	_, err = jn.rpc.Handle(MethodJournal.Name, []byte(`{"SegmentID":1,"Edits":["e3"]}`))
+	_, err = jn.rpc(MethodJournal.Name, []byte(`{"SegmentID":1,"Edits":["e3"]}`))
 	mustOK(err)
 
 	finalizedOnly, err := jn.getEdits(&GetEditsReq{SinceTxn: 0, InProgressOK: false})

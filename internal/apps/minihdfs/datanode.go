@@ -123,15 +123,11 @@ func StartDataNode(env *harness.Env, conf *confkit.Conf, id, nnAddr string, opts
 	}
 	dn.moverSem = make(chan struct{}, moves)
 
-	// One table serves both the data and the peer endpoint.
-	rpc := rpcsim.NewTable("minihdfs: datanode " + id)
-	MethodWriteBlock.Serve(rpc, dn.writeBlock)
-	MethodReadBlock.Serve(rpc, dn.readBlock)
-	MethodMoveReplica.Serve(rpc, dn.moveReplica)
-	MethodReceiveReplica.Serve(rpc, dn.receiveReplica)
+	// One handler serves both the data and the peer endpoint.
+	rpc := dataNodeRPC.Bind("minihdfs: datanode "+id, dn)
 
 	dataSec := dn.transferSecurity()
-	dataSrv, err := env.Fabric.Serve(dn.DataAddr(), dataSec, env.Scale, rpc.Handle)
+	dataSrv, err := env.Fabric.Serve(dn.DataAddr(), dataSec, env.Scale, rpc)
 	if err != nil {
 		return nil, fmt.Errorf("minihdfs: start datanode %s: %w", id, err)
 	}
@@ -146,7 +142,7 @@ func StartDataNode(env *harness.Env, conf *confkit.Conf, id, nnAddr string, opts
 
 	peerSec := dataSec
 	peerSec.Version = int(dn.conf.GetInt(ParamPeerProtocolVersion))
-	peerSrv, err := env.Fabric.Serve(dn.PeerAddr(), peerSec, env.Scale, rpc.Handle)
+	peerSrv, err := env.Fabric.Serve(dn.PeerAddr(), peerSec, env.Scale, rpc)
 	if err != nil {
 		dataSrv.Close()
 		return nil, fmt.Errorf("minihdfs: start datanode %s peer endpoint: %w", id, err)

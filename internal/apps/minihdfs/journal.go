@@ -20,7 +20,7 @@ type JournalNode struct {
 	env  *harness.Env
 	conf *confkit.Conf
 	srv  *rpcsim.Server
-	rpc  *rpcsim.Table
+	rpc  rpcsim.Handler
 
 	mu        sync.Mutex
 	segments  map[int64][]string
@@ -37,13 +37,10 @@ func StartJournalNode(env *harness.Env, conf *confkit.Conf, addr string) (*Journ
 		conf:      conf.RefToClone(),
 		segments:  make(map[int64][]string),
 		finalized: make(map[int64]bool),
-		rpc:       rpcsim.NewTable("minihdfs: journalnode"),
 	}
-	MethodJournal.Serve(jn.rpc, jn.journal)
-	MethodFinalizeSegment.Serve(jn.rpc, jn.finalizeSegment)
-	MethodGetJournaledEdits.Serve(jn.rpc, jn.getEdits)
+	jn.rpc = journalNodeRPC.Bind("minihdfs: journalnode", jn)
 	sec := common.SecurityFromConf(jn.conf)
-	srv, err := common.ServeIPC(env.Fabric, addr, jn.conf, env.Scale, sec, jn.rpc.Handle)
+	srv, err := common.ServeIPC(env.Fabric, addr, jn.conf, env.Scale, sec, jn.rpc)
 	if err != nil {
 		return nil, fmt.Errorf("minihdfs: start journalnode: %w", err)
 	}

@@ -105,7 +105,7 @@ func StartNameNode(env *harness.Env, conf *confkit.Conf, addr string) (*NameNode
 
 	sec := common.SecurityFromConf(nn.conf)
 	sec.RequireToken = nn.conf.GetBool(ParamBlockAccessToken)
-	srv, err := common.ServeIPC(env.Fabric, addr, nn.conf, env.Scale, sec, nn.ipcTable().Handle)
+	srv, err := common.ServeIPC(env.Fabric, addr, nn.conf, env.Scale, sec, nameNodeRPC.Bind("minihdfs: namenode", nn))
 	if err != nil {
 		return nil, fmt.Errorf("minihdfs: start namenode: %w", err)
 	}
@@ -116,9 +116,8 @@ func StartNameNode(env *harness.Env, conf *confkit.Conf, addr string) (*NameNode
 		srv.Close()
 		return nil, err
 	}
-	webRPC := rpcsim.NewTable("minihdfs: namenode web")
-	MethodFsck.Serve(webRPC, nn.stats)
-	web, err := common.ServeWeb(env.Fabric, ParamHTTPPolicy, host, nn.conf, env.Scale, webRPC.Handle)
+	web, err := common.ServeWeb(env.Fabric, ParamHTTPPolicy, host, nn.conf, env.Scale,
+		nameNodeWebRPC.Bind("minihdfs: namenode web", nn))
 	if err != nil {
 		srv.Close()
 		return nil, fmt.Errorf("minihdfs: start namenode web: %w", err)
@@ -191,40 +190,6 @@ func (nn *NameNode) ReplWorkLimit() int64 {
 	}
 	nn.mu.Unlock()
 	return nn.conf.GetInt(ParamReplWorkMulti) * int64(live)
-}
-
-// ipcTable registers the NameNode's IPC operations.
-func (nn *NameNode) ipcTable() *rpcsim.Table {
-	rpc := rpcsim.NewTable("minihdfs: namenode")
-	MethodRegister.Serve(rpc, nn.register)
-	MethodHeartbeat.Serve(rpc, nn.heartbeat)
-	MethodBlockReceived.Serve(rpc, func(req *BlockReportReq) error { return nn.blockReport(req, true) })
-	MethodBlockDeleted.Serve(rpc, func(req *BlockReportReq) error { return nn.blockReport(req, false) })
-	MethodCreate.Serve(rpc, nn.create)
-	MethodAddBlock.Serve(rpc, nn.addBlock)
-	MethodComplete.Serve(rpc, nn.complete)
-	MethodDelete.Serve(rpc, func(req *PathReq) error { return nn.delete(req.Path) })
-	MethodMkdir.Serve(rpc, func(req *PathReq) error { return nn.mkdir(req.Path) })
-	MethodList.Serve(rpc, nn.list)
-	MethodStats.Serve(rpc, nn.stats)
-	MethodDatanodeReport.Serve(rpc, nn.datanodeReport)
-	MethodBlocksOnDN.Serve(rpc, func(req *RegisterReq) (BlocksOnDNResp, error) { return nn.blocksOnDN(req.DNID), nil })
-	MethodAdditionalDN.Serve(rpc, nn.additionalDN)
-	MethodReportBadBlocks.Serve(rpc, nn.reportBadBlocks)
-	MethodListCorrupt.Serve(rpc, nn.listCorrupt)
-	MethodCreateSnapshot.Serve(rpc, nn.createSnapshot)
-	MethodSnapshotDiff.Serve(rpc, nn.snapshotDiff)
-	MethodApproveMove.Serve(rpc, nn.approveMove)
-	MethodSaveNamespace.Serve(rpc, func(req *rpcsim.Empty) (ImageResp, error) {
-		nn.env.Scale.Sleep(saveNamespaceTicks)
-		return nn.getImage(req)
-	})
-	MethodGetImage.Serve(rpc, nn.getImage)
-	MethodAppend.Serve(rpc, func(req *PathReq) error { return nn.reopen(req.Path) })
-	MethodSetStoragePolicy.Serve(rpc, nn.setStoragePolicy)
-	MethodPolicyBlocks.Serve(rpc, func(req *SnapshotReq) (BlocksOnDNResp, error) { return nn.policyBlocks(req.Name), nil })
-	MethodGetBlockLocations.Serve(rpc, nn.blockLocations)
-	return rpc
 }
 
 func (nn *NameNode) register(req *RegisterReq) error {

@@ -39,6 +39,43 @@ var (
 // MethodFsck is the one method of the NameNode's web endpoint.
 var MethodFsck = rpcsim.Method[rpcsim.Empty, StatsResp]{Name: "fsck"}
 
+// The NameNode's IPC and web services.
+var nameNodeRPC, nameNodeWebRPC rpcsim.Service[NameNode]
+
+func init() {
+	svc := &nameNodeRPC
+	rpcsim.HandleCommand(svc, MethodRegister, (*NameNode).register)
+	rpcsim.Handle(svc, MethodHeartbeat, (*NameNode).heartbeat)
+	rpcsim.HandleCommand(svc, MethodBlockReceived, func(nn *NameNode, req *BlockReportReq) error { return nn.blockReport(req, true) })
+	rpcsim.HandleCommand(svc, MethodBlockDeleted, func(nn *NameNode, req *BlockReportReq) error { return nn.blockReport(req, false) })
+	rpcsim.HandleCommand(svc, MethodCreate, (*NameNode).create)
+	rpcsim.Handle(svc, MethodAddBlock, (*NameNode).addBlock)
+	rpcsim.HandleCommand(svc, MethodComplete, (*NameNode).complete)
+	rpcsim.HandleCommand(svc, MethodDelete, func(nn *NameNode, req *PathReq) error { return nn.delete(req.Path) })
+	rpcsim.HandleCommand(svc, MethodMkdir, func(nn *NameNode, req *PathReq) error { return nn.mkdir(req.Path) })
+	rpcsim.Handle(svc, MethodList, (*NameNode).list)
+	rpcsim.Handle(svc, MethodStats, (*NameNode).stats)
+	rpcsim.Handle(svc, MethodDatanodeReport, (*NameNode).datanodeReport)
+	rpcsim.Handle(svc, MethodBlocksOnDN, func(nn *NameNode, req *RegisterReq) (BlocksOnDNResp, error) { return nn.blocksOnDN(req.DNID), nil })
+	rpcsim.Handle(svc, MethodAdditionalDN, (*NameNode).additionalDN)
+	rpcsim.HandleCommand(svc, MethodReportBadBlocks, (*NameNode).reportBadBlocks)
+	rpcsim.Handle(svc, MethodListCorrupt, (*NameNode).listCorrupt)
+	rpcsim.HandleCommand(svc, MethodCreateSnapshot, (*NameNode).createSnapshot)
+	rpcsim.Handle(svc, MethodSnapshotDiff, (*NameNode).snapshotDiff)
+	rpcsim.HandleCommand(svc, MethodApproveMove, (*NameNode).approveMove)
+	rpcsim.Handle(svc, MethodSaveNamespace, func(nn *NameNode, req *rpcsim.Empty) (ImageResp, error) {
+		nn.env.Scale.Sleep(saveNamespaceTicks)
+		return nn.getImage(req)
+	})
+	rpcsim.Handle(svc, MethodGetImage, (*NameNode).getImage)
+	rpcsim.HandleCommand(svc, MethodAppend, func(nn *NameNode, req *PathReq) error { return nn.reopen(req.Path) })
+	rpcsim.HandleCommand(svc, MethodSetStoragePolicy, (*NameNode).setStoragePolicy)
+	rpcsim.Handle(svc, MethodPolicyBlocks, func(nn *NameNode, req *SnapshotReq) (BlocksOnDNResp, error) { return nn.policyBlocks(req.Name), nil })
+	rpcsim.Handle(svc, MethodGetBlockLocations, (*NameNode).blockLocations)
+
+	rpcsim.Handle(&nameNodeWebRPC, MethodFsck, (*NameNode).stats)
+}
+
 // DataNode data/peer endpoint methods.
 var (
 	MethodWriteBlock     = rpcsim.Command[WriteBlockReq]{Name: "writeBlock"}
@@ -47,8 +84,26 @@ var (
 	MethodReceiveReplica = rpcsim.Command[ReceiveReplicaReq]{Name: "receiveReplica"}
 )
 
+var dataNodeRPC rpcsim.Service[DataNode]
+
+func init() {
+	rpcsim.HandleCommand(&dataNodeRPC, MethodWriteBlock, (*DataNode).writeBlock)
+	rpcsim.Handle(&dataNodeRPC, MethodReadBlock, (*DataNode).readBlock)
+	rpcsim.HandleCommand(&dataNodeRPC, MethodMoveReplica, (*DataNode).moveReplica)
+	rpcsim.HandleCommand(&dataNodeRPC, MethodReceiveReplica, (*DataNode).receiveReplica)
+}
+
 // Balancer endpoint methods.
 var MethodProgress = rpcsim.Command[ProgressReq]{Name: "progress"}
+
+var balancerRPC rpcsim.Service[Balancer]
+
+func init() {
+	rpcsim.HandleCommand(&balancerRPC, MethodProgress, func(b *Balancer, _ *ProgressReq) error {
+		b.touchProgress()
+		return nil
+	})
+}
 
 // JournalNode methods.
 var (
@@ -56,6 +111,14 @@ var (
 	MethodFinalizeSegment   = rpcsim.Command[SegmentReq]{Name: "finalizeSegment"}
 	MethodGetJournaledEdits = rpcsim.Method[GetEditsReq, GetEditsResp]{Name: "getJournaledEdits"}
 )
+
+var journalNodeRPC rpcsim.Service[JournalNode]
+
+func init() {
+	rpcsim.HandleCommand(&journalNodeRPC, MethodJournal, (*JournalNode).journal)
+	rpcsim.HandleCommand(&journalNodeRPC, MethodFinalizeSegment, (*JournalNode).finalizeSegment)
+	rpcsim.Handle(&journalNodeRPC, MethodGetJournaledEdits, (*JournalNode).getEdits)
+}
 
 // RegisterReq announces a DataNode to the NameNode.
 type RegisterReq struct {

@@ -30,10 +30,10 @@ func TestMapTaskPartitionsByOwnReduceCount(t *testing.T) {
 	}
 	// Fetching a partition beyond the configured count fails — the
 	// job.reduces Table 3 mechanism.
-	if _, err := mt.rpc.Handle(MethodFetch.Name, []byte(`{"Partition":4}`)); err == nil {
+	if _, err := mt.rpc(MethodFetch.Name, []byte(`{"Partition":4}`)); err == nil {
 		t.Fatal("out-of-range partition served")
 	}
-	if _, err := mt.rpc.Handle(MethodFetch.Name, []byte(`{"Partition":3}`)); err != nil {
+	if _, err := mt.rpc(MethodFetch.Name, []byte(`{"Partition":3}`)); err != nil {
 		t.Fatalf("in-range partition: %v", err)
 	}
 }

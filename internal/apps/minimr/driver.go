@@ -38,6 +38,14 @@ var (
 	MethodGetHistory = rpcsim.Method[HistoryQuery, HistoryEvent]{Name: "get"}
 )
 
+var jobHistoryRPC rpcsim.Service[JobHistoryServer]
+
+func init() {
+	rpcsim.HandleCommand(&jobHistoryRPC, MethodRecord, (*JobHistoryServer).record)
+	rpcsim.HandleCommand(&jobHistoryRPC, MethodArchive, (*JobHistoryServer).archive)
+	rpcsim.Handle(&jobHistoryRPC, MethodGetHistory, (*JobHistoryServer).get)
+}
+
 // StartJobHistoryServer boots the history server at its configured address.
 func StartJobHistoryServer(env *harness.Env, conf *confkit.Conf) (*JobHistoryServer, error) {
 	env.RT.StartInit(TypeJobHistory)
@@ -45,12 +53,8 @@ func StartJobHistoryServer(env *harness.Env, conf *confkit.Conf) (*JobHistorySer
 	jhs := &JobHistoryServer{env: env, conf: conf.RefToClone(), jobs: make(map[string]string)}
 	_ = jhs.conf.GetTicks(ParamHistoryMaxAge)
 	addr := jhs.conf.Get(ParamHistoryAddress)
-	rpc := rpcsim.NewTable("minimr: job history")
-	MethodRecord.Serve(rpc, jhs.record)
-	MethodArchive.Serve(rpc, jhs.archive)
-	MethodGetHistory.Serve(rpc, jhs.get)
 	srv, err := common.ServeIPC(env.Fabric, addr, jhs.conf, env.Scale,
-		common.SecurityFromConf(jhs.conf), rpc.Handle)
+		common.SecurityFromConf(jhs.conf), jobHistoryRPC.Bind("minimr: job history", jhs))
 	if err != nil {
 		return nil, fmt.Errorf("minimr: start job history server: %w", err)
 	}

@@ -115,6 +115,10 @@ type FetchResp struct {
 // MethodFetch is the one method of a map task's shuffle endpoint.
 var MethodFetch = rpcsim.Method[FetchReq, FetchResp]{Name: "fetch"}
 
+var mapTaskRPC rpcsim.Service[MapTask]
+
+func init() { rpcsim.Handle(&mapTaskRPC, MethodFetch, (*MapTask).fetch) }
+
 // MapTask runs one map over its input shard, partitions the output by ITS
 // configured reduce count, encodes it with ITS intermediate settings, and
 // serves it over a shuffle endpoint secured with ITS transport settings.
@@ -123,7 +127,7 @@ type MapTask struct {
 	conf *confkit.Conf
 	idx  int64
 	srv  *rpcsim.Server
-	rpc  *rpcsim.Table
+	rpc  rpcsim.Handler
 
 	profile    bool // private state for the §7.1 trap test
 	partitions [][]byte
@@ -163,9 +167,8 @@ func StartMapTask(env *harness.Env, conf *confkit.Conf, idx int64, input []strin
 		mt.partitions[p] = encoded
 	}
 
-	mt.rpc = rpcsim.NewTable(fmt.Sprintf("minimr: map %d", idx))
-	MethodFetch.Serve(mt.rpc, mt.fetch)
-	srv, err := env.Fabric.Serve(shuffleAddr(idx), shuffleTransportSecurity(mt.conf), env.Scale, mt.rpc.Handle)
+	mt.rpc = mapTaskRPC.Bind(fmt.Sprintf("minimr: map %d", idx), mt)
+	srv, err := env.Fabric.Serve(shuffleAddr(idx), shuffleTransportSecurity(mt.conf), env.Scale, mt.rpc)
 	if err != nil {
 		return nil, fmt.Errorf("minimr: map %d: %w", idx, err)
 	}

@@ -28,7 +28,7 @@ func TestAllocateEnforcesSchedulerLimits(t *testing.T) {
 	t.Parallel()
 	env := newTestEnv(t)
 	rm := startRM(t, env)
-	if _, err := rm.rpc.Handle(MethodRegisterNM.Name, []byte(`{"NMID":"nm0","MemoryMB":8192,"Vcores":8}`)); err != nil {
+	if _, err := rm.rpc(MethodRegisterNM.Name, []byte(`{"NMID":"nm0","MemoryMB":8192,"Vcores":8}`)); err != nil {
 		t.Fatal(err)
 	}
 	// Over the memory limit (default 8192).
@@ -52,7 +52,7 @@ func TestAllocatePacksUntilFull(t *testing.T) {
 	t.Parallel()
 	env := newTestEnv(t)
 	rm := startRM(t, env)
-	if _, err := rm.rpc.Handle(MethodRegisterNM.Name, []byte(`{"NMID":"nm0","MemoryMB":1024,"Vcores":4}`)); err != nil {
+	if _, err := rm.rpc(MethodRegisterNM.Name, []byte(`{"NMID":"nm0","MemoryMB":1024,"Vcores":4}`)); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
@@ -75,7 +75,7 @@ func TestTokenLifetimeFollowsRMConf(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rm.Stop()
-	out, err := rm.rpc.Handle(MethodGetToken.Name, []byte(`{"Renewer":"r"}`))
+	out, err := rm.rpc(MethodGetToken.Name, []byte(`{"Renewer":"r"}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func FuzzTableHandle(f *testing.F) {
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		rm := startRM(t, newTestEnv(t))
 		for _, m := range methods {
-			if out, err := rm.rpc.Handle(m, payload); err == nil && len(out) == 0 {
+			if out, err := rm.rpc(m, payload); err == nil && len(out) == 0 {
 				t.Fatalf("%s(%q) returned neither a response nor an error", m, payload)
 			}
 		}

@@ -71,11 +71,29 @@ var (
 	MethodLiveNMs     = rpcsim.Method[rpcsim.Empty, int]{Name: "liveNMs"}
 )
 
+var resourceManagerRPC rpcsim.Service[ResourceManager]
+
+func init() {
+	rpcsim.HandleCommand(&resourceManagerRPC, MethodRegisterNM, (*ResourceManager).registerNM)
+	rpcsim.HandleCommand(&resourceManagerRPC, MethodHeartbeatNM, (*ResourceManager).heartbeatNM)
+	rpcsim.Handle(&resourceManagerRPC, MethodAllocate, (*ResourceManager).allocate)
+	rpcsim.Handle(&resourceManagerRPC, MethodGetToken, (*ResourceManager).getToken)
+	rpcsim.HandleCommand(&resourceManagerRPC, MethodDrainNode, (*ResourceManager).drainNode)
+	rpcsim.Handle(&resourceManagerRPC, MethodLiveNMs, (*ResourceManager).liveNMs)
+}
+
 // Timeline web service methods.
 var (
 	MethodPutEvent   = rpcsim.Command[AppEvent]{Name: "putEvent"}
 	MethodGetHistory = rpcsim.Method[AppHistoryQuery, AppHistoryResp]{Name: "getHistory"}
 )
+
+var appHistoryRPC rpcsim.Service[AppHistoryServer]
+
+func init() {
+	rpcsim.HandleCommand(&appHistoryRPC, MethodPutEvent, (*AppHistoryServer).putEvent)
+	rpcsim.Handle(&appHistoryRPC, MethodGetHistory, (*AppHistoryServer).getHistory)
+}
 
 // nmState is the ResourceManager's view of one NodeManager.
 type nmState struct {
@@ -93,7 +111,7 @@ type ResourceManager struct {
 	env  *harness.Env
 	conf *confkit.Conf
 	srv  *rpcsim.Server
-	rpc  *rpcsim.Table
+	rpc  rpcsim.Handler
 
 	scheduler string // private state for the §7.1 trap test
 
@@ -116,21 +134,15 @@ func StartResourceManager(env *harness.Env, conf *confkit.Conf) (*ResourceManage
 		nms:   make(map[string]*nmState),
 		stop:  env.Scale.NewSignal(),
 		loops: env.NewGroup(),
-		rpc:   rpcsim.NewTable("miniyarn: resourcemanager"),
 	}
+	rm.rpc = resourceManagerRPC.Bind("miniyarn: resourcemanager", rm)
 	rm.scheduler = rm.conf.Get(ParamSchedulerClass)
 	_ = rm.conf.GetInt(ParamMinAllocMB)
 	_ = rm.conf.GetInt(ParamAMMaxAttempts)
 	_ = rm.conf.GetBool(ParamFairPreemption)
 
-	MethodRegisterNM.Serve(rm.rpc, rm.registerNM)
-	MethodHeartbeatNM.Serve(rm.rpc, rm.heartbeatNM)
-	MethodAllocate.Serve(rm.rpc, rm.allocate)
-	MethodGetToken.Serve(rm.rpc, rm.getToken)
-	MethodDrainNode.Serve(rm.rpc, rm.drainNode)
-	MethodLiveNMs.Serve(rm.rpc, rm.liveNMs)
 	srv, err := common.ServeIPC(env.Fabric, rm.conf.Get(ParamRMAddress), rm.conf, env.Scale,
-		common.SecurityFromConf(rm.conf), rm.rpc.Handle)
+		common.SecurityFromConf(rm.conf), rm.rpc)
 	if err != nil {
 		return nil, fmt.Errorf("miniyarn: start resourcemanager: %w", err)
 	}
@@ -309,7 +321,7 @@ type AppHistoryServer struct {
 	env  *harness.Env
 	conf *confkit.Conf
 	srv  *rpcsim.Server
-	rpc  *rpcsim.Table
+	rpc  rpcsim.Handler
 
 	mu     sync.Mutex
 	events map[string][]string
@@ -320,10 +332,8 @@ func StartAppHistoryServer(env *harness.Env, conf *confkit.Conf) (*AppHistorySer
 	env.RT.StartInit(TypeAppHistory)
 	defer env.RT.StopInit()
 
-	ahs := &AppHistoryServer{env: env, conf: conf.RefToClone(), events: make(map[string][]string),
-		rpc: rpcsim.NewTable("miniyarn: timeline")}
-	MethodPutEvent.Serve(ahs.rpc, ahs.putEvent)
-	MethodGetHistory.Serve(ahs.rpc, ahs.getHistory)
+	ahs := &AppHistoryServer{env: env, conf: conf.RefToClone(), events: make(map[string][]string)}
+	ahs.rpc = appHistoryRPC.Bind("miniyarn: timeline", ahs)
 	srv, err := common.ServeWeb(env.Fabric, ParamHTTPPolicy, ahs.conf.Get(ParamTimelineHost),
 		ahs.conf, env.Scale, ahs.serve)
 	if err != nil {
@@ -342,7 +352,7 @@ func (ahs *AppHistoryServer) serve(method string, payload []byte) ([]byte, error
 	if !ahs.conf.GetBool(ParamTimelineEnabled) {
 		return nil, fmt.Errorf("miniyarn: timeline service is disabled on this server (%s=false)", ParamTimelineEnabled)
 	}
-	return ahs.rpc.Handle(method, payload)
+	return ahs.rpc(method, payload)
 }
 
 func (ahs *AppHistoryServer) putEvent(ev *AppEvent) error {

@@ -140,21 +140,13 @@ func (c *Conn) Call(method string, payload []byte) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("rpcsim: encode request: %w", err)
 	}
-	req, err := Decode(s.sec, wire)
+	req, err := decodeOwned(s.sec, wire)
 	if err != nil {
 		return nil, fmt.Errorf("server %s rejected request: %w", s.addr, err)
 	}
 
-	var (
-		data    []byte
-		callErr error
-	)
-	done := c.scale.NewSignal()
-	s.scale.Go(func() {
-		defer done.Fire()
-		s.scale.Sleep(s.delayTicks.Load())
-		data, callErr = s.handler(method, req)
-	})
+	cl := &call{srv: s, method: method, req: req, done: c.scale.NewSignal()}
+	s.scale.Go(cl.run)
 
 	ping, tout := s.pingTicks.Load(), c.timeoutTicks.Load()
 	now := c.scale.Now()
@@ -167,7 +159,7 @@ func (c *Conn) Call(method string, payload []byte) ([]byte, error) {
 		if ping > 0 && tout > 0 && nextPing-now <= wait {
 			wait, pingNext = nextPing-now, true
 		}
-		if c.scale.Wait(wait, done) {
+		if c.scale.Wait(wait, cl.done) {
 			break
 		}
 		now = c.scale.Now()
@@ -175,21 +167,38 @@ func (c *Conn) Call(method string, payload []byte) ([]byte, error) {
 			nextPing, deadline = nextPing+ping, now+tout
 			continue
 		}
-		if c.scale.Wait(0, done) {
+		if c.scale.Wait(0, cl.done) {
 			break
 		}
 		return nil, fmt.Errorf("%w: %s.%s after %d ticks", ErrTimeout, s.addr, method, tout)
 	}
-	if callErr != nil {
-		return nil, callErr
+	if cl.err != nil {
+		return nil, cl.err
 	}
-	respWire, err := Encode(s.sec, data)
+	respWire, err := Encode(s.sec, cl.resp)
 	if err != nil {
 		return nil, fmt.Errorf("server %s: encode response: %w", s.addr, err)
 	}
-	resp, err := Decode(c.sec, respWire)
+	resp, err := decodeOwned(c.sec, respWire)
 	if err != nil {
 		return nil, fmt.Errorf("decode response from %s: %w", s.addr, err)
 	}
 	return resp, nil
+}
+
+// call is one request in flight: what the server's goroutine runs, and
+// what it leaves for the caller once done fires.
+type call struct {
+	srv    *Server
+	method string
+	req    []byte
+	done   *simtime.Signal
+	resp   []byte
+	err    error
+}
+
+func (cl *call) run() {
+	defer cl.done.Fire()
+	cl.srv.scale.Sleep(cl.srv.delayTicks.Load())
+	cl.resp, cl.err = cl.srv.handler(cl.method, cl.req)
 }

@@ -1,16 +1,17 @@
 package rpcsim
 
 import (
-	"encoding/json"
 	"fmt"
+	"reflect"
+	"sync"
 )
 
 // Method declares one RPC: its name on the wire and the types of its
 // request and response bodies. A mini system declares each of its RPCs
 // once, next to the message types; the client calls through the
-// declaration and the server registers a handler on it, so the two cannot
-// disagree about the name or either type. Bodies are JSON, and this file
-// is the only place that says so.
+// declaration and the server handles it through a Service, so the two
+// cannot disagree about the name or either type. Bodies are the bytes
+// json.Marshal writes, built and parsed by body.go's per-type codec.
 type Method[Req, Resp any] struct{ Name string }
 
 // Command is a Method whose response carries nothing but success.
@@ -27,44 +28,29 @@ func isEmpty[T any]() bool {
 	return ok
 }
 
+// requestBufs holds the buffers request bodies are built in. A body is
+// dead once Conn.Call has copied it into the request's frame.
+var requestBufs = sync.Pool{New: func() any { return new([]byte) }}
+
 // Call performs the RPC on c. Errors returned by the server's handler
 // reach the caller as they are.
 func (m Method[Req, Resp]) Call(c *Conn, req Req) (resp Resp, err error) {
-	body := emptyBody
-	if !isEmpty[Req]() {
-		if body, err = json.Marshal(req); err != nil {
-			return resp, fmt.Errorf("rpcsim: marshal %s request: %w", m.Name, err)
-		}
+	var out []byte
+	if isEmpty[Req]() {
+		out, err = c.Call(m.Name, emptyBody)
+	} else {
+		buf := requestBufs.Get().(*[]byte)
+		*buf = appendBody((*buf)[:0], &req)
+		out, err = c.Call(m.Name, *buf)
+		requestBufs.Put(buf)
 	}
-	out, err := c.Call(m.Name, body)
 	if err != nil || isEmpty[Resp]() {
 		return resp, err
 	}
-	if err := json.Unmarshal(out, &resp); err != nil {
+	if err := decodeBody(out, &resp); err != nil {
 		return resp, fmt.Errorf("rpcsim: unmarshal %s response: %w", m.Name, err)
 	}
 	return resp, nil
-}
-
-// Serve registers fn on t as the handler of the RPC.
-func (m Method[Req, Resp]) Serve(t *Table, fn func(*Req) (Resp, error)) {
-	noReq, noResp := isEmpty[Req](), isEmpty[Resp]()
-	t.add(m.Name, func(payload []byte) ([]byte, error) {
-		var req Req
-		if !noReq {
-			if err := json.Unmarshal(payload, &req); err != nil {
-				return nil, fmt.Errorf("rpcsim: bad %s request: %w", m.Name, err)
-			}
-		}
-		resp, err := fn(&req)
-		if err != nil {
-			return nil, err
-		}
-		if noResp {
-			return emptyBody, nil
-		}
-		return json.Marshal(resp)
-	})
 }
 
 // Call performs the RPC on c and discards the empty response.
@@ -73,37 +59,75 @@ func (m Command[Req]) Call(c *Conn, req Req) error {
 	return err
 }
 
-// Serve registers fn on t as the handler of the RPC.
-func (m Command[Req]) Serve(t *Table, fn func(*Req) error) {
-	Method[Req, Empty](m).Serve(t, func(req *Req) (Empty, error) { return Empty{}, fn(req) })
+// Service is the set of RPCs one node type N serves. It is declared once,
+// next to N's Methods, and filled at package initialisation by Handle and
+// HandleCommand; Bind then serves it for one node. A Service is only read
+// once filled, so every node of every execution shares it.
+type Service[N any] struct {
+	methods []serviceMethod[N]
 }
 
-// Table is the set of RPCs one node serves. It is filled by the node's
-// constructor, before the endpoint is bound, and only read afterwards.
-type Table struct {
-	node    string
-	methods map[string]func(payload []byte) ([]byte, error)
+type serviceMethod[N any] struct {
+	name  string
+	serve func(n *N, payload []byte) ([]byte, error)
 }
 
-// NewTable returns an empty table. node names the server in the error a
-// caller of an unregistered method receives.
-func NewTable(node string) *Table {
-	return &Table{node: node, methods: make(map[string]func([]byte) ([]byte, error))}
-}
-
-func (t *Table) add(name string, h func([]byte) ([]byte, error)) {
-	if _, dup := t.methods[name]; dup {
-		panic(fmt.Sprintf("rpcsim: %s: method %q registered twice", t.node, name))
+// Handle adds m to svc, served by fn: usually a method expression such as
+// (*NameNode).heartbeat. It builds the codecs of both bodies, so a wire
+// type outside the supported set panics here, naming the type and field.
+func Handle[N, Req, Resp any](svc *Service[N], m Method[Req, Resp], fn func(*N, *Req) (Resp, error)) {
+	noReq, noResp := isEmpty[Req](), isEmpty[Resp]()
+	if !noReq {
+		codecFor(reflect.TypeFor[Req]())
 	}
-	t.methods[name] = h
+	var out *bodyCodec
+	if !noResp {
+		out = codecFor(reflect.TypeFor[Resp]())
+	}
+	svc.add(m.Name, func(n *N, payload []byte) ([]byte, error) {
+		var req Req
+		if !noReq {
+			if err := decodeBody(payload, &req); err != nil {
+				return nil, fmt.Errorf("rpcsim: bad %s request: %w", m.Name, err)
+			}
+		}
+		resp, err := fn(n, &req)
+		if err != nil {
+			return nil, err
+		}
+		if noResp {
+			return emptyBody, nil
+		}
+		body := out.encode(make([]byte, 0, out.size.Load()), reflect.ValueOf(&resp).Elem())
+		out.size.Store(int64(len(body)))
+		return body, nil
+	})
 }
 
-// Handle dispatches one call; it is the Handler to bind the node's
-// endpoint with.
-func (t *Table) Handle(method string, payload []byte) ([]byte, error) {
-	h, ok := t.methods[method]
-	if !ok {
-		return nil, fmt.Errorf("%s: unknown method %q", t.node, method)
+// HandleCommand adds m to svc, served by fn.
+func HandleCommand[N, Req any](svc *Service[N], m Command[Req], fn func(*N, *Req) error) {
+	Handle(svc, Method[Req, Empty](m), func(n *N, req *Req) (Empty, error) { return Empty{}, fn(n, req) })
+}
+
+func (svc *Service[N]) add(name string, serve func(*N, []byte) ([]byte, error)) {
+	for _, m := range svc.methods {
+		if m.name == name {
+			panic(fmt.Sprintf("rpcsim: method %q registered twice", name))
+		}
 	}
-	return h(payload)
+	svc.methods = append(svc.methods, serviceMethod[N]{name, serve})
+}
+
+// Bind returns the Handler that serves svc for n; it is the node's
+// endpoint handler. node names the server in the error a caller of a
+// method svc does not serve receives.
+func (svc *Service[N]) Bind(node string, n *N) Handler {
+	return func(method string, payload []byte) ([]byte, error) {
+		for i := range svc.methods {
+			if svc.methods[i].name == method {
+				return svc.methods[i].serve(n, payload)
+			}
+		}
+		return nil, fmt.Errorf("%s: unknown method %q", node, method)
+	}
 }

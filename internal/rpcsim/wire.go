@@ -69,6 +69,7 @@ var (
 
 // Encode converts a plaintext payload into wire bytes according to sec:
 // plaintext -> magic-tagged -> compressed (optional) -> encrypted (optional).
+// The result is a new frame; payload is not retained.
 func Encode(sec Security, payload []byte) ([]byte, error) {
 	body := make([]byte, 0, len(payload)+8)
 	body = append(body, magicPlain...)
@@ -87,19 +88,33 @@ func Encode(sec Security, payload []byte) ([]byte, error) {
 		body = framed
 	}
 	if sec.Encrypt {
-		body = xorKeystream(sec.Key, body)
+		xorInto(sec.Key, body, body)
 	}
 	return body, nil
 }
 
 // Decode reverses Encode according to the receiver's sec. When the sender
 // used different settings, it fails with ErrBadRecord (encryption skew),
-// ErrBadHeader (compression skew), or ErrUnknownCodec (codec skew).
+// ErrBadHeader (compression skew), or ErrUnknownCodec (codec skew). wire is
+// left as it was.
 func Decode(sec Security, wire []byte) ([]byte, error) {
-	body := wire
 	if sec.Encrypt {
-		body = xorKeystream(sec.Key, body)
+		wire = xorKeystream(sec.Key, wire)
 	}
+	return unframe(sec, wire)
+}
+
+// decodeOwned is Decode for a frame no one else holds: it decrypts in
+// place, and what it returns may share the frame's memory.
+func decodeOwned(sec Security, frame []byte) ([]byte, error) {
+	if sec.Encrypt {
+		xorInto(sec.Key, frame, frame)
+	}
+	return unframe(sec, frame)
+}
+
+// unframe reverses Encode's framing and compression on decrypted bytes.
+func unframe(sec Security, body []byte) ([]byte, error) {
 	if sec.Codec != CodecNone {
 		if len(body) < 3 || !bytes.Equal(body[:2], magicCMP) {
 			// Expected a compressed stream; if the bytes happen to carry
@@ -139,7 +154,12 @@ func Decode(sec Security, wire []byte) ([]byte, error) {
 // It is an involution: applying it twice with the same key restores the
 // input; applying it with a different key (or once) yields garbage.
 func xorKeystream(key string, data []byte) []byte {
-	out := make([]byte, len(data))
+	return xorInto(key, make([]byte, len(data)), data)
+}
+
+// xorInto writes src under key's keystream to dst, which has src's length
+// and may be src itself.
+func xorInto(key string, dst, src []byte) []byte {
 	// FNV-style rolling state seeded by the key.
 	var state uint64 = 1469598103934665603
 	for i := 0; i < len(key); i++ {
@@ -147,14 +167,14 @@ func xorKeystream(key string, data []byte) []byte {
 		state *= 1099511628211
 	}
 	seed := state
-	for i := range data {
+	for i := range src {
 		s := seed ^ uint64(i)*0x9E3779B97F4A7C15
 		s ^= s >> 33
 		s *= 0xFF51AFD7ED558CCD
 		s ^= s >> 33
-		out[i] = data[i] ^ byte(s)
+		dst[i] = src[i] ^ byte(s)
 	}
-	return out
+	return dst
 }
 
 func codecByte(name string) byte {
