@@ -163,6 +163,28 @@ func TestRegistryIncludeSkipsDuplicates(t *testing.T) {
 	}
 }
 
+// Index numbers a registry's parameters by their place in Names, through
+// Include (which numbers the included parameters after the registry's own)
+// and WithDefaults (which keeps the numbering).
+func TestRegistryIndexIsNamesOrder(t *testing.T) {
+	t.Parallel()
+	base := NewRegistry()
+	base.Register(Param{Name: "shared", Kind: Int, Default: "1"}, Param{Name: "base.only", Kind: Int, Default: "2"})
+	top := NewRegistry()
+	top.Register(Param{Name: "own", Kind: String}, Param{Name: "shared", Kind: Int, Default: "99"})
+	top.Include(base)
+	for _, r := range []*Registry{base, top, top.WithDefaults(map[string]string{"shared": "5"})} {
+		for want, name := range r.Names() {
+			if got, ok := r.Index(name); !ok || got != want {
+				t.Errorf("Index(%q) = %d, %v; want %d, true (Names %v)", name, got, ok, want, r.Names())
+			}
+		}
+		if _, ok := r.Index("unregistered"); ok {
+			t.Errorf("Index of an unregistered name reports it registered")
+		}
+	}
+}
+
 func TestAutoValuesPolicy(t *testing.T) {
 	t.Parallel()
 	boolP := Param{Name: "b", Kind: Bool, Default: "false"}

@@ -174,13 +174,19 @@ func dedup(in []string) []string {
 // It is immutable after construction in normal use; Register is not safe for
 // concurrent use with lookups.
 type Registry struct {
-	params map[string]*Param
+	params map[string]slot
 	order  []string
+}
+
+// slot is one registered parameter and its position in registration order.
+type slot struct {
+	p     *Param
+	index int
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{params: make(map[string]*Param)}
+	return &Registry{params: make(map[string]slot)}
 }
 
 // Register adds params to the registry. It panics on duplicate or empty
@@ -199,7 +205,7 @@ func (r *Registry) Register(params ...Param) *Registry {
 			panic("confkit: " + err.Error())
 		}
 		cp := p
-		r.params[p.Name] = &cp
+		r.params[p.Name] = slot{p: &cp, index: len(r.order)}
 		r.order = append(r.order, p.Name)
 	}
 	return r
@@ -238,7 +244,7 @@ func (r *Registry) Include(other *Registry) *Registry {
 		if _, dup := r.params[name]; dup {
 			continue
 		}
-		r.params[name] = other.params[name]
+		r.params[name] = slot{p: other.params[name].p, index: len(r.order)}
 		r.order = append(r.order, name)
 	}
 	return r
@@ -249,31 +255,39 @@ func (r *Registry) Include(other *Registry) *Registry {
 // not touched: the result gets its own copy of each Param it changes and
 // shares the rest, the way Include shares them between apps.
 func (r *Registry) WithDefaults(overrides map[string]string) *Registry {
-	out := &Registry{params: make(map[string]*Param, len(r.params)), order: slices.Clip(r.order)}
-	for name, p := range r.params {
+	out := &Registry{params: make(map[string]slot, len(r.params)), order: slices.Clip(r.order)}
+	for name, s := range r.params {
 		if val, ok := overrides[name]; ok {
-			cp := *p
+			cp := *s.p
 			cp.Default = val
-			p = &cp
+			s.p = &cp
 		}
-		out.params[name] = p
+		out.params[name] = s
 	}
 	return out
 }
 
 // Lookup returns the parameter named name, or nil.
 func (r *Registry) Lookup(name string) *Param {
-	return r.params[name]
+	return r.params[name].p
+}
+
+// Index returns name's position in registration order (the position of
+// its name in Names) and whether name is registered. A registry derived by
+// WithDefaults numbers its parameters as its original does.
+func (r *Registry) Index(name string) (int, bool) {
+	s, ok := r.params[name]
+	return s.index, ok
 }
 
 // Default returns the registered default for name and whether name is
 // registered.
 func (r *Registry) Default(name string) (string, bool) {
-	p := r.params[name]
-	if p == nil {
+	s, ok := r.params[name]
+	if !ok {
 		return "", false
 	}
-	return p.Default, true
+	return s.p.Default, true
 }
 
 // Names returns all parameter names in registration order.
@@ -297,7 +311,7 @@ func (r *Registry) Len() int { return len(r.order) }
 func (r *Registry) Params() []*Param {
 	out := make([]*Param, 0, len(r.order))
 	for _, name := range r.order {
-		out = append(out, r.params[name])
+		out = append(out, r.params[name].p)
 	}
 	return out
 }
@@ -306,8 +320,8 @@ func (r *Registry) Params() []*Param {
 // ground-truth label.
 func (r *Registry) TruthCount(s Safety) int {
 	n := 0
-	for _, p := range r.params {
-		if p.Truth == s {
+	for _, e := range r.params {
+		if e.p.Truth == s {
 			n++
 		}
 	}

@@ -24,6 +24,7 @@ package agent
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -161,22 +162,32 @@ type nodeInfo struct {
 	parentConfID uint64
 }
 
+// window is one threadContext entry (paper §6.1): goroutine g is inside
+// the init window of node, or inherited it.
+type window struct {
+	g, node uint64
+}
+
 // Agent is a single-use ConfAgent instance. It implements confkit.Hooks.
 // All methods are safe for concurrent use by the nodes of one unit test.
+//
+// Its tables are sized for one execution, which holds a handful of each
+// (DESIGN.md §2): slices searched linearly, allocated at first use with
+// the capacities below.
 type Agent struct {
 	strategy Strategy
 	assign   map[Key]string
 	identity func() uint64
 
 	mu sync.Mutex
-	// threadCtx maps a goroutine's identity to the stack of node IDs whose
-	// init functions are executing on it; the base element may be an
-	// inherited ownership installed by Inherit.
-	threadCtx map[uint64][]uint64
+	// windows is the threadContext: the open init windows (and inherited
+	// ownerships, installed by Inherit) of every goroutine, oldest first.
+	// A goroutine's innermost window is its last entry.
+	windows []window
 
 	nodes []nodeInfo
 	// confs is the object table, one entry per configuration-object ID.
-	confs map[uint64]confEntry
+	confs []confEntry
 
 	// report keeps the Report's bookkeeping: the per-object read sets and,
 	// under StrategyThreadOnly, threadReads (entity -> params).
@@ -190,18 +201,36 @@ type Agent struct {
 	readLog      []ReadEvent
 	readsDropped int
 
-	// coverage turns on the uncapped deduplicating coverage sink: the
-	// union of the per-object read sets when the report is kept, else
-	// covParams. covSites adds per-param callsites.
-	coverage  bool
-	covParams map[string]bool
-	covSites  map[string]map[string]bool
+	// coverage turns on the uncapped deduplicating coverage sink: covNames
+	// holds each parameter read, once, in first-read order. Membership is
+	// a bit of covBits, indexed by the parameter's position in schema (the
+	// schema of the first object read), or for a name outside it an entry
+	// of covOther. covSites adds per-param callsites.
+	coverage bool
+	schema   *confkit.Registry
+	covBits  []uint64
+	covNames []string
+	covOther []string
+	covSites map[string]map[string]bool
 }
 
+// The tables' capacities at first use. Over the mini systems' suites an
+// execution holds 3.5–5.2 objects, 2.5–4.2 nodes and 10–35 distinct
+// parameters read on average per app, and at most 9, 8 and 44, with at
+// most 6 windows open (DESIGN.md §2): the smaller systems' executions fit,
+// the larger ones grow a table once or twice.
+const (
+	confsCap    = 4
+	nodesCap    = 4
+	windowsCap  = 4
+	covNamesCap = 16
+)
+
 // confEntry is one configuration object's row in the object table: its
-// owner, the original it was cloned from, and — only when the report is
-// kept — the parameters read through it.
+// ID, its owner, the original it was cloned from, and — only when the
+// report is kept — the parameters read through it.
 type confEntry struct {
+	id uint64
 	// conf is the object; nil for an ID the agent knows only as an
 	// ancestor or through a read, which the report does not count.
 	conf *confkit.Conf
@@ -221,8 +250,6 @@ func New(opts Options) *Agent {
 		assign:     opts.Assign,
 		traceReads: opts.TraceReads,
 		identity:   opts.Identity,
-		threadCtx:  make(map[uint64][]uint64),
-		confs:      make(map[uint64]confEntry),
 		report:     !opts.Trial,
 		coverage:   opts.Coverage || opts.CoverageSites,
 	}
@@ -231,9 +258,6 @@ func New(opts Options) *Agent {
 	}
 	if a.report && a.strategy == StrategyThreadOnly {
 		a.threadReads = make(map[string]map[string]bool)
-	}
-	if a.coverage && !a.report {
-		a.covParams = make(map[string]bool)
 	}
 	if opts.CoverageSites {
 		a.covSites = make(map[string]map[string]bool)
@@ -258,9 +282,12 @@ func (a *Agent) StartInit(nodeType string) {
 			index++
 		}
 	}
+	if a.nodes == nil {
+		a.nodes = make([]nodeInfo, 0, nodesCap)
+	}
 	a.nodes = append(a.nodes, nodeInfo{nodeType: nodeType, index: index})
 	if g != 0 { // no goroutine of the execution, no window: they would all share it
-		a.threadCtx[g] = append(a.threadCtx[g], uint64(len(a.nodes)))
+		a.openLocked(g, uint64(len(a.nodes)))
 	}
 }
 
@@ -269,15 +296,8 @@ func (a *Agent) StopInit() {
 	g := a.identity()
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	stack := a.threadCtx[g]
-	if len(stack) == 0 {
-		return
-	}
-	stack = stack[:len(stack)-1]
-	if len(stack) == 0 {
-		delete(a.threadCtx, g)
-	} else {
-		a.threadCtx[g] = stack
+	if i := a.innermostLocked(g); i >= 0 {
+		a.windows = slices.Delete(a.windows, i, i+1)
 	}
 }
 
@@ -289,10 +309,7 @@ func (a *Agent) StopInit() {
 func (a *Agent) Inherit(fn func()) func() {
 	g := a.identity()
 	a.mu.Lock()
-	var inherit uint64
-	if stack := a.threadCtx[g]; len(stack) > 0 {
-		inherit = stack[len(stack)-1]
-	}
+	inherit := a.currentNodeLocked(g)
 	a.mu.Unlock()
 	if inherit == 0 {
 		return fn
@@ -304,36 +321,88 @@ func (a *Agent) Inherit(fn func()) func() {
 			return
 		}
 		a.mu.Lock()
-		a.threadCtx[cg] = append(a.threadCtx[cg], inherit)
+		a.openLocked(cg, inherit)
 		a.mu.Unlock()
 		defer func() {
 			a.mu.Lock()
-			delete(a.threadCtx, cg)
+			a.windows = slices.DeleteFunc(a.windows, func(w window) bool { return w.g == cg })
 			a.mu.Unlock()
 		}()
 		fn()
 	}
 }
 
+// openLocked opens goroutine g's window on node: its innermost from now.
+func (a *Agent) openLocked(g, node uint64) {
+	if a.windows == nil {
+		a.windows = make([]window, 0, windowsCap)
+	}
+	a.windows = append(a.windows, window{g: g, node: node})
+}
+
+// innermostLocked returns the position of goroutine g's innermost window
+// in a.windows, or -1.
+func (a *Agent) innermostLocked(g uint64) int {
+	for i := len(a.windows) - 1; i >= 0; i-- {
+		if a.windows[i].g == g {
+			return i
+		}
+	}
+	return -1
+}
+
 // currentNodeLocked returns the ID of the node whose init window (or
 // inherited ownership) covers goroutine g, or 0.
 func (a *Agent) currentNodeLocked(g uint64) uint64 {
-	stack := a.threadCtx[g]
-	if len(stack) == 0 {
-		return 0
+	if i := a.innermostLocked(g); i >= 0 {
+		return a.windows[i].node
 	}
-	return stack[len(stack)-1]
+	return 0
 }
 
 // node returns the node table entry of node id.
 func (a *Agent) node(id uint64) *nodeInfo { return &a.nodes[id-1] }
+
+// findLocked returns the position of object id's entry in the object
+// table, or -1.
+func (a *Agent) findLocked(id uint64) int {
+	for i := range a.confs {
+		if a.confs[i].id == id {
+			return i
+		}
+	}
+	return -1
+}
+
+// entryLocked returns object id's entry, adding an empty (uncertain) one
+// if the table has none. The pointer is good until the next entry is
+// added.
+func (a *Agent) entryLocked(id uint64) *confEntry {
+	if i := a.findLocked(id); i >= 0 {
+		return &a.confs[i]
+	}
+	if a.confs == nil {
+		a.confs = make([]confEntry, 0, confsCap)
+	}
+	a.confs = append(a.confs, confEntry{id: id})
+	return &a.confs[len(a.confs)-1]
+}
+
+// ownerLocked returns object id's owner: uncertain when the table has no
+// entry for it.
+func (a *Agent) ownerLocked(id uint64) owner {
+	if i := a.findLocked(id); i >= 0 {
+		return a.confs[i].owner
+	}
+	return owner{}
+}
 
 // NewConf implements Rules 1.1 and 1.2 for the blank constructor.
 func (a *Agent) NewConf(c *confkit.Conf) {
 	g := a.identity()
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	e := a.confs[c.ID()]
+	e := a.entryLocked(c.ID())
 	e.conf = c
 	switch id := a.currentNodeLocked(g); {
 	case id != 0:
@@ -343,7 +412,6 @@ func (a *Agent) NewConf(c *confkit.Conf) {
 	default:
 		e.owner = owner{kind: ownerUncertain}
 	}
-	a.confs[c.ID()] = e
 }
 
 // CloneConf implements Rule 3 for the clone constructor: the clone joins the
@@ -351,16 +419,14 @@ func (a *Agent) NewConf(c *confkit.Conf) {
 func (a *Agent) CloneConf(orig, clone *confkit.Conf) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	e := a.confs[clone.ID()]
+	o := a.ownerLocked(orig.ID())
+	e := a.entryLocked(clone.ID())
 	e.conf, e.parent = clone, orig.ID()
-	if o := a.confs[orig.ID()].owner; o.kind != ownerUncertain {
+	if o.kind != ownerUncertain {
 		e.owner = o
-	} else if e.owner.kind != ownerUncertain {
-		oe := a.confs[orig.ID()]
-		oe.owner = e.owner
-		a.confs[orig.ID()] = oe
+	} else if o = e.owner; o.kind != ownerUncertain {
+		a.entryLocked(orig.ID()).owner = o
 	}
-	a.confs[clone.ID()] = e
 }
 
 // RefToClone implements Rule 2: called from a node's init function in place
@@ -372,33 +438,31 @@ func (a *Agent) RefToClone(orig *confkit.Conf) *confkit.Conf {
 	clone := orig.CloneForAgent()
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	oe, ce := a.confs[orig.ID()], a.confs[clone.ID()]
-	oe.conf, ce.conf = orig, clone
+	a.entryLocked(orig.ID()).conf = orig
+	ce := a.entryLocked(clone.ID())
+	ce.conf = clone
 	id := a.currentNodeLocked(g)
 	if id == 0 {
 		// Misuse: refToCloneConf outside an init window. Keep the original
 		// reference and count the anomaly; the object mapping is unchanged.
-		a.confs[orig.ID()], a.confs[clone.ID()] = oe, ce
 		a.refAnomalies++
 		return orig
 	}
 	ce.owner, ce.parent = owner{kind: ownerNode, nodeID: id}, orig.ID()
-	a.confs[clone.ID()] = ce
 	a.node(id).parentConfID = orig.ID()
 	// Rule 2: the shared original belongs to the unit test...
+	oe := a.entryLocked(orig.ID())
 	if oe.owner.kind == ownerUncertain {
 		oe.owner = owner{kind: ownerUnitTest}
 	}
 	if oe.owner.kind == ownerUnitTest {
 		a.shared = true // a unit-test object was handed to a node: sharing observed
 	}
-	a.confs[orig.ID()] = oe
 	// ...and so do its uncertain ancestors (Rule 3 walk).
 	for id := oe.parent; id != 0; {
-		pe := a.confs[id]
+		pe := a.entryLocked(id)
 		if pe.owner.kind == ownerUncertain {
 			pe.owner = owner{kind: ownerUnitTest}
-			a.confs[id] = pe
 		}
 		id = pe.parent
 	}
@@ -423,9 +487,6 @@ func (a *Agent) InterceptGet(c *confkit.Conf, name, stored string, found bool) (
 	}
 	a.mu.Lock()
 	a.confUsed = true
-	if a.covParams != nil {
-		a.covParams[name] = true
-	}
 	if a.covSites != nil && callsite != "" {
 		set := a.covSites[name]
 		if set == nil {
@@ -434,13 +495,22 @@ func (a *Agent) InterceptGet(c *confkit.Conf, name, stored string, found bool) (
 		}
 		set[callsite] = true
 	}
-	e := a.confs[c.ID()]
+	var o owner
+	newRead := true // no earlier read of name through c is on record
 	if a.report {
-		if e.reads == nil {
-			e.reads = make(map[string]bool)
-			a.confs[c.ID()] = e
+		e := a.entryLocked(c.ID())
+		if newRead = !e.reads[name]; newRead {
+			if e.reads == nil {
+				e.reads = make(map[string]bool)
+			}
+			e.reads[name] = true
 		}
-		e.reads[name] = true
+		o = e.owner
+	} else {
+		o = a.ownerLocked(c.ID())
+	}
+	if a.coverage && newRead {
+		a.coverLocked(c, name)
 	}
 
 	var key Key
@@ -465,7 +535,7 @@ func (a *Agent) InterceptGet(c *confkit.Conf, name, stored string, found bool) (
 		key = Key{NodeType: entity, NodeIndex: index, Param: name}
 		haveKey = true
 	default:
-		switch o := e.owner; o.kind {
+		switch o.kind {
 		case ownerNode:
 			n := a.node(o.nodeID)
 			key = Key{NodeType: n.nodeType, NodeIndex: n.index, Param: name}
@@ -514,6 +584,28 @@ func (a *Agent) ReadTrace() ([]ReadEvent, int) {
 	return out, a.readsDropped
 }
 
+// coverLocked adds name, read through c, to the coverage set.
+func (a *Agent) coverLocked(c *confkit.Conf, name string) {
+	schema := c.Runtime().Schema()
+	if a.schema == nil {
+		a.schema = schema
+		a.covBits = make([]uint64, (schema.Len()+63)/64)
+		a.covNames = make([]string, 0, covNamesCap)
+	}
+	if i, ok := schema.Index(name); ok && schema == a.schema && i/64 < len(a.covBits) {
+		bit := uint64(1) << (i % 64)
+		if a.covBits[i/64]&bit != 0 {
+			return
+		}
+		a.covBits[i/64] |= bit
+	} else if slices.Contains(a.covOther, name) {
+		return
+	} else {
+		a.covOther = append(a.covOther, name)
+	}
+	a.covNames = append(a.covNames, name)
+}
+
 // CoverageParams returns the sorted, deduplicated set of parameters
 // this execution read. Nil unless Options.Coverage (or CoverageSites)
 // was set. Unlike ReadTrace, this sink has no cap: every distinct
@@ -524,19 +616,8 @@ func (a *Agent) CoverageParams() []string {
 	if !a.coverage {
 		return nil
 	}
-	set := a.covParams
-	if a.report { // every read is in its object's read set
-		set = make(map[string]bool)
-		for _, e := range a.confs {
-			for p := range e.reads {
-				set[p] = true
-			}
-		}
-	}
-	out := make([]string, 0, len(set))
-	for p := range set {
-		out = append(out, p)
-	}
+	out := make([]string, len(a.covNames))
+	copy(out, a.covNames)
 	sort.Strings(out)
 	return out
 }
@@ -639,9 +720,11 @@ func (a *Agent) InterceptSet(c *confkit.Conf, name, value string) {
 	a.mu.Lock()
 	a.confUsed = true
 	var parent *confkit.Conf
-	if o := a.confs[c.ID()].owner; o.kind == ownerNode {
+	if o := a.ownerLocked(c.ID()); o.kind == ownerNode {
 		if pid := a.node(o.nodeID).parentConfID; pid != 0 {
-			parent = a.confs[pid].conf
+			if i := a.findLocked(pid); i >= 0 {
+				parent = a.confs[i].conf
+			}
 		}
 	}
 	a.mu.Unlock()

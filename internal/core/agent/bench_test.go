@@ -12,8 +12,9 @@ import (
 // initializes on a goroutine of its own (a scripted identity) and creates
 // its objects, the second a clone of the first (Rule 3); the unit test
 // holds one object; the reads go round-robin over the objects and the
-// parameters, each on the goroutine of its object's owner. The objects
-// are made once, on a runtime with no hooks.
+// parameters, each on the goroutine of its object's owner. The parameters
+// are registered, as an app's are; the objects are made once, on a
+// runtime with no hooks.
 type agentScenario struct {
 	cur    uint64
 	test   *confkit.Conf
@@ -23,15 +24,16 @@ type agentScenario struct {
 }
 
 func newAgentScenario(nodes, objsPerNode, params, reads int) *agentScenario {
-	rt := confkit.NewRuntime(confkit.NewRegistry())
-	s := &agentScenario{test: rt.NewConf(), objs: make([][]*confkit.Conf, nodes), reads: reads}
+	schema := confkit.NewRegistry()
+	for i := range params {
+		schema.Register(confkit.Param{Name: "p" + strconv.Itoa(i), Kind: confkit.String})
+	}
+	rt := confkit.NewRuntime(schema)
+	s := &agentScenario{test: rt.NewConf(), objs: make([][]*confkit.Conf, nodes), params: schema.Names(), reads: reads}
 	for n := range s.objs {
 		for range objsPerNode {
 			s.objs[n] = append(s.objs[n], rt.NewConf())
 		}
-	}
-	for i := range params {
-		s.params = append(s.params, "p"+strconv.Itoa(i))
 	}
 	return s
 }
@@ -70,9 +72,10 @@ func (s *agentScenario) run(opts Options) (*Agent, Report) {
 	return ag, ag.Report()
 }
 
-// The sizes of a small app test's execution: a handful of nodes, a few
-// dozen objects, a few hundred reads.
-func benchScenario() *agentScenario { return newAgentScenario(4, 6, 24, 400) }
+// The sizes of a mini system's execution at the top of their range
+// (DESIGN.md §2): four nodes, nine objects, two dozen parameters, a few
+// hundred reads.
+func benchScenario() *agentScenario { return newAgentScenario(4, 2, 24, 400) }
 
 func benchmarkAgent(b *testing.B, opts Options) {
 	s := benchScenario()
@@ -91,12 +94,14 @@ func BenchmarkAgentTrial(b *testing.B) { benchmarkAgent(b, Options{Trial: true, 
 func BenchmarkAgentPreRun(b *testing.B) { benchmarkAgent(b, Options{Coverage: true}) }
 
 // maxTrialAllocs bounds a trial-mode agent's allocations over benchScenario,
-// at the count measured when the report's bookkeeping left the trial (127
-// before): the agent and its identity closure, the object table and the
-// goroutine table as they grow, the node slice's growth, the coverage set
-// and the init-window stacks. A read allocates nothing once its parameter
-// is in the coverage set.
-const maxTrialAllocs = 25
+// at the count measured when its tables became slices sized for one
+// execution (25 before, with maps; 127 before the report's bookkeeping
+// left the trial): the agent and its identity closure, the object table
+// at its first capacity and grown twice (nine objects), the node table,
+// the window table, the coverage bitset, and the coverage names at their
+// first capacity and grown once (24 parameters). A read allocates nothing
+// once its parameter is in the coverage set.
+const maxTrialAllocs = 10
 
 func TestTrialAgentAllocs(t *testing.T) {
 	s := benchScenario()

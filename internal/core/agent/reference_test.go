@@ -1,6 +1,8 @@
 package agent
 
 import (
+	"fmt"
+	"math/rand"
 	"reflect"
 	"slices"
 	"testing"
@@ -42,11 +44,33 @@ type refAgent struct {
 }
 
 type refHits struct {
-	ancestorWalks   int // Rule 2 walked past an uncertain ancestor
-	uncertainClones int // Rule 3 on an object with no certain owner
-	unseenReads     int // a read through an object the agent never saw created
-	misuses         int // RefToClone outside an init window
-	inheritedZero   int // an inheriting wrapper run by identity 0
+	ancestorWalks    int // Rule 2 walked past an uncertain ancestor
+	uncertainClones  int // Rule 3 on an object with no certain owner
+	unseenReads      int // a read through an object the agent never saw created
+	misuses          int // RefToClone outside an init window
+	inheritedZero    int // an inheriting wrapper run by identity 0
+	nestedWindows    int // StartInit on a goroutine with a window open
+	inheritOnWindows int // an inheriting wrapper run by a goroutine with a window open
+	outsideReads     int // a read of a name the schema does not register
+
+	// The largest tables one script built: the agent sizes its own for far
+	// fewer, so a script past these grows every one of them.
+	maxConfs, maxNodes, maxParams int
+}
+
+// add folds the hits of one script into h.
+func (h *refHits) add(o refHits) {
+	h.ancestorWalks += o.ancestorWalks
+	h.uncertainClones += o.uncertainClones
+	h.unseenReads += o.unseenReads
+	h.misuses += o.misuses
+	h.inheritedZero += o.inheritedZero
+	h.nestedWindows += o.nestedWindows
+	h.inheritOnWindows += o.inheritOnWindows
+	h.outsideReads += o.outsideReads
+	h.maxConfs = max(h.maxConfs, o.maxConfs)
+	h.maxNodes = max(h.maxNodes, o.maxNodes)
+	h.maxParams = max(h.maxParams, o.maxParams)
 }
 
 type refNode struct {
@@ -78,7 +102,11 @@ func (a *refAgent) startInit(nodeType string) {
 	n := &refNode{id: a.nodeSeq, nodeType: nodeType, index: a.typeCounts[nodeType]}
 	a.typeCounts[nodeType]++
 	a.nodes[n.id] = n
+	a.hits.maxNodes = max(a.hits.maxNodes, len(a.nodes))
 	if g != 0 {
+		if len(a.threadCtx[g]) > 0 {
+			a.hits.nestedWindows++
+		}
 		a.threadCtx[g] = append(a.threadCtx[g], n.id)
 	}
 }
@@ -110,6 +138,9 @@ func (a *refAgent) inherit(fn func()) func() {
 			a.hits.inheritedZero++
 			fn()
 			return
+		}
+		if len(a.threadCtx[cg]) > 0 {
+			a.hits.inheritOnWindows++
 		}
 		a.threadCtx[cg] = append(a.threadCtx[cg], inherit)
 		defer delete(a.threadCtx, cg)
@@ -189,8 +220,13 @@ func (a *refAgent) refToClone(orig, clone *confkit.Conf) {
 func (a *refAgent) interceptGet(c *confkit.Conf, name, stored string, found bool) (string, bool) {
 	a.confUsed = true
 	a.covParams[name] = true
+	a.hits.maxParams = max(a.hits.maxParams, len(a.covParams))
+	a.hits.maxConfs = max(a.hits.maxConfs, len(a.confObjs))
 	if _, seen := a.confObjs[c.ID()]; !seen {
 		a.hits.unseenReads++
+	}
+	if c.Runtime().Schema().Lookup(name) == nil {
+		a.hits.outsideReads++
 	}
 	reads := a.readsByConf[c.ID()]
 	if reads == nil {
@@ -335,12 +371,23 @@ func (t *tee) InterceptGet(c *confkit.Conf, name, stored string, found bool) (st
 
 func (t *tee) InterceptSet(c *confkit.Conf, name, value string) { t.ag.InterceptSet(c, name, value) }
 
-// runScript plays script against a fresh agent built from opts, teed with
-// the reference, and reports how the two ended.
-func runScript(script []uint8, opts Options) *tee {
-	r := confkit.NewRegistry()
+// scriptParams is what a script reads: more registered parameters than a
+// word of the agent's coverage bitset holds, then a name the schema does
+// not register.
+var scriptParams = func() []string {
 	params := []string{"p", "q", "r"}
-	for _, p := range params {
+	for i := len(params); i < 80; i++ {
+		params = append(params, fmt.Sprintf("x%02d", i))
+	}
+	return append(params, "unregistered")
+}()
+
+// runScript plays script against a fresh agent built from opts, teed with
+// the reference, and reports how the two ended. An op's low three bits
+// choose the hook, its higher bits the hook's arguments.
+func runScript(script []uint32, opts Options) *tee {
+	r := confkit.NewRegistry()
+	for _, p := range scriptParams[:len(scriptParams)-1] {
 		r.Register(confkit.Param{Name: p, Kind: confkit.String, Default: "d"})
 	}
 	rt := confkit.NewRuntime(r)
@@ -361,38 +408,57 @@ func runScript(script []uint8, opts Options) *tee {
 	t := &tee{ag: New(opts), ref: newRefAgent(opts)}
 	rt.SetHooks(t)
 
-	pick := func(op uint8) *confkit.Conf { return objs[int(op>>4)%len(objs)] }
 	for _, op := range script {
+		arg := op >> 3
+		pick := func() *confkit.Conf { return objs[int(arg%256)%len(objs)] }
 		switch op % 8 {
 		case 0: // switch goroutine: 0 is one outside the execution
-			cur = uint64(op>>4) % 4
+			cur = uint64(arg % 4)
 		case 1:
-			rt.StartInit([]string{"A", "B"}[op>>7])
+			rt.StartInit([]string{"A", "B"}[arg%2])
 		case 2:
 			rt.StopInit()
 		case 3:
 			objs = append(objs, rt.NewConf())
 		case 4:
-			objs = append(objs, pick(op).Clone())
+			objs = append(objs, pick().Clone())
 		case 5:
-			objs = append(objs, pick(op).RefToClone())
-		case 6:
-			pick(op).Get(params[int(op>>3)%len(params)])
-		case 7: // a goroutine spawned here, run on identity 0 or a fresh one
-			src := pick(op)
+			objs = append(objs, pick().RefToClone())
+		case 6: // a run of up to sixteen parameters, as an init function reads them
+			c, first := pick(), int(arg>>8)
+			for i := range 1 + int(arg>>16)%16 {
+				c.Get(scriptParams[(first+i)%len(scriptParams)])
+			}
+		case 7: // a goroutine spawned here, run on identity 0, a fresh one or a scripted one
+			src := pick()
 			spawned := t.Inherit(func() {
 				c := rt.NewConf()
 				objs = append(objs, c)
 				c.Get("p")
+				if arg&(1<<8) != 0 { // a node started from the spawned goroutine
+					rt.StartInit("B")
+					objs = append(objs, rt.NewConf())
+					rt.StopInit()
+				}
 				src.Get("q")
 			})
 			prev := cur
-			cur = uint64(op>>7) * 9
+			cur = []uint64{0, 9, 1, 2}[arg%4]
 			spawned()
 			cur = prev
 		}
 	}
 	return t
+}
+
+// scriptValues makes quick's scripts: up to 200 ops, so that the longer
+// ones outgrow every table the agent sizes for one execution.
+func scriptValues(args []reflect.Value, rng *rand.Rand) {
+	script := make([]uint32, rng.Intn(200))
+	for i := range script {
+		script[i] = rng.Uint32()
+	}
+	args[0] = reflect.ValueOf(script)
 }
 
 // readTrace is the agent's read trace without callsites, which the
@@ -417,15 +483,11 @@ func TestObjectTableMatchesReference(t *testing.T) {
 	var hits refHits
 	for _, strategy := range []Strategy{StrategyPaper, StrategyThreadOnly} {
 		for _, trial := range []bool{false, true} {
-			fn := func(script []uint8) bool {
+			fn := func(script []uint32) bool {
 				opts := Options{Strategy: strategy, Trial: trial, Coverage: true, TraceReads: 1 << 20}
 				tt := runScript(script, opts)
 				ref := tt.ref
-				hits.ancestorWalks += ref.hits.ancestorWalks
-				hits.uncertainClones += ref.hits.uncertainClones
-				hits.unseenReads += ref.hits.unseenReads
-				hits.misuses += ref.hits.misuses
-				hits.inheritedZero += ref.hits.inheritedZero
+				hits.add(ref.hits)
 				if tt.mismatch {
 					t.Logf("a read observed a value other than the reference's (strategy %d, trial %v)", strategy, trial)
 					return false
@@ -448,13 +510,20 @@ func TestObjectTableMatchesReference(t *testing.T) {
 				}
 				return true
 			}
-			if err := quick.Check(fn, &quick.Config{MaxCount: 300}); err != nil {
+			if err := quick.Check(fn, &quick.Config{MaxCount: 300, Values: scriptValues}); err != nil {
 				t.Fatalf("strategy %d, trial %v: %v", strategy, trial, err)
 			}
 		}
 	}
-	if hits.ancestorWalks == 0 || hits.uncertainClones == 0 || hits.unseenReads == 0 || hits.misuses == 0 || hits.inheritedZero == 0 {
+	if hits.ancestorWalks == 0 || hits.uncertainClones == 0 || hits.unseenReads == 0 || hits.misuses == 0 || hits.inheritedZero == 0 ||
+		hits.nestedWindows == 0 || hits.inheritOnWindows == 0 || hits.outsideReads == 0 {
 		t.Fatalf("the scripts missed a path: %+v", hits)
+	}
+	// Past every capacity the agent allocates a table at (confsCap,
+	// nodesCap, covNamesCap), and into a second word of its coverage
+	// bitset.
+	if hits.maxConfs < 10 || hits.maxNodes < 9 || hits.maxParams < 70 {
+		t.Fatalf("no script outgrew the agent's tables: %+v", hits)
 	}
 	t.Logf("paths reached: %+v", hits)
 }

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -180,80 +181,45 @@ func RunOnceCaptured(app *App, test *UnitTest, opts agent.Options, seed int64, o
 	ag := agent.New(opts)
 	env.RT.SetHooks(ag)
 
-	t := &T{Env: env, logCap: spec.LogBytes}
+	x := &execution{
+		t:        T{Env: env, logCap: spec.LogBytes},
+		ag:       ag,
+		spec:     spec,
+		coverage: opts.Coverage || opts.CoverageSites,
+		finished: make(chan struct{}),
+	}
 	timeout := test.Timeout
 	if timeout <= 0 {
 		timeout = DefaultTestTimeout
 	}
 
-	start := time.Now()
-	// collect reads the outcome off t and the agent as they stand: when
-	// the body returns, before teardown adds reads of its own, or when the
-	// watcher gives up on it.
-	collect := func() Outcome {
-		out := Outcome{Failed: t.Failed(), Elapsed: time.Since(start), ElapsedTicks: env.Scale.Now()}
-		logs := t.Logs()
-		if out.Failed && len(logs) > 0 {
-			// The ring never evicts its head entry, so Msg is stable under
-			// capping: the same first message capture on or off.
-			out.Msg = logs[0]
-		}
-		if spec.enabled() {
-			out.Logs = logs
-			out.LogDroppedBytes, out.LogDroppedMsgs = t.LogDropped()
-			out.Reads, out.ReadsDropped = ag.ReadTrace()
-		}
-		if opts.Coverage || opts.CoverageSites {
-			out.ReadParams = ag.CoverageParams()
-			out.ReadSites = ag.CoverageSites()
-		}
-		return out
-	}
-
+	x.start = time.Now()
 	halted := env.Scale.Limit(int64(timeout / simtime.DefaultTick))
-	returned := make(chan Outcome, 1) // the body returned
-	finished := make(chan struct{})   // and has torn the environment down
 	// NewEnv made this goroutine the clock's first member. It hands that
 	// membership, identity included, to the body's goroutine and only
 	// watches from here on. That goroutine keeps the baton through its own
-	// teardown and gives the membership up last (the first defer below), so
-	// the environment is closed on the tick the body returns, before any
-	// node loop gets another turn.
-	go func() {
-		defer env.Scale.Leave()
-		exited := true // by runtime.Goexit, until the body says otherwise
-		defer func() {
-			rec := recover()
-			if exited && rec == nil {
-				return // the clock's shutdown ended a body that had timed out
-			}
-			if _, isFailNow := rec.(failNow); rec != nil && !isFailNow {
-				t.Errorf("panic: %v", rec)
-			}
-			returned <- collect()
-			env.Close()
-			close(finished)
-		}()
-		test.Run(t)
-		exited = false
-	}()
+	// teardown and gives the membership up last (the first defer of
+	// execution.body), so the environment is closed on the tick the body
+	// returns, before any node loop gets another turn.
+	go x.body(test)
 
 	watchdog := time.NewTimer(timeout)
 	defer watchdog.Stop()
 	grace := reapGrace
 	select {
-	case <-finished:
+	case <-x.finished:
 	case <-halted:
 	case <-watchdog.C:
 		grace = 0 // whatever ignored the clock for this long will not exit now
 	}
 
-	var out Outcome
-	select {
-	case out = <-returned:
-	default:
-		t.Errorf("test timed out after %v", timeout)
-		out = collect()
+	x.mu.Lock()
+	out, returned := x.out, x.returned
+	x.abandoned = !returned
+	x.mu.Unlock()
+	if !returned {
+		x.t.Errorf("test timed out after %v", timeout)
+		out = x.collect()
 		out.TimedOut = true
 	}
 	// Stop nodes before reading the report so no new confs appear
@@ -287,6 +253,75 @@ func RunOnceCaptured(app *App, test *UnitTest, opts agent.Options, seed int64, o
 	}
 	out.Report = ag.Report()
 	o.RecordTestRun(app.Name, test.Name, out.TimedOut, out.Elapsed)
+	return out
+}
+
+// execution is one RunOnceCaptured in flight: the test handle, what the
+// outcome is read from, and the outcome slot the body's goroutine fills
+// when it returns — unless the watching goroutine has given up on it by
+// then and collected the outcome itself.
+type execution struct {
+	t        T
+	ag       *agent.Agent
+	spec     CaptureSpec
+	coverage bool
+	start    time.Time
+	finished chan struct{} // the body returned and tore the environment down
+
+	mu        sync.Mutex
+	out       Outcome
+	returned  bool // the body filled out
+	abandoned bool // the watcher gave up on the body
+}
+
+// body runs the test on a goroutine of the execution's clock, then — on
+// the tick it returns — fills the outcome slot and tears the environment
+// down.
+func (x *execution) body(test *UnitTest) {
+	env := x.t.Env
+	defer env.Scale.Leave()
+	exited := true // by runtime.Goexit, until the body says otherwise
+	defer func() {
+		rec := recover()
+		if exited && rec == nil {
+			return // the clock's shutdown ended a body that had timed out
+		}
+		if _, isFailNow := rec.(failNow); rec != nil && !isFailNow {
+			x.t.Errorf("panic: %v", rec)
+		}
+		x.mu.Lock()
+		if !x.abandoned {
+			x.out, x.returned = x.collect(), true
+		}
+		x.mu.Unlock()
+		env.Close()
+		close(x.finished)
+	}()
+	test.Run(&x.t)
+	exited = false
+}
+
+// collect reads the outcome off the test handle and the agent as they
+// stand: when the body returns, before teardown adds reads of its own, or
+// when the watcher gives up on it.
+func (x *execution) collect() Outcome {
+	t := &x.t
+	out := Outcome{Failed: t.Failed(), Elapsed: time.Since(x.start), ElapsedTicks: t.Env.Scale.Now()}
+	logs := t.Logs()
+	if out.Failed && len(logs) > 0 {
+		// The ring never evicts its head entry, so Msg is stable under
+		// capping: the same first message capture on or off.
+		out.Msg = logs[0]
+	}
+	if x.spec.enabled() {
+		out.Logs = logs
+		out.LogDroppedBytes, out.LogDroppedMsgs = t.LogDropped()
+		out.Reads, out.ReadsDropped = x.ag.ReadTrace()
+	}
+	if x.coverage {
+		out.ReadParams = x.ag.CoverageParams()
+		out.ReadSites = x.ag.CoverageSites()
+	}
 	return out
 }
 

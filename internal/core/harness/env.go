@@ -18,9 +18,16 @@ import (
 
 // Env is one unit test's isolated world: its own configuration runtime (so
 // an agent can be attached), its own network fabric, its own clock, and a
-// seeded random source for tests that model nondeterminism. Because nothing
+// seeded random stream for tests that model nondeterminism. Because nothing
 // is process-global, many tests run concurrently in one process — the analog
 // of the paper's 20 Docker containers per machine.
+//
+// The random stream is rand.New(rand.NewSource(seed))'s, call for call, but
+// the Env owns no source: each draw borrows one from a process-wide pool,
+// seeds it, skips the values the Env has drawn before and returns it. A
+// source is 4.9 KB and most tests draw once or never, so an Env keeps a
+// count instead; a test drawing n values pays n seedings and n²/2 skipped
+// values, where one held source paid one seeding.
 type Env struct {
 	RT     *confkit.Runtime
 	Fabric *rpcsim.Fabric
@@ -28,14 +35,14 @@ type Env struct {
 
 	mu       sync.Mutex
 	seed     int64
-	rand     *rand.Rand // built from seed on the first draw: see rng
+	drawn    int64 // source values the stream has consumed
 	cleanups []func()
 }
 
-// NewEnv builds an environment over schema. seed drives Rand. A nil scale
-// gives the environment a fresh virtual clock (simtime.NewVirtual) whose
-// first member is the calling goroutine; pass a wall-clock Scale to wait in
-// real time instead.
+// NewEnv builds an environment over schema. seed drives Float64 and Intn.
+// A nil scale gives the environment a fresh virtual clock
+// (simtime.NewVirtual) whose first member is the calling goroutine; pass a
+// wall-clock Scale to wait in real time instead.
 func NewEnv(schema *confkit.Registry, scale *simtime.Scale, seed int64) *Env {
 	if scale == nil {
 		scale = simtime.NewVirtual()
@@ -50,13 +57,49 @@ func NewEnv(schema *confkit.Registry, scale *simtime.Scale, seed int64) *Env {
 	}
 }
 
-// rng returns the seeded source, building it on the first draw: seeding is
-// a 607-word loop, and most tests never draw. The caller holds e.mu.
-func (e *Env) rng() *rand.Rand {
-	if e.rand == nil {
-		e.rand = rand.New(rand.NewSource(e.seed))
+// pooledSource is a borrowed random source: a rand.Source that counts the
+// values drawn from it, and the rand.Rand over it.
+type pooledSource struct {
+	src   rand.Source
+	drawn int64
+	rand  *rand.Rand
+}
+
+func (p *pooledSource) Int63() int64 {
+	p.drawn++
+	return p.src.Int63()
+}
+
+func (p *pooledSource) Seed(seed int64) {
+	p.src.Seed(seed)
+	p.drawn = 0
+}
+
+var sources = sync.Pool{New: func() any {
+	p := &pooledSource{src: rand.NewSource(0)}
+	p.rand = rand.New(p)
+	return p
+}}
+
+// borrow locks the Env and returns a pooled source standing where the
+// Env's stream stands. The caller draws from it and gives it back with
+// giveBack.
+func (e *Env) borrow() *pooledSource {
+	p := sources.Get().(*pooledSource)
+	e.mu.Lock()
+	p.rand.Seed(e.seed)
+	for range e.drawn {
+		p.src.Int63()
 	}
-	return e.rand
+	return p
+}
+
+// giveBack advances the Env's stream past what was drawn from p, unlocks
+// the Env and returns p to the pool.
+func (e *Env) giveBack(p *pooledSource) {
+	e.drawn += p.drawn
+	e.mu.Unlock()
+	sources.Put(p)
 }
 
 // NewGroup returns a group of node goroutines: started through RT.Go, so
@@ -69,16 +112,16 @@ func (e *Env) NewGroup() *simtime.Group {
 // use it to model nondeterministic failures; distinct trials get distinct
 // seeds, so a flaky test really does flake across trials.
 func (e *Env) Float64() float64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.rng().Float64()
+	p := e.borrow()
+	defer e.giveBack(p)
+	return p.rand.Float64()
 }
 
 // Intn returns a deterministic pseudo-random int in [0,n).
 func (e *Env) Intn(n int) int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.rng().Intn(n)
+	p := e.borrow()
+	defer e.giveBack(p)
+	return p.rand.Intn(n)
 }
 
 // Defer registers a cleanup run by Close in LIFO order. Cluster constructors

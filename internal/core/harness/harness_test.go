@@ -1,8 +1,13 @@
 package harness
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -70,6 +75,99 @@ func TestEnvRandFirstDrawsPinned(t *testing.T) {
 	e = NewEnv(emptySchema(), nil, 42)
 	if n, f := e.Intn(1000), e.Float64(); n != 305 || f != 0.06600049679351791 {
 		t.Fatalf("seed 42, Intn first: drew %d then Float64 = %v", n, f)
+	}
+}
+
+// drawer is what Env and *rand.Rand share: the draws a test makes.
+type drawer interface {
+	Float64() float64
+	Intn(n int) int
+}
+
+// mixedDraw makes the i-th draw of a sequence mixing the draws and their
+// ranges: Intn(10) takes one source value, Intn(1<<40) takes Int63n's path.
+func mixedDraw(d drawer, i int) float64 {
+	switch i % 3 {
+	case 0:
+		return d.Float64()
+	case 1:
+		return float64(d.Intn(10))
+	default:
+		return float64(d.Intn(1 << 40))
+	}
+}
+
+var sinkFloat float64
+
+// An Env borrows a pooled source per draw; its stream must still be
+// rand.New(rand.NewSource(seed))'s call for call — with another Env of the
+// seed drawing in between, with eight Envs drawing from the pool at once,
+// and across Close — and a draw must not build a source of its own. Not
+// parallel: the allocation bound is read off the process's counters.
+func TestEnvRandStreamIsMathRand(t *testing.T) {
+	const n = 30
+	for _, seed := range []int64{0, 1, 42, -7, math.MaxInt64} {
+		ref := rand.New(rand.NewSource(seed))
+		want := make([]float64, n)
+		for i := range want {
+			want[i] = mixedDraw(ref, i)
+		}
+		check := func(how string, got []float64) {
+			t.Helper()
+			if !slices.Equal(got, want) {
+				t.Errorf("seed %d, %s: drew %v, want %v", seed, how, got, want)
+			}
+		}
+
+		a, b := NewEnv(emptySchema(), nil, seed), NewEnv(emptySchema(), nil, seed)
+		var gotA, gotB []float64
+		for i := range n {
+			gotA = append(gotA, mixedDraw(a, i))
+			gotB = append(gotB, mixedDraw(b, i))
+		}
+		check("alternating with another Env, the first", gotA)
+		check("alternating with another Env, the second", gotB)
+
+		var wg sync.WaitGroup
+		got := make([][]float64, 8)
+		for g := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				e := NewEnv(emptySchema(), nil, seed)
+				for i := range n {
+					got[g] = append(got[g], mixedDraw(e, i))
+				}
+			}()
+		}
+		wg.Wait()
+		for g := range got {
+			check(fmt.Sprintf("Env %d of 8 on goroutines of their own", g), got[g])
+		}
+
+		e := NewEnv(emptySchema(), nil, seed)
+		var gotC []float64
+		for i := range n {
+			if i == n/2 {
+				e.Close()
+			}
+			gotC = append(gotC, mixedDraw(e, i))
+		}
+		check("closed halfway", gotC)
+	}
+
+	if raceEnabled {
+		return
+	}
+	e := NewEnv(emptySchema(), nil, 42)
+	res := testing.Benchmark(func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			e.drawn = 0 // one draw per op, as a flaky test makes
+			sinkFloat = e.Float64()
+		}
+	})
+	if bytes := res.AllocedBytesPerOp(); bytes >= 512 {
+		t.Fatalf("a draw allocated %d B, want under 512: it built a source", bytes)
 	}
 }
 

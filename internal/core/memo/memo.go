@@ -67,14 +67,17 @@ type Backend interface {
 // the wrong outcome. Each entry is node type, NUL, the node index as a
 // little-endian uint64, parameter, NUL, value, NUL; the entries are laid
 // out in one buffer and hashed in one call. The key slice lives on the
-// stack up to smallAssign entries and the buffer up to smallBuf bytes, so
-// for such a map the hex string is the only allocation; past either size
-// that slice is allocated once, sized exactly.
+// stack up to smallAssign entries and the buffer up to smallBuf bytes;
+// past either size it is a pooled scratch slice. The hex string is the
+// only allocation.
 func HashAssignment(assign map[agent.Key]string) string {
 	var small [smallAssign]agent.Key
 	keys := small[:0]
+	var pooled *[]agent.Key
 	if len(assign) > smallAssign {
-		keys = make([]agent.Key, 0, len(assign))
+		pooled = keyScratch.Get().(*[]agent.Key)
+		*pooled = slices.Grow((*pooled)[:0], len(assign))
+		keys = *pooled
 	}
 	size := 0
 	for k, v := range assign {
@@ -84,8 +87,11 @@ func HashAssignment(assign map[agent.Key]string) string {
 	slices.SortFunc(keys, compareKeys)
 	var stack [smallBuf]byte
 	buf := stack[:0]
+	var pooledBuf *[]byte
 	if size > smallBuf {
-		buf = make([]byte, 0, size)
+		pooledBuf = bufScratch.Get().(*[]byte)
+		*pooledBuf = slices.Grow((*pooledBuf)[:0], size)
+		buf = *pooledBuf
 	}
 	for _, k := range keys {
 		buf = append(buf, k.NodeType...)
@@ -97,10 +103,24 @@ func HashAssignment(assign map[agent.Key]string) string {
 		buf = append(buf, 0)
 	}
 	sum := sha256.Sum256(buf)
+	if pooled != nil {
+		clear((*pooled)[:len(assign)]) // the pool is to hold no strings of this assignment
+		keyScratch.Put(pooled)
+	}
+	if pooledBuf != nil {
+		bufScratch.Put(pooledBuf)
+	}
 	var out [32]byte
 	hex.Encode(out[:], sum[:16])
 	return string(out[:])
 }
+
+// HashAssignment's scratch slices past its stack budget, each grown to the
+// largest assignment hashed with it.
+var (
+	keyScratch = sync.Pool{New: func() any { return new([]agent.Key) }}
+	bufScratch = sync.Pool{New: func() any { return new([]byte) }}
+)
 
 // HashAssignment's stack budget: a homogeneous arm or a leaf's
 // heterogeneous map of a few nodes fits; a large pooled map does not.
