@@ -17,10 +17,7 @@
 //	zebraconf -mode run -app minihdfs -perf /tmp/p.jsonl -trace /tmp/t.jsonl -events /tmp/e.jsonl
 //	zebraconf -mode profile -trace /tmp/t.jsonl -events /tmp/e.jsonl -perf /tmp/p.jsonl
 //	zebraconf -mode trends -ledger /tmp/runs -app minihdfs
-//	zebraconf -mode serve -listen :8080 -token s3cret -state /var/lib/zebraconf
-//	zebraconf -mode submit -server http://host:8080 -token s3cret -app minihdfs -workers 2
-//	zebraconf -mode watch -server http://host:8080 -token s3cret -campaign c0001
-//	zebraconf -mode cancel -server http://host:8080 -token s3cret -campaign c0001
+//	zebraconf -mode run -app minihdfs -workers 2 -disk-cache /var/cache/zebraconf -ledger /var/lib/zebraconf
 package main
 
 import (
@@ -39,9 +36,9 @@ import (
 )
 
 // Every flag that is not campaign policy (that is launch.Spec, bound in
-// main): the mode, where outputs go, and the addresses of the service modes.
+// main): the mode, where outputs go, and the worker and disk-cache plumbing.
 var (
-	mode      = flag.String("mode", "run", "stats | run | rerun | explain | watch | diff | profile | trends | suggest-deps | serve | submit | cancel")
+	mode      = flag.String("mode", "run", "stats | run | rerun | explain | watch | diff | profile | trends | suggest-deps")
 	jsonOut   = flag.String("json", "", "write campaign results as JSON to this file")
 	onlyParam = flag.String("param", "", "with -mode explain: report only this parameter (error if it was not reported)")
 
@@ -64,18 +61,12 @@ var (
 	trendRuns      = flag.Int("trend-runs", flight.DefaultTrendRuns, "with -mode trends: trailing runs to compare (the newest against up to N-1 predecessors)")
 	trendThreshold = flag.Float64("trend-threshold", flight.DefaultTrendThreshold, "with -mode trends: relative drift past which a metric is flagged (strictly greater than)")
 
-	// Distributed execution, the campaign service and the disk cache.
-	workerMode = flag.Bool("worker", false, "run as a campaign worker speaking NDJSON on stdio (spawned by -workers and -mode serve; not for interactive use)")
-	checkpoint = flag.String("checkpoint", "", "journal completed work items to this JSONL file (with -workers)")
+	// Distributed execution and the disk cache.
+	workerMode = flag.Bool("worker", false, "run as a campaign worker speaking NDJSON on stdio (spawned by -workers; not for interactive use)")
+	checkpoint = flag.String("checkpoint", "", "journal completed work items to this JSONL file (needs -workers)")
 	resume     = flag.String("resume", "", "skip work items already completed in this checkpoint journal")
-	serverURL  = flag.String("server", "", "campaign service URL for -mode submit|watch|cancel (e.g. http://host:8080)")
-	campaignID = flag.String("campaign", "", "campaign ID for -mode watch|cancel with -server")
-	tokenFlag  = flag.String("token", "", "shared bearer token: -mode serve requires it from clients; submit/watch/cancel send it")
-	listenAddr = flag.String("listen", ":8080", "with -mode serve: REST API listen address")
-	stateDir   = flag.String("state", "zebraconf-state", "with -mode serve: persistent state directory (disk cache, run ledger, duration profile, per-campaign journals)")
-	diskCache  = flag.String("disk-cache", "", "content-addressed disk execution cache directory, shared across runs (-mode serve always uses <state>/cache)")
+	diskCache  = flag.String("disk-cache", "", "content-addressed disk execution cache directory, shared across runs (with -workers, each worker opens it itself)")
 	cacheMax   = flag.Int64("cache-max-bytes", 0, "disk cache size cap in bytes before LRU eviction (0 = 256 MiB)")
-	waitDone   = flag.Bool("wait", false, "with -mode submit: block until the campaign reaches a terminal state, exit nonzero unless done")
 )
 
 func main() {
@@ -93,9 +84,6 @@ func dispatch(spec launch.Spec) int {
 	}
 	switch *mode {
 	case "watch":
-		if *serverURL != "" {
-			return runWatchServer(*serverURL, *tokenFlag, *campaignID, *watchEvery)
-		}
 		return runWatch(*httpTarget, *watchEvery)
 	case "diff":
 		return runDiff(*ledgerDir, spec.App, *diffRuns)
@@ -103,12 +91,6 @@ func dispatch(spec launch.Spec) int {
 		return runProfile(*traceOut, *eventsOut, *perfOut)
 	case "trends":
 		return runTrends(*ledgerDir, spec.App, *trendRuns, *trendThreshold)
-	case "serve":
-		return runServe(*listenAddr, *tokenFlag, *stateDir, *cacheMax)
-	case "submit":
-		return runSubmit(*serverURL, *tokenFlag, spec, *waitDone, *watchEvery)
-	case "cancel":
-		return runCancelCampaign(*serverURL, *tokenFlag, *campaignID)
 	case "stats", "suggest-deps", "run", "explain", "rerun":
 		return runLocal(spec)
 	}
@@ -131,7 +113,7 @@ func runWorker() int {
 
 // workerCmd builds the command of one stdio worker subprocess: this binary
 // with -worker and, when dir is set, dir as its own disk tier, capped at
-// maxBytes. -mode run -workers and -mode serve both spawn through it.
+// maxBytes. -mode run|explain|rerun -workers spawn through it.
 func workerCmd(dir string, maxBytes int64) (func() *exec.Cmd, error) {
 	exe, err := os.Executable()
 	if err != nil {

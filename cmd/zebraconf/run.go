@@ -1,7 +1,6 @@
 package main
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"os"
@@ -230,7 +229,7 @@ func runCampaigns(selected []*harness.App, spec launch.Spec, observer *obs.Obser
 		if *mode == "rerun" {
 			env.Rerun = func(p *campaign.RerunPlan) { printRerunPlan(app.Name, *ledgerDir, p) }
 		}
-		out, err := launch.Campaign(context.Background(), app, spec, env)
+		out, err := launch.Campaign(app, spec, env)
 		if err != nil {
 			// No result: no report and no ledger record.
 			fmt.Fprintln(os.Stderr, "zebraconf:", err)

@@ -41,9 +41,6 @@ var wallClockSites = map[string]int{
 	"../core/launch/launch.go":       1,
 	"../core/runner/runner.go":       2,
 	"../core/sched/queue.go":         2,
-	"../core/server/api.go":          1,
-	"../core/server/client.go":       3,
-	"../core/server/server.go":       5,
 	"../obs/events.go":               2,
 	"../obs/progress.go":             1,
 	"../obs/sample.go":               3,

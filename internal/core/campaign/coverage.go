@@ -11,7 +11,7 @@ import (
 // with the given default overrides (param → new default) applied. The copy
 // is derived once, here; neither the original app nor its registry is
 // mutated, so differently-overridden wrappers of one app — concurrent
-// served campaigns — each see their own defaults. Unknown parameter names
+// campaigns in one process — each see their own defaults. Unknown parameter names
 // are ignored. A nil or empty override map returns app unchanged.
 func OverrideApp(app *harness.App, overrides map[string]string) *harness.App {
 	if len(overrides) == 0 {

@@ -37,7 +37,8 @@ import (
 
 // DefaultMaxBytes caps the store at 256 MiB when no cap is given —
 // roughly two orders of magnitude above a full five-app campaign's
-// entry volume, so eviction only matters under long-lived service use.
+// entry volume, so eviction only matters for a directory shared by many
+// runs.
 const DefaultMaxBytes = 256 << 20
 
 // Stats is a point-in-time counter snapshot, served by the campaign
@@ -193,8 +194,7 @@ func (s *Store) Get(k memo.Key) (memo.Result, bool) {
 }
 
 // Put implements memo.Backend: persist locally, then forward so the tier
-// behind (a coordinator fronting the service's store) learns the result
-// too.
+// behind, when there is one, learns the result too.
 func (s *Store) Put(k memo.Key, res memo.Result) {
 	s.write(k, res)
 	if s.next != nil {

@@ -1,7 +1,6 @@
 package launch
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -22,9 +21,9 @@ import (
 	"zebraconf/internal/obs"
 )
 
-// Env is where a campaign runs, as opposed to what it runs (Spec): the
-// things that differ between the CLI and the service and outlive one
-// campaign. Nothing here may change a verdict.
+// Env is where a campaign runs, as opposed to what it runs (Spec): worker
+// processes, caches, outputs and the files that outlive one campaign.
+// Nothing here may change a verdict.
 type Env struct {
 	// WorkerCmd builds one stdio worker subprocess; it is needed when
 	// Spec.Workers > 0.
@@ -45,7 +44,9 @@ type Env struct {
 	// and rewritten with this campaign's timings, so every run sharpens
 	// the next one's schedule.
 	ProfilePath string
-	// CheckpointPath journals completed work items (with Spec.Workers > 0).
+	// CheckpointPath journals completed work items. Only the coordinator
+	// of Spec.Workers > 0 writes the journal, so a campaign given one
+	// without workers is refused before anything executes.
 	CheckpointPath string
 	// ResumePath and Rerun are the two sources of campaign.Options.Stored,
 	// the results that stand in for executing their tests, in process and
@@ -89,6 +90,9 @@ type prepared struct {
 }
 
 func prepare(app *harness.App, spec Spec, env Env) (*prepared, error) {
+	if env.CheckpointPath != "" && spec.Workers <= 0 {
+		return nil, errors.New("-checkpoint needs -workers: an in-process campaign writes no journal (-resume reads one either way)")
+	}
 	p, err := spec.parse()
 	if err != nil {
 		return nil, err
@@ -192,21 +196,11 @@ func prepare(app *harness.App, spec Spec, env Env) (*prepared, error) {
 
 // Campaign runs one campaign of spec over app in env and records it:
 // the one sequence behind `-mode run|explain|rerun`, in process or with
-// -workers, and behind every campaign the service executes. Cancelling
-// ctx aborts a distributed campaign (an in-process one runs to the end);
-// a cancelled or failed campaign returns an error and records nothing.
-func Campaign(ctx context.Context, app *harness.App, spec Spec, env Env) (*Outcome, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
+// -workers. A failed campaign returns an error and records nothing.
+func Campaign(app *harness.App, spec Spec, env Env) (*Outcome, error) {
 	l, err := prepare(app, spec, env)
 	if err != nil {
 		return nil, err
-	}
-	if l.coord != nil {
-		// Abort is safe before the run opens: it then halts as it begins.
-		stop := context.AfterFunc(ctx, l.coord.Abort)
-		defer stop()
 	}
 	start := time.Now()
 	if env.Rerun != nil {
@@ -222,9 +216,6 @@ func Campaign(ctx context.Context, app *harness.App, spec Spec, env Env) (*Outco
 		if run := l.coord.Run(); run != nil {
 			res.WorkerStalls = run.Stalls()
 		}
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
 	}
 
 	out := &Outcome{Result: res}

@@ -1,16 +1,12 @@
 // Package launch is the one place a campaign's settings are written down
 // and the one place they are turned into a finished, recorded campaign.
-// Spec is the policy: the CLI binds its flags onto one, `-mode submit`
-// posts it, the service decodes it and the ledger digests it. Campaign is
-// the launch sequence both the CLI and the service call.
+// Spec is the policy: the CLI binds its flags onto one and the ledger
+// digests it. Campaign is the launch sequence every campaign mode calls.
 package launch
 
 import (
-	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"strings"
 
 	"zebraconf/internal/core/forensics"
@@ -20,31 +16,31 @@ import (
 	"zebraconf/internal/core/stats"
 )
 
-// Spec is a campaign's policy, and the POST /api/campaigns body. Every
-// field is a CLI flag (Bind) and every default lives in DefaultSpec, so a
-// zero here always means zero, never "unset". README "Campaign as a
-// service" tabulates field, flag, default and digest membership.
+// Spec is a campaign's policy. Every field is a CLI flag (Bind) and every
+// default lives in DefaultSpec, so a zero here always means zero, never
+// "unset". README "Campaign flags" tabulates flag, default and digest
+// membership.
 type Spec struct {
-	App         string  `json:"app"`
-	Params      List    `json:"params"`
-	Tests       List    `json:"tests"`
-	Seed        int64   `json:"seed"`
-	Workers     int     `json:"workers"`
-	Parallel    int     `json:"parallel"`
-	MaxPool     int     `json:"max_pool"`
-	NoPool      bool    `json:"no_pool"`
-	NoGate      bool    `json:"no_gate"`
-	ExecCache   bool    `json:"exec_cache"`
-	ThreadOnly  bool    `json:"thread_only"`
-	Sched       string  `json:"sched"`
-	Seq         string  `json:"seq"`
-	SeqMargin   float64 `json:"seq_margin"`
-	Stream      bool    `json:"stream"`
-	Speculate   float64 `json:"speculate"`
-	Quarantine  int     `json:"quarantine"`
-	EvidenceMax int64   `json:"evidence_max"`
-	Select      string  `json:"select"`
-	Overrides   string  `json:"override"`
+	App         string
+	Params      List
+	Tests       List
+	Seed        int64
+	Workers     int
+	Parallel    int
+	MaxPool     int
+	NoPool      bool
+	NoGate      bool
+	ExecCache   bool
+	ThreadOnly  bool
+	Sched       string
+	Seq         string
+	SeqMargin   float64
+	Stream      bool
+	Speculate   float64
+	Quarantine  int
+	EvidenceMax int64
+	Select      string
+	Overrides   string
 }
 
 // DefaultSpec is the campaign every flag left alone describes.
@@ -61,23 +57,6 @@ func DefaultSpec() Spec {
 		EvidenceMax: forensics.DefaultBudget,
 		Select:      "coverage",
 	}
-}
-
-// DecodeSpec reads a JSON body onto DefaultSpec: an omitted field keeps
-// its default, an explicit zero is a zero. As strict as the flags the
-// body mirrors: an unknown field, or anything after the one object, is
-// an error.
-func DecodeSpec(r io.Reader) (Spec, error) {
-	s := DefaultSpec()
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&s); err != nil {
-		return s, err
-	}
-	if _, err := dec.Token(); err != io.EOF {
-		return s, errors.New("trailing data after the JSON object")
-	}
-	return s, nil
 }
 
 // Bind registers one flag per field on fs, defaults taken from s.
@@ -113,8 +92,8 @@ var notInDigest = map[string]bool{"app": true, "override": true}
 // ExecFlags renders the execution-affecting settings as the flag map the
 // ledger digests — every flag Bind registers but those in notInDigest, so
 // a new setting is in the digest unless it is argued out of it. Two runs
-// differing purely in instrumentation diff clean, and a served campaign
-// compares equal to the same flags run locally. The digest is also the
+// differing purely in instrumentation diff clean, and a run with -workers
+// compares equal to the same flags run in process. The digest is also the
 // coverage environment key: an index entry is replayed or trusted for
 // selection only under the settings that recorded it.
 func (s Spec) ExecFlags() map[string]string {
@@ -183,14 +162,4 @@ func (l *List) Set(v string) error {
 		}
 	}
 	return nil
-}
-
-// UnmarshalJSON reads a JSON array of strings by Set's rule, so a body's
-// list is the one its flag form gives.
-func (l *List) UnmarshalJSON(b []byte) error {
-	var parts []string
-	if err := json.Unmarshal(b, &parts); err != nil {
-		return err
-	}
-	return l.Set(strings.Join(parts, ","))
 }

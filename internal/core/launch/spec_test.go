@@ -1,8 +1,6 @@
 package launch
 
 import (
-	"bytes"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -118,8 +116,7 @@ func mustPrepare(t *testing.T, s Spec) *prepared {
 
 // TestEveryFieldSurvivesTheWholePath sets each field of Spec to a
 // non-default value on the command line and follows it: flag parse → the
-// JSON `-mode submit` posts → the service's decode → the campaign.Options
-// and dist.Options the launcher builds → the flags digest.
+// campaign.Options and dist.Options the launcher builds → the flags digest.
 func TestEveryFieldSurvivesTheWholePath(t *testing.T) {
 	base := baseSpec()
 	baseBuilt := mustPrepare(t, base)
@@ -128,41 +125,25 @@ func TestEveryFieldSurvivesTheWholePath(t *testing.T) {
 		if err := bound(&parsed).Parse([]string{"-" + f.Name + "=" + altValue(t, f)}); err != nil {
 			t.Fatalf("%s: %v", field, err)
 		}
-		body, err := json.Marshal(parsed)
-		if err != nil {
-			t.Fatal(err)
+		if reflect.DeepEqual(reflect.ValueOf(parsed).FieldByName(field).Interface(), reflect.ValueOf(base).FieldByName(field).Interface()) {
+			t.Errorf("%s: -%s=%s did not reach the Spec", field, f.Name, altValue(t, f))
 		}
-		got, err := DecodeSpec(bytes.NewReader(body))
-		if err != nil {
-			t.Fatalf("%s: decoding %s: %v", field, body, err)
-		}
-		if !reflect.DeepEqual(got, parsed) {
-			t.Errorf("%s: posted %+v, service decoded %+v", field, parsed, got)
-		}
-		if reflect.DeepEqual(reflect.ValueOf(got).FieldByName(field).Interface(), reflect.ValueOf(base).FieldByName(field).Interface()) {
-			t.Errorf("%s: -%s=%s did not reach the service", field, f.Name, altValue(t, f))
-		}
-		built := mustPrepare(t, got)
+		built := mustPrepare(t, parsed)
 		if reflect.DeepEqual(built.opts, baseBuilt.opts) && reflect.DeepEqual(built.dopts, baseBuilt.dopts) {
 			t.Errorf("%s: the launcher builds the same options with and without -%s=%s", field, f.Name, altValue(t, f))
 		}
-		if changed := got.Digest() != base.Digest(); changed == observationOnly[field] {
+		if changed := parsed.Digest() != base.Digest(); changed == observationOnly[field] {
 			t.Errorf("%s: changes the flags digest = %v, listed as observation-only = %v", field, changed, observationOnly[field])
 		}
 	}
 }
 
-// TestDriftedSettingsReachTheEngine pins the three settings that used to
-// be lost or rewritten between `-mode submit` and the served campaign, and
-// the heartbeat a served campaign's workers beat at.
+// TestDriftedSettingsReachTheEngine pins the three settings that were
+// once lost or rewritten on their way from the flags to the engine, and
+// the heartbeat the workers beat at.
 func TestDriftedSettingsReachTheEngine(t *testing.T) {
-	s := baseSpec()
-	err := bound(&s).Parse([]string{"-select=all", "-thread-only", "-override=flink.task.slots=3"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := json.Marshal(s)
-	got, err := DecodeSpec(bytes.NewReader(body))
+	got := baseSpec()
+	err := bound(&got).Parse([]string{"-select=all", "-thread-only", "-override=flink.task.slots=3"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,8 +170,9 @@ func TestDriftedSettingsReachTheEngine(t *testing.T) {
 }
 
 // TestGoldenDigests pins the flags digest of the default campaign and of
-// CI's serve-smoke flag set, so existing ledgers and coverage indexes stay
-// comparable: a change here makes every index written before it stale.
+// a flat minihdfs subset run with -workers 2, so existing ledgers and
+// coverage indexes stay comparable: a change here makes every index
+// written before it stale.
 func TestGoldenDigests(t *testing.T) {
 	if got := DefaultSpec().Digest(); got != "4090d2079bef6fc0" {
 		t.Errorf("default digest = %s", got)
@@ -202,53 +184,7 @@ func TestGoldenDigests(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := s.Digest(); got != "11ff040db2cc5f84" {
-		t.Errorf("serve-smoke digest = %s", got)
-	}
-}
-
-func TestDecodeOmittedIsDefaultExplicitZeroIsZero(t *testing.T) {
-	got, err := DecodeSpec(strings.NewReader(`{}`))
-	if err != nil || !reflect.DeepEqual(got, DefaultSpec()) {
-		t.Errorf("empty body decoded to %+v (%v), want DefaultSpec", got, err)
-	}
-	got, err = DecodeSpec(strings.NewReader(`{"app": "minihdfs", "stream": false, "quarantine": 0}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := DefaultSpec()
-	want.App, want.Stream, want.Quarantine = "minihdfs", false, 0
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("explicit zeros decoded to %+v, want %+v", got, want)
-	}
-}
-
-// TestDecodeIsAsStrictAsTheFlags: a body's lists follow the flag form's
-// trim and drop-empty rule, and a field the flags do not have, or bytes
-// after the object, are refused rather than dropped.
-func TestDecodeIsAsStrictAsTheFlags(t *testing.T) {
-	got, err := DecodeSpec(strings.NewReader(`{"params": [" dfs.replication", "", "a ,b"], "tests": []}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	flagged := DefaultSpec()
-	if err := bound(&flagged).Parse([]string{"-params= dfs.replication,,a ,b", "-tests="}); err != nil {
-		t.Fatal(err)
-	}
-	if want := (List{"dfs.replication", "a", "b"}); !reflect.DeepEqual(got.Params, want) || !reflect.DeepEqual(got, flagged) {
-		t.Errorf("body decoded to params %q tests %q, the flags to %q %q", got.Params, got.Tests, flagged.Params, flagged.Tests)
-	}
-	for body, want := range map[string]string{
-		`{"params": ["dfs.replication"], "bogus_field": 1}`: `unknown field "bogus_field"`,
-		`{"heartbeat_ms": 0}`:                               `unknown field "heartbeat_ms"`,
-		`{"seed": 1} {"seed": 2}`:                           "trailing data",
-		`{"seed": 1}]`:                                      "trailing data",
-	} {
-		if _, err := DecodeSpec(strings.NewReader(body)); err == nil || !strings.Contains(err.Error(), want) {
-			t.Errorf("%s: error %v, want one naming %s", body, err, want)
-		}
-	}
-	if _, err := DecodeSpec(strings.NewReader("{\"seed\": 1}\n\t ")); err != nil {
-		t.Errorf("trailing white space refused: %v", err)
+		t.Errorf("-workers 2 digest = %s", got)
 	}
 }
 
@@ -267,20 +203,14 @@ func TestValidateRejectsBadSettings(t *testing.T) {
 	}
 }
 
-// TestReadmeSpecTable keeps README's table of the REST body generated:
-// one row per Spec field with its JSON key and default, its flag and
-// default, and whether it is in the flags digest. On a mismatch the
-// expected table is printed.
+// TestReadmeSpecTable keeps README's table of the campaign flags
+// generated: one row per Spec field with its flag, its default and whether
+// it is in the flags digest. On a mismatch the expected table is printed.
 func TestReadmeSpecTable(t *testing.T) {
 	flags := specFlags(t)
 	def := DefaultSpec()
-	body, _ := json.Marshal(def)
-	var jsonDefaults map[string]json.RawMessage
-	if err := json.Unmarshal(body, &jsonDefaults); err != nil {
-		t.Fatal(err)
-	}
 	var b strings.Builder
-	b.WriteString("| JSON field | default | flag | default | in flags digest |\n|---|---|---|---|---|\n")
+	b.WriteString("| flag | default | in flags digest |\n|---|---|---|\n")
 	for i, n := 0, reflect.TypeOf(def).NumField(); i < n; i++ {
 		sf := reflect.TypeOf(def).Field(i)
 		f := flags[sf.Name]
@@ -294,12 +224,11 @@ func TestReadmeSpecTable(t *testing.T) {
 		}
 		// DefValue of a flag bound to DefaultSpec is the default itself.
 		d := def
-		key := sf.Tag.Get("json")
 		flagDefault := "(empty)"
 		if v := bound(&d).Lookup(f.Name).DefValue; v != "" {
 			flagDefault = "`" + v + "`"
 		}
-		fmt.Fprintf(&b, "| `%s` | `%s` | `-%s` | %s | %s |\n", key, jsonDefaults[key], f.Name, flagDefault, in)
+		fmt.Fprintf(&b, "| `-%s` | %s | %s |\n", f.Name, flagDefault, in)
 	}
 	readme, err := os.ReadFile("../../../README.md")
 	if err != nil {
@@ -308,49 +237,4 @@ func TestReadmeSpecTable(t *testing.T) {
 	if !strings.Contains(string(readme), b.String()) {
 		t.Errorf("README.md does not contain the Spec table generated from DefaultSpec():\n%s", b.String())
 	}
-}
-
-// FuzzDecodeSpec holds the REST body decoder to the flags it mirrors: a
-// body is refused, or it decodes to a Spec that survives a JSON round
-// trip, and a Spec that validates is given back by its flag form —
-// ExecFlags plus -app and -override, parsed onto DefaultSpec — so what a
-// client posts is what the same command line would run.
-func FuzzDecodeSpec(f *testing.F) {
-	for _, body := range []string{
-		`{}`,
-		`{"app": "minihdfs", "stream": false, "quarantine": 0}`,
-		`{"params": [" dfs.replication", "", "a ,b"], "tests": []}`,
-		`{"params": ["dfs.replication"], "bogus_field": 1}`,
-		`{"heartbeat_ms": 0}`,
-		`{"seed": 1} {"seed": 2}`,
-		// README "Campaign service": -mode submit -app minihdfs -seed 7 -workers 2.
-		`{"app": "minihdfs", "seed": 7, "workers": 2}`,
-		`{"app": "miniflink", "override": "flink.task.slots=3", "select": "all", "seq_margin": 0.25, "evidence_max": -1}`,
-	} {
-		f.Add(body)
-	}
-	f.Fuzz(func(t *testing.T, body string) {
-		s, err := DecodeSpec(strings.NewReader(body))
-		if err != nil {
-			return
-		}
-		b, err := json.Marshal(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if back, err := DecodeSpec(bytes.NewReader(b)); err != nil || !reflect.DeepEqual(back, s) {
-			t.Fatalf("%s decoded to %+v, which posts as %s and decodes to %+v (%v)", body, s, b, back, err)
-		}
-		if s.Validate() != nil {
-			return
-		}
-		args := []string{"-app=" + s.App, "-override=" + s.Overrides}
-		for name, v := range s.ExecFlags() {
-			args = append(args, "-"+name+"="+v)
-		}
-		flagged := DefaultSpec()
-		if err := bound(&flagged).Parse(args); err != nil || !reflect.DeepEqual(flagged, s) {
-			t.Fatalf("%s decoded to %+v, its flags %q parse to %+v (%v)", body, s, args, flagged, err)
-		}
-	})
 }

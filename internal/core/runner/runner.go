@@ -155,8 +155,8 @@ type Options struct {
 	// trials. Their keys are unique within one campaign (the label is in
 	// the seed), so this buys nothing for a per-campaign in-memory cache
 	// and stays off by default; set it when Cache reaches a persistent
-	// tier (disk store, served campaigns), where the same keys recur on
-	// resubmission of an unchanged campaign. Forensic capture runs are
+	// tier (the disk store), where the same keys recur when an unchanged
+	// campaign runs again. Forensic capture runs are
 	// exempt: evidence must come from a real execution.
 	CacheLabelSeeded bool
 	// Obs receives execution metrics and trace spans; nil disables

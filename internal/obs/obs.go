@@ -195,14 +195,6 @@ const (
 	// up as old entries).
 	MDiskCacheHitAge = "zebraconf_disk_cache_hit_age_seconds"
 
-	// Campaign service catalog (internal/core/server).
-
-	// MServerCampaigns counts campaigns by terminal state.
-	// Labels: state (done, failed, cancelled).
-	MServerCampaigns = "zebraconf_server_campaigns_total"
-	// MServerQueueDepth gauges campaigns queued behind the running one.
-	MServerQueueDepth = "zebraconf_server_queue_depth"
-
 	// MBuildInfo is the conventional constant-1 build-identity gauge.
 	// Labels: version, go.
 	MBuildInfo = "zebraconf_build_info"
