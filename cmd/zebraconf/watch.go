@@ -97,9 +97,8 @@ func renderWatch(w io.Writer, base string, cs obs.CampaignStatus, ws []obs.Worke
 	fmt.Fprintf(w, "  items      %s %d/%d done · %d running · %d queued\n",
 		bar(cs.ItemsDone, items, 24), cs.ItemsDone, items, cs.ItemsRunning, cs.ItemsQueued)
 	fmt.Fprintf(w, "  instances  %d/%d\n", cs.InstancesDone, cs.Instances)
-	fmt.Fprintf(w, "  execs      %d (%.1f/s) · cache %.1f%% (%d saved) · spec %d runs / %d wins\n",
-		cs.Executions, cs.ExecRate, 100*cs.CacheHitRate, cs.ExecutionsSaved,
-		cs.SpeculativeRuns, cs.SpeculationWins)
+	fmt.Fprintf(w, "  execs      %d (%.1f/s) · cache %.1f%% (%d saved)\n",
+		cs.Executions, cs.ExecRate, 100*cs.CacheHitRate, cs.ExecutionsSaved)
 	fmt.Fprintf(w, "  verdicts   safe=%d unsafe=%d filtered=%d homo-invalid=%d · %d unsafe params\n",
 		cs.Safe, cs.Unsafe, cs.Filtered, cs.HomoInvalid, cs.UnsafeParams)
 	fmt.Fprintf(w, "  elapsed    %s", fmtSecs(cs.ElapsedSeconds))

@@ -30,12 +30,12 @@ var wallClock = map[string]bool{
 // file not listed may name none. Most are measurements (Elapsed, phase and
 // queue-wait histograms) or supervision of a worker process; a new site is
 // an edit to this list, to be argued in review, and a removed one must
-// lower its number (ROADMAP 6f wants the ones that steer dispatch gone).
+// lower its number (ROADMAP 8(f) wants the ones that steer dispatch gone).
 var wallClockSites = map[string]int{
 	"../core/campaign/campaign.go":   4,
 	"../core/campaign/pipeline.go":   2,
 	"../core/diskcache/diskcache.go": 3, // one is the age of a temp file Open may sweep
-	"../core/dist/coordinator.go":    10,
+	"../core/dist/coordinator.go":    9,
 	"../core/dist/worker.go":         1,
 	"../core/harness/app.go":         4, // the execution watchdog
 	"../core/launch/launch.go":       1,

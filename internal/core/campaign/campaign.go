@@ -83,12 +83,9 @@ type Options struct {
 	// value, keeps declaration order; sched.LPT dispatches
 	// longest-predicted-first to shrink the makespan).
 	SchedPolicy sched.Policy
-	// Stream releases a test's work item for dispatch the moment its
-	// pre-run finishes, so instance execution overlaps the pre-run tail.
-	// False is the phase-1 barrier ablation: every item is held until the
-	// last pre-run is in, then all are released in item-ID order. Both
-	// values run the same pipeline under one Parallelism budget, and the
-	// reported set is the same under either.
+	// Stream is ignored: a test's work item is always released the moment
+	// its pre-run finishes. It is kept only for the benchmark module, which
+	// sets it, and goes with ROADMAP item 1.
 	Stream bool
 	// Profile, when non-nil, supplies per-(app, test) duration
 	// predictions from earlier campaigns and receives this campaign's
@@ -381,8 +378,7 @@ func Run(app *harness.App, opts Options) *Result {
 
 	// Phases 1 and 2: pre-run every test, build and schedule work items,
 	// execute their instances — one pipeline over one policy-aware queue
-	// (see pipeline; Options.Stream only decides when built items are
-	// released into it).
+	// (see pipeline).
 	p := &pipeline{app: app, gen: gen, run: run, opts: opts, o: o, force: force, tests: tests}
 	itemResults := p.execute(phase)
 	res.PreRuns = p.pres

@@ -97,8 +97,8 @@ func (f *FrequentFailers) Quarantined() []string {
 
 // Completion is the campaign's one completion step: what a resolved work
 // item means for the live views, read once from its ItemResult for both
-// executors (pipeline.doItem, and dist.Run after its journal append and
-// duplicate discard), so no number depends on which one ran the item. It
+// executors (pipeline.doItem, and dist.Run after its journal append), so
+// no number depends on which one ran the item. It
 // carries §4's rule; safe for concurrent use.
 type Completion struct {
 	*FrequentFailers

@@ -220,7 +220,6 @@ func TestSameSeedCampaignByteIdenticalAcrossParallelism(t *testing.T) {
 					Parallelism:         slots,
 					QuarantineThreshold: math.MaxInt32,
 					SeqMargin:           -1,
-					Stream:              true,
 				})
 				if len(res.Reported) == 0 {
 					t.Fatalf("%s campaign reported nothing; the comparison is vacuous", name)

@@ -13,12 +13,10 @@ import (
 
 // pipeline is phases 1 and 2 of one campaign: one policy-aware queue
 // holds both pending pre-runs and ready work items, and a single pool of
-// Parallelism workers drains it. With Options.Stream a test's work item is
-// pushed (or Submitted to the Distributor) the moment its pre-run
-// finishes, so instance execution overlaps the pre-run tail; without it
-// every built item is held until the last pre-run is in and then released
-// in item-ID order. Either way the queue's policy orders ready items, and
-// the one pool bounds total concurrency.
+// Parallelism workers drains it. A test's work item is pushed (or
+// Submitted to the Distributor) the moment its pre-run finishes, so
+// instance execution overlaps the pre-run tail. The queue's policy orders
+// ready items, and the one pool bounds total concurrency.
 type pipeline struct {
 	app  *harness.App
 	gen  *testgen.Generator
@@ -31,11 +29,8 @@ type pipeline struct {
 	force map[string][]string
 	tests []*harness.UnitTest
 
-	span obs.SpanID // the "instances" phase, parent of every item's spans
-	pres []testgen.PreRun
-	// items holds every built work item by ID, written by the pre-run
-	// that built it before it takes mu — what the barrier releases.
-	items   []WorkItem
+	span    obs.SpanID // the "instances" phase, parent of every item's spans
+	pres    []testgen.PreRun
 	results []ItemResult
 	done    *Completion
 	endPre  func()
@@ -66,7 +61,6 @@ func (p *pipeline) execute(phase func(name string) (obs.SpanID, func())) []ItemR
 	span, endInstances := phase("instances")
 	p.span = span
 	p.pres = make([]testgen.PreRun, n)
-	p.items = make([]WorkItem, n)
 	p.results = make([]ItemResult, n)
 	p.preLeft, p.itemLeft = n, n
 	p.q = sched.NewQueue[streamTask](p.opts.SchedPolicy, p.o, p.app.Name, "stream")
@@ -115,11 +109,9 @@ func (p *pipeline) execute(phase func(name string) (obs.SpanID, func())) []ItemR
 	return p.results
 }
 
-// doPreRun executes one pre-run and builds its work item. When streaming,
-// the item is released at once; otherwise the last pre-run to finish
-// releases them all, in item-ID order. The last pre-run also closes the
-// phase-1 timer (and, in dist mode, the queue — nothing else will be
-// pushed).
+// doPreRun executes one pre-run, builds its work item and releases it at
+// once. The last pre-run also closes the phase-1 timer (and, in dist mode,
+// the queue — nothing else will be pushed).
 func (p *pipeline) doPreRun(idx int) {
 	pre, d, abandoned := p.run.PreRunTimed(p.tests[idx])
 	p.pres[idx] = pre
@@ -131,7 +123,6 @@ func (p *pipeline) doPreRun(idx int) {
 		queued = append(queued, obs.Int("leaked", 1))
 	}
 	p.o.Event(obs.EvItemQueued, queued...)
-	p.items[idx] = item
 
 	p.mu.Lock()
 	p.preLeft--
@@ -143,14 +134,7 @@ func (p *pipeline) doPreRun(idx int) {
 	if last {
 		p.endPre()
 	}
-	switch {
-	case p.opts.Stream:
-		p.release(item)
-	case last:
-		for _, it := range p.items {
-			p.release(it)
-		}
-	}
+	p.release(item)
 	if last && p.opts.Distributor != nil {
 		p.q.Close()
 	}

@@ -50,13 +50,13 @@ func (d *fakeDistributor) Drain() []ItemResult {
 // warm profile — the order in which a streamed pipeline overtakes pending
 // pre-runs deterministically, whatever the parallelism — and counts the
 // item_dispatch events logged before phase_finish{phase="prerun"}.
-func dispatchesBeforePreRunEnd(t *testing.T, stream bool, dist *fakeDistributor) (before int) {
+func dispatchesBeforePreRunEnd(t *testing.T, dist *fakeDistributor) (before int) {
 	t.Helper()
 	const n = 4
 	var buf bytes.Buffer
 	o := obs.New()
 	o.Events = obs.NewEventLog(&buf)
-	opts := schedOptions(sched.LPT, stream, warmProfile(n), o)
+	opts := schedOptions(sched.LPT, warmProfile(n), o)
 	if dist != nil {
 		dist.o = o
 		opts.Distributor = dist
@@ -84,32 +84,15 @@ func dispatchesBeforePreRunEnd(t *testing.T, stream bool, dist *fakeDistributor)
 	return before
 }
 
-// TestBarrierHoldsItemsUntilLastPreRun pins what Stream=false means on the
-// one pipeline: nothing is dispatched, in process or through a
-// Distributor, until the last pre-run is in, and the items are then
-// released in item-ID order.
-func TestBarrierHoldsItemsUntilLastPreRun(t *testing.T) {
-	t.Parallel()
-	if before := dispatchesBeforePreRunEnd(t, false, nil); before != 0 {
-		t.Fatalf("in-process: %d items dispatched before the pre-run phase finished", before)
-	}
-	d := &fakeDistributor{}
-	if before := dispatchesBeforePreRunEnd(t, false, d); before != 0 {
-		t.Fatalf("distributor: %d items submitted before the pre-run phase finished", before)
-	}
-	if !sort.SliceIsSorted(d.items, func(i, j int) bool { return d.items[i].ID < d.items[j].ID }) {
-		t.Fatalf("barrier released items out of ID order: %+v", d.items)
-	}
-}
-
-// TestStreamDispatchesDuringPreRuns is the other value of the policy: the
-// first built item overtakes the pre-runs still queued.
+// TestStreamDispatchesDuringPreRuns pins the one release policy: the first
+// built item overtakes the pre-runs still queued, in process and through a
+// Distributor.
 func TestStreamDispatchesDuringPreRuns(t *testing.T) {
 	t.Parallel()
-	if before := dispatchesBeforePreRunEnd(t, true, nil); before == 0 {
+	if before := dispatchesBeforePreRunEnd(t, nil); before == 0 {
 		t.Fatal("in-process: no item dispatched before the pre-run phase finished")
 	}
-	if before := dispatchesBeforePreRunEnd(t, true, &fakeDistributor{}); before == 0 {
+	if before := dispatchesBeforePreRunEnd(t, &fakeDistributor{}); before == 0 {
 		t.Fatal("distributor: no item submitted before the pre-run phase finished")
 	}
 }

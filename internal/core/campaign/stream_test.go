@@ -27,21 +27,19 @@ func testName(i int) string {
 // quarantine fires on completion order, which is exactly what scheduling
 // changes, so its pruning would make byte-equality between dispatch orders
 // unachievable (and its merge-level correctness has its own test).
-func schedOptions(policy sched.Policy, stream bool, prof *sched.Profile, o *obs.Observer) Options {
+func schedOptions(policy sched.Policy, prof *sched.Profile, o *obs.Observer) Options {
 	return Options{
 		Parallelism:         2,
 		QuarantineThreshold: 99,
 		SchedPolicy:         policy,
-		Stream:              stream,
 		Profile:             prof,
 		Obs:                 o,
 	}
 }
 
-// dispatch is one way of ordering and releasing phase 2's work items.
+// dispatch is one way of ordering phase 2's work items.
 type dispatch struct {
 	policy sched.Policy
-	stream bool
 	warm   bool // start from warmProfile; otherwise no profile at all
 }
 
@@ -50,8 +48,8 @@ type dispatch struct {
 // the synthetic campaign under ref and under got and compares the results
 // with only Elapsed zeroed.
 func TestSchedEquivalence(t *testing.T) {
-	fifo := dispatch{sched.FIFO, false, false}
-	lptStream := dispatch{sched.LPT, true, true}
+	fifo := dispatch{sched.FIFO, false}
+	lptWarm := dispatch{sched.LPT, true}
 	cases := []struct {
 		name     string
 		n        int
@@ -61,19 +59,18 @@ func TestSchedEquivalence(t *testing.T) {
 		// stream to have timed queue waits.
 		engaged bool
 	}{
-		{"streamed-lpt-vs-barriered-fifo", 5, fifo, lptStream, true},
+		{"streamed-lpt-vs-fifo", 5, fifo, lptWarm, true},
 		// Cold: predictions come from pre-run durations measured this run,
 		// and order dispatch, nothing else.
-		{"streamed-cold-vs-barriered-fifo", 4, fifo, dispatch{sched.LPT, true, false}, false},
-		{"streamed-lpt-twice", 4, lptStream, lptStream, false},
-		{"barriered-lpt-vs-fifo", 4, fifo, dispatch{sched.LPT, false, true}, false},
+		{"streamed-cold-vs-fifo", 4, fifo, dispatch{sched.LPT, false}, false},
+		{"streamed-lpt-twice", 4, lptWarm, lptWarm, false},
 	}
 	run := func(n int, d dispatch, o *obs.Observer) (*Result, *sched.Profile) {
 		var prof *sched.Profile
 		if d.warm {
 			prof = warmProfile(n)
 		}
-		return Run(syntheticApp(n), schedOptions(d.policy, d.stream, prof, o)), prof
+		return Run(syntheticApp(n), schedOptions(d.policy, prof, o)), prof
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -132,7 +129,6 @@ func TestStreamedEmptyCampaign(t *testing.T) {
 	app := syntheticApp(2)
 	res := Run(app, Options{
 		Parallelism: 2,
-		Stream:      true,
 		Tests:       []string{"TestNoSuchTest"},
 	})
 	if len(res.PreRuns) != 0 || len(res.Reported) != 0 {

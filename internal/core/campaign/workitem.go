@@ -30,8 +30,8 @@ type WorkItem struct {
 	Stored *ItemResult `json:"-"`
 	// PredSeconds is the scheduler's predicted wall clock for this item
 	// (profile estimate, or the cold-campaign pre-run fallback). Purely
-	// advisory: it orders dispatch and arms speculation deadlines, and
-	// never influences what the item executes.
+	// advisory: it orders dispatch and never influences what the item
+	// executes.
 	PredSeconds float64 `json:"pred_seconds,omitempty"`
 	// ForceParams lists parameters that must generate instances even when
 	// this item's pre-run observed no read of them — the coverage-driven
@@ -66,9 +66,7 @@ type InstanceVerdict struct {
 	HeteroMsg  string `json:"hetero_msg,omitempty"`
 	// Evidence is the instance's forensic record (nil with evidence
 	// off). Riding inside the verdict, it serializes over the dist
-	// protocol and into checkpoint journals with no extra machinery, and
-	// the coordinator's first-result-wins duplicate discard applies to
-	// it automatically — exactly one record survives per accounted item.
+	// protocol and into checkpoint journals with no extra machinery.
 	Evidence *forensics.Evidence `json:"evidence,omitempty"`
 }
 

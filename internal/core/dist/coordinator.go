@@ -70,10 +70,9 @@ type Options struct {
 	// the zero value, keeps submission order; sched.LPT pops the
 	// longest-predicted item first).
 	SchedPolicy sched.Policy
-	// SpeculationFactor enables straggler speculation: once the queue is
-	// drained, an item held by one worker for longer than this factor ×
-	// its predicted duration is re-issued to an idle worker,
-	// first-result-wins. Zero (or negative) disables speculation.
+	// SpeculationFactor is ignored: an item has at most one live attempt.
+	// It is kept only for the benchmark module, which sets it, and goes
+	// with ROADMAP item 1.
 	SpeculationFactor float64
 	// Profile, when non-nil, receives every completed item's wall clock
 	// so later campaigns predict durations from it.
@@ -100,11 +99,10 @@ type Coordinator struct {
 	itemTimeout time.Duration
 	maxItems    int
 
-	// The Distributor's one run; Abort may arrive before Begin.
-	mu      sync.Mutex
-	run     *Run
-	err     error
-	aborted bool
+	// The Distributor's one run.
+	mu  sync.Mutex
+	run *Run
+	err error
 }
 
 // New builds a Coordinator. Option defaults are resolved at Start time.
@@ -128,11 +126,7 @@ func (c *Coordinator) Begin(parent obs.SpanID, total int) {
 	run, err := c.Start(parent, total)
 	c.mu.Lock()
 	c.run, c.err = run, err
-	aborted := c.aborted
 	c.mu.Unlock()
-	if aborted && run != nil {
-		run.Abort()
-	}
 }
 
 // Submit hands one work item to the run Begin opened.
@@ -157,7 +151,7 @@ func (c *Coordinator) Drain() []campaign.ItemResult {
 }
 
 // Err is the failure of Begin or Drain, nil when the run succeeded (a
-// halted or aborted run is not a failure).
+// halted run is not a failure).
 func (c *Coordinator) Err() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -169,18 +163,6 @@ func (c *Coordinator) Run() *Run {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.run
-}
-
-// Abort halts the run Begin opened (see Run.Abort), or makes Begin halt it
-// as soon as it opens. Safe at any time, from any goroutine.
-func (c *Coordinator) Abort() {
-	c.mu.Lock()
-	c.aborted = true
-	run := c.run
-	c.mu.Unlock()
-	if run != nil {
-		run.Abort()
-	}
 }
 
 // Start opens an incremental run expecting exactly total Submits:
@@ -232,18 +214,12 @@ func (c *Coordinator) Start(parent obs.SpanID, total int) (*Run, error) {
 	return r, nil
 }
 
-// attempt is one dispatched copy of an item: its primary, or a
-// speculative copy re-issued to another worker. The session that sent it
-// holds it (workerSession.held) until its result arrives or release ends
-// it.
+// attempt is one dispatch of an item to a worker; an item has at most one
+// live attempt. The session that sent it holds it (workerSession.held)
+// until its result arrives or release ends it.
 type attempt struct {
 	item  campaign.WorkItem
 	start time.Time
-	// primary is the attempt a speculative copy duplicates, nil for a
-	// primary; speculated marks a primary whose copy is out. Both are
-	// guarded by Run.mu.
-	primary    *attempt
-	speculated bool
 	// span is the coordinator-side "item" span for this attempt; the
 	// worker's trace fragment is stitched under it on acceptance. Every
 	// end of the attempt must End it, or its stitched children would
@@ -286,16 +262,10 @@ type Run struct {
 	stallAfter time.Duration
 	stalls     atomic.Int64
 
-	mu           sync.Mutex
-	results      map[int]campaign.ItemResult // one per item resolved this run
-	failures     map[int]int                 // charged attempts per item
-	sessions     map[int]*workerSession
-	submitted    int
-	allSubmitted bool
-	// durSum/durN hold a running mean of completed-item durations, the
-	// speculation deadline fallback for items without a prediction.
-	durSum      float64
-	durN        int
+	mu          sync.Mutex
+	results     map[int]campaign.ItemResult // one per item resolved this run
+	failures    map[int]int                 // charged attempts per item
+	sessions    map[int]*workerSession
 	live        int // worker slots not yet permanently dead
 	lastFailure string
 	failErr     error
@@ -337,14 +307,10 @@ func (r *Run) start() error {
 // and now; the rest enter the queue immediately, so workers start on them
 // while later pre-runs are still executing.
 func (r *Run) Submit(item campaign.WorkItem) {
-	r.mu.Lock()
-	r.submitted++
-	r.allSubmitted = r.submitted >= r.total
 	if item.Stored != nil {
+		r.mu.Lock()
 		r.results[item.ID] = *item.Stored
-	}
-	r.mu.Unlock()
-	if item.Stored != nil {
+		r.mu.Unlock()
 		r.complete(*item.Stored, true, 0, 0)
 		return
 	}
@@ -356,22 +322,6 @@ func (r *Run) Submit(item campaign.WorkItem) {
 // threshold during this run (0 with heartbeats off). Meaningful any
 // time; final after Drain.
 func (r *Run) Stalls() int64 { return r.stalls.Load() }
-
-// Abort halts the run early: sessions stop dispatching, inflight items
-// are abandoned, and Drain returns the results accumulated so far
-// without error (the same partial-result semantics as a halt). Safe to
-// call at any time, from any goroutine, more than once. Used by the
-// campaign server to cancel a running submitted campaign.
-func (r *Run) Abort() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.finished {
-		return
-	}
-	r.finished = true
-	r.halted = true
-	close(r.doneCh)
-}
 
 // Drain blocks until every item resolves (or the run halts, or every
 // worker slot is lost) and returns one ItemResult per completed item —
@@ -533,43 +483,31 @@ func (r *Run) session(slot int, sess *workerSession) sessionOutcome {
 		if ready && !r.stopped() {
 			for len(sess.held) < r.parallel {
 				item, ok := r.q.TryPop()
-				var primary *attempt
-				if ok {
-					o.GaugeSet(obs.MQueueDepth, int64(r.q.Len()), "app", app)
-				} else if primary = r.maybeSpeculate(sess); primary != nil {
-					// Queue drained: re-issue a straggler held by another
-					// worker instead of idling this slot.
-					item = primary.item
-				} else {
+				if !ok {
 					break
 				}
-				a := &attempt{item: item, start: time.Now(), primary: primary}
-				r.mu.Lock()
+				o.GaugeSet(obs.MQueueDepth, int64(r.q.Len()), "app", app)
+				a := &attempt{item: item, start: time.Now()}
 				sess.held[item.ID] = a
-				r.mu.Unlock()
 				if err := sess.send(Msg{Type: MsgRun, Item: &item}); err != nil {
 					// The item never reached the worker: it alone goes
 					// back for free, and the broken pipe is a crash.
 					return lost("crash", func(b *attempt) bool { return b != a })
 				}
-				spec := primary != nil
-				dispatchAttrs := []obs.Attr{
+				o.Event(obs.EvItemDispatch,
 					obs.String("app", app),
 					obs.Int("item", int64(item.ID)),
 					obs.String("test", item.Test),
-					obs.Int("worker", int64(slot)),
-				}
-				if spec {
-					o.Event(obs.EvSpeculate, dispatchAttrs...)
-				}
-				o.Event(obs.EvItemDispatch, append(dispatchAttrs, obs.Bool("spec", spec))...)
+					obs.Int("worker", int64(slot)))
 				a.span = o.StartSpan("item", wspan.ID(),
 					obs.String("app", app),
 					obs.String("test", item.Test),
 					obs.Int("item", int64(item.ID)))
-				if spec {
-					a.span.SetAttr(obs.Bool("spec", true))
-				}
+			}
+			if r.q.Len() > 0 {
+				// Full with items still queued: the push that woke this
+				// session may have been the only pulse, so pass it on.
+				r.pulse()
 			}
 		}
 		if r.stopped() {
@@ -583,6 +521,12 @@ func (r *Run) session(slot int, sess *workerSession) sessionOutcome {
 			return sessDone
 		}
 
+		// Only a session that can take an item waits for a push: a full or
+		// not-yet-ready one would swallow the pulse an idle one needs.
+		var wake <-chan struct{}
+		if ready && len(sess.held) < r.parallel {
+			wake = r.wake
+		}
 		select {
 		case m, ok := <-sess.msgs:
 			if !ok {
@@ -659,15 +603,15 @@ func (r *Run) session(slot int, sess *workerSession) sessionOutcome {
 					return lost("timeout", func(b *attempt) bool { return b == a })
 				}
 			}
-		case <-r.wake:
+		case <-wake:
 		case <-r.doneCh:
 		}
 	}
 }
 
-// addSession registers a live worker for quarantine broadcasts and
-// speculation, and sends it the hints it missed (a respawned worker starts
-// with a clean slate; so does every worker of a resumed run).
+// addSession registers a live worker for quarantine broadcasts, and sends
+// it the hints it missed (a respawned worker starts with a clean slate; so
+// does every worker of a resumed run).
 func (r *Run) addSession(slot int, s *workerSession) {
 	r.mu.Lock()
 	r.sessions[slot] = s
@@ -689,22 +633,17 @@ func (r *Run) removeSession(slot int, s *workerSession) {
 }
 
 // release ends every attempt sess holds: the one way an attempt ends
-// other than by its result. A speculative copy simply goes, and its
-// primary may be speculated again. A primary is charged a failed attempt
-// (see retryOrGiveUp) when charged, nil for every one, says so, and
-// requeues for free when it does not. Once the run has stopped,
-// everything is abandoned with it. Each attempt's span ends marked with
-// which of these happened.
+// other than by its result. An attempt is charged a failed try (see
+// retryOrGiveUp) when charged, nil for every one, says so, and requeues
+// for free when it does not. Once the run has stopped, everything is
+// abandoned with it. Each attempt's span ends marked with which of these
+// happened.
 func (r *Run) release(sess *workerSession, reason string, charged func(*attempt) bool) {
 	r.mu.Lock()
-	held, abandon := sess.held, r.finished
-	sess.held = nil
-	for _, a := range held {
-		if a.primary != nil {
-			a.primary.speculated = false
-		}
-	}
+	abandon := r.finished
 	r.mu.Unlock()
+	held := sess.held
+	sess.held = nil
 	for _, a := range held {
 		end := reason
 		if abandon {
@@ -715,64 +654,13 @@ func (r *Run) release(sess *workerSession, reason string, charged func(*attempt)
 		a.span.SetAttr(obs.String("end", end))
 		a.span.End()
 		switch {
-		case abandon || a.primary != nil:
+		case abandon:
 		case end == reason:
 			r.retryOrGiveUp(a.item, reason)
 		default:
 			r.push(a.item)
 		}
 	}
-}
-
-// maybeSpeculate picks a straggler to re-issue on an idle session: the
-// most overdue unresolved primary, with no copy out, that another worker
-// holds, judged against its predicted duration (or the running mean of
-// completed items when no prediction exists). Only after every item has
-// been submitted and the queue is drained — speculation must never
-// displace first-run work — and at most one speculative copy per item at
-// a time. First result wins; executions are canonically seeded, so the
-// copies are byte-identical and the loser is discarded as a duplicate.
-func (r *Run) maybeSpeculate(idle *workerSession) *attempt {
-	if r.opts.SpeculationFactor <= 0 || r.q.Len() != 0 {
-		return nil
-	}
-	now := time.Now()
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !r.allSubmitted || r.finished {
-		return nil
-	}
-	var mean float64
-	if r.durN > 0 {
-		mean = r.durSum / float64(r.durN)
-	}
-	var best *attempt
-	var bestRatio float64
-	for _, s := range r.sessions {
-		if s == idle {
-			continue
-		}
-		for id, a := range s.held {
-			if _, resolved := r.results[id]; resolved || a.primary != nil || a.speculated {
-				continue
-			}
-			pred := a.item.PredSeconds
-			if pred <= 0 {
-				pred = mean
-			}
-			held := now.Sub(a.start)
-			if !sched.Overdue(held, pred, r.opts.SpeculationFactor) {
-				continue
-			}
-			if ratio := held.Seconds() / pred; best == nil || ratio > bestRatio {
-				best, bestRatio = a, ratio
-			}
-		}
-	}
-	if best != nil {
-		best.speculated = true
-	}
-	return best
 }
 
 // stitchSpans folds a worker's trace fragment under the coordinator's
@@ -805,46 +693,16 @@ func (r *Run) stitchSpans(item *obs.Span, dispatched time.Time, frag []obs.SpanR
 }
 
 // recordResult ends attempt a, held by sess, with the worker's result and
-// trace fragment. First result wins: a duplicate — the losing copy of a
-// speculated item, or a timeout-retry race — is discarded here, evidence,
-// fragment and all, before any accounting, and its span marked so the
-// trace shows where the duplicate work went.
+// trace fragment.
 func (r *Run) recordResult(sess *workerSession, a *attempt, res campaign.ItemResult, frag []obs.SpanRecord) {
 	defer a.span.End()
 	elapsed := time.Since(a.start)
-	slot, spec := sess.slot, a.primary != nil
-	r.mu.Lock()
 	delete(sess.held, res.ID)
-	_, dup := r.results[res.ID]
-	if !dup {
-		r.results[res.ID] = res
-		r.durSum += elapsed.Seconds()
-		r.durN++
-	}
+	r.mu.Lock()
+	r.results[res.ID] = res
 	r.mu.Unlock()
-	// A completion moves the running mean that speculation deadlines
-	// fall back on; let an idle session look again.
-	r.pulse()
-	if dup {
-		// Execution is canonically seeded, so the copies agree; nothing
-		// to record.
-		a.span.SetAttr(obs.Bool("duplicate", true))
-		r.o.Event(obs.EvSpeculationLoss,
-			obs.String("app", r.opts.App),
-			obs.Int("item", int64(res.ID)),
-			obs.Int("worker", int64(slot)),
-			obs.Bool("spec", spec))
-		return
-	}
-	if spec {
-		r.o.Event(obs.EvSpeculationWin,
-			obs.String("app", r.opts.App),
-			obs.Int("item", int64(res.ID)),
-			obs.Int("worker", int64(slot)))
-	}
 	r.complete(res, false, elapsed.Seconds(), a.item.PredSeconds,
-		obs.Int("worker", int64(slot)),
-		obs.Bool("spec", spec))
+		obs.Int("worker", int64(sess.slot)))
 	r.stitchSpans(a.span, a.start, frag)
 }
 
@@ -882,14 +740,8 @@ func (r *Run) complete(res campaign.ItemResult, stored bool, elapsed, pred float
 // retryOrGiveUp charges one failed attempt to an item: requeue it for a
 // fresh worker, or — past the retry budget — quarantine it with a
 // fabricated result so the campaign report surfaces the coverage gap.
-// An item already resolved (typically by a speculative copy that won
-// while its primary crashed) is simply released.
 func (r *Run) retryOrGiveUp(item campaign.WorkItem, reason string) {
 	r.mu.Lock()
-	if _, resolved := r.results[item.ID]; resolved {
-		r.mu.Unlock()
-		return
-	}
 	r.failures[item.ID]++
 	n := r.failures[item.ID]
 	r.mu.Unlock()
@@ -919,9 +771,7 @@ func (r *Run) retryOrGiveUp(item campaign.WorkItem, reason string) {
 		}
 	}
 	r.mu.Lock()
-	if _, dup := r.results[res.ID]; !dup {
-		r.results[res.ID] = res
-	}
+	r.results[res.ID] = res
 	r.mu.Unlock()
 	r.maybeFinish()
 }
@@ -990,8 +840,7 @@ func (r *Run) slotDied() {
 type workerSession struct {
 	slot int
 	// held is the attempts dispatched to this worker and not yet ended,
-	// by item ID. Only the session's own goroutine writes it, under
-	// Run.mu; other goroutines read it under Run.mu.
+	// by item ID. Only the session's own goroutine touches it.
 	held       map[int]*attempt
 	stdin      io.WriteCloser
 	cmd        *exec.Cmd

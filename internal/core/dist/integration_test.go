@@ -577,9 +577,8 @@ func TestAllSlotsFailing(t *testing.T) {
 
 // TestCoordinatorAsDistributorFailures drives the Coordinator through the
 // campaign.Distributor methods on the paths that leave it without results:
-// a run that cannot open, a run whose every slot dies, and an Abort that
-// arrives before Begin. None may panic or hang; the first two report
-// through Err, the third is a halt, not a failure.
+// a run that cannot open and a run whose every slot dies. Neither may panic
+// or hang, and both report through Err.
 func TestCoordinatorAsDistributorFailures(t *testing.T) {
 	t.Parallel()
 	item := campaign.WorkItem{ID: 0, Test: "T"}
@@ -611,14 +610,6 @@ func TestCoordinatorAsDistributorFailures(t *testing.T) {
 	}
 	if len(res.Items) != 0 || len(res.Reported) != 0 {
 		t.Fatalf("campaign merged results from a failed run: %+v", res.Items)
-	}
-
-	early := dist.New(dist.Options{App: "minihdfs", Workers: 1, WorkerCmd: workerFactory()})
-	early.Abort()
-	early.Begin(obs.NoSpan, 1)
-	early.Submit(item)
-	if res := early.Drain(); len(res) != 0 || early.Err() != nil {
-		t.Fatalf("aborted before Begin: Drain = %+v, Err = %v", res, early.Err())
 	}
 }
 

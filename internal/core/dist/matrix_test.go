@@ -280,11 +280,10 @@ var groups = map[string][]row{
 		}, ref: "evidence", check: sameInWorker},
 	},
 	"TestSchedEquivalenceAllApps": {
-		{name: "workers2-lpt-speculate", workers: true, set: func(o *campaign.Options, d *dist.Options) {
-			o.SchedPolicy, o.Stream = sched.LPT, true
-			d.SchedPolicy, d.SpeculationFactor = sched.LPT, 1.5
+		{name: "workers2-lpt", workers: true, set: func(o *campaign.Options, d *dist.Options) {
+			o.SchedPolicy, d.SchedPolicy = sched.LPT, sched.LPT
 		}},
-		{name: "lpt-stream", set: func(o *campaign.Options, _ *dist.Options) { o.SchedPolicy, o.Stream = sched.LPT, true }},
+		{name: "lpt-stream", set: func(o *campaign.Options, _ *dist.Options) { o.SchedPolicy = sched.LPT }},
 	},
 	"TestPerfSamplerEquivalenceAllApps": {
 		{name: "sampler", sampled: true},
@@ -363,8 +362,8 @@ func traced(t *testing.T, _ *matrixCase, _ campaign.Options, res *campaign.Resul
 // sameInWorker replays the campaign's work items through one ServeWorker
 // session and requires each item's result to match the in-process one
 // byte for byte, but for the coverage edges only a worker ships. One slot
-// and the barrier release on both sides, so items meet the trial budget
-// pool in the same order.
+// on both sides, so items meet the trial budget pool in the same order: the
+// campaign's one slot runs every queued pre-run before the first item.
 func sameInWorker(t *testing.T, c *matrixCase, opts campaign.Options, local *campaign.Result) {
 	rec := &recordingDistributor{}
 	opts.Distributor = rec

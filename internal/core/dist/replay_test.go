@@ -20,8 +20,7 @@ import (
 var foldFamilies = append([]string{
 	obs.MPhaseSeconds, obs.MItemSeconds, obs.MWorkerItems, obs.MItemRunSeconds,
 	obs.MItemRetries, obs.MItemsQuarantined, obs.MWorkerSpawns, obs.MWorkerCrashes,
-	obs.MWorkerStalls, obs.MSpeculativeRuns, obs.MSpeculationWins,
-	obs.MCacheHits, obs.MCacheCoalesced, obs.MQuarantine, obs.MSchedPredRatio,
+	obs.MWorkerStalls, obs.MCacheHits, obs.MCacheCoalesced, obs.MQuarantine, obs.MSchedPredRatio,
 }, itemFamilies...)
 
 // itemFamilies are the families folded from the tallies a work item's events

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
@@ -22,21 +21,18 @@ import (
 )
 
 // runFakeWorker speaks the wire protocol without running any tests, so
-// coordinator-side scheduling mechanics (speculation, quarantine
-// broadcast) can be exercised with fully controlled timing. Behaviour is
-// keyed off the dispatched item itself:
+// coordinator-side scheduling mechanics (dispatch, quarantine broadcast)
+// can be exercised with fully controlled timing. Behaviour is keyed off
+// the dispatched item itself:
 //
-//   - a Test name suffixed "#<ms>" makes the FIRST process to claim that
-//     item (an O_EXCL file in ZEBRACONF_DIST_FAKE_DIR) straggle for that
-//     many milliseconds before answering; any later claimant — the
-//     speculative copy — answers instantly.
+//   - a Test name suffixed "#<ms>" makes the worker sleep that many
+//     milliseconds before answering; it reads nothing meanwhile.
 //   - a Test name prefixed "TestQ" answers with one unsafe verdict for
 //     the parameter "demo.param" (distinct tests, so several such items
 //     trip the coordinator's frequent-failer threshold).
 //   - every answer echoes the MsgQuarantine hints received so far in
 //     ReachableParams, which is how tests observe the broadcast landing.
 func runFakeWorker() {
-	dir := os.Getenv("ZEBRACONF_DIST_FAKE_DIR")
 	sc := bufio.NewScanner(os.Stdin)
 	sc.Buffer(make([]byte, 0, 1<<20), 16<<20)
 	enc := json.NewEncoder(os.Stdout)
@@ -53,16 +49,9 @@ func runFakeWorker() {
 			hints = append(hints, m.Param)
 		case dist.MsgRun:
 			item := *m.Item
-			if i := strings.LastIndex(item.Test, "#"); i >= 0 && dir != "" {
+			if i := strings.LastIndex(item.Test, "#"); i >= 0 {
 				ms, _ := strconv.Atoi(item.Test[i+1:])
-				claim := filepath.Join(dir, fmt.Sprintf("claim%d", item.ID))
-				if f, err := os.OpenFile(claim, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644); err == nil {
-					// Record which process straggled, so tests can tell the
-					// losing primary's evidence from the winner's.
-					fmt.Fprintf(f, "pid %d", os.Getpid())
-					f.Close()
-					time.Sleep(time.Duration(ms) * time.Millisecond)
-				}
+				time.Sleep(time.Duration(ms) * time.Millisecond)
 			}
 			res := campaign.ItemResult{ID: item.ID, Test: item.Test, Executions: 1}
 			if strings.HasPrefix(item.Test, "TestQ") {
@@ -88,102 +77,46 @@ func runFakeWorker() {
 	os.Exit(0)
 }
 
-// TestSpeculationReissuesStraggler drives the straggler path end to end:
-// item 0's primary worker sleeps well past its (tiny) predicted
-// duration, the queue is drained, and an idle worker must re-issue it
-// and win; the primary's late duplicate arrives while the run is still
-// open (item 1 finishes even later) and is discarded before accounting.
-func TestSpeculationReissuesStraggler(t *testing.T) {
+// TestIdleWorkerTakesAPushedItem: at Parallel 1, a worker busy with a long
+// item cannot take a pushed item, so it must not swallow the wake-up the
+// push sends either. Each item submitted while the other worker idles is
+// dispatched to that worker at once, not at its next one-second tick.
+func TestIdleWorkerTakesAPushedItem(t *testing.T) {
 	t.Parallel()
-	o := obs.New()
-	dir := t.TempDir()
-	items := []campaign.WorkItem{
-		// #1800: primary straggles 1.8s against a 10ms prediction.
-		{ID: 0, Test: "TestStraggler#1800", PredSeconds: 0.01},
-		// A 10s prediction keeps item 1 from ever looking overdue, so it
-		// holds the run open for the duplicate to land.
-		{ID: 1, Test: "TestTail#2600", PredSeconds: 10},
-		{ID: 2, Test: "TestFastA", PredSeconds: 0.01},
-		{ID: 3, Test: "TestFastB", PredSeconds: 0.01},
-	}
-	coord := dist.New(dist.Options{
-		App:               "fake",
-		Workers:           3,
-		WorkerCmd:         workerFactory("ZEBRACONF_DIST_FAKE=1", "ZEBRACONF_DIST_FAKE_DIR="+dir),
-		Config:            dist.Config{Parallel: 1},
-		SpeculationFactor: 1.0,
-		Obs:               o,
-	}).WithLimits(8*time.Second, 0)
-	res, err := coord.Execute(obs.NoSpan, items)
+	const pushes = 4
+	o, tap, _ := tappedObserver()
+	run, err := dist.New(dist.Options{
+		App:       "fake",
+		Workers:   2,
+		WorkerCmd: workerFactory("ZEBRACONF_DIST_FAKE=1"),
+		Config:    dist.Config{Parallel: 1},
+		Obs:       o,
+	}).Start(obs.NoSpan, 1+pushes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res) != len(items) {
-		t.Fatalf("results = %d, want %d (duplicates must be discarded)", len(res), len(items))
-	}
-	for i, r := range res {
-		if r.ID != i || r.Quarantined {
-			t.Fatalf("result %d malformed: %+v", i, r)
+	run.Submit(campaign.WorkItem{ID: 0, Test: "TestLong#2000"})
+	tap.await(t, obs.EvWorkerReady, 2)
+	tap.await(t, obs.EvItemDispatch, 1)
+	busy := tap.events(t, obs.EvItemDispatch)[0].Attrs["worker"]
+	for id := 1; id <= pushes; id++ {
+		submitted := time.Now()
+		run.Submit(campaign.WorkItem{ID: id, Test: fmt.Sprintf("TestShort%d", id)})
+		tap.await(t, obs.EvItemDispatch, id+1)
+		if took := time.Since(submitted); took > 300*time.Millisecond {
+			t.Errorf("item %d waited %v for the idle worker", id, took)
 		}
+		if w := tap.events(t, obs.EvItemDispatch)[id].Attrs["worker"]; w == busy {
+			t.Errorf("item %d went to worker %v, which holds the long item", id, w)
+		}
+		tap.await(t, obs.EvItemComplete, id)
 	}
-	if n := o.Metrics.CounterValue(obs.MSpeculativeRuns, "app", "fake"); n != 1 {
-		t.Fatalf("speculative runs = %d, want exactly 1 (only the straggler is overdue)", n)
-	}
-	if n := o.Metrics.CounterValue(obs.MSpeculationWins, "app", "fake"); n != 1 {
-		t.Fatalf("speculation wins = %d, want 1", n)
-	}
-	// Five results crossed the wire (four items + the losing primary
-	// copy), but exactly four may be accounted.
-	if n := o.Metrics.CounterValue(obs.MWorkerItems, "app", "fake"); n != int64(len(items)) {
-		t.Fatalf("accounted items = %d, want %d", n, len(items))
-	}
-}
-
-// TestSpeculationDiscardsLoserEvidence pins the protocol-level evidence
-// dedup: the straggler's primary and its speculative copy BOTH answer
-// with evidence-bearing verdicts, so five such results cross the wire
-// for four items — and exactly four evidence records may be accounted.
-// The survivor for the speculated item must be the winner's record (the
-// instant speculative copy), not the sleeping primary's, whose pid is
-// recoverable from the straggle claim file.
-func TestSpeculationDiscardsLoserEvidence(t *testing.T) {
-	t.Parallel()
-	o := obs.New()
-	dir := t.TempDir()
-	items := []campaign.WorkItem{
-		{ID: 0, Test: "TestQStraggler#1800", PredSeconds: 0.01},
-		{ID: 1, Test: "TestQTail#2600", PredSeconds: 10},
-		{ID: 2, Test: "TestQFastA", PredSeconds: 0.01},
-		{ID: 3, Test: "TestQFastB", PredSeconds: 0.01},
-	}
-	coord := dist.New(dist.Options{
-		App:               "fake",
-		Workers:           3,
-		WorkerCmd:         workerFactory("ZEBRACONF_DIST_FAKE=1", "ZEBRACONF_DIST_FAKE_DIR="+dir),
-		Config:            dist.Config{Parallel: 1},
-		SpeculationFactor: 1.0,
-		Obs:               o,
-	}).WithLimits(8*time.Second, 0)
-	res, err := coord.Execute(obs.NoSpan, items)
+	res, err := run.Drain()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := o.Metrics.CounterValue(obs.MSpeculationWins, "app", "fake"); n != 1 {
-		t.Fatalf("speculation wins = %d, want 1 (no duplicate ever crossed the wire)", n)
-	}
-	if n := o.Metrics.CounterValue(obs.MEvidenceRecords, "app", "fake"); n != int64(len(items)) {
-		t.Fatalf("evidence records = %d, want %d: the discarded duplicate's record leaked into accounting", n, len(items))
-	}
-	loser, err := os.ReadFile(filepath.Join(dir, "claim0"))
-	if err != nil {
-		t.Fatalf("the primary never straggled: %v", err)
-	}
-	ev := res[0].Verdicts[0].Evidence
-	if ev == nil {
-		t.Fatal("the speculated item lost its evidence record")
-	}
-	if ev.Msg == string(loser) {
-		t.Fatalf("accounted evidence %q is the discarded primary's, want the speculative winner's", ev.Msg)
+	if len(res) != 1+pushes {
+		t.Fatalf("%d results, want %d", len(res), 1+pushes)
 	}
 }
 

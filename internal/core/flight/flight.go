@@ -2,7 +2,7 @@
 // trace spans, flight-recorder event log, and perf sample series, and
 // answers "where did the time go?" — the campaign's critical path, how
 // busy each worker slot was, the item-duration and queue-wait tails,
-// and what each savings feature (cache, speculation, early stopping)
+// and what each savings feature (cache, early stopping)
 // actually bought. `zebraconf -mode profile` renders the
 // analysis; `-mode trends` compares the compact per-run summaries the
 // ledger keeps across runs.
@@ -94,7 +94,6 @@ type ItemStat struct {
 	Test    string
 	Worker  int64 // -1 in-process (no worker attribution)
 	Seconds float64
-	Spec    bool
 }
 
 // WorkerStat is one execution lane's utilization over the run. In dist
@@ -107,7 +106,6 @@ type WorkerStat struct {
 	// parallelism does not overcount.
 	BusyUS int64
 	Items  int
-	Spec   int
 	// Timeline is the lane's busy/idle occupancy bucketed over the run
 	// window (values in [0,1]), ready for sparkline rendering.
 	Timeline []float64
@@ -118,8 +116,6 @@ type WorkerStat struct {
 // was logged).
 type Savings struct {
 	CacheHits         map[string]int64 // by scope: local | shared | coalesced
-	SpeculationRuns   int64
-	SpeculationWins   int64
 	TrialsSavedEarly  int64
 	TrialsReallocated int64
 	ExecutionsSaved   int64
@@ -442,9 +438,6 @@ func (a *Analysis) analyzeEvents(events []obs.EventRecord) {
 				slot = w
 			}
 			open[item] = flight{start: e.TimeUS, lane: slot}
-			if spec, _ := e.Attrs["spec"].(bool); spec {
-				lane(slot).Spec++
-			}
 		case obs.EvItemComplete:
 			item, ok := attrInt(e.Attrs, "item")
 			if stored, _ := e.Attrs["stored"].(bool); !ok || stored {
@@ -456,7 +449,6 @@ func (a *Analysis) analyzeEvents(events []obs.EventRecord) {
 			}
 			st := ItemStat{Item: item, Test: attrString(e.Attrs, "test"), Worker: slot}
 			st.Seconds, _ = attrFloat(e.Attrs, "elapsed_s")
-			st.Spec, _ = e.Attrs["spec"].(bool)
 			early, _ := attrInt(e.Attrs, "trials_saved_early")
 			realloc, _ := attrInt(e.Attrs, "trials_reallocated")
 			a.Savings.TrialsSavedEarly += early
@@ -472,10 +464,6 @@ func (a *Analysis) analyzeEvents(events []obs.EventRecord) {
 				// truncated log): reconstruct the interval from elapsed_s.
 				ivs[slot] = append(ivs[slot], interval{e.TimeUS - int64(st.Seconds*1e6), e.TimeUS})
 			}
-		case obs.EvSpeculate:
-			a.Savings.SpeculationRuns++
-		case obs.EvSpeculationWin:
-			a.Savings.SpeculationWins++
 		case obs.EvCacheHit:
 			if a.Savings.CacheHits == nil {
 				a.Savings.CacheHits = map[string]int64{}

@@ -181,9 +181,6 @@ func RenderProfile(w io.Writer, a *Analysis) {
 			if it.Worker >= 0 {
 				fmt.Fprintf(w, "  worker=%d", it.Worker)
 			}
-			if it.Spec {
-				fmt.Fprintf(w, "  [speculative]")
-			}
 			fmt.Fprintf(w, "\n")
 		}
 		if len(a.Items) > n {
@@ -203,11 +200,7 @@ func RenderProfile(w io.Writer, a *Analysis) {
 			if a.MakespanUS > 0 {
 				pct = 100 * float64(ws.BusyUS) / float64(a.MakespanUS)
 			}
-			fmt.Fprintf(w, "  %-9s %5.1f%% busy  %s  %d items", name, pct, Sparkline(ws.Timeline, 1, 30), ws.Items)
-			if ws.Spec > 0 {
-				fmt.Fprintf(w, " · %d speculative", ws.Spec)
-			}
-			fmt.Fprintf(w, "\n")
+			fmt.Fprintf(w, "  %-9s %5.1f%% busy  %s  %d items\n", name, pct, Sparkline(ws.Timeline, 1, 30), ws.Items)
 		}
 	}
 
@@ -219,8 +212,7 @@ func RenderProfile(w io.Writer, a *Analysis) {
 	}
 
 	sv := a.Savings
-	if sv.ExecutionsSaved > 0 || len(sv.CacheHits) > 0 || sv.SpeculationRuns > 0 ||
-		sv.TrialsSavedEarly > 0 || sv.TrialsReallocated > 0 {
+	if sv.ExecutionsSaved > 0 || len(sv.CacheHits) > 0 || sv.TrialsSavedEarly > 0 || sv.TrialsReallocated > 0 {
 		fmt.Fprintf(w, "\n## Savings attribution\n\n")
 		if sv.ExecutionsSaved > 0 {
 			fmt.Fprintf(w, "  executions saved       %d\n", sv.ExecutionsSaved)
@@ -234,9 +226,6 @@ func RenderProfile(w io.Writer, a *Analysis) {
 			for _, s := range scopes {
 				fmt.Fprintf(w, "  cache hits (%s)%s %d\n", s, strings.Repeat(" ", 8-len(s)), sv.CacheHits[s])
 			}
-		}
-		if sv.SpeculationRuns > 0 {
-			fmt.Fprintf(w, "  speculative runs       %d (%d won)\n", sv.SpeculationRuns, sv.SpeculationWins)
 		}
 		if sv.TrialsSavedEarly > 0 {
 			fmt.Fprintf(w, "  trials saved (early)   %d\n", sv.TrialsSavedEarly)

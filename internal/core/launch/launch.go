@@ -123,7 +123,6 @@ func prepare(app *harness.App, spec Spec, env Env) (*prepared, error) {
 		Seq:                 p.seq,
 		SeqMargin:           spec.SeqMargin,
 		SchedPolicy:         p.policy,
-		Stream:              spec.Stream,
 		Profile:             profile,
 		QuarantineThreshold: quarantine,
 		EvidenceMax:         spec.EvidenceMax,
@@ -183,7 +182,6 @@ func prepare(app *harness.App, spec Spec, env Env) (*prepared, error) {
 		CheckpointPath:      env.CheckpointPath,
 		ItemRetries:         dist.DefaultItemRetries,
 		SchedPolicy:         p.policy,
-		SpeculationFactor:   spec.Speculate,
 		Profile:             profile,
 		QuarantineThreshold: quarantine,
 		Obs:                 env.Obs,

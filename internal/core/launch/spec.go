@@ -35,8 +35,6 @@ type Spec struct {
 	Sched       string
 	Seq         string
 	SeqMargin   float64
-	Stream      bool
-	Speculate   float64
 	Quarantine  int
 	EvidenceMax int64
 	Select      string
@@ -51,8 +49,6 @@ func DefaultSpec() Spec {
 		Sched:       "lpt",
 		Seq:         "sprt",
 		SeqMargin:   runner.DefaultSeqMargin,
-		Stream:      true,
-		Speculate:   1.5,
 		Quarantine:  3,
 		EvidenceMax: forensics.DefaultBudget,
 		Select:      "coverage",
@@ -75,8 +71,6 @@ func (s *Spec) Bind(fs *flag.FlagSet) {
 	fs.StringVar(&s.Sched, "sched", s.Sched, "phase-2 dispatch order: lpt (longest-predicted first) | fifo (ablation)")
 	fs.StringVar(&s.Seq, "seq", s.Seq, "sequential confirmation mode: sprt (SPRT convict/futility boundaries) | gsf (group-sequential Fisher, alpha-spending) | fixed (full-round ablation)")
 	fs.Float64Var(&s.SeqMargin, "seq-margin", s.SeqMargin, "budget reallocation: parameters ending within this factor x significance receive extension rounds funded by early stops; 0 disables")
-	fs.BoolVar(&s.Stream, "stream", s.Stream, "stream work items into phase 2 as each pre-run finishes; -stream=false holds every work item until the last pre-run finishes (ablation)")
-	fs.Float64Var(&s.Speculate, "speculate", s.Speculate, "with -workers: re-issue an item held longer than this factor x its predicted duration once the queue drains; 0 disables (ablation)")
 	fs.IntVar(&s.Quarantine, "quarantine", s.Quarantine, "distinct confirming tests before a parameter is live-quarantined mid-campaign (§4 frequent-failer rule); 0 disables the pruning (ablation)")
 	fs.Int64Var(&s.EvidenceMax, "evidence-max", s.EvidenceMax, "campaign-wide evidence byte budget (per worker with -workers): records degrade to verdict-only past it; 0 disables forensic capture, negative is unlimited")
 	fs.StringVar(&s.Select, "select", s.Select, "phase-2 test selection: coverage (skip tests whose indexed read set is disjoint from the campaign's params; needs a warm -ledger index) | all (dispatch to every test; ablation)")

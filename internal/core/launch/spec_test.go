@@ -174,7 +174,7 @@ func TestDriftedSettingsReachTheEngine(t *testing.T) {
 // coverage indexes stay comparable: a change here makes every index
 // written before it stale.
 func TestGoldenDigests(t *testing.T) {
-	if got := DefaultSpec().Digest(); got != "4090d2079bef6fc0" {
+	if got := DefaultSpec().Digest(); got != "8106813017aa5687" {
 		t.Errorf("default digest = %s", got)
 	}
 	s := DefaultSpec()
@@ -183,7 +183,7 @@ func TestGoldenDigests(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := s.Digest(); got != "11ff040db2cc5f84" {
+	if got := s.Digest(); got != "3b2b3604ab43671d" {
 		t.Errorf("-workers 2 digest = %s", got)
 	}
 }

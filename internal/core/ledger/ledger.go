@@ -84,9 +84,9 @@ type Record struct {
 
 // Summarize condenses one finished campaign into a Record: the sorted
 // reported set with its digest, the execution-affecting flags with
-// theirs, and the run's counters. Shared by the CLI's -ledger path and
-// the campaign server, so locally-run and submitted campaigns produce
-// directly diffable records.
+// theirs, and the run's counters. launch.Campaign calls it for every
+// -ledger run, in process or with -workers, so any two records are
+// directly diffable.
 func Summarize(res *campaign.Result, seed int64, start time.Time, workers int, flags map[string]string) Record {
 	names := make([]string, 0, len(res.Reported))
 	lines := make([]string, 0, len(res.Reported))

@@ -28,7 +28,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"time"
 )
 
 // Policy selects the dispatch order for phase-2 work items.
@@ -88,25 +87,4 @@ func Rank(policy Policy, pred []float64) (order []int, moved int) {
 		}
 	}
 	return order, moved
-}
-
-// MinSpeculationDelay is the floor under which an item is never
-// speculated: predictions for trivial items round to ~0, and re-issuing
-// a millisecond item costs more than it could ever recover.
-const MinSpeculationDelay = 100 * time.Millisecond
-
-// Overdue reports whether an item held for `held` should be
-// speculatively re-issued: speculation is enabled (factor > 0), a
-// prediction exists (predSeconds > 0), and the item has been held longer
-// than factor × its predicted duration (never sooner than
-// MinSpeculationDelay).
-func Overdue(held time.Duration, predSeconds, factor float64) bool {
-	if factor <= 0 || predSeconds <= 0 {
-		return false
-	}
-	threshold := time.Duration(factor * predSeconds * float64(time.Second))
-	if threshold < MinSpeculationDelay {
-		threshold = MinSpeculationDelay
-	}
-	return held > threshold
 }

@@ -482,31 +482,6 @@ func TestQueueMixedPoppersSeeEachItemOnce(t *testing.T) {
 	}
 }
 
-func TestOverdue(t *testing.T) {
-	t.Parallel()
-	cases := []struct {
-		held time.Duration
-		pred float64
-		fac  float64
-		want bool
-	}{
-		{0, 10, 1.5, false},
-		{16 * time.Second, 10, 1.5, true},
-		{14 * time.Second, 10, 1.5, false},
-		{time.Second, 10, 0, false},  // speculation disabled
-		{time.Second, 0, 1.5, false}, // no prediction
-		// Threshold floors at MinSpeculationDelay: a 1ms item is not
-		// speculated 2ms in.
-		{2 * time.Millisecond, 0.001, 1.5, false},
-		{150 * time.Millisecond, 0.001, 1.5, true},
-	}
-	for i, tc := range cases {
-		if got := Overdue(tc.held, tc.pred, tc.fac); got != tc.want {
-			t.Fatalf("case %d: Overdue(%v, %v, %v) = %v, want %v", i, tc.held, tc.pred, tc.fac, got, tc.want)
-		}
-	}
-}
-
 func TestProfileRecordTrialsPerTrialPrediction(t *testing.T) {
 	t.Parallel()
 	p := NewProfile()

@@ -31,10 +31,10 @@ const (
 	EvItemQueued = "item_queued"
 	// EvItemDispatch marks one work item starting execution — on the
 	// in-process pool or on a worker subprocess. Attrs: app, item, test
-	// (+ worker, spec in dist mode).
+	// (+ worker in dist mode).
 	EvItemDispatch = "item_dispatch"
 	// EvItemComplete marks one work item's result being accounted.
-	// Attrs: app, item, test, elapsed_s (+ worker, spec in dist mode), pred_s
+	// Attrs: app, item, test, elapsed_s (+ worker in dist mode), pred_s
 	// and the result's nonzero tallies (see itemTally); or app, item, test,
 	// stored=true for an item that did not execute — a stored result
 	// (-resume, -mode rerun) stood in for it, and carries no tallies.
@@ -61,14 +61,6 @@ const (
 	// app, worker (recovered).
 	EvWorkerStalled   = "worker_stalled"
 	EvWorkerRecovered = "worker_recovered"
-	// EvSpeculate marks a straggler item re-issued to an idle worker;
-	// EvSpeculationWin a speculative copy winning the race;
-	// EvSpeculationLoss a duplicate result discarded before accounting.
-	// Attrs: app, item, worker (+ spec on loss: whether the losing
-	// arrival was the speculative copy).
-	EvSpeculate       = "speculate"
-	EvSpeculationWin  = "speculation_win"
-	EvSpeculationLoss = "speculation_loss"
 	// EvCacheHit marks one execution avoided by memoization.
 	// Attrs: app, scope (local | shared | coalesced).
 	EvCacheHit = "cache_hit"
@@ -147,12 +139,6 @@ func (o *Observer) fold(event string, a attrs) bool {
 		s.workerStalled(a.int("worker"))
 	case EvWorkerRecovered:
 		s.workerRecovered(a.int("worker"))
-	case EvSpeculate:
-		o.CounterAdd(MSpeculativeRuns, 1, "app", app)
-	case EvSpeculationWin:
-		o.CounterAdd(MSpeculationWins, 1, "app", app)
-	case EvSpeculationLoss:
-		// Implies nothing: the duplicate was discarded before accounting.
 	case EvCacheHit:
 		if scope := a.str("scope"); scope == "coalesced" {
 			o.CounterAdd(MCacheCoalesced, 1, "app", app)

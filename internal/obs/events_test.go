@@ -87,7 +87,7 @@ func TestEventLogAttrs(t *testing.T) {
 		String("param", "dfs.checksum.type"),
 		Int("item", 7),
 		Float("p", 0.0625),
-		Bool("spec", true))
+		Bool("stored", true))
 	recs, err := ReadEvents(&buf)
 	if err != nil {
 		t.Fatal(err)
@@ -106,7 +106,7 @@ func TestEventLogAttrs(t *testing.T) {
 	if a["p"] != 0.0625 {
 		t.Errorf("p attr: %v", a["p"])
 	}
-	if a["spec"] != true {
-		t.Errorf("spec attr: %v", a["spec"])
+	if a["stored"] != true {
+		t.Errorf("stored attr: %v", a["stored"])
 	}
 }

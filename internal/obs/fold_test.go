@@ -37,7 +37,7 @@ func catalog(t testing.TB) []string {
 			}
 		}
 	}
-	if len(names) < 20 {
+	if len(names) < 18 {
 		t.Fatalf("found only %d Ev* constants in events.go: %v", len(names), names)
 	}
 	return names

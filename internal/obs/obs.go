@@ -125,12 +125,6 @@ const (
 	// by the scheduler (batch LPT reorders plus queue-level overtakes).
 	// Labels: app.
 	MSchedReordered = "zebraconf_sched_reordered_items_total"
-	// MSpeculativeRuns counts straggler items speculatively re-issued to
-	// an idle worker. Labels: app.
-	MSpeculativeRuns = "zebraconf_sched_speculative_runs_total"
-	// MSpeculationWins counts speculative copies that finished before
-	// the original attempt (first-result-wins). Labels: app.
-	MSpeculationWins = "zebraconf_sched_speculation_wins_total"
 	// MSchedQueueWait is the per-task queue-wait histogram: how long a
 	// ready task sat in the scheduler's queue before dispatch. Labels:
 	// app, stage (stream = in-process pipeline, dist = coordinator queue).

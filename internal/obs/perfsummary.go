@@ -37,8 +37,6 @@ type PerfSummary struct {
 	Executions        int64   `json:"executions"`
 	ExecutionsSaved   int64   `json:"executions_saved"`
 	CacheHitRate      float64 `json:"cache_hit_rate"`
-	SpeculativeRuns   int64   `json:"speculative_runs,omitempty"`
-	SpeculationWins   int64   `json:"speculation_wins,omitempty"`
 	TrialsSavedEarly  int64   `json:"trials_saved_early_stop,omitempty"`
 	TrialsReallocated int64   `json:"trials_reallocated,omitempty"`
 	// PerfSamples counts sampler snapshots taken (0 when -perf was off).
@@ -93,7 +91,6 @@ func SummarizePerf(o *Observer, app string, elapsedSeconds float64, slots int) *
 
 	t := o.tally(CampaignStatus{App: app}, 1)
 	ps.Executions, ps.ExecutionsSaved = t.Executions, t.ExecutionsSaved
-	ps.SpeculativeRuns, ps.SpeculationWins = t.SpeculativeRuns, t.SpeculationWins
 	if total := ps.Executions + ps.ExecutionsSaved; total > 0 {
 		ps.CacheHitRate = float64(ps.ExecutionsSaved) / float64(total)
 	}

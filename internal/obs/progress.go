@@ -75,9 +75,9 @@ func (p *Progress) loop(o *Observer, stop, done chan struct{}) {
 }
 
 func (p *Progress) render(cs CampaignStatus, tag string) {
-	fmt.Fprintf(p.w, "[zebraconf %s] %d/%d instances · %d execs (%.1f/s) · cache %.1f%% (%d saved) · spec-wins=%d · safe=%d unsafe=%d filtered=%d homo-invalid=%d · %.1fs %s\n",
+	fmt.Fprintf(p.w, "[zebraconf %s] %d/%d instances · %d execs (%.1f/s) · cache %.1f%% (%d saved) · safe=%d unsafe=%d filtered=%d homo-invalid=%d · %.1fs %s\n",
 		cs.App, cs.InstancesDone, cs.Instances, cs.Executions, cs.ExecRate,
-		100*cs.CacheHitRate, cs.ExecutionsSaved, cs.SpeculationWins,
+		100*cs.CacheHitRate, cs.ExecutionsSaved,
 		cs.Safe, cs.Unsafe, cs.Filtered, cs.HomoInvalid,
 		cs.ElapsedSeconds, tag)
 }

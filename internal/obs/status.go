@@ -159,8 +159,7 @@ func (s *Status) itemQueued(id int, test string, pred float64) {
 	s.items[id] = &itemState{test: test, pred: pred}
 }
 
-// itemStart marks an item running. Re-marking a running item (a
-// speculative copy dispatched alongside the primary) is a no-op.
+// itemStart marks an item running. Re-marking a running item is a no-op.
 func (s *Status) itemStart(id int) {
 	if s == nil {
 		return
@@ -191,7 +190,7 @@ func (s *Status) itemRequeued(id int) {
 }
 
 // itemDone marks an item resolved and feeds the prediction calibration.
-// Duplicate completions (speculation losers) are ignored.
+// A duplicate completion is ignored.
 func (s *Status) itemDone(id int, secs float64) {
 	if s == nil {
 		return
@@ -378,9 +377,6 @@ type CampaignStatus struct {
 	CacheHitRate    float64 `json:"cache_hit_rate"`
 	ExecRate        float64 `json:"executions_per_second"`
 
-	SpeculativeRuns int64 `json:"speculative_runs"`
-	SpeculationWins int64 `json:"speculation_wins"`
-
 	Safe        int64 `json:"safe"`
 	Unsafe      int64 `json:"unsafe"`
 	Filtered    int64 `json:"filtered"`
@@ -433,8 +429,6 @@ func (o *Observer) tally(cs CampaignStatus, sign int64) CampaignStatus {
 	cs.Executions += sign * (reg.CounterValue(MExecutions, "app", cs.App, "arm", "prerun") +
 		reg.CounterValue(MItemExecutions, "app", cs.App))
 	cs.ExecutionsSaved += sign * reg.GaugeValue(MCacheSaved, "app", cs.App)
-	cs.SpeculativeRuns += sign * reg.CounterValue(MSpeculativeRuns, "app", cs.App)
-	cs.SpeculationWins += sign * reg.CounterValue(MSpeculationWins, "app", cs.App)
 	cs.Safe += sign * reg.CounterValue(MVerdicts, "app", cs.App, "verdict", "safe")
 	cs.Unsafe += sign * reg.CounterValue(MVerdicts, "app", cs.App, "verdict", "unsafe")
 	cs.Filtered += sign * reg.CounterValue(MVerdicts, "app", cs.App, "verdict", "filtered")

@@ -64,16 +64,16 @@ func TestStatusETAFallback(t *testing.T) {
 	}
 }
 
-// TestStatusItemLifecycle covers idempotence: duplicate completions
-// (speculation losers) and re-marking running items must not double
-// count, and requeued items return to the queue.
+// TestStatusItemLifecycle covers idempotence: duplicate completions and
+// re-marking running items must not double count, and requeued items
+// return to the queue.
 func TestStatusItemLifecycle(t *testing.T) {
 	o := statusObserver("fake", 1)
 	o.Event(EvItemQueued, item(0), String("test", "TestA"), Float("pred_s", 1))
 	o.Event(EvItemDispatch, item(0))
-	o.Event(EvItemDispatch, item(0)) // speculative duplicate
+	o.Event(EvItemDispatch, item(0))
 	o.Event(EvItemComplete, item(0), Float("elapsed_s", 2))
-	o.Event(EvItemComplete, item(0), Float("elapsed_s", 2)) // loser's duplicate
+	o.Event(EvItemComplete, item(0), Float("elapsed_s", 2))
 	cs := o.Campaign()
 	if cs.ItemsDone != 1 {
 		t.Fatalf("items done %d, want 1", cs.ItemsDone)
