@@ -13,9 +13,15 @@
 // fail to parse or verify are deleted on sight. The store is size
 // capped with LRU eviction ordered by last-hit time.
 //
-// Stores compose: Open takes an optional next Backend, forming the
-// memory → disk → coordinator lookup hierarchy. A disk miss consults
-// next and writes a hit through, so remote results persist locally.
+// A hit is one read and one decode: the file is read into a pooled
+// buffer and, when it is in the exact form write produces, decoded in
+// place (decode.go), its key compared before anything is allocated and
+// its read set drawn from a per-store string table; any other bytes go
+// through encoding/json, which decides as it always has.
+//
+// Open takes an optional next Backend, consulted on a disk miss and
+// written through on its hit. No caller outside the tests passes one:
+// the tier behind the disk went with the coordinator cache.
 package diskcache
 
 import (
@@ -23,9 +29,11 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -41,8 +49,7 @@ import (
 // runs.
 const DefaultMaxBytes = 256 << 20
 
-// Stats is a point-in-time counter snapshot, served by the campaign
-// server's /api/status endpoint.
+// Stats is a point-in-time counter snapshot.
 type Stats struct {
 	Hits      int64 `json:"hits"`
 	Misses    int64 `json:"misses"`
@@ -64,6 +71,8 @@ type Store struct {
 	o    *obs.Observer
 
 	hits, misses, writes, evictions, corrupt atomic.Int64
+
+	reads interner // the read-set names hits hand out
 
 	mu      sync.Mutex
 	entries map[string]*entry // file name -> index entry
@@ -144,17 +153,39 @@ func Open(dir string, maxBytes int64, next memo.Backend, o *obs.Observer) (*Stor
 // hashing the full key keeps names fixed-length and filesystem-safe for
 // arbitrary app/test names.
 func entryName(k memo.Key) string {
-	h := sha256.New()
-	h.Write([]byte(k.App))
-	h.Write([]byte{0})
-	h.Write([]byte(k.Test))
-	h.Write([]byte{0})
-	h.Write([]byte(k.Assign))
-	h.Write([]byte{0})
-	fmt.Fprintf(h, "%d", k.Seed)
-	sum := h.Sum(nil)
-	return hex.EncodeToString(sum[:16]) + ".json"
+	name := entryNameOf(k)
+	return string(name[:])
 }
+
+// entryNameLen is the length of a file name: 32 hex digits and ".json".
+const entryNameLen = 2*16 + len(".json")
+
+// entryNameOf is entryName without the string: it hashes App, NUL, Test,
+// NUL, Assign, NUL and the decimal Seed, laid out in one stack buffer,
+// and hex-encodes the first half of the sum.
+func entryNameOf(k memo.Key) [entryNameLen]byte {
+	var stack [256]byte
+	b := append(stack[:0], k.App...)
+	b = append(b, 0)
+	b = append(b, k.Test...)
+	b = append(b, 0)
+	b = append(b, k.Assign...)
+	b = append(b, 0)
+	b = strconv.AppendInt(b, k.Seed, 10)
+	sum := sha256.Sum256(b)
+	var name [entryNameLen]byte
+	hex.Encode(name[:], sum[:16])
+	copy(name[2*16:], ".json")
+	return name
+}
+
+// readBufs holds the buffers Get reads entry files into; a decoded hit
+// keeps no byte of one.
+var readBufs = sync.Pool{New: func() any { b := make([]byte, 0, 1024); return &b }}
+
+// maxPooledRead is the largest read buffer handed back to readBufs, so
+// one outsized entry does not stay pinned behind every later hit.
+const maxPooledRead = 64 << 10
 
 // Get implements memo.Backend. Every failure mode — missing file,
 // unparseable JSON, stored key not matching the requested one — is a
@@ -162,25 +193,39 @@ func entryName(k memo.Key) string {
 // read. A miss falls through to next (when configured) and its hit is
 // written through to disk.
 func (s *Store) Get(k memo.Key) (memo.Result, bool) {
-	name := entryName(k)
-	path := filepath.Join(s.dir, name)
-	data, err := os.ReadFile(path)
+	nb := entryNameOf(k)
+	path := s.dir + string(filepath.Separator) + string(nb[:])
+	name := path[len(path)-entryNameLen:]
+	buf := readBufs.Get().(*[]byte)
+	data, err := readFile(path, (*buf)[:0])
 	if err == nil {
-		var fe fileEntry
-		if jsonErr := json.Unmarshal(data, &fe); jsonErr == nil && fe.Key == k {
-			s.touch(name, int64(len(data)))
+		res, created, ok := decodeEntry(data, k, &s.reads)
+		if !ok {
+			// Not in write's exact form: encoding/json decides, as it
+			// did before the fast path existed.
+			var fe fileEntry
+			if json.Unmarshal(data, &fe) == nil && fe.Key == k {
+				res, created, ok = fe.Result, fe.Created, true
+			}
+		}
+		size := int64(len(data))
+		releaseBuf(buf, data)
+		if ok {
+			s.touch(name, size)
 			s.hits.Add(1)
 			s.o.CounterAdd(obs.MDiskCacheHits, 1)
-			if age := time.Since(time.Unix(fe.Created, 0)).Seconds(); fe.Created > 0 && age >= 0 {
+			if age := time.Since(time.Unix(created, 0)).Seconds(); created > 0 && age >= 0 {
 				s.o.Observe(obs.MDiskCacheHitAge, age)
 			}
-			return fe.Result, true
+			return res, true
 		}
 		// Truncated, garbage, or a key mismatch: evict the file and
 		// fall through to a miss. Never serve a result we can't verify.
 		s.removeEntry(name)
 		s.corrupt.Add(1)
 		s.o.CounterAdd(obs.MDiskCacheCorrupt, 1)
+	} else {
+		releaseBuf(buf, data)
 	}
 	s.misses.Add(1)
 	s.o.CounterAdd(obs.MDiskCacheMisses, 1)
@@ -191,6 +236,38 @@ func (s *Store) Get(k memo.Key) (memo.Result, bool) {
 		}
 	}
 	return memo.Result{}, false
+}
+
+// readFile reads the file at path into buf, growing it as needed: the
+// loop of os.ReadFile without its fstat and its fresh buffer.
+func readFile(path string, buf []byte) ([]byte, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return buf, err
+	}
+	defer f.Close()
+	for {
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+		n, err := f.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return buf, err
+		}
+	}
+}
+
+// releaseBuf hands a read buffer, possibly grown into data, back to
+// readBufs.
+func releaseBuf(buf *[]byte, data []byte) {
+	if cap(data) <= maxPooledRead {
+		*buf = data[:0]
+		readBufs.Put(buf)
+	}
 }
 
 // Put implements memo.Backend: persist locally, then forward so the tier

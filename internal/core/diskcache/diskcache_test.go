@@ -2,6 +2,7 @@ package diskcache
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -60,7 +61,7 @@ func TestRoundtripAndReopen(t *testing.T) {
 	}
 
 	// Persistence is the whole point: a fresh store over the same
-	// directory — a new server process — serves the entry.
+	// directory — a later campaign's process — serves the entry.
 	s2 := open(t, dir, 0, nil)
 	if got, ok := s2.Get(key(1)); !ok || !reflect.DeepEqual(got, result(1)) {
 		t.Fatalf("reopened Get = %+v, %v; want %+v, true", got, ok, result(1))
@@ -98,21 +99,123 @@ func TestCorruptEntriesMissAndEvict(t *testing.T) {
 
 // TestKeyMismatchIsMiss covers the stored-key verification: an entry
 // whose content does not match the requested key (file renamed, hash
-// collision) must be a miss, not someone else's verdict.
+// collision) must be a miss, not someone else's verdict, and is evicted.
+// Each of the four key fields is checked on its own.
 func TestKeyMismatchIsMiss(t *testing.T) {
+	t.Parallel()
+	stored := key(1)
+	for field, other := range map[string]func(memo.Key) memo.Key{
+		"App":    func(k memo.Key) memo.Key { k.App = "minihbase"; return k },
+		"Test":   func(k memo.Key) memo.Key { k.Test = "TestWriteReadX"; return k },
+		"Assign": func(k memo.Key) memo.Key { k.Assign = "digest-0002"; return k },
+		"Seed":   func(k memo.Key) memo.Key { k.Seed = -k.Seed; return k },
+	} {
+		t.Run(field, func(t *testing.T) {
+			t.Parallel()
+			dir := t.TempDir()
+			s := open(t, dir, 0, nil)
+			s.Put(stored, result(1))
+			// Masquerade the stored entry's file under the other key's name.
+			asked := other(stored)
+			path := filepath.Join(dir, entryName(asked))
+			if err := os.Rename(filepath.Join(dir, entryName(stored)), path); err != nil {
+				t.Fatal(err)
+			}
+			if res, ok := s.Get(asked); ok {
+				t.Fatalf("served %+v's verdict for %+v: %+v", stored, asked, res)
+			}
+			if _, err := os.Stat(path); !os.IsNotExist(err) {
+				t.Fatalf("mismatched entry was not evicted (stat err = %v)", err)
+			}
+			if st := s.Stats(); st.Corrupt != 1 || st.Misses != 1 {
+				t.Fatalf("stats = %+v; want 1 corrupt, 1 miss", st)
+			}
+		})
+	}
+}
+
+// TestEntryNameIsStable pins file names to the bytes earlier builds
+// wrote, so an existing cache directory stays warm across a change to
+// how the name is computed.
+func TestEntryNameIsStable(t *testing.T) {
+	t.Parallel()
+	for _, c := range []struct {
+		k    memo.Key
+		want string
+	}{
+		{memo.Key{App: "minihdfs", Test: "TestWriteRead", Assign: "0123456789abcdef0123456789abcdef", Seed: 7},
+			"a182fe7a17edb9c3eed96b4bee6396b0.json"},
+		{memo.Key{App: "miniflink", Test: "TestÜberprüfung/日本", Assign: "fedcba9876543210fedcba9876543210", Seed: 1},
+			"c25baca6186be8a69eacbd606032e50a.json"},
+		{memo.Key{App: "miniyarn", Test: "TestNodeHeartbeat", Assign: "00000000000000000000000000000000", Seed: -42},
+			"8c1cb8ea16bb4996793c92da1f3d9096.json"},
+	} {
+		if got := entryName(c.k); got != c.want {
+			t.Errorf("entryName(%+v) = %s, want %s", c.k, got, c.want)
+		}
+	}
+}
+
+// TestHandWrittenEntryHits: an entry not in the exact form write
+// produces — indented, fields reordered — is still valid JSON holding
+// the key, and json.Unmarshal serves it.
+func TestHandWrittenEntryHits(t *testing.T) {
 	t.Parallel()
 	dir := t.TempDir()
 	s := open(t, dir, 0, nil)
-	s.Put(key(1), result(1))
-	// Masquerade entry 1's file under entry 2's name.
-	if err := os.Rename(filepath.Join(dir, entryName(key(1))), filepath.Join(dir, entryName(key(2)))); err != nil {
+	k := key(3)
+	entry := `{
+  "created_unix": 1700000000,
+  "result": {"reads": ["a.b", "c.d"], "msg": "outcome 3", "failed": true},
+  "key": {"seed": 3, "assign": "digest-0003", "test": "TestWriteRead", "app": "minihdfs"}
+}
+`
+	if err := os.WriteFile(filepath.Join(dir, entryName(k)), []byte(entry), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if res, ok := s.Get(key(2)); ok {
-		t.Fatalf("served key(1)'s verdict for key(2): %+v", res)
+	want := memo.Result{Failed: true, Msg: "outcome 3", Reads: []string{"a.b", "c.d"}}
+	if got, ok := s.Get(k); !ok || !reflect.DeepEqual(got, want) {
+		t.Fatalf("Get = %+v, %v; want %+v, true", got, ok, want)
 	}
-	if st := s.Stats(); st.Corrupt != 1 {
-		t.Fatalf("corrupt counter = %d, want 1", st.Corrupt)
+	if st := s.Stats(); st.Hits != 1 || st.Corrupt != 0 {
+		t.Fatalf("stats = %+v; want 1 hit, 0 corrupt", st)
+	}
+}
+
+// TestEscapedValuesRoundTrip: strings that json.Marshal escapes, and
+// non-ASCII ones, come back from a Put as they went in, on both decode
+// paths and on a repeated hit.
+func TestEscapedValuesRoundTrip(t *testing.T) {
+	t.Parallel()
+	s := open(t, t.TempDir(), 0, nil)
+	for _, c := range []struct {
+		k   memo.Key
+		res memo.Result
+	}{
+		{memo.Key{App: "minihdfs", Test: "TestFsck", Assign: "digest\t<1>", Seed: 4},
+			memo.Result{TimedOut: true, Msg: "quote \" <tag> & amp\nnext line\u2028", Reads: []string{"a.read", `escaped"read<&>`}}},
+		{memo.Key{App: "miniflink", Test: "TestÜberprüfung/日本", Assign: "digest", Seed: -9},
+			memo.Result{Failed: true, Msg: "é", Reads: []string{"a.read", "ünïcode.read"}}},
+		{memo.Key{App: "miniyarn", Test: "TestNodeHeartbeat", Assign: "digest", Seed: math.MinInt64},
+			memo.Result{Msg: "plain", Reads: []string{"a.read", "b.read"}}},
+	} {
+		s.Put(c.k, c.res)
+		for i := 0; i < 2; i++ {
+			if got, ok := s.Get(c.k); !ok || !reflect.DeepEqual(got, c.res) {
+				t.Fatalf("Get %d of %+v = %+v, %v; want %+v, true", i, c.k, got, ok, c.res)
+			}
+		}
+	}
+}
+
+// TestGetHitAllocs guards the hit path: a hit allocates the file name's
+// path, the open file and the returned read set, not a read buffer, a
+// decoder or a string per read.
+func TestGetHitAllocs(t *testing.T) {
+	s := open(t, t.TempDir(), 0, nil)
+	s.Put(benchKey, benchResult)
+	if allocs := testing.AllocsPerRun(50, func() { sinkResult, _ = s.Get(benchKey) }); allocs > 8 {
+		t.Fatalf("a hit made %.0f allocations, want at most 8", allocs)
 	}
 }
 
@@ -186,7 +289,7 @@ func TestNextTierWriteThrough(t *testing.T) {
 	if got, ok := s.Get(key(7)); !ok || !reflect.DeepEqual(got, result(7)) {
 		t.Fatal("written-through entry not served locally")
 	}
-	// Put forwards upward so the coordinator tier learns results too.
+	// Put forwards so the tier behind learns results too.
 	s.Put(key(8), result(8))
 	if next.puts != 1 {
 		t.Fatalf("Put forwarded %d times to next, want 1", next.puts)
@@ -220,5 +323,54 @@ func TestOpenSweepsOnlyOldTempFiles(t *testing.T) {
 	}
 	if _, err := os.Stat(stale); !os.IsNotExist(err) {
 		t.Errorf("Open left an hour-old temp file behind (stat: %v)", err)
+	}
+}
+
+var (
+	sinkResult memo.Result
+
+	// benchKey and benchResult are a miniflink entry with a typical
+	// 11-parameter read set.
+	benchKey    = memo.Key{App: "miniflink", Test: "TestCheckpointBarrier", Assign: "1a603c189f0bd3924076e9675edb8e09", Seed: 517703419855078662}
+	benchResult = memo.Result{Reads: []string{"akka.ssl.enabled", "jobmanager.memory.heap.size", "jobmanager.rpc.address",
+		"pipeline.object-reuse", "restart-strategy", "state.backend", "taskmanager.data.ssl.enabled",
+		"taskmanager.debug.memory.log", "taskmanager.memory.network.fraction", "taskmanager.network.numberOfBuffers",
+		"taskmanager.numberOfTaskSlots"}}
+)
+
+// BenchmarkGetHit prices one disk-cache hit on a stored entry.
+func BenchmarkGetHit(b *testing.B) {
+	s, err := Open(b.TempDir(), 0, nil, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s.Put(benchKey, benchResult)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if sinkResult, _ = s.Get(benchKey); sinkResult.Reads == nil {
+			b.Fatal("stored entry missed")
+		}
+	}
+}
+
+// BenchmarkOpen prices reopening a 5,000-entry store.
+func BenchmarkOpen(b *testing.B) {
+	dir := b.TempDir()
+	s, err := Open(dir, 0, nil, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < 5_000; i++ {
+		k := benchKey
+		k.Assign = fmt.Sprintf("%032x", i)
+		s.Put(k, benchResult)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Open(dir, 0, nil, nil); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
