@@ -25,7 +25,8 @@ import (
 const lateAnswer = 3 * time.Second
 
 // runAttemptFake is the scripted worker: role "hang" never answers a run,
-// and "ok" answers at once — except an item
+// "garble" answers one with a line that is not JSON, and "ok" answers at
+// once — except an item
 // whose test is named "TestLate…", which it answers lateAnswer later,
 // while still taking other runs. ZEBRACONF_DIST_READY_MS delays ready.
 func runAttemptFake(role string) {
@@ -51,6 +52,10 @@ func runAttemptFake(role string) {
 		case dist.MsgRun:
 			res := dist.Msg{Type: dist.MsgResult, Result: &campaign.ItemResult{ID: m.Item.ID, Test: m.Item.Test, Executions: 1}}
 			switch {
+			case role == "garble":
+				mu.Lock()
+				os.Stdout.WriteString("result: not json\n")
+				mu.Unlock()
 			case role == "hang":
 			case strings.HasPrefix(m.Item.Test, "TestLate"):
 				time.AfterFunc(lateAnswer, func() { send(res) })
@@ -218,5 +223,42 @@ func TestTimeoutChargesOnlyTheSuspect(t *testing.T) {
 	}
 	if e := firstEnd(bystander); e != "requeued" {
 		t.Errorf("bystander's first attempt ended %v, want requeued", e)
+	}
+}
+
+// TestCorruptFrameIsNamed: a worker that answers a run with a line that is
+// not JSON has lost its framing, and the session ends on it. The loss is
+// named a corrupt frame, not a crash, in the item's retry, its give-up and
+// the worker crash count.
+func TestCorruptFrameIsNamed(t *testing.T) {
+	t.Parallel()
+	o, tap, _ := tappedObserver()
+	coord := dist.New(dist.Options{
+		App:         "fake",
+		Workers:     1,
+		WorkerCmd:   scriptedWorkers("garble", "garble"),
+		Config:      dist.Config{Parallel: 1},
+		ItemRetries: 1,
+		Obs:         o,
+	})
+	run, err := coord.Start(obs.NoSpan, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run.Submit(campaign.WorkItem{ID: 0, Test: "TestGarbled"})
+	results, err := run.Drain()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "abandoned after 2 attempts (last failure: corrupt frame)"
+	if len(results) != 1 || !results[0].Quarantined || results[0].Error != want {
+		t.Fatalf("results %+v, want one given up with %q", results, want)
+	}
+	retried := tap.events(t, obs.EvItemRetried)
+	if len(retried) != 1 || retried[0].Attrs["reason"] != "corrupt frame" {
+		t.Fatalf("item_retried events %+v, want one, for a corrupt frame", retried)
+	}
+	if n := o.Metrics.CounterValue(obs.MWorkerCrashes, "app", "fake", "reason", "corrupt frame"); n != 2 {
+		t.Fatalf("workers lost to a corrupt frame = %d, want 2", n)
 	}
 }

@@ -1,9 +1,6 @@
 package dist
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -15,6 +12,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"zebraconf/internal/canonjson"
 	"zebraconf/internal/core/campaign"
 	"zebraconf/internal/core/sched"
 	"zebraconf/internal/obs"
@@ -535,6 +533,9 @@ func (r *Run) session(slot int, sess *workerSession) sessionOutcome {
 					r.neverReady(slot, "worker exited before ready")
 					return sessSpawnFail
 				}
+				if sess.readErr != "" {
+					return lost(sess.readErr, nil)
+				}
 				return lost("crash", nil)
 			}
 			switch m.Type {
@@ -849,7 +850,10 @@ type workerSession struct {
 	killOnce   sync.Once
 	// sendMu serializes send, which encodes each frame into line.
 	sendMu sync.Mutex
-	line   bytes.Buffer
+	line   []byte
+	// readErr is why readLoop stopped before the worker's EOF, when a
+	// frame did not decode or was too long; it is set before msgs closes.
+	readErr string
 }
 
 // spawn launches a worker subprocess for a slot and sends it the init
@@ -897,24 +901,38 @@ func (r *Run) spawn(slot int) (*workerSession, error) {
 func (s *workerSession) send(m Msg) error {
 	s.sendMu.Lock()
 	defer s.sendMu.Unlock()
-	s.line.Reset()
-	if err := json.NewEncoder(&s.line).Encode(m); err != nil {
+	line, err := canonjson.Append(s.line[:0], &m)
+	if err != nil {
 		return err
 	}
-	_, err := s.stdin.Write(s.line.Bytes())
+	s.line = append(line, '\n')
+	_, err = s.stdin.Write(s.line)
 	return err
 }
 
 // readLoop streams worker messages into s.msgs until EOF or a corrupt
-// line (a worker that has lost protocol framing is as good as dead).
+// frame (a worker that has lost protocol framing is as good as dead),
+// which it names in s.readErr. A last line cut short by EOF is a worker
+// that died mid-write: a crash, as its EOF says.
 func (s *workerSession) readLoop(rd io.Reader) {
 	defer close(s.readerDone)
 	defer close(s.msgs)
-	sc := bufio.NewScanner(rd)
-	sc.Buffer(nil, maxLine)
-	for sc.Scan() {
+	lr := newLineReader(rd)
+	defer lr.close()
+	var in canonjson.Interner
+	for {
+		line, err := lr.next()
+		if err != nil {
+			if err == errLineTooLong {
+				s.readErr = "corrupt frame"
+			}
+			return
+		}
 		var m Msg
-		if err := json.Unmarshal(sc.Bytes(), &m); err != nil {
+		if err := canonjson.Decode(line, &m, &in); err != nil {
+			if !lr.torn {
+				s.readErr = "corrupt frame"
+			}
 			return
 		}
 		s.msgs <- m

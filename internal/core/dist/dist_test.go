@@ -286,3 +286,32 @@ func TestConfigRoundTrip(t *testing.T) {
 		t.Fatalf("round trip:\n got %+v\nwant %+v", got, opts)
 	}
 }
+
+// The coordinator's read loop hands on every frame it decodes, and names
+// why it stopped: a whole line that is not a frame is a corrupt frame; EOF,
+// with or without a last line cut short, is the worker's death.
+func TestReadLoopNamesCorruptFrames(t *testing.T) {
+	t.Parallel()
+	for _, c := range []struct {
+		stream string
+		frames int
+		reason string
+	}{
+		{"{\"type\":\"ready\",\"pid\":1}\n{\"type\":\"heartbeat\"}\n", 2, ""},
+		{"{\"type\":\"ready\",\"pid\":1}\r\n{\"type\":\"heartbeat\"}", 2, ""},
+		{"{\"type\":\"ready\",\"pid\":1}\nnot json\n{\"type\":\"heartbeat\"}\n", 1, "corrupt frame"},
+		{"{\"type\":\"ready\",\"pid\":1}\n\n", 1, "corrupt frame"},
+		{"{\"type\":\"ready\",\"pid\":1}\n{\"type\":\"res", 1, ""},
+	} {
+		s := &workerSession{msgs: make(chan Msg), readerDone: make(chan struct{})}
+		go s.readLoop(strings.NewReader(c.stream))
+		n := 0
+		for range s.msgs {
+			n++
+		}
+		<-s.readerDone
+		if n != c.frames || s.readErr != c.reason {
+			t.Errorf("%q: %d frames, reason %q; want %d, %q", c.stream, n, s.readErr, c.frames, c.reason)
+		}
+	}
+}

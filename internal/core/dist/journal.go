@@ -2,13 +2,12 @@ package dist
 
 import (
 	"bufio"
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 	"sync"
 
+	"zebraconf/internal/canonjson"
 	"zebraconf/internal/core/campaign"
 )
 
@@ -64,7 +63,7 @@ type Journal struct {
 	mu        sync.Mutex
 	f         journalFile
 	w         *bufio.Writer
-	line      bytes.Buffer // Append's encoding of one record
+	line      []byte // Append's encoding of one record
 	pending   int
 	syncEvery int
 	err       error // sticky first write/sync failure
@@ -94,20 +93,29 @@ func OpenJournal(path string, syncEvery int) (*Journal, error) {
 // record — what ReadJournal drops as torn — is cut off, and a record that
 // lacks only its newline gets one.
 func endOnRecord(f *os.File) error {
-	sc := bufio.NewScanner(f)
-	sc.Buffer(nil, maxLine)
+	lr := newLineReader(f)
+	defer lr.close()
 	var last []byte
 	var start, next int64 // where the last line starts, and the line after it would
-	for sc.Scan() {
-		last = append(last[:0], sc.Bytes()...)
+	var readErr error
+	for {
+		line, err := lr.next()
+		if err != nil {
+			if err != io.EOF {
+				readErr = err
+			}
+			break
+		}
+		last = append(last[:0], line...)
 		start, next = next, next+int64(len(last))+1
 	}
+	var rec Record
 	size, err := f.Seek(0, io.SeekEnd)
 	switch {
-	case sc.Err() != nil:
-		err = sc.Err()
+	case readErr != nil:
+		err = readErr
 	case err != nil:
-	case next > 0 && json.Unmarshal(last, new(Record)) != nil:
+	case next > 0 && canonjson.Decode(last, &rec, nil) != nil:
 		err = f.Truncate(start)
 	case next > size:
 		_, err = f.Write([]byte{'\n'})
@@ -121,7 +129,7 @@ func newJournal(f journalFile, syncEvery int) *Journal {
 	if syncEvery <= 0 {
 		syncEvery = DefaultSyncEvery
 	}
-	return &Journal{f: f, w: bufio.NewWriter(f), syncEvery: syncEvery}
+	return &Journal{f: f, w: bufio.NewWriter(f), line: getLineBuf(), syncEvery: syncEvery}
 }
 
 // Append writes one record — json.Marshal's bytes and a newline, encoded
@@ -136,11 +144,12 @@ func (j *Journal) Append(rec Record) error {
 	if j.err != nil {
 		return fmt.Errorf("dist: journal failed, refusing append: %w", j.err)
 	}
-	j.line.Reset()
-	if err := json.NewEncoder(&j.line).Encode(rec); err != nil {
+	line, err := canonjson.Append(j.line[:0], &rec)
+	if err != nil {
 		return fmt.Errorf("dist: marshal journal record: %w", err)
 	}
-	if _, err := j.w.Write(j.line.Bytes()); err != nil {
+	j.line = append(line, '\n')
+	if _, err := j.w.Write(j.line); err != nil {
 		j.err = err
 		return err
 	}
@@ -180,6 +189,8 @@ func (j *Journal) Close() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	syncErr := j.syncLocked()
+	putLineBuf(j.line)
+	j.line = nil
 	if err := j.f.Close(); err != nil {
 		return err
 	}
@@ -198,24 +209,26 @@ func ReadJournal(path string) ([]Record, error) {
 	defer f.Close()
 
 	var out []Record
-	sc := bufio.NewScanner(f)
-	sc.Buffer(nil, maxLine)
-	line := 0
+	lr := newLineReader(f)
+	defer lr.close()
+	var in canonjson.Interner
 	torn := -1 // line number of a parse failure, tolerated only at EOF
-	for sc.Scan() {
-		line++
+	for n := 1; ; n++ {
+		line, err := lr.next()
+		if err == io.EOF {
+			return out, nil
+		}
+		if err != nil {
+			return nil, fmt.Errorf("dist: read journal %s: %w", path, err)
+		}
 		if torn >= 0 {
 			return nil, fmt.Errorf("dist: journal %s: corrupt record at line %d", path, torn)
 		}
 		var rec Record
-		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
-			torn = line
+		if err := canonjson.Decode(line, &rec, &in); err != nil {
+			torn = n
 			continue
 		}
 		out = append(out, rec)
 	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("dist: read journal %s: %w", path, err)
-	}
-	return out, nil
 }

@@ -16,6 +16,11 @@
 package dist
 
 import (
+	"bufio"
+	"bytes"
+	"fmt"
+	"io"
+
 	"zebraconf/internal/core/agent"
 	"zebraconf/internal/core/campaign"
 	"zebraconf/internal/core/stats"
@@ -54,9 +59,106 @@ const (
 	MsgHeartbeat = "heartbeat"
 )
 
-// maxLine caps one wire frame or journal record. Line readers start small
-// and grow on demand up to it, so a session costs what its frames need.
+// maxLine caps one wire frame or journal record, newline included.
 const maxLine = 64 << 20
+
+// Frames and journal records are JSON, written and read by
+// internal/canonjson: json.Marshal's bytes and a newline, so a peer or a
+// journal written by encoding/json reads the same, and the other way
+// round. A reader decodes each line straight into what it keeps, drawing
+// its strings from an interner of its own (one per session or journal
+// read), and reuses the line's buffer at once.
+
+// errLineTooLong ends a read whose line exceeds maxLine.
+var errLineTooLong = fmt.Errorf("dist: line longer than %d bytes", maxLine)
+
+// lineBufs keeps the buffers lines are assembled in — the frames a
+// session reads, the records a journal writes — between the sessions and
+// journals that use them; no decoded value keeps a byte of one. It is a
+// free list rather than a sync.Pool: a campaign's sessions and journals
+// are seconds apart, a pool's buffers do not outlive the collections in
+// between, and each user would grow a buffer to its largest line again.
+// It keeps four: a campaign on two workers holds two sessions' buffers and
+// its journal's at once, and a respawned session overlaps the one it
+// replaces.
+var lineBufs = make(chan []byte, 4)
+
+// maxPooledLine is the largest buffer handed back to lineBufs, so one
+// outsized line does not stay pinned behind every later session.
+const maxPooledLine = 2 << 20
+
+func getLineBuf() []byte {
+	select {
+	case b := <-lineBufs:
+		return b
+	default:
+		return nil
+	}
+}
+
+func putLineBuf(b []byte) {
+	if b == nil || cap(b) > maxPooledLine {
+		return
+	}
+	select {
+	case lineBufs <- b[:0]:
+	default:
+	}
+}
+
+// lineReader reads the lines of a frame stream or a journal; it takes a
+// buffer from lineBufs, which close gives back.
+type lineReader struct {
+	r   *bufio.Reader
+	buf []byte
+	// torn is set once next has returned a last line without a newline:
+	// what a writer killed mid-line leaves.
+	torn bool
+}
+
+func newLineReader(r io.Reader) *lineReader {
+	return &lineReader{r: bufio.NewReader(r), buf: getLineBuf()}
+}
+
+// next returns the next line without its end-of-line marker — a newline
+// and a carriage return before it, as bufio.ScanLines drops them — valid
+// until the next call. A last line without a newline is returned too; past
+// it, next returns io.EOF.
+func (lr *lineReader) next() ([]byte, error) {
+	line := lr.buf[:0]
+	for {
+		chunk, err := lr.r.ReadSlice('\n')
+		if len(line)+len(chunk) > maxLine {
+			return nil, errLineTooLong
+		}
+		if err == nil && len(line) == 0 {
+			return dropEOL(chunk), nil // the line is in the reader's buffer
+		}
+		if len(chunk) > 0 {
+			line = append(line, chunk...)
+			lr.buf = line
+		}
+		switch {
+		case err == nil:
+			return dropEOL(line), nil
+		case err == io.EOF && len(line) > 0:
+			lr.torn = true
+			return dropEOL(line), nil
+		case err != bufio.ErrBufferFull:
+			return nil, err
+		}
+	}
+}
+
+func (lr *lineReader) close() {
+	putLineBuf(lr.buf)
+	lr.buf = nil
+}
+
+func dropEOL(line []byte) []byte {
+	line = bytes.TrimSuffix(line, []byte{'\n'})
+	return bytes.TrimSuffix(line, []byte{'\r'})
+}
 
 // Heartbeat is the health snapshot riding in a MsgHeartbeat.
 type Heartbeat struct {

@@ -1,9 +1,6 @@
 package dist
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -13,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"zebraconf/internal/canonjson"
 	"zebraconf/internal/core/campaign"
 	"zebraconf/internal/core/diskcache"
 	"zebraconf/internal/core/harness"
@@ -61,15 +59,16 @@ func ServeWorkerEnv(r io.Reader, w io.Writer, resolve func(string) (*harness.App
 	// Every frame is encoded once into one reused buffer and written in
 	// one call, so a line never interleaves with another sender's.
 	var wmu sync.Mutex
-	var line bytes.Buffer
+	var line []byte
 	send := func(m Msg) error {
 		wmu.Lock()
 		defer wmu.Unlock()
-		line.Reset()
-		if err := json.NewEncoder(&line).Encode(m); err != nil {
+		b, err := canonjson.Append(line[:0], &m)
+		if err != nil {
 			return err
 		}
-		if _, err := w.Write(line.Bytes()); err != nil {
+		line = append(b, '\n')
+		if _, err := w.Write(line); err != nil {
 			return err
 		}
 		if f, ok := w.(interface{ Flush() error }); ok {
@@ -78,17 +77,16 @@ func ServeWorkerEnv(r io.Reader, w io.Writer, resolve func(string) (*harness.App
 		return nil
 	}
 
-	sc := bufio.NewScanner(r)
-	sc.Buffer(nil, maxLine)
+	lr := newLineReader(r)
+	defer lr.close()
+	var in canonjson.Interner
 	read := func() (Msg, error) {
-		if !sc.Scan() {
-			if err := sc.Err(); err != nil {
-				return Msg{}, err
-			}
-			return Msg{}, io.EOF
+		b, err := lr.next()
+		if err != nil {
+			return Msg{}, err
 		}
 		var m Msg
-		if err := json.Unmarshal(sc.Bytes(), &m); err != nil {
+		if err := canonjson.Decode(b, &m, &in); err != nil {
 			return Msg{}, fmt.Errorf("dist: worker: bad message: %w", err)
 		}
 		return m, nil

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"zebraconf/internal/canonjson"
 )
 
 // SpanID identifies one span within a trace. The zero value, NoSpan,
@@ -50,9 +52,10 @@ type SpanRecord struct {
 // atomic ID allocation; the writer lock is taken only when a span ends.
 type Tracer struct {
 	mu sync.Mutex
-	// enc writes the records out; a collecting tracer (nil enc) keeps
-	// them in recs instead.
-	enc  *json.Encoder
+	// w takes the records out, each encoded into line; a collecting
+	// tracer (nil w) keeps them in recs instead.
+	w    io.Writer
+	line []byte
 	recs []SpanRecord
 	next atomic.Uint64
 	// epoch anchors start_us so traces are relative, compact, and
@@ -62,7 +65,7 @@ type Tracer struct {
 
 // NewTracer returns a tracer writing JSONL records to w.
 func NewTracer(w io.Writer) *Tracer {
-	return &Tracer{enc: json.NewEncoder(w), epoch: time.Now()}
+	return &Tracer{w: w, epoch: time.Now()}
 }
 
 // NewCollector returns a tracer that keeps its records in memory, for the
@@ -88,13 +91,19 @@ func (t *Tracer) Records() []SpanRecord {
 func (t *Tracer) write(rec SpanRecord) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.enc == nil {
+	if t.w == nil {
 		t.recs = append(t.recs, rec)
 		return
 	}
-	// Encoding errors (e.g. a closed file) are deliberately dropped:
-	// tracing must never fail the campaign.
-	_ = t.enc.Encode(rec)
+	// Encoding and write errors (e.g. a closed file) are deliberately
+	// dropped: tracing must never fail the campaign. A record is
+	// json.Marshal's bytes and a newline, written in one call.
+	line, err := canonjson.Append(t.line[:0], &rec)
+	if err != nil {
+		return
+	}
+	t.line = append(line, '\n')
+	_, _ = t.w.Write(t.line)
 }
 
 // Span is one in-flight trace span. A nil *Span is valid: every method

@@ -107,6 +107,34 @@ func TestCollectorRecordsMarshalAsTheParsedJSONL(t *testing.T) {
 	}
 }
 
+// A JSONL tracer writes each record as json.Marshal writes it, and a
+// newline: attributes of every kind, the float formats json switches
+// between, keys that need escapes, and a value outside the Attr kinds.
+func TestTraceLineIsMarshal(t *testing.T) {
+	var buf bytes.Buffer
+	tr := NewTracer(&buf)
+	recs := []SpanRecord{
+		{Span: 1, Name: "bare"},
+		{Span: 2, Parent: 1, Name: "item <&>", StartUS: -3, DurUS: 1 << 40, Attrs: map[string]any{
+			"app": "minihdfs", "item": int64(-7), "p": 0.0625, "tiny": 1e-9, "huge": 1e21, "zero": 0.0,
+			"unsafe": true, "ok": false, "\u00e9\n\"": "\u2028", "dur": time.Second,
+		}},
+		{Span: 3, Name: "empty attrs", Attrs: map[string]any{}},
+	}
+	var want []byte
+	for _, rec := range recs {
+		tr.Emit(rec)
+		line, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(append(want, line...), '\n')
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Fatalf("trace lines\n%s\njson.Marshal gives\n%s", buf.Bytes(), want)
+	}
+}
+
 func TestSpanEndIsIdempotent(t *testing.T) {
 	var buf bytes.Buffer
 	tr := NewTracer(&buf)

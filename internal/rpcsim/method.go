@@ -2,8 +2,10 @@ package rpcsim
 
 import (
 	"fmt"
-	"reflect"
 	"sync"
+	"sync/atomic"
+
+	"zebraconf/internal/canonjson"
 )
 
 // Method declares one RPC: its name on the wire and the types of its
@@ -11,7 +13,9 @@ import (
 // once, next to the message types; the client calls through the
 // declaration and the server handles it through a Service, so the two
 // cannot disagree about the name or either type. Bodies are the bytes
-// json.Marshal writes, built and parsed by body.go's per-type codec.
+// json.Marshal writes, built and parsed by internal/canonjson. They must
+// not change: Table 3's encryption, compression and checksum parameters
+// act on them.
 type Method[Req, Resp any] struct{ Name string }
 
 // Command is a Method whose response carries nothing but success.
@@ -40,14 +44,17 @@ func (m Method[Req, Resp]) Call(c *Conn, req Req) (resp Resp, err error) {
 		out, err = c.Call(m.Name, emptyBody)
 	} else {
 		buf := requestBufs.Get().(*[]byte)
-		*buf = appendBody((*buf)[:0], &req)
-		out, err = c.Call(m.Name, *buf)
+		if *buf, err = canonjson.Append((*buf)[:0], &req); err != nil {
+			err = fmt.Errorf("rpcsim: marshal %s request: %w", m.Name, err)
+		} else {
+			out, err = c.Call(m.Name, *buf)
+		}
 		requestBufs.Put(buf)
 	}
 	if err != nil || isEmpty[Resp]() {
 		return resp, err
 	}
-	if err := decodeBody(out, &resp); err != nil {
+	if err := canonjson.Decode(out, &resp, nil); err != nil {
 		return resp, fmt.Errorf("rpcsim: unmarshal %s response: %w", m.Name, err)
 	}
 	return resp, nil
@@ -78,16 +85,18 @@ type serviceMethod[N any] struct {
 func Handle[N, Req, Resp any](svc *Service[N], m Method[Req, Resp], fn func(*N, *Req) (Resp, error)) {
 	noReq, noResp := isEmpty[Req](), isEmpty[Resp]()
 	if !noReq {
-		codecFor(reflect.TypeFor[Req]())
+		canonjson.Prepare[Req]()
 	}
-	var out *bodyCodec
 	if !noResp {
-		out = codecFor(reflect.TypeFor[Resp]())
+		canonjson.Prepare[Resp]()
 	}
+	// size is the length of the last response: the capacity the next one's
+	// buffer starts with.
+	var size atomic.Int64
 	svc.add(m.Name, func(n *N, payload []byte) ([]byte, error) {
 		var req Req
 		if !noReq {
-			if err := decodeBody(payload, &req); err != nil {
+			if err := canonjson.Decode(payload, &req, nil); err != nil {
 				return nil, fmt.Errorf("rpcsim: bad %s request: %w", m.Name, err)
 			}
 		}
@@ -98,8 +107,11 @@ func Handle[N, Req, Resp any](svc *Service[N], m Method[Req, Resp], fn func(*N, 
 		if noResp {
 			return emptyBody, nil
 		}
-		body := out.encode(make([]byte, 0, out.size.Load()), reflect.ValueOf(&resp).Elem())
-		out.size.Store(int64(len(body)))
+		body, err := canonjson.Append(make([]byte, 0, size.Load()), &resp)
+		if err != nil {
+			return nil, fmt.Errorf("rpcsim: marshal %s response: %w", m.Name, err)
+		}
+		size.Store(int64(len(body)))
 		return body, nil
 	})
 }
