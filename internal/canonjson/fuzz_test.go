@@ -62,7 +62,7 @@ func seedFrames(tb testing.TB) [][]byte {
 				"UnitTest": {"yarn.x": true}},
 			UncertainParams: []string{"yarn.y"}, TotalConfs: 4, SharedConf: true, UsedConf: true}}}}
 	init := dist.Msg{Type: dist.MsgInit, App: "miniyarn", Config: &dist.Config{MaxPool: 8, Params: []string{"yarn.x"},
-		Seed: 1, SeqMargin: 1e-7, Overrides: map[string]string{"yarn.x": "b"}, EvidenceMax: -1, Parallel: 1,
+		Seed: 1, Overrides: map[string]string{"yarn.x": "b"}, EvidenceMax: -1, Parallel: 1,
 		TraceItems: true, HeartbeatMS: 1000}}
 	frames := [][]byte{
 		line(result), line(run), line(init),

@@ -64,11 +64,9 @@ type Options struct {
 	// the zero value is stats.SeqSPRT — sequential early stopping on by
 	// default — and stats.SeqFixed restores the fixed-budget ablation.
 	Seq stats.SeqMode
-	// SeqMargin is the budget-reallocation margin passed to the runner:
-	// a budget-exhausted instance whose p-value is within this factor of
-	// the significance level draws extension rounds from the campaign's
-	// trial budget pool. Zero means the runner default (50); negative
-	// disables reallocation.
+	// SeqMargin is ignored: an instance runs at most
+	// runner.DefaultMaxRounds confirmation rounds. It is kept only for
+	// the benchmark module, which sets it, and goes with ROADMAP item 1.
 	SeqMargin float64
 	// Seed is the campaign's base seed, mixed into every per-run seed
 	// derivation so whole campaigns are reproducible-by-flag across both
@@ -279,7 +277,7 @@ type paramStats struct {
 
 // RunnerOptions assembles what one process needs to execute a campaign's
 // unit tests — the memo cache over opts.CacheBackend, the coverage
-// collector, the trial budget pool and the evidence recorder — as the
+// collector and the evidence recorder — as the
 // options of its TestRunner. Run builds one per campaign and a dist worker
 // one per session, so each of these spans exactly that. A backend behind
 // the cache is always a tier that outlives the campaign (a disk store, a
@@ -290,7 +288,6 @@ func RunnerOptions(app string, opts Options) runner.Options {
 	ropts := runner.Options{
 		DisableGate:      opts.DisableGate,
 		Seq:              opts.Seq,
-		SeqMargin:        opts.SeqMargin,
 		Strategy:         opts.Strategy,
 		BaseSeed:         opts.Seed,
 		Obs:              opts.Obs,
@@ -300,12 +297,6 @@ func RunnerOptions(app string, opts Options) runner.Options {
 	}
 	if !opts.DisableExecCache {
 		ropts.Cache = memo.NewCache(app, opts.CacheBackend, opts.Obs)
-	}
-	// Rounds saved by early stops anywhere fund extension rounds for
-	// marginal instances anywhere else. Fixed mode gets no pool — the
-	// ablation must spend exactly the legacy budget.
-	if opts.Seq != stats.SeqFixed {
-		ropts.Pool = stats.NewBudgetPool()
 	}
 	return ropts
 }

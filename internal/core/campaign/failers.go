@@ -139,8 +139,9 @@ func (c *Completion) Complete(res ItemResult, elapsed, pred float64, stored bool
 // unsafe verdicts. Trial savings are measured against the runner's round
 // budget R (every campaign runs runner.DefaultMaxRounds) at
 // Trials/(Rounds+1) trials a round: an early stop (convicted or
-// futility) within R saved R−Rounds rounds, and rounds past R were
-// reallocated to the instance from the budget pool.
+// futility) within R saved R−Rounds rounds. A result an older build
+// journaled may carry rounds past R, drawn from a since-deleted budget
+// pool; those saved nothing.
 func (c *Completion) tally(res ItemResult) map[string]int64 {
 	n := map[string]int64{"instances": int64(res.Instances), "executions": res.Executions,
 		"executions_saved": res.ExecutionsSaved, "leaked": res.LeakedGoroutines}
@@ -156,11 +157,8 @@ func (c *Completion) tally(res ItemResult) map[string]int64 {
 		if v.FirstTrialSignal {
 			n["first_trial"]++
 		}
-		perRound := v.Trials / int64(v.Rounds+1)
-		if v.Rounds > runner.DefaultMaxRounds {
-			n["trials_reallocated"] += int64(v.Rounds-runner.DefaultMaxRounds) * perRound
-		} else if v.StopReason == runner.StopConvicted || v.StopReason == runner.StopFutility {
-			n["trials_saved_early"] += int64(runner.DefaultMaxRounds-v.Rounds) * perRound
+		if v.Rounds < runner.DefaultMaxRounds && (v.StopReason == runner.StopConvicted || v.StopReason == runner.StopFutility) {
+			n["trials_saved_early"] += int64(runner.DefaultMaxRounds-v.Rounds) * (v.Trials / int64(v.Rounds+1))
 		}
 		if v.Evidence != nil {
 			n["evidence"]++

@@ -201,9 +201,9 @@ func TestConditionalReadHazardConvicted(t *testing.T) {
 // bytes": executions run on virtual clocks, so nothing in a campaign's
 // result depends on how many of them shared the processors. The full
 // minimr, miniyarn and miniflink campaigns at one slot and at two produce
-// byte-identical result JSON once the wall-clock Elapsed is zeroed. The two
-// policies that act on completion order (live quarantine, cross-item budget
-// reallocation) are pinned off, as the benchmark pins them.
+// byte-identical result JSON once the wall-clock Elapsed is zeroed. Live
+// quarantine, a policy that acts on completion order, is pinned off, as the
+// benchmark pins it.
 func TestSameSeedCampaignByteIdenticalAcrossParallelism(t *testing.T) {
 	t.Parallel()
 	for _, name := range []string{"minimr", "miniyarn", "miniflink"} {
@@ -219,7 +219,6 @@ func TestSameSeedCampaignByteIdenticalAcrossParallelism(t *testing.T) {
 					Seed:                3,
 					Parallelism:         slots,
 					QuarantineThreshold: math.MaxInt32,
-					SeqMargin:           -1,
 				})
 				if len(res.Reported) == 0 {
 					t.Fatalf("%s campaign reported nothing; the comparison is vacuous", name)

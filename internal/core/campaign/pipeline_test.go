@@ -212,9 +212,9 @@ func TestFrequentFailersNoteFromItemResults(t *testing.T) {
 // executed and one stored result: the executed one emits its unsafe
 // verdicts, then one item_complete whose tallies the fold counts — trial
 // savings derived from each verdict against the runner's round budget R,
-// including a marginal instance that drew two extension rounds (R budgeted
-// + 2, the runner's reallocation case) — and the stored one counts as
-// resumed only. Every verdict runs 3 trials a round.
+// where a verdict decided at look R or by the budget saved nothing — and
+// the stored one counts as resumed only. Every verdict runs 3 trials a
+// round.
 func TestCompletionTalliesOneItem(t *testing.T) {
 	t.Parallel()
 	var buf bytes.Buffer
@@ -226,9 +226,9 @@ func TestCompletionTalliesOneItem(t *testing.T) {
 	res := ItemResult{ID: 4, Test: "TestA", Instances: 7, Executions: 60, ExecutionsSaved: 5, LeakedGoroutines: 1,
 		Verdicts: []InstanceVerdict{
 			{Param: "p", Verdict: "unsafe", FirstTrialSignal: true, Rounds: R - 1, Trials: 3 * R, StopReason: runner.StopConvicted, Evidence: ev(false)},
-			{Param: "q", Verdict: "unsafe", FirstTrialSignal: true, Rounds: R + 2, Trials: 3 * (R + 3), StopReason: runner.StopConvicted, Evidence: ev(true)},
+			{Param: "q", Verdict: "unsafe", FirstTrialSignal: true, Rounds: R, Trials: 3 * (R + 1), StopReason: runner.StopConvicted, Evidence: ev(true)},
 			{Param: "r", Verdict: "filtered", FirstTrialSignal: true, Rounds: R - 2, Trials: 3 * (R - 1), StopReason: runner.StopFutility},
-			{Param: "s", Verdict: "filtered", FirstTrialSignal: true, Rounds: R + 1, Trials: 3 * (R + 2), StopReason: runner.StopBudget},
+			{Param: "s", Verdict: "filtered", FirstTrialSignal: true, Rounds: R, Trials: 3 * (R + 1), StopReason: runner.StopBudget},
 			{Param: "t", Verdict: "safe", Trials: 3},
 			{Param: "u", Verdict: "homo-invalid", Trials: 3},
 		}}
@@ -252,11 +252,9 @@ func TestCompletionTalliesOneItem(t *testing.T) {
 		{"filtered", m.CounterValue(obs.MVerdicts, "verdict", "filtered"), 2},
 		{"homo-invalid", m.CounterValue(obs.MVerdicts, "verdict", "homo-invalid"), 1},
 		{"first trial", m.CounterValue(obs.MFirstTrial), 4},
-		// Early stops p (R−(R−1))·3 and r (R−(R−2))·3; extension rounds
-		// past the budget of R: q's two that convicted, s's one that did
-		// not.
+		// Early stops p (R−(R−1))·3 and r (R−(R−2))·3; q convicted at
+		// look R and s ran out of budget, saving nothing.
 		{"early stop", m.CounterValue(obs.MTrialsSaved, "kind", "early-stop"), 9},
-		{"reallocated", m.CounterValue(obs.MTrialsSaved, "kind", "reallocated"), 9},
 		{"evidence", m.CounterValue(obs.MEvidenceRecords), 2},
 		{"budget", m.CounterValue(obs.MEvidenceTruncated, "reason", "budget"), 1},
 		{"leaked", m.CounterValue(obs.MAbandonedGoroutines, "test", "TestA"), 1},

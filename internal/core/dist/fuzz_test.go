@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"zebraconf/internal/canonjson"
 	"zebraconf/internal/confkit"
 	"zebraconf/internal/core/campaign"
 	"zebraconf/internal/core/harness"
@@ -57,6 +59,15 @@ func FuzzWorkerFrames(f *testing.F) {
 	if err := json.Unmarshal([]byte(`{"type":"init","config":{"no_shared_cache":true,"disk_cache_dir":"/x","shared_persistent":true,"seed":7}}`), &m); err != nil || m.Config.Seed != 7 {
 		f.Fatalf("an init frame with retired config fields decodes to %+v, %v", m.Config, err)
 	}
+	// An older coordinator sends seq_margin: a worker reads its init as
+	// the same frame without it.
+	current := line(Msg{Type: MsgInit, App: app.Name, Config: &Config{Seed: 7, Parallel: 2}})
+	margined := bytes.Replace(current, []byte(`"seed":7,`), []byte(`"seed":7,"seq_margin":50,`), 1)
+	var withMargin, without Msg
+	if err := canonjson.Decode(margined, &withMargin, nil); err != nil || canonjson.Decode(current, &without, nil) != nil ||
+		bytes.Equal(margined, current) || !reflect.DeepEqual(withMargin, without) {
+		f.Fatalf("an init frame with seq_margin decodes to %+v, %v; without it to %+v", withMargin.Config, err, without.Config)
+	}
 	// A trace fragment rides the envelope; an older worker put it inside
 	// the result, where it is now an unknown field and ignored.
 	frag := []obs.SpanRecord{{Span: 1, Name: "instance", DurUS: 5}, {Span: 2, Parent: 1, Name: "round"}}
@@ -74,7 +85,7 @@ func FuzzWorkerFrames(f *testing.F) {
 		line(Msg{Type: MsgBye}),
 		line(Msg{Type: MsgReady, PID: 1}),
 		line(Msg{Type: MsgResult, Result: &campaign.ItemResult{Test: "TestWord", Executions: 3}}),
-		traced, legacyTraced,
+		traced, legacyTraced, margined,
 		line(Msg{Type: MsgHeartbeat, PID: 1, HB: &Heartbeat{Inflight: []int{0}, Executions: 3}}),
 		[]byte("{\"type\":\"run\"}\n"), []byte("{}\n"), []byte("not json\n"), []byte(`{"type":"run","item":{"prerun":`),
 		// Frames out of place: a second init, a ready that failed, a

@@ -208,9 +208,7 @@ type Config struct {
 	Seed              int64    `json:"seed,omitempty"`
 	// Seq selects the sequential confirmation mode (stats.SeqMode as an
 	// int; 0 = SPRT, the default, rides as the JSON zero value).
-	// SeqMargin is the budget-reallocation eligibility margin.
-	Seq       int     `json:"seq,omitempty"`
-	SeqMargin float64 `json:"seq_margin,omitempty"`
+	Seq int `json:"seq,omitempty"`
 	// Overrides replaces schema parameter defaults worker-side (the
 	// -override flag): workers resolve apps themselves, so default
 	// overrides must ride the wire to keep every execution path
@@ -249,7 +247,6 @@ func ConfigFrom(opts campaign.Options) Config {
 		Params:            opts.Params,
 		Seed:              opts.Seed,
 		Seq:               int(opts.Seq),
-		SeqMargin:         opts.SeqMargin,
 		Overrides:         opts.Overrides,
 		DisableExecCache:  opts.DisableExecCache,
 		EvidenceMax:       opts.EvidenceMax,
@@ -269,7 +266,6 @@ func (c Config) CampaignOptions() campaign.Options {
 		Params:            c.Params,
 		Seed:              c.Seed,
 		Seq:               stats.SeqMode(c.Seq),
-		SeqMargin:         c.SeqMargin,
 		Overrides:         c.Overrides,
 		DisableExecCache:  c.DisableExecCache,
 		EvidenceMax:       c.EvidenceMax,

@@ -123,10 +123,9 @@ func ServeWorkerEnv(r io.Reader, w io.Writer, resolve func(string) (*harness.App
 			fmt.Fprintf(os.Stderr, "zebraconf worker: disk cache disabled: %v\n", err)
 		}
 	}
-	// One cache, evidence budget, coverage collector and trial budget pool
-	// for the whole session, so -evidence-max bounds the worker process and
-	// trials saved by this worker's early stops fund its own marginal
-	// parameters. opts.Obs is nil: the coordinator's completion step reads
+	// One cache, evidence budget and coverage collector for the whole
+	// session, so -evidence-max bounds the worker process. opts.Obs is
+	// nil: the coordinator's completion step reads
 	// what an item means for the campaign's views from its result, and
 	// campaign.Run folds the read edges that ride home in it. Cache hits
 	// replay their memoized read sets through the runner, so a fully warm

@@ -115,10 +115,9 @@ type WorkerStat struct {
 // final perf sample stands in for executions saved when no campaign_finish
 // was logged).
 type Savings struct {
-	CacheHits         map[string]int64 // by scope: local | shared | coalesced
-	TrialsSavedEarly  int64
-	TrialsReallocated int64
-	ExecutionsSaved   int64
+	CacheHits        map[string]int64 // by scope: local | shared | coalesced
+	TrialsSavedEarly int64
+	ExecutionsSaved  int64
 }
 
 // Analysis is the full offline profile of one run.
@@ -450,9 +449,7 @@ func (a *Analysis) analyzeEvents(events []obs.EventRecord) {
 			st := ItemStat{Item: item, Test: attrString(e.Attrs, "test"), Worker: slot}
 			st.Seconds, _ = attrFloat(e.Attrs, "elapsed_s")
 			early, _ := attrInt(e.Attrs, "trials_saved_early")
-			realloc, _ := attrInt(e.Attrs, "trials_reallocated")
 			a.Savings.TrialsSavedEarly += early
-			a.Savings.TrialsReallocated += realloc
 			a.Items = append(a.Items, st)
 			w := lane(slot)
 			w.Items++

@@ -212,7 +212,7 @@ func RenderProfile(w io.Writer, a *Analysis) {
 	}
 
 	sv := a.Savings
-	if sv.ExecutionsSaved > 0 || len(sv.CacheHits) > 0 || sv.TrialsSavedEarly > 0 || sv.TrialsReallocated > 0 {
+	if sv.ExecutionsSaved > 0 || len(sv.CacheHits) > 0 || sv.TrialsSavedEarly > 0 {
 		fmt.Fprintf(w, "\n## Savings attribution\n\n")
 		if sv.ExecutionsSaved > 0 {
 			fmt.Fprintf(w, "  executions saved       %d\n", sv.ExecutionsSaved)
@@ -229,9 +229,6 @@ func RenderProfile(w io.Writer, a *Analysis) {
 		}
 		if sv.TrialsSavedEarly > 0 {
 			fmt.Fprintf(w, "  trials saved (early)   %d\n", sv.TrialsSavedEarly)
-		}
-		if sv.TrialsReallocated > 0 {
-			fmt.Fprintf(w, "  trials reallocated     %d\n", sv.TrialsReallocated)
 		}
 	}
 }

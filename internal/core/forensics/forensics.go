@@ -326,6 +326,9 @@ func ParseRepro(cmd string) (Repro, error) {
 	if len(fields) == 0 || fields[0] != "zebraconf" {
 		return Repro{}, fmt.Errorf("forensics: not a zebraconf command: %q", cmd)
 	}
+	if len(fields)%2 == 0 {
+		return Repro{}, fmt.Errorf("forensics: repro flag %q has no value", fields[len(fields)-1])
+	}
 	var out Repro
 	for i := 1; i+1 < len(fields); i += 2 {
 		val := fields[i+1]

@@ -180,6 +180,18 @@ func TestRecorderDisabledAndUnlimited(t *testing.T) {
 	}
 }
 
+// badRepros are commands ParseRepro must refuse.
+var badRepros = []string{
+	"",
+	"rm -rf /",
+	"zebraconf -mode stats",
+	"zebraconf -mode run -app a -tests T",
+	"zebraconf -mode run -app a -tests T -params p -seed NaN",
+	"zebraconf -mode run -app a -tests T -params p -unknown x",
+	// Truncated: the last flag lost its value.
+	"zebraconf -mode run -app a -tests T -params p -seed",
+}
+
 func TestReproCommandRoundTrip(t *testing.T) {
 	t.Parallel()
 	cmd := ReproCommand("minihdfs", "TestWriteRead", "dfs.checksum.type", 42)
@@ -191,18 +203,30 @@ func TestReproCommandRoundTrip(t *testing.T) {
 	if rp != want {
 		t.Fatalf("ParseRepro = %+v, want %+v", rp, want)
 	}
-	for _, bad := range []string{
-		"",
-		"rm -rf /",
-		"zebraconf -mode stats",
-		"zebraconf -mode run -app a -tests T",
-		"zebraconf -mode run -app a -tests T -params p -seed NaN",
-		"zebraconf -mode run -app a -tests T -params p -unknown x",
-	} {
+	for _, bad := range badRepros {
 		if _, err := ParseRepro(bad); err == nil {
 			t.Errorf("ParseRepro(%q) accepted", bad)
 		}
 	}
+}
+
+// FuzzParseRepro holds ParseRepro to its inverse: whatever command it
+// accepts, the repro command written from the result parses back to it.
+func FuzzParseRepro(f *testing.F) {
+	f.Add(ReproCommand("minihdfs", "TestWriteRead", "dfs.checksum.type", 42))
+	for _, bad := range badRepros {
+		f.Add(bad)
+	}
+	f.Fuzz(func(t *testing.T, cmd string) {
+		r, err := ParseRepro(cmd)
+		if err != nil {
+			return
+		}
+		again := ReproCommand(r.App, r.Tests, r.Params, r.Seed)
+		if back, err := ParseRepro(again); err != nil || back != r {
+			t.Fatalf("ParseRepro(%q) = %+v, but %q parses to %+v, %v", cmd, r, again, back, err)
+		}
+	})
 }
 
 func TestAssignKVSorted(t *testing.T) {

@@ -121,7 +121,6 @@ func prepare(app *harness.App, spec Spec, env Env) (*prepared, error) {
 		Tests:               spec.Tests,
 		Seed:                spec.Seed,
 		Seq:                 p.seq,
-		SeqMargin:           spec.SeqMargin,
 		SchedPolicy:         p.policy,
 		Profile:             profile,
 		QuarantineThreshold: quarantine,

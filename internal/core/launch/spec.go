@@ -11,7 +11,6 @@ import (
 
 	"zebraconf/internal/core/forensics"
 	"zebraconf/internal/core/ledger"
-	"zebraconf/internal/core/runner"
 	"zebraconf/internal/core/sched"
 	"zebraconf/internal/core/stats"
 )
@@ -34,7 +33,6 @@ type Spec struct {
 	ThreadOnly  bool
 	Sched       string
 	Seq         string
-	SeqMargin   float64
 	Quarantine  int
 	EvidenceMax int64
 	Select      string
@@ -48,7 +46,6 @@ func DefaultSpec() Spec {
 		ExecCache:   true,
 		Sched:       "lpt",
 		Seq:         "sprt",
-		SeqMargin:   runner.DefaultSeqMargin,
 		Quarantine:  3,
 		EvidenceMax: forensics.DefaultBudget,
 		Select:      "coverage",
@@ -70,7 +67,6 @@ func (s *Spec) Bind(fs *flag.FlagSet) {
 	fs.BoolVar(&s.ThreadOnly, "thread-only", s.ThreadOnly, "use thread-based read attribution (the paper's failed attempt #3)")
 	fs.StringVar(&s.Sched, "sched", s.Sched, "phase-2 dispatch order: lpt (longest-predicted first) | fifo (ablation)")
 	fs.StringVar(&s.Seq, "seq", s.Seq, "sequential confirmation mode: sprt (SPRT convict/futility boundaries) | gsf (group-sequential Fisher, alpha-spending) | fixed (full-round ablation)")
-	fs.Float64Var(&s.SeqMargin, "seq-margin", s.SeqMargin, "budget reallocation: parameters ending within this factor x significance receive extension rounds funded by early stops; 0 disables")
 	fs.IntVar(&s.Quarantine, "quarantine", s.Quarantine, "distinct confirming tests before a parameter is live-quarantined mid-campaign (§4 frequent-failer rule); 0 disables the pruning (ablation)")
 	fs.Int64Var(&s.EvidenceMax, "evidence-max", s.EvidenceMax, "campaign-wide evidence byte budget (per worker with -workers): records degrade to verdict-only past it; 0 disables forensic capture, negative is unlimited")
 	fs.StringVar(&s.Select, "select", s.Select, "phase-2 test selection: coverage (skip tests whose indexed read set is disjoint from the campaign's params; needs a warm -ledger index) | all (dispatch to every test; ablation)")

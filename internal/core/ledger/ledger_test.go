@@ -160,6 +160,30 @@ func TestDiffCleanAndRegression(t *testing.T) {
 	if !strings.Contains(out, "+ p3") || !strings.Contains(out, "- p2") || !strings.Contains(out, "DELTA") {
 		t.Fatalf("rendered diff missing regression lines:\n%s", out)
 	}
+
+	// A line an older build wrote, with the retired -seq-margin flag and
+	// perf.trials_reallocated, still loads and diffs against a current one.
+	dir := t.TempDir()
+	old := `{"run_id":"oooo0000","start":"2026-08-06T00:00:00Z","app":"minihdfs","seed":7,` +
+		`"flags":{"no-pool":"true","seed":"7","seq-margin":"50"},"flags_digest":"old",` +
+		`"reported":["p1","p2"],"reported_digest":"` + a.ReportedDigest + `",` +
+		`"executions":90,"makespan_seconds":10,"perf":{"makespan_seconds":10,"trials_reallocated":12}}` + "\n"
+	if err := os.WriteFile(filepath.Join(dir, FileName), []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := Append(dir, a); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := Read(dir)
+	if err != nil || len(recs) != 2 || recs[0].Perf == nil || recs[0].Flags["seq-margin"] != "50" {
+		t.Fatalf("older ledger line read as %+v, %v", recs, err)
+	}
+	d = Diff(recs[0], recs[1])
+	buf.Reset()
+	d.Render(&buf)
+	if out := buf.String(); !d.Clean() || d.FlagsMatch || !strings.Contains(out, `seq-margin: "50" -> ""`) {
+		t.Fatalf("diff against an older ledger line:\n%s", out)
+	}
 }
 
 func TestDiffMakespan(t *testing.T) {

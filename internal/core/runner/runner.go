@@ -64,9 +64,7 @@ const (
 	// StopFutility: the stopping rule decided no remaining trials could
 	// (or plausibly would) reach significance and cut the instance off.
 	StopFutility = "futility"
-	// StopBudget: the round budget ran out undecided — including
-	// instances that then drew reallocated rounds from the campaign
-	// budget pool but still did not convict.
+	// StopBudget: the round budget ran out undecided.
 	StopBudget = "budget"
 )
 
@@ -90,8 +88,8 @@ type Result struct {
 	// Abandoned counts those of its Executions that left a goroutine
 	// running past the end of the execution (harness.Outcome.Abandoned).
 	Abandoned int64
-	// Rounds counts confirmation rounds run after the first trial,
-	// including any extension rounds drawn from the campaign budget pool.
+	// Rounds counts confirmation rounds run after the first trial, at
+	// most Options.MaxRounds.
 	Rounds int
 	// Trials counts paired trials this instance consumed across all
 	// rounds (heterogeneous + homogeneous arms, cached or executed):
@@ -126,16 +124,10 @@ type Options struct {
 	// is stats.SeqSPRT (sequential early stopping on), stats.SeqFixed
 	// restores the fixed-budget ablation.
 	Seq stats.SeqMode
-	// SeqMargin is the budget-reallocation margin: an instance whose
-	// round budget ran out with a p-value below SeqMargin×Significance
-	// may draw extension rounds from Pool. Zero means 50; negative
-	// disables extensions.
+	// SeqMargin is ignored: an instance runs at most MaxRounds
+	// confirmation rounds. It is kept only for the benchmark module,
+	// which sets it, and goes with ROADMAP item 1.
 	SeqMargin float64
-	// Pool is the campaign-wide (per worker process, in distributed
-	// mode) trial budget pool: early stops deposit their unrun rounds,
-	// significance-marginal instances withdraw extension rounds. Nil —
-	// the fixed-mode configuration — disables reallocation entirely.
-	Pool *stats.BudgetPool
 	// BaseSeed is mixed into every per-run seed derivation, making whole
 	// campaigns reproducible-by-flag; the zero value is simply the
 	// default base. Heterogeneous-arm seeds depend only on (BaseSeed,
@@ -175,12 +167,6 @@ type Options struct {
 	Coverage *coverage.Collector
 }
 
-// DefaultSeqMargin is the default budget-reallocation margin: a
-// budget-exhausted instance draws extension rounds only when its final
-// p-value is within this factor of the significance level — close
-// enough that a few more rounds could plausibly decide it either way.
-const DefaultSeqMargin = 50
-
 // DefaultMaxRounds is the default confirmation-round budget: enough to
 // confirm a deterministic failure at 1e-4.
 const DefaultMaxRounds = 8
@@ -200,9 +186,6 @@ func New(app *harness.App, opts Options) *Runner {
 	}
 	if opts.MaxRounds <= 0 {
 		opts.MaxRounds = DefaultMaxRounds
-	}
-	if opts.SeqMargin == 0 {
-		opts.SeqMargin = DefaultSeqMargin
 	}
 	return &Runner{app: app, opts: opts}
 }
@@ -459,9 +442,8 @@ func (r *Runner) RunAssignmentIn(parent obs.SpanID, test *harness.UnitTest, asn 
 	// Confirmation rounds: paired trials until the stopping rule decides
 	// the instance or the round budget runs out. The rule is stateless
 	// over the cumulative 2×2 table, so replays and retries re-derive
-	// identical decisions.
-	// An early stop deposits the rounds it did not run into the budget pool
-	// (nil in fixed mode); campaign.Completion counts their trials.
+	// identical decisions. campaign.Completion counts the trials an early
+	// stop did not run.
 	seq := stats.NewSeqTest(r.opts.Seq, r.opts.Significance, r.opts.MaxRounds, len(asn.Homo))
 	for round := 1; round <= r.opts.MaxRounds; round++ {
 		runRound(round)
@@ -474,7 +456,6 @@ func (r *Runner) RunAssignmentIn(parent obs.SpanID, test *harness.UnitTest, asn 
 		case stats.SeqConvict:
 			res.Verdict = VerdictUnsafe
 			res.StopReason = StopConvicted
-			r.opts.Pool.Deposit(r.opts.MaxRounds - round)
 			return res
 		case stats.SeqFutile:
 			if heteroFail == 0 {
@@ -483,37 +464,10 @@ func (r *Runner) RunAssignmentIn(parent obs.SpanID, test *harness.UnitTest, asn 
 				res.Verdict = VerdictFiltered
 			}
 			res.StopReason = StopFutility
-			r.opts.Pool.Deposit(r.opts.MaxRounds - round)
 			return res
 		}
 	}
 	res.StopReason = StopBudget
-
-	// Budget reallocation: an undecided instance whose p-value landed
-	// within the margin of significance draws extension rounds from the
-	// pool of rounds early stops did not run — up to one extra full
-	// budget, one round per withdrawal so concurrent marginal instances
-	// share the pool fairly. Extension looks apply the full-alpha Fisher
-	// test (the spending schedule governs only the planned looks), and
-	// their trials are seeded by (label, arm, round) exactly like the
-	// planned rounds, so a granted continuation is reproducible.
-	if heteroFail > 0 && r.opts.SeqMargin > 0 && res.PValue < r.opts.SeqMargin*r.opts.Significance {
-		for ext := 1; ext <= r.opts.MaxRounds; ext++ {
-			if !r.opts.Pool.TryWithdraw() {
-				break
-			}
-			round := r.opts.MaxRounds + ext
-			runRound(round)
-			res.Rounds = round
-			res.PValue = stats.FisherOneSided(heteroFail, heteroPass, homoFail, homoPass)
-			r.opts.Obs.Observe(obs.MPValue, res.PValue, "app", r.app.Name)
-			if res.PValue < r.opts.Significance {
-				res.Verdict = VerdictUnsafe
-				res.StopReason = StopConvicted
-				return res
-			}
-		}
-	}
 	if heteroFail == 0 {
 		res.Verdict = VerdictSafe
 		return res

@@ -394,44 +394,15 @@ func TestHomoArmNamesAreDistinct(t *testing.T) {
 	}
 }
 
-func TestBudgetReallocationConvictsMarginalInstance(t *testing.T) {
+func TestBudgetExhaustedStaysUnconvicted(t *testing.T) {
 	t.Parallel()
 	app := syntheticApp("deterministic")
 	// A round budget of 3 is too small for Fisher significance on a
-	// deterministic signal (p = 1/C(12,4) ≈ 2e-3 > 1e-4), but well within
-	// the default reallocation margin of 50x. A funded pool must grant
-	// extension rounds until the instance convicts — at 5 total rounds,
-	// where p = 1/C(18,6) ≈ 5.4e-5.
-	pool := stats.NewBudgetPool()
-	pool.Deposit(8)
-	r := New(app, Options{MaxRounds: 3, Seq: stats.SeqFixed, Pool: pool})
+	// deterministic signal (p = 1/C(12,4) ≈ 2e-3 > 1e-4): the instance
+	// exhausts its budget and stays unconvicted — no round runs past it.
+	r := New(app, Options{MaxRounds: 3, Seq: stats.SeqFixed})
 	asn, test := instanceFor(app, r)
 	res := r.RunAssignment(test, asn, "marginal")
-	if res.Verdict != VerdictUnsafe {
-		t.Fatalf("verdict = %v, want unsafe via extension rounds", res.Verdict)
-	}
-	if res.StopReason != StopConvicted {
-		t.Fatalf("stop reason = %q, want %q", res.StopReason, StopConvicted)
-	}
-	if res.Rounds != 5 {
-		t.Fatalf("rounds = %d, want 5 (3 budgeted + 2 extension)", res.Rounds)
-	}
-	if res.PValue >= 1e-4 {
-		t.Fatalf("extension conviction p = %g, not significant", res.PValue)
-	}
-	if _, wd := pool.Stats(); wd != 2 {
-		t.Fatalf("pool withdrawals = %d, want 2", wd)
-	}
-}
-
-func TestBudgetReallocationDeniedWithoutFunds(t *testing.T) {
-	t.Parallel()
-	app := syntheticApp("deterministic")
-	// Same marginal setup, empty pool: the instance must exhaust its own
-	// budget and stay unconvicted — reallocation never invents trials.
-	r := New(app, Options{MaxRounds: 3, Seq: stats.SeqFixed, Pool: stats.NewBudgetPool()})
-	asn, test := instanceFor(app, r)
-	res := r.RunAssignment(test, asn, "marginal-broke")
 	if res.Verdict == VerdictUnsafe {
 		t.Fatal("instance convicted without budget for the needed rounds")
 	}
@@ -439,23 +410,7 @@ func TestBudgetReallocationDeniedWithoutFunds(t *testing.T) {
 		t.Fatalf("stop reason = %q, want %q", res.StopReason, StopBudget)
 	}
 	if res.Rounds != 3 {
-		t.Fatalf("rounds = %d, want 3 (no extensions granted)", res.Rounds)
-	}
-}
-
-func TestEarlyStopsDepositIntoPool(t *testing.T) {
-	t.Parallel()
-	app := syntheticApp("deterministic")
-	pool := stats.NewBudgetPool()
-	r := New(app, Options{Pool: pool})
-	asn, test := instanceFor(app, r)
-	res := r.RunAssignment(test, asn, "depositor")
-	if res.Verdict != VerdictUnsafe || res.StopReason != StopConvicted {
-		t.Fatalf("verdict = %v stop = %q, want early conviction", res.Verdict, res.StopReason)
-	}
-	dep, _ := pool.Stats()
-	if want := int64(8 - res.Rounds); dep != want {
-		t.Fatalf("pool deposits = %d, want %d (MaxRounds - rounds run)", dep, want)
+		t.Fatalf("rounds = %d, want 3 (the budget)", res.Rounds)
 	}
 }
 

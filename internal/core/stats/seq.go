@@ -3,7 +3,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
 )
 
 // SeqMode selects the stopping rule applied to confirmation trials.
@@ -204,15 +203,11 @@ func NewSeqTest(mode SeqMode, alpha float64, maxLooks, homoPerLook int) *SeqTest
 // (the last look keeps (2K−1)/K² ≈ 23% of alpha for K=8), which is what
 // lets a deterministic failure still convict within the budget; an even
 // (Pocock-style) split would spend so little per look that a clean
-// 1-vs-2-arm signal could never cross any threshold.
+// 1-vs-2-arm signal could never cross any threshold. Outside looks
+// 1..MaxLooks nothing is left to spend: the threshold is 0.
 func (s *SeqTest) SpendingThreshold(look int) float64 {
-	if look < 1 {
+	if look < 1 || look > s.MaxLooks {
 		return 0
-	}
-	if look > s.MaxLooks {
-		// Extension looks (reallocated budget) spend at full alpha; the
-		// schedule only governs the planned looks.
-		return s.Alpha
 	}
 	k, kk := float64(look), float64(s.MaxLooks)
 	return s.Alpha * (2*k - 1) / (kk * kk)
@@ -281,68 +276,4 @@ func (s *SeqTest) curtailed(look int, heteroFail, heteroPass, homoFail, homoPass
 		}
 	}
 	return look < s.MaxLooks
-}
-
-// BudgetPool is the campaign-wide trial budget shared by every instance
-// of one campaign (per worker process in distributed mode, matching the
-// per-worker evidence budget): early convictions and futility stops
-// deposit the confirmation rounds they did not run, and instances that
-// exhaust their own budget within a margin of significance withdraw
-// extra rounds — "spend trials where they pay". The unit is rounds, not
-// trials: a round costs the same number of trials wherever it runs, so
-// round-for-round reallocation conserves the campaign's trial budget.
-//
-// All methods are nil-safe: a nil pool (the fixed-mode ablation)
-// deposits nothing and never grants a withdrawal.
-type BudgetPool struct {
-	balance   atomic.Int64
-	deposited atomic.Int64
-	withdrawn atomic.Int64
-}
-
-// NewBudgetPool returns an empty pool.
-func NewBudgetPool() *BudgetPool { return &BudgetPool{} }
-
-// Deposit credits rounds an instance stopped early enough not to run.
-func (p *BudgetPool) Deposit(rounds int) {
-	if p == nil || rounds <= 0 {
-		return
-	}
-	p.balance.Add(int64(rounds))
-	p.deposited.Add(int64(rounds))
-}
-
-// TryWithdraw debits one round if the balance allows, reporting whether
-// the grant succeeded. One round at a time keeps a single marginal
-// instance from draining the pool ahead of its peers.
-func (p *BudgetPool) TryWithdraw() bool {
-	if p == nil {
-		return false
-	}
-	for {
-		b := p.balance.Load()
-		if b <= 0 {
-			return false
-		}
-		if p.balance.CompareAndSwap(b, b-1) {
-			p.withdrawn.Add(1)
-			return true
-		}
-	}
-}
-
-// Balance returns the rounds currently available.
-func (p *BudgetPool) Balance() int64 {
-	if p == nil {
-		return 0
-	}
-	return p.balance.Load()
-}
-
-// Stats returns lifetime deposits and withdrawals.
-func (p *BudgetPool) Stats() (deposited, withdrawn int64) {
-	if p == nil {
-		return 0, 0
-	}
-	return p.deposited.Load(), p.withdrawn.Load()
 }

@@ -2,7 +2,6 @@ package stats
 
 import (
 	"math"
-	"sync"
 	"testing"
 )
 
@@ -169,8 +168,8 @@ func TestSpendingScheduleSumsToAlpha(t *testing.T) {
 	if got := s.SpendingThreshold(0); got != 0 {
 		t.Fatalf("threshold for look 0 = %g, want 0", got)
 	}
-	if got := s.SpendingThreshold(s.MaxLooks + 1); got != s.Alpha {
-		t.Fatalf("extension-look threshold = %g, want full alpha %g", got, s.Alpha)
+	if got := s.SpendingThreshold(s.MaxLooks + 1); got != 0 {
+		t.Fatalf("threshold past the last look = %g, want 0", got)
 	}
 }
 
@@ -206,80 +205,5 @@ func TestParseSeqMode(t *testing.T) {
 	}
 	if _, err := ParseSeqMode("bogus"); err == nil {
 		t.Fatal("ParseSeqMode accepted a bogus mode")
-	}
-}
-
-func TestBudgetPoolAccounting(t *testing.T) {
-	p := NewBudgetPool()
-	if p.TryWithdraw() {
-		t.Fatal("withdrawal from an empty pool granted")
-	}
-	p.Deposit(3)
-	p.Deposit(0)  // no-op
-	p.Deposit(-2) // no-op
-	if got := p.Balance(); got != 3 {
-		t.Fatalf("balance = %d, want 3", got)
-	}
-	for i := 0; i < 3; i++ {
-		if !p.TryWithdraw() {
-			t.Fatalf("withdrawal %d denied with positive balance", i)
-		}
-	}
-	if p.TryWithdraw() {
-		t.Fatal("withdrawal granted past the balance")
-	}
-	dep, wd := p.Stats()
-	if dep != 3 || wd != 3 {
-		t.Fatalf("stats = (%d, %d), want (3, 3)", dep, wd)
-	}
-}
-
-func TestBudgetPoolNilSafe(t *testing.T) {
-	var p *BudgetPool
-	p.Deposit(5)
-	if p.TryWithdraw() {
-		t.Fatal("nil pool granted a withdrawal")
-	}
-	if p.Balance() != 0 {
-		t.Fatal("nil pool has a balance")
-	}
-	if dep, wd := p.Stats(); dep != 0 || wd != 0 {
-		t.Fatal("nil pool has stats")
-	}
-}
-
-func TestBudgetPoolConcurrent(t *testing.T) {
-	p := NewBudgetPool()
-	const workers = 16
-	const perWorker = 100
-	var wg sync.WaitGroup
-	granted := make([]int64, workers)
-	for w := 0; w < workers; w++ {
-		w := w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < perWorker; i++ {
-				p.Deposit(1)
-				if p.TryWithdraw() {
-					granted[w]++
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	var total int64
-	for _, g := range granted {
-		total += g
-	}
-	dep, wd := p.Stats()
-	if dep != workers*perWorker {
-		t.Fatalf("deposited = %d, want %d", dep, workers*perWorker)
-	}
-	if wd != total {
-		t.Fatalf("withdrawn = %d but goroutines saw %d grants", wd, total)
-	}
-	if p.Balance() != dep-wd {
-		t.Fatalf("balance = %d, want %d", p.Balance(), dep-wd)
 	}
 }

@@ -176,8 +176,6 @@ func (o *Observer) itemTally(app string, a attrs) {
 			o.CounterAdd(MFirstTrial, n, "app", app)
 		case "trials_saved_early":
 			o.CounterAdd(MTrialsSaved, n, "app", app, "kind", "early-stop")
-		case "trials_reallocated":
-			o.CounterAdd(MTrialsSaved, n, "app", app, "kind", "reallocated")
 		case "evidence":
 			o.CounterAdd(MEvidenceRecords, n, "app", app)
 		case "evidence_budget":

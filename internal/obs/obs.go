@@ -35,16 +35,12 @@ const (
 	// over instances that ran confirmation rounds. Labels: app.
 	MPValue = "zebraconf_fisher_p_value"
 	// MConfirmRounds is the confirmation-rounds-per-instance histogram
-	// (0 when the first-trial gate stopped the instance; rounds past the
-	// base budget are extension rounds drawn from the reallocation
-	// pool). Labels: app, verdict (safe | unsafe | filtered |
-	// homo-invalid).
+	// (0 when the first-trial gate stopped the instance). Labels: app,
+	// verdict (safe | unsafe | filtered | homo-invalid).
 	MConfirmRounds = "zebraconf_confirmation_rounds"
 	// MTrialsSaved counts paired trials the sequential stopping rule
-	// affected: kind=early-stop for rounds an early conviction or
-	// futility stop did not run, kind=reallocated for extension-round
-	// trials granted to significance-marginal instances out of the
-	// campaign budget pool. Derived per completed item from its verdicts'
+	// saved: kind=early-stop for rounds an early conviction or futility
+	// stop did not run. Derived per completed item from its verdicts'
 	// rounds and trials. Labels: app, kind.
 	MTrialsSaved = "zebraconf_trials_saved_total"
 	// MPoolRuns counts pooled heterogeneous runs. Labels: app, result
@@ -201,8 +197,8 @@ var (
 	PValueBuckets = []float64{1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 0.5, 1}
 	// LatencyBuckets covers microseconds to tens of seconds.
 	LatencyBuckets = []float64{1e-5, 1e-4, 1e-3, 5e-3, 0.025, 0.1, 0.5, 1, 5, 15, 60}
-	// RoundBuckets covers the confirmation-round budget (default max 8)
-	// plus the extension range reallocation can grant (up to 2× budget).
+	// RoundBuckets covers the confirmation-round budget (default max 8);
+	// the buckets past it stay so a metrics file keeps its bucket set.
 	RoundBuckets = []float64{0, 1, 2, 3, 4, 5, 6, 7, 8, 10, 12, 16}
 	// DepthBuckets covers pool-split recursion depth (log2 of pool size).
 	DepthBuckets = []float64{0, 1, 2, 3, 4, 5, 6, 8, 10}

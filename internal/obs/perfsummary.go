@@ -34,11 +34,10 @@ type PerfSummary struct {
 	// sat in the dispatch queue, from push to pop, on every path.
 	P95QueueWaitSeconds float64 `json:"p95_queue_wait_seconds"`
 	// Savings attribution counters.
-	Executions        int64   `json:"executions"`
-	ExecutionsSaved   int64   `json:"executions_saved"`
-	CacheHitRate      float64 `json:"cache_hit_rate"`
-	TrialsSavedEarly  int64   `json:"trials_saved_early_stop,omitempty"`
-	TrialsReallocated int64   `json:"trials_reallocated,omitempty"`
+	Executions       int64   `json:"executions"`
+	ExecutionsSaved  int64   `json:"executions_saved"`
+	CacheHitRate     float64 `json:"cache_hit_rate"`
+	TrialsSavedEarly int64   `json:"trials_saved_early_stop,omitempty"`
 	// PerfSamples counts sampler snapshots taken (0 when -perf was off).
 	PerfSamples int `json:"perf_samples,omitempty"`
 }
@@ -95,6 +94,5 @@ func SummarizePerf(o *Observer, app string, elapsedSeconds float64, slots int) *
 		ps.CacheHitRate = float64(ps.ExecutionsSaved) / float64(total)
 	}
 	ps.TrialsSavedEarly = reg.CounterValue(MTrialsSaved, "app", app, "kind", "early-stop")
-	ps.TrialsReallocated = reg.CounterValue(MTrialsSaved, "app", app, "kind", "reallocated")
 	return ps
 }
