@@ -158,6 +158,7 @@ func ExecuteItem(app *harness.App, gen *testgen.Generator, run *runner.Runner, o
 	defer testSpan.End()
 
 	asn := gen.Builder(&item.PreRun.Report)
+	defer asn.Release()
 	account := func(cost runner.Result) {
 		out.Executions += cost.Executions
 		out.ExecutionsSaved += cost.Saved

@@ -362,8 +362,9 @@ func traced(t *testing.T, _ *matrixCase, _ campaign.Options, res *campaign.Resul
 // sameInWorker replays the campaign's work items through one ServeWorker
 // session and requires each item's result to match the in-process one
 // byte for byte, but for the coverage edges only a worker ships. One slot
-// on both sides, so items meet the trial budget pool in the same order: the
-// campaign's one slot runs every queued pre-run before the first item.
+// on both sides: both run the items one at a time in the recorded order,
+// so what one item leaves the next (quarantine and the evidence budget,
+// both off in this row) cannot differ between them.
 func sameInWorker(t *testing.T, c *matrixCase, opts campaign.Options, local *campaign.Result) {
 	rec := &recordingDistributor{}
 	opts.Distributor = rec

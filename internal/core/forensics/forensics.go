@@ -11,13 +11,13 @@ package forensics
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 	"sync/atomic"
 
 	"zebraconf/internal/core/agent"
 	"zebraconf/internal/core/harness"
+	"zebraconf/internal/core/memo"
 	"zebraconf/internal/obs"
 )
 
@@ -130,22 +130,13 @@ func FromOutcome(app, test string, seed int64, round int, out harness.Outcome) *
 	}
 }
 
-// AssignKV flattens an assignment map into its canonical sorted form.
-func AssignKV(assign map[agent.Key]string) []KV {
-	out := make([]KV, 0, len(assign))
-	for k, v := range assign {
-		out = append(out, KV{Entity: k.NodeType, Index: k.NodeIndex, Param: k.Param, Value: v})
+// AssignKV flattens an assignment's entries, already in their canonical
+// sorted order (memo.CompareEntries), into the record's form.
+func AssignKV(entries []memo.Entry) []KV {
+	out := make([]KV, len(entries))
+	for i, e := range entries {
+		out[i] = KV{Entity: e.Key.NodeType, Index: e.Key.NodeIndex, Param: e.Key.Param, Value: e.Value}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Entity != b.Entity {
-			return a.Entity < b.Entity
-		}
-		if a.Index != b.Index {
-			return a.Index < b.Index
-		}
-		return a.Param < b.Param
-	})
 	return out
 }
 

@@ -1,11 +1,13 @@
 package forensics
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
 	"zebraconf/internal/core/agent"
 	"zebraconf/internal/core/harness"
+	"zebraconf/internal/core/memo"
 	"zebraconf/internal/obs"
 )
 
@@ -231,12 +233,14 @@ func FuzzParseRepro(f *testing.F) {
 
 func TestAssignKVSorted(t *testing.T) {
 	t.Parallel()
-	kv := AssignKV(map[agent.Key]string{
-		{NodeType: "NameNode", NodeIndex: 0, Param: "p"}: "1",
-		{NodeType: "DataNode", NodeIndex: 1, Param: "p"}: "2",
-		{NodeType: "DataNode", NodeIndex: 0, Param: "q"}: "3",
-		{NodeType: "DataNode", NodeIndex: 0, Param: "p"}: "4",
-	})
+	entries := []memo.Entry{
+		{Key: agent.Key{NodeType: "NameNode", NodeIndex: 0, Param: "p"}, Value: "1"},
+		{Key: agent.Key{NodeType: "DataNode", NodeIndex: 1, Param: "p"}, Value: "2"},
+		{Key: agent.Key{NodeType: "DataNode", NodeIndex: 0, Param: "q"}, Value: "3"},
+		{Key: agent.Key{NodeType: "DataNode", NodeIndex: 0, Param: "p"}, Value: "4"},
+	}
+	slices.SortFunc(entries, memo.CompareEntries)
+	kv := AssignKV(entries)
 	order := make([]string, 0, len(kv))
 	for _, e := range kv {
 		order = append(order, e.Entity, e.Param)

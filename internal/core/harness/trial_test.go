@@ -28,7 +28,7 @@ func TestTrialOutcomeIsFullOutcome(t *testing.T) {
 				pre := harness.RunOnce(app, test, agent.Options{}, 1)
 				var assign map[agent.Key]string
 				if insts := gen.Instances(testgen.PreRun{Test: test.Name, Report: pre.Report}, testgen.InstancesOptions{}); len(insts) > 0 {
-					assign = gen.Builder(&pre.Report).Pooled(testgen.BuildPools(test.Name, insts, 0)[0])
+					assign = gen.Builder(&pre.Report).Pooled(testgen.BuildPools(test.Name, insts, 0)[0]).Assign()
 				}
 				var outs [2]harness.Outcome
 				for j, trial := range []bool{true, false} {

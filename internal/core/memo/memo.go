@@ -19,6 +19,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"zebraconf/internal/core/agent"
 	"zebraconf/internal/obs"
@@ -59,85 +60,104 @@ type Backend interface {
 	Put(Key, Result)
 }
 
-// HashAssignment canonically digests an assignment map: entries are
-// sorted by (node type, node index, parameter), so two maps with equal
-// content — regardless of construction or iteration order — produce the
-// same digest. The digest is SHA-256 truncated to 128 bits, hex-encoded;
-// far beyond collision reach, because a collision would silently reuse
-// the wrong outcome. Each entry is node type, NUL, the node index as a
-// little-endian uint64, parameter, NUL, value, NUL; the entries are laid
-// out in one buffer and hashed in one call. The key slice lives on the
-// stack up to smallAssign entries and the buffer up to smallBuf bytes;
-// past either size it is a pooled scratch slice. The hex string is the
-// only allocation.
+// Entry is one (entity, parameter) → value entry of an assignment.
+type Entry struct {
+	Key   agent.Key
+	Value string
+}
+
+// HashAssignment canonically digests an assignment map: its entries are
+// collected, sorted in CompareEntries order and hashed by HashEntries, so
+// two maps with equal content — regardless of construction or iteration
+// order — produce the same digest. The entry slice lives on the stack up
+// to smallAssign entries and is a pooled scratch slice past that; the hex
+// string is the only allocation.
 func HashAssignment(assign map[agent.Key]string) string {
-	var small [smallAssign]agent.Key
-	keys := small[:0]
-	var pooled *[]agent.Key
+	var small [smallAssign]Entry
+	entries := small[:0]
+	var pooled *[]Entry
 	if len(assign) > smallAssign {
-		pooled = keyScratch.Get().(*[]agent.Key)
+		pooled = entryScratch.Get().(*[]Entry)
 		*pooled = slices.Grow((*pooled)[:0], len(assign))
-		keys = *pooled
+		entries = *pooled
 	}
-	size := 0
 	for k, v := range assign {
-		keys = append(keys, k)
-		size += len(k.NodeType) + len(k.Param) + len(v) + 3 + 8
+		entries = append(entries, Entry{k, v})
 	}
-	slices.SortFunc(keys, compareKeys)
+	slices.SortFunc(entries, CompareEntries)
+	digest := HashEntries(entries)
+	if pooled != nil {
+		clear(entries) // the pool is to hold no strings of this assignment
+		entryScratch.Put(pooled)
+	}
+	return digest
+}
+
+// HashEntries digests an assignment given as its entries in CompareEntries
+// order, no key twice — the one definition of the digest's bytes. The
+// digest is SHA-256 truncated to 128 bits, hex-encoded; far beyond
+// collision reach, because a collision would silently reuse the wrong
+// outcome. Each entry is node type, NUL, the node index as a little-endian
+// uint64, parameter, NUL, value, NUL; the entries are laid out in one
+// buffer and hashed in one call. The buffer lives on the stack up to
+// smallBuf bytes and is a pooled scratch slice past that; the hex string
+// is the only allocation.
+func HashEntries(entries []Entry) string {
+	size := 0
+	for _, e := range entries {
+		size += len(e.Key.NodeType) + len(e.Key.Param) + len(e.Value) + 3 + 8
+	}
 	var stack [smallBuf]byte
 	buf := stack[:0]
-	var pooledBuf *[]byte
+	var pooled *[]byte
 	if size > smallBuf {
-		pooledBuf = bufScratch.Get().(*[]byte)
-		*pooledBuf = slices.Grow((*pooledBuf)[:0], size)
-		buf = *pooledBuf
+		pooled = bufScratch.Get().(*[]byte)
+		*pooled = slices.Grow((*pooled)[:0], size)
+		buf = *pooled
 	}
-	for _, k := range keys {
-		buf = append(buf, k.NodeType...)
+	for _, e := range entries {
+		buf = append(buf, e.Key.NodeType...)
 		buf = append(buf, 0)
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(k.NodeIndex))
-		buf = append(buf, k.Param...)
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(e.Key.NodeIndex))
+		buf = append(buf, e.Key.Param...)
 		buf = append(buf, 0)
-		buf = append(buf, assign[k]...)
+		buf = append(buf, e.Value...)
 		buf = append(buf, 0)
 	}
 	sum := sha256.Sum256(buf)
 	if pooled != nil {
-		clear((*pooled)[:len(assign)]) // the pool is to hold no strings of this assignment
-		keyScratch.Put(pooled)
-	}
-	if pooledBuf != nil {
-		bufScratch.Put(pooledBuf)
+		bufScratch.Put(pooled)
 	}
 	var out [32]byte
 	hex.Encode(out[:], sum[:16])
 	return string(out[:])
 }
 
-// HashAssignment's scratch slices past its stack budget, each grown to the
-// largest assignment hashed with it.
+// HashAssignment's and HashEntries' scratch slices past their stack
+// budgets, each grown to the largest assignment hashed with it.
 var (
-	keyScratch = sync.Pool{New: func() any { return new([]agent.Key) }}
-	bufScratch = sync.Pool{New: func() any { return new([]byte) }}
+	entryScratch = sync.Pool{New: func() any { return new([]Entry) }}
+	bufScratch   = sync.Pool{New: func() any { return new([]byte) }}
 )
 
-// HashAssignment's stack budget: a homogeneous arm or a leaf's
-// heterogeneous map of a few nodes fits; a large pooled map does not.
+// The stack budgets: a homogeneous arm or a leaf's heterogeneous map of a
+// few nodes fits; a large pooled map does not.
 const (
 	smallAssign = 32
 	smallBuf    = 4096
 )
 
-// compareKeys is the canonical entry order HashAssignment digests in.
-func compareKeys(a, b agent.Key) int {
-	if c := strings.Compare(a.NodeType, b.NodeType); c != 0 {
+// CompareEntries is the canonical entry order digests are taken in: node
+// type, node index, parameter. Values do not take part: an assignment
+// holds a key once.
+func CompareEntries(a, b Entry) int {
+	if c := strings.Compare(a.Key.NodeType, b.Key.NodeType); c != 0 {
 		return c
 	}
-	if c := cmp.Compare(a.NodeIndex, b.NodeIndex); c != 0 {
+	if c := cmp.Compare(a.Key.NodeIndex, b.Key.NodeIndex); c != 0 {
 		return c
 	}
-	return strings.Compare(a.Param, b.Param)
+	return strings.Compare(a.Key.Param, b.Key.Param)
 }
 
 // SeedFor derives the canonical per-run seed for an assignment-addressed
@@ -178,9 +198,12 @@ type Cache struct {
 	calls map[Key]*call
 }
 
-// call is one execution slot; done closes when res is final.
+// call is one execution slot, a single allocation: wg is released and
+// done set once res is final. done only tells a completed entry (a local
+// hit) from an in-flight one (a coalesced wait); wg is what orders res.
 type call struct {
-	done chan struct{}
+	wg   sync.WaitGroup
+	done atomic.Bool
 	res  Result
 }
 
@@ -201,24 +224,24 @@ func (c *Cache) Do(key Key, fn func() Result) (res Result, reused bool) {
 	c.mu.Lock()
 	if cl, ok := c.calls[key]; ok {
 		c.mu.Unlock()
-		select {
-		case <-cl.done:
-			c.obs.Event(obs.EvCacheHit, obs.String("app", c.app), obs.String("scope", "local"))
-		default:
-			c.obs.Event(obs.EvCacheHit, obs.String("app", c.app), obs.String("scope", "coalesced"))
-			<-cl.done
+		if cl.done.Load() {
+			c.hit("local")
+		} else {
+			c.hit("coalesced")
 		}
+		cl.wg.Wait()
 		return cl.res, true
 	}
-	cl := &call{done: make(chan struct{})}
+	cl := new(call)
+	cl.wg.Add(1)
 	c.calls[key] = cl
 	c.mu.Unlock()
 
 	if c.backend != nil {
 		if res, ok := c.backend.Get(key); ok {
 			cl.res = res
-			close(cl.done)
-			c.obs.Event(obs.EvCacheHit, obs.String("app", c.app), obs.String("scope", "shared"))
+			cl.release()
+			c.hit("shared")
 			return res, true
 		}
 	}
@@ -226,7 +249,7 @@ func (c *Cache) Do(key Key, fn func() Result) (res Result, reused bool) {
 	func() {
 		// Release waiters before the backend Put (they must not be held
 		// hostage to a slow second-level store) and even if fn panics.
-		defer close(cl.done)
+		defer cl.release()
 		cl.res = fn()
 	}()
 	if c.backend != nil {
@@ -251,11 +274,25 @@ func (c *Cache) Record(key Key, res Result) {
 		c.mu.Unlock()
 		return
 	}
-	cl := &call{done: make(chan struct{}), res: res}
-	close(cl.done)
+	cl := &call{res: res}
+	cl.done.Store(true)
 	c.calls[key] = cl
 	c.mu.Unlock()
 	if c.backend != nil {
 		c.backend.Put(key, res)
+	}
+}
+
+// release marks the slot's result final and wakes its waiters.
+func (cl *call) release() {
+	cl.done.Store(true)
+	cl.wg.Done()
+}
+
+// hit is a reuse's cache_hit event, its attributes built only for an
+// observer to receive.
+func (c *Cache) hit(scope string) {
+	if c.obs != nil {
+		c.obs.Event(obs.EvCacheHit, obs.String("app", c.app), obs.String("scope", scope))
 	}
 }

@@ -49,7 +49,7 @@ func (r *Runner) SuggestDependencies(test *harness.UnitTest, schema *confkit.Reg
 		}
 		readsByValue := make(map[string]map[string]bool, len(values))
 		for _, v := range values {
-			outc, _, _ := r.runTrial(obs.NoSpan, new(Result), trial{test: test, assign: asn.Homo(name, v).Assign, label: "depsuggest/" + name, arm: v, full: true})
+			outc, _, _ := r.runTrial(obs.NoSpan, new(Result), trial{test: test, recipe: asn.Homo(name, v), label: "depsuggest/" + name, arm: v, full: true})
 			readsByValue[v] = unionReads(outc.Report.Usage)
 		}
 		for _, v := range values {

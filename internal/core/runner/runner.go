@@ -222,11 +222,15 @@ func seedFor(base int64, label string, arm string, round int) int64 {
 //     CacheLabelSeeded, and a capture trial executes for real and is
 //     Cache.Recorded under the same condition;
 //   - canonically seeded (homogeneous arms, pooled runs): always Cache.Do.
+//
+// A trial carries its assignment as a recipe: the key needs only its
+// digest, and the map is built (or taken from where the recipe keeps it)
+// only when the trial executes.
 type trial struct {
 	test   *harness.UnitTest
-	assign map[agent.Key]string
-	// digest is assign's memo.HashAssignment when the caller holds it;
-	// empty means runTrial digests assign itself where the key needs it.
+	recipe testgen.Recipe
+	// digest is the recipe's digest when the caller holds it; empty means
+	// runTrial digests the recipe itself where the key needs it.
 	digest string
 	// label, arm and round seed the run (seedFor). An empty label selects
 	// the canonical seed over the assignment content instead (memo.SeedFor):
@@ -247,7 +251,8 @@ type trial struct {
 // replayed into the coverage collector, and a cache-hit span under parent
 // carries the original execution's digest. key identifies the execution
 // either way; Assign is filled only when the seed or a cache consumes it,
-// and digested only when the trial did not bring its digest along.
+// and digested only when the trial did not bring its digest along. Only an
+// execution reads the assignment map.
 func (r *Runner) runTrial(parent obs.SpanID, cost *Result, t trial) (out harness.Outcome, reused bool, key memo.Key) {
 	canonical := t.label == ""
 	cached := r.opts.Cache != nil && !t.full && (canonical || r.opts.CacheLabelSeeded)
@@ -255,7 +260,7 @@ func (r *Runner) runTrial(parent obs.SpanID, cost *Result, t trial) (out harness
 	if canonical || cached {
 		key.Assign = t.digest
 		if key.Assign == "" {
-			key.Assign = memo.HashAssignment(t.assign)
+			key.Assign = t.recipe.Digest()
 		}
 	}
 	if canonical {
@@ -267,7 +272,7 @@ func (r *Runner) runTrial(parent obs.SpanID, cost *Result, t trial) (out harness
 		r.executions.Add(1)
 		out = harness.RunOnceCaptured(r.app, t.test, agent.Options{
 			Strategy: r.opts.Strategy,
-			Assign:   t.assign,
+			Assign:   t.recipe.Assign(),
 			Coverage: r.opts.Coverage != nil,
 			// Only a full trial's caller reads the pre-run report.
 			Trial: !t.full,
@@ -294,12 +299,14 @@ func (r *Runner) runTrial(parent obs.SpanID, cost *Result, t trial) (out harness
 			cost.Saved++
 			out = harness.Outcome{Failed: res.Failed, TimedOut: res.TimedOut, Msg: res.Msg}
 			r.opts.Coverage.Observe(t.test.Name, res.Reads)
-			r.opts.Obs.StartSpan("cache-hit", parent,
-				obs.String("app", r.app.Name),
-				obs.String("test", t.test.Name),
-				obs.String("arm", t.arm),
-				obs.String("digest", key.Assign),
-				obs.Int("seed", key.Seed)).End()
+			if r.opts.Obs.Tracing() {
+				r.opts.Obs.StartSpan("cache-hit", parent,
+					obs.String("app", r.app.Name),
+					obs.String("test", t.test.Name),
+					obs.String("arm", t.arm),
+					obs.String("digest", key.Assign),
+					obs.Int("seed", key.Seed)).End()
+			}
 		}
 	}
 	return out, reused, key
@@ -337,11 +344,16 @@ func (r *Runner) RunAssignment(test *harness.UnitTest, asn testgen.Assignment, l
 // or the round budget is exhausted. The instance span nests under parent.
 func (r *Runner) RunAssignmentIn(parent obs.SpanID, test *harness.UnitTest, asn testgen.Assignment, label string) (res Result) {
 	res = Result{PValue: 1}
-	span := r.opts.Obs.StartSpan("instance", parent,
-		obs.String("app", r.app.Name),
-		obs.String("test", test.Name),
-		obs.String("instance", label),
-		obs.Int("seed", seedFor(r.opts.BaseSeed, label, "hetero", 0)))
+	// Spans and their attributes are built only while tracing.
+	tracing := r.opts.Obs.Tracing()
+	var span *obs.Span
+	if tracing {
+		span = r.opts.Obs.StartSpan("instance", parent,
+			obs.String("app", r.app.Name),
+			obs.String("test", test.Name),
+			obs.String("instance", label),
+			obs.Int("seed", seedFor(r.opts.BaseSeed, label, "hetero", 0)))
+	}
 	rec := r.opts.Evidence
 	var ev *forensics.Evidence
 	var arms []forensics.Arm
@@ -351,13 +363,15 @@ func (r *Runner) RunAssignmentIn(parent obs.SpanID, test *harness.UnitTest, asn 
 	// every later round reuses it.
 	var hetDigest string
 	defer func() {
-		span.SetAttr(
-			obs.String("verdict", res.Verdict.String()),
-			obs.Bool("first_trial_signal", res.FirstTrialSignal),
-			obs.Float("p_value", res.PValue),
-			obs.Int("executions", res.Executions),
-			obs.Int("rounds", int64(res.Rounds)))
-		span.End()
+		if tracing {
+			span.SetAttr(
+				obs.String("verdict", res.Verdict.String()),
+				obs.Bool("first_trial_signal", res.FirstTrialSignal),
+				obs.Float("p_value", res.PValue),
+				obs.Int("executions", res.Executions),
+				obs.Int("rounds", int64(res.Rounds)))
+			span.End()
+		}
 		r.opts.Obs.Observe(obs.MConfirmRounds, float64(res.Rounds),
 			"app", r.app.Name, "verdict", res.Verdict.String())
 		if ev != nil {
@@ -373,15 +387,18 @@ func (r *Runner) RunAssignmentIn(parent obs.SpanID, test *harness.UnitTest, asn 
 	// any homogeneous arm failed in it.
 	runRound := func(round int) (anyHomoFailed bool) {
 		res.Trials += int64(1 + len(asn.Homo))
-		rs := r.opts.Obs.StartSpan("round", span.ID(),
-			obs.String("app", r.app.Name),
-			obs.String("test", test.Name),
-			obs.Int("round", int64(round)))
+		var rs *obs.Span
+		if tracing {
+			rs = r.opts.Obs.StartSpan("round", span.ID(),
+				obs.String("app", r.app.Name),
+				obs.String("test", test.Name),
+				obs.Int("round", int64(round)))
+		}
 		roundHomoFailBase := homoFail
 		// Capture this heterogeneous trial: round 0 always, later rounds
 		// until one fails — the failing execution is the one worth
 		// explaining, and once held it is never re-captured.
-		hetTrial := trial{test: test, assign: asn.Hetero, digest: hetDigest, label: label, arm: "hetero", round: round}
+		hetTrial := trial{test: test, recipe: asn.Hetero, digest: hetDigest, label: label, arm: "hetero", round: round}
 		capturing := rec.Enabled() && (ev == nil || !ev.Failed)
 		if capturing {
 			hetTrial.capture = rec.Spec()
@@ -390,7 +407,7 @@ func (r *Runner) RunAssignmentIn(parent obs.SpanID, test *harness.UnitTest, asn 
 		hetDigest = key.Assign
 		if capturing && (ev == nil || het.Failed) {
 			ev = forensics.FromOutcome(r.app.Name, test.Name, key.Seed, round, het)
-			ev.Assign = forensics.AssignKV(asn.Hetero)
+			ev.Assign = forensics.AssignKV(asn.Hetero.Entries())
 		}
 		if het.Failed {
 			heteroFail++
@@ -404,7 +421,7 @@ func (r *Runner) RunAssignmentIn(parent obs.SpanID, test *harness.UnitTest, asn 
 			arms = append(arms, forensics.Arm{Name: "hetero", Seed: key.Seed, Failed: het.Failed})
 		}
 		for i, arm := range asn.Homo {
-			out, reused, key := r.runTrial(rs.ID(), &res, trial{test: test, assign: arm.Assign, digest: arm.Digest, arm: homoArmName(i), round: round})
+			out, reused, key := r.runTrial(rs.ID(), &res, trial{test: test, recipe: arm, arm: homoArmName(i), round: round})
 			if rec.Enabled() && round == 0 {
 				arms = append(arms, forensics.Arm{
 					Name:   homoArmName(i),
@@ -420,9 +437,11 @@ func (r *Runner) RunAssignmentIn(parent obs.SpanID, test *harness.UnitTest, asn 
 				homoPass++
 			}
 		}
-		rs.SetAttr(obs.Bool("hetero_failed", het.Failed),
-			obs.Int("homo_failures", homoFail-roundHomoFailBase))
-		rs.End()
+		if tracing {
+			rs.SetAttr(obs.Bool("hetero_failed", het.Failed),
+				obs.Int("homo_failures", homoFail-roundHomoFailBase))
+			rs.End()
+		}
 		return homoFail > roundHomoFailBase
 	}
 
@@ -476,19 +495,22 @@ func (r *Runner) RunAssignmentIn(parent obs.SpanID, test *harness.UnitTest, asn 
 	return res
 }
 
-// RunPooledIn executes one pooled run of assign, a pool's merged
+// RunPooledIn executes one pooled run of pool, a pool's merged
 // heterogeneous assignment (testgen.Builder.Pooled); the pool machinery
 // only needs pass/fail to decide whether to split, and what the run cost
 // (an execution or a saved one). The run is canonically seeded over the
 // merged assignment (a pooled configuration is content, not an instance),
 // so identical pools — e.g. a re-split after a retry — memoize. The
 // pooled-run span nests under parent.
-func (r *Runner) RunPooledIn(parent obs.SpanID, test *harness.UnitTest, assign map[agent.Key]string, label string) (failed bool, cost Result) {
-	span := r.opts.Obs.StartSpan("pooled-run", parent,
-		obs.String("app", r.app.Name),
-		obs.String("test", test.Name),
-		obs.String("pool", label))
-	out, reused, _ := r.runTrial(span.ID(), &cost, trial{test: test, assign: assign, arm: "pool"})
+func (r *Runner) RunPooledIn(parent obs.SpanID, test *harness.UnitTest, pool testgen.Recipe, label string) (failed bool, cost Result) {
+	var span *obs.Span
+	if r.opts.Obs.Tracing() {
+		span = r.opts.Obs.StartSpan("pooled-run", parent,
+			obs.String("app", r.app.Name),
+			obs.String("test", test.Name),
+			obs.String("pool", label))
+	}
+	out, reused, _ := r.runTrial(span.ID(), &cost, trial{test: test, recipe: pool, arm: "pool"})
 	span.SetAttr(obs.Bool("failed", out.Failed), obs.Bool("cached", reused))
 	span.End()
 	result := "pass"
@@ -503,8 +525,17 @@ func (r *Runner) RunPooledIn(parent obs.SpanID, test *harness.UnitTest, assign m
 // (homoA, homoB, homoC, ...), so per-arm seeds and trace attributes
 // differ even beyond the usual two arms.
 func homoArmName(i int) string {
-	if i >= 0 && i < 26 {
-		return "homo" + string(rune('A'+i))
+	if i >= 0 && i < len(homoArmNames) {
+		return homoArmNames[i]
 	}
 	return fmt.Sprintf("homo%d", i)
 }
+
+// homoArmNames are homoA … homoZ, built once: a trial names its arm
+// without allocating.
+var homoArmNames = func() (names [26]string) {
+	for i := range names {
+		names[i] = "homo" + string(rune('A'+i))
+	}
+	return names
+}()

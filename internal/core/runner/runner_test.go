@@ -267,7 +267,7 @@ func TestCanonicalHomoSeedsIgnoreLabel(t *testing.T) {
 		var seq []string
 		for round := 0; round <= 4; round++ {
 			for i, arm := range asn.Homo {
-				out, _, _ := r.runTrial(obs.NoSpan, new(Result), trial{test: test, assign: arm.Assign, arm: homoArmName(i), round: round})
+				out, _, _ := r.runTrial(obs.NoSpan, new(Result), trial{test: test, recipe: arm, arm: homoArmName(i), round: round})
 				seq = append(seq, fmt.Sprintf("%s/%d:%v", homoArmName(i), round, out.Failed))
 			}
 		}
@@ -550,11 +550,11 @@ func TestTrialCachePolicy(t *testing.T) {
 							// except a capture trial's, which Records again.
 							want := make(map[memo.Key]bool)
 							if cacheOn {
-								hh := memo.HashAssignment(asn.Hetero)
+								hh := memo.HashAssignment(asn.Hetero.Assign())
 								want[memo.Key{App: app.Name, Test: test.Name, Assign: hh, Seed: memo.SeedFor(base, test.Name, hh, 0)}] = true
 								for round := 0; round < int(rounds); round++ {
 									for _, arm := range asn.Homo {
-										h := memo.HashAssignment(arm.Assign)
+										h := memo.HashAssignment(arm.Assign())
 										want[memo.Key{App: app.Name, Test: test.Name, Assign: h, Seed: memo.SeedFor(base, test.Name, h, round)}] = true
 									}
 									if labelSeeded {

@@ -1,6 +1,7 @@
 package testgen_test
 
 import (
+	"fmt"
 	"maps"
 	"math/rand"
 	"reflect"
@@ -9,6 +10,8 @@ import (
 	"testing"
 
 	"zebraconf/internal/apps"
+	"zebraconf/internal/confkit"
+	"zebraconf/internal/core/agent"
 	"zebraconf/internal/core/harness"
 	"zebraconf/internal/core/memo"
 	"zebraconf/internal/core/runner"
@@ -37,8 +40,9 @@ var fiveAppPreRuns = sync.OnceValue(func() []appPreRuns {
 
 // The builder's maps and digests are key for key the original
 // per-instance derivation's: heterogeneous and homogeneous maps against
-// the original AssignFor, digests against HashAssignment of those maps,
-// pooled maps against the original Pool.Assignment at two pool bounds.
+// the original AssignFor, pooled maps against the original
+// Pool.Assignment at two pool bounds, and every recipe's digest, taken
+// without building its map, against HashAssignment of the original map.
 func TestBuilderMatchesReference(t *testing.T) {
 	t.Parallel()
 	for _, a := range fiveAppPreRuns() {
@@ -49,24 +53,31 @@ func TestBuilderMatchesReference(t *testing.T) {
 			for _, in := range insts {
 				got := asn.Leaf(in)
 				hetero, homo := testgen.RefAssignFor(gen, in, &pre.Report)
-				if !maps.Equal(got.Hetero, hetero) {
+				if want := memo.HashAssignment(hetero); got.Hetero.Digest() != want {
+					t.Fatalf("%s/%s: heterogeneous digest %s, want %s", a.app.Name, in, got.Hetero.Digest(), want)
+				}
+				if !maps.Equal(got.Hetero.Assign(), hetero) {
 					t.Fatalf("%s/%s: heterogeneous map differs from the original", a.app.Name, in)
 				}
 				if len(got.Homo) != len(homo) {
 					t.Fatalf("%s/%s: %d homogeneous arms, want %d", a.app.Name, in, len(got.Homo), len(homo))
 				}
 				for i, arm := range got.Homo {
-					if !maps.Equal(arm.Assign, homo[i]) {
-						t.Fatalf("%s/%s: homogeneous arm %d differs from the original", a.app.Name, in, i)
+					if want := memo.HashAssignment(homo[i]); arm.Digest() != want {
+						t.Fatalf("%s/%s: arm %d digest %s, want %s", a.app.Name, in, i, arm.Digest(), want)
 					}
-					if want := memo.HashAssignment(homo[i]); arm.Digest != want {
-						t.Fatalf("%s/%s: arm %d digest %s, want %s", a.app.Name, in, i, arm.Digest, want)
+					if !maps.Equal(arm.Assign(), homo[i]) {
+						t.Fatalf("%s/%s: homogeneous arm %d differs from the original", a.app.Name, in, i)
 					}
 				}
 			}
 			for _, maxPool := range []int{0, 2} {
 				for _, p := range testgen.BuildPools(pre.Test, insts, maxPool) {
-					if !maps.Equal(asn.Pooled(p), testgen.RefPoolAssignment(gen, p, &pre.Report)) {
+					want := testgen.RefPoolAssignment(gen, p, &pre.Report)
+					if got := asn.Pooled(p).Digest(); got != memo.HashAssignment(want) {
+						t.Fatalf("%s/%s: pooled digest (max %d, %d members) %s, want %s", a.app.Name, pre.Test, maxPool, len(p.Members), got, memo.HashAssignment(want))
+					}
+					if !maps.Equal(asn.Pooled(p).Assign(), want) {
 						t.Fatalf("%s/%s: pooled map (max %d, %d members) differs from the original", a.app.Name, pre.Test, maxPool, len(p.Members))
 					}
 				}
@@ -95,7 +106,7 @@ func TestSharedArmsUnchangedByRuns(t *testing.T) {
 			for _, in := range insts {
 				_, homo := testgen.RefAssignFor(gen, in, &pre.Report)
 				for j, arm := range asn.Leaf(in).Homo {
-					if !maps.Equal(arm.Assign, homo[j]) || arm.Digest != memo.HashAssignment(homo[j]) {
+					if !maps.Equal(arm.Assign(), homo[j]) || arm.Digest() != memo.HashAssignment(homo[j]) {
 						t.Fatalf("%s/%s: arm %d changed while its instances ran", a.app.Name, in, j)
 					}
 				}
@@ -196,4 +207,126 @@ func TestBuildPoolsShuffledMatchesReference(t *testing.T) {
 			}
 		}
 	}
+}
+
+// fuzzInput hands out small choices from fuzz bytes, zero once they run
+// out.
+type fuzzInput []byte
+
+func (f *fuzzInput) pick(n int) int {
+	if len(*f) == 0 {
+		return 0
+	}
+	v := int((*f)[0]) % n
+	*f = (*f)[1:]
+	return v
+}
+
+// recipeNames and recipeValues are what the fuzzed schema draws from: node
+// types that sort before and after the unit test entity, parameter names
+// a dependency rule can point at (one outside the schema), and few values,
+// so that rules fire and overlap.
+var (
+	recipeNodeTypes = []string{"DN", "NN", "__a", "aux"}
+	recipeParams    = []string{"a.x", "B", "c", "d.dep", "z"}
+	recipeValues    = []string{"v0", "v1", "v2"}
+)
+
+// FuzzRecipeDigest holds every recipe a builder names to the reference
+// derivations, over fuzzed schemas with overlapping dependency rules and
+// fuzzed node populations: for each leaf (flip and round-robin, both
+// directions), its homogeneous arms, BuildPools' pools and their halves,
+// and pools of fuzz-chosen members in fuzz-chosen order, the digest
+// (taken without building a map) is memo.HashAssignment of the map it
+// builds, the map is reference_test.go's, and Entries is that map sorted.
+func FuzzRecipeDigest(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{5, 2, 2, 1, 3, 0, 2, 1, 1, 3, 1, 2, 0, 4, 2, 3, 255, 255, 255, 255, 2, 7, 1, 3, 0, 2, 4})
+	f.Add([]byte{3, 1, 3, 3, 0, 0, 3, 3, 1, 1, 1, 2, 3, 4, 0, 2, 1, 1, 0, 3, 2, 2, 1, 0, 255, 127, 63, 31, 0, 5, 4, 3, 2, 1, 0})
+	// Five parameters of three values, three rules each, that set one
+	// another's parameters, on every node type.
+	f.Add([]byte{4, 1, 3, 0, 1, 2, 1, 3, 0, 2, 0, 1, 1, 3, 0, 0, 1, 1, 2, 2, 0, 3, 0, 1, 3, 1, 1, 0, 0, 4, 1, 2, 5, 2,
+		1, 3, 0, 0, 0, 2, 1, 1, 1, 2, 0, 1, 3, 1, 3, 2, 0, 1, 1, 2, 0, 0, 2, 1, 1, 0, 1, 1, 1, 1, 1, 0, 1, 1, 3, 1, 1, 0, 1, 1,
+		2, 1, 1, 0, 1, 1, 1, 1, 1, 0, 1, 7, 3, 1, 4, 1, 5, 9, 2, 6})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		in := fuzzInput(data)
+		schema := confkit.NewRegistry()
+		nparams := 1 + in.pick(len(recipeParams))
+		for _, name := range recipeParams[:nparams] {
+			values := recipeValues[:2+in.pick(2)]
+			p := confkit.Param{Name: name, Kind: confkit.String, Default: values[0], Candidates: values}
+			for r := in.pick(4); r > 0; r-- {
+				p.DependsOn = append(p.DependsOn, confkit.DependencyRule{
+					If:   values[in.pick(len(values))],
+					Then: append(recipeParams[:nparams:nparams], "q.outside")[in.pick(nparams+1)],
+					To:   recipeValues[in.pick(len(recipeValues))],
+				})
+			}
+			schema.Register(p)
+		}
+		nodes := make(map[string]int)
+		usage := make(map[string]map[string]bool)
+		for _, e := range append(slices.Clone(recipeNodeTypes), agent.UnitTestEntity) {
+			if e != agent.UnitTestEntity {
+				nodes[e] = in.pick(4)
+			}
+			usage[e] = make(map[string]bool)
+			for _, name := range recipeParams[:nparams] {
+				if in.pick(2) == 1 {
+					usage[e][name] = true
+				}
+			}
+		}
+		rep := agent.Report{NodesStarted: nodes, Usage: usage}
+		gen := testgen.New(schema)
+		insts := gen.Instances(testgen.PreRun{Test: "T", Report: rep}, testgen.InstancesOptions{})
+		b := gen.Builder(&rep)
+		check := func(what string, r testgen.Recipe, want map[agent.Key]string) {
+			t.Helper()
+			if got := r.Digest(); got != memo.HashAssignment(want) {
+				t.Fatalf("%s: digest %s, want %s", what, got, memo.HashAssignment(want))
+			}
+			got := r.Assign()
+			if !maps.Equal(got, want) {
+				t.Fatalf("%s: map\n got  %v\n want %v", what, got, want)
+			}
+			if r.Digest() != memo.HashAssignment(got) {
+				t.Fatalf("%s: digest differs from its own map's", what)
+			}
+			es := r.Entries()
+			if len(es) != len(want) || !slices.IsSortedFunc(es, memo.CompareEntries) {
+				t.Fatalf("%s: %d entries, sorted %v; want the %d of the map, sorted", what, len(es), slices.IsSortedFunc(es, memo.CompareEntries), len(want))
+			}
+			for i, e := range es {
+				if v, ok := want[e.Key]; !ok || v != e.Value || i > 0 && memo.CompareEntries(es[i-1], e) == 0 {
+					t.Fatalf("%s: entry %d %v is not the map's", what, i, e)
+				}
+			}
+		}
+		for _, inst := range insts {
+			hetero, homo := testgen.RefAssignFor(gen, inst, &rep)
+			asn := b.Leaf(inst)
+			check(inst.String()+" hetero", asn.Hetero, hetero)
+			for i, arm := range asn.Homo {
+				check(fmt.Sprintf("%s homo %d", inst, i), arm, homo[i])
+			}
+		}
+		for _, maxPool := range []int{0, 2} {
+			for _, p := range testgen.BuildPools("T", insts, maxPool) {
+				check(fmt.Sprintf("pool of %d", len(p.Members)), b.Pooled(p), testgen.RefPoolAssignment(gen, p, &rep))
+				if len(p.Members) > 1 {
+					l, r := p.Split()
+					check("left half", b.Pooled(l), testgen.RefPoolAssignment(gen, l, &rep))
+					check("right half", b.Pooled(r), testgen.RefPoolAssignment(gen, r, &rep))
+				}
+			}
+		}
+		if len(insts) > 0 {
+			p := testgen.Pool{Test: "T"}
+			for n := 1 + in.pick(8); n > 0; n-- {
+				p.Members = append(p.Members, insts[in.pick(len(insts))])
+			}
+			check(fmt.Sprintf("chosen pool of %d", len(p.Members)), b.Pooled(p), testgen.RefPoolAssignment(gen, p, &rep))
+		}
+	})
 }

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 
 	"zebraconf/internal/confkit"
@@ -266,152 +267,296 @@ func roundRobin(rep *agent.Report, opts InstancesOptions, group string) bool {
 	return !opts.DisableRoundRobin && group != agent.UnitTestEntity && rep.NodesStarted[group] >= 2
 }
 
-// Assignment is the concrete per-entity value map for one leaf instance
-// run, plus the homogeneous arms Definition 3.1 requires. A pooled run has
-// no homogeneous arm and builds only its heterogeneous map
-// (Builder.Pooled).
+// Assignment is one leaf instance's heterogeneous assignment plus the
+// homogeneous arms Definition 3.1 requires, one per value of its pair, as
+// recipes: nothing is built until a trial executes (Recipe.Assign), so a
+// trial the execution cache serves costs a digest, not a map.
 type Assignment struct {
-	Hetero map[agent.Key]string
-	// Homo holds one fully homogeneous arm per distinct value.
-	Homo []Arm
+	Hetero Recipe
+	Homo   [2]Recipe
 }
 
-// Arm is one homogeneous arm: the assignment giving every entity one value
-// of one parameter, and its canonical digest (memo.HashAssignment). The
-// map may be shared with other instances of the same parameter and value,
-// so it is read-only.
-type Arm struct {
-	Assign map[agent.Key]string
-	Digest string
-}
-
-// AssignFor materializes one instance against the node population the
-// pre-run observed (see Builder.Leaf).
+// AssignFor derives one instance's assignment against the node population
+// the pre-run observed (see Builder.Leaf).
 func (g *Generator) AssignFor(in Instance, rep *agent.Report) Assignment {
 	return g.Builder(rep).Leaf(in)
 }
 
 // Builder derives every assignment of one work item from its pre-run
 // report: the entity list is computed once, and each homogeneous arm
-// (parameter, value) is built and digested once, then shared by every
-// instance that asks for it — Definition 3.1's control group depends on
-// the parameter and value, not on the instance. A Builder is not safe for
-// concurrent use; an item executes sequentially.
+// (parameter, value) is digested and built at most once, then shared by
+// every instance that asks for it — Definition 3.1's control group depends
+// on the parameter and value, not on the instance. A Builder is not safe
+// for concurrent use; an item executes sequentially.
 type Builder struct {
-	g    *Generator
+	g *Generator
+	// ents lists every (entity, index) the pre-run observed, in
+	// memo.CompareEntries order.
 	ents []agent.Key
-	homo map[armKey]Arm
+	homo map[armKey]*homoArm
+	// leaf and leafAssign keep the last leaf map built: a leaf's rounds
+	// run one after another, and each executed one reads the same map.
+	leaf       Instance
+	leafAssign map[agent.Key]string
+	// s is the entry buffer every recipe is written into, taken from
+	// scratchPool on first use and handed back by Release.
+	s *scratch
+	// built counts the maps this builder built (the allocation tests
+	// read it).
+	built int
 }
 
 // armKey names one homogeneous arm.
 type armKey struct{ param, value string }
+
+// homoArm is one homogeneous arm's recipe, its digest and its map, each
+// filled on first use and kept for the item.
+type homoArm struct {
+	param, value string
+	digest       string
+	assign       map[agent.Key]string
+}
 
 // Builder returns the assignment builder for one pre-run report.
 func (g *Generator) Builder(rep *agent.Report) *Builder {
 	return &Builder{g: g, ents: entities(rep)}
 }
 
-// Leaf materializes an instance, including dependency rules (§4: "when
-// testing p1 with v1, set p2 to v2"): a fresh heterogeneous map and the
+// Release hands the builder's entry buffer on to the next item's builder.
+// The builder stays usable: it takes a buffer again when it needs one.
+func (b *Builder) Release() {
+	if b.s == nil {
+		return
+	}
+	clear(b.s.entries) // the pool is to hold no strings of this item
+	clear(b.s.params)
+	scratchPool.Put(b.s)
+	b.s = nil
+}
+
+// Leaf names an instance's assignment: its heterogeneous recipe and the
 // two shared homogeneous arms of its value pair.
 func (b *Builder) Leaf(in Instance) Assignment {
-	hetero := make(map[agent.Key]string, len(b.ents))
-	b.g.heteroInto(hetero, in, b.ents)
-	return Assignment{Hetero: hetero, Homo: []Arm{b.Homo(in.Param, in.Pair.A), b.Homo(in.Param, in.Pair.B)}}
+	return Assignment{
+		Hetero: Recipe{b: b, kind: leafRecipe, leaf: in},
+		Homo:   [2]Recipe{b.Homo(in.Param, in.Pair.A), b.Homo(in.Param, in.Pair.B)},
+	}
 }
 
-// Homo returns the homogeneous arm giving every entity value for param,
-// building and digesting it on the first request.
-func (b *Builder) Homo(param, value string) Arm {
+// Homo names the homogeneous arm giving every entity value for param.
+func (b *Builder) Homo(param, value string) Recipe {
 	k := armKey{param, value}
-	if arm, ok := b.homo[k]; ok {
-		return arm
+	arm := b.homo[k]
+	if arm == nil {
+		arm = &homoArm{param: param, value: value}
+		if b.homo == nil {
+			b.homo = make(map[armKey]*homoArm)
+		}
+		b.homo[k] = arm
 	}
-	p := b.g.schema.Lookup(param)
-	m := make(map[agent.Key]string, len(b.ents))
-	for _, e := range b.ents {
-		e.Param = param
-		assign(m, p, e, value)
-	}
-	arm := Arm{Assign: m, Digest: memo.HashAssignment(m)}
-	if b.homo == nil {
-		b.homo = make(map[armKey]Arm)
-	}
-	b.homo[k] = arm
-	return arm
+	return Recipe{b: b, kind: homoRecipe, homo: arm}
 }
 
-// Pooled is a pooled run's heterogeneous assignment: every member's
-// heterogeneous assignment, merged in member order with the first writer
-// of a key winning (a dependency rule of an earlier member may set a later
-// member's parameter). A pooled run has no homogeneous arm, so none is
-// built.
-func (b *Builder) Pooled(p Pool) map[agent.Key]string {
-	pooled := make(map[agent.Key]string, len(b.ents)*len(p.Members))
-	for _, in := range p.Members {
-		b.g.heteroInto(pooled, in, b.ents)
-	}
-	return pooled
+// Pooled names a pooled run's heterogeneous assignment: every member's,
+// merged in member order with the first writer of a key winning (a
+// dependency rule of an earlier member may set a later member's
+// parameter). A pooled run has no homogeneous arm.
+func (b *Builder) Pooled(p Pool) Recipe {
+	return Recipe{b: b, kind: poolRecipe, members: p.Members}
 }
 
-// heteroInto writes in's heterogeneous assignment over ents into m. Every
-// write keeps a key m already holds, so writing several instances into one
-// map is the first-writer-wins merge of their separate assignments: an
-// entity's own key is written before its dependency keys and no two
-// entities share a key, so within one instance nothing is ever overwritten.
-func (g *Generator) heteroInto(m map[agent.Key]string, in Instance, ents []agent.Key) {
+// recipeKind says which assignment a Recipe names.
+type recipeKind uint8
+
+const (
+	emptyRecipe recipeKind = iota
+	leafRecipe
+	homoRecipe
+	poolRecipe
+)
+
+// Recipe names one assignment of a Builder without building it: a leaf's
+// heterogeneous assignment, a homogeneous arm or a pool's merged
+// assignment. Digest hashes its entries; Assign builds its map. The zero
+// Recipe is the empty assignment (a pre-run's). A Recipe is a value, valid
+// while its Builder is.
+type Recipe struct {
+	b       *Builder
+	kind    recipeKind
+	leaf    Instance
+	homo    *homoArm
+	members []Instance
+}
+
+// Digest is memo.HashAssignment of the recipe's map, taken from its sorted
+// entries without building the map. A homogeneous arm digests once.
+func (r Recipe) Digest() string {
+	if r.kind == homoRecipe && r.homo.digest != "" {
+		return r.homo.digest
+	}
+	digest := memo.HashEntries(r.entries())
+	if r.kind == homoRecipe {
+		r.homo.digest = digest
+	}
+	return digest
+}
+
+// Assign returns the recipe's map, built exactly sized from its entries. A
+// homogeneous arm's map is built once per item and a leaf's once for all
+// its rounds; either may be shared, so it is read-only.
+func (r Recipe) Assign() map[agent.Key]string {
+	switch r.kind {
+	case emptyRecipe:
+		return nil
+	case homoRecipe:
+		if r.homo.assign == nil {
+			r.homo.assign = r.build()
+		}
+		return r.homo.assign
+	case leafRecipe:
+		if r.b.leafAssign == nil || r.b.leaf != r.leaf {
+			r.b.leaf, r.b.leafAssign = r.leaf, r.build()
+		}
+		return r.b.leafAssign
+	}
+	return r.build()
+}
+
+// Entries returns a copy of the recipe's entries in memo.CompareEntries
+// order, each key once: the map Assign builds, sorted.
+func (r Recipe) Entries() []memo.Entry {
+	return slices.Clone(r.entries())
+}
+
+func (r Recipe) build() map[agent.Key]string {
+	r.b.built++
+	es := r.entries()
+	m := make(map[agent.Key]string, len(es))
+	for _, e := range es {
+		m[e.Key] = e.Value
+	}
+	return m
+}
+
+// scratch is a builder's entry buffer: a recipe's entries and a pool's
+// resolved parameters, grown to the largest recipe it held and passed from
+// item to item through scratchPool.
+type scratch struct {
+	entries []memo.Entry
+	params  []*confkit.Param
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// entries writes the recipe's assignment into its builder's buffer, valid
+// until the builder writes its next recipe: entity by entity in
+// memo.CompareEntries order. An entity's writes follow §4's rules — for
+// each instance (a pool's in member order) its own key, then its
+// parameter's dependency rules for the value it gets ("when testing p1
+// with v1, set p2 to v2") — and the first write of a key wins: a stable
+// sort of the entity's writes by parameter, each run cut to its first.
+// Entities never share a key, so this is the first-writer-wins merge of the
+// members' separate assignments.
+func (r Recipe) entries() []memo.Entry {
+	if r.kind == emptyRecipe {
+		return nil
+	}
+	b := r.b
+	if b.s == nil {
+		b.s = scratchPool.Get().(*scratch)
+	}
+	s := b.s
+	es := s.entries[:0]
+	schema := b.g.schema
+	var p *confkit.Param
+	switch r.kind {
+	case homoRecipe:
+		p = schema.Lookup(r.homo.param)
+	case leafRecipe:
+		p = schema.Lookup(r.leaf.Param)
+	case poolRecipe:
+		s.params = s.params[:0]
+		for _, in := range r.members {
+			s.params = append(s.params, schema.Lookup(in.Param))
+		}
+	}
+	for _, k := range b.ents {
+		start := len(es)
+		switch r.kind {
+		case homoRecipe:
+			es = put(es, k, r.homo.param, p, r.homo.value)
+		case leafRecipe:
+			es = put(es, k, r.leaf.Param, p, heteroValue(r.leaf, k))
+		case poolRecipe:
+			for i, in := range r.members {
+				es = put(es, k, in.Param, s.params[i], heteroValue(in, k))
+			}
+		}
+		seg := es[start:]
+		if len(seg) > 1 {
+			slices.SortStableFunc(seg, func(a, b memo.Entry) int { return strings.Compare(a.Key.Param, b.Key.Param) })
+			seg = slices.CompactFunc(seg, func(a, b memo.Entry) bool { return a.Key.Param == b.Key.Param })
+			es = es[:start+len(seg)]
+		}
+	}
+	s.entries = es
+	return es
+}
+
+// put appends entity k's writes for one parameter at value: its own key,
+// then p's dependency rules on the same entity (p may be nil: no rules).
+func put(es []memo.Entry, k agent.Key, param string, p *confkit.Param, value string) []memo.Entry {
+	k.Param = param
+	es = append(es, memo.Entry{Key: k, Value: value})
+	if p == nil {
+		return es
+	}
+	for _, rule := range p.DependsOn {
+		if rule.If == value {
+			k.Param = rule.Then
+			es = append(es, memo.Entry{Key: k, Value: rule.To})
+		}
+	}
+	return es
+}
+
+// heteroValue is the value in assigns entity k: the group's value on its
+// group (on every other node of it under round-robin), the other value
+// everywhere else.
+func heteroValue(in Instance, k agent.Key) string {
 	groupVal, otherVal := in.Pair.A, in.Pair.B
 	if in.Reversed {
 		groupVal, otherVal = in.Pair.B, in.Pair.A
 	}
-	p := g.schema.Lookup(in.Param)
-	for _, k := range ents {
-		k.Param = in.Param
-		v := groupVal
-		if k.NodeType != in.Group || (in.Strategy == StrategyRoundRobin && k.NodeIndex%2 == 1) {
-			v = otherVal
-		}
-		assign(m, p, k, v)
+	if k.NodeType != in.Group || (in.Strategy == StrategyRoundRobin && k.NodeIndex%2 == 1) {
+		return otherVal
 	}
+	return groupVal
 }
 
-// assign stores value for key unless m already holds it, then applies p's
-// dependency rules on the same entity (p may be nil: no rules).
-func assign(m map[agent.Key]string, p *confkit.Param, k agent.Key, value string) {
-	if _, exists := m[k]; !exists {
-		m[k] = value
-	}
-	if p == nil {
-		return
-	}
-	for _, rule := range p.DependsOn {
-		if rule.If != value {
-			continue
-		}
-		dep := agent.Key{NodeType: k.NodeType, NodeIndex: k.NodeIndex, Param: rule.Then}
-		if _, exists := m[dep]; !exists {
-			m[dep] = rule.To
-		}
-	}
-}
-
-// entities lists every (entity, index) the pre-run observed, node types
-// sorted, then the unit test itself.
+// entities lists every (entity, index) the pre-run observed — each started
+// node type's indexes, and the unit test itself at 0 — in
+// memo.CompareEntries order.
 func entities(rep *agent.Report) []agent.Key {
-	types := make([]string, 0, len(rep.NodesStarted))
+	types := make([]string, 0, len(rep.NodesStarted)+1)
 	n := 1
 	for t, c := range rep.NodesStarted {
 		types = append(types, t)
 		n += max(c, 0) * 2
 	}
+	types = append(types, agent.UnitTestEntity)
 	sort.Strings(types)
 	out := make([]agent.Key, 0, n)
 	for _, t := range types {
+		if t == agent.UnitTestEntity {
+			out = append(out, agent.Key{NodeType: t, NodeIndex: 0})
+			continue
+		}
 		// Allow headroom for nodes a test starts later (AddDataNode after
 		// filling the cluster): double the observed population.
 		for i := 0; i < rep.NodesStarted[t]*2; i++ {
 			out = append(out, agent.Key{NodeType: t, NodeIndex: i})
 		}
 	}
-	return append(out, agent.Key{NodeType: agent.UnitTestEntity, NodeIndex: 0})
+	return out
 }

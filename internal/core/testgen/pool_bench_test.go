@@ -7,8 +7,10 @@ import (
 
 	"zebraconf/internal/apps"
 	"zebraconf/internal/core/agent"
+	"zebraconf/internal/core/memo"
 	"zebraconf/internal/core/runner"
 	"zebraconf/internal/core/testgen"
+	"zebraconf/internal/obs"
 )
 
 // flinkInput is the per-layer input of the benchmarks below: the
@@ -39,6 +41,7 @@ var miniflinkPools = sync.OnceValue(func() flinkInput {
 // Sinks keep the measured calls from being optimized away.
 var (
 	sinkAssign map[agent.Key]string
+	sinkDigest string
 	sinkPools  []testgen.Pool
 )
 
@@ -50,7 +53,23 @@ func BenchmarkPoolAssignment(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		asn := in.gen.Builder(&in.pre.Report)
 		for _, p := range pools {
-			sinkAssign = asn.Pooled(p)
+			sinkAssign = asn.Pooled(p).Assign()
+		}
+		asn.Release()
+	}
+}
+
+// BenchmarkPoolDigest is what a cache-served pooled run costs the builder:
+// the digest alone.
+func BenchmarkPoolDigest(b *testing.B) {
+	in := miniflinkPools()
+	pools := testgen.BuildPools(in.pre.Test, in.insts, 0)
+	asn := in.gen.Builder(&in.pre.Report)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, p := range pools {
+			sinkDigest = asn.Pooled(p).Digest()
 		}
 	}
 }
@@ -64,9 +83,10 @@ func BenchmarkBuildPools(b *testing.B) {
 	}
 }
 
-// A pooled assignment allocates one map pre-sized to hold every member: a
-// per-member map (or a homogeneous arm) creeping back in multiplies this
-// count.
+// A pooled assignment allocates one map sized to hold every member, and
+// its digest only the digest string: a per-member map (or a homogeneous
+// arm) creeping back in multiplies the first count, a map built to be
+// hashed shows in the second.
 func TestPoolAssignmentAllocs(t *testing.T) {
 	in := miniflinkPools()
 	p := testgen.BuildPools(in.pre.Test, in.insts, 0)[0]
@@ -74,26 +94,88 @@ func TestPoolAssignmentAllocs(t *testing.T) {
 		t.Fatalf("largest miniflink pool has %d members, want several", len(p.Members))
 	}
 	asn := in.gen.Builder(&in.pre.Report)
-	allocs := testing.AllocsPerRun(20, func() { sinkAssign = asn.Pooled(p) })
+	allocs := testing.AllocsPerRun(20, func() { sinkAssign = asn.Pooled(p).Assign() })
 	t.Logf("%s: %d members, %.0f allocs", in.pre.Test, len(p.Members), allocs)
 	const bound = 6
 	if allocs > bound {
-		t.Fatalf("Builder.Pooled made %.0f allocations, want at most %d", allocs, bound)
+		t.Fatalf("building a pooled map made %.0f allocations, want at most %d", allocs, bound)
+	}
+	if raceEnabled {
+		return // the scratch pool drops what it is handed under -race
+	}
+	if allocs := testing.AllocsPerRun(20, func() { sinkDigest = asn.Pooled(p).Digest() }); allocs > 1 {
+		t.Fatalf("digesting a pooled recipe made %.0f allocations, want 1 (the digest)", allocs)
 	}
 }
 
-// A homogeneous arm is built once per item: asking for it again, as every
-// other instance of its parameter and value does, allocates nothing.
+// A homogeneous arm is digested and built once per item: asking for it
+// again, its digest and its map, as every other instance of its parameter
+// and value does, allocates nothing.
 func TestHomoArmReuseAllocs(t *testing.T) {
 	in := miniflinkPools()
 	inst := in.insts[0]
 	asn := in.gen.Builder(&in.pre.Report)
 	first := asn.Homo(inst.Param, inst.Pair.A)
-	var again testgen.Arm
-	if allocs := testing.AllocsPerRun(20, func() { again = asn.Homo(inst.Param, inst.Pair.A) }); allocs != 0 {
+	digest, assign := first.Digest(), first.Assign()
+	var again testgen.Recipe
+	if allocs := testing.AllocsPerRun(20, func() {
+		again = asn.Homo(inst.Param, inst.Pair.A)
+		sinkDigest, sinkAssign = again.Digest(), again.Assign()
+	}); allocs != 0 {
 		t.Fatalf("a second request for arm (%s, %s) made %.0f allocations, want 0", inst.Param, inst.Pair.A, allocs)
 	}
-	if again.Digest != first.Digest || reflect.ValueOf(again.Assign).UnsafePointer() != reflect.ValueOf(first.Assign).UnsafePointer() {
+	if again.Digest() != digest || reflect.ValueOf(again.Assign()).UnsafePointer() != reflect.ValueOf(assign).UnsafePointer() {
 		t.Fatalf("a second request for arm (%s, %s) built a new arm", inst.Param, inst.Pair.A)
+	}
+}
+
+// An executed recipe builds its map once and a served one builds none. A
+// first builder whose leaf (over several rounds) and pooled run all
+// execute builds four maps: the heterogeneous one, two arms, the pool. A
+// resubmitted item's fresh builder, every trial of which the execution
+// cache serves, builds none, and a served pooled run allocates only the
+// digest.
+func TestServedTrialsBuildNoMap(t *testing.T) {
+	in := miniflinkPools()
+	app, err := apps.ByName("miniflink")
+	if err != nil {
+		t.Fatal(err)
+	}
+	test, err := app.Test(in.pre.Test)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := runner.New(app, runner.Options{BaseSeed: 1, DisableGate: true, MaxRounds: 2,
+		Cache: memo.NewCache(app.Name, nil, nil), CacheLabelSeeded: true})
+	inst := in.insts[0]
+	pool := testgen.BuildPools(in.pre.Test, in.insts, 0)[0]
+
+	cold := in.gen.Builder(&in.pre.Report)
+	res := run.RunAssignment(test, cold.Leaf(inst), inst.String())
+	_, cost := run.RunPooledIn(obs.NoSpan, test, cold.Pooled(pool), "pool")
+	if res.Rounds == 0 || res.Executions != res.Trials || cost.Executions != 1 {
+		t.Fatalf("cold: %d rounds, %d of %d trials and %d pooled run executed; want every trial executed over rounds",
+			res.Rounds, res.Executions, res.Trials, cost.Executions)
+	}
+	if got := testgen.MapsBuilt(cold); got != 4 {
+		t.Fatalf("cold: %d maps built, want 4 (hetero, two arms, pool) however many rounds", got)
+	}
+
+	warm := in.gen.Builder(&in.pre.Report)
+	res = run.RunAssignment(test, warm.Leaf(inst), inst.String())
+	_, cost = run.RunPooledIn(obs.NoSpan, test, warm.Pooled(pool), "pool")
+	if res.Executions != 0 || cost.Executions != 0 {
+		t.Fatalf("warm: %d leaf and %d pooled executions, want every trial served", res.Executions, cost.Executions)
+	}
+	if got := testgen.MapsBuilt(warm); got != 0 {
+		t.Fatalf("warm: %d maps built for served trials, want 0", got)
+	}
+	if raceEnabled {
+		return // the digest's scratch buffer is pooled
+	}
+	allocs := testing.AllocsPerRun(20, func() { run.RunPooledIn(obs.NoSpan, test, warm.Pooled(pool), "pool") })
+	t.Logf("a served pooled run of %d members: %.0f allocs", len(pool.Members), allocs)
+	if allocs > 1 {
+		t.Fatalf("a served pooled run made %.0f allocations, want 1 (the digest)", allocs)
 	}
 }

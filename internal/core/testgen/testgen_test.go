@@ -151,31 +151,31 @@ func TestAssignForFlip(t *testing.T) {
 		Pair: Pair{A: "true", B: "false"}}
 	asn := g.AssignFor(in, &pre.Report)
 
-	if asn.Hetero[agent.Key{NodeType: "DN", NodeIndex: 0, Param: "a.bool"}] != "true" ||
-		asn.Hetero[agent.Key{NodeType: "DN", NodeIndex: 1, Param: "a.bool"}] != "true" {
-		t.Fatalf("flip group values wrong: %v", asn.Hetero)
+	if asn.Hetero.Assign()[agent.Key{NodeType: "DN", NodeIndex: 0, Param: "a.bool"}] != "true" ||
+		asn.Hetero.Assign()[agent.Key{NodeType: "DN", NodeIndex: 1, Param: "a.bool"}] != "true" {
+		t.Fatalf("flip group values wrong: %v", asn.Hetero.Assign())
 	}
-	if asn.Hetero[agent.Key{NodeType: "NN", NodeIndex: 0, Param: "a.bool"}] != "false" ||
-		asn.Hetero[agent.Key{NodeType: agent.UnitTestEntity, NodeIndex: 0, Param: "a.bool"}] != "false" {
-		t.Fatalf("flip other-entity values wrong: %v", asn.Hetero)
+	if asn.Hetero.Assign()[agent.Key{NodeType: "NN", NodeIndex: 0, Param: "a.bool"}] != "false" ||
+		asn.Hetero.Assign()[agent.Key{NodeType: agent.UnitTestEntity, NodeIndex: 0, Param: "a.bool"}] != "false" {
+		t.Fatalf("flip other-entity values wrong: %v", asn.Hetero.Assign())
 	}
 
 	// Reversed swaps the sides.
 	in.Reversed = true
 	asn = g.AssignFor(in, &pre.Report)
-	if asn.Hetero[agent.Key{NodeType: "DN", NodeIndex: 0, Param: "a.bool"}] != "false" {
-		t.Fatalf("reversed flip wrong: %v", asn.Hetero)
+	if asn.Hetero.Assign()[agent.Key{NodeType: "DN", NodeIndex: 0, Param: "a.bool"}] != "false" {
+		t.Fatalf("reversed flip wrong: %v", asn.Hetero.Assign())
 	}
 
 	// Homogeneous arms are uniform.
-	for _, v := range asn.Homo[0].Assign {
+	for _, v := range asn.Homo[0].Assign() {
 		if v != "true" {
-			t.Fatalf("homo arm A not uniform: %v", asn.Homo[0])
+			t.Fatalf("homo arm A not uniform: %v", asn.Homo[0].Assign())
 		}
 	}
-	for _, v := range asn.Homo[1].Assign {
+	for _, v := range asn.Homo[1].Assign() {
 		if v != "false" {
-			t.Fatalf("homo arm B not uniform: %v", asn.Homo[1])
+			t.Fatalf("homo arm B not uniform: %v", asn.Homo[1].Assign())
 		}
 	}
 }
@@ -188,9 +188,9 @@ func TestAssignForRoundRobin(t *testing.T) {
 	in := Instance{Test: "T", Param: "a.bool", Group: "DN", Strategy: StrategyRoundRobin,
 		Pair: Pair{A: "true", B: "false"}}
 	asn := g.AssignFor(in, &pre.Report)
-	if asn.Hetero[agent.Key{NodeType: "DN", NodeIndex: 0, Param: "a.bool"}] != "true" ||
-		asn.Hetero[agent.Key{NodeType: "DN", NodeIndex: 1, Param: "a.bool"}] != "false" {
-		t.Fatalf("round robin alternation wrong: %v", asn.Hetero)
+	if asn.Hetero.Assign()[agent.Key{NodeType: "DN", NodeIndex: 0, Param: "a.bool"}] != "true" ||
+		asn.Hetero.Assign()[agent.Key{NodeType: "DN", NodeIndex: 1, Param: "a.bool"}] != "false" {
+		t.Fatalf("round robin alternation wrong: %v", asn.Hetero.Assign())
 	}
 }
 
@@ -202,11 +202,11 @@ func TestDependencyRulesApplied(t *testing.T) {
 	in := Instance{Test: "T", Param: "d.dep", Group: "NN", Strategy: StrategyFlip,
 		Pair: Pair{A: "https", B: "http"}}
 	asn := g.AssignFor(in, &pre.Report)
-	if asn.Hetero[agent.Key{NodeType: "NN", NodeIndex: 0, Param: "d.addr"}] != "secure-host" {
-		t.Fatalf("dependency rule not applied on the https side: %v", asn.Hetero)
+	if asn.Hetero.Assign()[agent.Key{NodeType: "NN", NodeIndex: 0, Param: "d.addr"}] != "secure-host" {
+		t.Fatalf("dependency rule not applied on the https side: %v", asn.Hetero.Assign())
 	}
-	if _, set := asn.Hetero[agent.Key{NodeType: agent.UnitTestEntity, NodeIndex: 0, Param: "d.addr"}]; set {
-		t.Fatalf("dependency applied where the trigger value was not assigned: %v", asn.Hetero)
+	if _, set := asn.Hetero.Assign()[agent.Key{NodeType: agent.UnitTestEntity, NodeIndex: 0, Param: "d.addr"}]; set {
+		t.Fatalf("dependency applied where the trigger value was not assigned: %v", asn.Hetero.Assign())
 	}
 }
 
@@ -262,7 +262,7 @@ func TestPoolSplitAndMergedAssignment(t *testing.T) {
 	if len(pools) == 0 || len(pools[0].Members) != 2 {
 		t.Fatalf("unexpected pool shape: %v", pools)
 	}
-	asn := g.Builder(&pre.Report).Pooled(pools[0])
+	asn := g.Builder(&pre.Report).Pooled(pools[0]).Assign()
 	foundA, foundB := false, false
 	for k := range asn {
 		switch k.Param {
@@ -348,9 +348,9 @@ func checkPoolAssignment(t *testing.T, g *Generator, rep *agent.Report, p Pool) 
 	t.Helper()
 	want := make(map[agent.Key]string)
 	for _, in := range p.Members {
-		mergeAssign(want, g.AssignFor(in, rep).Hetero)
+		mergeAssign(want, g.AssignFor(in, rep).Hetero.Assign())
 	}
-	got := g.Builder(rep).Pooled(p)
+	got := g.Builder(rep).Pooled(p).Assign()
 	if !maps.Equal(got, want) || memo.HashAssignment(got) != memo.HashAssignment(want) {
 		t.Errorf("pool %v:\n got  %v\n want %v", p.Members, got, want)
 		return false
@@ -402,7 +402,7 @@ func TestPoolAssignmentEqualsMemberMerge(t *testing.T) {
 	p := Pool{Test: "T", Members: []Instance{dep, addr}}
 	checkPoolAssignment(t, g, &pre.Report, p)
 	k := agent.Key{NodeType: "NN", NodeIndex: 0, Param: "d.addr"}
-	if got := g.Builder(&pre.Report).Pooled(p)[k]; got != "secure-host" {
+	if got := g.Builder(&pre.Report).Pooled(p).Assign()[k]; got != "secure-host" {
 		t.Fatalf("%v = %q, want the earlier member's dependency value", k, got)
 	}
 }

@@ -286,6 +286,10 @@ func (o *Observer) Observe(name string, v float64, labels ...string) {
 	o.Metrics.Histogram(name, boundsFor(name), labels...).Observe(v)
 }
 
+// Tracing reports whether spans are recorded: a hot path builds a span's
+// attributes only then, instead of boxing them for StartSpan to drop.
+func (o *Observer) Tracing() bool { return o != nil && o.Tracer != nil }
+
 // StartSpan opens a trace span under parent (NoSpan for a root). Returns
 // nil when tracing is off; a nil *Span is safe to use.
 func (o *Observer) StartSpan(name string, parent SpanID, attrs ...Attr) *Span {
