@@ -208,12 +208,10 @@ func ExecuteItem(app *harness.App, gen *testgen.Generator, run *runner.Runner, o
 
 	var runPool func(parent obs.SpanID, depth int, p testgen.Pool)
 	runPool = func(parent obs.SpanID, depth int, p testgen.Pool) {
-		// Pools and their split halves share one backing array, so a
-		// pool sheds its skipped members from a copy of its own.
-		skipped := func(in testgen.Instance) bool { return skip(in.Param) }
-		if slices.ContainsFunc(p.Members, skipped) {
-			p.Members = slices.DeleteFunc(slices.Clone(p.Members), skipped)
-		}
+		// A pool sheds its skipped members in place: pools and split
+		// halves share BuildPools' one array but never overlap, and a
+		// pool is not read again once split.
+		p.Members = slices.DeleteFunc(p.Members, func(in testgen.Instance) bool { return skip(in.Param) })
 		switch len(p.Members) {
 		case 0:
 			return

@@ -13,11 +13,19 @@
 // fail to parse or verify are deleted on sight. The store is size
 // capped with LRU eviction ordered by last-hit time.
 //
-// A hit is one read and one decode: the file is read into a pooled
-// buffer and, when it is in the exact form write produces, decoded in
-// place (decode.go), its key compared before anything is allocated and
-// its read set drawn from a per-store string table; any other bytes go
-// through encoding/json, which decides as it always has.
+// A hit is three system calls and one decode: on Linux and Darwin the
+// file is opened, read into a pooled buffer and closed on a bare
+// descriptor, with no *os.File (sys_unix.go), and when it is in the exact
+// form write produces it is decoded in place (decode.go), its key
+// compared before anything is allocated and its read set drawn from a
+// per-store string table; any other bytes go through encoding/json, which
+// decides as it always has. A hit allocates the entry's path, that path's
+// C string and the returned read set.
+//
+// Open indexes the directory by name: it lists the names, stats each
+// entry file into one stack buffer, sorts the (name, size, mtime) rows by
+// mtime to seed the LRU order and, over the cap, evicts from the front of
+// that list. The index is a map of values sized to the entry count.
 //
 // Open takes an optional next Backend, consulted on a disk miss and
 // written through on its hit. No caller outside the tests passes one:
@@ -25,14 +33,14 @@
 package diskcache
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -75,9 +83,9 @@ type Store struct {
 	reads interner // the read-set names hits hand out
 
 	mu      sync.Mutex
-	entries map[string]*entry // file name -> index entry
-	total   int64             // sum of entry sizes
-	clock   int64             // logical LRU clock, bumped per touch
+	entries map[string]entry // file name -> index entry
+	total   int64            // sum of entry sizes
+	clock   int64            // logical LRU clock, bumped per touch
 }
 
 type entry struct {
@@ -104,46 +112,68 @@ func Open(dir string, maxBytes int64, next memo.Backend, o *obs.Observer) (*Stor
 	if maxBytes <= 0 {
 		maxBytes = DefaultMaxBytes
 	}
-	s := &Store{dir: dir, max: maxBytes, next: next, o: o, entries: make(map[string]*entry)}
-	des, err := os.ReadDir(dir)
+	d, err := os.Open(dir)
+	if err != nil {
+		return nil, fmt.Errorf("diskcache: %w", err)
+	}
+	names, err := d.Readdirnames(-1)
+	d.Close()
 	if err != nil {
 		return nil, fmt.Errorf("diskcache: %w", err)
 	}
 	type aged struct {
 		name  string
 		size  int64
-		mtime time.Time
+		mtime int64 // Unix nanoseconds
 	}
-	var found []aged
-	for _, de := range des {
-		name := de.Name()
-		if strings.HasPrefix(name, "tmp-") {
-			// Leftover from a crashed writer; never renamed, never valid.
-			// A young one is another process sharing the directory, between
-			// CreateTemp and its rename: removing that loses its entry.
-			if info, err := de.Info(); err == nil && time.Since(info.ModTime()) > time.Minute {
-				os.Remove(filepath.Join(dir, name))
-			}
+	found := make([]aged, 0, len(names))
+	sweepBefore := time.Now().Add(-time.Minute).UnixNano()
+	for _, name := range names {
+		tmp := strings.HasPrefix(name, "tmp-")
+		if !tmp && !strings.HasSuffix(name, ".json") {
 			continue
 		}
-		if de.IsDir() || !strings.HasSuffix(name, ".json") {
-			continue
-		}
-		info, err := de.Info()
+		path := dir + string(filepath.Separator) + name
+		size, mtime, isDir, err := lstat(path)
 		if err != nil {
 			continue
 		}
-		found = append(found, aged{name, info.Size(), info.ModTime()})
+		if tmp {
+			// Leftover from a crashed writer; never renamed, never valid.
+			// A young one is another process sharing the directory, between
+			// CreateTemp and its rename: removing that loses its entry.
+			if mtime < sweepBefore {
+				os.Remove(path)
+			}
+			continue
+		}
+		if isDir {
+			continue
+		}
+		found = append(found, aged{name, size, mtime})
 	}
 	// Seed the LRU order from mtimes so a reopened store evicts oldest
-	// entries first instead of directory order.
-	sort.Slice(found, func(i, j int) bool { return found[i].mtime.Before(found[j].mtime) })
+	// entries first instead of directory order; the list is that order,
+	// so eviction takes its front.
+	slices.SortFunc(found, func(a, b aged) int {
+		if c := cmp.Compare(a.mtime, b.mtime); c != 0 {
+			return c
+		}
+		return strings.Compare(a.name, b.name)
+	})
+	s := &Store{dir: dir, max: maxBytes, next: next, o: o}
 	for _, f := range found {
-		s.clock++
-		s.entries[f.name] = &entry{size: f.size, atime: s.clock}
 		s.total += f.size
 	}
-	s.evictLocked("")
+	for len(found) > 0 && s.total > s.max {
+		s.evictFile(found[0].name, found[0].size)
+		found = found[1:]
+	}
+	s.entries = make(map[string]entry, len(found))
+	for _, f := range found {
+		s.clock++
+		s.entries[f.name] = entry{size: f.size, atime: s.clock}
+	}
 	s.gaugesLocked()
 	return s, nil
 }
@@ -238,29 +268,6 @@ func (s *Store) Get(k memo.Key) (memo.Result, bool) {
 	return memo.Result{}, false
 }
 
-// readFile reads the file at path into buf, growing it as needed: the
-// loop of os.ReadFile without its fstat and its fresh buffer.
-func readFile(path string, buf []byte) ([]byte, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return buf, err
-	}
-	defer f.Close()
-	for {
-		if len(buf) == cap(buf) {
-			buf = append(buf, 0)[:len(buf)]
-		}
-		n, err := f.Read(buf[len(buf):cap(buf)])
-		buf = buf[:len(buf)+n]
-		if err == io.EOF {
-			return buf, nil
-		}
-		if err != nil {
-			return buf, err
-		}
-	}
-}
-
 // releaseBuf hands a read buffer, possibly grown into data, back to
 // readBufs.
 func releaseBuf(buf *[]byte, data []byte) {
@@ -316,7 +323,7 @@ func (s *Store) write(k memo.Key, res memo.Result) {
 	s.mu.Lock()
 	if _, dup := s.entries[name]; !dup {
 		s.clock++
-		s.entries[name] = &entry{size: int64(len(data)), atime: s.clock}
+		s.entries[name] = entry{size: int64(len(data)), atime: s.clock}
 		s.total += int64(len(data))
 	}
 	s.evictLocked(name)
@@ -341,12 +348,17 @@ func (s *Store) evictLocked(keep string) {
 		if victim == "" {
 			return
 		}
-		s.total -= s.entries[victim].size
+		s.evictFile(victim, s.entries[victim].size)
 		delete(s.entries, victim)
-		os.Remove(filepath.Join(s.dir, victim))
-		s.evictions.Add(1)
-		s.o.CounterAdd(obs.MDiskCacheEvictions, 1)
 	}
+}
+
+// evictFile removes one evicted entry's file and its bytes from the total.
+func (s *Store) evictFile(name string, size int64) {
+	s.total -= size
+	os.Remove(filepath.Join(s.dir, name))
+	s.evictions.Add(1)
+	s.o.CounterAdd(obs.MDiskCacheEvictions, 1)
 }
 
 // touch refreshes an entry's LRU position after a hit, adopting it into
@@ -356,8 +368,9 @@ func (s *Store) touch(name string, size int64) {
 	s.clock++
 	if e, ok := s.entries[name]; ok {
 		e.atime = s.clock
+		s.entries[name] = e
 	} else {
-		s.entries[name] = &entry{size: size, atime: s.clock}
+		s.entries[name] = entry{size: size, atime: s.clock}
 		s.total += size
 		s.evictLocked(name)
 	}

@@ -184,25 +184,40 @@ type InstancesOptions struct {
 // only emitted for groups with at least two nodes; uncertain (test,
 // parameter) combinations are excluded.
 func (g *Generator) Instances(pre PreRun, opts InstancesOptions) []Instance {
-	var out []Instance
+	n := g.Count(pre, opts)
+	if n == 0 {
+		return nil
+	}
+	out := make([]Instance, 0, n)
 	g.walk(pre, opts, true, func(p *confkit.Param, groups []string) {
-		for _, pair := range Pairs(p) {
-			for _, group := range groups {
-				for _, reversed := range []bool{false, true} {
-					out = append(out, Instance{
-						Test: pre.Test, Param: p.Name, Group: group,
-						Strategy: StrategyFlip, Reversed: reversed, Pair: pair,
-					})
-					if roundRobin(&pre.Report, opts, group) {
-						out = append(out, Instance{
-							Test: pre.Test, Param: p.Name, Group: group,
-							Strategy: StrategyRoundRobin, Reversed: reversed, Pair: pair,
-						})
-					}
-				}
+		vals := p.AutoValues()
+		for i := range vals {
+			for _, b := range vals[i+1:] {
+				out = appendPair(out, pre, opts, p.Name, groups, Pair{A: vals[i], B: b})
 			}
 		}
 	})
+	return out
+}
+
+// appendPair appends one value pair's instances of param: per group, flip
+// in both orientations, each followed by its round-robin twin where that
+// applies.
+func appendPair(out []Instance, pre PreRun, opts InstancesOptions, param string, groups []string, pair Pair) []Instance {
+	for _, group := range groups {
+		for _, reversed := range []bool{false, true} {
+			out = append(out, Instance{
+				Test: pre.Test, Param: param, Group: group,
+				Strategy: StrategyFlip, Reversed: reversed, Pair: pair,
+			})
+			if roundRobin(&pre.Report, opts, group) {
+				out = append(out, Instance{
+					Test: pre.Test, Param: param, Group: group,
+					Strategy: StrategyRoundRobin, Reversed: reversed, Pair: pair,
+				})
+			}
+		}
+	}
 	return out
 }
 

@@ -21,28 +21,45 @@ type Pool struct {
 // and a pool never holds two instances of the same parameter, so merged
 // assignments cannot conflict. maxPool bounds the members per pool (0 =
 // unbounded, the paper's setting: pool size up to the number of
-// parameters). The pools share one backing array, each capped at its own
-// end, so appending to one pool's Members never writes into another's.
+// parameters). BuildPools leaves instances as it is: the pools share one
+// exactly sized copy of it, each capped at its own end, so appending to one
+// pool's Members never writes into another's.
 func BuildPools(test string, instances []Instance, maxPool int) []Pool {
+	n := len(instances)
+	if n == 0 {
+		return nil
+	}
+	// One buffer holds order and runs.
+	idx := make([]int32, 2*n+1)
 	// order lists instances by parameter, stably: a parameter's instances
 	// keep their input order even when they are not contiguous.
-	order := make([]int32, len(instances))
+	order := idx[:n]
 	for i := range order {
 		order[i] = int32(i)
 	}
 	slices.SortStableFunc(order, func(a, b int32) int { return strings.Compare(instances[a].Param, instances[b].Param) })
-	// runs[i] is where the i-th parameter's instances start in order.
-	var runs []int
+	// runs[i] is where the i-th parameter's instances start in order; the
+	// longest run is the number of slots.
+	runs := idx[n:n]
 	for i := range order {
 		if i == 0 || instances[order[i]].Param != instances[order[i-1]].Param {
-			runs = append(runs, i)
+			runs = append(runs, int32(i))
 		}
 	}
-	runs = append(runs, len(order))
+	runs = append(runs, int32(n))
+	slots := int32(0)
+	for i := 0; i+1 < len(runs); i++ {
+		slots = max(slots, runs[i+1]-runs[i])
+	}
 
-	members := make([]Instance, 0, len(instances))
-	var pools []Pool
-	for slot := 0; ; slot++ {
+	// A slot of s members makes at most s/maxPool+1 pools.
+	bound := int(slots)
+	if maxPool > 0 {
+		bound += n / maxPool
+	}
+	members := make([]Instance, 0, n)
+	pools := make([]Pool, 0, bound)
+	for slot := int32(0); slot < slots; slot++ {
 		lo := len(members)
 		for i := 0; i+1 < len(runs); i++ {
 			if at := runs[i] + slot; at < runs[i+1] {
@@ -50,9 +67,6 @@ func BuildPools(test string, instances []Instance, maxPool int) []Pool {
 			}
 		}
 		hi := len(members)
-		if hi == lo {
-			return pools
-		}
 		step := hi - lo
 		if maxPool > 0 {
 			step = maxPool
@@ -62,6 +76,7 @@ func BuildPools(test string, instances []Instance, maxPool int) []Pool {
 			pools = append(pools, Pool{Test: test, Members: members[start:end:end]})
 		}
 	}
+	return pools
 }
 
 // Split halves the pool for the divide-and-conquer recursion.

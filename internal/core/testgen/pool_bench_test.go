@@ -2,6 +2,7 @@ package testgen_test
 
 import (
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -177,5 +178,29 @@ func TestServedTrialsBuildNoMap(t *testing.T) {
 	t.Logf("a served pooled run of %d members: %.0f allocs", len(pool.Members), allocs)
 	if allocs > 1 {
 		t.Fatalf("a served pooled run made %.0f allocations, want 1 (the digest)", allocs)
+	}
+}
+
+// An item's instances are built once: Instances allocates one exactly
+// sized slice on top of what its filter walk (the one Count makes too)
+// allocates, and BuildPools copies them once, into one exactly sized array,
+// so its allocation count does not grow with the instances it pools.
+func TestInstancesBuiltOnce(t *testing.T) {
+	in := miniflinkPools()
+	opts := testgen.InstancesOptions{}
+	insts := in.gen.Instances(in.pre, opts)
+	if len(insts) != cap(insts) {
+		t.Fatalf("Instances returned %d instances in a slice of capacity %d, want it exactly sized", len(insts), cap(insts))
+	}
+	walk := testing.AllocsPerRun(20, func() { in.gen.Count(in.pre, opts) })
+	if allocs := testing.AllocsPerRun(20, func() { insts = in.gen.Instances(in.pre, opts) }); allocs > 2*walk+1 {
+		t.Fatalf("Instances made %.0f allocations, want at most %.0f: two walks of %.0f and its slice", allocs, 2*walk+1, walk)
+	}
+
+	few := slices.Clone(insts[:2])
+	small := testing.AllocsPerRun(20, func() { sinkPools = testgen.BuildPools(in.pre.Test, few, 0) })
+	large := testing.AllocsPerRun(20, func() { sinkPools = testgen.BuildPools(in.pre.Test, insts, 0) })
+	if large != small || large > 3 {
+		t.Fatalf("BuildPools made %.0f allocations for %d instances and %.0f for %d, want the same, at most 3", large, len(insts), small, len(few))
 	}
 }
