@@ -2,8 +2,10 @@ package rpcsim
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"zebraconf/internal/simtime"
 )
@@ -13,17 +15,32 @@ import (
 // concurrently in one process.
 type Fabric struct {
 	mu        sync.RWMutex
-	endpoints map[string]*Server
+	endpoints []*Server // searched in order: a fabric binds a handful
+	inline    [8]*Server
 }
 
 // NewFabric returns an empty fabric.
 func NewFabric() *Fabric {
-	return &Fabric{endpoints: make(map[string]*Server)}
+	f := new(Fabric)
+	f.endpoints = f.inline[:0]
+	return f
+}
+
+// find returns addr's endpoint, or nil. The caller holds f.mu.
+func (f *Fabric) find(addr string) *Server {
+	for _, s := range f.endpoints {
+		if s.addr == addr {
+			return s
+		}
+	}
+	return nil
 }
 
 // Handler serves one RPC method call. The payload is the decoded plaintext
 // request; the returned bytes are the plaintext response. A returned error
 // reaches the client as a call error (an application-level RPC fault).
+// The payload's memory serves later calls: a handler must not keep it after
+// it returns, though it may return it, or a slice of it, as the response.
 type Handler func(method string, payload []byte) ([]byte, error)
 
 // Server is one listening endpoint.
@@ -44,19 +61,19 @@ func (f *Fabric) Serve(addr string, sec Security, scale *simtime.Scale, h Handle
 	s := &Server{fabric: f, addr: addr, sec: sec, scale: scale, handler: h}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if _, taken := f.endpoints[addr]; taken {
+	if f.find(addr) != nil {
 		return nil, fmt.Errorf("rpcsim: address %q already bound", addr)
 	}
-	f.endpoints[addr] = s
+	f.endpoints = append(f.endpoints, s)
 	return s, nil
 }
 
 // lookup resolves addr to a live server.
 func (f *Fabric) lookup(addr string) (*Server, bool) {
 	f.mu.RLock()
-	s, ok := f.endpoints[addr]
+	s := f.find(addr)
 	f.mu.RUnlock()
-	if !ok || s.closed.Load() {
+	if s == nil || s.closed.Load() {
 		return nil, false
 	}
 	return s, true
@@ -70,8 +87,8 @@ func (s *Server) Addr() string { return s.addr }
 func (s *Server) Close() {
 	if s.closed.CompareAndSwap(false, true) {
 		s.fabric.mu.Lock()
-		if s.fabric.endpoints[s.addr] == s {
-			delete(s.fabric.endpoints, s.addr)
+		if i := slices.Index(s.fabric.endpoints, s); i >= 0 {
+			s.fabric.endpoints = slices.Delete(s.fabric.endpoints, i, i+1)
 		}
 		s.fabric.mu.Unlock()
 	}
@@ -90,6 +107,9 @@ type Conn struct {
 	sec          Security
 	scale        *simtime.Scale
 	timeoutTicks atomic.Int64
+	// handoff: equal profiles that compress nothing, where Decode(Encode(p))
+	// is p either way (the keystream is an involution).
+	handoff bool
 }
 
 // Dial performs the handshake with addr using the client security profile.
@@ -113,7 +133,7 @@ func (f *Fabric) Dial(addr string, sec Security, scale *simtime.Scale) (*Conn, e
 		return nil, fmt.Errorf("%w: access token required=%v (server %s) vs %v (client)",
 			ErrHandshake, s.sec.RequireToken, addr, sec.RequireToken)
 	}
-	return &Conn{srv: s, sec: sec, scale: scale}, nil
+	return &Conn{srv: s, sec: sec, scale: scale, handoff: sec == s.sec && sec.Codec == CodecNone}, nil
 }
 
 // SetTimeoutTicks bounds each call; zero means no timeout.
@@ -122,9 +142,11 @@ func (c *Conn) SetTimeoutTicks(n int64) { c.timeoutTicks.Store(n) }
 // Call invokes method on the server. The request is encoded with the
 // client's security profile and decoded with the server's (and vice versa
 // for the response), so any encryption/compression skew fails exactly at
-// the decode step of the mismatched side. While the handler runs, the
-// server emits keepalive pings every pingTicks; the client resets its
-// timeout on each ping, modeling Hadoop IPC's ping mechanism.
+// the decode step of the mismatched side; on a hand-off no decode can fail,
+// and the handler reads a copy of the request and the caller gets the
+// handler's response. While the handler runs, the server emits keepalive
+// pings every pingTicks; the client resets its timeout on each ping,
+// modeling Hadoop IPC's ping mechanism.
 //
 // The wait is a loop over the earlier of the next ping and the timeout.
 // Ties go against the timeout, as a real socket with pending bytes does
@@ -136,17 +158,31 @@ func (c *Conn) Call(method string, payload []byte) ([]byte, error) {
 	if s.closed.Load() {
 		return nil, fmt.Errorf("%w: %s", ErrUnreachable, s.addr)
 	}
-	wire, err := Encode(c.sec, payload)
-	if err != nil {
-		return nil, fmt.Errorf("rpcsim: encode request: %w", err)
+	cl := calls.Get().(*call)
+	if cl.runFn == nil {
+		cl.runFn = cl.run
 	}
-	req, err := decodeOwned(s.sec, wire)
-	if err != nil {
-		return nil, fmt.Errorf("server %s rejected request: %w", s.addr, err)
+	if c.handoff {
+		if cl.frame == nil {
+			cl.frame = make([]byte, 0, len(payload)) // not nil when empty
+		}
+		cl.frame = append(cl.frame[:0], payload...)
+		cl.req = cl.frame
+	} else {
+		wire, err := Encode(c.sec, payload)
+		if err != nil {
+			return nil, fmt.Errorf("rpcsim: encode request: %w", err)
+		}
+		if cl.req, err = decodeOwned(s.sec, wire); err != nil {
+			return nil, fmt.Errorf("server %s rejected request: %w", s.addr, err)
+		}
 	}
-
-	cl := &call{srv: s, method: method, req: req, done: c.scale.NewSignal()}
-	s.scale.Go(cl.run)
+	cl.srv, cl.method = s, method
+	if cl.done = &cl.sig; !c.scale.Reuse(cl.done) {
+		cl.done = c.scale.NewSignal()
+	}
+	cl.holds.Store(2)
+	s.scale.Go(cl.runFn)
 
 	ping, tout := s.pingTicks.Load(), c.timeoutTicks.Load()
 	now := c.scale.Now()
@@ -170,35 +206,75 @@ func (c *Conn) Call(method string, payload []byte) ([]byte, error) {
 		if c.scale.Wait(0, cl.done) {
 			break
 		}
+		cl.release()
 		return nil, fmt.Errorf("%w: %s.%s after %d ticks", ErrTimeout, s.addr, method, tout)
 	}
-	if cl.err != nil {
-		return nil, cl.err
+	resp, err := cl.resp, cl.err
+	if c.handoff && inFrame(resp, cl.frame) {
+		cl.frame = nil // the caller keeps it
 	}
-	respWire, err := Encode(s.sec, cl.resp)
+	cl.release()
+	if err != nil {
+		return nil, err
+	}
+	if c.handoff {
+		if resp == nil {
+			resp = []byte{}
+		}
+		return resp, nil
+	}
+	respWire, err := Encode(s.sec, resp)
 	if err != nil {
 		return nil, fmt.Errorf("server %s: encode response: %w", s.addr, err)
 	}
-	resp, err := decodeOwned(c.sec, respWire)
-	if err != nil {
+	if resp, err = decodeOwned(c.sec, respWire); err != nil {
 		return nil, fmt.Errorf("decode response from %s: %w", s.addr, err)
 	}
 	return resp, nil
 }
 
+// calls recycles calls with their frames and signals.
+var calls = sync.Pool{New: func() any { return new(call) }}
+
 // call is one request in flight: what the server's goroutine runs, and
-// what it leaves for the caller once done fires.
+// what it leaves for the caller once done fires. The caller and that
+// goroutine each hold it and the last to let go returns it to calls; a
+// goroutine that Shutdown ends never lets go.
 type call struct {
+	holds  atomic.Int32
 	srv    *Server
 	method string
 	req    []byte
-	done   *simtime.Signal
 	resp   []byte
 	err    error
+	done   *simtime.Signal // &sig wherever the Scale can re-arm it
+	runFn  func()          // run, bound once
+	frame  []byte          // the request's memory on a hand-off
+	sig    simtime.Signal
 }
 
 func (cl *call) run() {
-	defer cl.done.Fire()
 	cl.srv.scale.Sleep(cl.srv.delayTicks.Load())
 	cl.resp, cl.err = cl.srv.handler(cl.method, cl.req)
+	cl.done.Fire()
+	cl.release()
+}
+
+// release lets go of the caller's or the handler's hold on cl.
+func (cl *call) release() {
+	if cl.holds.Add(-1) != 0 {
+		return
+	}
+	if cap(cl.frame) > 64<<10 { // not kept for the next call
+		cl.frame = nil
+	}
+	cl.srv, cl.method, cl.req, cl.resp, cl.err, cl.done = nil, "", nil, nil, nil, nil
+	calls.Put(cl)
+}
+
+// inFrame reports whether b starts in frame's memory.
+func inFrame(b, frame []byte) bool {
+	base := uintptr(unsafe.Pointer(unsafe.SliceData(frame)))
+	p := uintptr(unsafe.Pointer(unsafe.SliceData(b)))
+	return cap(b) > 0 && p >= base && p < base+uintptr(cap(frame))
 }

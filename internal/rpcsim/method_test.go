@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"zebraconf/internal/canonjson"
+	"zebraconf/internal/simtime"
 )
 
 type incReq struct {
@@ -29,11 +30,17 @@ var (
 	methodPing = Method[Empty, incResp]{Name: "ping"}
 )
 
-// serveDial binds h at "srv" under sec and dials it with the same profile.
+// serveDial binds h at "srv" under sec and dials it with the same profile,
+// on a wall-clock Scale.
 func serveDial(t testing.TB, sec Security, h Handler) *Conn {
 	t.Helper()
+	return serveDialOn(t, testScale(), sec, h)
+}
+
+// serveDialOn is serveDial on scale.
+func serveDialOn(t testing.TB, scale *simtime.Scale, sec Security, h Handler) *Conn {
+	t.Helper()
 	fx := NewFabric()
-	scale := testScale()
 	if _, err := fx.Serve("srv", sec, scale, h); err != nil {
 		t.Fatal(err)
 	}
@@ -385,26 +392,38 @@ func benchService() *Service[benchNode] {
 }
 
 // BenchmarkMethodCall prices one typed call, body codec and frames
-// included, on a plain and on an encrypting, compressing profile.
+// included, on a plain and on an encrypting, compressing profile, each on a
+// wall-clock Scale and, under virtual/, on the virtual one campaigns run.
 func BenchmarkMethodCall(b *testing.B) {
-	for _, sec := range []Security{{}, {Encrypt: true, Key: "k", Codec: CodecDeflate}} {
-		name := "plain"
-		if sec.Encrypt {
-			name = "encrypt+deflate"
-		}
-		b.Run(name, func(b *testing.B) {
-			conn := serveDial(b, sec, benchService().Bind("bench: node", new(benchNode)))
-			req := benchHeartbeat{DNID: "dn-0", Capacity: 1 << 30, Remaining: 1 << 29, Blocks: 12}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := methodBenchHeartbeat.Call(conn, req); err != nil {
-					b.Fatal(err)
-				}
+	for _, virtual := range []bool{false, true} {
+		for _, sec := range []Security{{}, {Encrypt: true, Key: "k", Codec: CodecDeflate}} {
+			name := "plain"
+			if sec.Encrypt {
+				name = "encrypt+deflate"
 			}
-		})
+			scale := testScale()
+			if virtual {
+				name = "virtual/" + name
+			}
+			b.Run(name, func(b *testing.B) {
+				if virtual {
+					scale = simtime.NewVirtual()
+					defer scale.Shutdown()
+				}
+				conn := serveDialOn(b, scale, sec, benchService().Bind("bench: node", new(benchNode)))
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := methodBenchHeartbeat.Call(conn, benchBeat); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }
+
+var benchBeat = benchHeartbeat{DNID: "dn-0", Capacity: 1 << 30, Remaining: 1 << 29, Blocks: 12}
 
 var boundHandler Handler
 

@@ -36,14 +36,14 @@ type Security struct {
 	// Protection is the SASL-like RPC protection level, compared during the
 	// handshake (e.g. "authentication", "integrity", "privacy").
 	Protection string
-	// Encrypt enables payload encryption (the SSL/TLS analog).
-	Encrypt bool
 	// Key is the keystream seed shared by correctly configured clusters.
 	Key string
 	// Codec compresses payloads: CodecNone, CodecDeflate, or CodecRLE.
 	Codec string
 	// Version is the protocol version, compared during the handshake.
 	Version int
+	// Encrypt enables payload encryption (the SSL/TLS analog).
+	Encrypt bool
 	// RequireToken demands a block-access-token-like credential; a client
 	// that does not present one cannot register (Table 3:
 	// dfs.block.access.token.enable).

@@ -298,7 +298,8 @@ func (c *Clock) fire(g *Signal) {
 		}
 		c.ready = append(c.ready, runnable{w: w})
 	}
-	g.waiters = nil
+	clear(g.waiters)
+	g.waiters = g.waiters[:0] // kept for a Reuse
 	// Fired from outside the execution while nothing in it runs: start
 	// the woken goroutines now, there is nobody to park and do it.
 	if c.cur.Load() == 0 && !c.isDead {

@@ -175,6 +175,104 @@ func TestGroupWaitsAndIsReusable(t *testing.T) {
 	if s.Live() != 1 {
 		t.Fatalf("census = %d after every spawned goroutine returned, want 1 (the test)", s.Live())
 	}
+	if g.spare.c != s.clock || g.idle != nil {
+		t.Fatal("Wait parked on a signal of its own making, not on its re-armed spare")
+	}
+}
+
+// A signal Reuse re-arms is a new signal to Wait, Fire and Fired, and so is
+// a zero Signal it arms.
+func TestReusedSignalIsNew(t *testing.T) {
+	t.Parallel()
+	s := NewVirtual()
+	sig := s.NewSignal()
+	sig.Fire()
+	for round, g := range []*Signal{sig, sig, new(Signal)} {
+		if !s.Reuse(g) {
+			t.Fatalf("round %d: Reuse refused a fired signal nobody waits on", round)
+		}
+		if g.Fired() {
+			t.Fatalf("round %d: a re-armed signal reads fired", round)
+		}
+		start := s.Now()
+		if s.Wait(5, g) || s.Now() != start+5 {
+			t.Fatalf("round %d: Wait(5) on a re-armed signal reported fired or woke at %+d", round, s.Now()-start)
+		}
+		s.Go(func() { s.Sleep(3); g.Fire() })
+		if !s.Wait(Forever, g) || s.Now() != start+8 || !g.Fired() {
+			t.Fatalf("round %d: Wait woke at %+d, fired %v; want +8, true", round, s.Now()-start, g.Fired())
+		}
+		if !s.Wait(0, g) || s.Now() != start+8 {
+			t.Fatalf("round %d: Wait on the fired signal waited", round)
+		}
+	}
+}
+
+// Reuse refuses a signal that has not fired, one with a goroutine parked on
+// it above all, and any signal of a wall-clock Scale.
+func TestReuseRefuses(t *testing.T) {
+	t.Parallel()
+	s := NewVirtual()
+	sig := s.NewSignal()
+	if s.Reuse(sig) {
+		t.Fatal("Reuse re-armed a signal that has not fired")
+	}
+	woke := int64(-1)
+	s.Go(func() {
+		if s.Wait(Forever, sig) {
+			woke = s.Now()
+		}
+	})
+	s.Sleep(2) // the goroutine is now listed on sig
+	if s.Reuse(sig) {
+		t.Fatal("Reuse re-armed a signal with a listed waiter")
+	}
+	sig.Fire()
+	s.Sleep(1)
+	if woke != 2 {
+		t.Fatalf("the waiter woke at %d, want 2: a refused Reuse must leave the signal as it was", woke)
+	}
+
+	wall := &Scale{}
+	if wall.Reuse(new(Signal)) || wall.Reuse(sig) {
+		t.Fatal("a wall-clock Scale re-armed a signal")
+	}
+	fired := wall.NewSignal()
+	fired.Fire()
+	if s.Reuse(fired) || wall.Reuse(fired) || !fired.Fired() {
+		t.Fatal("Reuse re-armed a wall-clock signal")
+	}
+}
+
+// A fired signal moves from a shut-down clock to a fresh one and runs on the
+// fresh clock alone.
+func TestReuseMovesASignalToAFreshClock(t *testing.T) {
+	t.Parallel()
+	old := NewVirtual()
+	sig := old.NewSignal()
+	old.Go(func() { old.Sleep(4); sig.Fire() })
+	if !old.Wait(Forever, sig) {
+		t.Fatal("Wait on the old clock missed the fire")
+	}
+	old.Shutdown()
+
+	fresh := NewVirtual()
+	if !fresh.Reuse(sig) {
+		t.Fatal("Reuse refused a fired signal of a shut-down clock")
+	}
+	if sig.Fired() || fresh.Wait(6, sig) || fresh.Now() != 6 {
+		t.Fatalf("the moved signal reads fired, or Wait(6) woke at %d", fresh.Now())
+	}
+	fresh.Go(func() { sig.Fire() })
+	if !fresh.Wait(Forever, sig) || fresh.Now() != 6 {
+		t.Fatalf("a Fire on the fresh clock woke the waiter at %d, want 6", fresh.Now())
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("the old clock's Scale accepted the moved signal")
+		}
+	}()
+	old.Wait(1, sig)
 }
 
 // NewGroup's spawn hook is used for every goroutine of the group.

@@ -135,6 +135,19 @@ func (s *Scale) NewSignal() *Signal {
 	return &Signal{ch: make(chan struct{})}
 }
 
+// Reuse re-arms g, a zero Signal or a fired one of any clock that only the
+// caller may still Fire or Wait on, as an unfired signal bound to s, and
+// reports whether it did. It refuses an unfired signal, and anything on a
+// wall-clock Scale, whose signals close a channel once.
+func (s *Scale) Reuse(g *Signal) bool {
+	c := s.clk()
+	if c == nil || g.ch != nil || g.c != nil && !g.Fired() {
+		return false
+	}
+	g.c, g.fired = c, false
+	return true
+}
+
 // Fire fires the signal. Later calls are no-ops. Firing does not block and
 // may be done from outside the execution.
 func (g *Signal) Fire() {
@@ -197,9 +210,10 @@ type Group struct {
 	s     *Scale
 	spawn func(func())
 
-	mu   sync.Mutex
-	n    int
-	idle *Signal // what a parked Wait sleeps on; nil when nobody waits
+	mu    sync.Mutex
+	n     int
+	idle  *Signal // what a parked Wait sleeps on; nil when nobody waits
+	spare Signal  // idle's storage wherever Reuse can re-arm it
 }
 
 // NewGroup returns an empty group whose goroutines are started through
@@ -245,7 +259,9 @@ func (g *Group) Wait() {
 			return
 		}
 		if g.idle == nil {
-			g.idle = g.s.NewSignal()
+			if g.idle = &g.spare; !g.s.Reuse(g.idle) {
+				g.idle = g.s.NewSignal()
+			}
 		}
 		idle := g.idle
 		g.mu.Unlock()
