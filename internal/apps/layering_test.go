@@ -1,10 +1,12 @@
 package apps
 
 import (
+	"bytes"
 	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -98,5 +100,79 @@ func TestSimulatorLayering(t *testing.T) {
 	}
 	if files < 80 {
 		t.Fatalf("read only %d source files: the walk no longer finds the simulator layer and the engine", files)
+	}
+}
+
+// sourceBudget is each layer's number of non-test Go lines, by directory
+// from the module root; bench/ is outside every layer. A layer that grows
+// past its number fails until the number is raised, where review sees the
+// trade, and one that shrinks must lower it, so the table only tightens.
+var sourceBudget = []struct {
+	layer string
+	dirs  []string
+	lines int
+}{
+	{"mechanism", []string{"internal/confkit", "internal/core/agent", "internal/core/testgen",
+		"internal/core/runner", "internal/core/harness", "internal/core/stats"}, 3988},
+	{"simulators", []string{"internal/rpcsim", "internal/simtime", "internal/netsim"}, 1670},
+	{"canonjson", []string{"internal/canonjson"}, 1082},
+	{"apps", []string{"internal/apps"}, 7566},
+	{"machinery", []string{"internal/core/dist", "internal/core/campaign", "internal/core/flight",
+		"internal/core/launch", "internal/core/coverage", "internal/core/sched", "internal/core/ledger",
+		"internal/core/report", "internal/core/forensics", "internal/core/diskcache", "internal/core/memo"}, 7522},
+	{"obs", []string{"internal/obs"}, 2523},
+	{"cmd, examples and gid", []string{"cmd", "examples", "internal/gid"}, 1239},
+}
+
+// TestSourceBudget counts the lines of every non-test Go file in the
+// module outside bench/ into its layer, and holds each layer to its
+// number in sourceBudget. A file in no layer fails too.
+func TestSourceBudget(t *testing.T) {
+	t.Parallel()
+	const root = "../.."
+	got := make([]int, len(sourceBudget))
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(root, path)
+		if err != nil {
+			return err
+		}
+		rel = filepath.ToSlash(rel)
+		if d.IsDir() {
+			if rel == "bench" || rel != "." && strings.HasPrefix(d.Name(), ".") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(rel, ".go") || strings.HasSuffix(rel, "_test.go") {
+			return nil
+		}
+		for i, b := range sourceBudget {
+			for _, dir := range b.dirs {
+				if strings.HasPrefix(rel, dir+"/") {
+					data, err := os.ReadFile(path)
+					if err != nil {
+						return err
+					}
+					got[i] += bytes.Count(data, []byte("\n"))
+					return nil
+				}
+			}
+		}
+		t.Errorf("%s is in no layer of sourceBudget", rel)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, b := range sourceBudget {
+		switch n := got[i]; {
+		case n > b.lines:
+			t.Errorf("layer %s has %d non-test lines, over its budget of %d: shrink it, or raise its number in sourceBudget", b.layer, n, b.lines)
+		case n < b.lines:
+			t.Errorf("layer %s has %d non-test lines, under its budget of %d: lower its number in sourceBudget to %d", b.layer, n, b.lines, n)
+		}
 	}
 }

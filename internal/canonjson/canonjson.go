@@ -1,8 +1,8 @@
 // Package canonjson is the repository's one codec for JSON a program both
 // writes and reads back: RPC bodies of the simulated systems
 // (internal/rpcsim), the frames of the coordinator↔worker protocol and the
-// records of the checkpoint journal (internal/core/dist), and trace spans
-// (internal/obs).
+// records of the checkpoint journal (internal/core/dist), trace spans
+// (internal/obs) and the entries of the disk cache (internal/core/diskcache).
 //
 // For each Go type it builds, once, a plan from reflect. Append follows the
 // plan to write exactly the bytes json.Marshal writes. Decode follows it to

@@ -15,12 +15,12 @@
 //
 // A hit is three system calls and one decode: on Linux and Darwin the
 // file is opened, read into a pooled buffer and closed on a bare
-// descriptor, with no *os.File (sys_unix.go), and when it is in the exact
-// form write produces it is decoded in place (decode.go), its key
-// compared before anything is allocated and its read set drawn from a
-// per-store string table; any other bytes go through encoding/json, which
-// decides as it always has. A hit allocates the entry's path, that path's
-// C string and the returned read set.
+// descriptor, with no *os.File (sys_unix.go). Entries are written by
+// canonjson (json.Marshal's bytes), so the head up to the result is
+// compared as bytes with the one write produces for the requested key,
+// allocating nothing on a mismatch, and canonjson decodes the rest; any
+// other bytes go through encoding/json, which decides as it always has. A
+// hit allocates the entry's path, that path's C string and the read set.
 //
 // Open indexes the directory by name: it lists the names, stats each
 // entry file into one stack buffer, sorts the (name, size, mtime) rows by
@@ -33,6 +33,7 @@
 package diskcache
 
 import (
+	"bytes"
 	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
@@ -40,13 +41,16 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
+	"unicode/utf8"
 
+	"zebraconf/internal/canonjson"
 	"zebraconf/internal/core/memo"
 	"zebraconf/internal/obs"
 )
@@ -80,7 +84,7 @@ type Store struct {
 
 	hits, misses, writes, evictions, corrupt atomic.Int64
 
-	reads interner // the read-set names hits hand out
+	dec []decodeState // one per processor, so hits decode side by side
 
 	mu      sync.Mutex
 	entries map[string]entry // file name -> index entry
@@ -161,7 +165,7 @@ func Open(dir string, maxBytes int64, next memo.Backend, o *obs.Observer) (*Stor
 		}
 		return strings.Compare(a.name, b.name)
 	})
-	s := &Store{dir: dir, max: maxBytes, next: next, o: o}
+	s := &Store{dir: dir, max: maxBytes, next: next, o: o, dec: make([]decodeState, runtime.GOMAXPROCS(0))}
 	for _, f := range found {
 		s.total += f.size
 	}
@@ -229,15 +233,7 @@ func (s *Store) Get(k memo.Key) (memo.Result, bool) {
 	buf := readBufs.Get().(*[]byte)
 	data, err := readFile(path, (*buf)[:0])
 	if err == nil {
-		res, created, ok := decodeEntry(data, k, &s.reads)
-		if !ok {
-			// Not in write's exact form: encoding/json decides, as it
-			// did before the fast path existed.
-			var fe fileEntry
-			if json.Unmarshal(data, &fe) == nil && fe.Key == k {
-				res, created, ok = fe.Result, fe.Created, true
-			}
-		}
+		res, created, ok := s.decode(data, k)
 		size := int64(len(data))
 		releaseBuf(buf, data)
 		if ok {
@@ -266,6 +262,66 @@ func (s *Store) Get(k memo.Key) (memo.Result, bool) {
 		}
 	}
 	return memo.Result{}, false
+}
+
+// decodeState is what Get's fast path works in, owned by the store so
+// that nothing escapes per hit: the requested key, the head of its entry
+// as write lays it out, the decoded values, and the interner their
+// strings come from (an Interner has one reader at a time).
+type decodeState struct {
+	mu      sync.Mutex
+	key     memo.Key
+	head    []byte
+	res     memo.Result
+	created int64
+	in      canonjson.Interner
+}
+
+// createdField joins an entry's result to its creation time.
+const createdField = `},"created_unix":`
+
+// decode reports whether data, an entry file's bytes, holds the key k, and
+// if so the result and creation time it stores: what json.Unmarshal into a
+// fileEntry gives. In the form write produces, the head up to the result
+// is compared as bytes with the head write produces for k, and the rest is
+// decoded by canonjson. Any other bytes go to json.Unmarshal.
+func (s *Store) decode(data []byte, k memo.Key) (memo.Result, int64, bool) {
+	d := s.lockDecodeState()
+	d.key = k
+	head, err := canonjson.Append(append(d.head[:0], `{"key":`...), &d.key)
+	d.head = append(head, `,"result":`...)
+	// canonjson writes invalid UTF-8 as \ufffd, which json reads back as
+	// U+FFFD: the head of such a key is the head of another one.
+	ok := false
+	if err == nil && utf8.ValidString(k.App) && utf8.ValidString(k.Test) && utf8.ValidString(k.Assign) &&
+		bytes.HasPrefix(data, d.head) && bytes.HasSuffix(data, []byte("}\n")) {
+		if i := bytes.LastIndex(data, []byte(createdField)); i >= len(d.head) {
+			ok = canonjson.Fast(data[len(d.head):i+1], &d.res, &d.in) &&
+				canonjson.Fast(data[i+len(createdField):len(data)-2], &d.created, nil)
+		}
+	}
+	res, created := d.res, d.created
+	d.res, d.created = memo.Result{}, 0
+	d.mu.Unlock()
+	if ok {
+		return res, created, true
+	}
+	var fe fileEntry
+	if json.Unmarshal(data, &fe) == nil && fe.Key == k {
+		return fe.Result, fe.Created, true
+	}
+	return memo.Result{}, 0, false
+}
+
+// lockDecodeState locks a free decode state, or waits for the first one.
+func (s *Store) lockDecodeState() *decodeState {
+	for i := range s.dec {
+		if s.dec[i].mu.TryLock() {
+			return &s.dec[i]
+		}
+	}
+	s.dec[0].mu.Lock()
+	return &s.dec[0]
 }
 
 // releaseBuf hands a read buffer, possibly grown into data, back to
@@ -299,7 +355,7 @@ func (s *Store) write(k memo.Key, res memo.Result) {
 		// rewrite could only produce the same bytes.
 		return
 	}
-	data, err := json.Marshal(fileEntry{Key: k, Result: res, Created: time.Now().Unix()})
+	data, err := canonjson.Append(make([]byte, 0, 1024), &fileEntry{Key: k, Result: res, Created: time.Now().Unix()})
 	if err != nil {
 		return
 	}

@@ -1,12 +1,14 @@
 package diskcache
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -227,6 +229,116 @@ func TestGetHitAllocs(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(50, func() { sinkResult, _ = s.Get(benchKey) }); allocs > want {
 		t.Fatalf("a hit made %.0f allocations, want at most %.0f", allocs, want)
+	}
+}
+
+// FuzzDecodeEntry holds Get's decode to encoding/json: on any bytes and
+// any key, it hits exactly when json.Unmarshal into a fileEntry gives the
+// requested key, and then returns the Result and Created json gives.
+// (TestGetHitAllocs holds write's own bytes to the fast path.)
+func FuzzDecodeEntry(f *testing.F) {
+	entries := []fileEntry{
+		{Key: memo.Key{App: "minihdfs", Test: "TestWriteRead", Assign: "0123456789abcdef", Seed: 7}, Created: 1700000000},
+		{Key: memo.Key{App: "minihdfs", Test: "TestFsck", Assign: "a", Seed: 0},
+			Result: memo.Result{Failed: true}, Created: 1},
+		{Key: memo.Key{App: "miniyarn", Test: "TestNodeHeartbeat", Assign: "b", Seed: -42},
+			Result: memo.Result{TimedOut: true, Msg: "timed out"}, Created: -5},
+		{Key: memo.Key{App: "minimr", Test: "TestShuffle", Assign: "c", Seed: math.MaxInt64},
+			Result: memo.Result{Failed: true, TimedOut: true, Msg: "m", Reads: []string{"x.y"}}, Created: math.MaxInt64},
+		{Key: memo.Key{App: "minimr", Test: "TestShuffle", Assign: "", Seed: math.MinInt64},
+			Result: memo.Result{Reads: []string{"mapreduce.a", "mapreduce.b", "mapreduce.a"}}, Created: math.MinInt64},
+		{Key: benchKey, Result: benchResult, Created: 1792258379},
+		{Key: memo.Key{App: "miniflink", Test: "TestJobSubmission", Assign: "d", Seed: 1},
+			Result: memo.Result{Failed: true, Msg: "say \"no\" to <b> & \n next", Reads: []string{"r"}}, Created: 9},
+		{Key: memo.Key{App: "miniflink", Test: "TestÜberprüfung/日本", Assign: "e", Seed: 2},
+			Result: memo.Result{Msg: "ok"}, Created: 10},
+	}
+	for _, fe := range entries {
+		data, err := json.Marshal(fe)
+		if err != nil {
+			f.Fatal(err)
+		}
+		data = append(data, '\n')
+		k := fe.Key
+		f.Add(data, k.App, k.Test, k.Assign, k.Seed)
+		f.Add(data[:len(data)/2], k.App, k.Test, k.Assign, k.Seed) // truncated
+		f.Add(data, k.App, k.Test, k.Assign, k.Seed+1)             // another key
+	}
+	// Hand-written entries json.Unmarshal reads but write never produces,
+	// or json.Unmarshal refuses, for the key {a t x seed}.
+	for _, c := range []struct {
+		data string
+		seed int64
+	}{
+		{`{"key":{"app":"a","test":"t","assign":"x","seed":1},"result":{},"created_unix":9223372036854775808}`, 1},
+		{`{"key":{"app":"a","test":"t","assign":"x","seed":-9223372036854775809},"result":{},"created_unix":1}`, math.MaxInt64},
+		{`{"key":{"app":"a","test":"t","assign":"x","seed":-0},"result":{},"created_unix":1}`, 0},
+		{`{"key":{"app":"a","test":"t","assign":"x","seed":1},"result":{"msg":"a\u003cb"},"created_unix":1}`, 1},
+		{`{"key":{"app":"a","test":"t","assign":"x","seed":1}, "result":{"failed":false},"created_unix":1}`, 1},
+	} {
+		f.Add([]byte(c.data+"\n"), "a", "t", "x", c.seed)
+	}
+	// A key holding invalid UTF-8, next to the entry write produced for
+	// it: json reads its app back as U+FFFD, so the entry serves that key,
+	// not the one written.
+	dir := f.TempDir()
+	st, err := Open(dir, 0, nil, nil)
+	if err != nil {
+		f.Fatal(err)
+	}
+	bad := memo.Key{App: "\xff", Test: "TestWriteRead", Assign: "f", Seed: 3}
+	st.Put(bad, memo.Result{Msg: "m", Reads: []string{"r"}})
+	data, err := os.ReadFile(filepath.Join(dir, entryName(bad)))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(data, bad.App, bad.Test, bad.Assign, bad.Seed)
+	f.Add(data, "\ufffd", bad.Test, bad.Assign, bad.Seed)
+
+	f.Fuzz(func(t *testing.T, data []byte, app, test, assign string, seed int64) {
+		k := memo.Key{App: app, Test: test, Assign: assign, Seed: seed}
+		res, created, ok := st.decode(data, k)
+		var fe fileEntry
+		jsonHit := json.Unmarshal(data, &fe) == nil && fe.Key == k
+		switch {
+		case ok != jsonHit:
+			t.Fatalf("decode hit = %v, json hit = %v: %q", ok, jsonHit, data)
+		case ok && (!reflect.DeepEqual(res, fe.Result) || created != fe.Created):
+			t.Fatalf("decoded %+v @%d, json %+v @%d: %q", res, created, fe.Result, fe.Created, data)
+		}
+	})
+}
+
+// TestConcurrentHits: Get runs on every slot at once, and its hits share
+// the store's decode states and their interners; each still returns its
+// own entry's result.
+func TestConcurrentHits(t *testing.T) {
+	t.Parallel()
+	s := open(t, t.TempDir(), 0, nil)
+	const n = 8
+	res := func(i int) memo.Result {
+		return memo.Result{Msg: result(i).Msg, Reads: []string{"shared.read", fmt.Sprintf("read.%d", i)}}
+	}
+	for i := 0; i < n; i++ {
+		s.Put(key(i), res(i))
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < 50; j++ {
+				i := (g + j) % n
+				if got, ok := s.Get(key(i)); !ok || !reflect.DeepEqual(got, res(i)) {
+					t.Errorf("Get(%+v) = %+v, %v; want %+v, true", key(i), got, ok, res(i))
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if st := s.Stats(); st.Hits != 4*50 || st.Misses != 0 || st.Corrupt != 0 {
+		t.Fatalf("stats = %+v; want 200 hits, no miss or corrupt entry", st)
 	}
 }
 

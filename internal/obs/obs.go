@@ -197,9 +197,8 @@ var (
 	PValueBuckets = []float64{1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 0.5, 1}
 	// LatencyBuckets covers microseconds to tens of seconds.
 	LatencyBuckets = []float64{1e-5, 1e-4, 1e-3, 5e-3, 0.025, 0.1, 0.5, 1, 5, 15, 60}
-	// RoundBuckets covers the confirmation-round budget (default max 8);
-	// the buckets past it stay so a metrics file keeps its bucket set.
-	RoundBuckets = []float64{0, 1, 2, 3, 4, 5, 6, 7, 8, 10, 12, 16}
+	// RoundBuckets covers the confirmation-round budget (max 8).
+	RoundBuckets = []float64{0, 1, 2, 3, 4, 5, 6, 7, 8}
 	// DepthBuckets covers pool-split recursion depth (log2 of pool size).
 	DepthBuckets = []float64{0, 1, 2, 3, 4, 5, 6, 8, 10}
 	// RatioBuckets covers predicted-vs-actual duration ratios, centered
