@@ -113,13 +113,13 @@ var sourceBudget = []struct {
 	lines int
 }{
 	{"mechanism", []string{"internal/confkit", "internal/core/agent", "internal/core/testgen",
-		"internal/core/runner", "internal/core/harness", "internal/core/stats"}, 3988},
+		"internal/core/runner", "internal/core/harness", "internal/core/stats"}, 4032},
 	{"simulators", []string{"internal/rpcsim", "internal/simtime", "internal/netsim"}, 1670},
 	{"canonjson", []string{"internal/canonjson"}, 1082},
 	{"apps", []string{"internal/apps"}, 7566},
 	{"machinery", []string{"internal/core/dist", "internal/core/campaign", "internal/core/flight",
 		"internal/core/launch", "internal/core/coverage", "internal/core/sched", "internal/core/ledger",
-		"internal/core/report", "internal/core/forensics", "internal/core/diskcache", "internal/core/memo"}, 7522},
+		"internal/core/report", "internal/core/forensics", "internal/core/diskcache", "internal/core/memo"}, 7534},
 	{"obs", []string{"internal/obs"}, 2523},
 	{"cmd, examples and gid", []string{"cmd", "examples", "internal/gid"}, 1239},
 }

@@ -280,6 +280,9 @@ func (r *Registry) Index(name string) (int, bool) {
 	return s.index, ok
 }
 
+// Name returns the name at position i in registration order: Names()[i].
+func (r *Registry) Name(i int) string { return r.order[i] }
+
 // Default returns the registered default for name and whether name is
 // registered.
 func (r *Registry) Default(name string) (string, bool) {

@@ -23,6 +23,7 @@ package agent
 
 import (
 	"fmt"
+	"math/bits"
 	"runtime"
 	"slices"
 	"sort"
@@ -62,13 +63,33 @@ type Key struct {
 	Param     string
 }
 
+// Assigner answers the agent's question on every read it places: which
+// value does the assignment give this key? (An executed trial's is its
+// testgen.Recipe.) Goroutines of an execution may read it after the
+// execution returns, so it must never change.
+type Assigner interface {
+	Lookup(k Key) (value string, ok bool)
+}
+
+// mapAssigner is Options.Assign as an Assigner.
+type mapAssigner map[Key]string
+
+func (m mapAssigner) Lookup(k Key) (string, bool) {
+	v, ok := m[k]
+	return v, ok
+}
+
 // Options configures a new Agent. Agents are single-use: create one per
 // unit-test execution.
 type Options struct {
 	// Strategy is the read-mapping strategy; zero value is StrategyPaper.
 	Strategy Strategy
-	// Assign maps keys to overridden values. Nil overrides nothing: a
+	// Assigner resolves the overridden values: an executed trial's agent
+	// reads its recipe. Nil, with Assign nil, overrides nothing: a
 	// pre-run's reads all observe the stored configuration.
+	Assigner Assigner
+	// Assign is an assignment held as a map, for a caller that has one;
+	// it is the Assigner when Assigner is nil.
 	Assign map[Key]string
 	// Trial marks an execution whose caller reads the verdict, the read
 	// trace and the coverage sinks but not the Report: a phase-2 trial.
@@ -176,7 +197,7 @@ type window struct {
 // the capacities below.
 type Agent struct {
 	strategy Strategy
-	assign   map[Key]string
+	assign   Assigner
 	identity func() uint64
 
 	mu sync.Mutex
@@ -201,29 +222,26 @@ type Agent struct {
 	readLog      []ReadEvent
 	readsDropped int
 
-	// coverage turns on the uncapped deduplicating coverage sink: covNames
-	// holds each parameter read, once, in first-read order. Membership is
-	// a bit of covBits, indexed by the parameter's position in schema (the
-	// schema of the first object read), or for a name outside it an entry
-	// of covOther. covSites adds per-param callsites.
+	// coverage turns on the uncapped deduplicating coverage sink: a
+	// parameter read is a bit of covBits, indexed by its position in
+	// schema (the schema of the first object read), or for a name outside
+	// it an entry of covOther. covSites adds per-param callsites.
 	coverage bool
 	schema   *confkit.Registry
 	covBits  []uint64
-	covNames []string
 	covOther []string
 	covSites map[string]map[string]bool
 }
 
 // The tables' capacities at first use. Over the mini systems' suites an
-// execution holds 3.5–5.2 objects, 2.5–4.2 nodes and 10–35 distinct
-// parameters read on average per app, and at most 9, 8 and 44, with at
-// most 6 windows open (DESIGN.md §2): the smaller systems' executions fit,
-// the larger ones grow a table once or twice.
+// execution holds 3.5–5.2 objects and 2.5–4.2 nodes on average per app,
+// and at most 9 and 8, with at most 6 windows open (DESIGN.md §2): the
+// smaller systems' executions fit, the larger ones grow a table once or
+// twice.
 const (
-	confsCap    = 4
-	nodesCap    = 4
-	windowsCap  = 4
-	covNamesCap = 16
+	confsCap   = 4
+	nodesCap   = 4
+	windowsCap = 4
 )
 
 // confEntry is one configuration object's row in the object table: its
@@ -247,11 +265,14 @@ type confEntry struct {
 func New(opts Options) *Agent {
 	a := &Agent{
 		strategy:   opts.Strategy,
-		assign:     opts.Assign,
+		assign:     opts.Assigner,
 		traceReads: opts.TraceReads,
 		identity:   opts.Identity,
 		report:     !opts.Trial,
 		coverage:   opts.Coverage || opts.CoverageSites,
+	}
+	if a.assign == nil && opts.Assign != nil {
+		a.assign = mapAssigner(opts.Assign)
 	}
 	if a.identity == nil {
 		a.identity = fallbackIdentity
@@ -546,11 +567,11 @@ func (a *Agent) InterceptGet(c *confkit.Conf, name, stored string, found bool) (
 		}
 	}
 	// Resolve the override while still holding the lock (assign is
-	// immutable after construction) so the read-trace event records the
-	// value the reader actually observed, in program order.
+	// immutable) so the read-trace event records the value the reader
+	// actually observed, in program order.
 	value, ok, overridden := stored, found, false
 	if haveKey && a.assign != nil {
-		if v, has := a.assign[key]; has {
+		if v, has := a.assign.Lookup(key); has {
 			value, ok, overridden = v, true, true
 		}
 	}
@@ -590,20 +611,12 @@ func (a *Agent) coverLocked(c *confkit.Conf, name string) {
 	if a.schema == nil {
 		a.schema = schema
 		a.covBits = make([]uint64, (schema.Len()+63)/64)
-		a.covNames = make([]string, 0, covNamesCap)
 	}
 	if i, ok := schema.Index(name); ok && schema == a.schema && i/64 < len(a.covBits) {
-		bit := uint64(1) << (i % 64)
-		if a.covBits[i/64]&bit != 0 {
-			return
-		}
-		a.covBits[i/64] |= bit
-	} else if slices.Contains(a.covOther, name) {
-		return
-	} else {
+		a.covBits[i/64] |= 1 << (i % 64)
+	} else if !slices.Contains(a.covOther, name) {
 		a.covOther = append(a.covOther, name)
 	}
-	a.covNames = append(a.covNames, name)
 }
 
 // CoverageParams returns the sorted, deduplicated set of parameters
@@ -616,10 +629,21 @@ func (a *Agent) CoverageParams() []string {
 	if !a.coverage {
 		return nil
 	}
-	out := make([]string, len(a.covNames))
-	copy(out, a.covNames)
+	n := len(a.covOther)
+	for _, w := range a.covBits {
+		n += bits.OnesCount64(w)
+	}
+	out := make([]string, 0, n)
+	for i, w := range a.covBits {
+		for ; w != 0; w &= w - 1 {
+			out = append(out, a.schema.Name(i*64+bits.TrailingZeros64(w)))
+		}
+	}
+	// A name read through an object of another registry sits in covOther,
+	// and may have a bit too.
+	out = append(out, a.covOther...)
 	sort.Strings(out)
-	return out
+	return slices.Compact(out)
 }
 
 // CoverageSites returns the param → sorted app callsites map recorded

@@ -352,3 +352,31 @@ func TestHomoAssignmentUniformEverywhere(t *testing.T) {
 		}
 	}
 }
+
+// A parameter read through objects of two registries — an application's
+// and one derived from it by WithDefaults, which numbers its parameters
+// the same — is one parameter of the coverage set, whichever is read
+// first: the first registry's reads are bits, the other's names beside
+// them.
+func TestCoverageAcrossRegistriesNamesEachOnce(t *testing.T) {
+	t.Parallel()
+	for _, derivedFirst := range []bool{false, true} {
+		reg := confkit.NewRegistry().Register(
+			confkit.Param{Name: "p", Kind: confkit.Int, Default: "1"},
+			confkit.Param{Name: "q", Kind: confkit.String, Default: "dflt"},
+		)
+		rts := []*confkit.Runtime{confkit.NewRuntime(reg), confkit.NewRuntime(reg.WithDefaults(map[string]string{"p": "2"}))}
+		if derivedFirst {
+			rts[0], rts[1] = rts[1], rts[0]
+		}
+		ag := New(Options{Coverage: true, Trial: true})
+		for _, rt := range rts {
+			rt.SetHooks(ag)
+			rt.NewConf().GetInt("p")
+		}
+		rts[1].NewConf().Get("q")
+		if got, want := ag.CoverageParams(), []string{"p", "q"}; !reflect.DeepEqual(got, want) {
+			t.Errorf("derived registry read first: %v; coverage %q, want %q", derivedFirst, got, want)
+		}
+	}
+}

@@ -520,8 +520,8 @@ func TestObjectTableMatchesReference(t *testing.T) {
 		t.Fatalf("the scripts missed a path: %+v", hits)
 	}
 	// Past every capacity the agent allocates a table at (confsCap,
-	// nodesCap, covNamesCap), and into a second word of its coverage
-	// bitset.
+	// nodesCap), and into a second word of its coverage bitset, which
+	// CoverageParams reads its names from.
 	if hits.maxConfs < 10 || hits.maxNodes < 9 || hits.maxParams < 70 {
 		t.Fatalf("no script outgrew the agent's tables: %+v", hits)
 	}

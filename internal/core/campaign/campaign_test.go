@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"zebraconf/internal/confkit"
+	"zebraconf/internal/core/agent"
 	"zebraconf/internal/core/harness"
 	"zebraconf/internal/core/runner"
 	"zebraconf/internal/core/testgen"
@@ -250,5 +251,76 @@ func TestSplitPoolRunsRightHalfPastSkippedMember(t *testing.T) {
 	}
 	if want := []string{"p0", "p2", "p3", "p4", "p5"}; !slices.Equal(got, want) {
 		t.Fatalf("leaf verdicts for %v, want %v", got, want)
+	}
+}
+
+// The agent of a pool that ran reads its members through the pool's
+// recipe for as long as a goroutine of that execution runs, also while
+// ExecuteItem goes on to split the pool and shed members of the halves: a
+// reader keeps asking the pool's assigner while each half sheds its first
+// member as runPool does, and gets the answers it got before, to the end.
+// Under -race a shed that wrote the pools' shared array is a race as well.
+func TestShedLeavesExecutedPoolIntact(t *testing.T) {
+	t.Parallel()
+	params := []string{"p0", "p1", "p2", "p3", "p4", "p5"}
+	schema := confkit.NewRegistry()
+	usage := make(map[string]bool)
+	for _, p := range params {
+		schema.Register(confkit.Param{Name: p, Kind: confkit.Bool, Default: "false"})
+		usage[p] = true
+	}
+	rep := agent.Report{NodesStarted: map[string]int{"Node": 2}, Usage: map[string]map[string]bool{"Node": usage}}
+	gen := testgen.New(schema)
+	insts := gen.Instances(testgen.PreRun{Test: "T", Report: rep}, testgen.InstancesOptions{})
+	pool := testgen.BuildPools("T", insts, 0)[0]
+	if len(pool.Members) != len(params) {
+		t.Fatalf("first pool has %d members, want one per parameter", len(pool.Members))
+	}
+	as := gen.Builder(&rep).Pooled(pool).Assigner()
+	var keys []agent.Key
+	for i := 0; i < 4; i++ {
+		for _, p := range params {
+			keys = append(keys, agent.Key{NodeType: "Node", NodeIndex: i, Param: p})
+		}
+	}
+	want := make([]string, len(keys))
+	for i, k := range keys {
+		var ok bool
+		if want[i], ok = as.Lookup(k); !ok {
+			t.Fatalf("the pool assigns nothing to %v", k)
+		}
+	}
+
+	stop, done := make(chan struct{}), make(chan error)
+	go func() {
+		for {
+			last := false
+			select {
+			case <-stop:
+				last = true // one whole pass after the sheds
+			default:
+			}
+			for i, k := range keys {
+				if v, ok := as.Lookup(k); !ok || v != want[i] {
+					done <- fmt.Errorf("Lookup(%v) = %q, %v; want %q", k, v, ok, want[i])
+					return
+				}
+			}
+			if last {
+				done <- nil
+				return
+			}
+		}
+	}()
+	l, r := pool.Split()
+	for _, half := range []testgen.Pool{l, r} {
+		first := half.Members[0].Param
+		if got := shed(half, true, func(p string) bool { return p == first }); len(got.Members) != len(half.Members)-1 {
+			t.Errorf("shedding %s left %d of %d members", first, len(got.Members), len(half.Members))
+		}
+	}
+	close(stop)
+	if err := <-done; err != nil {
+		t.Fatalf("the executed pool's assignment changed while its halves shed: %v", err)
 	}
 }

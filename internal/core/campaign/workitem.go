@@ -208,10 +208,7 @@ func ExecuteItem(app *harness.App, gen *testgen.Generator, run *runner.Runner, o
 
 	var runPool func(parent obs.SpanID, depth int, p testgen.Pool)
 	runPool = func(parent obs.SpanID, depth int, p testgen.Pool) {
-		// A pool sheds its skipped members in place: pools and split
-		// halves share BuildPools' one array but never overlap, and a
-		// pool is not read again once split.
-		p.Members = slices.DeleteFunc(p.Members, func(in testgen.Instance) bool { return skip(in.Param) })
+		p = shed(p, depth > 0, skip)
 		switch len(p.Members) {
 		case 0:
 			return
@@ -242,6 +239,21 @@ func ExecuteItem(app *harness.App, gen *testgen.Generator, run *runner.Runner, o
 		runPool(testSpan.ID(), 0, pool)
 	}
 	return out
+}
+
+// shed returns p without the members whose parameter skip names. Pools
+// and split halves share BuildPools' one array, and the agent of a pool
+// that ran reads its members through its recipe for as long as a
+// goroutine of that execution runs (testgen.Builder.Pooled). So a pool
+// BuildPools made sheds in place, where no recipe reads yet, and a split
+// half, whose parent ran, sheds into a fresh array.
+func shed(p testgen.Pool, split bool, skip func(param string) bool) testgen.Pool {
+	skipped := func(in testgen.Instance) bool { return skip(in.Param) }
+	if split && slices.ContainsFunc(p.Members, skipped) {
+		p.Members = slices.Clone(p.Members)
+	}
+	p.Members = slices.DeleteFunc(p.Members, skipped)
+	return p
 }
 
 // mergeResults folds item results into res — per-parameter evidence,

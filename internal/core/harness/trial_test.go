@@ -13,9 +13,11 @@ import (
 // TestTrialOutcomeIsFullOutcome runs every test of the five apps under a
 // heterogeneous assignment built from its pre-run — the first pool of its
 // instances, so every parameter the pre-run placed is heterogeneous at once —
-// twice: as a trial, which keeps no report, and in full. Everything but the
-// report must come out the same: the verdict, the virtual time, the
-// coverage set and the read trace.
+// three times: held as a map, as a trial, which keeps no report, and in
+// full; and as a trial once more, handed to the agent as the recipe itself
+// (Recipe.Assigner). Everything but the report must come out the same
+// between trial and full: the verdict, the virtual time, the coverage set
+// and the read trace; and the recipe's trial must be the map's, whole.
 func TestTrialOutcomeIsFullOutcome(t *testing.T) {
 	t.Parallel()
 	spec := harness.CaptureSpec{ReadEvents: 1 << 16}
@@ -27,15 +29,27 @@ func TestTrialOutcomeIsFullOutcome(t *testing.T) {
 			t.Run(app.Name+"/"+test.Name, func(t *testing.T) {
 				pre := harness.RunOnce(app, test, agent.Options{}, 1)
 				var assign map[agent.Key]string
+				var recipe testgen.Recipe
 				if insts := gen.Instances(testgen.PreRun{Test: test.Name, Report: pre.Report}, testgen.InstancesOptions{}); len(insts) > 0 {
-					assign = gen.Builder(&pre.Report).Pooled(testgen.BuildPools(test.Name, insts, 0)[0]).Assign()
+					recipe = gen.Builder(&pre.Report).Pooled(testgen.BuildPools(test.Name, insts, 0)[0])
+					assign = make(map[agent.Key]string)
+					for _, e := range recipe.Entries() {
+						assign[e.Key] = e.Value
+					}
 				}
-				var outs [2]harness.Outcome
-				for j, trial := range []bool{true, false} {
-					opts := agent.Options{Assign: assign, Coverage: true, Trial: trial}
+				var outs [3]harness.Outcome
+				for j, opts := range []agent.Options{
+					{Assign: assign, Coverage: true, Trial: true},
+					{Assign: assign, Coverage: true},
+					{Assigner: recipe.Assigner(), Coverage: true, Trial: true},
+				} {
 					outs[j] = harness.RunOnceCaptured(app, test, opts, 2, nil, spec)
 				}
-				trial, full := outs[0], outs[1]
+				trial, full, fromRecipe := outs[0], outs[1], outs[2]
+				trial.Elapsed, fromRecipe.Elapsed = 0, 0 // processor time
+				if !reflect.DeepEqual(fromRecipe, trial) {
+					t.Errorf("the recipe's trial differs from the map's:\n recipe: %+v\n map:    %+v", fromRecipe, trial)
+				}
 				if !reflect.DeepEqual(trial.Report, agent.Report{}) {
 					t.Errorf("a trial's report is %+v, want the zero value", trial.Report)
 				}

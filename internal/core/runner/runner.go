@@ -224,8 +224,8 @@ func seedFor(base int64, label string, arm string, round int) int64 {
 //   - canonically seeded (homogeneous arms, pooled runs): always Cache.Do.
 //
 // A trial carries its assignment as a recipe: the key needs only its
-// digest, and the map is built (or taken from where the recipe keeps it)
-// only when the trial executes.
+// digest, and an execution hands the agent the recipe itself
+// (Recipe.Assigner), which resolves each read without building a map.
 type trial struct {
 	test   *harness.UnitTest
 	recipe testgen.Recipe
@@ -252,7 +252,7 @@ type trial struct {
 // carries the original execution's digest. key identifies the execution
 // either way; Assign is filled only when the seed or a cache consumes it,
 // and digested only when the trial did not bring its digest along. Only an
-// execution reads the assignment map.
+// execution reads the assignment, through the agent's Lookup.
 func (r *Runner) runTrial(parent obs.SpanID, cost *Result, t trial) (out harness.Outcome, reused bool, key memo.Key) {
 	canonical := t.label == ""
 	cached := r.opts.Cache != nil && !t.full && (canonical || r.opts.CacheLabelSeeded)
@@ -272,7 +272,7 @@ func (r *Runner) runTrial(parent obs.SpanID, cost *Result, t trial) (out harness
 		r.executions.Add(1)
 		out = harness.RunOnceCaptured(r.app, t.test, agent.Options{
 			Strategy: r.opts.Strategy,
-			Assign:   t.recipe.Assign(),
+			Assigner: t.recipe.Assigner(),
 			Coverage: r.opts.Coverage != nil,
 			// Only a full trial's caller reads the pre-run report.
 			Trial: !t.full,

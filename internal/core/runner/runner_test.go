@@ -550,11 +550,11 @@ func TestTrialCachePolicy(t *testing.T) {
 							// except a capture trial's, which Records again.
 							want := make(map[memo.Key]bool)
 							if cacheOn {
-								hh := memo.HashAssignment(asn.Hetero.Assign())
+								hh := asn.Hetero.Digest()
 								want[memo.Key{App: app.Name, Test: test.Name, Assign: hh, Seed: memo.SeedFor(base, test.Name, hh, 0)}] = true
 								for round := 0; round < int(rounds); round++ {
 									for _, arm := range asn.Homo {
-										h := memo.HashAssignment(arm.Assign())
+										h := arm.Digest()
 										want[memo.Key{App: app.Name, Test: test.Name, Assign: h, Seed: memo.SeedFor(base, test.Name, h, round)}] = true
 									}
 									if labelSeeded {

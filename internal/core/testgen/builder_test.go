@@ -38,26 +38,84 @@ var fiveAppPreRuns = sync.OnceValue(func() []appPreRuns {
 	return out
 })
 
-// The builder's maps and digests are key for key the original
-// per-instance derivation's: heterogeneous and homogeneous maps against
-// the original AssignFor, pooled maps against the original
-// Pool.Assignment at two pool bounds, and every recipe's digest, taken
-// without building its map, against HashAssignment of the original map.
+// lookupKeys is every key a recipe over rep is checked at: each entity the
+// pre-run observed and one it did not (just past the first node type's
+// last index), each with every parameter of params.
+func lookupKeys(rep *agent.Report, params []string) []agent.Key {
+	var types []string
+	for nt := range rep.NodesStarted {
+		types = append(types, nt)
+	}
+	slices.Sort(types)
+	ents := []agent.Key{{NodeType: agent.UnitTestEntity}}
+	for _, nt := range types {
+		for i := 0; i < 2*rep.NodesStarted[nt]; i++ {
+			ents = append(ents, agent.Key{NodeType: nt, NodeIndex: i})
+		}
+	}
+	if len(types) > 0 {
+		ents = append(ents, agent.Key{NodeType: types[0], NodeIndex: 2 * max(rep.NodesStarted[types[0]], 0)})
+	}
+	var keys []agent.Key
+	for _, e := range ents {
+		for _, p := range params {
+			e.Param = p
+			keys = append(keys, e)
+		}
+	}
+	return keys
+}
+
+// lookupsMatch reports the first key at which the agent's view of r
+// (Recipe.Assigner) differs from want, if any.
+func lookupsMatch(r testgen.Recipe, want map[agent.Key]string, keys []agent.Key) (agent.Key, bool) {
+	as := r.Assigner()
+	for _, k := range keys {
+		v, ok := as.Lookup(k)
+		if w, wok := want[k]; v != w || ok != wok {
+			return k, false
+		}
+	}
+	return agent.Key{}, true
+}
+
+// The builder's assignments and digests are key for key the original
+// per-instance derivation's: heterogeneous and homogeneous assignments
+// against the original AssignFor, pooled ones against the original
+// Pool.Assignment at two pool bounds, both as entries and as the agent
+// reads them (Lookup at every entity and parameter: for a leaf and its
+// arms, the parameters it or a dependency rule can write), and every
+// recipe's digest against HashAssignment of the original map.
 func TestBuilderMatchesReference(t *testing.T) {
 	t.Parallel()
 	for _, a := range fiveAppPreRuns() {
 		gen := testgen.New(a.app.Schema())
+		var targets []string
+		for _, p := range a.app.Schema().Params() {
+			for _, rule := range p.DependsOn {
+				targets = append(targets, rule.Then)
+			}
+		}
 		for _, pre := range a.pres {
 			insts := gen.Instances(pre, testgen.InstancesOptions{})
 			asn := gen.Builder(&pre.Report)
+			keys := lookupKeys(&pre.Report, a.app.Schema().Names())
+			leafKeys := make(map[string][]agent.Key)
 			for _, in := range insts {
+				if leafKeys[in.Param] == nil {
+					leafKeys[in.Param] = lookupKeys(&pre.Report, append([]string{in.Param}, targets...))
+				}
+				keys := leafKeys[in.Param]
 				got := asn.Leaf(in)
 				hetero, homo := testgen.RefAssignFor(gen, in, &pre.Report)
 				if want := memo.HashAssignment(hetero); got.Hetero.Digest() != want {
 					t.Fatalf("%s/%s: heterogeneous digest %s, want %s", a.app.Name, in, got.Hetero.Digest(), want)
 				}
-				if !maps.Equal(got.Hetero.Assign(), hetero) {
+				if !maps.Equal(testgen.AssignOf(got.Hetero), hetero) {
 					t.Fatalf("%s/%s: heterogeneous map differs from the original", a.app.Name, in)
+				}
+				if k, ok := lookupsMatch(got.Hetero, hetero, keys); !ok {
+					t.Fatalf("%s/%s: heterogeneous Lookup(%v) differs from the original", a.app.Name, in, k)
 				}
 				if len(got.Homo) != len(homo) {
 					t.Fatalf("%s/%s: %d homogeneous arms, want %d", a.app.Name, in, len(got.Homo), len(homo))
@@ -66,8 +124,11 @@ func TestBuilderMatchesReference(t *testing.T) {
 					if want := memo.HashAssignment(homo[i]); arm.Digest() != want {
 						t.Fatalf("%s/%s: arm %d digest %s, want %s", a.app.Name, in, i, arm.Digest(), want)
 					}
-					if !maps.Equal(arm.Assign(), homo[i]) {
+					if !maps.Equal(testgen.AssignOf(arm), homo[i]) {
 						t.Fatalf("%s/%s: homogeneous arm %d differs from the original", a.app.Name, in, i)
+					}
+					if k, ok := lookupsMatch(arm, homo[i], keys); !ok {
+						t.Fatalf("%s/%s: homogeneous arm %d Lookup(%v) differs from the original", a.app.Name, in, i, k)
 					}
 				}
 			}
@@ -77,8 +138,11 @@ func TestBuilderMatchesReference(t *testing.T) {
 					if got := asn.Pooled(p).Digest(); got != memo.HashAssignment(want) {
 						t.Fatalf("%s/%s: pooled digest (max %d, %d members) %s, want %s", a.app.Name, pre.Test, maxPool, len(p.Members), got, memo.HashAssignment(want))
 					}
-					if !maps.Equal(asn.Pooled(p).Assign(), want) {
+					if !maps.Equal(testgen.AssignOf(asn.Pooled(p)), want) {
 						t.Fatalf("%s/%s: pooled map (max %d, %d members) differs from the original", a.app.Name, pre.Test, maxPool, len(p.Members))
+					}
+					if k, ok := lookupsMatch(asn.Pooled(p), want, keys); !ok {
+						t.Fatalf("%s/%s: pooled Lookup(%v) (max %d, %d members) differs from the original", a.app.Name, pre.Test, k, maxPool, len(p.Members))
 					}
 				}
 			}
@@ -106,7 +170,7 @@ func TestSharedArmsUnchangedByRuns(t *testing.T) {
 			for _, in := range insts {
 				_, homo := testgen.RefAssignFor(gen, in, &pre.Report)
 				for j, arm := range asn.Leaf(in).Homo {
-					if !maps.Equal(arm.Assign(), homo[j]) || arm.Digest() != memo.HashAssignment(homo[j]) {
+					if !maps.Equal(testgen.AssignOf(arm), homo[j]) || arm.Digest() != memo.HashAssignment(homo[j]) {
 						t.Fatalf("%s/%s: arm %d changed while its instances ran", a.app.Name, in, j)
 					}
 				}
@@ -236,9 +300,10 @@ var (
 // derivations, over fuzzed schemas with overlapping dependency rules and
 // fuzzed node populations: for each leaf (flip and round-robin, both
 // directions), its homogeneous arms, BuildPools' pools and their halves,
-// and pools of fuzz-chosen members in fuzz-chosen order, the digest
-// (taken without building a map) is memo.HashAssignment of the map it
-// builds, the map is reference_test.go's, and Entries is that map sorted.
+// and pools of fuzz-chosen members in fuzz-chosen order, the digest is
+// memo.HashAssignment of reference_test.go's map, Entries is that map
+// sorted, and Lookup equals the map at every key of (the observed entities
+// and one unobserved) × (the schema's parameters and q.outside).
 func FuzzRecipeDigest(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{5, 2, 2, 1, 3, 0, 2, 1, 1, 3, 1, 2, 0, 4, 2, 3, 255, 255, 255, 255, 2, 7, 1, 3, 0, 2, 4})
@@ -281,17 +346,15 @@ func FuzzRecipeDigest(f *testing.F) {
 		gen := testgen.New(schema)
 		insts := gen.Instances(testgen.PreRun{Test: "T", Report: rep}, testgen.InstancesOptions{})
 		b := gen.Builder(&rep)
+		keys := lookupKeys(&rep, append(recipeParams[:nparams:nparams], "q.outside"))
 		check := func(what string, r testgen.Recipe, want map[agent.Key]string) {
 			t.Helper()
 			if got := r.Digest(); got != memo.HashAssignment(want) {
 				t.Fatalf("%s: digest %s, want %s", what, got, memo.HashAssignment(want))
 			}
-			got := r.Assign()
-			if !maps.Equal(got, want) {
-				t.Fatalf("%s: map\n got  %v\n want %v", what, got, want)
-			}
-			if r.Digest() != memo.HashAssignment(got) {
-				t.Fatalf("%s: digest differs from its own map's", what)
+			if k, ok := lookupsMatch(r, want, keys); !ok {
+				v, found := r.Lookup(k)
+				t.Fatalf("%s: Lookup(%v) = %q, %v; want %q\n map %v", what, k, v, found, want[k], want)
 			}
 			es := r.Entries()
 			if len(es) != len(want) || !slices.IsSortedFunc(es, memo.CompareEntries) {

@@ -80,6 +80,10 @@ type PreRun struct {
 // by campaign workers.
 type Generator struct {
 	schema *confkit.Registry
+	// ruleTargets holds the parameters some dependency rule of the schema
+	// (complete at New) sets: a recipe resolves a read of any other
+	// parameter without looking its instances' rules up.
+	ruleTargets map[string]bool
 
 	mu sync.RWMutex
 	// quarantined parameters are excluded from further generation (the
@@ -91,7 +95,13 @@ type Generator struct {
 
 // New returns a generator over the application's schema.
 func New(schema *confkit.Registry) *Generator {
-	return &Generator{schema: schema, quarantined: make(map[string]bool)}
+	g := &Generator{schema: schema, quarantined: make(map[string]bool), ruleTargets: make(map[string]bool)}
+	for _, p := range schema.Params() {
+		for _, rule := range p.DependsOn {
+			g.ruleTargets[rule.Then] = true
+		}
+	}
+	return g
 }
 
 // SetFilter restricts generation to the given parameters.
@@ -284,8 +294,8 @@ func roundRobin(rep *agent.Report, opts InstancesOptions, group string) bool {
 
 // Assignment is one leaf instance's heterogeneous assignment plus the
 // homogeneous arms Definition 3.1 requires, one per value of its pair, as
-// recipes: nothing is built until a trial executes (Recipe.Assign), so a
-// trial the execution cache serves costs a digest, not a map.
+// recipes: a trial the execution cache serves costs a digest, and one
+// that executes hands the agent its recipe (Recipe.Assigner), never a map.
 type Assignment struct {
 	Hetero Recipe
 	Homo   [2]Recipe
@@ -299,37 +309,31 @@ func (g *Generator) AssignFor(in Instance, rep *agent.Report) Assignment {
 
 // Builder derives every assignment of one work item from its pre-run
 // report: the entity list is computed once, and each homogeneous arm
-// (parameter, value) is digested and built at most once, then shared by
-// every instance that asks for it — Definition 3.1's control group depends
-// on the parameter and value, not on the instance. A Builder is not safe
-// for concurrent use; an item executes sequentially.
+// (parameter, value) is digested at most once, then shared by every
+// instance that asks for it — Definition 3.1's control group depends on
+// the parameter and value, not on the instance. A Builder is not safe for
+// concurrent use (an item executes sequentially), except for Lookup, which
+// reads only what never changes.
 type Builder struct {
 	g *Generator
 	// ents lists every (entity, index) the pre-run observed, in
 	// memo.CompareEntries order.
 	ents []agent.Key
 	homo map[armKey]*homoArm
-	// leaf and leafAssign keep the last leaf map built: a leaf's rounds
-	// run one after another, and each executed one reads the same map.
-	leaf       Instance
-	leafAssign map[agent.Key]string
 	// s is the entry buffer every recipe is written into, taken from
 	// scratchPool on first use and handed back by Release.
 	s *scratch
-	// built counts the maps this builder built (the allocation tests
-	// read it).
-	built int
 }
 
 // armKey names one homogeneous arm.
 type armKey struct{ param, value string }
 
-// homoArm is one homogeneous arm's recipe, its digest and its map, each
-// filled on first use and kept for the item.
+// homoArm is one homogeneous arm's recipe and its digest, filled on first
+// use and kept for the item. Its recipe is an instance of its parameter
+// whose pair holds its value twice, so every entity gets the value.
 type homoArm struct {
-	param, value string
-	digest       string
-	assign       map[agent.Key]string
+	in     [1]Instance
+	digest string
 }
 
 // Builder returns the assignment builder for one pre-run report.
@@ -353,7 +357,7 @@ func (b *Builder) Release() {
 // two shared homogeneous arms of its value pair.
 func (b *Builder) Leaf(in Instance) Assignment {
 	return Assignment{
-		Hetero: Recipe{b: b, kind: leafRecipe, leaf: in},
+		Hetero: Recipe{b: b, kind: leafRecipe, leaf: [1]Instance{in}},
 		Homo:   [2]Recipe{b.Homo(in.Param, in.Pair.A), b.Homo(in.Param, in.Pair.B)},
 	}
 }
@@ -363,7 +367,7 @@ func (b *Builder) Homo(param, value string) Recipe {
 	k := armKey{param, value}
 	arm := b.homo[k]
 	if arm == nil {
-		arm = &homoArm{param: param, value: value}
+		arm = &homoArm{in: [1]Instance{{Param: param, Pair: Pair{A: value, B: value}}}}
 		if b.homo == nil {
 			b.homo = make(map[armKey]*homoArm)
 		}
@@ -375,7 +379,9 @@ func (b *Builder) Homo(param, value string) Recipe {
 // Pooled names a pooled run's heterogeneous assignment: every member's,
 // merged in member order with the first writer of a key winning (a
 // dependency rule of an earlier member may set a later member's
-// parameter). A pooled run has no homogeneous arm.
+// parameter). A pooled run has no homogeneous arm. The recipe reads
+// p.Members, and an executed one goes on reading them for as long as a
+// goroutine of its execution runs, so they must not be written after.
 func (b *Builder) Pooled(p Pool) Recipe {
 	return Recipe{b: b, kind: poolRecipe, members: p.Members}
 }
@@ -392,15 +398,27 @@ const (
 
 // Recipe names one assignment of a Builder without building it: a leaf's
 // heterogeneous assignment, a homogeneous arm or a pool's merged
-// assignment. Digest hashes its entries; Assign builds its map. The zero
-// Recipe is the empty assignment (a pre-run's). A Recipe is a value, valid
-// while its Builder is.
+// assignment. Digest hashes its entries; Lookup answers the agent's
+// question for one key. The zero Recipe is the empty assignment (a
+// pre-run's). A Recipe is a value, valid while its Builder is.
 type Recipe struct {
 	b       *Builder
 	kind    recipeKind
-	leaf    Instance
+	leaf    [1]Instance
 	homo    *homoArm
 	members []Instance
+}
+
+// instances lists, in order, the instances whose writes are the recipe's
+// assignment: a leaf's own, a homogeneous arm's, a pool's members.
+func (r *Recipe) instances() []Instance {
+	switch r.kind {
+	case leafRecipe:
+		return r.leaf[:]
+	case homoRecipe:
+		return r.homo.in[:]
+	}
+	return r.members
 }
 
 // Digest is memo.HashAssignment of the recipe's map, taken from its sorted
@@ -416,46 +434,60 @@ func (r Recipe) Digest() string {
 	return digest
 }
 
-// Assign returns the recipe's map, built exactly sized from its entries. A
-// homogeneous arm's map is built once per item and a leaf's once for all
-// its rounds; either may be shared, so it is read-only.
-func (r Recipe) Assign() map[agent.Key]string {
-	switch r.kind {
-	case emptyRecipe:
+// Assigner returns the recipe as an executed trial's agent reads it: a
+// copy of the recipe, the one allocation, whose Lookup never changes; nil
+// for the empty recipe.
+func (r Recipe) Assigner() agent.Assigner {
+	if r.kind == emptyRecipe {
 		return nil
-	case homoRecipe:
-		if r.homo.assign == nil {
-			r.homo.assign = r.build()
-		}
-		return r.homo.assign
-	case leafRecipe:
-		if r.b.leafAssign == nil || r.b.leaf != r.leaf {
-			r.b.leaf, r.b.leafAssign = r.leaf, r.build()
-		}
-		return r.b.leafAssign
 	}
-	return r.build()
+	return &r
+}
+
+// Lookup returns the value the recipe assigns k and whether it assigns
+// one: exactly the entry entries writes for k, found without writing any.
+// On an entity the pre-run observed, each instance in order writes its own
+// parameter, then that parameter's dependency rules for the value the
+// entity gets, and the first writer of k.Param wins.
+func (r *Recipe) Lookup(k agent.Key) (string, bool) {
+	if r.kind == emptyRecipe {
+		return "", false
+	}
+	ins, g := r.instances(), r.b.g
+	rules, observed := g.ruleTargets[k.Param], false
+	for i := range ins {
+		in := &ins[i]
+		if in.Param != k.Param && !rules {
+			continue
+		}
+		if !observed && !slices.Contains(r.b.ents, agent.Key{NodeType: k.NodeType, NodeIndex: k.NodeIndex}) {
+			return "", false
+		}
+		observed = true
+		v := heteroValue(in, k)
+		if in.Param == k.Param {
+			return v, true
+		}
+		if p := g.schema.Lookup(in.Param); p != nil {
+			for _, rule := range p.DependsOn {
+				if rule.If == v && rule.Then == k.Param {
+					return rule.To, true
+				}
+			}
+		}
+	}
+	return "", false
 }
 
 // Entries returns a copy of the recipe's entries in memo.CompareEntries
-// order, each key once: the map Assign builds, sorted.
+// order, each key once: every key Lookup resolves, with its value.
 func (r Recipe) Entries() []memo.Entry {
 	return slices.Clone(r.entries())
 }
 
-func (r Recipe) build() map[agent.Key]string {
-	r.b.built++
-	es := r.entries()
-	m := make(map[agent.Key]string, len(es))
-	for _, e := range es {
-		m[e.Key] = e.Value
-	}
-	return m
-}
-
-// scratch is a builder's entry buffer: a recipe's entries and a pool's
-// resolved parameters, grown to the largest recipe it held and passed from
-// item to item through scratchPool.
+// scratch is a builder's entry buffer: a recipe's entries and its
+// instances' resolved parameters, grown to the largest recipe it held and
+// passed from item to item through scratchPool.
 type scratch struct {
 	entries []memo.Entry
 	params  []*confkit.Param
@@ -473,7 +505,8 @@ var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 // Entities never share a key, so this is the first-writer-wins merge of the
 // members' separate assignments.
 func (r Recipe) entries() []memo.Entry {
-	if r.kind == emptyRecipe {
+	ins := r.instances()
+	if len(ins) == 0 {
 		return nil
 	}
 	b := r.b
@@ -482,30 +515,14 @@ func (r Recipe) entries() []memo.Entry {
 	}
 	s := b.s
 	es := s.entries[:0]
-	schema := b.g.schema
-	var p *confkit.Param
-	switch r.kind {
-	case homoRecipe:
-		p = schema.Lookup(r.homo.param)
-	case leafRecipe:
-		p = schema.Lookup(r.leaf.Param)
-	case poolRecipe:
-		s.params = s.params[:0]
-		for _, in := range r.members {
-			s.params = append(s.params, schema.Lookup(in.Param))
-		}
+	s.params = s.params[:0]
+	for i := range ins {
+		s.params = append(s.params, b.g.schema.Lookup(ins[i].Param))
 	}
 	for _, k := range b.ents {
 		start := len(es)
-		switch r.kind {
-		case homoRecipe:
-			es = put(es, k, r.homo.param, p, r.homo.value)
-		case leafRecipe:
-			es = put(es, k, r.leaf.Param, p, heteroValue(r.leaf, k))
-		case poolRecipe:
-			for i, in := range r.members {
-				es = put(es, k, in.Param, s.params[i], heteroValue(in, k))
-			}
+		for i := range ins {
+			es = put(es, k, ins[i].Param, s.params[i], heteroValue(&ins[i], k))
 		}
 		seg := es[start:]
 		if len(seg) > 1 {
@@ -538,7 +555,7 @@ func put(es []memo.Entry, k agent.Key, param string, p *confkit.Param, value str
 // heteroValue is the value in assigns entity k: the group's value on its
 // group (on every other node of it under round-robin), the other value
 // everywhere else.
-func heteroValue(in Instance, k agent.Key) string {
+func heteroValue(in *Instance, k agent.Key) string {
 	groupVal, otherVal := in.Pair.A, in.Pair.B
 	if in.Reversed {
 		groupVal, otherVal = in.Pair.B, in.Pair.A

@@ -1,7 +1,6 @@
 package testgen_test
 
 import (
-	"reflect"
 	"slices"
 	"sync"
 	"testing"
@@ -17,9 +16,10 @@ import (
 // flinkInput is the per-layer input of the benchmarks below: the
 // miniflink unit test whose pre-run generates the most instances.
 type flinkInput struct {
-	gen   *testgen.Generator
-	pre   testgen.PreRun
-	insts []testgen.Instance
+	gen    *testgen.Generator
+	pre    testgen.PreRun
+	insts  []testgen.Instance
+	params []string // the schema's
 }
 
 // miniflinkPools pre-runs every miniflink unit test once per process.
@@ -28,7 +28,7 @@ var miniflinkPools = sync.OnceValue(func() flinkInput {
 	if err != nil {
 		panic(err)
 	}
-	in := flinkInput{gen: testgen.New(app.Schema())}
+	in := flinkInput{gen: testgen.New(app.Schema()), params: app.Schema().Names()}
 	run := runner.New(app, runner.Options{BaseSeed: 1})
 	for i := range app.Tests {
 		pre := run.PreRun(&app.Tests[i])
@@ -41,11 +41,14 @@ var miniflinkPools = sync.OnceValue(func() flinkInput {
 
 // Sinks keep the measured calls from being optimized away.
 var (
-	sinkAssign map[agent.Key]string
-	sinkDigest string
-	sinkPools  []testgen.Pool
+	sinkAssigner agent.Assigner
+	sinkDigest   string
+	sinkPools    []testgen.Pool
+	sinkValue    string
 )
 
+// BenchmarkPoolAssignment is what an executed pooled run costs the
+// builder: its assignment as the agent reads it.
 func BenchmarkPoolAssignment(b *testing.B) {
 	in := miniflinkPools()
 	pools := testgen.BuildPools(in.pre.Test, in.insts, 0)
@@ -54,10 +57,52 @@ func BenchmarkPoolAssignment(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		asn := in.gen.Builder(&in.pre.Report)
 		for _, p := range pools {
-			sinkAssign = asn.Pooled(p).Assign()
+			sinkAssigner = asn.Pooled(p).Assigner()
 		}
 		asn.Release()
 	}
+}
+
+// BenchmarkRecipeLookup prices the agent's question, one read's override,
+// over every pool of the largest miniflink item at every key a read can
+// ask (each entity with each parameter of the schema, most of them not
+// assigned): answered from the recipe, and, the baseline, from a map of
+// its entries.
+func BenchmarkRecipeLookup(b *testing.B) {
+	in := miniflinkPools()
+	asn := in.gen.Builder(&in.pre.Report)
+	keys := lookupKeys(&in.pre.Report, in.params)
+	for _, arm := range []string{"recipe", "map"} {
+		b.Run(arm, func(b *testing.B) {
+			var as []agent.Assigner
+			for _, p := range testgen.BuildPools(in.pre.Test, in.insts, 0) {
+				a := asn.Pooled(p).Assigner()
+				if arm == "map" {
+					a = mapAssigner(testgen.AssignOf(asn.Pooled(p)))
+				}
+				as = append(as, a)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, a := range as {
+					for _, k := range keys {
+						sinkValue, _ = a.Lookup(k)
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(as)*len(keys)), "ns/lookup")
+		})
+	}
+}
+
+// mapAssigner is the agent's own adapter for an assignment held as a map
+// (agent.Options.Assign).
+type mapAssigner map[agent.Key]string
+
+func (m mapAssigner) Lookup(k agent.Key) (string, bool) {
+	v, ok := m[k]
+	return v, ok
 }
 
 // BenchmarkPoolDigest is what a cache-served pooled run costs the builder:
@@ -84,10 +129,11 @@ func BenchmarkBuildPools(b *testing.B) {
 	}
 }
 
-// A pooled assignment allocates one map sized to hold every member, and
-// its digest only the digest string: a per-member map (or a homogeneous
-// arm) creeping back in multiplies the first count, a map built to be
-// hashed shows in the second.
+// An executed trial's assignment costs one small allocation, the recipe's
+// copy, whatever the kind, and the agent's reads through it none; a pooled
+// digest allocates only the digest string. A map (or a snapshot beside the
+// copy) creeping back in shows in the first count, a map built to be
+// hashed in the last.
 func TestPoolAssignmentAllocs(t *testing.T) {
 	in := miniflinkPools()
 	p := testgen.BuildPools(in.pre.Test, in.insts, 0)[0]
@@ -95,11 +141,23 @@ func TestPoolAssignmentAllocs(t *testing.T) {
 		t.Fatalf("largest miniflink pool has %d members, want several", len(p.Members))
 	}
 	asn := in.gen.Builder(&in.pre.Report)
-	allocs := testing.AllocsPerRun(20, func() { sinkAssign = asn.Pooled(p).Assign() })
-	t.Logf("%s: %d members, %.0f allocs", in.pre.Test, len(p.Members), allocs)
-	const bound = 6
-	if allocs > bound {
-		t.Fatalf("building a pooled map made %.0f allocations, want at most %d", allocs, bound)
+	leaf := asn.Leaf(p.Members[0])
+	for _, r := range []struct {
+		what   string
+		recipe testgen.Recipe
+	}{{"pool", asn.Pooled(p)}, {"leaf", leaf.Hetero}, {"homogeneous arm", leaf.Homo[0]}} {
+		if allocs := testing.AllocsPerRun(20, func() { sinkAssigner = r.recipe.Assigner() }); allocs > 1 {
+			t.Fatalf("naming a %s's assigner made %.0f allocations, want at most 1", r.what, allocs)
+		}
+	}
+	as := asn.Pooled(p).Assigner()
+	keys := lookupKeys(&in.pre.Report, append(in.params, "q.outside"))
+	if allocs := testing.AllocsPerRun(20, func() {
+		for _, k := range keys {
+			sinkValue, _ = as.Lookup(k)
+		}
+	}); allocs != 0 {
+		t.Fatalf("%d lookups in a pool of %d members made %.0f allocations, want 0", len(keys), len(p.Members), allocs)
 	}
 	if raceEnabled {
 		return // the scratch pool drops what it is handed under -race
@@ -109,33 +167,30 @@ func TestPoolAssignmentAllocs(t *testing.T) {
 	}
 }
 
-// A homogeneous arm is digested and built once per item: asking for it
-// again, its digest and its map, as every other instance of its parameter
-// and value does, allocates nothing.
+// A homogeneous arm is digested once per item: asking for it again, and
+// its digest, as every other instance of its parameter and value does,
+// allocates nothing.
 func TestHomoArmReuseAllocs(t *testing.T) {
 	in := miniflinkPools()
 	inst := in.insts[0]
 	asn := in.gen.Builder(&in.pre.Report)
-	first := asn.Homo(inst.Param, inst.Pair.A)
-	digest, assign := first.Digest(), first.Assign()
+	digest := asn.Homo(inst.Param, inst.Pair.A).Digest()
 	var again testgen.Recipe
 	if allocs := testing.AllocsPerRun(20, func() {
 		again = asn.Homo(inst.Param, inst.Pair.A)
-		sinkDigest, sinkAssign = again.Digest(), again.Assign()
+		sinkDigest = again.Digest()
 	}); allocs != 0 {
 		t.Fatalf("a second request for arm (%s, %s) made %.0f allocations, want 0", inst.Param, inst.Pair.A, allocs)
 	}
-	if again.Digest() != digest || reflect.ValueOf(again.Assign()).UnsafePointer() != reflect.ValueOf(assign).UnsafePointer() {
-		t.Fatalf("a second request for arm (%s, %s) built a new arm", inst.Param, inst.Pair.A)
+	if again.Digest() != digest {
+		t.Fatalf("a second request for arm (%s, %s) digested a new arm", inst.Param, inst.Pair.A)
 	}
 }
 
-// An executed recipe builds its map once and a served one builds none. A
-// first builder whose leaf (over several rounds) and pooled run all
-// execute builds four maps: the heterogeneous one, two arms, the pool. A
-// resubmitted item's fresh builder, every trial of which the execution
-// cache serves, builds none, and a served pooled run allocates only the
-// digest.
+// A recipe is executed over rounds and served from the cache when its
+// item is resubmitted: a first builder's leaf (over several rounds) and
+// pooled run all execute, and a resubmitted item's fresh builder has every
+// trial served, a pooled run's allocating only the digest.
 func TestServedTrialsBuildNoMap(t *testing.T) {
 	in := miniflinkPools()
 	app, err := apps.ByName("miniflink")
@@ -158,18 +213,12 @@ func TestServedTrialsBuildNoMap(t *testing.T) {
 		t.Fatalf("cold: %d rounds, %d of %d trials and %d pooled run executed; want every trial executed over rounds",
 			res.Rounds, res.Executions, res.Trials, cost.Executions)
 	}
-	if got := testgen.MapsBuilt(cold); got != 4 {
-		t.Fatalf("cold: %d maps built, want 4 (hetero, two arms, pool) however many rounds", got)
-	}
 
 	warm := in.gen.Builder(&in.pre.Report)
 	res = run.RunAssignment(test, warm.Leaf(inst), inst.String())
 	_, cost = run.RunPooledIn(obs.NoSpan, test, warm.Pooled(pool), "pool")
 	if res.Executions != 0 || cost.Executions != 0 {
 		t.Fatalf("warm: %d leaf and %d pooled executions, want every trial served", res.Executions, cost.Executions)
-	}
-	if got := testgen.MapsBuilt(warm); got != 0 {
-		t.Fatalf("warm: %d maps built for served trials, want 0", got)
 	}
 	if raceEnabled {
 		return // the digest's scratch buffer is pooled

@@ -151,31 +151,31 @@ func TestAssignForFlip(t *testing.T) {
 		Pair: Pair{A: "true", B: "false"}}
 	asn := g.AssignFor(in, &pre.Report)
 
-	if asn.Hetero.Assign()[agent.Key{NodeType: "DN", NodeIndex: 0, Param: "a.bool"}] != "true" ||
-		asn.Hetero.Assign()[agent.Key{NodeType: "DN", NodeIndex: 1, Param: "a.bool"}] != "true" {
-		t.Fatalf("flip group values wrong: %v", asn.Hetero.Assign())
+	if valueOf(asn.Hetero, agent.Key{NodeType: "DN", NodeIndex: 0, Param: "a.bool"}) != "true" ||
+		valueOf(asn.Hetero, agent.Key{NodeType: "DN", NodeIndex: 1, Param: "a.bool"}) != "true" {
+		t.Fatalf("flip group values wrong: %v", AssignOf(asn.Hetero))
 	}
-	if asn.Hetero.Assign()[agent.Key{NodeType: "NN", NodeIndex: 0, Param: "a.bool"}] != "false" ||
-		asn.Hetero.Assign()[agent.Key{NodeType: agent.UnitTestEntity, NodeIndex: 0, Param: "a.bool"}] != "false" {
-		t.Fatalf("flip other-entity values wrong: %v", asn.Hetero.Assign())
+	if valueOf(asn.Hetero, agent.Key{NodeType: "NN", NodeIndex: 0, Param: "a.bool"}) != "false" ||
+		valueOf(asn.Hetero, agent.Key{NodeType: agent.UnitTestEntity, NodeIndex: 0, Param: "a.bool"}) != "false" {
+		t.Fatalf("flip other-entity values wrong: %v", AssignOf(asn.Hetero))
 	}
 
 	// Reversed swaps the sides.
 	in.Reversed = true
 	asn = g.AssignFor(in, &pre.Report)
-	if asn.Hetero.Assign()[agent.Key{NodeType: "DN", NodeIndex: 0, Param: "a.bool"}] != "false" {
-		t.Fatalf("reversed flip wrong: %v", asn.Hetero.Assign())
+	if valueOf(asn.Hetero, agent.Key{NodeType: "DN", NodeIndex: 0, Param: "a.bool"}) != "false" {
+		t.Fatalf("reversed flip wrong: %v", AssignOf(asn.Hetero))
 	}
 
 	// Homogeneous arms are uniform.
-	for _, v := range asn.Homo[0].Assign() {
+	for _, v := range AssignOf(asn.Homo[0]) {
 		if v != "true" {
-			t.Fatalf("homo arm A not uniform: %v", asn.Homo[0].Assign())
+			t.Fatalf("homo arm A not uniform: %v", AssignOf(asn.Homo[0]))
 		}
 	}
-	for _, v := range asn.Homo[1].Assign() {
+	for _, v := range AssignOf(asn.Homo[1]) {
 		if v != "false" {
-			t.Fatalf("homo arm B not uniform: %v", asn.Homo[1].Assign())
+			t.Fatalf("homo arm B not uniform: %v", AssignOf(asn.Homo[1]))
 		}
 	}
 }
@@ -188,9 +188,9 @@ func TestAssignForRoundRobin(t *testing.T) {
 	in := Instance{Test: "T", Param: "a.bool", Group: "DN", Strategy: StrategyRoundRobin,
 		Pair: Pair{A: "true", B: "false"}}
 	asn := g.AssignFor(in, &pre.Report)
-	if asn.Hetero.Assign()[agent.Key{NodeType: "DN", NodeIndex: 0, Param: "a.bool"}] != "true" ||
-		asn.Hetero.Assign()[agent.Key{NodeType: "DN", NodeIndex: 1, Param: "a.bool"}] != "false" {
-		t.Fatalf("round robin alternation wrong: %v", asn.Hetero.Assign())
+	if valueOf(asn.Hetero, agent.Key{NodeType: "DN", NodeIndex: 0, Param: "a.bool"}) != "true" ||
+		valueOf(asn.Hetero, agent.Key{NodeType: "DN", NodeIndex: 1, Param: "a.bool"}) != "false" {
+		t.Fatalf("round robin alternation wrong: %v", AssignOf(asn.Hetero))
 	}
 }
 
@@ -202,11 +202,11 @@ func TestDependencyRulesApplied(t *testing.T) {
 	in := Instance{Test: "T", Param: "d.dep", Group: "NN", Strategy: StrategyFlip,
 		Pair: Pair{A: "https", B: "http"}}
 	asn := g.AssignFor(in, &pre.Report)
-	if asn.Hetero.Assign()[agent.Key{NodeType: "NN", NodeIndex: 0, Param: "d.addr"}] != "secure-host" {
-		t.Fatalf("dependency rule not applied on the https side: %v", asn.Hetero.Assign())
+	if valueOf(asn.Hetero, agent.Key{NodeType: "NN", NodeIndex: 0, Param: "d.addr"}) != "secure-host" {
+		t.Fatalf("dependency rule not applied on the https side: %v", AssignOf(asn.Hetero))
 	}
-	if _, set := asn.Hetero.Assign()[agent.Key{NodeType: agent.UnitTestEntity, NodeIndex: 0, Param: "d.addr"}]; set {
-		t.Fatalf("dependency applied where the trigger value was not assigned: %v", asn.Hetero.Assign())
+	if _, set := asn.Hetero.Lookup(agent.Key{NodeType: agent.UnitTestEntity, NodeIndex: 0, Param: "d.addr"}); set {
+		t.Fatalf("dependency applied where the trigger value was not assigned: %v", AssignOf(asn.Hetero))
 	}
 }
 
@@ -262,7 +262,7 @@ func TestPoolSplitAndMergedAssignment(t *testing.T) {
 	if len(pools) == 0 || len(pools[0].Members) != 2 {
 		t.Fatalf("unexpected pool shape: %v", pools)
 	}
-	asn := g.Builder(&pre.Report).Pooled(pools[0]).Assign()
+	asn := AssignOf(g.Builder(&pre.Report).Pooled(pools[0]))
 	foundA, foundB := false, false
 	for k := range asn {
 		switch k.Param {
@@ -333,6 +333,12 @@ func TestBuildPoolsPartitionProperty(t *testing.T) {
 	}
 }
 
+// valueOf is the value r assigns k, as the agent reads it.
+func valueOf(r Recipe, k agent.Key) string {
+	v, _ := r.Assigner().Lookup(k)
+	return v
+}
+
 // mergeAssign is the reference pooled construction Builder.Pooled must
 // reproduce: members' separate heterogeneous maps, merged in member order
 // without overwriting a key an earlier member set.
@@ -348,9 +354,9 @@ func checkPoolAssignment(t *testing.T, g *Generator, rep *agent.Report, p Pool) 
 	t.Helper()
 	want := make(map[agent.Key]string)
 	for _, in := range p.Members {
-		mergeAssign(want, g.AssignFor(in, rep).Hetero.Assign())
+		mergeAssign(want, AssignOf(g.AssignFor(in, rep).Hetero))
 	}
-	got := g.Builder(rep).Pooled(p).Assign()
+	got := AssignOf(g.Builder(rep).Pooled(p))
 	if !maps.Equal(got, want) || memo.HashAssignment(got) != memo.HashAssignment(want) {
 		t.Errorf("pool %v:\n got  %v\n want %v", p.Members, got, want)
 		return false
@@ -402,7 +408,7 @@ func TestPoolAssignmentEqualsMemberMerge(t *testing.T) {
 	p := Pool{Test: "T", Members: []Instance{dep, addr}}
 	checkPoolAssignment(t, g, &pre.Report, p)
 	k := agent.Key{NodeType: "NN", NodeIndex: 0, Param: "d.addr"}
-	if got := g.Builder(&pre.Report).Pooled(p).Assign()[k]; got != "secure-host" {
+	if got := valueOf(g.Builder(&pre.Report).Pooled(p), k); got != "secure-host" {
 		t.Fatalf("%v = %q, want the earlier member's dependency value", k, got)
 	}
 }
