@@ -2,11 +2,9 @@ package main
 
 import (
 	"fmt"
-	"io"
 	"os"
 	"runtime"
 	"strings"
-	"time"
 
 	"zebraconf/internal/apps"
 	"zebraconf/internal/confkit"
@@ -22,10 +20,6 @@ import (
 // runLocal implements the modes that execute in this process: stats,
 // suggest-deps, and the three that launch campaigns (run, explain, rerun).
 func runLocal(spec launch.Spec) int {
-	if *pprofRates > 0 {
-		runtime.SetMutexProfileFraction(*pprofRates)
-		runtime.SetBlockProfileRate(*pprofRates)
-	}
 	observer, flush, err := newObserver()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -83,9 +77,9 @@ func runLocal(spec launch.Spec) int {
 // newObserver assembles observability only when asked for; a nil Observer
 // keeps every instrumented path on its no-op branch. Output files are
 // created eagerly so a bad path fails before the campaign, not after it
-// has run for minutes. flush undoes everything in reverse order — the
-// metrics file is written first, the perf sampler takes its final sample
-// before its stream closes — and must run before the process exits.
+// has run. flush undoes everything in reverse order — the metrics file
+// is written first, the perf sampler takes its final sample before its
+// stream closes — and must run before the process exits.
 func newObserver() (o *obs.Observer, flush func(), err error) {
 	var undo []func()
 	flush = func() {
@@ -93,7 +87,7 @@ func newObserver() (o *obs.Observer, flush func(), err error) {
 			undo[i]()
 		}
 	}
-	if *traceOut == "" && *metricsOut == "" && !*progress && *httpAddr == "" && *eventsOut == "" && *ledgerDir == "" && *perfOut == "" {
+	if *traceOut == "" && *metricsOut == "" && *eventsOut == "" && *ledgerDir == "" && *perfOut == "" {
 		return nil, flush, nil
 	}
 	// create opens one output file, or nothing for an unset path or once an
@@ -110,10 +104,6 @@ func newObserver() (o *obs.Observer, flush func(), err error) {
 		return f
 	}
 	o = obs.New()
-	// The status tracker costs a few counters per item either way; attach
-	// it whenever any observability is on so /api answers and ledger stall
-	// counts are available without a dedicated flag.
-	o.Status = obs.NewStatus()
 	o.GaugeSet(obs.MBuildInfo, 1, "version", buildVersion(), "go", runtime.Version())
 	if f := create(*eventsOut); f != nil {
 		o.Events = obs.NewEventLog(f)
@@ -121,28 +111,13 @@ func newObserver() (o *obs.Observer, flush func(), err error) {
 	if f := create(*traceOut); f != nil {
 		o.Tracer = obs.NewTracer(f)
 	}
-	if *progress {
-		o.Progress = obs.NewProgress(os.Stderr, 2*time.Second)
-	}
-	// The perf sampler runs whenever its series was asked for (-perf) or
-	// could be served live (-http's /api/perf); the JSONL stream only with
-	// -perf.
-	var perfw io.Writer
+	// The perf sampler reads the item table Status keeps. (A ledger
+	// record's stall count is the dist run's Stalls(), not Status's.)
 	if f := create(*perfOut); f != nil {
-		perfw = f
-	}
-	if err == nil && (*perfOut != "" || *httpAddr != "") {
-		o.Sampler = obs.NewSampler(o, *perfPeriod, perfw, 0)
+		o.Status = obs.NewStatus()
+		o.Sampler = obs.NewSampler(o, *perfPeriod, f, 0)
 		o.Sampler.Start()
 		undo = append(undo, o.Sampler.Stop)
-	}
-	if err == nil && *httpAddr != "" {
-		var addr string
-		var shutdown func()
-		if addr, shutdown, err = obs.ServeDebug(*httpAddr, o); err == nil {
-			undo = append(undo, shutdown)
-			fmt.Fprintf(os.Stderr, "[zebraconf] debug server on http://%s (/api/campaign, /api/workers, /api/params, /metrics, /debug/vars, /debug/pprof)\n", addr)
-		}
 	}
 	if f := create(*metricsOut); f != nil {
 		undo = append(undo, func() {

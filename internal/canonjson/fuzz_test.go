@@ -44,8 +44,8 @@ func seedResult() dist.Msg {
 }
 
 // seedFrames is a frame of every type a session carries and a record of
-// every journal kind, as json.Marshal writes them, and two lines json
-// refuses.
+// every journal kind, as json.Marshal writes them, two lines json
+// refuses, and an older worker's heartbeat.
 func seedFrames(tb testing.TB) [][]byte {
 	line := func(v any) []byte {
 		b, err := json.Marshal(v)
@@ -66,8 +66,7 @@ func seedFrames(tb testing.TB) [][]byte {
 		TraceItems: true, HeartbeatMS: 1000}}
 	frames := [][]byte{
 		line(result), line(run), line(init),
-		line(dist.Msg{Type: dist.MsgHeartbeat, PID: 9, HB: &dist.Heartbeat{Inflight: []int{1, 3}, Executions: 40,
-			Goroutines: 12, HeapBytes: 1 << 33}}),
+		line(dist.Msg{Type: dist.MsgHeartbeat}),
 		line(dist.Msg{Type: dist.MsgReady, PID: 9}),
 		line(dist.Msg{Type: dist.MsgReady, PID: 9, Error: "no such app"}),
 		line(dist.Record{Kind: dist.KindHeader, App: "miniyarn", Seed: 1, Items: 13}),
@@ -76,7 +75,11 @@ func seedFrames(tb testing.TB) [][]byte {
 	}
 	// A NaN p-value has no JSON form: neither json nor the codec reads it.
 	nan := strings.Replace(string(frames[0]), `"p_value":0.0015625`, `"p_value":NaN`, 1)
-	return append(frames, []byte(nan), []byte(`{"type":"result","result":{"id":1,"test":"T","verdicts":[{"p_value":1e400}]}}`))
+	// An older worker's heartbeat carries a health snapshot, an unknown
+	// field now: off the fast path, and read as json reads it.
+	legacyBeat := `{"type":"heartbeat","pid":9,"hb":{"inflight":[1,3],"executions":40,"goroutines":12,"heap_bytes":8589934592}}`
+	return append(frames, []byte(nan), []byte(`{"type":"result","result":{"id":1,"test":"T","verdicts":[{"p_value":1e400}]}}`),
+		[]byte(legacyBeat))
 }
 
 // checkFrame holds the codec to encoding/json on data decoded as a T: the

@@ -558,11 +558,7 @@ func (r *Run) session(slot int, sess *workerSession) sessionOutcome {
 					o.Event(obs.EvWorkerRecovered,
 						obs.String("app", app), obs.Int("worker", int64(slot)))
 				}
-				var hb Heartbeat
-				if m.HB != nil {
-					hb = *m.HB
-				}
-				o.WorkerHeartbeat(app, slot, m.PID, hb.Inflight, hb.Executions, hb.Goroutines, hb.HeapBytes)
+				o.WorkerHeartbeat(app, slot)
 			case MsgResult:
 				if m.Result == nil {
 					return lost("crash", nil)

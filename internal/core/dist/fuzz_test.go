@@ -86,7 +86,10 @@ func FuzzWorkerFrames(f *testing.F) {
 		line(Msg{Type: MsgReady, PID: 1}),
 		line(Msg{Type: MsgResult, Result: &campaign.ItemResult{Test: "TestWord", Executions: 3}}),
 		traced, legacyTraced, margined,
-		line(Msg{Type: MsgHeartbeat, PID: 1, HB: &Heartbeat{Inflight: []int{0}, Executions: 3}}),
+		line(Msg{Type: MsgHeartbeat}),
+		// An older worker's heartbeat: its health snapshot is an unknown
+		// field now.
+		[]byte(`{"type":"heartbeat","pid":1,"hb":{"inflight":[0],"executions":3}}` + "\n"),
 		[]byte("{\"type\":\"run\"}\n"), []byte("{}\n"), []byte("not json\n"), []byte(`{"type":"run","item":{"prerun":`),
 		// Frames out of place: a second init, a ready that failed, a
 		// quarantine naming nothing.

@@ -17,9 +17,27 @@ import (
 	"zebraconf/internal/obs"
 )
 
+// parentFrame is how a coordinator built before the heartbeat went bare
+// reads a frame, as far as a heartbeat goes: its HB health snapshot, nil
+// for a beat without one.
+type parentFrame struct {
+	Type string `json:"type"`
+	PID  int    `json:"pid,omitempty"`
+	HB   *struct {
+		Inflight   []int  `json:"inflight,omitempty"`
+		Executions int64  `json:"executions,omitempty"`
+		Goroutines int    `json:"goroutines,omitempty"`
+		HeapBytes  uint64 `json:"heap_bytes,omitempty"`
+	} `json:"hb,omitempty"`
+}
+
+// parentBeat is a heartbeat line as that older worker wrote it.
+const parentBeat = `{"type":"heartbeat","pid":9,"hb":{"inflight":[1,3],"executions":40,"goroutines":12,"heap_bytes":8589934592}}`
+
 // TestWorkerHeartbeats drives ServeWorker in-process over pipes with
-// heartbeats enabled and checks the beat stream: periodic, carrying a
-// health snapshot, and interleaved cleanly with the protocol traffic.
+// heartbeats enabled and checks the beat stream: periodic, bare, readable
+// by an older coordinator, and interleaved cleanly with the protocol
+// traffic.
 func TestWorkerHeartbeats(t *testing.T) {
 	t.Parallel()
 	inR, inW := io.Pipe()
@@ -53,6 +71,15 @@ func TestWorkerHeartbeats(t *testing.T) {
 		if err := json.Unmarshal(sc.Bytes(), &m); err != nil {
 			t.Fatalf("bad message %q: %v", sc.Text(), err)
 		}
+		if m.Type == dist.MsgHeartbeat {
+			var old parentFrame
+			if err := json.Unmarshal(sc.Bytes(), &old); err != nil || old.Type != dist.MsgHeartbeat || old.HB != nil {
+				t.Fatalf("heartbeat %q reads as %+v, %v to an older coordinator", sc.Text(), old, err)
+			}
+			if sc.Text() != `{"type":"heartbeat"}` {
+				t.Fatalf("heartbeat %q, want a bare beat", sc.Text())
+			}
+		}
 		return m
 	}
 
@@ -71,18 +98,6 @@ func TestWorkerHeartbeats(t *testing.T) {
 		m := read()
 		if m.Type != dist.MsgHeartbeat {
 			t.Fatalf("unexpected message %q between heartbeats", m.Type)
-		}
-		if m.HB == nil {
-			t.Fatal("heartbeat without HB payload")
-		}
-		if m.HB.Goroutines <= 0 {
-			t.Fatalf("heartbeat goroutine count %d", m.HB.Goroutines)
-		}
-		if m.HB.HeapBytes == 0 {
-			t.Fatal("heartbeat without heap bytes")
-		}
-		if m.PID != os.Getpid() {
-			t.Fatalf("heartbeat pid %d, want %d (in-process)", m.PID, os.Getpid())
 		}
 		beats++
 	}
@@ -150,21 +165,23 @@ func TestWorkerHeartbeatsDisabledByDefault(t *testing.T) {
 // runHBFakeWorker is the stall-detection fixture: a protocol-level fake
 // that heartbeats every 25ms while idle, goes completely silent for
 // 600ms when given an item (a worker wedged in a harness), then resumes
-// beating and delivers the result. Selected by ZEBRACONF_DIST_HB_FAKE=1
+// beating and delivers the result. Its beat is parentBeat, an older
+// worker's, health snapshot and all. Selected by ZEBRACONF_DIST_HB_FAKE=1
 // from TestMain's worker branch.
 func runHBFakeWorker() {
 	sc := bufio.NewScanner(os.Stdin)
 	sc.Buffer(make([]byte, 0, 1<<20), 16<<20)
-	enc := json.NewEncoder(os.Stdout)
 	var mu sync.Mutex
-	send := func(m dist.Msg) {
+	write := func(line []byte) {
 		mu.Lock()
-		enc.Encode(m)
+		os.Stdout.Write(line)
 		mu.Unlock()
 	}
-	hb := func() dist.Msg {
-		return dist.Msg{Type: dist.MsgHeartbeat, PID: os.Getpid(), HB: &dist.Heartbeat{Goroutines: 2, HeapBytes: 1 << 20}}
+	send := func(m dist.Msg) {
+		b, _ := json.Marshal(m)
+		write(append(b, '\n'))
 	}
+	hb := func() { write([]byte(parentBeat + "\n")) }
 	var silent atomic.Bool
 	stop := make(chan struct{})
 	go func() {
@@ -176,7 +193,7 @@ func runHBFakeWorker() {
 				return
 			case <-t.C:
 				if !silent.Load() {
-					send(hb())
+					hb()
 				}
 			}
 		}
@@ -192,7 +209,7 @@ func runHBFakeWorker() {
 			// Beat immediately: the coordinator arms stall detection only
 			// after the first heartbeat, and the run dispatch (which
 			// silences this fake) follows ready with no gap.
-			send(hb())
+			hb()
 		case dist.MsgRun:
 			item := *m.Item
 			silent.Store(true)
@@ -200,7 +217,7 @@ func runHBFakeWorker() {
 			silent.Store(false)
 			// An explicit beat before the result pins the recovery
 			// ordering the test asserts on.
-			send(hb())
+			hb()
 			send(dist.Msg{Type: dist.MsgResult, Result: &campaign.ItemResult{ID: item.ID, Test: item.Test, Executions: 1}})
 		case dist.MsgBye:
 			close(stop)
@@ -210,14 +227,15 @@ func runHBFakeWorker() {
 	os.Exit(0)
 }
 
-// TestCoordinatorStallDetection runs the silent fake under a 125ms
-// stall threshold (five 25ms heartbeats): the coordinator must flag the stall (gauge, counter,
-// event, status) while still accepting the late result — stalls are
-// advisory, not kills.
+// TestCoordinatorStallDetection runs the silent fake under a 125ms stall
+// threshold (five 25ms heartbeats): the coordinator must flag the stall
+// (counter, event, Stalls) while still accepting the late result — stalls
+// are advisory, not kills. The fake's beats are an older worker's lines,
+// so this is also the mixed-binary check: such a beat still counts in
+// MHeartbeats and still recovers a stalled worker.
 func TestCoordinatorStallDetection(t *testing.T) {
 	t.Parallel()
 	o := obs.New()
-	o.Status = obs.NewStatus()
 	var events bytes.Buffer
 	o.Events = obs.NewEventLog(&events)
 	o.Event(obs.EvCampaignStart, obs.String("app", "fake"))
@@ -260,9 +278,11 @@ func TestCoordinatorStallDetection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var stalledAt, recoveredAt = -1, -1
+	var stalledAt, recoveredAt, doneAt = -1, -1, -1
 	for i, r := range recs {
 		switch r.Event {
+		case obs.EvWorkerDone:
+			doneAt = i
 		case obs.EvWorkerStalled:
 			if stalledAt < 0 {
 				stalledAt = i
@@ -279,26 +299,16 @@ func TestCoordinatorStallDetection(t *testing.T) {
 	if recoveredAt < stalledAt {
 		t.Fatalf("no worker_recovered after worker_stalled (stalled@%d recovered@%d)", stalledAt, recoveredAt)
 	}
-
-	ws := o.Workers()
-	if len(ws) != 1 {
-		t.Fatalf("worker table: %+v", ws)
-	}
-	if ws[0].Stalls < 1 {
-		t.Fatalf("status stalls = %d, want >= 1", ws[0].Stalls)
-	}
-	if ws[0].State != "done" {
-		t.Fatalf("worker state %q after clean drain, want done", ws[0].State)
+	if doneAt < recoveredAt {
+		t.Fatalf("no worker_done after worker_recovered (recovered@%d done@%d)", recoveredAt, doneAt)
 	}
 }
 
 // TestCoordinatorHeartbeatHealthy: a worker beating every 50ms is never
-// 250ms silent, so never flagged, and every heartbeat lands in the status
-// table.
+// 250ms silent, so never flagged, and every worker's beats are counted.
 func TestCoordinatorHeartbeatHealthy(t *testing.T) {
 	t.Parallel()
 	o := obs.New()
-	o.Status = obs.NewStatus()
 
 	coord := dist.New(dist.Options{
 		App:       "minihdfs",
@@ -321,9 +331,9 @@ func TestCoordinatorHeartbeatHealthy(t *testing.T) {
 	if n := o.Metrics.CounterValue(obs.MWorkerStalls, "app", "minihdfs"); n != 0 {
 		t.Fatalf("healthy workers flagged stalled %d times", n)
 	}
-	for _, w := range o.Workers() {
-		if w.LastHeartbeatS < 0 {
-			t.Fatalf("worker %d never heartbeat-healthy: %+v", w.Slot, w)
+	for _, slot := range []string{"0", "1"} {
+		if n := o.Metrics.CounterValue(obs.MHeartbeats, "app", "minihdfs", "worker", slot); n < 1 {
+			t.Fatalf("worker %s never heartbeat: %s = %d", slot, obs.MHeartbeats, n)
 		}
 	}
 }

@@ -53,9 +53,11 @@ const (
 	// correct.
 	MsgQuarantine = "quarantine"
 	// MsgHeartbeat (worker → coordinator) is the periodic liveness beat
-	// (Config.HeartbeatMS), carrying a health snapshot in HB. Purely
-	// advisory: the coordinator uses missed beats to flag stalled workers
-	// but never kills on them — the per-item deadline still governs.
+	// (Config.HeartbeatMS), a frame with no payload; an older worker's
+	// beat also carries an "hb" health snapshot, which decoding drops as
+	// an unknown field. Purely advisory: the coordinator uses missed
+	// beats to flag stalled workers but never kills on them — the
+	// per-item deadline still governs.
 	MsgHeartbeat = "heartbeat"
 )
 
@@ -160,19 +162,6 @@ func dropEOL(line []byte) []byte {
 	return bytes.TrimSuffix(line, []byte{'\r'})
 }
 
-// Heartbeat is the health snapshot riding in a MsgHeartbeat.
-type Heartbeat struct {
-	// Inflight lists the IDs of work items currently executing.
-	Inflight []int `json:"inflight,omitempty"`
-	// Executions counts unit-test executions completed by this worker
-	// process so far (per-item tallies, summed as results are sent).
-	Executions int64 `json:"executions,omitempty"`
-	// Goroutines and HeapBytes snapshot the worker runtime — a hung
-	// harness shows up as a goroutine plateau, a leak as heap growth.
-	Goroutines int    `json:"goroutines,omitempty"`
-	HeapBytes  uint64 `json:"heap_bytes,omitempty"`
-}
-
 // Msg is the single wire envelope; Type selects which fields are set.
 type Msg struct {
 	Type   string               `json:"type"`
@@ -191,8 +180,6 @@ type Msg struct {
 	Error string           `json:"error,omitempty"`
 	// Param carries the quarantined parameter of a MsgQuarantine.
 	Param string `json:"param,omitempty"`
-	// HB carries the health snapshot of a MsgHeartbeat.
-	HB *Heartbeat `json:"hb,omitempty"`
 }
 
 // Config is the serializable subset of campaign.Options a worker needs

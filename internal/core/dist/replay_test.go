@@ -3,7 +3,6 @@ package dist_test
 import (
 	"bytes"
 	"math"
-	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -59,7 +58,7 @@ func foldSeries(t *testing.T, o *obs.Observer, families []string) map[string]flo
 }
 
 // replay feeds a parsed events.jsonl back through Event on a fresh Observer
-// with status tables and a registry attached.
+// with an item table and a registry attached.
 func replay(recs []obs.EventRecord) *obs.Observer {
 	o := obs.New()
 	o.Status = obs.NewStatus()
@@ -74,11 +73,11 @@ func replay(recs []obs.EventRecord) *obs.Observer {
 }
 
 // TestEventLogRebuildsViews: the event log is enough to rebuild the views
-// derived from it. A real campaign runs with an event log, the status
-// tables and a registry attached; its events.jsonl, fed back through Event
-// on a fresh Observer, must give the same parameter table, worker table,
-// campaign snapshot and — series by series — the same values in every
-// registry family the fold feeds.
+// derived from it. A real campaign runs with an event log, the item table
+// and a registry attached; its events.jsonl, fed back through Event on a
+// fresh Observer, must give the same campaign snapshot's item counts and —
+// series by series — the same values in every registry family the fold
+// feeds.
 func TestEventLogRebuildsViews(t *testing.T) {
 	t.Parallel()
 	for _, tc := range []struct {
@@ -124,31 +123,15 @@ func TestEventLogRebuildsViews(t *testing.T) {
 				t.Errorf("no worker lifecycle in the log: %v", seen)
 			}
 
-			if a, b := live.Params(), replayed.Params(); !reflect.DeepEqual(a, b) {
-				t.Errorf("Params():\nlive     %+v\nreplayed %+v", a, b)
-			}
-			// Masked: what a heartbeat reports (a health gauge, not a
-			// fact), and in the campaign snapshot the slot setting and the
-			// executions, whose pre-run share is counted per execution.
-			workers := func(o *obs.Observer) []obs.WorkerStatus {
-				ws := o.Workers()
-				for i := range ws {
-					ws[i].LastHeartbeatS, ws[i].Inflight = 0, nil
-					ws[i].Executions, ws[i].Goroutines, ws[i].HeapBytes = 0, 0, 0
-				}
-				return ws
-			}
-			if a, b := workers(live), workers(replayed); !reflect.DeepEqual(a, b) || len(a) != tc.workers {
-				t.Errorf("Workers():\nlive     %+v\nreplayed %+v", a, b)
-			}
+			// Masked: the slot setting and the executions, whose pre-run
+			// share is counted per execution.
 			snapshot := func(o *obs.Observer) obs.CampaignStatus {
 				cs := o.Campaign()
-				cs.Slots = 0
-				cs.Executions, cs.ExecRate, cs.CacheHitRate = 0, 0, 0
+				cs.Slots, cs.Executions = 0, 0
 				return cs
 			}
 			a, b := snapshot(live), snapshot(replayed)
-			if a != b || !a.Done || a.ItemsDone == 0 || a.ElapsedSeconds <= 0 {
+			if a != b || a.ItemsDone == 0 || a.ItemsQueued+a.ItemsRunning != 0 {
 				t.Errorf("Campaign():\nlive     %+v\nreplayed %+v", a, b)
 			}
 

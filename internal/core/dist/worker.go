@@ -4,10 +4,7 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
-	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"zebraconf/internal/canonjson"
@@ -146,18 +143,13 @@ func ServeWorkerEnv(r io.Reader, w io.Writer, resolve func(string) (*harness.App
 		return err
 	}
 
-	// Heartbeats: a side goroutine beats every HeartbeatMS with a health
-	// snapshot — in-flight item IDs, executions done, goroutine count,
-	// heap bytes. Send errors are ignored here; a dying pipe surfaces
+	// Heartbeats: a side goroutine sends a bare liveness beat every
+	// HeartbeatMS. Send errors are ignored here; a dying pipe surfaces
 	// through the session's own reads and writes.
-	var hbmu sync.Mutex
-	inflight := make(map[int]bool)
-	var execDone atomic.Int64
 	if cfg.HeartbeatMS > 0 {
 		hbStop := make(chan struct{})
 		defer close(hbStop)
 		go func() {
-			pid := os.Getpid()
 			t := time.NewTicker(time.Duration(cfg.HeartbeatMS) * time.Millisecond)
 			defer t.Stop()
 			for {
@@ -165,21 +157,7 @@ func ServeWorkerEnv(r io.Reader, w io.Writer, resolve func(string) (*harness.App
 				case <-hbStop:
 					return
 				case <-t.C:
-					hbmu.Lock()
-					ids := make([]int, 0, len(inflight))
-					for id := range inflight {
-						ids = append(ids, id)
-					}
-					hbmu.Unlock()
-					sort.Ints(ids)
-					var ms runtime.MemStats
-					runtime.ReadMemStats(&ms)
-					_ = send(Msg{Type: MsgHeartbeat, PID: pid, HB: &Heartbeat{
-						Inflight:   ids,
-						Executions: execDone.Load(),
-						Goroutines: runtime.NumGoroutine(),
-						HeapBytes:  ms.HeapAlloc,
-					}})
+					_ = send(Msg{Type: MsgHeartbeat})
 				}
 			}
 		}()
@@ -213,22 +191,11 @@ func ServeWorkerEnv(r io.Reader, w io.Writer, resolve func(string) (*harness.App
 			return fmt.Errorf("dist: worker: unexpected message %q", m.Type)
 		}
 		item := *m.Item
-		// Mark the item in flight at receipt — before the semaphore wait,
-		// so a saturated worker's heartbeats still name the items it is
-		// responsible for.
-		hbmu.Lock()
-		inflight[item.ID] = true
-		hbmu.Unlock()
 		sem <- struct{}{}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			defer func() { <-sem }()
-			defer func() {
-				hbmu.Lock()
-				delete(inflight, item.ID)
-				hbmu.Unlock()
-			}()
 			// Item tracing: execute under a private tracer and ship the
 			// resulting span fragment home beside the item result. IDs are
 			// fragment-local (a fresh tracer per item), parents of roots
@@ -247,7 +214,6 @@ func ServeWorkerEnv(r io.Reader, w io.Writer, resolve func(string) (*harness.App
 			if params, ok := cov.Params(item.Test); ok {
 				res.Coverage = params
 			}
-			execDone.Add(res.Executions)
 			// Every span ends before ExecuteItem returns, so the fragment
 			// is complete.
 			if err := send(Msg{Type: MsgResult, Result: &res, Spans: frag.Records()}); err != nil {

@@ -178,10 +178,10 @@ func TestBusyUnion(t *testing.T) {
 }
 
 func TestSparkline(t *testing.T) {
-	if s := Sparkline(nil, 1, 10); s != "" {
+	if s := sparkline(nil, 1, 10); s != "" {
 		t.Errorf("empty sparkline = %q", s)
 	}
-	s := Sparkline([]float64{0, 0.5, 1}, 1, 3)
+	s := sparkline([]float64{0, 0.5, 1}, 1, 3)
 	runes := []rune(s)
 	if len(runes) != 3 {
 		t.Fatalf("sparkline width = %d, want 3", len(runes))
@@ -190,7 +190,7 @@ func TestSparkline(t *testing.T) {
 		t.Errorf("sparkline = %q, want low first / full last", s)
 	}
 	// Wider than data clamps to data length.
-	if got := len([]rune(Sparkline([]float64{1, 1}, 1, 10))); got != 2 {
+	if got := len([]rune(sparkline([]float64{1, 1}, 1, 10))); got != 2 {
 		t.Errorf("overwide sparkline has %d cols, want 2", got)
 	}
 }

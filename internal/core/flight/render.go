@@ -10,10 +10,9 @@ import (
 // sparkRunes are the eighth-block glyphs sparklines quantize into.
 var sparkRunes = []rune("▁▂▃▄▅▆▇█")
 
-// Sparkline renders values (each in [0, max]) as a block-glyph strip,
-// downsampling to width columns by averaging. Shared by -mode profile and
-// -mode watch.
-func Sparkline(values []float64, max float64, width int) string {
+// sparkline renders values (each in [0, max]) as a block-glyph strip,
+// downsampling to width columns by averaging.
+func sparkline(values []float64, max float64, width int) string {
 	if len(values) == 0 || width <= 0 {
 		return ""
 	}
@@ -200,15 +199,15 @@ func RenderProfile(w io.Writer, a *Analysis) {
 			if a.MakespanUS > 0 {
 				pct = 100 * float64(ws.BusyUS) / float64(a.MakespanUS)
 			}
-			fmt.Fprintf(w, "  %-9s %5.1f%% busy  %s  %d items\n", name, pct, Sparkline(ws.Timeline, 1, 30), ws.Items)
+			fmt.Fprintf(w, "  %-9s %5.1f%% busy  %s  %d items\n", name, pct, sparkline(ws.Timeline, 1, 30), ws.Items)
 		}
 	}
 
 	if len(a.UtilSeries) > 0 {
 		fmt.Fprintf(w, "\n## Sampler series (%d samples)\n\n", len(a.UtilSeries))
-		fmt.Fprintf(w, "  slots busy  %s\n", Sparkline(a.UtilSeries, 1, 48))
-		fmt.Fprintf(w, "  cache hits  %s\n", Sparkline(a.CacheSeries, 1, 48))
-		fmt.Fprintf(w, "  heap bytes  %s\n", Sparkline(a.HeapSeries, 0, 48))
+		fmt.Fprintf(w, "  slots busy  %s\n", sparkline(a.UtilSeries, 1, 48))
+		fmt.Fprintf(w, "  cache hits  %s\n", sparkline(a.CacheSeries, 1, 48))
+		fmt.Fprintf(w, "  heap bytes  %s\n", sparkline(a.HeapSeries, 0, 48))
 	}
 
 	sv := a.Savings

@@ -11,10 +11,10 @@ import (
 
 // Event names form the flight-recorder catalog: every discrete campaign
 // state change worth replaying after the fact gets one typed event. The
-// set is deliberately closed — consumers (the watch dashboard, CI
-// assertions, post-mortem scripts) key off these strings, so additions
-// belong here, next to their documentation, with a row in fold below
-// saying which metrics and status tables the event implies.
+// set is deliberately closed — consumers (CI assertions, -mode profile,
+// post-mortem scripts) key off these strings, so additions belong here,
+// next to their documentation, with a row in fold below saying which
+// metrics the event implies.
 const (
 	// EvCampaignStart / EvCampaignFinish bracket one campaign.
 	// Attrs: app, tests, params (start); app, reported, executions,
@@ -75,31 +75,23 @@ const (
 )
 
 // fold applies one event to every view derived from the catalog — the
-// metrics the event implies, the live status tables, the progress line —
-// straight from its attributes, and reports whether the catalog knows
-// the event. It is the only place that decides what a campaign fact
-// feeds: the engine emits the event and nothing beside it. (Per-execution
-// measurements, settings and gauges stay direct registry calls; see
-// DESIGN.md §7.)
+// metrics the event implies and the sampler's item table — straight from
+// its attributes, and reports whether the catalog knows the event. It is
+// the only place that decides what a campaign fact feeds: the engine
+// emits the event and nothing beside it. (Per-execution measurements,
+// settings and gauges stay direct registry calls; see DESIGN.md §7.)
 func (o *Observer) fold(event string, a attrs) bool {
 	app, s := a.str("app"), o.Status
 	switch event {
 	case EvCampaignStart:
 		s.campaignBegin(o.tally(CampaignStatus{App: app}, -1))
-		o.Progress.begin(o)
-	case EvCampaignFinish:
-		s.campaignFinish(a.num("elapsed_s"))
-		o.Progress.finish(o)
-	case EvPhaseStart:
-		s.phaseStart(a.str("phase"))
 	case EvPhaseFinish:
 		o.Observe(MPhaseSeconds, a.num("elapsed_s"), "app", app, "phase", a.str("phase"))
-		s.phaseFinish(a.str("phase"))
 	case EvItemQueued:
 		o.itemTally(app, a)
-		s.itemQueued(a.int("item"), a.str("test"), a.num("pred_s"))
+		s.setItem(a.int("item"), anyState, itemQueued)
 	case EvItemDispatch:
-		s.itemStart(a.int("item"))
+		s.setItem(a.int("item"), itemQueued, itemRunning)
 	case EvItemComplete:
 		// A worker attribute tells the coordinator's lane from the
 		// in-process pool's, the rule flight uses too.
@@ -109,7 +101,6 @@ func (o *Observer) fold(event string, a attrs) bool {
 		} else if a.has("worker") {
 			o.Observe(MItemSeconds, secs, "app", app)
 			o.CounterAdd(MWorkerItems, 1, "app", app, "worker", a.label("worker"))
-			s.workerItemDone(a.int("worker"))
 		} else {
 			o.Observe(MItemRunSeconds, secs, "app", app, "stage", "instances")
 		}
@@ -117,39 +108,29 @@ func (o *Observer) fold(event string, a attrs) bool {
 			o.Observe(MSchedPredRatio, secs/pred, "app", app)
 		}
 		o.itemTally(app, a)
-		s.itemDone(a.int("item"), secs)
+		s.setItem(a.int("item"), anyState, itemDone)
 	case EvItemRetried:
 		o.CounterAdd(MItemRetries, 1, "app", app)
-		s.itemRequeued(a.int("item"))
+		s.setItem(a.int("item"), itemRunning, itemQueued)
 	case EvItemQuarantined:
 		o.CounterAdd(MItemsQuarantined, 1, "app", app)
-		s.itemDone(a.int("item"), 0)
+		s.setItem(a.int("item"), anyState, itemDone)
 	case EvWorkerSpawn:
 		o.CounterAdd(MWorkerSpawns, 1, "app", app, "worker", a.label("worker"))
-		s.workerSpawned(a.int("worker"), a.int("pid"))
-	case EvWorkerReady:
-		s.workerReady(a.int("worker"), a.int("pid"))
 	case EvWorkerCrash:
 		o.CounterAdd(MWorkerCrashes, 1, "app", app, "reason", a.str("reason"))
-		s.workerGone(a.int("worker"), "crashed")
-	case EvWorkerDone:
-		s.workerGone(a.int("worker"), "done")
 	case EvWorkerStalled:
 		o.CounterAdd(MWorkerStalls, 1, "app", app, "worker", a.label("worker"))
-		s.workerStalled(a.int("worker"))
-	case EvWorkerRecovered:
-		s.workerRecovered(a.int("worker"))
 	case EvCacheHit:
 		if scope := a.str("scope"); scope == "coalesced" {
 			o.CounterAdd(MCacheCoalesced, 1, "app", app)
 		} else {
 			o.CounterAdd(MCacheHits, 1, "app", app, "scope", scope)
 		}
-	case EvVerdict:
-		s.paramVerdict(a.str("param"), a.str("test"), a.num("p"))
 	case EvParamQuarantined:
 		o.CounterAdd(MQuarantine, 1, "app", app)
-		s.paramQuarantined(a.str("param"))
+	case EvCampaignFinish, EvPhaseStart, EvWorkerReady, EvWorkerDone, EvWorkerRecovered, EvVerdict:
+		// The log's alone: no metric or table is derived from these.
 	default:
 		return false
 	}

@@ -71,11 +71,8 @@ func TestEventLogNilSafety(t *testing.T) {
 
 	o = New()
 	o.Event(EvCampaignStart, String("app", "x")) // Events and Status nil
-	if cs := o.Campaign(); cs.App != "" || cs.Phase != "" {
+	if cs := o.Campaign(); cs != (CampaignStatus{}) {
 		t.Fatalf("Campaign() on an observer without a status tracker: %+v", cs)
-	}
-	if o.Workers() != nil || o.Params() != nil {
-		t.Fatal("Workers() / Params() on an observer without a status tracker should be nil")
 	}
 }
 

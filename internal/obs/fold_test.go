@@ -65,19 +65,20 @@ func TestCatalogClosure(t *testing.T) {
 func TestFoldTakesReplayedNumbers(t *testing.T) {
 	live, replayed := statusObserver("x", 1), statusObserver("x", 1)
 	live.Event(EvWorkerSpawn, String("app", "x"), Int("worker", 3), Int("pid", 77))
-	live.Event(EvItemComplete, String("app", "x"), Int("item", 5), Int("worker", 3), Float("elapsed_s", 2))
+	live.Event(EvItemQueued, String("app", "x"), Int("item", 4))
+	live.Event(EvItemComplete, String("app", "x"), Int("item", 5), Int("worker", 3), Float("elapsed_s", 2), Int("executions", 6))
 	replayed.Event(EvWorkerSpawn, String("app", "x"), Attr{"worker", float64(3)}, Attr{"pid", float64(77)})
-	replayed.Event(EvItemComplete, String("app", "x"), Attr{"item", float64(5)}, Attr{"worker", float64(3)}, Float("elapsed_s", 2))
+	replayed.Event(EvItemQueued, String("app", "x"), Attr{"item", float64(4)})
+	replayed.Event(EvItemComplete, String("app", "x"), Attr{"item", float64(5)}, Attr{"worker", float64(3)}, Float("elapsed_s", 2), Attr{"executions", float64(6)})
 	for _, o := range []*Observer{live, replayed} {
-		ws := o.Workers()
-		if len(ws) != 1 || ws[0].Slot != 3 || ws[0].PID != 77 || ws[0].ItemsDone != 1 {
-			t.Fatalf("workers: %+v", ws)
+		if n := o.Metrics.CounterValue(MWorkerSpawns, "app", "x", "worker", "3"); n != 1 {
+			t.Fatalf("MWorkerSpawns{worker=3} = %d, want 1", n)
 		}
 		if n := o.Metrics.CounterValue(MWorkerItems, "app", "x", "worker", "3"); n != 1 {
 			t.Fatalf("MWorkerItems{worker=3} = %d, want 1", n)
 		}
-		if cs := o.Campaign(); cs.ItemsDone != 1 {
-			t.Fatalf("items done %d, want 1", cs.ItemsDone)
+		if cs := o.Campaign(); cs.ItemsQueued != 1 || cs.ItemsDone != 1 || cs.Executions != 6 {
+			t.Fatalf("snapshot %+v, want item 4 queued, item 5 done and 6 executions", cs)
 		}
 	}
 }

@@ -182,9 +182,8 @@ func TestCampaignTraceAndMetricsIntegrity(t *testing.T) {
 		}
 	}
 
-	// The event log stays inside the catalog, and the live snapshot — what
-	// /api/campaign, -mode watch and the -progress line print — is the
-	// registry's count of this campaign.
+	// The event log stays inside the catalog, and the snapshot the perf
+	// sampler records is the registry's count of this campaign.
 	events, err := obs.ReadEvents(&eventBuf)
 	if err != nil || len(events) == 0 {
 		t.Fatalf("event log: %d records, err %v", len(events), err)
@@ -199,18 +198,15 @@ func TestCampaignTraceAndMetricsIntegrity(t *testing.T) {
 		}
 	}
 	cs := o.Campaign()
-	if !cs.Done || cs.App != "minihdfs" || cs.ItemsDone != res.NumTests {
+	if cs.App != "minihdfs" || cs.ItemsDone != res.NumTests || cs.ItemsQueued+cs.ItemsRunning != 0 {
 		t.Errorf("campaign snapshot: %+v", cs)
 	}
 	if cs.Executions != m.CounterValue(obs.MExecutions) || cs.ExecutionsSaved != res.Counts.ExecutionsSaved {
 		t.Errorf("snapshot counts %d executions, %d saved; registry %d, result %d",
 			cs.Executions, cs.ExecutionsSaved, m.CounterValue(obs.MExecutions), res.Counts.ExecutionsSaved)
 	}
-	if cs.Instances == 0 || cs.InstancesDone != cs.Instances {
-		t.Errorf("snapshot instances %d/%d, want all done", cs.InstancesDone, cs.Instances)
-	}
-	if got := cs.Safe + cs.Unsafe + cs.Filtered + cs.HomoInvalid; got != m.CounterValue(obs.MVerdicts) {
-		t.Errorf("snapshot verdict tallies sum to %d, registry %d", got, m.CounterValue(obs.MVerdicts))
+	if total := m.GaugeValue(obs.MInstancesTotal, "app", "minihdfs"); total == 0 || m.GaugeValue(obs.MInstancesDone, "app", "minihdfs") != total {
+		t.Errorf("instances %d/%d, want all done", m.GaugeValue(obs.MInstancesDone, "app", "minihdfs"), total)
 	}
 
 	// Exposition renders the catalog families the acceptance criteria name.

@@ -1,11 +1,10 @@
 // Package obs is ZebraConf's observability layer: a dependency-free
 // metrics registry (atomic counters, gauges, histograms with Prometheus
-// text exposition), a structured JSONL span tracer, a live progress
-// reporter, a flight-recorder event log, and a live status tracker
-// serving the /api endpoints. The campaign, runner, and harness layers
-// call nil-safe Observer methods on every hot path, so with
-// observability disabled (a nil *Observer) the instrumented code costs
-// a nil check and nothing else.
+// text exposition), a structured JSONL span tracer, a flight-recorder
+// event log, and a periodic perf sampler. The campaign, runner, and
+// harness layers call nil-safe Observer methods on every hot path, so
+// with observability disabled (a nil *Observer) the instrumented code
+// costs a nil check and nothing else.
 package obs
 
 import (
@@ -233,21 +232,18 @@ func boundsFor(name string) []float64 {
 type Observer struct {
 	Metrics *Registry
 	Tracer  *Tracer
-	// Progress prints Campaign() while a campaign runs; it wants Status
-	// (for the app and the clock) and Metrics (for the tallies) attached.
-	Progress *Progress
 	// Events is the campaign flight recorder (JSONL event log).
 	Events *EventLog
-	// Status holds the live item, worker and parameter tables behind the
-	// /api endpoints; Event feeds it, Campaign / Workers / Params read it.
+	// Status holds the item table the perf sampler reads; Event feeds
+	// it, Campaign reads it.
 	Status *Status
-	// Sampler is the periodic perf sampler behind -perf and /api/perf.
+	// Sampler is the periodic perf sampler behind -perf.
 	Sampler *Sampler
 }
 
-// New returns an Observer with a live metrics registry and no tracer or
-// progress reporter; callers attach those when the corresponding outputs
-// are requested.
+// New returns an Observer with a live metrics registry and no other
+// sink; callers attach those when the corresponding outputs are
+// requested.
 func New() *Observer {
 	return &Observer{Metrics: NewRegistry()}
 }
@@ -310,9 +306,9 @@ func (o *Observer) Event(event string, attrs ...Attr) {
 	o.fold(event, attrs)
 }
 
-// SetSlots sets the number of parallel execution slots the ETA divides
-// remaining work across (workers × per-worker parallelism in dist mode).
-// A setting, not a fact: it stays a direct call.
+// SetSlots sets the number of parallel execution slots the sampler's
+// utilization divides by (workers × per-worker parallelism in dist
+// mode). A setting, not a fact: it stays a direct call.
 func (o *Observer) SetSlots(n int) {
 	if o == nil {
 		return
@@ -320,16 +316,15 @@ func (o *Observer) SetSlots(n int) {
 	o.Status.setSlots(n)
 }
 
-// WorkerHeartbeat records one heartbeat's health snapshot: the worker's
-// row in the live table, MHeartbeats, and the MMissedHeartbeats reset.
-func (o *Observer) WorkerHeartbeat(app string, slot, pid int, inflight []int, execs int64, goroutines int, heap uint64) {
+// WorkerHeartbeat records one liveness beat from the worker in slot:
+// MHeartbeats, and the MMissedHeartbeats reset.
+func (o *Observer) WorkerHeartbeat(app string, slot int) {
 	if o == nil {
 		return
 	}
 	worker := strconv.Itoa(slot)
 	o.CounterAdd(MHeartbeats, 1, "app", app, "worker", worker)
 	o.GaugeSet(MMissedHeartbeats, 0, "app", app, "worker", worker)
-	o.Status.workerHeartbeat(slot, pid, inflight, execs, goroutines, heap)
 }
 
 // RecordTestRun is the harness hook: one unit-test execution finished.

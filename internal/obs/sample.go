@@ -11,14 +11,10 @@ import (
 // DefaultSamplePeriod is the -perf sampler's default snapshot period.
 const DefaultSamplePeriod = 500 * time.Millisecond
 
-// DefaultSampleRing bounds the in-memory sample history (at the default
-// period, ten minutes of samples).
-const DefaultSampleRing = 1200
-
 // PerfSample is one periodic snapshot of the campaign's performance
 // state: runtime stats, live item/execution counters, and the full
 // metrics registry. The JSONL perf series (-perf out.jsonl) is one
-// sample per line; /api/perf serves the bounded in-memory ring.
+// sample per line.
 type PerfSample struct {
 	// TimeUS is microseconds since the sampler started.
 	TimeUS int64 `json:"t_us"`
@@ -65,9 +61,9 @@ func (s PerfSample) CacheHitRate() float64 {
 	return float64(s.Saved) / float64(total)
 }
 
-// Sampler periodically snapshots an Observer into a bounded ring and an
-// optional JSONL stream. Like the rest of obs it is nil-safe: a nil
-// *Sampler no-ops every method, which is the "-perf off" configuration.
+// Sampler periodically snapshots an Observer into a JSONL stream. Like
+// the rest of obs it is nil-safe: a nil *Sampler no-ops every method,
+// which is the "-perf off" configuration.
 type Sampler struct {
 	o      *Observer
 	period time.Duration
@@ -75,43 +71,25 @@ type Sampler struct {
 
 	mu    sync.Mutex
 	enc   *json.Encoder // nil when no JSONL output was requested
-	ring  []PerfSample
-	head  int // next write position
-	count int // total samples taken (ring fill = min(count, len(ring)))
+	count int           // samples taken
 
 	stop chan struct{}
 	done chan struct{}
 }
 
-// NewSampler builds a sampler over o. w may be nil (ring only); period
-// <= 0 means DefaultSamplePeriod; ringCap <= 0 means DefaultSampleRing.
-// Call Start to begin sampling and Stop to take the final sample and
-// flush.
-func NewSampler(o *Observer, period time.Duration, w io.Writer, ringCap int) *Sampler {
+// NewSampler builds a sampler over o. w may be nil (samples are counted
+// and dropped); period <= 0 means DefaultSamplePeriod. The last argument
+// is ignored; it stays while bench/ passes it. Call Start to begin
+// sampling and Stop to take the final sample and flush.
+func NewSampler(o *Observer, period time.Duration, w io.Writer, _ int) *Sampler {
 	if period <= 0 {
 		period = DefaultSamplePeriod
 	}
-	if ringCap <= 0 {
-		ringCap = DefaultSampleRing
-	}
-	s := &Sampler{
-		o:      o,
-		period: period,
-		epoch:  time.Now(),
-		ring:   make([]PerfSample, 0, ringCap),
-	}
+	s := &Sampler{o: o, period: period, epoch: time.Now()}
 	if w != nil {
 		s.enc = json.NewEncoder(w)
 	}
 	return s
-}
-
-// Period reports the sampling period (0 for a nil sampler).
-func (s *Sampler) Period() time.Duration {
-	if s == nil {
-		return 0
-	}
-	return s.period
 }
 
 // Start launches the sampling goroutine. Safe to call once.
@@ -155,10 +133,9 @@ func (s *Sampler) Stop() {
 	s.SampleNow()
 }
 
-// SampleNow takes one snapshot immediately: runtime stats, live status,
-// registry. Appends to the ring (evicting the oldest past capacity) and
-// the JSONL stream. Encoding errors are dropped — the sampler must never
-// fail the campaign it is measuring.
+// SampleNow takes one snapshot immediately: runtime stats, item table,
+// registry, and appends it to the JSONL stream. Encoding errors are
+// dropped — the sampler must never fail the campaign it is measuring.
 func (s *Sampler) SampleNow() {
 	if s == nil {
 		return
@@ -188,37 +165,13 @@ func (s *Sampler) SampleNow() {
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if len(s.ring) < cap(s.ring) {
-		s.ring = append(s.ring, sample)
-	} else {
-		s.ring[s.head] = sample
-		s.head = (s.head + 1) % len(s.ring)
-	}
 	s.count++
 	if s.enc != nil {
 		_ = s.enc.Encode(sample)
 	}
 }
 
-// Snapshots returns the ring's samples oldest-first (a copy).
-func (s *Sampler) Snapshots() []PerfSample {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]PerfSample, 0, len(s.ring))
-	if len(s.ring) < cap(s.ring) {
-		out = append(out, s.ring...)
-		return out
-	}
-	out = append(out, s.ring[s.head:]...)
-	out = append(out, s.ring[:s.head]...)
-	return out
-}
-
-// Count reports the total number of samples taken, including any the
-// ring has evicted.
+// Count reports the number of samples taken.
 func (s *Sampler) Count() int {
 	if s == nil {
 		return 0
@@ -226,25 +179,6 @@ func (s *Sampler) Count() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.count
-}
-
-// Current returns the most recent sample and whether one exists.
-func (s *Sampler) Current() (PerfSample, bool) {
-	if s == nil {
-		return PerfSample{}, false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.ring) == 0 {
-		return PerfSample{}, false
-	}
-	// The newest sample sits just before the next write position (head
-	// is 0 until the ring fills, so both regimes reduce to head-1 mod n).
-	i := s.head - 1
-	if i < 0 {
-		i = len(s.ring) - 1
-	}
-	return s.ring[i], true
 }
 
 // ReadPerf parses a JSONL perf series, for the offline analyzer and

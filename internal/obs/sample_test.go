@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"strings"
 	"sync"
 	"testing"
@@ -14,47 +15,8 @@ func TestSamplerNilSafe(t *testing.T) {
 	s.Start()
 	s.SampleNow()
 	s.Stop()
-	if got := s.Snapshots(); got != nil {
-		t.Fatalf("nil sampler returned samples: %v", got)
-	}
-	if _, ok := s.Current(); ok {
-		t.Fatal("nil sampler has a current sample")
-	}
-	if s.Count() != 0 || s.Period() != 0 {
-		t.Fatal("nil sampler reports non-zero count or period")
-	}
-}
-
-func TestSamplerRingWraparound(t *testing.T) {
-	o := New()
-	s := NewSampler(o, time.Hour, nil, 4)
-	for i := 0; i < 10; i++ {
-		o.GaugeSet("g", int64(i))
-		s.SampleNow()
-	}
-	if s.Count() != 10 {
-		t.Fatalf("Count = %d, want 10", s.Count())
-	}
-	got := s.Snapshots()
-	if len(got) != 4 {
-		t.Fatalf("ring holds %d samples, want 4", len(got))
-	}
-	// Oldest-first: the surviving samples saw gauge values 6..9.
-	for i, sample := range got {
-		want := int64(6 + i)
-		if v := sample.Metrics.Gauges["g"]; v != want {
-			t.Fatalf("sample %d gauge = %d, want %d", i, v, want)
-		}
-	}
-	cur, ok := s.Current()
-	if !ok || cur.Metrics.Gauges["g"] != 9 {
-		t.Fatalf("Current = %+v ok=%v, want newest sample (gauge 9)", cur, ok)
-	}
-	// Monotonic timestamps across the wrap.
-	for i := 1; i < len(got); i++ {
-		if got[i].TimeUS < got[i-1].TimeUS {
-			t.Fatalf("samples out of order after wrap: %d then %d", got[i-1].TimeUS, got[i].TimeUS)
-		}
+	if s.Count() != 0 {
+		t.Fatal("nil sampler reports a non-zero count")
 	}
 }
 
@@ -91,7 +53,8 @@ func TestSamplerJSONLRoundTrip(t *testing.T) {
 // registry (run under -race).
 func TestSamplerConcurrentRegister(t *testing.T) {
 	o := New()
-	s := NewSampler(o, time.Hour, nil, 16)
+	var buf bytes.Buffer
+	s := NewSampler(o, time.Hour, &buf, 0)
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
@@ -109,10 +72,7 @@ func TestSamplerConcurrentRegister(t *testing.T) {
 	}
 	wg.Wait()
 	s.SampleNow()
-	cur, ok := s.Current()
-	if !ok {
-		t.Fatal("no current sample")
-	}
+	cur := lastSample(t, &buf)
 	var total int64
 	for k, v := range cur.Metrics.Counters {
 		if strings.HasPrefix(k, "c{") {
@@ -147,17 +107,28 @@ func TestSamplerStartStop(t *testing.T) {
 	}
 }
 
+// TestSamplerStatusFields: a sample carries the item table's queued,
+// running and done counts, the slot setting, and this campaign's
+// executions — the registry's tallies relative to their values at its
+// campaign_start.
 func TestSamplerStatusFields(t *testing.T) {
-	o := statusObserver("minihdfs", 8)
+	o := New()
+	o.Status = NewStatus()
+	o.CounterAdd(MItemExecutions, 7, "app", "minihdfs") // an earlier campaign's
+	o.Event(EvCampaignStart, String("app", "minihdfs"))
+	o.SetSlots(8)
 	o.Event(EvItemQueued, item(1), String("test", "TestA"))
 	o.Event(EvItemQueued, item(2), String("test", "TestB"))
 	o.Event(EvItemDispatch, item(1))
 	o.Event(EvItemComplete, String("app", "minihdfs"), item(3), Int("executions", 5), Int("executions_saved", 5))
-	s := NewSampler(o, time.Hour, nil, 4)
-	s.SampleNow()
-	cur, _ := s.Current()
-	if cur.ItemsRunning != 1 || cur.ItemsQueued != 1 || cur.Slots != 8 {
+	var buf bytes.Buffer
+	NewSampler(o, time.Hour, &buf, 0).SampleNow()
+	cur := lastSample(t, &buf)
+	if cur.ItemsRunning != 1 || cur.ItemsQueued != 1 || cur.ItemsDone != 1 || cur.Slots != 8 {
 		t.Fatalf("status fields wrong: %+v", cur)
+	}
+	if cur.Executions != 5 || cur.Saved != 5 {
+		t.Fatalf("executions %d, saved %d; want this campaign's 5 and 5", cur.Executions, cur.Saved)
 	}
 	if u := cur.Utilization(); u != 1.0/8 {
 		t.Fatalf("Utilization = %v, want 0.125", u)
@@ -165,4 +136,14 @@ func TestSamplerStatusFields(t *testing.T) {
 	if r := cur.CacheHitRate(); r != 0.5 {
 		t.Fatalf("CacheHitRate = %v, want 0.5", r)
 	}
+}
+
+// lastSample decodes a JSONL perf series and returns its newest sample.
+func lastSample(t *testing.T, r io.Reader) PerfSample {
+	t.Helper()
+	samples, err := ReadPerf(r)
+	if err != nil || len(samples) == 0 {
+		t.Fatalf("perf series: %d samples, err %v", len(samples), err)
+	}
+	return samples[len(samples)-1]
 }

@@ -3,7 +3,6 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -181,43 +180,3 @@ func TestTracerConcurrentSpans(t *testing.T) {
 		seen[r.Span] = true
 	}
 }
-
-func TestProgressRenders(t *testing.T) {
-	var mu sync.Mutex
-	var buf bytes.Buffer
-	w := writerFunc(func(p []byte) (int, error) {
-		mu.Lock()
-		defer mu.Unlock()
-		return buf.Write(p)
-	})
-	// The line is the campaign snapshot: the registry's tallies for the
-	// app, relative to their values when its campaign started.
-	o := New()
-	o.Status = NewStatus()
-	o.Progress = NewProgress(w, 10*time.Millisecond)
-	o.GaugeAdd(MInstancesTotal, 7, "app", "minihdfs") // an earlier campaign's
-	o.Event(EvCampaignStart, String("app", "minihdfs"))
-	o.GaugeAdd(MInstancesTotal, 10, "app", "minihdfs")
-	o.GaugeAdd(MInstancesDone, 4, "app", "minihdfs")
-	o.CounterAdd(MExecutions, 123, "app", "minihdfs", "arm", "hetero", "outcome", "pass")
-	o.Event(EvItemComplete, String("app", "minihdfs"), Int("item", 0), Int("unsafe", 1))
-	time.Sleep(30 * time.Millisecond)
-	o.Event(EvCampaignFinish, String("app", "minihdfs"), Float("elapsed_s", 0.03))
-
-	mu.Lock()
-	out := buf.String()
-	mu.Unlock()
-	if !strings.Contains(out, "4/10 instances") {
-		t.Errorf("missing done/total in %q", out)
-	}
-	if !strings.Contains(out, "unsafe=1") {
-		t.Errorf("missing verdict tally in %q", out)
-	}
-	if !strings.Contains(out, "done") {
-		t.Errorf("missing final line in %q", out)
-	}
-}
-
-type writerFunc func([]byte) (int, error)
-
-func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
