@@ -6,11 +6,14 @@ import (
 	"go/parser"
 	"go/token"
 	"os"
+	"path/filepath"
 	"reflect"
+	"regexp"
 	"sort"
 	"strconv"
 	"strings"
 	"testing"
+	"unicode"
 
 	"zebraconf/internal/core/launch"
 )
@@ -183,5 +186,112 @@ func TestModeHelpListsDispatch(t *testing.T) {
 	sort.Strings(help)
 	if modes := dispatchModes(t); !reflect.DeepEqual(help, modes) {
 		t.Errorf("-mode help lists %v, dispatch accepts %v", help, modes)
+	}
+}
+
+// obsConsts reads the string values of the constants internal/obs's
+// non-test sources declare under a name of prefix and a capital: "M"
+// for the metric families, "Ev" for the events.
+func obsConsts(t *testing.T, prefix string) map[string]bool {
+	t.Helper()
+	files, err := filepath.Glob("../../internal/obs/*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string]bool)
+	for _, path := range files {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range f.Decls {
+			gen, ok := decl.(*ast.GenDecl)
+			if !ok || gen.Tok != token.CONST {
+				continue
+			}
+			for _, spec := range gen.Specs {
+				vs := spec.(*ast.ValueSpec)
+				for i, id := range vs.Names {
+					rest, ok := strings.CutPrefix(id.Name, prefix)
+					if !ok || rest == "" || !unicode.IsUpper(rune(rest[0])) || i >= len(vs.Values) {
+						continue
+					}
+					if lit, ok := vs.Values[i].(*ast.BasicLit); ok && lit.Kind == token.STRING {
+						v, err := strconv.Unquote(lit.Value)
+						if err != nil {
+							t.Fatal(err)
+						}
+						out[v] = true
+					}
+				}
+			}
+		}
+	}
+	return out
+}
+
+// readmeTable reads the names of the table under a README heading: every
+// backticked word of each row's first cell.
+func readmeTable(t *testing.T, heading string) map[string]bool {
+	t.Helper()
+	data, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(data), "\n"+heading)
+	if !ok {
+		t.Fatalf("README.md has no heading %q", heading)
+	}
+	out := make(map[string]bool)
+	rows := 0
+	for _, line := range strings.Split(section, "\n") {
+		if !strings.HasPrefix(line, "|") {
+			if rows > 0 {
+				break
+			}
+			continue
+		}
+		if rows++; rows <= 2 { // the header and the rule under it
+			continue
+		}
+		cell, _, _ := strings.Cut(line[1:], "|")
+		for _, m := range backticked.FindAllStringSubmatch(cell, -1) {
+			out[m[1]] = true
+		}
+	}
+	return out
+}
+
+var backticked = regexp.MustCompile("`([^`]+)`")
+
+// TestCatalogsMatchObs: README's metrics catalog lists exactly the metric
+// families internal/obs names, and its event catalog exactly the events,
+// so a family or event added or deleted in code cannot linger in, or be
+// missing from, the docs.
+func TestCatalogsMatchObs(t *testing.T) {
+	for _, c := range []struct {
+		heading, prefix string
+		atLeast         int
+	}{
+		{"### Metrics catalog", "M", 40},
+		{"### Event catalog", "Ev", 16},
+	} {
+		code, doc := obsConsts(t, c.prefix), readmeTable(t, c.heading)
+		if len(code) < c.atLeast {
+			t.Fatalf("found only %d %s* constants in internal/obs: the scan no longer reads them", len(code), c.prefix)
+		}
+		for name := range code {
+			if !doc[name] {
+				t.Errorf("README %q has no row for %s", c.heading, name)
+			}
+		}
+		for name := range doc {
+			if !code[name] {
+				t.Errorf("README %q lists %s, which internal/obs does not declare", c.heading, name)
+			}
+		}
 	}
 }

@@ -111,8 +111,7 @@ func newObserver() (o *obs.Observer, flush func(), err error) {
 	if f := create(*traceOut); f != nil {
 		o.Tracer = obs.NewTracer(f)
 	}
-	// The perf sampler reads the item table Status keeps. (A ledger
-	// record's stall count is the dist run's Stalls(), not Status's.)
+	// The perf sampler reads the item table Status keeps.
 	if f := create(*perfOut); f != nil {
 		o.Status = obs.NewStatus()
 		o.Sampler = obs.NewSampler(o, *perfPeriod, f, 0)

@@ -216,11 +216,10 @@ type Result struct {
 	// surfaces them as a coverage gap. Always empty in-process.
 	QuarantinedItems []string
 
-	// WorkerStalls counts workers the distributed coordinator observed
-	// silent past the heartbeat stall threshold (advisory: stalled
-	// workers are not killed, but a stall during a run is a health
-	// signal the report surfaces next to quarantine). Always zero
-	// in-process.
+	// WorkerStalls is always zero: nothing watches a worker's silence. It
+	// is kept only for the benchmark module, which sets it, and so that
+	// -json, which encodes the whole Result, keeps its bytes; it goes with
+	// ROADMAP item 1.
 	WorkerStalls int64
 
 	// LeakedGoroutines counts unit-test goroutines the harness had to

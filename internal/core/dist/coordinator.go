@@ -7,9 +7,7 @@ import (
 	"io/fs"
 	"os/exec"
 	"sort"
-	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"zebraconf/internal/canonjson"
@@ -31,18 +29,9 @@ const (
 	// requeued (on a fresh worker) before the coordinator gives up and
 	// quarantines it.
 	DefaultItemRetries = 2
-	// DefaultHeartbeatMS is the worker heartbeat period a launched
-	// campaign ships in Config.HeartbeatMS.
-	DefaultHeartbeatMS = 1000
 	// spawnFailureLimit is how many consecutive failed launches kill a
 	// worker slot for good.
 	spawnFailureLimit = 3
-	// stallHeartbeats is how many heartbeat intervals a worker may stay
-	// silent before it is flagged stalled (advisory — the worker is not
-	// killed; the per-item deadline still governs). With Config.HeartbeatMS
-	// zero nothing is ever stalled: a worker that never heartbeats (and
-	// legacy test fakes) has no interval to miss.
-	stallHeartbeats = 5
 )
 
 // Options configures a Coordinator.
@@ -88,8 +77,8 @@ type Options struct {
 
 // Coordinator shards work items across worker subprocesses. It is a
 // campaign.Distributor (Begin / Submit / Drain, with the failure kept for
-// Err); callers that hold the whole batch can use Execute, and callers
-// that want the errors in line use Start and the Run it returns.
+// Err); callers that want the errors in line use Start and the Run it
+// returns.
 type Coordinator struct {
 	opts Options
 	// itemTimeout (zero: DefaultItemTimeout) and maxItems (positive: halt
@@ -109,7 +98,8 @@ func New(opts Options) *Coordinator {
 }
 
 // Execute runs a fixed batch of items to completion: Begin, Submit every
-// item, Drain. Kept for callers that have the whole batch up front.
+// item, Drain. It is kept only for the benchmark module, which calls it,
+// and goes with ROADMAP item 1.
 func (c *Coordinator) Execute(parent obs.SpanID, items []campaign.WorkItem) ([]campaign.ItemResult, error) {
 	c.Begin(parent, len(items))
 	for _, it := range items {
@@ -129,7 +119,7 @@ func (c *Coordinator) Begin(parent obs.SpanID, total int) {
 
 // Submit hands one work item to the run Begin opened.
 func (c *Coordinator) Submit(item campaign.WorkItem) {
-	if run := c.Run(); run != nil {
+	if run := c.opened(); run != nil {
 		run.Submit(item)
 	}
 }
@@ -137,7 +127,7 @@ func (c *Coordinator) Submit(item campaign.WorkItem) {
 // Drain returns the run's results, or nothing when the run failed or never
 // started; Err says which.
 func (c *Coordinator) Drain() []campaign.ItemResult {
-	run := c.Run()
+	run := c.opened()
 	if run == nil {
 		return nil
 	}
@@ -156,8 +146,8 @@ func (c *Coordinator) Err() error {
 	return c.err
 }
 
-// Run is the run Begin opened, nil before Begin or when it failed.
-func (c *Coordinator) Run() *Run {
+// opened is the run Begin opened, nil before Begin or when it failed.
+func (c *Coordinator) opened() *Run {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.run
@@ -197,8 +187,6 @@ func (c *Coordinator) Start(parent obs.SpanID, total int) (*Run, error) {
 		o:           o,
 		span:        span,
 	}
-	r.hbEvery = time.Duration(c.opts.Config.HeartbeatMS) * time.Millisecond
-	r.stallAfter = stallHeartbeats * r.hbEvery
 	if r.itemTimeout <= 0 {
 		r.itemTimeout = DefaultItemTimeout
 	}
@@ -252,13 +240,6 @@ type Run struct {
 	// to broadcast as quarantined, and has its own lock.
 	done *campaign.Completion
 	wg   sync.WaitGroup
-
-	// Heartbeat supervision, resolved from Config.HeartbeatMS at Start;
-	// stalls counts stall events across every session for the campaign
-	// report.
-	hbEvery    time.Duration
-	stallAfter time.Duration
-	stalls     atomic.Int64
 
 	mu          sync.Mutex
 	results     map[int]campaign.ItemResult // one per item resolved this run
@@ -316,10 +297,9 @@ func (r *Run) Submit(item campaign.WorkItem) {
 	r.o.GaugeSet(obs.MQueueDepth, int64(r.q.Len()), "app", r.opts.App)
 }
 
-// Stalls reports how many times a worker crossed the heartbeat stall
-// threshold during this run (0 with heartbeats off). Meaningful any
-// time; final after Drain.
-func (r *Run) Stalls() int64 { return r.stalls.Load() }
+// Stalls returns 0: nothing watches a worker's silence. It is kept only
+// for the benchmark module, which reads it, and goes with ROADMAP item 1.
+func (r *Run) Stalls() int64 { return 0 }
 
 // Drain blocks until every item resolves (or the run halts, or every
 // worker slot is lost) and returns one ItemResult per completed item —
@@ -441,13 +421,6 @@ func (r *Run) session(slot int, sess *workerSession) sessionOutcome {
 	ready := false
 	spawned := time.Now()
 	itemsDone := 0
-	// Heartbeat stall tracking, gated on hbSeen: stall detection only
-	// arms after this session's first heartbeat, so workers that never
-	// beat (heartbeats off, or protocol fakes predating them) are never
-	// flagged.
-	var lastHB time.Time
-	hbSeen := false
-	stalled := false
 
 	// lost tears the session down after the worker is lost or killed and
 	// releases what it held, charging the attempts charged picks (nil:
@@ -465,11 +438,6 @@ func (r *Run) session(slot int, sess *workerSession) sessionOutcome {
 	tickEvery := r.itemTimeout / 8
 	if tickEvery > time.Second {
 		tickEvery = time.Second
-	}
-	if r.stallAfter > 0 && tickEvery > r.stallAfter/4 {
-		// Stall detection rides the same ticker; keep it responsive
-		// relative to the stall threshold, not just the item timeout.
-		tickEvery = r.stallAfter / 4
 	}
 	if tickEvery < 5*time.Millisecond {
 		tickEvery = 5 * time.Millisecond
@@ -550,15 +518,6 @@ func (r *Run) session(slot int, sess *workerSession) sessionOutcome {
 				o.Event(obs.EvWorkerReady,
 					obs.String("app", app), obs.Int("worker", int64(slot)),
 					obs.Int("pid", int64(m.PID)))
-			case MsgHeartbeat:
-				lastHB = time.Now()
-				hbSeen = true
-				if stalled {
-					stalled = false
-					o.Event(obs.EvWorkerRecovered,
-						obs.String("app", app), obs.Int("worker", int64(slot)))
-				}
-				o.WorkerHeartbeat(app, slot)
 			case MsgResult:
 				if m.Result == nil {
 					return lost("crash", nil)
@@ -568,6 +527,8 @@ func (r *Run) session(slot int, sess *workerSession) sessionOutcome {
 					r.recordResult(sess, a, *m.Result, m.Spans)
 				}
 			}
+			// Any other type, such as an older worker's heartbeat, is
+			// ignored: a worker is alive while its pipe is open.
 		case <-tick.C:
 			if !ready {
 				if time.Since(spawned) > r.itemTimeout {
@@ -578,20 +539,6 @@ func (r *Run) session(slot int, sess *workerSession) sessionOutcome {
 				break
 			}
 			now := time.Now()
-			if hbSeen && r.stallAfter > 0 {
-				silent := now.Sub(lastHB)
-				if missed := int64(silent / r.hbEvery); missed > 0 {
-					o.GaugeSet(obs.MMissedHeartbeats, missed, "app", app, "worker", strconv.Itoa(slot))
-				}
-				if !stalled && silent > r.stallAfter {
-					stalled = true
-					r.stalls.Add(1)
-					o.Event(obs.EvWorkerStalled,
-						obs.String("app", app), obs.Int("worker", int64(slot)),
-						obs.Float("silent_s", silent.Seconds()),
-						obs.Int("inflight", int64(len(sess.held))))
-				}
-			}
 			for _, a := range sess.held {
 				if now.Sub(a.start) > r.itemTimeout {
 					// The overdue item is the suspect: it alone is

@@ -86,9 +86,9 @@ func FuzzWorkerFrames(f *testing.F) {
 		line(Msg{Type: MsgReady, PID: 1}),
 		line(Msg{Type: MsgResult, Result: &campaign.ItemResult{Test: "TestWord", Executions: 3}}),
 		traced, legacyTraced, margined,
-		line(Msg{Type: MsgHeartbeat}),
-		// An older worker's heartbeat: its health snapshot is an unknown
-		// field now.
+		// Older workers' heartbeats, bare and with the health snapshot
+		// that is an unknown field now: workers no longer send either.
+		[]byte(`{"type":"heartbeat"}` + "\n"),
 		[]byte(`{"type":"heartbeat","pid":1,"hb":{"inflight":[0],"executions":3}}` + "\n"),
 		[]byte("{\"type\":\"run\"}\n"), []byte("{}\n"), []byte("not json\n"), []byte(`{"type":"run","item":{"prerun":`),
 		// Frames out of place: a second init, a ready that failed, a

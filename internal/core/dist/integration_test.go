@@ -589,8 +589,8 @@ func TestCoordinatorAsDistributorFailures(t *testing.T) {
 	if res := unopened.Drain(); len(res) != 0 {
 		t.Fatalf("Drain of a run that never opened = %+v", res)
 	}
-	if unopened.Err() == nil || unopened.Run() != nil {
-		t.Fatalf("failed Begin: Err = %v, Run = %v", unopened.Err(), unopened.Run())
+	if unopened.Err() == nil {
+		t.Fatal("failed Begin: Err = nil")
 	}
 
 	// Every slot failing, under a real campaign: the pipeline must still

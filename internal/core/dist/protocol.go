@@ -29,8 +29,8 @@ import (
 
 // Message types of the coordinator↔worker wire protocol. Every message
 // is one JSON object on one line. The coordinator writes init / run /
-// quarantine / bye, the worker writes ready / result / heartbeat, and
-// either side treats EOF as the peer's death; nothing waits for a reply.
+// quarantine / bye, the worker writes ready / result, and either side
+// treats EOF as the peer's death; nothing waits for a reply.
 const (
 	// MsgInit (coordinator → worker) opens the session: the application
 	// name and the campaign configuration the worker should execute
@@ -52,13 +52,6 @@ const (
 	// and skipped instances merge as skipped, not failed, so resume stays
 	// correct.
 	MsgQuarantine = "quarantine"
-	// MsgHeartbeat (worker → coordinator) is the periodic liveness beat
-	// (Config.HeartbeatMS), a frame with no payload; an older worker's
-	// beat also carries an "hb" health snapshot, which decoding drops as
-	// an unknown field. Purely advisory: the coordinator uses missed
-	// beats to flag stalled workers but never kills on them — the
-	// per-item deadline still governs.
-	MsgHeartbeat = "heartbeat"
 )
 
 // maxLine caps one wire frame or journal record, newline included.
@@ -216,10 +209,9 @@ type Config struct {
 	// is tracing; not part of campaign.Options, so ConfigFrom leaves it
 	// false.
 	TraceItems bool `json:"trace_items,omitempty"`
-	// HeartbeatMS is the worker heartbeat period in milliseconds; zero
-	// disables heartbeats (and with them coordinator stall detection).
-	// Not part of campaign.Options, so ConfigFrom leaves it zero —
-	// launch.Campaign sets it to DefaultHeartbeatMS.
+	// HeartbeatMS is ignored: a worker sends nothing unprompted. It is
+	// kept only for the benchmark module, which sets it, and goes with
+	// ROADMAP item 1.
 	HeartbeatMS int `json:"heartbeat_ms,omitempty"`
 }
 

@@ -14,12 +14,12 @@ import (
 )
 
 // foldFamilies are the registry families the event fold implies (the
-// "implies" column of the catalog in DESIGN.md §7). Of the evidence
+// "implies" column of README's event catalog). Of the evidence
 // truncation family only reason=budget is a tally, so it is left out.
 var foldFamilies = append([]string{
 	obs.MPhaseSeconds, obs.MItemSeconds, obs.MWorkerItems, obs.MItemRunSeconds,
 	obs.MItemRetries, obs.MItemsQuarantined, obs.MWorkerSpawns, obs.MWorkerCrashes,
-	obs.MWorkerStalls, obs.MCacheHits, obs.MCacheCoalesced, obs.MQuarantine, obs.MSchedPredRatio,
+	obs.MCacheHits, obs.MCacheCoalesced, obs.MQuarantine, obs.MSchedPredRatio,
 }, itemFamilies...)
 
 // itemFamilies are the families folded from the tallies a work item's events

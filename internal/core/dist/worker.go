@@ -5,7 +5,6 @@ import (
 	"io"
 	"os"
 	"sync"
-	"time"
 
 	"zebraconf/internal/canonjson"
 	"zebraconf/internal/core/campaign"
@@ -141,26 +140,6 @@ func ServeWorkerEnv(r io.Reader, w io.Writer, resolve func(string) (*harness.App
 
 	if err := send(Msg{Type: MsgReady, PID: os.Getpid()}); err != nil {
 		return err
-	}
-
-	// Heartbeats: a side goroutine sends a bare liveness beat every
-	// HeartbeatMS. Send errors are ignored here; a dying pipe surfaces
-	// through the session's own reads and writes.
-	if cfg.HeartbeatMS > 0 {
-		hbStop := make(chan struct{})
-		defer close(hbStop)
-		go func() {
-			t := time.NewTicker(time.Duration(cfg.HeartbeatMS) * time.Millisecond)
-			defer t.Stop()
-			for {
-				select {
-				case <-hbStop:
-					return
-				case <-t.C:
-					_ = send(Msg{Type: MsgHeartbeat})
-				}
-			}
-		}()
 	}
 
 	sem := make(chan struct{}, parallel)

@@ -1,6 +1,7 @@
 package dist_test
 
 import (
+	"bufio"
 	"encoding/json"
 	"io"
 	"sync/atomic"
@@ -147,5 +148,145 @@ func TestWorkerBillsAbandonmentToItsOwnItem(t *testing.T) {
 	}
 	if bystander.LeakedGoroutines != 0 {
 		t.Errorf("TestBystander was billed %d abandoned goroutine(s) of the item beside it", bystander.LeakedGoroutines)
+	}
+}
+
+// TestWorkerHeartbeats: a worker no longer beats. It writes a line only
+// to answer one, ready for init and a result for each run, even when its
+// config asks for a beat every 20ms; so an older coordinator, which armed
+// stall detection at a first beat, never arms it. With Parallel: 2 two
+// items' results are written from two goroutines, and every line must
+// still be one whole frame.
+func TestWorkerHeartbeats(t *testing.T) {
+	t.Parallel()
+	app := minihdfs(t)
+	toWorkerR, toWorkerW := io.Pipe()
+	fromWorkerR, fromWorkerW := io.Pipe()
+	served := make(chan error, 1)
+	go func() {
+		served <- dist.ServeWorker(toWorkerR, fromWorkerW, func(string) (*harness.App, error) { return app, nil })
+		fromWorkerW.Close()
+	}()
+	lines := make(chan []byte, 8)
+	go func() {
+		defer close(lines)
+		sc := bufio.NewScanner(fromWorkerR)
+		sc.Buffer(make([]byte, 0, 1<<20), 16<<20)
+		for sc.Scan() {
+			lines <- append([]byte(nil), sc.Bytes()...)
+		}
+	}()
+	frame := func(line []byte) dist.Msg {
+		t.Helper()
+		var m dist.Msg
+		if err := json.Unmarshal(line, &m); err != nil {
+			t.Fatalf("line %q is not one frame: %v", line, err)
+		}
+		return m
+	}
+
+	enc := json.NewEncoder(toWorkerW)
+	cfg := dist.Config{Params: []string{"dfs.bytes-per-checksum", "dfs.checksum.type"},
+		DisableExecCache: true, Parallel: 2, HeartbeatMS: 20}
+	if err := enc.Encode(dist.Msg{Type: dist.MsgInit, App: app.Name, Config: &cfg}); err != nil {
+		t.Fatal(err)
+	}
+	if m := frame(<-lines); m.Type != dist.MsgReady || m.Error != "" {
+		t.Fatalf("first frame %+v, want ready", m)
+	}
+	select {
+	case line := <-lines:
+		t.Fatalf("unprompted line %q from a worker told to beat every 20ms", line)
+	case <-time.After(300 * time.Millisecond):
+	}
+
+	var test *harness.UnitTest
+	for i := range app.Tests {
+		if app.Tests[i].Name == "TestWriteRead" {
+			test = &app.Tests[i]
+		}
+	}
+	pre := runner.New(app, runner.Options{}).PreRun(test)
+	for id := 0; id < 2; id++ {
+		if err := enc.Encode(dist.Msg{Type: dist.MsgRun, Item: &campaign.WorkItem{ID: id, Test: test.Name, PreRun: pre}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := make(map[int]bool)
+	for len(got) < 2 {
+		line, ok := <-lines
+		if !ok {
+			t.Fatalf("stream ended after %d results", len(got))
+		}
+		m := frame(line)
+		if m.Type != dist.MsgResult || m.Result == nil || m.Result.Executions == 0 {
+			t.Fatalf("frame %q, want an executed item's result", line)
+		}
+		got[m.Result.ID] = true
+	}
+	if err := enc.Encode(dist.Msg{Type: dist.MsgBye}); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-served; err != nil {
+		t.Fatalf("ServeWorker: %v", err)
+	}
+	if line, ok := <-lines; ok {
+		t.Fatalf("line %q after the last result", line)
+	}
+	toWorkerW.Close()
+}
+
+// TestWorkerHeartbeatsDisabledByDefault: the config ConfigFrom builds
+// asks for no beat, and a worker given it sends nothing between ready and
+// bye — the wire behaviour that legacy fakes and recorded sessions
+// depend on.
+func TestWorkerHeartbeatsDisabledByDefault(t *testing.T) {
+	t.Parallel()
+	app := minihdfs(t)
+	toWorkerR, toWorkerW := io.Pipe()
+	fromWorkerR, fromWorkerW := io.Pipe()
+	defer toWorkerW.Close()
+	served := make(chan error, 1)
+	go func() {
+		served <- dist.ServeWorker(toWorkerR, fromWorkerW, func(string) (*harness.App, error) { return app, nil })
+		fromWorkerW.Close()
+	}()
+	lines := make(chan string, 4)
+	go func() {
+		defer close(lines)
+		sc := bufio.NewScanner(fromWorkerR)
+		for sc.Scan() {
+			lines <- sc.Text()
+		}
+	}()
+
+	cfg := dist.ConfigFrom(campaign.Options{
+		Params: []string{"dfs.bytes-per-checksum"},
+		Tests:  []string{"TestWriteRead"},
+	})
+	if cfg.HeartbeatMS != 0 {
+		t.Fatalf("ConfigFrom set HeartbeatMS=%d, want 0", cfg.HeartbeatMS)
+	}
+	enc := json.NewEncoder(toWorkerW)
+	if err := enc.Encode(dist.Msg{Type: dist.MsgInit, App: app.Name, Config: &cfg}); err != nil {
+		t.Fatal(err)
+	}
+	var ready dist.Msg
+	if err := json.Unmarshal([]byte(<-lines), &ready); err != nil || ready.Type != dist.MsgReady || ready.Error != "" {
+		t.Fatalf("first frame %+v (%v), want ready", ready, err)
+	}
+	select {
+	case line := <-lines:
+		t.Fatalf("unprompted line %q from a worker with the default config", line)
+	case <-time.After(300 * time.Millisecond):
+	}
+	if err := enc.Encode(dist.Msg{Type: dist.MsgBye}); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-served; err != nil {
+		t.Fatalf("ServeWorker: %v", err)
+	}
+	if line, ok := <-lines; ok {
+		t.Fatalf("line %q after bye", line)
 	}
 }

@@ -1,6 +1,7 @@
 package flight
 
 import (
+	"encoding/json"
 	"fmt"
 	"strings"
 	"testing"
@@ -115,6 +116,10 @@ func TestWorkerTimelinesFromEvents(t *testing.T) {
 		// carries steal events; they are skipped like any unknown event.
 		ev(50, "steal", map[string]any{"item": float64(3), "worker": float64(1)}),
 		ev(50, obs.EvItemDispatch, map[string]any{"item": float64(3), "test": "C", "worker": float64(1)}),
+		// One written while the coordinator watched worker heartbeats
+		// carries stall events; they are skipped the same way.
+		ev(60, "worker_stalled", map[string]any{"worker": float64(0), "silent_s": 5.2, "inflight": float64(1)}),
+		ev(90, "worker_recovered", map[string]any{"worker": float64(0)}),
 		ev(100, obs.EvItemComplete, map[string]any{"item": float64(1), "test": "A", "worker": float64(0), "elapsed_s": 100e-6}),
 		ev(100, obs.EvItemComplete, map[string]any{"item": float64(3), "test": "C", "worker": float64(1), "elapsed_s": 50e-6}),
 	}
@@ -230,12 +235,20 @@ func TestTrendsCleanOnStableRuns(t *testing.T) {
 		rec("minihdfs", "aaaa", 10.5, nil),
 		rec("minihdfs", "aaaa", 10.2, nil),
 	}
+	// The latest, as a build with worker stall detection wrote it: the
+	// stall count is an unknown field now.
+	var stalled ledger.Record
+	if err := json.Unmarshal([]byte(`{"run_id":"r-stalled","app":"minihdfs","flags_digest":"aaaa",`+
+		`"executions":100,"makespan_seconds":10.3,"workers":2,"worker_stalls":2}`), &stalled); err != nil {
+		t.Fatal(err)
+	}
+	recs = append(recs, stalled)
 	tr := Trends(recs, "minihdfs", 5, 0.15)
 	if tr.Regressed() || len(tr.Flags) != 0 {
 		t.Fatalf("stable runs flagged: %+v", tr.Flags)
 	}
-	if tr.Compared != 2 {
-		t.Errorf("compared = %d, want 2", tr.Compared)
+	if tr.Compared != 3 {
+		t.Errorf("compared = %d, want 3", tr.Compared)
 	}
 }
 

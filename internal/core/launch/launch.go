@@ -168,7 +168,6 @@ func prepare(app *harness.App, spec Spec, env Env) (*prepared, error) {
 	// With the coordinator tracing, workers trace each item too; the
 	// coordinator stitches their fragments under its own item spans.
 	cfg.TraceItems = env.Obs != nil && env.Obs.Tracer != nil
-	cfg.HeartbeatMS = dist.DefaultHeartbeatMS
 	// Split the in-process budget across the workers: total load stays
 	// the same however many workers shard the campaign.
 	cfg.Parallel = (l.slots + spec.Workers - 1) / spec.Workers
@@ -209,9 +208,6 @@ func Campaign(app *harness.App, spec Spec, env Env) (*Outcome, error) {
 		// items, so a coordinator failure is fatal.
 		if err := l.coord.Err(); err != nil {
 			return nil, fmt.Errorf("distributed campaign failed: %w", err)
-		}
-		if run := l.coord.Run(); run != nil {
-			res.WorkerStalls = run.Stalls()
 		}
 	}
 

@@ -12,7 +12,6 @@ import (
 
 	"zebraconf/internal/apps"
 	"zebraconf/internal/core/agent"
-	"zebraconf/internal/core/dist"
 )
 
 // altStrings gives a legal non-default value for every flag whose
@@ -160,9 +159,6 @@ func TestDriftedSettingsReachTheEngine(t *testing.T) {
 	want := map[string]string{"flink.task.slots": "3"}
 	if !reflect.DeepEqual(l.opts.Overrides, want) || !reflect.DeepEqual(l.dopts.Config.Overrides, want) {
 		t.Errorf("-override: campaign %v, workers %v, want %v", l.opts.Overrides, l.dopts.Config.Overrides, want)
-	}
-	if l.dopts.Config.HeartbeatMS != dist.DefaultHeartbeatMS {
-		t.Errorf("workers beat every %d ms, want %d", l.dopts.Config.HeartbeatMS, dist.DefaultHeartbeatMS)
 	}
 	if q := mustPrepare(t, Spec{App: "miniflink", Sched: "lpt", Seq: "sprt", Select: "all"}); q.opts.QuarantineThreshold != math.MaxInt32 {
 		t.Errorf("quarantine 0 built threshold %d, want never", q.opts.QuarantineThreshold)

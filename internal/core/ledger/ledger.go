@@ -59,7 +59,6 @@ type Record struct {
 	ExecutionsSaved  int64   `json:"executions_saved"`
 	MakespanSeconds  float64 `json:"makespan_seconds"`
 	Workers          int     `json:"workers,omitempty"`
-	WorkerStalls     int64   `json:"worker_stalls,omitempty"`
 	SkippedTests     int     `json:"skipped_tests,omitempty"`
 	QuarantinedItems int     `json:"quarantined_items,omitempty"`
 	// EvidenceRecords counts reported parameters carrying a forensic
@@ -121,7 +120,6 @@ func Summarize(res *campaign.Result, seed int64, start time.Time, workers int, f
 		ExecutionsSaved:  res.Counts.ExecutionsSaved,
 		MakespanSeconds:  res.Elapsed.Seconds(),
 		Workers:          workers,
-		WorkerStalls:     res.WorkerStalls,
 		SkippedTests:     len(res.SkippedTests),
 		QuarantinedItems: len(res.QuarantinedItems),
 		EvidenceRecords:  evRecords,
@@ -372,7 +370,4 @@ func (d Delta) Render(w io.Writer) {
 	fmt.Fprintf(w, "  execs:     %d -> %d (%+d) · saved %d -> %d\n",
 		d.A.Executions, d.B.Executions, d.ExecutionsDelta,
 		d.A.ExecutionsSaved, d.B.ExecutionsSaved)
-	if d.A.WorkerStalls != 0 || d.B.WorkerStalls != 0 {
-		fmt.Fprintf(w, "  stalls:    %d -> %d\n", d.A.WorkerStalls, d.B.WorkerStalls)
-	}
 }

@@ -184,6 +184,31 @@ func TestDiffCleanAndRegression(t *testing.T) {
 	if out := buf.String(); !d.Clean() || d.FlagsMatch || !strings.Contains(out, `seq-margin: "50" -> ""`) {
 		t.Fatalf("diff against an older ledger line:\n%s", out)
 	}
+
+	// A line a build with worker stall detection wrote, stalls and all:
+	// the count is an unknown field now, and the diff is clean.
+	stalled := `{"run_id":"ssss0000","start":"2026-10-18T00:00:00Z","app":"minihdfs","seed":7,` +
+		`"flags":{"no-pool":"true","seed":"7"},"flags_digest":"` + a.FlagsDigest + `",` +
+		`"reported":["p1","p2"],"reported_digest":"` + a.ReportedDigest + `",` +
+		`"executions":100,"makespan_seconds":12.5,"workers":2,"worker_stalls":2}` + "\n"
+	f, err := os.OpenFile(filepath.Join(dir, FileName), os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(stalled); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	recs, err = Read(dir)
+	if err != nil || len(recs) != 3 || recs[2].RunID != "ssss0000" || recs[2].Workers != 2 {
+		t.Fatalf("ledger line with worker_stalls read as %+v, %v", recs, err)
+	}
+	d = Diff(recs[2], recs[1])
+	buf.Reset()
+	d.Render(&buf)
+	if out := buf.String(); !d.Clean() || !d.FlagsMatch || strings.Contains(out, "stalls") {
+		t.Fatalf("diff of a ledger line with worker_stalls against a current one:\n%s", out)
+	}
 }
 
 func TestDiffMakespan(t *testing.T) {

@@ -94,10 +94,6 @@ func Findings(w io.Writer, res *campaign.Result) {
 		fmt.Fprintf(w, "  WARNING: %d work item(s) abandoned after repeated worker crashes/timeouts (coverage gap): %s\n",
 			len(res.QuarantinedItems), strings.Join(res.QuarantinedItems, ", "))
 	}
-	if res.WorkerStalls > 0 {
-		fmt.Fprintf(w, "  WARNING: %d worker stall(s) — workers silent past the heartbeat threshold; results were still accepted but the run's timing is suspect\n",
-			res.WorkerStalls)
-	}
 	if res.LeakedGoroutines > 0 {
 		fmt.Fprintf(w, "  WARNING: %d unit-test goroutine(s) abandoned after timeouts; they kept running past their tests\n",
 			res.LeakedGoroutines)

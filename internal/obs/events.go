@@ -54,13 +54,6 @@ const (
 	EvWorkerReady = "worker_ready"
 	EvWorkerCrash = "worker_crash"
 	EvWorkerDone  = "worker_done"
-	// EvWorkerStalled fires when a worker misses heartbeats past the
-	// stall threshold; EvWorkerRecovered when its heartbeats resume.
-	// Stalls are advisory — the worker is not killed (the per-item
-	// deadline still governs). Attrs: app, worker, silent_s (stalled);
-	// app, worker (recovered).
-	EvWorkerStalled   = "worker_stalled"
-	EvWorkerRecovered = "worker_recovered"
 	// EvCacheHit marks one execution avoided by memoization.
 	// Attrs: app, scope (local | shared | coalesced).
 	EvCacheHit = "cache_hit"
@@ -119,8 +112,6 @@ func (o *Observer) fold(event string, a attrs) bool {
 		o.CounterAdd(MWorkerSpawns, 1, "app", app, "worker", a.label("worker"))
 	case EvWorkerCrash:
 		o.CounterAdd(MWorkerCrashes, 1, "app", app, "reason", a.str("reason"))
-	case EvWorkerStalled:
-		o.CounterAdd(MWorkerStalls, 1, "app", app, "worker", a.label("worker"))
 	case EvCacheHit:
 		if scope := a.str("scope"); scope == "coalesced" {
 			o.CounterAdd(MCacheCoalesced, 1, "app", app)
@@ -129,7 +120,7 @@ func (o *Observer) fold(event string, a attrs) bool {
 		}
 	case EvParamQuarantined:
 		o.CounterAdd(MQuarantine, 1, "app", app)
-	case EvCampaignFinish, EvPhaseStart, EvWorkerReady, EvWorkerDone, EvWorkerRecovered, EvVerdict:
+	case EvCampaignFinish, EvPhaseStart, EvWorkerReady, EvWorkerDone, EvVerdict:
 		// The log's alone: no metric or table is derived from these.
 	default:
 		return false

@@ -204,7 +204,6 @@ func TestNilObserverIsSafe(t *testing.T) {
 	o.RecordExecution("x", "hetero", false)
 	o.Event(EvCampaignStart, String("app", "x"))
 	o.SetSlots(1)
-	o.WorkerHeartbeat("x", 0)
 	o.Event(EvCampaignFinish, String("app", "x"))
 	if cs := o.Campaign(); cs != (CampaignStatus{}) {
 		t.Errorf("nil observer returned a snapshot: %+v", cs)
@@ -219,6 +218,5 @@ func TestNilObserverIsSafe(t *testing.T) {
 		live.Event(ev, String("app", "x"), Int("worker", 0), Int("item", 0))
 	}
 	live.SetSlots(1)
-	live.WorkerHeartbeat("x", 0)
 	live.StartSpan("x", NoSpan).End()
 }

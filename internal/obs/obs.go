@@ -8,7 +8,6 @@
 package obs
 
 import (
-	"strconv"
 	"time"
 )
 
@@ -102,17 +101,6 @@ const (
 	// MQueueDepth gauges work items waiting in the coordinator's queue.
 	// Labels: app.
 	MQueueDepth = "zebraconf_dist_queue_depth"
-	// MHeartbeats counts worker heartbeat messages received. Labels:
-	// app, worker.
-	MHeartbeats = "zebraconf_dist_worker_heartbeats_total"
-	// MMissedHeartbeats gauges consecutive heartbeat intervals a worker
-	// has been silent for (reset to 0 on every heartbeat). Labels: app,
-	// worker.
-	MMissedHeartbeats = "zebraconf_dist_worker_missed_heartbeats"
-	// MWorkerStalls counts workers crossing the stall threshold (silent
-	// for five -heartbeat intervals; advisory — the per-item deadline
-	// still governs kills). Labels: app, worker.
-	MWorkerStalls = "zebraconf_dist_worker_stalls_total"
 
 	// Adaptive scheduler catalog (internal/core/sched).
 
@@ -314,17 +302,6 @@ func (o *Observer) SetSlots(n int) {
 		return
 	}
 	o.Status.setSlots(n)
-}
-
-// WorkerHeartbeat records one liveness beat from the worker in slot:
-// MHeartbeats, and the MMissedHeartbeats reset.
-func (o *Observer) WorkerHeartbeat(app string, slot int) {
-	if o == nil {
-		return
-	}
-	worker := strconv.Itoa(slot)
-	o.CounterAdd(MHeartbeats, 1, "app", app, "worker", worker)
-	o.GaugeSet(MMissedHeartbeats, 0, "app", app, "worker", worker)
 }
 
 // RecordTestRun is the harness hook: one unit-test execution finished.
