@@ -112,12 +112,12 @@ var sourceBudget = []struct {
 	{"mechanism", []string{"internal/confkit", "internal/core/agent", "internal/core/testgen",
 		"internal/core/runner", "internal/core/harness", "internal/core/stats"}, 4032},
 	{"simulators", []string{"internal/rpcsim", "internal/simtime", "internal/netsim"}, 1670},
-	{"canonjson", []string{"internal/canonjson"}, 1082},
+	{"canonjson", []string{"internal/canonjson"}, 1272},
 	{"apps", []string{"internal/apps"}, 7566},
 	{"machinery", []string{"internal/core/dist", "internal/core/campaign", "internal/core/flight",
 		"internal/core/launch", "internal/core/coverage", "internal/core/sched", "internal/core/ledger",
-		"internal/core/report", "internal/core/forensics", "internal/core/diskcache", "internal/core/memo"}, 7386},
-	{"obs", []string{"internal/obs"}, 1737},
+		"internal/core/report", "internal/core/forensics", "internal/core/diskcache", "internal/core/memo"}, 7441},
+	{"obs", []string{"internal/obs"}, 1793},
 	{"cmd, examples and gid", []string{"cmd", "examples", "internal/gid"}, 1036},
 }
 

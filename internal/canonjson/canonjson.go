@@ -3,6 +3,9 @@
 // (internal/rpcsim), the frames of the coordinator↔worker protocol and the
 // records of the checkpoint journal (internal/core/dist), trace spans
 // (internal/obs) and the entries of the disk cache (internal/core/diskcache).
+// Its Indenter lays out, as it streams, the indented documents the
+// program writes for people and tools: the campaign results and the
+// coverage index.
 //
 // For each Go type it builds, once, a plan from reflect. Append follows the
 // plan to write exactly the bytes json.Marshal writes. Decode follows it to
@@ -30,7 +33,11 @@
 //   - map[string]V, keys sorted as json sorts them;
 //   - any, holding a string, number, bool or nil. It decodes as json
 //     decodes it, numbers becoming float64; any other dynamic value is
-//     encoded by json.Marshal, and decoded by the fallback.
+//     encoded by json.Marshal, and decoded by the fallback;
+//   - json.RawMessage. It decodes, on the fast path too, to a copy of the
+//     exact bytes of any valid value, as json keeps them, and encodes as
+//     json.Marshal encodes it: the bytes themselves when they are already
+//     compact with nothing to escape.
 //
 // A type outside the set, or one that brings its own JSON or text coding,
 // panics when its plan is built.
@@ -125,6 +132,7 @@ const (
 	kPointer
 	kMap
 	kAny
+	kRaw
 )
 
 // plan is the codec of one type.
@@ -185,6 +193,11 @@ func build(t reflect.Type, where string, building map[reflect.Type]*plan) *plan 
 	}
 	unsupported := func(why string) {
 		panic(fmt.Sprintf("canonjson: %s: unsupported wire type %s: %s", where, t, why))
+	}
+	if t == reflect.TypeFor[json.RawMessage]() {
+		p := &plan{typ: t, kind: kRaw}
+		building[t] = p
+		return p
 	}
 	pt := reflect.PointerTo(t)
 	for _, m := range customCoding {

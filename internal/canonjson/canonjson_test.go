@@ -3,6 +3,7 @@ package canonjson
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -37,6 +38,7 @@ type (
 		Named map[string]named  `json:"named,omitempty"`
 		Str   map[string]string `json:"str,omitempty"`
 		Any   any               `json:"any"`
+		JSON  json.RawMessage   `json:"json,omitempty"`
 		Skip  int               `json:"-"`
 		Dash  int               `json:"-,"`
 		hide  int
@@ -71,6 +73,12 @@ func TestEncodeIsMarshal(t *testing.T) {
 			Any: myText("top")},
 		{Any: 1.0}, {Any: int64(-3)}, {Any: "s"}, {Any: false}, {Any: map[string]any{"deep": []any{1}}},
 		{Attrs: map[string]any{}, Str: map[string]string{}, Sets: map[string]map[string]bool{}},
+		// Raw values: verbatim when compact and plain, else compacted and
+		// escaped as json does.
+		{JSON: json.RawMessage(`{"a":[1,{"b":null}],"c":"x\\\"y","d":-1.5e300}`)},
+		{JSON: json.RawMessage(`9007199254740993`)}, {JSON: json.RawMessage(`"\u003c"`)},
+		{JSON: json.RawMessage(` { "a" : [ 1 , 2 ] }` + "\n")}, {JSON: json.RawMessage(`"<a> & b\u2028"`)},
+		{JSON: json.RawMessage("\"\u2028\u2029\"")}, {JSON: json.RawMessage(`"a b\\"`)},
 	}
 	for _, f := range floats {
 		vals = append(vals, kinds{F64: f, Any: f}, kinds{F64: -f, Attrs: map[string]any{"f": -f}})
@@ -108,6 +116,7 @@ func TestEncodeRefusesWhatJSONRefuses(t *testing.T) {
 	for _, v := range []any{
 		&kinds{F64: math.NaN()}, &kinds{F64: math.Inf(-1)}, &kinds{Any: math.Inf(1)},
 		&kinds{Attrs: map[string]any{"p": math.NaN()}}, &kinds{Any: func() {}}, &withF32{F: float32(math.Inf(1))},
+		&kinds{JSON: json.RawMessage(`{"a":}`)}, &kinds{JSON: json.RawMessage(`1 2`)},
 	} {
 		_, wantErr := json.Marshal(v)
 		var err error
@@ -150,6 +159,21 @@ func TestDecodeIsUnmarshal(t *testing.T) {
 		{`{"attrs":{"b":true,"f":-2.5e-3,"n":null,"s":"x"},"Sets":{"Node":{"a":true}},"named":{"k":3}}`, true},
 		{`{"attrs":{"s":"x","s":"y"},"str":{"b":"1","a":"2"}}`, true}, // json keeps the last, in any order
 		{`{}`, true},
+		// A raw value is its exact bytes, whatever valid JSON they hold.
+		{`{"json":{"b":[1,{"c":null}],"a":"x\"y","a":1e400,"e":[],"f":{}}}`, true},
+		{`{"json":null}`, true},
+		{`{"json":-0.5E+7}`, true},
+		{`{"json":[true,false,"\u00e9","\ud83d"]}`, true},
+		{`{"json":{"a" : 1}}`, true},
+		{`{"json":"\"}"}`, true},
+		{`{"json":1 }`, false},
+		{`{"json":{"a":1,}}`, false},
+		{`{"json":[1,]}`, false},
+		{`{"json":{1:2}}`, false},
+		{`{"json":"a}`, false},
+		{`{"json":tru}`, false},
+		{`{"json":01}`, false},
+		{`{"json":` + strings.Repeat("[", 10001) + strings.Repeat("]", 10001) + `}`, false}, // past json's depth
 		{`null`, false}, // the value stays zero, but json decides
 		{`{"s":"x" }`, false},
 		{`{"i16":1,"s":"x"}`, false},
@@ -192,7 +216,7 @@ func TestDecodeIsUnmarshal(t *testing.T) {
 // through one interner are shared between values.
 func TestDecodeKeepsNoInputAndInterns(t *testing.T) {
 	t.Parallel()
-	frame := `{"s":"alpha","strs":["beta","alpha"],"attrs":{"gamma":"delta"},"any":"eps"}`
+	frame := `{"s":"alpha","strs":["beta","alpha"],"attrs":{"gamma":"delta"},"any":"eps","json":{"zeta":1}}`
 	buf := []byte(frame)
 	in := new(Interner)
 	var first, second kinds
@@ -201,7 +225,8 @@ func TestDecodeKeepsNoInputAndInterns(t *testing.T) {
 	}
 	want := first
 	copy(buf, strings.Repeat("#", len(buf)))
-	if !reflect.DeepEqual(first, want) || first.S != "alpha" || first.Attrs["gamma"] != "delta" || first.Any != "eps" {
+	if !reflect.DeepEqual(first, want) || first.S != "alpha" || first.Attrs["gamma"] != "delta" || first.Any != "eps" ||
+		string(first.JSON) != `{"zeta":1}` {
 		t.Fatalf("overwriting the input changed the value: %+v", first)
 	}
 	copy(buf, frame)
@@ -299,3 +324,25 @@ func TestUnsupportedTypesPanic(t *testing.T) {
 }
 
 type named8 uint8
+
+type failingWriter struct{ err error }
+
+func (w failingWriter) Write([]byte) (int, error) { return 0, w.err }
+
+// An Indenter stops at its writer's first error and returns it from then
+// on.
+func TestIndenterStopsAtWriteError(t *testing.T) {
+	t.Parallel()
+	full := errors.New("disk full")
+	x := NewIndenter(failingWriter{full})
+	doc := []byte(`[` + strings.Repeat(`{"a":[1,"b"]},`, 2000) + `{}]`)
+	if n, err := x.Write(doc); err != full || n == 0 || n >= len(doc) {
+		t.Fatalf("Write of %d bytes = %d, %v; want it to stop past 0 at %v", len(doc), n, err, full)
+	}
+	if n, err := x.Write([]byte(`1`)); n != 0 || err != full {
+		t.Fatalf("a later Write = %d, %v", n, err)
+	}
+	if err := x.Flush(); err != full {
+		t.Fatalf("Flush = %v", err)
+	}
+}

@@ -3,8 +3,10 @@ package canonjson
 import (
 	"bytes"
 	"encoding/base64"
+	"encoding/json"
 	"reflect"
 	"strconv"
+	"strings"
 	"unicode/utf8"
 )
 
@@ -77,6 +79,12 @@ func (d *decoder) value(p *plan, i int, v reflect.Value) (int, bool) {
 			v.Set(reflect.ValueOf(x))
 		}
 		return j, ok
+	case kRaw:
+		j, ok := rawEnd(data, i)
+		if ok = ok && json.Valid(data[i:j]); ok {
+			v.SetBytes(bytes.Clone(data[i:j]))
+		}
+		return j, ok
 	default: // kStruct
 		return d.structValue(p, i, v)
 	}
@@ -88,7 +96,7 @@ func (d *decoder) slice(p *plan, i int, v reflect.Value) (int, bool) {
 	if hasPrefixAt(data, i, "null") {
 		return i + 4, true
 	}
-	n, ok := count(data, i, '[')
+	n, _, ok := count(data, i, '[')
 	if !ok {
 		return i, false
 	}
@@ -158,7 +166,7 @@ func (d *decoder) mapValue(p *plan, i int, v reflect.Value) (int, bool) {
 	if hasPrefixAt(data, i, "null") {
 		return i + 4, true
 	}
-	n, ok := count(data, i, '{')
+	n, _, ok := count(data, i, '{')
 	if !ok {
 		return i, false
 	}
@@ -333,40 +341,27 @@ func (d *decoder) text(i int) ([]byte, int, bool) {
 }
 
 // count returns the number of elements of the array, or members of the
-// object, that opens with open at data[i]. It only tracks brackets and
-// strings; the parse that follows checks the syntax.
-func count(data []byte, i int, open byte) (int, bool) {
+// object, that opens with open at data[i], and the index past it. It only
+// tracks brackets and strings; the parse that follows checks the syntax.
+func count(data []byte, i int, open byte) (n, end int, ok bool) {
 	if i >= len(data) || data[i] != open {
-		return 0, false
+		return 0, i, false
 	}
 	if i+1 < len(data) && (data[i+1] == ']' || data[i+1] == '}') {
-		return 0, true
+		return 0, i + 2, true
 	}
 	n, depth := 1, 0
 	for ; i < len(data); i++ {
 		switch data[i] {
 		case '"':
-			for {
-				j := bytes.IndexByte(data[i+1:], '"')
-				if j < 0 {
-					return 0, false
-				}
-				i += 1 + j
-				// The quote closes the string unless an odd number of
-				// backslashes precede it; the opening quote bounds the walk.
-				k := i - 1
-				for data[k] == '\\' {
-					k--
-				}
-				if (i-1-k)%2 == 0 {
-					break
-				}
+			if i, ok = closeQuote(data, i); !ok {
+				return 0, i, false
 			}
 		case '[', '{':
 			depth++
 		case ']', '}':
 			if depth--; depth == 0 {
-				return n, true
+				return n, i + 1, true
 			}
 		case ',':
 			if depth == 1 {
@@ -374,7 +369,51 @@ func count(data []byte, i int, open byte) (int, bool) {
 			}
 		}
 	}
-	return 0, false
+	return 0, i, false
+}
+
+// closeQuote returns the index of the quote that closes the string
+// opening at data[i].
+func closeQuote(data []byte, i int) (int, bool) {
+	for {
+		j := bytes.IndexByte(data[i+1:], '"')
+		if j < 0 {
+			return i, false
+		}
+		i += 1 + j
+		// The quote closes the string unless an odd number of
+		// backslashes precede it; the opening quote bounds the walk.
+		k := i - 1
+		for data[k] == '\\' {
+			k--
+		}
+		if (i-1-k)%2 == 0 {
+			return i, true
+		}
+	}
+}
+
+// rawEnd returns the index past the JSON value that starts at data[i]:
+// past its closing bracket or quote, or at the first byte that cannot go
+// on a number or literal. Whether the value is valid is json.Valid's to
+// say.
+func rawEnd(data []byte, i int) (int, bool) {
+	if i >= len(data) {
+		return i, false
+	}
+	switch c := data[i]; c {
+	case '{', '[':
+		_, end, ok := count(data, i, c)
+		return end, ok
+	case '"':
+		j, ok := closeQuote(data, i)
+		return j + 1, ok
+	}
+	j := i
+	for j < len(data) && strings.IndexByte(",]} \t\r\n", data[j]) < 0 {
+		j++
+	}
+	return j, j > i
 }
 
 func hasPrefixAt(data []byte, i int, p string) bool {

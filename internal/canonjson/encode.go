@@ -1,6 +1,7 @@
 package canonjson
 
 import (
+	"bytes"
 	"encoding/base64"
 	"encoding/json"
 	"math"
@@ -58,6 +59,8 @@ func (p *plan) encode(b []byte, v reflect.Value) ([]byte, error) {
 		// through its address, rather than by v.Elem or v.Interface,
 		// keeps the variable v is part of off the heap.
 		return appendAny(b, *(*any)(v.Addr().UnsafePointer()))
+	case kRaw:
+		return appendRaw(b, v.Bytes())
 	default: // kStruct
 		b = append(b, '{')
 		first := true
@@ -191,6 +194,27 @@ func appendDynamic(b []byte, e reflect.Value) ([]byte, error) {
 		}
 	}
 	j, err := json.Marshal(e.Interface())
+	if err != nil {
+		return b, err
+	}
+	return append(b, j...), nil
+}
+
+// appendRaw writes a json.RawMessage as json.Marshal does: null for nil;
+// the bytes themselves when they are valid JSON with no byte json.Marshal
+// would compact away or escape (a space inside a string is one it keeps,
+// but this test is cheap, and json.Marshal's bytes are exact either way);
+// json.Marshal's bytes, or its error, otherwise.
+func appendRaw(b, raw []byte) ([]byte, error) {
+	if raw == nil {
+		return append(b, "null"...), nil
+	}
+	if !bytes.ContainsAny(raw, " \t\r\n<>&\u2028\u2029") && json.Valid(raw) {
+		return append(b, raw...), nil
+	}
+	// A copy, so that raw, which may be the caller's variable, does not
+	// escape.
+	j, err := json.Marshal(json.RawMessage(bytes.Clone(raw)))
 	if err != nil {
 		return b, err
 	}

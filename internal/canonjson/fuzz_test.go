@@ -80,8 +80,18 @@ func seedFrames(tb testing.TB) [][]byte {
 	// An older worker's heartbeat carries a health snapshot, an unknown
 	// field now: off the fast path, and read as json reads it.
 	legacyBeat := `{"type":"heartbeat","pid":9,"hb":{"inflight":[1,3],"executions":40,"goroutines":12,"heap_bytes":8589934592}}`
+	// Span attributes a worker writes and others: an integer past 2^53,
+	// which a map cannot hold exactly; an empty object and null, which a
+	// map leaves out; keys out of order, an escape json would not write,
+	// characters it escapes; and attributes that are no object.
+	spans := func(attrs string) []byte {
+		return []byte(`{"type":"result","result":{"id":1,"test":"T"},"spans":[{"span":2,"parent":1,"name":"round","start_us":0,"dur_us":3,"attrs":` +
+			attrs + `},{"span":1,"name":"instance","start_us":1,"dur_us":9}]}`)
+	}
 	return append(frames, []byte(nan), []byte(`{"type":"result","result":{"id":1,"test":"T","verdicts":[{"p_value":1e400}]}}`),
-		[]byte(legacyBeat))
+		[]byte(legacyBeat),
+		spans(`{"seed":5797154770691000058,"p":0.5}`), spans(`{}`), spans(`null`), spans(`{"b":1,"a":"\u0041"}`),
+		spans(`{"s":"<&>"}`), spans(`"attrs"`), spans(`[1]`))
 }
 
 // checkFrame holds the codec to encoding/json on data decoded as a T: the
@@ -135,9 +145,54 @@ func checkFrame[T any](t *testing.T, data, next []byte) {
 	}
 }
 
+// checkStitch holds the coordinator's read of a result frame, span
+// attributes kept as bytes (dist.Reply), to the read into maps it replaced
+// (dist.Msg): written into a trace, each span of the one gives the line
+// the other gives, whenever its attributes are in the form a worker writes
+// them — json.Marshal's bytes of the map they decode to, which every
+// number that round-trips through float64 is. The same frame as a worker
+// writes it, from the maps, gives the same lines without condition.
+func checkStitch(t *testing.T, data []byte) {
+	var decoded dist.Msg
+	if canonjson.Decode(data, &decoded, nil) != nil {
+		return
+	}
+	worker, err := canonjson.Append(nil, &decoded)
+	if err != nil {
+		t.Fatalf("%s decodes to a value that does not encode: %v", data, err)
+	}
+	for _, frame := range [][]byte{data, worker} {
+		var raw dist.Reply
+		var maps dist.Msg
+		if err := canonjson.Decode(frame, &raw, nil); err != nil || canonjson.Decode(frame, &maps, nil) != nil {
+			t.Fatalf("%s decodes into maps, not as a reply: %v", frame, err)
+		}
+		if len(raw.Spans) != len(maps.Spans) {
+			t.Fatalf("%s: %d spans as a reply, %d into maps", frame, len(raw.Spans), len(maps.Spans))
+		}
+		for i, sp := range raw.Spans {
+			enc, err := canonjson.Append(nil, &maps.Spans[i].Attrs)
+			if err != nil || !bytes.Equal(enc, sp.Attrs) && !(sp.Attrs == nil && maps.Spans[i].Attrs == nil) {
+				if bytes.Equal(frame, worker) {
+					t.Fatalf("%s: attributes %s encode from their map as %s, %v", frame, sp.Attrs, enc, err)
+				}
+				continue // not as a worker writes them
+			}
+			var got, want bytes.Buffer
+			obs.NewTracer(&got).EmitForeign(sp)
+			obs.NewTracer(&want).Emit(maps.Spans[i])
+			if !bytes.Equal(got.Bytes(), want.Bytes()) {
+				t.Fatalf("%s: span %d is traced as\n%s\nfrom the map as\n%s", frame, i, got.Bytes(), want.Bytes())
+			}
+		}
+	}
+}
+
 // FuzzDistFrames feeds arbitrary lines to the codec as the coordinator
-// reads them, a wire frame (dist.Msg) or a journal record (dist.Record),
-// and holds it to encoding/json differentially.
+// reads them, a wire frame (dist.Msg, and dist.Reply, its span attributes
+// kept as bytes) or a journal record (dist.Record), and holds it to
+// encoding/json differentially, and the two reads of a frame's spans to
+// each other (checkStitch).
 func FuzzDistFrames(f *testing.F) {
 	seeds := seedFrames(f)
 	for _, s := range seeds {
@@ -146,7 +201,49 @@ func FuzzDistFrames(f *testing.F) {
 	next := seeds[0]
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkFrame[dist.Msg](t, data, next)
+		checkFrame[dist.Reply](t, data, next)
 		checkFrame[dist.Record](t, data, next)
+		checkStitch(t, data)
+	})
+}
+
+// FuzzIndent holds the Indenter to json.Indent: any valid JSON, compacted
+// and with a newline after it as json.Encoder writes it, indents to
+// json.Indent's bytes with no prefix and two spaces, however the writes
+// split it.
+func FuzzIndent(f *testing.F) {
+	for _, s := range []string{`{}`, `[]`, `""`, `-1.5e7`, `null`, `[[],{},[{}],{"a":[]}]`,
+		`{"a":[1,{"b":{"c":"x\"y\\"}}],"d":"{[,:]}","e":true}`, ` [ 1 , "\u00e9" ] `} {
+		f.Add([]byte(s), uint16(1))
+	}
+	for _, s := range seedFrames(f)[:9] {
+		f.Add(s, uint16(7))
+	}
+	f.Fuzz(func(t *testing.T, data []byte, cut uint16) {
+		if !json.Valid(data) {
+			return
+		}
+		var compact, want bytes.Buffer
+		if err := json.Compact(&compact, data); err != nil {
+			t.Fatal(err)
+		}
+		compact.WriteByte('\n')
+		if err := json.Indent(&want, compact.Bytes(), "", "  "); err != nil {
+			t.Fatal(err)
+		}
+		var got bytes.Buffer
+		iw := canonjson.NewIndenter(&got)
+		step := int(cut)%64 + 1
+		for in := compact.Bytes(); len(in) > 0; {
+			n := min(step, len(in))
+			if k, err := iw.Write(in[:n]); k != n || err != nil {
+				t.Fatalf("Write of %d bytes = %d, %v", n, k, err)
+			}
+			in = in[n:]
+		}
+		if err := iw.Flush(); err != nil || !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("indented %q in pieces of %d as\n%s\njson.Indent gives\n%s", compact.Bytes(), step, got.Bytes(), want.Bytes())
+		}
 	})
 }
 

@@ -206,8 +206,17 @@ func TestIndexSaveLoadRoundTrip(t *testing.T) {
 	c := NewCollector()
 	c.Observe("TestA", []string{"codec"})
 	ix := Build("app", 7, "env", c, schema)
+	ix.Tests["TestA"].Callsites = map[string][]string{"codec": {"a<b>&c.go:1", "d.go:2"}, "dir": {}}
 	if err := Save(dir, ix); err != nil {
 		t.Fatal(err)
+	}
+	// The file is json.MarshalIndent's bytes and a newline.
+	want, err := json.MarshalIndent(ix, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if file, err := os.ReadFile(PathFor(dir, "app")); err != nil || !bytes.Equal(file, append(want, '\n')) {
+		t.Fatalf("saved index (%v):\n%s\nwant\n%s", err, file, want)
 	}
 	got, err := Load(dir, "app")
 	if err != nil {

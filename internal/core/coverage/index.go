@@ -1,17 +1,20 @@
 package coverage
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
 	"strconv"
 
+	"zebraconf/internal/canonjson"
 	"zebraconf/internal/confkit"
 )
 
@@ -203,15 +206,26 @@ func (ix *Index) TestsReading(param string) []string {
 	return out
 }
 
-// Bytes renders the canonical serialized form. encoding/json sorts
-// map keys and all slices were sorted at build time, so equal indexes
-// render byte-identically regardless of construction order.
+// Bytes renders the canonical serialized form: json.MarshalIndent's
+// bytes with a two-space indent, and a newline. Map keys encode sorted
+// and all slices were sorted at build time, so equal indexes render
+// byte-identically regardless of construction order.
 func (ix *Index) Bytes() ([]byte, error) {
-	b, err := json.MarshalIndent(ix, "", "  ")
-	if err != nil {
+	var buf bytes.Buffer
+	if err := ix.write(&buf); err != nil {
 		return nil, err
 	}
-	return append(b, '\n'), nil
+	return buf.Bytes(), nil
+}
+
+// write renders the canonical serialized form to w: json.Encoder's
+// compact bytes, indented as they stream out.
+func (ix *Index) write(w io.Writer) error {
+	iw := canonjson.NewIndenter(w)
+	if err := json.NewEncoder(iw).Encode(ix); err != nil {
+		return err
+	}
+	return iw.Flush()
 }
 
 // PathFor locates app's index file inside a ledger directory.
@@ -224,12 +238,16 @@ func Save(dir string, ix *Index) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	b, err := ix.Bytes()
+	tmp := PathFor(dir, ix.App) + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err
 	}
-	tmp := PathFor(dir, ix.App) + ".tmp"
-	if err := os.WriteFile(tmp, b, 0o644); err != nil {
+	if err := ix.write(f); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Close(); err != nil {
 		return err
 	}
 	return os.Rename(tmp, PathFor(dir, ix.App))

@@ -613,8 +613,9 @@ func (r *Run) release(sess *workerSession, reason string, charged func(*attempt)
 // would collide with the coordinator's), fragment roots — and references
 // to spans the fragment never closed — are re-parented onto the item
 // span, and start times are rebased from the worker tracer's epoch to
-// the dispatch instant on the coordinator's clock.
-func (r *Run) stitchSpans(item *obs.Span, dispatched time.Time, frag []obs.SpanRecord) {
+// the dispatch instant on the coordinator's clock. Attributes go into the
+// trace as the worker wrote them.
+func (r *Run) stitchSpans(item *obs.Span, dispatched time.Time, frag []obs.ForeignSpan) {
 	if item == nil || len(frag) == 0 || r.o == nil || r.o.Tracer == nil {
 		return
 	}
@@ -632,13 +633,13 @@ func (r *Run) stitchSpans(item *obs.Span, dispatched time.Time, frag []obs.SpanR
 			rec.Parent = item.ID()
 		}
 		rec.StartUS += base
-		tr.Emit(rec)
+		tr.EmitForeign(rec)
 	}
 }
 
 // recordResult ends attempt a, held by sess, with the worker's result and
 // trace fragment.
-func (r *Run) recordResult(sess *workerSession, a *attempt, res campaign.ItemResult, frag []obs.SpanRecord) {
+func (r *Run) recordResult(sess *workerSession, a *attempt, res campaign.ItemResult, frag []obs.ForeignSpan) {
 	defer a.span.End()
 	elapsed := time.Since(a.start)
 	delete(sess.held, res.ID)
@@ -788,7 +789,7 @@ type workerSession struct {
 	held       map[int]*attempt
 	stdin      io.WriteCloser
 	cmd        *exec.Cmd
-	msgs       chan Msg
+	msgs       chan Reply
 	readerDone chan struct{}
 	killOnce   sync.Once
 	// sendMu serializes send, which encodes each frame into line.
@@ -828,7 +829,7 @@ func (r *Run) spawn(slot int) (*workerSession, error) {
 		held:       make(map[int]*attempt),
 		stdin:      stdin,
 		cmd:        cmd,
-		msgs:       make(chan Msg, 64),
+		msgs:       make(chan Reply, 64),
 		readerDone: make(chan struct{}),
 	}
 	go s.readLoop(stdout)
@@ -871,8 +872,8 @@ func (s *workerSession) readLoop(rd io.Reader) {
 			}
 			return
 		}
-		var m Msg
-		if err := canonjson.Decode(line, &m, &in); err != nil {
+		var m Reply
+		if err := canonjson.Decode(line, &m, &in); err != nil || !attrsObjects(m.Spans) {
 			if !lr.torn {
 				s.readErr = "corrupt frame"
 			}
@@ -880,6 +881,18 @@ func (s *workerSession) readLoop(rd io.Reader) {
 		}
 		s.msgs <- m
 	}
+}
+
+// attrsObjects reports whether every span's attributes are an object or
+// absent (null is absent): a frame whose attributes are anything else is
+// one no worker writes, and no map could hold.
+func attrsObjects(frag []obs.ForeignSpan) bool {
+	for _, sp := range frag {
+		if len(sp.Attrs) > 0 && sp.Attrs[0] != '{' && string(sp.Attrs) != "null" {
+			return false
+		}
+	}
+	return true
 }
 
 // bye ends a session cleanly when possible: with nothing inflight, ask

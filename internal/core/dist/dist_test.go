@@ -302,8 +302,14 @@ func TestReadLoopNamesCorruptFrames(t *testing.T) {
 		{"{\"type\":\"ready\",\"pid\":1}\nnot json\n{\"type\":\"heartbeat\"}\n", 1, "corrupt frame"},
 		{"{\"type\":\"ready\",\"pid\":1}\n\n", 1, "corrupt frame"},
 		{"{\"type\":\"ready\",\"pid\":1}\n{\"type\":\"res", 1, ""},
+		// Span attributes are an object, or absent: anything else is a
+		// frame no worker writes.
+		{"{\"type\":\"result\",\"spans\":[{\"span\":1,\"name\":\"x\",\"start_us\":0,\"dur_us\":0,\"attrs\":{\"a\":1}}]}\n" +
+			"{\"type\":\"result\",\"spans\":[{\"span\":1,\"name\":\"x\",\"start_us\":0,\"dur_us\":0,\"attrs\":null}]}\n" +
+			"{\"type\":\"result\",\"spans\":[{\"span\":1,\"name\":\"x\",\"start_us\":0,\"dur_us\":0,\"attrs\":[1]}]}\n", 2, "corrupt frame"},
+		{"{\"type\":\"result\",\"spans\":[{\"span\":1,\"name\":\"x\",\"start_us\":0,\"dur_us\":0,\"attrs\":\"a\"}]}\n", 0, "corrupt frame"},
 	} {
-		s := &workerSession{msgs: make(chan Msg), readerDone: make(chan struct{})}
+		s := &workerSession{msgs: make(chan Reply), readerDone: make(chan struct{})}
 		go s.readLoop(strings.NewReader(c.stream))
 		n := 0
 		for range s.msgs {

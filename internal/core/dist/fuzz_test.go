@@ -108,7 +108,7 @@ func FuzzWorkerFrames(f *testing.F) {
 			// The worker: init, the frames, EOF. Its error is its to choose.
 			_ = ServeWorker(io.MultiReader(bytes.NewReader(init), bytes.NewReader(frames)), io.Discard, resolve)
 			// The coordinator's reader of one session.
-			s := &workerSession{msgs: make(chan Msg), readerDone: make(chan struct{})}
+			s := &workerSession{msgs: make(chan Reply), readerDone: make(chan struct{})}
 			go s.readLoop(bytes.NewReader(frames))
 			for range s.msgs {
 			}

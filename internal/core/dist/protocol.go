@@ -156,7 +156,16 @@ func dropEOL(line []byte) []byte {
 }
 
 // Msg is the single wire envelope; Type selects which fields are set.
-type Msg struct {
+type Msg = envelope[obs.SpanRecord]
+
+// Reply is a worker's frame as the coordinator reads it: a Msg whose span
+// fragment keeps each span's attributes as the bytes of their JSON
+// object, written into the coordinator's trace verbatim once the span is
+// re-identified; nothing decodes them into a map. Its bytes are Msg's.
+type Reply = envelope[obs.ForeignSpan]
+
+// envelope is Msg, its spans of type S.
+type envelope[S obs.SpanRecord | obs.ForeignSpan] struct {
 	Type   string               `json:"type"`
 	App    string               `json:"app,omitempty"`
 	Config *Config              `json:"config,omitempty"`
@@ -168,9 +177,9 @@ type Msg struct {
 	// re-identifies them under its own item span so a -workers campaign
 	// renders as one tree. Telemetry, not result: it rides beside Result,
 	// so nothing that persists a result ever carries it.
-	Spans []obs.SpanRecord `json:"spans,omitempty"`
-	PID   int              `json:"pid,omitempty"`
-	Error string           `json:"error,omitempty"`
+	Spans []S    `json:"spans,omitempty"`
+	PID   int    `json:"pid,omitempty"`
+	Error string `json:"error,omitempty"`
 	// Param carries the quarantined parameter of a MsgQuarantine.
 	Param string `json:"param,omitempty"`
 }

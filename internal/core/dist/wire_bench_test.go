@@ -100,7 +100,7 @@ func (r *repeatReader) Read(p []byte) (int, error) {
 // decoding it into the message it hands on.
 func BenchmarkResultFrameDecode(b *testing.B) {
 	frame := largestResultFrame(b)
-	s := &workerSession{msgs: make(chan Msg, 1), readerDone: make(chan struct{})}
+	s := &workerSession{msgs: make(chan Reply, 1), readerDone: make(chan struct{})}
 	b.SetBytes(int64(len(frame)))
 	b.ReportAllocs()
 	b.ResetTimer()

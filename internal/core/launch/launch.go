@@ -10,6 +10,7 @@ import (
 	"os/exec"
 	"time"
 
+	"zebraconf/internal/canonjson"
 	"zebraconf/internal/core/agent"
 	"zebraconf/internal/core/campaign"
 	"zebraconf/internal/core/coverage"
@@ -287,13 +288,16 @@ func (l *prepared) saveCoverage(dir string, app *harness.App, res *campaign.Resu
 	ix := coverage.Build(app.Name, l.opts.Seed, l.opts.CoverageKey, res.Coverage, schema)
 	carry := append([]string(nil), res.DeselectedTests...)
 	st := &coverage.ItemStore{App: app.Name, Items: make(map[string]json.RawMessage)}
+	// Every record is encoded into one growing buffer, and keeps its part.
+	var recs []byte
 	for _, it := range res.Items {
 		if it.Replayed {
 			// The raw record it came from is the source of truth.
 			carry = append(carry, it.Test)
 			delete(ix.Tests, it.Test)
-		} else if b, err := json.Marshal(it); err == nil {
-			st.Items[it.Test] = b
+		} else if b, err := canonjson.Append(recs, &it); err == nil {
+			st.Items[it.Test] = b[len(recs):len(b):len(b)]
+			recs = b
 		}
 	}
 	ix.Adopt(l.prevIx, carry)

@@ -20,6 +20,7 @@ import (
 	"strings"
 	"time"
 
+	"zebraconf/internal/canonjson"
 	"zebraconf/internal/core/campaign"
 	"zebraconf/internal/obs"
 )
@@ -91,13 +92,17 @@ func Summarize(res *campaign.Result, seed int64, start time.Time, workers int, f
 	lines := make([]string, 0, len(res.Reported))
 	var evRecords int
 	var evBytes int64
+	// Evidence is measured by its JSON's length, each record encoded into
+	// the one buffer.
+	var buf []byte
 	for _, p := range res.Reported {
 		names = append(names, p.Param)
 		lines = append(lines, p.Param+"\x00"+p.Truth.String())
 		if p.Evidence != nil {
 			evRecords++
-			if b, err := json.Marshal(p.Evidence); err == nil {
+			if b, err := canonjson.Append(buf[:0], p.Evidence); err == nil {
 				evBytes += int64(len(b))
+				buf = b
 			}
 		}
 	}

@@ -2,11 +2,15 @@ package ledger
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
+
+	"zebraconf/internal/apps"
+	"zebraconf/internal/core/campaign"
 )
 
 func record(runID, app string, params ...string) Record {
@@ -221,5 +225,37 @@ func TestDiffMakespan(t *testing.T) {
 	}
 	if !d.Clean() {
 		t.Fatal("makespan alone must not dirty the reported-set diff")
+	}
+}
+
+// EvidenceBytes is the length of json.Marshal's bytes of every reported
+// parameter's evidence, summed.
+func TestSummarizeEvidenceBytesIsMarshalLength(t *testing.T) {
+	t.Parallel()
+	app, err := apps.ByName("miniyarn")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := campaign.Run(app, campaign.Options{Seed: 1, EvidenceMax: -1})
+	var records int
+	var want int64
+	for _, p := range res.Reported {
+		if p.Evidence == nil {
+			continue
+		}
+		b, err := json.Marshal(p.Evidence)
+		if err != nil {
+			t.Fatal(err)
+		}
+		records++
+		want += int64(len(b))
+	}
+	if records < 2 {
+		t.Fatalf("the campaign reported %d parameters with evidence; the test needs two or more", records)
+	}
+	rec := Summarize(res, 1, time.Now(), 0, nil)
+	if rec.EvidenceRecords != records || rec.EvidenceBytes != want {
+		t.Fatalf("Summarize counts %d evidence records of %d bytes; json.Marshal gives %d of %d",
+			rec.EvidenceRecords, rec.EvidenceBytes, records, want)
 	}
 }

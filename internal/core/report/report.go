@@ -10,6 +10,7 @@ import (
 	"sort"
 	"strings"
 
+	"zebraconf/internal/canonjson"
 	"zebraconf/internal/confkit"
 	"zebraconf/internal/core/campaign"
 	"zebraconf/internal/core/harness"
@@ -122,11 +123,16 @@ func Full(w io.Writer, res *campaign.Result) {
 	fmt.Fprintf(w, "Elapsed: %v\n", res.Elapsed)
 }
 
-// JSON marshals campaign results for reportgen.
+// JSON writes campaign results for reportgen: the bytes of a
+// json.Encoder with SetIndent("", "  "), newline included. The compact
+// document streams through a canonjson.Indenter, which indents it on its
+// way to w, so the indented document is never held.
 func JSON(w io.Writer, results []*campaign.Result) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(results)
+	iw := canonjson.NewIndenter(w)
+	if err := json.NewEncoder(iw).Encode(results); err != nil {
+		return err
+	}
+	return iw.Flush()
 }
 
 // Markdown renders one campaign as a Markdown section for EXPERIMENTS.md.

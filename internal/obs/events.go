@@ -7,6 +7,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"zebraconf/internal/canonjson"
 )
 
 // Event names form the flight-recorder catalog: every discrete campaign
@@ -211,18 +213,22 @@ type EventRecord struct {
 // and the dist coordinator's sessions — interleave whole lines, never
 // bytes. A nil *EventLog is valid and drops everything.
 type EventLog struct {
-	mu    sync.Mutex
-	enc   *json.Encoder
+	mu sync.Mutex
+	w  io.Writer
+	// line is the buffer each record is encoded into.
+	line  []byte
 	epoch time.Time
 }
 
 // NewEventLog returns an event log writing JSONL records to w.
 func NewEventLog(w io.Writer) *EventLog {
-	return &EventLog{enc: json.NewEncoder(w), epoch: time.Now()}
+	return &EventLog{w: w, epoch: time.Now()}
 }
 
-// Emit appends one event. Encoding errors are deliberately dropped: the
-// flight recorder must never fail the campaign it is recording.
+// Emit appends one event: json.Marshal's bytes of its record and a
+// newline, written in one call. Encoding and write errors are deliberately
+// dropped: the flight recorder must never fail the campaign it is
+// recording.
 func (l *EventLog) Emit(event string, attrs ...Attr) {
 	if l == nil {
 		return
@@ -237,7 +243,12 @@ func (l *EventLog) Emit(event string, attrs ...Attr) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	rec.TimeUS = time.Since(l.epoch).Microseconds()
-	_ = l.enc.Encode(rec)
+	line, err := canonjson.Append(l.line[:0], &rec)
+	if err != nil {
+		return
+	}
+	l.line = append(line, '\n')
+	_, _ = l.w.Write(l.line)
 }
 
 // ReadEvents parses a JSONL event log, for tests and tools.

@@ -2,7 +2,9 @@ package obs
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 )
@@ -105,5 +107,40 @@ func TestEventLogAttrs(t *testing.T) {
 	}
 	if a["stored"] != true {
 		t.Errorf("stored attr: %v", a["stored"])
+	}
+}
+
+// TestEventLogLineIsEncoders holds Emit's line to json.Encoder's bytes of
+// the same record, for attributes of every kind an emitter passes: HTML
+// characters and escapes, integers and floats in each of json's formats,
+// bools, and a slice, which the codec leaves to json.Marshal.
+func TestEventLogLineIsEncoders(t *testing.T) {
+	t.Parallel()
+	attrs := []Attr{
+		String("msg", "<a href=\"x\">&amp;</a>\t\n \x01\xff"),
+		String("<key>", "&"),
+		Int("min", math.MinInt64), Int("max", math.MaxInt64), Int("zero", 0),
+		Float("half", 0.5), Float("tiny", 1e-7), Float("huge", 1e21), Float("neg", -123.456),
+		Bool("yes", true), Bool("no", false),
+		{Key: "tests", Value: []string{"TestA", "Test<B>"}},
+	}
+	var buf bytes.Buffer
+	NewEventLog(&buf).Emit(EvVerdict, attrs...)
+	var stamp struct {
+		TimeUS int64 `json:"t_us"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &stamp); err != nil {
+		t.Fatal(err)
+	}
+	rec := EventRecord{TimeUS: stamp.TimeUS, Event: EvVerdict, Attrs: make(map[string]any)}
+	for _, a := range attrs {
+		rec.Attrs[a.Key] = a.Value
+	}
+	var want bytes.Buffer
+	if err := json.NewEncoder(&want).Encode(rec); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), want.Bytes()) {
+		t.Fatalf("Emit wrote\n%s\njson.Encoder writes\n%s", buf.Bytes(), want.Bytes())
 	}
 }

@@ -48,6 +48,20 @@ type SpanRecord struct {
 	Attrs   map[string]any `json:"attrs,omitempty"`
 }
 
+// ForeignSpan is a SpanRecord as another process's tracer wrote it, its
+// attributes kept as the bytes of their JSON object: a coordinator
+// stitching a worker's trace fragment into its own trace re-identifies
+// and rebases each span and writes the attributes out verbatim, never
+// decoding them (EmitForeign). Its JSON is SpanRecord's.
+type ForeignSpan struct {
+	Span    SpanID          `json:"span"`
+	Parent  SpanID          `json:"parent,omitempty"`
+	Name    string          `json:"name"`
+	StartUS int64           `json:"start_us"`
+	DurUS   int64           `json:"dur_us"`
+	Attrs   json.RawMessage `json:"attrs,omitempty"`
+}
+
 // Tracer emits structured spans as JSON lines. Span creation is an
 // atomic ID allocation; the writer lock is taken only when a span ends.
 type Tracer struct {
@@ -95,10 +109,15 @@ func (t *Tracer) write(rec SpanRecord) {
 		t.recs = append(t.recs, rec)
 		return
 	}
-	// Encoding and write errors (e.g. a closed file) are deliberately
-	// dropped: tracing must never fail the campaign. A record is
-	// json.Marshal's bytes and a newline, written in one call.
 	line, err := canonjson.Append(t.line[:0], &rec)
+	t.writeLine(line, err)
+}
+
+// writeLine writes a record encoded into line, json.Marshal's bytes, and a
+// newline in one call; t.mu is held. Encoding and write errors (e.g. a
+// closed file) are deliberately dropped: tracing must never fail the
+// campaign.
+func (t *Tracer) writeLine(line []byte, err error) {
 	if err != nil {
 		return
 	}
@@ -214,6 +233,32 @@ func (t *Tracer) Emit(rec SpanRecord) {
 		return
 	}
 	t.write(rec)
+}
+
+// EmitForeign writes a foreign span as Emit writes the SpanRecord it
+// decodes to, its attributes' bytes as they are: the same line, when they
+// are json.Marshal's bytes of that record's map. An empty object or null
+// is left out, as an empty map is. A collecting tracer keeps the record
+// with its attributes decoded.
+func (t *Tracer) EmitForeign(rec ForeignSpan) {
+	if t == nil {
+		return
+	}
+	if a := rec.Attrs; string(a) == "{}" || string(a) == "null" {
+		rec.Attrs = nil
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.w != nil {
+		line, err := canonjson.Append(t.line[:0], &rec)
+		t.writeLine(line, err)
+		return
+	}
+	local := SpanRecord{Span: rec.Span, Parent: rec.Parent, Name: rec.Name, StartUS: rec.StartUS, DurUS: rec.DurUS}
+	if rec.Attrs != nil && json.Unmarshal(rec.Attrs, &local.Attrs) != nil {
+		return
+	}
+	t.recs = append(t.recs, local)
 }
 
 // SinceEpochUS converts an absolute time to this tracer's epoch-relative
