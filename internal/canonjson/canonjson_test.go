@@ -191,8 +191,13 @@ func TestDecodeIsUnmarshal(t *testing.T) {
 		{`{"f64":1e400}`, false},
 		{`{"f64":01}`, false},
 		{`{"f64":.5}`, false},
-		{`{"attrs":{"o":{}}}`, false},
-		{`{"any":[1]}`, false},
+		// An any holds arrays and objects as json decodes them.
+		{`{"attrs":{"o":{},"l":[1,{"x":null,"y":[]}]},"any":[1,"a",[true]]}`, true},
+		{`{"any":{"k":{"k":[{}]}}}`, true},
+		{`{"any":` + strings.Repeat("[", 9999) + strings.Repeat("]", 9999) + `}`, true},
+		{`{"any":` + strings.Repeat("[", 10000) + strings.Repeat("]", 10000) + `}`, false}, // past json's depth
+		{`{"attrs":{"o":{"a":1,}}}`, false},
+		{`{"any":[1,]}`, false},
 		{`{"raw":[1,2]}`, false},
 		{`{"strs":[1]}`, false},
 		{`{"strs":["a",]}`, false},

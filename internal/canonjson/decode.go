@@ -15,6 +15,16 @@ type decoder struct {
 	data []byte
 	in   *Interner
 	esc  []byte // the text of the current string, once it has an escape
+	// depth counts the arrays and objects open around the current value:
+	// one past json's limit of 10000 is not canonical. A parser that opens
+	// one closes it by a decrement on success; a failure ends the parse.
+	depth int
+}
+
+// open enters an array or object, and reports false past json's limit.
+func (d *decoder) open() bool {
+	d.depth++
+	return d.depth <= 10000
 }
 
 // value parses the canonical JSON of one value from d.data[i:] into v,
@@ -74,7 +84,7 @@ func (d *decoder) value(p *plan, i int, v reflect.Value) (int, bool) {
 	case kMap:
 		return d.mapValue(p, i, v)
 	case kAny:
-		x, j, ok := d.scalar(i)
+		x, j, ok := d.anyValue(i)
 		if ok && x != nil {
 			v.Set(reflect.ValueOf(x))
 		}
@@ -97,7 +107,7 @@ func (d *decoder) slice(p *plan, i int, v reflect.Value) (int, bool) {
 		return i + 4, true
 	}
 	n, _, ok := count(data, i, '[')
-	if !ok {
+	if !ok || !d.open() {
 		return i, false
 	}
 	if n == 0 {
@@ -122,6 +132,7 @@ func (d *decoder) slice(p *plan, i int, v reflect.Value) (int, bool) {
 	if i >= len(data) || data[i] != ']' {
 		return i, false
 	}
+	d.depth--
 	return i + 1, true
 }
 
@@ -129,11 +140,12 @@ func (d *decoder) slice(p *plan, i int, v reflect.Value) (int, bool) {
 // declared order; a field may be absent.
 func (d *decoder) structValue(p *plan, i int, v reflect.Value) (int, bool) {
 	data := d.data
-	if i >= len(data) || data[i] != '{' {
+	if i >= len(data) || data[i] != '{' || !d.open() {
 		return i, false
 	}
 	i++
 	if i < len(data) && data[i] == '}' {
+		d.depth--
 		return i + 1, true
 	}
 	for k := 0; ; {
@@ -153,6 +165,7 @@ func (d *decoder) structValue(p *plan, i int, v reflect.Value) (int, bool) {
 		case ',':
 			i++
 		case '}':
+			d.depth--
 			return i + 1, true
 		default:
 			return i, false
@@ -167,7 +180,7 @@ func (d *decoder) mapValue(p *plan, i int, v reflect.Value) (int, bool) {
 		return i + 4, true
 	}
 	n, _, ok := count(data, i, '{')
-	if !ok {
+	if !ok || !d.open() {
 		return i, false
 	}
 	i++
@@ -180,7 +193,7 @@ func (d *decoder) mapValue(p *plan, i int, v reflect.Value) (int, bool) {
 				return i, false
 			}
 			var x any
-			if x, i, ok = d.scalar(i); !ok {
+			if x, i, ok = d.anyValue(i); !ok {
 				return i, false
 			}
 			m[key] = x
@@ -188,6 +201,7 @@ func (d *decoder) mapValue(p *plan, i int, v reflect.Value) (int, bool) {
 		if i >= len(data) || data[i] != '}' {
 			return i, false
 		}
+		d.depth--
 		v.Set(reflect.ValueOf(m))
 		return i + 1, true
 	}
@@ -209,6 +223,7 @@ func (d *decoder) mapValue(p *plan, i int, v reflect.Value) (int, bool) {
 	if i >= len(data) || data[i] != '}' {
 		return i, false
 	}
+	d.depth--
 	v.Set(m)
 	return i + 1, true
 }
@@ -231,14 +246,25 @@ func (d *decoder) member(k, i int, key *string) (int, bool) {
 	return i + 1, true
 }
 
-// scalar parses the value of an any: a string, number, bool or null, as
-// json decodes it. An object or array is not canonical here.
-func (d *decoder) scalar(i int) (any, int, bool) {
+// The plans of the arrays and objects an any holds.
+var anyList, anyMap = planFor(reflect.TypeFor[[]any]()), planFor(reflect.TypeFor[map[string]any]())
+
+// anyValue parses the value of an any as json decodes it: a string,
+// float64, bool, nil, []any or map[string]any.
+func (d *decoder) anyValue(i int) (any, int, bool) {
 	data := d.data
 	if i >= len(data) {
 		return nil, i, false
 	}
 	switch c := data[i]; {
+	case c == '[':
+		var l []any
+		j, ok := d.slice(anyList, i, reflect.ValueOf(&l).Elem())
+		return l, j, ok
+	case c == '{':
+		var m map[string]any
+		j, ok := d.mapValue(anyMap, i, reflect.ValueOf(&m).Elem())
+		return m, j, ok
 	case c == '"':
 		s, j, ok := d.str(i)
 		if !ok {

@@ -83,7 +83,8 @@ func seedFrames(tb testing.TB) [][]byte {
 	// Span attributes a worker writes and others: an integer past 2^53,
 	// which a map cannot hold exactly; an empty object and null, which a
 	// map leaves out; keys out of order, an escape json would not write,
-	// characters it escapes; and attributes that are no object.
+	// characters it escapes; attributes that are no object; and an
+	// attribute holding an array and an object.
 	spans := func(attrs string) []byte {
 		return []byte(`{"type":"result","result":{"id":1,"test":"T"},"spans":[{"span":2,"parent":1,"name":"round","start_us":0,"dur_us":3,"attrs":` +
 			attrs + `},{"span":1,"name":"instance","start_us":1,"dur_us":9}]}`)
@@ -91,7 +92,7 @@ func seedFrames(tb testing.TB) [][]byte {
 	return append(frames, []byte(nan), []byte(`{"type":"result","result":{"id":1,"test":"T","verdicts":[{"p_value":1e400}]}}`),
 		[]byte(legacyBeat),
 		spans(`{"seed":5797154770691000058,"p":0.5}`), spans(`{}`), spans(`null`), spans(`{"b":1,"a":"\u0041"}`),
-		spans(`{"s":"<&>"}`), spans(`"attrs"`), spans(`[1]`))
+		spans(`{"s":"<&>"}`), spans(`"attrs"`), spans(`[1]`), spans(`{"list":[1,{"x":null}]}`))
 }
 
 // checkFrame holds the codec to encoding/json on data decoded as a T: the

@@ -53,10 +53,21 @@ type hooksBox struct{ h Hooks }
 // NewRuntime returns a runtime over schema. A nil schema is treated as an
 // empty registry (no defaults).
 func NewRuntime(schema *Registry) *Runtime {
+	rt := new(Runtime)
+	rt.Reset(schema)
+	return rt
+}
+
+// Reset makes rt a runtime over schema with no agent and no spawner, as
+// NewRuntime makes one, for the next execution of an environment whose
+// last one has ended. Like SetSpawner, it must be called before the
+// runtime is shared between goroutines.
+func (rt *Runtime) Reset(schema *Registry) {
 	if schema == nil {
 		schema = NewRegistry()
 	}
-	return &Runtime{schema: schema}
+	rt.schema, rt.spawn = schema, nil
+	rt.hooks.Store(nil)
 }
 
 // SetSpawner makes Go start its goroutines through spawn, so that they join

@@ -79,8 +79,8 @@ func (m mapAssigner) Lookup(k Key) (string, bool) {
 	return v, ok
 }
 
-// Options configures a new Agent. Agents are single-use: create one per
-// unit-test execution.
+// Options configures a new Agent. An agent serves one unit-test execution:
+// create one per execution, or Reuse one whose execution has ended.
 type Options struct {
 	// Strategy is the read-mapping strategy; zero value is StrategyPaper.
 	Strategy Strategy
@@ -189,12 +189,12 @@ type window struct {
 	g, node uint64
 }
 
-// Agent is a single-use ConfAgent instance. It implements confkit.Hooks.
+// Agent is the ConfAgent of one execution. It implements confkit.Hooks.
 // All methods are safe for concurrent use by the nodes of one unit test.
 //
 // Its tables are sized for one execution, which holds a handful of each
 // (DESIGN.md §2): slices searched linearly, allocated at first use with
-// the capacities below.
+// the capacities below, and kept by Reuse for the next execution.
 type Agent struct {
 	strategy Strategy
 	assign   Assigner
@@ -262,21 +262,29 @@ type confEntry struct {
 
 // New returns a fresh agent. Install it on the unit test's runtime with
 // rt.SetHooks before any node starts.
-func New(opts Options) *Agent {
-	a := &Agent{
-		strategy:   opts.Strategy,
-		assign:     opts.Assigner,
-		traceReads: opts.TraceReads,
-		identity:   opts.Identity,
-		report:     !opts.Trial,
-		coverage:   opts.Coverage || opts.CoverageSites,
-	}
+func New(opts Options) *Agent { return Reuse(new(Agent), opts) }
+
+// Reuse resets a to the agent New(opts) returns, keeping its tables'
+// capacity, and returns a. a's execution must have ended: nothing calls it
+// any more. What was read from it keeps: every accessor copies out.
+func Reuse(a *Agent, opts Options) *Agent {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	a.strategy, a.assign, a.identity = opts.Strategy, opts.Assigner, opts.Identity
 	if a.assign == nil && opts.Assign != nil {
 		a.assign = mapAssigner(opts.Assign)
 	}
 	if a.identity == nil {
 		a.identity = fallbackIdentity
 	}
+	clear(a.confs) // an entry holds its object and read set
+	clear(a.readLog)
+	a.windows, a.nodes, a.confs = a.windows[:0], a.nodes[:0], a.confs[:0]
+	a.report, a.threadReads = !opts.Trial, nil
+	a.confUsed, a.shared, a.refAnomalies = false, false, 0
+	a.traceReads, a.readLog, a.readsDropped = opts.TraceReads, a.readLog[:0], 0
+	a.coverage, a.schema = opts.Coverage || opts.CoverageSites, nil
+	a.covBits, a.covOther, a.covSites = a.covBits[:0], a.covOther[:0], nil
 	if a.report && a.strategy == StrategyThreadOnly {
 		a.threadReads = make(map[string]map[string]bool)
 	}
@@ -610,7 +618,9 @@ func (a *Agent) coverLocked(c *confkit.Conf, name string) {
 	schema := c.Runtime().Schema()
 	if a.schema == nil {
 		a.schema = schema
-		a.covBits = make([]uint64, (schema.Len()+63)/64)
+		n := (schema.Len() + 63) / 64
+		a.covBits = slices.Grow(a.covBits[:0], n)[:n]
+		clear(a.covBits)
 	}
 	if i, ok := schema.Index(name); ok && schema == a.schema && i/64 < len(a.covBits) {
 		a.covBits[i/64] |= 1 << (i % 64)

@@ -147,8 +147,8 @@ type CaptureSpec struct {
 // enabled reports whether the spec asks for any capture at all.
 func (s CaptureSpec) enabled() bool { return s.LogBytes > 0 || s.ReadEvents > 0 }
 
-// RunOnce executes one unit test in a fresh environment with a fresh agent
-// configured by opts. seed differentiates trials of nondeterministic tests.
+// RunOnce executes one unit test in an environment and an agent as new,
+// the agent configured by opts (see frame). seed differentiates trials of nondeterministic tests.
 func RunOnce(app *App, test *UnitTest, opts agent.Options, seed int64) Outcome {
 	return RunOnceCaptured(app, test, opts, seed, nil, CaptureSpec{})
 }
@@ -170,22 +170,58 @@ func RunOnce(app *App, test *UnitTest, opts agent.Options, seed int64) Outcome {
 // timed out, at no cost in wall time. The same timeout on the wall clock
 // remains as a watchdog for a body that never parks.
 func RunOnceCaptured(app *App, test *UnitTest, opts agent.Options, seed int64, o *obs.Observer, spec CaptureSpec) Outcome {
-	env := NewEnv(app.Schema(), nil, seed)
-
+	f := takeFrame(app.Schema(), seed)
 	if spec.ReadEvents > 0 {
 		opts.TraceReads = spec.ReadEvents
 	}
 	// The clock runs one goroutine of the execution at a time and knows
 	// which: the agent's threadContext is keyed by that.
-	opts.Identity = env.Scale.Member
-	ag := agent.New(opts)
-	env.RT.SetHooks(ag)
+	opts.Identity = f.member
+	f.env.RT.SetHooks(agent.Reuse(f.ag, opts))
+	out, reaped := f.run(app, test, o, spec)
+	if reaped {
+		frames.Put(f)
+	}
+	return out
+}
 
-	x := &execution{
+// frame is the scaffolding of one execution: the execution, the Env with
+// its runtime, fabric and clock, the agent, and the watcher's timer. It
+// goes back to frames only once its execution was reaped — every clock
+// member returned, the cleanups done — so nothing of one execution runs
+// into the next; an abandoned execution's frame is dropped. Each layer
+// resets by the code its constructor runs (simtime.Scale.Recycle,
+// Env.reset, agent.Reuse).
+type frame struct {
+	x      execution
+	env    *Env
+	ag     *agent.Agent
+	member func() uint64 // env.Scale.Member, bound once
+	timer  *time.Timer   // stopped and drained between uses
+}
+
+// frames holds the frames of reaped executions.
+var frames sync.Pool
+
+// takeFrame returns a frame whose environment is ready for an execution
+// over schema with seed, its clock's first member the caller.
+func takeFrame(schema *confkit.Registry, seed int64) *frame {
+	if f, ok := frames.Get().(*frame); ok && f.env.Scale.Recycle() {
+		f.env.reset(schema, seed)
+		return f
+	}
+	env := NewEnv(schema, nil, seed)
+	return &frame{env: env, ag: new(agent.Agent), member: env.Scale.Member}
+}
+
+// run executes test in f, whose environment has f.ag installed, and
+// reports whether the execution was reaped.
+func (f *frame) run(app *App, test *UnitTest, o *obs.Observer, spec CaptureSpec) (Outcome, bool) {
+	env, ag, x := f.env, f.ag, &f.x
+	*x = execution{
 		t:        T{Env: env, logCap: spec.LogBytes},
 		ag:       ag,
 		spec:     spec,
-		coverage: opts.Coverage || opts.CoverageSites,
 		finished: make(chan struct{}),
 	}
 	timeout := test.Timeout
@@ -195,7 +231,7 @@ func RunOnceCaptured(app *App, test *UnitTest, opts agent.Options, seed int64, o
 
 	x.start = time.Now()
 	halted := env.Scale.Limit(int64(timeout / simtime.DefaultTick))
-	// NewEnv made this goroutine the clock's first member. It hands that
+	// takeFrame made this goroutine the clock's first member. It hands that
 	// membership, identity included, to the body's goroutine and only
 	// watches from here on. That goroutine keeps the baton through its own
 	// teardown and gives the membership up last (the first defer of
@@ -203,15 +239,20 @@ func RunOnceCaptured(app *App, test *UnitTest, opts agent.Options, seed int64, o
 	// returns, before any node loop gets another turn.
 	go x.body(test)
 
-	watchdog := time.NewTimer(timeout)
-	defer watchdog.Stop()
+	// One timer is the watchdog here and the grace wait below.
+	if f.timer == nil {
+		f.timer = time.NewTimer(timeout)
+	} else {
+		f.timer.Reset(timeout)
+	}
 	grace := reapGrace
 	select {
 	case <-x.finished:
 	case <-halted:
-	case <-watchdog.C:
+	case <-f.timer.C:
 		grace = 0 // whatever ignored the clock for this long will not exit now
 	}
+	stop(f.timer)
 
 	x.mu.Lock()
 	out, returned := x.out, x.returned
@@ -235,9 +276,9 @@ func RunOnceCaptured(app *App, test *UnitTest, opts agent.Options, seed int64, o
 			defer close(cleaned)
 			env.runCleanups()
 		}()
-		reaped = within(cleaned, grace)
+		reaped = within(cleaned, grace, f.timer)
 	}
-	reaped = reaped && within(drained, grace)
+	reaped = reaped && within(drained, grace, f.timer)
 	if !reaped {
 		out.Abandoned = true
 		leakedNow.Add(1)
@@ -253,7 +294,7 @@ func RunOnceCaptured(app *App, test *UnitTest, opts agent.Options, seed int64, o
 	}
 	out.Report = ag.Report()
 	o.RecordTestRun(app.Name, test.Name, out.TimedOut, out.Elapsed)
-	return out
+	return out, reaped
 }
 
 // execution is one RunOnceCaptured in flight: the test handle, what the
@@ -264,7 +305,6 @@ type execution struct {
 	t        T
 	ag       *agent.Agent
 	spec     CaptureSpec
-	coverage bool
 	start    time.Time
 	finished chan struct{} // the body returned and tore the environment down
 
@@ -318,10 +358,10 @@ func (x *execution) collect() Outcome {
 		out.LogDroppedBytes, out.LogDroppedMsgs = t.LogDropped()
 		out.Reads, out.ReadsDropped = x.ag.ReadTrace()
 	}
-	if x.coverage {
-		out.ReadParams = x.ag.CoverageParams()
-		out.ReadSites = x.ag.CoverageSites()
-	}
+	// Both nil unless the agent keeps them (Options.Coverage,
+	// CoverageSites).
+	out.ReadParams = x.ag.CoverageParams()
+	out.ReadSites = x.ag.CoverageSites()
 	return out
 }
 
@@ -331,8 +371,9 @@ func (x *execution) collect() Outcome {
 // clock gets anywhere near it.
 const reapGrace = 2 * time.Second
 
-// within reports whether ch is closed within d.
-func within(ch <-chan struct{}, d time.Duration) bool {
+// within reports whether ch is closed within d, waiting on timer, which
+// is stopped and drained, and left so.
+func within(ch <-chan struct{}, d time.Duration, timer *time.Timer) bool {
 	select {
 	case <-ch:
 		return true
@@ -341,12 +382,23 @@ func within(ch <-chan struct{}, d time.Duration) bool {
 	if d <= 0 {
 		return false
 	}
-	timer := time.NewTimer(d)
-	defer timer.Stop()
+	timer.Reset(d)
+	defer stop(timer)
 	select {
 	case <-ch:
 		return true
 	case <-timer.C:
 		return false
+	}
+}
+
+// stop stops timer and drains its channel for the next Reset, as timers
+// before Go 1.23's semantics (go.mod's go line picks them) need.
+func stop(timer *time.Timer) {
+	if !timer.Stop() {
+		select {
+		case <-timer.C:
+		default:
+		}
 	}
 }

@@ -47,14 +47,19 @@ func NewEnv(schema *confkit.Registry, scale *simtime.Scale, seed int64) *Env {
 	if scale == nil {
 		scale = simtime.NewVirtual()
 	}
-	rt := confkit.NewRuntime(schema)
-	rt.SetSpawner(scale.Go)
-	return &Env{
-		RT:     rt,
-		Fabric: rpcsim.NewFabric(),
-		Scale:  scale,
-		seed:   seed,
-	}
+	e := &Env{RT: new(confkit.Runtime), Fabric: new(rpcsim.Fabric), Scale: scale}
+	e.reset(schema, seed)
+	return e
+}
+
+// reset readies e's runtime and fabric for an execution over schema whose
+// random stream is seed's: what NewEnv builds, and what a recycled frame's
+// Env (see frame) becomes. e's clock is the caller's business.
+func (e *Env) reset(schema *confkit.Registry, seed int64) {
+	e.RT.Reset(schema)
+	e.RT.SetSpawner(e.Scale.Go)
+	e.Fabric.Reset()
+	e.seed, e.drawn, e.cleanups = seed, 0, nil
 }
 
 // pooledSource is a borrowed random source: a rand.Source that counts the

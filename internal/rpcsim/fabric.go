@@ -22,8 +22,19 @@ type Fabric struct {
 // NewFabric returns an empty fabric.
 func NewFabric() *Fabric {
 	f := new(Fabric)
-	f.endpoints = f.inline[:0]
+	f.Reset()
 	return f
+}
+
+// Reset unbinds every endpoint, making f an empty fabric as NewFabric
+// makes one, for the next execution of an environment whose last one has
+// ended: a server of that one is no longer found by Dial, and Closing it
+// leaves f alone.
+func (f *Fabric) Reset() {
+	f.mu.Lock()
+	clear(f.inline[:])
+	f.endpoints = f.inline[:0]
+	f.mu.Unlock()
 }
 
 // find returns addr's endpoint, or nil. The caller holds f.mu.

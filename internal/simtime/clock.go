@@ -69,9 +69,27 @@ type Clock struct {
 }
 
 func newClock() *Clock {
-	c := &Clock{live: 1, ids: 1, limit: Forever, dead: make(chan struct{})}
-	c.cur.Store(1)
+	c := new(Clock)
+	c.resetLocked() // nobody else holds c yet
 	return c
+}
+
+// resetLocked makes c a clock at tick 0 whose one member, identity 1, is
+// the caller, keeping its heap's and FIFO's memory. The caller holds c.mu,
+// and the mutex is never replaced: a fired Signal of c's last execution,
+// pooled by another execution, may be asked Fired (Scale.Reuse), locking
+// c.mu, while c is reset. Holding c.mu also orders the reset after the
+// last member's leave, which closed drained under it.
+func (c *Clock) resetLocked() {
+	c.now.Store(0)
+	c.cur.Store(1)
+	c.seq, c.ids, c.live, c.limit = 0, 1, 1, Forever
+	clear(c.timers) // waiters of goroutines Shutdown ended
+	c.timers = c.timers[:0]
+	c.ready, c.head = c.ready[:0], 0
+	c.halted, c.isHalted = nil, false
+	c.dead, c.isDead = make(chan struct{}), false
+	c.drained = nil
 }
 
 // runnable is an entry of the FIFO: a parked goroutine to wake, or the
@@ -372,13 +390,31 @@ func (s *Scale) Shutdown() <-chan struct{} {
 				c.live--
 			}
 		}
-		c.ready, c.head = nil, 0
+		clear(c.ready)
+		c.ready, c.head = c.ready[:0], 0
 		c.drained = make(chan struct{})
 		if c.live == 0 {
 			close(c.drained)
 		}
 	}
 	return c.drained
+}
+
+// Recycle makes s's clock, shut down and drained, the fresh clock
+// NewVirtual makes, its first member the caller, and reports whether it
+// did: it refuses a wall-clock Scale and a clock with members left.
+func (s *Scale) Recycle() bool {
+	c := s.clk()
+	if c == nil {
+		return false
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if !c.isDead || c.live != 0 {
+		return false
+	}
+	c.resetLocked()
+	return true
 }
 
 var closedChan = func() chan struct{} {

@@ -419,3 +419,64 @@ func TestWaitRejectsForeignSignal(t *testing.T) {
 	}()
 	NewVirtual().Wait(1, (&Scale{}).NewSignal())
 }
+
+// recycleScript runs one execution on s, whose first member is the caller,
+// and returns what it saw and the signals it fired; it leaves s shut down
+// and drained, with a goroutine's waiter still in the heap.
+func recycleScript(s *Scale) (trace []string, fired []*Signal) {
+	halted := s.Limit(50)
+	g := s.NewGroup(nil)
+	for i, ticks := range []int64{3, 1, 2, 1} {
+		sig := s.NewSignal()
+		fired = append(fired, sig)
+		g.Go(func() {
+			s.Sleep(ticks)
+			trace = append(trace, fmt.Sprintf("%d@%d#%d", i, s.Now(), s.Member()))
+			sig.Fire()
+		})
+	}
+	g.Wait()
+	s.Go(func() { s.Sleep(1000) }) // past the limit: parked at shutdown
+	trace = append(trace, fmt.Sprintf("end@%d#%d", s.Now(), s.Member()))
+	s.Leave()
+	<-halted
+	<-s.Shutdown()
+	return trace, fired
+}
+
+// A fired signal of clock A that another execution holds in a pool is
+// re-armed there, asked Fired under A's mutex, from another goroutine
+// while A is recycled. The recycle holds that mutex and never replaces it,
+// so under -race nothing races, and each execution on the recycled A is
+// the one a fresh clock runs.
+func TestRecycleWhileAnotherExecutionReusesItsSignals(t *testing.T) {
+	t.Parallel()
+	if (&Scale{}).Recycle() || NewVirtual().Recycle() {
+		t.Fatal("Recycle took a wall-clock Scale or a running clock")
+	}
+	want, _ := recycleScript(NewVirtual())
+	a := NewVirtual()
+	_, fired := recycleScript(a)
+	for round := 0; round < 200; round++ {
+		done := make(chan struct{})
+		go func(sigs []*Signal) {
+			defer close(done)
+			b := NewVirtual()
+			for _, g := range sigs {
+				if !b.Reuse(g) {
+					t.Error("Reuse refused a fired signal of a shut-down clock")
+				}
+			}
+			b.Shutdown()
+		}(fired)
+		if !a.Recycle() {
+			t.Fatalf("round %d: Recycle refused a drained clock", round)
+		}
+		var got []string
+		got, fired = recycleScript(a)
+		<-done
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("round %d: the recycled clock ran %v, a fresh one %v", round, got, want)
+		}
+	}
+}
