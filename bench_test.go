@@ -9,6 +9,7 @@ package zebraconf_test
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"testing"
 
@@ -157,15 +158,14 @@ func BenchmarkHypothesisFiltering(b *testing.B) {
 
 // --- E2: balance.max.concurrent.moves timing shape -------------------------
 
-// balancerRun measures one balancing round with the given per-side settings.
-func balancerRun(b *testing.B, dnMoves, balMoves int64, files int, bandwidth int64) (int64, error) {
+// balancerRun times one balancing round, in ticks of its virtual clock,
+// with the given concurrent-moves settings of the DataNodes and of the
+// Balancer, each side its own configuration object.
+func balancerRun(dnMoves, balMoves int64) (int64, error) {
 	env := harness.NewEnv(minihdfs.NewRegistry(), nil, 1)
 	defer env.Close()
 	dnConf := env.RT.NewConf()
 	dnConf.SetInt(minihdfs.ParamMaxConcurrentMoves, dnMoves)
-	if bandwidth > 0 {
-		dnConf.SetInt(minihdfs.ParamBalanceBandwidth, bandwidth)
-	}
 	balConf := env.RT.NewConf()
 	balConf.SetInt(minihdfs.ParamMaxConcurrentMoves, balMoves)
 
@@ -181,7 +181,7 @@ func balancerRun(b *testing.B, dnMoves, balMoves int64, files int, bandwidth int
 		return 0, err
 	}
 	payload := make([]byte, 1000)
-	for i := 0; i < files; i++ {
+	for i := 0; i < 16; i++ {
 		if err := client.WriteFile(fmt.Sprintf("/b%03d", i%30)+fmt.Sprintf("x%d", i/30), payload); err != nil {
 			return 0, err
 		}
@@ -202,29 +202,43 @@ func balancerRun(b *testing.B, dnMoves, balMoves int64, files int, bandwidth int
 	return sw.ElapsedTicks(), err
 }
 
+// balancerConfigs are the case study's (DataNode, Balancer) settings.
+var balancerConfigs = [3][2]int64{{50, 50}, {1, 1}, {1, 50}}
+
+// Example_hdfsBalancer reproduces the max.concurrent.moves case study
+// (§7.1; the paper measured 14 s, 16.7 s and 154 s): with the DataNodes at
+// 1 and the Balancer at 50, the Balancer's congestion backoff fires on
+// nearly every move and the round runs about an order of magnitude slower.
+func Example_hdfsBalancer() {
+	var ticks [3]int64
+	for i, c := range balancerConfigs {
+		t, err := balancerRun(c[0], c[1])
+		if err != nil {
+			fmt.Println(err)
+		}
+		ticks[i] = t
+		fmt.Printf("DN:%-2d Balancer:%-2d %5d ticks\n", c[0], c[1], t)
+	}
+	fmt.Printf("heterogeneous slowdown vs (1,1): %.1fx\n", float64(ticks[2])/float64(ticks[1]))
+	// Output:
+	// DN:50 Balancer:50   198 ticks
+	// DN:1  Balancer:1    968 ticks
+	// DN:1  Balancer:50  7821 ticks
+	// heterogeneous slowdown vs (1,1): 8.1x
+}
+
 func BenchmarkBalancerConcurrentMoves(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		homoFast, err := balancerRun(b, 50, 50, 16, 0)
-		if err != nil {
-			b.Fatalf("(50,50): %v", err)
+		var ticks [3]int64
+		for j, c := range balancerConfigs {
+			t, err := balancerRun(c[0], c[1])
+			if err != nil {
+				b.Fatal(err)
+			}
+			ticks[j] = t
+			b.ReportMetric(float64(t), fmt.Sprintf("ticks_%d_%d", c[0], c[1]))
 		}
-		homoSlow, err := balancerRun(b, 1, 1, 16, 0)
-		if err != nil {
-			b.Fatalf("(1,1): %v", err)
-		}
-		hetero, err := balancerRun(b, 1, 50, 16, 0)
-		if err != nil {
-			b.Fatalf("(1,50): %v", err)
-		}
-		b.ReportMetric(float64(homoFast), "ticks_50_50")
-		b.ReportMetric(float64(homoSlow), "ticks_1_1")
-		b.ReportMetric(float64(hetero), "ticks_1_50")
-		ratio := float64(hetero) / float64(homoSlow)
-		b.ReportMetric(ratio, "hetero_slowdown_x")
-		// Paper shape: (50,50) <= (1,1) << (1,50), the latter ~10x.
-		if !(homoFast <= homoSlow && ratio > 3) {
-			b.Fatalf("timing shape broken: %d %d %d", homoFast, homoSlow, hetero)
-		}
+		b.ReportMetric(float64(ticks[2])/float64(ticks[1]), "hetero_slowdown_x")
 	}
 }
 
@@ -289,55 +303,73 @@ func BenchmarkBalancerBandwidth(b *testing.B) {
 
 // --- E4: heartbeat heterogeneity and the ordering workaround ---------------
 
-func BenchmarkHeartbeatHetero(b *testing.B) {
-	observeDead := func(dnInterval, nnInterval int64) (bool, error) {
-		env := harness.NewEnv(minihdfs.NewRegistry(), nil, 1)
-		defer env.Close()
-		nnConf := env.RT.NewConf()
-		nnConf.SetInt(minihdfs.ParamHeartbeatInterval, nnInterval)
-		dnConf := env.RT.NewConf()
-		dnConf.SetInt(minihdfs.ParamHeartbeatInterval, dnInterval)
-		nn, err := minihdfs.StartNameNode(env, nnConf, minihdfs.NNAddr)
-		if err != nil {
-			return false, err
-		}
-		defer nn.Stop()
-		dn, err := minihdfs.StartDataNode(env, dnConf, "dn0", minihdfs.NNAddr, minihdfs.DataNodeOptions{})
-		if err != nil {
-			return false, err
-		}
-		defer dn.Stop()
-		client, err := minihdfs.NewClient(env, env.RT.NewConf(), minihdfs.NNAddr)
-		if err != nil {
-			return false, err
-		}
-		deadline := env.Scale.Now() + 900
-		for env.Scale.Now() < deadline {
+// rolling boots a NameNode and a DataNode, each with its own configuration
+// object (its configuration file), then raises dfs.heartbeat.interval from
+// 3 to 1000 ticks one node at a time, sender (the DataNode) first or
+// receiver (the NameNode) first, and reports whether the NameNode ever
+// declared the DataNode dead while the two disagreed.
+func rolling(senderFirst bool) (deadObserved bool, err error) {
+	env := harness.NewEnv(minihdfs.NewRegistry(), nil, 1)
+	defer env.Close()
+	nnConf := env.RT.NewConf()
+	dnConf := env.RT.NewConf()
+	nn, err := minihdfs.StartNameNode(env, nnConf, minihdfs.NNAddr)
+	if err != nil {
+		return false, err
+	}
+	defer nn.Stop()
+	dn, err := minihdfs.StartDataNode(env, dnConf, "dn0", minihdfs.NNAddr, minihdfs.DataNodeOptions{})
+	if err != nil {
+		return false, err
+	}
+	defer dn.Stop()
+	client, err := minihdfs.NewClient(env, env.RT.NewConf(), minihdfs.NNAddr)
+	if err != nil {
+		return false, err
+	}
+
+	steps := []*confkit.Conf{nnConf, dnConf}
+	if senderFirst {
+		steps = []*confkit.Conf{dnConf, nnConf}
+	}
+	for _, conf := range steps {
+		conf.SetInt(minihdfs.ParamHeartbeatInterval, 1000)
+		// Watch liveness through one full old dead-detection window.
+		for deadline := env.Scale.Now() + 900; env.Scale.Now() < deadline; env.Scale.Sleep(20) {
 			st, err := client.Stats()
 			if err != nil {
-				return false, err
+				return deadObserved, err
 			}
-			if st.DeadDNs > 0 {
-				return true, nil
-			}
-			env.Scale.Sleep(20)
+			deadObserved = deadObserved || st.DeadDNs > 0
 		}
-		return false, nil
 	}
+	return deadObserved, nil
+}
+
+// Example_heartbeatRolling reproduces the dfs.heartbeat.interval finding
+// and its workaround (§7.1): midway through a rolling reconfiguration the
+// nodes disagree, and raising the interval on the sender first makes the
+// NameNode declare a live DataNode dead, which receiver first avoids.
+func Example_heartbeatRolling() {
+	for _, senderFirst := range []bool{true, false} {
+		dead, err := rolling(senderFirst)
+		if err != nil {
+			fmt.Println(err)
+		}
+		fmt.Printf("senderFirst=%v: DataNode falsely declared dead: %v\n", senderFirst, dead)
+	}
+	// Output:
+	// senderFirst=true: DataNode falsely declared dead: true
+	// senderFirst=false: DataNode falsely declared dead: false
+}
+
+func BenchmarkHeartbeatHetero(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		heteroDead, err := observeDead(1000, 3)
-		if err != nil {
-			b.Fatal(err)
+		for _, senderFirst := range []bool{true, false} {
+			if dead, err := rolling(senderFirst); err != nil || dead != senderFirst {
+				b.Fatalf("sender first %v: falsely declared dead %v (%v)", senderFirst, dead, err)
+			}
 		}
-		homoDead, err := observeDead(3, 3)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !heteroDead || homoDead {
-			b.Fatalf("heartbeat shape broken: hetero dead=%v homo dead=%v", heteroDead, homoDead)
-		}
-		b.ReportMetric(1, "hetero_false_dead")
-		b.ReportMetric(0, "homo_false_dead")
 	}
 }
 
@@ -413,7 +445,11 @@ func BenchmarkFalsePositiveTraps(b *testing.B) {
 
 // --- E9: end-to-end quickstart ---------------------------------------------
 
-func BenchmarkEndToEndQuickstart(b *testing.B) {
+// quickstartApp is the smallest target of the Fig. 1 workflow: a wire
+// codec both sides must agree on (seeded unsafe), a buffer size only the
+// server reads, and one test that boots the server inside the annotated
+// init window (Fig. 2b) and exchanges a message with it.
+func quickstartApp() *harness.App {
 	schema := func() *confkit.Registry {
 		r := confkit.NewRegistry()
 		r.Register(
@@ -423,20 +459,50 @@ func BenchmarkEndToEndQuickstart(b *testing.B) {
 		)
 		return r
 	}
-	app := &harness.App{
+	return &harness.App{
 		Name: "quickstart", Schema: schema, NodeTypes: []string{"Server"},
 		Tests: []harness.UnitTest{{Name: "TestExchange", Run: func(t *harness.T) {
 			tc := t.Env.RT.NewConf()
 			t.Env.RT.StartInit("Server")
 			sc := tc.RefToClone()
+			_ = sc.GetInt("local.buffer")
 			t.Env.RT.StopInit()
 			if sc.Get("wire.codec") != tc.Get("wire.codec") {
 				t.Fatalf("codec mismatch")
 			}
 		}}},
 	}
+}
+
+// Example_quickstart runs the Fig. 1 workflow by hand on quickstartApp: a
+// pre-run records which nodes start and what each reads, the
+// TestGenerator turns that into heterogeneous instances, and the
+// TestRunner runs each against its homogeneous control arms. (fmt prints
+// a map's keys sorted.)
+func Example_quickstart() {
+	app := quickstartApp()
+	test := &app.Tests[0]
+	run := runner.New(app, runner.Options{})
+	gen := testgen.New(app.Schema())
+
+	pre := run.PreRun(test)
+	fmt.Printf("pre-run %s: nodes %v, Server reads %v\n", pre.Test, pre.Report.NodesStarted, pre.Report.Usage["Server"])
+	instances := gen.Instances(pre, testgen.InstancesOptions{})
+	unsafe := make(map[string]bool)
+	for _, in := range instances {
+		if run.RunAssignment(test, gen.AssignFor(in, &pre.Report), in.String()).Verdict == runner.VerdictUnsafe {
+			unsafe[in.Param] = true
+		}
+	}
+	fmt.Printf("%d instances, heterogeneous-unsafe %v\n", len(instances), unsafe)
+	// Output:
+	// pre-run TestExchange: nodes map[Server:1], Server reads map[local.buffer:true wire.codec:true]
+	// 10 instances, heterogeneous-unsafe map[wire.codec:true]
+}
+
+func BenchmarkEndToEndQuickstart(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res := campaign.Run(app, campaign.Options{})
+		res := campaign.Run(quickstartApp(), campaign.Options{})
 		if res.TruePositives != 1 || res.FalsePositives != 0 {
 			b.Fatalf("quickstart campaign: %d/%d", res.TruePositives, res.FalsePositives)
 		}
@@ -444,6 +510,21 @@ func BenchmarkEndToEndQuickstart(b *testing.B) {
 }
 
 // --- E10: pooled testing ablation ------------------------------------------
+
+// Example_pooledCampaign runs the full miniyarn campaign with and without
+// pooled testing (§4's divide and conquer): pooling finds the same true
+// positives in under half the executions. Quarantine is off, so the
+// counts do not depend on the order items complete in.
+func Example_pooledCampaign() {
+	for _, flat := range []bool{false, true} {
+		app, _ := apps.ByName("miniyarn")
+		res := campaign.Run(app, campaign.Options{Seed: 1, QuarantineThreshold: math.MaxInt32, DisablePooling: flat})
+		fmt.Printf("DisablePooling: %-5v %4d executions, %d true positives\n", flat, res.Counts.Executed, res.TruePositives)
+	}
+	// Output:
+	// DisablePooling: false  472 executions, 7 true positives
+	// DisablePooling: true  1069 executions, 7 true positives
+}
 
 func BenchmarkPooledAblation(b *testing.B) {
 	app, _ := apps.ByName("miniyarn")

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"regexp"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -79,11 +80,10 @@ func dispatchModes(t *testing.T) []string {
 	return modes
 }
 
-// commandLines returns the zebraconf command lines of some text, each as
-// its arguments: a line's comment is dropped, a trailing backslash joins
-// it to the next, and the command is the first word that is zebraconf or
-// a path ending in it.
-func commandLines(lines []string) [][]string {
+// commandLines returns the command lines of some text, each as its
+// arguments: a line's comment is dropped, a trailing backslash joins it to
+// the next, and the command is the first word isCommand accepts.
+func commandLines(lines []string, isCommand func(word string) bool) [][]string {
 	var cmds [][]string
 	joined := ""
 	for _, line := range lines {
@@ -98,7 +98,7 @@ func commandLines(lines []string) [][]string {
 		words := strings.Fields(joined + line)
 		joined = ""
 		for i, w := range words {
-			if w == "zebraconf" || strings.HasSuffix(w, "/zebraconf") {
+			if isCommand(w) {
 				cmds = append(cmds, words[i+1:])
 				break
 			}
@@ -109,14 +109,14 @@ func commandLines(lines []string) [][]string {
 
 // documentedCommands collects the command lines of main.go's package doc
 // and of the Markdown documents' code blocks, keyed by where they are.
-func documentedCommands(t *testing.T) map[string][][]string {
+func documentedCommands(t *testing.T, isCommand func(word string) bool) map[string][][]string {
 	t.Helper()
 	out := make(map[string][][]string)
 	f, err := parser.ParseFile(token.NewFileSet(), "main.go", nil, parser.ParseComments)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out["main.go"] = commandLines(strings.Split(f.Doc.Text(), "\n"))
+	out["main.go"] = commandLines(strings.Split(f.Doc.Text(), "\n"), isCommand)
 	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
 		data, err := os.ReadFile("../../" + doc)
 		if err != nil {
@@ -127,7 +127,7 @@ func documentedCommands(t *testing.T) map[string][][]string {
 		for _, line := range strings.Split(string(data), "\n") {
 			if strings.HasPrefix(line, "```") {
 				if in {
-					out[doc] = append(out[doc], commandLines(block)...)
+					out[doc] = append(out[doc], commandLines(block, isCommand)...)
 					block = block[:0]
 				}
 				in = !in
@@ -142,8 +142,9 @@ func documentedCommands(t *testing.T) map[string][][]string {
 }
 
 // TestDocumentedCommandsParse: every zebraconf command line the docs show
-// names only flags the binary defines and only modes dispatch accepts, so
-// a deleted flag or mode cannot live on in an example.
+// names only flags the binary defines and only modes dispatch accepts, and
+// every go command line only packages and test functions that exist, so a
+// deleted flag, mode, program or test cannot live on in an example.
 func TestDocumentedCommandsParse(t *testing.T) {
 	defined := definedFlags()
 	modes := make(map[string]bool)
@@ -151,7 +152,8 @@ func TestDocumentedCommandsParse(t *testing.T) {
 		modes[m] = true
 	}
 	total := 0
-	for doc, cmds := range documentedCommands(t) {
+	isZebraconf := func(w string) bool { return w == "zebraconf" || strings.HasSuffix(w, "/zebraconf") }
+	for doc, cmds := range documentedCommands(t, isZebraconf) {
 		total += len(cmds)
 		for _, args := range cmds {
 			for i, a := range args {
@@ -174,10 +176,76 @@ func TestDocumentedCommandsParse(t *testing.T) {
 			}
 		}
 	}
-	if total < 20 {
-		t.Fatalf("found only %d documented command lines: the scan no longer reads the docs", total)
+	goLines := 0
+	for doc, cmds := range documentedCommands(t, func(w string) bool { return w == "go" }) {
+		goLines += len(cmds)
+		for _, args := range cmds {
+			checkGoCommand(t, doc, args)
+		}
+	}
+	if total < 20 || goLines < 10 {
+		t.Fatalf("found only %d zebraconf and %d go command lines: the scan no longer reads the docs", total, goLines)
 	}
 }
+
+// checkGoCommand checks the arguments of a documented go command, run
+// from the module root: go run's package must be a main package, and go
+// test's -run pattern must match a Test, Example or Benchmark function of
+// its package (the root if it names none).
+func checkGoCommand(t *testing.T, doc string, args []string) {
+	t.Helper()
+	line := "go " + strings.Join(args, " ")
+	pkg, pattern := "", ""
+	for i, a := range args {
+		if strings.HasPrefix(a, ".") && pkg == "" {
+			pkg = a
+		}
+		if a == "-run" && i+1 < len(args) {
+			pattern = strings.Trim(args[i+1], `'"`)
+		}
+	}
+	if strings.HasSuffix(pkg, "...") {
+		return
+	}
+	funcs, isMain := packageFuncs(t, pkg)
+	switch args[0] {
+	case "run":
+		if !isMain {
+			t.Errorf("%s: %s: %s is no main package", doc, line, pkg)
+		}
+	case "test":
+		re, err := regexp.Compile(pattern)
+		if err != nil {
+			t.Errorf("%s: %s: %v", doc, line, err)
+		} else if pattern != "" && !re.MatchString("") && !slices.ContainsFunc(funcs, re.MatchString) {
+			t.Errorf("%s: %s: -run %q matches no function of %s", doc, line, pattern, pkg)
+		}
+	}
+}
+
+// packageFuncs returns the Test, Example and Benchmark functions of the Go
+// files in dir, relative to the module root, and whether its non-test
+// files are package main.
+func packageFuncs(t *testing.T, dir string) (funcs []string, isMain bool) {
+	t.Helper()
+	files, _ := filepath.Glob(filepath.Join("../..", dir, "*.go"))
+	for _, path := range files {
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		isMain = isMain || (f.Name.Name == "main" && !strings.HasSuffix(path, "_test.go"))
+		for _, d := range f.Decls {
+			if fn, ok := d.(*ast.FuncDecl); ok && fn.Recv == nil && testFunc.MatchString(fn.Name.Name) {
+				funcs = append(funcs, fn.Name.Name)
+			}
+		}
+	}
+	return funcs, isMain
+}
+
+// testFunc matches the names go test runs.
+var testFunc = regexp.MustCompile(`^(Test|Example|Benchmark)`)
 
 // TestModeHelpListsDispatch: -mode's help string lists exactly the modes
 // dispatch accepts.

@@ -58,16 +58,14 @@ func NewRuntime(schema *Registry) *Runtime {
 	return rt
 }
 
-// Reset makes rt a runtime over schema with no agent and no spawner, as
-// NewRuntime makes one, for the next execution of an environment whose
-// last one has ended. Like SetSpawner, it must be called before the
-// runtime is shared between goroutines.
+// Reset makes rt a runtime over schema for the next execution of an
+// environment whose last one has ended; its spawner and agent stay. It
+// must be called before the runtime is shared between goroutines.
 func (rt *Runtime) Reset(schema *Registry) {
 	if schema == nil {
 		schema = NewRegistry()
 	}
-	rt.schema, rt.spawn = schema, nil
-	rt.hooks.Store(nil)
+	rt.schema = schema
 }
 
 // SetSpawner makes Go start its goroutines through spawn, so that they join

@@ -177,7 +177,7 @@ func RunOnceCaptured(app *App, test *UnitTest, opts agent.Options, seed int64, o
 	// The clock runs one goroutine of the execution at a time and knows
 	// which: the agent's threadContext is keyed by that.
 	opts.Identity = f.member
-	f.env.RT.SetHooks(agent.Reuse(f.ag, opts))
+	agent.Reuse(f.ag, opts)
 	out, reaped := f.run(app, test, o, spec)
 	if reaped {
 		frames.Put(f)
@@ -211,7 +211,9 @@ func takeFrame(schema *confkit.Registry, seed int64) *frame {
 		return f
 	}
 	env := NewEnv(schema, nil, seed)
-	return &frame{env: env, ag: new(agent.Agent), member: env.Scale.Member}
+	f := &frame{env: env, ag: new(agent.Agent), member: env.Scale.Member}
+	env.RT.SetHooks(f.ag) // reset per execution by agent.Reuse
+	return f
 }
 
 // run executes test in f, whose environment has f.ag installed, and

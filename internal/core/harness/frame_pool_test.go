@@ -18,16 +18,16 @@ var sinkOutcome Outcome
 // TestRunOnceAllocs holds a trivial trial's RunOnce, run as the runner
 // runs one, to what the recycled frame leaves: the channels closed once
 // per execution (the body's, and the clock's dead, halted and drained),
-// the body's goroutine, the runtime's spawner and agent box, the object
-// and its properties, and the coverage list.
+// the body's goroutine, the object and its properties, and the coverage
+// list. The runtime's spawner and agent are bound once per frame.
 func TestRunOnceAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the frame pool drops what it is handed under -race")
 	}
 	app := &App{Name: "frames", Schema: emptySchema}
 	opts := agent.Options{Trial: true, Coverage: true}
-	if allocs := testing.AllocsPerRun(100, func() { sinkOutcome = RunOnce(app, trivialTest, opts, 1) }); allocs > 12 {
-		t.Fatalf("a trivial trial made %.0f allocations, want at most 12", allocs)
+	if allocs := testing.AllocsPerRun(100, func() { sinkOutcome = RunOnce(app, trivialTest, opts, 1) }); allocs > 10 {
+		t.Fatalf("a trivial trial made %.0f allocations, want at most 10", allocs)
 	}
 }
 

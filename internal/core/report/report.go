@@ -52,7 +52,7 @@ func Table5(w io.Writer, res *campaign.Result) {
 	fmt.Fprintf(w, "  %-28s %12d\n", "Original", res.Counts.Original)
 	fmt.Fprintf(w, "  %-28s %12d\n", "After pre-running unit tests", res.Counts.AfterPreRun)
 	fmt.Fprintf(w, "  %-28s %12d\n", "After removing uncertainty", res.Counts.AfterUncertainty)
-	fmt.Fprintf(w, "  %-28s %12d\n", "Executed (pooled campaign)", res.Counts.Executed)
+	fmt.Fprintf(w, "  %-28s %12d\n", "Executed", res.Counts.Executed)
 	if res.Counts.ExecutionsSaved > 0 {
 		total := res.Counts.Executed + res.Counts.ExecutionsSaved
 		fmt.Fprintf(w, "  %-28s %12d (%.0f%% of %d)\n", "Saved by execution cache",
