@@ -110,8 +110,8 @@ var sourceBudget = []struct {
 	lines int
 }{
 	{"mechanism", []string{"internal/confkit", "internal/core/agent", "internal/core/testgen",
-		"internal/core/runner", "internal/core/harness", "internal/core/stats"}, 4110},
-	{"simulators", []string{"internal/rpcsim", "internal/simtime", "internal/netsim"}, 1717},
+		"internal/core/runner", "internal/core/harness", "internal/core/stats"}, 4122},
+	{"simulators", []string{"internal/rpcsim", "internal/simtime", "internal/netsim"}, 1772},
 	{"canonjson", []string{"internal/canonjson"}, 1298},
 	{"apps", []string{"internal/apps"}, 7566},
 	{"machinery", []string{"internal/core/dist", "internal/core/campaign", "internal/core/flight",

@@ -1,6 +1,7 @@
 package confkit
 
 import (
+	"maps"
 	"sort"
 	"strconv"
 	"sync"
@@ -41,10 +42,18 @@ type Hooks interface {
 // defaults and, optionally, an installed Hooks (the ConfAgent). In the Java
 // original these are process-wide statics; making them explicit lets the
 // campaign scheduler run many unit tests concurrently in one process.
+//
+// A runtime keeps every Conf it hands out, and after a Reset hands the same
+// memory out again, each time under a fresh ID: an environment recycled
+// for execution after execution builds its configuration objects once.
 type Runtime struct {
 	schema *Registry
 	hooks  atomic.Pointer[hooksBox]
 	spawn  func(func()) // how Go starts a goroutine; nil means a bare go statement
+
+	mu    sync.Mutex // guards confs and used
+	confs []*Conf    // every Conf handed out; confs[:used] since the last Reset
+	used  int
 }
 
 // hooksBox wraps the interface so it can live in an atomic.Pointer.
@@ -59,13 +68,33 @@ func NewRuntime(schema *Registry) *Runtime {
 }
 
 // Reset makes rt a runtime over schema for the next execution of an
-// environment whose last one has ended; its spawner and agent stay. It
-// must be called before the runtime is shared between goroutines.
+// environment whose last one has ended; its spawner and agent stay. The
+// configuration objects of that execution are handed out again, so none of
+// them may be used after Reset. It must be called before the runtime is
+// shared between goroutines.
 func (rt *Runtime) Reset(schema *Registry) {
 	if schema == nil {
 		schema = NewRegistry()
 	}
 	rt.schema = schema
+	rt.mu.Lock()
+	rt.used = 0
+	rt.mu.Unlock()
+}
+
+// newConf returns a Conf of rt with a fresh ID and no properties: the next
+// one rt keeps, its map cleared, or a new one.
+func (rt *Runtime) newConf() *Conf {
+	rt.mu.Lock()
+	if rt.used == len(rt.confs) {
+		rt.confs = append(rt.confs, &Conf{rt: rt, props: make(map[string]string)})
+	}
+	c := rt.confs[rt.used]
+	rt.used++
+	rt.mu.Unlock()
+	c.id = confIDs.Add(1)
+	clear(c.props)
+	return c
 }
 
 // SetSpawner makes Go start its goroutines through spawn, so that they join
@@ -139,7 +168,7 @@ type Conf struct {
 // NewConf is the blank constructor (Fig. 2d line 2): it creates an empty
 // configuration and notifies the agent.
 func (rt *Runtime) NewConf() *Conf {
-	c := &Conf{rt: rt, id: confIDs.Add(1), props: make(map[string]string)}
+	c := rt.newConf()
 	if h := rt.Hooks(); h != nil {
 		h.NewConf(c)
 	}
@@ -149,7 +178,7 @@ func (rt *Runtime) NewConf() *Conf {
 // Clone is the clone constructor (Fig. 2a lines 8–11): it copies all
 // explicitly set properties and notifies the agent.
 func (c *Conf) Clone() *Conf {
-	clone := &Conf{rt: c.rt, id: confIDs.Add(1), props: c.snapshot()}
+	clone := c.cloneRaw()
 	if h := c.rt.Hooks(); h != nil {
 		h.CloneConf(c, clone)
 	}
@@ -170,7 +199,9 @@ func (c *Conf) RefToClone() *Conf {
 // cloneRaw copies c without notifying the agent. It exists for the agent's
 // own RefToClone implementation, which must not re-enter itself.
 func (c *Conf) cloneRaw() *Conf {
-	return &Conf{rt: c.rt, id: confIDs.Add(1), props: c.snapshot()}
+	clone := c.rt.newConf()
+	c.copyInto(clone.props)
+	return clone
 }
 
 // CloneForAgent makes an agent-invisible copy of c. It is exported for the
@@ -178,13 +209,16 @@ func (c *Conf) cloneRaw() *Conf {
 func (c *Conf) CloneForAgent() *Conf { return c.cloneRaw() }
 
 func (c *Conf) snapshot() map[string]string {
+	m := make(map[string]string, c.Len())
+	c.copyInto(m)
+	return m
+}
+
+// copyInto copies c's explicit properties into m.
+func (c *Conf) copyInto(m map[string]string) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	m := make(map[string]string, len(c.props))
-	for k, v := range c.props {
-		m[k] = v
-	}
-	return m
+	maps.Copy(m, c.props)
 }
 
 // ID returns the object's unique identity, the analog of the Java

@@ -312,3 +312,53 @@ func TestSetRawEquivalenceProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// After Reset the runtime hands out the last execution's Confs again: under
+// fresh, increasing IDs, with none of their properties, and with no
+// allocation while an execution makes no more objects than the last one.
+func TestRuntimeResetReusesConfs(t *testing.T) {
+	t.Parallel()
+	schema := testRegistry()
+	rt := NewRuntime(schema)
+	base := rt.NewConf()
+	base.Set("num", "7")
+	clone := base.Clone()
+	clone.Set("name", "x")
+	agentCopy := clone.CloneForAgent()
+	last := agentCopy.ID()
+
+	rt.Reset(schema)
+	c := rt.NewConf()
+	if c != base {
+		t.Fatal("NewConf after Reset did not reuse the last execution's memory")
+	}
+	if c.ID() <= last || c.Len() != 0 || c.Get("num") != "42" {
+		t.Fatalf("a reused NewConf: ID %d (last %d), %d properties, num=%s", c.ID(), last, c.Len(), c.Get("num"))
+	}
+	c.Set("mode", "b")
+	cl := c.Clone()
+	raw := c.CloneForAgent()
+	if cl != clone || raw != agentCopy {
+		t.Fatal("Clone after Reset did not reuse the last execution's memory")
+	}
+	if !(c.ID() < cl.ID() && cl.ID() < raw.ID()) {
+		t.Fatalf("IDs %d, %d, %d are not increasing", c.ID(), cl.ID(), raw.ID())
+	}
+	for _, got := range []*Conf{cl, raw} {
+		if keys := got.Keys(); len(keys) != 1 || keys[0] != "mode" || got.Get("mode") != "b" {
+			t.Fatalf("a reused clone holds %v, want exactly mode=b", keys)
+		}
+	}
+
+	execution := func() {
+		rt.Reset(schema)
+		c := rt.NewConf()
+		c.Set("num", "7")
+		c.Clone().Set("name", "x")
+		c.CloneForAgent()
+	}
+	execution()
+	if allocs := testing.AllocsPerRun(100, execution); allocs != 0 {
+		t.Fatalf("an execution's configuration objects made %.0f allocations after Reset, want 0", allocs)
+	}
+}

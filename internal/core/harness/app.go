@@ -186,18 +186,21 @@ func RunOnceCaptured(app *App, test *UnitTest, opts agent.Options, seed int64, o
 }
 
 // frame is the scaffolding of one execution: the execution, the Env with
-// its runtime, fabric and clock, the agent, and the watcher's timer. It
-// goes back to frames only once its execution was reaped — every clock
-// member returned, the cleanups done — so nothing of one execution runs
-// into the next; an abandoned execution's frame is dropped. Each layer
-// resets by the code its constructor runs (simtime.Scale.Recycle,
-// Env.reset, agent.Reuse).
+// its runtime, fabric and clock, the agent, and the watcher's timer and
+// channel. It goes back to frames only once its execution was reaped —
+// every clock member returned, the cleanups done — so nothing of one
+// execution runs into the next; an abandoned execution's frame is
+// dropped. Each layer resets by the code its constructor runs
+// (simtime.Scale.Recycle, Env.reset, agent.Reuse), and the simulated
+// cluster with it: the servers and connections the fabric handed out and
+// the configuration objects of the runtime are handed out again.
 type frame struct {
-	x      execution
-	env    *Env
-	ag     *agent.Agent
-	member func() uint64 // env.Scale.Member, bound once
-	timer  *time.Timer   // stopped and drained between uses
+	x        execution
+	env      *Env
+	ag       *agent.Agent
+	member   func() uint64 // env.Scale.Member, bound once
+	timer    *time.Timer   // stopped and drained between uses
+	finished chan struct{} // the body's one token; emptied when taken
 }
 
 // frames holds the frames of reaped executions.
@@ -208,12 +211,21 @@ var frames sync.Pool
 func takeFrame(schema *confkit.Registry, seed int64) *frame {
 	if f, ok := frames.Get().(*frame); ok && f.env.Scale.Recycle() {
 		f.env.reset(schema, seed)
+		select {
+		case <-f.finished: // the watcher saw the clock halt first
+		default:
+		}
 		return f
 	}
 	env := NewEnv(schema, nil, seed)
-	f := &frame{env: env, ag: new(agent.Agent), member: env.Scale.Member}
+	f := newFrame(env, new(agent.Agent))
 	env.RT.SetHooks(f.ag) // reset per execution by agent.Reuse
 	return f
+}
+
+// newFrame returns a frame over env and ag.
+func newFrame(env *Env, ag *agent.Agent) *frame {
+	return &frame{env: env, ag: ag, member: env.Scale.Member, finished: make(chan struct{}, 1)}
 }
 
 // run executes test in f, whose environment has f.ag installed, and
@@ -224,7 +236,7 @@ func (f *frame) run(app *App, test *UnitTest, o *obs.Observer, spec CaptureSpec)
 		t:        T{Env: env, logCap: spec.LogBytes},
 		ag:       ag,
 		spec:     spec,
-		finished: make(chan struct{}),
+		finished: f.finished,
 	}
 	timeout := test.Timeout
 	if timeout <= 0 {
@@ -308,7 +320,7 @@ type execution struct {
 	ag       *agent.Agent
 	spec     CaptureSpec
 	start    time.Time
-	finished chan struct{} // the body returned and tore the environment down
+	finished chan struct{} // a token: the body returned and tore the environment down
 
 	mu        sync.Mutex
 	out       Outcome
@@ -337,7 +349,7 @@ func (x *execution) body(test *UnitTest) {
 		}
 		x.mu.Unlock()
 		env.Close()
-		close(x.finished)
+		x.finished <- struct{}{}
 	}()
 	test.Run(&x.t)
 	exited = false

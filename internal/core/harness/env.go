@@ -22,12 +22,9 @@ import (
 // is process-global, many tests run concurrently in one process — the analog
 // of the paper's 20 Docker containers per machine.
 //
-// The random stream is rand.New(rand.NewSource(seed))'s, call for call, but
-// the Env owns no source: each draw borrows one from a process-wide pool,
-// seeds it, skips the values the Env has drawn before and returns it. A
-// source is 4.9 KB and most tests draw once or never, so an Env keeps a
-// count instead; a test drawing n values pays n seedings and n²/2 skipped
-// values, where one held source paid one seeding.
+// The random stream is rand.New(rand.NewSource(seed))'s, call for call. Its
+// source (4.9 KB) is made at the Env's first draw, and seeded at the first
+// draw of each execution: most tests draw once or never.
 type Env struct {
 	RT     *confkit.Runtime
 	Fabric *rpcsim.Fabric
@@ -35,7 +32,8 @@ type Env struct {
 
 	mu       sync.Mutex
 	seed     int64
-	drawn    int64 // source values the stream has consumed
+	rand     *rand.Rand
+	seeded   bool // rand stands where seed's stream does
 	cleanups []func()
 }
 
@@ -59,52 +57,20 @@ func NewEnv(schema *confkit.Registry, scale *simtime.Scale, seed int64) *Env {
 func (e *Env) reset(schema *confkit.Registry, seed int64) {
 	e.RT.Reset(schema)
 	e.Fabric.Reset()
-	e.seed, e.drawn, e.cleanups = seed, 0, nil
+	e.seed, e.seeded, e.cleanups = seed, false, nil
 }
 
-// pooledSource is a borrowed random source: a rand.Source that counts the
-// values drawn from it, and the rand.Rand over it.
-type pooledSource struct {
-	src   rand.Source
-	drawn int64
-	rand  *rand.Rand
-}
-
-func (p *pooledSource) Int63() int64 {
-	p.drawn++
-	return p.src.Int63()
-}
-
-func (p *pooledSource) Seed(seed int64) {
-	p.src.Seed(seed)
-	p.drawn = 0
-}
-
-var sources = sync.Pool{New: func() any {
-	p := &pooledSource{src: rand.NewSource(0)}
-	p.rand = rand.New(p)
-	return p
-}}
-
-// borrow locks the Env and returns a pooled source standing where the
-// Env's stream stands. The caller draws from it and gives it back with
-// giveBack.
-func (e *Env) borrow() *pooledSource {
-	p := sources.Get().(*pooledSource)
+// stream locks the Env and returns its random stream, seeded. The caller
+// draws from it and unlocks e.mu.
+func (e *Env) stream() *rand.Rand {
 	e.mu.Lock()
-	p.rand.Seed(e.seed)
-	for range e.drawn {
-		p.src.Int63()
+	if e.rand == nil {
+		e.rand = rand.New(rand.NewSource(e.seed))
+	} else if !e.seeded {
+		e.rand.Seed(e.seed)
 	}
-	return p
-}
-
-// giveBack advances the Env's stream past what was drawn from p, unlocks
-// the Env and returns p to the pool.
-func (e *Env) giveBack(p *pooledSource) {
-	e.drawn += p.drawn
-	e.mu.Unlock()
-	sources.Put(p)
+	e.seeded = true
+	return e.rand
 }
 
 // NewGroup returns a group of node goroutines: started through RT.Go, so
@@ -117,16 +83,16 @@ func (e *Env) NewGroup() *simtime.Group {
 // use it to model nondeterministic failures; distinct trials get distinct
 // seeds, so a flaky test really does flake across trials.
 func (e *Env) Float64() float64 {
-	p := e.borrow()
-	defer e.giveBack(p)
-	return p.rand.Float64()
+	r := e.stream()
+	defer e.mu.Unlock()
+	return r.Float64()
 }
 
 // Intn returns a deterministic pseudo-random int in [0,n).
 func (e *Env) Intn(n int) int {
-	p := e.borrow()
-	defer e.giveBack(p)
-	return p.rand.Intn(n)
+	r := e.stream()
+	defer e.mu.Unlock()
+	return r.Intn(n)
 }
 
 // Defer registers a cleanup run by Close in LIFO order. Cluster constructors

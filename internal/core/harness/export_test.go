@@ -15,6 +15,6 @@ func RunFresh(app *App, test *UnitTest, opts agent.Options, seed int64, o *obs.O
 	opts.Identity = env.Scale.Member
 	ag := agent.New(opts)
 	env.RT.SetHooks(ag)
-	out, _ := (&frame{env: env, ag: ag}).run(app, test, o, spec)
+	out, _ := newFrame(env, ag).run(app, test, o, spec)
 	return out
 }

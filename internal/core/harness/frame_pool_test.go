@@ -16,18 +16,19 @@ var trivialTest = &UnitTest{Name: "TestTrivial", Run: func(t *T) { t.Env.RT.NewC
 var sinkOutcome Outcome
 
 // TestRunOnceAllocs holds a trivial trial's RunOnce, run as the runner
-// runs one, to what the recycled frame leaves: the channels closed once
-// per execution (the body's, and the clock's dead, halted and drained),
-// the body's goroutine, the object and its properties, and the coverage
-// list. The runtime's spawner and agent are bound once per frame.
+// runs one, to what the recycled frame leaves: the body's goroutine, the
+// coverage list, and the registry this app's Schema builds per call (2).
+// The runtime's spawner and agent are bound once per frame; the
+// configuration object and its properties, and the clock's and the body's
+// channels, are the frame's.
 func TestRunOnceAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the frame pool drops what it is handed under -race")
 	}
 	app := &App{Name: "frames", Schema: emptySchema}
 	opts := agent.Options{Trial: true, Coverage: true}
-	if allocs := testing.AllocsPerRun(100, func() { sinkOutcome = RunOnce(app, trivialTest, opts, 1) }); allocs > 10 {
-		t.Fatalf("a trivial trial made %.0f allocations, want at most 10", allocs)
+	if allocs := testing.AllocsPerRun(100, func() { sinkOutcome = RunOnce(app, trivialTest, opts, 1) }); allocs > 4 {
+		t.Fatalf("a trivial trial made %.0f allocations, want at most 4", allocs)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -18,8 +19,8 @@ import (
 // TestRecycledFrameMatchesFresh interleaves executions of unlike kinds on
 // one goroutine, so that each runs on a frame the one before it left: a
 // trial, a pooled recipe's trial, a captured run, a pre-run with
-// callsites, an ablation's pre-run and a test that times out inside a
-// node's init window. Each
+// callsites, an ablation's pre-run, a test that times out inside a node's
+// init window and one that serves, dials, clones and sets. Each
 // outcome must be the one scaffolding built new gives (harness.RunFresh),
 // and none may share memory with a frame: the outcomes kept read the same
 // after every later execution has reused the frames.
@@ -65,6 +66,41 @@ func TestRecycledFrameMatchesFresh(t *testing.T) {
 		t.Logf("bound %s", addr)
 		env.Scale.Sleep(1 << 30) // past the limit: the clock halts
 	}}
+	// cluster builds what a frame's fabric and runtime hand out again in the
+	// next execution: a server bound in a node's init window, a connection,
+	// configuration objects made, cloned and set.
+	cluster := &harness.UnitTest{Name: "TestServesDialsClonesSets", Run: func(t *harness.T) {
+		env := t.Env
+		conf := env.RT.NewConf()
+		conf.SetInt(miniflink.ParamTaskSlots, int64(1+env.Intn(4)))
+		if env.Intn(2) == 0 {
+			conf.Set(miniflink.ParamAskTimeout, "30")
+		}
+		env.RT.StartInit("JobManager")
+		jm := conf.RefToClone()
+		addr := jm.Get(miniflink.ParamJMAddress)
+		srv, err := env.Fabric.Serve(addr, rpcsim.Security{}, env.Scale, func(_ string, p []byte) ([]byte, error) {
+			return append(p, jm.Get(miniflink.ParamTaskSlots)...), nil
+		})
+		env.RT.StopInit()
+		if err != nil {
+			t.Fatalf("serve: %v", err)
+		}
+		env.Defer(srv.Close)
+		conn, err := env.Fabric.Dial(addr, rpcsim.Security{}, env.Scale)
+		if err != nil {
+			t.Fatalf("dial: %v", err)
+		}
+		client := conf.Clone()
+		resp, err := conn.Call("slots", []byte(client.Get(miniflink.ParamAskTimeout)+"/"))
+		if err != nil {
+			t.Fatalf("call: %v", err)
+		}
+		t.Logf("%s answered %s", addr, resp)
+		if string(resp) == "30/1" {
+			t.Errorf("one task slot")
+		}
+	}}
 	capture := harness.CaptureSpec{LogBytes: 256, ReadEvents: 8}
 	trial := agent.Options{Trial: true, Coverage: true}
 	steps := []struct {
@@ -82,6 +118,9 @@ func TestRecycledFrameMatchesFresh(t *testing.T) {
 		{hbase, &hbase.Tests[0], agent.Options{}, 5, capture},
 		{yarn, test(yarn, "TestDrainNode"), agent.Options{Assigner: recipe(yarn, test(yarn, "TestDrainNode")), Trial: true, Coverage: true}, 6, harness.CaptureSpec{}},
 		{flink, test(flink, "TestFlakyCheckpoint"), agent.Options{Strategy: agent.StrategyThreadOnly}, 8, harness.CaptureSpec{}},
+		{flink, cluster, agent.Options{Coverage: true}, 9, capture},
+		{flink, cluster, trial, 10, harness.CaptureSpec{}},
+		{flink, cluster, agent.Options{}, 11, capture},
 	}
 	type kept struct {
 		out  harness.Outcome
@@ -113,6 +152,9 @@ func TestRecycledFrameMatchesFresh(t *testing.T) {
 	if hung := keep[3].out; !hung.TimedOut || len(hung.Logs) != 2 || len(keep[5].out.Reads) == 0 || len(keep[1].out.ReadSites) == 0 {
 		t.Fatalf("the steps do not exercise what they say: timed out %v, logs %q, reads %d, sites %d",
 			hung.TimedOut, hung.Logs, len(keep[5].out.Reads), len(keep[1].out.ReadSites))
+	}
+	if served := keep[8].out; len(served.Logs) == 0 || !strings.Contains(served.Logs[len(served.Logs)-1], "answered") || served.Report.NodesStarted["JobManager"] != 1 {
+		t.Fatalf("the cluster step did not serve and call: logs %q, nodes %v", served.Logs, served.Report.NodesStarted)
 	}
 	for i, k := range keep {
 		if now := fmt.Sprintf("%#v", k.out); now != k.seen {

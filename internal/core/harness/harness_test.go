@@ -99,11 +99,11 @@ func mixedDraw(d drawer, i int) float64 {
 
 var sinkFloat float64
 
-// An Env borrows a pooled source per draw; its stream must still be
-// rand.New(rand.NewSource(seed))'s call for call — with another Env of the
-// seed drawing in between, with eight Envs drawing from the pool at once,
-// and across Close — and a draw must not build a source of its own. Not
-// parallel: the allocation bound is read off the process's counters.
+// An Env's stream must be rand.New(rand.NewSource(seed))'s call for call —
+// with another Env of the seed drawing in between, with eight Envs drawing
+// at once, and across Close — and the first draw of a recycled execution
+// must re-seed the Env's source, not build one. Not parallel: the
+// allocation bound is read off the process's counters.
 func TestEnvRandStreamIsMathRand(t *testing.T) {
 	const n = 30
 	for _, seed := range []int64{0, 1, 42, -7, math.MaxInt64} {
@@ -162,7 +162,7 @@ func TestEnvRandStreamIsMathRand(t *testing.T) {
 	e := NewEnv(emptySchema(), nil, 42)
 	res := testing.Benchmark(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			e.drawn = 0 // one draw per op, as a flaky test makes
+			e.seeded = false // one draw per op, as a flaky test makes
 			sinkFloat = e.Float64()
 		}
 	})

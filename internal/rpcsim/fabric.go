@@ -13,10 +13,33 @@ import (
 // Fabric is an in-memory network: a registry of named endpoints. Each unit
 // test environment gets its own fabric, so campaign tests can run
 // concurrently in one process.
+//
+// A fabric keeps every Server and Conn it hands out, and after a Reset
+// hands the same memory out again: an environment recycled for execution
+// after execution builds its network once.
 type Fabric struct {
 	mu        sync.RWMutex
 	endpoints []*Server // searched in order: a fabric binds a handful
 	inline    [8]*Server
+	servers   slab[Server]
+	conns     slab[Conn]
+}
+
+// slab is the objects of one type a fabric has handed out: pointers, so an
+// object stays where it is when the slice grows; items[:n] are in use.
+type slab[T any] struct {
+	items []*T
+	n     int
+}
+
+// next returns the next kept object, allocating one when none is left. Its
+// contents are the previous user's: the caller overwrites them whole.
+func (s *slab[T]) next() *T {
+	if s.n == len(s.items) {
+		s.items = append(s.items, new(T))
+	}
+	s.n++
+	return s.items[s.n-1]
 }
 
 // NewFabric returns an empty fabric.
@@ -28,12 +51,14 @@ func NewFabric() *Fabric {
 
 // Reset unbinds every endpoint, making f an empty fabric as NewFabric
 // makes one, for the next execution of an environment whose last one has
-// ended: a server of that one is no longer found by Dial, and Closing it
-// leaves f alone.
+// ended: no server of that one is found by Dial. Its servers and
+// connections are handed out again, so none of them may be used after
+// Reset.
 func (f *Fabric) Reset() {
 	f.mu.Lock()
 	clear(f.inline[:])
 	f.endpoints = f.inline[:0]
+	f.servers.n, f.conns.n = 0, 0
 	f.mu.Unlock()
 }
 
@@ -69,12 +94,13 @@ type Server struct {
 
 // Serve registers a new endpoint at addr. It fails if addr is taken.
 func (f *Fabric) Serve(addr string, sec Security, scale *simtime.Scale, h Handler) (*Server, error) {
-	s := &Server{fabric: f, addr: addr, sec: sec, scale: scale, handler: h}
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.find(addr) != nil {
 		return nil, fmt.Errorf("rpcsim: address %q already bound", addr)
 	}
+	s := f.servers.next()
+	*s = Server{fabric: f, addr: addr, sec: sec, scale: scale, handler: h}
 	f.endpoints = append(f.endpoints, s)
 	return s, nil
 }
@@ -144,7 +170,11 @@ func (f *Fabric) Dial(addr string, sec Security, scale *simtime.Scale) (*Conn, e
 		return nil, fmt.Errorf("%w: access token required=%v (server %s) vs %v (client)",
 			ErrHandshake, s.sec.RequireToken, addr, sec.RequireToken)
 	}
-	return &Conn{srv: s, sec: sec, scale: scale, handoff: sec == s.sec && sec.Codec == CodecNone}, nil
+	f.mu.Lock()
+	c := f.conns.next()
+	*c = Conn{srv: s, sec: sec, scale: scale, handoff: sec == s.sec && sec.Codec == CodecNone}
+	f.mu.Unlock()
+	return c, nil
 }
 
 // SetTimeoutTicks bounds each call; zero means no timeout.

@@ -326,3 +326,66 @@ func TestCallTimingTable(t *testing.T) {
 		})
 	}
 }
+
+// After Reset no server of the last execution is found, and the next
+// execution's servers and connections are that one's memory, fresh: Serve
+// and Dial of the same shape allocate nothing.
+func TestFabricResetReusesEndpoints(t *testing.T) {
+	t.Parallel()
+	scale := testScale()
+	reply := func(resp string) Handler {
+		return func(string, []byte) ([]byte, error) { return []byte(resp), nil }
+	}
+	f := NewFabric()
+	old, err := f.Serve("nn:8020", Security{}, scale, reply("old"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	oldConn, err := f.Dial("nn:8020", Security{}, scale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old.SetDelayTicks(5)
+	oldConn.SetTimeoutTicks(3)
+	old.Close()
+
+	f.Reset()
+	if _, err := f.Dial("nn:8020", Security{}, scale); !errors.Is(err, ErrUnreachable) {
+		t.Fatalf("Dial after Reset: %v, want ErrUnreachable", err)
+	}
+	srv, err := f.Serve("nn:8020", Security{}, scale, reply("new"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err := f.Dial("nn:8020", Security{}, scale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if srv != old || conn != oldConn {
+		t.Fatal("Serve and Dial after Reset did not reuse the last execution's memory")
+	}
+	if srv.closed.Load() || srv.delayTicks.Load() != 0 || conn.timeoutTicks.Load() != 0 {
+		t.Fatal("a reused server or connection kept its last execution's state")
+	}
+	if resp, err := conn.Call("m", nil); err != nil || string(resp) != "new" {
+		t.Fatalf("Call on the reused connection = %q, %v; want the new handler's reply", resp, err)
+	}
+
+	addrs := []string{"nn:8020", "dn1:9866", "dn2:9866"}
+	h := reply("x")
+	execution := func() {
+		f.Reset()
+		for _, addr := range addrs {
+			if _, err := f.Serve(addr, Security{}, scale, h); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.Dial(addr, Security{}, scale); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	execution()
+	if allocs := testing.AllocsPerRun(100, execution); allocs != 0 {
+		t.Fatalf("an execution's servers and connections made %.0f allocations after Reset, want 0", allocs)
+	}
+}

@@ -35,6 +35,11 @@ import (
 // The goroutine that creates the clock is its first member and holds the
 // baton. Members are added by Go; Leave removes the caller.
 //
+// The kernel also knows who is parked: every goroutine parked in a
+// primitive that has not been handed its wake token. Shutdown hands each of
+// them a token marked killed, on which it exits; so a park is one channel
+// receive, and a clock's channels are made once, with the clock.
+//
 // Since the kernel picks who runs, it also knows who runs: every member has
 // an identity, a small positive integer, and Scale.Member returns that of
 // the member holding the baton. The contract:
@@ -58,18 +63,19 @@ type Clock struct {
 	timers timerHeap
 	ready  []runnable // FIFO; ready[head:] is live
 	head   int
-	live   int   // census: members that have not returned
-	limit  int64 // the clock halts rather than pass this tick
+	live   int       // census: members that have not returned
+	limit  int64     // the clock halts rather than pass this tick
+	parked []*waiter // parked goroutines without a wake token, in no order
 
-	halted   chan struct{} // closed on halt; nil until Limit is called
+	halted   chan struct{} // one token on halt, once Limit is called
+	limited  bool
 	isHalted bool
-	dead     chan struct{} // closed by Shutdown
 	isDead   bool
-	drained  chan struct{} // closed once dead and live == 0
+	drained  chan struct{} // one token once dead and live == 0
 }
 
 func newClock() *Clock {
-	c := new(Clock)
+	c := &Clock{halted: make(chan struct{}, 1), drained: make(chan struct{}, 1)}
 	c.resetLocked() // nobody else holds c yet
 	return c
 }
@@ -79,7 +85,8 @@ func newClock() *Clock {
 // and the mutex is never replaced: a fired Signal of c's last execution,
 // pooled by another execution, may be asked Fired (Scale.Reuse), locking
 // c.mu, while c is reset. Holding c.mu also orders the reset after the
-// last member's leave, which closed drained under it.
+// last member's leave, which put drained's token under it. A token nobody
+// took is taken here.
 func (c *Clock) resetLocked() {
 	c.now.Store(0)
 	c.cur.Store(1)
@@ -87,9 +94,13 @@ func (c *Clock) resetLocked() {
 	clear(c.timers) // waiters of goroutines Shutdown ended
 	c.timers = c.timers[:0]
 	c.ready, c.head = c.ready[:0], 0
-	c.halted, c.isHalted = nil, false
-	c.dead, c.isDead = make(chan struct{}), false
-	c.drained = nil
+	c.limited, c.isHalted, c.isDead = false, false, false
+	for _, ch := range [...]chan struct{}{c.halted, c.drained} {
+		select {
+		case <-ch:
+		default:
+		}
+	}
 }
 
 // runnable is an entry of the FIFO: a parked goroutine to wake, or the
@@ -112,8 +123,10 @@ type waiter struct {
 	deadline int64
 	seq      uint64
 	index    int     // position in the heap; -1 when not in it
+	parked   int     // position in the clock's parked list, while in it
 	sig      *Signal // the signal waited on, while in its waiter list
 	fired    bool    // woken by sig, not by the deadline
+	killed   bool    // woken by Shutdown: the goroutine exits
 }
 
 type timerHeap []*waiter
@@ -160,23 +173,31 @@ func (c *Clock) exitIfDead() {
 }
 
 // park hands the baton on and blocks until w is woken. The caller holds
-// c.mu, which park releases.
-func (c *Clock) park(w *waiter) {
-	w.id = c.cur.Load()
-	c.dispatch()
-	c.mu.Unlock()
-	c.await(w)
-}
-
-// await blocks until w is woken. Shutdown ends the goroutine instead,
+// c.mu, which park releases. Woken by Shutdown, the goroutine ends instead,
 // running its deferred calls: that is how teardown releases everything
 // still parked.
-func (c *Clock) await(w *waiter) {
-	select {
-	case <-w.wake:
-	case <-c.dead:
+func (c *Clock) park(w *waiter) {
+	w.id = c.cur.Load()
+	w.parked = len(c.parked)
+	c.parked = append(c.parked, w)
+	c.dispatch()
+	c.mu.Unlock()
+	<-w.wake
+	if w.killed {
 		runtime.Goexit()
 	}
+}
+
+// wake hands the baton to w, which leaves the parked list with its token.
+// The caller holds c.mu.
+func (c *Clock) wake(w *waiter) {
+	last := len(c.parked) - 1
+	c.parked[w.parked] = c.parked[last]
+	c.parked[w.parked].parked = w.parked
+	c.parked[last] = nil
+	c.parked = c.parked[:last]
+	c.cur.Store(w.id)
+	w.wake <- struct{}{}
 }
 
 // dispatch hands the baton to the next goroutine: the oldest runnable one,
@@ -194,19 +215,18 @@ func (c *Clock) dispatch() {
 			c.cur.Store(r.id)
 			go c.run(r.start)
 		} else {
-			c.cur.Store(r.w.id)
-			r.w.wake <- struct{}{}
+			c.wake(r.w)
 		}
 		return
 	}
 	if len(c.timers) == 0 || c.timers[0].deadline > c.limit {
 		c.cur.Store(0)
-		if c.halted == nil {
+		if !c.limited {
 			panic("simtime: deadlock: every goroutine of the execution is parked and no timer is pending")
 		}
 		if !c.isHalted {
 			c.isHalted = true
-			close(c.halted)
+			c.halted <- struct{}{}
 		}
 		return
 	}
@@ -217,8 +237,7 @@ func (c *Clock) dispatch() {
 	if w.deadline > c.now.Load() {
 		c.now.Store(w.deadline)
 	}
-	c.cur.Store(w.id)
-	w.wake <- struct{}{}
+	c.wake(w)
 }
 
 // drop removes w from g's waiter list. The caller holds the clock's lock.
@@ -239,7 +258,7 @@ func (g *Signal) drop(w *waiter) {
 // ticks is Forever. The caller holds c.mu.
 func (c *Clock) newWaiter(ticks int64) *waiter {
 	w := waiterPool.Get().(*waiter)
-	w.index, w.sig, w.fired = -1, nil, false
+	w.index, w.sig, w.fired, w.killed = -1, nil, false, false
 	if ticks == Forever {
 		return w
 	}
@@ -275,7 +294,7 @@ func (c *Clock) leave() {
 	if !c.isDead {
 		c.dispatch()
 	} else if c.live == 0 {
-		close(c.drained)
+		c.drained <- struct{}{}
 	}
 }
 
@@ -350,10 +369,12 @@ func (s *Scale) Member() uint64 {
 }
 
 // Limit sets the last tick the clock may reach, ticks from now, and returns
-// a channel that is closed when the clock halts: every goroutine of the
-// execution is parked and the next deadline is past the limit, or there is
-// none (a deadlock). Nothing runs on a halted clock until an outside Fire.
-// Without a limit a deadlock panics. Nil on a wall-clock Scale.
+// a channel that receives one value when the clock halts: every goroutine
+// of the execution is parked and the next deadline is past the limit, or
+// there is none (a deadlock). The value is for one reader, the caller:
+// the channel is the clock's, for every execution it runs. Nothing runs on
+// a halted clock until an outside Fire. Without a limit a deadlock panics.
+// Nil on a wall-clock Scale.
 func (s *Scale) Limit(ticks int64) <-chan struct{} {
 	c := s.clk()
 	if c == nil {
@@ -362,17 +383,17 @@ func (s *Scale) Limit(ticks int64) <-chan struct{} {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.limit = c.now.Load() + ticks
-	if c.halted == nil {
-		c.halted = make(chan struct{})
-	}
+	c.limited = true
 	return c.halted
 }
 
 // Shutdown ends the execution: every parked goroutine, and every goroutine
 // that calls a blocking primitive from now on, exits through
-// runtime.Goexit, running its deferred calls. The returned channel is
-// closed when the census is empty. Idempotent; on a wall-clock Scale it
-// does nothing and the channel is already closed.
+// runtime.Goexit, running its deferred calls. The returned channel
+// receives one value when the census is empty, for one reader however
+// often Shutdown is called: the channel is the clock's, for every
+// execution it runs. Idempotent; on a wall-clock Scale it does nothing and
+// the channel is closed.
 func (s *Scale) Shutdown() <-chan struct{} {
 	c := s.clk()
 	if c == nil {
@@ -383,7 +404,12 @@ func (s *Scale) Shutdown() <-chan struct{} {
 	if !c.isDead {
 		c.isDead = true
 		c.cur.Store(0)
-		close(c.dead)
+		for _, w := range c.parked {
+			w.killed = true
+			w.wake <- struct{}{}
+		}
+		clear(c.parked)
+		c.parked = c.parked[:0]
 		// Goroutines Go queued but never started will not start now.
 		for _, r := range c.ready[c.head:] {
 			if r.start != nil {
@@ -392,9 +418,8 @@ func (s *Scale) Shutdown() <-chan struct{} {
 		}
 		clear(c.ready)
 		c.ready, c.head = c.ready[:0], 0
-		c.drained = make(chan struct{})
 		if c.live == 0 {
-			close(c.drained)
+			c.drained <- struct{}{}
 		}
 	}
 	return c.drained

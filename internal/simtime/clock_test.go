@@ -480,3 +480,96 @@ func TestRecycleWhileAnotherExecutionReusesItsSignals(t *testing.T) {
 		}
 	}
 }
+
+// shutdownScript runs one execution on s, whose first member is the caller,
+// that Shutdown ends with a member parked in each place the kernel keeps
+// one: in the heap, on a signal with no deadline, and woken into the
+// runnable FIFO but not yet dispatched; a fourth member Go queued never
+// starts. It reports what went wrong, or "".
+func shutdownScript(s *Scale) string {
+	sig, woken := s.NewSignal(), s.NewSignal()
+	exited := make(chan string, 3)
+	ranOn := make(chan string, 4)
+	member := func(name string, park func()) {
+		s.Go(func() {
+			defer func() {
+				if recover() != nil {
+					ranOn <- name + " panicked"
+				}
+				exited <- name
+			}()
+			park()
+			ranOn <- name + " returned from its park"
+		})
+	}
+	member("heap", func() { s.Sleep(1000) })
+	member("signal", func() { s.Wait(Forever, sig) })
+	member("fifo", func() { s.Wait(Forever, woken) })
+	s.Sleep(1) // the three start and park
+	woken.Fire()
+	s.Go(func() { ranOn <- "the unstarted member ran" })
+	if n := s.Live(); n != 5 {
+		return fmt.Sprintf("census = %d before Shutdown, want 5", n)
+	}
+	drained := s.Shutdown()
+	s.Leave()
+	select {
+	case <-drained:
+	case <-time.After(10 * time.Second):
+		return "the census never drained: a parked member was not ended"
+	}
+	select {
+	case <-s.Shutdown():
+		return "drained delivered a second token"
+	default:
+	}
+	if len(exited) != 3 {
+		return fmt.Sprintf("%d of 3 parked members ran their deferred calls", len(exited))
+	}
+	if len(ranOn) != 0 {
+		return <-ranOn
+	}
+	return ""
+}
+
+// Shutdown hands every parked member a token it exits on, wherever the
+// kernel keeps it, and drained its one token; a clock that halted in its
+// last execution does not read as halted after Recycle. Each round also
+// runs recycleScript, a halting execution, on the recycled clock.
+func TestShutdownEndsEveryParkedMember(t *testing.T) {
+	t.Parallel()
+	want, _ := recycleScript(NewVirtual())
+	s := NewVirtual()
+	for round := 0; round < 200; round++ {
+		if round > 0 && !s.Recycle() {
+			t.Fatalf("round %d: Recycle refused a drained clock", round)
+		}
+		if msg := shutdownScript(s); msg != "" {
+			t.Fatalf("round %d: %s", round, msg)
+		}
+
+		// An execution that halts, its halt unread.
+		if !s.Recycle() {
+			t.Fatalf("round %d: Recycle refused a drained clock", round)
+		}
+		halted := s.Limit(10)
+		s.Go(func() { s.Sleep(100) })
+		s.Leave()
+		for deadline := time.Now().Add(10 * time.Second); len(halted) == 0; time.Sleep(10 * time.Microsecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("round %d: the clock never halted", round)
+			}
+		}
+		<-s.Shutdown()
+
+		if !s.Recycle() {
+			t.Fatalf("round %d: Recycle refused a drained clock", round)
+		}
+		if len(s.Limit(Forever)) != 0 {
+			t.Fatalf("round %d: the recycled clock reads as halted", round)
+		}
+		if got, _ := recycleScript(s); !reflect.DeepEqual(got, want) {
+			t.Fatalf("round %d: the recycled clock ran %v, a fresh one %v", round, got, want)
+		}
+	}
+}
