@@ -110,13 +110,13 @@ var sourceBudget = []struct {
 	lines int
 }{
 	{"mechanism", []string{"internal/confkit", "internal/core/agent", "internal/core/testgen",
-		"internal/core/runner", "internal/core/harness", "internal/core/stats"}, 4122},
+		"internal/core/runner", "internal/core/harness", "internal/core/stats"}, 4215},
 	{"simulators", []string{"internal/rpcsim", "internal/simtime", "internal/netsim"}, 1772},
 	{"canonjson", []string{"internal/canonjson"}, 1298},
 	{"apps", []string{"internal/apps"}, 7566},
 	{"machinery", []string{"internal/core/dist", "internal/core/campaign", "internal/core/flight",
 		"internal/core/launch", "internal/core/coverage", "internal/core/sched", "internal/core/ledger",
-		"internal/core/report", "internal/core/forensics", "internal/core/diskcache", "internal/core/memo"}, 7441},
+		"internal/core/report", "internal/core/forensics", "internal/core/diskcache", "internal/core/memo"}, 7490},
 	{"obs", []string{"internal/obs"}, 1793},
 	{"cmd and gid", []string{"cmd", "internal/gid"}, 620},
 }

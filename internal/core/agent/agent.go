@@ -113,6 +113,11 @@ type Options struct {
 	// parameter (a stack walk per read — pre-run cost, not phase-2 cost).
 	// Implies Coverage.
 	CoverageSites bool
+	// LastReads is a read set the caller kept from an earlier execution
+	// of the same test: CoverageParams returns this very slice when the
+	// execution read exactly these parameters, so a trial that reads what
+	// the last one read allocates no set. The agent never writes it.
+	LastReads []string
 	// Identity names the calling goroutine: the key of the paper's
 	// threadContext (§6.1). It must be stable for a goroutine, distinct
 	// between the goroutines of one execution, and may return 0 for a
@@ -231,6 +236,10 @@ type Agent struct {
 	covBits  []uint64
 	covOther []string
 	covSites map[string]map[string]bool
+	// covBuf is where CoverageParams sorts the set before it compares it
+	// with lastReads; what it returns is lastReads or a copy, never covBuf.
+	covBuf    []string
+	lastReads []string
 }
 
 // The tables' capacities at first use. Over the mini systems' suites an
@@ -285,6 +294,8 @@ func Reuse(a *Agent, opts Options) *Agent {
 	a.traceReads, a.readLog, a.readsDropped = opts.TraceReads, a.readLog[:0], 0
 	a.coverage, a.schema = opts.Coverage || opts.CoverageSites, nil
 	a.covBits, a.covOther, a.covSites = a.covBits[:0], a.covOther[:0], nil
+	clear(a.covBuf)
+	a.covBuf, a.lastReads = a.covBuf[:0], opts.LastReads
 	if a.report && a.strategy == StrategyThreadOnly {
 		a.threadReads = make(map[string]map[string]bool)
 	}
@@ -630,30 +641,37 @@ func (a *Agent) coverLocked(c *confkit.Conf, name string) {
 }
 
 // CoverageParams returns the sorted, deduplicated set of parameters
-// this execution read. Nil unless Options.Coverage (or CoverageSites)
-// was set. Unlike ReadTrace, this sink has no cap: every distinct
-// parameter is present no matter how chatty the test.
+// this execution read: Options.LastReads itself when the set equals it,
+// a fresh slice otherwise, and a non-nil empty one for no read. Nil
+// unless Options.Coverage (or CoverageSites) was set. Unlike ReadTrace,
+// this sink has no cap: every distinct parameter is present no matter how
+// chatty the test. The set may be shared with other executions' outcomes,
+// so its readers must not write it.
 func (a *Agent) CoverageParams() []string {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if !a.coverage {
 		return nil
 	}
-	n := len(a.covOther)
-	for _, w := range a.covBits {
-		n += bits.OnesCount64(w)
-	}
-	out := make([]string, 0, n)
+	buf := a.covBuf[:0]
 	for i, w := range a.covBits {
 		for ; w != 0; w &= w - 1 {
-			out = append(out, a.schema.Name(i*64+bits.TrailingZeros64(w)))
+			buf = append(buf, a.schema.Name(i*64+bits.TrailingZeros64(w)))
 		}
 	}
 	// A name read through an object of another registry sits in covOther,
 	// and may have a bit too.
-	out = append(out, a.covOther...)
-	sort.Strings(out)
-	return slices.Compact(out)
+	buf = append(buf, a.covOther...)
+	slices.Sort(buf)
+	buf = slices.Compact(buf)
+	a.covBuf = buf
+	if a.lastReads != nil && slices.Equal(buf, a.lastReads) {
+		return a.lastReads
+	}
+	if len(buf) == 0 {
+		return []string{}
+	}
+	return slices.Clone(buf)
 }
 
 // CoverageSites returns the param → sorted app callsites map recorded

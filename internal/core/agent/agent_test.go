@@ -2,8 +2,10 @@ package agent
 
 import (
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"zebraconf/internal/confkit"
 	"zebraconf/internal/simtime"
@@ -380,3 +382,54 @@ func TestCoverageAcrossRegistriesNamesEachOnce(t *testing.T) {
 		}
 	}
 }
+
+// CoverageParams hands back Options.LastReads itself when the execution
+// read exactly that set, and builds nothing for it; a set that grew,
+// shrank, or equals LastReads only as a set (another order) is a fresh
+// slice; an execution that read nothing has a non-nil empty set.
+func TestCoverageParamsSharesAnEqualSet(t *testing.T) {
+	t.Parallel()
+	rt := newRuntime()
+	ag := new(Agent)
+	rt.SetHooks(ag)
+	run := func(last []string, reads ...string) []string {
+		Reuse(ag, Options{Coverage: true, Trial: true, LastReads: last})
+		c := rt.NewConf()
+		for _, name := range reads {
+			c.Get(name)
+		}
+		return ag.CoverageParams()
+	}
+	shares := func(a, b []string) bool { return len(a) > 0 && unsafe.SliceData(a) == unsafe.SliceData(b) }
+
+	last := []string{"p", "q"}
+	if got := run(last, "q", "p", "q"); !shares(got, last) || len(got) != 2 {
+		t.Fatalf("an equal set came back as %q, not the offered slice", got)
+	}
+	if allocs := testing.AllocsPerRun(20, func() { sinkParams = ag.CoverageParams() }); allocs != 0 {
+		t.Fatalf("an equal set made %.0f allocations, want 0", allocs)
+	}
+	for _, tc := range []struct {
+		what  string
+		last  []string
+		reads []string
+		want  []string
+	}{
+		{"grown", []string{"p"}, []string{"p", "q"}, []string{"p", "q"}},
+		{"shrunk", []string{"p", "q"}, []string{"q"}, []string{"q"}},
+		{"reordered", []string{"q", "p"}, []string{"p", "q"}, []string{"p", "q"}},
+		{"first", nil, []string{"q"}, []string{"q"}},
+	} {
+		got := run(tc.last, tc.reads...)
+		if !slices.Equal(got, tc.want) || shares(got, tc.last) || shares(got, ag.covBuf) {
+			t.Errorf("%s set: got %q, want a fresh %q", tc.what, got, tc.want)
+		}
+	}
+	for _, last := range [][]string{nil, {"p"}, {}} {
+		if got := run(last); got == nil || len(got) != 0 {
+			t.Errorf("no read with LastReads %q: got %#v, want a non-nil empty set", last, got)
+		}
+	}
+}
+
+var sinkParams []string

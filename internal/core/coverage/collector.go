@@ -18,6 +18,7 @@ package coverage
 import (
 	"sort"
 	"sync"
+	"unsafe"
 )
 
 // testCov is one test's accumulated read set.
@@ -28,6 +29,11 @@ type testCov struct {
 	// only for pre-runs, where the one stack-walk-enabled execution per
 	// test is cheap.
 	sites map[string]map[string]bool
+	// last is the read set Observe merged last. Read sets are shared
+	// between executions and never written, so the same slice again adds
+	// nothing.
+	last     *string
+	lastSize int
 }
 
 // Collector accumulates deduplicated (param, test) coverage edges
@@ -56,7 +62,9 @@ func (c *Collector) covFor(test string) *testCov {
 // Observe records that test read each of params. Duplicate edges
 // collapse; order is irrelevant. No-op on a nil receiver or an empty
 // param list (a test that read nothing gains no entry — absence and
-// emptiness are distinguished by ObserveTest).
+// emptiness are distinguished by ObserveTest). params is read, never
+// written, and must not change after: the slice Observe merged last for
+// test (the same array and length) is skipped.
 func (c *Collector) Observe(test string, params []string) {
 	if c == nil || test == "" {
 		return
@@ -67,8 +75,11 @@ func (c *Collector) Observe(test string, params []string) {
 		return
 	}
 	tc := c.covFor(test)
-	for _, p := range params {
-		tc.params[p] = true
+	if data := unsafe.SliceData(params); data != tc.last || len(params) != tc.lastSize {
+		for _, p := range params {
+			tc.params[p] = true
+		}
+		tc.last, tc.lastSize = data, len(params)
 	}
 }
 

@@ -346,3 +346,35 @@ func TestItemStoreRefusesInvalidRecord(t *testing.T) {
 		t.Fatalf("the failed save left %v behind", tmp)
 	}
 }
+
+// Observe skips the very slice it merged last for a test, and merges any
+// other: a slice of equal contents, a shorter view of the same array, or
+// the same slice after another was merged. Writing a merged slice breaks
+// Observe's contract; it is done here only to make a skip visible.
+func TestObserveSkipsTheSliceItMergedLast(t *testing.T) {
+	t.Parallel()
+	c := NewCollector()
+	params := func() []string { ps, _ := c.Params("T"); return ps }
+	set := []string{"a", "b"}
+	c.Observe("T", set)
+	set[1] = "x"
+	c.Observe("T", set)
+	if got := params(); !reflect.DeepEqual(got, []string{"a", "b"}) {
+		t.Fatalf("the same slice again was merged: %q", got)
+	}
+	c.Observe("T", []string{"a", "x"})
+	if got := params(); !reflect.DeepEqual(got, []string{"a", "b", "x"}) {
+		t.Fatalf("a slice of equal contents was skipped: %q", got)
+	}
+	set[0] = "y"
+	c.Observe("T", set[:1])
+	if got := params(); !reflect.DeepEqual(got, []string{"a", "b", "x", "y"}) {
+		t.Fatalf("a shorter view of the slice was skipped: %q", got)
+	}
+	c.Observe("U", set[:1])
+	set[0] = "z"
+	c.Observe("T", set[:1])
+	if got := params(); !reflect.DeepEqual(got, []string{"a", "b", "x", "y"}) {
+		t.Fatalf("the slice merged last for T, merged for U in between, was merged again: %q", got)
+	}
+}

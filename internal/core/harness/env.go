@@ -57,7 +57,7 @@ func NewEnv(schema *confkit.Registry, scale *simtime.Scale, seed int64) *Env {
 func (e *Env) reset(schema *confkit.Registry, seed int64) {
 	e.RT.Reset(schema)
 	e.Fabric.Reset()
-	e.seed, e.seeded, e.cleanups = seed, false, nil
+	e.seed, e.seeded, e.cleanups = seed, false, e.cleanups[:0]
 }
 
 // stream locks the Env and returns its random stream, seeded. The caller
@@ -112,12 +112,23 @@ func (e *Env) Close() {
 	e.Scale.Shutdown()
 }
 
-// runCleanups runs the registered cleanups in LIFO order, once.
+// runCleanups runs the registered cleanups in LIFO order, once. The slice
+// then goes back empty, its capacity kept for the next execution of a
+// recycled frame and its closures cleared, unless a Defer during the run
+// started another.
 func (e *Env) runCleanups() {
 	e.mu.Lock()
 	cleanups := e.cleanups
 	e.cleanups = nil
 	e.mu.Unlock()
+	defer func() {
+		clear(cleanups)
+		e.mu.Lock()
+		if e.cleanups == nil {
+			e.cleanups = cleanups[:0]
+		}
+		e.mu.Unlock()
+	}()
 	runLIFO(cleanups)
 }
 

@@ -9,26 +9,31 @@ import (
 	"zebraconf/internal/core/agent"
 )
 
-// trivialTest creates one configuration object and reads a parameter: an
-// execution that is all scaffolding.
-var trivialTest = &UnitTest{Name: "TestTrivial", Run: func(t *T) { t.Env.RT.NewConf().Get("x") }}
+// trivialTest creates one configuration object, reads a parameter and
+// registers a cleanup: an execution that is all scaffolding.
+var trivialTest = &UnitTest{Name: "TestTrivial", Run: func(t *T) {
+	t.Env.RT.NewConf().Get("x")
+	t.Env.Defer(func() {})
+}}
 
 var sinkOutcome Outcome
 
 // TestRunOnceAllocs holds a trivial trial's RunOnce, run as the runner
-// runs one, to what the recycled frame leaves: the body's goroutine, the
-// coverage list, and the registry this app's Schema builds per call (2).
-// The runtime's spawner and agent are bound once per frame; the
-// configuration object and its properties, and the clock's and the body's
-// channels, are the frame's.
+// runs one, offered the read set of the test's last execution, to what the
+// recycled frame leaves: the body's goroutine and the registry this app's
+// Schema builds per call (2). The runtime's spawner and agent are bound
+// once per frame; the configuration object and its properties, the
+// cleanup list, the clock's and the body's channels are the frame's, and
+// the read set is the one offered.
 func TestRunOnceAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the frame pool drops what it is handed under -race")
 	}
 	app := &App{Name: "frames", Schema: emptySchema}
 	opts := agent.Options{Trial: true, Coverage: true}
-	if allocs := testing.AllocsPerRun(100, func() { sinkOutcome = RunOnce(app, trivialTest, opts, 1) }); allocs > 4 {
-		t.Fatalf("a trivial trial made %.0f allocations, want at most 4", allocs)
+	opts.LastReads = RunOnce(app, trivialTest, opts, 1).ReadParams
+	if allocs := testing.AllocsPerRun(100, func() { sinkOutcome = RunOnce(app, trivialTest, opts, 1) }); allocs > 3 {
+		t.Fatalf("a trivial trial made %.0f allocations, want at most 3", allocs)
 	}
 }
 

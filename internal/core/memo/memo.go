@@ -16,6 +16,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"hash/fnv"
+	"hash/maphash"
 	"slices"
 	"strings"
 	"sync"
@@ -194,14 +195,18 @@ type Cache struct {
 	backend Backend
 	obs     *obs.Observer
 
-	mu    sync.Mutex
-	calls map[Key]*call
+	mu sync.Mutex
+	// calls holds the slots by their key's hash (hashKey), keys of one
+	// hash chained: a table slot is 16 bytes, not a Key's 56 and a pointer.
+	calls map[uint64]*call
 }
 
 // call is one execution slot, a single allocation: wg is released and
 // done set once res is final. done only tells a completed entry (a local
 // hit) from an in-flight one (a coalesced wait); wg is what orders res.
 type call struct {
+	key  Key
+	next *call // the next slot whose key has the same hash
 	wg   sync.WaitGroup
 	done atomic.Bool
 	res  Result
@@ -210,7 +215,38 @@ type call struct {
 // NewCache builds a cache for one app. backend may be nil (purely
 // in-process); o may be nil (no metrics).
 func NewCache(app string, backend Backend, o *obs.Observer) *Cache {
-	return &Cache{app: app, backend: backend, obs: o, calls: make(map[Key]*call)}
+	return &Cache{app: app, backend: backend, obs: o, calls: make(map[uint64]*call)}
+}
+
+// hashKey is the table's hash of a Key: a variable, so that a test can
+// make distinct keys collide.
+var hashKey = func(k Key) uint64 {
+	var h maphash.Hash
+	h.SetSeed(keySeed)
+	for _, s := range [...]string{k.App, k.Test, k.Assign} {
+		h.WriteString(s)
+		h.WriteByte(0)
+	}
+	return h.Sum64() ^ uint64(k.Seed)
+}
+
+var keySeed = maphash.MakeSeed()
+
+// lookupLocked returns key's slot and key's hash; a nil slot when the
+// table has none.
+func (c *Cache) lookupLocked(key Key) (*call, uint64) {
+	h := hashKey(key)
+	cl := c.calls[h]
+	for cl != nil && cl.key != key {
+		cl = cl.next
+	}
+	return cl, h
+}
+
+// insertLocked adds cl, a slot for a key the table lacks, under hash h.
+func (c *Cache) insertLocked(h uint64, cl *call) {
+	cl.next = c.calls[h]
+	c.calls[h] = cl
 }
 
 // Do returns the memoized result for key, executing fn at most once per
@@ -222,7 +258,8 @@ func (c *Cache) Do(key Key, fn func() Result) (res Result, reused bool) {
 		return fn(), false
 	}
 	c.mu.Lock()
-	if cl, ok := c.calls[key]; ok {
+	cl, h := c.lookupLocked(key)
+	if cl != nil {
 		c.mu.Unlock()
 		if cl.done.Load() {
 			c.hit("local")
@@ -232,9 +269,9 @@ func (c *Cache) Do(key Key, fn func() Result) (res Result, reused bool) {
 		cl.wg.Wait()
 		return cl.res, true
 	}
-	cl := new(call)
+	cl = &call{key: key}
 	cl.wg.Add(1)
-	c.calls[key] = cl
+	c.insertLocked(h, cl)
 	c.mu.Unlock()
 
 	if c.backend != nil {
@@ -270,13 +307,14 @@ func (c *Cache) Record(key Key, res Result) {
 		return
 	}
 	c.mu.Lock()
-	if _, ok := c.calls[key]; ok {
+	cl, h := c.lookupLocked(key)
+	if cl != nil {
 		c.mu.Unlock()
 		return
 	}
-	cl := &call{res: res}
+	cl = &call{key: key, res: res}
 	cl.done.Store(true)
-	c.calls[key] = cl
+	c.insertLocked(h, cl)
 	c.mu.Unlock()
 	if c.backend != nil {
 		c.backend.Put(key, res)

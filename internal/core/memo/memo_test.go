@@ -281,3 +281,45 @@ func TestBackendInterplay(t *testing.T) {
 		t.Fatalf("first cache stats: %+v", s)
 	}
 }
+
+// Keys whose hashes collide share a table entry and stay distinct: with
+// every key forced onto one hash, each of several keys that differ in one
+// field keeps its own result through Do and Record, and a key recorded
+// among them is served its own. Not parallel: it swaps hashKey.
+func TestCollidingKeysStayDistinct(t *testing.T) {
+	defer func(orig func(Key) uint64) { hashKey = orig }(hashKey)
+	hashKey = func(Key) uint64 { return 7 }
+
+	base := Key{App: "a", Test: "T", Assign: "d", Seed: 1}
+	keys := []Key{base, {App: "b", Test: "T", Assign: "d", Seed: 1}, {App: "a", Test: "U", Assign: "d", Seed: 1},
+		{App: "a", Test: "T", Assign: "e", Seed: 1}, {App: "a", Test: "T", Assign: "d", Seed: 2}}
+	c := NewCache("a", nil, nil)
+	for i, key := range keys[:4] {
+		res, reused := c.Do(key, func() Result { return Result{Msg: fmt.Sprint(i)} })
+		if reused || res.Msg != fmt.Sprint(i) {
+			t.Fatalf("key %d (%+v) was served %+v (reused %v), want its own execution", i, key, res, reused)
+		}
+	}
+	c.Record(keys[4], Result{Msg: "4"})
+	c.Record(keys[1], Result{Msg: "recorded over"}) // an entry wins
+	for i, key := range keys {
+		res, reused := c.Do(key, func() Result { t.Fatalf("key %d executed again", i); return Result{} })
+		if !reused || res.Msg != fmt.Sprint(i) {
+			t.Fatalf("key %d (%+v) was served %+v (reused %v), want its own result", i, key, res, reused)
+		}
+	}
+	if n := len(c.calls); n != 1 {
+		t.Fatalf("the forced hash spread %d keys over %d table entries, want 1", len(keys), n)
+	}
+}
+
+// A hit allocates nothing: hashing a Key for the table is done on the
+// stack.
+func TestHitAllocs(t *testing.T) {
+	c := NewCache("a", nil, nil)
+	key := Key{App: "a", Test: "T", Assign: "d", Seed: 1}
+	c.Do(key, func() Result { return Result{Msg: "m"} })
+	if allocs := testing.AllocsPerRun(20, func() { c.Do(key, func() Result { return Result{} }) }); allocs != 0 {
+		t.Fatalf("a hit made %.0f allocations, want 0", allocs)
+	}
+}

@@ -10,6 +10,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -177,6 +178,12 @@ type Runner struct {
 	opts Options
 	// executions counts every unit-test run across the runner's lifetime.
 	executions atomic.Int64
+
+	// reads keeps each test's last executed read set, offered to the next
+	// execution of the test (agent.Options.LastReads): a trial reading
+	// what the last one read shares its slice instead of building one.
+	readsMu sync.Mutex
+	reads   map[string][]string
 }
 
 // New returns a runner for app.
@@ -187,7 +194,7 @@ func New(app *harness.App, opts Options) *Runner {
 	if opts.MaxRounds <= 0 {
 		opts.MaxRounds = DefaultMaxRounds
 	}
-	return &Runner{app: app, opts: opts}
+	return &Runner{app: app, opts: opts, reads: make(map[string][]string)}
 }
 
 // Executions reports the total unit-test runs performed so far.
@@ -279,12 +286,16 @@ func (r *Runner) runTrial(parent obs.SpanID, cost *Result, t trial) (out harness
 			// Pre-runs are the one stack-walk-enabled execution per test:
 			// cheap (once per campaign) and the index's callsite source.
 			CoverageSites: t.full && r.opts.Coverage != nil,
+			LastReads:     r.lastReads(t.test.Name),
 		}, key.Seed, r.opts.Obs, t.capture)
+		r.keepReads(t.test.Name, out.ReadParams)
 		r.opts.Obs.RecordExecution(r.app.Name, t.arm, out.Failed)
 		r.opts.Coverage.Observe(t.test.Name, out.ReadParams)
 		cost.Executions++
 		if out.Abandoned {
 			cost.Abandoned++
+			// A goroutine of the execution may still read its assigner.
+			t.recipe.Abandon()
 		}
 		return memo.Result{Failed: out.Failed, TimedOut: out.TimedOut, Msg: out.Msg, Reads: out.ReadParams}
 	}
@@ -310,6 +321,20 @@ func (r *Runner) runTrial(parent obs.SpanID, cost *Result, t trial) (out harness
 		}
 	}
 	return out, reused, key
+}
+
+// lastReads returns test's last executed read set.
+func (r *Runner) lastReads(test string) []string {
+	r.readsMu.Lock()
+	defer r.readsMu.Unlock()
+	return r.reads[test]
+}
+
+// keepReads makes reads test's last executed read set.
+func (r *Runner) keepReads(test string, reads []string) {
+	r.readsMu.Lock()
+	defer r.readsMu.Unlock()
+	r.reads[test] = reads
 }
 
 // PreRun executes every unit test once with no assignments, collecting the

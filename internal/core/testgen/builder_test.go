@@ -243,7 +243,8 @@ func TestReductionRowsIgnoreQuarantine(t *testing.T) {
 }
 
 // BuildPools groups by parameter whatever the input order, exactly as the
-// original did by stable-sorting a clone.
+// original did by stable-sorting a clone, and its pools, in order, are the
+// input slice it permuted in place.
 func TestBuildPoolsShuffledMatchesReference(t *testing.T) {
 	t.Parallel()
 	rng := rand.New(rand.NewSource(1))
@@ -257,15 +258,24 @@ func TestBuildPoolsShuffledMatchesReference(t *testing.T) {
 					rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
 				}
 				for _, maxPool := range []int{0, 2, 3} {
-					got := testgen.BuildPools(pre.Test, shuffled, maxPool)
 					want := testgen.RefBuildPools(pre.Test, shuffled, maxPool)
+					in := slices.Clone(shuffled)
+					got := testgen.BuildPools(pre.Test, in, maxPool)
 					if len(got) != len(want) {
 						t.Fatalf("%s/%s max %d: %d pools, want %d", a.app.Name, pre.Test, maxPool, len(got), len(want))
 					}
+					rest := in
 					for i := range got {
 						if got[i].Test != want[i].Test || !slices.Equal(got[i].Members, want[i].Members) {
 							t.Fatalf("%s/%s max %d: pool %d differs from the original", a.app.Name, pre.Test, maxPool, i)
 						}
+						if m := got[i].Members; len(m) > len(rest) || &m[0] != &rest[0] {
+							t.Fatalf("%s/%s max %d: pool %d is not the next part of the input", a.app.Name, pre.Test, maxPool, i)
+						}
+						rest = rest[len(got[i].Members):]
+					}
+					if len(rest) != 0 {
+						t.Fatalf("%s/%s max %d: %d instances of the input in no pool", a.app.Name, pre.Test, maxPool, len(rest))
 					}
 				}
 			}

@@ -323,6 +323,9 @@ type Builder struct {
 	// s is the entry buffer every recipe is written into, taken from
 	// scratchPool on first use and handed back by Release.
 	s *scratch
+	// slot is the recipe an executed trial's agent reads (Assigner),
+	// overwritten by the next; nil after Abandon.
+	slot *Recipe
 }
 
 // armKey names one homogeneous arm.
@@ -435,13 +438,28 @@ func (r Recipe) Digest() string {
 }
 
 // Assigner returns the recipe as an executed trial's agent reads it: a
-// copy of the recipe, the one allocation, whose Lookup never changes; nil
-// for the empty recipe.
+// copy of the recipe in its builder's slot, which the builder's next
+// Assigner overwrites; nil for the empty recipe. An item's trials run one
+// at a time, so the copy holds for the execution that reads it, and for
+// its goroutines past its end once Abandon has handed the slot over.
 func (r Recipe) Assigner() agent.Assigner {
 	if r.kind == emptyRecipe {
 		return nil
 	}
-	return &r
+	if r.b.slot == nil {
+		r.b.slot = new(Recipe)
+	}
+	*r.b.slot = r
+	return r.b.slot
+}
+
+// Abandon gives the slot the recipe's Assigner returned to an abandoned
+// execution, whose goroutines may go on reading it: the builder's next
+// Assigner writes a slot of its own.
+func (r Recipe) Abandon() {
+	if r.b != nil {
+		r.b.slot = nil
+	}
 }
 
 // Lookup returns the value the recipe assigns k and whether it assigns

@@ -21,16 +21,17 @@ type Pool struct {
 // and a pool never holds two instances of the same parameter, so merged
 // assignments cannot conflict. maxPool bounds the members per pool (0 =
 // unbounded, the paper's setting: pool size up to the number of
-// parameters). BuildPools leaves instances as it is: the pools share one
-// exactly sized copy of it, each capped at its own end, so appending to one
-// pool's Members never writes into another's.
+// parameters). BuildPools permutes instances in place into pool order, so
+// the caller is not to read it as it was: the pools are slices of it, each
+// capped at its own end, so appending to one pool's Members never writes
+// into another's.
 func BuildPools(test string, instances []Instance, maxPool int) []Pool {
 	n := len(instances)
 	if n == 0 {
 		return nil
 	}
-	// One buffer holds order and runs.
-	idx := make([]int32, 2*n+1)
+	// One buffer holds order, runs and the permutation.
+	idx := make([]int32, 3*n+1)
 	// order lists instances by parameter, stably: a parameter's instances
 	// keep their input order even when they are not contiguous.
 	order := idx[:n]
@@ -57,26 +58,46 @@ func BuildPools(test string, instances []Instance, maxPool int) []Pool {
 	if maxPool > 0 {
 		bound += n / maxPool
 	}
-	members := make([]Instance, 0, n)
 	pools := make([]Pool, 0, bound)
+	// from[j] is the instance that goes to position j.
+	from := idx[2*n+1 : 2*n+1]
 	for slot := int32(0); slot < slots; slot++ {
-		lo := len(members)
+		lo := len(from)
 		for i := 0; i+1 < len(runs); i++ {
 			if at := runs[i] + slot; at < runs[i+1] {
-				members = append(members, instances[order[at]])
+				from = append(from, order[at])
 			}
 		}
-		hi := len(members)
+		hi := len(from)
 		step := hi - lo
 		if maxPool > 0 {
 			step = maxPool
 		}
 		for start := lo; start < hi; start += step {
 			end := min(start+step, hi)
-			pools = append(pools, Pool{Test: test, Members: members[start:end:end]})
+			pools = append(pools, Pool{Test: test, Members: instances[start:end:end]})
 		}
 	}
+	permute(instances, from)
 	return pools
+}
+
+// permute moves instances[from[j]] to position j for every j, cycle by
+// cycle, marking each position done by from[j] = j.
+func permute(instances []Instance, from []int32) {
+	for i := range from {
+		if from[i] == int32(i) {
+			continue
+		}
+		held := instances[i]
+		j := int32(i)
+		for from[j] != int32(i) {
+			next := from[j]
+			instances[j], from[j] = instances[next], j
+			j = next
+		}
+		instances[j], from[j] = held, j
+	}
 }
 
 // Split halves the pool for the divide-and-conquer recursion.
